@@ -22,7 +22,7 @@
 //		Metric: ansmet.L2,
 //		Elem:   ansmet.Float32,
 //	})
-//	res, err := db.Search(query, 10)
+//	res, err := db.Do(ctx, &ansmet.Query{Vector: query, K: 10})
 //
 // Search results are exact with respect to the underlying index traversal:
 // early termination provably never changes them (DESIGN.md, invariant 3).
@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -62,16 +61,19 @@ var (
 )
 
 // IsInvalidInput reports whether err is one of the typed query-validation
-// errors (ErrBadK, ErrBadEf, ErrBadQuery, ErrDimension) — the class a
-// serving layer should map to a client fault (HTTP 400) rather than a
-// server fault.
+// errors (ErrBadK, ErrBadEf, ErrBadQuery, ErrDimension, or a Filter on a
+// route that cannot honor one) — the class a serving layer should map to a
+// client fault (HTTP 400) rather than a server fault.
 func IsInvalidInput(err error) bool {
 	return errors.Is(err, ErrBadK) || errors.Is(err, ErrBadEf) ||
-		errors.Is(err, ErrBadQuery) || errors.Is(err, ErrDimension)
+		errors.Is(err, ErrBadQuery) || errors.Is(err, ErrDimension) ||
+		errors.Is(err, errFilterRoute)
 }
 
-// validateQuery applies the typed input checks shared by every search
-// entry point.
+// validateQuery applies the typed input checks every search runs through
+// (Database.do; Cluster.Do repeats them before fanning out, so a bad
+// request is rejected once instead of counting as a failure on every
+// shard).
 func (db *Database) validateQuery(q []float32, k, ef int) error {
 	if k <= 0 {
 		return fmt.Errorf("%w (k=%d)", ErrBadK, k)
@@ -261,15 +263,15 @@ type mutCounters struct {
 // searchScratch is the reusable per-search state: the quantized query
 // buffer, a private distance engine (engines hold per-query bounder state,
 // so each concurrent search needs its own), and a result buffer. Pooled on
-// the Database so steady-state searches through SearchInto allocate
+// the Database so steady-state searches with a reused Query.Dst allocate
 // nothing.
 type searchScratch struct {
 	qq  []float32
 	eng engine.Engine
 	buf []Neighbor
-	// tiered is the lazy dedicated plain ET engine used by the tiered
-	// pipeline when eng is resilience-wrapped (see Database.tieredEngine).
-	tiered *core.ETEngine
+	// plain is the lazy dedicated plain ET engine the tiered and exact
+	// routes use when eng is resilience-wrapped (see Database.plainEngine).
+	plain *core.ETEngine
 }
 
 func (db *Database) getScratch() *searchScratch {
@@ -283,8 +285,8 @@ func (db *Database) getScratch() *searchScratch {
 	if db.tuner != nil {
 		// Refresh the adaptive-precision beam mode from the tuner's current
 		// calibration (two atomic loads). Resilience-wrapped engines skip it:
-		// their fallback contract is exact distances. ExactKNN and the tiered
-		// stage-2 re-rank ignore the mode by construction.
+		// their fallback contract is exact distances. The exact scan and the
+		// tiered stage-2 re-rank ignore the mode by construction.
 		if et, ok := s.eng.(*core.ETEngine); ok {
 			et.SetPrecision(db.sys.Precision, db.tuner.DepthBias(), db.tuner.Margin())
 		}
@@ -347,22 +349,30 @@ func New(vectors [][]float32, opts Options) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &Database{opts: opts, vectors: quant, sys: sys}
-	db.router = engine.NewRouter(engine.RouterConfig{}, db.degradedRanks)
-	if sys.Precision != nil {
-		db.tuner = precision.NewTuner(cfg.RecallTarget)
-		// Feed the target into the router's cost model: at matched recall
-		// the adaptive tiered path costs roughly target× its exact-budget
-		// observations, so pre-bias Decide accordingly until the EWMA
-		// catches up.
-		db.router.SetCostScale(RouteTiered, db.tuner.Target())
-	}
+	db := newDatabase(opts, quant, sys)
 	if opts.Mutable {
 		if err := db.enableMutation(); err != nil {
 			return nil, err
 		}
 	}
 	return db, nil
+}
+
+// newDatabase wires the per-database runtime state every query runs
+// through — the router and, on an adaptive system, the recall-target tuner
+// — around a preprocessed system, whether New built it or Load restored it.
+func newDatabase(opts Options, vectors [][]float32, sys *core.System) *Database {
+	db := &Database{opts: opts, vectors: vectors, sys: sys}
+	db.router = engine.NewRouter(engine.RouterConfig{}, db.degradedRanks)
+	if sys.Precision != nil {
+		db.tuner = precision.NewTuner(sys.Cfg.RecallTarget)
+		// Feed the target into the router's cost model: at matched recall
+		// the adaptive tiered path costs roughly target× its exact-budget
+		// observations, so pre-bias Decide accordingly until the EWMA
+		// catches up.
+		db.router.SetCostScale(RouteTiered, db.tuner.Target())
+	}
+	return db
 }
 
 // Len returns the number of indexed vectors, including tombstoned ones on
@@ -393,319 +403,11 @@ func (db *Database) Vector(id uint32) ([]float32, bool) {
 	return db.vectors[id], true
 }
 
-// Search returns the k approximate nearest neighbors of q using a beam
-// width of max(2k, 32).
-func (db *Database) Search(q []float32, k int) ([]Neighbor, error) {
-	ef := 2 * k
-	if ef < 32 {
-		ef = 32
-	}
-	return db.SearchEf(q, k, ef)
-}
-
-// SearchEf is Search with an explicit beam width (the paper's efSearch).
-func (db *Database) SearchEf(q []float32, k, ef int) ([]Neighbor, error) {
-	return db.SearchInto(q, k, ef, nil)
-}
-
-// SearchInto is SearchEf appending results into dst[:0] instead of
-// allocating a fresh slice. With a reused dst of sufficient capacity the
-// whole search is allocation-free at steady state: the quantize buffer, the
-// distance engine, and the traversal scratch all come from pools.
-func (db *Database) SearchInto(q []float32, k, ef int, dst []Neighbor) ([]Neighbor, error) {
-	if err := db.validateQuery(q, k, ef); err != nil {
-		return nil, err
-	}
-	s := db.getScratch()
-	defer db.putScratch(s)
-	qq := s.quantize(q, db.opts.Elem)
-	batch := db.sys.Cfg.BeamBatch
-	if batch < 1 {
-		batch = 1
-	}
-	// liveFilter (nil on an immutable database) keeps tombstoned ids out of
-	// the results; traversal still routes through them.
-	return db.sys.Index.SearchFilteredInto(qq, k, ef, batch, db.liveFilter, s.eng, nil, dst), nil
-}
-
-// ExactSearch returns the exact k nearest neighbors by scanning the whole
-// database with early termination: the provable bounds skip most of each
-// far vector's data while guaranteeing the brute-force answer (the paper's
-// §4.1 claim that the scheme works for accurate kNN too). The second result
-// is the number of 64 B lines actually fetched; a plain scan would fetch
-// Len()×Stats().LinesPerVector. Falls back to a full scan for the Base
-// designs, which have no early-termination store.
-func (db *Database) ExactSearch(q []float32, k int) ([]Neighbor, int, error) {
-	nn, lines, _, err := db.exactSearch(nil, q, k)
-	return nn, lines, err
-}
-
-// exactSearch is the shared core of ExactSearch and ExactSearchCtx: a nil
-// done channel disables cancellation entirely.
-func (db *Database) exactSearch(done <-chan struct{}, q []float32, k int) ([]Neighbor, int, bool, error) {
-	if err := db.validateQuery(q, k, k); err != nil {
-		return nil, 0, false, err
-	}
-	s := db.getScratch()
-	defer db.putScratch(s)
-	qq := s.quantize(q, db.opts.Elem)
-	if db.sys.Store != nil {
-		// Reuse the pooled engine when it is a plain ET engine (the common
-		// case); resilience-wrapped engines don't expose ExactKNN, so fall
-		// back to a one-off engine there.
-		et, ok := s.eng.(*core.ETEngine)
-		if !ok {
-			et = db.sys.Store.NewETEngine(db.opts.Metric)
-		}
-		nn, lines, cancelled := et.ExactKNNCtx(done, qq, k)
-		return nn, lines, cancelled, nil
-	}
-	// Base designs: plain full scan, with the same amortized checkpoint
-	// stride as the ET path.
-	eng := core.MustExactEngine(db.vectors, db.opts.Metric, db.opts.Elem)
-	eng.StartQuery(qq)
-	var best []Neighbor
-	lines := 0
-	cancelled := false
-	for id := range db.vectors {
-		if done != nil && id%256 == 0 {
-			select {
-			case <-done:
-				cancelled = true
-			default:
-			}
-			if cancelled {
-				break
-			}
-		}
-		r := eng.Compare(uint32(id), maxFloat)
-		lines += r.Lines
-		best = insertTopK(best, Neighbor{ID: uint32(id), Dist: r.Dist}, k)
-	}
-	return best, lines, cancelled, nil
-}
-
-const maxFloat = 1.797693134862315708145274237317043567981e+308
-
-// insertTopK maintains a small sorted top-k list.
-func insertTopK(list []Neighbor, n Neighbor, k int) []Neighbor {
-	pos := len(list)
-	for pos > 0 && (list[pos-1].Dist > n.Dist ||
-		(list[pos-1].Dist == n.Dist && list[pos-1].ID > n.ID)) {
-		pos--
-	}
-	list = append(list, Neighbor{})
-	copy(list[pos+1:], list[pos:])
-	list[pos] = n
-	if len(list) > k {
-		list = list[:k]
-	}
-	return list
-}
-
 // Run executes a query batch functionally and replays it on the design's
 // timing model, returning results plus the simulation report (latency,
 // throughput, traffic, energy activity).
 func (db *Database) Run(queries [][]float32, k, ef int) *core.RunResult {
 	return db.sys.RunHNSW(queries, k, ef)
-}
-
-// SearchFiltered restricts results to ids accepted by the predicate
-// (attribute + vector hybrid search); traversal still crosses non-matching
-// vertices so the graph stays navigable. On a mutable database the
-// tombstone filter is applied in addition to the caller's predicate.
-func (db *Database) SearchFiltered(q []float32, k int, filter func(uint32) bool) ([]Neighbor, error) {
-	if err := db.validateQuery(q, k, k); err != nil {
-		return nil, err
-	}
-	s := db.getScratch()
-	defer db.putScratch(s)
-	qq := s.quantize(q, db.opts.Elem)
-	ef := 2 * k
-	if ef < 32 {
-		ef = 32
-	}
-	batch := db.sys.Cfg.BeamBatch
-	if batch < 1 {
-		batch = 1
-	}
-	return db.sys.Index.SearchFiltered(qq, k, ef, batch, db.combineFilter(filter), s.eng, nil), nil
-}
-
-// combineFilter merges the caller's predicate with the tombstone filter of
-// a mutable database. On an immutable database the predicate passes
-// through untouched (no wrapper allocation on the historical paths).
-func (db *Database) combineFilter(filter func(uint32) bool) func(uint32) bool {
-	if db.liveFilter == nil {
-		return filter
-	}
-	if filter == nil {
-		return db.liveFilter
-	}
-	lf := db.liveFilter
-	return func(id uint32) bool { return lf(id) && filter(id) }
-}
-
-// searchManyTestHook, when non-nil, runs before each SearchMany query;
-// tests use it to exercise the worker panic-recovery path.
-var searchManyTestHook func(i int)
-
-// searchManyChunk is the number of queries a SearchMany worker claims per
-// atomic increment. Chunking amortizes the shared-counter contention while
-// staying fine-grained enough to balance skewed query costs.
-const searchManyChunk = 16
-
-// SearchMany runs the queries across `workers` goroutines and returns
-// per-query results in order. workers <= 0 uses GOMAXPROCS.
-//
-// Workers claim chunks of searchManyChunk queries from a shared atomic
-// counter and draw their scratch state (quantize buffer, private distance
-// engine, traversal heaps) from the database's pool, so the only per-query
-// allocation at steady state is the returned result slice itself.
-//
-// A panic inside one worker (a corrupted index, a hardware-model fault
-// outside the resilient path) does not crash the process: the remaining
-// queries are cancelled and the panic is returned as an error.
-func (db *Database) SearchMany(queries [][]float32, k, ef, workers int) ([][]Neighbor, error) {
-	out, _, err := db.searchMany(nil, queries, k, ef, workers, RouteNDP)
-	return out, err
-}
-
-// searchMany is the shared worker pool behind SearchMany, SearchManyCtx
-// and SearchManyRouted. A nil done channel disables cancellation. When done
-// fires, workers stop claiming new queries (checked once per query) and
-// the in-flight traversals observe the same channel through their own
-// checkpoints; completed queries keep their slot in out, unstarted ones
-// stay nil. route selects the per-query execution path (a concrete route,
-// not RouteAuto — callers resolve auto once for the batch).
-func (db *Database) searchMany(done <-chan struct{}, queries [][]float32, k, ef, workers int, route Route) ([][]Neighbor, bool, error) {
-	for i, q := range queries {
-		if err := db.validateQuery(q, k, ef); err != nil {
-			return nil, false, fmt.Errorf("query %d: %w", i, err)
-		}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	batch := db.sys.Cfg.BeamBatch
-	if batch < 1 {
-		batch = 1
-	}
-	out := make([][]Neighbor, len(queries))
-	nchunks := (len(queries) + searchManyChunk - 1) / searchManyChunk
-	var (
-		wg        sync.WaitGroup
-		next      = int64(-1)
-		stop      atomic.Bool
-		cancelled atomic.Bool
-		panicMu   sync.Mutex
-		panicErr  error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panicMu.Lock()
-					if panicErr == nil {
-						panicErr = fmt.Errorf("ansmet: search worker panicked: %v", p)
-					}
-					panicMu.Unlock()
-					stop.Store(true)
-				}
-			}()
-			s := db.getScratch()
-			defer db.putScratch(s)
-			for !stop.Load() {
-				c := int(atomic.AddInt64(&next, 1))
-				if c >= nchunks {
-					return
-				}
-				lo := c * searchManyChunk
-				hi := lo + searchManyChunk
-				if hi > len(queries) {
-					hi = len(queries)
-				}
-				for i := lo; i < hi && !stop.Load(); i++ {
-					if done != nil {
-						select {
-						case <-done:
-							cancelled.Store(true)
-							stop.Store(true)
-							return
-						default:
-						}
-					}
-					if searchManyTestHook != nil {
-						searchManyTestHook(i)
-					}
-					if route == RouteTiered || route == RouteExact {
-						et := db.tieredEngine(s)
-						if et == nil {
-							// Base design: exact full-scan fallback.
-							nn, _, qc, _ := db.exactSearch(done, queries[i], k)
-							if qc {
-								cancelled.Store(true)
-								stop.Store(true)
-								return
-							}
-							out[i] = nn
-							continue
-						}
-						qq := s.quantize(queries[i], db.opts.Elem)
-						if route == RouteTiered {
-							var st core.TieredStats
-							s.buf, st = et.TieredKNNInto(done, qq, k, db.tieredOpts(0), s.buf)
-							db.observeTiered(k, st)
-							if st.Cancelled {
-								cancelled.Store(true)
-								stop.Store(true)
-								return
-							}
-							res := make([]Neighbor, len(s.buf))
-							copy(res, s.buf)
-							out[i] = res
-							continue
-						}
-						nn, _, qc := et.ExactKNNCtx(done, qq, k)
-						if qc {
-							cancelled.Store(true)
-							stop.Store(true)
-							return
-						}
-						out[i] = nn
-						continue
-					}
-					qq := s.quantize(queries[i], db.opts.Elem)
-					var qc bool
-					s.buf, qc = db.sys.Index.SearchCancelInto(done, qq, k, ef, batch, db.liveFilter, s.eng, nil, s.buf)
-					if qc {
-						// Mid-traversal cancel: drop the partial per-query
-						// result (per-query partials are not useful inside a
-						// batch) and stop the pool.
-						cancelled.Store(true)
-						stop.Store(true)
-						return
-					}
-					res := make([]Neighbor, len(s.buf))
-					copy(res, s.buf)
-					out[i] = res
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if panicErr != nil {
-		return nil, false, panicErr
-	}
-	return out, cancelled.Load(), nil
 }
 
 // System exposes the underlying preprocessed system for advanced use

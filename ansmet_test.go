@@ -1,6 +1,7 @@
 package ansmet_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestDatabaseDesignsAgree(t *testing.T) {
 		}
 		var got [][]ansmet.Neighbor
 		for _, q := range ds.Queries {
-			res, err := db.SearchEf(q, 5, 40)
+			res, err := db.SearchInto(q, 5, 40, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,12 +221,12 @@ func TestSearchManyMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := db.SearchMany(ds.Queries, 10, 50, 4)
+	par, _, err := db.DoMany(context.Background(), ds.Queries, &ansmet.Query{K: 10, Ef: 50, Route: ansmet.RouteNDP}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for qi, q := range ds.Queries {
-		ser, err := db.SearchEf(q, 10, 50)
+		ser, err := db.SearchInto(q, 10, 50, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,6 +241,13 @@ func TestSearchManyMatchesSerial(t *testing.T) {
 	}
 }
 
+// searchFiltered is Do on the ndp route with a Filter at the default beam
+// width.
+func searchFiltered(db *ansmet.Database, q []float32, k int, filter func(uint32) bool) ([]ansmet.Neighbor, error) {
+	res, err := db.Do(context.Background(), &ansmet.Query{Vector: q, K: k, Route: ansmet.RouteNDP, Filter: filter})
+	return res.Neighbors, err
+}
+
 func TestSearchFilteredFacade(t *testing.T) {
 	p := dataset.ProfileByName("SIFT")
 	ds := dataset.Generate(p, 400, 4, 73)
@@ -249,7 +257,7 @@ func TestSearchFilteredFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.SearchFiltered(ds.Queries[0], 5, func(id uint32) bool { return id >= 200 })
+	res, err := searchFiltered(db, ds.Queries[0], 5, func(id uint32) bool { return id >= 200 })
 	if err != nil {
 		t.Fatal(err)
 	}

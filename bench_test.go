@@ -291,8 +291,8 @@ func BenchmarkDistanceKernels(b *testing.B) {
 }
 
 // BenchmarkKernelImpls measures every kernel implementation in the vecmath
-// dispatch table side by side (scalar vs AVX2 vs AVX-512 where the CPU has
-// them) on the two-vector kernels and the fused bounder block kernel, at a
+// dispatch table side by side (scalar vs AVX2 where the CPU has it) on the
+// two-vector kernels and the fused bounder block kernel, at a
 // production dimension. The sub-benchmark names make per-implementation
 // speedups readable from one run; allocs/op is budget-gated at 0.
 func BenchmarkKernelImpls(b *testing.B) {
@@ -461,24 +461,26 @@ func BenchmarkTieredSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkRouterOverhead measures the routed entry point on the explicit
-// NDP path with a live deadline: the delta versus BenchmarkSearchWithDeadline
-// is the whole price of the routing envelope (decision, in-flight tracking,
-// counters, EWMA cost observation). Budget: 0 allocs/op.
+// BenchmarkRouterOverhead measures Do itself on the explicit ndp route with
+// a live deadline and a stack Query: the execution core plus the routing
+// envelope every query pays (in-flight tracking, counters, EWMA cost
+// observation). BenchmarkSearchWithDeadline is the same query through the
+// SearchCtxInto wrapper, so the two must agree. Budget: 0 allocs/op.
 func BenchmarkRouterOverhead(b *testing.B) {
 	db := benchDB()
 	ds := benchData()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	var dst []ansmet.Neighbor
-	var err error
-	if dst, _, err = db.SearchRouted(ctx, ds.Queries[0], 10, 64, ansmet.RouteNDP, dst); err != nil {
+	q := ansmet.Query{Vector: ds.Queries[0], K: 10, Ef: 64, Route: ansmet.RouteNDP}
+	res, err := db.Do(ctx, &q)
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if dst, _, err = db.SearchRouted(ctx, ds.Queries[i%len(ds.Queries)], 10, 64, ansmet.RouteNDP, dst); err != nil {
+		q.Vector, q.Dst = ds.Queries[i%len(ds.Queries)], res.Neighbors
+		if res, err = db.Do(ctx, &q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -566,15 +568,15 @@ func BenchmarkRecallTargetOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchMany measures parallel batch-search throughput across all
-// cores.
+// BenchmarkSearchMany measures parallel batch-search throughput (DoMany on
+// the ndp route) across all cores.
 func BenchmarkSearchMany(b *testing.B) {
 	db := benchDB()
 	ds := benchData()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.SearchMany(ds.Queries, 10, 64, 0); err != nil {
+		if _, _, err := db.DoMany(context.Background(), ds.Queries, &ansmet.Query{K: 10, Ef: 64, Route: ansmet.RouteNDP}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -113,12 +113,14 @@ type ClusterResult struct {
 	Faults []ShardFault
 	// Hedged is how many hedge requests the query fired.
 	Hedged int
+	// Route is the path every shard executed (see Cluster.Do).
+	Route Route
 }
 
 // Cluster is a Database partitioned into independently searched shards
 // behind a fault-tolerant scatter-gather coordinator. Build one with
-// NewCluster or restore one with LoadClusterDir; search it with the Ctx
-// family. Safe for concurrent use.
+// NewCluster or restore one with LoadClusterDir; search it with Do. Safe
+// for concurrent use.
 type Cluster struct {
 	opts   ClusterOptions
 	shards []*Database
@@ -246,53 +248,43 @@ func jumpHash(key uint64, buckets int) int {
 	return int(b)
 }
 
-// routeKey carries an explicit per-query Route through the coordinator's
-// context to the shard search functions, keeping the cluster.ShardFunc
-// signature (and every byte-identity property of the default path) intact.
-type routeKey struct{}
+// planKey carries the cluster-level plan of one Cluster.Do query through
+// the coordinator's context to the shard search functions, keeping the
+// cluster.ShardFunc signature intact.
+type planKey struct{}
 
-// WithRoute returns a context carrying an explicit shard-level route.
-// Contexts without one execute the default NDP beam path.
-func WithRoute(ctx context.Context, r Route) context.Context {
-	return context.WithValue(ctx, routeKey{}, r)
-}
-
-// routeFrom extracts the carried route; the default is RouteNDP, the
-// historical path (routing is strictly opt-in).
-func routeFrom(ctx context.Context) Route {
-	if r, ok := ctx.Value(routeKey{}).(Route); ok {
-		return r
-	}
-	return RouteNDP
+// shardPlan is what every shard of one query must agree on: the resolved
+// route, the pinned tiered budget and the caller's global-id filter.
+type shardPlan struct {
+	route  Route
+	budget float64
+	filter func(uint32) bool
 }
 
 // shardSearchFunc adapts one shard Database into the coordinator's shard
-// interface: search shard-locally on the context-selected route, then remap
-// local row ids to global vector ids and restore the canonical (Dist, ID)
-// order the merge needs. On the tiered route each shard returns its exact
-// top-k (budget 1), so the merged result is the exact global top-k.
+// interface: run the context-carried plan shard-locally through Do, then
+// remap local row ids to global vector ids and restore the canonical
+// (Dist, ID) order the merge needs. On the tiered route at budget 1 each
+// shard returns its exact top-k, so the merged result is the exact global
+// top-k.
 func shardSearchFunc(db *Database, ids []uint32) cluster.ShardFunc {
 	return func(ctx context.Context, q []float32, k, ef int, dst []hnsw.Neighbor) ([]hnsw.Neighbor, error) {
-		var out []hnsw.Neighbor
-		var err error
-		switch routeFrom(ctx) {
-		case RouteTiered:
-			out, _, err = db.TieredSearchCtxInto(ctx, q, k, tieredBudgetFrom(ctx), dst)
-		case RouteExact:
-			out, _, err = db.ExactSearchCtx(ctx, q, k)
-		default:
-			out, err = db.SearchCtxInto(ctx, q, k, ef, dst)
+		plan := ctx.Value(planKey{}).(*shardPlan)
+		sq := Query{Vector: q, K: k, Ef: ef, Route: plan.route, Budget: plan.budget, Dst: dst}
+		if filter := plan.filter; filter != nil {
+			// The caller's predicate speaks global ids.
+			sq.Filter = func(id uint32) bool { return filter(ids[id]) }
 		}
+		res, err := db.Do(ctx, &sq)
 		if err != nil {
+			// Only a cancellation's usable partial is worth merging.
 			var ce *CancelError
-			if errors.As(err, &ce) && ce.Partial {
-				remapToGlobal(out, ids)
-				return out, err
+			if !errors.As(err, &ce) || !ce.Partial {
+				return nil, err
 			}
-			return nil, err
 		}
-		remapToGlobal(out, ids)
-		return out, nil
+		remapToGlobal(res.Neighbors, ids)
+		return res.Neighbors, err
 	}
 }
 
@@ -317,34 +309,40 @@ func (c *Cluster) Shards() int { return len(c.shards) }
 // Len returns the total number of indexed vectors across all shards.
 func (c *Cluster) Len() int { return c.total }
 
-// SearchCtx searches the cluster with the default beam width (2k, min 32),
-// degrading to a partial merged answer when shards misbehave.
-func (c *Cluster) SearchCtx(ctx context.Context, q []float32, k int) (ClusterResult, error) {
-	ef := 2 * k
-	if ef < 32 {
-		ef = 32
-	}
-	return c.SearchEfCtx(ctx, q, k, ef)
-}
-
-// SearchEfCtx is SearchCtx with an explicit beam width.
-func (c *Cluster) SearchEfCtx(ctx context.Context, q []float32, k, ef int) (ClusterResult, error) {
-	return c.SearchEfCtxInto(ctx, q, k, ef, nil)
-}
-
-// SearchEfCtxInto is SearchEfCtx appending the merged results into dst[:0].
+// Do executes one query on every shard behind the fault-tolerant
+// coordinator and merges the answers; Query means what it means to
+// Database.Do, with Filter receiving GLOBAL vector ids (a nil Filter is
+// never wrapped; a non-nil one is remapped to shard-local ids once per
+// shard).
+//
+// The plan is resolved ONCE, on the first shard — whose router and tuner
+// see this cluster's traffic — and every shard then executes the same
+// concrete route at the same tiered budget, so the scatter-gather merge
+// stays coherent: mixing routes, or the independently calibrated budgets of
+// adaptive shards, would merge answers of different quality classes. Each
+// shard's own router observes the query it ran.
 //
 // The error is nil for both healthy and degraded answers — degradation is
 // reported in the result (Partial, Faults), because a partial top-k is
-// still an answer. It is non-nil only when the query's own context fired
-// (the usual *CancelError contract, with any best-effort merge in the
-// result) or no shard produced anything at all.
-func (c *Cluster) SearchEfCtxInto(ctx context.Context, q []float32, k, ef int, dst []Neighbor) (ClusterResult, error) {
-	if err := c.shards[0].validateQuery(q, k, ef); err != nil {
-		return ClusterResult{}, err
+// still an answer. It is non-nil only for invalid input, when the query's
+// own context fired (the usual *CancelError contract, with any best-effort
+// merge in the result) or when no shard produced anything at all.
+func (c *Cluster) Do(ctx context.Context, q *Query) (ClusterResult, error) {
+	lead := c.shards[0]
+	ef := q.beam()
+	if err := lead.validateQuery(q.Vector, q.K, ef); err != nil {
+		return ClusterResult{Route: q.Route}, err
 	}
-	res, err := c.coord.SearchInto(ctx, q, k, ef, dst)
-	out := ClusterResult{Neighbors: res.Neighbors, Partial: res.Partial, Hedged: res.Hedged}
+	route, err := lead.resolveRoute(ctx, q)
+	if err != nil {
+		return ClusterResult{Route: q.Route}, err
+	}
+	plan := &shardPlan{route: route, budget: q.Budget, filter: q.Filter}
+	if route == RouteTiered && plan.budget == 0 && lead.adaptive() {
+		plan.budget = lead.tuner.Budget()
+	}
+	res, err := c.coord.SearchInto(context.WithValue(ctx, planKey{}, plan), q.Vector, q.K, ef, q.Dst)
+	out := ClusterResult{Neighbors: res.Neighbors, Route: route, Partial: res.Partial, Hedged: res.Hedged}
 	if len(res.Errors) > 0 {
 		out.Faults = make([]ShardFault, len(res.Errors))
 		for i, e := range res.Errors {
@@ -363,42 +361,12 @@ func (c *Cluster) SearchEfCtxInto(ctx context.Context, q []float32, k, ef int, d
 	return out, nil
 }
 
-// SearchRouted is SearchEfCtx with a query-path mode (see
-// Database.SearchRouted). RouteAuto is resolved ONCE, on the first shard's
-// router — whose EWMA and breaker state see this cluster's traffic — and
-// every shard then executes the same concrete path, so the scatter-gather
-// merge stays coherent (mixing routes across shards would merge answers of
-// different quality classes). The chosen route rides the context via
-// WithRoute; the coordinator, hedging, and partial-merge semantics are
-// untouched.
-func (c *Cluster) SearchRouted(ctx context.Context, q []float32, k, ef int, mode Route) (ClusterResult, Route, error) {
-	lead := c.shards[0]
-	route := mode
-	if route == RouteAuto {
-		route = lead.router.Decide(slackOf(ctx), lead.sys.Store != nil)
-	}
-	if route == RouteTiered && lead.sys.Store == nil {
-		route = RouteExact
-	}
-	ctx = WithRoute(ctx, route)
-	if route == RouteTiered && lead.adaptive() && tieredBudgetFrom(ctx) == 0 {
-		// Resolve the recall-target calibration once, on the lead shard —
-		// the same lead-resolution rule as routing: shard tuners calibrate
-		// independently, and a merge over mixed budgets would blend answer
-		// quality classes. An explicit budget already on the context (a
-		// per-request recall target from the serve layer) wins.
-		ctx = WithTieredBudget(ctx, lead.tuner.Budget())
-	}
-	res, err := c.SearchEfCtxInto(ctx, q, k, ef, nil)
-	lead.router.Record(route)
-	return res, route, err
-}
-
 // ExactSearchCtx scatter-gathers the exact (linear-scan) search: each shard
 // scans its partition and the exact per-shard top-k merge IS the exact
-// global top-k at any k — no approximation caveat. Unlike SearchEfCtx this
-// auxiliary path fans out synchronously and fails fast on any shard error;
-// it does not hedge or degrade.
+// global top-k at any k — no approximation caveat. Unlike Do with
+// RouteExact this reference path fans out synchronously and fails fast on
+// any shard error; it does not hedge or degrade, which is what the merge
+// byte-identity tests compare the coordinator against.
 func (c *Cluster) ExactSearchCtx(ctx context.Context, q []float32, k int) ([]Neighbor, int, error) {
 	lists := make([][]Neighbor, len(c.shards))
 	lines := make([]int, len(c.shards))
@@ -408,13 +376,13 @@ func (c *Cluster) ExactSearchCtx(ctx context.Context, q []float32, k int) ([]Nei
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			nn, ln, err := c.shards[s].ExactSearchCtx(ctx, q, k)
+			res, err := c.shards[s].Do(ctx, &Query{Vector: q, K: k, Route: RouteExact})
 			if err != nil {
 				errs[s] = err
 				return
 			}
-			remapToGlobal(nn, c.ids[s])
-			lists[s], lines[s] = nn, ln
+			remapToGlobal(res.Neighbors, c.ids[s])
+			lists[s], lines[s] = res.Neighbors, res.Lines
 		}(s)
 	}
 	wg.Wait()
@@ -428,37 +396,6 @@ func (c *Cluster) ExactSearchCtx(ctx context.Context, q []float32, k int) ([]Nei
 		totalLines += ln
 	}
 	return hnsw.MergeTopK(nil, lists, k), totalLines, nil
-}
-
-// SearchFiltered scatter-gathers the attribute-filtered search; the
-// predicate receives GLOBAL vector ids. Like ExactSearchCtx this auxiliary
-// path fails fast instead of degrading.
-func (c *Cluster) SearchFiltered(q []float32, k int, filter func(uint32) bool) ([]Neighbor, error) {
-	lists := make([][]Neighbor, len(c.shards))
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for s := range c.shards {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			ids := c.ids[s]
-			local := func(id uint32) bool { return filter(ids[id]) }
-			nn, err := c.shards[s].SearchFiltered(q, k, local)
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			remapToGlobal(nn, ids)
-			lists[s] = nn
-		}(s)
-	}
-	wg.Wait()
-	for s, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("ansmet: filtered search on shard %d: %w", s, err)
-		}
-	}
-	return hnsw.MergeTopK(nil, lists, k), nil
 }
 
 // ClusterStats surfaces the cluster's health and degradation counters: the
@@ -492,7 +429,7 @@ type ClusterStats struct {
 }
 
 // PrecisionStats reports the lead shard's adaptive-precision calibration —
-// the one SearchRouted resolves cluster-wide budgets from. Zero-valued
+// the one Do resolves cluster-wide budgets from. Zero-valued
 // (Enabled false) when the build options did not set a RecallTarget.
 func (c *Cluster) PrecisionStats() PrecisionStats {
 	return c.shards[0].PrecisionStats()

@@ -60,7 +60,7 @@ func TestClusterMergeByteIdenticalToUnsharded(t *testing.T) {
 	const exhaustive = n + 16
 	ctx := context.Background()
 	for qi, q := range ds.Queries {
-		full, err := db.SearchEf(q, n, exhaustive)
+		full, err := db.SearchInto(q, n, exhaustive, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestClusterMergeByteIdenticalToUnsharded(t *testing.T) {
 				t.Fatalf("shards=%d %v: %v", shards, scheme, err)
 			}
 			for qi, q := range ds.Queries {
-				res, err := cl.SearchEfCtx(ctx, q, n, exhaustive)
+				res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: n, Ef: exhaustive, Route: ansmet.RouteNDP})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,11 +85,11 @@ func TestClusterMergeByteIdenticalToUnsharded(t *testing.T) {
 
 			for qi, q := range ds.Queries {
 				for _, k := range []int{1, 5, 10, 40} {
-					want, err := db.SearchEf(q, k, exhaustive)
+					want, err := db.SearchInto(q, k, exhaustive, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := cl.SearchEfCtx(ctx, q, k, exhaustive)
+					res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: k, Ef: exhaustive, Route: ansmet.RouteNDP})
 					if err != nil {
 						t.Fatalf("shards=%d %v q%d k%d: %v", shards, scheme, qi, k, err)
 					}
@@ -231,9 +231,13 @@ func TestClusterMergeTiesAtBoundary(t *testing.T) {
 }
 
 // TestClusterFilteredMatchesUnsharded extends the identity property to the
-// attribute-filtered path. SearchFiltered derives its beam from k, so the
-// dataset is sized to keep that beam exhaustive (2k ≥ n) — the regime
-// where filtered identity is guaranteed on fully reachable graphs.
+// attribute-filtered path, which rides the coordinator like every other
+// query. The default beam derives from k, so the dataset is sized to keep
+// that beam exhaustive (2k ≥ n) — the regime where filtered identity is
+// guaranteed on fully reachable graphs. The nil filter is "accept
+// everything", as on a Database; it must not be wrapped (the parent's
+// Cluster.SearchFiltered called it inside a shard goroutine and crashed the
+// process).
 func TestClusterFilteredMatchesUnsharded(t *testing.T) {
 	p := dataset.ProfileByName("DEEP")
 	const n = 96 // same vetted fully-reachable build as the beam identity test
@@ -244,13 +248,19 @@ func TestClusterFilteredMatchesUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for qi, q := range ds.Queries {
-		full, err := db.SearchEf(q, n, n+16)
+		full, err := db.SearchInto(q, n, n+16, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertFullyReachable(t, fmt.Sprintf("unsharded filtered q%d", qi), len(full), n)
 	}
-	filter := func(id uint32) bool { return id%3 == 0 }
+	filters := []struct {
+		name   string
+		filter func(uint32) bool
+	}{
+		{"id%3==0", func(id uint32) bool { return id%3 == 0 }},
+		{"nil", nil},
+	}
 	const k = 48 // beam 2k = 96 ≥ n: exhaustive
 	ctx := context.Background()
 	for _, shards := range clusterShardCounts {
@@ -261,27 +271,29 @@ func TestClusterFilteredMatchesUnsharded(t *testing.T) {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		for qi, q := range ds.Queries {
-			res, err := cl.SearchEfCtx(ctx, q, n, n+16)
+			res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: n, Ef: n + 16, Route: ansmet.RouteNDP})
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertFullyReachable(t, fmt.Sprintf("cluster filtered shards=%d q%d", shards, qi), len(res.Neighbors), n)
 		}
-		for qi, q := range ds.Queries {
-			want, err := db.SearchFiltered(q, k, filter)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := cl.SearchFiltered(q, k, filter)
-			if err != nil {
-				t.Fatalf("shards=%d q%d: %v", shards, qi, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d q%d filtered:\n  cluster  %v\n  unsharded %v", shards, qi, got, want)
-			}
-			for _, nn := range got {
-				if !filter(nn.ID) {
-					t.Fatalf("shards=%d q%d: filtered result %d fails predicate", shards, qi, nn.ID)
+		for _, f := range filters {
+			for qi, q := range ds.Queries {
+				want, err := searchFiltered(db, q, k, f.filter)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: k, Route: ansmet.RouteNDP, Filter: f.filter})
+				if err != nil || res.Partial || res.Route != ansmet.RouteNDP {
+					t.Fatalf("shards=%d %s q%d: route=%v partial=%v err=%v", shards, f.name, qi, res.Route, res.Partial, err)
+				}
+				if !reflect.DeepEqual(res.Neighbors, want) {
+					t.Fatalf("shards=%d %s q%d filtered:\n  cluster  %v\n  unsharded %v", shards, f.name, qi, res.Neighbors, want)
+				}
+				for _, nn := range res.Neighbors {
+					if f.filter != nil && !f.filter(nn.ID) {
+						t.Fatalf("shards=%d %s q%d: filtered result %d fails predicate", shards, f.name, qi, nn.ID)
+					}
 				}
 			}
 		}
@@ -309,11 +321,11 @@ func TestClusterSingleShardIdenticalAtServingBeam(t *testing.T) {
 	ctx := context.Background()
 	for qi, q := range ds.Queries {
 		for _, ef := range []int{32, 64, 128} {
-			want, err := db.SearchEf(q, 10, ef)
+			want, err := db.SearchInto(q, 10, ef, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := cl.SearchEfCtx(ctx, q, 10, ef)
+			res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: 10, Ef: ef, Route: ansmet.RouteNDP})
 			if err != nil {
 				t.Fatalf("q%d ef=%d: %v", qi, ef, err)
 			}
@@ -348,11 +360,11 @@ func TestClusterSaveDirLoadRoundTrip(t *testing.T) {
 	}
 	ctx := context.Background()
 	for qi, q := range ds.Queries {
-		want, err := cl.SearchEfCtx(ctx, q, 10, 200)
+		want, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: 10, Ef: 200, Route: ansmet.RouteNDP})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := re.SearchEfCtx(ctx, q, 10, 200)
+		got, err := re.Do(ctx, &ansmet.Query{Vector: q, K: 10, Ef: 200, Route: ansmet.RouteNDP})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,9 +453,9 @@ func TestClusterSearchRouted(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, mode := range []ansmet.Route{ansmet.RouteTiered, ansmet.RouteExact} {
-				res, route, err := cl.SearchRouted(ctx, q, 10, 64, mode)
-				if err != nil || route != mode {
-					t.Fatalf("shards=%d q%d %v: route=%v err=%v", shards, qi, mode, route, err)
+				res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: 10, Ef: 64, Route: mode})
+				if err != nil || res.Route != mode {
+					t.Fatalf("shards=%d q%d %v: route=%v err=%v", shards, qi, mode, res.Route, err)
 				}
 				if !reflect.DeepEqual(res.Neighbors, want) {
 					t.Fatalf("shards=%d q%d %v:\n  cluster   %v\n  unsharded %v",
@@ -451,9 +463,9 @@ func TestClusterSearchRouted(t *testing.T) {
 				}
 			}
 			// Auto on a healthy idle cluster picks the tiered path.
-			res, route, err := cl.SearchRouted(ctx, q, 10, 64, ansmet.RouteAuto)
-			if err != nil || route != ansmet.RouteTiered {
-				t.Fatalf("shards=%d q%d auto: route=%v err=%v", shards, qi, route, err)
+			res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: 10, Ef: 64})
+			if err != nil || res.Route != ansmet.RouteTiered {
+				t.Fatalf("shards=%d q%d auto: route=%v err=%v", shards, qi, res.Route, err)
 			}
 			if !reflect.DeepEqual(res.Neighbors, want) {
 				t.Fatalf("shards=%d q%d auto diverged", shards, qi)

@@ -103,11 +103,11 @@ func equalState(a, b *ansmet.Database, queries [][]float32) error {
 		return fmt.Errorf("Tombstones %d vs %d", a.Tombstones(), b.Tombstones())
 	}
 	for qi, q := range queries {
-		ra, err := a.SearchEf(q, 10, 40)
+		ra, err := a.SearchInto(q, 10, 40, nil)
 		if err != nil {
 			return err
 		}
-		rb, err := b.SearchEf(q, 10, 40)
+		rb, err := b.SearchInto(q, 10, 40, nil)
 		if err != nil {
 			return err
 		}
@@ -296,9 +296,9 @@ func runMutateSoak(n int, seed uint64) error {
 				var err error
 				switch i % 3 {
 				case 0:
-					res, err = db.SearchEf(q, 10, 40)
+					res, err = db.SearchInto(q, 10, 40, nil)
 				case 1:
-					res, _, err = db.TieredSearch(q, 10)
+					res, _, err = db.TieredSearchInto(q, 10, 0, nil)
 				default:
 					res, _, err = db.ExactSearch(q, 10)
 				}

@@ -61,7 +61,7 @@ func runPrecisionSoak(n int, seed uint64) error {
 	for name, db := range map[string]*ansmet.Database{"adaptive": adaptive, "fixed": fixed} {
 		tripped := false
 		for i := 0; i < 500 && !tripped; i++ {
-			nn, err := db.SearchEf(ds.Queries[i%len(ds.Queries)], 10, 50)
+			nn, err := db.SearchInto(ds.Queries[i%len(ds.Queries)], 10, 50, nil)
 			if err != nil {
 				return fmt.Errorf("%s query during crash phase: %v", name, err)
 			}
@@ -81,11 +81,11 @@ func runPrecisionSoak(n int, seed uint64) error {
 	// indistinguishable from the fixed one — resilience-wrapped engines
 	// never install the precision mode, so both run the same comparisons.
 	for qi, q := range ds.Queries {
-		a, err := adaptive.SearchEf(q, 10, 50)
+		a, err := adaptive.SearchInto(q, 10, 50, nil)
 		if err != nil {
 			return fmt.Errorf("degraded adaptive query %d: %v", qi, err)
 		}
-		f, err := fixed.SearchEf(q, 10, 50)
+		f, err := fixed.SearchInto(q, 10, 50, nil)
 		if err != nil {
 			return fmt.Errorf("degraded fixed query %d: %v", qi, err)
 		}
@@ -102,7 +102,7 @@ func runPrecisionSoak(n int, seed uint64) error {
 	before := adaptive.PrecisionStats().Observations
 	recallSum := 0.0
 	for qi, q := range ds.Queries {
-		nn, _, err := adaptive.TieredSearch(q, 10)
+		nn, _, err := adaptive.TieredSearchInto(q, 10, 0, nil)
 		if err != nil {
 			return fmt.Errorf("degraded tiered query %d: %v", qi, err)
 		}

@@ -61,11 +61,11 @@ func runRouterSoak(n int, seed uint64) error {
 	// and reproduce the exact answers.
 	ctx := context.Background()
 	for qi, q := range ds.Queries {
-		nn, route, err := db.SearchRouted(ctx, q, 10, 50, ansmet.RouteAuto, nil)
-		if err != nil || route != ansmet.RouteTiered {
-			return fmt.Errorf("healthy query %d: route=%v err=%v", qi, route, err)
+		res, err := db.Do(ctx, &ansmet.Query{Vector: q, K: 10, Ef: 50})
+		if err != nil || res.Route != ansmet.RouteTiered {
+			return fmt.Errorf("healthy query %d: route=%v err=%v", qi, res.Route, err)
 		}
-		if err := identical(nn, want[qi]); err != nil {
+		if err := identical(res.Neighbors, want[qi]); err != nil {
 			return fmt.Errorf("healthy query %d (tiered): %w", qi, err)
 		}
 	}
@@ -77,7 +77,7 @@ func runRouterSoak(n int, seed uint64) error {
 	// per-comparison fallback absorb the crash).
 	tripped := false
 	for i := 0; i < 500 && !tripped; i++ {
-		if _, err := db.SearchEf(ds.Queries[i%len(ds.Queries)], 10, 50); err != nil {
+		if _, err := db.SearchInto(ds.Queries[i%len(ds.Queries)], 10, 50, nil); err != nil {
 			return fmt.Errorf("ndp query during crash phase: %v", err)
 		}
 		tripped = db.Stats().DegradedRanks > 0
@@ -121,8 +121,9 @@ func runRouterSoak(n int, seed uint64) error {
 				if d := deadlines[(w+i)%len(deadlines)]; d != 0 {
 					qctx, cancel = context.WithDeadline(ctx, time.Now().Add(d))
 				}
-				nn, route, err := db.SearchRouted(qctx, ds.Queries[qi], 10, 50, ansmet.RouteAuto, nil)
+				res, err := db.Do(qctx, &ansmet.Query{Vector: ds.Queries[qi], K: 10, Ef: 50})
 				cancel()
+				nn, route := res.Neighbors, res.Route
 				switch {
 				case err == nil:
 					if route != ansmet.RouteExact {
@@ -165,11 +166,11 @@ func runRouterSoak(n int, seed uint64) error {
 	// Phase 3: serial stability re-check — repeats of one fixed query on
 	// the degraded router must not wobble.
 	for i := 0; i < 20; i++ {
-		nn, route, err := db.SearchRouted(ctx, ds.Queries[0], 10, 50, ansmet.RouteAuto, nil)
-		if err != nil || route != ansmet.RouteExact {
-			return fmt.Errorf("stability repeat %d: route=%v err=%v", i, route, err)
+		res, err := db.Do(ctx, &ansmet.Query{Vector: ds.Queries[0], K: 10, Ef: 50})
+		if err != nil || res.Route != ansmet.RouteExact {
+			return fmt.Errorf("stability repeat %d: route=%v err=%v", i, res.Route, err)
 		}
-		if err := identical(nn, want[0]); err != nil {
+		if err := identical(res.Neighbors, want[0]); err != nil {
 			return fmt.Errorf("stability repeat %d: %w", i, err)
 		}
 	}

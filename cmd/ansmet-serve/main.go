@@ -101,29 +101,23 @@ func main() {
 		st := cl.Stats()
 		log.Printf("cluster ready: %d vectors across %d shards (%s partition)", st.Vectors, st.Shards, st.Partition)
 		cfg.SearchOutcome = func(ctx context.Context, q []float32, k, ef int) (serve.Outcome, error) {
-			res, err := cl.SearchEfCtx(ctx, q, k, ef)
-			return clusterOutcome(res), err
+			res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: k, Ef: ef, Route: ansmet.RouteNDP})
+			return clusterOutcome(res, false), err
 		}
 		cfg.SearchRouted = func(ctx context.Context, q []float32, k, ef int, mode string) (serve.Outcome, error) {
 			r, perr := ansmet.ParseRoute(mode)
 			if perr != nil {
 				return serve.Outcome{}, perr
 			}
-			res, route, err := cl.SearchRouted(ctx, q, k, ef, r)
-			out := clusterOutcome(res)
-			out.Route = route.String()
-			return out, err
+			res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: k, Ef: ef, Route: r})
+			return clusterOutcome(res, true), err
 		}
 		cfg.SearchPrecision = func(ctx context.Context, q []float32, k, ef int, mode string, rt float64) (serve.Outcome, error) {
 			// A per-request recall target pins the tiered pipeline with its
-			// cut budget set to the target (1 = the provably exact cut); the
-			// explicit budget on the context overrides the lead shard's
-			// calibrated one for this query.
-			ctx = ansmet.WithTieredBudget(ctx, rt)
-			res, route, err := cl.SearchRouted(ctx, q, k, ef, ansmet.RouteTiered)
-			out := clusterOutcome(res)
-			out.Route = route.String()
-			return out, err
+			// cut budget set to the target (1 = the provably exact cut),
+			// overriding the lead shard's calibrated one for this query.
+			res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: k, Ef: ef, Route: ansmet.RouteTiered, Budget: rt})
+			return clusterOutcome(res, true), err
 		}
 		cfg.ExtraVars = func() map[string]any {
 			vars := map[string]any{"cluster": cl.Stats()}
@@ -176,8 +170,8 @@ func main() {
 			if perr != nil {
 				return serve.Outcome{}, perr
 			}
-			nn, route, err := db.SearchRouted(ctx, q, k, ef, r, nil)
-			return serve.Outcome{Neighbors: nn, Route: route.String()}, err
+			res, err := db.Do(ctx, &ansmet.Query{Vector: q, K: k, Ef: ef, Route: r})
+			return serve.Outcome{Neighbors: res.Neighbors, Route: res.Route.String()}, err
 		}
 		cfg.SearchPrecision = func(ctx context.Context, q []float32, k, ef int, mode string, rt float64) (serve.Outcome, error) {
 			// A per-request recall target pins the tiered pipeline with its
@@ -249,9 +243,14 @@ func main() {
 	log.Printf("drained cleanly")
 }
 
-// clusterOutcome maps a cluster result to the serving layer's outcome.
-func clusterOutcome(res ansmet.ClusterResult) serve.Outcome {
+// clusterOutcome maps a cluster result to the serving layer's outcome;
+// routed reports the route taken (requests without a "mode" or
+// "recall_target" answer without one, as they always have).
+func clusterOutcome(res ansmet.ClusterResult, routed bool) serve.Outcome {
 	out := serve.Outcome{Neighbors: res.Neighbors, Partial: res.Partial, Hedged: res.Hedged}
+	if routed {
+		out.Route = res.Route.String()
+	}
 	for _, f := range res.Faults {
 		out.Faults = append(out.Faults, fmt.Sprintf("shard %d: %s: %v", f.Shard, f.Kind, f.Err))
 	}

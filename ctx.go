@@ -5,11 +5,11 @@ import (
 	"fmt"
 )
 
-// Typed cancellation errors, matched with errors.Is. Every context-aware
-// search entry point (SearchCtx, SearchManyCtx, ExactSearchCtx) returns a
-// *CancelError wrapping one of these when the context expires or is
-// cancelled; the wrapper additionally reports whether the accompanying
-// result slice holds a usable partial answer.
+// Typed cancellation errors, matched with errors.Is. Do, DoMany and
+// Cluster.Do (and every wrapper over them) return a *CancelError wrapping
+// one of these when the context expires or is cancelled; the wrapper
+// additionally reports whether the accompanying result slice holds a usable
+// partial answer.
 var (
 	// ErrDeadlineExceeded reports a search stopped by its context deadline.
 	ErrDeadlineExceeded = fmt.Errorf("ansmet: search deadline exceeded")
@@ -17,8 +17,8 @@ var (
 	ErrCanceled = fmt.Errorf("ansmet: search canceled")
 )
 
-// CancelError is the error returned by the context-aware search APIs when
-// the context fires. It distinguishes the two outcomes a caller cares
+// CancelError is the error returned by the search APIs when the context
+// fires. It distinguishes the two outcomes a caller cares
 // about:
 //
 //   - Partial == true: the search produced a usable prefix of the answer
@@ -70,140 +70,4 @@ func cancelErr(ctx context.Context, partial bool) error {
 		e.Err = ErrDeadlineExceeded
 	}
 	return e
-}
-
-// SearchCtx is Search with cooperative cancellation: the traversal polls
-// ctx.Done() at amortized checkpoints (every few hops — see
-// internal/hnsw.SearchCancelInto) and stops within one checkpoint interval
-// of the context firing. An already-expired context is rejected up front
-// without touching the index. On cancellation the best results found so
-// far are returned alongside a *CancelError whose Partial field reports
-// whether they are usable.
-//
-// A search whose context never fires behaves exactly like Search and, at
-// steady state, allocates nothing beyond the result slice (the checkpoint
-// is a counter increment plus a non-blocking channel poll).
-func (db *Database) SearchCtx(ctx context.Context, q []float32, k int) ([]Neighbor, error) {
-	ef := 2 * k
-	if ef < 32 {
-		ef = 32
-	}
-	return db.SearchEfCtx(ctx, q, k, ef)
-}
-
-// SearchEfCtx is SearchCtx with an explicit beam width.
-func (db *Database) SearchEfCtx(ctx context.Context, q []float32, k, ef int) ([]Neighbor, error) {
-	return db.SearchCtxInto(ctx, q, k, ef, nil)
-}
-
-// SearchCtxInto is SearchEfCtx appending results into dst[:0]; with a
-// reused dst the un-cancelled steady state performs zero heap allocations
-// (gated by BenchmarkSearchWithDeadline in CI).
-func (db *Database) SearchCtxInto(ctx context.Context, q []float32, k, ef int, dst []Neighbor) ([]Neighbor, error) {
-	if err := ctx.Err(); err != nil {
-		// Expired before we started: reject without touching the index.
-		return nil, cancelErr(ctx, false)
-	}
-	if err := db.validateQuery(q, k, ef); err != nil {
-		return nil, err
-	}
-	s := db.getScratch()
-	defer db.putScratch(s)
-	qq := s.quantize(q, db.opts.Elem)
-	batch := db.sys.Cfg.BeamBatch
-	if batch < 1 {
-		batch = 1
-	}
-	out, cancelled := db.sys.Index.SearchCancelInto(ctx.Done(), qq, k, ef, batch, db.liveFilter, s.eng, nil, dst)
-	if cancelled {
-		return out, cancelErr(ctx, len(out) > 0)
-	}
-	return out, nil
-}
-
-// SearchFilteredCtx is SearchFiltered with cooperative cancellation: the
-// traversal polls ctx.Done() at the same amortized checkpoints as
-// SearchCtx, and the filtered result set built so far is returned with a
-// *CancelError when the context fires. On a mutable database the
-// tombstone filter rides the same path, applied in addition to the
-// caller's predicate.
-func (db *Database) SearchFilteredCtx(ctx context.Context, q []float32, k int, filter func(uint32) bool) ([]Neighbor, error) {
-	ef := 2 * k
-	if ef < 32 {
-		ef = 32
-	}
-	return db.SearchFilteredCtxInto(ctx, q, k, ef, filter, nil)
-}
-
-// SearchFilteredCtxInto is SearchFilteredCtx with an explicit beam width,
-// appending results into dst[:0]. With a reused dst and a closure-free
-// predicate the un-cancelled steady state performs zero heap allocations
-// beyond the combined-filter wrapper a mutable database needs to merge the
-// predicate with its tombstone bitmap (immutable databases pass the
-// predicate straight through).
-func (db *Database) SearchFilteredCtxInto(ctx context.Context, q []float32, k, ef int, filter func(uint32) bool, dst []Neighbor) ([]Neighbor, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, cancelErr(ctx, false)
-	}
-	if err := db.validateQuery(q, k, ef); err != nil {
-		return nil, err
-	}
-	s := db.getScratch()
-	defer db.putScratch(s)
-	qq := s.quantize(q, db.opts.Elem)
-	batch := db.sys.Cfg.BeamBatch
-	if batch < 1 {
-		batch = 1
-	}
-	out, cancelled := db.sys.Index.SearchCancelInto(ctx.Done(), qq, k, ef, batch, db.combineFilter(filter), s.eng, nil, dst)
-	if cancelled {
-		return out, cancelErr(ctx, len(out) > 0)
-	}
-	return out, nil
-}
-
-// ExactSearchCtx is ExactSearch with cooperative cancellation. On
-// cancellation it returns the best neighbors over the prefix of the
-// database scanned so far — a usable approximate answer, but NOT the exact
-// one — together with a *CancelError (Partial reports whether any prefix
-// was scanned). An already-expired context is rejected up front.
-func (db *Database) ExactSearchCtx(ctx context.Context, q []float32, k int) ([]Neighbor, int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, cancelErr(ctx, false)
-	}
-	nn, lines, cancelled, err := db.exactSearch(ctx.Done(), q, k)
-	if err != nil {
-		return nil, 0, err
-	}
-	if cancelled {
-		return nn, lines, cancelErr(ctx, len(nn) > 0)
-	}
-	return nn, lines, nil
-}
-
-// SearchManyCtx is SearchMany with cooperative cancellation: workers stop
-// claiming new queries within one query of the context firing, and the
-// per-query traversals themselves observe the same done channel. On
-// cancellation the per-query result slice is returned as-is — completed
-// queries hold their results, unstarted ones are nil — together with a
-// *CancelError whose Partial field reports whether any query completed.
-func (db *Database) SearchManyCtx(ctx context.Context, queries [][]float32, k, ef, workers int) ([][]Neighbor, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, cancelErr(ctx, false)
-	}
-	out, cancelled, err := db.searchMany(ctx.Done(), queries, k, ef, workers, RouteNDP)
-	if err != nil {
-		return nil, err
-	}
-	if cancelled {
-		partial := false
-		for _, r := range out {
-			if r != nil {
-				partial = true
-				break
-			}
-		}
-		return out, cancelErr(ctx, partial)
-	}
-	return out, nil
 }

@@ -18,6 +18,13 @@ func expiredCtx(t *testing.T) context.Context {
 	return ctx
 }
 
+// searchCtx drives Do the way the cancellation tests need it: the ndp route
+// at the default beam width under ctx.
+func searchCtx(ctx context.Context, db *Database, q []float32, k int) ([]Neighbor, error) {
+	res, err := db.Do(ctx, &Query{Vector: q, K: k, Route: RouteNDP})
+	return res.Neighbors, err
+}
+
 // TestSearchCtxExpiredDeadline: an already-expired context is rejected up
 // front — typed error, no results, and the index is never touched (proved
 // by passing a query the validator would otherwise reject).
@@ -26,7 +33,7 @@ func TestSearchCtxExpiredDeadline(t *testing.T) {
 	ctx := expiredCtx(t)
 	q := make([]float32, 8)
 
-	nn, err := db.SearchCtx(ctx, q, 5)
+	nn, err := searchCtx(ctx, db, q, 5)
 	if nn != nil {
 		t.Fatalf("expired ctx returned %d results, want none", len(nn))
 	}
@@ -44,16 +51,18 @@ func TestSearchCtxExpiredDeadline(t *testing.T) {
 	// A wrong-dimension query normally fails validation with ErrDimension;
 	// on an expired context the deadline error wins because validation (and
 	// everything after it) is never reached.
-	_, err = db.SearchCtx(ctx, make([]float32, 3), 5)
+	_, err = searchCtx(ctx, db, make([]float32, 3), 5)
 	if errors.Is(err, ErrDimension) || !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired ctx with bad query: err = %v, want deadline error (index untouched)", err)
 	}
 
-	if _, _, err := db.ExactSearchCtx(ctx, q, 5); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("ExactSearchCtx err = %v, want ErrDeadlineExceeded", err)
+	for _, route := range []Route{RouteAuto, RouteTiered, RouteExact} {
+		if _, err := db.Do(ctx, &Query{Vector: q, K: 5, Route: route}); !errors.Is(err, ErrDeadlineExceeded) {
+			t.Fatalf("Do %v err = %v, want ErrDeadlineExceeded", route, err)
+		}
 	}
-	if _, err := db.SearchManyCtx(ctx, [][]float32{q}, 5, 10, 1); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("SearchManyCtx err = %v, want ErrDeadlineExceeded", err)
+	if _, _, err := db.DoMany(ctx, [][]float32{q}, &Query{K: 5, Ef: 10, Route: RouteNDP}, 1); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("DoMany err = %v, want ErrDeadlineExceeded", err)
 	}
 }
 
@@ -63,7 +72,7 @@ func TestSearchCtxCanceled(t *testing.T) {
 	db := tinyDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := db.SearchCtx(ctx, make([]float32, 8), 5)
+	_, err := searchCtx(ctx, db, make([]float32, 8), 5)
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCanceled / context.Canceled", err)
 	}
@@ -83,7 +92,7 @@ func TestSearchCtxMatchesSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := db.SearchCtx(ctx, q, 5)
+		got, err := searchCtx(ctx, db, q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +109,8 @@ func TestSearchCtxMatchesSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotNN, gotLines, err := db.ExactSearchCtx(ctx, q, 5)
+		exact, err := db.Do(ctx, &Query{Vector: q, K: 5, Route: RouteExact})
+		gotNN, gotLines := exact.Neighbors, exact.Lines
 		if err != nil || gotLines != wantLines || len(gotNN) != len(wantNN) {
 			t.Fatalf("q%d exact: err=%v lines=%d/%d n=%d/%d",
 				i, err, gotLines, wantLines, len(gotNN), len(wantNN))
@@ -118,10 +128,10 @@ func TestSearchCtxMatchesSearch(t *testing.T) {
 func TestSearchCtxInvalidInput(t *testing.T) {
 	db := tinyDB(t)
 	ctx := context.Background()
-	if _, err := db.SearchCtx(ctx, make([]float32, 3), 5); !errors.Is(err, ErrDimension) {
+	if _, err := searchCtx(ctx, db, make([]float32, 3), 5); !errors.Is(err, ErrDimension) {
 		t.Fatalf("err = %v, want ErrDimension", err)
 	}
-	_, err := db.SearchCtx(ctx, make([]float32, 8), 0)
+	_, err := searchCtx(ctx, db, make([]float32, 8), 0)
 	if !errors.Is(err, ErrBadK) || !IsInvalidInput(err) {
 		t.Fatalf("err = %v, want ErrBadK classified by IsInvalidInput", err)
 	}
@@ -144,14 +154,14 @@ func TestSearchManyCtxMidCancel(t *testing.T) {
 	defer cancel()
 
 	const cancelAt = 8
-	searchManyTestHook = func(i int) {
+	doManyTestHook = func(i int) {
 		if i == cancelAt {
 			cancel()
 		}
 	}
-	defer func() { searchManyTestHook = nil }()
+	defer func() { doManyTestHook = nil }()
 
-	out, err := db.SearchManyCtx(ctx, queries, 3, 10, 1)
+	out, _, err := db.DoMany(ctx, queries, &Query{K: 3, Ef: 10, Route: RouteNDP}, 1)
 	var ce *CancelError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CancelError", err)

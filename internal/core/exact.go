@@ -6,18 +6,6 @@ import (
 	"ansmet/internal/hnsw"
 )
 
-// ExactKNN performs an exact (non-approximate) k-nearest-neighbor scan of
-// the whole store, using early termination with the running k-th-best
-// distance as the threshold. Because the ET bound is provably conservative,
-// the result is identical to a brute-force scan — this realizes the paper's
-// observation that the scheme "can even be used in accurate search
-// algorithms like kmeans and kNN" (§4.1). The returned line count shows the
-// access savings relative to fullLines = Len()×SlotLines().
-func (e *ETEngine) ExactKNN(q []float32, k int) (nn []hnsw.Neighbor, linesFetched int) {
-	nn, linesFetched, _ = e.ExactKNNCtx(nil, q, k)
-	return nn, linesFetched
-}
-
 // knnCancelStride is the cooperative-cancellation checkpoint stride of the
 // exact scan: the done channel is polled once every knnCancelStride
 // comparisons, bounding the post-cancel overrun while keeping the
@@ -27,16 +15,23 @@ const knnCancelStride = 256
 // exactScanTestHook, when non-nil, runs at every phase-2 cancellation
 // checkpoint of a done-instrumented scan; tests use it to fire done at a
 // precise id (deterministic mid-scan cancellation). Only consulted when
-// done != nil, so the plain ExactKNN path never pays for it.
+// done != nil, so the uncancellable scan never pays for it.
 var exactScanTestHook func(id uint32)
 
-// ExactKNNCtx is ExactKNN with a cooperative-cancellation channel. A nil
-// done channel disables every check (identical to ExactKNN). When done
-// fires, the scan stops at the next checkpoint and returns the best
-// neighbors over the prefix scanned so far with cancelled=true — a usable
-// approximate answer, but NOT the exact one; callers must not treat a
-// cancelled result as the brute-force ground truth.
-func (e *ETEngine) ExactKNNCtx(done <-chan struct{}, q []float32, k int) (nn []hnsw.Neighbor, linesFetched int, cancelled bool) {
+// ExactKNN performs an exact (non-approximate) k-nearest-neighbor scan of
+// the whole store, using early termination with the running k-th-best
+// distance as the threshold. Because the ET bound is provably conservative,
+// the result is identical to a brute-force scan — this realizes the paper's
+// observation that the scheme "can even be used in accurate search
+// algorithms like kmeans and kNN" (§4.1). The returned line count shows the
+// access savings relative to fullLines = Len()×SlotLines().
+//
+// done is a cooperative-cancellation channel; nil disables every check.
+// When done fires, the scan stops at the next checkpoint and returns the
+// best neighbors over the prefix scanned so far with cancelled=true — a
+// usable approximate answer, but NOT the exact one; callers must not treat
+// a cancelled result as the brute-force ground truth.
+func (e *ETEngine) ExactKNN(done <-chan struct{}, q []float32, k int) (nn []hnsw.Neighbor, linesFetched int, cancelled bool) {
 	e.StartQuery(q)
 	heap := &e.knnHeap
 	heap.Reset()

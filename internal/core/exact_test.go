@@ -23,7 +23,7 @@ func TestExactKNNMatchesBruteForce(t *testing.T) {
 		full := st.Len() * st.SlotLines()
 		for qi, q := range ds.Queries {
 			want := ds.BruteForceKNN(q, 10)
-			got, lines := eng.ExactKNN(q, 10)
+			got, lines, _ := eng.ExactKNN(nil, q, 10)
 			if len(got) != len(want) {
 				t.Fatalf("%s q%d: %d results, want %d", name, qi, len(got), len(want))
 			}
@@ -55,7 +55,7 @@ func TestExactKNNSavesSubstantially(t *testing.T) {
 	full := st.Len() * st.SlotLines()
 	totalSaved := 0.0
 	for _, q := range ds.Queries {
-		_, lines := eng.ExactKNN(q, 10)
+		_, lines, _ := eng.ExactKNN(nil, q, 10)
 		totalSaved += 1 - float64(lines)/float64(full)
 	}
 	avg := totalSaved / float64(len(ds.Queries))
@@ -70,13 +70,13 @@ func TestExactKNNSmallK(t *testing.T) {
 	ds := dataset.Generate(p, 50, 2, 35)
 	st, _ := BuildStore(ds.Vectors, p.Elem, layout.SimpleHeuristicSchedule(p.Elem), prefixelim.Config{})
 	eng := st.NewETEngine(p.Metric)
-	nn, _ := eng.ExactKNN(ds.Queries[0], 1)
+	nn, _, _ := eng.ExactKNN(nil, ds.Queries[0], 1)
 	want := ds.BruteForceKNN(ds.Queries[0], 1)
 	if len(nn) != 1 || nn[0].ID != want[0].ID {
 		t.Fatalf("k=1: got %+v, want %+v", nn, want)
 	}
 	// k larger than the dataset returns everything.
-	nn, _ = eng.ExactKNN(ds.Queries[0], 100)
+	nn, _, _ = eng.ExactKNN(nil, ds.Queries[0], 100)
 	if len(nn) != 50 {
 		t.Fatalf("k>N returned %d results", len(nn))
 	}
@@ -84,8 +84,8 @@ func TestExactKNNSmallK(t *testing.T) {
 
 // TestExactKNNCtxCancel: a done channel fired mid-scan stops the exact
 // scan within one checkpoint stride and returns best-so-far results;
-// a pre-closed channel aborts before any comparison; a nil channel is
-// byte-identical to ExactKNN.
+// a pre-closed channel aborts before any comparison; a channel that never
+// fires is byte-identical to the nil (uncancellable) scan.
 func TestExactKNNCtxCancel(t *testing.T) {
 	p := dataset.ProfileByName("SIFT")
 	ds := dataset.Generate(p, 1500, 2, 41)
@@ -97,11 +97,11 @@ func TestExactKNNCtxCancel(t *testing.T) {
 	eng := st.NewETEngine(p.Metric)
 	q := ds.Queries[0]
 
-	// Nil done: identical to ExactKNN.
-	want, wantLines := eng.ExactKNN(q, 10)
-	got, gotLines, cancelled := eng.ExactKNNCtx(nil, q, 10)
+	// A done channel that never fires: identical to the nil-done scan.
+	want, wantLines, _ := eng.ExactKNN(nil, q, 10)
+	got, gotLines, cancelled := eng.ExactKNN(make(chan struct{}), q, 10)
 	if cancelled || gotLines != wantLines || len(got) != len(want) {
-		t.Fatalf("nil done diverged: cancelled=%v lines=%d/%d n=%d/%d",
+		t.Fatalf("idle done diverged: cancelled=%v lines=%d/%d n=%d/%d",
 			cancelled, gotLines, wantLines, len(got), len(want))
 	}
 	for i := range want {
@@ -113,7 +113,7 @@ func TestExactKNNCtxCancel(t *testing.T) {
 	// Pre-closed done: aborted, nothing scanned.
 	closed := make(chan struct{})
 	close(closed)
-	nn, lines, cancelled := eng.ExactKNNCtx(closed, q, 10)
+	nn, lines, cancelled := eng.ExactKNN(closed, q, 10)
 	if !cancelled || nn != nil || lines != 0 {
 		t.Fatalf("pre-closed done: cancelled=%v nn=%v lines=%d", cancelled, nn, lines)
 	}
@@ -129,7 +129,7 @@ func TestExactKNNCtxCancel(t *testing.T) {
 		}
 	}
 	defer func() { exactScanTestHook = nil }()
-	nn2, _, cancelled2 := eng.ExactKNNCtx(mid, q, 10)
+	nn2, _, cancelled2 := eng.ExactKNN(mid, q, 10)
 	if !cancelled2 {
 		t.Fatal("mid-scan cancellation never observed")
 	}

@@ -386,15 +386,11 @@ type RunResult struct {
 func (s *System) RunHNSW(queries [][]float32, k, ef int) *RunResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	batch := s.Cfg.BeamBatch
-	if batch < 1 {
-		batch = 1
-	}
 	base, baseInj := s.resilienceBaseline()
 	out := &RunResult{}
 	for _, q := range queries {
 		rec := &trace.Query{}
-		res := s.Index.SearchBatched(q, k, ef, batch, s.Engine, rec)
+		res := s.Index.SearchFilteredInto(q, k, ef, s.Cfg.BeamBatch, nil, s.Engine, rec, nil)
 		out.Results = append(out.Results, res)
 		out.Traces = append(out.Traces, rec)
 	}
@@ -424,10 +420,6 @@ func (s *System) RunHNSWParallel(queries [][]float32, k, ef, workers int) *RunRe
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	batch := s.Cfg.BeamBatch
-	if batch < 1 {
-		batch = 1
-	}
 	out := &RunResult{
 		Results: make([][]hnsw.Neighbor, len(queries)),
 		Traces:  make([]*trace.Query, len(queries)),
@@ -445,7 +437,7 @@ func (s *System) RunHNSWParallel(queries [][]float32, k, ef, workers int) *RunRe
 					return
 				}
 				rec := &trace.Query{}
-				out.Results[i] = s.Index.SearchBatched(queries[i], k, ef, batch, eng, rec)
+				out.Results[i] = s.Index.SearchFilteredInto(queries[i], k, ef, s.Cfg.BeamBatch, nil, eng, rec, nil)
 				out.Traces[i] = rec
 			}
 		}()

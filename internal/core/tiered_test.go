@@ -26,7 +26,7 @@ func TestTieredMatchesExactKNN(t *testing.T) {
 			eng := st.NewETEngine(p.Metric)
 			var dst []hnsw.Neighbor
 			for qi, q := range ds.Queries {
-				want, _ := eng.ExactKNN(q, 10)
+				want, _, _ := eng.ExactKNN(nil, q, 10)
 				var stats TieredStats
 				dst, stats = eng.TieredKNNInto(nil, q, 10, TieredOpts{Budget: 1}, dst)
 				if len(dst) != len(want) {
@@ -67,7 +67,7 @@ func TestTieredMatchesExactKNNPrefixElim(t *testing.T) {
 	}
 	eng := sys.Store.NewETEngine(p.Metric)
 	for qi, q := range ds.Queries {
-		want, _ := eng.ExactKNN(q, 10)
+		want, _, _ := eng.ExactKNN(nil, q, 10)
 		got, stats := eng.TieredKNNInto(nil, q, 10, TieredOpts{}, nil)
 		if len(got) != len(want) {
 			t.Fatalf("q%d: %d results, want %d", qi, len(got), len(want))
@@ -265,7 +265,7 @@ func TestTieredSavesLines(t *testing.T) {
 	eng := st.NewETEngine(p.Metric)
 	exactLines, tieredLines := 0, 0
 	for _, q := range ds.Queries {
-		_, lines := eng.ExactKNN(q, 10)
+		_, lines, _ := eng.ExactKNN(nil, q, 10)
 		exactLines += lines
 		_, stats := eng.TieredKNNInto(nil, q, 10, TieredOpts{}, nil)
 		tieredLines += stats.BoundLines + stats.RerankLines

@@ -85,7 +85,7 @@ func (r *Runner) AblationQuantization() *Table {
 			totalLines := 0
 			rec := 0.0
 			for qi, q := range w.ds.Queries {
-				nn, lines := eng.ExactKNN(q, 10)
+				nn, lines, _ := eng.ExactKNN(nil, q, 10)
 				totalLines += lines
 				ids := make([]uint32, len(nn))
 				for i, n := range nn {
@@ -116,7 +116,7 @@ func (r *Runner) AblationQuantization() *Table {
 			totalLines := 0
 			rec := 0.0
 			for qi, q := range w.ds.Queries {
-				nn, lines := eng.ExactKNN(sq.Quantize(q), 10)
+				nn, lines, _ := eng.ExactKNN(nil, sq.Quantize(q), 10)
 				totalLines += lines
 				ids := make([]uint32, len(nn))
 				for i, n := range nn {

@@ -521,7 +521,7 @@ func (r *Runner) FigTieredFrontier() *Table {
 			eng := sys.Store.NewETEngine(w.ds.Profile.Metric)
 			sum, lines := 0.0, 0
 			for qi, q := range w.ds.Queries {
-				nn, l := eng.ExactKNN(q, 10)
+				nn, l, _ := eng.ExactKNN(nil, q, 10)
 				lines += l
 				sum += dataset.RecallAtK(idsOf(nn), w.gt[qi])
 			}

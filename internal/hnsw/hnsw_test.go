@@ -280,7 +280,7 @@ func TestSearchFiltered(t *testing.T) {
 	// Filter: only even ids qualify (a stand-in for an attribute predicate).
 	even := func(id uint32) bool { return id%2 == 0 }
 	for _, q := range ds.Queries[:5] {
-		res := ix.SearchFiltered(q, 10, 80, 4, even, eng, nil)
+		res := ix.SearchFilteredInto(q, 10, 80, 4, even, eng, nil, nil)
 		if len(res) == 0 {
 			t.Fatal("no filtered results")
 		}
@@ -302,12 +302,15 @@ func TestSearchFiltered(t *testing.T) {
 			t.Errorf("filtered top-1 %v far from true even-NN %d (%v)", res[0], best, bestD)
 		}
 	}
-	// Nil filter behaves like SearchBatched.
-	a := ix.SearchFiltered(ds.Queries[0], 10, 50, 4, nil, eng, nil)
-	b := ix.SearchBatched(ds.Queries[0], 10, 50, 4, eng, nil)
+	// A nil filter accepts everything.
+	a := ix.SearchFilteredInto(ds.Queries[0], 10, 50, 4, nil, eng, nil, nil)
+	b := ix.SearchFilteredInto(ds.Queries[0], 10, 50, 4, func(uint32) bool { return true }, eng, nil, nil)
+	if len(a) != len(b) {
+		t.Fatalf("nil filter returned %d results, accept-all %d", len(a), len(b))
+	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatal("nil filter diverges from unfiltered search")
+			t.Fatal("nil filter diverges from the accept-all filter")
 		}
 	}
 }
@@ -315,7 +318,7 @@ func TestSearchFiltered(t *testing.T) {
 func TestSearchFilteredRejectAll(t *testing.T) {
 	ds, ix := buildSmall(t, "SIFT", 200, 60)
 	eng := engine.NewExact(ds.Vectors, ds.Profile.Metric, ds.Profile.Elem)
-	res := ix.SearchFiltered(ds.Queries[0], 5, 20, 4, func(uint32) bool { return false }, eng, nil)
+	res := ix.SearchFilteredInto(ds.Queries[0], 5, 20, 4, func(uint32) bool { return false }, eng, nil, nil)
 	if len(res) != 0 {
 		t.Fatalf("reject-all filter returned %d results", len(res))
 	}

@@ -164,7 +164,7 @@ func TestConcurrentInsertSearch(t *testing.T) {
 				}
 				q := ds.Queries[(qi+w)%len(ds.Queries)]
 				bound := ix.Size()
-				dst = ix.SearchInto(q, 10, 64, e, nil, dst)
+				dst = ix.SearchFilteredInto(q, 10, 64, 1, nil, e, nil, dst)
 				for _, r := range dst {
 					if int(r.ID) >= bound+400 { // generous: bound raced upward
 						t.Errorf("result id %d far beyond published count %d", r.ID, bound)

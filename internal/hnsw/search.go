@@ -8,57 +8,21 @@ import (
 )
 
 // Search finds the (approximate) k nearest neighbors of q with beam width
-// ef (the paper's efSearch / k′), routing every comparison through eng.
-// When rec is non-nil the per-hop comparison batches are recorded for the
-// timing simulation. Results are sorted ascending by distance.
-//
-// The rejection threshold of each hop is snapshotted when the hop's batch
-// is issued — matching the hardware, where each set-search task carries its
-// own distance threshold (§5.2).
+// ef (the paper's efSearch / k′), routing every comparison through eng:
+// the textbook greedy beam (batch 1, no filter, fresh result slice). It is
+// SearchFilteredInto with those defaults; see SearchCancelInto for the
+// traversal itself.
 func (ix *Index) Search(q []float32, k, ef int, eng engine.Engine, rec *trace.Query) []Neighbor {
-	return ix.SearchBatched(q, k, ef, 1, eng, rec)
-}
-
-// SearchInto is Search appending into dst[:0]; with a dst of sufficient
-// capacity and a nil rec the steady-state search allocates nothing.
-func (ix *Index) SearchInto(q []float32, k, ef int, eng engine.Engine, rec *trace.Query, dst []Neighbor) []Neighbor {
-	return ix.SearchFilteredInto(q, k, ef, 1, nil, eng, rec, dst)
-}
-
-// SearchBatchedInto is SearchBatched appending into dst[:0].
-func (ix *Index) SearchBatchedInto(q []float32, k, ef, batch int, eng engine.Engine, rec *trace.Query, dst []Neighbor) []Neighbor {
-	return ix.SearchFilteredInto(q, k, ef, batch, nil, eng, rec, dst)
-}
-
-// SearchBatched is Search with delayed synchronization: up to batch
-// candidates are popped from the search set per hop and their unvisited
-// neighbors offloaded as one comparison batch. Batching reduces the number
-// of host/NDP synchronization points per query (the technique of
-// delayed-synchronization traversal, which the paper cites) at a small cost
-// in extra comparisons. batch=1 is the textbook greedy beam search.
-func (ix *Index) SearchBatched(q []float32, k, ef, batch int, eng engine.Engine, rec *trace.Query) []Neighbor {
-	return ix.SearchFiltered(q, k, ef, batch, nil, eng, rec)
-}
-
-// SearchFiltered adds attribute filtering (hybrid search, §8): only ids
-// passing the filter enter the result set, while traversal still crosses
-// non-matching vertices so graph connectivity is preserved. A nil filter
-// accepts everything. Distance comparisons — the part ANSMET accelerates —
-// are unchanged; note that with a filter the rejection thresholds derive
-// from matching results only, so they tighten more slowly.
-func (ix *Index) SearchFiltered(q []float32, k, ef, batch int, filter func(uint32) bool, eng engine.Engine, rec *trace.Query) []Neighbor {
-	return ix.SearchFilteredInto(q, k, ef, batch, filter, eng, rec, nil)
+	return ix.SearchFilteredInto(q, k, ef, 1, nil, eng, rec, nil)
 }
 
 // alwaysAccept is the nil-filter default (a package-level func value, so
 // substituting it never allocates a closure).
 var alwaysAccept = func(uint32) bool { return true }
 
-// SearchFilteredInto is SearchFiltered appending results into dst[:0]. The
-// traversal scratch state (visited set, beam heaps, batch buffer) comes from
-// a per-index pool, and all trace bookkeeping is skipped when rec is nil, so
-// a steady-state search with a reused dst and nil rec performs zero heap
-// allocations (enforced by TestSearchSteadyStateAllocs).
+// SearchFilteredInto is SearchCancelInto without a cancellation channel,
+// for callers that can never be cancelled (the simulator's trace recording,
+// offline experiments).
 func (ix *Index) SearchFilteredInto(q []float32, k, ef, batch int, filter func(uint32) bool, eng engine.Engine, rec *trace.Query, dst []Neighbor) []Neighbor {
 	out, _ := ix.SearchCancelInto(nil, q, k, ef, batch, filter, eng, rec, dst)
 	return out
@@ -72,14 +36,39 @@ func (ix *Index) SearchFilteredInto(q []float32, k, ef, batch int, filter func(u
 // fourth hop, one non-blocking channel poll — no allocation, no syscall.
 const cancelCheckHops = 4
 
-// SearchCancelInto is SearchFilteredInto with a cooperative-cancellation
-// channel threaded through the traversal. A nil done channel disables every
-// check and is exactly SearchFilteredInto (the allocation-free hot path is
-// unchanged). When done fires, the search stops at the next checkpoint and
-// returns (partial, true): whatever the result set held so far, sorted — an
-// empty slice when cancellation landed before the base layer produced
-// anything. The caller decides how to surface partial results; this layer
-// only reports them.
+// SearchCancelInto is the one beam-search core. When rec is non-nil the
+// per-hop comparison batches are recorded for the timing simulation.
+// Results are appended into dst[:0], sorted ascending by distance.
+//
+// The rejection threshold of each hop is snapshotted when the hop's batch
+// is issued — matching the hardware, where each set-search task carries its
+// own distance threshold (§5.2).
+//
+// batch is the delayed-synchronization width: up to batch candidates are
+// popped from the search set per hop and their unvisited neighbors
+// offloaded as one comparison batch. Batching reduces the number of
+// host/NDP synchronization points per query (the technique of
+// delayed-synchronization traversal, which the paper cites) at a small cost
+// in extra comparisons; batch <= 1 is the textbook greedy beam search.
+//
+// filter adds attribute filtering (hybrid search, §8): only ids passing it
+// enter the result set, while traversal still crosses non-matching vertices
+// so graph connectivity is preserved. A nil filter accepts everything.
+// Distance comparisons — the part ANSMET accelerates — are unchanged; note
+// that with a filter the rejection thresholds derive from matching results
+// only, so they tighten more slowly.
+//
+// The traversal scratch state (visited set, beam heaps, batch buffer) comes
+// from a per-index pool, and all trace bookkeeping is skipped when rec is
+// nil, so a steady-state search with a reused dst and nil rec performs zero
+// heap allocations (enforced by TestSearchSteadyStateAllocs).
+//
+// done is a cooperative-cancellation channel threaded through the
+// traversal; nil disables every check. When done fires, the search stops at
+// the next checkpoint and returns (partial, true): whatever the result set
+// held so far, sorted — an empty slice when cancellation landed before the
+// base layer produced anything. The caller decides how to surface partial
+// results; this layer only reports them.
 func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batch int, filter func(uint32) bool, eng engine.Engine, rec *trace.Query, dst []Neighbor) ([]Neighbor, bool) {
 	if ef < k {
 		ef = k

@@ -4,8 +4,7 @@
 // once, at package init, from a table of implementations: the portable
 // scalar reference (always compiled, every platform) plus whatever SIMD
 // implementations the build and the running CPU support (kernels_amd64.s:
-// AVX2, and AVX-512 where F/DQ/VL and the OS-enabled ZMM state are
-// present). Selection is by CPU feature detection — there is no dynamic
+// AVX2). Selection is by CPU feature detection — there is no dynamic
 // per-call probing — and can be forced down to scalar with the
 // ANSMET_NO_SIMD environment variable, which is the supported way to
 // cross-check SIMD results against the reference on real workloads.
@@ -27,17 +26,10 @@ import "os"
 const NoSIMDEnv = "ANSMET_NO_SIMD"
 
 // SIMDEnv is the environment variable that pins dispatch to one named
-// implementation ("scalar", "avx2", "avx512"), read once at package init.
-// Unlike ANSMET_NO_SIMD (the kill-switch, which always wins), a preference
-// names an implementation that may not exist on this CPU; unavailable or
-// unknown names fall back to the automatic choice. The main use is forcing
-// the AVX-512 kernels, which are NOT the automatic choice even where
-// supported: the canonical 4-lane block association caps the useful vector
-// width at 256 bits, so the 512-bit kernels pay lane-combining shuffles
-// (and, on many server parts, 512-bit frequency licensing) for no extra
-// parallelism — measured slower than AVX2 on the Xeon this was tuned on
-// (BENCH_pr7.json). They stay in the table, bitwise-gated, for CPUs where
-// the trade-off differs.
+// implementation ("scalar", "avx2"), read once at package init. Unlike
+// ANSMET_NO_SIMD (the kill-switch, which always wins), a preference names
+// an implementation that may not exist on this CPU; unavailable or unknown
+// names fall back to the automatic choice.
 const SIMDEnv = "ANSMET_SIMD"
 
 // Impl bundles one complete implementation of the hot kernels, as selected
@@ -45,7 +37,7 @@ const SIMDEnv = "ANSMET_SIMD"
 // validation as the package-level kernels, so tests can run any
 // implementation — not just the active one — under the identical contract.
 type Impl struct {
-	// Name identifies the implementation: "scalar", "avx2", "avx512".
+	// Name identifies the implementation: "scalar", "avx2".
 	Name string
 
 	squaredL2      func(a, b []float32) float64

@@ -12,21 +12,8 @@ package vecmath
 // Level selection:
 //
 //	avx2    — AVX2 and OS-enabled YMM state (XCR0); the default whenever
-//	          available, including on AVX-512 hardware (see below)
-//	avx512  — AVX-512 F+DQ+VL and OS-enabled opmask/ZMM state (XCR0);
-//	          opt-in via ANSMET_SIMD=avx512
-//	scalar  — everything else, or ANSMET_NO_SIMD set
-//
-// AVX-512 is detected and kept in the table but is NOT the automatic
-// choice. The canonical reduction fixes the association at 4 float64 lanes
-// per 16-dim block, so the 512-bit kernels can only pack two independent
-// blocks per ZMM (SquaredL2/Dot) and must split them back out with
-// VEXTRACTF64X4 before the mandated left-to-right block adds; measured on
-// an AVX-512 Xeon this loses to plain AVX2 at every dimension tried
-// (64..1536 — see BENCH_pr7.json notes), before even considering 512-bit
-// frequency licensing on server parts. The block-sum kernels are
-// inherently 4-lane×256-bit, so the avx512 level reuses the AVX2 versions
-// of those.
+//	          available
+//	scalar  — everything else, ANSMET_NO_SIMD set, or ANSMET_SIMD=scalar
 
 // cpuid executes CPUID with EAX=leaf, ECX=sub (cpu_amd64.s).
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -36,8 +23,7 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 type cpuFeatures struct {
-	hasAVX2   bool
-	hasAVX512 bool
+	hasAVX2 bool
 }
 
 func detectFeatures() cpuFeatures {
@@ -59,26 +45,13 @@ func detectFeatures() cpuFeatures {
 		return cpuFeatures{}
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
-	const (
-		avx2Bit     = 1 << 5
-		avx512fBit  = 1 << 16
-		avx512dqBit = 1 << 17
-		avx512vlBit = 1 << 31
-	)
-	var f cpuFeatures
-	f.hasAVX2 = ebx7&avx2Bit != 0
-	const zmmState = 0xe6 // + opmask (5), ZMM hi256 (6), hi16 ZMM (7)
-	if xcr0&zmmState == zmmState &&
-		ebx7&avx512fBit != 0 && ebx7&avx512dqBit != 0 && ebx7&avx512vlBit != 0 {
-		f.hasAVX512 = true
-	}
-	return f
+	const avx2Bit = 1 << 5
+	return cpuFeatures{hasAVX2: ebx7&avx2Bit != 0}
 }
 
 const (
 	levelScalar = iota
 	levelAVX2
-	levelAVX512
 )
 
 var (
@@ -88,33 +61,14 @@ var (
 
 // chooseLevel maps detected features and the env overrides to a dispatch
 // level. Pure function so tests can pin the selection logic directly.
-// ANSMET_NO_SIMD always wins; an ANSMET_SIMD preference is honoured only
-// when the named implementation is runnable here (unknown or unavailable
-// names fall through to the automatic choice, which prefers AVX2 — see the
-// package comment for why AVX-512 is opt-in).
+// ANSMET_NO_SIMD always wins; ANSMET_SIMD=scalar forces the scalar kernels,
+// and any other preference (avx2, or a name this build does not know) falls
+// through to the automatic choice: AVX2 when runnable here.
 func chooseLevel(f cpuFeatures, noSIMD bool, pref string) int {
-	if noSIMD {
+	if noSIMD || pref == "scalar" || !f.hasAVX2 {
 		return levelScalar
 	}
-	switch pref {
-	case "scalar":
-		return levelScalar
-	case "avx512":
-		if f.hasAVX512 {
-			return levelAVX512
-		}
-	case "avx2":
-		if f.hasAVX2 {
-			return levelAVX2
-		}
-	}
-	switch {
-	case f.hasAVX2:
-		return levelAVX2
-	case f.hasAVX512:
-		return levelAVX512
-	}
-	return levelScalar
+	return levelAVX2
 }
 
 var avx2Impl = Impl{
@@ -125,64 +79,43 @@ var avx2Impl = Impl{
 	blockSumsTotal: blockSumsTotalAVX2,
 }
 
-var avx512Impl = Impl{
-	Name:           "avx512",
-	squaredL2:      squaredL2AVX512,
-	dot:            dotAVX512,
-	blockSum:       blockSumAVX2,
-	blockSumsTotal: blockSumsTotalAVX2,
-}
-
 func archImpls() []Impl {
-	var impls []Impl
 	if features.hasAVX2 {
-		impls = append(impls, avx2Impl)
+		return []Impl{avx2Impl}
 	}
-	if features.hasAVX512 {
-		impls = append(impls, avx512Impl)
-	}
-	return impls
+	return nil
 }
 
 func activeImpl() Impl {
-	switch kernelLevel {
-	case levelAVX512:
-		return avx512Impl
-	case levelAVX2:
+	if kernelLevel == levelAVX2 {
 		return avx2Impl
 	}
 	return scalarImpl
 }
 
 func squaredL2Dispatch(a, b []float32) float64 {
-	switch kernelLevel {
-	case levelAVX512:
-		return squaredL2AVX512(a, b)
-	case levelAVX2:
+	if kernelLevel == levelAVX2 {
 		return squaredL2AVX2(a, b)
 	}
 	return scalarSquaredL2(a, b)
 }
 
 func dotDispatch(a, b []float32) float64 {
-	switch kernelLevel {
-	case levelAVX512:
-		return dotAVX512(a, b)
-	case levelAVX2:
+	if kernelLevel == levelAVX2 {
 		return dotAVX2(a, b)
 	}
 	return scalarDot(a, b)
 }
 
 func blockSumDispatch(terms []float64) float64 {
-	if kernelLevel != levelScalar {
+	if kernelLevel == levelAVX2 {
 		return blockSumAVX2(terms)
 	}
 	return scalarBlockSum(terms)
 }
 
 func blockSumsTotalDispatch(contrib, blockSums []float64, firstBlk, lastBlk int) float64 {
-	if kernelLevel != levelScalar {
+	if kernelLevel == levelAVX2 {
 		return blockSumsTotalAVX2(contrib, blockSums, firstBlk, lastBlk)
 	}
 	return scalarBlockSumsTotal(contrib, blockSums, firstBlk, lastBlk)

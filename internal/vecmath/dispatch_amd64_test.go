@@ -5,10 +5,8 @@ package vecmath
 import "testing"
 
 // TestChooseLevel pins the feature→level mapping: the ANSMET_NO_SIMD
-// kill-switch always wins, an ANSMET_SIMD preference is honoured only when
-// runnable, and the automatic choice prefers AVX2 even on AVX-512 hardware
-// (the canonical 4-lane association makes the 512-bit kernels slower —
-// see the package comment).
+// kill-switch always wins, ANSMET_SIMD=scalar forces the scalar kernels,
+// and every other preference falls back to the automatic choice.
 func TestChooseLevel(t *testing.T) {
 	cases := []struct {
 		f      cpuFeatures
@@ -19,23 +17,17 @@ func TestChooseLevel(t *testing.T) {
 		// Automatic choice.
 		{cpuFeatures{}, false, "", levelScalar},
 		{cpuFeatures{hasAVX2: true}, false, "", levelAVX2},
-		{cpuFeatures{hasAVX2: true, hasAVX512: true}, false, "", levelAVX2},
-		{cpuFeatures{hasAVX512: true}, false, "", levelAVX512},
 		// Kill-switch beats everything, including an explicit preference.
-		{cpuFeatures{hasAVX2: true, hasAVX512: true}, true, "", levelScalar},
-		{cpuFeatures{hasAVX2: true, hasAVX512: true}, true, "avx512", levelScalar},
 		{cpuFeatures{hasAVX2: true}, true, "", levelScalar},
+		{cpuFeatures{hasAVX2: true}, true, "avx2", levelScalar},
 		{cpuFeatures{}, true, "", levelScalar},
 		// Preferences, honoured when runnable.
-		{cpuFeatures{hasAVX2: true, hasAVX512: true}, false, "avx512", levelAVX512},
-		{cpuFeatures{hasAVX2: true, hasAVX512: true}, false, "avx2", levelAVX2},
-		{cpuFeatures{hasAVX2: true, hasAVX512: true}, false, "scalar", levelScalar},
+		{cpuFeatures{hasAVX2: true}, false, "avx2", levelAVX2},
 		{cpuFeatures{hasAVX2: true}, false, "scalar", levelScalar},
 		// Unavailable or unknown preferences fall back to automatic.
-		{cpuFeatures{hasAVX2: true}, false, "avx512", levelAVX2},
-		{cpuFeatures{}, false, "avx512", levelScalar},
 		{cpuFeatures{}, false, "avx2", levelScalar},
-		{cpuFeatures{hasAVX2: true, hasAVX512: true}, false, "neon", levelAVX2},
+		{cpuFeatures{hasAVX2: true}, false, "avx512", levelAVX2},
+		{cpuFeatures{hasAVX2: true}, false, "neon", levelAVX2},
 	}
 	for _, c := range cases {
 		if got := chooseLevel(c.f, c.noSIMD, c.pref); got != c.want {

@@ -91,8 +91,8 @@ func refDot(a, b []float32) float64 {
 // FuzzKernelsMatchReference fuzzes the bitwise contract between the
 // distance kernels and the scalar reference reduction, for every element
 // type (the values a kernel can ever see are quantized ones) and for EVERY
-// implementation in the dispatch table — scalar, AVX2 and AVX-512 where the
-// CPU has them — plus the package-level dispatched entry points (which CI
+// implementation in the dispatch table — scalar, and AVX2 where the CPU has
+// it — plus the package-level dispatched entry points (which CI
 // additionally runs with ANSMET_NO_SIMD=1 to cover the forced-scalar
 // table). Any drift here would break DESIGN.md invariant 3: the bounder's
 // blocked partial sums are only bitwise-equal to the exact distance because

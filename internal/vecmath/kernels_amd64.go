@@ -16,12 +16,6 @@ func squaredL2AVX2(a, b []float32) float64
 func dotAVX2(a, b []float32) float64
 
 //go:noescape
-func squaredL2AVX512(a, b []float32) float64
-
-//go:noescape
-func dotAVX512(a, b []float32) float64
-
-//go:noescape
 func blockSumAVX2(terms []float64) float64
 
 //go:noescape

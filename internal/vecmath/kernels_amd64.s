@@ -137,156 +137,6 @@ dotdone:
 	VZEROUPPER
 	RET
 
-// SQL2PAIR4 adds one stride-4 term group (byte offset ofs) of TWO adjacent
-// squared-L2 blocks into the 8-lane accumulator Zacc: lanes 0-3 belong to
-// the block at idx, lanes 4-7 to the block 16 dims (64 bytes) later.
-#define SQL2PAIR4(ofs, a_ptr, b_ptr, idx, Zacc) \
-	VCVTPS2PD    ofs(a_ptr)(idx*4), Y1        \
-	VCVTPS2PD    (ofs+64)(a_ptr)(idx*4), Y3   \
-	VINSERTF64X4 $1, Y3, Z1, Z1               \
-	VCVTPS2PD    ofs(b_ptr)(idx*4), Y2        \
-	VCVTPS2PD    (ofs+64)(b_ptr)(idx*4), Y4   \
-	VINSERTF64X4 $1, Y4, Z2, Z2               \
-	VSUBPD       Z2, Z1, Z1                   \
-	VMULPD       Z1, Z1, Z1                   \
-	VADDPD       Z1, Zacc, Zacc
-
-#define DOTPAIR4(ofs, a_ptr, b_ptr, idx, Zacc) \
-	VCVTPS2PD    ofs(a_ptr)(idx*4), Y1        \
-	VCVTPS2PD    (ofs+64)(a_ptr)(idx*4), Y3   \
-	VINSERTF64X4 $1, Y3, Z1, Z1               \
-	VCVTPS2PD    ofs(b_ptr)(idx*4), Y2        \
-	VCVTPS2PD    (ofs+64)(b_ptr)(idx*4), Y4   \
-	VINSERTF64X4 $1, Y4, Z2, Z2               \
-	VMULPD       Z2, Z1, Z1                   \
-	VADDPD       Z1, Zacc, Zacc
-
-// func squaredL2AVX512(a, b []float32) float64
-//
-// Processes two canonical 16-dim blocks per iteration in one ZMM: the
-// blocks are independent 4-lane sums, so packing block k in lanes 0-3 and
-// block k+1 in lanes 4-7 preserves the scalar association exactly; the two
-// halves are then reduced and added to the total in block order.
-TEXT ·squaredL2AVX512(SB), NOSPLIT, $0-56
-	MOVQ   a_base+0(FP), SI
-	MOVQ   b_base+24(FP), DI
-	MOVQ   a_len+8(FP), CX
-	VXORPD X9, X9, X9
-	XORQ   AX, AX
-	MOVQ   CX, DX
-	ANDQ   $-16, DX        // full-block limit
-	MOVQ   CX, BX
-	ANDQ   $-32, BX        // block-pair limit
-
-l512pairs:
-	CMPQ   AX, BX
-	JGE    l512single
-	VXORPD Y0, Y0, Y0      // zeroes all of Z0
-	SQL2PAIR4(0, SI, DI, AX, Z0)
-	SQL2PAIR4(16, SI, DI, AX, Z0)
-	SQL2PAIR4(32, SI, DI, AX, Z0)
-	SQL2PAIR4(48, SI, DI, AX, Z0)
-	VEXTRACTF64X4 $1, Z0, Y3              // block k+1 lanes
-	REDUCEBLOCK(Y0, X0, X1, X2, X9)       // total += block k
-	REDUCEBLOCK(Y3, X3, X1, X2, X9)       // total += block k+1
-	ADDQ   $32, AX
-	JMP    l512pairs
-
-l512single:
-	CMPQ   AX, DX
-	JGE    l512tail
-	VXORPD Y0, Y0, Y0
-	SQL2BLOCK4(0, SI, DI, AX, Y0)
-	SQL2BLOCK4(16, SI, DI, AX, Y0)
-	SQL2BLOCK4(32, SI, DI, AX, Y0)
-	SQL2BLOCK4(48, SI, DI, AX, Y0)
-	REDUCEBLOCK(Y0, X0, X1, X2, X9)
-	ADDQ   $16, AX
-	JMP    l512single
-
-l512tail:
-	CMPQ   AX, CX
-	JGE    l512done
-	VXORPD X4, X4, X4
-	VXORPD X5, X5, X5
-	VXORPD X6, X6, X6
-
-l512tailloop:
-	VCVTSS2SD (SI)(AX*4), X5, X5
-	VCVTSS2SD (DI)(AX*4), X6, X6
-	VSUBSD    X6, X5, X7
-	VMULSD    X7, X7, X7
-	VADDSD    X7, X4, X4
-	INCQ      AX
-	CMPQ      AX, CX
-	JL        l512tailloop
-	VADDSD    X4, X9, X9
-
-l512done:
-	VMOVSD     X9, ret+48(FP)
-	VZEROUPPER
-	RET
-
-// func dotAVX512(a, b []float32) float64
-TEXT ·dotAVX512(SB), NOSPLIT, $0-56
-	MOVQ   a_base+0(FP), SI
-	MOVQ   b_base+24(FP), DI
-	MOVQ   a_len+8(FP), CX
-	VXORPD X9, X9, X9
-	XORQ   AX, AX
-	MOVQ   CX, DX
-	ANDQ   $-16, DX
-	MOVQ   CX, BX
-	ANDQ   $-32, BX
-
-d512pairs:
-	CMPQ   AX, BX
-	JGE    d512single
-	VXORPD Y0, Y0, Y0
-	DOTPAIR4(0, SI, DI, AX, Z0)
-	DOTPAIR4(16, SI, DI, AX, Z0)
-	DOTPAIR4(32, SI, DI, AX, Z0)
-	DOTPAIR4(48, SI, DI, AX, Z0)
-	VEXTRACTF64X4 $1, Z0, Y3
-	REDUCEBLOCK(Y0, X0, X1, X2, X9)
-	REDUCEBLOCK(Y3, X3, X1, X2, X9)
-	ADDQ   $32, AX
-	JMP    d512pairs
-
-d512single:
-	CMPQ   AX, DX
-	JGE    d512tail
-	VXORPD Y0, Y0, Y0
-	DOTBLOCK4(0, SI, DI, AX, Y0)
-	DOTBLOCK4(16, SI, DI, AX, Y0)
-	DOTBLOCK4(32, SI, DI, AX, Y0)
-	DOTBLOCK4(48, SI, DI, AX, Y0)
-	REDUCEBLOCK(Y0, X0, X1, X2, X9)
-	ADDQ   $16, AX
-	JMP    d512single
-
-d512tail:
-	CMPQ   AX, CX
-	JGE    d512done
-	VXORPD X4, X4, X4
-	VXORPD X5, X5, X5
-	VXORPD X6, X6, X6
-
-d512tailloop:
-	VCVTSS2SD (SI)(AX*4), X5, X5
-	VCVTSS2SD (DI)(AX*4), X6, X6
-	VMULSD    X6, X5, X7
-	VADDSD    X7, X4, X4
-	INCQ      AX
-	CMPQ      AX, CX
-	JL        d512tailloop
-	VADDSD    X4, X9, X9
-
-d512done:
-	VMOVSD     X9, ret+48(FP)
-	VZEROUPPER
-	RET
-
 // func blockSumAVX2(terms []float64) float64
 //
 // Full 16-term block: 4-lane strided sum with zero-seeded lanes, combined

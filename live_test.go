@@ -6,6 +6,7 @@
 package ansmet_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -92,11 +93,11 @@ func sameSearchState(t *testing.T, a, b *ansmet.Database, queries [][]float32) {
 		t.Fatalf("PendingRepair: %d vs %d", sa.PendingRepair, sb.PendingRepair)
 	}
 	for qi, q := range queries {
-		ra, err := a.SearchEf(q, 10, 50)
+		ra, err := a.SearchInto(q, 10, 50, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := b.SearchEf(q, 10, 50)
+		rb, err := b.SearchInto(q, 10, 50, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,11 +115,11 @@ func sameSearchState(t *testing.T, a, b *ansmet.Database, queries [][]float32) {
 		if !reflect.DeepEqual(ea, eb) {
 			t.Fatalf("query %d: exact results diverge:\n%v\n%v", qi, ea, eb)
 		}
-		ta, _, err := a.TieredSearch(q, 10)
+		ta, _, err := a.TieredSearchInto(q, 10, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb, _, err := b.TieredSearch(q, 10)
+		tb, _, err := b.TieredSearchInto(q, 10, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,9 +272,9 @@ func TestMutableSearchExcludesTombstones(t *testing.T) {
 		check("Search", res, err)
 		res, _, err = db.ExactSearch(q, 10)
 		check("ExactSearch", res, err)
-		res, _, err = db.TieredSearch(q, 10)
+		res, _, err = db.TieredSearchInto(q, 10, 0, nil)
 		check("TieredSearch", res, err)
-		res, err = db.SearchFiltered(q, 10, func(id uint32) bool { return id%2 == 0 })
+		res, err = searchFiltered(db, q, 10, func(id uint32) bool { return id%2 == 0 })
 		check("SearchFiltered", res, err)
 		for _, n := range res {
 			if n.ID%2 != 0 {
@@ -281,12 +282,14 @@ func TestMutableSearchExcludesTombstones(t *testing.T) {
 			}
 		}
 	}
-	many, err := db.SearchMany(ds.Queries, 10, 50, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, res := range many {
-		check("SearchMany", res, nil)
+	for _, route := range []ansmet.Route{ansmet.RouteAuto, ansmet.RouteNDP, ansmet.RouteTiered, ansmet.RouteExact} {
+		many, _, err := db.DoMany(context.Background(), ds.Queries, &ansmet.Query{K: 10, Ef: 50, Route: route}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range many {
+			check("DoMany "+route.String(), res, nil)
+		}
 	}
 
 	// A freshly added vector is immediately searchable: its own query
@@ -324,11 +327,11 @@ func TestMutableNilMutationByteIdentity(t *testing.T) {
 	}
 	sameSearchState(t, imm, mut, ds.Queries)
 	for _, q := range ds.Queries {
-		a, err := imm.SearchFiltered(q, 5, func(id uint32) bool { return id%3 != 0 })
+		a, err := searchFiltered(imm, q, 5, func(id uint32) bool { return id%3 != 0 })
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := mut.SearchFiltered(q, 5, func(id uint32) bool { return id%3 != 0 })
+		b, err := searchFiltered(mut, q, 5, func(id uint32) bool { return id%3 != 0 })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -559,7 +562,7 @@ func TestConcurrentMutateSearch(t *testing.T) {
 					res, err = db.SearchInto(q, 10, 50, dst)
 					dst = res
 				case 1:
-					res, _, err = db.TieredSearch(q, 10)
+					res, _, err = db.TieredSearchInto(q, 10, 0, nil)
 				default:
 					res, _, err = db.ExactSearch(q, 10)
 				}
@@ -662,11 +665,11 @@ func TestFilteredRecallTargetByteIdentity(t *testing.T) {
 	d0, d1 := build(0), build(1)
 	filter := func(id uint32) bool { return id%3 != 0 }
 	for qi, q := range ds.Queries {
-		r0, err := d0.SearchFiltered(q, 10, filter)
+		r0, err := searchFiltered(d0, q, 10, filter)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r1, err := d1.SearchFiltered(q, 10, filter)
+		r1, err := searchFiltered(d1, q, 10, filter)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -679,11 +682,11 @@ func TestFilteredRecallTargetByteIdentity(t *testing.T) {
 	da := build(0.9)
 	sum, n := 0.0, 0
 	for _, q := range ds.Queries {
-		exact, err := d0.SearchFiltered(q, 10, filter)
+		exact, err := searchFiltered(d0, q, 10, filter)
 		if err != nil {
 			t.Fatal(err)
 		}
-		adap, err := da.SearchFiltered(q, 10, filter)
+		adap, err := searchFiltered(da, q, 10, filter)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -422,7 +422,7 @@ func Load(r io.Reader, design *Design) (db *Database, err error) {
 		Metric: snap.Metric, Elem: snap.Elem,
 		Design: UseDesign(d), Seed: snap.Seed,
 	}
-	db = &Database{opts: opts, vectors: snap.Vectors, sys: sys}
+	db = newDatabase(opts, snap.Vectors, sys)
 	if snap.Live {
 		// Restore the live-mutation state. A design override without an
 		// early-termination store cannot serve a live snapshot: the Base

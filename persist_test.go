@@ -34,11 +34,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Identical search results (same graph, same deterministic preprocessing).
 	for _, q := range ds.Queries {
-		a, err := db.SearchEf(q, 10, 50)
+		a, err := db.SearchInto(q, 10, 50, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := loaded.SearchEf(q, 10, 50)
+		b, err := loaded.SearchInto(q, 10, 50, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,8 +74,8 @@ func TestLoadWithDesignOverride(t *testing.T) {
 		t.Errorf("design override ignored: %v", loaded.Stats().Design)
 	}
 	// Results still identical (designs are functionally equivalent).
-	a, _ := db.SearchEf(ds.Queries[0], 5, 40)
-	b, _ := loaded.SearchEf(ds.Queries[0], 5, 40)
+	a, _ := db.SearchInto(ds.Queries[0], 5, 40, nil)
+	b, _ := loaded.SearchInto(ds.Queries[0], 5, 40, nil)
 	for j := range a {
 		if a[j].ID != b[j].ID {
 			t.Fatal("override changed results")
@@ -193,11 +193,11 @@ func TestWALCrashPointEveryOffset(t *testing.T) {
 				cut, rec.Len(), rec.Tombstones(), ref.Len(), ref.Tombstones())
 		}
 		for _, q := range queries {
-			a, err := rec.SearchEf(q, 5, 24)
+			a, err := rec.SearchInto(q, 5, 24, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := ref.SearchEf(q, 5, 24)
+			b, err := ref.SearchInto(q, 5, 24, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,7 +275,7 @@ func FuzzWALReplay(f *testing.F) {
 			return // rejected: fine, as long as it did not panic
 		}
 		defer db.Close()
-		res, err := db.SearchEf(vecs[3], 5, 24)
+		res, err := db.SearchInto(vecs[3], 5, 24, nil)
 		if err != nil {
 			t.Fatalf("search after replay: %v", err)
 		}

@@ -1,15 +1,10 @@
 package ansmet
 
-import (
-	"context"
+import "ansmet/internal/core"
 
-	"ansmet/internal/core"
-)
-
-// This file is the public face of adaptive mixed-precision search (ROADMAP
-// item 4): the RecallTarget knob's runtime state, the per-query tiered
-// option resolution shared by every tiered entry point, and the context
-// plumbing that pins one calibrated budget across a cluster fan-out.
+// This file is the public face of adaptive mixed-precision search: the
+// RecallTarget knob's runtime state and the per-query tiered option
+// resolution of the tiered route.
 
 // adaptive reports whether this database runs adaptive mixed-precision
 // (Options.RecallTarget in (0, 1) on an ET design).
@@ -49,29 +44,6 @@ func (db *Database) observeTiered(k int, st TieredStats) {
 		return
 	}
 	db.tuner.Observe(k, st.Pool, st.AtRisk)
-}
-
-// budgetKey carries an explicit tiered cut budget through the cluster
-// coordinator's context, the same pattern as routeKey: the lead shard
-// resolves its calibrated budget once per query and every shard executes
-// it, keeping the scatter-gather merge homogeneous (shard tuners calibrate
-// independently and would otherwise drift apart).
-type budgetKey struct{}
-
-// WithTieredBudget returns a context carrying an explicit tiered cut
-// budget in (0, 1] for the shard search functions. Out-of-range values are
-// carried as-is and ignored at the point of use.
-func WithTieredBudget(ctx context.Context, budget float64) context.Context {
-	return context.WithValue(ctx, budgetKey{}, budget)
-}
-
-// tieredBudgetFrom extracts the carried budget; 0 (no value) defers to the
-// database-level resolution in tieredOpts.
-func tieredBudgetFrom(ctx context.Context) float64 {
-	if b, ok := ctx.Value(budgetKey{}).(float64); ok {
-		return b
-	}
-	return 0
 }
 
 // PrecisionStats reports the adaptive mixed-precision state: the static

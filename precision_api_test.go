@@ -58,11 +58,11 @@ func TestRecallTargetEndpointsByteIdentical(t *testing.T) {
 		t.Fatal("endpoint databases enabled the precision machinery")
 	}
 	for qi, q := range ds.Queries {
-		a, err := fixed.SearchEf(q, 10, 64)
+		a, err := fixed.SearchInto(q, 10, 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := one.SearchEf(q, 10, 64)
+		b, err := one.SearchInto(q, 10, 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,11 +74,11 @@ func TestRecallTargetEndpointsByteIdentical(t *testing.T) {
 				t.Fatalf("q%d beam result %d: %+v != %+v", qi, j, a[j], b[j])
 			}
 		}
-		ta, _, err := fixed.TieredSearch(q, 10)
+		ta, _, err := fixed.TieredSearchInto(q, 10, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb, _, err := one.TieredSearch(q, 10)
+		tb, _, err := one.TieredSearchInto(q, 10, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestAdaptiveSearchInvariants(t *testing.T) {
 	recallOf := func(db *ansmet.Database) float64 {
 		sum := 0.0
 		for qi, q := range ds.Queries {
-			res, err := db.SearchEf(q, 10, 64)
+			res, err := db.SearchInto(q, 10, 64, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +148,7 @@ func TestAdaptiveSearchInvariants(t *testing.T) {
 
 	// Tiered queries feed the tuner.
 	for _, q := range ds.Queries {
-		if _, _, err := ad.TieredSearch(q, 10); err != nil {
+		if _, _, err := ad.TieredSearchInto(q, 10, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

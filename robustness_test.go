@@ -2,6 +2,7 @@ package ansmet
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -39,7 +40,11 @@ func TestSearchInputErrors(t *testing.T) {
 	}{
 		{"k=0", func() error { _, err := db.Search(good, 0); return err }, ErrBadK},
 		{"k<0", func() error { _, err := db.Search(good, -3); return err }, ErrBadK},
-		{"ef<k", func() error { _, err := db.SearchEf(good, 10, 5); return err }, ErrBadEf},
+		{"ef<k", func() error { _, err := db.SearchInto(good, 10, 5, nil); return err }, ErrBadEf},
+		{"tiered ef<k", func() error {
+			_, err := db.Do(context.Background(), &Query{Vector: good, K: 10, Ef: 5, Route: RouteTiered})
+			return err
+		}, ErrBadEf},
 		{"short query", func() error { _, err := db.Search(good[:4], 5); return err }, ErrDimension},
 		{"long query", func() error { _, err := db.Search(make([]float32, 9), 5); return err }, ErrDimension},
 		{"NaN", func() error {
@@ -58,9 +63,13 @@ func TestSearchInputErrors(t *testing.T) {
 		{"filtered NaN", func() error {
 			q := append([]float32(nil), good...)
 			q[7] = float32(math.NaN())
-			_, err := db.SearchFiltered(q, 5, func(uint32) bool { return true })
+			_, err := db.Do(context.Background(), &Query{Vector: q, K: 5, Filter: func(uint32) bool { return true }})
 			return err
 		}, ErrBadQuery},
+		{"filter on the exact route", func() error {
+			_, err := db.Do(context.Background(), &Query{Vector: good, K: 5, Route: RouteExact, Filter: func(uint32) bool { return true }})
+			return err
+		}, errFilterRoute},
 	}
 	for _, tc := range cases {
 		err := tc.call()
@@ -69,12 +78,12 @@ func TestSearchInputErrors(t *testing.T) {
 		}
 	}
 
-	// SearchMany validates every query up front and names the offender.
+	// DoMany stops at the invalid query and names the offender.
 	bad := append([]float32(nil), good...)
 	bad[2] = float32(math.Inf(-1))
-	_, err := db.SearchMany([][]float32{good, bad}, 5, 10, 2)
+	_, _, err := db.DoMany(context.Background(), [][]float32{good, bad}, &Query{K: 5, Ef: 10, Route: RouteNDP}, 2)
 	if !errors.Is(err, ErrBadQuery) || !strings.Contains(err.Error(), "query 1") {
-		t.Errorf("SearchMany err = %v, want ErrBadQuery naming query 1", err)
+		t.Errorf("DoMany err = %v, want ErrBadQuery naming query 1", err)
 	}
 }
 
@@ -88,23 +97,24 @@ func TestSearchManyPanicRecovered(t *testing.T) {
 		queries[i], _ = db.Vector(uint32(i))
 	}
 
-	searchManyTestHook = func(i int) {
+	doManyTestHook = func(i int) {
 		if i == 5 {
 			panic("injected worker fault")
 		}
 	}
-	defer func() { searchManyTestHook = nil }()
+	defer func() { doManyTestHook = nil }()
 
-	_, err := db.SearchMany(queries, 3, 10, 4)
+	plan := &Query{K: 3, Ef: 10, Route: RouteNDP}
+	_, _, err := db.DoMany(context.Background(), queries, plan, 4)
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("SearchMany err = %v, want worker-panic error", err)
+		t.Fatalf("DoMany err = %v, want worker-panic error", err)
 	}
 
 	// The database is still serviceable afterwards.
-	searchManyTestHook = nil
-	res, err := db.SearchMany(queries, 3, 10, 4)
+	doManyTestHook = nil
+	res, _, err := db.DoMany(context.Background(), queries, plan, 4)
 	if err != nil {
-		t.Fatalf("post-recovery SearchMany: %v", err)
+		t.Fatalf("post-recovery DoMany: %v", err)
 	}
 	for i, r := range res {
 		if len(r) != 3 {

@@ -1,18 +1,12 @@
 package ansmet
 
 import (
-	"context"
-	"time"
-
 	"ansmet/internal/core"
 	"ansmet/internal/engine"
 )
 
-// This file is the public face of the tiered bound-first/exact-rerank
-// pipeline and the deadline-aware query router (ROADMAP item 3): explicit
-// tiered search entry points, per-query route selection between the NDP-sim
-// beam path, the tiered pipeline and the CPU exact scan, and the context
-// plumbing that carries an explicit route through the cluster coordinator.
+// This file names the routes a Query can take and exposes the router's
+// counters; route resolution and dispatch live in query.go.
 
 // Route identifies a whole-query execution path; see internal/engine.
 type Route = engine.Route
@@ -57,170 +51,4 @@ func (db *Database) tieredBudget() float64 {
 		return b
 	}
 	return 1
-}
-
-// tieredEngine returns the scratch's plain early-termination engine for the
-// tiered pipeline, or nil when the design has no ET store (Base designs).
-// Resilience-wrapped scratch engines don't expose the tiered scan, so those
-// scratches lazily grow a dedicated plain engine (pooled with the scratch,
-// so the steady state still allocates nothing).
-func (db *Database) tieredEngine(s *searchScratch) *core.ETEngine {
-	if db.sys.Store == nil {
-		return nil
-	}
-	if et, ok := s.eng.(*core.ETEngine); ok {
-		return et
-	}
-	if s.tiered == nil {
-		s.tiered = db.sys.Store.NewETEngine(db.opts.Metric)
-	}
-	return s.tiered
-}
-
-// TieredSearch returns the k nearest neighbors via the two-stage
-// bound-first/exact-rerank pipeline with the database's configured budget
-// (Options.TieredBudget; default 1 — the provably exact cut). Stage 1
-// orders the whole population by cheap partial-bit lower bounds without
-// ever fully fetching a vector; stage 2 re-ranks candidates exactly in
-// ascending-bound order until the adaptive cut proves (budget 1) or deems
-// (budget < 1) the rest irrelevant. At budget 1 the results are identical
-// to ExactSearch, at a fraction of its line traffic.
-func (db *Database) TieredSearch(q []float32, k int) ([]Neighbor, TieredStats, error) {
-	return db.TieredSearchInto(q, k, 0, nil)
-}
-
-// TieredSearchInto is TieredSearch with an explicit budget in (0, 1] (0
-// uses the configured default) appending results into dst[:0]; with a
-// reused dst the steady state allocates nothing (gated by
-// TestTieredSteadyStateAllocs and BenchmarkTieredSearch in CI).
-func (db *Database) TieredSearchInto(q []float32, k int, budget float64, dst []Neighbor) ([]Neighbor, TieredStats, error) {
-	return db.tieredSearch(nil, q, k, budget, dst)
-}
-
-// TieredSearchCtxInto is TieredSearchInto with cooperative cancellation:
-// both stages poll ctx.Done() at amortized checkpoints. A cancelled stage 1
-// aborts empty (bounds alone are not answers); a cancelled stage 2 returns
-// the exact top-k over the pool prefix re-ranked so far with a
-// *CancelError whose Partial field reports usability.
-func (db *Database) TieredSearchCtxInto(ctx context.Context, q []float32, k int, budget float64, dst []Neighbor) ([]Neighbor, TieredStats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, TieredStats{}, cancelErr(ctx, false)
-	}
-	nn, st, err := db.tieredSearch(ctx.Done(), q, k, budget, dst)
-	if err != nil {
-		return nil, st, err
-	}
-	if st.Cancelled {
-		return nn, st, cancelErr(ctx, len(nn) > 0)
-	}
-	return nn, st, nil
-}
-
-// tieredSearch is the shared core of the tiered entry points. On Base
-// designs (no ET store) it degrades to the exact full scan — the whole
-// population is the pool.
-func (db *Database) tieredSearch(done <-chan struct{}, q []float32, k int, budget float64, dst []Neighbor) ([]Neighbor, TieredStats, error) {
-	if err := db.validateQuery(q, k, k); err != nil {
-		return nil, TieredStats{}, err
-	}
-	if db.sys.Store == nil {
-		nn, lines, cancelled, err := db.exactSearch(done, q, k)
-		if err != nil {
-			return nil, TieredStats{}, err
-		}
-		return nn, TieredStats{Pool: db.Len(), RerankLines: lines, Cancelled: cancelled}, nil
-	}
-	s := db.getScratch()
-	defer db.putScratch(s)
-	qq := s.quantize(q, db.opts.Elem)
-	et := db.tieredEngine(s)
-	nn, st := et.TieredKNNInto(done, qq, k, db.tieredOpts(budget), dst)
-	db.observeTiered(k, st)
-	return nn, st, nil
-}
-
-// slackOf returns the context's remaining deadline budget, or
-// engine.NoDeadline when it has none.
-func slackOf(ctx context.Context) time.Duration {
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return engine.NoDeadline
-	}
-	d := time.Until(dl)
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// SearchRouted executes one query on the given route, returning the route
-// actually taken. RouteAuto asks the router: degraded NDP ranks divert to
-// the exact path (the only one not built on the NDP-modelled machinery),
-// otherwise the highest-quality route whose recent cost fits the deadline
-// slack wins — tiered (exact answers) given room, the cheap approximate
-// beam path under pressure or load. Explicit routes are honored as-is,
-// except that the tiered path on a Base design (no bound machinery)
-// degrades to exact. Cancellation semantics match the underlying path's
-// Ctx entry point. The un-cancelled NDP steady state with a reused dst
-// allocates nothing (gated by BenchmarkRouterOverhead in CI).
-func (db *Database) SearchRouted(ctx context.Context, q []float32, k, ef int, mode Route, dst []Neighbor) ([]Neighbor, Route, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, mode, cancelErr(ctx, false)
-	}
-	route := mode
-	if route == RouteAuto {
-		route = db.router.Decide(slackOf(ctx), db.sys.Store != nil)
-	}
-	if route == RouteTiered && db.sys.Store == nil {
-		route = RouteExact
-	}
-	db.router.Begin()
-	defer db.router.End()
-	start := time.Now()
-	var out []Neighbor
-	var err error
-	switch route {
-	case RouteTiered:
-		out, _, err = db.TieredSearchCtxInto(ctx, q, k, 0, dst)
-	case RouteExact:
-		out, _, err = db.ExactSearchCtx(ctx, q, k)
-	default:
-		route = RouteNDP
-		out, err = db.SearchCtxInto(ctx, q, k, ef, dst)
-	}
-	db.router.Record(route)
-	db.router.Observe(route, time.Since(start))
-	return out, route, err
-}
-
-// SearchManyRouted is SearchManyCtx with a query-path mode. RouteAuto
-// resolves the route once for the whole batch (from the slack at entry);
-// every worker then executes that path, so the batch is homogeneous.
-func (db *Database) SearchManyRouted(ctx context.Context, queries [][]float32, k, ef, workers int, mode Route) ([][]Neighbor, Route, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, mode, cancelErr(ctx, false)
-	}
-	route := mode
-	if route == RouteAuto {
-		route = db.router.Decide(slackOf(ctx), db.sys.Store != nil)
-	}
-	if route == RouteTiered && db.sys.Store == nil {
-		route = RouteExact
-	}
-	out, cancelled, err := db.searchMany(ctx.Done(), queries, k, ef, workers, route)
-	if err != nil {
-		return nil, route, err
-	}
-	db.router.Record(route)
-	if cancelled {
-		partial := false
-		for _, r := range out {
-			if r != nil {
-				partial = true
-				break
-			}
-		}
-		return out, route, cancelErr(ctx, partial)
-	}
-	return out, route, nil
 }

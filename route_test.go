@@ -71,6 +71,12 @@ func TestTieredSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// routed runs one query through Do on the given route.
+func routed(ctx context.Context, db *ansmet.Database, q []float32, k, ef int, route ansmet.Route) ([]ansmet.Neighbor, ansmet.Route, error) {
+	res, err := db.Do(ctx, &ansmet.Query{Vector: q, K: k, Ef: ef, Route: route})
+	return res.Neighbors, res.Route, err
+}
+
 // TestSearchRoutedModes: explicit modes execute (and report) the named
 // path, and the results match the path's dedicated entry point.
 func TestSearchRoutedModes(t *testing.T) {
@@ -79,11 +85,11 @@ func TestSearchRoutedModes(t *testing.T) {
 	ctx := context.Background()
 	q := ds.Queries[0]
 
-	nn, route, err := db.SearchRouted(ctx, q, 10, 64, ansmet.RouteNDP, nil)
+	nn, route, err := routed(ctx, db, q, 10, 64, ansmet.RouteNDP)
 	if err != nil || route != ansmet.RouteNDP {
 		t.Fatalf("ndp: route=%v err=%v", route, err)
 	}
-	want, err := db.SearchEf(q, 10, 64)
+	want, err := db.SearchInto(q, 10, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +99,7 @@ func TestSearchRoutedModes(t *testing.T) {
 		}
 	}
 
-	nn, route, err = db.SearchRouted(ctx, q, 10, 64, ansmet.RouteTiered, nil)
+	nn, route, err = routed(ctx, db, q, 10, 64, ansmet.RouteTiered)
 	if err != nil || route != ansmet.RouteTiered {
 		t.Fatalf("tiered: route=%v err=%v", route, err)
 	}
@@ -107,7 +113,7 @@ func TestSearchRoutedModes(t *testing.T) {
 		}
 	}
 
-	nn, route, err = db.SearchRouted(ctx, q, 10, 64, ansmet.RouteExact, nil)
+	nn, route, err = routed(ctx, db, q, 10, 64, ansmet.RouteExact)
 	if err != nil || route != ansmet.RouteExact {
 		t.Fatalf("exact: route=%v err=%v", route, err)
 	}
@@ -130,7 +136,7 @@ func TestSearchRoutedAuto(t *testing.T) {
 	db := benchDB()
 	ds := benchData()
 
-	nn, route, err := db.SearchRouted(context.Background(), ds.Queries[0], 10, 64, ansmet.RouteAuto, nil)
+	nn, route, err := routed(context.Background(), db, ds.Queries[0], 10, 64, ansmet.RouteAuto)
 	if err != nil || route != ansmet.RouteTiered {
 		t.Fatalf("auto healthy idle: route=%v err=%v", route, err)
 	}
@@ -140,7 +146,7 @@ func TestSearchRoutedAuto(t *testing.T) {
 
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, _, err = db.SearchRouted(expired, ds.Queries[0], 10, 64, ansmet.RouteAuto, nil)
+	_, _, err = routed(expired, db, ds.Queries[0], 10, 64, ansmet.RouteAuto)
 	var ce *ansmet.CancelError
 	if !errors.As(err, &ce) || ce.Partial {
 		t.Fatalf("expired context: err=%v", err)
@@ -160,7 +166,7 @@ func TestSearchRoutedBaseDesignDegradesTiered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nn, route, err := db.SearchRouted(context.Background(), ds.Queries[0], 5, 32, ansmet.RouteTiered, nil)
+	nn, route, err := routed(context.Background(), db, ds.Queries[0], 5, 32, ansmet.RouteTiered)
 	if err != nil || route != ansmet.RouteExact {
 		t.Fatalf("base tiered: route=%v err=%v", route, err)
 	}
@@ -173,9 +179,9 @@ func TestSearchRoutedBaseDesignDegradesTiered(t *testing.T) {
 			t.Fatalf("base tiered result %d: %+v != %+v", i, nn[i], want[i])
 		}
 	}
-	// TieredSearch itself also degrades, reporting the whole population as
-	// the pool.
-	nn2, stats, err := db.TieredSearch(ds.Queries[0], 5)
+	// TieredSearchInto itself also degrades, reporting the whole population
+	// as the pool.
+	nn2, stats, err := db.TieredSearchInto(ds.Queries[0], 5, 0, nil)
 	if err != nil || stats.Pool != db.Len() {
 		t.Fatalf("base TieredSearch: stats=%+v err=%v", stats, err)
 	}
@@ -193,12 +199,12 @@ func TestSearchManyRouted(t *testing.T) {
 	ds := benchData()
 	queries := ds.Queries[:6]
 	for _, mode := range []ansmet.Route{ansmet.RouteNDP, ansmet.RouteTiered, ansmet.RouteExact} {
-		out, route, err := db.SearchManyRouted(context.Background(), queries, 10, 64, 3, mode)
+		out, route, err := db.DoMany(context.Background(), queries, &ansmet.Query{K: 10, Ef: 64, Route: mode}, 3)
 		if err != nil || route != mode {
 			t.Fatalf("%v: route=%v err=%v", mode, route, err)
 		}
 		for qi, q := range queries {
-			want, _, err := db.SearchRouted(context.Background(), q, 10, 64, mode, nil)
+			want, _, err := routed(context.Background(), db, q, 10, 64, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +221,7 @@ func TestSearchManyRouted(t *testing.T) {
 	// Expired context rejects up front.
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, _, err := db.SearchManyRouted(expired, queries, 10, 64, 2, ansmet.RouteNDP)
+	_, _, err := db.DoMany(expired, queries, &ansmet.Query{K: 10, Ef: 64, Route: ansmet.RouteNDP}, 2)
 	var ce *ansmet.CancelError
 	if !errors.As(err, &ce) {
 		t.Fatalf("expired batch: err=%v", err)
@@ -233,7 +239,7 @@ func TestTieredBudgetKnob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nn, stats, err := db.TieredSearch(ds.Queries[0], 5)
+	nn, stats, err := db.TieredSearchInto(ds.Queries[0], 5, 0, nil)
 	if err != nil || len(nn) != 5 {
 		t.Fatalf("budget 0.8: %d results err=%v (stats %+v)", len(nn), err, stats)
 	}

@@ -38,11 +38,11 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %d vectors, want %d", loaded.Len(), db.Len())
 	}
 	q, _ := db.Vector(3)
-	a, err := db.SearchEf(q, 5, 20)
+	a, err := db.SearchInto(q, 5, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := loaded.SearchEf(q, 5, 20)
+	b, err := loaded.SearchInto(q, 5, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
