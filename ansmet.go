@@ -233,7 +233,11 @@ type Database struct {
 	opts    Options
 	vectors [][]float32
 	sys     *core.System
-	router  *engine.Router
+	// beam is the route Search, SearchInto, SearchEfCtx and SearchCtxInto
+	// run and a filtered RouteAuto query resolves to; the router holds it
+	// beside the quality route (see newDatabase).
+	beam   Route
+	router *engine.Router
 	// tuner is the recall-target calibration state; nil unless
 	// Options.RecallTarget enabled adaptive mixed-precision.
 	tuner *precision.Tuner
@@ -269,9 +273,12 @@ type searchScratch struct {
 	qq  []float32
 	eng engine.Engine
 	buf []Neighbor
-	// plain is the lazy dedicated plain ET engine the tiered and exact
-	// routes use when eng is resilience-wrapped (see Database.plainEngine).
+	// plain is the lazy dedicated plain ET engine the tiered route uses when
+	// eng is resilience-wrapped (see Database.plainEngine).
 	plain *core.ETEngine
+	// host is the lazy host compare engine of the host beam and the exact
+	// scan (see Database.hostEngine).
+	host *engine.Exact
 }
 
 func (db *Database) getScratch() *searchScratch {
@@ -359,11 +366,26 @@ func New(vectors [][]float32, opts Options) (*Database, error) {
 }
 
 // newDatabase wires the per-database runtime state every query runs
-// through — the router and, on an adaptive system, the recall-target tuner
-// — around a preprocessed system, whether New built it or Load restored it.
+// through — the default routes, the router and, on an adaptive system, the
+// recall-target tuner — around a preprocessed system, whether New built it
+// or Load restored it.
+//
+// The default rule lives here and nowhere else. A database serves from its
+// row-major vectors with the SIMD kernels — the host beam, and the exact
+// scan as the quality route — because on a host CPU that is the fastest
+// correct engine, and at fixed precision it returns what the bit-plane path
+// returns bit for bit. A database whose options configure behaviour that
+// exists only in the NDP model keeps that model as its default: resilience-
+// wrapped engines (Advanced.Fault / Advanced.Resilience: retries, breakers
+// and fallbacks happen per bit-plane compare) and a precision map
+// (RecallTarget in (0, 1): the depth schedule is the bit-plane fetch depth).
 func newDatabase(opts Options, vectors [][]float32, sys *core.System) *Database {
-	db := &Database{opts: opts, vectors: vectors, sys: sys}
-	db.router = engine.NewRouter(engine.RouterConfig{}, db.degradedRanks)
+	db := &Database{opts: opts, vectors: vectors, sys: sys, beam: RouteHost}
+	quality := RouteExact
+	if sys.Faults != nil || sys.Precision != nil {
+		db.beam, quality = RouteNDP, RouteTiered
+	}
+	db.router = engine.NewRouter(engine.RouterConfig{}, db.beam, quality, db.degradedRanks)
 	if sys.Precision != nil {
 		db.tuner = precision.NewTuner(sys.Cfg.RecallTarget)
 		// Feed the target into the router's cost model: at matched recall

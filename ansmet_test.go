@@ -198,13 +198,25 @@ func TestExactSearchFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The exact route is the same full scan of row-major vectors on every
+		// design; the paper's §4.1 point — early termination works for exact
+		// kNN too — is the tiered route at budget 1: the same answer from a
+		// fraction of the lines.
+		c, st, err := et.TieredSearchInto(q, 10, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for j := range a {
-			if a[j].ID != b[j].ID {
-				t.Fatalf("exact scans disagree: %+v vs %+v", a[j], b[j])
+			if a[j] != b[j] || a[j] != c[j] {
+				t.Fatalf("exact answers disagree: ET scan %+v, Base scan %+v, ET tiered %+v", a[j], b[j], c[j])
 			}
 		}
-		if la >= lb {
-			t.Errorf("ET exact scan fetched %d lines, base %d — no savings", la, lb)
+		if la != lb || la != et.Len()*base.Stats().LinesPerVector {
+			t.Errorf("exact scans fetched %d (ET design) and %d (Base) lines, want the full %d×%d",
+				la, lb, et.Len(), base.Stats().LinesPerVector)
+		}
+		if lt := st.BoundLines + st.RerankLines; lt >= lb {
+			t.Errorf("tiered at budget 1 fetched %d lines, a full scan %d — no savings", lt, lb)
 		}
 	}
 	if _, _, err := et.ExactSearch([]float32{1}, 3); err == nil {

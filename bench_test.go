@@ -461,7 +461,7 @@ func BenchmarkTieredSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkRouterOverhead measures Do itself on the explicit ndp route with
+// BenchmarkRouterOverhead measures Do itself on the explicit host route with
 // a live deadline and a stack Query: the execution core plus the routing
 // envelope every query pays (in-flight tracking, counters, EWMA cost
 // observation). BenchmarkSearchWithDeadline is the same query through the
@@ -471,18 +471,55 @@ func BenchmarkRouterOverhead(b *testing.B) {
 	ds := benchData()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	q := ansmet.Query{Vector: ds.Queries[0], K: 10, Ef: 64, Route: ansmet.RouteNDP}
-	res, err := db.Do(ctx, &q)
+	benchDo(b, ctx, db, ds.Queries, ansmet.Query{K: 10, Ef: 64, Route: ansmet.RouteHost})
+}
+
+// benchDo runs plan once per iteration through Do, cycling the queries and
+// reusing the result slice: the steady state of a route.
+func benchDo(b *testing.B, ctx context.Context, db *ansmet.Database, queries [][]float32, plan ansmet.Query) {
+	b.Helper()
+	plan.Vector = queries[0]
+	res, err := db.Do(ctx, &plan)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Vector, q.Dst = ds.Queries[i%len(ds.Queries)], res.Neighbors
-		if res, err = db.Do(ctx, &q); err != nil {
+		plan.Vector, plan.Dst = queries[i%len(queries)], res.Neighbors
+		if res, err = db.Do(ctx, &plan); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSearchHost measures the same beam query — same graph, same ef,
+// same batch, the same answers bit for bit (TestHostEquivalence) — over the
+// two compare engines: row-major vectors with the SIMD kernel (host, the
+// serving default) and the bit-plane early-termination model (ndp). The
+// ndp/host ns ratio is what the default route no longer pays. Budget: 0
+// allocs/op on both arms.
+func BenchmarkSearchHost(b *testing.B) {
+	for _, route := range []ansmet.Route{ansmet.RouteHost, ansmet.RouteNDP} {
+		b.Run(route.String(), func(b *testing.B) {
+			benchDo(b, context.Background(), benchDB(), benchData().Queries, ansmet.Query{K: 10, Ef: 64, Route: route})
+		})
+	}
+}
+
+// BenchmarkExactScan measures the exact route — the SIMD scan of every row,
+// the k best kept in place on the caller's Dst — on the default database and
+// on one that has lived (tombstones skipped, appended rows re-pinned).
+// BenchmarkTieredSearch is the same answer through the bound machinery.
+// Budget: 0 allocs/op.
+func BenchmarkExactScan(b *testing.B) {
+	for _, arm := range []struct {
+		name string
+		db   *ansmet.Database
+	}{{"immutable", benchDB()}, {"mutated", benchMutatedDB()}} {
+		b.Run(arm.name, func(b *testing.B) {
+			benchDo(b, context.Background(), arm.db, benchData().Queries, ansmet.Query{K: 10, Route: ansmet.RouteExact})
+		})
 	}
 }
 
@@ -509,11 +546,13 @@ var benchAdaptive = sync.OnceValue(func() (out struct {
 	return out
 })
 
-// BenchmarkAdaptivePrecision measures one steady-state beam query on the
+// BenchmarkAdaptivePrecision measures one steady-state ndp beam query on the
 // beam-hostile profile, fixed full-depth refinement vs the adaptive
-// per-partition schedule (RecallTarget 0.9). The fixed/adaptive ns ratio is
-// the matched-recall speedup BENCH_pr9.json records; FigPrecisionFrontier
-// verifies the recall match in lines. Budget: 0 allocs/op on both arms.
+// per-partition schedule (RecallTarget 0.9) — both arms name the route, as
+// the fixed database's default beam is the host one. The fixed/adaptive ns
+// ratio is the matched-recall speedup BENCH_pr9.json records;
+// FigPrecisionFrontier verifies the recall match in lines. Budget: 0
+// allocs/op on both arms.
 func BenchmarkAdaptivePrecision(b *testing.B) {
 	w := benchAdaptive()
 	for _, arm := range []struct {
@@ -521,18 +560,7 @@ func BenchmarkAdaptivePrecision(b *testing.B) {
 		db   *ansmet.Database
 	}{{"fixed", w.fixed}, {"adaptive", w.adaptive}} {
 		b.Run(arm.name, func(b *testing.B) {
-			var dst []ansmet.Neighbor
-			var err error
-			if dst, err = arm.db.SearchInto(w.ds.Queries[0], 10, 64, dst); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if dst, err = arm.db.SearchInto(w.ds.Queries[i%len(w.ds.Queries)], 10, 64, dst); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchDo(b, context.Background(), arm.db, w.ds.Queries, ansmet.Query{K: 10, Ef: 64, Route: ansmet.RouteNDP})
 		})
 	}
 }

@@ -428,8 +428,9 @@ func TestClusterLoadRejectsCorruptManifest(t *testing.T) {
 // per-shard exact top-k answers (budget 1), so the result is byte-identical
 // to the unsharded exact search — the cluster-level statement of the
 // stage-2 identity invariant. The exact route reaches the same answer
-// through each shard's scan path, and auto on a healthy idle cluster
-// resolves to the tiered path.
+// through each shard's scan, and auto on a healthy idle cluster resolves to
+// the quality route — the exact scan, or the tiered route at the budget the
+// query states.
 func TestClusterSearchRouted(t *testing.T) {
 	p := dataset.ProfileByName("DEEP")
 	const n = 300
@@ -462,13 +463,19 @@ func TestClusterSearchRouted(t *testing.T) {
 						shards, qi, mode, res.Neighbors, want)
 				}
 			}
-			// Auto on a healthy idle cluster picks the tiered path.
-			res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: 10, Ef: 64})
-			if err != nil || res.Route != ansmet.RouteTiered {
-				t.Fatalf("shards=%d q%d auto: route=%v err=%v", shards, qi, res.Route, err)
-			}
-			if !reflect.DeepEqual(res.Neighbors, want) {
-				t.Fatalf("shards=%d q%d auto diverged", shards, qi)
+			// Auto on a healthy idle cluster picks the quality route; a stated
+			// Budget picks for it (1: the scan; below 1: tiered at that cut).
+			for _, c := range []struct {
+				budget float64
+				route  ansmet.Route
+			}{{0, ansmet.RouteExact}, {1, ansmet.RouteExact}, {0.999, ansmet.RouteTiered}} {
+				res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: 10, Ef: 64, Budget: c.budget})
+				if err != nil || res.Route != c.route {
+					t.Fatalf("shards=%d q%d auto budget=%v: route=%v err=%v", shards, qi, c.budget, res.Route, err)
+				}
+				if c.route == ansmet.RouteExact && !reflect.DeepEqual(res.Neighbors, want) {
+					t.Fatalf("shards=%d q%d auto budget=%v diverged", shards, qi, c.budget)
+				}
 			}
 		}
 	}

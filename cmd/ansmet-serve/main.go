@@ -15,6 +15,9 @@
 // Endpoints:
 //
 //	POST /v1/search  {"query":[...], "k":10, "ef":64, "timeout_ms":500}
+//	                 optional "mode": "host" | "ndp" | "tiered" | "exact" | "auto",
+//	                 optional "recall_target": (0, 1]; the X-ANSMET-Route
+//	                 response header names the engine that answered
 //	POST /v1/upsert  {"vector":[...]} or {"id":7,"vector":[...]} (-mutable)
 //	POST /v1/delete  {"id":7}                                    (-mutable)
 //	GET  /v1/health  liveness (200 while the process runs)
@@ -70,7 +73,7 @@ func main() {
 		clusterDir = flag.String("cluster-dir", "", "cluster snapshot directory: load if a manifest exists, else build and save into it (requires -shards)")
 		noHedge    = flag.Bool("no-hedge", false, "disable hedged requests to slow shards")
 		mutable    = flag.Bool("mutable", false, "enable live mutation (POST /v1/upsert, /v1/delete); implied when -db holds a live snapshot")
-		walPath    = flag.String("wal", "", "journal path for crash-safe mutation (default: <db>.wal next to the snapshot; empty without -db: unjournaled)")
+		walPath    = flag.String("wal", "", "journal path for crash-safe mutation (with -db: must be <db>.wal, the default; empty without -db: unjournaled)")
 	)
 	flag.Parse()
 
@@ -100,25 +103,10 @@ func main() {
 		}
 		st := cl.Stats()
 		log.Printf("cluster ready: %d vectors across %d shards (%s partition)", st.Vectors, st.Shards, st.Partition)
-		cfg.SearchOutcome = func(ctx context.Context, q []float32, k, ef int) (serve.Outcome, error) {
-			res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: k, Ef: ef, Route: ansmet.RouteNDP})
-			return clusterOutcome(res, false), err
-		}
-		cfg.SearchRouted = func(ctx context.Context, q []float32, k, ef int, mode string) (serve.Outcome, error) {
-			r, perr := ansmet.ParseRoute(mode)
-			if perr != nil {
-				return serve.Outcome{}, perr
-			}
-			res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: k, Ef: ef, Route: r})
-			return clusterOutcome(res, true), err
-		}
-		cfg.SearchPrecision = func(ctx context.Context, q []float32, k, ef int, mode string, rt float64) (serve.Outcome, error) {
-			// A per-request recall target pins the tiered pipeline with its
-			// cut budget set to the target (1 = the provably exact cut),
-			// overriding the lead shard's calibrated one for this query.
-			res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: k, Ef: ef, Route: ansmet.RouteTiered, Budget: rt})
-			return clusterOutcome(res, true), err
-		}
+		wireSearch(&cfg, func(ctx context.Context, q *ansmet.Query) (serve.Outcome, error) {
+			res, err := cl.Do(ctx, q)
+			return clusterOutcome(res), err
+		})
 		cfg.ExtraVars = func() map[string]any {
 			vars := map[string]any{"cluster": cl.Stats()}
 			if ps := cl.PrecisionStats(); ps.Enabled {
@@ -132,8 +120,10 @@ func main() {
 			log.Fatalf("ansmet-serve: %v", err)
 		}
 		if db.Mutable() {
-			// A live snapshot auto-attached <db>.wal in LoadFile; -wal
-			// overrides it (or journals a synthetic demo database).
+			// A live snapshot auto-attached <db>.wal in LoadFile: naming that
+			// journal again is a no-op, any other is refused (its records
+			// would not belong to this snapshot). Without -db, -wal journals
+			// the synthetic demo database.
 			if *walPath != "" {
 				if err := db.AttachWAL(*walPath); err != nil {
 					log.Fatalf("ansmet-serve: attaching journal %s: %v", *walPath, err)
@@ -162,25 +152,10 @@ func main() {
 		}
 		st := db.Stats()
 		log.Printf("database ready: %d vectors, dim %d, design %v", st.Vectors, st.Dim, st.Design)
-		cfg.Search = func(ctx context.Context, q []float32, k, ef int) ([]ansmet.Neighbor, error) {
-			return db.SearchEfCtx(ctx, q, k, ef)
-		}
-		cfg.SearchRouted = func(ctx context.Context, q []float32, k, ef int, mode string) (serve.Outcome, error) {
-			r, perr := ansmet.ParseRoute(mode)
-			if perr != nil {
-				return serve.Outcome{}, perr
-			}
-			res, err := db.Do(ctx, &ansmet.Query{Vector: q, K: k, Ef: ef, Route: r})
+		wireSearch(&cfg, func(ctx context.Context, q *ansmet.Query) (serve.Outcome, error) {
+			res, err := db.Do(ctx, q)
 			return serve.Outcome{Neighbors: res.Neighbors, Route: res.Route.String()}, err
-		}
-		cfg.SearchPrecision = func(ctx context.Context, q []float32, k, ef int, mode string, rt float64) (serve.Outcome, error) {
-			// A per-request recall target pins the tiered pipeline with its
-			// cut budget set to the target (1 = the provably exact cut); on
-			// adaptive builds the static per-partition precision schedule
-			// still shapes stage-1.
-			nn, _, err := db.TieredSearchCtxInto(ctx, q, k, rt, nil)
-			return serve.Outcome{Neighbors: nn, Route: ansmet.RouteTiered.String()}, err
-		}
+		})
 		cfg.ExtraVars = func() map[string]any {
 			vars := map[string]any{"router": db.RouterStats()}
 			if ps := db.PrecisionStats(); ps.Enabled {
@@ -243,14 +218,42 @@ func main() {
 	log.Printf("drained cleanly")
 }
 
-// clusterOutcome maps a cluster result to the serving layer's outcome;
-// routed reports the route taken (requests without a "mode" or
-// "recall_target" answer without one, as they always have).
-func clusterOutcome(res ansmet.ClusterResult, routed bool) serve.Outcome {
-	out := serve.Outcome{Neighbors: res.Neighbors, Partial: res.Partial, Hedged: res.Hedged}
-	if routed {
-		out.Route = res.Route.String()
+// wireSearch installs the three /v1/search hooks over one query function
+// (Database.Do or Cluster.Do), so single and sharded serving resolve a
+// request to a Query the same way:
+//
+//   - no "mode", no "recall_target": the host beam, what SearchEfCtx runs on
+//     every database this command builds or loads (none configures fault
+//     modelling or a recall target);
+//   - "mode": that route, "auto" asking the router;
+//   - "recall_target": the caller states the quality, so without a mode the
+//     query is RouteAuto with the target as its Budget — 1 is served by the
+//     exact scan, less by the tiered route at that cut — and with a mode the
+//     target is that route's budget.
+//
+// Every outcome names the route that ran (the X-ANSMET-Route header).
+func wireSearch(cfg *serve.Config, do func(context.Context, *ansmet.Query) (serve.Outcome, error)) {
+	cfg.SearchOutcome = func(ctx context.Context, q []float32, k, ef int) (serve.Outcome, error) {
+		return do(ctx, &ansmet.Query{Vector: q, K: k, Ef: ef, Route: ansmet.RouteHost})
 	}
+	cfg.SearchPrecision = func(ctx context.Context, q []float32, k, ef int, mode string, rt float64) (serve.Outcome, error) {
+		route := ansmet.RouteAuto
+		if mode != "" {
+			var err error
+			if route, err = ansmet.ParseRoute(mode); err != nil {
+				return serve.Outcome{}, err
+			}
+		}
+		return do(ctx, &ansmet.Query{Vector: q, K: k, Ef: ef, Route: route, Budget: rt})
+	}
+	cfg.SearchRouted = func(ctx context.Context, q []float32, k, ef int, mode string) (serve.Outcome, error) {
+		return cfg.SearchPrecision(ctx, q, k, ef, mode, 0)
+	}
+}
+
+// clusterOutcome maps a cluster result to the serving layer's outcome.
+func clusterOutcome(res ansmet.ClusterResult) serve.Outcome {
+	out := serve.Outcome{Neighbors: res.Neighbors, Partial: res.Partial, Hedged: res.Hedged, Route: res.Route.String()}
 	for _, f := range res.Faults {
 		out.Faults = append(out.Faults, fmt.Sprintf("shard %d: %s: %v", f.Shard, f.Kind, f.Err))
 	}

@@ -115,6 +115,10 @@ func TestSearchCtxMatchesSearch(t *testing.T) {
 			t.Fatalf("q%d exact: err=%v lines=%d/%d n=%d/%d",
 				i, err, gotLines, wantLines, len(gotNN), len(wantNN))
 		}
+		// The scan reads every row whole: 8 float32 components are one line.
+		if wantLines != db.Len() {
+			t.Fatalf("q%d exact: %d lines over %d one-line rows", i, wantLines, db.Len())
+		}
 		for j := range wantNN {
 			if gotNN[j] != wantNN[j] {
 				t.Fatalf("q%d exact result %d: %+v != %+v", i, j, gotNN[j], wantNN[j])

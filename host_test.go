@@ -1,0 +1,329 @@
+package ansmet
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+
+	"ansmet/internal/core"
+	"ansmet/internal/dataset"
+	"ansmet/internal/engine"
+	"ansmet/internal/fault"
+)
+
+// hostCase is one row of TestHostEquivalence: a population, the vectors a
+// mutable build appends to it, and the options both builds share.
+type hostCase struct {
+	name             string
+	vectors, queries [][]float32
+	appends          [][]float32
+	opts             Options
+	// wantOutliers demands a prefix-eliminated store with outlier-encoded
+	// vectors, whose accepted compares take the backup re-check path.
+	wantOutliers bool
+}
+
+func hostCases() []hostCase {
+	gen := func(profile string, seed uint64) (vectors, queries, appends [][]float32) {
+		p := dataset.ProfileByName(profile)
+		ds := dataset.Generate(p, 600, 6, seed)
+		return ds.Vectors, ds.Queries, dataset.Generate(p, 24, 0, seed+1000).Vectors
+	}
+	unit := func(vs [][]float32) [][]float32 {
+		out := make([][]float32, len(vs))
+		for i, v := range vs {
+			out[i] = append([]float32(nil), v...)
+			Normalize(out[i])
+		}
+		return out
+	}
+	sv, sq, sa := gen("SIFT", 71)
+	pv, pq, pa := gen("SPACEV", 72)
+	dv, dq, da := gen("DEEP", 73)
+	gv, gq, ga := gen("GloVe", 74)
+	o := func(m Metric, e ElemType) Options {
+		return Options{Metric: m, Elem: e, EfConstruction: 60, Seed: 7}
+	}
+	return []hostCase{
+		{"sift-u8", sv, sq, sa, o(L2, Uint8), false},
+		{"spacev-i8-prefix", pv, pq, pa, o(L2, Int8), true},
+		{"deep-f32-l2", dv, dq, da, o(L2, Float32), false},
+		{"glove-f32-ip", gv, gq, ga, o(InnerProduct, Float32), false},
+		{"deep-f32-cosine", unit(dv), unit(dq), unit(da), o(Cosine, Float32), false},
+		{"deep-fp16", dv, dq, da, o(L2, Float16), false},
+		{"deep-bf16", dv, dq, da, o(L2, BFloat16), false},
+	}
+}
+
+// sameBits fails unless a and b hold the same ids and the same distance
+// bits, position by position.
+func sameBits(t *testing.T, label string, a, b []Neighbor) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d results against %d\n  %v\n  %v", label, len(a), len(b), a, b)
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || math.Float64bits(a[i].Dist) != math.Float64bits(b[i].Dist) {
+			t.Fatalf("%s: result %d is (%d, %x) against (%d, %x)", label, i,
+				a[i].ID, math.Float64bits(a[i].Dist), b[i].ID, math.Float64bits(b[i].Dist))
+		}
+	}
+}
+
+// searcher is what the identity is checked through: a Database or a
+// Cluster, one query or a batch.
+type searcher struct {
+	name string
+	do   func(q *Query) ([]Neighbor, Route, error)
+	// many is nil where there is no batch entry (Cluster).
+	many func(queries [][]float32, plan *Query) ([][]Neighbor, Route, error)
+}
+
+func dbSearcher(db *Database) searcher {
+	ctx := context.Background()
+	return searcher{"Do",
+		func(q *Query) ([]Neighbor, Route, error) {
+			res, err := db.Do(ctx, q)
+			return res.Neighbors, res.Route, err
+		},
+		func(queries [][]float32, plan *Query) ([][]Neighbor, Route, error) {
+			return db.DoMany(ctx, queries, plan, 3)
+		}}
+}
+
+func clusterSearcher(cl *Cluster) searcher {
+	return searcher{name: "Cluster.Do", do: func(q *Query) ([]Neighbor, Route, error) {
+		res, err := cl.Do(context.Background(), q)
+		if err == nil && res.Partial {
+			err = errors.New("partial cluster answer")
+		}
+		return res.Neighbors, res.Route, err
+	}}
+}
+
+// checkIdentity drives one searcher through {K 1/10} × {Ef default/128} ×
+// {nil, non-nil Filter}: host ≡ ndp and exact ≡ tiered at budget 1, in ids
+// and distance bits, for single queries and (where there is one) the batch
+// entry. live is the number of live vectors behind the searcher, deleted
+// the acknowledged deletes.
+func checkIdentity(t *testing.T, name string, s searcher, queries [][]float32, live int, deleted map[uint32]bool) {
+	t.Helper()
+	odd := func(id uint32) bool { return id%2 == 1 }
+	run := func(label string, q Query, route Route) []Neighbor {
+		q.Route = route
+		nn, got, err := s.do(&q)
+		if err != nil || got != route {
+			t.Fatalf("%s %v: route=%v err=%v", label, route, got, err)
+		}
+		for _, n := range nn {
+			if deleted[n.ID] || (q.Filter != nil && !q.Filter(n.ID)) {
+				t.Fatalf("%s %v: returned deleted or filtered-out id %d", label, route, n.ID)
+			}
+		}
+		return append([]Neighbor(nil), nn...)
+	}
+	batch := func(label string, plan Query, route Route) [][]Neighbor {
+		plan.Route = route
+		out, got, err := s.many(queries, &plan)
+		if err != nil || got != route {
+			t.Fatalf("%s DoMany %v: route=%v err=%v", label, route, got, err)
+		}
+		return out
+	}
+	for _, k := range []int{1, 10} {
+		for _, ef := range []int{0, 128} {
+			for _, f := range []func(uint32) bool{nil, odd} {
+				plan := Query{K: k, Ef: ef, Filter: f}
+				label := fmt.Sprintf("%s/%s k=%d ef=%d filter=%v", name, s.name, k, ef, f != nil)
+				serial := make([][]Neighbor, len(queries))
+				for qi, vec := range queries {
+					q := plan
+					q.Vector = vec
+					host := run(label, q, RouteHost)
+					sameBits(t, fmt.Sprintf("%s q%d host≡ndp", label, qi), host, run(label, q, RouteNDP))
+					if len(host) != k {
+						t.Fatalf("%s q%d: %d results, want %d", label, qi, len(host), k)
+					}
+					serial[qi] = host
+				}
+				if s.many == nil {
+					continue
+				}
+				host, ndp := batch(label, plan, RouteHost), batch(label, plan, RouteNDP)
+				for qi := range queries {
+					sameBits(t, fmt.Sprintf("%s q%d DoMany host≡ndp", label, qi), host[qi], ndp[qi])
+					sameBits(t, fmt.Sprintf("%s q%d DoMany≡Do", label, qi), host[qi], serial[qi])
+				}
+			}
+		}
+		label := fmt.Sprintf("%s/%s k=%d", name, s.name, k)
+		one := Query{K: k, Budget: 1}
+		for qi, vec := range queries {
+			q := one
+			q.Vector = vec
+			exact := run(label, q, RouteExact)
+			sameBits(t, fmt.Sprintf("%s q%d exact≡tiered", label, qi), exact, run(label, q, RouteTiered))
+			if len(exact) != min(k, live) {
+				t.Fatalf("%s q%d: exact returned %d of %d live", label, qi, len(exact), live)
+			}
+		}
+		if s.many != nil {
+			exact, tiered := batch(label, one, RouteExact), batch(label, one, RouteTiered)
+			for qi := range queries {
+				sameBits(t, fmt.Sprintf("%s q%d DoMany exact≡tiered", label, qi), exact[qi], tiered[qi])
+			}
+		}
+	}
+}
+
+// TestHostEquivalence pins the contract the host defaults rest on: on a
+// fixed-precision database the host beam returns what the ndp beam returns
+// and the exact scan what the tiered route returns at budget 1 — the same
+// ids and the same distance bits — for every K, Ef, Filter and tombstone
+// state, through Do, DoMany and a 4-shard Cluster.Do. The engines differ in
+// how a distance is computed (SIMD over a row against bit planes fetched
+// until a bound decides), never in which distance: a fully-fetched bound is
+// bitwise the exact distance, and an early-termination reject is sound. CI
+// runs it at every kernel level (AVX2, ANSMET_NO_SIMD=1, -tags purego).
+//
+// Cluster has no mutation API, so the sharded axis runs on the immutable
+// build only.
+func TestHostEquivalence(t *testing.T) {
+	cases := hostCases()
+	for _, hc := range cases {
+		db, err := New(hc.vectors, hc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := db.Stats(); hc.wantOutliers && (st.PrefixBits == 0 || st.Outliers == 0) {
+			t.Fatalf("%s: prefix %d bits, %d outliers: the backup re-check path is not exercised", hc.name, st.PrefixBits, st.Outliers)
+		}
+		if db.beam != RouteHost {
+			t.Fatalf("%s: default beam %v, want host", hc.name, db.beam)
+		}
+		checkIdentity(t, hc.name, dbSearcher(db), hc.queries, db.Len(), nil)
+
+		// The exact route's traffic is the honest full fetch.
+		res, err := db.Do(context.Background(), &Query{Vector: hc.queries[0], K: 10, Route: RouteExact})
+		plain := (len(hc.vectors[0])*hc.opts.Elem.Bytes() + 63) / 64
+		if err != nil || res.Lines != db.Len()*plain {
+			t.Fatalf("%s: exact scan reports %d lines (err %v), want %d rows × %d", hc.name, res.Lines, err, db.Len(), plain)
+		}
+
+		cl, err := NewCluster(hc.vectors, ClusterOptions{Shards: 4, Build: hc.opts, DisableHedging: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkIdentity(t, hc.name, clusterSearcher(cl), hc.queries, cl.Len(), nil)
+
+		// Mutable: deletes and appends, one forced repair, then a few more
+		// deletes left pending.
+		mopts := hc.opts
+		mopts.Mutable, mopts.RepairEvery = true, 8
+		mdb, err := New(hc.vectors, mopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deleted := map[uint32]bool{}
+		del := func(id uint32) {
+			if err := mdb.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			deleted[id] = true
+		}
+		for i := 0; i < 30; i++ {
+			del(uint32(7 + 19*i))
+		}
+		for _, v := range hc.appends {
+			if _, err := mdb.Add(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mdb.Maintain()
+		del(2)
+		del(uint32(len(hc.vectors) + 3)) // an appended vector
+		if mdb.Stats().PendingRepair != 2 {
+			t.Fatalf("%s: %d repairs pending, want 2", hc.name, mdb.Stats().PendingRepair)
+		}
+		checkIdentity(t, hc.name+"/mutable", dbSearcher(mdb), hc.queries, mdb.Len()-len(deleted), deleted)
+	}
+
+	// The identity does not depend on the batch: at the textbook beam
+	// (BeamBatch 1) host and ndp still walk the same graph the same way.
+	t.Run("BeamBatch=1", func(t *testing.T) {
+		hc := cases[0]
+		cfg := core.DefaultSystemConfig(NDPETOpt)
+		cfg.BeamBatch = 1
+		hc.opts.Advanced = &cfg
+		db, err := New(hc.vectors, hc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if db.beam != RouteHost || db.sys.Cfg.BeamBatch != 1 {
+			t.Fatalf("beam %v at batch %d", db.beam, db.sys.Cfg.BeamBatch)
+		}
+		checkIdentity(t, "batch1", dbSearcher(db), hc.queries, db.Len(), nil)
+	})
+
+	// Where the ndp engine is deliberately approximate or fault-modelled the
+	// identity is not claimed, and the defaults do not move: the database
+	// keeps beam = ndp, quality = tiered, and its machinery keeps running
+	// under Search.
+	t.Run("ndp defaults kept", func(t *testing.T) {
+		ctx := context.Background()
+		hc := cases[3] // GloVe
+		all := func(uint32) bool { return true }
+
+		adaptive, err := New(hc.vectors, Options{Metric: hc.opts.Metric, Elem: hc.opts.Elem, EfConstruction: 60, Seed: 7, RecallTarget: 0.9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.DefaultSystemConfig(NDPETOpt)
+		cfg.Fault = &fault.Schedule{Seed: 5, Rules: []fault.Rule{{Kind: fault.DropPoll, Rank: -1, Prob: 0.2}}}
+		cfg.Resilience = engine.ResilienceConfig{MaxRetries: 3, FailureThreshold: 1 << 30, ProbeAfter: 16}
+		fopts := hc.opts
+		fopts.Advanced = &cfg
+		faulty, err := New(hc.vectors, fopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, db := range map[string]*Database{"adaptive": adaptive, "fault-modelled": faulty} {
+			// A filtered auto query runs the default beam, an idle one the
+			// quality route.
+			beam, err := db.Do(ctx, &Query{Vector: hc.queries[0], K: 10, Filter: all})
+			if err != nil || beam.Route != RouteNDP {
+				t.Fatalf("%s: default beam %v (err %v), want ndp", name, beam.Route, err)
+			}
+			quality, err := db.Do(ctx, &Query{Vector: hc.queries[0], K: 10})
+			if err != nil || quality.Route != RouteTiered {
+				t.Fatalf("%s: quality route %v (err %v), want tiered", name, quality.Route, err)
+			}
+			before := db.RouterStats()
+			for _, vec := range hc.queries {
+				if _, err := db.Search(vec, 10); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after := db.RouterStats()
+			if after.NDP != before.NDP+uint64(len(hc.queries)) || after.Host != 0 {
+				t.Fatalf("%s: Search ran ndp %d→%d, host %d", name, before.NDP, after.NDP, after.Host)
+			}
+		}
+		// The adaptive beam really is the mixed-precision one (its scratch
+		// engines carry the precision map), and auto traffic still feeds the
+		// tuner; the fault-modelled beam still meets its injector.
+		s := adaptive.getScratch()
+		if et, ok := s.eng.(*core.ETEngine); !ok || et == nil || adaptive.sys.Precision == nil {
+			t.Fatalf("adaptive scratch engine is %T", s.eng)
+		}
+		adaptive.putScratch(s)
+		if ps := adaptive.PrecisionStats(); ps.Observations == 0 {
+			t.Fatalf("adaptive tuner saw no auto query: %+v", ps)
+		}
+		if st := faulty.Stats(); st.FaultsInjected == 0 {
+			t.Fatalf("fault-modelled Search met no injected fault: %+v", st)
+		}
+	})
+}

@@ -202,3 +202,53 @@ func TestDoResilientExactAllocs(t *testing.T) {
 		}
 	}
 }
+
+// routeSteadyStateAllocs warms the scratch pool with q's route on each of
+// an ET design, a Base design (no store: the rows are the database's own
+// vectors) and a mutable database that has lived, and fails unless one more
+// query with a reused Dst allocates nothing.
+func routeSteadyStateAllocs(t *testing.T, q ansmet.Query) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ds := benchData()
+	base, err := ansmet.New(ds.Vectors[:500], ansmet.Options{
+		Metric: ansmet.L2, Elem: ansmet.Uint8, EfConstruction: 60, Design: ansmet.UseDesign(ansmet.CPUBase),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for name, db := range map[string]*ansmet.Database{"et": benchDB(), "base": base, "mutable": benchMutatedDB()} {
+		i := 0
+		run := func() {
+			q.Vector = ds.Queries[i%len(ds.Queries)]
+			i++
+			res, err := db.Do(ctx, &q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.Dst = res.Neighbors
+		}
+		for w := 0; w < 4; w++ {
+			run()
+		}
+		if avg := testing.AllocsPerRun(100, run); avg != 0 {
+			t.Fatalf("%s: the %v route allocates %.1f objects/query at steady state, want 0", name, q.Route, avg)
+		}
+	}
+}
+
+// TestHostSteadyStateAllocs: the host engine lives on the pooled scratch,
+// so a steady-state host query allocates nothing.
+func TestHostSteadyStateAllocs(t *testing.T) {
+	routeSteadyStateAllocs(t, ansmet.Query{K: 10, Ef: 64, Route: ansmet.RouteHost})
+}
+
+// TestExactSteadyStateAllocs: the exact scan keeps its k best in place on
+// the caller's Dst. At the parent a Base design built an engine and regrew
+// its result list on every exact query.
+func TestExactSteadyStateAllocs(t *testing.T) {
+	routeSteadyStateAllocs(t, ansmet.Query{K: 10, Route: ansmet.RouteExact})
+}

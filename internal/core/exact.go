@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"ansmet/internal/engine"
 	"ansmet/internal/hnsw"
 )
 
@@ -24,19 +25,47 @@ var exactScanTestHook func(id uint32)
 // the result is identical to a brute-force scan — this realizes the paper's
 // observation that the scheme "can even be used in accurate search
 // algorithms like kmeans and kNN" (§4.1). The returned line count shows the
-// access savings relative to fullLines = Len()×SlotLines().
+// access savings relative to fullLines = Len()×SlotLines(). It is the
+// reference the serving exact route (ScanKNN) and the tiered pipeline at
+// budget 1 are pinned to; see scanKNN for the cancellation contract.
+func (e *ETEngine) ExactKNN(done <-chan struct{}, q []float32, k int) (nn []hnsw.Neighbor, linesFetched int, cancelled bool) {
+	e.StartQuery(q)
+	// n is the per-query store snapshot's bound.
+	return scanKNN(done, fixedPrecision{e}, uint32(len(e.vecs)), e.tomb, k, nil)
+}
+
+// ScanKNN is the exact scan over row-major vectors: the same loop as
+// ExactKNN with the full-precision SIMD distance as the compare, so the
+// answers are bitwise ExactKNN's (a fully-fetched bound is the exact
+// distance and an early-termination reject is sound) while every scanned
+// row counts a full fetch. tomb, when non-nil, is the deletion bitmap;
+// results are appended into dst[:0], and with a reused dst of capacity k
+// the scan allocates nothing.
+func ScanKNN(done <-chan struct{}, rows *engine.Exact, tomb *TombSet, q []float32, k int, dst []hnsw.Neighbor) (nn []hnsw.Neighbor, linesFetched int, cancelled bool) {
+	rows.StartQuery(q)
+	return scanKNN(done, rows, uint32(len(rows.Vectors)), tomb, k, dst)
+}
+
+// fixedPrecision is an ETEngine seen through its fixed-precision compare
+// alone: the exact-result contract, whatever adaptive mode SetPrecision
+// installed for the beam.
+type fixedPrecision struct{ *ETEngine }
+
+func (f fixedPrecision) Compare(id uint32, threshold float64) engine.Result {
+	return f.compareExact(id, threshold)
+}
+
+// scanKNN is the one exact k-NN scan loop: ids [0, n) in order through
+// eng.Compare (the caller has started the query), tombstoned ids skipped,
+// the k best kept in a max-heap built in place on dst[:0] and returned in
+// ascending (Dist, ID) order.
 //
 // done is a cooperative-cancellation channel; nil disables every check.
 // When done fires, the scan stops at the next checkpoint and returns the
 // best neighbors over the prefix scanned so far with cancelled=true — a
 // usable approximate answer, but NOT the exact one; callers must not treat
 // a cancelled result as the brute-force ground truth.
-func (e *ETEngine) ExactKNN(done <-chan struct{}, q []float32, k int) (nn []hnsw.Neighbor, linesFetched int, cancelled bool) {
-	e.StartQuery(q)
-	heap := &e.knnHeap
-	heap.Reset()
-	n := uint32(len(e.vecs)) // the per-query store snapshot's bound
-
+func scanKNN(done <-chan struct{}, eng engine.Engine, n uint32, tomb *TombSet, k int, dst []hnsw.Neighbor) (nn []hnsw.Neighbor, linesFetched int, cancelled bool) {
 	// Phase 1: pre-fill the heap with the first k candidates' exact
 	// distances (threshold ∞ — every Compare is a full fetch and always
 	// accepted, exactly as the generic loop would do while the heap is
@@ -44,16 +73,20 @@ func (e *ETEngine) ExactKNN(done <-chan struct{}, q []float32, k int) (nn []hnsw
 	if done != nil {
 		select {
 		case <-done:
-			return nil, 0, true
+			return dst[:0], 0, true
 		default:
 		}
 	}
+	if want := min(k, int(n)); cap(dst) < want {
+		dst = make([]hnsw.Neighbor, 0, want)
+	}
+	heap := maxHeap{items: dst[:0]}
 	id := uint32(0)
 	for ; id < n && heap.Len() < k; id++ {
-		if e.tomb != nil && e.tomb.IsDeleted(id) {
+		if tomb != nil && tomb.IsDeleted(id) {
 			continue
 		}
-		r := e.compareExact(id, math.Inf(1))
+		r := eng.Compare(id, math.Inf(1))
 		linesFetched += r.TotalLines()
 		heap.Push(hnsw.Neighbor{ID: id, Dist: r.Dist})
 	}
@@ -74,22 +107,17 @@ func (e *ETEngine) ExactKNN(done <-chan struct{}, q []float32, k int) (nn []hnsw
 				break
 			}
 		}
-		if e.tomb != nil && e.tomb.IsDeleted(id) {
+		if tomb != nil && tomb.IsDeleted(id) {
 			continue
 		}
-		r := e.compareExact(id, heap.Top().Dist)
+		r := eng.Compare(id, heap.Top().Dist)
 		linesFetched += r.TotalLines()
 		if r.Accepted {
 			heap.Push(hnsw.Neighbor{ID: id, Dist: r.Dist})
 			heap.Pop()
 		}
 	}
-
-	nn = make([]hnsw.Neighbor, heap.Len())
-	for i := len(nn) - 1; i >= 0; i-- {
-		nn[i] = heap.Pop()
-	}
-	return nn, linesFetched, cancelled
+	return heap.sorted(), linesFetched, cancelled
 }
 
 // maxHeap is a max-heap of neighbors by distance (worst at the top), with
@@ -105,6 +133,17 @@ func (h *maxHeap) less(a, b hnsw.Neighbor) bool {
 		return a.Dist > b.Dist
 	}
 	return a.ID > b.ID
+}
+
+// sorted empties the heap into ascending (Dist, ID) order in place and
+// returns the items: each Pop frees the slot the popped (worst) item lands
+// in.
+func (h *maxHeap) sorted() []hnsw.Neighbor {
+	out := h.items
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = h.Pop()
+	}
+	return out
 }
 
 func (h *maxHeap) Push(n hnsw.Neighbor) {

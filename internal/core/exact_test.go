@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"testing"
 
 	"ansmet/internal/dataset"
+	"ansmet/internal/engine"
 	"ansmet/internal/hnsw"
 	"ansmet/internal/layout"
 	"ansmet/internal/prefixelim"
@@ -82,10 +84,65 @@ func TestExactKNNSmallK(t *testing.T) {
 	}
 }
 
+// TestScanKNNMatchesExactKNN: the row-major scan — the serving exact route —
+// returns ExactKNN's answer bit for bit on the stores the serving designs
+// build (plain bit planes under L2 and inner product; a prefix-eliminated
+// store whose outliers take the backup re-check), with and without
+// tombstones, into a fresh or a reused dst; and its line count is the
+// honest full fetch of every live row.
+func TestScanKNNMatchesExactKNN(t *testing.T) {
+	for _, name := range []string{"SIFT", "SPACEV", "DEEP", "GloVe"} {
+		p := dataset.ProfileByName(name)
+		ds := dataset.Generate(p, 700, 6, 51)
+		sys, err := NewSystem(ds.Vectors, p.Elem, p.Metric, nil, DefaultSystemConfig(NDPETOpt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := sys.Store
+		if name == "SPACEV" && (!st.Prefix.Enabled() || st.NumOutliers() == 0) {
+			t.Fatalf("SPACEV store has prefix %d and %d outliers: the backup path is not exercised", st.Prefix.PrefixLen, st.NumOutliers())
+		}
+		eng := st.NewETEngine(p.Metric)
+		rows := engine.NewExact(st.Rows(), p.Metric, p.Elem)
+		tomb := NewTombSet()
+		var dst []hnsw.Neighbor
+		for _, tombs := range []*TombSet{nil, tomb} {
+			live := st.Len()
+			if tombs != nil {
+				for id := uint32(0); id < 700; id += 7 {
+					tombs.Delete(id)
+				}
+				live -= tombs.Count()
+			}
+			eng.SetTombstones(tombs)
+			for qi, q := range ds.Queries {
+				for _, k := range []int{1, 10, 1000} {
+					want, wantLines, _ := eng.ExactKNN(nil, q, k)
+					var lines int
+					dst, lines, _ = ScanKNN(nil, rows, tombs, q, k, dst)
+					if len(dst) != len(want) || len(dst) != min(k, live) {
+						t.Fatalf("%s q%d k=%d: %d results, ExactKNN %d, live %d", name, qi, k, len(dst), len(want), live)
+					}
+					for i := range want {
+						if dst[i].ID != want[i].ID || math.Float64bits(dst[i].Dist) != math.Float64bits(want[i].Dist) {
+							t.Fatalf("%s q%d k=%d result %d: scan %+v, ExactKNN %+v", name, qi, k, i, dst[i], want[i])
+						}
+					}
+					if lines != live*rows.FullLines || (k < live && wantLines >= lines) {
+						t.Fatalf("%s q%d k=%d: scan %d lines (want %d×%d), ExactKNN %d", name, qi, k, lines, live, rows.FullLines, wantLines)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestExactKNNCtxCancel: a done channel fired mid-scan stops the exact
 // scan within one checkpoint stride and returns best-so-far results;
 // a pre-closed channel aborts before any comparison; a channel that never
-// fires is byte-identical to the nil (uncancellable) scan.
+// fires is byte-identical to the nil (uncancellable) scan. The loop is
+// shared, so both compares are held to it: the ET engine's (ExactKNN) and
+// the row-major one (ScanKNN).
 func TestExactKNNCtxCancel(t *testing.T) {
 	p := dataset.ProfileByName("SIFT")
 	ds := dataset.Generate(p, 1500, 2, 41)
@@ -95,56 +152,64 @@ func TestExactKNNCtxCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := st.NewETEngine(p.Metric)
+	rows := engine.NewExact(st.Rows(), p.Metric, p.Elem)
 	q := ds.Queries[0]
-
-	// A done channel that never fires: identical to the nil-done scan.
-	want, wantLines, _ := eng.ExactKNN(nil, q, 10)
-	got, gotLines, cancelled := eng.ExactKNN(make(chan struct{}), q, 10)
-	if cancelled || gotLines != wantLines || len(got) != len(want) {
-		t.Fatalf("idle done diverged: cancelled=%v lines=%d/%d n=%d/%d",
-			cancelled, gotLines, wantLines, len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("result %d: %+v != %+v", i, got[i], want[i])
-		}
-	}
-
-	// Pre-closed done: aborted, nothing scanned.
-	closed := make(chan struct{})
-	close(closed)
-	nn, lines, cancelled := eng.ExactKNN(closed, q, 10)
-	if !cancelled || nn != nil || lines != 0 {
-		t.Fatalf("pre-closed done: cancelled=%v nn=%v lines=%d", cancelled, nn, lines)
-	}
-
-	// Fired mid-scan: the test hook closes done at the id=512 checkpoint,
-	// so the scan stops there deterministically and the partial result is
-	// exactly the k best of the ids [0, 512) prefix.
-	const cancelAt = 512
-	mid := make(chan struct{})
-	exactScanTestHook = func(id uint32) {
-		if id == cancelAt {
-			close(mid)
-		}
+	scans := map[string]func(done <-chan struct{}) ([]hnsw.Neighbor, int, bool){
+		"ExactKNN": func(done <-chan struct{}) ([]hnsw.Neighbor, int, bool) { return eng.ExactKNN(done, q, 10) },
+		"ScanKNN":  func(done <-chan struct{}) ([]hnsw.Neighbor, int, bool) { return ScanKNN(done, rows, nil, q, 10, nil) },
 	}
 	defer func() { exactScanTestHook = nil }()
-	nn2, _, cancelled2 := eng.ExactKNN(mid, q, 10)
-	if !cancelled2 {
-		t.Fatal("mid-scan cancellation never observed")
-	}
-	if len(nn2) != 10 {
-		t.Fatalf("partial exact scan returned %d results, want k=10 best-so-far", len(nn2))
-	}
-	// Every partial result comes from the scanned prefix, and the set
-	// matches a brute-force scan restricted to that prefix.
-	wantPrefix := prefixBruteForce(ds, q, cancelAt, 10)
-	for i, nb := range nn2 {
-		if nb.ID >= cancelAt {
-			t.Fatalf("partial result %d has id %d beyond the scanned prefix %d", i, nb.ID, cancelAt)
+	for name, scan := range scans {
+		exactScanTestHook = nil
+
+		// A done channel that never fires: identical to the nil-done scan.
+		want, wantLines, _ := scan(nil)
+		got, gotLines, cancelled := scan(make(chan struct{}))
+		if cancelled || gotLines != wantLines || len(got) != len(want) {
+			t.Fatalf("%s: idle done diverged: cancelled=%v lines=%d/%d n=%d/%d",
+				name, cancelled, gotLines, wantLines, len(got), len(want))
 		}
-		if nb.ID != wantPrefix[i].ID {
-			t.Fatalf("partial result %d: id %d, want %d (prefix brute force)", i, nb.ID, wantPrefix[i].ID)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: result %d: %+v != %+v", name, i, got[i], want[i])
+			}
+		}
+
+		// Pre-closed done: aborted, nothing scanned.
+		closed := make(chan struct{})
+		close(closed)
+		nn, lines, cancelled := scan(closed)
+		if !cancelled || nn != nil || lines != 0 {
+			t.Fatalf("%s: pre-closed done: cancelled=%v nn=%v lines=%d", name, cancelled, nn, lines)
+		}
+
+		// Fired mid-scan: the test hook closes done at the id=512 checkpoint,
+		// so the scan stops there deterministically and the partial result is
+		// exactly the k best of the ids [0, 512) prefix.
+		const cancelAt = 512
+		mid := make(chan struct{})
+		exactScanTestHook = func(id uint32) {
+			if id == cancelAt {
+				close(mid)
+			}
+		}
+		nn2, _, cancelled2 := scan(mid)
+		if !cancelled2 {
+			t.Fatalf("%s: mid-scan cancellation never observed", name)
+		}
+		if len(nn2) != 10 {
+			t.Fatalf("%s: partial exact scan returned %d results, want k=10 best-so-far", name, len(nn2))
+		}
+		// Every partial result comes from the scanned prefix, and the set
+		// matches a brute-force scan restricted to that prefix.
+		wantPrefix := prefixBruteForce(ds, q, cancelAt, 10)
+		for i, nb := range nn2 {
+			if nb.ID >= cancelAt {
+				t.Fatalf("%s: partial result %d has id %d beyond the scanned prefix %d", name, i, nb.ID, cancelAt)
+			}
+			if nb.ID != wantPrefix[i].ID {
+				t.Fatalf("%s: partial result %d: id %d, want %d (prefix brute force)", name, i, nb.ID, wantPrefix[i].ID)
+			}
 		}
 	}
 }

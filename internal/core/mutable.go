@@ -81,20 +81,27 @@ func (s *Store) AppendVector(v []float32) (uint32, error) {
 	return id, nil
 }
 
+// Rows returns the store's published row-major vectors (the backup
+// region's content): the current snapshot of a live store, the build-time
+// slice of an immutable one. Like ETEngine.snapshotStore, a searcher that
+// calls it after capturing its graph view finds a row behind every id the
+// traversal can produce. Read-only for the caller.
+func (s *Store) Rows() [][]float32 {
+	if d := s.dyn.Load(); d != nil {
+		return d.vectors
+	}
+	return s.vectors
+}
+
 // VectorAt returns vector id from the store's published snapshot (the
 // concurrent-reader analogue of indexing the builder's vectors slice) and
 // whether the id exists.
 func (s *Store) VectorAt(id uint32) ([]float32, bool) {
-	if d := s.dyn.Load(); d != nil {
-		if int(id) >= len(d.vectors) {
-			return nil, false
-		}
-		return d.vectors[id], true
-	}
-	if int(id) >= len(s.vectors) {
+	rows := s.Rows()
+	if int(id) >= len(rows) {
 		return nil, false
 	}
-	return s.vectors[id], true
+	return rows[id], true
 }
 
 // snapshotStore pins the engine's per-query view of the store arrays. On

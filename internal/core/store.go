@@ -124,12 +124,7 @@ func (s *Store) NumOutliers() int {
 }
 
 // Len returns the vector count.
-func (s *Store) Len() int {
-	if d := s.dyn.Load(); d != nil {
-		return len(d.vectors)
-	}
-	return len(s.vectors)
-}
+func (s *Store) Len() int { return len(s.Rows()) }
 
 // SpaceSavedFraction returns the fraction of payload bits that prefix
 // elimination strips from normal vectors (the paper's Table 5 "saved
@@ -164,7 +159,8 @@ type ETEngine struct {
 	prec       *precision.Map
 	precBias   int
 	precMargin float64
-	// knnHeap is ExactKNN's reusable result heap (scratch, reset per call).
+	// knnHeap is the tiered stage-2 re-rank's reusable result heap (scratch,
+	// reset per call).
 	knnHeap maxHeap
 	// tierHeap and tierEntries are the tiered pipeline's reusable stage-1
 	// scratch: the running k-smallest-bounds heap and the per-id bound

@@ -54,12 +54,20 @@ type Engine interface {
 
 // Exact is the reference engine: it computes full-precision distances
 // directly from the in-memory float vectors and counts a full fetch for
-// every comparison. Index construction and the Base designs use it.
+// every comparison. Index construction, the Base designs and the host
+// serving routes (the beam and the exact scan over row-major vectors) use
+// it.
 type Exact struct {
 	Vectors [][]float32
 	M       vecmath.Metric
 	// FullLines is the plain-layout line count per vector.
 	FullLines int
+	// Rows, when non-nil, is where StartQuery re-pins Vectors from: the
+	// published rows of a store that grows under search (core.Store.Rows).
+	// An id an index hands out is then always backed by a row, provided the
+	// index view was captured before StartQuery — the same ordering the
+	// early-termination engine's store snapshot relies on.
+	Rows func() [][]float32
 
 	query []float32
 }
@@ -79,7 +87,12 @@ func NewExact(vectors [][]float32, m vecmath.Metric, elem vecmath.ElemType) *Exa
 }
 
 // StartQuery implements Engine.
-func (e *Exact) StartQuery(q []float32) { e.query = q }
+func (e *Exact) StartQuery(q []float32) {
+	e.query = q
+	if e.Rows != nil {
+		e.Vectors = e.Rows()
+	}
+}
 
 // Compare implements Engine.
 func (e *Exact) Compare(id uint32, threshold float64) Result {

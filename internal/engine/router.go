@@ -3,58 +3,61 @@ package engine
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 	"time"
 )
 
 // Route identifies one whole-query execution path. The router grew out of
 // the Resilient per-comparison fallback seed: where Resilient degrades one
-// comparison at a time, the Router moves entire queries between the
-// NDP-sim beam path, the tiered bound-first/exact-rerank pipeline, and the
-// CPU exact scan, based on deadline slack, load, and rank health.
+// comparison at a time, the Router moves entire queries between a beam
+// route (host or ndp) and a quality route (exact or tiered), based on
+// deadline slack, load, and rank health.
 type Route int32
 
 const (
 	// RouteAuto lets the router decide.
 	RouteAuto Route = iota
-	// RouteNDP is the default approximate beam search over the NDP-sim
-	// engine — the cheapest path.
+	// RouteNDP is the approximate beam search over the NDP-sim engine: the
+	// bit-plane early-termination compare, the paper's reference path.
 	RouteNDP
 	// RouteTiered is the two-stage bound-first/exact-rerank pipeline:
-	// exact answers (at Budget 1) at a fraction of the exact scan's cost.
+	// exact answers (at Budget 1) at a fraction of the line traffic of a
+	// full scan.
 	RouteTiered
-	// RouteExact is the CPU exact ET scan — the fallback of last resort,
-	// correct regardless of the bound machinery's health.
+	// RouteExact is the exact scan over row-major vectors with the SIMD
+	// kernels — correct regardless of the bound machinery's health.
 	RouteExact
-	numRoutes
+	// RouteHost is the same beam search as RouteNDP with the host compare
+	// engine (row-major vectors, SIMD kernels) under it: on a
+	// fixed-precision database, the same answers bit for bit.
+	RouteHost
+	// NumRoutes sizes per-route tables; every Route below it has a name.
+	NumRoutes
 )
 
-var routeNames = [...]string{"auto", "ndp", "tiered", "exact"}
+// routeNames is the single list of routes: String, ParseRoute (and so the
+// serve layer's mode validation, its 400 text and its per-route counters)
+// all read it.
+var routeNames = [NumRoutes]string{"auto", "ndp", "tiered", "exact", "host"}
 
 // String names the route (stable, used as wire values by the serve layer).
 func (r Route) String() string {
-	if r < 0 || int(r) >= len(routeNames) {
+	if r < 0 || r >= NumRoutes {
 		return fmt.Sprintf("Route(%d)", int(r))
 	}
 	return routeNames[r]
 }
 
-// ParseRoute maps a wire mode string to a Route. The empty string means
-// RouteNDP (the historical default path); "auto" engages the router.
+// ParseRoute maps a wire mode string to a Route; "auto" engages the
+// router. The error of an unknown mode lists the known ones.
 func ParseRoute(s string) (Route, error) {
-	switch s {
-	case "":
-		return RouteNDP, nil
-	case "auto":
-		return RouteAuto, nil
-	case "ndp":
-		return RouteNDP, nil
-	case "tiered":
-		return RouteTiered, nil
-	case "exact":
-		return RouteExact, nil
+	for r, name := range routeNames {
+		if s == name {
+			return Route(r), nil
+		}
 	}
-	return RouteAuto, fmt.Errorf("engine: unknown route mode %q", s)
+	return RouteAuto, fmt.Errorf("engine: unknown route mode %q (want one of %s)", s, strings.Join(routeNames[:], ", "))
 }
 
 // NoDeadline is the Decide slack sentinel for a query without a deadline.
@@ -63,7 +66,7 @@ const NoDeadline = time.Duration(-1)
 // RouterConfig tunes the routing policy.
 type RouterConfig struct {
 	// SafetyFactor multiplies a route's EWMA cost estimate when checking
-	// it against deadline slack (default 2): the tiered path is chosen
+	// it against deadline slack (default 2): the quality route is chosen
 	// only when the slack covers SafetyFactor× its recent cost.
 	SafetyFactor float64
 	// Alpha is the EWMA smoothing factor for per-route cost estimates
@@ -91,28 +94,32 @@ func (c RouterConfig) withDefaults() RouterConfig {
 // All methods are safe for concurrent use and allocation-free.
 type Router struct {
 	cfg RouterConfig
+	// beam and quality are the two legs Decide chooses between: the cheap
+	// approximate beam and the exact-answer route of this backend.
+	beam, quality Route
 	// degraded reports how many NDP ranks are currently degraded (breaker
 	// not closed); nil means never degraded. Degraded ranks divert auto
-	// queries to the exact path: both the beam engine and the tiered
+	// queries to the exact scan: the ndp beam engine and the tiered
 	// stage-1 bounders model the same NDP-side machinery, so neither is
-	// trusted while ranks are faulting.
+	// trusted while ranks are faulting, and the scan touches none of it.
 	degraded func() int
 
 	inflight atomic.Int64
-	routed   [numRoutes]atomic.Uint64
+	routed   [NumRoutes]atomic.Uint64
 	diverted atomic.Uint64            // auto decisions forced to exact by degraded ranks
-	costNs   [numRoutes]atomic.Uint64 // EWMA cost per route; 0 = no observation yet
+	costNs   [NumRoutes]atomic.Uint64 // EWMA cost per route; 0 = no observation yet
 	// costScale holds per-route multiplicative corrections on the EWMA
 	// estimate Decide consults (float bits; 0 = no correction). The
 	// recall-target auto-tuner uses it to tell the cost model that
 	// adaptive precision makes the tiered path cheaper than its
 	// pre-calibration observations suggest.
-	costScale [numRoutes]atomic.Uint64
+	costScale [NumRoutes]atomic.Uint64
 }
 
-// NewRouter builds a router; degraded may be nil.
-func NewRouter(cfg RouterConfig, degraded func() int) *Router {
-	return &Router{cfg: cfg.withDefaults(), degraded: degraded}
+// NewRouter builds a router over the backend's beam and quality routes;
+// degraded may be nil.
+func NewRouter(cfg RouterConfig, beam, quality Route, degraded func() int) *Router {
+	return &Router{cfg: cfg.withDefaults(), beam: beam, quality: quality, degraded: degraded}
 }
 
 // Begin marks one routed query in flight.
@@ -125,41 +132,37 @@ func (r *Router) End() { r.inflight.Add(-1) }
 func (r *Router) InFlight() int64 { return r.inflight.Load() }
 
 // Decide picks a concrete route for an auto query. slack is the remaining
-// deadline budget (NoDeadline when the query has none); hasTiered reports
-// whether the backend has the bound machinery (Base designs do not).
+// deadline budget (NoDeadline when the query has none).
 //
-// Policy: degraded ranks force the exact path (the chaos-tested
-// degradation: tiered → exact under NDP faults, never an unstable mix).
-// Otherwise the router picks the highest-quality route that fits: the
-// tiered pipeline (exact answers) when the slack covers SafetyFactor× its
-// recent cost — or unconditionally when there is no deadline — and the
-// cheap approximate beam path under deadline pressure or load.
-func (r *Router) Decide(slack time.Duration, hasTiered bool) Route {
+// Policy: degraded ranks force the exact scan (the chaos-tested
+// degradation, never an unstable mix). Otherwise the router picks the
+// highest-quality route that fits: the quality route (exact answers) when
+// the slack covers SafetyFactor× its recent cost — or unconditionally when
+// there is no deadline — and the cheap approximate beam under deadline
+// pressure or load.
+func (r *Router) Decide(slack time.Duration) Route {
 	if r.degraded != nil && r.degraded() > 0 {
 		r.diverted.Add(1)
 		return RouteExact
 	}
-	if !hasTiered {
-		return RouteNDP
-	}
 	if r.inflight.Load() >= r.cfg.LoadHighWater {
-		return RouteNDP
+		return r.beam
 	}
 	if slack < 0 {
-		return RouteTiered
+		return r.quality
 	}
-	est := float64(r.CostNs(RouteTiered)) * r.scaleOf(RouteTiered)
+	est := float64(r.CostNs(r.quality)) * r.scaleOf(r.quality)
 	if est == 0 || float64(slack) >= r.cfg.SafetyFactor*est {
-		return RouteTiered
+		return r.quality
 	}
-	return RouteNDP
+	return r.beam
 }
 
 // SetCostScale installs a multiplicative correction on route's EWMA cost
 // estimate as consulted by Decide (the raw CostNs observations are left
 // untouched). Non-positive scales reset to the neutral 1.
 func (r *Router) SetCostScale(route Route, scale float64) {
-	if route <= RouteAuto || route >= numRoutes {
+	if route <= RouteAuto || route >= NumRoutes {
 		return
 	}
 	if scale <= 0 {
@@ -179,14 +182,14 @@ func (r *Router) scaleOf(route Route) float64 {
 
 // Record counts one query executed on route.
 func (r *Router) Record(route Route) {
-	if route > RouteAuto && route < numRoutes {
+	if route > RouteAuto && route < NumRoutes {
 		r.routed[route].Add(1)
 	}
 }
 
 // Observe folds one query's duration into route's EWMA cost estimate.
 func (r *Router) Observe(route Route, d time.Duration) {
-	if route <= RouteAuto || route >= numRoutes {
+	if route <= RouteAuto || route >= NumRoutes {
 		return
 	}
 	ns := uint64(d.Nanoseconds())
@@ -210,7 +213,7 @@ func (r *Router) Observe(route Route, d time.Duration) {
 // CostNs returns route's EWMA cost estimate in nanoseconds (0 before the
 // first observation).
 func (r *Router) CostNs(route Route) uint64 {
-	if route <= RouteAuto || route >= numRoutes {
+	if route <= RouteAuto || route >= NumRoutes {
 		return 0
 	}
 	return r.costNs[route].Load()
@@ -218,10 +221,10 @@ func (r *Router) CostNs(route Route) uint64 {
 
 // RouterSnapshot is a plain-value copy of the router's counters.
 type RouterSnapshot struct {
-	NDP, Tiered, Exact uint64 // queries executed per route
-	Diverted           uint64 // auto decisions forced to exact by degraded ranks
-	InFlight           int64
-	CostNs             map[string]uint64 // per-route EWMA cost (observed routes only)
+	NDP, Tiered, Exact, Host uint64 // queries executed per route
+	Diverted                 uint64 // auto decisions forced to exact by degraded ranks
+	InFlight                 int64
+	CostNs                   map[string]uint64 // per-route EWMA cost (observed routes only)
 	// CostScale lists the non-neutral cost-model corrections installed via
 	// SetCostScale (nil when none are).
 	CostScale map[string]float64
@@ -233,11 +236,12 @@ func (r *Router) Snapshot() RouterSnapshot {
 		NDP:      r.routed[RouteNDP].Load(),
 		Tiered:   r.routed[RouteTiered].Load(),
 		Exact:    r.routed[RouteExact].Load(),
+		Host:     r.routed[RouteHost].Load(),
 		Diverted: r.diverted.Load(),
 		InFlight: r.inflight.Load(),
 		CostNs:   map[string]uint64{},
 	}
-	for route := RouteNDP; route < numRoutes; route++ {
+	for route := RouteNDP; route < NumRoutes; route++ {
 		if c := r.costNs[route].Load(); c != 0 {
 			s.CostNs[route.String()] = c
 		}

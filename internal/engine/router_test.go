@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,11 +13,12 @@ func TestParseRoute(t *testing.T) {
 		want Route
 		err  bool
 	}{
-		{"", RouteNDP, false},
 		{"auto", RouteAuto, false},
 		{"ndp", RouteNDP, false},
 		{"tiered", RouteTiered, false},
 		{"exact", RouteExact, false},
+		{"host", RouteHost, false},
+		{"", 0, true}, // the serve layer never forwards an absent mode
 		{"fast", 0, true},
 		{"NDP", 0, true},
 	}
@@ -29,12 +31,16 @@ func TestParseRoute(t *testing.T) {
 			t.Fatalf("ParseRoute(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
-	for _, r := range []Route{RouteAuto, RouteNDP, RouteTiered, RouteExact} {
-		if r != RouteAuto {
-			back, err := ParseRoute(r.String())
-			if err != nil || back != r {
-				t.Fatalf("round-trip %v: %v, %v", r, back, err)
-			}
+	// Every route round-trips, and the error of an unknown mode names each:
+	// the list the serve layer's 400 text is generated from.
+	_, unknown := ParseRoute("warp")
+	for r := RouteAuto; r < NumRoutes; r++ {
+		back, err := ParseRoute(r.String())
+		if err != nil || back != r {
+			t.Fatalf("round-trip %v: %v, %v", r, back, err)
+		}
+		if !strings.Contains(unknown.Error(), r.String()) {
+			t.Fatalf("unknown-mode error %q does not list %v", unknown, r)
 		}
 	}
 	if Route(99).String() == "" {
@@ -43,60 +49,63 @@ func TestParseRoute(t *testing.T) {
 }
 
 func TestDecidePolicy(t *testing.T) {
-	degraded := 0
-	r := NewRouter(RouterConfig{SafetyFactor: 2, LoadHighWater: 4}, func() int { return degraded })
+	// The policy is the same over either pair of legs: the host defaults and
+	// the pair a fault-modelled or adaptive database keeps.
+	for _, legs := range []struct{ beam, quality Route }{{RouteHost, RouteExact}, {RouteNDP, RouteTiered}} {
+		beam, quality := legs.beam, legs.quality
+		degraded := 0
+		r := NewRouter(RouterConfig{SafetyFactor: 2, LoadHighWater: 4}, beam, quality, func() int { return degraded })
 
-	// No deadline, healthy, idle: the highest-quality path.
-	if got := r.Decide(NoDeadline, true); got != RouteTiered {
-		t.Fatalf("idle no-deadline: %v", got)
-	}
-	// No bound machinery: the default beam path.
-	if got := r.Decide(NoDeadline, false); got != RouteNDP {
-		t.Fatalf("no tiered machinery: %v", got)
-	}
-	// No cost estimate yet: optimistic tiered even under a deadline.
-	if got := r.Decide(time.Millisecond, true); got != RouteTiered {
-		t.Fatalf("no estimate: %v", got)
-	}
+		// No deadline, healthy, idle: the highest-quality path.
+		if got := r.Decide(NoDeadline); got != quality {
+			t.Fatalf("idle no-deadline: %v", got)
+		}
+		// No cost estimate yet: optimistic quality even under a deadline.
+		if got := r.Decide(time.Millisecond); got != quality {
+			t.Fatalf("no estimate: %v", got)
+		}
 
-	// With an estimate, slack gates the choice at SafetyFactor x cost.
-	r.Observe(RouteTiered, time.Millisecond)
-	if got := r.Decide(10*time.Millisecond, true); got != RouteTiered {
-		t.Fatalf("ample slack: %v", got)
-	}
-	if got := r.Decide(time.Millisecond, true); got != RouteNDP {
-		t.Fatalf("tight slack: %v", got)
-	}
-	if got := r.Decide(0, true); got != RouteNDP {
-		t.Fatalf("expired slack: %v", got)
-	}
+		// With an estimate, slack gates the choice at SafetyFactor x cost; the
+		// beam's own cost plays no part.
+		r.Observe(quality, time.Millisecond)
+		r.Observe(beam, time.Hour)
+		if got := r.Decide(10 * time.Millisecond); got != quality {
+			t.Fatalf("ample slack: %v", got)
+		}
+		if got := r.Decide(time.Millisecond); got != beam {
+			t.Fatalf("tight slack: %v", got)
+		}
+		if got := r.Decide(0); got != beam {
+			t.Fatalf("expired slack: %v", got)
+		}
 
-	// Load above the high-water mark sheds to the cheap path.
-	for i := 0; i < 4; i++ {
-		r.Begin()
-	}
-	if got := r.Decide(NoDeadline, true); got != RouteNDP {
-		t.Fatalf("loaded: %v", got)
-	}
-	for i := 0; i < 4; i++ {
-		r.End()
-	}
+		// Load above the high-water mark sheds to the cheap path.
+		for i := 0; i < 4; i++ {
+			r.Begin()
+		}
+		if got := r.Decide(NoDeadline); got != beam {
+			t.Fatalf("loaded: %v", got)
+		}
+		for i := 0; i < 4; i++ {
+			r.End()
+		}
 
-	// Degraded NDP ranks divert everything to the exact path.
-	degraded = 2
-	if got := r.Decide(NoDeadline, true); got != RouteExact {
-		t.Fatalf("degraded: %v", got)
-	}
-	if got := r.Decide(time.Nanosecond, false); got != RouteExact {
-		t.Fatalf("degraded overrides everything: %v", got)
-	}
-	if s := r.Snapshot(); s.Diverted != 2 {
-		t.Fatalf("diverted counter: %+v", s)
+		// Degraded NDP ranks divert everything to the exact scan.
+		degraded = 2
+		if got := r.Decide(NoDeadline); got != RouteExact {
+			t.Fatalf("degraded: %v", got)
+		}
+		if got := r.Decide(time.Nanosecond); got != RouteExact {
+			t.Fatalf("degraded overrides everything: %v", got)
+		}
+		if s := r.Snapshot(); s.Diverted != 2 {
+			t.Fatalf("diverted counter: %+v", s)
+		}
 	}
 }
 
 func TestObserveEWMA(t *testing.T) {
-	r := NewRouter(RouterConfig{Alpha: 0.5}, nil)
+	r := NewRouter(RouterConfig{Alpha: 0.5}, RouteHost, RouteExact, nil)
 	if r.CostNs(RouteTiered) != 0 {
 		t.Fatal("cost before any observation")
 	}
@@ -117,7 +126,7 @@ func TestObserveEWMA(t *testing.T) {
 }
 
 func TestRouterSnapshotAndConcurrency(t *testing.T) {
-	r := NewRouter(RouterConfig{}, nil)
+	r := NewRouter(RouterConfig{}, RouteHost, RouteExact, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -127,7 +136,7 @@ func TestRouterSnapshotAndConcurrency(t *testing.T) {
 				r.Begin()
 				r.Record(RouteTiered)
 				r.Observe(RouteTiered, time.Duration(i+1)*time.Microsecond)
-				r.Decide(NoDeadline, true)
+				r.Decide(NoDeadline)
 				r.End()
 			}
 		}()

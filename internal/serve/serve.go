@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ansmet/internal/engine"
 	"ansmet/internal/hnsw"
 )
 
@@ -30,9 +31,10 @@ type Outcome struct {
 	Partial   bool
 	Faults    []string
 	Hedged    int
-	// Route names the query path actually taken ("ndp", "tiered", "exact")
-	// when the backend routes queries; empty otherwise. Echoed to clients
-	// in the RouteHeader and counted per route in /debug/vars.
+	// Route names the query path actually taken (an engine.Route name:
+	// "host", "ndp", "tiered", "exact") when the backend reports one; empty
+	// otherwise. Echoed to clients in the RouteHeader and counted per route
+	// in /debug/vars.
 	Route string
 }
 
@@ -44,8 +46,9 @@ type Outcome struct {
 type OutcomeFunc func(ctx context.Context, q []float32, k, ef int) (Outcome, error)
 
 // RoutedFunc is the route-aware search hook, used for requests that name a
-// "mode" ("auto", "ndp", "tiered", "exact"). mode is pre-validated by the
-// handler; the Outcome's Route field should report the path actually taken.
+// "mode": one of the engine.Route names ("auto", "host", "ndp", "tiered",
+// "exact"). mode is pre-validated by the handler through engine.ParseRoute;
+// the Outcome's Route field should report the path actually taken.
 type RoutedFunc func(ctx context.Context, q []float32, k, ef int, mode string) (Outcome, error)
 
 // PrecisionFunc is the recall-target-aware search hook, used for requests
@@ -61,9 +64,10 @@ type PrecisionFunc func(ctx context.Context, q []float32, k, ef int, mode string
 // can accept the body as-is.
 const PartialHeader = "X-ANSMET-Partial"
 
-// RouteHeader names the query path a routed search actually took ("ndp",
-// "tiered", "exact"), set whenever the backend reports one. Clients using
-// "mode":"auto" read it to learn what the router decided.
+// RouteHeader names the query path a search actually took ("host", "ndp",
+// "tiered", "exact"), set whenever the backend reports one — with or without
+// a "mode" in the request, so which engine answered shows in `curl -i`.
+// Clients using "mode":"auto" read it to learn what the router decided.
 const RouteHeader = "X-ANSMET-Route"
 
 // Config wires a Server.
@@ -165,11 +169,9 @@ type Metrics struct {
 	InFlight      atomic.Int64 // searches running right now
 	Partials      atomic.Int64 // 200s served with a degraded (partial) merge
 
-	// Per-route counters for routed searches, keyed by the Outcome.Route
-	// the backend reported.
-	RoutedNDP    atomic.Int64
-	RoutedTiered atomic.Int64
-	RoutedExact  atomic.Int64
+	// Routed counts searches per route, indexed by the engine.Route the
+	// backend's Outcome.Route named; /debug/vars lists them by route name.
+	Routed [engine.NumRoutes]atomic.Int64
 
 	// RecallTargeted counts requests that carried an explicit
 	// recall_target (served through Config.SearchPrecision).
@@ -182,16 +184,11 @@ type Metrics struct {
 	Deletes atomic.Int64
 }
 
-// countRoute bumps the counter for a reported route name; unknown names
-// (including "") are ignored.
+// countRoute bumps the counter for a reported route name; names engine
+// does not list are ignored.
 func (m *Metrics) countRoute(route string) {
-	switch route {
-	case "ndp":
-		m.RoutedNDP.Add(1)
-	case "tiered":
-		m.RoutedTiered.Add(1)
-	case "exact":
-		m.RoutedExact.Add(1)
+	if r, err := engine.ParseRoute(route); err == nil {
+		m.Routed[r].Add(1)
 	}
 }
 
@@ -204,7 +201,7 @@ type SearchRequest struct {
 	// capped at Config.MaxTimeout.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 	// Mode selects the query execution path: "auto" (deadline-aware
-	// routing), "ndp", "tiered", or "exact". Empty uses the server's
+	// routing), "host", "ndp", "tiered", or "exact". Empty uses the server's
 	// default path. Requires a route-aware backend (Config.SearchRouted).
 	Mode string `json:"mode,omitempty"`
 	// RecallTarget, in (0, 1], asks for adaptive mixed-precision at this
@@ -428,19 +425,18 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 				len(req.Query), k, ef, s.cfg.MaxK, s.cfg.MaxEf)})
 		return
 	}
-	switch req.Mode {
-	case "", "auto", "ndp", "tiered", "exact":
-	default:
-		s.metrics.BadRequests.Add(1)
-		writeJSON(w, http.StatusBadRequest, SearchResponse{
-			Error: fmt.Sprintf("unknown mode %q (want auto, ndp, tiered or exact)", req.Mode)})
-		return
-	}
-	if req.Mode != "" && s.cfg.SearchRouted == nil {
-		s.metrics.BadRequests.Add(1)
-		writeJSON(w, http.StatusBadRequest, SearchResponse{
-			Error: "mode selection is not supported by this server"})
-		return
+	if req.Mode != "" {
+		if _, err := engine.ParseRoute(req.Mode); err != nil {
+			s.metrics.BadRequests.Add(1)
+			writeJSON(w, http.StatusBadRequest, SearchResponse{Error: err.Error()})
+			return
+		}
+		if s.cfg.SearchRouted == nil {
+			s.metrics.BadRequests.Add(1)
+			writeJSON(w, http.StatusBadRequest, SearchResponse{
+				Error: "mode selection is not supported by this server"})
+			return
+		}
 	}
 	if req.RecallTarget < 0 || req.RecallTarget > 1 {
 		s.metrics.BadRequests.Add(1)
@@ -483,8 +479,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.InFlight.Add(-1)
 	if out.Route != "" {
-		// Routed query: tell the client which path ran (meaningful even on
-		// a 504 partial) and count it.
+		// Tell the client which path ran (meaningful even on a 504 partial)
+		// and count it.
 		w.Header().Set(RouteHeader, out.Route)
 		s.metrics.countRoute(out.Route)
 	}
@@ -565,6 +561,11 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	m := &s.metrics
 	adm := s.adm.Stats()
+	// One key per concrete route, by the name engine gives it.
+	routes := map[string]int64{}
+	for r := engine.RouteAuto + 1; r < engine.NumRoutes; r++ {
+		routes[r.String()] = m.Routed[r].Load()
+	}
 	vars := map[string]any{
 		"serve": map[string]int64{
 			"requests":        m.Requests.Load(),
@@ -590,11 +591,7 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 			"running":       adm.Running,
 			"queued":        adm.Queued,
 		},
-		"routes": map[string]int64{
-			"ndp":    m.RoutedNDP.Load(),
-			"tiered": m.RoutedTiered.Load(),
-			"exact":  m.RoutedExact.Load(),
-		},
+		"routes":     routes,
 		"goroutines": runtime.NumGoroutine(),
 		"draining":   s.draining.Load(),
 	}

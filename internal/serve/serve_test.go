@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"ansmet/internal/engine"
 	"ansmet/internal/hnsw"
 )
 
@@ -387,7 +388,7 @@ func routedOK(ctx context.Context, q []float32, k, ef int, mode string) (Outcome
 func TestSearchModeRouted(t *testing.T) {
 	s := newTestServer(t, Config{SearchRouted: routedOK})
 	for _, c := range []struct{ mode, wantRoute string }{
-		{"ndp", "ndp"}, {"tiered", "tiered"}, {"exact", "exact"}, {"auto", "tiered"},
+		{"ndp", "ndp"}, {"tiered", "tiered"}, {"exact", "exact"}, {"auto", "tiered"}, {"host", "host"},
 	} {
 		w := postSearch(s, `{"query":[1,2],"k":3,"mode":"`+c.mode+`"}`)
 		if w.Code != http.StatusOK {
@@ -401,15 +402,38 @@ func TestSearchModeRouted(t *testing.T) {
 		}
 	}
 	m := s.Metrics()
-	if m.RoutedNDP.Load() != 1 || m.RoutedTiered.Load() != 2 || m.RoutedExact.Load() != 1 {
-		t.Fatalf("route counters: ndp=%d tiered=%d exact=%d",
-			m.RoutedNDP.Load(), m.RoutedTiered.Load(), m.RoutedExact.Load())
+	for route, want := range map[engine.Route]int64{
+		engine.RouteNDP: 1, engine.RouteTiered: 2, engine.RouteExact: 1, engine.RouteHost: 1,
+	} {
+		if got := m.Routed[route].Load(); got != want {
+			t.Fatalf("route counter %v = %d, want %d", route, got, want)
+		}
+	}
+}
+
+// TestSearchNoModeReportsRoute: a default-path backend that says which
+// engine answered (Config.SearchOutcome with Outcome.Route) gets the route
+// header and the per-route counter on requests without a mode too.
+func TestSearchNoModeReportsRoute(t *testing.T) {
+	s := newTestServer(t, Config{
+		SearchOutcome: func(ctx context.Context, q []float32, k, ef int) (Outcome, error) {
+			nn, err := okSearch(ctx, q, k, ef)
+			return Outcome{Neighbors: nn, Route: "host"}, err
+		},
+	})
+	w := postSearch(s, `{"query":[1,2],"k":3}`)
+	if w.Code != http.StatusOK || w.Header().Get(RouteHeader) != "host" {
+		t.Fatalf("status %d, route header %q, want 200 and host", w.Code, w.Header().Get(RouteHeader))
+	}
+	if got := s.Metrics().Routed[engine.RouteHost].Load(); got != 1 {
+		t.Fatalf("host counter = %d, want 1", got)
 	}
 }
 
 func TestSearchModeEmptyUsesDefaultPath(t *testing.T) {
 	// With both hooks wired, a request without a mode must take the plain
-	// path (routing is strictly opt-in) and carry no route header.
+	// path (routing is strictly opt-in); a plain SearchFunc reports no
+	// route, so there is no route header to carry.
 	called := false
 	s := newTestServer(t, Config{
 		SearchRouted: func(ctx context.Context, q []float32, k, ef int, mode string) (Outcome, error) {
@@ -431,6 +455,14 @@ func TestSearchModeValidation(t *testing.T) {
 	w := postSearch(s, `{"query":[1,2],"k":3,"mode":"warp"}`)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("unknown mode: status %d, want 400", w.Code)
+	}
+	// The 400 names every mode engine knows: the text is generated from the
+	// one list, not kept beside it.
+	msg := decodeResp(t, w).Error
+	for r := engine.RouteAuto; r < engine.NumRoutes; r++ {
+		if !strings.Contains(msg, r.String()) {
+			t.Fatalf("unknown-mode error %q does not offer %q", msg, r)
+		}
 	}
 
 	// A server without a routed backend rejects any mode with 400.
@@ -457,8 +489,18 @@ func TestVarsRouteCounters(t *testing.T) {
 	if !ok {
 		t.Fatalf("no routes section in vars: %v", vars)
 	}
-	if routes["exact"].(float64) != 1 {
-		t.Fatalf("routes section: %v", routes)
+	// Every concrete route has a key, named as engine names it.
+	for r := engine.RouteAuto + 1; r < engine.NumRoutes; r++ {
+		want := 0.0
+		if r == engine.RouteExact {
+			want = 1
+		}
+		if got, ok := routes[r.String()].(float64); !ok || got != want {
+			t.Fatalf("routes[%q] = %v, want %v (section: %v)", r, routes[r.String()], want, routes)
+		}
+	}
+	if len(routes) != int(engine.NumRoutes)-1 {
+		t.Fatalf("routes section lists %d keys, want %d: %v", len(routes), engine.NumRoutes-1, routes)
 	}
 }
 

@@ -11,7 +11,7 @@ package ansmet
 // internal/core/mutable.go for the publication protocols). Deletes are
 // tombstones: the id stays in the graph for routing but is filtered out of
 // every result path (beam searches through db.liveFilter, the exact and
-// tiered scans through the engine's TombSet), and its edges are excised
+// tiered scans through the system's TombSet), and its edges are excised
 // later by a deferred batched repair.
 //
 // Durability model. When a journal is attached (AttachWAL, or implicitly
@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 
 	"ansmet/internal/wal"
 )
@@ -150,7 +151,10 @@ func (db *Database) mutableLocked() error {
 // acknowledged. For a database built with New the journal must have been
 // produced by an identical New (same vectors, options and seed) — the
 // usual recovery pairing is LoadFile, which attaches path+".wal"
-// automatically. Close releases the journal.
+// automatically. Attaching the journal that is already attached (the same
+// file, however the path is spelled) is a no-op, so a caller may name
+// LoadFile's default explicitly; a different one is refused. Close releases
+// the journal.
 func (db *Database) AttachWAL(path string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -158,7 +162,10 @@ func (db *Database) AttachWAL(path string) error {
 		return err
 	}
 	if db.journal != nil {
-		return fmt.Errorf("ansmet: a journal is already attached (%s)", db.journal.Path())
+		if sameFile(path, db.journal.Path()) {
+			return nil
+		}
+		return fmt.Errorf("ansmet: cannot attach journal %s: %s is already attached", path, db.journal.Path())
 	}
 	l, err := wal.Open(path, db.walBase, db.applyRecord)
 	if err != nil {
@@ -166,6 +173,16 @@ func (db *Database) AttachWAL(path string) error {
 	}
 	db.journal = l
 	return nil
+}
+
+// sameFile reports whether two paths name one existing file.
+func sameFile(a, b string) bool {
+	ai, err := os.Stat(a)
+	if err != nil {
+		return false
+	}
+	bi, err := os.Stat(b)
+	return err == nil && os.SameFile(ai, bi)
 }
 
 // WALPath returns the attached journal's path ("" when un-journaled).

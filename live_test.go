@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -458,6 +459,56 @@ func TestSnapshotCompactionRoundTrip(t *testing.T) {
 	sameSearchState(t, ref, rec2, ds.Queries)
 }
 
+// TestAttachWALAlreadyAttached: LoadFile attaches a live snapshot's paired
+// journal, so naming that journal again (`ansmet-serve -db x -wal x.wal`,
+// under any spelling of the path) is a no-op — nothing is replayed twice and
+// the journal keeps working — while a different journal is refused with an
+// error naming both.
+func TestAttachWALAlreadyAttached(t *testing.T) {
+	ds := dataset.Generate(dataset.ProfileByName("SIFT"), 120, 2, 63)
+	dir := t.TempDir()
+	snapPath := dir + "/db.snap"
+	db, err := ansmet.New(ds.Vectors, liveOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.SaveFile(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := ansmet.LoadFile(snapPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if _, err := rec.Add(ds.Queries[0]); err != nil {
+		t.Fatal(err)
+	}
+	before := rec.Stats()
+	for _, same := range []string{ansmet.WALName(snapPath), dir + "/./sub/../db.snap.wal"} {
+		if err := os.MkdirAll(dir+"/sub", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.AttachWAL(same); err != nil {
+			t.Fatalf("re-attaching the attached journal as %s: %v", same, err)
+		}
+	}
+	if after := rec.Stats(); after != before || rec.WALPath() != ansmet.WALName(snapPath) {
+		t.Fatalf("re-attach changed the database: %+v → %+v (journal %s)", before, after, rec.WALPath())
+	}
+	if _, err := rec.Add(ds.Queries[1]); err != nil || rec.Stats().WALLastSeq != before.WALLastSeq+1 {
+		t.Fatalf("journal after re-attach: err=%v, seq %d → %d", err, before.WALLastSeq, rec.Stats().WALLastSeq)
+	}
+
+	other := dir + "/other.wal"
+	err = rec.AttachWAL(other)
+	if err == nil || !strings.Contains(err.Error(), other) || !strings.Contains(err.Error(), ansmet.WALName(snapPath)) {
+		t.Fatalf("attaching a second journal: err=%v, want a refusal naming both paths", err)
+	}
+	if _, statErr := os.Stat(other); !os.IsNotExist(statErr) {
+		t.Fatalf("the refused journal was created: %v", statErr)
+	}
+}
+
 // TestLiveSnapshotRejectsBaseOverride: a live snapshot cannot be loaded
 // under a design with no tombstone-filtering store.
 func TestLiveSnapshotRejectsBaseOverride(t *testing.T) {
@@ -557,14 +608,18 @@ func TestConcurrentMutateSearch(t *testing.T) {
 				dead := ackSnapshot() // acked before this search starts
 				var res []ansmet.Neighbor
 				var err error
-				switch i % 3 {
-				case 0:
+				switch i % 4 {
+				case 0: // the default beam: the host engine re-pinning the rows
 					res, err = db.SearchInto(q, 10, 50, dst)
 					dst = res
 				case 1:
 					res, _, err = db.TieredSearchInto(q, 10, 0, nil)
-				default:
+				case 2:
 					res, _, err = db.ExactSearch(q, 10)
+				default: // the same beam over the ET engine's store snapshot
+					var r ansmet.Result
+					r, err = db.Do(context.Background(), &ansmet.Query{Vector: q, K: 10, Ef: 50, Route: ansmet.RouteNDP})
+					res = r.Neighbors
 				}
 				if err != nil {
 					t.Error(err)

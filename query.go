@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -29,26 +28,31 @@ type Query struct {
 	Vector []float32
 	// K is the number of neighbors wanted (must be positive).
 	K int
-	// Ef is the beam width of the ndp route (the paper's efSearch); 0 means
-	// max(2K, 32). A non-zero Ef below K is rejected on every route.
+	// Ef is the beam width of the beam routes, host and ndp (the paper's
+	// efSearch); 0 means max(2K, 32). A non-zero Ef below K is rejected on
+	// every route.
 	Ef int
 	// Filter, when non-nil, restricts results to ids it accepts (attribute +
 	// vector hybrid search); traversal still crosses non-matching vertices
 	// so the graph stays navigable, and on a mutable database the tombstone
-	// filter applies in addition. Only the ndp route filters: RouteAuto with
-	// a Filter resolves to it, RouteTiered and RouteExact reject one.
+	// filter applies in addition. Only the beam routes filter: RouteAuto
+	// with a Filter resolves to the database's default beam, RouteTiered and
+	// RouteExact reject one.
 	Filter func(uint32) bool
 	// Route forces an execution path; the zero value RouteAuto lets the
-	// database's router pick from deadline slack, load and NDP rank health.
+	// database's router pick from deadline slack, load and NDP rank health —
+	// unless Budget states the quality wanted (see there).
 	Route Route
-	// Budget is the tiered route's adaptive-cut budget in (0, 1]; 0 (or any
-	// out-of-range value) means the database's own: the recall-target
-	// tuner's calibration on an adaptive database, Options.TieredBudget
-	// otherwise. 1 is the provably exact cut.
+	// Budget is the tiered route's adaptive-cut budget in (0, 1]; 0 (or a
+	// negative value) means the database's own: the recall-target tuner's
+	// calibration on an adaptive database, Options.TieredBudget otherwise. 1
+	// is the provably exact cut. On RouteAuto a positive Budget is the
+	// caller stating the quality, and the router is not asked: at 1 or above
+	// the exact scan runs (the same answers as the tiered route at budget 1,
+	// bit for bit), below 1 the tiered route at that budget.
 	Budget float64
 	// Dst, when non-nil, receives the results (appended into Dst[:0]); with
-	// enough capacity the ndp and tiered routes then allocate nothing at
-	// steady state.
+	// enough capacity every route then allocates nothing at steady state.
 	Dst []Neighbor
 }
 
@@ -59,9 +63,12 @@ type Result struct {
 	Neighbors []Neighbor
 	// Route is the path that executed: never RouteAuto once a query ran.
 	Route Route
-	// Lines is the number of 64 B lines the tiered or exact route fetched
-	// (a plain scan fetches Len()×Stats().LinesPerVector); 0 on the ndp
-	// route, whose engine does not report per-query traffic.
+	// Lines is the number of 64 B lines the tiered or exact route fetched.
+	// The exact route reads whole rows, so its count is the honest full
+	// fetch: live rows scanned × the plain-layout lines of one vector; the
+	// early-termination saving the paper claims for exact kNN (§4.1) shows
+	// on the tiered route at budget 1. 0 on the beam routes, which do not
+	// report per-query traffic.
 	Lines int
 	// Tiered is the tiered route's work split. The exact route reports
 	// itself as the degenerate tiered plan: the whole population is the
@@ -78,7 +85,7 @@ func (q *Query) beam() int {
 }
 
 // errFilterRoute rejects a Filter on a route that cannot honor it.
-var errFilterRoute = errors.New("ansmet: Filter needs the ndp route")
+var errFilterRoute = errors.New("ansmet: Filter needs a beam route (host or ndp)")
 
 // Do executes one query. The steps, in order:
 //
@@ -86,20 +93,27 @@ var errFilterRoute = errors.New("ansmet: Filter needs the ndp route")
 //     touched (*CancelError, Partial false).
 //  2. The inputs are validated (ErrBadK, ErrBadEf, ErrBadQuery,
 //     ErrDimension; see IsInvalidInput).
-//  3. The route is resolved: a Filter pins the ndp route; RouteAuto asks the
-//     router — degraded NDP ranks divert to the exact scan (the only path
-//     not built on the NDP-modelled machinery), otherwise the tiered
-//     pipeline (exact answers at budget 1) when its recent cost fits the
-//     deadline slack, and the cheap approximate beam under pressure or
-//     load; RouteTiered on a Base design (no bound machinery) degrades to
-//     RouteExact.
+//  3. The route is resolved: a Filter pins a beam route (the database's
+//     default one on RouteAuto); RouteAuto with a positive Budget is the
+//     exact scan (Budget >= 1) or the tiered route at that budget;
+//     otherwise RouteAuto asks the router — degraded NDP ranks divert to
+//     the exact scan (the only path that touches none of the NDP-modelled
+//     machinery), otherwise the database's quality route (exact answers)
+//     when its recent cost fits the deadline slack, and its cheap
+//     approximate beam under pressure or load; RouteTiered on a Base design
+//     (no bound machinery) degrades to RouteExact.
 //  4. The route runs, and the router of this database observes it (route
 //     counter, in-flight load, cost estimate) whichever entry point the
 //     query came through.
 //
+// Which beam and which quality route are a database's defaults is decided
+// once, in newDatabase: host and exact — row-major vectors under the SIMD
+// kernels — unless the options configure behaviour that exists only in the
+// NDP model, which keeps ndp and tiered.
+//
 // When ctx fires mid-flight the route stops at its next checkpoint and Do
 // returns what it has with a *CancelError whose Partial field reports
-// whether that is usable: the ndp route returns the best results found so
+// whether that is usable: the beam routes return the best results found so
 // far (empty if the descent had not reached the base layer); the tiered
 // route aborts empty during stage 1 (bounds alone are not answers) and
 // returns the exact top-K over the pool prefix re-ranked so far during
@@ -108,8 +122,8 @@ var errFilterRoute = errors.New("ansmet: Filter needs the ndp route")
 // fires costs a counter increment and an occasional non-blocking channel
 // poll.
 //
-// A Query on the caller's stack does not escape, so with a reused Dst the
-// ndp and tiered routes perform zero heap allocations at steady state.
+// A Query on the caller's stack does not escape, so with a reused Dst every
+// route performs zero heap allocations at steady state.
 func (db *Database) Do(ctx context.Context, q *Query) (Result, error) {
 	s := db.getScratch()
 	defer db.putScratch(s)
@@ -120,13 +134,23 @@ func (db *Database) Do(ctx context.Context, q *Query) (Result, error) {
 func (db *Database) resolveRoute(ctx context.Context, q *Query) (Route, error) {
 	route := q.Route
 	if q.Filter != nil {
-		if route != RouteAuto && route != RouteNDP {
-			return route, fmt.Errorf("%w (got %v)", errFilterRoute, route)
+		switch route {
+		case RouteAuto:
+			return db.beam, nil
+		case RouteNDP, RouteHost:
+			return route, nil
 		}
-		return RouteNDP, nil
+		return route, fmt.Errorf("%w (got %v)", errFilterRoute, route)
 	}
 	if route == RouteAuto {
-		route = db.router.Decide(slackOf(ctx), db.sys.Store != nil)
+		switch {
+		case q.Budget >= 1:
+			route = RouteExact
+		case q.Budget > 0:
+			route = RouteTiered
+		default:
+			route = db.router.Decide(slackOf(ctx))
+		}
 	}
 	if route == RouteTiered && db.sys.Store == nil {
 		route = RouteExact
@@ -165,24 +189,21 @@ func (db *Database) do(ctx context.Context, s *searchScratch, q *Query) (Result,
 		res.Lines = res.Tiered.BoundLines + res.Tiered.RerankLines
 		cancelled = res.Tiered.Cancelled
 	case RouteExact:
-		var nn []Neighbor
-		if et := db.plainEngine(s); et != nil {
-			nn, res.Lines, cancelled = et.ExactKNN(done, qq, q.K)
-		} else {
-			nn, res.Lines, cancelled = db.baseScan(done, qq, q.K)
-		}
-		if q.Dst != nil {
-			nn = append(q.Dst[:0], nn...)
-		}
-		res.Neighbors = nn
+		res.Neighbors, res.Lines, cancelled = core.ScanKNN(done, db.hostEngine(s), db.sys.Tomb, qq, q.K, q.Dst)
 		res.Tiered = TieredStats{Pool: db.Len(), RerankLines: res.Lines, Cancelled: cancelled}
 	default:
-		route = RouteNDP
+		// The beam routes are one traversal at one ef and one batch; only the
+		// engine under it differs, so on a fixed-precision database host and
+		// ndp return the same ids and the same distance bits.
+		eng := s.eng
+		if route != RouteNDP {
+			route, eng = RouteHost, db.hostEngine(s)
+		}
 		// combineFilter adds the tombstone filter of a mutable database: it
 		// keeps deleted ids out of the results while traversal still routes
 		// through them.
 		res.Neighbors, cancelled = db.sys.Index.SearchCancelInto(done, qq, q.K, ef,
-			db.sys.Cfg.BeamBatch, db.combineFilter(q.Filter), s.eng, nil, q.Dst)
+			db.sys.Cfg.BeamBatch, db.combineFilter(q.Filter), eng, nil, q.Dst)
 	}
 	res.Route = route
 	db.router.Record(route)
@@ -194,14 +215,12 @@ func (db *Database) do(ctx context.Context, s *searchScratch, q *Query) (Result,
 }
 
 // plainEngine returns the scratch's plain early-termination engine — the
-// one the tiered pipeline and the exact scan run on — or nil when the
-// design has no ET store (Base designs). Resilience-wrapped scratch engines
-// expose neither, so those scratches lazily grow a dedicated plain engine
+// one the tiered pipeline runs on. Resilience-wrapped scratch engines do not
+// expose one, so those scratches lazily grow a dedicated plain engine
 // (pooled with the scratch, so the steady state still allocates nothing).
+// Only called on a design with an ET store: resolveRoute has sent a Base
+// design's tiered queries to the exact scan.
 func (db *Database) plainEngine(s *searchScratch) *core.ETEngine {
-	if db.sys.Store == nil {
-		return nil
-	}
 	if et, ok := s.eng.(*core.ETEngine); ok {
 		return et
 	}
@@ -211,41 +230,23 @@ func (db *Database) plainEngine(s *searchScratch) *core.ETEngine {
 	return s.plain
 }
 
-// baseScan is the exact route on a Base design, which has no
-// early-termination store: a plain full scan, with the same amortized
-// cancellation checkpoint stride as the ET scan.
-func (db *Database) baseScan(done <-chan struct{}, qq []float32, k int) (best []Neighbor, lines int, cancelled bool) {
-	eng := core.MustExactEngine(db.vectors, db.opts.Metric, db.opts.Elem)
-	eng.StartQuery(qq)
-	for id := range db.vectors {
-		if done != nil && id%256 == 0 {
-			select {
-			case <-done:
-				return best, lines, true
-			default:
-			}
+// hostEngine returns the scratch's host compare engine: full-precision SIMD
+// distances over the row-major vectors the database already keeps (the
+// store's backup region; db.vectors on a Base design, which has no store).
+// It runs under the host beam and the exact scan, is built on first use and
+// pooled with the scratch. Over a store it re-pins the published rows at
+// every StartQuery, so a mutable database's appends are visible to it under
+// the same ordering argument as to the ET engine (core/mutable.go).
+func (db *Database) hostEngine(s *searchScratch) *engine.Exact {
+	if s.host == nil {
+		if st := db.sys.Store; st != nil {
+			s.host = engine.NewExact(st.Rows(), db.opts.Metric, db.opts.Elem)
+			s.host.Rows = st.Rows
+		} else {
+			s.host = engine.NewExact(db.vectors, db.opts.Metric, db.opts.Elem)
 		}
-		r := eng.Compare(uint32(id), math.MaxFloat64)
-		lines += r.Lines
-		best = insertTopK(best, Neighbor{ID: uint32(id), Dist: r.Dist}, k)
 	}
-	return best, lines, false
-}
-
-// insertTopK maintains a small sorted top-k list.
-func insertTopK(list []Neighbor, n Neighbor, k int) []Neighbor {
-	pos := len(list)
-	for pos > 0 && (list[pos-1].Dist > n.Dist ||
-		(list[pos-1].Dist == n.Dist && list[pos-1].ID > n.ID)) {
-		pos--
-	}
-	list = append(list, Neighbor{})
-	copy(list[pos+1:], list[pos:])
-	list[pos] = n
-	if len(list) > k {
-		list = list[:k]
-	}
-	return list
+	return s.host
 }
 
 // combineFilter merges the caller's predicate with the tombstone filter of
@@ -294,8 +295,8 @@ const doManyChunk = 16
 //
 // Workers claim chunks of doManyChunk queries from a shared atomic counter
 // and hold one scratch (quantize buffer, private distance engine, result
-// buffer) each, so the only per-query allocation at steady state on the ndp
-// and tiered routes is the returned result slice itself.
+// buffer) each, so the only per-query allocation at steady state is the
+// returned result slice itself.
 //
 // The first failing query stops the pool. An invalid one is returned as
 // "query <i>: <err>" (the lowest index a worker reached) with no results.
@@ -394,12 +395,14 @@ func (db *Database) DoMany(ctx context.Context, queries [][]float32, plan *Query
 
 // The wrappers below are the historical entry points that survive, each a
 // Query literal, one Do call and the unpacking of its Result. They all
-// force their route; use Do for RouteAuto, filters and the rest.
+// force their route — the four Search* ones the database's default beam
+// (host, or ndp where newDatabase kept it) — so use Do for RouteAuto,
+// filters and the rest.
 
-// Search returns the k approximate nearest neighbors of q on the ndp route
-// with the default beam width, max(2k, 32).
+// Search returns the k approximate nearest neighbors of q on the default
+// beam route with the default beam width, max(2k, 32).
 func (db *Database) Search(q []float32, k int) ([]Neighbor, error) {
-	res, err := db.Do(context.Background(), &Query{Vector: q, K: k, Route: RouteNDP})
+	res, err := db.Do(context.Background(), &Query{Vector: q, K: k, Route: db.beam})
 	return res.Neighbors, err
 }
 
@@ -409,14 +412,14 @@ func (db *Database) Search(q []float32, k int) ([]Neighbor, error) {
 // steady state: the quantize buffer, the distance engine, and the traversal
 // scratch all come from pools.
 func (db *Database) SearchInto(q []float32, k, ef int, dst []Neighbor) ([]Neighbor, error) {
-	res, err := db.Do(context.Background(), &Query{Vector: q, K: k, Ef: ef, Route: RouteNDP, Dst: dst})
+	res, err := db.Do(context.Background(), &Query{Vector: q, K: k, Ef: ef, Route: db.beam, Dst: dst})
 	return res.Neighbors, err
 }
 
 // SearchEfCtx is SearchInto with cooperative cancellation and a fresh
 // result slice; see Do for the cancellation contract.
 func (db *Database) SearchEfCtx(ctx context.Context, q []float32, k, ef int) ([]Neighbor, error) {
-	res, err := db.Do(ctx, &Query{Vector: q, K: k, Ef: ef, Route: RouteNDP})
+	res, err := db.Do(ctx, &Query{Vector: q, K: k, Ef: ef, Route: db.beam})
 	return res.Neighbors, err
 }
 
@@ -424,17 +427,17 @@ func (db *Database) SearchEfCtx(ctx context.Context, q []float32, k, ef int) ([]
 // reused dst the un-cancelled steady state performs zero heap allocations
 // (gated by BenchmarkSearchWithDeadline in CI).
 func (db *Database) SearchCtxInto(ctx context.Context, q []float32, k, ef int, dst []Neighbor) ([]Neighbor, error) {
-	res, err := db.Do(ctx, &Query{Vector: q, K: k, Ef: ef, Route: RouteNDP, Dst: dst})
+	res, err := db.Do(ctx, &Query{Vector: q, K: k, Ef: ef, Route: db.beam, Dst: dst})
 	return res.Neighbors, err
 }
 
-// ExactSearch returns the exact k nearest neighbors by scanning the whole
-// database with early termination: the provable bounds skip most of each
-// far vector's data while guaranteeing the brute-force answer (the paper's
-// §4.1 claim that the scheme works for accurate kNN too). The second result
-// is the number of 64 B lines actually fetched; a plain scan would fetch
-// Len()×Stats().LinesPerVector. Falls back to a full scan for the Base
-// designs, which have no early-termination store.
+// ExactSearch returns the exact k nearest neighbors by scanning every live
+// row with the full-precision SIMD distance: the brute-force answer, on
+// every design. The second result is the number of 64 B lines that reads
+// (see Result.Lines). TieredSearchInto at budget 1 returns the same answer
+// bit for bit through the early-termination machinery, at a fraction of the
+// lines (the paper's §4.1 claim that the scheme works for accurate kNN
+// too).
 func (db *Database) ExactSearch(q []float32, k int) ([]Neighbor, int, error) {
 	res, err := db.Do(context.Background(), &Query{Vector: q, K: k, Route: RouteExact})
 	return res.Neighbors, res.Lines, err

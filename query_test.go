@@ -22,8 +22,10 @@ type doTwin struct {
 	queries [][]float32
 	deleted map[uint32]bool
 	// autoRoute is what RouteAuto resolves to on a healthy idle database
-	// whose deadline (if any) is an hour away.
-	autoRoute Route
+	// whose deadline (if any) is an hour away — its quality route — and
+	// beam what the Search* wrappers and a filtered RouteAuto query run:
+	// exact and host, but tiered and ndp on the adaptive twin.
+	autoRoute, beam Route
 }
 
 func buildDoTwins(t *testing.T) []doTwin {
@@ -61,17 +63,23 @@ func buildDoTwins(t *testing.T) []doTwin {
 		return db
 	}
 	twin := func(name string, ds *dataset.Dataset, opts Options, mutate bool, auto Route) doTwin {
-		tw := doTwin{name: name, queries: ds.Queries, autoRoute: auto,
+		tw := doTwin{name: name, queries: ds.Queries, autoRoute: auto, beam: RouteHost,
 			a: build(ds.Vectors, opts, mutate), b: build(ds.Vectors, opts, mutate)}
+		if auto == RouteTiered {
+			tw.beam = RouteNDP
+		}
 		if mutate {
 			tw.deleted = deleted
+		}
+		if tw.a.beam != tw.beam {
+			t.Fatalf("%s twin: default beam %v, want %v", name, tw.a.beam, tw.beam)
 		}
 		return tw
 	}
 	twins := []doTwin{
-		twin("et", sds, siftOpts, false, RouteTiered),
-		twin("base", sds, baseOpts, false, RouteNDP),
-		twin("mutable", sds, mutOpts, true, RouteTiered),
+		twin("et", sds, siftOpts, false, RouteExact),
+		twin("base", sds, baseOpts, false, RouteExact),
+		twin("mutable", sds, mutOpts, true, RouteExact),
 		twin("adaptive", gds, Options{Metric: glove.Metric, Elem: glove.Elem, EfConstruction: 60, RecallTarget: 0.9}, false, RouteTiered),
 	}
 	if tw := twins[2]; tw.a.Tombstones() != len(deletes) || tw.a.Stats().PendingRepair == 0 {
@@ -127,14 +135,15 @@ var doCtxKinds = []struct {
 }
 
 // wrapperFor returns the surviving wrapper whose signature covers the cell
-// (nil when none does: no wrapper takes a Filter, RouteAuto, or a context
-// on the exact route), adapted to Do's return shape.
+// (nil when none does: no wrapper takes a Filter, RouteAuto, the beam that
+// is not the database's default, or a context on the exact route), adapted
+// to Do's return shape.
 func wrapperFor(db *Database, q *Query, background bool) func(context.Context) (Result, error) {
 	if q.Filter != nil {
 		return nil
 	}
 	switch q.Route {
-	case RouteNDP:
+	case db.beam:
 		switch {
 		case background && q.Ef == 0 && q.Dst == nil:
 			return func(context.Context) (Result, error) {
@@ -197,7 +206,7 @@ func sameError(a, b error) bool {
 
 // TestDoEquivalence drives every path × mode through the one execution
 // core: {ET design, Base design, mutable with tombstones, adaptive
-// RecallTarget} × {ndp, tiered, exact, auto} × {background, live, expired,
+// RecallTarget} × {ndp, host, tiered, exact, auto} × {background, live, expired,
 // cancelled mid-flight} × {nil, reused Dst} × {nil, non-nil Filter}. Each
 // cell checks Do's own contract (route reported, cancellation mapping,
 // filter and tombstones honored, Dst reused), that a context which never
@@ -214,7 +223,7 @@ func TestDoEquivalence(t *testing.T) {
 	}{{"nofilter", nil}, {"even", even}}
 
 	for _, tw := range twins {
-		for _, route := range []Route{RouteNDP, RouteTiered, RouteExact, RouteAuto} {
+		for _, route := range []Route{RouteNDP, RouteHost, RouteTiered, RouteExact, RouteAuto} {
 			for _, fl := range filters {
 				for _, reuse := range []bool{false, true} {
 					// ref holds the background answers every never-firing
@@ -224,7 +233,7 @@ func TestDoEquivalence(t *testing.T) {
 						name := fmt.Sprintf("%s/%v/%s/%s/reuse=%v", tw.name, route, fl.name, ck.name, reuse)
 						for qi, vec := range tw.queries {
 							q := Query{Vector: vec, K: k, Route: route, Filter: fl.f}
-							if route == RouteNDP && qi%2 == 1 {
+							if (route == RouteNDP || route == RouteHost) && qi%2 == 1 {
 								q.Ef = 48 // odd queries exercise the explicit-beam wrappers
 							}
 							var dstA, dstB []Neighbor
@@ -241,7 +250,7 @@ func TestDoEquivalence(t *testing.T) {
 								wantRoute = tw.autoRoute
 							}
 							if fl.f != nil && route == RouteAuto {
-								wantRoute = RouteNDP
+								wantRoute = tw.beam
 							}
 							if wantRoute == RouteTiered && tw.name == "base" {
 								wantRoute = RouteExact
@@ -293,7 +302,7 @@ func TestDoEquivalence(t *testing.T) {
 								if reuse && &got.Neighbors[0] != &dstB[:1][0] {
 									t.Fatalf("%s q%d: results did not land in Dst", name, qi)
 								}
-								if (got.Route == RouteNDP) != (got.Lines == 0) {
+								if (got.Route == RouteNDP || got.Route == RouteHost) != (got.Lines == 0) {
 									t.Fatalf("%s q%d: route %v reports %d lines", name, qi, got.Route, got.Lines)
 								}
 							}
@@ -348,13 +357,14 @@ func TestDoEquivalence(t *testing.T) {
 	// accepted candidate on the base layer) cancels a real context at its
 	// 40th call, so the beam stops at the next checkpoint with a non-empty
 	// filtered partial — deterministically, twice over.
-	t.Run("ndp partial", func(t *testing.T) {
+	beamPartial := func(t *testing.T, route Route) []Result {
+		var out []Result
 		for _, tw := range twins {
 			var runs [2]Result
 			for r := range runs {
 				ctx, cancel := context.WithCancel(context.Background())
 				calls := 0
-				q := Query{Vector: tw.queries[0], K: k, Ef: 200, Route: RouteNDP, Filter: func(id uint32) bool {
+				q := Query{Vector: tw.queries[0], K: k, Ef: 200, Route: route, Filter: func(id uint32) bool {
 					if calls++; calls == 40 {
 						cancel()
 					}
@@ -366,7 +376,7 @@ func TestDoEquivalence(t *testing.T) {
 				if !errors.As(err, &ce) || !ce.Partial || !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 					t.Fatalf("%s: err=%v, want a partial ErrCanceled", tw.name, err)
 				}
-				if len(res.Neighbors) == 0 || res.Route != RouteNDP {
+				if len(res.Neighbors) == 0 || res.Route != route {
 					t.Fatalf("%s: %d partial neighbors on route %v", tw.name, len(res.Neighbors), res.Route)
 				}
 				for _, n := range res.Neighbors {
@@ -378,6 +388,19 @@ func TestDoEquivalence(t *testing.T) {
 			}
 			if !reflect.DeepEqual(runs[0], runs[1]) {
 				t.Fatalf("%s: the same mid-flight cancellation gave two answers:\n%v\n%v", tw.name, runs[0], runs[1])
+			}
+			out = append(out, runs[0])
+		}
+		return out
+	}
+	t.Run("ndp partial", func(t *testing.T) { beamPartial(t, RouteNDP) })
+	// The host beam is the same traversal, so it stops at the same checkpoint
+	// holding the same partial (where the ndp engine is exact).
+	t.Run("host partial", func(t *testing.T) {
+		ndp := beamPartial(t, RouteNDP)
+		for i, host := range beamPartial(t, RouteHost) {
+			if tw := twins[i]; !tw.a.adaptive() && !reflect.DeepEqual(host.Neighbors, ndp[i].Neighbors) {
+				t.Fatalf("%s: host partial %v, ndp partial %v", tw.name, host.Neighbors, ndp[i].Neighbors)
 			}
 		}
 	})
@@ -391,7 +414,7 @@ func TestDoEquivalence(t *testing.T) {
 			if tw.a.adaptive() {
 				workers = 1
 			}
-			for _, route := range []Route{RouteNDP, RouteTiered, RouteExact, RouteAuto} {
+			for _, route := range []Route{RouteNDP, RouteHost, RouteTiered, RouteExact, RouteAuto} {
 				plan := Query{K: k, Ef: 40, Route: route}
 				many, manyRoute, err := tw.a.DoMany(ctx, tw.queries, &plan, workers)
 				if err != nil {
@@ -431,9 +454,9 @@ func TestDoEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, route := range []Route{RouteNDP, RouteTiered, RouteExact, RouteAuto} {
+			for _, route := range []Route{RouteNDP, RouteHost, RouteTiered, RouteExact, RouteAuto} {
 				for _, fl := range filters {
-					if fl.f != nil && route != RouteNDP && route != RouteAuto {
+					if fl.f != nil && route != RouteNDP && route != RouteHost && route != RouteAuto {
 						if _, err := cl.Do(ctx, &Query{Vector: ds.Queries[0], K: k, Route: route, Filter: fl.f}); !errors.Is(err, errFilterRoute) {
 							t.Fatalf("shards=%d %v: filtered err=%v, want errFilterRoute", shards, route, err)
 						}

@@ -12,17 +12,21 @@ import (
 type Route = engine.Route
 
 // Route values. RouteAuto lets the router pick per query from deadline
-// slack, load, and NDP rank health; the rest force a path.
+// slack, load, and NDP rank health; the rest force a path. RouteHost and
+// RouteNDP are the same beam search over two compare engines (row-major
+// vectors with the SIMD kernels; the bit-plane early-termination model),
+// RouteExact and RouteTiered the two ways to an exact answer (a SIMD scan
+// of every row; bound-first/exact-rerank at budget 1).
 const (
 	RouteAuto   = engine.RouteAuto
 	RouteNDP    = engine.RouteNDP
 	RouteTiered = engine.RouteTiered
 	RouteExact  = engine.RouteExact
+	RouteHost   = engine.RouteHost
 )
 
-// ParseRoute maps a wire mode string ("", "auto", "ndp", "tiered",
-// "exact") to a Route; the empty string means RouteNDP, the historical
-// default path.
+// ParseRoute maps a wire mode string ("auto", "ndp", "tiered", "exact",
+// "host") to a Route.
 func ParseRoute(s string) (Route, error) { return engine.ParseRoute(s) }
 
 // TieredStats reports one tiered query's work split (see internal/core).

@@ -123,25 +123,49 @@ func TestSearchRoutedModes(t *testing.T) {
 		}
 	}
 
+	// The host beam is what SearchInto runs on this database, and the ndp
+	// beam's answer.
+	nn, route, err = routed(ctx, db, q, 10, 64, ansmet.RouteHost)
+	if err != nil || route != ansmet.RouteHost {
+		t.Fatalf("host: route=%v err=%v", route, err)
+	}
+	for i := range want {
+		if nn[i] != want[i] {
+			t.Fatalf("host result %d: %+v != %+v", i, nn[i], want[i])
+		}
+	}
+
 	st := db.RouterStats()
-	if st.NDP == 0 || st.Tiered == 0 || st.Exact == 0 {
+	if st.NDP == 0 || st.Tiered == 0 || st.Exact == 0 || st.Host == 0 {
 		t.Fatalf("router counters not advancing: %+v", st)
 	}
 }
 
-// TestSearchRoutedAuto: without a deadline auto picks the tiered path
-// (healthy, idle database); with an already-expired context it rejects up
-// front like every Ctx entry point.
+// TestSearchRoutedAuto: without a deadline auto picks the quality route —
+// the exact scan — on a healthy, idle database (the slack and load legs of
+// the policy are pinned on the router itself, internal/engine); a stated
+// Budget decides without the router; with an already-expired context it
+// rejects up front like every Ctx entry point.
 func TestSearchRoutedAuto(t *testing.T) {
 	db := benchDB()
 	ds := benchData()
 
 	nn, route, err := routed(context.Background(), db, ds.Queries[0], 10, 64, ansmet.RouteAuto)
-	if err != nil || route != ansmet.RouteTiered {
+	if err != nil || route != ansmet.RouteExact {
 		t.Fatalf("auto healthy idle: route=%v err=%v", route, err)
 	}
 	if len(nn) != 10 {
 		t.Fatalf("auto returned %d results", len(nn))
+	}
+
+	for _, c := range []struct {
+		budget float64
+		want   ansmet.Route
+	}{{1, ansmet.RouteExact}, {2, ansmet.RouteExact}, {0.9, ansmet.RouteTiered}, {-1, ansmet.RouteExact}} {
+		res, err := db.Do(context.Background(), &ansmet.Query{Vector: ds.Queries[0], K: 10, Budget: c.budget})
+		if err != nil || res.Route != c.want {
+			t.Fatalf("auto with Budget %v: route=%v err=%v, want %v", c.budget, res.Route, err, c.want)
+		}
 	}
 
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
