@@ -493,18 +493,44 @@ func benchDo(b *testing.B, ctx context.Context, db *ansmet.Database, queries [][
 	}
 }
 
+// benchSift20k is the SIFT profile at n = 20 000, built once: 10 MB of rows,
+// past the L2 that benchData's 2 000 fit in.
+var benchSift20k = sync.OnceValue(func() (out struct {
+	ds *dataset.Dataset
+	db *ansmet.Database
+}) {
+	out.ds = dataset.Generate(dataset.ProfileByName("SIFT"), 20000, 64, 99)
+	var err error
+	out.db, err = ansmet.New(out.ds.Vectors, ansmet.Options{
+		Metric: ansmet.L2, Elem: ansmet.Uint8, EfConstruction: 100,
+	})
+	if err != nil {
+		panic(err)
+	}
+	return out
+})
+
 // BenchmarkSearchHost measures the same beam query — same graph, same ef,
 // same batch, the same answers bit for bit (TestHostEquivalence) — over the
 // two compare engines: row-major vectors with the SIMD kernel (host, the
 // serving default) and the bit-plane early-termination model (ndp). The
-// ndp/host ns ratio is what the default route no longer pays. Budget: 0
-// allocs/op on both arms.
+// ndp/host ns ratio is what the default route no longer pays. The host-20k
+// arm is the host beam where rows miss the L2 (benchData is L2-resident and
+// cannot show a prefetch); it is skipped at the quick scale. Budget: 0
+// allocs/op on every arm.
 func BenchmarkSearchHost(b *testing.B) {
 	for _, route := range []ansmet.Route{ansmet.RouteHost, ansmet.RouteNDP} {
 		b.Run(route.String(), func(b *testing.B) {
 			benchDo(b, context.Background(), benchDB(), benchData().Queries, ansmet.Query{K: 10, Ef: 64, Route: route})
 		})
 	}
+	b.Run("host-20k", func(b *testing.B) {
+		if os.Getenv("ANSMET_BENCH_QUICK") != "" {
+			b.Skip("n = 20 000 takes seconds to build")
+		}
+		w := benchSift20k()
+		benchDo(b, context.Background(), w.db, w.ds.Queries, ansmet.Query{K: 10, Ef: 128, Route: ansmet.RouteHost})
+	})
 }
 
 // BenchmarkExactScan measures the exact route — the SIMD scan of every row,

@@ -178,6 +178,57 @@ func checkIdentity(t *testing.T, name string, s searcher, queries [][]float32, l
 	}
 }
 
+// capabilityHidden is the host engine seen through engine.Engine alone:
+// embedding the interface hides engine.Batcher, as every wrapper does, so
+// the traversal falls back to its per-id adapter around Compare.
+type capabilityHidden struct{ engine.Engine }
+
+// checkBatchedIdentity is the "capability hidden" arm: the host beam's
+// batched hop (hint the hop's rows, one Distances call, one accept loop)
+// returns what the per-id adapter returns over the same engine — ids and
+// distance bits — for {nil, non-nil Filter} × {K 1/10} × {Ef default/128} ×
+// {BeamBatch 8, 1}, and at the database's own batch that is the answer
+// Do(RouteHost) serves.
+func checkBatchedIdentity(t *testing.T, name string, db *Database, queries [][]float32) {
+	t.Helper()
+	s := db.getScratch()
+	defer db.putScratch(s)
+	host := db.hostEngine(s)
+	if _, ok := engine.Engine(host).(engine.Batcher); !ok {
+		t.Fatalf("%s: the host engine lost the batch capability", name)
+	}
+	hidden := capabilityHidden{host}
+	if _, ok := engine.Engine(hidden).(engine.Batcher); ok {
+		t.Fatalf("%s: the wrapper does not hide the batch capability", name)
+	}
+	odd := func(id uint32) bool { return id%2 == 1 }
+	for _, k := range []int{1, 10} {
+		for _, ef := range []int{0, 128} {
+			for _, f := range []func(uint32) bool{nil, odd} {
+				for _, batch := range []int{8, 1} {
+					for qi, vec := range queries {
+						label := fmt.Sprintf("%s k=%d ef=%d filter=%v batch=%d q%d", name, k, ef, f != nil, batch, qi)
+						plan := Query{Vector: vec, K: k, Ef: ef, Filter: f, Route: RouteHost}
+						qq := s.quantize(vec, db.opts.Elem)
+						filter := db.combineFilter(f)
+						batched, _ := db.sys.Index.SearchCancelInto(nil, qq, k, plan.beam(), batch, filter, host, nil, nil)
+						perID, _ := db.sys.Index.SearchCancelInto(nil, qq, k, plan.beam(), batch, filter, hidden, nil, nil)
+						sameBits(t, label+" batched≡per-id", batched, perID)
+						if batch != db.sys.Cfg.BeamBatch {
+							continue
+						}
+						res, err := db.Do(context.Background(), &plan)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						sameBits(t, label+" Do≡per-id", res.Neighbors, perID)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestHostEquivalence pins the contract the host defaults rest on: on a
 // fixed-precision database the host beam returns what the ndp beam returns
 // and the exact scan what the tiered route returns at budget 1 — the same
@@ -185,8 +236,11 @@ func checkIdentity(t *testing.T, name string, s searcher, queries [][]float32, l
 // state, through Do, DoMany and a 4-shard Cluster.Do. The engines differ in
 // how a distance is computed (SIMD over a row against bit planes fetched
 // until a bound decides), never in which distance: a fully-fetched bound is
-// bitwise the exact distance, and an early-termination reject is sound. CI
-// runs it at every kernel level (AVX2, ANSMET_NO_SIMD=1, -tags purego).
+// bitwise the exact distance, and an early-termination reject is sound. Under
+// the same table, checkBatchedIdentity pins the host beam's batched hop to
+// the per-id adapter (the same engine with its batch capability hidden), at
+// BeamBatch 8 and 1. CI runs it at every kernel level (AVX2,
+// ANSMET_NO_SIMD=1, and -tags purego, where the prefetch is a no-op).
 //
 // Cluster has no mutation API, so the sharded axis runs on the immutable
 // build only.
@@ -204,6 +258,7 @@ func TestHostEquivalence(t *testing.T) {
 			t.Fatalf("%s: default beam %v, want host", hc.name, db.beam)
 		}
 		checkIdentity(t, hc.name, dbSearcher(db), hc.queries, db.Len(), nil)
+		checkBatchedIdentity(t, hc.name, db, hc.queries)
 
 		// The exact route's traffic is the honest full fetch.
 		res, err := db.Do(context.Background(), &Query{Vector: hc.queries[0], K: 10, Route: RouteExact})
@@ -248,6 +303,7 @@ func TestHostEquivalence(t *testing.T) {
 			t.Fatalf("%s: %d repairs pending, want 2", hc.name, mdb.Stats().PendingRepair)
 		}
 		checkIdentity(t, hc.name+"/mutable", dbSearcher(mdb), hc.queries, mdb.Len()-len(deleted), deleted)
+		checkBatchedIdentity(t, hc.name+"/mutable", mdb, hc.queries)
 	}
 
 	// The identity does not depend on the batch: at the textbook beam

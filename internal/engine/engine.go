@@ -52,6 +52,25 @@ type Engine interface {
 	Metric() vecmath.Metric
 }
 
+// Batcher is an optional capability of an Engine whose comparison is a plain
+// distance over a row it can address ahead of time: a traversal that knows
+// a whole hop's ids before it compares the first can hint every row and
+// then take the hop's distances in one call, instead of discovering each
+// row's address at the moment it needs the data. The traversal discovers
+// it with one type assertion per search and applies the accept test
+// (distance <= threshold) itself. Exact is the only implementer: an engine
+// that early-terminates, retries, injects faults or counts needs a Result
+// per task, and a wrapper that embeds Engine hides the capability, so it
+// keeps seeing every Compare.
+type Batcher interface {
+	// Hint asks the memory system for the first cache lines of id's row.
+	// It has no effect on any result.
+	Hint(id uint32)
+	// Distances appends to dst the distance of the current query to each
+	// id, in order — the value Compare reports as Dist — and returns dst.
+	Distances(ids []uint32, dst []float64) []float64
+}
+
 // Exact is the reference engine: it computes full-precision distances
 // directly from the in-memory float vectors and counts a full fetch for
 // every comparison. Index construction, the Base designs and the host
@@ -98,6 +117,17 @@ func (e *Exact) StartQuery(q []float32) {
 func (e *Exact) Compare(id uint32, threshold float64) Result {
 	d := e.M.Distance(e.query, e.Vectors[id])
 	return Result{Dist: d, Accepted: d <= threshold, Lines: e.FullLines, LinesLocal: e.FullLines}
+}
+
+// Hint implements Batcher.
+func (e *Exact) Hint(id uint32) { vecmath.Prefetch(e.Vectors[id]) }
+
+// Distances implements Batcher.
+func (e *Exact) Distances(ids []uint32, dst []float64) []float64 {
+	for _, id := range ids {
+		dst = append(dst, e.M.Distance(e.query, e.Vectors[id]))
+	}
+	return dst
 }
 
 // LinesPerVector implements Engine.

@@ -33,7 +33,8 @@ func (v *visitedSet) testAndSet(id uint32) bool {
 }
 
 // searchContext bundles the per-query scratch state of a graph traversal:
-// the visited set, the two beam heaps, and the per-hop batch id buffer.
+// the visited set, the two beam heaps, and the per-hop batch id and
+// distance buffers.
 // Contexts are pooled on the Index so steady-state searches allocate
 // nothing.
 type searchContext struct {
@@ -41,7 +42,8 @@ type searchContext struct {
 	cand    nheap // min-heap: closest first
 	results nheap // max-heap: worst first
 	ids     []uint32
-	nbuf    []uint32 // live-mode neighbor-list copy scratch (mutate.go)
+	dist    []float64 // the hop's distances, parallel to ids
+	nbuf    []uint32  // live-mode neighbor-list copy scratch (mutate.go)
 }
 
 // getCtx fetches a context from the pool (or makes one) and resets it for a

@@ -17,7 +17,14 @@ func (n Neighbor) Less(o Neighbor) bool {
 
 // nheap is a binary heap of Neighbors. max=false gives a min-heap on
 // (Dist, ID) (the search set of §2.1), max=true a max-heap (the result
-// set).
+// set). (Dist, ID) is a total order, so what a heap holds and the order it
+// pops in depend only on the multiset pushed, never on how the sifts
+// happened to arrange it.
+//
+// "a goes above b" is a.Less(b) != max: Less itself for the min-heap, its
+// negation for the max-heap — which differs from the reversed order only on
+// equal elements, where either answer keeps the heap valid. The sifts move
+// a hole instead of swapping, and read max once.
 type nheap struct {
 	items []Neighbor
 	max   bool
@@ -25,24 +32,19 @@ type nheap struct {
 
 func (h *nheap) Len() int { return len(h.items) }
 
-func (h *nheap) less(i, j int) bool {
-	if h.max {
-		return h.items[j].Less(h.items[i])
-	}
-	return h.items[i].Less(h.items[j])
-}
-
 func (h *nheap) Push(n Neighbor) {
 	h.items = append(h.items, n)
-	i := len(h.items) - 1
+	items, max := h.items, h.max
+	i := len(items) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h.less(i, p) {
+		if n.Less(items[p]) == max { // n does not go above its parent
 			break
 		}
-		h.items[i], h.items[p] = h.items[p], h.items[i]
+		items[i] = items[p]
 		i = p
 	}
+	items[i] = n
 }
 
 // Top returns the root without removing it.
@@ -51,25 +53,38 @@ func (h *nheap) Top() Neighbor { return h.items[0] }
 func (h *nheap) Pop() Neighbor {
 	top := h.items[0]
 	last := len(h.items) - 1
-	h.items[0] = h.items[last]
+	n := h.items[last]
 	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < last && h.less(l, best) {
-			best = l
-		}
-		if r < last && h.less(r, best) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		h.items[i], h.items[best] = h.items[best], h.items[i]
-		i = best
+	if last > 0 {
+		h.ReplaceTop(n)
 	}
 	return top
+}
+
+// ReplaceTop replaces the root with n and restores the heap with one
+// sift-down: Pop followed by Push(n) at half the work. On a full result set
+// (a max-heap bounded at ef) replacing the worst with a newcomer that is
+// Less than it keeps exactly what pushing the newcomer and popping the
+// worst would — and when the newcomer is not Less, that pair would pop the
+// newcomer itself, so the caller skips it.
+func (h *nheap) ReplaceTop(n Neighbor) {
+	items, max := h.items, h.max
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(items) {
+			break
+		}
+		if r := c + 1; r < len(items) && items[r].Less(items[c]) != max {
+			c = r
+		}
+		if items[c].Less(n) == max { // the upper child does not go above n
+			break
+		}
+		items[i] = items[c]
+		i = c
+	}
+	items[i] = n
 }
 
 func (h *nheap) Reset() { h.items = h.items[:0] }

@@ -10,6 +10,7 @@ package hnsw
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"ansmet/internal/stats"
@@ -35,9 +36,11 @@ func DefaultConfig() Config {
 	return Config{M: 16, MaxDegree: 16, EfConstruction: 500, Seed: 1}
 }
 
+// validate rejects parameters no graph can be built or grown with. M must be
+// at least 2: level assignment scales by 1/ln(M).
 func (c Config) validate() error {
-	if c.M <= 0 || c.MaxDegree < c.M/2 || c.EfConstruction <= 0 {
-		return fmt.Errorf("hnsw: invalid config %+v", c)
+	if c.M < 2 || c.MaxDegree < c.M/2 || c.EfConstruction <= 0 {
+		return fmt.Errorf("hnsw: invalid config %+v (need M >= 2, MaxDegree >= M/2, EfConstruction > 0)", c)
 	}
 	return nil
 }
@@ -48,15 +51,19 @@ type Index struct {
 	metric  vecmath.Metric
 	vectors [][]float32
 
-	levels    []int        // level of each node
-	neighbors [][][]uint32 // [node][level] -> neighbor ids
-	entry     uint32
-	maxLevel  int
+	levels   []int     // level of each node
+	adj      adjacency // the writer's current edge storage (blocks.go)
+	entry    uint32
+	maxLevel int
 
 	// live is non-nil once EnableMutation has been called; see mutate.go
 	// for the publication protocol. Nil keeps every path byte-identical
 	// to the immutable index.
 	live *liveState
+
+	// sel is connect's list-building scratch. Construction and mutation are
+	// single-writer, so one buffer serves.
+	sel []uint32
 
 	ctxPool sync.Pool // *searchContext, see context.go
 }
@@ -70,22 +77,34 @@ func Build(vectors [][]float32, metric vecmath.Metric, cfg Config) (*Index, erro
 		return nil, fmt.Errorf("hnsw: empty dataset")
 	}
 	ix := &Index{
-		cfg:       cfg,
-		metric:    metric,
-		vectors:   vectors,
-		levels:    make([]int, len(vectors)),
-		neighbors: make([][][]uint32, len(vectors)),
-		maxLevel:  -1,
+		cfg:     cfg,
+		metric:  metric,
+		vectors: vectors,
+		levels:  make([]int, len(vectors)),
+		adj: adjacency{
+			base:  blocks{stride: 1 + cfg.MaxDegree}.grown(len(vectors)),
+			upper: make([][][]uint32, len(vectors)),
+		},
+		maxLevel: -1,
 	}
 	rng := stats.NewRNG(cfg.Seed)
 	mL := 1 / math.Log(float64(cfg.M))
 	for i := range vectors {
 		lvl := int(-math.Log(1-rng.Float64()) * mL)
 		ix.levels[i] = lvl
-		ix.neighbors[i] = make([][]uint32, lvl+1)
+		ix.adj.upper[i] = upperLists(lvl)
 		ix.insert(uint32(i))
 	}
 	return ix, nil
+}
+
+// upperLists returns the empty adjacency lists of a node's levels >= 1: nil
+// for the level-0 majority.
+func upperLists(lvl int) [][]uint32 {
+	if lvl == 0 {
+		return nil
+	}
+	return make([][]uint32, lvl)
 }
 
 // dist is the construction-time comparison-space distance. Construction
@@ -138,7 +157,7 @@ func (ix *Index) insert(id uint32) {
 func (ix *Index) greedyLayer(q []float32, cur uint32, curDist float64, level int) (uint32, float64) {
 	for {
 		improved := false
-		for _, nb := range ix.neighborsAt(cur, level) {
+		for _, nb := range ix.adj.list(cur, level) {
 			d := ix.dist(nb, q)
 			if d < curDist {
 				cur, curDist = nb, d
@@ -173,18 +192,17 @@ func (ix *Index) searchLayerExact(q []float32, eps []Neighbor, ef, level int) []
 		if results.Len() >= ef && c.Dist > results.Top().Dist {
 			break
 		}
-		for _, nb := range ix.neighborsAt(c.ID, level) {
+		for _, nb := range ix.adj.list(c.ID, level) {
 			if visited.testAndSet(nb) {
 				continue
 			}
-			d := ix.dist(nb, q)
-			if results.Len() < ef || d < results.Top().Dist {
-				n := Neighbor{ID: nb, Dist: d}
+			n := Neighbor{ID: nb, Dist: ix.dist(nb, q)}
+			if results.Len() < ef {
 				cand.Push(n)
 				results.Push(n)
-				if results.Len() > ef {
-					results.Pop()
-				}
+			} else if n.Dist < results.Top().Dist {
+				cand.Push(n)
+				results.ReplaceTop(n)
 			}
 		}
 	}
@@ -238,42 +256,55 @@ func (ix *Index) selectHeuristic(q []float32, cands []Neighbor, m int) []Neighbo
 }
 
 // connect adds dst to src's neighbor list at level, pruning to MaxDegree
-// with the selection heuristic when the list overflows.
+// with the selection heuristic when the list overflows. The new list is
+// built in scratch and installed by setNeighbors, the one place a list is
+// written.
 func (ix *Index) connect(src, dst uint32, level int) {
 	if src == dst {
 		return
 	}
-	lst := ix.neighbors[src][level]
+	lst := ix.adj.list(src, level) // the writer reads its own lists unlocked
 	for _, n := range lst {
 		if n == dst {
 			return
 		}
 	}
-	if ix.live != nil {
-		ix.connectLive(src, dst, level, lst)
-		return
-	}
-	lst = append(lst, dst)
-	if len(lst) > ix.cfg.MaxDegree {
-		cands := make([]Neighbor, len(lst))
-		for i, n := range lst {
+	nl := append(append(ix.sel[:0], lst...), dst)
+	if len(nl) > ix.cfg.MaxDegree {
+		cands := make([]Neighbor, len(nl))
+		for i, n := range nl {
 			cands[i] = Neighbor{ID: n, Dist: ix.metric.SquaredDistance(ix.vectors[src], ix.vectors[n])}
 		}
 		sortNeighbors(cands)
 		sel := ix.selectHeuristic(ix.vectors[src], cands, ix.cfg.MaxDegree)
-		lst = lst[:0]
+		nl = nl[:0]
 		for _, s := range sel {
-			lst = append(lst, s.ID)
+			nl = append(nl, s.ID)
 		}
 	}
-	ix.neighbors[src][level] = lst
+	ix.sel = nl
+	ix.setNeighbors(src, level, nl)
 }
 
-func (ix *Index) neighborsAt(id uint32, level int) []uint32 {
-	if level >= len(ix.neighbors[id]) {
-		return nil
+// setNeighbors replaces id's list at level with a copy of nl (at most
+// MaxDegree ids): level 0 is rewritten in place in its block, an upper list
+// is swapped for a fresh one. On a live index the write happens under the
+// node's stripe lock, the lock every reader holds while it reads the list
+// (mutate.go has the argument).
+func (ix *Index) setNeighbors(id uint32, level int, nl []uint32) {
+	if level > 0 {
+		nl = slices.Clone(nl)
 	}
-	return ix.neighbors[id][level]
+	if ix.live != nil {
+		mu := &ix.live.stripes[id&stripeMask]
+		mu.Lock()
+		defer mu.Unlock()
+	}
+	if level == 0 {
+		setList(ix.adj.base.at(id), nl)
+	} else {
+		ix.adj.upper[id][level-1] = nl
+	}
 }
 
 // sortNeighbors sorts ascending by distance (insertion sort; lists are

@@ -1,0 +1,354 @@
+package hnsw
+
+import (
+	"math"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+
+	"ansmet/internal/dataset"
+	"ansmet/internal/engine"
+	"ansmet/internal/stats"
+	"ansmet/internal/trace"
+)
+
+// hiddenEngine is an engine seen through the Engine interface alone:
+// embedding the interface hides engine.Batcher (as any wrapper does), so a
+// search over it runs the per-id adapter. It counts its compares.
+type hiddenEngine struct {
+	engine.Engine
+	compares int
+}
+
+func (h *hiddenEngine) Compare(id uint32, th float64) engine.Result {
+	h.compares++
+	return h.Engine.Compare(id, th)
+}
+
+// referenceSearch is the beam search as it was before a hop became
+// gather-and-hint, one batch compare and one accept loop: one Compare per
+// id at the moment its result is used, the engine's verdict taken as is,
+// the result set bounded by push-then-pop. Kept as the reference the
+// traversal — batched or through the adapter, recorded or not — is
+// compared against: same results, same trace.
+func referenceSearch(ix *Index, q []float32, k, ef, batch int, filter func(uint32) bool, eng engine.Engine, rec *trace.Query) []Neighbor {
+	if ef < k {
+		ef = k
+	}
+	if filter == nil {
+		filter = alwaysAccept
+	}
+	v := ix.view()
+	var ctx searchContext
+	ctx.results.max = true
+	ctx.vis.reset(v.count)
+	eng.StartQuery(q)
+	entryRes := eng.Compare(v.entry, math.Inf(1))
+	rec.BeginHop(v.maxLevel)
+	rec.AddTask(trace.Task{ID: v.entry, Threshold: math.Inf(1), Result: entryRes})
+	rec.EndHop(2)
+	cur, curDist := v.entry, entryRes.Dist
+	for l := v.maxLevel; l >= 1; l-- {
+		for {
+			nbs := v.neighborsAt(cur, l, &ctx)
+			if len(nbs) == 0 {
+				break
+			}
+			rec.BeginHop(l)
+			improved := false
+			for _, nb := range nbs {
+				res := eng.Compare(nb, curDist)
+				rec.AddTask(trace.Task{ID: nb, Threshold: curDist, Result: res})
+				if res.Accepted && res.Dist < curDist {
+					cur, curDist = nb, res.Dist
+					improved = true
+				}
+			}
+			rec.EndHop(1 + len(nbs))
+			if !improved {
+				break
+			}
+		}
+	}
+	visited, cand, results := &ctx.vis, &ctx.cand, &ctx.results
+	visited.testAndSet(cur)
+	visited.testAndSet(v.entry)
+	start := Neighbor{ID: cur, Dist: curDist}
+	cand.Push(start)
+	if filter(start.ID) {
+		results.Push(start)
+	}
+	var ids []uint32
+	for cand.Len() > 0 {
+		ids = ids[:0]
+		converged := false
+		for popped := 0; popped < batch && cand.Len() > 0; popped++ {
+			c := cand.Pop()
+			if results.Len() >= ef && c.Dist > results.Top().Dist {
+				converged = popped == 0
+				break
+			}
+			for _, nb := range v.neighborsAt(c.ID, 0, &ctx) {
+				if !visited.testAndSet(nb) {
+					ids = append(ids, nb)
+				}
+			}
+		}
+		if converged {
+			break
+		}
+		if len(ids) == 0 {
+			continue
+		}
+		threshold := math.Inf(1)
+		if results.Len() >= ef {
+			threshold = results.Top().Dist
+		}
+		rec.BeginHop(0)
+		for _, nb := range ids {
+			res := eng.Compare(nb, threshold)
+			rec.AddTask(trace.Task{ID: nb, Threshold: threshold, Result: res})
+			if res.Accepted {
+				n := Neighbor{ID: nb, Dist: res.Dist}
+				cand.Push(n)
+				if filter(nb) {
+					results.Push(n)
+					if results.Len() > ef {
+						results.Pop()
+					}
+				}
+			}
+		}
+		rec.EndHop(2 + 2*len(ids))
+	}
+	out := make([]Neighbor, results.Len())
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = results.Pop()
+	}
+	if len(out) > k {
+		out = out[:k]
+	}
+	if rec != nil {
+		rec.ResultIDs = make([]uint32, len(out))
+		for i, n := range out {
+			rec.ResultIDs[i] = n.ID
+		}
+	}
+	return out
+}
+
+func sameNeighbors(t *testing.T, label string, got, want []Neighbor) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+			t.Fatalf("%s: result %d is %+v, want %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestHopMatchesPerIDReference: the batched hop (engine.Exact seen whole),
+// the adapter (the same engine with the capability hidden) and a recorded
+// search all return what the per-id reference loop returns, in ids and
+// distance bits, and the recorded trace lists the same hops, tasks,
+// thresholds and Results — on an immutable graph and on a live one after
+// inserts and a repair, at batch 1 and 8, with and without a filter.
+func TestHopMatchesPerIDReference(t *testing.T) {
+	odd := func(id uint32) bool { return id%2 == 1 }
+	for _, profile := range []string{"SIFT", "GloVe"} {
+		ds, live := buildLiveProfile(t, profile, 700, 500)
+		live.Repair([]uint32{11, 250, 610}, func(id uint32) bool { return id != 11 && id != 250 && id != 610 })
+		immutable, err := Build(ds.Vectors, ds.Profile.Metric, Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, ix := range map[string]*Index{"immutable": immutable, "live": live} {
+			exact := engine.NewExact(ds.Vectors, ds.Profile.Metric, ds.Profile.Elem)
+			for _, batch := range []int{1, 8} {
+				for _, ef := range []int{10, 64} {
+					for _, filter := range []func(uint32) bool{nil, odd} {
+						for qi, q := range ds.Queries {
+							label := profile + "/" + name
+							var wantRec, gotRec trace.Query
+							want := referenceSearch(ix, q, 10, ef, batch, filter, exact, &wantRec)
+							if len(want) != 10 {
+								t.Fatalf("%s q%d: reference returned %d results", label, qi, len(want))
+							}
+							sameNeighbors(t, label+" batched", ix.SearchFilteredInto(q, 10, ef, batch, filter, exact, nil, nil), want)
+							hidden := &hiddenEngine{Engine: exact}
+							sameNeighbors(t, label+" adapter", ix.SearchFilteredInto(q, 10, ef, batch, filter, hidden, nil, nil), want)
+							sameNeighbors(t, label+" recorded", ix.SearchFilteredInto(q, 10, ef, batch, filter, exact, &gotRec, nil), want)
+							if !reflect.DeepEqual(&gotRec, &wantRec) {
+								t.Fatalf("%s q%d batch=%d ef=%d: recorded trace differs from the per-id loop's (%d/%d hops, %d/%d tasks)",
+									label, qi, batch, ef, gotRec.NumHops(), wantRec.NumHops(), gotRec.TotalTasks(), wantRec.TotalTasks())
+							}
+							if hidden.compares != wantRec.TotalTasks() {
+								t.Fatalf("%s q%d: adapter issued %d compares, the per-id loop %d", label, qi, hidden.compares, wantRec.TotalTasks())
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHeapReplaceTopMatchesPushPop: on a bounded heap, "replace the root
+// when the newcomer goes below it, skip it otherwise" keeps what "push,
+// then pop the root" keeps — the same root after every step and the same
+// pop order at the end — on streams full of duplicate distances, where the
+// id breaks the tie, and on both heap orders.
+func TestHeapReplaceTopMatchesPushPop(t *testing.T) {
+	r := stats.NewRNG(9)
+	for _, max := range []bool{true, false} {
+		for _, bound := range []int{1, 2, 7, 64} {
+			pushPop, replace := &nheap{max: max}, &nheap{max: max}
+			var all []Neighbor
+			for i := 0; i < 2000; i++ {
+				// Five distinct distances: almost every comparison is a tie.
+				n := Neighbor{ID: uint32(r.Intn(500)), Dist: float64(r.Intn(5))}
+				all = append(all, n)
+				pushPop.Push(n)
+				if pushPop.Len() > bound {
+					pushPop.Pop()
+				}
+				switch {
+				case replace.Len() < bound:
+					replace.Push(n)
+				case max && n.Less(replace.Top()), !max && replace.Top().Less(n):
+					replace.ReplaceTop(n) // n goes below the root: the root leaves
+				}
+				if pushPop.Top() != replace.Top() {
+					t.Fatalf("max=%v bound=%d step %d: roots %+v and %+v", max, bound, i, pushPop.Top(), replace.Top())
+				}
+			}
+			// Model: the `bound` elements that sort last in pop order.
+			sort.Slice(all, func(i, j int) bool {
+				if max {
+					return all[j].Less(all[i])
+				}
+				return all[i].Less(all[j])
+			})
+			want := all[len(all)-bound:]
+			for i := 0; i < bound; i++ {
+				a, b := pushPop.Pop(), replace.Pop()
+				if a != b || a != want[i] {
+					t.Fatalf("max=%v bound=%d pop %d: %+v, %+v, model %+v", max, bound, i, a, b, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestNeighborsAppendDoesNotAlias: a level-0 list handed out by an immutable
+// index is a sub-slice of the node's block; appending to it must reallocate,
+// not write into the block's spare slots or the next node's count.
+func TestNeighborsAppendDoesNotAlias(t *testing.T) {
+	_, ix := buildSmall(t, "SIFT", 300, 40)
+	for id := uint32(0); id < 299; id++ {
+		lst := ix.Neighbors(id, 0)
+		if cap(lst) != len(lst) {
+			t.Fatalf("node %d: list of %d ids has capacity %d", id, len(lst), cap(lst))
+		}
+		own := append([]uint32(nil), lst...)
+		next := append([]uint32(nil), ix.Neighbors(id+1, 0)...)
+		grown := append(lst, 0xdead, 0xbeef)
+		_ = grown
+		if got := ix.Neighbors(id, 0); !reflect.DeepEqual(got, own) {
+			t.Fatalf("node %d: list changed under a caller's append: %v, was %v", id, got, own)
+		}
+		if got := ix.Neighbors(id+1, 0); !reflect.DeepEqual(got, next) {
+			t.Fatalf("node %d: a caller's append to node %d's list changed it: %v, was %v", id+1, id, got, next)
+		}
+	}
+	// The traversal's own view hands out the same clipped slices.
+	v := ix.view()
+	var ctx searchContext
+	if lst := v.neighborsAt(0, 0, &ctx); cap(lst) != len(lst) {
+		t.Fatalf("neighborsAt: list of %d ids has capacity %d", len(lst), cap(lst))
+	}
+}
+
+// TestLiveInsertAcrossChunkBoundaries searches while the single writer
+// inserts across two level-0 chunk boundaries (and repairs on the way): a
+// reader holding an older chunk table must never follow an edge into a
+// chunk it does not have, and under -race the in-place block writes must be
+// ordered with every reader's copy by the stripe locks.
+func TestLiveInsertAcrossChunkBoundaries(t *testing.T) {
+	const base, total = chunkNodes - 60, 2*chunkNodes + 60
+	p := dataset.ProfileByName("SIFT")
+	ds := dataset.Generate(p, total, 8, 13)
+	cfg := Config{M: 6, MaxDegree: 12, EfConstruction: 24, Seed: 3}
+	ix, err := Build(ds.Vectors[:base:base], p.Metric, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.EnableMutation()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// One reader through the batched hop, the others per id.
+			var eng engine.Engine = engine.NewExact(ds.Vectors, p.Metric, p.Elem)
+			if w > 0 {
+				eng = &hiddenEngine{Engine: eng}
+			}
+			var dst []Neighbor
+			for qi := w; ; qi++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				dst = ix.SearchFilteredInto(ds.Queries[qi%len(ds.Queries)], 10, 48, 8, nil, eng, nil, dst)
+				// No floor on len(dst): a traversal standing on a node whose
+				// lists Repair clears can come back short (ROADMAP item 3).
+				if len(dst) > 10 {
+					t.Errorf("search returned %d results", len(dst))
+					return
+				}
+				for _, r := range dst {
+					if int(r.ID) >= total || math.IsNaN(r.Dist) {
+						t.Errorf("bad result %+v", r)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	for i := base; i < total; i++ {
+		if id := ix.Insert(ds.Vectors[i]); id != uint32(i) {
+			t.Errorf("Insert %d returned id %d", i, id)
+			break
+		}
+		if i%211 == 0 {
+			d := uint32(i - 100)
+			ix.Repair([]uint32{d}, func(id uint32) bool { return id != d })
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	if got := len(ix.adj.base.chunks); got != 3 {
+		t.Fatalf("%d nodes span %d chunks, want 3", total, got)
+	}
+	for i := uint32(0); i < total; i++ {
+		for l := 0; l <= ix.Level(i); l++ {
+			nbs := ix.Neighbors(i, l)
+			if len(nbs) > cfg.MaxDegree {
+				t.Fatalf("node %d level %d degree %d > %d", i, l, len(nbs), cfg.MaxDegree)
+			}
+			for _, nb := range nbs {
+				if int(nb) >= total || nb == i {
+					t.Fatalf("node %d level %d has edge to %d", i, l, nb)
+				}
+			}
+		}
+	}
+}

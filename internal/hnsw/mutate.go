@@ -7,11 +7,15 @@ package hnsw
 // the hot path except for per-node stripe mutexes taken only while copying
 // one neighbor list.
 //
-// The publication protocol is RCU-style with three atomics:
+// Publication protocol. It is RCU-style with three atomics:
 //
-//	arrays — *nodeArrays holding the vectors/levels/neighbors slice
-//	         headers. Republished on every insert (appends may grow the
-//	         backing arrays; old readers keep the old, shorter headers).
+//	arrays — *nodeArrays holding the vectors/levels/upper slice headers
+//	         and the level-0 chunk table. Republished on every insert
+//	         (appends may grow the backing arrays; old readers keep the
+//	         old, shorter headers). A level-0 chunk is allocated whole and
+//	         only ever appended to the table, so a block a reader reached
+//	         through any published table is the block the writer writes:
+//	         it never moves.
 //	count  — the number of fully-initialized nodes. A node's vector,
 //	         level and (empty) neighbor lists are written before count
 //	         publishes it, so count.Load() is a safe upper bound on the
@@ -20,21 +24,29 @@ package hnsw
 //	         word so they are always read consistently.
 //
 // Writer order:  write node → publish arrays → publish count → link
-// edges (stripe-locked list swaps) → publish epoch.
+// edges (stripe-locked list writes) → publish epoch.
 // Reader order:  load epoch → load count → load arrays. The acquire on
 // epoch makes the preceding count store visible, so entry < count, and
 // the acquire on count makes the preceding arrays store visible, so
 // len(arrays) >= count. Edges linked to nodes beyond a reader's count
 // snapshot are filtered out during the stripe-locked list copy.
 //
-// Neighbor lists of published nodes are never mutated in place: connect
-// and removeEdge build a fresh list and swap the slice header under the
-// node's stripe lock, which readers also hold while copying the list into
-// pooled scratch. In-place pruning (the lst[:0] reuse of the immutable
-// build path) would tear lists under a concurrent copy.
+// A published node's lists change only under the node's stripe lock
+// (setNeighbors), and a live reader reads a list only under that same lock,
+// copying it into pooled scratch before it uses it (liveView.neighborsAt;
+// Stats and Neighbors likewise). That is what makes rewriting a level-0
+// block in place sound: no reader ever holds a reference into a live block
+// outside the lock, so it sees the list before the write or after it, never
+// a count from one and ids from the other. The lock-free sub-slice of a
+// block is handed out on an immutable index only, where nothing writes.
+// Upper-level lists keep the older discipline — a fresh list, its header
+// swapped under the lock — because they are separately allocated anyway.
+// The writer reads its own lists without the lock: it is the only one who
+// writes them.
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -46,9 +58,14 @@ const (
 
 // nodeArrays is one RCU publication of the index's node storage.
 type nodeArrays struct {
-	vectors   [][]float32
-	levels    []int
-	neighbors [][][]uint32
+	vectors [][]float32
+	levels  []int
+	adj     adjacency
+}
+
+// publish makes the writer's current node storage the one readers load.
+func (ix *Index) publish() {
+	ix.live.arrays.Store(&nodeArrays{vectors: ix.vectors, levels: ix.levels, adj: ix.adj})
 }
 
 // liveState is the concurrent-mutation state of a live index.
@@ -75,11 +92,10 @@ func (ix *Index) EnableMutation() {
 	if ix.live != nil {
 		return
 	}
-	live := &liveState{}
-	live.arrays.Store(&nodeArrays{vectors: ix.vectors, levels: ix.levels, neighbors: ix.neighbors})
-	live.count.Store(int64(len(ix.vectors)))
-	live.epoch.Store(packEpoch(ix.entry, ix.maxLevel))
-	ix.live = live
+	ix.live = &liveState{}
+	ix.publish()
+	ix.live.count.Store(int64(len(ix.vectors)))
+	ix.live.epoch.Store(packEpoch(ix.entry, ix.maxLevel))
 }
 
 // Live reports whether the index accepts mutation.
@@ -113,10 +129,11 @@ func (ix *Index) Insert(vec []float32) uint32 {
 	lvl := levelFor(ix.cfg.Seed, id, 1/math.Log(float64(ix.cfg.M)))
 	ix.vectors = append(ix.vectors, vec)
 	ix.levels = append(ix.levels, lvl)
-	ix.neighbors = append(ix.neighbors, make([][]uint32, lvl+1))
-	ix.live.arrays.Store(&nodeArrays{vectors: ix.vectors, levels: ix.levels, neighbors: ix.neighbors})
+	ix.adj.upper = append(ix.adj.upper, upperLists(lvl))
+	ix.adj.base = ix.adj.base.grown(len(ix.vectors)) // a new chunk every chunkNodes inserts
+	ix.publish()
 	ix.live.count.Store(int64(id) + 1)
-	ix.insert(id) // links edges; connect swaps lists under stripe locks
+	ix.insert(id) // links edges; setNeighbors writes lists under stripe locks
 	ix.live.epoch.Store(packEpoch(ix.entry, ix.maxLevel))
 	return id
 }
@@ -148,8 +165,8 @@ func (ix *Index) Repair(deleted []uint32, alive func(uint32) bool) {
 		if !dead[d] {
 			continue
 		}
-		for l := len(ix.neighbors[d]) - 1; l >= 0; l-- {
-			nbs := ix.neighbors[d][l]
+		for l := ix.levels[d]; l >= 0; l-- {
+			nbs := ix.adj.list(d, l)
 			keep := make([]uint32, 0, len(nbs))
 			for _, n := range nbs {
 				if !dead[n] && (alive == nil || alive(n)) {
@@ -167,31 +184,19 @@ func (ix *Index) Repair(deleted []uint32, alive func(uint32) bool) {
 	// HNSW edges are not symmetric, so in-edges to a deleted node can come
 	// from anywhere: sweep every adjacency list once, dropping dead ids.
 	// Batched deferred repair amortizes this O(nodes·degree) pass.
-	for i := range ix.neighbors {
-		if dead[uint32(i)] {
+	isDead := func(n uint32) bool { return dead[n] }
+	for i, lvl := range ix.levels {
+		id := uint32(i)
+		if dead[id] {
 			continue
 		}
-		for l, lst := range ix.neighbors[i] {
-			hit := false
-			for _, n := range lst {
-				if dead[n] {
-					hit = true
-					break
-				}
-			}
-			if !hit {
+		for l := 0; l <= lvl; l++ {
+			lst := ix.adj.list(id, l)
+			if !slices.ContainsFunc(lst, isDead) {
 				continue
 			}
-			nl := make([]uint32, 0, len(lst)-1)
-			for _, n := range lst {
-				if !dead[n] {
-					nl = append(nl, n)
-				}
-			}
-			mu := &ix.live.stripes[uint32(i)&stripeMask]
-			mu.Lock()
-			ix.neighbors[i][l] = nl
-			mu.Unlock()
+			ix.sel = slices.DeleteFunc(append(ix.sel[:0], lst...), isDead)
+			ix.setNeighbors(id, l, ix.sel)
 		}
 	}
 	// Finally clear the deleted nodes' own lists.
@@ -199,79 +204,47 @@ func (ix *Index) Repair(deleted []uint32, alive func(uint32) bool) {
 		if !dead[d] {
 			continue
 		}
-		for l := range ix.neighbors[d] {
-			mu := &ix.live.stripes[d&stripeMask]
-			mu.Lock()
-			ix.neighbors[d][l] = nil
-			mu.Unlock()
+		for l := 0; l <= ix.levels[d]; l++ {
+			ix.setNeighbors(d, l, nil)
 		}
 	}
-}
-
-// connectLive is connect's mutation tail for a live index: the published
-// list is never touched in place; a fresh list is built (appended, pruned
-// if overflowing) and the header swapped under src's stripe lock.
-func (ix *Index) connectLive(src, dst uint32, level int, lst []uint32) {
-	nl := make([]uint32, len(lst), len(lst)+1)
-	copy(nl, lst)
-	nl = append(nl, dst)
-	if len(nl) > ix.cfg.MaxDegree {
-		cands := make([]Neighbor, len(nl))
-		for i, n := range nl {
-			cands[i] = Neighbor{ID: n, Dist: ix.metric.SquaredDistance(ix.vectors[src], ix.vectors[n])}
-		}
-		sortNeighbors(cands)
-		sel := ix.selectHeuristic(ix.vectors[src], cands, ix.cfg.MaxDegree)
-		nl = nl[:0]
-		for _, s := range sel {
-			nl = append(nl, s.ID)
-		}
-	}
-	mu := &ix.live.stripes[src&stripeMask]
-	mu.Lock()
-	ix.neighbors[src][level] = nl
-	mu.Unlock()
 }
 
 // liveView is one search's consistent snapshot of the graph: routing
-// state, the id visibility bound, and the node arrays backing it.
+// state, the id visibility bound, and the edge storage backing it.
 type liveView struct {
-	entry     uint32
-	maxLevel  int
-	count     int
-	neighbors [][][]uint32
-	live      *liveState // nil: immutable index, direct reads
+	entry    uint32
+	maxLevel int
+	count    int
+	adj      adjacency
+	live     *liveState // nil: immutable index, direct reads
 }
 
 // view captures a consistent snapshot for one traversal. On an immutable
 // index this is a plain struct fill — no atomics, no behavior change.
 func (ix *Index) view() liveView {
 	if ix.live == nil {
-		return liveView{entry: ix.entry, maxLevel: ix.maxLevel, count: len(ix.vectors), neighbors: ix.neighbors}
+		return liveView{entry: ix.entry, maxLevel: ix.maxLevel, count: len(ix.vectors), adj: ix.adj}
 	}
 	entry, maxLevel := unpackEpoch(ix.live.epoch.Load())
 	n := int(ix.live.count.Load())
 	arr := ix.live.arrays.Load()
-	return liveView{entry: entry, maxLevel: maxLevel, count: n, neighbors: arr.neighbors, live: ix.live}
+	return liveView{entry: entry, maxLevel: maxLevel, count: n, adj: arr.adj, live: ix.live}
 }
 
 // neighborsAt returns the adjacency list of id at level. Immutable: the
-// list itself. Live: a stripe-locked copy into ctx.nbuf with ids at or
-// beyond the view's count bound filtered out (they were linked by inserts
-// newer than this snapshot); the returned slice is valid until the next
-// neighborsAt call on the same ctx.
+// list itself, in place. Live: a stripe-locked copy into ctx.nbuf with ids
+// at or beyond the view's count bound filtered out (they were linked by
+// inserts newer than this snapshot); the returned slice is valid until the
+// next neighborsAt call on the same ctx.
 func (v *liveView) neighborsAt(id uint32, level int, ctx *searchContext) []uint32 {
-	nbs := v.neighbors[id]
-	if level >= len(nbs) {
-		return nil
-	}
 	if v.live == nil {
-		return nbs[level]
+		return v.adj.list(id, level)
 	}
 	buf := ctx.nbuf[:0]
 	mu := &v.live.stripes[id&stripeMask]
 	mu.Lock()
-	for _, nb := range nbs[level] {
+	for _, nb := range v.adj.list(id, level) {
 		if int(nb) < v.count {
 			buf = append(buf, nb)
 		}

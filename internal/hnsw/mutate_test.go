@@ -10,11 +10,17 @@ import (
 	"ansmet/internal/engine"
 )
 
-// buildLive builds an index over the first `base` of n vectors and inserts
-// the rest live, returning the dataset and the index.
+// buildLive builds an index over the first `base` of n SIFT vectors and
+// inserts the rest live, returning the dataset and the index.
 func buildLive(t *testing.T, n, base int) (*dataset.Dataset, *Index) {
 	t.Helper()
-	p := dataset.ProfileByName("SIFT")
+	return buildLiveProfile(t, "SIFT", n, base)
+}
+
+// buildLiveProfile is buildLive over a named dataset profile.
+func buildLiveProfile(t *testing.T, profile string, n, base int) (*dataset.Dataset, *Index) {
+	t.Helper()
+	p := dataset.ProfileByName(profile)
 	ds := dataset.Generate(p, n, 20, 42)
 	cfg := Config{M: 8, MaxDegree: 16, EfConstruction: 100, Seed: 1}
 	// Full-capacity slicing so live appends never write into the shared

@@ -94,6 +94,13 @@ func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batc
 	ctx := ix.getCtx(v.count)
 	defer ix.putCtx(ctx)
 	eng.StartQuery(q)
+	// The batch capability, discovered once. A recorded search needs a
+	// Result per task, so it compares id by id whatever the engine.
+	bat, _ := eng.(engine.Batcher)
+	if rec != nil {
+		bat = nil
+	}
+	dist := ctx.dist
 
 	// Entry comparison (threshold ∞: always accepted, full fetch).
 	entryRes := eng.Compare(v.entry, math.Inf(1))
@@ -126,14 +133,30 @@ func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batc
 			if rec != nil {
 				rec.BeginHop(l)
 			}
-			improved := false
-			for _, nb := range nbs {
-				res := eng.Compare(nb, curDist)
-				if rec != nil {
-					rec.AddTask(trace.Task{ID: nb, Threshold: curDist, Result: res})
+			if bat != nil {
+				for _, nb := range nbs {
+					bat.Hint(nb)
 				}
-				if res.Accepted && res.Dist < curDist {
-					cur, curDist = nb, res.Dist
+				dist = bat.Distances(nbs, dist[:0])
+			}
+			improved := false
+			for i, nb := range nbs {
+				// Without the capability each neighbor is compared against
+				// the running best, as the hardware task would be.
+				d := rejected
+				if bat != nil {
+					d = dist[i]
+				} else {
+					res := eng.Compare(nb, curDist)
+					if rec != nil {
+						rec.AddTask(trace.Task{ID: nb, Threshold: curDist, Result: res})
+					}
+					if res.Accepted {
+						d = res.Dist
+					}
+				}
+				if d < curDist {
+					cur, curDist = nb, d
 					improved = true
 				}
 			}
@@ -192,6 +215,9 @@ func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batc
 			for _, nb := range v.neighborsAt(c.ID, 0, ctx) {
 				if !visited.testAndSet(nb) {
 					ids = append(ids, nb)
+					if bat != nil {
+						bat.Hint(nb)
+					}
 				}
 			}
 		}
@@ -205,30 +231,36 @@ func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batc
 		if results.Len() >= ef {
 			threshold = results.Top().Dist
 		}
-		if rec != nil {
-			rec.BeginHop(0)
+		// Compare phase: the hop's distances land in dist, from one batch
+		// call over rows already hinted or, without the capability, from a
+		// Compare per id whose verdict the adapter has already applied — so
+		// there the accept test below admits everything but a rejection.
+		admit := threshold
+		if bat != nil {
+			dist = bat.Distances(ids, dist[:0])
+		} else {
+			dist = compareEach(eng, rec, ids, threshold, dist[:0])
+			admit = math.Inf(1)
 		}
-		for _, nb := range ids {
-			res := eng.Compare(nb, threshold)
-			if rec != nil {
-				rec.AddTask(trace.Task{ID: nb, Threshold: threshold, Result: res})
+		for i, nb := range ids {
+			d := dist[i]
+			if !(d <= admit) {
+				continue
 			}
-			if res.Accepted {
-				n := Neighbor{ID: nb, Dist: res.Dist}
-				cand.Push(n)
-				if filter(nb) {
-					results.Push(n)
-					if results.Len() > ef {
-						results.Pop()
-					}
-				}
+			n := Neighbor{ID: nb, Dist: d}
+			cand.Push(n)
+			if !filter(nb) {
+				continue
 			}
-		}
-		if rec != nil {
-			rec.EndHop(2 + 2*len(ids))
+			if results.Len() < ef {
+				results.Push(n)
+			} else if n.Less(results.Top()) {
+				results.ReplaceTop(n)
+			}
 		}
 	}
-	ctx.ids = ids // keep any capacity growth for the next query
+	// Keep any capacity growth for the next query.
+	ctx.ids, ctx.dist = ids, dist
 
 	n := results.Len()
 	out := dst[:0]
@@ -250,6 +282,36 @@ func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batc
 	return out, cancelled
 }
 
+// rejected is what compareEach stores for a comparison the engine rejected:
+// a value no threshold admits, +Inf included.
+var rejected = math.NaN()
+
+// compareEach is the per-id adapter of the compare phase for an engine
+// without engine.Batcher (or a recorded search): one Compare per id at the
+// hop's threshold, in order, recorded as one hop of tasks when rec is
+// non-nil. An accepted comparison stores its distance, a rejected one
+// `rejected`.
+func compareEach(eng engine.Engine, rec *trace.Query, ids []uint32, threshold float64, dst []float64) []float64 {
+	if rec != nil {
+		rec.BeginHop(0)
+	}
+	for _, id := range ids {
+		res := eng.Compare(id, threshold)
+		if rec != nil {
+			rec.AddTask(trace.Task{ID: id, Threshold: threshold, Result: res})
+		}
+		d := rejected
+		if res.Accepted {
+			d = res.Dist
+		}
+		dst = append(dst, d)
+	}
+	if rec != nil {
+		rec.EndHop(2 + 2*len(ids))
+	}
+	return dst
+}
+
 // Stats summarizes the built graph.
 type Stats struct {
 	Nodes     int
@@ -268,15 +330,9 @@ func (ix *Index) Stats() Stats {
 	s.LevelPop = make([]int, v.maxLevel+1)
 	levels := ix.viewLevels(&v)
 	deg := 0
+	var ctx searchContext // Stats is not a hot path: no pooling
 	for i := 0; i < v.count; i++ {
-		if v.live != nil {
-			mu := &v.live.stripes[uint32(i)&stripeMask]
-			mu.Lock()
-			deg += len(v.neighbors[i][0])
-			mu.Unlock()
-		} else {
-			deg += len(v.neighbors[i][0])
-		}
+		deg += len(v.neighborsAt(uint32(i), 0, &ctx))
 		for l := 0; l <= levels[i] && l <= v.maxLevel; l++ {
 			s.LevelPop[l]++
 		}
@@ -341,26 +397,17 @@ func (ix *Index) Level(id uint32) int {
 }
 
 // Neighbors exposes the adjacency list of id at the given level. On an
-// immutable index the returned slice is the live one (read-only); on a
-// mutable index it is a stripe-locked copy. Out-of-range ids or levels
-// return nil.
+// immutable index the returned slice is the stored one (read-only, and
+// clipped so an append reallocates); on a mutable index it is a
+// stripe-locked copy of the ids published when it was taken. Out-of-range
+// ids or levels return nil.
 func (ix *Index) Neighbors(id uint32, level int) []uint32 {
 	v := ix.view()
 	if int(id) >= v.count || level < 0 {
 		return nil
 	}
-	nbs := v.neighbors[id]
-	if level >= len(nbs) {
-		return nil
-	}
-	if v.live == nil {
-		return nbs[level]
-	}
-	mu := &v.live.stripes[id&stripeMask]
-	mu.Lock()
-	out := append([]uint32(nil), nbs[level]...)
-	mu.Unlock()
-	return out
+	var ctx searchContext
+	return v.neighborsAt(id, level, &ctx)
 }
 
 // Size returns the number of indexed (published) vectors.

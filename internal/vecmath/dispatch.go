@@ -32,6 +32,17 @@ const NoSIMDEnv = "ANSMET_NO_SIMD"
 // names fall back to the automatic choice.
 const SIMDEnv = "ANSMET_SIMD"
 
+// prefetchLines is how many 64 B lines of a row Prefetch asks for. A beam
+// hop knows every row it will compare before it compares the first, so the
+// traversal hints them all and the kernel then runs over lines already on
+// their way (DESIGN.md, "Hot-path performance"). The depth is a constant,
+// not a knob, picked from the sweep recorded in EXPERIMENTS.md, "Traversal
+// locality": on 8-line rows (SIFT, dim 128) the whole row wins — 8 lines
+// are 2–9 % ahead of 4 and 10 % ahead of 2 — and on 60-line rows (GIST,
+// dim 960), where the hardware streamer takes over after the first lines,
+// 2 to 4 lines are 4 % ahead of 8 while 8 still is not behind no hint.
+const prefetchLines = 8
+
 // Impl bundles one complete implementation of the hot kernels, as selected
 // by the dispatch table. The exported methods apply the same input
 // validation as the package-level kernels, so tests can run any

@@ -120,3 +120,9 @@ func blockSumsTotalDispatch(contrib, blockSums []float64, firstBlk, lastBlk int)
 	}
 	return scalarBlockSumsTotal(contrib, blockSums, firstBlk, lastBlk)
 }
+
+// Prefetch asks the memory system for the first prefetchLines lines of a
+// row the caller is about to hand to a distance kernel (see prefetchLines
+// in dispatch.go). It is a hint at every kernel level — PREFETCHT0 is
+// baseline amd64 — and changes no result.
+func Prefetch(v []float32) { prefetchT0(v, prefetchLines) }

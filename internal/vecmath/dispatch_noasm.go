@@ -22,3 +22,7 @@ func blockSumDispatch(terms []float64) float64 { return scalarBlockSum(terms) }
 func blockSumsTotalDispatch(contrib, blockSums []float64, firstBlk, lastBlk int) float64 {
 	return scalarBlockSumsTotal(contrib, blockSums, firstBlk, lastBlk)
 }
+
+// Prefetch is a no-op without assembly: the portable build has no prefetch
+// instruction to issue, and a hint may always be dropped.
+func Prefetch(v []float32) {}

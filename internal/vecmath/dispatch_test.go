@@ -289,3 +289,26 @@ func TestKernelMismatchPanics(t *testing.T) {
 		t.Errorf("Dot(empty) = %v, want 0", got)
 	}
 }
+
+// TestPrefetchIsHarmless: Prefetch is a hint — on every build it accepts any
+// row (nil, empty, shorter than a line, unaligned, longer than the depth),
+// touches nothing past the row's end that could fault, and changes no value.
+func TestPrefetchIsHarmless(t *testing.T) {
+	Prefetch(nil)
+	Prefetch([]float32{})
+	row := make([]float32, 16*prefetchLines*3)
+	for i := range row {
+		row[i] = float32(i)
+	}
+	for _, n := range []int{1, 15, 16, 17, 16 * prefetchLines, len(row) - 2} {
+		for off := 0; off < 3; off++ {
+			Prefetch(row[off : off+n])
+		}
+	}
+	Prefetch(row[len(row)-1:]) // the last element of the allocation
+	for i, x := range row {
+		if x != float32(i) {
+			t.Fatalf("row[%d] = %v after prefetching", i, x)
+		}
+	}
+}

@@ -20,3 +20,9 @@ func blockSumAVX2(terms []float64) float64
 
 //go:noescape
 func blockSumsTotalAVX2(contrib, blockSums []float64, firstBlk, lastBlk int) float64
+
+// prefetchT0 issues PREFETCHT0 over the first `lines` cache lines of v (or
+// the whole row when it is shorter). See Prefetch.
+//
+//go:noescape
+func prefetchT0(v []float32, lines int)

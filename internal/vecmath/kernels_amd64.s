@@ -240,3 +240,26 @@ bsttdone:
 	VMOVSD     X0, ret+64(FP)
 	VZEROUPPER
 	RET
+
+// func prefetchT0(v []float32, lines int)
+//
+// Asks for the first `lines` 64 B lines of v, never past its end: a hint,
+// no architectural effect, no fault on any address.
+TEXT ·prefetchT0(SB), NOSPLIT, $0-32
+	MOVQ v_base+0(FP), SI
+	MOVQ v_len+8(FP), CX
+	MOVQ lines+24(FP), DX
+	LEAQ (SI)(CX*4), DI    // end of the row
+
+pfloop:
+	CMPQ  SI, DI
+	JAE   pfdone
+	TESTQ DX, DX
+	JLE   pfdone
+	PREFETCHT0 (SI)
+	ADDQ  $64, SI
+	DECQ  DX
+	JMP   pfloop
+
+pfdone:
+	RET

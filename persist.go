@@ -118,10 +118,6 @@ func (db *Database) Save(w io.Writer) error {
 // saveLocked is Save's body; callers hold db.mu (a no-op lock on an
 // immutable database).
 func (db *Database) saveLocked(w io.Writer) error {
-	cw := &crcWriter{w: w, crc: crc32.New(castagnoli)}
-	if _, err := cw.Write(snapshotHeader); err != nil {
-		return fmt.Errorf("ansmet: writing snapshot header: %w", err)
-	}
 	snap := dbSnapshot{
 		Magic:   snapshotMagic,
 		Metric:  db.opts.Metric,
@@ -140,7 +136,17 @@ func (db *Database) saveLocked(w io.Writer) error {
 		}
 		snap.RepairEvery = db.opts.RepairEvery
 	}
-	if err := gob.NewEncoder(cw).Encode(&snap); err != nil {
+	return writeSnapshot(w, &snap)
+}
+
+// writeSnapshot writes the file image of snap: raw header, gob stream,
+// CRC32C integrity footer.
+func writeSnapshot(w io.Writer, snap *dbSnapshot) error {
+	cw := &crcWriter{w: w, crc: crc32.New(castagnoli)}
+	if _, err := cw.Write(snapshotHeader); err != nil {
+		return fmt.Errorf("ansmet: writing snapshot header: %w", err)
+	}
+	if err := gob.NewEncoder(cw).Encode(snap); err != nil {
 		return fmt.Errorf("ansmet: encoding snapshot: %w", err)
 	}
 	footer := make([]byte, snapshotFooterLen)

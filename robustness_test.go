@@ -142,6 +142,9 @@ func FuzzLoad(f *testing.F) {
 	mutated := append([]byte(nil), valid...)
 	mutated[len(mutated)/3] ^= 0xff
 	f.Add(mutated)
+	for _, c := range craftedGraphs(f) { // checksum-valid, graph invalid
+		f.Add(c.image)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := Load(bytes.NewReader(data), nil)

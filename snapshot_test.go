@@ -10,7 +10,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"ansmet/internal/hnsw"
 )
 
 // validSnapshot returns the bytes of a freshly saved tiny database.
@@ -22,6 +25,62 @@ func validSnapshot(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// craftedGraph is a checksum-valid snapshot whose graph lies about itself,
+// and what the refusal must name.
+type craftedGraph struct {
+	name  string
+	image []byte
+	want  string // substring of Load's error
+}
+
+// craftedGraphs re-encodes the tiny database's snapshot with one graph field
+// changed each — files the integrity footer vouches for, so only
+// hnsw.FromSnapshot stands between them and a serving index: a level-0 list
+// longer than Cfg.MaxDegree, a MaxLevel that is not the entry node's level,
+// and a Cfg a live Insert cannot use.
+func craftedGraphs(t testing.TB) []craftedGraph {
+	t.Helper()
+	payload, err := verifySnapshotBytes(validSnapshot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	craft := func(name, want string, corrupt func(g *hnsw.Snapshot)) craftedGraph {
+		snap, err := decodeSnapshot(bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(snap.Graph)
+		var buf bytes.Buffer
+		if err := writeSnapshot(&buf, &snap); err != nil {
+			t.Fatal(err)
+		}
+		return craftedGraph{name, buf.Bytes(), want}
+	}
+	return []craftedGraph{
+		craft("long level-0 list", "node 5 level 0 has 40 neighbors, Cfg.MaxDegree is 16", func(g *hnsw.Snapshot) {
+			g.Neighbors[5][0] = make([]uint32, 40)
+		}),
+		craft("unchecked MaxLevel", "MaxLevel 1073741824", func(g *hnsw.Snapshot) { g.MaxLevel = 1 << 30 }),
+		craft("M = 1", "snapshot Cfg: hnsw: invalid config", func(g *hnsw.Snapshot) { g.Cfg.M = 1 }),
+	}
+}
+
+// TestLoadRefusesCraftedGraphs: each crafted file fails Load with an error
+// naming the field, and the same database still loads uncrafted.
+func TestLoadRefusesCraftedGraphs(t *testing.T) {
+	for _, c := range craftedGraphs(t) {
+		db, err := Load(bytes.NewReader(c.image), nil)
+		if err == nil || db != nil {
+			t.Errorf("%s: loaded (err %v)", c.name, err)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name %q", c.name, err, c.want)
+		}
+	}
+	if _, err := Load(bytes.NewReader(validSnapshot(t)), nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSaveFileLoadFileRoundTrip(t *testing.T) {
