@@ -24,6 +24,13 @@
 //	GET  /v1/ready   readiness (503 while draining)
 //	GET  /debug/vars serving + admission (+ cluster) counters, JSON
 //
+// A /v1/search or /v1/upsert body in canonical form (one object, the keys
+// above in lower case and any order, plain JSON numbers, no string escapes)
+// is decoded in one pass without reflection; every other body, malformed
+// ones included, is decoded by encoding/json, so its verdict and its error
+// text are the only ones a client sees. "wire_fallbacks" in the serve
+// section of /debug/vars counts the bodies that took the second path.
+//
 // Usage:
 //
 //	ansmet-serve -db snapshot.db                 # serve a SaveFile snapshot

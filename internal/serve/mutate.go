@@ -2,9 +2,7 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 )
@@ -21,7 +19,8 @@ import (
 // UpsertFunc applies an insert (hasID false: the backend assigns the id)
 // or an in-place replacement (hasID true) and returns the id now holding
 // the vector. The returned id differs from the given one on replacement —
-// updates are add-new-tombstone-old underneath.
+// updates are add-new-tombstone-old underneath. vec is the callee's:
+// allocated per request and never reused by serve (see SearchFunc).
 type UpsertFunc func(ctx context.Context, id uint32, hasID bool, vec []float32) (uint32, error)
 
 // DeleteFunc tombstones an id.
@@ -56,11 +55,15 @@ type DeleteResponse struct {
 }
 
 func (s *Server) handleUpsert(w http.ResponseWriter, r *http.Request) {
-	s.metrics.Requests.Add(1)
 	var req UpsertRequest
-	if !s.admitMutation(w, r, &req) {
+	buf, release := s.admit(w, r, &req)
+	if buf == nil {
 		return
 	}
+	// The slot is held across the apply: -concurrency and the queue bound
+	// concurrent journalled writes as they bound searches.
+	defer release()
+	putBuf(buf) // the vector was copied out of it
 	if len(req.Vector) == 0 {
 		s.metrics.BadRequests.Add(1)
 		writeJSON(w, http.StatusBadRequest, UpsertResponse{Error: "missing vector"})
@@ -85,11 +88,13 @@ func (s *Server) handleUpsert(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	s.metrics.Requests.Add(1)
 	var req DeleteRequest
-	if !s.admitMutation(w, r, &req) {
+	buf, release := s.admit(w, r, &req)
+	if buf == nil {
 		return
 	}
+	defer release()
+	putBuf(buf)
 	if req.ID == nil {
 		s.metrics.BadRequests.Add(1)
 		writeJSON(w, http.StatusBadRequest, DeleteResponse{Error: "missing id"})
@@ -103,49 +108,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.Deletes.Add(1)
 	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: true})
-}
-
-// admitMutation runs the shared front half of both mutation handlers —
-// drain refusal, admission, body limit, JSON decode — reporting whether
-// the handler should proceed. Mirrors handleSearch exactly so the two
-// request classes shed and drain under one policy.
-func (s *Server) admitMutation(w http.ResponseWriter, r *http.Request, req any) bool {
-	if s.draining.Load() {
-		s.metrics.Draining.Add(1)
-		w.Header().Set("Connection", "close")
-		writeJSON(w, http.StatusServiceUnavailable, SearchResponse{Error: "server draining"})
-		return false
-	}
-	release, err := s.adm.Acquire(r.Context())
-	if err != nil {
-		var oe *OverloadError
-		if errors.As(err, &oe) {
-			s.metrics.Shed.Add(1)
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSecs(oe.RetryAfter)))
-			writeJSON(w, http.StatusTooManyRequests, SearchResponse{Error: oe.Reason.Error()})
-			return false
-		}
-		s.metrics.ClientCancels.Add(1)
-		return false
-	}
-	// Admission releases when the handler finishes; mutations are quick
-	// (one journaled write), so holding the slot across the body read and
-	// the apply keeps the accounting honest without starving searches.
-	defer release()
-
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
-		s.metrics.BadRequests.Add(1)
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				SearchResponse{Error: fmt.Sprintf("body exceeds %d bytes", mbe.Limit)})
-			return false
-		}
-		writeJSON(w, http.StatusBadRequest, SearchResponse{Error: "malformed JSON: " + err.Error()})
-		return false
-	}
-	return true
 }
 
 // mutationCtx builds the per-request deadline context, tied to the server

@@ -19,6 +19,12 @@ import (
 // SearchEfCtx family does). On context expiry it may return partial
 // results alongside an error matching context.DeadlineExceeded /
 // context.Canceled via errors.Is.
+//
+// Ownership, for this and every other hook that takes a vector
+// (OutcomeFunc, RoutedFunc, PrecisionFunc, UpsertFunc): q is the callee's.
+// serve allocates it per request and never reads, writes or reuses it after
+// the call, so a hook may retain it past its return — a sharded backend's
+// abandoned stragglers do.
 type SearchFunc func(ctx context.Context, q []float32, k, ef int) ([]hnsw.Neighbor, error)
 
 // Outcome is the degradation-aware result an OutcomeFunc returns: the
@@ -42,20 +48,22 @@ type Outcome struct {
 // result carries degradation metadata so the HTTP layer can surface
 // partial results honestly (X-ANSMET-Partial header, "partial"/"faults"
 // response fields) instead of presenting a degraded answer as a complete
-// one.
+// one. q is the callee's (see SearchFunc).
 type OutcomeFunc func(ctx context.Context, q []float32, k, ef int) (Outcome, error)
 
 // RoutedFunc is the route-aware search hook, used for requests that name a
 // "mode": one of the engine.Route names ("auto", "host", "ndp", "tiered",
 // "exact"). mode is pre-validated by the handler through engine.ParseRoute;
-// the Outcome's Route field should report the path actually taken.
+// the Outcome's Route field should report the path actually taken. q is the
+// callee's (see SearchFunc).
 type RoutedFunc func(ctx context.Context, q []float32, k, ef int, mode string) (Outcome, error)
 
 // PrecisionFunc is the recall-target-aware search hook, used for requests
 // that carry a "recall_target" field: recallTarget is pre-validated to
 // (0, 1] and mode is either empty or a valid route name. The backend maps
 // the target onto its adaptive mixed-precision machinery (for the ansmet
-// Database, the tiered pipeline's cut budget).
+// Database, the tiered pipeline's cut budget). q is the callee's (see
+// SearchFunc).
 type PrecisionFunc func(ctx context.Context, q []float32, k, ef int, mode string, recallTarget float64) (Outcome, error)
 
 // PartialHeader marks responses assembled from a degraded backend (one or
@@ -112,8 +120,9 @@ type Config struct {
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
 
-	// MaxBodyBytes bounds the request body (default 1 MiB): oversized
-	// bodies are rejected with 413 before being buffered.
+	// MaxBodyBytes bounds the request body (default 1 MiB): a body is read
+	// whole, inside its admission slot, into a buffer that never grows past
+	// this, and one byte more is a 413 whatever the bytes before it hold.
 	MaxBodyBytes int64
 
 	// DefaultK, MaxK, MaxEf bound query shape (defaults 10, 1024, 8192).
@@ -182,6 +191,11 @@ type Metrics struct {
 	// shared error counters above.
 	Upserts atomic.Int64
 	Deletes atomic.Int64
+
+	// WireFallbacks counts /v1/search and /v1/upsert bodies the one-pass
+	// recogniser declined and encoding/json decoded instead, successfully or
+	// not: a server whose clients all send non-canonical bodies shows here.
+	WireFallbacks atomic.Int64
 }
 
 // countRoute bumps the counter for a reported route name; names engine
@@ -366,44 +380,14 @@ func limitConcurrency(n int, h http.HandlerFunc) http.HandlerFunc {
 // --- handlers -----------------------------------------------------------
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	s.metrics.Requests.Add(1)
-	if s.draining.Load() {
-		s.metrics.Draining.Add(1)
-		w.Header().Set("Connection", "close")
-		writeJSON(w, http.StatusServiceUnavailable, SearchResponse{Error: "server draining"})
-		return
-	}
-
-	// Admission first: shedding must happen before any work (parsing a
-	// body is work).
-	release, err := s.adm.Acquire(r.Context())
-	if err != nil {
-		var oe *OverloadError
-		if errors.As(err, &oe) {
-			s.metrics.Shed.Add(1)
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSecs(oe.RetryAfter)))
-			writeJSON(w, http.StatusTooManyRequests, SearchResponse{Error: oe.Reason.Error()})
-			return
-		}
-		// Context fired while queued: the client gave up.
-		s.metrics.ClientCancels.Add(1)
+	var req SearchRequest
+	buf, release := s.admit(w, r, &req)
+	if buf == nil {
 		return
 	}
 	defer release()
+	defer putBuf(buf)
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.metrics.BadRequests.Add(1)
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				SearchResponse{Error: fmt.Sprintf("body exceeds %d bytes", mbe.Limit)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, SearchResponse{Error: "malformed JSON: " + err.Error()})
-		return
-	}
 	if req.Panic && s.cfg.AllowPanicProbe {
 		panic("injected panic probe")
 	}
@@ -465,7 +449,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	defer stop()
 
 	s.metrics.InFlight.Add(1)
-	var out Outcome
+	var (
+		out Outcome
+		err error
+	)
 	switch {
 	case req.RecallTarget > 0:
 		s.metrics.RecallTargeted.Add(1)
@@ -494,6 +481,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			// complete answers can retry.
 			s.metrics.Partials.Add(1)
 			w.Header().Set(PartialHeader, "true")
+		}
+		if !out.Partial && len(out.Faults) == 0 && writeSearchOK(w, buf, out.Neighbors) {
+			return
 		}
 		writeJSON(w, http.StatusOK, SearchResponse{
 			Results: toResults(out.Neighbors), Partial: out.Partial, Faults: out.Faults})
@@ -582,6 +572,7 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 			"recall_targeted": m.RecallTargeted.Load(),
 			"upserts":         m.Upserts.Load(),
 			"deletes":         m.Deletes.Load(),
+			"wire_fallbacks":  m.WireFallbacks.Load(),
 		},
 		"admission": map[string]any{
 			"admitted":      adm.Admitted,

@@ -280,6 +280,11 @@ func TestVarsEndpoint(t *testing.T) {
 	if v.Serve["requests"] != 1 || v.Serve["ok"] != 1 || v.Goroutines <= 0 {
 		t.Fatalf("vars = %s", w.Body)
 	}
+	// The canonical body above took the one-pass path; the key is there
+	// either way.
+	if n, ok := v.Serve["wire_fallbacks"]; !ok || n != 0 {
+		t.Fatalf("wire_fallbacks = %d (present %v), want 0: %s", n, ok, w.Body)
+	}
 }
 
 func TestMethodRouting(t *testing.T) {
