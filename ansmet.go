@@ -161,14 +161,6 @@ type Options struct {
 	// Seed drives all randomized choices (level assignment, sampling).
 	Seed uint64
 
-	// TieredBudget is the default adaptive-cut budget for the tiered
-	// bound-first/exact-rerank pipeline, in (0, 1]. Zero (and any
-	// out-of-range value) means 1: the provably exact cut. Smaller values
-	// trade a recall guarantee of roughly this level for a smaller exact
-	// re-rank pool (see DESIGN.md, "Tiered pipeline and query routing").
-	// Ignored when RecallTarget is set — the tuner owns the budget then.
-	TieredBudget float64
-
 	// RecallTarget, when in (0, 1), replaces hand-set fetch-depth knobs
 	// with adaptive mixed-precision search (DESIGN.md, "Adaptive
 	// precision"): a per-partition minimum plane depth derived from
@@ -385,7 +377,7 @@ func newDatabase(opts Options, vectors [][]float32, sys *core.System) *Database 
 	if sys.Faults != nil || sys.Precision != nil {
 		db.beam, quality = RouteNDP, RouteTiered
 	}
-	db.router = engine.NewRouter(engine.RouterConfig{}, db.beam, quality, db.degradedRanks)
+	db.router = engine.NewRouter(db.beam, quality, db.degradedRanks)
 	if sys.Precision != nil {
 		db.tuner = precision.NewTuner(sys.Cfg.RecallTarget)
 		// Feed the target into the router's cost model: at matched recall

@@ -23,11 +23,11 @@ import (
 	"ansmet/internal/core"
 	"ansmet/internal/dataset"
 	"ansmet/internal/dram"
+	"ansmet/internal/engine"
 	"ansmet/internal/experiments"
 	"ansmet/internal/hnsw"
 	"ansmet/internal/layout"
 	"ansmet/internal/prefixelim"
-	"ansmet/internal/stats"
 	"ansmet/internal/vecmath"
 )
 
@@ -207,7 +207,7 @@ func BenchmarkHNSWSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := core.MustExactEngine(ds.Vectors, vecmath.L2, vecmath.Uint8)
+	eng := engine.NewExact(ds.Vectors, vecmath.L2, vecmath.Uint8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ix.Search(ds.Queries[i%len(ds.Queries)], 10, 64, eng, nil)
@@ -259,87 +259,6 @@ func BenchmarkBounderConsumeLine(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.N*lines)/b.Elapsed().Seconds(), "lines/s")
-		})
-	}
-}
-
-// BenchmarkDistanceKernels measures the full-distance kernels for every
-// metric at three representative dimensions.
-func BenchmarkDistanceKernels(b *testing.B) {
-	for _, m := range []vecmath.Metric{vecmath.L2, vecmath.InnerProduct, vecmath.Cosine} {
-		for _, dim := range []int{128, 384, 960} {
-			b.Run(fmt.Sprintf("%v-%d", m, dim), func(b *testing.B) {
-				rng := stats.NewRNG(uint64(dim))
-				x := make([]float32, dim)
-				y := make([]float32, dim)
-				for d := 0; d < dim; d++ {
-					x[d] = float32(rng.Float64())
-					y[d] = float32(rng.Float64())
-				}
-				b.SetBytes(int64(8 * dim))
-				b.ReportAllocs()
-				s := 0.0
-				for i := 0; i < b.N; i++ {
-					s += m.Distance(x, y)
-				}
-				if math.IsNaN(s) {
-					b.Fatal("impossible")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkKernelImpls measures every kernel implementation in the vecmath
-// dispatch table side by side (scalar vs AVX2 where the CPU has it) on the
-// two-vector kernels and the fused bounder block kernel, at a
-// production dimension. The sub-benchmark names make per-implementation
-// speedups readable from one run; allocs/op is budget-gated at 0.
-func BenchmarkKernelImpls(b *testing.B) {
-	const dim = 384
-	rng := stats.NewRNG(77)
-	x := make([]float32, dim)
-	y := make([]float32, dim)
-	contrib := make([]float64, dim)
-	blockSums := make([]float64, (dim+vecmath.BlockDims-1)/vecmath.BlockDims)
-	for d := 0; d < dim; d++ {
-		x[d] = float32(rng.Float64())
-		y[d] = float32(rng.Float64())
-		contrib[d] = rng.Float64()
-	}
-	for _, im := range vecmath.Implementations() {
-		b.Run("SquaredL2/"+im.Name, func(b *testing.B) {
-			b.SetBytes(int64(8 * dim))
-			b.ReportAllocs()
-			s := 0.0
-			for i := 0; i < b.N; i++ {
-				s += im.SquaredL2(x, y)
-			}
-			if math.IsNaN(s) {
-				b.Fatal("impossible")
-			}
-		})
-		b.Run("Dot/"+im.Name, func(b *testing.B) {
-			b.SetBytes(int64(8 * dim))
-			b.ReportAllocs()
-			s := 0.0
-			for i := 0; i < b.N; i++ {
-				s += im.Dot(x, y)
-			}
-			if math.IsNaN(s) {
-				b.Fatal("impossible")
-			}
-		})
-		b.Run("BlockSumsTotal/"+im.Name, func(b *testing.B) {
-			b.SetBytes(int64(8 * dim))
-			b.ReportAllocs()
-			s := 0.0
-			for i := 0; i < b.N; i++ {
-				s += im.BlockSumsTotal(contrib, blockSums, 0, len(blockSums)-1)
-			}
-			if math.IsNaN(s) {
-				b.Fatal("impossible")
-			}
 		})
 	}
 }
@@ -397,9 +316,9 @@ var benchMutatedDB = sync.OnceValue(func() *ansmet.Database {
 })
 
 // BenchmarkSearchUnderMutation is BenchmarkSearchAllocs on a database that
-// has lived: vectors appended, ids tombstoned, the graph repaired. The
-// benchgate budget pins allocs/op at 0 — mutation support must not cost
-// the read hot path a single allocation.
+// has lived: vectors appended, ids tombstoned, the graph repaired.
+// TestSearchUnderMutationAllocs pins allocs/op at 0 — mutation support must
+// not cost the read hot path a single allocation.
 func BenchmarkSearchUnderMutation(b *testing.B) {
 	db := benchMutatedDB()
 	ds := benchData()
@@ -576,8 +495,8 @@ var benchAdaptive = sync.OnceValue(func() (out struct {
 // beam-hostile profile, fixed full-depth refinement vs the adaptive
 // per-partition schedule (RecallTarget 0.9) — both arms name the route, as
 // the fixed database's default beam is the host one. The fixed/adaptive ns
-// ratio is the matched-recall speedup BENCH_pr9.json records;
-// FigPrecisionFrontier verifies the recall match in lines. Budget: 0
+// ratio is the matched-recall speedup EXPERIMENTS.md's micro-benchmark
+// history records for PR 9; FigPrecisionFrontier verifies the recall match in lines. Budget: 0
 // allocs/op on both arms.
 func BenchmarkAdaptivePrecision(b *testing.B) {
 	w := benchAdaptive()

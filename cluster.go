@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
-	"ansmet/internal/backoff"
 	"ansmet/internal/cluster"
 	"ansmet/internal/hnsw"
 	"ansmet/internal/kmeans"
@@ -58,36 +56,21 @@ type ClusterOptions struct {
 	// Build configures each shard Database exactly like New.
 	Build Options
 
-	// ShardTimeout is the absolute per-shard budget for requests without a
-	// deadline; requests WITH a deadline always get a budget carved from it
-	// (see internal/cluster). 0 leaves deadline-less requests unbounded.
-	ShardTimeout time.Duration
 	// MaxInFlightPerShard sheds per-shard overload (0 = unlimited).
 	MaxInFlightPerShard int
 	// DisableHedging turns off hedged requests to slow shards.
 	DisableHedging bool
-	// BreakerFailureThreshold is the consecutive failures that open a shard
-	// breaker (default 3).
-	BreakerFailureThreshold int
-	// BreakerBackoff is the base of the jittered exponential probe backoff
-	// (default 50ms).
-	BreakerBackoff time.Duration
 }
 
+// fanoutConfig is the coordinator configuration; what it leaves unset
+// (per-shard timeout, breaker threshold and backoff) keeps internal/cluster's
+// defaults.
 func (o ClusterOptions) fanoutConfig() cluster.Config {
-	cfg := cluster.Config{
-		ShardTimeout:        o.ShardTimeout,
+	return cluster.Config{
 		MaxInFlightPerShard: o.MaxInFlightPerShard,
 		Hedge:               cluster.HedgeConfig{Disabled: o.DisableHedging},
-		Breaker: cluster.BreakerConfig{
-			FailureThreshold: o.BreakerFailureThreshold,
-			Seed:             o.Build.Seed,
-		},
+		Breaker:             cluster.BreakerConfig{Seed: o.Build.Seed},
 	}
-	if o.BreakerBackoff > 0 {
-		cfg.Breaker.Backoff = backoff.Policy{Base: o.BreakerBackoff}
-	}
-	return cfg
 }
 
 // ShardFault is one entry of a degraded query's per-shard error taxonomy.

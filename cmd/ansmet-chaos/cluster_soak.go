@@ -152,7 +152,8 @@ func runClusterSoak(n int, seed uint64) error {
 	}
 
 	core, err := serve.New(serve.Config{
-		SearchOutcome: func(ctx context.Context, q []float32, k, ef int) (serve.Outcome, error) {
+		// The coordinator has one path: mode and recall target are ignored.
+		SearchPrecision: func(ctx context.Context, q []float32, k, ef int, _ string, _ float64) (serve.Outcome, error) {
 			res, err := coord.Search(ctx, q, k, ef)
 			out := serve.Outcome{Neighbors: res.Neighbors, Partial: res.Partial, Hedged: res.Hedged}
 			for _, se := range res.Errors {

@@ -9,16 +9,18 @@
 //     acknowledged ops (the complete records before the cut). No
 //     acknowledged write lost, no torn record half-applied.
 //  2. Concurrent mutate/search: one writer streams adds, deletes, updates
-//     and forced repairs while searchers hammer the beam, tiered and
-//     exact paths — no search started after a delete acked may return the
-//     tombstoned id, every reported distance must match the stored
-//     vector, and nothing may panic or leak goroutines.
+//     and forced repairs while searchers hammer the host beam, tiered,
+//     exact and ndp beam paths — every answer is full (k results: far more
+//     than k vectors stay live), no search started after a delete acked
+//     may return the tombstoned id, every reported distance must match the
+//     stored vector, and nothing may panic or leak goroutines.
 //  3. Post-soak recovery equivalence: the journal written during the
 //     concurrent soak replays into a database state-identical to a
 //     straight-line rebuild of the full acknowledged history.
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -294,16 +296,24 @@ func runMutateSoak(n int, seed uint64) error {
 				dead := deadSnapshot()
 				var res []ansmet.Neighbor
 				var err error
-				switch i % 3 {
+				switch i % 4 {
 				case 0:
 					res, err = db.SearchInto(q, 10, 40, nil)
 				case 1:
 					res, _, err = db.TieredSearchInto(q, 10, 0, nil)
-				default:
+				case 2:
 					res, _, err = db.ExactSearch(q, 10)
+				default:
+					var r ansmet.Result
+					r, err = db.Do(context.Background(), &ansmet.Query{Vector: q, K: 10, Ef: 40, Route: ansmet.RouteNDP})
+					res = r.Neighbors
 				}
 				if err != nil {
 					fail(fmt.Errorf("searcher %d: %v", w, err))
+					return
+				}
+				if len(res) != 10 {
+					fail(fmt.Errorf("searcher %d, route %d of 4: %d results, want 10", w, i%4, len(res)))
 					return
 				}
 				for _, nb := range res {

@@ -225,7 +225,7 @@ func main() {
 	log.Printf("drained cleanly")
 }
 
-// wireSearch installs the three /v1/search hooks over one query function
+// wireSearch installs the /v1/search hook over one query function
 // (Database.Do or Cluster.Do), so single and sharded serving resolve a
 // request to a Query the same way:
 //
@@ -240,21 +240,18 @@ func main() {
 //
 // Every outcome names the route that ran (the X-ANSMET-Route header).
 func wireSearch(cfg *serve.Config, do func(context.Context, *ansmet.Query) (serve.Outcome, error)) {
-	cfg.SearchOutcome = func(ctx context.Context, q []float32, k, ef int) (serve.Outcome, error) {
-		return do(ctx, &ansmet.Query{Vector: q, K: k, Ef: ef, Route: ansmet.RouteHost})
-	}
 	cfg.SearchPrecision = func(ctx context.Context, q []float32, k, ef int, mode string, rt float64) (serve.Outcome, error) {
 		route := ansmet.RouteAuto
-		if mode != "" {
+		switch {
+		case mode != "":
 			var err error
 			if route, err = ansmet.ParseRoute(mode); err != nil {
 				return serve.Outcome{}, err
 			}
+		case rt == 0:
+			route = ansmet.RouteHost
 		}
 		return do(ctx, &ansmet.Query{Vector: q, K: k, Ef: ef, Route: route, Budget: rt})
-	}
-	cfg.SearchRouted = func(ctx context.Context, q []float32, k, ef int, mode string) (serve.Outcome, error) {
-		return cfg.SearchPrecision(ctx, q, k, ef, mode, 0)
 	}
 }
 

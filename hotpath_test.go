@@ -1,6 +1,6 @@
 // Hot-path allocation gates: the pooled search pipeline must not allocate
-// at steady state. These run as ordinary tests (and in CI's bench job) so a
-// regression fails the build rather than just shifting a benchmark number.
+// at steady state. These run as ordinary tests so a regression fails the
+// build rather than just shifting a benchmark number.
 package ansmet_test
 
 import (
@@ -206,8 +206,8 @@ func TestDoResilientExactAllocs(t *testing.T) {
 // routeSteadyStateAllocs warms the scratch pool with q's route on each of
 // an ET design, a Base design (no store: the rows are the database's own
 // vectors) and a mutable database that has lived, and fails unless one more
-// query with a reused Dst allocates nothing.
-func routeSteadyStateAllocs(t *testing.T, q ansmet.Query) {
+// query under ctx with a reused Dst allocates nothing.
+func routeSteadyStateAllocs(t *testing.T, ctx context.Context, q ansmet.Query) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -219,7 +219,6 @@ func routeSteadyStateAllocs(t *testing.T, q ansmet.Query) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	for name, db := range map[string]*ansmet.Database{"et": benchDB(), "base": base, "mutable": benchMutatedDB()} {
 		i := 0
 		run := func() {
@@ -243,12 +242,29 @@ func routeSteadyStateAllocs(t *testing.T, q ansmet.Query) {
 // TestHostSteadyStateAllocs: the host engine lives on the pooled scratch,
 // so a steady-state host query allocates nothing.
 func TestHostSteadyStateAllocs(t *testing.T) {
-	routeSteadyStateAllocs(t, ansmet.Query{K: 10, Ef: 64, Route: ansmet.RouteHost})
+	routeSteadyStateAllocs(t, context.Background(), ansmet.Query{K: 10, Ef: 64, Route: ansmet.RouteHost})
+}
+
+// TestNDPSteadyStateAllocs: the bit-plane beam named on a fixed-precision
+// database (the default beam there is the host one) allocates nothing
+// either — BenchmarkSearchHost's and BenchmarkAdaptivePrecision's ndp arms.
+func TestNDPSteadyStateAllocs(t *testing.T) {
+	routeSteadyStateAllocs(t, context.Background(), ansmet.Query{K: 10, Ef: 64, Route: ansmet.RouteNDP})
+}
+
+// TestAutoDeadlineSteadyStateAllocs: a query that leaves the route to the
+// router under a live deadline — the decision (slack against the cost
+// model), the in-flight tracking and the cost observation — allocates
+// nothing.
+func TestAutoDeadlineSteadyStateAllocs(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	routeSteadyStateAllocs(t, ctx, ansmet.Query{K: 10, Ef: 64, Route: ansmet.RouteAuto})
 }
 
 // TestExactSteadyStateAllocs: the exact scan keeps its k best in place on
 // the caller's Dst. At the parent a Base design built an engine and regrew
 // its result list on every exact query.
 func TestExactSteadyStateAllocs(t *testing.T) {
-	routeSteadyStateAllocs(t, ansmet.Query{K: 10, Route: ansmet.RouteExact})
+	routeSteadyStateAllocs(t, context.Background(), ansmet.Query{K: 10, Route: ansmet.RouteExact})
 }

@@ -1,3 +1,9 @@
+//go:build !race
+
+// Not built under the race detector: the race runtime makes sync.Pool
+// intentionally nondeterministic and instruments allocations, so an
+// allocation budget means nothing there.
+
 package cluster
 
 import (
@@ -12,9 +18,9 @@ import (
 // healthy scatter-gather path (4 shards, warm state pool, warm latency
 // trackers). The residual allocations are the per-query context machinery
 // and the fan-out goroutines; the gather state, result buffers, cursor
-// merge, and hedge timer are all pooled or stack-resident. CI's benchgate
-// holds this to a fixed budget so coordinator overhead cannot silently
-// regress.
+// merge, and hedge timer are all pooled or stack-resident.
+// TestClusterSearchAllocs holds this to a fixed budget so coordinator
+// overhead cannot silently regress.
 func BenchmarkClusterSearchAllocs(b *testing.B) {
 	lists := fourLists()
 	var shards []ShardFunc
@@ -42,5 +48,17 @@ func BenchmarkClusterSearchAllocs(b *testing.B) {
 		if res.Partial {
 			b.Fatal("benchmark query degraded")
 		}
+	}
+}
+
+// TestClusterSearchAllocs: the healthy scatter-gather costs at most 12
+// allocations per query (the benchmark's own count, over its own body).
+func TestClusterSearchAllocs(t *testing.T) {
+	res := testing.Benchmark(BenchmarkClusterSearchAllocs)
+	if res.N == 0 {
+		t.Fatal("the benchmark failed")
+	}
+	if n := res.AllocsPerOp(); n > 12 {
+		t.Fatalf("%d allocs per scatter-gather query, budget 12", n)
 	}
 }

@@ -80,7 +80,8 @@ func scanKNN(done <-chan struct{}, eng engine.Engine, n uint32, tomb *TombSet, k
 	if want := min(k, int(n)); cap(dst) < want {
 		dst = make([]hnsw.Neighbor, 0, want)
 	}
-	heap := maxHeap{items: dst[:0]}
+	heap := hnsw.Heap{Max: true}
+	heap.Init(dst[:0])
 	id := uint32(0)
 	for ; id < n && heap.Len() < k; id++ {
 		if tomb != nil && tomb.IsDeleted(id) {
@@ -93,6 +94,8 @@ func scanKNN(done <-chan struct{}, eng engine.Engine, n uint32, tomb *TombSet, k
 
 	// Phase 2: the heap is full, so the k-th-best distance is always at the
 	// top — read the threshold straight from it, no branch per candidate.
+	// Compare accepts a tie at the threshold, so an accepted row replaces the
+	// top only when it is Less: at equal distance the smaller id stays.
 	for ; id < n; id++ {
 		if done != nil && id%knnCancelStride == 0 {
 			if exactScanTestHook != nil {
@@ -112,73 +115,9 @@ func scanKNN(done <-chan struct{}, eng engine.Engine, n uint32, tomb *TombSet, k
 		}
 		r := eng.Compare(id, heap.Top().Dist)
 		linesFetched += r.TotalLines()
-		if r.Accepted {
-			heap.Push(hnsw.Neighbor{ID: id, Dist: r.Dist})
-			heap.Pop()
+		if nb := (hnsw.Neighbor{ID: id, Dist: r.Dist}); r.Accepted && nb.Less(heap.Top()) {
+			heap.ReplaceTop(nb)
 		}
 	}
-	return heap.sorted(), linesFetched, cancelled
-}
-
-// maxHeap is a max-heap of neighbors by distance (worst at the top), with
-// ties broken toward keeping smaller ids (deterministic results).
-type maxHeap struct{ items []hnsw.Neighbor }
-
-func (h *maxHeap) Len() int           { return len(h.items) }
-func (h *maxHeap) Top() hnsw.Neighbor { return h.items[0] }
-func (h *maxHeap) Reset()             { h.items = h.items[:0] }
-
-func (h *maxHeap) less(a, b hnsw.Neighbor) bool {
-	if a.Dist != b.Dist {
-		return a.Dist > b.Dist
-	}
-	return a.ID > b.ID
-}
-
-// sorted empties the heap into ascending (Dist, ID) order in place and
-// returns the items: each Pop frees the slot the popped (worst) item lands
-// in.
-func (h *maxHeap) sorted() []hnsw.Neighbor {
-	out := h.items
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = h.Pop()
-	}
-	return out
-}
-
-func (h *maxHeap) Push(n hnsw.Neighbor) {
-	h.items = append(h.items, n)
-	i := len(h.items) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(h.items[i], h.items[p]) {
-			break
-		}
-		h.items[i], h.items[p] = h.items[p], h.items[i]
-		i = p
-	}
-}
-
-func (h *maxHeap) Pop() hnsw.Neighbor {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < last && h.less(h.items[l], h.items[best]) {
-			best = l
-		}
-		if r < last && h.less(h.items[r], h.items[best]) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		h.items[i], h.items[best] = h.items[best], h.items[i]
-		i = best
-	}
-	return top
+	return heap.Sorted(dst), linesFetched, cancelled
 }

@@ -7,6 +7,7 @@ import (
 
 	"ansmet/internal/bitplane"
 	"ansmet/internal/engine"
+	"ansmet/internal/hnsw"
 	"ansmet/internal/precision"
 	"ansmet/internal/prefixelim"
 	"ansmet/internal/vecmath"
@@ -159,14 +160,14 @@ type ETEngine struct {
 	prec       *precision.Map
 	precBias   int
 	precMargin float64
-	// knnHeap is the tiered stage-2 re-rank's reusable result heap (scratch,
-	// reset per call).
-	knnHeap maxHeap
+	// knnHeap is the tiered stage-2 re-rank's reusable result heap (a
+	// max-heap; scratch, reset per call).
+	knnHeap hnsw.Heap
 	// tierHeap and tierEntries are the tiered pipeline's reusable stage-1
-	// scratch: the running k-smallest-bounds heap and the per-id bound
-	// table (scratch, reset per call).
-	tierHeap    maxHeap
-	tierEntries []boundEntry
+	// scratch: the running k-smallest-bounds max-heap and the per-id bound
+	// table stage 2 heapifies into its visit queue (reset per call).
+	tierHeap    hnsw.Heap
+	tierEntries []hnsw.Neighbor
 	// vecs/sdata/soutl are the per-query store snapshot pinned by
 	// StartQuery (mutable.go); on an immutable store they alias the
 	// store's plain fields.
@@ -187,6 +188,8 @@ func (s *Store) NewETEngine(metric vecmath.Metric) *ETEngine {
 		metric:    metric,
 		b:         bitplane.NewBounder(s.Layout, metric, s.Prefix.PrefixVal),
 		localSegs: 1,
+		knnHeap:   hnsw.Heap{Max: true},
+		tierHeap:  hnsw.Heap{Max: true},
 	}
 	if s.Prefix.Enabled() {
 		e.ob = prefixelim.NewOutlierBounder(s.Prefix, metric)

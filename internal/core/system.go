@@ -505,12 +505,6 @@ func (s *System) NewWorkerEngine() engine.Engine {
 	return base
 }
 
-// MustExactEngine builds a full-precision engine over the vectors; a
-// convenience for benchmarks and tools.
-func MustExactEngine(vectors [][]float32, metric vecmath.Metric, elem vecmath.ElemType) engine.Engine {
-	return engine.NewExact(vectors, metric, elem)
-}
-
 // Replay re-runs the timing phase over previously recorded traces, e.g. to
 // time a different stream length or after tweaking SimCfg.
 func Replay(s *System, traces []*trace.Query) *sim.Report {

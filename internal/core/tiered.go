@@ -79,54 +79,6 @@ type TieredStats struct {
 	Cancelled   bool // stopped at a cooperative-cancellation checkpoint
 }
 
-// boundEntry is one stage-1 survivor: the id and its distance lower bound.
-type boundEntry struct {
-	lb float64
-	id uint32
-}
-
-// entryLess orders the stage-2 min-heap: ascending bound, ties by id
-// (deterministic pop order, which the monotone-pool property relies on).
-func entryLess(a, b boundEntry) bool {
-	if a.lb != b.lb {
-		return a.lb < b.lb
-	}
-	return a.id < b.id
-}
-
-func siftDownEntry(es []boundEntry, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < len(es) && entryLess(es[l], es[best]) {
-			best = l
-		}
-		if r < len(es) && entryLess(es[r], es[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		es[i], es[best] = es[best], es[i]
-		i = best
-	}
-}
-
-func heapifyEntries(es []boundEntry) {
-	for i := len(es)/2 - 1; i >= 0; i-- {
-		siftDownEntry(es, i)
-	}
-}
-
-func popEntry(es []boundEntry) ([]boundEntry, boundEntry) {
-	top := es[0]
-	last := len(es) - 1
-	es[0] = es[last]
-	es = es[:last]
-	siftDownEntry(es, 0)
-	return es, top
-}
-
 // rerankStop is the adaptive stage-2 cut: re-ranking stops once the next
 // candidate's bound exceeds this. Subtracting a fraction of |kth| (rather
 // than multiplying) keeps the relaxation direction correct for both L2
@@ -136,29 +88,26 @@ func rerankStop(kth, budget float64) float64 {
 	return kth - (1-budget)*math.Abs(kth)
 }
 
-// TieredKNNInto runs the tiered bound-first/exact-rerank pipeline for the k
+// TieredKNNInto is TieredKNNPool without the pool: the tiered k nearest
+// neighbors of q appended into dst[:0] (the entry point bench/ pins).
+func (e *ETEngine) TieredKNNInto(done <-chan struct{}, q []float32, k int, opt TieredOpts, dst []hnsw.Neighbor) ([]hnsw.Neighbor, TieredStats) {
+	nn, st, _ := e.TieredKNNPool(done, q, k, opt, dst, nil)
+	return nn, st
+}
+
+// TieredKNNPool runs the tiered bound-first/exact-rerank pipeline for the k
 // nearest neighbors of q, appending results into dst[:0]. With Budget = 1
 // the results are byte-identical to ExactKNN (gated by tests); with a
 // reused dst the steady state allocates nothing. A nil done channel
 // disables cancellation; a cancelled stage 1 returns no results (bounds
 // alone are not usable answers), a cancelled stage 2 returns the exact
 // top-k over the prefix of the pool re-ranked so far.
-func (e *ETEngine) TieredKNNInto(done <-chan struct{}, q []float32, k int, opt TieredOpts, dst []hnsw.Neighbor) ([]hnsw.Neighbor, TieredStats) {
-	nn, st, _ := e.tieredKNN(done, q, k, opt, dst, nil)
-	return nn, st
-}
-
-// TieredKNNPool is TieredKNNInto additionally appending the re-ranked pool
-// ids (in stage-2 visit order) into pool[:0] — the observable the
-// monotone-pool property tests and the experiment harness use.
+//
+// A non-nil pool additionally collects the re-ranked ids, in stage-2 visit
+// order, into pool[:0] — the observable the monotone-pool property tests
+// read; nil means do not collect.
 func (e *ETEngine) TieredKNNPool(done <-chan struct{}, q []float32, k int, opt TieredOpts, dst []hnsw.Neighbor, pool []uint32) ([]hnsw.Neighbor, TieredStats, []uint32) {
-	if pool == nil {
-		pool = make([]uint32, 0, e.store.Len())
-	}
-	return e.tieredKNN(done, q, k, opt, dst, pool[:0])
-}
-
-func (e *ETEngine) tieredKNN(done <-chan struct{}, q []float32, k int, opt TieredOpts, dst []hnsw.Neighbor, pool []uint32) ([]hnsw.Neighbor, TieredStats, []uint32) {
+	pool = pool[:0]
 	budget := opt.Budget
 	if budget <= 0 || budget > 1 {
 		budget = 1
@@ -249,33 +198,33 @@ func (e *ETEngine) tieredKNN(done <-chan struct{}, q []float32, k int, opt Tiere
 			}
 		}
 		st.BoundLines += lines
+		ent := hnsw.Neighbor{ID: id, Dist: lb}
 		if bh.Len() < k {
-			bh.Push(hnsw.Neighbor{ID: id, Dist: lb})
-		} else if t := bh.Top(); lb < t.Dist || (lb == t.Dist && id < t.ID) {
-			bh.Push(hnsw.Neighbor{ID: id, Dist: lb})
-			bh.Pop()
+			bh.Push(ent)
+		} else if ent.Less(bh.Top()) {
+			bh.ReplaceTop(ent)
 		}
-		entries = append(entries, boundEntry{lb: lb, id: id})
+		entries = append(entries, ent)
 	}
 	e.tierEntries = entries
 
-	// Stage 2: exact re-rank in ascending-bound order with the adaptive
-	// cut. Same Compare/heap/tie-break semantics as ExactKNN, so the
-	// results over the visited pool are byte-identical to an exact scan of
-	// those ids.
-	heapifyEntries(entries)
+	// Stage 2: exact re-rank in ascending (bound, id) order (deterministic:
+	// the monotone-pool property relies on it) with the adaptive cut. Same
+	// Compare/heap/tie-break semantics as ExactKNN, so the results over the
+	// visited pool are byte-identical to an exact scan of those ids.
+	var queue hnsw.Heap
+	queue.Init(entries)
 	kh := &e.knnHeap
 	kh.Reset()
 	pops := 0
-	for len(entries) > 0 {
-		ent := entries[0]
-		if kh.Len() >= k && ent.lb > rerankStop(kh.Top().Dist, budget) {
+	for queue.Len() > 0 {
+		if kh.Len() >= k && queue.Top().Dist > rerankStop(kh.Top().Dist, budget) {
 			break
 		}
-		entries, ent = popEntry(entries)
+		id := queue.Pop().ID
 		if done != nil && pops%knnCancelStride == 0 {
 			if exactScanTestHook != nil {
-				exactScanTestHook(ent.id)
+				exactScanTestHook(id)
 			}
 			select {
 			case <-done:
@@ -291,30 +240,24 @@ func (e *ETEngine) tieredKNN(done <-chan struct{}, q []float32, k int, opt Tiere
 		if kh.Len() >= k {
 			th = kh.Top().Dist
 		}
-		r := e.compareExact(ent.id, th)
+		r := e.compareExact(id, th)
 		st.RerankLines += r.TotalLines()
-		if kh.Len() < k {
-			kh.Push(hnsw.Neighbor{ID: ent.id, Dist: r.Dist})
-		} else if r.Accepted {
-			kh.Push(hnsw.Neighbor{ID: ent.id, Dist: r.Dist})
-			kh.Pop()
+		// A tie at the threshold is accepted, so the newcomer replaces the
+		// worst only when it is Less (the smaller id stays), as in scanKNN.
+		if nb := (hnsw.Neighbor{ID: id, Dist: r.Dist}); kh.Len() < k {
+			kh.Push(nb)
+		} else if r.Accepted && nb.Less(kh.Top()) {
+			kh.ReplaceTop(nb)
 		}
 		if pool != nil {
-			pool = append(pool, ent.id)
+			pool = append(pool, id)
 		}
 		st.Pool++
 	}
 	e.tierEntries = e.tierEntries[:0]
 
-	m := kh.Len()
-	if cap(dst) < m {
-		dst = make([]hnsw.Neighbor, m)
-	} else {
-		dst = dst[:m]
-	}
-	for i := m - 1; i >= 0; i-- {
-		dst[i] = kh.Pop()
-	}
+	dst = kh.Sorted(dst)
+	m := len(dst)
 	// Risk-window census for the recall-target tuner: results whose exact
 	// distance lies inside (stop, kth] are the ones a slightly looser bound
 	// ordering would have cut first — their mass is the observed recall

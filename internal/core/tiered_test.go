@@ -99,7 +99,7 @@ func TestTieredPoolByteIdentity(t *testing.T) {
 		check := st.NewETEngine(p.Metric)
 		for qi, q := range ds.Queries {
 			for _, budget := range []float64{0.8, 1} {
-				got, _, pool := eng.TieredKNNPool(nil, q, 10, TieredOpts{Budget: budget}, nil, nil)
+				got, _, pool := eng.TieredKNNPool(nil, q, 10, TieredOpts{Budget: budget}, nil, []uint32{})
 				// Exact top-k over exactly the pool ids, via unbounded
 				// exact comparisons.
 				check.StartQuery(q)
@@ -156,7 +156,7 @@ func TestTieredBudgetMonotone(t *testing.T) {
 		var prev []uint32
 		prevBudget := 0.0
 		for _, b := range budgets {
-			_, _, pool := eng.TieredKNNPool(nil, q, 10, TieredOpts{Budget: b}, nil, nil)
+			_, _, pool := eng.TieredKNNPool(nil, q, 10, TieredOpts{Budget: b}, nil, []uint32{})
 			if len(pool) < len(prev) {
 				t.Fatalf("q%d: budget %v pool %d < budget %v pool %d",
 					qi, b, len(pool), prevBudget, len(prev))
@@ -216,7 +216,7 @@ func TestTieredCancellation(t *testing.T) {
 		}
 	}
 	defer func() { exactScanTestHook = nil }()
-	nn2, stats2, pool := eng.TieredKNNPool(mid, q, 10, TieredOpts{MaxBoundLines: 1}, nil, nil)
+	nn2, stats2, pool := eng.TieredKNNPool(mid, q, 10, TieredOpts{MaxBoundLines: 1}, nil, []uint32{})
 	if !stats2.Cancelled {
 		t.Fatal("stage-2 cancellation never observed")
 	}

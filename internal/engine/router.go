@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"ansmet/internal/stats"
 )
 
 // Route identifies one whole-query execution path. The router grew out of
@@ -63,37 +65,20 @@ func ParseRoute(s string) (Route, error) {
 // NoDeadline is the Decide slack sentinel for a query without a deadline.
 const NoDeadline = time.Duration(-1)
 
-// RouterConfig tunes the routing policy.
-type RouterConfig struct {
-	// SafetyFactor multiplies a route's EWMA cost estimate when checking
-	// it against deadline slack (default 2): the quality route is chosen
-	// only when the slack covers SafetyFactor× its recent cost.
-	SafetyFactor float64
-	// Alpha is the EWMA smoothing factor for per-route cost estimates
-	// (default 0.2).
-	Alpha float64
-	// LoadHighWater is the in-flight query count at which auto routing
-	// sheds to the cheapest path regardless of slack (default 64).
-	LoadHighWater int64
-}
-
-func (c RouterConfig) withDefaults() RouterConfig {
-	if c.SafetyFactor <= 0 {
-		c.SafetyFactor = 2
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.2
-	}
-	if c.LoadHighWater <= 0 {
-		c.LoadHighWater = 64
-	}
-	return c
-}
+// The routing policy's constants (the third, the cost model's smoothing
+// factor, is stats.EWMA's).
+const (
+	// safetyFactor: the quality route is chosen only when the deadline slack
+	// covers safetyFactor× its EWMA cost estimate.
+	safetyFactor = 2
+	// loadHighWater is the in-flight query count at which auto routing
+	// sheds to the cheapest path regardless of slack.
+	loadHighWater = 64
+)
 
 // Router decides per-query routes and tracks per-route cost and counters.
 // All methods are safe for concurrent use and allocation-free.
 type Router struct {
-	cfg RouterConfig
 	// beam and quality are the two legs Decide chooses between: the cheap
 	// approximate beam and the exact-answer route of this backend.
 	beam, quality Route
@@ -106,8 +91,8 @@ type Router struct {
 
 	inflight atomic.Int64
 	routed   [NumRoutes]atomic.Uint64
-	diverted atomic.Uint64            // auto decisions forced to exact by degraded ranks
-	costNs   [NumRoutes]atomic.Uint64 // EWMA cost per route; 0 = no observation yet
+	diverted atomic.Uint64         // auto decisions forced to exact by degraded ranks
+	costNs   [NumRoutes]stats.EWMA // cost per route, ns; 0 = no observation yet
 	// costScale holds per-route multiplicative corrections on the EWMA
 	// estimate Decide consults (float bits; 0 = no correction). The
 	// recall-target auto-tuner uses it to tell the cost model that
@@ -118,8 +103,8 @@ type Router struct {
 
 // NewRouter builds a router over the backend's beam and quality routes;
 // degraded may be nil.
-func NewRouter(cfg RouterConfig, beam, quality Route, degraded func() int) *Router {
-	return &Router{cfg: cfg.withDefaults(), beam: beam, quality: quality, degraded: degraded}
+func NewRouter(beam, quality Route, degraded func() int) *Router {
+	return &Router{beam: beam, quality: quality, degraded: degraded}
 }
 
 // Begin marks one routed query in flight.
@@ -137,7 +122,7 @@ func (r *Router) InFlight() int64 { return r.inflight.Load() }
 // Policy: degraded ranks force the exact scan (the chaos-tested
 // degradation, never an unstable mix). Otherwise the router picks the
 // highest-quality route that fits: the quality route (exact answers) when
-// the slack covers SafetyFactor× its recent cost — or unconditionally when
+// the slack covers safetyFactor× its recent cost — or unconditionally when
 // there is no deadline — and the cheap approximate beam under deadline
 // pressure or load.
 func (r *Router) Decide(slack time.Duration) Route {
@@ -145,14 +130,14 @@ func (r *Router) Decide(slack time.Duration) Route {
 		r.diverted.Add(1)
 		return RouteExact
 	}
-	if r.inflight.Load() >= r.cfg.LoadHighWater {
+	if r.inflight.Load() >= loadHighWater {
 		return r.beam
 	}
 	if slack < 0 {
 		return r.quality
 	}
 	est := float64(r.CostNs(r.quality)) * r.scaleOf(r.quality)
-	if est == 0 || float64(slack) >= r.cfg.SafetyFactor*est {
+	if est == 0 || float64(slack) >= safetyFactor*est {
 		return r.quality
 	}
 	return r.beam
@@ -187,36 +172,23 @@ func (r *Router) Record(route Route) {
 	}
 }
 
-// Observe folds one query's duration into route's EWMA cost estimate.
+// Observe folds one query's duration into route's EWMA cost estimate. A
+// sample is clamped to at least 1 ns so that an estimate of 0 keeps meaning
+// "no observation yet".
 func (r *Router) Observe(route Route, d time.Duration) {
 	if route <= RouteAuto || route >= NumRoutes {
 		return
 	}
-	ns := uint64(d.Nanoseconds())
-	if ns == 0 {
-		ns = 1
-	}
-	c := &r.costNs[route]
-	for {
-		old := c.Load()
-		nw := ns
-		if old != 0 {
-			f := (1-r.cfg.Alpha)*float64(old) + r.cfg.Alpha*float64(ns)
-			nw = uint64(math.Max(f, 1))
-		}
-		if c.CompareAndSwap(old, nw) {
-			return
-		}
-	}
+	r.costNs[route].Fold(math.Max(float64(d.Nanoseconds()), 1))
 }
 
-// CostNs returns route's EWMA cost estimate in nanoseconds (0 before the
-// first observation).
+// CostNs returns route's EWMA cost estimate in whole nanoseconds (0 before
+// the first observation).
 func (r *Router) CostNs(route Route) uint64 {
 	if route <= RouteAuto || route >= NumRoutes {
 		return 0
 	}
-	return r.costNs[route].Load()
+	return uint64(r.costNs[route].Value())
 }
 
 // RouterSnapshot is a plain-value copy of the router's counters.
@@ -242,7 +214,7 @@ func (r *Router) Snapshot() RouterSnapshot {
 		CostNs:   map[string]uint64{},
 	}
 	for route := RouteNDP; route < NumRoutes; route++ {
-		if c := r.costNs[route].Load(); c != 0 {
+		if c := r.CostNs(route); c != 0 {
 			s.CostNs[route.String()] = c
 		}
 		if bits := r.costScale[route].Load(); bits != 0 {

@@ -54,7 +54,7 @@ func TestDecidePolicy(t *testing.T) {
 	for _, legs := range []struct{ beam, quality Route }{{RouteHost, RouteExact}, {RouteNDP, RouteTiered}} {
 		beam, quality := legs.beam, legs.quality
 		degraded := 0
-		r := NewRouter(RouterConfig{SafetyFactor: 2, LoadHighWater: 4}, beam, quality, func() int { return degraded })
+		r := NewRouter(beam, quality, func() int { return degraded })
 
 		// No deadline, healthy, idle: the highest-quality path.
 		if got := r.Decide(NoDeadline); got != quality {
@@ -65,7 +65,7 @@ func TestDecidePolicy(t *testing.T) {
 			t.Fatalf("no estimate: %v", got)
 		}
 
-		// With an estimate, slack gates the choice at SafetyFactor x cost; the
+		// With an estimate, slack gates the choice at safetyFactor x cost; the
 		// beam's own cost plays no part.
 		r.Observe(quality, time.Millisecond)
 		r.Observe(beam, time.Hour)
@@ -80,13 +80,13 @@ func TestDecidePolicy(t *testing.T) {
 		}
 
 		// Load above the high-water mark sheds to the cheap path.
-		for i := 0; i < 4; i++ {
+		for i := 0; i < loadHighWater; i++ {
 			r.Begin()
 		}
 		if got := r.Decide(NoDeadline); got != beam {
 			t.Fatalf("loaded: %v", got)
 		}
-		for i := 0; i < 4; i++ {
+		for i := 0; i < loadHighWater; i++ {
 			r.End()
 		}
 
@@ -105,7 +105,7 @@ func TestDecidePolicy(t *testing.T) {
 }
 
 func TestObserveEWMA(t *testing.T) {
-	r := NewRouter(RouterConfig{Alpha: 0.5}, RouteHost, RouteExact, nil)
+	r := NewRouter(RouteHost, RouteExact, nil)
 	if r.CostNs(RouteTiered) != 0 {
 		t.Fatal("cost before any observation")
 	}
@@ -114,8 +114,14 @@ func TestObserveEWMA(t *testing.T) {
 		t.Fatalf("first observation seeds directly: %d", got)
 	}
 	r.Observe(RouteTiered, 2000*time.Nanosecond)
-	if got := r.CostNs(RouteTiered); got != 1500 {
-		t.Fatalf("EWMA(0.5) of 1000,2000: %d", got)
+	if got := r.CostNs(RouteTiered); got != 1200 {
+		t.Fatalf("EWMA(0.2) of 1000,2000: %d", got)
+	}
+	// A zero-length sample is clamped to 1 ns: the estimate never returns to
+	// 0, which Decide reads as "no observation".
+	r.Observe(RouteExact, 0)
+	if got := r.CostNs(RouteExact); got != 1 {
+		t.Fatalf("zero sample: %d, want the 1 ns clamp", got)
 	}
 	// Invalid routes are ignored.
 	r.Observe(RouteAuto, time.Second)
@@ -126,7 +132,7 @@ func TestObserveEWMA(t *testing.T) {
 }
 
 func TestRouterSnapshotAndConcurrency(t *testing.T) {
-	r := NewRouter(RouterConfig{}, RouteHost, RouteExact, nil)
+	r := NewRouter(RouteHost, RouteExact, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

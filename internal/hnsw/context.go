@@ -39,8 +39,8 @@ func (v *visitedSet) testAndSet(id uint32) bool {
 // nothing.
 type searchContext struct {
 	vis     visitedSet
-	cand    nheap // min-heap: closest first
-	results nheap // max-heap: worst first
+	cand    Heap // min-heap: closest first
+	results Heap // max-heap: worst first
 	ids     []uint32
 	dist    []float64 // the hop's distances, parallel to ids
 	nbuf    []uint32  // live-mode neighbor-list copy scratch (mutate.go)
@@ -54,7 +54,7 @@ type searchContext struct {
 func (ix *Index) getCtx(n int) *searchContext {
 	c, _ := ix.ctxPool.Get().(*searchContext)
 	if c == nil {
-		c = &searchContext{results: nheap{max: true}}
+		c = &searchContext{results: Heap{Max: true}}
 	}
 	c.vis.reset(n)
 	c.cand.Reset()

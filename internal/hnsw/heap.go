@@ -15,26 +15,28 @@ func (n Neighbor) Less(o Neighbor) bool {
 	return n.Dist < o.Dist || (n.Dist == o.Dist && n.ID < o.ID)
 }
 
-// nheap is a binary heap of Neighbors. max=false gives a min-heap on
-// (Dist, ID) (the search set of §2.1), max=true a max-heap (the result
-// set). (Dist, ID) is a total order, so what a heap holds and the order it
-// pops in depend only on the multiset pushed, never on how the sifts
-// happened to arrange it.
+// Heap is the one binary heap of Neighbors, for the beam, the exact scan
+// and the tiered pipeline alike. The zero value is an empty min-heap on
+// (Dist, ID) (the search set of §2.1); Max, set before the first Push or
+// Init, makes it a max-heap (a result set, worst first). (Dist, ID) is a
+// total order, so what a heap holds and the order it pops in depend only on
+// the multiset pushed, never on how the sifts happened to arrange it.
 //
-// "a goes above b" is a.Less(b) != max: Less itself for the min-heap, its
+// "a goes above b" is a.Less(b) != Max: Less itself for the min-heap, its
 // negation for the max-heap — which differs from the reversed order only on
 // equal elements, where either answer keeps the heap valid. The sifts move
-// a hole instead of swapping, and read max once.
-type nheap struct {
+// a hole instead of swapping, and read Max once; the order is a flag, not a
+// less func, because an indirect call per sift costs the beam's hot loop.
+type Heap struct {
 	items []Neighbor
-	max   bool
+	Max   bool
 }
 
-func (h *nheap) Len() int { return len(h.items) }
+func (h *Heap) Len() int { return len(h.items) }
 
-func (h *nheap) Push(n Neighbor) {
+func (h *Heap) Push(n Neighbor) {
 	h.items = append(h.items, n)
-	items, max := h.items, h.max
+	items, max := h.items, h.Max
 	i := len(items) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -48,9 +50,9 @@ func (h *nheap) Push(n Neighbor) {
 }
 
 // Top returns the root without removing it.
-func (h *nheap) Top() Neighbor { return h.items[0] }
+func (h *Heap) Top() Neighbor { return h.items[0] }
 
-func (h *nheap) Pop() Neighbor {
+func (h *Heap) Pop() Neighbor {
 	top := h.items[0]
 	last := len(h.items) - 1
 	n := h.items[last]
@@ -67,9 +69,11 @@ func (h *nheap) Pop() Neighbor {
 // Less than it keeps exactly what pushing the newcomer and popping the
 // worst would — and when the newcomer is not Less, that pair would pop the
 // newcomer itself, so the caller skips it.
-func (h *nheap) ReplaceTop(n Neighbor) {
-	items, max := h.items, h.max
-	i := 0
+func (h *Heap) ReplaceTop(n Neighbor) { h.siftDown(0, n) }
+
+// siftDown places n in the subtree rooted at the hole i.
+func (h *Heap) siftDown(i int, n Neighbor) {
+	items, max := h.items, h.Max
 	for {
 		c := 2*i + 1
 		if c >= len(items) {
@@ -87,4 +91,29 @@ func (h *nheap) ReplaceTop(n Neighbor) {
 	items[i] = n
 }
 
-func (h *nheap) Reset() { h.items = h.items[:0] }
+func (h *Heap) Reset() { h.items = h.items[:0] }
+
+// Init makes the heap hold exactly items, heapified in place in O(n): it
+// then pops as a heap they were pushed into one by one would.
+func (h *Heap) Init(items []Neighbor) {
+	h.items = items
+	for i := len(items)/2 - 1; i >= 0; i-- {
+		h.siftDown(i, items[i])
+	}
+}
+
+// Sorted empties the heap into dst[:0], grown if short, in reverse pop order
+// — on a max-heap, ascending (Dist, ID). dst may be the array the heap
+// itself was built on (Init): each Pop frees the slot the popped item lands
+// in, so a result set becomes the answer without a second buffer.
+func (h *Heap) Sorted(dst []Neighbor) []Neighbor {
+	n := len(h.items)
+	if cap(dst) < n {
+		dst = make([]Neighbor, n)
+	}
+	dst = dst[:n]
+	for i := n - 1; i >= 0; i-- {
+		dst[i] = h.Pop()
+	}
+	return dst
+}

@@ -132,20 +132,28 @@ func (ix *Index) insert(id uint32) {
 	for l := ix.maxLevel; l > lvl; l-- {
 		cur, curDist = ix.greedyLayer(q, cur, curDist, l)
 	}
-	// Beam search and connect on each layer from min(lvl,maxLevel) down.
+	// Beam search on each layer from min(lvl,maxLevel) down, then connect
+	// from the base layer up. A layer's search and connects touch that
+	// layer's lists only, so the graph is the one connecting inside the
+	// search loop builds; but on a live index a traversal routed onto the new
+	// node at layer l descends through its lists below l, which must already
+	// be linked or it dead-ends there with a short answer.
 	eps := []Neighbor{{ID: cur, Dist: curDist}}
 	top := lvl
 	if top > ix.maxLevel {
 		top = ix.maxLevel
 	}
+	selected := make([][]Neighbor, top+1)
 	for l := top; l >= 0; l-- {
 		w := ix.searchLayerExact(q, eps, ix.cfg.EfConstruction, l)
-		selected := ix.selectHeuristic(q, w, ix.cfg.M)
-		for _, n := range selected {
+		selected[l] = ix.selectHeuristic(q, w, ix.cfg.M)
+		eps = w
+	}
+	for l, sel := range selected {
+		for _, n := range sel {
 			ix.connect(id, n.ID, l)
 			ix.connect(n.ID, id, l)
 		}
-		eps = w
 	}
 	if lvl > ix.maxLevel {
 		ix.maxLevel = lvl
@@ -206,11 +214,7 @@ func (ix *Index) searchLayerExact(q []float32, eps []Neighbor, ef, level int) []
 			}
 		}
 	}
-	out := make([]Neighbor, results.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = results.Pop()
-	}
-	return out
+	return results.Sorted(nil)
 }
 
 // selectHeuristic implements the neighbor selection heuristic (Algorithm 4

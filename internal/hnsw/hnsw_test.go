@@ -237,8 +237,8 @@ func TestSingleVectorIndex(t *testing.T) {
 
 func TestHeapProperty(t *testing.T) {
 	r := stats.NewRNG(5)
-	min := &nheap{}
-	max := &nheap{max: true}
+	min := &Heap{}
+	max := &Heap{Max: true}
 	for i := 0; i < 200; i++ {
 		n := Neighbor{ID: uint32(i), Dist: r.Float64()}
 		min.Push(n)

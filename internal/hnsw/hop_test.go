@@ -41,7 +41,7 @@ func referenceSearch(ix *Index, q []float32, k, ef, batch int, filter func(uint3
 	}
 	v := ix.view()
 	var ctx searchContext
-	ctx.results.max = true
+	ctx.results.Max = true
 	ctx.vis.reset(v.count)
 	eng.StartQuery(q)
 	entryRes := eng.Compare(v.entry, math.Inf(1))
@@ -200,12 +200,27 @@ func TestHopMatchesPerIDReference(t *testing.T) {
 // when the newcomer goes below it, skip it otherwise" keeps what "push,
 // then pop the root" keeps — the same root after every step and the same
 // pop order at the end — on streams full of duplicate distances, where the
-// id breaks the tie, and on both heap orders.
+// id breaks the tie, and on both heap orders. Init over a slice pops as n
+// pushes of its items do, and Sorted is that pop order reversed.
 func TestHeapReplaceTopMatchesPushPop(t *testing.T) {
 	r := stats.NewRNG(9)
 	for _, max := range []bool{true, false} {
+		pushed, inited, sorted := &Heap{Max: max}, &Heap{Max: max}, &Heap{Max: max}
+		items := make([]Neighbor, 777)
+		for i := range items {
+			items[i] = Neighbor{ID: uint32(r.Intn(500)), Dist: float64(r.Intn(5))}
+			pushed.Push(items[i])
+		}
+		inited.Init(append([]Neighbor(nil), items...))
+		sorted.Init(items)
+		rev := sorted.Sorted(items)
+		for i := len(items) - 1; i >= 0; i-- {
+			if a, b := pushed.Pop(), inited.Pop(); a != b || a != rev[i] {
+				t.Fatalf("max=%v: %d from the end: pushed pops %+v, Init pops %+v, Sorted holds %+v", max, i, a, b, rev[i])
+			}
+		}
 		for _, bound := range []int{1, 2, 7, 64} {
-			pushPop, replace := &nheap{max: max}, &nheap{max: max}
+			pushPop, replace := &Heap{Max: max}, &Heap{Max: max}
 			var all []Neighbor
 			for i := 0; i < 2000; i++ {
 				// Five distinct distances: almost every comparison is a tie.
@@ -307,10 +322,10 @@ func TestLiveInsertAcrossChunkBoundaries(t *testing.T) {
 				default:
 				}
 				dst = ix.SearchFilteredInto(ds.Queries[qi%len(ds.Queries)], 10, 48, 8, nil, eng, nil, dst)
-				// No floor on len(dst): a traversal standing on a node whose
-				// lists Repair clears can come back short (ROADMAP item 3).
-				if len(dst) > 10 {
-					t.Errorf("search returned %d results", len(dst))
+				// A full answer every time: a traversal standing on a node
+				// Repair excises still walks off it.
+				if len(dst) != 10 {
+					t.Errorf("search returned %d results, want 10", len(dst))
 					return
 				}
 				for _, r := range dst {

@@ -31,6 +31,9 @@ package hnsw
 // len(arrays) >= count. Edges linked to nodes beyond a reader's count
 // snapshot are filtered out during the stripe-locked list copy.
 //
+// Repair never clears an excised node's own lists: a reader whose view
+// predates the excision may be standing on the node and must walk off it.
+//
 // A published node's lists change only under the node's stripe lock
 // (setNeighbors), and a live reader reads a list only under that same lock,
 // copying it into pooled scratch before it uses it (liveView.neighborsAt;
@@ -138,13 +141,17 @@ func (ix *Index) Insert(vec []float32) uint32 {
 	return id
 }
 
-// Repair excises deleted nodes from the graph: each is removed from its
-// neighbors' adjacency lists, its still-alive neighbors are cross-connected
-// (preserving local connectivity through the hole), and its own lists are
-// cleared. The current entry point is skipped — it stays routable until a
-// later insert raises a new top-level node; tombstone filtering keeps it
-// out of results either way. Writer-side: same single-writer contract as
-// Insert.
+// Repair excises deleted nodes from the graph: each one's still-alive
+// neighbors are cross-connected (preserving local connectivity through the
+// hole) and it is removed from every adjacency list that names it, so no
+// new traversal can reach it. Its own lists are kept: a lock-free traversal
+// may be standing on it when Repair runs, and its out-edges are what lets
+// that traversal walk off again — routable, not returnable (the tombstone
+// filter keeps it out of results). Clearing them would free nothing (level-0
+// blocks are fixed-stride, slots are never reclaimed); dropping the edges
+// belongs with slot reclamation. The current entry point is skipped — it
+// stays routable until a later insert raises a new top-level node.
+// Writer-side: same single-writer contract as Insert.
 func (ix *Index) Repair(deleted []uint32, alive func(uint32) bool) {
 	if ix.live == nil || len(deleted) == 0 {
 		return
@@ -160,7 +167,7 @@ func (ix *Index) Repair(deleted []uint32, alive func(uint32) bool) {
 	}
 	// Cross-connect each hole's surviving neighborhood first, in the given
 	// (deterministic) order, so routing paths through a deleted node are
-	// replaced before the node's edges disappear.
+	// replaced before the edges into it disappear.
 	for _, d := range deleted {
 		if !dead[d] {
 			continue
@@ -197,15 +204,6 @@ func (ix *Index) Repair(deleted []uint32, alive func(uint32) bool) {
 			}
 			ix.sel = slices.DeleteFunc(append(ix.sel[:0], lst...), isDead)
 			ix.setNeighbors(id, l, ix.sel)
-		}
-	}
-	// Finally clear the deleted nodes' own lists.
-	for _, d := range deleted {
-		if !dead[d] {
-			continue
-		}
-		for l := 0; l <= ix.levels[d]; l++ {
-			ix.setNeighbors(d, l, nil)
 		}
 	}
 }

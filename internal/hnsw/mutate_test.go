@@ -119,10 +119,21 @@ func TestRepairExcisesDeleted(t *testing.T) {
 		deleted = append(deleted, id)
 	}
 	ix.Repair(deleted, func(id uint32) bool { return !dead[id] })
-	for _, d := range deleted {
-		for l := 0; l <= ix.Level(d); l++ {
-			if nbs := ix.Neighbors(d, l); len(nbs) != 0 {
-				t.Fatalf("deleted node %d still has %d edges at level %d", d, len(nbs), l)
+	// No walk from the entry point, over any level's edges, reaches a
+	// deleted node (which keeps its own out-edges: see
+	// TestRepairLeavesExcisedNodeRoutable).
+	seen := map[uint32]bool{ix.Entry(): true}
+	for queue := []uint32{ix.Entry()}; len(queue) > 0; queue = queue[1:] {
+		id := queue[0]
+		if dead[id] {
+			t.Fatalf("deleted node %d is reachable from the entry point", id)
+		}
+		for l := 0; l <= ix.Level(id); l++ {
+			for _, nb := range ix.Neighbors(id, l) {
+				if !seen[nb] {
+					seen[nb] = true
+					queue = append(queue, nb)
+				}
 			}
 		}
 	}
@@ -136,6 +147,100 @@ func TestRepairExcisesDeleted(t *testing.T) {
 					t.Fatalf("node %d level %d still points at deleted %d", i, l, nb)
 				}
 			}
+		}
+	}
+}
+
+// parkEngine runs a callback before each comparison. Embedding the Engine
+// interface hides engine.Batcher, so the traversal compares id by id.
+type parkEngine struct {
+	engine.Engine
+	onCompare func(id uint32)
+}
+
+func (p *parkEngine) Compare(id uint32, threshold float64) engine.Result {
+	p.onCompare(id)
+	return p.Engine.Compare(id, threshold)
+}
+
+// TestRepairLeavesExcisedNodeRoutable is the repair/traversal race made
+// deterministic on one goroutine: a traversal is parked on a node, Repair
+// excises that node, and the traversal must still walk off it to a full
+// answer — the node keeps its out-edges (routable), the tombstone filter
+// keeps it out of the results (not returnable). A Repair that clears the
+// node's own lists strands the traversal with 0 results.
+func TestRepairLeavesExcisedNodeRoutable(t *testing.T) {
+	for _, batch := range []int{1, 8} {
+		ds, ix := buildLive(t, 600, 300)
+		eng := engine.NewExact(ds.Vectors, ds.Profile.Metric, ds.Profile.Elem)
+		dead := map[uint32]bool{}
+		alive := func(id uint32) bool { return !dead[id] }
+		excise := func(id uint32) {
+			dead[id] = true
+			ix.Repair([]uint32{id}, alive)
+		}
+		check := func(what string, victim uint32, res []Neighbor) {
+			t.Helper()
+			if len(res) != 10 {
+				t.Fatalf("batch %d, %s victim %d: %d results, want 10", batch, what, victim, len(res))
+			}
+			for _, r := range res {
+				if dead[r.ID] {
+					t.Fatalf("batch %d, %s victim %d: excised node %d returned", batch, what, victim, r.ID)
+				}
+			}
+		}
+
+		// Base layer: the filter's first call names the base-layer start node
+		// after it was chosen and before it is expanded.
+		parked := 0
+		for _, q := range ds.Queries {
+			first, victim := true, uint32(0)
+			res := ix.SearchFilteredInto(q, 10, 64, batch, func(id uint32) bool {
+				if first && id != ix.Entry() { // Repair never excises the entry point
+					victim = id
+					excise(id)
+					parked++
+				}
+				first = false
+				return alive(id)
+			}, eng, nil, nil)
+			check("base-layer", victim, res)
+		}
+		if parked < len(ds.Queries)/2 {
+			t.Fatalf("batch %d: only %d of %d traversals were parked on a base-layer start", batch, parked, len(ds.Queries))
+		}
+
+		// Upper layers: a query for the victim's own vector steps onto the
+		// victim the moment it is first compared, during the greedy descent;
+		// excising it right then leaves the descent standing on it above the
+		// base layer. Victims are the upper-layer nodes whose own query's
+		// descent does end on them (a dry run tells).
+		parked = 0
+		for v := uint32(0); v < 600 && parked < 10; v++ {
+			if ix.Level(v) < 1 || v == ix.Entry() || dead[v] {
+				continue
+			}
+			start, seen := uint32(0), false
+			ix.SearchFilteredInto(ds.Vectors[v], 10, 64, batch, func(id uint32) bool {
+				if !seen {
+					start, seen = id, true
+				}
+				return alive(id)
+			}, eng, nil, nil)
+			if start != v {
+				continue
+			}
+			pe := &parkEngine{Engine: eng, onCompare: func(id uint32) {
+				if id == v && !dead[v] {
+					excise(v)
+					parked++
+				}
+			}}
+			check("upper-layer", v, ix.SearchFilteredInto(ds.Vectors[v], 10, 64, batch, alive, pe, nil, nil))
+		}
+		if parked < 10 {
+			t.Fatalf("batch %d: only %d traversals were parked on an upper-layer node", batch, parked)
 		}
 	}
 }

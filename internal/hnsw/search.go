@@ -262,14 +262,7 @@ func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batc
 	// Keep any capacity growth for the next query.
 	ctx.ids, ctx.dist = ids, dist
 
-	n := results.Len()
-	out := dst[:0]
-	for i := 0; i < n; i++ {
-		out = append(out, Neighbor{})
-	}
-	for i := n - 1; i >= 0; i-- {
-		out[i] = results.Pop()
-	}
+	out := results.Sorted(dst)
 	if len(out) > k {
 		out = out[:k]
 	}

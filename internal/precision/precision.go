@@ -33,6 +33,7 @@ import (
 
 	"ansmet/internal/bitplane"
 	"ansmet/internal/kmeans"
+	"ansmet/internal/stats"
 )
 
 // BuildConfig tunes the offline per-partition precision derivation.
@@ -235,10 +236,6 @@ func (m *Map) MeanLines() float64 { return m.meanLines }
 // TotalLines reports the layout line count the map was built for.
 func (m *Map) TotalLines() int { return m.totalLines }
 
-// EWMA smoothing factor of the tuner's observations — matches the query
-// router's cost model.
-const tunerAlpha = 0.2
-
 // tuneStride is the observation count between controller adjustments: the
 // EWMAs update every query, the knobs move only every stride-th one, which
 // keeps single-query noise from thrashing the budget.
@@ -270,8 +267,8 @@ type Tuner struct {
 
 	budget atomic.Uint64 // math.Float64bits of the current cut budget
 	bias   atomic.Int64  // depth bias in lines, [0, maxDepthBias]
-	risk   atomic.Uint64 // EWMA of atRisk/k (float bits)
-	pool   atomic.Uint64 // EWMA of pool/k (float bits)
+	risk   stats.EWMA    // of atRisk/k
+	pool   stats.EWMA    // of pool/k
 	obs    atomic.Uint64 // observation count
 }
 
@@ -319,21 +316,6 @@ func MarginForTarget(target float64) float64 {
 	return m
 }
 
-// ewmaFold CAS-folds x into the float-bits EWMA at a (the router's
-// Observe pattern), returning the new value.
-func ewmaFold(a *atomic.Uint64, x float64) float64 {
-	for {
-		old := a.Load()
-		nw := x
-		if old != 0 {
-			nw = (1-tunerAlpha)*math.Float64frombits(old) + tunerAlpha*x
-		}
-		if a.CompareAndSwap(old, math.Float64bits(nw)) {
-			return nw
-		}
-	}
-}
-
 // Observe folds one tiered query's outcome into the calibration: k is the
 // requested result count, pool the stage-2 re-rank pool size, and atRisk
 // how many of the returned top-k landed inside the adaptive cut's risk
@@ -342,8 +324,8 @@ func (t *Tuner) Observe(k, pool, atRisk int) {
 	if k <= 0 {
 		return
 	}
-	r := ewmaFold(&t.risk, float64(atRisk)/float64(k))
-	p := ewmaFold(&t.pool, float64(pool)/float64(k))
+	r := t.risk.Fold(float64(atRisk) / float64(k))
+	p := t.pool.Fold(float64(pool) / float64(k))
 	if t.obs.Add(1)%tuneStride != 0 {
 		return
 	}
@@ -398,8 +380,8 @@ func (t *Tuner) Snapshot() TunerSnapshot {
 		Budget:       t.Budget(),
 		DepthBias:    t.DepthBias(),
 		Margin:       t.Margin(),
-		RiskEWMA:     math.Float64frombits(t.risk.Load()),
-		PoolPerK:     math.Float64frombits(t.pool.Load()),
+		RiskEWMA:     t.risk.Value(),
+		PoolPerK:     t.pool.Value(),
 		Observations: t.obs.Load(),
 	}
 }

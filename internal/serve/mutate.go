@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"time"
 )
 
 // Mutation endpoints: POST /v1/upsert and POST /v1/delete, registered only
@@ -69,8 +68,9 @@ func (s *Server) handleUpsert(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, UpsertResponse{Error: "missing vector"})
 		return
 	}
-	ctx, cancel := s.mutationCtx(r, req.TimeoutMs)
+	ctx, cancel, stop := s.requestCtx(r, req.TimeoutMs)
 	defer cancel()
+	defer stop()
 	var (
 		id  uint32
 		err error
@@ -100,29 +100,15 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, DeleteResponse{Error: "missing id"})
 		return
 	}
-	ctx, cancel := s.mutationCtx(r, req.TimeoutMs)
+	ctx, cancel, stop := s.requestCtx(r, req.TimeoutMs)
 	defer cancel()
+	defer stop()
 	err := s.cfg.Delete(ctx, *req.ID)
 	if !s.writeMutationError(w, r, err) {
 		return
 	}
 	s.metrics.Deletes.Add(1)
 	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: true})
-}
-
-// mutationCtx builds the per-request deadline context, tied to the server
-// lifecycle the same way searches are (HardCancel aborts it).
-func (s *Server) mutationCtx(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
-	timeout := s.cfg.DefaultTimeout
-	if timeoutMs > 0 {
-		timeout = time.Duration(timeoutMs) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	return ctx, func() { stop(); cancel() }
 }
 
 // writeMutationError classifies a mutation hook error onto the wire using

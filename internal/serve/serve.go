@@ -14,24 +14,26 @@ import (
 	"ansmet/internal/hnsw"
 )
 
-// SearchFunc executes one query under the given context: cancellation and
-// deadline must propagate cooperatively into the traversal (the ansmet
-// SearchEfCtx family does). On context expiry it may return partial
-// results alongside an error matching context.DeadlineExceeded /
-// context.Canceled via errors.Is.
+// SearchFunc is the plain search hook, kept beside PrecisionFunc for one
+// reason: bench/probe.go assigns Config.Search by this signature. A server
+// should wire SearchPrecision. Cancellation and deadline must propagate
+// cooperatively into the traversal (the ansmet SearchEfCtx family does). On
+// context expiry a hook may return partial results alongside an error
+// matching context.DeadlineExceeded / context.Canceled via errors.Is.
 //
 // Ownership, for this and every other hook that takes a vector
-// (OutcomeFunc, RoutedFunc, PrecisionFunc, UpsertFunc): q is the callee's.
-// serve allocates it per request and never reads, writes or reuses it after
-// the call, so a hook may retain it past its return — a sharded backend's
-// abandoned stragglers do.
+// (PrecisionFunc, UpsertFunc): q is the callee's. serve allocates it per
+// request and never reads, writes or reuses it after the call, so a hook may
+// retain it past its return — a sharded backend's abandoned stragglers do.
 type SearchFunc func(ctx context.Context, q []float32, k, ef int) ([]hnsw.Neighbor, error)
 
-// Outcome is the degradation-aware result an OutcomeFunc returns: the
+// Outcome is the degradation-aware result a PrecisionFunc returns: the
 // merged neighbors plus whether any backend shard was missing from the
 // merge (Partial), the human-readable per-shard fault strings, and how
-// many hedge requests the query spent. A plain SearchFunc is the
-// degenerate always-complete case.
+// many hedge requests the query spent, so the HTTP layer can surface
+// partial results honestly (X-ANSMET-Partial header, "partial"/"faults"
+// response fields) instead of presenting a degraded answer as a complete
+// one. A plain SearchFunc is the degenerate always-complete case.
 type Outcome struct {
 	Neighbors []hnsw.Neighbor
 	Partial   bool
@@ -44,26 +46,14 @@ type Outcome struct {
 	Route string
 }
 
-// OutcomeFunc is the sharded-backend search hook: like SearchFunc, but the
-// result carries degradation metadata so the HTTP layer can surface
-// partial results honestly (X-ANSMET-Partial header, "partial"/"faults"
-// response fields) instead of presenting a degraded answer as a complete
-// one. q is the callee's (see SearchFunc).
-type OutcomeFunc func(ctx context.Context, q []float32, k, ef int) (Outcome, error)
-
-// RoutedFunc is the route-aware search hook, used for requests that name a
-// "mode": one of the engine.Route names ("auto", "host", "ndp", "tiered",
-// "exact"). mode is pre-validated by the handler through engine.ParseRoute;
-// the Outcome's Route field should report the path actually taken. q is the
-// callee's (see SearchFunc).
-type RoutedFunc func(ctx context.Context, q []float32, k, ef int, mode string) (Outcome, error)
-
-// PrecisionFunc is the recall-target-aware search hook, used for requests
-// that carry a "recall_target" field: recallTarget is pre-validated to
-// (0, 1] and mode is either empty or a valid route name. The backend maps
-// the target onto its adaptive mixed-precision machinery (for the ansmet
-// Database, the tiered pipeline's cut budget). q is the callee's (see
-// SearchFunc).
+// PrecisionFunc is the general search hook; it can serve every request.
+// mode is the request's "mode" — empty, or one of the engine.Route names
+// ("auto", "host", "ndp", "tiered", "exact"), pre-validated by the handler
+// through engine.ParseRoute — and recallTarget its "recall_target", 0 when
+// absent and otherwise pre-validated to (0, 1]. The backend resolves the
+// pair to a query plan (for the ansmet Database: the route, and the target
+// as the tiered pipeline's cut budget); the Outcome's Route field should
+// report the path actually taken. q is the callee's (see SearchFunc).
 type PrecisionFunc func(ctx context.Context, q []float32, k, ef int, mode string, recallTarget float64) (Outcome, error)
 
 // PartialHeader marks responses assembled from a degraded backend (one or
@@ -80,20 +70,12 @@ const RouteHeader = "X-ANSMET-Route"
 
 // Config wires a Server.
 type Config struct {
-	// Search executes queries; required unless SearchOutcome is set.
-	Search SearchFunc
-	// SearchOutcome, when set, takes precedence over Search and lets a
-	// sharded backend report partial-result degradation per query.
-	SearchOutcome OutcomeFunc
-	// SearchRouted, when set, serves requests that carry a "mode" field
-	// (route selection). Requests naming a mode on a server without it get
-	// HTTP 400; requests without a mode always use SearchOutcome/Search, so
-	// wiring SearchRouted changes nothing for existing clients.
-	SearchRouted RoutedFunc
-	// SearchPrecision, when set, serves requests that carry a
-	// "recall_target" field (adaptive mixed-precision). Requests naming a
-	// target on a server without it get HTTP 400; requests without one
-	// never reach it.
+	// Search and SearchPrecision execute queries; one of them is required.
+	// A request with neither "mode" nor "recall_target" goes to Search when
+	// it is set, else to SearchPrecision with mode "" and target 0; a
+	// request naming either goes to SearchPrecision, and gets HTTP 400 on a
+	// server without it.
+	Search          SearchFunc
 	SearchPrecision PrecisionFunc
 	// Upsert, when set, enables POST /v1/upsert (insert or replace a
 	// vector); Delete enables POST /v1/delete. Unset hooks leave their
@@ -183,7 +165,7 @@ type Metrics struct {
 	Routed [engine.NumRoutes]atomic.Int64
 
 	// RecallTargeted counts requests that carried an explicit
-	// recall_target (served through Config.SearchPrecision).
+	// recall_target.
 	RecallTargeted atomic.Int64
 
 	// Upserts and Deletes count acknowledged mutations (200s on
@@ -216,11 +198,11 @@ type SearchRequest struct {
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 	// Mode selects the query execution path: "auto" (deadline-aware
 	// routing), "host", "ndp", "tiered", or "exact". Empty uses the server's
-	// default path. Requires a route-aware backend (Config.SearchRouted).
+	// default path. Requires Config.SearchPrecision.
 	Mode string `json:"mode,omitempty"`
 	// RecallTarget, in (0, 1], asks for adaptive mixed-precision at this
-	// recall level (1 = exact). Requires a precision-aware backend
-	// (Config.SearchPrecision). 0 (absent) uses the server's default.
+	// recall level (1 = exact). Requires Config.SearchPrecision. 0 (absent)
+	// uses the server's default.
 	RecallTarget float64 `json:"recall_target,omitempty"`
 	// Panic triggers the chaos panic probe (only honored when
 	// Config.AllowPanicProbe is set).
@@ -269,11 +251,11 @@ type Server struct {
 	start time.Time
 }
 
-// New builds a Server. One of Config.Search or Config.SearchOutcome is
+// New builds a Server. One of Config.Search or Config.SearchPrecision is
 // required.
 func New(cfg Config) (*Server, error) {
-	if cfg.Search == nil && cfg.SearchOutcome == nil {
-		return nil, errors.New("serve: Config.Search or Config.SearchOutcome is required")
+	if cfg.Search == nil && cfg.SearchPrecision == nil {
+		return nil, errors.New("serve: Config.Search or Config.SearchPrecision is required")
 	}
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -415,7 +397,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, SearchResponse{Error: err.Error()})
 			return
 		}
-		if s.cfg.SearchRouted == nil {
+		if s.cfg.SearchPrecision == nil {
 			s.metrics.BadRequests.Add(1)
 			writeJSON(w, http.StatusBadRequest, SearchResponse{
 				Error: "mode selection is not supported by this server"})
@@ -435,36 +417,26 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel, stop := s.requestCtx(r, req.TimeoutMs)
 	defer cancel()
-	// Tie the search to the server lifecycle: HardCancel aborts it too.
-	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
 
+	// Deferred, so a hook panic (contained to a 500 by recoverWrap) does not
+	// leak the gauge.
 	s.metrics.InFlight.Add(1)
+	defer s.metrics.InFlight.Add(-1)
 	var (
 		out Outcome
 		err error
 	)
-	switch {
-	case req.RecallTarget > 0:
+	if req.RecallTarget > 0 {
 		s.metrics.RecallTargeted.Add(1)
-		out, err = s.cfg.SearchPrecision(ctx, req.Query, k, ef, req.Mode, req.RecallTarget)
-	case req.Mode != "":
-		out, err = s.cfg.SearchRouted(ctx, req.Query, k, ef, req.Mode)
-	case s.cfg.SearchOutcome != nil:
-		out, err = s.cfg.SearchOutcome(ctx, req.Query, k, ef)
-	default:
-		out.Neighbors, err = s.cfg.Search(ctx, req.Query, k, ef)
 	}
-	s.metrics.InFlight.Add(-1)
+	if req.Mode == "" && req.RecallTarget == 0 && s.cfg.Search != nil {
+		out.Neighbors, err = s.cfg.Search(ctx, req.Query, k, ef)
+	} else {
+		out, err = s.cfg.SearchPrecision(ctx, req.Query, k, ef, req.Mode, req.RecallTarget)
+	}
 	if out.Route != "" {
 		// Tell the client which path ran (meaningful even on a 504 partial)
 		// and count it.
@@ -515,6 +487,22 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.metrics.Internal.Add(1)
 		writeJSON(w, http.StatusInternalServerError, SearchResponse{Error: "internal error"})
 	}
+}
+
+// requestCtx builds a request's deadline context: the server default, or
+// the request's own timeout_ms, capped at MaxTimeout — and tied to the
+// server lifecycle, so HardCancel aborts it too. The caller defers cancel
+// and stop (one closure over the two would be an allocation per request).
+func (s *Server) requestCtx(r *http.Request, timeoutMs int) (ctx context.Context, cancel context.CancelFunc, stop func() bool) {
+	timeout := s.cfg.DefaultTimeout
+	if timeoutMs > 0 {
+		timeout = time.Duration(timeoutMs) * time.Millisecond
+	}
+	if timeout > s.cfg.MaxTimeout {
+		timeout = s.cfg.MaxTimeout
+	}
+	ctx, cancel = context.WithTimeout(r.Context(), timeout)
+	return ctx, cancel, context.AfterFunc(s.baseCtx, cancel)
 }
 
 // retryAfterSecs converts an admission Retry-After hint into whole seconds

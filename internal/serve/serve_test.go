@@ -34,9 +34,11 @@ func blockingSearch(ctx context.Context, q []float32, k, ef int) ([]hnsw.Neighbo
 	return []hnsw.Neighbor{{ID: 7, Dist: 0.5}}, ctx.Err()
 }
 
+// newTestServer builds a server, wiring okSearch as the plain hook when the
+// config names no search hook at all.
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	if cfg.Search == nil {
+	if cfg.Search == nil && cfg.SearchPrecision == nil {
 		cfg.Search = okSearch
 	}
 	s, err := New(cfg)
@@ -217,6 +219,26 @@ func TestPanicContained(t *testing.T) {
 	if w := postSearch(s2, `{"query":[1],"panic":true}`); w.Code != http.StatusOK {
 		t.Fatalf("probe honored despite AllowPanicProbe=false: %d", w.Code)
 	}
+
+	// A panic inside the search hook is contained the same way and leaks
+	// neither the in-flight gauge nor the admission slot.
+	explode := true
+	s3 := newTestServer(t, Config{Search: func(ctx context.Context, q []float32, k, ef int) ([]hnsw.Neighbor, error) {
+		if explode {
+			panic("hook exploded")
+		}
+		return okSearch(ctx, q, k, ef)
+	}})
+	if w := postSearch(s3, `{"query":[1]}`); w.Code != http.StatusInternalServerError {
+		t.Fatalf("hook panic: status = %d, want 500", w.Code)
+	}
+	if p, in, run := s3.Metrics().Panics.Load(), s3.Metrics().InFlight.Load(), s3.Admission().Stats().Running; p != 1 || in != 0 || run != 0 {
+		t.Fatalf("after a hook panic: panics=%d in_flight=%d admission running=%d, want 1, 0, 0", p, in, run)
+	}
+	explode = false
+	if w := postSearch(s3, `{"query":[1]}`); w.Code != http.StatusOK {
+		t.Fatalf("post-hook-panic status = %d, want 200", w.Code)
+	}
 }
 
 func TestDrainLifecycle(t *testing.T) {
@@ -298,7 +320,7 @@ func TestMethodRouting(t *testing.T) {
 
 func TestSearchOutcomePartialDegradation(t *testing.T) {
 	s := newTestServer(t, Config{
-		SearchOutcome: func(ctx context.Context, q []float32, k, ef int) (Outcome, error) {
+		SearchPrecision: func(ctx context.Context, q []float32, k, ef int, mode string, rt float64) (Outcome, error) {
 			return Outcome{
 				Neighbors: []hnsw.Neighbor{{ID: 3, Dist: 0.25}},
 				Partial:   true,
@@ -323,7 +345,7 @@ func TestSearchOutcomePartialDegradation(t *testing.T) {
 
 	// A healthy outcome must NOT carry the partial marker.
 	s2 := newTestServer(t, Config{
-		SearchOutcome: func(ctx context.Context, q []float32, k, ef int) (Outcome, error) {
+		SearchPrecision: func(ctx context.Context, q []float32, k, ef int, mode string, rt float64) (Outcome, error) {
 			return Outcome{Neighbors: []hnsw.Neighbor{{ID: 1, Dist: 0.5}}}, nil
 		},
 	})
@@ -381,7 +403,7 @@ func TestVarsExtraSections(t *testing.T) {
 
 // routedOK echoes the resolved mode as the taken route ("auto" resolves to
 // "tiered" — a stand-in for the router's healthy-idle decision).
-func routedOK(ctx context.Context, q []float32, k, ef int, mode string) (Outcome, error) {
+func routedOK(ctx context.Context, q []float32, k, ef int, mode string, rt float64) (Outcome, error) {
 	route := mode
 	if route == "auto" {
 		route = "tiered"
@@ -391,7 +413,7 @@ func routedOK(ctx context.Context, q []float32, k, ef int, mode string) (Outcome
 }
 
 func TestSearchModeRouted(t *testing.T) {
-	s := newTestServer(t, Config{SearchRouted: routedOK})
+	s := newTestServer(t, Config{SearchPrecision: routedOK})
 	for _, c := range []struct{ mode, wantRoute string }{
 		{"ndp", "ndp"}, {"tiered", "tiered"}, {"exact", "exact"}, {"auto", "tiered"}, {"host", "host"},
 	} {
@@ -416,12 +438,15 @@ func TestSearchModeRouted(t *testing.T) {
 	}
 }
 
-// TestSearchNoModeReportsRoute: a default-path backend that says which
-// engine answered (Config.SearchOutcome with Outcome.Route) gets the route
-// header and the per-route counter on requests without a mode too.
+// TestSearchNoModeReportsRoute: on a server wired with SearchPrecision
+// alone a plain body reaches it, with no mode and no target, and a backend
+// that says which engine answered (Outcome.Route) gets the route header and
+// the per-route counter on requests without a mode too.
 func TestSearchNoModeReportsRoute(t *testing.T) {
+	gotMode, gotTarget := "unset", -1.0
 	s := newTestServer(t, Config{
-		SearchOutcome: func(ctx context.Context, q []float32, k, ef int) (Outcome, error) {
+		SearchPrecision: func(ctx context.Context, q []float32, k, ef int, mode string, rt float64) (Outcome, error) {
+			gotMode, gotTarget = mode, rt
 			nn, err := okSearch(ctx, q, k, ef)
 			return Outcome{Neighbors: nn, Route: "host"}, err
 		},
@@ -429,6 +454,9 @@ func TestSearchNoModeReportsRoute(t *testing.T) {
 	w := postSearch(s, `{"query":[1,2],"k":3}`)
 	if w.Code != http.StatusOK || w.Header().Get(RouteHeader) != "host" {
 		t.Fatalf("status %d, route header %q, want 200 and host", w.Code, w.Header().Get(RouteHeader))
+	}
+	if gotMode != "" || gotTarget != 0 {
+		t.Fatalf("plain body reached the hook with (mode=%q, target=%v), want (\"\", 0)", gotMode, gotTarget)
 	}
 	if got := s.Metrics().Routed[engine.RouteHost].Load(); got != 1 {
 		t.Fatalf("host counter = %d, want 1", got)
@@ -441,14 +469,15 @@ func TestSearchModeEmptyUsesDefaultPath(t *testing.T) {
 	// route, so there is no route header to carry.
 	called := false
 	s := newTestServer(t, Config{
-		SearchRouted: func(ctx context.Context, q []float32, k, ef int, mode string) (Outcome, error) {
+		Search: okSearch,
+		SearchPrecision: func(ctx context.Context, q []float32, k, ef int, mode string, rt float64) (Outcome, error) {
 			called = true
-			return routedOK(ctx, q, k, ef, mode)
+			return routedOK(ctx, q, k, ef, mode, rt)
 		},
 	})
 	w := postSearch(s, `{"query":[1,2],"k":3}`)
 	if w.Code != http.StatusOK || called {
-		t.Fatalf("status %d, routed-hook called=%v", w.Code, called)
+		t.Fatalf("status %d, general hook called=%v", w.Code, called)
 	}
 	if got := w.Header().Get(RouteHeader); got != "" {
 		t.Fatalf("unexpected route header %q", got)
@@ -456,7 +485,7 @@ func TestSearchModeEmptyUsesDefaultPath(t *testing.T) {
 }
 
 func TestSearchModeValidation(t *testing.T) {
-	s := newTestServer(t, Config{SearchRouted: routedOK})
+	s := newTestServer(t, Config{SearchPrecision: routedOK})
 	w := postSearch(s, `{"query":[1,2],"k":3,"mode":"warp"}`)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("unknown mode: status %d, want 400", w.Code)
@@ -470,11 +499,11 @@ func TestSearchModeValidation(t *testing.T) {
 		}
 	}
 
-	// A server without a routed backend rejects any mode with 400.
+	// A server with the plain hook alone rejects any mode with 400.
 	plain := newTestServer(t, Config{})
 	w = postSearch(plain, `{"query":[1,2],"k":3,"mode":"tiered"}`)
 	if w.Code != http.StatusBadRequest {
-		t.Fatalf("mode without SearchRouted: status %d, want 400", w.Code)
+		t.Fatalf("mode without SearchPrecision: status %d, want 400", w.Code)
 	}
 	if resp := decodeResp(t, w); resp.Error == "" {
 		t.Fatal("missing error message")
@@ -482,7 +511,7 @@ func TestSearchModeValidation(t *testing.T) {
 }
 
 func TestVarsRouteCounters(t *testing.T) {
-	s := newTestServer(t, Config{SearchRouted: routedOK})
+	s := newTestServer(t, Config{SearchPrecision: routedOK})
 	postSearch(s, `{"query":[1],"k":1,"mode":"exact"}`)
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/debug/vars", nil))
@@ -516,10 +545,6 @@ func TestSearchRecallTarget(t *testing.T) {
 	var gotTarget float64
 	var gotMode string
 	s := newTestServer(t, Config{
-		SearchRouted: func(ctx context.Context, q []float32, k, ef int, mode string) (Outcome, error) {
-			out, err := okSearch(ctx, q, k, ef)
-			return Outcome{Neighbors: out, Route: mode}, err
-		},
 		SearchPrecision: func(ctx context.Context, q []float32, k, ef int, mode string, rt float64) (Outcome, error) {
 			gotTarget, gotMode = rt, mode
 			out, err := okSearch(ctx, q, k, ef)
@@ -541,8 +566,7 @@ func TestSearchRecallTarget(t *testing.T) {
 		t.Fatalf("route header %q, want tiered", got)
 	}
 
-	// recall_target composes with an explicit mode: the precision hook wins
-	// the dispatch and receives the mode.
+	// recall_target composes with an explicit mode: the hook receives both.
 	w = postSearch(s, `{"query":[1,2,3],"k":2,"mode":"exact","recall_target":1}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("mode+target status = %d, body %s", w.Code, w.Body)
@@ -583,7 +607,7 @@ func TestSearchRecallTargetValidation(t *testing.T) {
 			t.Fatalf("body %s: status = %d, want 400", body, w.Code)
 		}
 	}
-	// Zero means "server default": served by the plain path, never the hook.
+	// Zero means "server default": a plain request, not a recall-targeted one.
 	if w := postSearch(s, `{"query":[1],"recall_target":0}`); w.Code != http.StatusOK {
 		t.Fatalf("zero target: status = %d", w.Code)
 	}

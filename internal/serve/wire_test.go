@@ -33,16 +33,19 @@ func echoNeighbors(q []float32, k, ef int) []hnsw.Neighbor {
 func wireTableServer(t *testing.T) *Server {
 	return newTestServer(t, Config{
 		MaxBodyBytes: 256,
-		SearchOutcome: func(ctx context.Context, q []float32, k, ef int) (Outcome, error) {
-			return Outcome{Neighbors: echoNeighbors(q, k, ef), Route: "host"}, nil
-		},
-		SearchRouted: func(ctx context.Context, q []float32, k, ef int, mode string) (Outcome, error) {
-			return Outcome{Neighbors: echoNeighbors(q, k, ef), Route: mode}, nil
-		},
+		// What the three hooks the table was recorded through answered: a
+		// target echoes itself from "tiered", a mode names itself, a plain
+		// body is "host".
 		SearchPrecision: func(ctx context.Context, q []float32, k, ef int, mode string, rt float64) (Outcome, error) {
 			nn := echoNeighbors(q, k, ef)
-			nn[0].Dist = rt
-			return Outcome{Neighbors: nn, Route: "tiered"}, nil
+			switch {
+			case rt > 0:
+				nn[0].Dist = rt
+				return Outcome{Neighbors: nn, Route: "tiered"}, nil
+			case mode != "":
+				return Outcome{Neighbors: nn, Route: mode}, nil
+			}
+			return Outcome{Neighbors: nn, Route: "host"}, nil
 		},
 		Upsert: func(ctx context.Context, id uint32, hasID bool, vec []float32) (uint32, error) {
 			if !hasID {
@@ -566,63 +569,5 @@ func TestWireAllocs(t *testing.T) {
 	buf, _ := appendSearchOK(nil, nn)
 	if n := testing.AllocsPerRun(100, func() { buf, _ = appendSearchOK(buf[:0], nn) }); n != 0 {
 		t.Errorf("appendSearchOK: %v allocs on a warmed buffer, want 0", n)
-	}
-}
-
-// --- benchmark ---------------------------------------------------------------
-
-// benchWriter is a reusable in-memory http.ResponseWriter.
-type benchWriter struct {
-	h    http.Header
-	body bytes.Buffer
-	code int
-}
-
-func (w *benchWriter) Header() http.Header         { return w.h }
-func (w *benchWriter) WriteHeader(code int)        { w.code = code }
-func (w *benchWriter) Write(p []byte) (int, error) { return w.body.Write(p) }
-
-// benchBody is a request body that can be rewound.
-type benchBody struct{ *bytes.Reader }
-
-func (benchBody) Close() error { return nil }
-
-// BenchmarkServeSearch is one /v1/search through Handler() with the search
-// itself stubbed out: the request envelope's own cost and allocations.
-func BenchmarkServeSearch(b *testing.B) {
-	nn := make([]hnsw.Neighbor, 10)
-	for i := range nn {
-		nn[i] = hnsw.Neighbor{ID: uint32(1000 + i), Dist: 0.25 * float64(i+1)}
-	}
-	s, err := New(Config{
-		SearchOutcome: func(context.Context, []float32, int, int) (Outcome, error) {
-			return Outcome{Neighbors: nn, Route: "host"}, nil
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := s.Handler()
-	for _, dim := range []int{128, 960} {
-		b.Run(fmt.Sprintf("dim%d", dim), func(b *testing.B) {
-			body := benchShapedBody(dim)
-			rd := benchBody{bytes.NewReader(body)}
-			req := httptest.NewRequest("POST", "/v1/search", nil)
-			req.ContentLength = int64(len(body))
-			w := &benchWriter{h: http.Header{}}
-			b.SetBytes(int64(len(body)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rd.Reset(body)
-				req.Body = rd
-				w.body.Reset()
-				clear(w.h)
-				h.ServeHTTP(w, req)
-				if w.code != http.StatusOK {
-					b.Fatalf("status %d: %s", w.code, w.body.Bytes())
-				}
-			}
-		})
 	}
 }

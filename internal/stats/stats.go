@@ -1,6 +1,7 @@
 // Package stats provides small statistical utilities shared across the
 // ANSMET reproduction: deterministic pseudo-random number generation,
-// percentiles, histograms, KL divergence, and mean helpers.
+// percentiles, histograms, KL divergence, mean helpers, and the one
+// lock-free EWMA.
 //
 // Everything here is dependency-free and deterministic so that experiments
 // are exactly reproducible from a seed.
@@ -10,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // RNG is a small, fast, deterministic pseudo-random generator
@@ -275,3 +277,33 @@ func Entropy(weights []float64) float64 {
 	}
 	return e
 }
+
+// ewmaAlpha is the smoothing factor the query router's cost model and the
+// recall-target tuner's signals were both tuned at.
+const ewmaAlpha = 0.2
+
+// EWMA is a lock-free exponentially weighted moving average held as float
+// bits in one atomic word. The zero value is unseeded: the first sample
+// seeds it directly, later ones fold in at α. A value that folds to exactly
+// 0.0 has the unseeded bit pattern and is re-seeded by the next sample: the
+// tuner's calibrated budgets depend on that, and the router, which needs 0
+// to mean "no observation", keeps its samples positive. Safe for concurrent
+// use; allocation-free.
+type EWMA struct{ bits atomic.Uint64 }
+
+// Fold folds x into the average and returns the new value.
+func (e *EWMA) Fold(x float64) float64 {
+	for {
+		old := e.bits.Load()
+		nw := x
+		if old != 0 {
+			nw = (1-ewmaAlpha)*math.Float64frombits(old) + ewmaAlpha*x
+		}
+		if e.bits.CompareAndSwap(old, math.Float64bits(nw)) {
+			return nw
+		}
+	}
+}
+
+// Value returns the current average (0 when unseeded).
+func (e *EWMA) Value() float64 { return math.Float64frombits(e.bits.Load()) }

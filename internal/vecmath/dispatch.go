@@ -25,13 +25,6 @@ import "os"
 // read once at package init.
 const NoSIMDEnv = "ANSMET_NO_SIMD"
 
-// SIMDEnv is the environment variable that pins dispatch to one named
-// implementation ("scalar", "avx2"), read once at package init. Unlike
-// ANSMET_NO_SIMD (the kill-switch, which always wins), a preference names
-// an implementation that may not exist on this CPU; unavailable or unknown
-// names fall back to the automatic choice.
-const SIMDEnv = "ANSMET_SIMD"
-
 // prefetchLines is how many 64 B lines of a row Prefetch asks for. A beam
 // hop knows every row it will compare before it compares the first, so the
 // traversal hints them all and the kernel then runs over lines already on
@@ -95,15 +88,14 @@ var scalarImpl = Impl{
 
 // Implementations returns every implementation runnable on this CPU,
 // scalar first. The list reflects hardware capability, not the env
-// overrides: tests iterate it to gate every runnable kernel against the
+// override: tests iterate it to gate every runnable kernel against the
 // reference even when dispatch is forced to scalar.
 func Implementations() []Impl {
 	return append([]Impl{scalarImpl}, archImpls()...)
 }
 
 // Active returns the implementation the package-level kernels dispatch to,
-// as selected at init by CPU detection and the ANSMET_NO_SIMD /
-// ANSMET_SIMD overrides.
+// as selected at init by CPU detection and the ANSMET_NO_SIMD override.
 func Active() Impl {
 	return activeImpl()
 }
@@ -116,10 +108,4 @@ func simdDisabledByEnv() bool {
 		return false
 	}
 	return true
-}
-
-// simdPreference returns the ANSMET_SIMD implementation name ("" if
-// unset). Called once at init by the per-arch dispatch setup.
-func simdPreference() string {
-	return os.Getenv(SIMDEnv)
 }

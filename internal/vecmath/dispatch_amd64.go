@@ -13,7 +13,7 @@ package vecmath
 //
 //	avx2    — AVX2 and OS-enabled YMM state (XCR0); the default whenever
 //	          available
-//	scalar  — everything else, ANSMET_NO_SIMD set, or ANSMET_SIMD=scalar
+//	scalar  — everything else, or ANSMET_NO_SIMD set
 
 // cpuid executes CPUID with EAX=leaf, ECX=sub (cpu_amd64.s).
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -56,16 +56,14 @@ const (
 
 var (
 	features    = detectFeatures()
-	kernelLevel = chooseLevel(features, simdDisabledByEnv(), simdPreference())
+	kernelLevel = chooseLevel(features, simdDisabledByEnv())
 )
 
-// chooseLevel maps detected features and the env overrides to a dispatch
-// level. Pure function so tests can pin the selection logic directly.
-// ANSMET_NO_SIMD always wins; ANSMET_SIMD=scalar forces the scalar kernels,
-// and any other preference (avx2, or a name this build does not know) falls
-// through to the automatic choice: AVX2 when runnable here.
-func chooseLevel(f cpuFeatures, noSIMD bool, pref string) int {
-	if noSIMD || pref == "scalar" || !f.hasAVX2 {
+// chooseLevel maps detected features and the ANSMET_NO_SIMD override to a
+// dispatch level. Pure function so tests can pin the selection logic
+// directly: the override always wins, otherwise AVX2 when runnable here.
+func chooseLevel(f cpuFeatures, noSIMD bool) int {
+	if noSIMD || !f.hasAVX2 {
 		return levelScalar
 	}
 	return levelAVX2

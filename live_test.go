@@ -625,6 +625,12 @@ func TestConcurrentMutateSearch(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				// More than k vectors are live throughout, so every route owes a
+				// full answer, whatever Repair excised mid-traversal.
+				if len(res) != 10 {
+					t.Errorf("route %d of 4: %d results, want 10", i%4, len(res))
+					return
+				}
 				for _, n := range res {
 					if dead[n.ID] {
 						t.Errorf("search returned id %d deleted before it started", n.ID)

@@ -12,15 +12,14 @@ func (db *Database) adaptive() bool { return db.tuner != nil }
 
 // tieredOpts resolves the tiered pipeline options for one query. An
 // explicit in-range budget wins; otherwise the recall-target tuner's
-// calibrated budget (when adaptive) or the configured Options.TieredBudget
-// applies. Adaptive databases additionally install the per-partition
-// static depth map, the tuner's depth bias and the escalation margin.
+// calibrated budget (when adaptive) or 1, the provably exact cut, applies.
+// Adaptive databases additionally install the per-partition static depth
+// map, the tuner's depth bias and the escalation margin.
 func (db *Database) tieredOpts(budget float64) core.TieredOpts {
 	if budget <= 0 || budget > 1 {
+		budget = 1
 		if db.tuner != nil {
 			budget = db.tuner.Budget()
-		} else {
-			budget = db.tieredBudget()
 		}
 	}
 	opt := core.TieredOpts{Budget: budget}

@@ -45,8 +45,9 @@ type Query struct {
 	Route Route
 	// Budget is the tiered route's adaptive-cut budget in (0, 1]; 0 (or a
 	// negative value) means the database's own: the recall-target tuner's
-	// calibration on an adaptive database, Options.TieredBudget otherwise. 1
-	// is the provably exact cut. On RouteAuto a positive Budget is the
+	// calibration on an adaptive database, 1 otherwise. 1 is the provably
+	// exact cut; smaller values trade a recall guarantee of roughly this
+	// level for a smaller exact re-rank pool. On RouteAuto a positive Budget is the
 	// caller stating the quality, and the router is not asked: at 1 or above
 	// the exact scan runs (the same answers as the tiered route at budget 1,
 	// bit for bit), below 1 the tiered route at that budget.
@@ -425,7 +426,7 @@ func (db *Database) SearchEfCtx(ctx context.Context, q []float32, k, ef int) ([]
 
 // SearchCtxInto is SearchEfCtx appending results into dst[:0]; with a
 // reused dst the un-cancelled steady state performs zero heap allocations
-// (gated by BenchmarkSearchWithDeadline in CI).
+// (gated by TestSearchCtxSteadyStateAllocs).
 func (db *Database) SearchCtxInto(ctx context.Context, q []float32, k, ef int, dst []Neighbor) ([]Neighbor, error) {
 	res, err := db.Do(ctx, &Query{Vector: q, K: k, Ef: ef, Route: db.beam, Dst: dst})
 	return res.Neighbors, err
@@ -445,16 +446,15 @@ func (db *Database) ExactSearch(q []float32, k int) ([]Neighbor, int, error) {
 
 // TieredSearchInto returns the k nearest neighbors via the two-stage
 // bound-first/exact-rerank pipeline, with an explicit budget in (0, 1] (0
-// uses the database's: Options.TieredBudget, default 1 — the provably exact
-// cut) appending results into dst[:0]. Stage 1 orders the whole population
+// uses the database's, see Query.Budget: 1, the provably exact cut, unless
+// a recall target calibrates it) appending results into dst[:0]. Stage 1 orders the whole population
 // by cheap partial-bit lower bounds without ever fully fetching a vector;
 // stage 2 re-ranks candidates exactly in ascending-bound order until the
 // adaptive cut proves (budget 1) or deems (budget < 1) the rest irrelevant.
 // At budget 1 the results are identical to ExactSearch, at a fraction of
 // its line traffic. On a Base design the route degrades to the exact scan,
 // reporting the whole population as the pool. With a reused dst the steady
-// state allocates nothing (gated by TestTieredSteadyStateAllocs and
-// BenchmarkTieredSearch in CI).
+// state allocates nothing (gated by TestTieredSteadyStateAllocs).
 func (db *Database) TieredSearchInto(q []float32, k int, budget float64, dst []Neighbor) ([]Neighbor, TieredStats, error) {
 	res, err := db.Do(context.Background(), &Query{Vector: q, K: k, Route: RouteTiered, Budget: budget, Dst: dst})
 	return res.Neighbors, res.Tiered, err

@@ -46,13 +46,3 @@ func (db *Database) degradedRanks() int {
 	}
 	return db.sys.Breakers.DegradedRanks()
 }
-
-// tieredBudget resolves the database's configured static cut budget
-// (default 1: provably exact). Adaptive databases resolve through the
-// recall-target tuner instead — see tieredOpts in precision.go.
-func (db *Database) tieredBudget() float64 {
-	if b := db.opts.TieredBudget; b > 0 && b <= 1 {
-		return b
-	}
-	return 1
-}

@@ -252,18 +252,19 @@ func TestSearchManyRouted(t *testing.T) {
 	}
 }
 
-// TestTieredBudgetKnob: Options.TieredBudget below 1 still returns k
-// results and the explicit per-call budget overrides it.
+// TestTieredBudgetKnob: a Query.Budget below 1 still returns k results
+// and budget 1 re-ranks at least as large a pool.
 func TestTieredBudgetKnob(t *testing.T) {
 	p := dataset.ProfileByName("SIFT")
 	ds := dataset.Generate(p, 400, 4, 11)
 	db, err := ansmet.New(ds.Vectors, ansmet.Options{
-		Metric: p.Metric, Elem: p.Elem, EfConstruction: 60, Seed: 11, TieredBudget: 0.8,
+		Metric: p.Metric, Elem: p.Elem, EfConstruction: 60, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nn, stats, err := db.TieredSearchInto(ds.Queries[0], 5, 0, nil)
+	res, err := db.Do(context.Background(), &ansmet.Query{Vector: ds.Queries[0], K: 5, Route: ansmet.RouteTiered, Budget: 0.8})
+	nn, stats := res.Neighbors, res.Tiered
 	if err != nil || len(nn) != 5 {
 		t.Fatalf("budget 0.8: %d results err=%v (stats %+v)", len(nn), err, stats)
 	}
