@@ -40,6 +40,7 @@ import (
 	"ansmet/internal/engine"
 	"ansmet/internal/hnsw"
 	"ansmet/internal/precision"
+	"ansmet/internal/rows"
 	"ansmet/internal/vecmath"
 	"ansmet/internal/wal"
 )
@@ -222,9 +223,11 @@ func (o *Options) fill() {
 // (live.go): Add/Delete/Update then serialize behind mu while searches
 // stay concurrent and lock-free.
 type Database struct {
-	opts    Options
-	vectors [][]float32
-	sys     *core.System
+	opts Options
+	// rows is the one store of the (quantized) vectors, in their element
+	// type: index, bit-plane store and host engines read it, Add appends.
+	rows *rows.Slab
+	sys  *core.System
 	// beam is the route Search, SearchInto, SearchEfCtx and SearchCtxInto
 	// run and a filtered RouteAuto query resolves to; the router holds it
 	// beside the quality route (see newDatabase).
@@ -257,12 +260,14 @@ type mutCounters struct {
 }
 
 // searchScratch is the reusable per-search state: the quantized query
-// buffer, a private distance engine (engines hold per-query bounder state,
-// so each concurrent search needs its own), and a result buffer. Pooled on
-// the Database so steady-state searches with a reused Query.Dst allocate
-// nothing.
+// buffer, private distance engines (engines hold per-query state, so each
+// concurrent search needs its own; each is built on first use by a route
+// that runs on it), and a result buffer. Pooled on the Database so
+// steady-state searches with a reused Query.Dst allocate nothing.
 type searchScratch struct {
-	qq  []float32
+	qq []float32
+	// eng is the lazy NDP-model engine of the ndp beam and, unless it is
+	// resilience-wrapped, the tiered route (see Database.ndpEngine).
 	eng engine.Engine
 	buf []Neighbor
 	// plain is the lazy dedicated plain ET engine the tiered route uses when
@@ -276,24 +281,46 @@ type searchScratch struct {
 func (db *Database) getScratch() *searchScratch {
 	s, _ := db.scratchPool.Get().(*searchScratch)
 	if s == nil {
-		s = &searchScratch{
-			qq:  make([]float32, db.sys.Dim),
-			eng: db.sys.NewWorkerEngine(),
-		}
+		s = &searchScratch{qq: make([]float32, db.sys.Dim)}
 	}
 	if db.tuner != nil {
 		// Refresh the adaptive-precision beam mode from the tuner's current
-		// calibration (two atomic loads). Resilience-wrapped engines skip it:
-		// their fallback contract is exact distances. The exact scan and the
-		// tiered stage-2 re-rank ignore the mode by construction.
-		if et, ok := s.eng.(*core.ETEngine); ok {
+		// calibration (two atomic loads); an adaptive database defaults to the
+		// ndp beam and the tiered route, so its engine is wanted anyway.
+		// Resilience-wrapped engines skip it: their fallback contract is exact
+		// distances. The exact scan and the tiered stage-2 re-rank ignore the
+		// mode by construction.
+		if et, ok := db.ndpEngine(s).(*core.ETEngine); ok {
 			et.SetPrecision(db.sys.Precision, db.tuner.DepthBias(), db.tuner.Margin())
 		}
 	}
 	return s
 }
 
+// ndpEngine returns the scratch's engine over the NDP model (an ETEngine
+// with its Bounder tables on an ET design), built on first use: the host
+// beam and the exact scan, the defaults, never touch it.
+func (db *Database) ndpEngine(s *searchScratch) engine.Engine {
+	if s.eng == nil {
+		s.eng = db.sys.NewWorkerEngine()
+	}
+	return s.eng
+}
+
 func (db *Database) putScratch(s *searchScratch) { db.scratchPool.Put(s) }
+
+// quantizeInto fills dst with v quantized to elem and returns the index of
+// v's first NaN or ±Inf component, or -1 (New, Add/Update, Run).
+func quantizeInto(dst, v []float32, elem ElemType) int {
+	bad := -1
+	for d, x := range v {
+		if bad < 0 && (math.IsNaN(float64(x)) || math.IsInf(float64(x), 0)) {
+			bad = d
+		}
+		dst[d] = elem.Quantize(x)
+	}
+	return bad
+}
 
 // quantize fills s.qq with the element-type-quantized query.
 func (s *searchScratch) quantize(q []float32, elem ElemType) []float32 {
@@ -314,19 +341,22 @@ func New(vectors [][]float32, opts Options) (*Database, error) {
 		return nil, fmt.Errorf("ansmet: RecallTarget %v outside [0, 1]", opts.RecallTarget)
 	}
 	opts.fill()
+	// Quantize into the slab, the one copy of the data the database keeps.
 	dim := len(vectors[0])
-	quant := make([][]float32, len(vectors))
+	rs := rows.New(opts.Elem, dim)
+	quant := make([]float32, dim)
 	for i, v := range vectors {
 		if len(v) != dim {
 			return nil, fmt.Errorf("ansmet: vector %d has dim %d, want %d", i, len(v), dim)
 		}
-		q := make([]float32, dim)
-		for d, x := range v {
-			q[d] = opts.Elem.Quantize(x)
+		if d := quantizeInto(quant, v, opts.Elem); d >= 0 {
+			return nil, fmt.Errorf("%w (vector %d component %d is %v)", ErrBadVector, i, d, v[d])
 		}
-		quant[i] = q
+		if _, err := rs.Append(quant); err != nil {
+			return nil, fmt.Errorf("ansmet: vector %d: %w", i, err)
+		}
 	}
-	ix, err := hnsw.Build(quant, opts.Metric, hnsw.Config{
+	ix, err := hnsw.Build(rs, opts.Metric, hnsw.Config{
 		M: opts.M, MaxDegree: opts.MaxDegree,
 		EfConstruction: opts.EfConstruction, Seed: opts.Seed,
 	})
@@ -344,11 +374,11 @@ func New(vectors [][]float32, opts Options) (*Database, error) {
 	if opts.RecallTarget != 0 {
 		cfg.RecallTarget = opts.RecallTarget
 	}
-	sys, err := core.NewSystem(quant, opts.Elem, opts.Metric, ix, cfg)
+	sys, err := core.NewSystem(rs, opts.Metric, ix, cfg)
 	if err != nil {
 		return nil, err
 	}
-	db := newDatabase(opts, quant, sys)
+	db := newDatabase(opts, rs, sys)
 	if opts.Mutable {
 		if err := db.enableMutation(); err != nil {
 			return nil, err
@@ -363,7 +393,7 @@ func New(vectors [][]float32, opts Options) (*Database, error) {
 // or Load restored it.
 //
 // The default rule lives here and nowhere else. A database serves from its
-// row-major vectors with the SIMD kernels — the host beam, and the exact
+// row slab with the typed SIMD kernels — the host beam, and the exact
 // scan as the quality route — because on a host CPU that is the fastest
 // correct engine, and at fixed precision it returns what the bit-plane path
 // returns bit for bit. A database whose options configure behaviour that
@@ -371,8 +401,8 @@ func New(vectors [][]float32, opts Options) (*Database, error) {
 // wrapped engines (Advanced.Fault / Advanced.Resilience: retries, breakers
 // and fallbacks happen per bit-plane compare) and a precision map
 // (RecallTarget in (0, 1): the depth schedule is the bit-plane fetch depth).
-func newDatabase(opts Options, vectors [][]float32, sys *core.System) *Database {
-	db := &Database{opts: opts, vectors: vectors, sys: sys, beam: RouteHost}
+func newDatabase(opts Options, rs *rows.Slab, sys *core.System) *Database {
+	db := &Database{opts: opts, rows: rs, sys: sys, beam: RouteHost}
 	quality := RouteExact
 	if sys.Faults != nil || sys.Precision != nil {
 		db.beam, quality = RouteNDP, RouteTiered
@@ -392,36 +422,33 @@ func newDatabase(opts Options, vectors [][]float32, sys *core.System) *Database 
 // Len returns the number of indexed vectors, including tombstoned ones on
 // a mutable database (a tombstone hides an id from results; it does not
 // unassign it).
-func (db *Database) Len() int {
-	if db.mutable {
-		return db.sys.Store.Len()
-	}
-	return len(db.vectors)
-}
+func (db *Database) Len() int { return db.rows.Len() }
 
-// Vector returns the stored (quantized) vector with the given id and
-// whether the id exists. Out-of-range ids return (nil, false) — ids are
-// routinely caller-controlled (request payloads, persisted result lists),
-// so this entry point must not panic on a bad one. Tombstoned ids still
-// resolve (the data remains until compaction); check Deleted to
-// distinguish.
+// Vector returns a copy of the stored (quantized) vector with the given id,
+// decoded from the row slab, and whether the id exists: the caller owns the
+// slice, and writing into it changes nothing in the database. Out-of-range
+// ids return (nil, false) — ids are routinely caller-controlled (request
+// payloads, persisted result lists), so this entry point must not panic on
+// a bad one. Tombstoned ids still resolve (the data remains until
+// compaction); check Deleted to distinguish.
 func (db *Database) Vector(id uint32) ([]float32, bool) {
-	if db.mutable {
-		// db.vectors is the writer's private slice; concurrent readers go
-		// through the store's published snapshot.
-		return db.sys.Store.VectorAt(id)
-	}
-	if int(id) >= len(db.vectors) {
+	v := db.rows.View()
+	if int(id) >= v.Len() {
 		return nil, false
 	}
-	return db.vectors[id], true
+	return v.Decode(id, make([]float32, 0, db.sys.Dim)), true
 }
 
 // Run executes a query batch functionally and replays it on the design's
 // timing model, returning results plus the simulation report (latency,
-// throughput, traffic, energy activity).
+// throughput, traffic, energy activity), quantizing the queries as Do does.
 func (db *Database) Run(queries [][]float32, k, ef int) *core.RunResult {
-	return db.sys.RunHNSW(queries, k, ef)
+	quant := make([][]float32, len(queries))
+	for i, q := range queries {
+		quant[i] = make([]float32, len(q))
+		quantizeInto(quant[i], q, db.opts.Elem)
+	}
+	return db.sys.RunHNSW(quant, k, ef)
 }
 
 // System exposes the underlying preprocessed system for advanced use

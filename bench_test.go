@@ -185,7 +185,7 @@ func BenchmarkBounderRunET(b *testing.B) {
 
 func BenchmarkETEngineCompare(b *testing.B) {
 	ds := benchData()
-	st, err := core.BuildStore(ds.Vectors, vecmath.Uint8,
+	st, err := core.BuildStore(ds.Rows(),
 		layout.SimpleHeuristicSchedule(vecmath.Uint8), prefixelim.Config{})
 	if err != nil {
 		b.Fatal(err)
@@ -201,7 +201,7 @@ func BenchmarkETEngineCompare(b *testing.B) {
 
 func BenchmarkHNSWSearch(b *testing.B) {
 	ds := benchData()
-	ix, err := hnsw.Build(ds.Vectors, vecmath.L2, hnsw.Config{
+	ix, err := hnsw.Build(ds.Rows(), vecmath.L2, hnsw.Config{
 		M: 8, MaxDegree: 16, EfConstruction: 100, Seed: 1,
 	})
 	if err != nil {
@@ -584,13 +584,13 @@ func BenchmarkLayoutOptimize(b *testing.B) {
 
 func BenchmarkTimingReplay(b *testing.B) {
 	ds := benchData()
-	ix, err := hnsw.Build(ds.Vectors, vecmath.L2, hnsw.Config{
+	ix, err := hnsw.Build(ds.Rows(), vecmath.L2, hnsw.Config{
 		M: 8, MaxDegree: 16, EfConstruction: 80, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := core.NewSystem(ds.Vectors, vecmath.Uint8, vecmath.L2, ix,
+	sys, err := core.NewSystem(ds.Rows(), vecmath.L2, ix,
 		core.DefaultSystemConfig(core.NDPETOpt))
 	if err != nil {
 		b.Fatal(err)

@@ -123,12 +123,13 @@ type rig struct {
 func newRig(n, nq int, sched *fault.Schedule, res engine.ResilienceConfig) (*rig, error) {
 	p := dataset.ProfileByName("SIFT")
 	ds := dataset.Generate(p, n, nq, 31)
-	ix, err := hnsw.Build(ds.Vectors, p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
+	rs := ds.Rows()
+	ix, err := hnsw.Build(rs, p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
 	if err != nil {
 		return nil, err
 	}
 	bsched := bitplane.UniformSchedule(p.Elem, 0, 4)
-	st, err := core.BuildStore(ds.Vectors, p.Elem, bsched, prefixelim.Config{})
+	st, err := core.BuildStore(rs, bsched, prefixelim.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +164,7 @@ func newRig(n, nq int, sched *fault.Schedule, res engine.ResilienceConfig) (*rig
 			return nil, fmt.Errorf("configure never succeeded over faulty link: %w", err)
 		}
 	}
-	fb := engine.NewExact(ds.Vectors, p.Metric, p.Elem)
+	fb := engine.NewExactOver(rs, p.Metric)
 	return &rig{
 		ref:       ref,
 		resilient: engine.NewResilient(hw, fb, nil, nil, nil, res),
@@ -226,7 +227,8 @@ func runRecoverable(n, nq int, seed uint64) error {
 func runCrash(n, nq int, seed uint64) error {
 	p := dataset.ProfileByName("DEEP")
 	ds := dataset.Generate(p, n, nq, 77)
-	ix, err := hnsw.Build(ds.Vectors, p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
+	slab := ds.Rows()
+	ix, err := hnsw.Build(slab, p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
 	if err != nil {
 		return err
 	}
@@ -236,7 +238,7 @@ func runCrash(n, nq int, seed uint64) error {
 			cfg.Fault = sched
 			cfg.Resilience = engine.ResilienceConfig{MaxRetries: 1, FailureThreshold: 4, ProbeAfter: 32}
 		}
-		return core.NewSystem(ds.Vectors, p.Elem, p.Metric, ix, cfg)
+		return core.NewSystem(slab, p.Metric, ix, cfg)
 	}
 	clean, err := build(nil)
 	if err != nil {

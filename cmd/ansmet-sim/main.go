@@ -56,7 +56,8 @@ func main() {
 
 	p := dataset.ProfileByName(*profile)
 	ds := dataset.Generate(p, *n, *nq, *seed)
-	ix, err := hnsw.Build(ds.Vectors, p.Metric, hnsw.Config{
+	rs := ds.Rows()
+	ix, err := hnsw.Build(rs, p.Metric, hnsw.Config{
 		M: 8, MaxDegree: 16, EfConstruction: *efc, Seed: *seed,
 	})
 	if err != nil {
@@ -89,7 +90,7 @@ func main() {
 		log.Fatalf("unknown polling %q", *poll)
 	}
 
-	sys, err := core.NewSystem(ds.Vectors, p.Elem, p.Metric, ix, cfg)
+	sys, err := core.NewSystem(rs, p.Metric, ix, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

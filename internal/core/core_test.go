@@ -11,6 +11,7 @@ import (
 	"ansmet/internal/hnsw"
 	"ansmet/internal/layout"
 	"ansmet/internal/prefixelim"
+	"ansmet/internal/rows"
 	"ansmet/internal/sim"
 	"ansmet/internal/stats"
 	"ansmet/internal/trace"
@@ -39,7 +40,7 @@ func TestStoreExactWhenFullyFetched(t *testing.T) {
 	p := dataset.ProfileByName("SPACEV")
 	ds := dataset.Generate(p, 300, 10, 3)
 	sched := layout.SimpleHeuristicSchedule(p.Elem)
-	st, err := BuildStore(ds.Vectors, p.Elem, sched, prefixelim.Config{})
+	st, err := BuildStore(ds.Rows(), sched, prefixelim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestNoAccuracyLoss(t *testing.T) {
 	for _, name := range []string{"SIFT", "SPACEV", "DEEP", "GloVe"} {
 		p := dataset.ProfileByName(name)
 		ds := dataset.Generate(p, 800, 10, 11)
-		ix, err := hnsw.Build(ds.Vectors, p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 100, Seed: 1})
+		ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 100, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +75,7 @@ func TestNoAccuracyLoss(t *testing.T) {
 		for _, d := range []Design{NDPDimET, NDPBitET, NDPET, NDPETDual, NDPETOpt} {
 			cfg := DefaultSystemConfig(d)
 			cfg.SampleSize = 60
-			sys, err := NewSystem(ds.Vectors, p.Elem, p.Metric, ix, cfg)
+			sys, err := NewSystem(ds.Rows(), p.Metric, ix, cfg)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, d, err)
 			}
@@ -102,7 +103,7 @@ func TestETSavesLines(t *testing.T) {
 	p := dataset.ProfileByName("GIST")
 	ds := dataset.Generate(p, 300, 5, 5)
 	sched := layout.SimpleHeuristicSchedule(p.Elem)
-	st, err := BuildStore(ds.Vectors, p.Elem, sched, prefixelim.Config{})
+	st, err := BuildStore(ds.Rows(), sched, prefixelim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestDimETUselessForIPFloat(t *testing.T) {
 	// comparison may terminate early (paper: NDP-DimET fails on GloVe).
 	p := dataset.ProfileByName("GloVe")
 	ds := dataset.Generate(p, 200, 3, 7)
-	st, err := BuildStore(ds.Vectors, p.Elem, bitplane.PlainSchedule(p.Elem), prefixelim.Config{})
+	st, err := BuildStore(ds.Rows(), bitplane.PlainSchedule(p.Elem), prefixelim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +161,11 @@ func TestPrefixElimStoreOutliers(t *testing.T) {
 	ds := dataset.Generate(p, 1000, 10, 13)
 	cfg := DefaultSystemConfig(NDPETOpt)
 	cfg.SampleSize = 80
-	ix, err := hnsw.Build(ds.Vectors, p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
+	ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(ds.Vectors, p.Elem, p.Metric, ix, cfg)
+	sys, err := NewSystem(ds.Rows(), p.Metric, ix, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestPrefixElimStoreOutliers(t *testing.T) {
 func TestNewSystemAllDesigns(t *testing.T) {
 	p := dataset.ProfileByName("SIFT")
 	ds := dataset.Generate(p, 600, 8, 17)
-	ix, err := hnsw.Build(ds.Vectors, p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
+	ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestNewSystemAllDesigns(t *testing.T) {
 	for _, d := range AllDesigns {
 		cfg := DefaultSystemConfig(d)
 		cfg.SampleSize = 50
-		sys, err := NewSystem(ds.Vectors, p.Elem, p.Metric, ix, cfg)
+		sys, err := NewSystem(ds.Rows(), p.Metric, ix, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
@@ -252,14 +253,14 @@ func TestSpeedupShapes(t *testing.T) {
 	check := func(profile string, n, nq int, minNDP, minOpt float64) {
 		p := dataset.ProfileByName(profile)
 		ds := dataset.Generate(p, n, nq, 19)
-		ix, err := hnsw.Build(ds.Vectors, p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 50, Seed: 1})
+		ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 50, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		qps := func(d Design) float64 {
 			cfg := DefaultSystemConfig(d)
 			cfg.SampleSize = 50
-			sys, err := NewSystem(ds.Vectors, p.Elem, p.Metric, ix, cfg)
+			sys, err := NewSystem(ds.Rows(), p.Metric, ix, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -290,28 +291,28 @@ func TestSpeedupShapes(t *testing.T) {
 }
 
 func TestSystemErrors(t *testing.T) {
-	if _, err := NewSystem(nil, vecmath.Uint8, vecmath.L2, nil, DefaultSystemConfig(CPUBase)); err == nil {
+	if _, err := NewSystem(nil, vecmath.L2, nil, DefaultSystemConfig(CPUBase)); err == nil {
 		t.Error("empty dataset should fail")
 	}
 	bad := DefaultSystemConfig(Design(99))
 	vecs := [][]float32{{1, 2}}
-	if _, err := NewSystem(vecs, vecmath.Uint8, vecmath.L2, nil, bad); err == nil {
+	if _, err := NewSystem(rows.MustPack(vecs, vecmath.Uint8), vecmath.L2, nil, bad); err == nil {
 		t.Error("unknown design should fail")
 	}
 }
 
 func TestStoreValidation(t *testing.T) {
-	if _, err := BuildStore(nil, vecmath.Uint8, bitplane.PlainSchedule(vecmath.Uint8), prefixelim.Config{}); err == nil {
+	if _, err := BuildStore(nil, bitplane.PlainSchedule(vecmath.Uint8), prefixelim.Config{}); err == nil {
 		t.Error("empty store should fail")
 	}
 	// Schedule/prefix mismatch.
-	vecs := [][]float32{{1, 2, 3, 4}}
+	vecs := rows.MustPack([][]float32{{1, 2, 3, 4}}, vecmath.Uint8)
 	sched := bitplane.UniformSchedule(vecmath.Uint8, 2, 2)
-	if _, err := BuildStore(vecs, vecmath.Uint8, sched, prefixelim.Config{}); err == nil {
+	if _, err := BuildStore(vecs, sched, prefixelim.Config{}); err == nil {
 		t.Error("prefix schedule without elimination config should fail")
 	}
 	pc := prefixelim.Config{Elem: vecmath.Uint8, Dim: 4, PrefixLen: 3, PrefixVal: 0}
-	if _, err := BuildStore(vecs, vecmath.Uint8, sched, pc); err == nil {
+	if _, err := BuildStore(vecs, sched, pc); err == nil {
 		t.Error("prefix length mismatch should fail")
 	}
 }
@@ -319,13 +320,13 @@ func TestStoreValidation(t *testing.T) {
 func TestReplicationWiredIntoSystem(t *testing.T) {
 	p := dataset.ProfileByName("GIST")
 	ds := dataset.Generate(p, 400, 2, 23)
-	ix, err := hnsw.Build(ds.Vectors, p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 40, Seed: 1})
+	ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 40, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultSystemConfig(NDPBase)
 	cfg.ReplicateTopLayers = 4
-	sys, err := NewSystem(ds.Vectors, p.Elem, p.Metric, ix, cfg)
+	sys, err := NewSystem(ds.Rows(), p.Metric, ix, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func TestEnginePerWorkerIndependence(t *testing.T) {
 	// Two engines over the same store must not interfere.
 	p := dataset.ProfileByName("SIFT")
 	ds := dataset.Generate(p, 100, 2, 29)
-	st, err := BuildStore(ds.Vectors, p.Elem, layout.SimpleHeuristicSchedule(p.Elem), prefixelim.Config{})
+	st, err := BuildStore(ds.Rows(), layout.SimpleHeuristicSchedule(p.Elem), prefixelim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,14 +363,14 @@ func TestEnginePerWorkerIndependence(t *testing.T) {
 func TestRunHNSWParallelMatchesSerial(t *testing.T) {
 	p := dataset.ProfileByName("SIFT")
 	ds := dataset.Generate(p, 600, 24, 17)
-	ix, err := hnsw.Build(ds.Vectors, p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 80, Seed: 1})
+	ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 80, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range []Design{CPUBase, NDPBase, NDPETOpt} {
 		cfg := DefaultSystemConfig(d)
 		cfg.SampleSize = 60
-		sys, err := NewSystem(ds.Vectors, p.Elem, p.Metric, ix, cfg)
+		sys, err := NewSystem(ds.Rows(), p.Metric, ix, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}

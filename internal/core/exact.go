@@ -31,10 +31,10 @@ var exactScanTestHook func(id uint32)
 func (e *ETEngine) ExactKNN(done <-chan struct{}, q []float32, k int) (nn []hnsw.Neighbor, linesFetched int, cancelled bool) {
 	e.StartQuery(q)
 	// n is the per-query store snapshot's bound.
-	return scanKNN(done, fixedPrecision{e}, uint32(len(e.vecs)), e.tomb, k, nil)
+	return scanKNN(done, fixedPrecision{e}, uint32(len(e.soutl)), e.tomb, k, nil)
 }
 
-// ScanKNN is the exact scan over row-major vectors: the same loop as
+// ScanKNN is the exact scan over the slab's rows: the same loop as
 // ExactKNN with the full-precision SIMD distance as the compare, so the
 // answers are bitwise ExactKNN's (a fully-fetched bound is the exact
 // distance and an early-termination reject is sound) while every scanned
@@ -43,7 +43,7 @@ func (e *ETEngine) ExactKNN(done <-chan struct{}, q []float32, k int) (nn []hnsw
 // the scan allocates nothing.
 func ScanKNN(done <-chan struct{}, rows *engine.Exact, tomb *TombSet, q []float32, k int, dst []hnsw.Neighbor) (nn []hnsw.Neighbor, linesFetched int, cancelled bool) {
 	rows.StartQuery(q)
-	return scanKNN(done, rows, uint32(len(rows.Vectors)), tomb, k, dst)
+	return scanKNN(done, rows, uint32(rows.Len()), tomb, k, dst)
 }
 
 // fixedPrecision is an ETEngine seen through its fixed-precision compare

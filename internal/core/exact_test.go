@@ -16,7 +16,7 @@ func TestExactKNNMatchesBruteForce(t *testing.T) {
 	for _, name := range []string{"SIFT", "DEEP", "GloVe"} {
 		p := dataset.ProfileByName(name)
 		ds := dataset.Generate(p, 700, 6, 31)
-		st, err := BuildStore(ds.Vectors, p.Elem,
+		st, err := BuildStore(ds.Rows(),
 			layout.SimpleHeuristicSchedule(p.Elem), prefixelim.Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -48,7 +48,7 @@ func TestExactKNNSavesSubstantially(t *testing.T) {
 	// accurate search" claim is only interesting if the savings are real).
 	p := dataset.ProfileByName("DEEP")
 	ds := dataset.Generate(p, 1500, 4, 33)
-	st, err := BuildStore(ds.Vectors, p.Elem,
+	st, err := BuildStore(ds.Rows(),
 		layout.SimpleHeuristicSchedule(p.Elem), prefixelim.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestExactKNNSavesSubstantially(t *testing.T) {
 func TestExactKNNSmallK(t *testing.T) {
 	p := dataset.ProfileByName("SPACEV")
 	ds := dataset.Generate(p, 50, 2, 35)
-	st, _ := BuildStore(ds.Vectors, p.Elem, layout.SimpleHeuristicSchedule(p.Elem), prefixelim.Config{})
+	st, _ := BuildStore(ds.Rows(), layout.SimpleHeuristicSchedule(p.Elem), prefixelim.Config{})
 	eng := st.NewETEngine(p.Metric)
 	nn, _, _ := eng.ExactKNN(nil, ds.Queries[0], 1)
 	want := ds.BruteForceKNN(ds.Queries[0], 1)
@@ -94,7 +94,7 @@ func TestScanKNNMatchesExactKNN(t *testing.T) {
 	for _, name := range []string{"SIFT", "SPACEV", "DEEP", "GloVe"} {
 		p := dataset.ProfileByName(name)
 		ds := dataset.Generate(p, 700, 6, 51)
-		sys, err := NewSystem(ds.Vectors, p.Elem, p.Metric, nil, DefaultSystemConfig(NDPETOpt))
+		sys, err := NewSystem(ds.Rows(), p.Metric, nil, DefaultSystemConfig(NDPETOpt))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestScanKNNMatchesExactKNN(t *testing.T) {
 			t.Fatalf("SPACEV store has prefix %d and %d outliers: the backup path is not exercised", st.Prefix.PrefixLen, st.NumOutliers())
 		}
 		eng := st.NewETEngine(p.Metric)
-		rows := engine.NewExact(st.Rows(), p.Metric, p.Elem)
+		rows := engine.NewExactOver(st.rows, p.Metric)
 		tomb := NewTombSet()
 		var dst []hnsw.Neighbor
 		for _, tombs := range []*TombSet{nil, tomb} {
@@ -146,13 +146,13 @@ func TestScanKNNMatchesExactKNN(t *testing.T) {
 func TestExactKNNCtxCancel(t *testing.T) {
 	p := dataset.ProfileByName("SIFT")
 	ds := dataset.Generate(p, 1500, 2, 41)
-	st, err := BuildStore(ds.Vectors, p.Elem,
+	st, err := BuildStore(ds.Rows(),
 		layout.SimpleHeuristicSchedule(p.Elem), prefixelim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := st.NewETEngine(p.Metric)
-	rows := engine.NewExact(st.Rows(), p.Metric, p.Elem)
+	rows := engine.NewExactOver(st.rows, p.Metric)
 	q := ds.Queries[0]
 	scans := map[string]func(done <-chan struct{}) ([]hnsw.Neighbor, int, bool){
 		"ExactKNN": func(done <-chan struct{}) ([]hnsw.Neighbor, int, bool) { return eng.ExactKNN(done, q, 10) },

@@ -22,14 +22,14 @@ func TestIVFNoAccuracyLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact := engine.NewExact(ds.Vectors, p.Metric, p.Elem)
-	hx, err := hnsw.Build(ds.Vectors, p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 40, Seed: 1})
+	hx, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 40, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range []Design{NDPET, NDPETOpt} {
 		cfg := DefaultSystemConfig(d)
 		cfg.SampleSize = 60
-		sys, err := NewSystem(ds.Vectors, p.Elem, p.Metric, hx, cfg)
+		sys, err := NewSystem(ds.Rows(), p.Metric, hx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestIVFNoAccuracyLoss(t *testing.T) {
 func TestRunIVFTiming(t *testing.T) {
 	p := dataset.ProfileByName("GIST")
 	ds := dataset.Generate(p, 300, 4, 43)
-	hx, err := hnsw.Build(ds.Vectors, p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 30, Seed: 1})
+	hx, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 30, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestRunIVFTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(ds.Vectors, p.Elem, p.Metric, hx, DefaultSystemConfig(NDPETOpt))
+	sys, err := NewSystem(ds.Rows(), p.Metric, hx, DefaultSystemConfig(NDPETOpt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +86,14 @@ func TestRunIVFTiming(t *testing.T) {
 func TestBackupLinesReachTimingModel(t *testing.T) {
 	p := dataset.ProfileByName("SPACEV")
 	ds := dataset.Generate(p, 1500, 12, 47)
-	hx, err := hnsw.Build(ds.Vectors, p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
+	hx, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultSystemConfig(NDPETOpt)
 	// A permissive outlier budget creates a longer prefix and more outliers.
 	cfg.LayoutOpts.OutlierBudget = 0.01
-	sys, err := NewSystem(ds.Vectors, p.Elem, p.Metric, hx, cfg)
+	sys, err := NewSystem(ds.Rows(), p.Metric, hx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,15 +19,17 @@ import (
 //
 // Publication mirrors internal/hnsw/mutate.go: the writer appends to its
 // private slices and republishes a storeDyn snapshot; engines pin one
-// snapshot per query at StartQuery. The happens-before edge for a new id
-// runs through the graph's count atomic — the store publishes before the
-// index publishes the id, and a searcher captures its graph view before
-// snapshotting the store, so every id the traversal can produce is backed
-// by encoded data in the engine's snapshot.
+// snapshot per query at StartQuery. The row itself is not the store's to
+// publish: the one writer appends it to the shared slab (internal/rows),
+// then calls AppendVector for the encoded slot, then inserts the id into the
+// graph. The happens-before edge for a new id runs through the graph's count
+// atomic — slab and store publish before the index publishes the id, and a
+// searcher captures its graph view before it pins the store and the slab —
+// so every id the traversal can produce is backed by encoded data in the
+// engine's snapshot and by a row in its slab view.
 
 // storeDyn is one published snapshot of the store's growable arrays.
 type storeDyn struct {
-	vectors     [][]float32
 	data        []byte
 	isOutlier   []bool
 	numOutliers int
@@ -39,16 +41,16 @@ func (s *Store) EnableMutation() {
 	if s.dyn.Load() != nil {
 		return
 	}
-	s.dyn.Store(&storeDyn{vectors: s.vectors, data: s.data, isOutlier: s.isOutlier, numOutliers: s.numOutliers})
+	s.dyn.Store(&storeDyn{data: s.data, isOutlier: s.isOutlier, numOutliers: s.numOutliers})
 }
 
 // Live reports whether the store accepts appends.
 func (s *Store) Live() bool { return s.dyn.Load() != nil }
 
-// AppendVector encodes v under the frozen layout/prefix into a fresh slot
-// and publishes it, returning the new id. Single mutating writer only;
-// engines running concurrently are unaffected until the id becomes
-// reachable through the graph.
+// AppendVector encodes v — the row the caller has just appended to the
+// store's slab — under the frozen layout/prefix into a fresh slot and
+// publishes it, returning the new id. Single mutating writer only; engines
+// running concurrently are unaffected until the graph can reach the id.
 func (s *Store) AppendVector(v []float32) (uint32, error) {
 	if s.dyn.Load() == nil {
 		return 0, fmt.Errorf("core: AppendVector on an immutable store (call EnableMutation first)")
@@ -56,7 +58,10 @@ func (s *Store) AppendVector(v []float32) (uint32, error) {
 	if len(v) != s.Dim {
 		return 0, fmt.Errorf("core: vector has %d dims, store holds %d", len(v), s.Dim)
 	}
-	id := uint32(len(s.vectors))
+	id := uint32(len(s.isOutlier))
+	if int(id) >= s.rows.Len() {
+		return 0, fmt.Errorf("core: slot %d has no row in the slab yet (%d rows)", id, s.rows.Len())
+	}
 	sz := s.slotLines * bitplane.LineBytes
 	old := len(s.data)
 	s.data = append(s.data, make([]byte, sz)...)
@@ -75,33 +80,9 @@ func (s *Store) AppendVector(v []float32) (uint32, error) {
 	default:
 		s.Layout.Transform(codes, slot)
 	}
-	s.vectors = append(s.vectors, v)
 	s.isOutlier = append(s.isOutlier, outlier)
-	s.dyn.Store(&storeDyn{vectors: s.vectors, data: s.data, isOutlier: s.isOutlier, numOutliers: s.numOutliers})
+	s.dyn.Store(&storeDyn{data: s.data, isOutlier: s.isOutlier, numOutliers: s.numOutliers})
 	return id, nil
-}
-
-// Rows returns the store's published row-major vectors (the backup
-// region's content): the current snapshot of a live store, the build-time
-// slice of an immutable one. Like ETEngine.snapshotStore, a searcher that
-// calls it after capturing its graph view finds a row behind every id the
-// traversal can produce. Read-only for the caller.
-func (s *Store) Rows() [][]float32 {
-	if d := s.dyn.Load(); d != nil {
-		return d.vectors
-	}
-	return s.vectors
-}
-
-// VectorAt returns vector id from the store's published snapshot (the
-// concurrent-reader analogue of indexing the builder's vectors slice) and
-// whether the id exists.
-func (s *Store) VectorAt(id uint32) ([]float32, bool) {
-	rows := s.Rows()
-	if int(id) >= len(rows) {
-		return nil, false
-	}
-	return rows[id], true
 }
 
 // snapshotStore pins the engine's per-query view of the store arrays. On
@@ -109,10 +90,10 @@ func (s *Store) VectorAt(id uint32) ([]float32, bool) {
 // nil-check load, no behavior change).
 func (e *ETEngine) snapshotStore() {
 	if d := e.store.dyn.Load(); d != nil {
-		e.vecs, e.sdata, e.soutl = d.vectors, d.data, d.isOutlier
+		e.sdata, e.soutl = d.data, d.isOutlier
 		return
 	}
-	e.vecs, e.sdata, e.soutl = e.store.vectors, e.store.data, e.store.isOutlier
+	e.sdata, e.soutl = e.store.data, e.store.isOutlier
 }
 
 // slot returns the storage bytes of vector id in the engine's pinned

@@ -8,6 +8,7 @@ import (
 	"ansmet/internal/layout"
 	"ansmet/internal/precision"
 	"ansmet/internal/prefixelim"
+	"ansmet/internal/rows"
 	"ansmet/internal/vecmath"
 )
 
@@ -44,7 +45,7 @@ func buildPrecisionCase(t *testing.T, tc precisionStoreCase, n int) (*Store, *pr
 			v[d] = tc.elem.Quantize(v[d])
 		}
 	}
-	st, err := BuildStore(ds.Vectors, tc.elem,
+	st, err := BuildStore(rows.MustPack(ds.Vectors, tc.elem),
 		layout.SimpleHeuristicSchedule(tc.elem), prefixelim.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +173,7 @@ func TestTieredAdaptiveBudget1MatchesExact(t *testing.T) {
 func TestTieredNilPrecisionByteIdentity(t *testing.T) {
 	p := dataset.ProfileByName("DEEP")
 	ds := dataset.Generate(p, 600, 4, 23)
-	st, err := BuildStore(ds.Vectors, p.Elem,
+	st, err := BuildStore(ds.Rows(),
 		layout.SimpleHeuristicSchedule(p.Elem), prefixelim.Config{})
 	if err != nil {
 		t.Fatal(err)

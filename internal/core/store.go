@@ -10,22 +10,24 @@ import (
 	"ansmet/internal/hnsw"
 	"ansmet/internal/precision"
 	"ansmet/internal/prefixelim"
+	"ansmet/internal/rows"
 	"ansmet/internal/vecmath"
 )
 
 // Store holds one dataset encoded in a transformed early-termination
 // layout, plus (when prefix elimination is on) the outlier flags and the
-// implicit full-precision backup region. It is immutable after Build and
-// shared by all engines over it, unless EnableMutation switches it into
-// live-append mode (see mutable.go).
+// full-precision backup region — which is the row slab the store was built
+// from, shared with the index and the host routes, not a copy. It is
+// immutable after Build and shared by all engines over it, unless
+// EnableMutation switches it into live-append mode (see mutable.go).
 type Store struct {
 	Elem   vecmath.ElemType
 	Dim    int
 	Layout *bitplane.Layout
 	Prefix prefixelim.Config
 
-	vectors   [][]float32 // original values (the backup region's content)
-	data      []byte      // slotLines*64 bytes per vector
+	rows      *rows.Slab // original values (the backup region's content)
+	data      []byte     // slotLines*64 bytes per vector
 	isOutlier []bool
 	slotLines int
 	// backupLines is the plain-layout footprint fetched on an outlier
@@ -42,14 +44,15 @@ type Store struct {
 	encSuffix []uint32
 }
 
-// BuildStore encodes all vectors under the given schedule and prefix
-// configuration. With prefix elimination disabled (Prefix.PrefixLen == 0)
-// every vector takes the normal bit-plane path.
-func BuildStore(vectors [][]float32, elem vecmath.ElemType, sched bitplane.Schedule, prefix prefixelim.Config) (*Store, error) {
-	if len(vectors) == 0 {
+// BuildStore encodes all rows of the slab under the given schedule and
+// prefix configuration. With prefix elimination disabled (Prefix.PrefixLen
+// == 0) every vector takes the normal bit-plane path.
+func BuildStore(rs *rows.Slab, sched bitplane.Schedule, prefix prefixelim.Config) (*Store, error) {
+	if rs == nil || rs.Len() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
 	}
-	dim := len(vectors[0])
+	elem, dim, view := rs.Elem(), rs.Dim(), rs.View()
+	n := view.Len()
 	lay, err := bitplane.NewLayout(elem, dim, sched)
 	if err != nil {
 		return nil, err
@@ -69,23 +72,22 @@ func BuildStore(vectors [][]float32, elem vecmath.ElemType, sched bitplane.Sched
 
 	s := &Store{
 		Elem: elem, Dim: dim, Layout: lay, Prefix: prefix,
-		vectors:     vectors,
-		isOutlier:   make([]bool, len(vectors)),
+		rows:        rs,
+		isOutlier:   make([]bool, n),
 		slotLines:   lay.LinesPerVector(),
 		backupLines: (dim*elem.Bytes() + 63) / 64,
 	}
 	if prefix.Enabled() && prefix.OutlierLines() > s.slotLines {
 		s.slotLines = prefix.OutlierLines()
 	}
-	s.data = make([]byte, len(vectors)*s.slotLines*bitplane.LineBytes)
+	s.data = make([]byte, n*s.slotLines*bitplane.LineBytes)
 
+	vals := make([]float32, 0, dim)
 	codes := make([]uint32, 0, dim)
 	suffix := make([]uint32, 0, dim)
-	for i, v := range vectors {
-		if len(v) != dim {
-			return nil, fmt.Errorf("core: ragged dataset at vector %d", i)
-		}
-		codes = elem.EncodeVector(v, codes[:0])
+	for i := 0; i < n; i++ {
+		vals = view.Decode(uint32(i), vals[:0])
+		codes = elem.EncodeVector(vals, codes[:0])
 		slot := s.slot(uint32(i))
 		if prefix.Enabled() && !prefix.IsNormalVector(codes) {
 			s.isOutlier[i] = true
@@ -124,8 +126,9 @@ func (s *Store) NumOutliers() int {
 	return s.numOutliers
 }
 
-// Len returns the vector count.
-func (s *Store) Len() int { return len(s.Rows()) }
+// Len returns the vector count: the slab's, which a live store's slots trail
+// by at most the append in flight.
+func (s *Store) Len() int { return s.rows.Len() }
 
 // SpaceSavedFraction returns the fraction of payload bits that prefix
 // elimination strips from normal vectors (the paper's Table 5 "saved
@@ -146,7 +149,6 @@ type ETEngine struct {
 	metric vecmath.Metric
 	b      *bitplane.Bounder
 	ob     *prefixelim.OutlierBounder
-	query  []float32
 	// localSegs is the dimension-split factor of the partitioning scheme;
 	// local per-rank termination tests the bound against a threshold
 	// scaled for a single rank's share of the contributions (§5.3).
@@ -168,12 +170,15 @@ type ETEngine struct {
 	// table stage 2 heapifies into its visit queue (reset per call).
 	tierHeap    hnsw.Heap
 	tierEntries []hnsw.Neighbor
-	// vecs/sdata/soutl are the per-query store snapshot pinned by
-	// StartQuery (mutable.go); on an immutable store they alias the
-	// store's plain fields.
-	vecs  [][]float32
+	// sdata/soutl are the per-query store snapshot pinned by StartQuery
+	// (mutable.go); on an immutable store they alias the store's plain
+	// fields.
 	sdata []byte
 	soutl []bool
+	// backup computes an in-bound outlier's re-check distance from its row
+	// in the slab; nil without prefix elimination. It pins the slab after
+	// sdata/soutl, so it sees a row for every slot the engine does.
+	backup *engine.Exact
 	// tomb, when non-nil, is the deletion bitmap the exact and tiered
 	// scans consult (SetTombstones).
 	tomb *TombSet
@@ -193,6 +198,7 @@ func (s *Store) NewETEngine(metric vecmath.Metric) *ETEngine {
 	}
 	if s.Prefix.Enabled() {
 		e.ob = prefixelim.NewOutlierBounder(s.Prefix, metric)
+		e.backup = engine.NewExactOver(s.rows, metric)
 	}
 	return e
 }
@@ -239,11 +245,11 @@ func (e *ETEngine) localThreshold(th float64) float64 {
 
 // StartQuery implements engine.Engine.
 func (e *ETEngine) StartQuery(q []float32) {
-	e.query = q
 	e.snapshotStore()
 	e.b.ResetQuery(q)
 	if e.ob != nil {
 		e.ob.ResetQuery(q)
+		e.backup.StartQuery(q)
 	}
 }
 
@@ -293,9 +299,9 @@ func (e *ETEngine) compareExact(id uint32, threshold float64) engine.Result {
 			return engine.Result{Dist: lb, Accepted: true, Lines: lines, LinesLocal: lines, Outlier: true}
 		}
 		// In-bound on the lossy encoding: re-check against the backup.
-		d := e.metric.Distance(e.query, e.vecs[id])
+		r := e.backup.Compare(id, threshold)
 		return engine.Result{
-			Dist: d, Accepted: d <= threshold,
+			Dist: r.Dist, Accepted: r.Accepted,
 			Lines: lines, LinesLocal: lines,
 			BackupLines: e.store.backupLines, Outlier: true,
 		}

@@ -18,6 +18,7 @@ import (
 	"ansmet/internal/polling"
 	"ansmet/internal/precision"
 	"ansmet/internal/prefixelim"
+	"ansmet/internal/rows"
 	"ansmet/internal/sim"
 	"ansmet/internal/stats"
 	"ansmet/internal/trace"
@@ -141,7 +142,9 @@ type System struct {
 	Breakers *engine.BreakerSet
 	Faults   *engine.Counters
 
-	vectors [][]float32
+	// rows is the slab the system was built over, shared with Index, Store
+	// and every exact engine handed out.
+	rows *rows.Slab
 
 	// mu serializes runs on this System: the shared Engine keeps per-query
 	// scratch and is not safe for concurrent use, and the parallel
@@ -150,18 +153,20 @@ type System struct {
 	mu sync.Mutex
 }
 
-// NewSystem preprocesses the dataset for the configured design. The index
-// must have been built over the same vectors.
-func NewSystem(vectors [][]float32, elem vecmath.ElemType, metric vecmath.Metric, index *hnsw.Index, cfg SystemConfig) (*System, error) {
-	if len(vectors) == 0 {
+// NewSystem preprocesses the slab's rows for the configured design. The
+// index must have been built over the same slab (a mutable system appends
+// through it: one row store under all three).
+func NewSystem(rs *rows.Slab, metric vecmath.Metric, index *hnsw.Index, cfg SystemConfig) (*System, error) {
+	if rs == nil || rs.Len() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
 	}
 	if cfg.Poll == nil {
 		cfg.Poll = polling.Conventional{IntervalNs: 100}
 	}
+	elem := rs.Elem()
 	s := &System{
-		Cfg: cfg, Elem: elem, Metric: metric, Dim: len(vectors[0]), Index: index,
-		vectors: vectors,
+		Cfg: cfg, Elem: elem, Metric: metric, Dim: rs.Dim(), Index: index,
+		rows: rs,
 	}
 	start := time.Now()
 
@@ -178,7 +183,7 @@ func NewSystem(vectors [][]float32, elem vecmath.ElemType, metric vecmath.Metric
 	case NDPET, CPUET:
 		sched = layout.SimpleHeuristicSchedule(elem)
 	case NDPETDual, NDPETOpt, CPUETOpt:
-		an, err := s.analyze(vectors, cfg)
+		an, err := s.analyze(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -200,7 +205,7 @@ func NewSystem(vectors [][]float32, elem vecmath.ElemType, metric vecmath.Metric
 	var lines int
 	var groupLines []int
 	if cfg.Design.UsesET() {
-		store, err := BuildStore(vectors, elem, sched, prefix)
+		store, err := BuildStore(rs, sched, prefix)
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +214,7 @@ func NewSystem(vectors [][]float32, elem vecmath.ElemType, metric vecmath.Metric
 		lines = store.SlotLines()
 		groupLines = store.Layout.GroupLineCounts()
 	} else {
-		s.Engine = engine.NewExact(vectors, metric, elem)
+		s.Engine = engine.NewExactOver(rs, metric)
 		lines = s.Engine.LinesPerVector()
 		groupLines = []int{lines}
 	}
@@ -220,7 +225,8 @@ func NewSystem(vectors [][]float32, elem vecmath.ElemType, metric vecmath.Metric
 		if pcfg.Seed == 0 {
 			pcfg.Seed = cfg.Seed
 		}
-		pm, err := precision.Build(vectors, s.Store.Layout, pcfg)
+		all := s.decodeRows(rs.Len(), func(i int) uint32 { return uint32(i) })
+		pm, err := precision.Build(all, s.Store.Layout, pcfg)
 		if err != nil {
 			return nil, err
 		}
@@ -245,7 +251,7 @@ func NewSystem(vectors [][]float32, elem vecmath.ElemType, metric vecmath.Metric
 		// Replicate the top layers, but never more than ~2% of the dataset:
 		// on the paper's billion-scale graphs four layers are a 0.14%
 		// sliver, while on a small graph they can cover almost everything.
-		budget := len(vectors) / 50
+		budget := rs.Len() / 50
 		if budget < 1 {
 			budget = 1
 		}
@@ -299,21 +305,32 @@ func NewSystem(vectors [][]float32, elem vecmath.ElemType, metric vecmath.Metric
 }
 
 // analyze runs the sampling pass over a seeded random subset.
-func (s *System) analyze(vectors [][]float32, cfg SystemConfig) (*layout.Analysis, error) {
+func (s *System) analyze(cfg SystemConfig) (*layout.Analysis, error) {
+	total := s.rows.Len()
 	n := cfg.SampleSize
 	if n <= 0 {
 		n = 100
 	}
-	if n > len(vectors) {
-		n = len(vectors)
+	if n > total {
+		n = total
 	}
-	rng := stats.NewRNG(cfg.Seed)
-	perm := rng.Perm(len(vectors))
-	sample := make([][]float32, n)
-	for i := 0; i < n; i++ {
-		sample[i] = vectors[perm[i]]
-	}
+	perm := stats.NewRNG(cfg.Seed).Perm(total)
+	sample := s.decodeRows(n, func(i int) uint32 { return uint32(perm[i]) })
 	return layout.Analyze(sample, s.Elem, s.Metric, cfg.LayoutOpts)
+}
+
+// decodeRows returns float32 copies of n of the slab's rows, the i-th being
+// row id(i): what the offline passes that work on values (layout sampling,
+// the precision map's k-means) are handed. One backing allocation.
+func (s *System) decodeRows(n int, id func(i int) uint32) [][]float32 {
+	v := s.rows.View()
+	flat := make([]float32, 0, n*s.Dim)
+	out := make([][]float32, n)
+	for i := range out {
+		flat = v.Decode(id(i), flat)
+		out[i] = flat[i*s.Dim : (i+1)*s.Dim : (i+1)*s.Dim]
+	}
+	return out
 }
 
 // EnableMutation switches the system into live-mutable mode: the store
@@ -471,7 +488,7 @@ func (s *System) RunIVF(ix *ivf.Index, queries [][]float32, k, ef, nprobe int) *
 // primary cannot serve.
 func (s *System) wrapResilient(base engine.Engine) engine.Engine {
 	primary := fault.WrapEngine(base, s.Injector, s.Part.ServingRanks)
-	fb := engine.NewExact(s.vectors, s.Metric, s.Elem)
+	fb := engine.NewExactOver(s.rows, s.Metric)
 	return engine.NewResilient(primary, fb, s.Part.ServingRanks,
 		s.Breakers, s.Faults, s.Cfg.Resilience)
 }
@@ -497,7 +514,7 @@ func (s *System) NewWorkerEngine() engine.Engine {
 		}
 		base = e
 	} else {
-		base = engine.NewExact(s.vectors, s.Metric, s.Elem)
+		base = engine.NewExactOver(s.rows, s.Metric)
 	}
 	if s.Faults != nil {
 		return s.wrapResilient(base)

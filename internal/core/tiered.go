@@ -130,7 +130,7 @@ func (e *ETEngine) TieredKNNPool(done <-chan struct{}, q []float32, k int, opt T
 
 	var st TieredStats
 	e.StartQuery(q)
-	n := uint32(len(e.vecs)) // the per-query store snapshot's bound
+	n := uint32(len(e.soutl)) // the per-query store snapshot's bound
 
 	// Stage 1: bound-only scan. tierHeap tracks the k smallest bounds seen
 	// so far; its top is the refinement stop — once an id's bound exceeds

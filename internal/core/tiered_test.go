@@ -18,7 +18,7 @@ func TestTieredMatchesExactKNN(t *testing.T) {
 		for _, seed := range []uint64{31, 77} {
 			p := dataset.ProfileByName(name)
 			ds := dataset.Generate(p, 700, 4, seed)
-			st, err := BuildStore(ds.Vectors, p.Elem,
+			st, err := BuildStore(ds.Rows(),
 				layout.SimpleHeuristicSchedule(p.Elem), prefixelim.Config{})
 			if err != nil {
 				t.Fatal(err)
@@ -54,11 +54,11 @@ func TestTieredMatchesExactKNNPrefixElim(t *testing.T) {
 	ds := dataset.Generate(p, 1000, 6, 13)
 	cfg := DefaultSystemConfig(NDPETOpt)
 	cfg.SampleSize = 80
-	ix, err := hnsw.Build(ds.Vectors, p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
+	ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(ds.Vectors, p.Elem, p.Metric, ix, cfg)
+	sys, err := NewSystem(ds.Rows(), p.Metric, ix, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestTieredPoolByteIdentity(t *testing.T) {
 	for _, name := range []string{"SIFT", "GloVe"} {
 		p := dataset.ProfileByName(name)
 		ds := dataset.Generate(p, 900, 4, 57)
-		st, err := BuildStore(ds.Vectors, p.Elem,
+		st, err := BuildStore(ds.Rows(),
 			layout.SimpleHeuristicSchedule(p.Elem), prefixelim.Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -145,7 +145,7 @@ func insertSorted(list []hnsw.Neighbor, n hnsw.Neighbor, k int) []hnsw.Neighbor 
 func TestTieredBudgetMonotone(t *testing.T) {
 	p := dataset.ProfileByName("DEEP")
 	ds := dataset.Generate(p, 1200, 5, 91)
-	st, err := BuildStore(ds.Vectors, p.Elem,
+	st, err := BuildStore(ds.Rows(),
 		layout.SimpleHeuristicSchedule(p.Elem), prefixelim.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestTieredBudgetMonotone(t *testing.T) {
 func TestTieredCancellation(t *testing.T) {
 	p := dataset.ProfileByName("GloVe")
 	ds := dataset.Generate(p, 1500, 2, 41)
-	st, err := BuildStore(ds.Vectors, p.Elem,
+	st, err := BuildStore(ds.Rows(),
 		layout.SimpleHeuristicSchedule(p.Elem), prefixelim.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestTieredCancellation(t *testing.T) {
 func TestTieredSavesLines(t *testing.T) {
 	p := dataset.ProfileByName("GIST")
 	ds := dataset.Generate(p, 1500, 6, 33)
-	st, err := BuildStore(ds.Vectors, p.Elem,
+	st, err := BuildStore(ds.Rows(),
 		layout.SimpleHeuristicSchedule(p.Elem), prefixelim.Config{})
 	if err != nil {
 		t.Fatal(err)

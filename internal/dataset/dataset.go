@@ -13,6 +13,7 @@ import (
 	"math"
 	"sort"
 
+	"ansmet/internal/rows"
 	"ansmet/internal/stats"
 	"ansmet/internal/vecmath"
 )
@@ -144,6 +145,12 @@ func Generate(p Profile, n, nq int, seed uint64) *Dataset {
 	}
 	return ds
 }
+
+// Rows packs the database vectors into a row slab of the profile's element
+// type — what the indexes and systems are built over. Every call packs a
+// fresh slab; builders that must share one (an index and the system around
+// it, when anything will be appended) take it once.
+func (ds *Dataset) Rows() *rows.Slab { return rows.MustPack(ds.Vectors, ds.Profile.Elem) }
 
 // Neighbor is one (id, distance) search result.
 type Neighbor struct {

@@ -6,7 +6,13 @@
 // the timing models can charge the right memory traffic.
 package engine
 
-import "ansmet/internal/vecmath"
+import (
+	"fmt"
+	"math"
+
+	"ansmet/internal/rows"
+	"ansmet/internal/vecmath"
+)
 
 // Result describes the outcome of one comparison task.
 type Result struct {
@@ -71,61 +77,78 @@ type Batcher interface {
 	Distances(ids []uint32, dst []float64) []float64
 }
 
-// Exact is the reference engine: it computes full-precision distances
-// directly from the in-memory float vectors and counts a full fetch for
-// every comparison. Index construction, the Base designs and the host
-// serving routes (the beam and the exact scan over row-major vectors) use
-// it.
+// Exact is the reference engine: full-precision distances straight from the
+// rows of a slab, in their element type, with the typed SIMD kernels — bit
+// for bit Metric.Distance on the decoded values — and a full fetch counted
+// per comparison. The Base designs and the host serving routes use it.
 type Exact struct {
-	Vectors [][]float32
-	M       vecmath.Metric
+	M vecmath.Metric
 	// FullLines is the plain-layout line count per vector.
 	FullLines int
-	// Rows, when non-nil, is where StartQuery re-pins Vectors from: the
-	// published rows of a store that grows under search (core.Store.Rows).
-	// An id an index hands out is then always backed by a row, provided the
-	// index view was captured before StartQuery — the same ordering the
-	// early-termination engine's store snapshot relies on.
-	Rows func() [][]float32
 
-	query []float32
+	rows *rows.Slab
+	// view is the slab as StartQuery pinned it: on a slab that grows under
+	// search, every id an index view captured before StartQuery can hand out
+	// has a row in it (core/mutable.go).
+	view  rows.View
+	kern  vecmath.RowKernel // the slab's element type × the metric, chosen once
+	query []byte            // the current query in the slab's encoding (reused scratch)
 }
 
-// NewExact builds an exact engine over the dataset.
+// NewExact builds an exact engine over the dataset, packed into a slab of
+// its own; it panics on ragged input and on values that are not elem's.
 func NewExact(vectors [][]float32, m vecmath.Metric, elem vecmath.ElemType) *Exact {
-	dim := 0
-	if len(vectors) > 0 {
-		dim = len(vectors[0])
-	}
-	bytesPer := dim * elem.Bytes()
-	lines := (bytesPer + 63) / 64
+	return NewExactOver(rows.MustPack(vectors, elem), m)
+}
+
+// NewExactOver builds an exact engine over a slab it shares with whoever
+// else reads (and appends to) it.
+func NewExactOver(rs *rows.Slab, m vecmath.Metric) *Exact {
+	lines := (rs.Dim()*rs.Elem().Bytes() + 63) / 64
 	if lines == 0 {
 		lines = 1
 	}
-	return &Exact{Vectors: vectors, M: m, FullLines: lines}
+	return &Exact{M: m, FullLines: lines, rows: rs, kern: vecmath.Active().RowKernel(rs.Elem(), m)}
 }
 
-// StartQuery implements Engine.
+// StartQuery implements Engine: it pins the slab and encodes q into the
+// slab's element type. Every caller hands over a quantized query of the
+// indexed dimension (Database.do quantizes; generated datasets are); one
+// that is not is a bug and panics, like a length mismatch in the kernels.
 func (e *Exact) StartQuery(q []float32) {
-	e.query = q
-	if e.Rows != nil {
-		e.Vectors = e.Rows()
+	e.view = e.rows.View()
+	var bad int
+	e.query, bad = e.rows.Elem().AppendRow(e.query[:0], q)
+	if bad >= 0 || len(q) != e.rows.Dim() {
+		panic(fmt.Sprintf("engine: query of %d dims (component %d) is not a %d-dim %v vector", len(q), bad, e.rows.Dim(), e.rows.Elem()))
 	}
+}
+
+// Len returns the number of rows the current query sees.
+func (e *Exact) Len() int { return e.view.Len() }
+
+// distance is Metric.Distance between the current query and row id.
+func (e *Exact) distance(id uint32) float64 {
+	d := e.kern(e.query, e.view.Row(id))
+	if e.M == vecmath.L2 {
+		return math.Sqrt(d)
+	}
+	return -d
 }
 
 // Compare implements Engine.
 func (e *Exact) Compare(id uint32, threshold float64) Result {
-	d := e.M.Distance(e.query, e.Vectors[id])
+	d := e.distance(id)
 	return Result{Dist: d, Accepted: d <= threshold, Lines: e.FullLines, LinesLocal: e.FullLines}
 }
 
 // Hint implements Batcher.
-func (e *Exact) Hint(id uint32) { vecmath.Prefetch(e.Vectors[id]) }
+func (e *Exact) Hint(id uint32) { vecmath.Prefetch(e.view.Row(id)) }
 
 // Distances implements Batcher.
 func (e *Exact) Distances(ids []uint32, dst []float64) []float64 {
 	for _, id := range ids {
-		dst = append(dst, e.M.Distance(e.query, e.Vectors[id]))
+		dst = append(dst, e.distance(id))
 	}
 	return dst
 }

@@ -7,6 +7,7 @@ import (
 	"ansmet/internal/layout"
 	"ansmet/internal/prefixelim"
 	"ansmet/internal/quantize"
+	"ansmet/internal/rows"
 	"ansmet/internal/vecmath"
 )
 
@@ -107,7 +108,7 @@ func (r *Runner) AblationQuantization() *Table {
 			for i, v := range w.ds.Vectors {
 				qv[i] = sq.Quantize(v)
 			}
-			st, err := core.BuildStore(qv, vecmath.Uint8,
+			st, err := core.BuildStore(rows.MustPack(qv, vecmath.Uint8),
 				layout.SimpleHeuristicSchedule(vecmath.Uint8), prefixelim.Config{})
 			if err != nil {
 				panic(err)

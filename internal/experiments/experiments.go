@@ -19,6 +19,7 @@ import (
 	"ansmet/internal/dataset"
 	"ansmet/internal/hnsw"
 	"ansmet/internal/ivf"
+	"ansmet/internal/rows"
 	"ansmet/internal/sim"
 	"ansmet/internal/trace"
 )
@@ -116,7 +117,10 @@ func (t *Table) Format(w io.Writer) {
 // workload caches the expensive per-dataset artifacts (generation, index
 // construction, ground truth) across experiments.
 type workload struct {
-	ds   *dataset.Dataset
+	ds *dataset.Dataset
+	// rows is the dataset packed once, in its element type: the slab the
+	// index is built over and every design's system shares.
+	rows *rows.Slab
 	hnsw *hnsw.Index
 	ivf  *ivf.Index
 	gt   [][]uint32 // ground truth at k=10
@@ -220,8 +224,9 @@ func (r *Runner) load(name string) *workload {
 			n = 1000
 		}
 		ds := dataset.Generate(p, n, r.Scale.Queries, r.Scale.Seed)
+		rs := ds.Rows()
 		buildStart := time.Now()
-		hx, err := hnsw.Build(ds.Vectors, p.Metric, hnsw.Config{
+		hx, err := hnsw.Build(rs, p.Metric, hnsw.Config{
 			M: r.Scale.M, MaxDegree: r.Scale.MaxDegree,
 			EfConstruction: r.Scale.EfConstruction, Seed: r.Scale.Seed,
 		})
@@ -233,7 +238,7 @@ func (r *Runner) load(name string) *workload {
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %s ivf build: %v", name, err))
 		}
-		e.w = &workload{ds: ds, hnsw: hx, ivf: vx, gt: ds.GroundTruth(10), buildSeconds: buildSecs}
+		e.w = &workload{ds: ds, rows: rs, hnsw: hx, ivf: vx, gt: ds.GroundTruth(10), buildSeconds: buildSecs}
 	})
 	return e.w
 }
@@ -250,7 +255,7 @@ func (r *Runner) system(name string, d core.Design, mutate func(*core.SystemConf
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		sys, err := core.NewSystem(w.ds.Vectors, w.ds.Profile.Elem, w.ds.Profile.Metric, w.hnsw, cfg)
+		sys, err := core.NewSystem(w.rows, w.ds.Profile.Metric, w.hnsw, cfg)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %s/%v: %v", name, d, err))
 		}

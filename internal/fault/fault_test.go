@@ -121,12 +121,12 @@ func newProtoRig(t *testing.T, sched *fault.Schedule, res engine.ResilienceConfi
 	t.Helper()
 	p := dataset.ProfileByName("SIFT")
 	ds := dataset.Generate(p, 400, 8, 31)
-	ix, err := hnsw.Build(ds.Vectors, p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
+	ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bsched := bitplane.UniformSchedule(p.Elem, 0, 4)
-	st, err := core.BuildStore(ds.Vectors, p.Elem, bsched, prefixelim.Config{})
+	st, err := core.BuildStore(ds.Rows(), bsched, prefixelim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestChaosSilentCorruptionRecallFloor(t *testing.T) {
 func TestSystemLevelByteIdentical(t *testing.T) {
 	p := dataset.ProfileByName("DEEP")
 	ds := dataset.Generate(p, 600, 10, 77)
-	ix, err := hnsw.Build(ds.Vectors, p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
+	ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestSystemLevelByteIdentical(t *testing.T) {
 		if sched == nil {
 			cfg.Fault, cfg.Resilience = nil, engine.ResilienceConfig{}
 		}
-		sys, err := core.NewSystem(ds.Vectors, p.Elem, p.Metric, ix, cfg)
+		sys, err := core.NewSystem(ds.Rows(), p.Metric, ix, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

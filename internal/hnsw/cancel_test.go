@@ -29,7 +29,7 @@ func (e *cancellingEngine) Compare(id uint32, th float64) engine.Result {
 func cancelTestIndex(t *testing.T) (*Index, *dataset.Dataset) {
 	t.Helper()
 	ds := dataset.Generate(dataset.ProfileByName("SIFT"), 800, 4, 17)
-	ix, err := Build(ds.Vectors, ds.Profile.Metric, Config{
+	ix, err := Build(ds.Rows(), ds.Profile.Metric, Config{
 		M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1,
 	})
 	if err != nil {

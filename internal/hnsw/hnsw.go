@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sync"
 
+	"ansmet/internal/rows"
 	"ansmet/internal/stats"
 	"ansmet/internal/vecmath"
 )
@@ -45,11 +46,16 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Index is a built HNSW graph.
+// Index is a built HNSW graph over the rows of a slab it shares with whoever
+// serves them (internal/rows): the graph holds no vector data of its own.
 type Index struct {
-	cfg     Config
-	metric  vecmath.Metric
-	vectors [][]float32
+	cfg    Config
+	metric vecmath.Metric
+	rows   *rows.Slab
+	// rv is the writer's view of the slab (every node has its row in it),
+	// kern the slab's element type × the metric, chosen once.
+	rv   rows.View
+	kern vecmath.RowKernel
 
 	levels   []int     // level of each node
 	adj      adjacency // the writer's current edge storage (blocks.go)
@@ -68,34 +74,37 @@ type Index struct {
 	ctxPool sync.Pool // *searchContext, see context.go
 }
 
-// Build constructs the index over the vectors with the given metric.
-func Build(vectors [][]float32, metric vecmath.Metric, cfg Config) (*Index, error) {
+// Build constructs the index over the slab's rows with the given metric.
+func Build(rs *rows.Slab, metric vecmath.Metric, cfg Config) (*Index, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if len(vectors) == 0 {
+	if rs == nil || rs.Len() == 0 {
 		return nil, fmt.Errorf("hnsw: empty dataset")
 	}
-	ix := &Index{
-		cfg:     cfg,
-		metric:  metric,
-		vectors: vectors,
-		levels:  make([]int, len(vectors)),
-		adj: adjacency{
-			base:  blocks{stride: 1 + cfg.MaxDegree}.grown(len(vectors)),
-			upper: make([][][]uint32, len(vectors)),
-		},
-		maxLevel: -1,
+	ix := newIndex(rs, metric, cfg)
+	n := ix.rv.Len()
+	ix.levels = make([]int, n)
+	ix.adj = adjacency{
+		base:  blocks{stride: 1 + cfg.MaxDegree}.grown(n),
+		upper: make([][][]uint32, n),
 	}
+	ix.maxLevel = -1
 	rng := stats.NewRNG(cfg.Seed)
 	mL := 1 / math.Log(float64(cfg.M))
-	for i := range vectors {
+	for i := range ix.levels {
 		lvl := int(-math.Log(1-rng.Float64()) * mL)
 		ix.levels[i] = lvl
 		ix.adj.upper[i] = upperLists(lvl)
 		ix.insert(uint32(i))
 	}
 	return ix, nil
+}
+
+// newIndex is what Build and FromSnapshot share.
+func newIndex(rs *rows.Slab, metric vecmath.Metric, cfg Config) *Index {
+	return &Index{cfg: cfg, metric: metric, rows: rs, rv: rs.View(),
+		kern: vecmath.Active().RowKernel(rs.Elem(), metric)}
 }
 
 // upperLists returns the empty adjacency lists of a node's levels >= 1: nil
@@ -107,15 +116,22 @@ func upperLists(lvl int) [][]uint32 {
 	return make([][]uint32, lvl)
 }
 
-// dist is the construction-time comparison-space distance. Construction
-// only ever compares these values against each other, so the sqrt-free
-// squared kernel (a strictly monotone transform of the true distance) gives
-// the same orderings cheaper. The kernel is runtime-dispatched in vecmath
-// (SIMD where available, bitwise-identical to scalar), so graphs built on
-// any CPU are identical.
-func (ix *Index) dist(a uint32, q []float32) float64 {
-	return ix.metric.SquaredDistance(q, ix.vectors[a])
+// rowDist is the construction-time comparison-space distance between two
+// rows, Metric.SquaredDistance on their values: construction only ever
+// compares these against each other, so the sqrt-free kernel (a strictly
+// monotone transform of the true distance) gives the same orderings cheaper.
+// The typed kernel returns the float32 reference's bits at every dispatch
+// level (vecmath/rowkernels.go), so graphs built on any CPU are identical.
+func (ix *Index) rowDist(a, b []byte) float64 {
+	d := ix.kern(a, b)
+	if ix.metric != vecmath.L2 {
+		d = -d
+	}
+	return d
 }
+
+// dist is rowDist between the row q and node a's.
+func (ix *Index) dist(a uint32, q []byte) float64 { return ix.rowDist(q, ix.rv.Row(a)) }
 
 // insert adds node id to the graph (its level is already assigned).
 func (ix *Index) insert(id uint32) {
@@ -125,7 +141,7 @@ func (ix *Index) insert(id uint32) {
 		ix.maxLevel = lvl
 		return
 	}
-	q := ix.vectors[id]
+	q := ix.rv.Row(id)
 	cur := ix.entry
 	curDist := ix.dist(cur, q)
 	// Greedy descent through layers above the insertion level.
@@ -162,7 +178,7 @@ func (ix *Index) insert(id uint32) {
 }
 
 // greedyLayer performs the hill-climbing descent used on upper layers.
-func (ix *Index) greedyLayer(q []float32, cur uint32, curDist float64, level int) (uint32, float64) {
+func (ix *Index) greedyLayer(q []byte, cur uint32, curDist float64, level int) (uint32, float64) {
 	for {
 		improved := false
 		for _, nb := range ix.adj.list(cur, level) {
@@ -179,8 +195,8 @@ func (ix *Index) greedyLayer(q []float32, cur uint32, curDist float64, level int
 }
 
 // searchLayerExact is the construction-time beam search (always exact).
-func (ix *Index) searchLayerExact(q []float32, eps []Neighbor, ef, level int) []Neighbor {
-	ctx := ix.getCtx(len(ix.vectors))
+func (ix *Index) searchLayerExact(q []byte, eps []Neighbor, ef, level int) []Neighbor {
+	ctx := ix.getCtx(len(ix.levels))
 	defer ix.putCtx(ctx)
 	visited := &ctx.vis
 	cand := &ctx.cand
@@ -221,7 +237,7 @@ func (ix *Index) searchLayerExact(q []float32, eps []Neighbor, ef, level int) []
 // of the HNSW paper): keep a candidate only if it is closer to the query
 // than to every already-selected neighbor, which spreads edges across
 // clusters.
-func (ix *Index) selectHeuristic(q []float32, cands []Neighbor, m int) []Neighbor {
+func (ix *Index) selectHeuristic(q []byte, cands []Neighbor, m int) []Neighbor {
 	if len(cands) <= m {
 		return cands
 	}
@@ -232,7 +248,7 @@ func (ix *Index) selectHeuristic(q []float32, cands []Neighbor, m int) []Neighbo
 		}
 		good := true
 		for _, s := range out {
-			if ix.metric.SquaredDistance(ix.vectors[c.ID], ix.vectors[s.ID]) < c.Dist {
+			if ix.rowDist(ix.rv.Row(c.ID), ix.rv.Row(s.ID)) < c.Dist {
 				good = false
 				break
 			}
@@ -275,12 +291,13 @@ func (ix *Index) connect(src, dst uint32, level int) {
 	}
 	nl := append(append(ix.sel[:0], lst...), dst)
 	if len(nl) > ix.cfg.MaxDegree {
+		row := ix.rv.Row(src)
 		cands := make([]Neighbor, len(nl))
 		for i, n := range nl {
-			cands[i] = Neighbor{ID: n, Dist: ix.metric.SquaredDistance(ix.vectors[src], ix.vectors[n])}
+			cands[i] = Neighbor{ID: n, Dist: ix.dist(n, row)}
 		}
 		sortNeighbors(cands)
-		sel := ix.selectHeuristic(ix.vectors[src], cands, ix.cfg.MaxDegree)
+		sel := ix.selectHeuristic(row, cands, ix.cfg.MaxDegree)
 		nl = nl[:0]
 		for _, s := range sel {
 			nl = append(nl, s.ID)

@@ -6,6 +6,7 @@ import (
 
 	"ansmet/internal/dataset"
 	"ansmet/internal/engine"
+	"ansmet/internal/rows"
 	"ansmet/internal/stats"
 	"ansmet/internal/trace"
 	"ansmet/internal/vecmath"
@@ -16,7 +17,7 @@ func buildSmall(t *testing.T, name string, n int, efc int) (*dataset.Dataset, *I
 	p := dataset.ProfileByName(name)
 	ds := dataset.Generate(p, n, 20, 42)
 	cfg := Config{M: 8, MaxDegree: 16, EfConstruction: efc, Seed: 1}
-	ix, err := Build(ds.Vectors, p.Metric, cfg)
+	ix, err := Build(ds.Rows(), p.Metric, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(nil, vecmath.L2, DefaultConfig()); err == nil {
 		t.Error("empty dataset should fail")
 	}
-	if _, err := Build([][]float32{{1}}, vecmath.L2, Config{}); err == nil {
+	if _, err := Build(rows.MustPack([][]float32{{1}}, vecmath.Float32), vecmath.L2, Config{}); err == nil {
 		t.Error("zero config should fail")
 	}
 }
@@ -224,7 +225,7 @@ func TestTopLayerIDs(t *testing.T) {
 
 func TestSingleVectorIndex(t *testing.T) {
 	vecs := [][]float32{{1, 2, 3}}
-	ix, err := Build(vecs, vecmath.L2, Config{M: 4, MaxDegree: 8, EfConstruction: 10, Seed: 1})
+	ix, err := Build(rows.MustPack(vecs, vecmath.Float32), vecmath.L2, Config{M: 4, MaxDegree: 8, EfConstruction: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

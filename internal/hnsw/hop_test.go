@@ -9,6 +9,7 @@ import (
 
 	"ansmet/internal/dataset"
 	"ansmet/internal/engine"
+	"ansmet/internal/rows"
 	"ansmet/internal/stats"
 	"ansmet/internal/trace"
 )
@@ -161,7 +162,7 @@ func TestHopMatchesPerIDReference(t *testing.T) {
 	for _, profile := range []string{"SIFT", "GloVe"} {
 		ds, live := buildLiveProfile(t, profile, 700, 500)
 		live.Repair([]uint32{11, 250, 610}, func(id uint32) bool { return id != 11 && id != 250 && id != 610 })
-		immutable, err := Build(ds.Vectors, ds.Profile.Metric, Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
+		immutable, err := Build(ds.Rows(), ds.Profile.Metric, Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +298,7 @@ func TestLiveInsertAcrossChunkBoundaries(t *testing.T) {
 	p := dataset.ProfileByName("SIFT")
 	ds := dataset.Generate(p, total, 8, 13)
 	cfg := Config{M: 6, MaxDegree: 12, EfConstruction: 24, Seed: 3}
-	ix, err := Build(ds.Vectors[:base:base], p.Metric, cfg)
+	ix, err := Build(rows.MustPack(ds.Vectors[:base], p.Elem), p.Metric, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,8 @@ func TestLiveInsertAcrossChunkBoundaries(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			// One reader through the batched hop, the others per id.
-			var eng engine.Engine = engine.NewExact(ds.Vectors, p.Metric, p.Elem)
+			// Every reader compares against the slab the writer appends to.
+			var eng engine.Engine = engine.NewExactOver(ix.rows, p.Metric)
 			if w > 0 {
 				eng = &hiddenEngine{Engine: eng}
 			}
@@ -338,7 +340,7 @@ func TestLiveInsertAcrossChunkBoundaries(t *testing.T) {
 		}(w)
 	}
 	for i := base; i < total; i++ {
-		if id := ix.Insert(ds.Vectors[i]); id != uint32(i) {
+		if id := appendInsert(t, ix, ds.Vectors[i]); id != uint32(i) {
 			t.Errorf("Insert %d returned id %d", i, id)
 			break
 		}

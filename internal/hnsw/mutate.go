@@ -7,28 +7,33 @@ package hnsw
 // the hot path except for per-node stripe mutexes taken only while copying
 // one neighbor list.
 //
-// Publication protocol. It is RCU-style with three atomics:
+// Publication protocol. It is RCU-style. The rows are not the index's to
+// publish: the same single writer appends a node's row to the shared slab
+// (internal/rows) before it calls Insert, and the slab's own count orders
+// that row before anything below. The index has three atomics:
 //
-//	arrays — *nodeArrays holding the vectors/levels/upper slice headers
-//	         and the level-0 chunk table. Republished on every insert
-//	         (appends may grow the backing arrays; old readers keep the
-//	         old, shorter headers). A level-0 chunk is allocated whole and
-//	         only ever appended to the table, so a block a reader reached
-//	         through any published table is the block the writer writes:
-//	         it never moves.
-//	count  — the number of fully-initialized nodes. A node's vector,
-//	         level and (empty) neighbor lists are written before count
-//	         publishes it, so count.Load() is a safe upper bound on the
-//	         ids a reader may touch.
+//	arrays — *nodeArrays holding the levels/upper slice headers and the
+//	         level-0 chunk table. Republished on every insert (appends may
+//	         grow the backing arrays; old readers keep the old, shorter
+//	         headers). A level-0 chunk is allocated whole and only ever
+//	         appended to the table, so a block a reader reached through
+//	         any published table is the block the writer writes: it never
+//	         moves.
+//	count  — the number of fully-initialized nodes. A node's row (in the
+//	         slab), level and (empty) neighbor lists are written before
+//	         count publishes it, so count.Load() is a safe upper bound on
+//	         the ids a reader may touch.
 //	epoch  — the routing entry point and top level, packed into one
 //	         word so they are always read consistently.
 //
-// Writer order:  write node → publish arrays → publish count → link
-// edges (stripe-locked list writes) → publish epoch.
-// Reader order:  load epoch → load count → load arrays. The acquire on
-// epoch makes the preceding count store visible, so entry < count, and
-// the acquire on count makes the preceding arrays store visible, so
-// len(arrays) >= count. Edges linked to nodes beyond a reader's count
+// Writer order:  row into the slab → write node → publish arrays → publish
+// count → link edges (stripe-locked list writes) → publish epoch.
+// Reader order:  load epoch → load count → load arrays, then the engine
+// pins the slab (StartQuery). The acquire on epoch makes the preceding
+// count store visible, so entry < count; the acquire on count makes the
+// preceding arrays store visible, so len(arrays) >= count, and the slab's
+// earlier count store too, so a slab view pinned afterwards holds a row for
+// every id below count. Edges linked to nodes beyond a reader's count
 // snapshot are filtered out during the stripe-locked list copy.
 //
 // Repair never clears an excised node's own lists: a reader whose view
@@ -48,6 +53,7 @@ package hnsw
 // writes them.
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -61,14 +67,13 @@ const (
 
 // nodeArrays is one RCU publication of the index's node storage.
 type nodeArrays struct {
-	vectors [][]float32
-	levels  []int
-	adj     adjacency
+	levels []int
+	adj    adjacency
 }
 
 // publish makes the writer's current node storage the one readers load.
 func (ix *Index) publish() {
-	ix.live.arrays.Store(&nodeArrays{vectors: ix.vectors, levels: ix.levels, adj: ix.adj})
+	ix.live.arrays.Store(&nodeArrays{levels: ix.levels, adj: ix.adj})
 }
 
 // liveState is the concurrent-mutation state of a live index.
@@ -97,7 +102,7 @@ func (ix *Index) EnableMutation() {
 	}
 	ix.live = &liveState{}
 	ix.publish()
-	ix.live.count.Store(int64(len(ix.vectors)))
+	ix.live.count.Store(int64(len(ix.levels)))
 	ix.live.epoch.Store(packEpoch(ix.entry, ix.maxLevel))
 }
 
@@ -121,19 +126,23 @@ func levelFor(seed uint64, id uint32, mL float64) int {
 	return int(-math.Log(1-u) * mL)
 }
 
-// Insert adds vec as a new node, links it into the graph, and returns its
-// id (the next dense id). Must only be called on a live index by a single
-// writer; searches may run concurrently.
-func (ix *Index) Insert(vec []float32) uint32 {
+// Insert links the slab's next row — the one whose id is the current node
+// count, which the caller has already appended to the index's slab — into
+// the graph as a new node, and returns that id. Live index only, called by
+// the slab's single writer; searches may run concurrently.
+func (ix *Index) Insert() uint32 {
 	if ix.live == nil {
 		panic("hnsw: Insert on an immutable index (call EnableMutation first)")
 	}
-	id := uint32(len(ix.vectors))
+	id := uint32(len(ix.levels))
+	ix.rv = ix.rows.View()
+	if int(id) >= ix.rv.Len() {
+		panic(fmt.Sprintf("hnsw: Insert of node %d, the slab holds %d rows (append the row first)", id, ix.rv.Len()))
+	}
 	lvl := levelFor(ix.cfg.Seed, id, 1/math.Log(float64(ix.cfg.M)))
-	ix.vectors = append(ix.vectors, vec)
 	ix.levels = append(ix.levels, lvl)
 	ix.adj.upper = append(ix.adj.upper, upperLists(lvl))
-	ix.adj.base = ix.adj.base.grown(len(ix.vectors)) // a new chunk every chunkNodes inserts
+	ix.adj.base = ix.adj.base.grown(len(ix.levels)) // a new chunk every chunkNodes inserts
 	ix.publish()
 	ix.live.count.Store(int64(id) + 1)
 	ix.insert(id) // links edges; setNeighbors writes lists under stripe locks
@@ -158,7 +167,7 @@ func (ix *Index) Repair(deleted []uint32, alive func(uint32) bool) {
 	}
 	dead := make(map[uint32]bool, len(deleted))
 	for _, d := range deleted {
-		if int(d) < len(ix.vectors) && d != ix.entry {
+		if int(d) < len(ix.levels) && d != ix.entry {
 			dead[d] = true
 		}
 	}
@@ -222,7 +231,7 @@ type liveView struct {
 // index this is a plain struct fill — no atomics, no behavior change.
 func (ix *Index) view() liveView {
 	if ix.live == nil {
-		return liveView{entry: ix.entry, maxLevel: ix.maxLevel, count: len(ix.vectors), adj: ix.adj}
+		return liveView{entry: ix.entry, maxLevel: ix.maxLevel, count: len(ix.levels), adj: ix.adj}
 	}
 	entry, maxLevel := unpackEpoch(ix.live.epoch.Load())
 	n := int(ix.live.count.Load())

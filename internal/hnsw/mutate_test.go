@@ -8,6 +8,7 @@ import (
 
 	"ansmet/internal/dataset"
 	"ansmet/internal/engine"
+	"ansmet/internal/rows"
 )
 
 // buildLive builds an index over the first `base` of n SIFT vectors and
@@ -23,19 +24,27 @@ func buildLiveProfile(t *testing.T, profile string, n, base int) (*dataset.Datas
 	p := dataset.ProfileByName(profile)
 	ds := dataset.Generate(p, n, 20, 42)
 	cfg := Config{M: 8, MaxDegree: 16, EfConstruction: 100, Seed: 1}
-	// Full-capacity slicing so live appends never write into the shared
-	// backing array the test's engine reads.
-	ix, err := Build(ds.Vectors[:base:base], p.Metric, cfg)
+	ix, err := Build(rows.MustPack(ds.Vectors[:base], p.Elem), p.Metric, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ix.EnableMutation()
 	for i := base; i < n; i++ {
-		if id := ix.Insert(ds.Vectors[i]); id != uint32(i) {
+		if id := appendInsert(t, ix, ds.Vectors[i]); id != uint32(i) {
 			t.Fatalf("Insert %d returned id %d", i, id)
 		}
 	}
 	return ds, ix
+}
+
+// appendInsert grows a live index by one vector the way its owner does: the
+// row into the slab the index was built over, then the node.
+func appendInsert(t testing.TB, ix *Index, v []float32) uint32 {
+	t.Helper()
+	if _, err := ix.rows.Append(v); err != nil {
+		t.Fatal(err)
+	}
+	return ix.Insert()
 }
 
 func TestInsertGrowsSearchableGraph(t *testing.T) {
@@ -252,12 +261,13 @@ func TestConcurrentInsertSearch(t *testing.T) {
 	p := dataset.ProfileByName("SIFT")
 	ds := dataset.Generate(p, 800, 20, 7)
 	cfg := Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1}
-	ix, err := Build(ds.Vectors[:400:400], p.Metric, cfg)
+	ix, err := Build(rows.MustPack(ds.Vectors[:400], p.Elem), p.Metric, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ix.EnableMutation()
-	eng := func() engine.Engine { return engine.NewExact(ds.Vectors, p.Metric, p.Elem) }
+	// The readers compare against the slab the writer is appending to.
+	eng := func() engine.Engine { return engine.NewExactOver(ix.rows, p.Metric) }
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -290,7 +300,7 @@ func TestConcurrentInsertSearch(t *testing.T) {
 		}(w)
 	}
 	for i := 400; i < 800; i++ {
-		ix.Insert(ds.Vectors[i])
+		appendInsert(t, ix, ds.Vectors[i])
 		if i%97 == 0 {
 			ix.Repair([]uint32{uint32(i - 50)}, func(id uint32) bool { return id != uint32(i-50) })
 		}

@@ -408,5 +408,5 @@ func (ix *Index) Size() int {
 	if ix.live != nil {
 		return int(ix.live.count.Load())
 	}
-	return len(ix.vectors)
+	return len(ix.levels)
 }

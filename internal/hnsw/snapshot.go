@@ -3,6 +3,7 @@ package hnsw
 import (
 	"fmt"
 
+	"ansmet/internal/rows"
 	"ansmet/internal/vecmath"
 )
 
@@ -44,15 +45,15 @@ func (ix *Index) Snapshot() *Snapshot {
 	}
 }
 
-// FromSnapshot reconstructs an index over the given vectors. The vectors
-// must be the exact population the snapshot was built from. A snapshot
+// FromSnapshot reconstructs an index over the given slab, whose rows must be
+// the exact population the snapshot was built from. A snapshot
 // comes from a file, so everything the index will later trust without
 // looking is checked here: the construction parameters (a live index
 // inserts with them), the level structure (a search walks MaxLevel layers),
 // every list's length (level 0 is packed into MaxDegree-wide blocks) and
 // every edge's target.
-func FromSnapshot(vectors [][]float32, s *Snapshot) (*Index, error) {
-	n := len(vectors)
+func FromSnapshot(rs *rows.Slab, s *Snapshot) (*Index, error) {
+	n := rs.Len()
 	if n != len(s.Levels) || n != len(s.Neighbors) {
 		return nil, fmt.Errorf("hnsw: snapshot covers %d nodes, vectors %d", len(s.Levels), n)
 	}
@@ -94,13 +95,7 @@ func FromSnapshot(vectors [][]float32, s *Snapshot) (*Index, error) {
 			adj.upper[i] = nbs[1:]
 		}
 	}
-	return &Index{
-		cfg:      s.Cfg,
-		metric:   s.Metric,
-		vectors:  vectors,
-		levels:   s.Levels,
-		adj:      adj,
-		entry:    s.Entry,
-		maxLevel: s.MaxLevel,
-	}, nil
+	ix := newIndex(rs, s.Metric, s.Cfg)
+	ix.levels, ix.adj, ix.entry, ix.maxLevel = s.Levels, adj, s.Entry, s.MaxLevel
+	return ix, nil
 }

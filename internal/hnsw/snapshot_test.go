@@ -7,18 +7,19 @@ import (
 
 	"ansmet/internal/dataset"
 	"ansmet/internal/engine"
+	"ansmet/internal/rows"
 	"ansmet/internal/vecmath"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	p := dataset.ProfileByName("SIFT")
 	ds := dataset.Generate(p, 400, 5, 61)
-	ix, err := Build(ds.Vectors, p.Metric, Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
+	ix, err := Build(ds.Rows(), p.Metric, Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := ix.Snapshot()
-	back, err := FromSnapshot(ds.Vectors, snap)
+	back, err := FromSnapshot(ds.Rows(), snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,15 +38,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestFromSnapshotValidation(t *testing.T) {
 	p := dataset.ProfileByName("SIFT")
 	ds := dataset.Generate(p, 100, 0, 61)
-	ix, _ := Build(ds.Vectors, p.Metric, Config{M: 8, MaxDegree: 16, EfConstruction: 40, Seed: 1})
+	ix, _ := Build(ds.Rows(), p.Metric, Config{M: 8, MaxDegree: 16, EfConstruction: 40, Seed: 1})
 	snap := ix.Snapshot()
 
-	if _, err := FromSnapshot(ds.Vectors[:50], snap); err == nil {
+	if _, err := FromSnapshot(rows.MustPack(ds.Vectors[:50], p.Elem), snap); err == nil {
 		t.Error("mismatched vector count should fail")
 	}
 	bad := *snap
 	bad.Entry = 1000
-	if _, err := FromSnapshot(ds.Vectors, &bad); err == nil {
+	if _, err := FromSnapshot(ds.Rows(), &bad); err == nil {
 		t.Error("out-of-range entry should fail")
 	}
 	// Corrupt an edge.
@@ -56,7 +57,7 @@ func TestFromSnapshotValidation(t *testing.T) {
 	copy(lvl, snap.Neighbors[0])
 	lvl[0] = append(append([]uint32{}, lvl[0]...), 9999)
 	bad2.Neighbors[0] = lvl
-	if _, err := FromSnapshot(ds.Vectors, &bad2); err == nil {
+	if _, err := FromSnapshot(ds.Rows(), &bad2); err == nil {
 		t.Error("out-of-range edge should fail")
 	}
 }
@@ -70,7 +71,7 @@ func TestFromSnapshotValidation(t *testing.T) {
 func TestFromSnapshotRejectsUntrustedFields(t *testing.T) {
 	p := dataset.ProfileByName("SIFT")
 	ds := dataset.Generate(p, 60, 0, 61)
-	ix, err := Build(ds.Vectors, p.Metric, Config{M: 4, MaxDegree: 4, EfConstruction: 40, Seed: 1})
+	ix, err := Build(ds.Rows(), p.Metric, Config{M: 4, MaxDegree: 4, EfConstruction: 40, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestFromSnapshotRejectsUntrustedFields(t *testing.T) {
 		s := *ix.Snapshot()
 		s.Levels = append([]int(nil), s.Levels...)
 		tc.corrupt(&s)
-		got, err := FromSnapshot(ds.Vectors, &s)
+		got, err := FromSnapshot(ds.Rows(), &s)
 		if err == nil || got != nil {
 			t.Errorf("%s: loaded (err %v)", tc.name, err)
 			continue
@@ -118,7 +119,7 @@ func TestFromSnapshotRejectsUntrustedFields(t *testing.T) {
 			}
 		}
 	}
-	if _, err := FromSnapshot(ds.Vectors, ix.Snapshot()); err != nil {
+	if _, err := FromSnapshot(ds.Rows(), ix.Snapshot()); err != nil {
 		t.Fatalf("the uncorrupted snapshot is refused: %v", err)
 	}
 }
@@ -129,13 +130,11 @@ func TestFromSnapshotRejectsUntrustedFields(t *testing.T) {
 func TestSnapshotRoundTripLive(t *testing.T) {
 	ds, ix := buildLive(t, 500, 300)
 	ix.Repair([]uint32{5, 120, 410}, func(id uint32) bool { return id != 5 && id != 120 && id != 410 })
-	vectors := append([][]float32(nil), ds.Vectors...)
 	for _, q := range ds.Queries { // more growth after the repair
-		ix.Insert(q)
-		vectors = append(vectors, q)
+		appendInsert(t, ix, q)
 	}
 	snap := ix.Snapshot()
-	back, err := FromSnapshot(vectors, snap)
+	back, err := FromSnapshot(ix.rows, snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,7 +163,7 @@ func TestUnitMatchesETEngine(t *testing.T) {
 	p := dataset.ProfileByName("DEEP")
 	ds := dataset.Generate(p, 300, 6, 17)
 	sched := bitplane.DualSchedule(p.Elem, 0, 8, 1, 4)
-	st, err := core.BuildStore(ds.Vectors, p.Elem, sched, prefixelim.Config{})
+	st, err := core.BuildStore(ds.Rows(), sched, prefixelim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,12 +330,12 @@ func TestUnitFlagsShortData(t *testing.T) {
 func TestHostAdapterFullSearch(t *testing.T) {
 	p := dataset.ProfileByName("SIFT")
 	ds := dataset.Generate(p, 500, 6, 29)
-	ix, err := hnsw.Build(ds.Vectors, p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
+	ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sched := bitplane.UniformSchedule(p.Elem, 0, 4)
-	st, err := core.BuildStore(ds.Vectors, p.Elem, sched, prefixelim.Config{})
+	st, err := core.BuildStore(ds.Rows(), sched, prefixelim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

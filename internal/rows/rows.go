@@ -1,0 +1,208 @@
+// Package rows is the one store of vector rows: every route, the graph build
+// and the snapshot read the same bytes, held in the element type's own
+// encoding (vecmath.ElemType.AppendRow) — a SIFT row is 128 bytes, two cache
+// lines, not 512 — and compared there by the typed kernels, with no decode.
+//
+// Rows live in chunks of 1024, each allocated whole on a 64-byte boundary
+// and never moved, behind a chunk table (the shape of hnsw/blocks.go). One
+// accessor hands a row out, View.Row, clipped to its own bytes.
+//
+// A Slab grows by Append from a single writer under any number of readers.
+// The writer writes the row, republishes the table only when the row opened
+// a new chunk, then publishes the count; a reader pins the count, then the
+// table (Slab.View). The count's release/acquire pair orders every row below
+// a pinned count, and its chunk, before the reader: one publication. What is
+// built on the slab (the graph, the bit-plane store) publishes an id only
+// after its row is in, so an id it hands out has a row in any view pinned
+// afterwards. DESIGN.md, "Row store", has the long form.
+package rows
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"sync/atomic"
+	"unsafe"
+
+	"ansmet/internal/vecmath"
+)
+
+const (
+	chunkShift = 10
+	// ChunkRows is the number of rows in a chunk.
+	ChunkRows = 1 << chunkShift
+	chunkMask = ChunkRows - 1
+	// chunkAlign is the alignment of a chunk's first row: a cache line, so a
+	// 128-byte SIFT row is exactly two.
+	chunkAlign = 64
+)
+
+// ErrValue reports (wrapped, with the position) a component that is not
+// finite or is not a value of the slab's element type: rows store exactly,
+// so ingestion quantizes first and the slab refuses what would be rounded.
+var ErrValue = errors.New("rows: value is not representable in the element type")
+
+// Slab is a growing set of equal-length rows in one element type.
+type Slab struct {
+	elem   vecmath.ElemType
+	dim    int
+	stride int // bytes per row
+
+	table atomic.Pointer[[][]byte] // the published chunk table
+	count atomic.Int64             // rows complete and visible
+}
+
+// New returns an empty slab of dim-element rows.
+func New(elem vecmath.ElemType, dim int) *Slab {
+	s := &Slab{elem: elem, dim: dim, stride: dim * elem.Bytes()}
+	s.table.Store(new([][]byte))
+	return s
+}
+
+// Pack returns a slab holding the vectors, in order. The element values must
+// already be elem's (see ErrValue) and the vectors of one length.
+func Pack(vectors [][]float32, elem vecmath.ElemType) (*Slab, error) {
+	if len(vectors) == 0 || len(vectors[0]) == 0 {
+		return nil, fmt.Errorf("rows: empty dataset or zero-dimension vectors")
+	}
+	s := New(elem, len(vectors[0]))
+	for i, v := range vectors {
+		if _, err := s.Append(v); err != nil {
+			return nil, fmt.Errorf("vector %d: %w", i, err)
+		}
+	}
+	return s, nil
+}
+
+// MustPack is Pack for vectors known to hold elem's values (a generated
+// dataset, rows read back from a database); it panics otherwise.
+func MustPack(vectors [][]float32, elem vecmath.ElemType) *Slab {
+	s, err := Pack(vectors, elem)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// FromBytes returns a slab of n rows copied from data, which must be exactly
+// n·dim·elem.Bytes() bytes of rows in storage encoding, in id order — the
+// row section of a snapshot, so the shape is checked before anything is
+// allocated and float rows are scanned for infinities and NaNs.
+func FromBytes(elem vecmath.ElemType, dim, n int, data []byte) (*Slab, error) {
+	if dim <= 0 || n <= 0 {
+		return nil, fmt.Errorf("rows: Dim is %d, N is %d: both must be positive", dim, n)
+	}
+	stride := dim * elem.Bytes()
+	// The first two tests are the overflow guard: n·stride is formed only once
+	// it is known to fit len(data).
+	if stride/elem.Bytes() != dim || n > len(data)/stride || len(data) != n*stride {
+		return nil, fmt.Errorf("rows: row section holds %d bytes, not N·Dim·%d (N %d, Dim %d)", len(data), elem.Bytes(), n, dim)
+	}
+	s := New(elem, dim)
+	var chunks [][]byte
+	for id := 0; id < n; id += ChunkRows {
+		c := newChunk(stride)
+		copy(c, data[id*stride:])
+		chunks = append(chunks, c)
+	}
+	s.table.Store(&chunks)
+	s.count.Store(int64(n))
+	v, vals := s.View(), make([]float32, 0, dim)
+	for id := 0; id < n && elem.Bits() > 8; id++ { // every byte is an integer
+		vals = v.Decode(uint32(id), vals[:0])
+		for d, x := range vals {
+			if x-x != 0 { // an Inf or NaN bit pattern
+				return nil, fmt.Errorf("rows: row %d component %d is not a finite %v bit pattern", id, d, elem)
+			}
+		}
+	}
+	return s, nil
+}
+
+// newChunk allocates one chunk, its first byte on a chunkAlign boundary.
+func newChunk(stride int) []byte {
+	size := ChunkRows * stride
+	buf := make([]byte, size+chunkAlign-1)
+	off := int(-uintptr(unsafe.Pointer(unsafe.SliceData(buf))) & (chunkAlign - 1))
+	return buf[off : off+size : off+size]
+}
+
+// Elem returns the element type of the rows.
+func (s *Slab) Elem() vecmath.ElemType { return s.elem }
+
+// Dim returns the number of elements in a row.
+func (s *Slab) Dim() int { return s.dim }
+
+// Len returns the number of rows visible now.
+func (s *Slab) Len() int { return int(s.count.Load()) }
+
+// Append writes v as the next row and returns its id. Single writer only;
+// readers run concurrently and see the row once their View is taken after
+// Append returns. v must have the slab's dimension and hold values of its
+// element type (ErrValue).
+func (s *Slab) Append(v []float32) (uint32, error) {
+	if len(v) != s.dim {
+		return 0, fmt.Errorf("rows: vector has %d dims, slab holds %d", len(v), s.dim)
+	}
+	id := int(s.count.Load())
+	chunks := *s.table.Load()
+	if id>>chunkShift == len(chunks) {
+		// Readers keep the table they pinned: growth copies it.
+		grown := append(chunks[:len(chunks):len(chunks)], newChunk(s.stride))
+		s.table.Store(&grown)
+		chunks = grown
+	}
+	o := (id & chunkMask) * s.stride
+	if _, bad := s.elem.AppendRow(chunks[id>>chunkShift][o:o:o+s.stride], v); bad >= 0 {
+		return 0, fmt.Errorf("%w: component %d is %v, not a finite %v value", ErrValue, bad, v[bad], s.elem)
+	}
+	s.count.Store(int64(id) + 1)
+	return uint32(id), nil
+}
+
+// View is a reader's pinned slab: the rows [0, Len()) and the chunks that
+// hold them. It stays valid, and its rows unchanged, however the slab grows.
+type View struct {
+	chunks [][]byte
+	n      int
+	stride int
+	elem   vecmath.ElemType
+}
+
+// View pins the rows visible now: the count first, then the table.
+func (s *Slab) View() View {
+	n := int(s.count.Load())
+	return View{chunks: *s.table.Load(), n: n, stride: s.stride, elem: s.elem}
+}
+
+// Len returns the number of rows in the view.
+func (v View) Len() int { return v.n }
+
+// Row is the one accessor: row id's bytes in storage encoding, in place,
+// clipped to the row in capacity too, so an append by whoever receives the
+// slice reallocates instead of writing into the next row. Read-only.
+func (v View) Row(id uint32) []byte {
+	o := int(id&chunkMask) * v.stride
+	return v.chunks[id>>chunkShift][o : o+v.stride : o+v.stride]
+}
+
+// Decode appends row id's values to dst as float32 (exact: every stored
+// value is one) and returns the extended slice.
+func (v View) Decode(id uint32, dst []float32) []float32 {
+	return v.elem.DecodeRow(v.Row(id), dst)
+}
+
+// WriteTo writes the view's rows to w in id order, chunk by chunk: the
+// Len()·Dim·Elem.Bytes() bytes FromBytes reads.
+func (v View) WriteTo(w io.Writer) (int64, error) {
+	var written int64
+	for id := 0; id < v.n; id += ChunkRows {
+		rows := min(v.n-id, ChunkRows)
+		n, err := w.Write(v.chunks[id>>chunkShift][:rows*v.stride])
+		written += int64(n)
+		if err != nil {
+			return written, err
+		}
+	}
+	return written, nil
+}

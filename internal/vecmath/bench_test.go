@@ -59,7 +59,34 @@ func kernelImplCases() []kernelCase {
 				return im.BlockSumsTotal(contrib, blockSums, 0, len(blockSums)-1)
 			}})
 	}
+	// The typed row kernels, one arm per element type and implementation at
+	// SIFT's and the production dimension: what a compare costs over rows in
+	// their own type, next to SquaredL2/<impl> over float32 above.
+	for _, rdim := range []int{128, dim} {
+		for _, et := range []ElemType{Uint8, Int8, Float16, BFloat16, Float32} {
+			a, _ := et.AppendRow(nil, quantized(et, x[:rdim]))
+			b, _ := et.AppendRow(nil, quantized(et, y[:rdim]))
+			for _, im := range Implementations() {
+				kern := im.RowKernel(et, L2)
+				cases = append(cases, kernelCase{fmt.Sprintf("RowSquaredL2/%v-%d/%s", et, rdim, im.Name), rdim,
+					func() float64 { return kern(a, b) }})
+			}
+		}
+	}
 	return cases
+}
+
+// quantized maps [0,1) samples onto values of et (spread over the integer
+// types' range).
+func quantized(et ElemType, v []float32) []float32 {
+	out := make([]float32, len(v))
+	for i, x := range v {
+		if et.Bits() == 8 {
+			x = x*200 - 70
+		}
+		out[i] = et.Quantize(x)
+	}
+	return out
 }
 
 func benchKernels(b *testing.B, cases []kernelCase) {

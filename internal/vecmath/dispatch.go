@@ -48,6 +48,7 @@ type Impl struct {
 	dot            func(a, b []float32) float64
 	blockSum       func(terms []float64) float64
 	blockSumsTotal func(contrib, blockSums []float64, firstBlk, lastBlk int) float64
+	rows           rowKernels // the typed row kernels, see rowkernels.go
 }
 
 // SquaredL2 runs this implementation's squared-L2 kernel under the package
@@ -84,6 +85,7 @@ var scalarImpl = Impl{
 	dot:            scalarDot,
 	blockSum:       scalarBlockSum,
 	blockSumsTotal: scalarBlockSumsTotal,
+	rows:           scalarRows,
 }
 
 // Implementations returns every implementation runnable on this CPU,

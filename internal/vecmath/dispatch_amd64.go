@@ -24,6 +24,7 @@ func xgetbv() (eax, edx uint32)
 
 type cpuFeatures struct {
 	hasAVX2 bool
+	hasF16C bool // VCVTPH2PS, for the fp16 row kernel; only looked at beside AVX2
 }
 
 func detectFeatures() cpuFeatures {
@@ -35,6 +36,7 @@ func detectFeatures() cpuFeatures {
 	const (
 		osxsaveBit = 1 << 27
 		avxBit     = 1 << 28
+		f16cBit    = 1 << 29
 	)
 	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
 		return cpuFeatures{}
@@ -46,7 +48,7 @@ func detectFeatures() cpuFeatures {
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
 	const avx2Bit = 1 << 5
-	return cpuFeatures{hasAVX2: ebx7&avx2Bit != 0}
+	return cpuFeatures{hasAVX2: ebx7&avx2Bit != 0, hasF16C: ecx1&f16cBit != 0}
 }
 
 const (
@@ -75,6 +77,7 @@ var avx2Impl = Impl{
 	dot:            dotAVX2,
 	blockSum:       blockSumAVX2,
 	blockSumsTotal: blockSumsTotalAVX2,
+	rows:           avx2Rows(features),
 }
 
 func archImpls() []Impl {
@@ -120,7 +123,8 @@ func blockSumsTotalDispatch(contrib, blockSums []float64, firstBlk, lastBlk int)
 }
 
 // Prefetch asks the memory system for the first prefetchLines lines of a
-// row the caller is about to hand to a distance kernel (see prefetchLines
-// in dispatch.go). It is a hint at every kernel level — PREFETCHT0 is
-// baseline amd64 — and changes no result.
-func Prefetch(v []float32) { prefetchT0(v, prefetchLines) }
+// row the caller is about to hand to a row kernel, or for the whole row when
+// it is shorter — two lines of a SIFT row (see prefetchLines in dispatch.go).
+// It is a hint at every kernel level — PREFETCHT0 is baseline amd64 — and
+// changes no result.
+func Prefetch(row []byte) { prefetchT0(row, prefetchLines) }

@@ -25,4 +25,4 @@ func blockSumsTotalDispatch(contrib, blockSums []float64, firstBlk, lastBlk int)
 
 // Prefetch is a no-op without assembly: the portable build has no prefetch
 // instruction to issue, and a hint may always be dropped.
-func Prefetch(v []float32) {}
+func Prefetch(row []byte) {}

@@ -290,19 +290,19 @@ func TestKernelMismatchPanics(t *testing.T) {
 // touches nothing past the row's end that could fault, and changes no value.
 func TestPrefetchIsHarmless(t *testing.T) {
 	Prefetch(nil)
-	Prefetch([]float32{})
-	row := make([]float32, 16*prefetchLines*3)
+	Prefetch([]byte{})
+	row := make([]byte, 64*prefetchLines*3)
 	for i := range row {
-		row[i] = float32(i)
+		row[i] = byte(i)
 	}
-	for _, n := range []int{1, 15, 16, 17, 16 * prefetchLines, len(row) - 2} {
+	for _, n := range []int{1, 63, 64, 65, 128, 64 * prefetchLines, len(row) - 2} {
 		for off := 0; off < 3; off++ {
 			Prefetch(row[off : off+n])
 		}
 	}
-	Prefetch(row[len(row)-1:]) // the last element of the allocation
+	Prefetch(row[len(row)-1:]) // the last byte of the allocation
 	for i, x := range row {
-		if x != float32(i) {
+		if x != byte(i) {
 			t.Fatalf("row[%d] = %v after prefetching", i, x)
 		}
 	}

@@ -12,8 +12,10 @@
 package vecmath
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ElemType enumerates the vector element data types evaluated in the paper
@@ -56,9 +58,10 @@ func (t ElemType) Bits() int {
 func (t ElemType) Bytes() int { return t.Bits() / 8 }
 
 // Quantize rounds v to the nearest value representable by the element type,
-// clamping integers to their range. Dataset generators use this so that the
-// float32 working representation is exactly representable in the storage
-// type (making code round-trips lossless).
+// clamping integers to their range and saturating the 16-bit floats at ± the
+// largest finite value, so a finite input quantizes to a finite, storable
+// value. Dataset generators use this so that the float32 working
+// representation is exactly representable in the storage type.
 func (t ElemType) Quantize(v float32) float32 {
 	switch t {
 	case Uint8:
@@ -80,14 +83,108 @@ func (t ElemType) Quantize(v float32) float32 {
 		}
 		return float32(r)
 	case Float16:
-		return F16ToF32(F16FromF32(v))
+		h := F16FromF32(v)
+		if h&0x7fff == 0x7c00 && !math.IsInf(float64(v), 0) {
+			h = h&0x8000 | 0x7bff // rounded past the range: ±65504
+		}
+		return F16ToF32(h)
 	case BFloat16:
-		return BF16ToF32(BF16FromF32(v))
+		b := BF16FromF32(v)
+		if b&0x7fff == 0x7f80 && !math.IsInf(float64(v), 0) {
+			b = b&0x8000 | 0x7f7f
+		}
+		return BF16ToF32(b)
 	case Float32:
 		return v
 	default:
 		panic("vecmath: unknown ElemType")
 	}
+}
+
+// AppendRow appends v to dst in t's storage encoding — the row format of
+// internal/rows and of the typed kernels (rowkernels.go): uint8 and int8 the
+// byte, fp16 and bf16 the 16-bit pattern, fp32 the IEEE bits, little-endian.
+// It returns the extended slice and the index of the first component that
+// is not finite or is not a value of the type (one Quantize would change),
+// or -1 when every component round-trips. Integer zeros lose their sign;
+// nothing else is rounded.
+func (t ElemType) AppendRow(dst []byte, v []float32) ([]byte, int) {
+	at := len(dst)
+	dst = slices.Grow(dst, len(v)*t.Bytes())[:at+len(v)*t.Bytes()]
+	out, bad := dst[at:], -1
+	switch t {
+	case Uint8:
+		for i, x := range v {
+			if !(x >= 0 && x <= 255 && x == float32(uint8(x))) && bad < 0 {
+				bad = i
+			}
+			out[i] = uint8(x)
+		}
+	case Int8:
+		for i, x := range v {
+			if !(x >= -128 && x <= 127 && x == float32(int8(x))) && bad < 0 {
+				bad = i
+			}
+			out[i] = uint8(int8(x))
+		}
+	case Float16:
+		for i, x := range v {
+			h := F16FromF32(x)
+			if !(h&0x7c00 != 0x7c00 && F16ToF32(h) == x) && bad < 0 {
+				bad = i
+			}
+			binary.LittleEndian.PutUint16(out[2*i:], h)
+		}
+	case BFloat16:
+		for i, x := range v {
+			b := BF16FromF32(x)
+			if !(b&0x7f80 != 0x7f80 && BF16ToF32(b) == x) && bad < 0 {
+				bad = i
+			}
+			binary.LittleEndian.PutUint16(out[2*i:], b)
+		}
+	case Float32:
+		for i, x := range v {
+			bits := math.Float32bits(x)
+			if !(bits&0x7f800000 != 0x7f800000) && bad < 0 {
+				bad = i
+			}
+			binary.LittleEndian.PutUint32(out[4*i:], bits)
+		}
+	default:
+		panic("vecmath: unknown ElemType")
+	}
+	return dst, bad
+}
+
+// DecodeRow appends the float32 values of a row in t's storage encoding to
+// dst: the exact inverse of AppendRow on every row it accepted.
+func (t ElemType) DecodeRow(row []byte, dst []float32) []float32 {
+	switch t {
+	case Uint8:
+		for _, c := range row {
+			dst = append(dst, float32(c))
+		}
+	case Int8:
+		for _, c := range row {
+			dst = append(dst, float32(int8(c)))
+		}
+	case Float16:
+		for i := 0; i+2 <= len(row); i += 2 {
+			dst = append(dst, F16ToF32(binary.LittleEndian.Uint16(row[i:])))
+		}
+	case BFloat16:
+		for i := 0; i+2 <= len(row); i += 2 {
+			dst = append(dst, BF16ToF32(binary.LittleEndian.Uint16(row[i:])))
+		}
+	case Float32:
+		for i := 0; i+4 <= len(row); i += 4 {
+			dst = append(dst, math.Float32frombits(binary.LittleEndian.Uint32(row[i:])))
+		}
+	default:
+		panic("vecmath: unknown ElemType")
+	}
+	return dst
 }
 
 // Encode maps a (type-representable) value to its order-preserving code.

@@ -21,8 +21,8 @@ func blockSumAVX2(terms []float64) float64
 //go:noescape
 func blockSumsTotalAVX2(contrib, blockSums []float64, firstBlk, lastBlk int) float64
 
-// prefetchT0 issues PREFETCHT0 over the first `lines` cache lines of v (or
+// prefetchT0 issues PREFETCHT0 over the first `lines` cache lines of row (or
 // the whole row when it is shorter). See Prefetch.
 //
 //go:noescape
-func prefetchT0(v []float32, lines int)
+func prefetchT0(row []byte, lines int)

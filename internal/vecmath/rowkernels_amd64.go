@@ -1,0 +1,55 @@
+//go:build amd64 && !purego
+
+package vecmath
+
+// Assembly stubs of the typed row kernels (kernels_amd64.s; the contract is
+// in rowkernels.go). The float ones share the body of squaredL2AVX2 and
+// dotAVX2 and differ in how elements are widened; the fp16 pair needs F16C
+// next to AVX2. The integer ones are integer SIMD.
+
+//go:noescape
+func squaredL2U8AVX2(a, b []byte) float64
+
+//go:noescape
+func dotU8AVX2(a, b []byte) float64
+
+//go:noescape
+func squaredL2I8AVX2(a, b []byte) float64
+
+//go:noescape
+func dotI8AVX2(a, b []byte) float64
+
+//go:noescape
+func squaredL2F16AVX2(a, b []byte) float64
+
+//go:noescape
+func dotF16AVX2(a, b []byte) float64
+
+//go:noescape
+func squaredL2BF16AVX2(a, b []byte) float64
+
+//go:noescape
+func dotBF16AVX2(a, b []byte) float64
+
+//go:noescape
+func squaredL2F32AVX2(a, b []byte) float64
+
+//go:noescape
+func dotF32AVX2(a, b []byte) float64
+
+// avx2Rows is the AVX2 level's typed table on a CPU with these features:
+// without F16C the fp16 rows keep the scalar kernels, everything else is
+// SIMD all the same.
+func avx2Rows(f cpuFeatures) rowKernels {
+	t := rowKernels{
+		Uint8:    {squaredL2U8AVX2, dotU8AVX2},
+		Int8:     {squaredL2I8AVX2, dotI8AVX2},
+		Float16:  {squaredL2F16AVX2, dotF16AVX2},
+		BFloat16: {squaredL2BF16AVX2, dotBF16AVX2},
+		Float32:  {squaredL2F32AVX2, dotF32AVX2},
+	}
+	if !f.hasF16C {
+		t[Float16] = scalarRows[Float16]
+	}
+	return t
+}

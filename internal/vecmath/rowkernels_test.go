@@ -1,0 +1,226 @@
+package vecmath
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+var rowMetrics = []Metric{L2, InnerProduct}
+
+// rowReference is what a typed kernel must return, bit for bit: the float32
+// scalar reference over the decoded values.
+func rowReference(t ElemType, m Metric, a, b []byte) float64 {
+	va, vb := t.DecodeRow(a, nil), t.DecodeRow(b, nil)
+	if m == L2 {
+		return scalarSquaredL2(va, vb)
+	}
+	return scalarDot(va, vb)
+}
+
+// checkRowKernels runs every implementation's kernel for t on (a, b) under
+// both metrics against the reference.
+func checkRowKernels(t *testing.T, label string, et ElemType, a, b []byte) {
+	t.Helper()
+	for _, m := range rowMetrics {
+		want := rowReference(et, m, a, b)
+		for _, im := range Implementations() {
+			if got := im.RowKernel(et, m)(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: %s %v %v over %d bytes = %v (%#x), reference %v (%#x)", label, im.Name, et, m,
+					len(a), got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+		if got := Active().RowKernel(et, m)(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: active %v %v = %v, reference %v", label, et, m, got, want)
+		}
+	}
+}
+
+// finitePattern clears one exponent bit of every float element whose
+// pattern is an infinity or a NaN, in place: rows never hold those.
+func finitePattern(et ElemType, row []byte) {
+	for i, x := range et.DecodeRow(row, nil) {
+		if x-x == 0 {
+			continue
+		}
+		if et == Float16 {
+			row[2*i+1] &^= 0x04
+		} else { // bf16 and fp32 keep exponent bits in their top byte
+			row[(i+1)*et.Bytes()-1] &^= 0x40
+		}
+	}
+}
+
+// rowSpecials are the element patterns worth meeting more often than chance
+// allows: the integer extremes, signed zeros, the smallest subnormals and
+// the largest finite values.
+var rowSpecials = map[ElemType][]uint32{
+	Uint8:    {0, 255, 1, 128},
+	Int8:     {0, 0x80, 0x7f, 0xff},
+	Float16:  {0, 0x8000, 0x0001, 0x83ff, 0x7bff, 0xfbff, 0x3c00},
+	BFloat16: {0, 0x8000, 0x0001, 0x807f, 0x7f7f, 0xff7f, 0x3f80},
+	Float32:  {0, 0x80000000, 1, 0x807fffff, 0x7f7fffff, 0xff7fffff, 0x3f800000},
+}
+
+// randomRow draws dim elements of type et: arbitrary finite patterns mixed
+// with the specials.
+func randomRow(rng *rand.Rand, et ElemType, dim int) []byte {
+	w := et.Bytes()
+	row := make([]byte, dim*w)
+	rng.Read(row)
+	for i := 0; i < dim; i++ {
+		if rng.Intn(4) != 0 {
+			continue
+		}
+		sp := rowSpecials[et]
+		var p [4]byte
+		binary.LittleEndian.PutUint32(p[:], sp[rng.Intn(len(sp))])
+		copy(row[i*w:(i+1)*w], p[:w])
+	}
+	finitePattern(et, row)
+	return row
+}
+
+// TestTypedKernelTailsMatchReference is the tail property test of the typed
+// kernels: every dimension 0..67 plus 100, 128 and 960, every element type,
+// both metrics, every implementation, rows at byte offsets 0..3 of their
+// allocation — and the named cases: identical rows, all-zero rows (a dot of
+// +0, so the distance is still -0), and the integer lane fold.
+func TestTypedKernelTailsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2121))
+	dims := []int{100, 128, 960}
+	for d := 0; d <= 67; d++ {
+		dims = append(dims, d)
+	}
+	for _, et := range allTypes {
+		w := et.Bytes()
+		for _, dim := range dims {
+			for off := 0; off <= 3; off++ {
+				a := append(make([]byte, off), randomRow(rng, et, dim)...)[off:]
+				b := append(make([]byte, off), randomRow(rng, et, dim)...)[off:]
+				checkRowKernels(t, "random", et, a, b)
+				checkRowKernels(t, "identical", et, a, a)
+			}
+			zero := make([]byte, dim*w)
+			checkRowKernels(t, "zero", et, zero, randomRow(rng, et, dim))
+			for _, im := range Implementations() {
+				if got := im.RowKernel(et, InnerProduct)(zero, zero); math.Float64bits(got) != 0 {
+					t.Fatalf("%s %v dim %d: dot of zero rows is %#x, want +0", im.Name, et, dim, math.Float64bits(got))
+				}
+			}
+		}
+	}
+	// 300 000 elements of 255 against 0: a 32-bit lane of the integer kernels
+	// would hold 300000/16 * 130050 = 2.4e9 > 2^31 if it were never folded.
+	const long = 300000
+	full, zero := make([]byte, long), make([]byte, long)
+	for i := range full {
+		full[i] = 255
+	}
+	checkRowKernels(t, "fold u8", Uint8, full, zero)
+	checkRowKernels(t, "fold u8 self", Uint8, full, full)
+	lo := make([]byte, long)
+	for i := range lo {
+		lo[i], full[i] = 0x80, 0x7f // -128 against 127
+	}
+	checkRowKernels(t, "fold i8", Int8, lo, full)
+	checkRowKernels(t, "fold i8 self", Int8, lo, lo)
+}
+
+// FuzzTypedKernelsMatchReference fuzzes the typed kernels' one contract:
+// for every element type, metric and implementation, the kernel over two
+// rows returns the bits the float32 scalar reference returns over the
+// decoded values. The two inputs are read as rows of each type in turn
+// (non-finite float patterns made finite), so the fuzzer walks the whole
+// pattern space: subnormals, signed zeros, the largest finite values.
+func FuzzTypedKernelsMatchReference(f *testing.F) {
+	f.Add([]byte{0, 255, 0x80, 0x7f, 1, 2, 3, 4}, []byte{255, 0, 0x7f, 0x80, 4, 3, 2, 1})
+	f.Add(make([]byte, 64), make([]byte, 64))                                                                             // +0 everywhere
+	f.Add([]byte{0x00, 0x80, 0x00, 0x80, 0x00, 0x00, 0x00, 0x80}, make([]byte, 8))                                        // -0 against +0
+	f.Add([]byte{0x01, 0x00, 0xff, 0x83, 0xff, 0x03, 0x00, 0x04}, []byte{0xff, 0x7b, 0xff, 0xfb, 0x01, 0x80, 0x00, 0x3c}) // fp16 subnormals, ±65504
+	f.Add([]byte{0x7f, 0x7f, 0x7f, 0xff, 0xff, 0xff, 0x7f, 0x7f}, []byte{0x7f, 0x7f, 0x7f, 0x7f, 0xff, 0xff, 0x7f, 0xff}) // largest bf16 / fp32
+	same := []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36}
+	f.Add(same, same)
+	f.Fuzz(func(t *testing.T, ra, rb []byte) {
+		for _, et := range allTypes {
+			n := min(len(ra), len(rb)) / et.Bytes() * et.Bytes()
+			a := append([]byte(nil), ra[:n]...)
+			b := append([]byte(nil), rb[:n]...)
+			finitePattern(et, a)
+			finitePattern(et, b)
+			checkRowKernels(t, "fuzz", et, a, b)
+		}
+	})
+}
+
+// TestRowCodec: AppendRow accepts exactly the finite values of the type and
+// stores them so DecodeRow returns them; everything else is reported by
+// index.
+func TestRowCodec(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, et := range allTypes {
+		for trial := 0; trial < 200; trial++ {
+			want := et.DecodeRow(randomRow(rng, et, 19), nil)
+			row, bad := et.AppendRow(nil, want)
+			if bad != -1 || len(row) != 19*et.Bytes() {
+				t.Fatalf("%v: AppendRow(%v) = %d bytes, bad %d", et, want, len(row), bad)
+			}
+			got := et.DecodeRow(row, nil)
+			for i := range want {
+				intZero := want[i] == 0 && et.Bits() == 8
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) && !intZero {
+					t.Fatalf("%v: component %d decodes to %v, stored %v", et, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	refused := map[ElemType][]float32{
+		Uint8:    {-1, 256, 0.5, nan, inf, -inf},
+		Int8:     {-129, 128, 0.5, nan, inf},
+		Float16:  {65520, 1e9, 1e-9, 1.0001, nan, inf, -inf},
+		BFloat16: {1.001, nan, inf, -inf},
+		Float32:  {nan, inf, -inf},
+	}
+	for et, vals := range refused {
+		for _, x := range vals {
+			if _, bad := et.AppendRow(nil, []float32{1, x, 2}); bad != 1 {
+				t.Errorf("%v: AppendRow accepts %v (bad = %d)", et, x, bad)
+			}
+		}
+	}
+}
+
+// TestQuantizeSaturates: a finite input quantizes to a finite value of the
+// type — the 16-bit floats stop at ± their largest finite value as the
+// integers stop at their range — so whatever Quantize returns for a finite
+// input, AppendRow stores.
+func TestQuantizeSaturates(t *testing.T) {
+	maxBF16 := BF16ToF32(0x7f7f)
+	cases := []struct {
+		et      ElemType
+		in, out float32
+	}{
+		{Float16, 1e9, 65504}, {Float16, -1e9, -65504}, {Float16, 65520, 65504}, {Float16, 65519, 65504},
+		{Float16, math.MaxFloat32, 65504},
+		{BFloat16, 3.4e38, maxBF16}, {BFloat16, -3.4e38, -maxBF16}, {BFloat16, math.MaxFloat32, maxBF16},
+		{Uint8, 1e9, 255}, {Int8, -1e9, -128},
+	}
+	for _, c := range cases {
+		got := c.et.Quantize(c.in)
+		if got != c.out {
+			t.Errorf("%v.Quantize(%v) = %v, want %v", c.et, c.in, got, c.out)
+		}
+		if _, bad := c.et.AppendRow(nil, []float32{got}); bad != -1 {
+			t.Errorf("%v: quantized %v is refused as a row value", c.et, got)
+		}
+	}
+	// An infinite input is not a value to saturate: it stays visible to the
+	// callers that check for it.
+	for _, et := range []ElemType{Float16, BFloat16, Float32} {
+		if got := et.Quantize(float32(math.Inf(-1))); !math.IsInf(float64(got), -1) {
+			t.Errorf("%v.Quantize(-Inf) = %v", et, got)
+		}
+	}
+}

@@ -118,17 +118,16 @@ func (db *Database) repairEvery() int {
 	}
 }
 
-// checkVector validates and quantizes a vector for ingestion.
+// checkVector validates and quantizes a vector for ingestion. A finite
+// input quantizes to a finite value of the element type (Quantize
+// saturates), so what it returns the slab stores.
 func (db *Database) checkVector(v []float32) ([]float32, error) {
 	if len(v) != db.sys.Dim {
 		return nil, fmt.Errorf("%w (got %d, want %d)", ErrDimension, len(v), db.sys.Dim)
 	}
 	qv := make([]float32, len(v))
-	for d, x := range v {
-		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
-			return nil, fmt.Errorf("%w (component %d is %v)", ErrBadVector, d, x)
-		}
-		qv[d] = db.opts.Elem.Quantize(x)
+	if d := quantizeInto(qv, v, db.opts.Elem); d >= 0 {
+		return nil, fmt.Errorf("%w (component %d is %v)", ErrBadVector, d, v[d])
 	}
 	return qv, nil
 }
@@ -225,7 +224,7 @@ func (db *Database) Add(v []float32) (uint32, error) {
 	if err := db.mutableLocked(); err != nil {
 		return 0, err
 	}
-	id := uint32(db.sys.Store.Len())
+	id := uint32(db.rows.Len())
 	if db.journal != nil {
 		if _, err := db.journal.Append(recAdd, encodeAddPayload(id, qv)); err != nil {
 			return 0, fmt.Errorf("ansmet: journaling add: %w", err)
@@ -249,8 +248,8 @@ func (db *Database) Delete(id uint32) error {
 	if err := db.mutableLocked(); err != nil {
 		return err
 	}
-	if int(id) >= db.sys.Store.Len() {
-		return fmt.Errorf("%w (id=%d, len=%d)", ErrUnknownID, id, db.sys.Store.Len())
+	if int(id) >= db.rows.Len() {
+		return fmt.Errorf("%w (id=%d, len=%d)", ErrUnknownID, id, db.rows.Len())
 	}
 	if db.sys.Tomb.IsDeleted(id) {
 		return fmt.Errorf("%w (id=%d)", ErrAlreadyDeleted, id)
@@ -281,13 +280,13 @@ func (db *Database) Update(id uint32, v []float32) (uint32, error) {
 	if err := db.mutableLocked(); err != nil {
 		return 0, err
 	}
-	if int(id) >= db.sys.Store.Len() {
-		return 0, fmt.Errorf("%w (id=%d, len=%d)", ErrUnknownID, id, db.sys.Store.Len())
+	if int(id) >= db.rows.Len() {
+		return 0, fmt.Errorf("%w (id=%d, len=%d)", ErrUnknownID, id, db.rows.Len())
 	}
 	if db.sys.Tomb.IsDeleted(id) {
 		return 0, fmt.Errorf("%w (id=%d)", ErrAlreadyDeleted, id)
 	}
-	newID := uint32(db.sys.Store.Len())
+	newID := uint32(db.rows.Len())
 	if db.journal != nil {
 		if _, err := db.journal.Append(recUpdate, encodeUpdatePayload(id, newID, qv)); err != nil {
 			return 0, fmt.Errorf("ansmet: journaling update: %w", err)
@@ -328,21 +327,23 @@ func (db *Database) Maintain() {
 
 // ---- Apply functions (shared by the live path and WAL replay) -----------
 
-// applyAdd performs the in-memory half of an add. Order matters for the
-// readers' happens-before chain: the store publishes the encoded slot
-// FIRST, then the graph publishes the id — a searcher that can reach the
-// id through its graph view is guaranteed to find its data in the store
-// snapshot it pins afterwards.
+// applyAdd performs the in-memory half of an add: one row write into the
+// slab, the bit-plane slot, the graph node — in that order: a searcher that
+// can reach the id through its graph view is guaranteed to find its row in
+// the slab view and its data in the store snapshot it pins afterwards.
 func (db *Database) applyAdd(id uint32, qv []float32) error {
+	rid, err := db.rows.Append(qv)
+	if err != nil {
+		return fmt.Errorf("ansmet: appending row: %w", err)
+	}
 	sid, err := db.sys.Store.AppendVector(qv)
 	if err != nil {
 		return fmt.Errorf("ansmet: appending vector: %w", err)
 	}
-	if sid != id {
-		return fmt.Errorf("ansmet: store assigned id %d, expected %d", sid, id)
+	if rid != id || sid != id {
+		return fmt.Errorf("ansmet: slab assigned id %d and store %d, expected %d", rid, sid, id)
 	}
-	db.vectors = append(db.vectors, qv)
-	if gid := db.sys.Index.Insert(qv); gid != id {
+	if gid := db.sys.Index.Insert(); gid != id {
 		return fmt.Errorf("ansmet: index assigned id %d, expected %d", gid, id)
 	}
 	return nil
@@ -385,7 +386,7 @@ func (db *Database) applyRecord(r wal.Record) error {
 		if err != nil {
 			return err
 		}
-		if want := uint32(db.sys.Store.Len()); id != want {
+		if want := uint32(db.rows.Len()); id != want {
 			return fmt.Errorf("add names id %d, replay state expects %d", id, want)
 		}
 		if err := db.applyAdd(id, qv); err != nil {
@@ -397,8 +398,8 @@ func (db *Database) applyRecord(r wal.Record) error {
 			return fmt.Errorf("delete payload is %d bytes, want 4", len(r.Payload))
 		}
 		id := binary.LittleEndian.Uint32(r.Payload)
-		if int(id) >= db.sys.Store.Len() {
-			return fmt.Errorf("delete names id %d beyond replay state (%d vectors)", id, db.sys.Store.Len())
+		if int(id) >= db.rows.Len() {
+			return fmt.Errorf("delete names id %d beyond replay state (%d vectors)", id, db.rows.Len())
 		}
 		if db.sys.Tomb.IsDeleted(id) {
 			return fmt.Errorf("delete names already-deleted id %d", id)
@@ -410,10 +411,10 @@ func (db *Database) applyRecord(r wal.Record) error {
 		if err != nil {
 			return err
 		}
-		if want := uint32(db.sys.Store.Len()); newID != want {
+		if want := uint32(db.rows.Len()); newID != want {
 			return fmt.Errorf("update names new id %d, replay state expects %d", newID, want)
 		}
-		if int(oldID) >= db.sys.Store.Len() {
+		if int(oldID) >= db.rows.Len() {
 			return fmt.Errorf("update names old id %d beyond replay state", oldID)
 		}
 		if db.sys.Tomb.IsDeleted(oldID) {

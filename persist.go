@@ -9,29 +9,45 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"ansmet/internal/core"
 	"ansmet/internal/hnsw"
+	"ansmet/internal/rows"
 	"ansmet/internal/vecmath"
 )
 
-// snapshotMagic versions the serialization format. v3 added the CRC32C
-// integrity footer; v1/v2 files (pre-hardening, no checksum) are rejected.
-const snapshotMagic = "ansmet-db-v3"
+// The snapshot format. A file is a raw header naming the version, a gob
+// stream (dbSnapshot), in v4 the row section, and the integrity footer over
+// everything before it:
+//
+//	v3  "ANSMETDB3\n" | gob(dbSnapshot with Vectors)              | footer
+//	v4  "ANSMETDB4\n" | gob(dbSnapshot with N, Dim) | rows, raw   | footer
+//
+// v4's row section is the slab as it is in memory: N rows of Dim elements
+// in the element type's own bytes (internal/rows), id order —
+// N·Dim·Elem.Bytes() bytes exactly. Save writes v4 only; Load reads both
+// (v1/v2, without a checksum, are rejected).
+const (
+	snapshotMagicV3 = "ansmet-db-v3"
+	snapshotMagic   = "ansmet-db-v4"
+)
 
 // snapshotHeader is a raw byte prefix written before the gob stream, so
 // Load can reject non-ansmet files before handing attacker-controlled
 // bytes to the gob decoder.
-var snapshotHeader = []byte("ANSMETDB3\n")
+var (
+	snapshotHeader   = []byte("ANSMETDB4\n")
+	snapshotHeaderV3 = []byte("ANSMETDB3\n")
+)
 
-// snapshotFooterMagic opens the fixed-size trailer appended after the gob
-// stream: footer magic (10 bytes) + uint64 LE payload length + uint32 LE
-// CRC32C (Castagnoli) over the payload (header + gob stream). A torn write
-// truncates the footer or leaves a length/CRC that no longer matches, so
-// Load detects it before decoding a single gob byte.
+// snapshotFooterMagic opens the fixed-size trailer appended after the
+// payload: footer magic (10 bytes) + uint64 LE payload length + uint32 LE
+// CRC32C (Castagnoli) over the payload (header + gob stream + row section).
+// A torn write truncates the footer or leaves a length/CRC that no longer
+// matches, so Load detects it before decoding a single gob byte.
 var snapshotFooterMagic = []byte("ANSMETCRC\n")
 
 const snapshotFooterLen = 10 + 8 + 4
@@ -43,20 +59,24 @@ const snapshotFooterLen = 10 + 8 + 4
 var (
 	// ErrSnapshotBadMagic reports a file that is not an ansmet snapshot or
 	// uses an unsupported format version.
-	ErrSnapshotBadMagic = errors.New("ansmet: not an ansmet-db-v3 snapshot")
+	ErrSnapshotBadMagic = errors.New("ansmet: not an ansmet-db-v3/v4 snapshot")
 	// ErrSnapshotTruncated reports a snapshot cut short — the integrity
 	// footer is missing or its recorded length disagrees with the data.
 	ErrSnapshotTruncated = errors.New("ansmet: truncated snapshot")
 	// ErrSnapshotChecksum reports payload bytes that fail the CRC32C check.
 	ErrSnapshotChecksum = errors.New("ansmet: snapshot checksum mismatch")
+	// ErrSnapshotRows reports a checksum-valid snapshot whose rows cannot be
+	// the database's: a row section that is not N·Dim·bytes long or holds a
+	// non-finite bit pattern, (v3) a value the element type does not hold.
+	ErrSnapshotRows = errors.New("ansmet: snapshot rows are invalid")
 )
 
 // castagnoli is the CRC32C table (same polynomial iSCSI and ext4 use;
 // hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// dbSnapshot is the gob-encoded on-disk form of a Database: the quantized
-// vectors and the HNSW graph. The design-specific preprocessing (layout
+// dbSnapshot is the gob-encoded part of a snapshot: everything but the rows
+// (v4), or everything (v3). The design-specific preprocessing (layout
 // optimization, prefix elimination, partitioning) is deterministic given
 // the options and is re-run on load — it is orders of magnitude cheaper
 // than graph construction (paper Table 4).
@@ -67,6 +87,9 @@ type dbSnapshot struct {
 	Design Design
 	Seed   uint64
 
+	// N and Dim shape v4's row section; zero in a v3 stream, which carries
+	// the rows as Vectors (float32 whatever the element type; never written).
+	N, Dim  int
 	Vectors [][]float32
 	Graph   *hnsw.Snapshot
 
@@ -102,13 +125,14 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Save serializes the database (vectors + index graph + options + live
-// mutation state) to w: raw header, gob stream, then the CRC32C integrity
-// footer Load verifies before decoding. Save performs no atomicity of its
-// own — use SaveFile for crash-safe persistence to a path. On a mutable
-// database Save takes the writer lock, so in-flight mutations finish and
-// the snapshot is consistent; it does NOT compact an attached journal
-// (only SaveFile holds the lock across both steps).
+// Save serializes the database (index graph + options + live mutation
+// state, then the rows) to w in the v4 format: raw header, gob stream, raw
+// row section, then the CRC32C integrity footer Load verifies before
+// decoding. Save performs no atomicity of its own — use SaveFile for
+// crash-safe persistence to a path. On a mutable database Save takes the
+// writer lock, so in-flight mutations finish and the snapshot is consistent;
+// it does NOT compact an attached journal (only SaveFile holds the lock
+// across both steps).
 func (db *Database) Save(w io.Writer) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -118,14 +142,16 @@ func (db *Database) Save(w io.Writer) error {
 // saveLocked is Save's body; callers hold db.mu (a no-op lock on an
 // immutable database).
 func (db *Database) saveLocked(w io.Writer) error {
+	view := db.rows.View()
 	snap := dbSnapshot{
-		Magic:   snapshotMagic,
-		Metric:  db.opts.Metric,
-		Elem:    db.opts.Elem,
-		Design:  *db.opts.Design,
-		Seed:    db.opts.Seed,
-		Vectors: db.vectors,
-		Graph:   db.sys.Index.Snapshot(),
+		Magic:  snapshotMagic,
+		Metric: db.opts.Metric,
+		Elem:   db.opts.Elem,
+		Design: *db.opts.Design,
+		Seed:   db.opts.Seed,
+		N:      view.Len(),
+		Dim:    db.sys.Dim,
+		Graph:  db.sys.Index.Snapshot(),
 	}
 	if db.mutable {
 		snap.Live = true
@@ -136,18 +162,22 @@ func (db *Database) saveLocked(w io.Writer) error {
 		}
 		snap.RepairEvery = db.opts.RepairEvery
 	}
-	return writeSnapshot(w, &snap)
+	return writeSnapshot(w, &snap, view)
 }
 
-// writeSnapshot writes the file image of snap: raw header, gob stream,
+// writeSnapshot writes the v4 file image of snap and its rows (a rows.View,
+// which writes itself chunk by chunk): raw header, gob stream, row section,
 // CRC32C integrity footer.
-func writeSnapshot(w io.Writer, snap *dbSnapshot) error {
+func writeSnapshot(w io.Writer, snap *dbSnapshot, rowSection io.WriterTo) error {
 	cw := &crcWriter{w: w, crc: crc32.New(castagnoli)}
 	if _, err := cw.Write(snapshotHeader); err != nil {
 		return fmt.Errorf("ansmet: writing snapshot header: %w", err)
 	}
 	if err := gob.NewEncoder(cw).Encode(snap); err != nil {
 		return fmt.Errorf("ansmet: encoding snapshot: %w", err)
+	}
+	if _, err := rowSection.WriteTo(cw); err != nil {
+		return fmt.Errorf("ansmet: writing snapshot rows: %w", err)
 	}
 	footer := make([]byte, snapshotFooterLen)
 	copy(footer, snapshotFooterMagic)
@@ -259,26 +289,44 @@ func LoadFile(path string, design *Design) (*Database, error) {
 	return db, nil
 }
 
-// decodeSnapshot gob-decodes with a recover guard: the gob decoder (and
-// anything downstream of a hostile payload) must surface as an error, never
-// a panic.
-func decodeSnapshot(r io.Reader) (snap dbSnapshot, err error) {
+// decodeSnapshot gob-decodes the head of a verified payload with a recover
+// guard (a hostile payload must surface as an error, never a panic) and
+// returns what follows the stream: v4's row section.
+func decodeSnapshot(payload []byte) (snap dbSnapshot, rest []byte, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("ansmet: malformed snapshot: %v", p)
 		}
 	}()
+	// A bytes.Reader is an io.ByteReader, so gob reads exactly the stream.
+	r := bytes.NewReader(payload)
 	err = gob.NewDecoder(r).Decode(&snap)
-	return snap, err
+	return snap, payload[len(payload)-r.Len():], err
 }
 
-// validateSnapshot bounds-checks every decoded field before the snapshot is
-// acted on: a corrupt or crafted file must fail here, not crash deep inside
-// preprocessing.
-func validateSnapshot(snap *dbSnapshot) error {
-	if snap.Magic != snapshotMagic {
+// snapshotRows builds the slab of a decoded snapshot: v4 copies the raw row
+// section (its length and bit patterns checked), v3 packs the gob-decoded
+// values, refusing one the element type does not hold. Either failure is an
+// ErrSnapshotRows naming the field.
+func snapshotRows(version int, snap *dbSnapshot, rest []byte) (rs *rows.Slab, err error) {
+	if version == 4 {
+		rs, err = rows.FromBytes(snap.Elem, snap.Dim, snap.N, rest)
+	} else {
+		rs, err = rows.Pack(snap.Vectors, snap.Elem)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotRows, err)
+	}
+	return rs, nil
+}
+
+// validateSnapshot bounds-checks every decoded field but the rows (see
+// snapshotRows) before the snapshot is acted on: a corrupt or crafted file
+// must fail here, not crash deep inside preprocessing.
+func validateSnapshot(version int, snap *dbSnapshot) error {
+	if want := map[int]string{3: snapshotMagicV3, 4: snapshotMagic}[version]; snap.Magic != want {
 		return fmt.Errorf("%w: unsupported snapshot version %q (want %q)",
-			ErrSnapshotBadMagic, snap.Magic, snapshotMagic)
+			ErrSnapshotBadMagic, snap.Magic, want)
 	}
 	if snap.Metric < vecmath.L2 || snap.Metric > vecmath.Cosine {
 		return fmt.Errorf("ansmet: snapshot has invalid metric %d", int(snap.Metric))
@@ -286,32 +334,8 @@ func validateSnapshot(snap *dbSnapshot) error {
 	if snap.Elem < vecmath.Uint8 || snap.Elem > vecmath.Float32 {
 		return fmt.Errorf("ansmet: snapshot has invalid element type %d", int(snap.Elem))
 	}
-	valid := false
-	for _, d := range core.AllDesigns {
-		if snap.Design == d {
-			valid = true
-			break
-		}
-	}
-	if !valid {
+	if !slices.Contains(core.AllDesigns, snap.Design) {
 		return fmt.Errorf("ansmet: snapshot has invalid design %d", int(snap.Design))
-	}
-	if len(snap.Vectors) == 0 {
-		return fmt.Errorf("ansmet: snapshot has no vectors")
-	}
-	dim := len(snap.Vectors[0])
-	if dim == 0 {
-		return fmt.Errorf("ansmet: snapshot has zero-dimension vectors")
-	}
-	for i, v := range snap.Vectors {
-		if len(v) != dim {
-			return fmt.Errorf("ansmet: snapshot vector %d has dim %d, want %d", i, len(v), dim)
-		}
-		for d, x := range v {
-			if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
-				return fmt.Errorf("ansmet: snapshot vector %d component %d is %v", i, d, x)
-			}
-		}
 	}
 	if snap.Graph == nil {
 		return fmt.Errorf("ansmet: snapshot has no index graph")
@@ -319,10 +343,16 @@ func validateSnapshot(snap *dbSnapshot) error {
 	if !snap.Live && (len(snap.Tombs) > 0 || len(snap.Pending) > 0 || snap.WALSeq != 0 || snap.RepairEvery != 0) {
 		return fmt.Errorf("ansmet: snapshot has mutation state but is not live")
 	}
+	return nil
+}
+
+// validateTombstones checks a live snapshot's deletion state against its n
+// rows.
+func validateTombstones(snap *dbSnapshot, n int) error {
 	seen := make(map[uint32]bool, len(snap.Tombs))
 	for _, id := range snap.Tombs {
-		if int(id) >= len(snap.Vectors) {
-			return fmt.Errorf("ansmet: snapshot tombstones id %d beyond %d vectors", id, len(snap.Vectors))
+		if int(id) >= n {
+			return fmt.Errorf("ansmet: snapshot tombstones id %d beyond %d vectors", id, n)
 		}
 		if seen[id] {
 			return fmt.Errorf("ansmet: snapshot tombstones id %d twice", id)
@@ -338,10 +368,16 @@ func validateSnapshot(snap *dbSnapshot) error {
 }
 
 // verifySnapshotBytes checks the raw header and integrity footer of a
-// complete snapshot image and returns the gob payload (the bytes between
-// header and footer). Every failure is one of the typed corruption errors.
-func verifySnapshotBytes(data []byte) ([]byte, error) {
-	return verifyIntegrity(data, snapshotHeader)
+// complete snapshot image and returns its format version (3 or 4) and the
+// payload (the bytes between header and footer). Every failure is one of the
+// typed corruption errors.
+func verifySnapshotBytes(data []byte) (version int, payload []byte, err error) {
+	version, header := 4, snapshotHeader
+	if bytes.HasPrefix(data, snapshotHeaderV3) {
+		version, header = 3, snapshotHeaderV3
+	}
+	payload, err = verifyIntegrity(data, header)
+	return version, payload, err
 }
 
 // verifyIntegrity is verifySnapshotBytes generalized over the raw header,
@@ -386,9 +422,11 @@ func verifyIntegrity(data, header []byte) ([]byte, error) {
 // whole payload BEFORE any gob byte is decoded (so a torn write or flipped
 // bit is a typed error — ErrSnapshotTruncated, ErrSnapshotChecksum,
 // ErrSnapshotBadMagic — and can never yield a silently wrong database),
-// every decoded field is bounds-checked, and graph reconstruction validates
-// the topology. Malformed files return errors, never panic (FuzzLoad and
-// FuzzLoadSnapshot assert this).
+// every decoded field is bounds-checked, the row section must be exactly the
+// rows the header describes (ErrSnapshotRows), and graph reconstruction
+// validates the topology — the same checks for both format versions.
+// Malformed files return errors, never panic (FuzzLoad and FuzzLoadSnapshot
+// assert this).
 func Load(r io.Reader, design *Design) (db *Database, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -399,18 +437,25 @@ func Load(r io.Reader, design *Design) (db *Database, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("ansmet: reading snapshot: %w", err)
 	}
-	payload, err := verifySnapshotBytes(data)
+	version, payload, err := verifySnapshotBytes(data)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := decodeSnapshot(bytes.NewReader(payload))
+	snap, rest, err := decodeSnapshot(payload)
 	if err != nil {
 		return nil, fmt.Errorf("ansmet: decoding snapshot: %w", err)
 	}
-	if err := validateSnapshot(&snap); err != nil {
+	if err := validateSnapshot(version, &snap); err != nil {
 		return nil, err
 	}
-	ix, err := hnsw.FromSnapshot(snap.Vectors, snap.Graph)
+	rs, err := snapshotRows(version, &snap, rest)
+	if err != nil {
+		return nil, err
+	}
+	if err := validateTombstones(&snap, rs.Len()); err != nil {
+		return nil, err
+	}
+	ix, err := hnsw.FromSnapshot(rs, snap.Graph)
 	if err != nil {
 		return nil, err
 	}
@@ -420,7 +465,7 @@ func Load(r io.Reader, design *Design) (db *Database, err error) {
 	}
 	cfg := core.DefaultSystemConfig(d)
 	cfg.Seed = snap.Seed
-	sys, err := core.NewSystem(snap.Vectors, snap.Elem, snap.Metric, ix, cfg)
+	sys, err := core.NewSystem(rs, snap.Metric, ix, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +473,7 @@ func Load(r io.Reader, design *Design) (db *Database, err error) {
 		Metric: snap.Metric, Elem: snap.Elem,
 		Design: UseDesign(d), Seed: snap.Seed,
 	}
-	db = newDatabase(opts, snap.Vectors, sys)
+	db = newDatabase(opts, rs, sys)
 	if snap.Live {
 		// Restore the live-mutation state. A design override without an
 		// early-termination store cannot serve a live snapshot: the Base
@@ -450,7 +495,7 @@ func Load(r io.Reader, design *Design) (db *Database, err error) {
 
 // ---- Cluster persistence -------------------------------------------------
 //
-// A Cluster persists as a directory: one v3 Database snapshot per shard
+// A Cluster persists as a directory: one v4 Database snapshot per shard
 // plus a manifest carrying the partition map. Every file is written with
 // writeFileAtomic, and the manifest is written LAST — it is the commit
 // point, so a crash mid-SaveDir leaves either the previous complete
@@ -479,7 +524,7 @@ type clusterManifest struct {
 	IDs       [][]uint32 // per shard: local row -> global id
 }
 
-// SaveDir persists the cluster to a directory: each shard's v3 snapshot,
+// SaveDir persists the cluster to a directory: each shard's v4 snapshot,
 // then the manifest as the atomic commit point.
 func (c *Cluster) SaveDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -196,8 +196,10 @@ func (db *Database) do(ctx context.Context, s *searchScratch, q *Query) (Result,
 		// The beam routes are one traversal at one ef and one batch; only the
 		// engine under it differs, so on a fixed-precision database host and
 		// ndp return the same ids and the same distance bits.
-		eng := s.eng
-		if route != RouteNDP {
+		var eng engine.Engine
+		if route == RouteNDP {
+			eng = db.ndpEngine(s)
+		} else {
 			route, eng = RouteHost, db.hostEngine(s)
 		}
 		// combineFilter adds the tombstone filter of a mutable database: it
@@ -222,7 +224,7 @@ func (db *Database) do(ctx context.Context, s *searchScratch, q *Query) (Result,
 // Only called on a design with an ET store: resolveRoute has sent a Base
 // design's tiered queries to the exact scan.
 func (db *Database) plainEngine(s *searchScratch) *core.ETEngine {
-	if et, ok := s.eng.(*core.ETEngine); ok {
+	if et, ok := db.ndpEngine(s).(*core.ETEngine); ok {
 		return et
 	}
 	if s.plain == nil {
@@ -232,20 +234,13 @@ func (db *Database) plainEngine(s *searchScratch) *core.ETEngine {
 }
 
 // hostEngine returns the scratch's host compare engine: full-precision SIMD
-// distances over the row-major vectors the database already keeps (the
-// store's backup region; db.vectors on a Base design, which has no store).
-// It runs under the host beam and the exact scan, is built on first use and
-// pooled with the scratch. Over a store it re-pins the published rows at
-// every StartQuery, so a mutable database's appends are visible to it under
-// the same ordering argument as to the ET engine (core/mutable.go).
+// distances over the database's row slab, in its element type. It runs under
+// the host beam and the exact scan, is built on first use and pooled with
+// the scratch. It pins the slab at every StartQuery, so a mutable database's
+// appends are visible to it as they are to the ET engine (core/mutable.go).
 func (db *Database) hostEngine(s *searchScratch) *engine.Exact {
 	if s.host == nil {
-		if st := db.sys.Store; st != nil {
-			s.host = engine.NewExact(st.Rows(), db.opts.Metric, db.opts.Elem)
-			s.host.Rows = st.Rows
-		} else {
-			s.host = engine.NewExact(db.vectors, db.opts.Metric, db.opts.Elem)
-		}
+		s.host = engine.NewExactOver(db.rows, db.opts.Metric)
 	}
 	return s.host
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -135,6 +137,7 @@ func FuzzLoad(f *testing.F) {
 
 	f.Add([]byte{})
 	f.Add([]byte("ANSMETDB3\n"))
+	f.Add([]byte("ANSMETDB4\n"))
 	f.Add([]byte("ANSMETDB2\n")) // previous (pre-checksum) format version
 	f.Add([]byte("not a database at all"))
 	f.Add(valid)
@@ -144,6 +147,16 @@ func FuzzLoad(f *testing.F) {
 	f.Add(mutated)
 	for _, c := range craftedGraphs(f) { // checksum-valid, graph invalid
 		f.Add(c.image)
+	}
+	for _, c := range craftedRows(f) { // checksum-valid, row section invalid
+		f.Add(c.image)
+	}
+	for _, name := range []string{"v3-sift-u8.snap", "v3-deep-f16-live.snap"} { // the older format
+		v3, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(v3)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

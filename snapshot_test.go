@@ -42,21 +42,8 @@ type craftedGraph struct {
 // and a Cfg a live Insert cannot use.
 func craftedGraphs(t testing.TB) []craftedGraph {
 	t.Helper()
-	payload, err := verifySnapshotBytes(validSnapshot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
 	craft := func(name, want string, corrupt func(g *hnsw.Snapshot)) craftedGraph {
-		snap, err := decodeSnapshot(bytes.NewReader(payload))
-		if err != nil {
-			t.Fatal(err)
-		}
-		corrupt(snap.Graph)
-		var buf bytes.Buffer
-		if err := writeSnapshot(&buf, &snap); err != nil {
-			t.Fatal(err)
-		}
-		return craftedGraph{name, buf.Bytes(), want}
+		return craftedGraph{name, recraft(t, validSnapshot(t), func(snap *dbSnapshot, _ *[]byte) { corrupt(snap.Graph) }), want}
 	}
 	return []craftedGraph{
 		craft("long level-0 list", "node 5 level 0 has 40 neighbors, Cfg.MaxDegree is 16", func(g *hnsw.Snapshot) {
@@ -65,6 +52,29 @@ func craftedGraphs(t testing.TB) []craftedGraph {
 		craft("unchecked MaxLevel", "MaxLevel 1073741824", func(g *hnsw.Snapshot) { g.MaxLevel = 1 << 30 }),
 		craft("M = 1", "snapshot Cfg: hnsw: invalid config", func(g *hnsw.Snapshot) { g.Cfg.M = 1 }),
 	}
+}
+
+// recraft decodes a v4 image, lets edit change the decoded head and the raw
+// row section, and writes them back with a fresh, valid integrity footer: a
+// file the checksum vouches for, so only the loader's own checks stand
+// between it and a serving database.
+func recraft(t testing.TB, image []byte, edit func(snap *dbSnapshot, rowSection *[]byte)) []byte {
+	t.Helper()
+	_, payload, err := verifySnapshotBytes(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, rest, err := decodeSnapshot(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowSection := append([]byte(nil), rest...)
+	edit(&snap, &rowSection)
+	var buf bytes.Buffer
+	if err := writeSnapshot(&buf, &snap, bytes.NewReader(rowSection)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestLoadRefusesCraftedGraphs: each crafted file fails Load with an error
@@ -253,6 +263,9 @@ func FuzzLoadSnapshot(f *testing.F) {
 		mut := append([]byte(nil), valid...)
 		mut[at] ^= 0x01
 		f.Add(mut)
+	}
+	for _, c := range craftedRows(f) { // checksum-valid, row section invalid
+		f.Add(c.image)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
