@@ -82,13 +82,11 @@ func (db *Database) validateQuery(q []float32, k, ef int) error {
 	if ef < k {
 		return fmt.Errorf("%w (k=%d ef=%d)", ErrBadEf, k, ef)
 	}
-	if len(q) != db.sys.Dim {
-		return fmt.Errorf("%w (got %d, want %d)", ErrDimension, len(q), db.sys.Dim)
+	if len(q) != db.rows.Dim() {
+		return fmt.Errorf("%w (got %d, want %d)", ErrDimension, len(q), db.rows.Dim())
 	}
-	for d, x := range q {
-		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
-			return fmt.Errorf("%w (component %d is %v)", ErrBadQuery, d, x)
-		}
+	if d := nonFinite(q); d >= 0 {
+		return fmt.Errorf("%w (component %d is %v)", ErrBadQuery, d, q[d])
 	}
 	return nil
 }
@@ -150,8 +148,8 @@ type Options struct {
 	Elem ElemType
 	// Design selects the simulated platform; nil means NDPETOpt, the full
 	// ANSMET design (use UseDesign to pick another). Functional search
-	// results are identical across designs; the design changes data
-	// layout, traffic and timing.
+	// results are identical across designs; the design changes the NDP
+	// model's data layout, traffic and timing (built on demand: see System).
 	Design *Design
 
 	// M, MaxDegree, EfConstruction configure HNSW construction; zero
@@ -177,9 +175,8 @@ type Options struct {
 
 	// Mutable switches the database into live-mutable mode: Add, Delete
 	// and Update become legal under concurrent search traffic, optionally
-	// journaled through a write-ahead log (AttachWAL / LoadFile). Requires
-	// an early-termination design (the encoded store is the incremental
-	// ingester; Base designs are rejected) and is incompatible with
+	// journaled through a write-ahead log (AttachWAL / LoadFile). Any design
+	// can be mutable (the row slab is the ingester); it is incompatible with
 	// Advanced.Fault / Advanced.Resilience (their rank maps are frozen over
 	// the build population). See DESIGN.md, "Mutable index and durability
 	// semantics".
@@ -218,16 +215,22 @@ func (o *Options) fill() {
 	}
 }
 
-// Database is a built, preprocessed ANSMET instance. The vector population
-// is immutable unless Options.Mutable enabled the live mutation path
-// (live.go): Add/Delete/Update then serialize behind mu while searches
-// stay concurrent and lock-free.
+// Database is a built ANSMET instance. It owns what it serves — the rows, the
+// graph over them, the tombstones — and reaches the NDP model, a view derived
+// from those, through system(). The vector population is immutable unless
+// Options.Mutable enabled the live mutation path (live.go): Add/Delete/Update
+// then serialize behind mu while searches stay concurrent and lock-free.
 type Database struct {
 	opts Options
 	// rows is the one store of the (quantized) vectors, in their element
-	// type: index, bit-plane store and host engines read it, Add appends.
-	rows *rows.Slab
-	sys  *core.System
+	// type: index, host engines and the model's store read it, Add appends.
+	rows  *rows.Slab
+	index *hnsw.Index
+	tomb  *core.TombSet // deletion bitmap; nil on an immutable database
+	// cfg is the NDP model's resolved configuration — what the default routes
+	// are decided from — and model the model, once system() has built it.
+	cfg   core.SystemConfig
+	model atomic.Pointer[core.System]
 	// beam is the route Search, SearchInto, SearchEfCtx and SearchCtxInto
 	// run and a filtered RouteAuto query resolves to; the router holds it
 	// beside the quality route (see newDatabase).
@@ -239,11 +242,10 @@ type Database struct {
 
 	scratchPool sync.Pool // *searchScratch
 
-	// Live-mutation state (live.go). mutable and liveFilter are set before
-	// any concurrent use and read-only afterwards; everything else is
-	// guarded by mu, except muts (atomic counters).
-	mu          sync.Mutex // the single-mutation-writer lock
-	mutable     bool
+	// Live-mutation state (live.go). tomb and liveFilter are set before any
+	// concurrent use and read-only afterwards; everything else is guarded by
+	// mu, except muts (atomic counters).
+	mu          sync.Mutex        // the single-mutation-writer lock
 	liveFilter  func(uint32) bool // tombstone filter for the beam paths; nil when immutable
 	journal     *wal.Log          // nil until AttachWAL / LoadFile
 	walBase     uint64            // journal compaction point (snapshot's WALSeq)
@@ -281,7 +283,7 @@ type searchScratch struct {
 func (db *Database) getScratch() *searchScratch {
 	s, _ := db.scratchPool.Get().(*searchScratch)
 	if s == nil {
-		s = &searchScratch{qq: make([]float32, db.sys.Dim)}
+		s = &searchScratch{qq: make([]float32, db.rows.Dim())}
 	}
 	if db.tuner != nil {
 		// Refresh the adaptive-precision beam mode from the tuner's current
@@ -291,7 +293,7 @@ func (db *Database) getScratch() *searchScratch {
 		// distances. The exact scan and the tiered stage-2 re-rank ignore the
 		// mode by construction.
 		if et, ok := db.ndpEngine(s).(*core.ETEngine); ok {
-			et.SetPrecision(db.sys.Precision, db.tuner.DepthBias(), db.tuner.Margin())
+			et.SetPrecision(db.model.Load().Precision, db.tuner.DepthBias(), db.tuner.Margin())
 		}
 	}
 	return s
@@ -302,37 +304,37 @@ func (db *Database) getScratch() *searchScratch {
 // beam and the exact scan, the defaults, never touch it.
 func (db *Database) ndpEngine(s *searchScratch) engine.Engine {
 	if s.eng == nil {
-		s.eng = db.sys.NewWorkerEngine()
+		s.eng = db.system().NewWorkerEngine()
 	}
 	return s.eng
 }
 
 func (db *Database) putScratch(s *searchScratch) { db.scratchPool.Put(s) }
 
-// quantizeInto fills dst with v quantized to elem and returns the index of
-// v's first NaN or ±Inf component, or -1 (New, Add/Update, Run).
-func quantizeInto(dst, v []float32, elem ElemType) int {
-	bad := -1
+// nonFinite returns the index of v's first NaN or ±Inf component, or -1: the
+// test behind ErrBadQuery, ErrBadVector (New, Add/Update) and journal replay.
+func nonFinite(v []float32) int {
 	for d, x := range v {
-		if bad < 0 && (math.IsNaN(float64(x)) || math.IsInf(float64(x), 0)) {
-			bad = d
+		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+			return d
 		}
+	}
+	return -1
+}
+
+// quantizeInto fills dst with v quantized to elem and returns dst.
+func quantizeInto(dst, v []float32, elem ElemType) []float32 {
+	for d, x := range v {
 		dst[d] = elem.Quantize(x)
 	}
-	return bad
+	return dst
 }
 
-// quantize fills s.qq with the element-type-quantized query.
-func (s *searchScratch) quantize(q []float32, elem ElemType) []float32 {
-	for d, x := range q {
-		s.qq[d] = elem.Quantize(x)
-	}
-	return s.qq
-}
-
-// New ingests the vectors (quantizing them to the element type), builds the
-// HNSW index, and runs the design's offline preprocessing (sampling, layout
-// optimization, prefix elimination, layout transformation, partitioning).
+// New ingests the vectors (quantizing them to the element type) and builds
+// the HNSW index. The design's offline preprocessing (sampling, layout
+// optimization, prefix elimination, layout transformation, partitioning: the
+// NDP model) waits for a route that needs it (see System) unless the options
+// configure it — Advanced, or RecallTarget in (0, 1) on an ET design.
 func New(vectors [][]float32, opts Options) (*Database, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("ansmet: empty dataset")
@@ -340,19 +342,22 @@ func New(vectors [][]float32, opts Options) (*Database, error) {
 	if opts.RecallTarget < 0 || opts.RecallTarget > 1 {
 		return nil, fmt.Errorf("ansmet: RecallTarget %v outside [0, 1]", opts.RecallTarget)
 	}
+	dim := len(vectors[0])
+	if dim == 0 {
+		return nil, fmt.Errorf("%w (vectors have no components)", ErrDimension)
+	}
 	opts.fill()
 	// Quantize into the slab, the one copy of the data the database keeps.
-	dim := len(vectors[0])
 	rs := rows.New(opts.Elem, dim)
 	quant := make([]float32, dim)
 	for i, v := range vectors {
 		if len(v) != dim {
 			return nil, fmt.Errorf("ansmet: vector %d has dim %d, want %d", i, len(v), dim)
 		}
-		if d := quantizeInto(quant, v, opts.Elem); d >= 0 {
+		if d := nonFinite(v); d >= 0 {
 			return nil, fmt.Errorf("%w (vector %d component %d is %v)", ErrBadVector, i, d, v[d])
 		}
-		if _, err := rs.Append(quant); err != nil {
+		if _, err := rs.Append(quantizeInto(quant, v, opts.Elem)); err != nil {
 			return nil, fmt.Errorf("ansmet: vector %d: %w", i, err)
 		}
 	}
@@ -363,60 +368,112 @@ func New(vectors [][]float32, opts Options) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cfg core.SystemConfig
+	return newDatabase(opts, rs, ix)
+}
+
+// newDatabase wires a database around the rows and the graph New built or
+// Load restored: model configuration, default routes, router, tuner, mutation.
+//
+// The default rule lives here and nowhere else, decided from the
+// configuration. A database serves from its row slab with the typed SIMD
+// kernels — the host beam, and the exact scan as the quality route — because
+// on a host CPU that is the fastest correct engine, and at fixed precision it
+// returns what the bit-plane path returns bit for bit. A database whose
+// options configure behaviour that exists only in the NDP model keeps that
+// model as its default: resilience-wrapped engines (Advanced.Fault /
+// Advanced.Resilience: retries, breakers and fallbacks happen per bit-plane
+// compare) and a precision map (RecallTarget in (0, 1) on an ET design: the
+// depth schedule is the bit-plane fetch depth).
+//
+// Only a caller who configured the model (Advanced, adaptive precision) has
+// it built here: its geometry's errors are New's, precision map and breakers
+// exist before the first query. Otherwise Buildable checks what a default
+// configuration can violate, and system() builds later.
+func newDatabase(opts Options, rs *rows.Slab, ix *hnsw.Index) (*Database, error) {
+	cfg := core.DefaultSystemConfig(*opts.Design)
 	if opts.Advanced != nil {
 		cfg = *opts.Advanced
 		cfg.Design = *opts.Design
-	} else {
-		cfg = core.DefaultSystemConfig(*opts.Design)
 	}
 	cfg.Seed = opts.Seed
 	if opts.RecallTarget != 0 {
 		cfg.RecallTarget = opts.RecallTarget
 	}
-	sys, err := core.NewSystem(rs, opts.Metric, ix, cfg)
-	if err != nil {
+	if err := cfg.Design.Buildable(rs.Len()); err != nil {
 		return nil, err
 	}
-	db := newDatabase(opts, rs, sys)
-	if opts.Mutable {
-		if err := db.enableMutation(); err != nil {
-			return nil, err
-		}
+	resilient := cfg.Fault != nil || cfg.Resilience.Enabled
+	if opts.Mutable && resilient {
+		// The serving-rank map and the fallback engine are frozen over the
+		// build population: an appended id could go to a rank without it.
+		return nil, fmt.Errorf("ansmet: enabling mutation: core: mutation is incompatible with fault injection / resilience wrapping")
 	}
-	return db, nil
-}
+	adaptive := cfg.Design.UsesET() && cfg.RecallTarget > 0 && cfg.RecallTarget < 1
 
-// newDatabase wires the per-database runtime state every query runs
-// through — the default routes, the router and, on an adaptive system, the
-// recall-target tuner — around a preprocessed system, whether New built it
-// or Load restored it.
-//
-// The default rule lives here and nowhere else. A database serves from its
-// row slab with the typed SIMD kernels — the host beam, and the exact
-// scan as the quality route — because on a host CPU that is the fastest
-// correct engine, and at fixed precision it returns what the bit-plane path
-// returns bit for bit. A database whose options configure behaviour that
-// exists only in the NDP model keeps that model as its default: resilience-
-// wrapped engines (Advanced.Fault / Advanced.Resilience: retries, breakers
-// and fallbacks happen per bit-plane compare) and a precision map
-// (RecallTarget in (0, 1): the depth schedule is the bit-plane fetch depth).
-func newDatabase(opts Options, rs *rows.Slab, sys *core.System) *Database {
-	db := &Database{opts: opts, rows: rs, sys: sys, beam: RouteHost}
+	db := &Database{opts: opts, rows: rs, index: ix, cfg: cfg, beam: RouteHost}
 	quality := RouteExact
-	if sys.Faults != nil || sys.Precision != nil {
+	if resilient || adaptive {
 		db.beam, quality = RouteNDP, RouteTiered
 	}
 	db.router = engine.NewRouter(db.beam, quality, db.degradedRanks)
-	if sys.Precision != nil {
-		db.tuner = precision.NewTuner(sys.Cfg.RecallTarget)
+	if adaptive {
+		db.tuner = precision.NewTuner(cfg.RecallTarget)
 		// Feed the target into the router's cost model: at matched recall
 		// the adaptive tiered path costs roughly target× its exact-budget
 		// observations, so pre-bias Decide accordingly until the EWMA
 		// catches up.
 		db.router.SetCostScale(RouteTiered, db.tuner.Target())
 	}
-	return db
+	if opts.Mutable {
+		// Before any concurrent use: the graph flips its publication protocol
+		// on while single-threaded. The model needs no telling (buildModel).
+		db.tomb = core.NewTombSet()
+		ix.EnableMutation()
+		db.liveFilter = db.tomb.Filter()
+	}
+	if opts.Advanced != nil || adaptive {
+		if _, err := db.buildModel(); err != nil {
+			return nil, err
+		}
+	}
+	return db, nil
+}
+
+// system returns the NDP model — what the design's offline pass derives:
+// bit-plane store, partition map, timing configuration — building it on the
+// first call; afterwards one atomic load. Its callers are the ndp beam, the
+// tiered route, Run and System: no default route, no mutation, no New/Load.
+func (db *Database) system() *core.System {
+	if sys := db.model.Load(); sys != nil {
+		return sys
+	}
+	sys, err := db.buildModel()
+	if err != nil {
+		// newDatabase checked what a lazy build needs: a bug, not an input.
+		panic(fmt.Sprintf("ansmet: building the NDP model: %v", err))
+	}
+	return sys
+}
+
+// buildModel is system's miss, the one place a core.System is constructed:
+// under the writer lock (uncontended on an immutable database), over the
+// slab as it is now, tombstone set included. That is why a mutable database
+// may attach it late: the store starts with a slot for every row, and
+// applyAdd, under the same lock, adds the slot before the graph publishes
+// each later id — the order core/mutable.go relies on.
+func (db *Database) buildModel() (*core.System, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if sys := db.model.Load(); sys != nil {
+		return sys, nil
+	}
+	sys, err := core.NewSystem(db.rows, db.opts.Metric, db.index, db.cfg)
+	if err != nil {
+		return nil, err
+	}
+	sys.SetTombstones(db.tomb)
+	db.model.Store(sys)
+	return sys, nil
 }
 
 // Len returns the number of indexed vectors, including tombstoned ones on
@@ -436,32 +493,34 @@ func (db *Database) Vector(id uint32) ([]float32, bool) {
 	if int(id) >= v.Len() {
 		return nil, false
 	}
-	return v.Decode(id, make([]float32, 0, db.sys.Dim)), true
+	return v.Decode(id, make([]float32, 0, db.rows.Dim())), true
 }
 
 // Run executes a query batch functionally and replays it on the design's
 // timing model, returning results plus the simulation report (latency,
-// throughput, traffic, energy activity), quantizing the queries as Do does.
+// throughput, traffic, energy activity), quantizing the queries and leaving
+// out tombstoned ids as Do does. It builds the NDP model if nothing has yet.
 func (db *Database) Run(queries [][]float32, k, ef int) *core.RunResult {
 	quant := make([][]float32, len(queries))
 	for i, q := range queries {
-		quant[i] = make([]float32, len(q))
-		quantizeInto(quant[i], q, db.opts.Elem)
+		quant[i] = quantizeInto(make([]float32, len(q)), q, db.opts.Elem)
 	}
-	return db.sys.RunHNSW(quant, k, ef)
+	return db.system().RunHNSW(quant, k, ef)
 }
 
-// System exposes the underlying preprocessed system for advanced use
-// (timing configuration, layout parameters, partition map).
-func (db *Database) System() *core.System { return db.sys }
+// System exposes the NDP model for advanced use (timing configuration,
+// layout parameters, partition map, worker engines), building it on the
+// first call — as a query on RouteNDP or RouteTiered and Run do.
+func (db *Database) System() *core.System { return db.system() }
 
-// Stats summarizes the database's offline preprocessing and, when the
-// fault-tolerant serving path is enabled, its cumulative fault/fallback
-// activity.
+// Stats summarizes the database and, once one is built, its NDP model.
 type Stats struct {
-	Vectors           int
-	Dim               int
-	Design            Design
+	Vectors int
+	Dim     int
+	Design  Design
+
+	// The model's offline preprocessing; zero until something builds the
+	// model (see System) — LinesPerVector == 0 means "not built".
 	PrefixBits        int
 	Outliers          int
 	LinesPerVector    int
@@ -499,22 +558,19 @@ type Stats struct {
 	DegradedRanks       int    // ranks currently routed to the fallback
 }
 
-// Stats reports preprocessing facts (layout decision, prefix elimination,
-// storage footprint) and resilience counters.
+// Stats reports the population, the mutation and journal counters and, from
+// the NDP model when one has been built, the preprocessing facts, the
+// precision map's shape and the resilience counters. It never builds the
+// model (LinesPerVector == 0: not built): a scrape costs no preprocessing.
 func (db *Database) Stats() Stats {
-	s := Stats{
-		Vectors: db.Len(), Dim: db.sys.Dim,
-		Design:            db.sys.Cfg.Design,
-		PreprocessSeconds: db.sys.PreprocessSeconds,
-		LinesPerVector:    db.sys.Engine.LinesPerVector(),
-	}
-	if db.mutable {
+	s := Stats{Vectors: db.Len(), Dim: db.rows.Dim(), Design: db.cfg.Design}
+	if db.Mutable() {
 		s.Mutable = true
 		s.Adds = db.muts.adds.Load()
 		s.Deletes = db.muts.deletes.Load()
 		s.Updates = db.muts.updates.Load()
 		s.RepairBatches = db.muts.repairs.Load()
-		s.Tombstones = db.sys.Tomb.Count()
+		s.Tombstones = db.tomb.Count()
 		db.mu.Lock()
 		s.PendingRepair = len(db.pending)
 		if db.journal != nil {
@@ -523,26 +579,30 @@ func (db *Database) Stats() Stats {
 		s.WALReplayed = db.walReplayed
 		db.mu.Unlock()
 	}
-	if st := db.sys.Store; st != nil {
+	sys := db.model.Load()
+	if sys == nil {
+		return s
+	}
+	s.PreprocessSeconds = sys.PreprocessSeconds
+	s.LinesPerVector = sys.Engine.LinesPerVector()
+	if st := sys.Store; st != nil {
 		s.PrefixBits = st.Prefix.PrefixLen
 		s.Outliers = st.NumOutliers()
 		s.SpaceSavedPercent = st.SpaceSavedFraction() * 100
 	}
-	if db.tuner != nil {
+	if pm := sys.Precision; pm != nil { // adaptive: built in New, with the tuner
 		s.RecallTarget = db.tuner.Target()
-		if pm := db.sys.Precision; pm != nil {
-			s.PrecisionClusters = pm.Clusters
-			s.MeanDepthLines = pm.MeanLines()
-		}
+		s.PrecisionClusters = pm.Clusters
+		s.MeanDepthLines = pm.MeanLines()
 	}
-	if c := db.sys.Faults; c != nil {
+	if c := sys.Faults; c != nil {
 		snap := c.Snapshot()
 		s.ResilienceEnabled = true
-		s.FaultsInjected = db.sys.Injector.TotalInjections()
+		s.FaultsInjected = sys.Injector.TotalInjections()
 		s.FallbackComparisons = snap.Fallbacks
 		s.PrimaryFailures = snap.Failures
 		s.BreakerTrips = snap.BreakerTrips
-		s.DegradedRanks = db.sys.Breakers.DegradedRanks()
+		s.DegradedRanks = sys.Breakers.DegradedRanks()
 	}
 	return s
 }

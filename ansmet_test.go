@@ -52,6 +52,12 @@ func TestDatabaseBasics(t *testing.T) {
 	if recall := sum / float64(len(gt)); recall < 0.8 {
 		t.Errorf("recall %v < 0.8", recall)
 	}
+	// The searches above ran on the host beam and built no NDP model; Stats
+	// reports the model's facts once something has (here System).
+	if st := db.Stats(); st.Vectors != 600 || st.LinesPerVector != 0 || st.PrefixBits != 0 {
+		t.Errorf("stats before the model is built = %+v", st)
+	}
+	db.System()
 	st := db.Stats()
 	if st.Vectors != 600 || st.Dim != 96 || st.Design != ansmet.NDPETOpt {
 		t.Errorf("stats = %+v", st)
@@ -189,6 +195,7 @@ func TestExactSearchFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	base.System() // Stats reports the model's line geometry once it is built
 	for _, q := range ds.Queries {
 		a, la, err := et.ExactSearch(q, 10)
 		if err != nil {

@@ -136,9 +136,9 @@ func NewCluster(vectors [][]float32, opts ClusterOptions) (*Cluster, error) {
 		groups[s] = append(groups[s], vectors[i])
 		ids[s] = append(ids[s], uint32(i))
 	}
-	// Fold shards too small to build an index (offline layout sampling
-	// needs at least minShardVectors) into the largest shard — these only
-	// appear when a tiny dataset is cut many ways.
+	// Fold shards too small for a Database into the largest shard (a design
+	// that samples refuses fewer than minShardVectors: core.Design.Buildable)
+	// — these only appear when a tiny dataset is cut many ways.
 	big := -1
 	for s := range groups {
 		if len(groups[s]) >= minShardVectors && (big == -1 || len(groups[s]) > len(groups[big])) {
@@ -195,7 +195,7 @@ func assembleCluster(dbs []*Database, ids [][]uint32, total int, opts ClusterOpt
 	}
 	return &Cluster{
 		opts: opts, shards: dbs, ids: ids, coord: coord,
-		dim: dbs[0].sys.Dim, total: total,
+		dim: dbs[0].rows.Dim(), total: total,
 	}, nil
 }
 

@@ -43,7 +43,7 @@ func main() {
 		p.Name, *n, p.Dim, p.Elem, p.Metric)
 	ds := dataset.Generate(p, *n, *nq, *seed)
 
-	fmt.Printf("building index + preprocessing for %v ...\n", design)
+	fmt.Printf("building index for %v ...\n", design)
 	db, err := ansmet.New(ds.Vectors, ansmet.Options{
 		Metric: p.Metric, Elem: p.Elem,
 		EfConstruction: *efc, Seed: *seed,
@@ -52,11 +52,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+
+	// Run builds the NDP model; Stats reports its preprocessing from then on.
+	run := db.Run(ds.Queries, *k, *ef)
 	st := db.Stats()
 	fmt.Printf("preprocessed in %.2fs: %d lines/vector, prefix=%d bits (saves %.1f%%), %d outlier vectors\n\n",
 		st.PreprocessSeconds, st.LinesPerVector, st.PrefixBits, st.SpaceSavedPercent, st.Outliers)
-
-	run := db.Run(ds.Queries, *k, *ef)
 	gt := ds.GroundTruth(*k)
 	recall := 0.0
 	for qi, res := range run.Results {

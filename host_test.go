@@ -209,12 +209,12 @@ func checkBatchedIdentity(t *testing.T, name string, db *Database, queries [][]f
 					for qi, vec := range queries {
 						label := fmt.Sprintf("%s k=%d ef=%d filter=%v batch=%d q%d", name, k, ef, f != nil, batch, qi)
 						plan := Query{Vector: vec, K: k, Ef: ef, Filter: f, Route: RouteHost}
-						qq := s.quantize(vec, db.opts.Elem)
+						qq := quantizeInto(s.qq, vec, db.opts.Elem)
 						filter := db.combineFilter(f)
-						batched, _ := db.sys.Index.SearchCancelInto(nil, qq, k, plan.beam(), batch, filter, host, nil, nil)
-						perID, _ := db.sys.Index.SearchCancelInto(nil, qq, k, plan.beam(), batch, filter, hidden, nil, nil)
+						batched, _ := db.index.SearchCancelInto(nil, qq, k, plan.beam(), batch, filter, host, nil, nil)
+						perID, _ := db.index.SearchCancelInto(nil, qq, k, plan.beam(), batch, filter, hidden, nil, nil)
 						sameBits(t, label+" batched≡per-id", batched, perID)
-						if batch != db.sys.Cfg.BeamBatch {
+						if batch != db.cfg.BeamBatch {
 							continue
 						}
 						res, err := db.Do(context.Background(), &plan)
@@ -251,13 +251,14 @@ func TestHostEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := db.Stats(); hc.wantOutliers && (st.PrefixBits == 0 || st.Outliers == 0) {
-			t.Fatalf("%s: prefix %d bits, %d outliers: the backup re-check path is not exercised", hc.name, st.PrefixBits, st.Outliers)
-		}
 		if db.beam != RouteHost {
 			t.Fatalf("%s: default beam %v, want host", hc.name, db.beam)
 		}
 		checkIdentity(t, hc.name, dbSearcher(db), hc.queries, db.Len(), nil)
+		// Read after the ndp queries above built the model: Stats does not.
+		if st := db.Stats(); hc.wantOutliers && (st.PrefixBits == 0 || st.Outliers == 0) {
+			t.Fatalf("%s: prefix %d bits, %d outliers: the backup re-check path is not exercised", hc.name, st.PrefixBits, st.Outliers)
+		}
 		checkBatchedIdentity(t, hc.name, db, hc.queries)
 
 		// The exact route's traffic is the honest full fetch.
@@ -317,8 +318,8 @@ func TestHostEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if db.beam != RouteHost || db.sys.Cfg.BeamBatch != 1 {
-			t.Fatalf("beam %v at batch %d", db.beam, db.sys.Cfg.BeamBatch)
+		if db.beam != RouteHost || db.cfg.BeamBatch != 1 {
+			t.Fatalf("beam %v at batch %d", db.beam, db.cfg.BeamBatch)
 		}
 		checkIdentity(t, "batch1", dbSearcher(db), hc.queries, db.Len(), nil)
 	})
@@ -371,7 +372,7 @@ func TestHostEquivalence(t *testing.T) {
 		// engines carry the precision map), and auto traffic still feeds the
 		// tuner; the fault-modelled beam still meets its injector.
 		s := adaptive.getScratch()
-		if et, ok := s.eng.(*core.ETEngine); !ok || et == nil || adaptive.sys.Precision == nil {
+		if et, ok := s.eng.(*core.ETEngine); !ok || et == nil || adaptive.model.Load().Precision == nil {
 			t.Fatalf("adaptive scratch engine is %T", s.eng)
 		}
 		adaptive.putScratch(s)

@@ -17,9 +17,10 @@ import (
 // Store holds one dataset encoded in a transformed early-termination
 // layout, plus (when prefix elimination is on) the outlier flags and the
 // full-precision backup region — which is the row slab the store was built
-// from, shared with the index and the host routes, not a copy. It is
-// immutable after Build and shared by all engines over it, unless
-// EnableMutation switches it into live-append mode (see mutable.go).
+// from, shared with the index and the host routes, not a copy. Layout, prefix
+// configuration and slot geometry are frozen at Build; the encoded slots grow
+// with the slab and reach engines through one published snapshot, whether or
+// not anything is ever appended (mutable.go).
 type Store struct {
 	Elem   vecmath.ElemType
 	Dim    int
@@ -27,19 +28,14 @@ type Store struct {
 	Prefix prefixelim.Config
 
 	rows      *rows.Slab // original values (the backup region's content)
-	data      []byte     // slotLines*64 bytes per vector
-	isOutlier []bool
-	slotLines int
+	slotLines int        // slotLines*64 bytes of encoded data per vector
 	// backupLines is the plain-layout footprint fetched on an outlier
 	// re-check.
 	backupLines int
-	numOutliers int
 
-	// dyn is non-nil once EnableMutation has been called: the published
-	// snapshot of the growable arrays (mutable.go). Nil keeps every read
-	// on the plain fields above, byte-identical to the immutable store.
+	// dyn is the published snapshot of the growable arrays (mutable.go).
 	dyn atomic.Pointer[storeDyn]
-	// encCodes/encSuffix are AppendVector's writer-only encode scratch.
+	// encCodes/encSuffix are the single writer's encode scratch.
 	encCodes  []uint32
 	encSuffix []uint32
 }
@@ -73,42 +69,43 @@ func BuildStore(rs *rows.Slab, sched bitplane.Schedule, prefix prefixelim.Config
 	s := &Store{
 		Elem: elem, Dim: dim, Layout: lay, Prefix: prefix,
 		rows:        rs,
-		isOutlier:   make([]bool, n),
 		slotLines:   lay.LinesPerVector(),
 		backupLines: (dim*elem.Bytes() + 63) / 64,
 	}
 	if prefix.Enabled() && prefix.OutlierLines() > s.slotLines {
 		s.slotLines = prefix.OutlierLines()
 	}
-	s.data = make([]byte, n*s.slotLines*bitplane.LineBytes)
-
+	sz := s.slotLines * bitplane.LineBytes
+	d := &storeDyn{data: make([]byte, n*sz), isOutlier: make([]bool, n)}
 	vals := make([]float32, 0, dim)
-	codes := make([]uint32, 0, dim)
-	suffix := make([]uint32, 0, dim)
 	for i := 0; i < n; i++ {
 		vals = view.Decode(uint32(i), vals[:0])
-		codes = elem.EncodeVector(vals, codes[:0])
-		slot := s.slot(uint32(i))
-		if prefix.Enabled() && !prefix.IsNormalVector(codes) {
-			s.isOutlier[i] = true
-			s.numOutliers++
-			prefix.EncodeOutlier(codes, slot)
-			continue
-		}
-		if prefix.Enabled() {
-			suffix = prefix.SuffixCodes(codes, suffix[:0])
-			lay.Transform(suffix, slot)
-		} else {
-			lay.Transform(codes, slot)
+		if s.encode(vals, d.data[i*sz:(i+1)*sz]) {
+			d.isOutlier[i] = true
+			d.numOutliers++
 		}
 	}
+	s.dyn.Store(d)
 	return s, nil
 }
 
-// slot returns the storage bytes of vector id.
-func (s *Store) slot(id uint32) []byte {
-	sz := s.slotLines * bitplane.LineBytes
-	return s.data[int(id)*sz : (int(id)+1)*sz]
+// encode writes v's slot — the outlier encoding when prefix elimination is
+// on and v does not share the common prefix, the bit-plane transform
+// otherwise — and reports which. Single writer (Build, then AppendVector).
+func (s *Store) encode(v []float32, slot []byte) (outlier bool) {
+	codes := s.Elem.EncodeVector(v, s.encCodes[:0])
+	s.encCodes = codes
+	switch {
+	case s.Prefix.Enabled() && !s.Prefix.IsNormalVector(codes):
+		s.Prefix.EncodeOutlier(codes, slot)
+		return true
+	case s.Prefix.Enabled():
+		s.encSuffix = s.Prefix.SuffixCodes(codes, s.encSuffix[:0])
+		s.Layout.Transform(s.encSuffix, slot)
+	default:
+		s.Layout.Transform(codes, slot)
+	}
+	return false
 }
 
 // SlotLines returns the per-vector storage footprint in lines — the line
@@ -119,12 +116,7 @@ func (s *Store) SlotLines() int { return s.slotLines }
 func (s *Store) BackupLines() int { return s.backupLines }
 
 // NumOutliers returns how many vectors use the outlier encoding.
-func (s *Store) NumOutliers() int {
-	if d := s.dyn.Load(); d != nil {
-		return d.numOutliers
-	}
-	return s.numOutliers
-}
+func (s *Store) NumOutliers() int { return s.dyn.Load().numOutliers }
 
 // Len returns the vector count: the slab's, which a live store's slots trail
 // by at most the append in flight.
@@ -171,8 +163,7 @@ type ETEngine struct {
 	tierHeap    hnsw.Heap
 	tierEntries []hnsw.Neighbor
 	// sdata/soutl are the per-query store snapshot pinned by StartQuery
-	// (mutable.go); on an immutable store they alias the store's plain
-	// fields.
+	// (mutable.go).
 	sdata []byte
 	soutl []bool
 	// backup computes an in-bound outlier's re-check distance from its row

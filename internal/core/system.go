@@ -126,10 +126,6 @@ type System struct {
 	// the layout params; nil unless RecallTarget enabled it.
 	Precision *precision.Map
 
-	// Tomb is the deletion bitmap of a live-mutable system; nil until
-	// EnableMutation. Consulted by every engine this system hands out.
-	Tomb *TombSet
-
 	// PreprocessSeconds is the wall time of the offline pass: sampling,
 	// parameter search and layout transformation (Table 4).
 	PreprocessSeconds float64
@@ -145,6 +141,10 @@ type System struct {
 	// rows is the slab the system was built over, shared with Index, Store
 	// and every exact engine handed out.
 	rows *rows.Slab
+	// tomb is the deletion bitmap of a live-mutable database and live the
+	// filter made from it; both nil otherwise (SetTombstones).
+	tomb *TombSet
+	live func(uint32) bool
 
 	// mu serializes runs on this System: the shared Engine keeps per-query
 	// scratch and is not safe for concurrent use, and the parallel
@@ -153,12 +153,16 @@ type System struct {
 	mu sync.Mutex
 }
 
-// NewSystem preprocesses the slab's rows for the configured design. The
-// index must have been built over the same slab (a mutable system appends
-// through it: one row store under all three).
+// NewSystem preprocesses the slab's rows — as many as it holds now — for the
+// configured design. The index must have been built over the same slab. A
+// system is a view of (slab, index, cfg) and changes neither, so it can be
+// built at any point of their life; mutable.go says how over a growing slab.
 func NewSystem(rs *rows.Slab, metric vecmath.Metric, index *hnsw.Index, cfg SystemConfig) (*System, error) {
 	if rs == nil || rs.Len() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
+	}
+	if err := cfg.Design.Buildable(rs.Len()); err != nil {
+		return nil, err
 	}
 	if cfg.Poll == nil {
 		cfg.Poll = polling.Conventional{IntervalNs: 100}
@@ -196,8 +200,6 @@ func NewSystem(rs *rows.Slab, metric vecmath.Metric, index *hnsw.Index, cfg Syst
 				PrefixLen: s.Params.PrefixLen, PrefixVal: s.Params.PrefixVal,
 			}
 		}
-	default:
-		return nil, fmt.Errorf("core: unknown design %v", cfg.Design)
 	}
 
 	// Engine + storage.
@@ -333,32 +335,15 @@ func (s *System) decodeRows(n int, id func(i int) uint32) [][]float32 {
 	return out
 }
 
-// EnableMutation switches the system into live-mutable mode: the store
-// accepts appends, the index accepts inserts/repairs, a tombstone bitmap
-// is installed, and every engine (shared and worker) consults it on the
-// scan paths. Mutation requires an early-termination design (the store is
-// the incremental encoder) and is incompatible with fault injection and
-// resilience wrapping: the partition's serving-rank map and the exact
-// fallback engine are both frozen over the build-time population, so a
-// wrapped engine could route an appended id to a rank that never heard of
-// it. Must be called before any concurrent use.
-func (s *System) EnableMutation() error {
-	if s.Store == nil {
-		return fmt.Errorf("core: mutation requires an early-termination design (no encoded store)")
-	}
-	if s.Injector != nil || s.Faults != nil || s.Cfg.Resilience.Enabled {
-		return fmt.Errorf("core: mutation is incompatible with fault injection / resilience wrapping")
-	}
-	if s.Tomb != nil {
-		return nil
-	}
-	s.Tomb = NewTombSet()
-	s.Store.EnableMutation()
-	s.Index.EnableMutation()
+// SetTombstones hands the system the deletion bitmap of the live-mutable
+// database it is a view of (nil on an immutable one): the shared engine and
+// every worker engine consult it on the scan paths, the Run* loops filter
+// the beam's results through it. Call it before the system is shared.
+func (s *System) SetTombstones(t *TombSet) {
+	s.tomb, s.live = t, t.Filter()
 	if ee, ok := s.Engine.(*ETEngine); ok {
-		ee.SetTombstones(s.Tomb)
+		ee.SetTombstones(t)
 	}
-	return nil
 }
 
 // resilienceBaseline snapshots the shared counters before a run, so the
@@ -407,7 +392,7 @@ func (s *System) RunHNSW(queries [][]float32, k, ef int) *RunResult {
 	out := &RunResult{}
 	for _, q := range queries {
 		rec := &trace.Query{}
-		res := s.Index.SearchFilteredInto(q, k, ef, s.Cfg.BeamBatch, nil, s.Engine, rec, nil)
+		res := s.Index.SearchFilteredInto(q, k, ef, s.Cfg.BeamBatch, s.live, s.Engine, rec, nil)
 		out.Results = append(out.Results, res)
 		out.Traces = append(out.Traces, rec)
 	}
@@ -454,7 +439,7 @@ func (s *System) RunHNSWParallel(queries [][]float32, k, ef, workers int) *RunRe
 					return
 				}
 				rec := &trace.Query{}
-				out.Results[i] = s.Index.SearchFilteredInto(queries[i], k, ef, s.Cfg.BeamBatch, nil, eng, rec, nil)
+				out.Results[i] = s.Index.SearchFilteredInto(queries[i], k, ef, s.Cfg.BeamBatch, s.live, eng, rec, nil)
 				out.Traces[i] = rec
 			}
 		}()
@@ -473,7 +458,7 @@ func (s *System) RunIVF(ix *ivf.Index, queries [][]float32, k, ef, nprobe int) *
 	out := &RunResult{}
 	for _, q := range queries {
 		rec := &trace.Query{}
-		res := ix.Search(q, k, ef, nprobe, s.Engine, rec)
+		res := ix.SearchFiltered(q, k, ef, nprobe, s.live, s.Engine, rec)
 		out.Results = append(out.Results, res)
 		out.Traces = append(out.Traces, rec)
 	}
@@ -509,9 +494,7 @@ func (s *System) NewWorkerEngine() engine.Engine {
 			// the bitwise fixed/adaptive degradation identity.
 			e.SetPrecision(s.Precision, 0, precision.MarginForTarget(s.Cfg.RecallTarget))
 		}
-		if s.Tomb != nil {
-			e.SetTombstones(s.Tomb)
-		}
+		e.SetTombstones(s.tomb)
 		base = e
 	} else {
 		base = engine.NewExactOver(s.rows, s.Metric)

@@ -65,6 +65,16 @@ func (t *TombSet) Delete(id uint32) bool {
 	return true
 }
 
+// Filter returns the predicate the beam paths pass to the graph traversal —
+// true for an id that is not tombstoned — or nil for a nil set (an immutable
+// database). Make it once and keep it: a closure per query would allocate.
+func (t *TombSet) Filter() func(uint32) bool {
+	if t == nil {
+		return nil
+	}
+	return func(id uint32) bool { return !t.IsDeleted(id) }
+}
+
 // Count returns the number of tombstoned ids.
 func (t *TombSet) Count() int { return int(t.n.Load()) }
 

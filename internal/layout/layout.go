@@ -95,6 +95,11 @@ func Analyze(sample [][]float32, elem vecmath.ElemType, metric vecmath.Metric, o
 		return nil, fmt.Errorf("layout: need at least 2 sample vectors, got %d", len(sample))
 	}
 	dim := len(sample[0])
+	if dim <= 0 {
+		// bitplane.NewLayout's check, made early: with no layout to cost,
+		// OptimizeDual settles on a zero step and DualSchedule never returns.
+		return nil, fmt.Errorf("layout: non-positive dimension %d", dim)
+	}
 	a := &Analysis{Elem: elem, Dim: dim, Metric: metric, Opts: opts}
 	w := elem.Bits()
 

@@ -50,6 +50,16 @@ func TestAnalyzeNeedsTwoVectors(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRejectsZeroDimension: a sample of zero-length vectors is an
+// error, not a parameter search that settles on a zero step width — the
+// schedule built from that never terminated (the root package's
+// TestZeroDimensionRejected drives the same input through New on a deadline).
+func TestAnalyzeRejectsZeroDimension(t *testing.T) {
+	if _, err := Analyze([][]float32{{}, {}, {}}, vecmath.Uint8, vecmath.L2, DefaultOptions()); err == nil {
+		t.Error("zero-dimension sample should fail")
+	}
+}
+
 func TestFig3Shape(t *testing.T) {
 	// The prefix-friendly fp32 profiles must show the Fig. 3 structure:
 	// near-zero entropy for the first bits (low-entropy range) and most ET

@@ -6,13 +6,13 @@ package ansmet
 //
 // Concurrency model. All mutations serialize behind db.mu — there is ONE
 // mutating writer at a time — while any number of searches run
-// concurrently, lock-free on the hot path (the graph and store publish
-// RCU-style snapshots; see internal/hnsw/mutate.go and
-// internal/core/mutable.go for the publication protocols). Deletes are
-// tombstones: the id stays in the graph for routing but is filtered out of
-// every result path (beam searches through db.liveFilter, the exact and
-// tiered scans through the system's TombSet), and its edges are excised
-// later by a deferred batched repair.
+// concurrently, lock-free on the hot path (the slab, the graph and — once a
+// route has built the NDP model — its store publish RCU-style snapshots; see
+// internal/rows, internal/hnsw/mutate.go and internal/core/mutable.go for
+// the publication protocols). Deletes are tombstones: the id stays in the
+// graph for routing but is filtered out of every result path (beam searches
+// through db.liveFilter, the exact and tiered scans through the database's
+// TombSet), and its edges are excised later by a deferred batched repair.
 //
 // Durability model. When a journal is attached (AttachWAL, or implicitly
 // by LoadFile on a live snapshot), every mutation is framed, written and
@@ -83,27 +83,7 @@ func IsMutationError(err error) bool {
 }
 
 // Mutable reports whether the database accepts Add/Delete/Update.
-func (db *Database) Mutable() bool { return db.mutable }
-
-// enableMutation switches the database into live-mutable mode. Called by
-// New (Options.Mutable) and Load (a Live snapshot) before any concurrent
-// use — the underlying store, graph and engines must flip their
-// publication protocols on while still single-threaded.
-func (db *Database) enableMutation() error {
-	if db.mutable {
-		return nil
-	}
-	if err := db.sys.EnableMutation(); err != nil {
-		return fmt.Errorf("ansmet: enabling mutation: %w", err)
-	}
-	tomb := db.sys.Tomb
-	// liveFilter is the pre-bound tombstone filter the beam paths pass to
-	// the graph traversal: one stored func value, no per-query closure, so
-	// the read hot path stays allocation-free.
-	db.liveFilter = func(id uint32) bool { return !tomb.IsDeleted(id) }
-	db.mutable = true
-	return nil
-}
+func (db *Database) Mutable() bool { return db.tomb != nil }
 
 // repairEvery resolves the configured pending-delete batch size; negative
 // disables automatic repair (Maintain still forces one).
@@ -122,19 +102,18 @@ func (db *Database) repairEvery() int {
 // input quantizes to a finite value of the element type (Quantize
 // saturates), so what it returns the slab stores.
 func (db *Database) checkVector(v []float32) ([]float32, error) {
-	if len(v) != db.sys.Dim {
-		return nil, fmt.Errorf("%w (got %d, want %d)", ErrDimension, len(v), db.sys.Dim)
+	if len(v) != db.rows.Dim() {
+		return nil, fmt.Errorf("%w (got %d, want %d)", ErrDimension, len(v), db.rows.Dim())
 	}
-	qv := make([]float32, len(v))
-	if d := quantizeInto(qv, v, db.opts.Elem); d >= 0 {
+	if d := nonFinite(v); d >= 0 {
 		return nil, fmt.Errorf("%w (component %d is %v)", ErrBadVector, d, v[d])
 	}
-	return qv, nil
+	return quantizeInto(make([]float32, len(v)), v, db.opts.Elem), nil
 }
 
 // mutableLocked gates a mutation under db.mu.
 func (db *Database) mutableLocked() error {
-	if !db.mutable {
+	if !db.Mutable() {
 		return ErrNotMutable
 	}
 	if db.closed {
@@ -251,7 +230,7 @@ func (db *Database) Delete(id uint32) error {
 	if int(id) >= db.rows.Len() {
 		return fmt.Errorf("%w (id=%d, len=%d)", ErrUnknownID, id, db.rows.Len())
 	}
-	if db.sys.Tomb.IsDeleted(id) {
+	if db.tomb.IsDeleted(id) {
 		return fmt.Errorf("%w (id=%d)", ErrAlreadyDeleted, id)
 	}
 	if db.journal != nil {
@@ -283,7 +262,7 @@ func (db *Database) Update(id uint32, v []float32) (uint32, error) {
 	if int(id) >= db.rows.Len() {
 		return 0, fmt.Errorf("%w (id=%d, len=%d)", ErrUnknownID, id, db.rows.Len())
 	}
-	if db.sys.Tomb.IsDeleted(id) {
+	if db.tomb.IsDeleted(id) {
 		return 0, fmt.Errorf("%w (id=%d)", ErrAlreadyDeleted, id)
 	}
 	newID := uint32(db.rows.Len())
@@ -303,15 +282,15 @@ func (db *Database) Update(id uint32, v []float32) (uint32, error) {
 // Deleted reports whether id is tombstoned. Lock-free; always false on an
 // immutable database.
 func (db *Database) Deleted(id uint32) bool {
-	return db.mutable && db.sys.Tomb.IsDeleted(id)
+	return db.Mutable() && db.tomb.IsDeleted(id)
 }
 
 // Tombstones returns the number of tombstoned ids (0 when immutable).
 func (db *Database) Tombstones() int {
-	if !db.mutable {
+	if !db.Mutable() {
 		return 0
 	}
-	return db.sys.Tomb.Count()
+	return db.tomb.Count()
 }
 
 // Maintain forces the deferred graph repair of all pending tombstones now,
@@ -320,30 +299,32 @@ func (db *Database) Tombstones() int {
 func (db *Database) Maintain() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.mutable {
+	if db.Mutable() {
 		db.repairLocked()
 	}
 }
 
 // ---- Apply functions (shared by the live path and WAL replay) -----------
 
-// applyAdd performs the in-memory half of an add: one row write into the
-// slab, the bit-plane slot, the graph node — in that order: a searcher that
-// can reach the id through its graph view is guaranteed to find its row in
-// the slab view and its data in the store snapshot it pins afterwards.
+// applyAdd performs the in-memory half of an add: the row into the slab, the
+// bit-plane slot if an NDP model is attached (the caller holds db.mu, so that
+// cannot change midway: see buildModel), the graph node — in that order: a
+// searcher that can reach the id through its graph view is guaranteed to find
+// its row in the slab view and its data in the store snapshot it pins after.
 func (db *Database) applyAdd(id uint32, qv []float32) error {
 	rid, err := db.rows.Append(qv)
 	if err != nil {
 		return fmt.Errorf("ansmet: appending row: %w", err)
 	}
-	sid, err := db.sys.Store.AppendVector(qv)
-	if err != nil {
-		return fmt.Errorf("ansmet: appending vector: %w", err)
+	if rid != id {
+		return fmt.Errorf("ansmet: slab assigned id %d, expected %d", rid, id)
 	}
-	if rid != id || sid != id {
-		return fmt.Errorf("ansmet: slab assigned id %d and store %d, expected %d", rid, sid, id)
+	if sys := db.model.Load(); sys != nil && sys.Store != nil {
+		if err := sys.Store.AppendVector(id, qv); err != nil {
+			return fmt.Errorf("ansmet: appending vector: %w", err)
+		}
 	}
-	if gid := db.sys.Index.Insert(); gid != id {
+	if gid := db.index.Insert(); gid != id {
 		return fmt.Errorf("ansmet: index assigned id %d, expected %d", gid, id)
 	}
 	return nil
@@ -354,7 +335,7 @@ func (db *Database) applyAdd(id uint32, qv []float32) error {
 // reaches the configured size (deterministically — see the package
 // comment).
 func (db *Database) applyDelete(id uint32) {
-	db.sys.Tomb.Delete(id)
+	db.tomb.Delete(id)
 	db.pending = append(db.pending, id)
 	if len(db.pending) >= db.repairEvery() {
 		db.repairLocked()
@@ -368,8 +349,7 @@ func (db *Database) repairLocked() {
 	if len(db.pending) == 0 {
 		return
 	}
-	tomb := db.sys.Tomb
-	db.sys.Index.Repair(db.pending, func(id uint32) bool { return !tomb.IsDeleted(id) })
+	db.index.Repair(db.pending, db.liveFilter)
 	db.pending = db.pending[:0]
 	db.muts.repairs.Add(1)
 }
@@ -382,7 +362,7 @@ func (db *Database) repairLocked() {
 func (db *Database) applyRecord(r wal.Record) error {
 	switch r.Type {
 	case recAdd:
-		id, qv, err := decodeAddPayload(r.Payload, db.sys.Dim)
+		id, qv, err := decodeAddPayload(r.Payload, db.rows.Dim())
 		if err != nil {
 			return err
 		}
@@ -401,13 +381,13 @@ func (db *Database) applyRecord(r wal.Record) error {
 		if int(id) >= db.rows.Len() {
 			return fmt.Errorf("delete names id %d beyond replay state (%d vectors)", id, db.rows.Len())
 		}
-		if db.sys.Tomb.IsDeleted(id) {
+		if db.tomb.IsDeleted(id) {
 			return fmt.Errorf("delete names already-deleted id %d", id)
 		}
 		db.applyDelete(id)
 		db.muts.deletes.Add(1)
 	case recUpdate:
-		oldID, newID, qv, err := decodeUpdatePayload(r.Payload, db.sys.Dim)
+		oldID, newID, qv, err := decodeUpdatePayload(r.Payload, db.rows.Dim())
 		if err != nil {
 			return err
 		}
@@ -417,7 +397,7 @@ func (db *Database) applyRecord(r wal.Record) error {
 		if int(oldID) >= db.rows.Len() {
 			return fmt.Errorf("update names old id %d beyond replay state", oldID)
 		}
-		if db.sys.Tomb.IsDeleted(oldID) {
+		if db.tomb.IsDeleted(oldID) {
 			return fmt.Errorf("update names already-deleted id %d", oldID)
 		}
 		if err := db.applyAdd(newID, qv); err != nil {
@@ -477,11 +457,10 @@ func decodeUpdatePayload(p []byte, dim int) (oldID, newID uint32, qv []float32, 
 func decodeVectorPayload(p []byte, dim int) ([]float32, error) {
 	qv := make([]float32, dim)
 	for d := range qv {
-		x := math.Float32frombits(binary.LittleEndian.Uint32(p[4*d:]))
-		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
-			return nil, fmt.Errorf("vector component %d is %v", d, x)
-		}
-		qv[d] = x
+		qv[d] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*d:]))
+	}
+	if d := nonFinite(qv); d >= 0 {
+		return nil, fmt.Errorf("vector component %d is %v", d, qv[d])
 	}
 	return qv, nil
 }

@@ -149,11 +149,13 @@ func TestMutableBasics(t *testing.T) {
 		t.Fatal("immutable db reports mutation state")
 	}
 
-	// Base designs have no incremental store: Mutable is rejected.
+	// The row slab is the ingester on every design, so a Base design is
+	// mutable too (TestLiveSnapshotServesUnderBaseOverride drives one beside
+	// an ET design through the whole life cycle).
 	opts := liveOpts()
 	opts.Design = ansmet.UseDesign(ansmet.CPUBase)
-	if _, err := ansmet.New(ds.Vectors, opts); err == nil {
-		t.Fatal("Mutable + CPUBase should fail")
+	if base, err := ansmet.New(ds.Vectors, opts); err != nil || !base.Mutable() {
+		t.Fatalf("Mutable + CPUBase: %v", err)
 	}
 
 	db, err := ansmet.New(ds.Vectors, liveOpts())
@@ -509,23 +511,73 @@ func TestAttachWALAlreadyAttached(t *testing.T) {
 	}
 }
 
-// TestLiveSnapshotRejectsBaseOverride: a live snapshot cannot be loaded
-// under a design with no tombstone-filtering store.
-func TestLiveSnapshotRejectsBaseOverride(t *testing.T) {
-	ds := dataset.Generate(dataset.ProfileByName("SIFT"), 120, 2, 61)
-	db, err := ansmet.New(ds.Vectors, liveOpts())
-	if err != nil {
-		t.Fatal(err)
+// TestLiveSnapshotServesUnderBaseOverride: a design without an encoded store
+// is as mutable as one with — a CPUBase database answers id for id and bit
+// for bit like the NDPETOpt one through add, delete, update, Maintain,
+// SaveFile, more journaled writes, a kill, and LoadFile + replay, whichever
+// design the snapshot is loaded under.
+func TestLiveSnapshotServesUnderBaseOverride(t *testing.T) {
+	ds := dataset.Generate(dataset.ProfileByName("SIFT"), 120, 4, 61)
+	ops := scriptOps(len(ds.Vectors), len(ds.Vectors[0]))
+	dir := t.TempDir()
+	paths := map[string]string{}
+	live := map[string]*ansmet.Database{}
+	for name, d := range map[string]ansmet.Design{"et": ansmet.NDPETOpt, "base": ansmet.CPUBase} {
+		opts := liveOpts()
+		opts.Design = ansmet.UseDesign(d)
+		db, err := ansmet.New(ds.Vectors, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths[name] = dir + "/" + name + ".snap"
+		if err := db.AttachWAL(ansmet.WALName(paths[name])); err != nil {
+			t.Fatal(err)
+		}
+		applyOps(t, db, ops[:6])
+		db.Maintain()
+		if err := db.SaveFile(paths[name]); err != nil {
+			t.Fatal(err)
+		}
+		applyOps(t, db, ops[6:]) // journaled only: the kill below loses nothing acknowledged
+		live[name] = db
 	}
-	if err := db.Delete(3); err != nil {
-		t.Fatal(err)
+	sameSearchState(t, live["et"], live["base"], ds.Queries)
+	for _, q := range ds.Queries {
+		// The ndp beam runs on either model (bit planes; whole rows), tombstones
+		// filtered the same way.
+		var got [2][]ansmet.Neighbor
+		for i, name := range []string{"et", "base"} {
+			res, err := live[name].Do(context.Background(), &ansmet.Query{Vector: q, K: 10, Ef: 50, Route: ansmet.RouteNDP})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = res.Neighbors
+		}
+		if !reflect.DeepEqual(got[0], got[1]) {
+			t.Fatalf("ndp beam diverges between designs:\n%v\n%v", got[0], got[1])
+		}
 	}
-	path := t.TempDir() + "/live.snap"
-	if err := db.SaveFile(path); err != nil {
-		t.Fatal(err)
+	for _, db := range live {
+		db.Close() // the process dies; the journal's fsynced records are what is left
 	}
-	if _, err := ansmet.LoadFile(path, ansmet.UseDesign(ansmet.CPUBase)); err == nil {
-		t.Fatal("loading a live snapshot under CPUBase should fail")
+	for _, tc := range []struct {
+		snap   string
+		design *ansmet.Design
+	}{
+		{"et", ansmet.UseDesign(ansmet.CPUBase)},
+		{"et", ansmet.UseDesign(ansmet.NDPBase)},
+		{"base", nil},
+		{"base", ansmet.UseDesign(ansmet.NDPETOpt)},
+	} {
+		rec, err := ansmet.LoadFile(paths[tc.snap], tc.design)
+		if err != nil {
+			t.Fatalf("loading the live %s snapshot under %v: %v", tc.snap, tc.design, err)
+		}
+		if st := rec.Stats(); !st.Mutable || st.WALReplayed != uint64(len(ops)-6) {
+			t.Fatalf("recovered %s: %+v", tc.snap, st)
+		}
+		sameSearchState(t, live["et"], rec, ds.Queries)
+		rec.Close()
 	}
 }
 

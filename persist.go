@@ -76,10 +76,9 @@ var (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // dbSnapshot is the gob-encoded part of a snapshot: everything but the rows
-// (v4), or everything (v3). The design-specific preprocessing (layout
-// optimization, prefix elimination, partitioning) is deterministic given
-// the options and is re-run on load — it is orders of magnitude cheaper
-// than graph construction (paper Table 4).
+// (v4), or everything (v3). The NDP model is not in the file: it is a
+// deterministic function of rows, graph and options (paper Table 4's offline
+// pass) that a loaded database derives again when a route asks for it.
 type dbSnapshot struct {
 	Magic  string
 	Metric Metric
@@ -150,12 +149,12 @@ func (db *Database) saveLocked(w io.Writer) error {
 		Design: *db.opts.Design,
 		Seed:   db.opts.Seed,
 		N:      view.Len(),
-		Dim:    db.sys.Dim,
-		Graph:  db.sys.Index.Snapshot(),
+		Dim:    db.rows.Dim(),
+		Graph:  db.index.Snapshot(),
 	}
-	if db.mutable {
+	if db.Mutable() {
 		snap.Live = true
-		snap.Tombs = db.sys.Tomb.IDs()
+		snap.Tombs = db.tomb.IDs()
 		snap.Pending = db.pending
 		if db.journal != nil {
 			snap.WALSeq = db.journal.LastSeq()
@@ -169,22 +168,31 @@ func (db *Database) saveLocked(w io.Writer) error {
 // which writes itself chunk by chunk): raw header, gob stream, row section,
 // CRC32C integrity footer.
 func writeSnapshot(w io.Writer, snap *dbSnapshot, rowSection io.WriterTo) error {
+	return writeFramed(w, "snapshot", snapshotHeader, snap, rowSection)
+}
+
+// writeFramed is the framing snapshots and the cluster manifest share
+// (verifyIntegrity reads it): raw header, gob stream of v, an optional raw
+// section, the length + CRC32C footer. what names the file in errors.
+func writeFramed(w io.Writer, what string, header []byte, v any, section io.WriterTo) error {
 	cw := &crcWriter{w: w, crc: crc32.New(castagnoli)}
-	if _, err := cw.Write(snapshotHeader); err != nil {
-		return fmt.Errorf("ansmet: writing snapshot header: %w", err)
+	if _, err := cw.Write(header); err != nil {
+		return fmt.Errorf("ansmet: writing %s header: %w", what, err)
 	}
-	if err := gob.NewEncoder(cw).Encode(snap); err != nil {
-		return fmt.Errorf("ansmet: encoding snapshot: %w", err)
+	if err := gob.NewEncoder(cw).Encode(v); err != nil {
+		return fmt.Errorf("ansmet: encoding %s: %w", what, err)
 	}
-	if _, err := rowSection.WriteTo(cw); err != nil {
-		return fmt.Errorf("ansmet: writing snapshot rows: %w", err)
+	if section != nil {
+		if _, err := section.WriteTo(cw); err != nil {
+			return fmt.Errorf("ansmet: writing %s rows: %w", what, err)
+		}
 	}
 	footer := make([]byte, snapshotFooterLen)
 	copy(footer, snapshotFooterMagic)
 	binary.LittleEndian.PutUint64(footer[10:], cw.n)
 	binary.LittleEndian.PutUint32(footer[18:], cw.crc.Sum32())
 	if _, err := w.Write(footer); err != nil {
-		return fmt.Errorf("ansmet: writing snapshot footer: %w", err)
+		return fmt.Errorf("ansmet: writing %s footer: %w", what, err)
 	}
 	return nil
 }
@@ -253,7 +261,7 @@ func (db *Database) SaveFile(path string) error {
 	if err := writeFileAtomic(path, db.saveLocked); err != nil {
 		return err
 	}
-	if db.mutable && db.journal != nil && !db.closed {
+	if db.Mutable() && db.journal != nil && !db.closed {
 		if err := db.journal.Reset(); err != nil {
 			return fmt.Errorf("ansmet: compacting journal: %w", err)
 		}
@@ -413,9 +421,10 @@ func verifyIntegrity(data, header []byte) ([]byte, error) {
 	return payload[len(header):], nil
 }
 
-// Load reconstructs a database previously written with Save, re-running the
-// (cheap, deterministic) design preprocessing but not graph construction.
-// design may override the persisted Design; other fields are restored.
+// Load reconstructs a database previously written with Save: rows and graph
+// as saved. The NDP model is not in the file and is not built here (see
+// Database.System). design may override the persisted Design — any design
+// serves any snapshot, live ones included; other fields are restored.
 //
 // Load is hardened against corrupt or hostile input: the raw header and
 // format version are checked first, the CRC32C footer is verified over the
@@ -459,37 +468,24 @@ func Load(r io.Reader, design *Design) (db *Database, err error) {
 	if err != nil {
 		return nil, err
 	}
-	d := snap.Design
-	if design != nil {
-		d = *design
+	opts := Options{
+		Metric: snap.Metric, Elem: snap.Elem,
+		Design: &snap.Design, Seed: snap.Seed,
+		// A live snapshot restores the live-mutation state.
+		Mutable: snap.Live, RepairEvery: snap.RepairEvery,
 	}
-	cfg := core.DefaultSystemConfig(d)
-	cfg.Seed = snap.Seed
-	sys, err := core.NewSystem(rs, snap.Metric, ix, cfg)
+	if design != nil {
+		opts.Design = design
+	}
+	db, err = newDatabase(opts, rs, ix)
 	if err != nil {
 		return nil, err
 	}
-	opts := Options{
-		Metric: snap.Metric, Elem: snap.Elem,
-		Design: UseDesign(d), Seed: snap.Seed,
+	for _, id := range snap.Tombs {
+		db.tomb.Delete(id)
 	}
-	db = newDatabase(opts, rs, sys)
-	if snap.Live {
-		// Restore the live-mutation state. A design override without an
-		// early-termination store cannot serve a live snapshot: the Base
-		// scan paths have no tombstone filtering, so deleted ids would
-		// resurface in results.
-		db.opts.Mutable = true
-		db.opts.RepairEvery = snap.RepairEvery
-		if err := db.enableMutation(); err != nil {
-			return nil, fmt.Errorf("ansmet: snapshot is live but %w", err)
-		}
-		for _, id := range snap.Tombs {
-			db.sys.Tomb.Delete(id)
-		}
-		db.pending = append(db.pending, snap.Pending...)
-		db.walBase = snap.WALSeq
-	}
+	db.pending = append(db.pending, snap.Pending...)
+	db.walBase = snap.WALSeq
 	return db, nil
 }
 
@@ -542,21 +538,7 @@ func (c *Cluster) SaveDir(dir string) error {
 		IDs:       c.ids,
 	}
 	return writeFileAtomic(filepath.Join(dir, ClusterManifestName), func(w io.Writer) error {
-		cw := &crcWriter{w: w, crc: crc32.New(castagnoli)}
-		if _, err := cw.Write(clusterManifestHeader); err != nil {
-			return fmt.Errorf("ansmet: writing manifest header: %w", err)
-		}
-		if err := gob.NewEncoder(cw).Encode(&man); err != nil {
-			return fmt.Errorf("ansmet: encoding manifest: %w", err)
-		}
-		footer := make([]byte, snapshotFooterLen)
-		copy(footer, snapshotFooterMagic)
-		binary.LittleEndian.PutUint64(footer[10:], cw.n)
-		binary.LittleEndian.PutUint32(footer[18:], cw.crc.Sum32())
-		if _, err := w.Write(footer); err != nil {
-			return fmt.Errorf("ansmet: writing manifest footer: %w", err)
-		}
-		return nil
+		return writeFramed(w, "manifest", clusterManifestHeader, &man, nil)
 	})
 }
 
@@ -643,9 +625,9 @@ func LoadClusterDir(dir string, opts ClusterOptions) (*Cluster, error) {
 			return nil, fmt.Errorf("ansmet: shard %d snapshot holds %d vectors, manifest says %d",
 				s, db.Len(), len(man.IDs[s]))
 		}
-		if s > 0 && db.sys.Dim != dbs[0].sys.Dim {
+		if s > 0 && db.rows.Dim() != dbs[0].rows.Dim() {
 			return nil, fmt.Errorf("ansmet: shard %d dimension %d disagrees with shard 0 (%d)",
-				s, db.sys.Dim, dbs[0].sys.Dim)
+				s, db.rows.Dim(), dbs[0].rows.Dim())
 		}
 		dbs[s] = db
 	}

@@ -23,12 +23,12 @@ func (db *Database) tieredOpts(budget float64) core.TieredOpts {
 		}
 	}
 	opt := core.TieredOpts{Budget: budget}
-	if db.tuner != nil && db.sys.Precision != nil {
+	if db.tuner != nil {
 		// The static map owns the per-vector depth, so the uniform cap
 		// moves out of the way: -1 raises the escalation ceiling to the
 		// never-fully-fetch maximum.
 		opt.MaxBoundLines = -1
-		opt.Precision = db.sys.Precision
+		opt.Precision = db.model.Load().Precision // adaptive: built in New
 		opt.DepthBias = db.tuner.DepthBias()
 		opt.EscalateMargin = db.tuner.Margin()
 	}
@@ -85,9 +85,9 @@ func (db *Database) PrecisionStats() PrecisionStats {
 		PoolPerK:     snap.PoolPerK,
 		Observations: snap.Observations,
 	}
-	if pm := db.sys.Precision; pm != nil {
-		st.Clusters = pm.Clusters
-		st.MeanDepthLines = pm.MeanLines()
+	if sys := db.model.Load(); sys != nil && sys.Precision != nil {
+		st.Clusters = sys.Precision.Clusters
+		st.MeanDepthLines = sys.Precision.MeanLines()
 	}
 	return st
 }

@@ -153,7 +153,7 @@ func (db *Database) resolveRoute(ctx context.Context, q *Query) (Route, error) {
 			route = db.router.Decide(slackOf(ctx))
 		}
 	}
-	if route == RouteTiered && db.sys.Store == nil {
+	if route == RouteTiered && !db.cfg.Design.UsesET() {
 		route = RouteExact
 	}
 	return route, nil
@@ -176,7 +176,7 @@ func (db *Database) do(ctx context.Context, s *searchScratch, q *Query) (Result,
 	if err != nil {
 		return res, err
 	}
-	qq := s.quantize(q.Vector, db.opts.Elem)
+	qq := quantizeInto(s.qq, q.Vector, db.opts.Elem)
 	done := ctx.Done()
 	cancelled := false
 
@@ -190,7 +190,7 @@ func (db *Database) do(ctx context.Context, s *searchScratch, q *Query) (Result,
 		res.Lines = res.Tiered.BoundLines + res.Tiered.RerankLines
 		cancelled = res.Tiered.Cancelled
 	case RouteExact:
-		res.Neighbors, res.Lines, cancelled = core.ScanKNN(done, db.hostEngine(s), db.sys.Tomb, qq, q.K, q.Dst)
+		res.Neighbors, res.Lines, cancelled = core.ScanKNN(done, db.hostEngine(s), db.tomb, qq, q.K, q.Dst)
 		res.Tiered = TieredStats{Pool: db.Len(), RerankLines: res.Lines, Cancelled: cancelled}
 	default:
 		// The beam routes are one traversal at one ef and one batch; only the
@@ -205,8 +205,8 @@ func (db *Database) do(ctx context.Context, s *searchScratch, q *Query) (Result,
 		// combineFilter adds the tombstone filter of a mutable database: it
 		// keeps deleted ids out of the results while traversal still routes
 		// through them.
-		res.Neighbors, cancelled = db.sys.Index.SearchCancelInto(done, qq, q.K, ef,
-			db.sys.Cfg.BeamBatch, db.combineFilter(q.Filter), eng, nil, q.Dst)
+		res.Neighbors, cancelled = db.index.SearchCancelInto(done, qq, q.K, ef,
+			db.cfg.BeamBatch, db.combineFilter(q.Filter), eng, nil, q.Dst)
 	}
 	res.Route = route
 	db.router.Record(route)
@@ -228,7 +228,7 @@ func (db *Database) plainEngine(s *searchScratch) *core.ETEngine {
 		return et
 	}
 	if s.plain == nil {
-		s.plain = db.sys.Store.NewETEngine(db.opts.Metric)
+		s.plain = db.system().Store.NewETEngine(db.opts.Metric)
 	}
 	return s.plain
 }

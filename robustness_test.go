@@ -14,15 +14,7 @@ import (
 // tinyDB builds a small database for input-validation and recovery tests.
 func tinyDB(t testing.TB) *Database {
 	t.Helper()
-	vs := make([][]float32, 64)
-	for i := range vs {
-		v := make([]float32, 8)
-		for d := range v {
-			v[d] = float32(math.Sin(float64(i*8+d)))*0.4 + 0.5
-		}
-		vs[i] = v
-	}
-	db, err := New(vs, Options{Metric: L2, Elem: Float32, EfConstruction: 40, Seed: 7})
+	db, err := New(smallVectors(64), Options{Metric: L2, Elem: Float32, EfConstruction: 40, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,10 +39,11 @@ type RouterStats = engine.RouterSnapshot
 func (db *Database) RouterStats() RouterStats { return db.router.Snapshot() }
 
 // degradedRanks feeds the router's health signal: how many NDP ranks are
-// currently degraded (breaker not closed). Zero when resilience is off.
+// currently degraded (breaker not closed). Zero when resilience is off (a
+// database that configures it built its model, breakers included, in New).
 func (db *Database) degradedRanks() int {
-	if db.sys.Breakers == nil {
-		return 0
+	if sys := db.model.Load(); sys != nil && sys.Breakers != nil {
+		return sys.Breakers.DegradedRanks()
 	}
-	return db.sys.Breakers.DegradedRanks()
+	return 0
 }

@@ -30,7 +30,7 @@ func graphHash(db *Database) string {
 		binary.LittleEndian.PutUint32(b[:], x)
 		h.Write(b[:])
 	}
-	for _, node := range db.sys.Index.Snapshot().Neighbors {
+	for _, node := range db.index.Snapshot().Neighbors {
 		put(uint32(len(node)))
 		for _, lst := range node {
 			put(uint32(len(lst)))
