@@ -251,14 +251,17 @@ type Database struct {
 	walBase     uint64            // journal compaction point (snapshot's WALSeq)
 	walReplayed uint64            // records replayed at recovery
 	pending     []uint32          // tombstoned ids awaiting graph repair
+	payload     []byte            // commit's journal payload scratch
 	closed      bool
 	muts        mutCounters
 }
 
-// mutCounters are the lifetime mutation totals, atomics so Stats reads
+// mutCounters are the lifetime mutation totals — writes by record kind
+// (recAdd, recDelete, recUpdate) and repair batches — atomics so Stats reads
 // them without taking the writer lock.
 type mutCounters struct {
-	adds, deletes, updates, repairs atomic.Uint64
+	writes  [recUpdate + 1]atomic.Uint64
+	repairs atomic.Uint64
 }
 
 // searchScratch is the reusable per-search state: the quantized query
@@ -566,9 +569,9 @@ func (db *Database) Stats() Stats {
 	s := Stats{Vectors: db.Len(), Dim: db.rows.Dim(), Design: db.cfg.Design}
 	if db.Mutable() {
 		s.Mutable = true
-		s.Adds = db.muts.adds.Load()
-		s.Deletes = db.muts.deletes.Load()
-		s.Updates = db.muts.updates.Load()
+		s.Adds = db.muts.writes[recAdd].Load()
+		s.Deletes = db.muts.writes[recDelete].Load()
+		s.Updates = db.muts.writes[recUpdate].Load()
 		s.RepairBatches = db.muts.repairs.Load()
 		s.Tombstones = db.tomb.Count()
 		db.mu.Lock()

@@ -519,7 +519,6 @@ func (c *Coordinator) SearchInto(ctx context.Context, q []float32, k, ef int, ds
 
 	// Pool the state only when no call is still writing into its buffers.
 	if received == calls {
-		c.reclaimBuffers(st)
 		c.statePool.Put(st)
 	}
 
@@ -591,19 +590,6 @@ func (c *Coordinator) classify(ctx context.Context, st *gatherState, r shardResp
 		c.metrics.Crashes.Add(1)
 		if c.breakers[s].Failure() {
 			c.metrics.BreakerTrips.Add(1)
-		}
-	}
-}
-
-// reclaimBuffers folds the (possibly grown) result buffers back into the
-// pooled state so steady-state queries stop allocating.
-func (c *Coordinator) reclaimBuffers(st *gatherState) {
-	for s := range c.shards {
-		if st.lists[s] != nil {
-			// The winner list lives in one of the two buffers; keep its
-			// capacity wherever it came from. Nothing to do: priBuf/hedBuf
-			// were updated by callShard's send path via the response value.
-			st.lists[s] = nil
 		}
 	}
 }

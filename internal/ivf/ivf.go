@@ -157,7 +157,7 @@ func (ix *Index) SearchFiltered(q []float32, k, ef, nprobe int, filter func(uint
 		rec.AddHop(trace.Hop{Level: -1, HostOps: 2 * len(ix.centroids)})
 	}
 
-	results := &maxHeap{}
+	results := &hnsw.Heap{Max: true}
 	for p := 0; p < nprobe; p++ {
 		members := ix.lists[order[p].c]
 		if len(members) == 0 {
@@ -175,11 +175,13 @@ func (ix *Index) SearchFiltered(q []float32, k, ef, nprobe int, filter func(uint
 			if rec != nil {
 				rec.AddTask(trace.Task{ID: id, Threshold: threshold, Result: res})
 			}
-			if res.Accepted && (filter == nil || filter(id)) {
-				results.Push(hnsw.Neighbor{ID: id, Dist: res.Dist})
-				if results.Len() > ef {
-					results.Pop()
-				}
+			if !res.Accepted || (filter != nil && !filter(id)) {
+				continue
+			}
+			if n := (hnsw.Neighbor{ID: id, Dist: res.Dist}); results.Len() < ef {
+				results.Push(n)
+			} else if n.Less(results.Top()) {
+				results.ReplaceTop(n)
 			}
 		}
 		if rec != nil {
@@ -187,10 +189,7 @@ func (ix *Index) SearchFiltered(q []float32, k, ef, nprobe int, filter func(uint
 		}
 	}
 
-	out := make([]hnsw.Neighbor, results.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = results.Pop()
-	}
+	out := results.Sorted(nil)
 	if len(out) > k {
 		out = out[:k]
 	}
@@ -201,47 +200,4 @@ func (ix *Index) SearchFiltered(q []float32, k, ef, nprobe int, filter func(uint
 		}
 	}
 	return out
-}
-
-// maxHeap is a max-heap of neighbors by distance.
-type maxHeap struct{ items []hnsw.Neighbor }
-
-func (h *maxHeap) Len() int           { return len(h.items) }
-func (h *maxHeap) Top() hnsw.Neighbor { return h.items[0] }
-
-func (h *maxHeap) Push(n hnsw.Neighbor) {
-	h.items = append(h.items, n)
-	i := len(h.items) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.items[i].Dist <= h.items[p].Dist {
-			break
-		}
-		h.items[i], h.items[p] = h.items[p], h.items[i]
-		i = p
-	}
-}
-
-func (h *maxHeap) Pop() hnsw.Neighbor {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < last && h.items[l].Dist > h.items[best].Dist {
-			best = l
-		}
-		if r < last && h.items[r].Dist > h.items[best].Dist {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		h.items[i], h.items[best] = h.items[best], h.items[i]
-		i = best
-	}
-	return top
 }

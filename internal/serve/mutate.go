@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"net/http"
 )
 
@@ -53,6 +52,9 @@ type DeleteResponse struct {
 	Error   string `json:"error,omitempty"`
 }
 
+// mutationTimedOut is the mutations' 504 body (see writeError).
+var mutationTimedOut = SearchResponse{Error: "mutation deadline exceeded"}
+
 func (s *Server) handleUpsert(w http.ResponseWriter, r *http.Request) {
 	var req UpsertRequest
 	buf, release := s.admit(w, r, &req)
@@ -80,9 +82,11 @@ func (s *Server) handleUpsert(w http.ResponseWriter, r *http.Request) {
 	} else {
 		id, err = s.cfg.Upsert(ctx, 0, false, req.Vector)
 	}
-	if !s.writeMutationError(w, r, err) {
+	if err != nil {
+		s.writeError(w, r, err, mutationTimedOut)
 		return
 	}
+	s.metrics.OK.Add(1)
 	s.metrics.Upserts.Add(1)
 	writeJSON(w, http.StatusOK, UpsertResponse{ID: id})
 }
@@ -103,42 +107,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel, stop := s.requestCtx(r, req.TimeoutMs)
 	defer cancel()
 	defer stop()
-	err := s.cfg.Delete(ctx, *req.ID)
-	if !s.writeMutationError(w, r, err) {
+	if err := s.cfg.Delete(ctx, *req.ID); err != nil {
+		s.writeError(w, r, err, mutationTimedOut)
 		return
 	}
+	s.metrics.OK.Add(1)
 	s.metrics.Deletes.Add(1)
 	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: true})
-}
-
-// writeMutationError classifies a mutation hook error onto the wire using
-// the same taxonomy as searches and reports whether the caller should
-// write its success response (err == nil).
-func (s *Server) writeMutationError(w http.ResponseWriter, r *http.Request, err error) bool {
-	switch {
-	case err == nil:
-		s.metrics.OK.Add(1)
-		return true
-	case errors.Is(err, context.DeadlineExceeded):
-		if r.Context().Err() != nil {
-			s.metrics.ClientCancels.Add(1)
-			return false
-		}
-		s.metrics.Timeouts.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, SearchResponse{Error: "mutation deadline exceeded"})
-	case errors.Is(err, context.Canceled):
-		if s.baseCtx.Err() != nil {
-			s.metrics.Draining.Add(1)
-			writeJSON(w, http.StatusServiceUnavailable, SearchResponse{Error: "server shutting down"})
-			return false
-		}
-		s.metrics.ClientCancels.Add(1)
-	case s.cfg.BadRequest != nil && s.cfg.BadRequest(err):
-		s.metrics.BadRequests.Add(1)
-		writeJSON(w, http.StatusBadRequest, SearchResponse{Error: err.Error()})
-	default:
-		s.metrics.Internal.Add(1)
-		writeJSON(w, http.StatusInternalServerError, SearchResponse{Error: "internal error"})
-	}
-	return false
 }

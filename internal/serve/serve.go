@@ -444,21 +444,34 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.metrics.countRoute(out.Route)
 	}
 
+	if err != nil {
+		// The 504 body is the search's own: what the deadline left, flagged.
+		s.writeError(w, r, err, SearchResponse{
+			Results: toResults(out.Neighbors), Partial: len(out.Neighbors) > 0, Faults: out.Faults,
+			Error: "search deadline exceeded"})
+		return
+	}
+	s.metrics.OK.Add(1)
+	if out.Partial {
+		// A degraded merge is still a 200 — the results that ARE there
+		// are correct — but it is flagged loudly so clients that need
+		// complete answers can retry.
+		s.metrics.Partials.Add(1)
+		w.Header().Set(PartialHeader, "true")
+	}
+	if !out.Partial && len(out.Faults) == 0 && writeSearchOK(w, buf, out.Neighbors) {
+		return
+	}
+	writeJSON(w, http.StatusOK, SearchResponse{
+		Results: toResults(out.Neighbors), Partial: out.Partial, Faults: out.Faults})
+}
+
+// writeError puts a hook's error on the wire and counts it — the one taxonomy
+// of searches and mutations: client gone (nothing to write to a closed pipe),
+// 504 with the endpoint's own timedOut body, 503 while draining, 400 for what
+// Config.BadRequest claims, 500.
+func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error, timedOut SearchResponse) {
 	switch {
-	case err == nil:
-		s.metrics.OK.Add(1)
-		if out.Partial {
-			// A degraded merge is still a 200 — the results that ARE there
-			// are correct — but it is flagged loudly so clients that need
-			// complete answers can retry.
-			s.metrics.Partials.Add(1)
-			w.Header().Set(PartialHeader, "true")
-		}
-		if !out.Partial && len(out.Faults) == 0 && writeSearchOK(w, buf, out.Neighbors) {
-			return
-		}
-		writeJSON(w, http.StatusOK, SearchResponse{
-			Results: toResults(out.Neighbors), Partial: out.Partial, Faults: out.Faults})
 	case errors.Is(err, context.DeadlineExceeded):
 		if r.Context().Err() != nil {
 			// The client's own deadline/disconnect raced ours.
@@ -466,19 +479,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.metrics.Timeouts.Add(1)
-		if len(out.Neighbors) > 0 {
+		if timedOut.Partial {
 			w.Header().Set(PartialHeader, "true")
 		}
-		writeJSON(w, http.StatusGatewayTimeout, SearchResponse{
-			Results: toResults(out.Neighbors), Partial: len(out.Neighbors) > 0, Faults: out.Faults,
-			Error: "search deadline exceeded"})
+		writeJSON(w, http.StatusGatewayTimeout, timedOut)
 	case errors.Is(err, context.Canceled):
 		if s.baseCtx.Err() != nil {
 			s.metrics.Draining.Add(1)
 			writeJSON(w, http.StatusServiceUnavailable, SearchResponse{Error: "server shutting down"})
 			return
 		}
-		// Client cancelled: nothing useful to write to a closed pipe.
 		s.metrics.ClientCancels.Add(1)
 	case s.cfg.BadRequest != nil && s.cfg.BadRequest(err):
 		s.metrics.BadRequests.Add(1)

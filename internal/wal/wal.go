@@ -4,10 +4,12 @@
 // snapshot format's hardening (raw magic before any parsing, checksums
 // verified before a payload byte is trusted, a typed corruption-error
 // taxonomy) but adapted to a log: a crash can tear only the *tail* of the
-// file, so recovery replays the longest valid record prefix and truncates
-// whatever follows. A record is acknowledged only after the fsync that
-// made it durable returned, so the truncated tail never contains an
-// acknowledged write.
+// file, so recovery replays the valid record prefix and truncates a tail
+// that stops short or fails its CRC. A record is acknowledged only after the
+// fsync that made it durable returned, and Log keeps the offset of the last
+// acknowledged byte, so the truncated tail never contains an acknowledged
+// write — and a file that is wrong in a way no tear produces is refused, not
+// repaired (see Open).
 //
 // On-disk layout:
 //
@@ -18,7 +20,7 @@
 // strictly contiguous (seq = previous + 1, starting at base+1 where base
 // is the snapshot's compaction point); a gap or regression marks the
 // record invalid even if its CRC holds, because it can only arise from a
-// corrupt or mismatched journal.
+// mismatched journal.
 package wal
 
 import (
@@ -58,6 +60,9 @@ var (
 	ErrBadSequence = errors.New("wal: record out of sequence")
 	// ErrClosed reports an append to a closed log.
 	ErrClosed = errors.New("wal: log is closed")
+	// ErrFailed reports a log stopped by a failed fsync or a failed rollback;
+	// it wraps the first cause. What the file holds is for Open to find out.
+	ErrFailed = errors.New("wal: log has failed and must be reopened")
 )
 
 // castagnoli is the CRC32C table (same polynomial as the snapshot footer).
@@ -146,51 +151,57 @@ func headerPrefix(b []byte) bool {
 	return true
 }
 
+// file is what a Log needs of the *os.File Open hands it; the fault tests
+// substitute one whose k-th Write or Sync fails.
+type file interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Close() error
+}
+
 // Log is an open journal positioned for appending. Not safe for
 // concurrent use; callers serialize on their mutation writer lock.
 type Log struct {
-	f      *os.File
+	f      file
 	path   string
-	seq    uint64 // last sequence number present in the file (or base)
+	seq    uint64 // last acknowledged sequence number (or base)
+	end    int64  // offset just past the last acknowledged byte
 	buf    []byte // append frame scratch
+	failed error  // sticky ErrFailed once a sync or a rollback has failed
 	closed bool
 }
 
 // Open opens (or creates) the journal at path and recovers it: existing
-// records with seq > base are passed to replay in order, a torn tail —
-// any invalid suffix — is truncated away, and the log is positioned for
-// appending with the next sequence number following the last valid
-// record. base is the snapshot's compaction point: records with seq <=
-// base were already folded into the snapshot and are skipped (they are
-// legitimately present after a crash between snapshot write and journal
-// truncation).
+// records with seq > base are passed to replay in order, a torn tail is
+// truncated away, and the log is positioned for appending with the next
+// sequence number following the last valid record. base is the snapshot's
+// compaction point: records with seq <= base were already folded into the
+// snapshot and are skipped (they are legitimately present after a crash
+// between snapshot write and journal truncation).
 //
-// A file whose header is not a journal header fails with ErrBadMagic
-// (nothing is truncated — the file is not ours to rewrite). A replay
-// callback error aborts recovery and closes the file: the journal did not
-// match the snapshot it was opened against, which truncation must not
-// paper over.
+// A torn tail is what a crash mid-append leaves, and only that: a suffix that
+// stops short (ErrTruncated) or fails its CRC (ErrChecksum); no acknowledged
+// record is in it. Everything else is a refusal that replays nothing and
+// leaves the file byte for byte as found: a header that is not a journal's
+// (ErrBadMagic — the file is not ours to rewrite) and a CRC-valid record out
+// of sequence (ErrBadSequence — no tear writes one; the journal belongs to
+// another snapshot, and its records may be acknowledged writes). A replay
+// callback error likewise aborts recovery and closes the file untouched.
 func Open(path string, base uint64, replay func(Record) error) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: opening journal: %w", err)
 	}
-	data, err := io.ReadAll(f)
+	data, err := io.ReadAll(f) // leaves the write position at the end
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("wal: reading journal: %w", err)
 	}
-	l := &Log{f: f, path: path, seq: base}
-	if len(data) == 0 {
-		// Fresh journal: write the header durably before the first append.
-		if err := l.writeHeader(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return l, nil
-	}
+	l := &Log{f: f, path: path, seq: base, end: int64(len(data))}
 	recs, validEnd, scanErr := Scan(data, base)
-	if scanErr != nil && errors.Is(scanErr, ErrBadMagic) {
+	if scanErr != nil && !errors.Is(scanErr, ErrTruncated) && !errors.Is(scanErr, ErrChecksum) {
 		f.Close()
 		return nil, scanErr
 	}
@@ -203,41 +214,26 @@ func Open(path string, base uint64, replay func(Record) error) (*Log, error) {
 		}
 		l.seq = r.Seq
 	}
-	if scanErr != nil {
-		// Torn or corrupt tail: drop it. Everything before validEnd was
-		// CRC-verified and contiguous; everything after was never
-		// acknowledged (the ack is the fsync of a complete record).
-		if err := f.Truncate(int64(validEnd)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: syncing truncation: %w", err)
-		}
-		if validEnd < len(header) {
-			// The crash tore the header itself — no record can have been
-			// acknowledged (the header is written and fsynced before the
-			// first append), so a fresh header restores an empty journal.
-			if _, err := f.Seek(0, io.SeekStart); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("wal: seeking to journal start: %w", err)
-			}
-			if err := l.writeHeader(); err != nil {
-				f.Close()
-				return nil, err
-			}
-			return l, nil
-		}
+	if validEnd < len(data) {
+		// A torn tail (the scan's other verdicts returned above). Everything
+		// before validEnd was CRC-verified and contiguous; everything after
+		// was never acknowledged (the ack is the fsync of a complete record).
+		err = l.truncateTo(int64(validEnd))
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	if err == nil && validEnd < len(header) {
+		// A fresh file, or a crash that tore the header itself — no record can
+		// have been acknowledged (the header is written and fsynced before the
+		// first append), so a fresh header restores an empty journal.
+		err = l.writeHeader()
+	}
+	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("wal: seeking to journal end: %w", err)
+		return nil, err
 	}
 	return l, nil
 }
 
-// writeHeader writes and fsyncs the magic header of a fresh journal.
+// writeHeader writes and fsyncs the magic header of an empty journal.
 func (l *Log) writeHeader() error {
 	if _, err := l.f.Write(header); err != nil {
 		return fmt.Errorf("wal: writing journal header: %w", err)
@@ -245,15 +241,50 @@ func (l *Log) writeHeader() error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: syncing journal header: %w", err)
 	}
+	l.end = int64(len(header))
 	return nil
+}
+
+// truncateTo cuts the file at off, makes the cut durable and positions the
+// next write there.
+func (l *Log) truncateTo(off int64) error {
+	if err := l.f.Truncate(off); err != nil {
+		return fmt.Errorf("wal: truncating journal: %w", err)
+	}
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("wal: syncing truncation: %w", err)
+	}
+	if _, err := l.f.Seek(off, io.SeekStart); err != nil {
+		return fmt.Errorf("wal: seeking to journal end: %w", err)
+	}
+	l.end = off
+	return nil
+}
+
+// fail stops the log for good and returns the sticky error.
+func (l *Log) fail(cause error) error {
+	l.failed = fmt.Errorf("%w: %w", ErrFailed, cause)
+	return l.failed
+}
+
+// usable gates Append and Reset.
+func (l *Log) usable() error {
+	if l.closed {
+		return ErrClosed
+	}
+	return l.failed
 }
 
 // Append journals one record and makes it durable: the frame is written
 // and fsynced before Append returns, so a returned sequence number IS the
-// acknowledgment — a crash at any later byte offset cannot lose it.
+// acknowledgment — a crash at any later byte offset cannot lose it. A refused
+// record leaves no byte behind: after a failed write the file is cut back to
+// the last acknowledged byte and the log stays usable (the next Append reuses
+// the sequence number); after a failed fsync — the page cache can no longer
+// be trusted — or a failed cut the log is ErrFailed until reopened.
 func (l *Log) Append(typ uint8, payload []byte) (uint64, error) {
-	if l.closed {
-		return 0, ErrClosed
+	if err := l.usable(); err != nil {
+		return 0, err
 	}
 	if len(payload) > MaxPayload {
 		return 0, fmt.Errorf("wal: payload %d exceeds limit %d", len(payload), MaxPayload)
@@ -271,16 +302,23 @@ func (l *Log) Append(typ uint8, payload []byte) (uint64, error) {
 	crc := crc32.Checksum(b[:13+len(payload)], castagnoli)
 	binary.LittleEndian.PutUint32(b[13+len(payload):], crc)
 	if _, err := l.f.Write(b); err != nil {
-		return 0, fmt.Errorf("wal: appending record: %w", err)
+		err = fmt.Errorf("wal: appending record: %w", err)
+		if cutErr := l.truncateTo(l.end); cutErr != nil {
+			return 0, l.fail(errors.Join(err, cutErr))
+		}
+		return 0, err
 	}
 	if err := l.f.Sync(); err != nil {
-		return 0, fmt.Errorf("wal: syncing record: %w", err)
+		// Best effort, the log is failed whatever it returns: a reopen then
+		// finds the acknowledged prefix and not this frame.
+		_ = l.truncateTo(l.end)
+		return 0, l.fail(fmt.Errorf("wal: syncing record: %w", err))
 	}
-	l.seq = seq
+	l.seq, l.end = seq, l.end+int64(need)
 	return seq, nil
 }
 
-// LastSeq returns the sequence number of the last durable record (the
+// LastSeq returns the sequence number of the last acknowledged record (the
 // compaction base when the journal is empty).
 func (l *Log) LastSeq() uint64 { return l.seq }
 
@@ -293,17 +331,11 @@ func (l *Log) Path() string { return l.path }
 // from the current point, so records appended after Reset replay
 // correctly against that snapshot.
 func (l *Log) Reset() error {
-	if l.closed {
-		return ErrClosed
+	if err := l.usable(); err != nil {
+		return err
 	}
-	if err := l.f.Truncate(int64(len(header))); err != nil {
-		return fmt.Errorf("wal: truncating journal: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: syncing truncation: %w", err)
-	}
-	if _, err := l.f.Seek(0, io.SeekEnd); err != nil {
-		return fmt.Errorf("wal: seeking to journal end: %w", err)
+	if err := l.truncateTo(int64(len(header))); err != nil {
+		return l.fail(err)
 	}
 	return nil
 }

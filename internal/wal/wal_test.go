@@ -293,3 +293,190 @@ func FuzzScan(f *testing.F) {
 		}
 	})
 }
+
+// faultyFile is a Log's file with one injected fault: the failWrite-th Write
+// lets `through` bytes reach the file and fails, the failSync-th Sync fails,
+// every Truncate fails when noTruncate is set (counts are 1-based, 0 = never).
+type faultyFile struct {
+	file
+	failWrite, through, failSync int
+	noTruncate                   bool
+	writes, syncs                int
+}
+
+var errInjected = errors.New("injected fault")
+
+func (f *faultyFile) Write(p []byte) (int, error) {
+	if f.writes++; f.writes == f.failWrite {
+		n, _ := f.file.Write(p[:f.through])
+		return n, errInjected
+	}
+	return f.file.Write(p)
+}
+
+func (f *faultyFile) Sync() error {
+	if f.syncs++; f.syncs == f.failSync {
+		return errInjected
+	}
+	return f.file.Sync()
+}
+
+func (f *faultyFile) Truncate(size int64) error {
+	if f.noTruncate {
+		return errInjected
+	}
+	return f.file.Truncate(size)
+}
+
+// TestSingleFaultSweep is "acknowledged" as a property of the log: for every
+// append index k and every single fault at it — the write fails after 0, 1,
+// half or all but one of the frame's bytes, with and without a working
+// rollback; the fsync fails — with appends continuing afterwards, a reopen
+// replays exactly the acknowledged records, and the file ends on the last
+// acknowledged byte. A failed write that rolls back leaves the log usable and
+// reuses the sequence number; a failed fsync or a failed rollback stops it
+// with ErrFailed, the same error for every later Append and Reset.
+func TestSingleFaultSweep(t *testing.T) {
+	const n = 6
+	payload := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 5+i) }
+	type fault struct {
+		name       string
+		through    func(frame int) int // write fault: bytes that reach the file
+		sync       bool
+		noTruncate bool
+	}
+	faults := []fault{
+		{name: "sync", sync: true},
+		{name: "write/0", through: func(int) int { return 0 }},
+		{name: "write/1", through: func(int) int { return 1 }},
+		{name: "write/mid", through: func(f int) int { return f / 2 }},
+		{name: "write/all-but-one", through: func(f int) int { return f - 1 }},
+		{name: "write/mid/no-rollback", through: func(f int) int { return f / 2 }, noTruncate: true},
+		{name: "write/0/no-rollback", through: func(int) int { return 0 }, noTruncate: true},
+	}
+	for _, ft := range faults {
+		for k := 1; k <= n; k++ {
+			path := filepath.Join(t.TempDir(), "j.wal")
+			l, err := Open(path, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ff := &faultyFile{file: l.f, noTruncate: ft.noTruncate}
+			if ft.sync {
+				ff.failSync = k
+			} else {
+				ff.failWrite, ff.through = k, ft.through(recordOverhead+len(payload(k)))
+			}
+			l.f = ff
+
+			var acked [][]byte
+			var sticky error
+			wantEnd := len(header)
+			for i := 1; i <= n; i++ {
+				seq, err := l.Append(uint8(i%3+1), payload(i))
+				switch {
+				case i < k || (i > k && sticky == nil):
+					if err != nil || seq != uint64(len(acked)+1) {
+						t.Fatalf("%s k=%d: append %d: seq %d, err %v", ft.name, k, i, seq, err)
+					}
+					acked = append(acked, payload(i))
+					wantEnd += recordOverhead + len(payload(i))
+				case i == k:
+					if !errors.Is(err, errInjected) {
+						t.Fatalf("%s k=%d: faulted append: %v", ft.name, k, err)
+					}
+					if stops := ft.sync || ft.noTruncate; errors.Is(err, ErrFailed) != stops {
+						t.Fatalf("%s k=%d: faulted append: %v, ErrFailed wanted: %v", ft.name, k, err, stops)
+					} else if stops {
+						sticky = err
+					}
+				default:
+					if err != sticky {
+						t.Fatalf("%s k=%d: append %d after the log failed: %v, want %v", ft.name, k, i, err, sticky)
+					}
+				}
+			}
+			if sticky != nil {
+				if err := l.Reset(); err != sticky {
+					t.Fatalf("%s k=%d: Reset after the log failed: %v", ft.name, k, err)
+				}
+			}
+			if l.LastSeq() != uint64(len(acked)) {
+				t.Fatalf("%s k=%d: LastSeq %d, %d acknowledged", ft.name, k, l.LastSeq(), len(acked))
+			}
+			l.Close()
+			if fi, _ := os.Stat(path); !ft.noTruncate && fi.Size() != int64(wantEnd) {
+				t.Fatalf("%s k=%d: file is %d bytes, last acknowledged byte at %d", ft.name, k, fi.Size(), wantEnd)
+			}
+
+			var replayed [][]byte
+			l, err = Open(path, 0, func(r Record) error {
+				if r.Seq != uint64(len(replayed)+1) {
+					t.Fatalf("%s k=%d: replayed seq %d at position %d", ft.name, k, r.Seq, len(replayed))
+				}
+				replayed = append(replayed, bytes.Clone(r.Payload))
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s k=%d: reopen: %v", ft.name, k, err)
+			}
+			if len(replayed) != len(acked) {
+				t.Fatalf("%s k=%d: replayed %d records, %d acknowledged", ft.name, k, len(replayed), len(acked))
+			}
+			for i := range acked {
+				if !bytes.Equal(replayed[i], acked[i]) {
+					t.Fatalf("%s k=%d: record %d: replayed %x, acknowledged %x", ft.name, k, i+1, replayed[i], acked[i])
+				}
+			}
+			if fi, _ := os.Stat(path); fi.Size() != int64(wantEnd) {
+				t.Fatalf("%s k=%d: reopened file is %d bytes, want %d", ft.name, k, fi.Size(), wantEnd)
+			}
+			if seq, err := l.Append(1, []byte("after")); err != nil || seq != uint64(len(acked)+1) {
+				t.Fatalf("%s k=%d: append after reopen: seq %d, err %v", ft.name, k, seq, err)
+			}
+			l.Close()
+		}
+	}
+}
+
+// TestOutOfSequenceRefusedUntouched: a CRC-valid record out of sequence is not
+// a torn tail — no crash writes one — so Open refuses with ErrBadSequence,
+// replays nothing and leaves the file byte for byte as found: a journal that
+// starts past base+1 (it belongs to a later snapshot; its records may be
+// acknowledged writes) and a gap inside the file.
+func TestOutOfSequenceRefusedUntouched(t *testing.T) {
+	dir := t.TempDir()
+	full := appendN(t, filepath.Join(dir, "full.wal"), 4)
+	recs, _, _ := Scan(full, 0)
+	rec1 := recordOverhead + len(recs[0].Payload)
+	rec2 := recordOverhead + len(recs[1].Payload)
+	for name, image := range map[string][]byte{
+		"starts past base": append(bytes.Clone(full[:len(header)]), full[len(header)+rec1:]...),
+		"gap inside":       append(bytes.Clone(full[:len(header)+rec1]), full[len(header)+rec1+rec2:]...),
+	} {
+		path := filepath.Join(dir, "bad.wal")
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(path, 0, func(Record) error {
+			t.Fatalf("%s: a record was replayed", name)
+			return nil
+		})
+		if !errors.Is(err, ErrBadSequence) {
+			t.Fatalf("%s: Open error %v, want ErrBadSequence", name, err)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, image) {
+			t.Fatalf("%s: Open modified the refused journal (%d → %d bytes)", name, len(image), len(after))
+		}
+	}
+	// Records at or below the base are the legitimate state after a crash
+	// between snapshot write and journal truncation: skipped, not refused.
+	l, err := Open(filepath.Join(dir, "full.wal"), 4, func(Record) error {
+		t.Fatal("a folded record was replayed")
+		return nil
+	})
+	if err != nil || l.LastSeq() != 4 {
+		t.Fatalf("journal wholly folded into its snapshot: %v", err)
+	}
+	l.Close()
+}

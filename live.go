@@ -14,15 +14,15 @@ package ansmet
 // through db.liveFilter, the exact and tiered scans through the database's
 // TombSet), and its edges are excised later by a deferred batched repair.
 //
-// Durability model. When a journal is attached (AttachWAL, or implicitly
-// by LoadFile on a live snapshot), every mutation is framed, written and
-// fsynced to the journal BEFORE it is applied in memory; the fsync is the
-// acknowledgment. Recovery replays the journal's valid record prefix
-// through the same apply functions the live path uses, so a recovered
-// database is state-identical to one that applied the acknowledged ops
-// directly. SaveFile is the compaction point: it snapshots the full
-// mutation state (vectors, graph, tombstones, pending repairs) and then
-// truncates the journal.
+// Durability model. Every write is one mutation value taken through commit:
+// checked, then — when a journal is attached (AttachWAL, or implicitly by
+// LoadFile on a live snapshot) — framed, written and fsynced to the journal,
+// and only then applied in memory; the fsync is the acknowledgment. Recovery
+// decodes each acknowledged record back into its mutation and runs the same
+// check and the same apply, so a recovered database is state-identical to one
+// that applied the acknowledged ops directly. SaveFile to the journal's own
+// snapshot is the compaction point: the full mutation state (vectors, graph,
+// tombstones, pending repairs) is snapshotted, then the journal truncated.
 //
 // Determinism. Recovery must reproduce the live database exactly, so every
 // state transition is a deterministic function of the operation sequence:
@@ -58,17 +58,30 @@ var (
 	ErrDatabaseClosed = errors.New("ansmet: database is closed")
 )
 
-// WAL record types. Payloads are fixed little-endian layouts of the
-// QUANTIZED vector (replay re-applies stored bytes; it never re-quantizes):
+// WAL record types: the kinds of mutation. Payloads are fixed little-endian
+// layouts of the QUANTIZED vector (replay re-applies stored bytes; it never
+// re-quantizes), written and read by mutation.appendPayload / decodeMutation:
 //
 //	recAdd:    id uint32 | dim × float32
-//	recDelete: id uint32
-//	recUpdate: oldID uint32 | newID uint32 | dim × float32
+//	recDelete: old uint32
+//	recUpdate: old uint32 | id uint32 | dim × float32
 const (
 	recAdd uint8 = iota + 1
 	recDelete
 	recUpdate
 )
+
+// kindNames names a mutation kind in errors.
+var kindNames = [...]string{recAdd: "add", recDelete: "delete", recUpdate: "update"}
+
+// mutation is one write: what Add, Delete and Update hand to commit, and what
+// a journal record decodes to.
+type mutation struct {
+	kind uint8     // recAdd, recDelete or recUpdate
+	old  uint32    // the id it tombstones (delete, update)
+	id   uint32    // the id it assigns (add, update): always the next slot
+	vec  []float32 // the quantized vector stored under id
+}
 
 // defaultRepairEvery is the pending-delete batch size that triggers the
 // deferred graph repair when Options.RepairEvery is zero.
@@ -123,16 +136,15 @@ func (db *Database) mutableLocked() error {
 }
 
 // AttachWAL opens (creating if absent) the journal at path and binds it to
-// the database: existing acknowledged records newer than the database's
-// compaction point are replayed into it, a torn tail is truncated away,
-// and every subsequent mutation is journaled and fsynced before it is
+// the database: acknowledged records newer than the database's compaction
+// point are replayed into it, a torn tail is truncated away, a journal that
+// does not continue from that point is refused untouched (wal.ErrBadSequence),
+// and every subsequent write is journaled and fsynced before it is
 // acknowledged. For a database built with New the journal must have been
-// produced by an identical New (same vectors, options and seed) — the
-// usual recovery pairing is LoadFile, which attaches path+".wal"
-// automatically. Attaching the journal that is already attached (the same
-// file, however the path is spelled) is a no-op, so a caller may name
-// LoadFile's default explicitly; a different one is refused. Close releases
-// the journal.
+// produced by an identical New (same vectors, options and seed) — the usual
+// pairing is LoadFile, which attaches path+".wal" itself. Attaching the
+// journal that is already attached (the same file, however the path is
+// spelled) is a no-op; a different one is refused. Close releases the journal.
 func (db *Database) AttachWAL(path string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -188,95 +200,95 @@ func (db *Database) Close() error {
 	return nil
 }
 
-// Add ingests one vector (quantized to the element type), links it into
-// the index, and returns its id. On a journaled database the write is
-// durable before Add returns: a crash at any later byte offset cannot lose
-// it. Safe to call concurrently with searches; concurrent mutations
-// serialize behind the writer lock.
+// commit is what a write is, and the only place one happens: under the writer
+// lock it passes the mutable/closed gate, is assigned the next slot, is checked
+// against the population, is journaled (the fsync is the acknowledgment; a
+// record the journal cannot take refuses the write before anything is
+// applied), is applied and is counted. It returns the id the write assigned.
+func (db *Database) commit(m mutation) (uint32, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := db.mutableLocked(); err != nil {
+		return 0, err
+	}
+	m.id = uint32(db.rows.Len())
+	if err := db.admissible(m); err != nil {
+		return 0, err
+	}
+	if db.journal != nil {
+		db.payload = m.appendPayload(db.payload[:0])
+		if _, err := db.journal.Append(m.kind, db.payload); err != nil {
+			return 0, fmt.Errorf("ansmet: journaling %s: %w", kindNames[m.kind], err)
+		}
+	}
+	if err := db.apply(m); err != nil {
+		return 0, err
+	}
+	return m.id, nil
+}
+
+// admissible checks a mutation against the population, for commit and for
+// replay alike: a delete or update must name an assigned, untombstoned id.
+func (db *Database) admissible(m mutation) error {
+	switch {
+	case m.kind == recAdd:
+		return nil
+	case int(m.old) >= db.rows.Len():
+		return fmt.Errorf("%w (id=%d, len=%d)", ErrUnknownID, m.old, db.rows.Len())
+	case db.tomb.IsDeleted(m.old):
+		return fmt.Errorf("%w (id=%d)", ErrAlreadyDeleted, m.old)
+	}
+	return nil
+}
+
+// apply performs an admissible mutation in memory and counts it; an update
+// adds before it deletes, so there is no moment at which neither version is
+// searchable.
+func (db *Database) apply(m mutation) error {
+	if m.kind != recDelete {
+		if err := db.applyAdd(m.id, m.vec); err != nil {
+			return err
+		}
+	}
+	if m.kind != recAdd {
+		db.applyDelete(m.old)
+	}
+	db.muts.writes[m.kind].Add(1)
+	return nil
+}
+
+// Add ingests one vector (quantized to the element type), links it into the
+// index, and returns its id. On a journaled database the write is acknowledged
+// — fsynced: a crash at any later byte offset cannot lose it — before Add
+// returns, and a write the journal refuses is not applied. Safe to call
+// concurrently with searches; writes serialize behind the writer lock.
 func (db *Database) Add(v []float32) (uint32, error) {
 	qv, err := db.checkVector(v)
 	if err != nil {
 		return 0, err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.mutableLocked(); err != nil {
-		return 0, err
-	}
-	id := uint32(db.rows.Len())
-	if db.journal != nil {
-		if _, err := db.journal.Append(recAdd, encodeAddPayload(id, qv)); err != nil {
-			return 0, fmt.Errorf("ansmet: journaling add: %w", err)
-		}
-	}
-	if err := db.applyAdd(id, qv); err != nil {
-		return 0, err
-	}
-	db.muts.adds.Add(1)
-	return id, nil
+	return db.commit(mutation{kind: recAdd, vec: qv})
 }
 
 // Delete tombstones id: it disappears from all subsequent search results
 // (searches already in flight may still return it — deletion orders
 // against searches that start after Delete returns) and its graph edges
-// are excised by the next deferred repair batch. On a journaled database
-// the delete is durable before Delete returns.
+// are excised by the next deferred repair batch. Acknowledged like Add.
 func (db *Database) Delete(id uint32) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.mutableLocked(); err != nil {
-		return err
-	}
-	if int(id) >= db.rows.Len() {
-		return fmt.Errorf("%w (id=%d, len=%d)", ErrUnknownID, id, db.rows.Len())
-	}
-	if db.tomb.IsDeleted(id) {
-		return fmt.Errorf("%w (id=%d)", ErrAlreadyDeleted, id)
-	}
-	if db.journal != nil {
-		var p [4]byte
-		binary.LittleEndian.PutUint32(p[:], id)
-		if _, err := db.journal.Append(recDelete, p[:]); err != nil {
-			return fmt.Errorf("ansmet: journaling delete: %w", err)
-		}
-	}
-	db.applyDelete(id)
-	db.muts.deletes.Add(1)
-	return nil
+	_, err := db.commit(mutation{kind: recDelete, old: id})
+	return err
 }
 
 // Update replaces the vector stored under id: the new value is ingested
 // under a fresh id (returned) and the old id is tombstoned, as one
-// journaled record — recovery applies both halves or neither. There is no
-// moment at which neither version is searchable.
+// mutation and one journaled record — recovery applies both halves or
+// neither. Acknowledged like Add.
 func (db *Database) Update(id uint32, v []float32) (uint32, error) {
 	qv, err := db.checkVector(v)
 	if err != nil {
 		return 0, err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.mutableLocked(); err != nil {
-		return 0, err
-	}
-	if int(id) >= db.rows.Len() {
-		return 0, fmt.Errorf("%w (id=%d, len=%d)", ErrUnknownID, id, db.rows.Len())
-	}
-	if db.tomb.IsDeleted(id) {
-		return 0, fmt.Errorf("%w (id=%d)", ErrAlreadyDeleted, id)
-	}
-	newID := uint32(db.rows.Len())
-	if db.journal != nil {
-		if _, err := db.journal.Append(recUpdate, encodeUpdatePayload(id, newID, qv)); err != nil {
-			return 0, fmt.Errorf("ansmet: journaling update: %w", err)
-		}
-	}
-	if err := db.applyAdd(newID, qv); err != nil {
-		return 0, err
-	}
-	db.applyDelete(id)
-	db.muts.updates.Add(1)
-	return newID, nil
+	return db.commit(mutation{kind: recUpdate, old: id, vec: qv})
 }
 
 // Deleted reports whether id is tombstoned. Lock-free; always false on an
@@ -304,7 +316,7 @@ func (db *Database) Maintain() {
 	}
 }
 
-// ---- Apply functions (shared by the live path and WAL replay) -----------
+// ---- Apply functions (shared by commit and WAL replay, through apply) -----
 
 // applyAdd performs the in-memory half of an add: the row into the slab, the
 // bit-plane slot if an NDP model is attached (the caller holds db.mu, so that
@@ -354,113 +366,71 @@ func (db *Database) repairLocked() {
 	db.muts.repairs.Add(1)
 }
 
-// applyRecord replays one journal record through the same apply functions
-// the live path uses. Any inconsistency — wrong dimension, an id that does
-// not line up with the replay state — means the journal does not belong to
-// this snapshot and aborts recovery (wal.Open turns the error into a
-// failed open rather than truncating).
+// applyRecord replays one acknowledged record: decoded back into its mutation,
+// then the check and the apply commit ran. Its one test of its own is that the
+// record assigns the next slot; that or any refusal means the journal does not
+// belong to this snapshot and aborts recovery (wal.Open fails rather than
+// truncating).
 func (db *Database) applyRecord(r wal.Record) error {
-	switch r.Type {
-	case recAdd:
-		id, qv, err := decodeAddPayload(r.Payload, db.rows.Dim())
-		if err != nil {
-			return err
-		}
-		if want := uint32(db.rows.Len()); id != want {
-			return fmt.Errorf("add names id %d, replay state expects %d", id, want)
-		}
-		if err := db.applyAdd(id, qv); err != nil {
-			return err
-		}
-		db.muts.adds.Add(1)
-	case recDelete:
-		if len(r.Payload) != 4 {
-			return fmt.Errorf("delete payload is %d bytes, want 4", len(r.Payload))
-		}
-		id := binary.LittleEndian.Uint32(r.Payload)
-		if int(id) >= db.rows.Len() {
-			return fmt.Errorf("delete names id %d beyond replay state (%d vectors)", id, db.rows.Len())
-		}
-		if db.tomb.IsDeleted(id) {
-			return fmt.Errorf("delete names already-deleted id %d", id)
-		}
-		db.applyDelete(id)
-		db.muts.deletes.Add(1)
-	case recUpdate:
-		oldID, newID, qv, err := decodeUpdatePayload(r.Payload, db.rows.Dim())
-		if err != nil {
-			return err
-		}
-		if want := uint32(db.rows.Len()); newID != want {
-			return fmt.Errorf("update names new id %d, replay state expects %d", newID, want)
-		}
-		if int(oldID) >= db.rows.Len() {
-			return fmt.Errorf("update names old id %d beyond replay state", oldID)
-		}
-		if db.tomb.IsDeleted(oldID) {
-			return fmt.Errorf("update names already-deleted id %d", oldID)
-		}
-		if err := db.applyAdd(newID, qv); err != nil {
-			return err
-		}
-		db.applyDelete(oldID)
-		db.muts.updates.Add(1)
-	default:
-		return fmt.Errorf("unknown record type %d", r.Type)
+	m, err := decodeMutation(r.Type, r.Payload, db.rows.Dim())
+	if err != nil {
+		return err
+	}
+	if want := uint32(db.rows.Len()); m.kind != recDelete && m.id != want {
+		return fmt.Errorf("%s assigns id %d, replay state expects %d", kindNames[m.kind], m.id, want)
+	}
+	if err := db.admissible(m); err != nil {
+		return err
+	}
+	if err := db.apply(m); err != nil {
+		return err
 	}
 	db.walReplayed++
 	return nil
 }
 
-// ---- Payload codecs ------------------------------------------------------
+// ---- Payload codec -------------------------------------------------------
 
-func encodeAddPayload(id uint32, qv []float32) []byte {
-	p := make([]byte, 4+4*len(qv))
-	binary.LittleEndian.PutUint32(p, id)
-	for d, x := range qv {
-		binary.LittleEndian.PutUint32(p[4+4*d:], math.Float32bits(x))
+// appendPayload appends m's journal payload (the layouts at recAdd) to p.
+func (m mutation) appendPayload(p []byte) []byte {
+	if m.kind != recAdd {
+		p = binary.LittleEndian.AppendUint32(p, m.old)
+	}
+	if m.kind != recDelete {
+		p = binary.LittleEndian.AppendUint32(p, m.id)
+		p, _ = Float32.AppendRow(p, m.vec) // IEEE bits, little-endian
 	}
 	return p
 }
 
-func decodeAddPayload(p []byte, dim int) (uint32, []float32, error) {
-	if len(p) != 4+4*dim {
-		return 0, nil, fmt.Errorf("add payload is %d bytes, want %d (dim %d)", len(p), 4+4*dim, dim)
+// decodeMutation is appendPayload's inverse on a database of dimension dim.
+// Journal bytes are disk-sourced and must clear checkVector's bar, with its
+// error classes: a vector of another dimension, a non-finite component.
+func decodeMutation(kind uint8, p []byte, dim int) (mutation, error) {
+	m := mutation{kind: kind}
+	if kind < recAdd || kind > recUpdate {
+		return m, fmt.Errorf("unknown record type %d", kind)
 	}
-	id := binary.LittleEndian.Uint32(p)
-	qv, err := decodeVectorPayload(p[4:], dim)
-	return id, qv, err
-}
-
-func encodeUpdatePayload(oldID, newID uint32, qv []float32) []byte {
-	p := make([]byte, 8+4*len(qv))
-	binary.LittleEndian.PutUint32(p, oldID)
-	binary.LittleEndian.PutUint32(p[4:], newID)
-	for d, x := range qv {
-		binary.LittleEndian.PutUint32(p[8+4*d:], math.Float32bits(x))
+	ids := 4
+	if kind == recUpdate {
+		ids = 8
 	}
-	return p
-}
-
-func decodeUpdatePayload(p []byte, dim int) (oldID, newID uint32, qv []float32, err error) {
-	if len(p) != 8+4*dim {
-		return 0, 0, nil, fmt.Errorf("update payload is %d bytes, want %d (dim %d)", len(p), 8+4*dim, dim)
+	switch vecBytes := len(p) - ids; {
+	case vecBytes < 0, kind == recDelete && vecBytes != 0:
+		return m, fmt.Errorf("%s payload is %d bytes, want %d", kindNames[kind], len(p), ids)
+	case kind != recDelete && vecBytes != 4*dim:
+		return m, fmt.Errorf("%w (%s payload carries %d vector bytes, want %d)", ErrDimension, kindNames[kind], vecBytes, 4*dim)
 	}
-	oldID = binary.LittleEndian.Uint32(p)
-	newID = binary.LittleEndian.Uint32(p[4:])
-	qv, err = decodeVectorPayload(p[8:], dim)
-	return oldID, newID, qv, err
-}
-
-// decodeVectorPayload rejects non-finite components: journal bytes are
-// disk-sourced and must clear the same bar live ingestion does.
-func decodeVectorPayload(p []byte, dim int) ([]float32, error) {
-	qv := make([]float32, dim)
-	for d := range qv {
-		qv[d] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*d:]))
+	if kind != recAdd {
+		m.old, p = binary.LittleEndian.Uint32(p), p[4:]
 	}
-	if d := nonFinite(qv); d >= 0 {
-		return nil, fmt.Errorf("vector component %d is %v", d, qv[d])
+	if kind == recDelete {
+		return m, nil
 	}
-	return qv, nil
+	m.id, p = binary.LittleEndian.Uint32(p), p[4:]
+	m.vec = Float32.DecodeRow(p, make([]float32, 0, dim))
+	if d := nonFinite(m.vec); d >= 0 {
+		return m, fmt.Errorf("%w (component %d is %v)", ErrBadVector, d, m.vec[d])
+	}
+	return m, nil
 }

@@ -249,19 +249,21 @@ func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
 }
 
 // SaveFile persists the database to path crash-safely via writeFileAtomic.
-// On a mutable database with an attached journal, SaveFile is the
-// compaction commit point: the writer lock is held across snapshot write
+// When the attached journal is the one LoadFile(path) would open, SaveFile is
+// the compaction commit point: the writer lock is held across snapshot write
 // AND journal truncation, so no acknowledged mutation can land between
 // them, and a crash anywhere in the sequence leaves either the old
 // snapshot plus a journal that replays over it, or the new snapshot plus
 // a journal whose folded records are skipped by their sequence numbers.
+// To any other path SaveFile is a backup: the same consistent snapshot, the
+// journal left alone — it still pairs with the snapshot it was opened against.
 func (db *Database) SaveFile(path string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if err := writeFileAtomic(path, db.saveLocked); err != nil {
 		return err
 	}
-	if db.Mutable() && db.journal != nil && !db.closed {
+	if db.journal != nil && !db.closed && sameFile(WALName(path), db.journal.Path()) {
 		if err := db.journal.Reset(); err != nil {
 			return fmt.Errorf("ansmet: compacting journal: %w", err)
 		}
@@ -278,7 +280,8 @@ func WALName(snapshotPath string) string { return snapshotPath + ".wal" }
 // snapshot is live (Options.Mutable was set), the paired journal at
 // WALName(path) is opened — created empty if absent — its acknowledged
 // records are replayed, any torn tail is truncated, and the journal stays
-// attached for subsequent mutations; call Close to release it.
+// attached for subsequent mutations; call Close to release it. A journal that
+// does not continue this snapshot (wal.ErrBadSequence) is refused, untouched.
 func LoadFile(path string, design *Design) (*Database, error) {
 	f, err := os.Open(path)
 	if err != nil {
