@@ -587,7 +587,7 @@ func (db *Database) Stats() Stats {
 		return s
 	}
 	s.PreprocessSeconds = sys.PreprocessSeconds
-	s.LinesPerVector = sys.Engine.LinesPerVector()
+	s.LinesPerVector = sys.Part.LinesPerVector()
 	if st := sys.Store; st != nil {
 		s.PrefixBits = st.Prefix.PrefixLen
 		s.Outliers = st.NumOutliers()

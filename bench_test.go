@@ -28,6 +28,7 @@ import (
 	"ansmet/internal/hnsw"
 	"ansmet/internal/layout"
 	"ansmet/internal/prefixelim"
+	"ansmet/internal/sim"
 	"ansmet/internal/vecmath"
 )
 
@@ -599,7 +600,7 @@ func BenchmarkTimingReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = core.Replay(sys, run.Traces)
+		_ = sim.Run(sys.SimCfg, run.Traces)
 	}
 	b.ReportMetric(run.Report.QPS(), "simQPS")
 	_ = fmt.Sprint()

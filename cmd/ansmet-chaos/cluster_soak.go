@@ -208,7 +208,8 @@ func runClusterSoak(n int, seed uint64) error {
 	ctx := context.Background()
 
 	// Phase 0: healthy warmup — all shards answering, latency trackers
-	// filling toward the hedge's MinSamples. Responses must be complete.
+	// filling past the hedge's cold-shard floor (16 responses). Responses
+	// must be complete.
 	for i := 0; i < 24; i++ {
 		code, data, hdr, err := post(ctx, i, 10)
 		if err != nil || code != 200 {

@@ -126,6 +126,9 @@ func main() {
 		if err != nil {
 			log.Fatalf("ansmet-serve: %v", err)
 		}
+		if *walPath != "" && !db.Mutable() {
+			log.Fatalf("ansmet-serve: -wal needs a mutable database (-mutable, or a live snapshot)")
+		}
 		if db.Mutable() {
 			// A live snapshot auto-attached <db>.wal in LoadFile: naming that
 			// journal again is a no-op, any other is refused (its records

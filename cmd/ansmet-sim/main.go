@@ -19,6 +19,7 @@ import (
 	"ansmet/internal/hnsw"
 	"ansmet/internal/partition"
 	"ansmet/internal/polling"
+	"ansmet/internal/sim"
 	"ansmet/internal/trace"
 )
 
@@ -99,7 +100,7 @@ func main() {
 	for len(traces) < *stream {
 		traces = append(traces, run.Traces...)
 	}
-	rep := core.Replay(sys, traces)
+	rep := sim.Run(sys.SimCfg, traces)
 
 	gt := ds.GroundTruth(*k)
 	recall := 0.0

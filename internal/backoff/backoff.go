@@ -24,12 +24,10 @@ import (
 // simulator wants on its retry path.
 type Policy struct {
 	// Base is the delay before the first retry; attempt n waits about
-	// Base·Multiplier^n. Zero disables backoff.
+	// Base·2^n (the delay doubles per attempt). Zero disables backoff.
 	Base time.Duration
 	// Max caps the grown delay before jitter is applied (default 30·Base).
 	Max time.Duration
-	// Multiplier is the per-attempt growth factor (default 2).
-	Multiplier float64
 	// Jitter is the proportional jitter width in [0, 1] (default 0.5): the
 	// returned delay is uniform in [d·(1−Jitter), d·(1+Jitter)], clamped to
 	// Max. Negative disables jitter (exactly d); note zero takes the
@@ -41,9 +39,6 @@ type Policy struct {
 func (p Policy) WithDefaults() Policy {
 	if p.Max == 0 {
 		p.Max = 30 * p.Base
-	}
-	if p.Multiplier == 0 {
-		p.Multiplier = 2
 	}
 	if p.Jitter == 0 {
 		p.Jitter = 0.5
@@ -65,7 +60,7 @@ func (p Policy) Delay(attempt int, rng *stats.RNG) time.Duration {
 	}
 	d := float64(p.Base)
 	for i := 0; i < attempt; i++ {
-		d *= p.Multiplier
+		d *= 2
 		if d >= float64(p.Max) {
 			d = float64(p.Max)
 			break

@@ -274,9 +274,6 @@ func (b *Bounder) LB() float64 {
 	return -b.sum
 }
 
-// LinesConsumed reports how many lines have been fed since the last reset.
-func (b *Bounder) LinesConsumed() int { return b.nextLine }
-
 // Done reports whether the whole vector has been consumed.
 func (b *Bounder) Done() bool { return b.nextLine == b.layout.LinesPerVector() }
 
@@ -288,50 +285,27 @@ func (b *Bounder) Layout() *Layout { return b.layout }
 // final bound and the number of lines fetched. This is the reference
 // sequential execution of one comparison task on an NDP unit (§5.2).
 func (b *Bounder) RunET(data []byte, threshold float64) (lb float64, lines int) {
-	lb, lines, _ = b.RunETLocal(data, threshold, threshold)
-	return lb, lines
+	return b.RunTo(data, threshold, b.layout.LinesPerVector())
 }
 
-// RunBound consumes lines until the bound exceeds stopAt, maxLines lines
-// have been consumed, or only one line remains unfetched — it never fully
-// fetches the vector, so the returned value is always a strict lower bound
-// (never the exact distance) and the fetch saving versus a full comparison
-// is guaranteed. This is the stage-1 primitive of the tiered pipeline: the
-// survivor pool is ordered by these bounds and re-ranked exactly in stage 2.
-// maxLines < 0 means no cap beyond the never-fully-fetch rule; maxLines = 0
-// consumes nothing and returns the query-constant initial bound.
-func (b *Bounder) RunBound(data []byte, stopAt float64, maxLines int) (lb float64, lines int) {
-	limit := b.layout.LinesPerVector() - 1
-	if maxLines >= 0 && maxLines < limit {
-		limit = maxLines
+// RunTo consumes lines while fewer than limit (and fewer than the whole
+// vector) have been consumed, returning as soon as the bound exceeds stop;
+// it returns the bound and the number of lines consumed so far. It is
+// resumable: a second call with a larger limit continues where the first
+// stopped, which is how the adaptive mixed-precision compare escalates. At a
+// limit of LinesPerVector() or more the vector may be fully fetched, and the
+// fully-fetched bound is the exact distance, bitwise; a limit of 0 consumes
+// nothing and returns the query-constant initial bound. The tiered
+// pipeline's stage 1 passes at most LinesPerVector()-1, so what it gets back
+// is always a strict lower bound and the fetch saving against a full
+// comparison is guaranteed.
+func (b *Bounder) RunTo(data []byte, stop float64, limit int) (lb float64, lines int) {
+	if total := b.layout.LinesPerVector(); limit > total {
+		limit = total
 	}
 	for b.nextLine < limit {
 		i := b.nextLine
-		lb = b.ConsumeNext(data[i*LineBytes : (i+1)*LineBytes])
-		if lb > stopAt {
-			return lb, b.nextLine
-		}
-	}
-	return b.LB(), b.nextLine
-}
-
-// RunETCapped is RunET with a fetch-depth cap: it consumes lines until the
-// bound exceeds the threshold, maxLines lines have been consumed, or the
-// vector is exhausted. Unlike RunBound it may fully fetch the vector (a
-// maxLines of at least LinesPerVector() makes it exactly RunET, so the
-// fully-fetched bound is the exact distance, bitwise). Like RunBound it is
-// resumable: calling it again with a larger cap continues from where the
-// previous call stopped — the escalation primitive of the adaptive
-// mixed-precision search. maxLines < 0 disables the cap.
-func (b *Bounder) RunETCapped(data []byte, threshold float64, maxLines int) (lb float64, lines int) {
-	limit := b.layout.LinesPerVector()
-	if maxLines >= 0 && maxLines < limit {
-		limit = maxLines
-	}
-	for b.nextLine < limit {
-		i := b.nextLine
-		lb = b.ConsumeNext(data[i*LineBytes : (i+1)*LineBytes])
-		if lb > threshold {
+		if lb = b.ConsumeNext(data[i*LineBytes : (i+1)*LineBytes]); lb > stop {
 			return lb, b.nextLine
 		}
 	}

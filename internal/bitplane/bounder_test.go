@@ -271,7 +271,7 @@ func TestConsumePastEndPanics(t *testing.T) {
 }
 
 // TestRunETCappedEscalationBitwiseExact: the adaptive-precision escalation
-// primitive — resuming RunETCapped with doubling caps until the vector is
+// primitive — resuming RunTo with doubling limits until the vector is
 // exhausted — lands on a bound bitwise identical to a single uncapped run,
 // for every element type. The invariant the mixed-precision search leans
 // on: however a fully-fetched bound was reached, it IS the exact distance.
@@ -295,7 +295,7 @@ func TestRunETCappedEscalationBitwiseExact(t *testing.T) {
 				l.Transform(codesOf(et, v), buf)
 
 				ref.Reset()
-				want, wantLines := ref.RunETCapped(buf, math.Inf(1), -1)
+				want, wantLines := ref.RunTo(buf, math.Inf(1), total)
 				if wantLines != total {
 					t.Fatalf("%v/%v: uncapped run stopped at %d/%d lines", et, m, wantLines, total)
 				}
@@ -304,7 +304,7 @@ func TestRunETCappedEscalationBitwiseExact(t *testing.T) {
 				var lb float64
 				lines, prev := 0, math.Inf(-1)
 				for cap := 1; lines < total; cap *= 2 {
-					lb, lines = esc.RunETCapped(buf, math.Inf(1), cap)
+					lb, lines = esc.RunTo(buf, math.Inf(1), cap)
 					if lb < prev {
 						t.Fatalf("%v/%v: bound decreased %v -> %v across escalation", et, m, prev, lb)
 					}

@@ -106,9 +106,6 @@ func DualSchedule(elem vecmath.ElemType, prefix, nc, tc, nf int) Schedule {
 	return Schedule{Prefix: prefix, Steps: steps}
 }
 
-// NumSteps returns the number of fetch groups.
-func (s Schedule) NumSteps() int { return len(s.Steps) }
-
 // Equal reports whether two schedules are identical.
 func (s Schedule) Equal(o Schedule) bool {
 	if s.Prefix != o.Prefix || len(s.Steps) != len(o.Steps) {

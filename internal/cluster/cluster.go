@@ -108,53 +108,36 @@ type Result struct {
 	Hedged int
 }
 
+// The hedging policy: a shard is hedged once it has been out for
+// hedgeFactor × the hedgeQuantile of its recent latency window, never sooner
+// than hedgeFloor, and a query launches at most maxHedgesPerQuery hedges — a
+// hedge doubles a shard's load, so it is for the one straggler, not for a
+// cluster that is slow everywhere. A shard with fewer than hedgeMinSamples
+// responses is cold and not hedged: its latency estimate is not yet one.
+const (
+	hedgeQuantile     = 0.9
+	hedgeFactor       = 3
+	hedgeFloor        = time.Millisecond
+	maxHedgesPerQuery = 1
+	hedgeMinSamples   = 16
+)
+
+// The shard fan-out gets budgetFraction of the remaining request deadline,
+// the rest being merge/transport slack, and at least minMergeReserve is held
+// back from it.
+const (
+	budgetFraction  = 0.9
+	minMergeReserve = 500 * time.Microsecond
+)
+
 // HedgeConfig tunes hedged requests to slow shards.
 type HedgeConfig struct {
 	// Disabled switches hedging off.
 	Disabled bool
-	// Quantile of the shard's recent latency window that arms the hedge
-	// (default 0.9).
-	Quantile float64
-	// Factor scales the quantile into the hedge threshold (default 3): a
-	// shard is hedged once it has been out for Factor×Q(Quantile).
-	Factor float64
-	// Min is the threshold floor (default 1ms): never hedge faster.
-	Min time.Duration
-	// MinSamples is how many responses a shard must have before its
-	// latency estimate is trusted (default 16); cold shards are not hedged.
-	MinSamples int
-	// MaxPerQuery bounds hedges per query (default 1).
-	MaxPerQuery int
-}
-
-func (c HedgeConfig) withDefaults() HedgeConfig {
-	if c.Quantile <= 0 || c.Quantile >= 1 {
-		c.Quantile = 0.9
-	}
-	if c.Factor <= 0 {
-		c.Factor = 3
-	}
-	if c.Min <= 0 {
-		c.Min = time.Millisecond
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 16
-	}
-	if c.MaxPerQuery <= 0 {
-		c.MaxPerQuery = 1
-	}
-	return c
 }
 
 // Config wires a Coordinator.
 type Config struct {
-	// BudgetFraction is the fraction of the remaining request deadline
-	// given to the shard fan-out, the rest being merge/transport slack
-	// (default 0.9).
-	BudgetFraction float64
-	// MinMergeReserve is the minimum slack held back from the shard budget
-	// (default 500µs).
-	MinMergeReserve time.Duration
 	// ShardTimeout is the absolute per-shard budget applied when the
 	// request context has no deadline; 0 leaves such requests unbounded.
 	ShardTimeout time.Duration
@@ -171,13 +154,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.BudgetFraction <= 0 || c.BudgetFraction > 1 {
-		c.BudgetFraction = 0.9
-	}
-	if c.MinMergeReserve <= 0 {
-		c.MinMergeReserve = 500 * time.Microsecond
-	}
-	c.Hedge = c.Hedge.withDefaults()
 	c.Breaker = c.Breaker.withDefaults()
 	if c.now == nil {
 		c.now = time.Now
@@ -260,7 +236,7 @@ func New(shards []ShardFunc, cfg Config) (*Coordinator, error) {
 	c := &Coordinator{shards: shards, cfg: cfg}
 	for s := range shards {
 		c.breakers = append(c.breakers, newShardBreaker(cfg.Breaker, s, cfg.now))
-		c.lat = append(c.lat, newLatencyTracker(cfg.Hedge.Quantile, cfg.Hedge.MinSamples))
+		c.lat = append(c.lat, newLatencyTracker(hedgeQuantile, hedgeMinSamples))
 		var slot chan struct{}
 		if cfg.MaxInFlightPerShard > 0 {
 			slot = make(chan struct{}, cfg.MaxInFlightPerShard)
@@ -385,9 +361,9 @@ func (c *Coordinator) SearchInto(ctx context.Context, q []float32, k, ef int, ds
 	var cancel context.CancelFunc
 	if dl, ok := ctx.Deadline(); ok {
 		rem := time.Until(dl)
-		budget := time.Duration(float64(rem) * c.cfg.BudgetFraction)
-		if rem-budget < c.cfg.MinMergeReserve {
-			budget = rem - c.cfg.MinMergeReserve
+		budget := time.Duration(float64(rem) * budgetFraction)
+		if rem-budget < minMergeReserve {
+			budget = rem - minMergeReserve
 		}
 		if budget <= 0 {
 			budget = rem / 2
@@ -426,11 +402,7 @@ func (c *Coordinator) SearchInto(ctx context.Context, q []float32, k, ef int, ds
 		st.start[s] = time.Now()
 		if !c.cfg.Hedge.Disabled && !st.probe[s] {
 			if ql, ok := c.lat[s].Quantile(); ok {
-				th := time.Duration(float64(ql) * c.cfg.Hedge.Factor)
-				if th < c.cfg.Hedge.Min {
-					th = c.cfg.Hedge.Min
-				}
-				st.hthresh[s] = th
+				st.hthresh[s] = max(ql*hedgeFactor, hedgeFloor)
 			}
 		}
 		calls++
@@ -446,7 +418,7 @@ func (c *Coordinator) SearchInto(ctx context.Context, q []float32, k, ef int, ds
 	clientGone := false
 	for outstanding > 0 {
 		var timerC <-chan time.Time
-		if hedges < c.cfg.Hedge.MaxPerQuery {
+		if hedges < maxHedgesPerQuery {
 			if at, ok := c.nextHedgeAt(st); ok {
 				d := time.Until(at)
 				if d < 0 {
@@ -473,7 +445,7 @@ func (c *Coordinator) SearchInto(ctx context.Context, q []float32, k, ef int, ds
 		case <-timerC:
 			now := time.Now()
 			for s := range c.shards {
-				if hedges >= c.cfg.Hedge.MaxPerQuery {
+				if hedges >= maxHedgesPerQuery {
 					break
 				}
 				if !hedgeEligible(st, s) || now.Before(st.start[s].Add(st.hthresh[s])) {

@@ -213,14 +213,12 @@ func TestHedgeFiresOnSlowShardAndWins(t *testing.T) {
 		return staticShard(lists[1])(ctx, q, k, ef, dst)
 	}
 	shards := []ShardFunc{staticShard(lists[0]), moody, staticShard(lists[2]), staticShard(lists[3])}
-	c, err := New(shards, Config{
-		Hedge: HedgeConfig{Quantile: 0.5, Factor: 1, Min: 5 * time.Millisecond, MinSamples: 4, MaxPerQuery: 1},
-	})
+	c, err := New(shards, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm the latency tracker with fast responses.
-	for i := 0; i < 8; i++ {
+	for i := 0; i < hedgeMinSamples; i++ {
 		if _, err := c.Search(context.Background(), nil, 5, 32); err != nil {
 			t.Fatalf("warmup %d: %v", i, err)
 		}

@@ -79,8 +79,9 @@ func TestNoAccuracyLoss(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, d, err)
 			}
+			eng := sys.NewWorkerEngine()
 			for qi, q := range ds.Queries {
-				got := ix.Search(q, 10, 50, sys.Engine, nil)
+				got := ix.Search(q, 10, 50, eng, nil)
 				if len(got) != len(want[qi]) {
 					t.Fatalf("%s/%v query %d: %d results, want %d",
 						name, d, qi, len(got), len(want[qi]))

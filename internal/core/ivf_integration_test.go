@@ -33,9 +33,10 @@ func TestIVFNoAccuracyLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng := sys.NewWorkerEngine()
 		for _, q := range ds.Queries {
 			want := vx.Search(q, 10, 10, 6, exact, nil)
-			got := vx.Search(q, 10, 10, 6, sys.Engine, nil)
+			got := vx.Search(q, 10, 10, 6, eng, nil)
 			if len(got) != len(want) {
 				t.Fatalf("%v: %d results, want %d", d, len(got), len(want))
 			}
@@ -71,7 +72,7 @@ func TestRunIVFTiming(t *testing.T) {
 	// IVF hops carry large cluster batches; ensure some ET happened.
 	var tr trace.Query
 	_ = tr
-	full := sys.Engine.LinesPerVector()
+	full := sys.Part.LinesPerVector()
 	et := 0
 	for _, q := range run.Traces {
 		et += q.EarlyTerminated(full)

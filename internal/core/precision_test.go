@@ -50,7 +50,7 @@ func buildPrecisionCase(t *testing.T, tc precisionStoreCase, n int) (*Store, *pr
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, err := precision.Build(ds.Vectors, st.Layout, precision.BuildConfig{Seed: 7})
+	pm, err := precision.Build(ds.Vectors, st.Layout, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

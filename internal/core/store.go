@@ -281,7 +281,7 @@ func (e *ETEngine) compareExact(id uint32, threshold float64) engine.Result {
 	data := e.slot(id)
 	if e.ob != nil && e.soutl[int(id)] {
 		e.ob.Reset()
-		lb, lines := e.ob.RunET(data, threshold)
+		lb, lines := e.ob.RunTo(data, threshold, e.ob.Lines())
 		if lb > threshold {
 			return engine.Result{Dist: lb, Lines: lines, LinesLocal: lines, Outlier: true}
 		}
@@ -323,13 +323,13 @@ func (e *ETEngine) compareAdaptive(id uint32, threshold float64) engine.Result {
 		depth = lim
 	}
 	e.b.Reset()
-	lb, lines := e.b.RunETCapped(data, threshold, depth)
+	lb, lines := e.b.RunTo(data, threshold, depth)
 	for lines < lim && lb <= threshold && lb > threshold-e.precMargin*math.Abs(threshold) {
 		depth *= 2
 		if depth > lim {
 			depth = lim
 		}
-		lb, lines = e.b.RunETCapped(data, threshold, depth)
+		lb, lines = e.b.RunTo(data, threshold, depth)
 	}
 	if lines < lim && lb > threshold {
 		return engine.Result{Dist: lb, Lines: lines, LinesLocal: lines}

@@ -63,12 +63,9 @@ type SystemConfig struct {
 	// build time from cluster radius statistics (System.Precision) and the
 	// query paths escalate fetch depth only where the top-k margin is
 	// tight. 0 (and 1) keep the fixed-depth machinery — results are then
-	// byte-identical to a build without the knob.
+	// byte-identical to a build without the knob. The derivation's k-means
+	// is seeded with Seed.
 	RecallTarget float64
-	// PrecisionOpts tunes the per-partition precision derivation; zero
-	// values take defaults (Seed inherits SystemConfig.Seed). Ignored
-	// unless RecallTarget is in (0, 1).
-	PrecisionOpts precision.BuildConfig
 
 	// Fault, when non-nil, interposes a deterministic fault injector on the
 	// serving path (internal/fault) and implies Resilience.Enabled: NDP
@@ -108,7 +105,11 @@ func DefaultSystemConfig(d Design) SystemConfig {
 }
 
 // System is a fully preprocessed ANSMET instance over one dataset: encoded
-// storage, distance engine, partitioning map and timing configuration.
+// storage, partitioning map and timing configuration. It is a view — a
+// deterministic function of (slab, index, cfg), built once by NewSystem and
+// not changed afterwards (SetTombstones, before it is shared, is the one
+// thing its builder adds). It holds no engine: NewWorkerEngine makes one per
+// searcher, and run is the one loop that drives queries through them.
 type System struct {
 	Cfg    SystemConfig
 	Elem   vecmath.ElemType
@@ -116,7 +117,6 @@ type System struct {
 	Dim    int
 
 	Store    *Store // nil for the Base designs
-	Engine   engine.Engine
 	Index    *hnsw.Index
 	Part     *partition.Map
 	SimCfg   sim.Config
@@ -131,9 +131,9 @@ type System struct {
 	PreprocessSeconds float64
 
 	// Resilient serving path (nil/zero unless configured): the shared fault
-	// injector, per-rank circuit breakers and event counters. Engine (and
-	// every NewWorkerEngine) is then an *engine.Resilient wrapping the NDP
-	// path with a CPU exact fallback.
+	// injector, per-rank circuit breakers and event counters. Every
+	// NewWorkerEngine is then an *engine.Resilient wrapping the NDP path
+	// with a CPU exact fallback.
 	Injector *fault.Injector
 	Breakers *engine.BreakerSet
 	Faults   *engine.Counters
@@ -146,10 +146,10 @@ type System struct {
 	tomb *TombSet
 	live func(uint32) bool
 
-	// mu serializes runs on this System: the shared Engine keeps per-query
-	// scratch and is not safe for concurrent use, and the parallel
-	// experiment pipeline may dispatch several cells against one cached
-	// System at once.
+	// mu serializes runs on this System: the parallel experiment pipeline
+	// may dispatch several cells against one cached System at once, and with
+	// a fault schedule the shared injector's sequence — so every run's
+	// result — is a function of the order runs take it in.
 	mu sync.Mutex
 }
 
@@ -174,12 +174,11 @@ func NewSystem(rs *rows.Slab, metric vecmath.Metric, index *hnsw.Index, cfg Syst
 	}
 	start := time.Now()
 
-	// Offline sampling pass (dual-granularity / prefix designs).
+	// Offline sampling pass (dual-granularity / prefix designs). A Base
+	// design stores plain rows and takes no schedule.
 	var sched bitplane.Schedule
 	var prefix prefixelim.Config
 	switch cfg.Design {
-	case CPUBase, NDPBase:
-		sched = bitplane.PlainSchedule(elem) // engine is exact; schedule only sizes lines
 	case NDPDimET:
 		sched = bitplane.PlainSchedule(elem)
 	case NDPBitET:
@@ -202,45 +201,28 @@ func NewSystem(rs *rows.Slab, metric vecmath.Metric, index *hnsw.Index, cfg Syst
 		}
 	}
 
-	// Engine + storage.
+	// Storage. A Base design fetches the plain row, whose line count is the
+	// backup footprint.
 	backupLines := (s.Dim*elem.Bytes() + 63) / 64
-	var lines int
-	var groupLines []int
+	lines, groupLines := backupLines, []int{backupLines}
 	if cfg.Design.UsesET() {
 		store, err := BuildStore(rs, sched, prefix)
 		if err != nil {
 			return nil, err
 		}
 		s.Store = store
-		s.Engine = store.NewETEngine(metric)
 		lines = store.SlotLines()
 		groupLines = store.Layout.GroupLineCounts()
-	} else {
-		s.Engine = engine.NewExactOver(rs, metric)
-		lines = s.Engine.LinesPerVector()
-		groupLines = []int{lines}
 	}
 
 	// Per-partition static precision (adaptive mixed-precision search).
 	if s.Store != nil && cfg.RecallTarget > 0 && cfg.RecallTarget < 1 {
-		pcfg := cfg.PrecisionOpts
-		if pcfg.Seed == 0 {
-			pcfg.Seed = cfg.Seed
-		}
 		all := s.decodeRows(rs.Len(), func(i int) uint32 { return uint32(i) })
-		pm, err := precision.Build(all, s.Store.Layout, pcfg)
+		pm, err := precision.Build(all, s.Store.Layout, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
 		s.Precision = pm
-		if ee, ok := s.Engine.(*ETEngine); ok {
-			// The beam path honors the static schedule immediately: depth
-			// bias 0 and the target-derived escalation margin are the
-			// pre-calibration state a fresh tuner would report, so serial
-			// and parallel runs (worker engines get the same wiring in
-			// NewWorkerEngine) stay byte-identical.
-			ee.SetPrecision(pm, 0, precision.MarginForTarget(cfg.RecallTarget))
-		}
 	}
 
 	// Partitioning.
@@ -266,19 +248,13 @@ func NewSystem(rs *rows.Slab, metric vecmath.Metric, index *hnsw.Index, cfg Syst
 		}
 	}
 	s.Part = part
-	if ee, ok := s.Engine.(*ETEngine); ok {
-		// Local per-rank early termination tests against a threshold scaled
-		// for the rank's 1/segments share of the dimensions (§5.3).
-		ee.SetLocalSegments(part.NumSegments())
-	}
 
-	// Fault-tolerant serving path: interpose the injector (if any) and wrap
-	// the engine with retries, per-rank circuit breakers and CPU fallback.
+	// Fault-tolerant serving path: the state every engine's resilient
+	// wrapper shares (NewWorkerEngine).
 	if cfg.Fault != nil || cfg.Resilience.Enabled {
 		s.Injector = fault.NewInjector(cfg.Fault)
 		s.Breakers = engine.NewBreakerSet(cfg.Mem.Ranks(), cfg.Resilience)
 		s.Faults = &engine.Counters{}
-		s.Engine = s.wrapResilient(s.Engine)
 	}
 
 	// Polling estimator: measured line distribution when available, a
@@ -335,156 +311,29 @@ func (s *System) decodeRows(n int, id func(i int) uint32) [][]float32 {
 	return out
 }
 
-// SetTombstones hands the system the deletion bitmap of the live-mutable
-// database it is a view of (nil on an immutable one): the shared engine and
-// every worker engine consult it on the scan paths, the Run* loops filter
-// the beam's results through it. Call it before the system is shared.
-func (s *System) SetTombstones(t *TombSet) {
-	s.tomb, s.live = t, t.Filter()
-	if ee, ok := s.Engine.(*ETEngine); ok {
-		ee.SetTombstones(t)
-	}
-}
+// SetTombstones records the deletion bitmap of the live-mutable database the
+// system is a view of (nil on an immutable one): every engine NewWorkerEngine
+// makes afterwards consults it on the scan paths, and run filters the beam's
+// results through it. Call it before the system is shared.
+func (s *System) SetTombstones(t *TombSet) { s.tomb, s.live = t, t.Filter() }
 
-// resilienceBaseline snapshots the shared counters before a run, so the
-// attached report shows per-run deltas rather than lifetime totals.
-func (s *System) resilienceBaseline() (engine.CounterSnapshot, uint64) {
-	if s.Faults == nil {
-		return engine.CounterSnapshot{}, 0
-	}
-	return s.Faults.Snapshot(), s.Injector.TotalInjections()
-}
-
-// attachResilience fills the report's resilience section from the counter
-// deltas since the baseline (no-op when resilience is disabled).
-func (s *System) attachResilience(r *sim.Report, base engine.CounterSnapshot, baseInj uint64) {
-	if s.Faults == nil || r == nil {
-		return
-	}
-	d := s.Faults.Snapshot().Sub(base)
-	r.Resilience = &sim.ResilienceStats{
-		Attempts:        d.Attempts,
-		Retries:         d.Retries,
-		Failures:        d.Failures,
-		Fallbacks:       d.Fallbacks,
-		BreakerTrips:    d.BreakerTrips,
-		Probes:          d.Probes,
-		Reenables:       d.Reenables,
-		PanicRecoveries: d.Panics,
-		FaultInjections: s.Injector.TotalInjections() - baseInj,
-		DegradedRanks:   s.Breakers.DegradedRanks(),
-	}
-}
-
-// RunResult bundles the functional and timing outcomes of a query batch.
-type RunResult struct {
-	Results [][]hnsw.Neighbor
-	Traces  []*trace.Query
-	Report  *sim.Report
-}
-
-// RunHNSW executes the queries functionally on the HNSW index (recording
-// traces) and replays them on the timing model.
-func (s *System) RunHNSW(queries [][]float32, k, ef int) *RunResult {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	base, baseInj := s.resilienceBaseline()
-	out := &RunResult{}
-	for _, q := range queries {
-		rec := &trace.Query{}
-		res := s.Index.SearchFilteredInto(q, k, ef, s.Cfg.BeamBatch, s.live, s.Engine, rec, nil)
-		out.Results = append(out.Results, res)
-		out.Traces = append(out.Traces, rec)
-	}
-	out.Report = sim.Run(s.SimCfg, out.Traces)
-	s.attachResilience(out.Report, base, baseInj)
-	return out
-}
-
-// RunHNSWParallel is RunHNSW with the functional searches fanned out over a
-// bounded worker pool, each worker owning a private engine (NewWorkerEngine).
-// Results and traces keep query order and the single timing replay runs over
-// the ordered traces, so the RunResult is bit-identical to RunHNSW's: engines
-// are deterministic and carry only per-query scratch, making each query's
-// trace independent of which worker serves it. workers <= 0 defaults to
-// GOMAXPROCS. With fault injection enabled the injection sequence depends on
-// the global comparison order, so the run falls back to the serial path to
-// stay deterministic.
-func (s *System) RunHNSWParallel(queries [][]float32, k, ef, workers int) *RunResult {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers <= 1 || s.Faults != nil {
-		return s.RunHNSW(queries, k, ef)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := &RunResult{
-		Results: make([][]hnsw.Neighbor, len(queries)),
-		Traces:  make([]*trace.Query, len(queries)),
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eng := s.NewWorkerEngine()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				rec := &trace.Query{}
-				out.Results[i] = s.Index.SearchFilteredInto(queries[i], k, ef, s.Cfg.BeamBatch, s.live, eng, rec, nil)
-				out.Traces[i] = rec
-			}
-		}()
-	}
-	wg.Wait()
-	out.Report = sim.Run(s.SimCfg, out.Traces)
-	return out
-}
-
-// RunIVF executes the queries against an IVF index built over the same
-// vectors, using this system's engine and timing model.
-func (s *System) RunIVF(ix *ivf.Index, queries [][]float32, k, ef, nprobe int) *RunResult {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	base, baseInj := s.resilienceBaseline()
-	out := &RunResult{}
-	for _, q := range queries {
-		rec := &trace.Query{}
-		res := ix.SearchFiltered(q, k, ef, nprobe, s.live, s.Engine, rec)
-		out.Results = append(out.Results, res)
-		out.Traces = append(out.Traces, rec)
-	}
-	out.Report = sim.Run(s.SimCfg, out.Traces)
-	s.attachResilience(out.Report, base, baseInj)
-	return out
-}
-
-// wrapResilient interposes the fault injector on base and wraps it in the
-// resilient engine (shared breakers/counters, private scratch state). The
-// CPU exact fallback guarantees correct distances for comparisons the
-// primary cannot serve.
-func (s *System) wrapResilient(base engine.Engine) engine.Engine {
-	primary := fault.WrapEngine(base, s.Injector, s.Part.ServingRanks)
-	fb := engine.NewExactOver(s.rows, s.Metric)
-	return engine.NewResilient(primary, fb, s.Part.ServingRanks,
-		s.Breakers, s.Faults, s.Cfg.Resilience)
-}
-
-// NewWorkerEngine creates an independent distance engine over this
-// system's storage — engines are not safe for concurrent use, so parallel
-// searchers need one each. Worker engines share the system's breakers,
-// counters and fault injector when resilience is enabled.
+// NewWorkerEngine is the one place an engine over this system is made and
+// configured — engines are not safe for concurrent use, so every searcher
+// (each of run's workers, each scratch of the serving database) needs one of
+// its own. An ET design gets the store's engine with local per-rank early
+// termination tested against a threshold scaled for the rank's 1/segments
+// share of the dimensions (§5.3), the tombstone set, and — under a recall
+// target — the adaptive beam mode in its pre-calibration state (depth bias 0
+// and the target-derived escalation margin, what a fresh tuner would report);
+// a Base design gets the exact engine over the rows. With resilience
+// configured either is wrapped with the fault injector, retries, the
+// system's shared breakers and counters, and a CPU exact fallback that
+// guarantees correct distances for comparisons the primary cannot serve.
 func (s *System) NewWorkerEngine() engine.Engine {
-	var base engine.Engine
-	if s.Store != nil {
+	var eng engine.Engine
+	if s.Store == nil {
+		eng = engine.NewExactOver(s.rows, s.Metric)
+	} else {
 		e := s.Store.NewETEngine(s.Metric)
 		e.SetLocalSegments(s.Part.NumSegments())
 		if s.Precision != nil && s.Faults == nil {
@@ -495,20 +344,113 @@ func (s *System) NewWorkerEngine() engine.Engine {
 			e.SetPrecision(s.Precision, 0, precision.MarginForTarget(s.Cfg.RecallTarget))
 		}
 		e.SetTombstones(s.tomb)
-		base = e
-	} else {
-		base = engine.NewExactOver(s.rows, s.Metric)
+		eng = e
 	}
 	if s.Faults != nil {
-		return s.wrapResilient(base)
+		primary := fault.WrapEngine(eng, s.Injector, s.Part.ServingRanks)
+		fallback := engine.NewExactOver(s.rows, s.Metric)
+		eng = engine.NewResilient(primary, fallback, s.Part.ServingRanks,
+			s.Breakers, s.Faults, s.Cfg.Resilience)
 	}
-	return base
+	return eng
 }
 
-// Replay re-runs the timing phase over previously recorded traces, e.g. to
-// time a different stream length or after tweaking SimCfg.
-func Replay(s *System, traces []*trace.Query) *sim.Report {
-	return sim.Run(s.SimCfg, traces)
+// RunResult bundles the functional and timing outcomes of a query batch.
+type RunResult struct {
+	Results [][]hnsw.Neighbor
+	Traces  []*trace.Query
+	Report  *sim.Report
+}
+
+// run is the one query loop: n queries searched functionally by up to
+// workers goroutines, each on an engine of its own from NewWorkerEngine,
+// every query recording its trace; then one timing replay over the traces in
+// query order, and the resilience counters' delta over the run attached to
+// the report. Engines are deterministic and carry only per-query scratch, so
+// a query's trace does not depend on which worker served it and the result
+// is bit-identical at any worker count — except under a fault schedule,
+// where the injection sequence depends on the global comparison order and
+// the run takes one worker to stay a function of its inputs.
+func (s *System) run(n, workers int, search func(eng engine.Engine, i int, rec *trace.Query) []hnsw.Neighbor) *RunResult {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if s.Faults != nil {
+		workers = 1
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var base engine.CounterSnapshot
+	var baseInj uint64
+	if s.Faults != nil {
+		base, baseInj = s.Faults.Snapshot(), s.Injector.TotalInjections()
+	}
+	out := &RunResult{
+		Results: make([][]hnsw.Neighbor, n),
+		Traces:  make([]*trace.Query, n),
+	}
+	var next atomic.Int64
+	work := func() {
+		eng := s.NewWorkerEngine()
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			rec := &trace.Query{}
+			out.Results[i] = search(eng, i, rec)
+			out.Traces[i] = rec
+		}
+	}
+	if workers = min(workers, n); workers <= 1 {
+		work() // on the caller's goroutine, where its recover can see a panic
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	out.Report = sim.Run(s.SimCfg, out.Traces)
+	if s.Faults != nil {
+		d := s.Faults.Snapshot().Sub(base)
+		out.Report.Resilience = &sim.ResilienceStats{
+			Attempts:        d.Attempts,
+			Retries:         d.Retries,
+			Failures:        d.Failures,
+			Fallbacks:       d.Fallbacks,
+			BreakerTrips:    d.BreakerTrips,
+			Probes:          d.Probes,
+			Reenables:       d.Reenables,
+			PanicRecoveries: d.Panics,
+			FaultInjections: s.Injector.TotalInjections() - baseInj,
+			DegradedRanks:   s.Breakers.DegradedRanks(),
+		}
+	}
+	return out
+}
+
+// RunHNSW executes the queries functionally on the HNSW index (recording
+// traces) and replays them on the timing model.
+func (s *System) RunHNSW(queries [][]float32, k, ef int) *RunResult {
+	return s.RunHNSWParallel(queries, k, ef, 1)
+}
+
+// RunHNSWParallel is RunHNSW with the functional searches fanned out over a
+// bounded worker pool (workers <= 0 defaults to GOMAXPROCS); the RunResult
+// is bit-identical to RunHNSW's (see run).
+func (s *System) RunHNSWParallel(queries [][]float32, k, ef, workers int) *RunResult {
+	return s.run(len(queries), workers, func(eng engine.Engine, i int, rec *trace.Query) []hnsw.Neighbor {
+		return s.Index.SearchFilteredInto(queries[i], k, ef, s.Cfg.BeamBatch, s.live, eng, rec, nil)
+	})
+}
+
+// RunIVF executes the queries against an IVF index built over the same
+// vectors, using this system's engine and timing model.
+func (s *System) RunIVF(ix *ivf.Index, queries [][]float32, k, ef, nprobe int) *RunResult {
+	return s.run(len(queries), 1, func(eng engine.Engine, i int, rec *trace.Query) []hnsw.Neighbor {
+		return ix.SearchFiltered(queries[i], k, ef, nprobe, s.live, eng, rec)
+	})
 }
 
 // IDs extracts the result id lists (for recall computation).

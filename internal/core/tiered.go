@@ -11,10 +11,10 @@ import (
 // (FusionANNS-style, ROADMAP item 3). A query runs in two stages over the
 // early-termination store:
 //
-//   - Stage 1 scans every id with the bound-only primitives
-//     (bitplane.Bounder.RunBound / prefixelim.OutlierBounder.RunBound),
-//     never fetching a vector fully and never touching an outlier's
-//     full-precision backup. Per-vector refinement stops early once the
+//   - Stage 1 scans every id with its bounder's RunTo (bitplane.Bounder or
+//     prefixelim.OutlierBounder, seen as one lineStepper), never fetching a
+//     bit-plane vector fully and never touching an outlier's full-precision
+//     backup. Per-vector refinement stops early once the
 //     bound exceeds the running k-th smallest bound seen so far — a looser
 //     stop than ExactKNN's exact-k-th threshold, so stage 1 is strictly
 //     cheaper per vector. An early stop only coarsens that id's bound; no
@@ -77,6 +77,14 @@ type TieredStats struct {
 	Escalated   int  // stage-1 candidates escalated past their static depth
 	AtRisk      int  // returned results inside the adaptive cut's risk window
 	Cancelled   bool // stopped at a cooperative-cancellation checkpoint
+}
+
+// lineStepper is what stage 1 needs of a bounder, bit-plane or outlier: start
+// a vector, then consume its lines until the bound passes stop or limit lines
+// are in (resumable).
+type lineStepper interface {
+	Reset()
+	RunTo(data []byte, stop float64, limit int) (lb float64, lines int)
 }
 
 // rerankStop is the adaptive stage-2 cut: re-ranking stops once the next
@@ -159,43 +167,37 @@ func (e *ETEngine) TieredKNNPool(done <-chan struct{}, q []float32, k int, opt T
 		if bh.Len() >= k {
 			stopAt = bh.Top().Dist
 		}
-		var lb float64
-		var lines int
+		// Three things depend on the id's encoding: the bounder that steps
+		// its lines; the most of them stage 1 may fetch — all but the last
+		// of a bit-plane vector (the last would turn the bound into the
+		// distance, which is stage 2's to fetch), all of an outlier's, whose
+		// lossy encoding never yields more than a bound; and the line
+		// geometry the precision map's depth is read on.
+		step, ceil := lineStepper(e.b), limit
+		outlier := e.ob != nil && e.soutl[int(id)]
+		if outlier {
+			step, ceil = e.ob, e.ob.Lines()
+		}
+		depth := maxLines
+		if pm != nil {
+			d := pm.Lines(id)
+			if outlier {
+				d = pm.ScaledLines(id, e.ob.Lines())
+			}
+			if d += opt.DepthBias; d < depth {
+				depth = d
+			}
+			if depth < 1 {
+				depth = 1
+			}
+		}
 		data := e.slot(id)
-		if e.ob != nil && e.soutl[int(id)] {
-			depth := maxLines
-			if pm != nil {
-				if d := pm.ScaledLines(id, e.ob.Lines()) + opt.DepthBias; d < depth {
-					depth = d
-				}
-				if depth < 1 {
-					depth = 1
-				}
-			}
-			e.ob.Reset()
-			lb, lines = e.ob.RunBound(data, stopAt, depth)
-			if pm != nil && depth < maxLines && lines >= depth &&
-				lb <= stopAt && lb > stopAt-opt.EscalateMargin*math.Abs(stopAt) {
-				lb, lines = e.ob.RunBound(data, stopAt, maxLines)
-				st.Escalated++
-			}
-		} else {
-			depth := maxLines
-			if pm != nil {
-				if d := pm.Lines(id) + opt.DepthBias; d < depth {
-					depth = d
-				}
-				if depth < 1 {
-					depth = 1
-				}
-			}
-			e.b.Reset()
-			lb, lines = e.b.RunBound(data, stopAt, depth)
-			if pm != nil && depth < maxLines && lines >= depth &&
-				lb <= stopAt && lb > stopAt-opt.EscalateMargin*math.Abs(stopAt) {
-				lb, lines = e.b.RunBound(data, stopAt, maxLines)
-				st.Escalated++
-			}
+		step.Reset()
+		lb, lines := step.RunTo(data, stopAt, min(depth, ceil))
+		if pm != nil && depth < maxLines && lines >= depth &&
+			lb <= stopAt && lb > stopAt-opt.EscalateMargin*math.Abs(stopAt) {
+			lb, lines = step.RunTo(data, stopAt, maxLines)
+			st.Escalated++
 		}
 		st.BoundLines += lines
 		ent := hnsw.Neighbor{ID: id, Dist: lb}

@@ -220,12 +220,3 @@ func ZipfQueryStream(rng *stats.RNG, alpha float64, nQueries, n int) []int {
 	}
 	return out
 }
-
-// Codes encodes all database vectors into order-preserving element codes.
-func (ds *Dataset) Codes() [][]uint32 {
-	out := make([][]uint32, len(ds.Vectors))
-	for i, v := range ds.Vectors {
-		out[i] = ds.Profile.Elem.EncodeVector(v, nil)
-	}
-	return out
-}

@@ -214,9 +214,8 @@ func TestZipfQueryStream(t *testing.T) {
 func TestCodes(t *testing.T) {
 	p := ProfileByName("SIFT")
 	ds := Generate(p, 20, 0, 19)
-	codes := ds.Codes()
-	for i, cs := range codes {
-		for d, c := range cs {
+	for i, v := range ds.Vectors {
+		for d, c := range p.Elem.EncodeVector(v, nil) {
 			if got := float32(p.Elem.Decode(c)); got != ds.Vectors[i][d] {
 				t.Fatalf("code round trip failed at %d/%d", i, d)
 			}

@@ -282,15 +282,3 @@ func (m *Memory) Stats() Stats {
 	s.RankBusyNs = append([]float64(nil), m.stats.RankBusyNs...)
 	return s
 }
-
-// PeakHostBandwidth returns the aggregate channel bandwidth in bytes/ns.
-func (c Config) PeakHostBandwidth() float64 {
-	return float64(c.Channels) * 64 / c.Timing.TBL
-}
-
-// PeakNDPBandwidth returns the aggregate rank-internal bandwidth in
-// bytes/ns — Ranks/Channels times the host bandwidth (the paper's "8×
-// theoretical available bandwidth").
-func (c Config) PeakNDPBandwidth() float64 {
-	return float64(c.Ranks()) * 64 / c.Timing.TBL
-}

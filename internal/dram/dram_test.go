@@ -15,16 +15,6 @@ func TestTopology(t *testing.T) {
 	}
 }
 
-func TestBandwidthRatio(t *testing.T) {
-	// The paper's headline: rank-level NDP has 8x the theoretical host
-	// bandwidth (32 ranks vs 4 channels).
-	c := DefaultConfig()
-	ratio := c.PeakNDPBandwidth() / c.PeakHostBandwidth()
-	if math.Abs(ratio-8) > 1e-9 {
-		t.Errorf("NDP/host bandwidth ratio = %v, want 8", ratio)
-	}
-}
-
 func TestChannelOf(t *testing.T) {
 	m := New(DefaultConfig())
 	if m.ChannelOf(0) != 0 || m.ChannelOf(7) != 0 || m.ChannelOf(8) != 1 || m.ChannelOf(31) != 3 {

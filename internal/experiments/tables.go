@@ -117,14 +117,18 @@ func (r *Runner) Table5() *Table {
 		backup, total := backupLineShare(run.Traces)
 		c.backupShare = backup / total
 
-		// Accuracy-lossy variant: drop the backup re-check. The system is
-		// private to this cell, so toggling its engine races nothing.
-		if ee, ok := sys.Engine.(*core.ETEngine); ok {
+		// Accuracy-lossy variant: drop the backup re-check, on an engine of
+		// this cell's own. Only its recall is wanted, so the queries are
+		// searched without a trace and nothing is replayed.
+		if ee, ok := sys.NewWorkerEngine().(*core.ETEngine); ok {
 			ee.SetNoBackup(true)
-			lossy := sys.RunHNSW(w.ds.Queries, 10, r.Scale.EfSearch)
+			lossy := &core.RunResult{}
+			for _, q := range w.ds.Queries {
+				lossy.Results = append(lossy.Results, sys.Index.SearchFilteredInto(
+					q, 10, r.Scale.EfSearch, sys.Cfg.BeamBatch, nil, ee, nil, nil))
+			}
 			c.lossyRecall = recallOf(w, lossy)
 			c.hasLossy = true
-			ee.SetNoBackup(false)
 		}
 		res[i-1] = c
 	})

@@ -10,10 +10,13 @@ type visitedSet struct {
 	cur uint32
 }
 
-// reset prepares the set for a new query over n ids.
+// reset prepares the set for a new query over n ids. It grows to the next
+// multiple of chunkNodes, the step the adjacency and the row slab grow by:
+// on a live index n rises by one per insert, and growing to exactly n would
+// reallocate and zero all n words on every one of them.
 func (v *visitedSet) reset(n int) {
 	if len(v.gen) < n {
-		v.gen = make([]uint32, n)
+		v.gen = make([]uint32, (n+chunkMask)&^chunkMask)
 		v.cur = 0
 	}
 	v.cur++

@@ -74,45 +74,9 @@ func Build(vectors [][]float32, metric vecmath.Metric, cfg Config) (*Index, erro
 // NumClusters returns the inverted-list count.
 func (ix *Index) NumClusters() int { return len(ix.lists) }
 
-// ListSizes returns the size of every inverted list (for imbalance stats).
-func (ix *Index) ListSizes() []int {
-	out := make([]int, len(ix.lists))
-	for i, l := range ix.lists {
-		out[i] = len(l)
-	}
-	return out
-}
-
 // Centroids exposes the cluster centroids (read-only) — the hot vectors the
 // paper replicates for IVF (§5.3).
 func (ix *Index) Centroids() [][]float32 { return ix.centroids }
-
-// Add appends a new vector to the inverted list of its nearest centroid
-// (by L2, the clustering geometry) and returns its id — the live-ingest
-// path of a mutable database. Centroids are not moved; the list simply
-// grows, so clustering quality degrades gracefully until a periodic
-// re-clustering (a documented remainder) rebalances. Writer-side only:
-// Add is not safe concurrently with Search on the same Index — the
-// concurrent-serving index of a live Database is the HNSW graph, and its
-// IVF view is refreshed at mutation quiescence.
-func (ix *Index) Add(vec []float32) uint32 {
-	id := uint32(len(ix.vectors))
-	ix.vectors = append(ix.vectors, vec)
-	best, bd := 0, math.Inf(1)
-	for c, ctr := range ix.centroids {
-		if d := vecmath.L2.Distance(vec, ctr); d < bd {
-			best, bd = c, d
-		}
-	}
-	ix.lists[best] = append(ix.lists[best], id)
-	return id
-}
-
-// Size returns the number of indexed vectors.
-func (ix *Index) Size() int { return len(ix.vectors) }
-
-// List exposes the member ids of cluster c (read-only).
-func (ix *Index) List(c int) []uint32 { return ix.lists[c] }
 
 // Search scans the nprobe closest clusters for the k nearest neighbors
 // with beam width ef, recording per-cluster comparison batches into rec.

@@ -1,7 +1,6 @@
 package ivf
 
 import (
-	"math"
 	"testing"
 
 	"ansmet/internal/dataset"
@@ -35,7 +34,7 @@ func TestClusterPartition(t *testing.T) {
 	seen := make(map[uint32]bool)
 	total := 0
 	for c := 0; c < ix.NumClusters(); c++ {
-		for _, id := range ix.List(c) {
+		for _, id := range ix.lists[c] {
 			if seen[id] {
 				t.Fatalf("vector %d in multiple lists", id)
 			}
@@ -67,7 +66,7 @@ func TestKMeansReducesSpread(t *testing.T) {
 	own, other := 0.0, 0.0
 	count := 0
 	for c := 0; c < ix.NumClusters(); c++ {
-		for _, id := range ix.List(c) {
+		for _, id := range ix.lists[c] {
 			own += vecmath.L2.Distance(ds.Vectors[id], ix.Centroids()[c])
 			o := (c + 1) % ix.NumClusters()
 			other += vecmath.L2.Distance(ds.Vectors[id], ix.Centroids()[o])
@@ -152,46 +151,6 @@ func TestSearchClampsNprobe(t *testing.T) {
 	res = ix.Search(ds.Queries[0], 5, 5, 0, eng, nil)
 	if len(res) == 0 {
 		t.Error("nprobe=0 should clamp to 1 and return results")
-	}
-}
-
-func TestAddRoutesToNearestList(t *testing.T) {
-	ds, ix := buildIVF(t, "SIFT", 600, 20)
-	before := ix.Size()
-	fresh := ds.Queries[:5] // held-out vectors from the same distribution
-	for i, v := range fresh {
-		id := ix.Add(v)
-		if int(id) != before+i {
-			t.Fatalf("Add returned id %d, want %d (dense assignment)", id, before+i)
-		}
-		// The id landed in exactly the list of its nearest centroid.
-		best, bd := 0, math.Inf(1)
-		for c, ctr := range ix.centroids {
-			if d := vecmath.L2.Distance(v, ctr); d < bd {
-				best, bd = c, d
-			}
-		}
-		found := false
-		for _, m := range ix.List(best) {
-			if m == id {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("id %d missing from nearest list %d", id, best)
-		}
-	}
-	if ix.Size() != before+len(fresh) {
-		t.Fatalf("Size = %d, want %d", ix.Size(), before+len(fresh))
-	}
-	// Appended vectors are immediately searchable: a self-query over an
-	// engine covering the grown population returns the new id first.
-	eng := engine.NewExact(ix.vectors, ds.Profile.Metric, ds.Profile.Elem)
-	for i, v := range fresh {
-		res := ix.Search(v, 1, 1, ix.NumClusters(), eng, nil)
-		if len(res) != 1 || res[0].ID != uint32(before+i) {
-			t.Fatalf("self-query of appended vector %d: %v", i, res)
-		}
 	}
 }
 

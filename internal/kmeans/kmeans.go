@@ -193,8 +193,3 @@ func (a *ETAssigner) Assign(v []float32) (best int, dist float64, lines int) {
 	}
 	return best, dist, lines
 }
-
-// FullScanLines returns the line cost of assigning without ET.
-func (a *ETAssigner) FullScanLines() int {
-	return len(a.centroids) * a.layoutL.LinesPerVector()
-}

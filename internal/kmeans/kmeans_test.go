@@ -93,7 +93,7 @@ func TestETAssignerExact(t *testing.T) {
 	for _, q := range ds.Queries {
 		got, gotD, lines := a.Assign(q)
 		totalLines += lines
-		fullLines += a.FullScanLines()
+		fullLines += len(res.Centroids) * a.layoutL.LinesPerVector() // every centroid, every line
 		best, bestD := 0, math.Inf(1)
 		for ci, c := range res.Centroids {
 			if d := math.Sqrt(sqDist(q, c)); d < bestD {

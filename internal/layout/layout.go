@@ -30,17 +30,18 @@ type Options struct {
 	// OutlierBudget is the allowed fraction of sample elements breaking the
 	// common prefix; the paper's default is 0.001 (0.1%).
 	OutlierBudget float64
-	// MaxPairs caps the (query, vector) sample pairs used for termination
-	// positions, bounding analysis cost on wide vectors.
-	MaxPairs int
 	// Seed drives pair subsampling.
 	Seed uint64
 }
 
 // DefaultOptions returns the paper's defaults.
 func DefaultOptions() Options {
-	return Options{ThresholdPercentile: 0.90, OutlierBudget: 0.001, MaxPairs: 1500, Seed: 1}
+	return Options{ThresholdPercentile: 0.90, OutlierBudget: 0.001, Seed: 1}
 }
+
+// maxPairs caps the (query, vector) sample pairs used for termination
+// positions, bounding analysis cost on wide vectors.
+const maxPairs = 1500
 
 // Params is a complete optimized layout decision.
 type Params struct {
@@ -138,10 +139,6 @@ func Analyze(sample [][]float32, elem vecmath.ElemType, metric vecmath.Metric, o
 
 	// Termination positions over sampled (query, vector) pairs.
 	rng := stats.NewRNG(opts.Seed)
-	maxPairs := opts.MaxPairs
-	if maxPairs <= 0 {
-		maxPairs = 1500
-	}
 	type pair struct{ q, v int }
 	var pairs []pair
 	total := len(sample) * (len(sample) - 1)

@@ -36,44 +36,19 @@ import (
 	"ansmet/internal/stats"
 )
 
-// BuildConfig tunes the offline per-partition precision derivation.
-type BuildConfig struct {
-	// Clusters is the k-means partition count; 0 picks
-	// min(64, max(1, n/128)).
-	Clusters int
-	// MaxIters bounds the Lloyd iterations (default 6 — the radius
-	// statistics converge much faster than the assignment does).
-	MaxIters int
-	// Seed drives the k-means initialization (deterministic rebuilds).
-	Seed uint64
-	// BaseBits is the per-element precision (post-prefix code bits) granted
-	// to a median-radius cluster; 0 picks half the layout's suffix width.
-	BaseBits int
-	// MinBits floors the per-cluster precision (default 2).
-	MinBits int
-}
-
-func (c BuildConfig) withDefaults(n, suffixBits int) BuildConfig {
-	if c.Clusters <= 0 {
-		c.Clusters = n / 128
-		if c.Clusters > 64 {
-			c.Clusters = 64
-		}
-		if c.Clusters < 1 {
-			c.Clusters = 1
-		}
-	}
-	if c.MaxIters <= 0 {
-		c.MaxIters = 6
-	}
-	if c.BaseBits <= 0 {
-		c.BaseBits = (suffixBits + 1) / 2
-	}
-	if c.MinBits <= 0 {
-		c.MinBits = 2
-	}
-	return c
-}
+// The offline derivation's constants; nothing has ever set them otherwise.
+const (
+	// maxClusters caps the k-means partition count, which is
+	// min(maxClusters, max(1, n/vectorsPerCluster)).
+	maxClusters       = 64
+	vectorsPerCluster = 128
+	// maxIters bounds the Lloyd iterations: the radius statistics converge
+	// much faster than the assignment does.
+	maxIters = 6
+	// minBits floors the per-cluster precision. A median-radius cluster is
+	// granted half the layout's suffix width (Build's baseBits).
+	minBits = 2
+)
 
 // Map is the static half of adaptive precision: a per-vector minimum
 // stage-1 fetch depth, resolved from per-partition radius statistics at
@@ -94,22 +69,23 @@ type Map struct {
 
 // Build fits k-means over the (quantized) vectors and derives the
 // per-partition minimum plane depth from the cluster radius distribution:
-// a cluster at the median radius gets BaseBits of per-element precision,
-// tighter clusters proportionally fewer bits (log2 of the radius ratio),
-// diffuse clusters more, clamped to [MinBits, SuffixBits]. Bits map to
+// a cluster at the median radius gets half the suffix width of per-element
+// precision, tighter clusters proportionally fewer bits (log2 of the radius
+// ratio), diffuse clusters more, clamped to [minBits, SuffixBits]. seed
+// drives the k-means initialization (deterministic rebuilds). Bits map to
 // lines through the layout's group geometry (Layout.LinesForBits), and the
 // per-vector depth is clamped to [1, LinesPerVector()−1] so the static
 // schedule alone never fully fetches — full fetches stay the escalation
 // path's decision.
-func Build(vectors [][]float32, lay *bitplane.Layout, cfg BuildConfig) (*Map, error) {
+func Build(vectors [][]float32, lay *bitplane.Layout, seed uint64) (*Map, error) {
 	n := len(vectors)
 	if n == 0 {
 		return nil, fmt.Errorf("precision: empty dataset")
 	}
 	suffix := lay.SuffixBits()
-	cfg = cfg.withDefaults(n, suffix)
+	baseBits := (suffix + 1) / 2
 	res, err := kmeans.Run(vectors, kmeans.Config{
-		K: cfg.Clusters, MaxIters: cfg.MaxIters, Seed: cfg.Seed,
+		K: min(maxClusters, max(1, n/vectorsPerCluster)), MaxIters: maxIters, Seed: seed,
 	})
 	if err != nil {
 		return nil, err
@@ -136,7 +112,7 @@ func Build(vectors [][]float32, lay *bitplane.Layout, cfg BuildConfig) (*Map, er
 		}
 	}
 
-	// Median of the non-empty cluster radii anchors the BaseBits grant.
+	// Median of the non-empty cluster radii anchors the baseBits grant.
 	med := medianPositive(radius)
 	m := &Map{
 		Clusters:       k,
@@ -150,12 +126,12 @@ func Build(vectors [][]float32, lay *bitplane.Layout, cfg BuildConfig) (*Map, er
 		maxDepth = 1
 	}
 	for c := range radius {
-		bits := cfg.BaseBits
+		bits := baseBits
 		if med > 0 && radius[c] > 0 {
 			bits += int(math.Round(math.Log2(radius[c] / med)))
 		}
-		if bits < cfg.MinBits {
-			bits = cfg.MinBits
+		if bits < minBits {
+			bits = minBits
 		}
 		if bits > suffix {
 			bits = suffix

@@ -11,12 +11,12 @@ import (
 )
 
 // buildTestMap fits a map over a generated profile; shared by the map tests.
-func buildTestMap(t *testing.T, name string, n int, cfg BuildConfig) (*Map, *bitplane.Layout, *dataset.Dataset) {
+func buildTestMap(t *testing.T, name string, n int, seed uint64) (*Map, *bitplane.Layout, *dataset.Dataset) {
 	t.Helper()
 	p := dataset.ProfileByName(name)
 	ds := dataset.Generate(p, n, 4, 11)
 	lay := bitplane.MustLayout(p.Elem, p.Dim, layout.SimpleHeuristicSchedule(p.Elem))
-	m, err := Build(ds.Vectors, lay, cfg)
+	m, err := Build(ds.Vectors, lay, seed)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -24,8 +24,8 @@ func buildTestMap(t *testing.T, name string, n int, cfg BuildConfig) (*Map, *bit
 }
 
 func TestBuildDeterministic(t *testing.T) {
-	a, _, _ := buildTestMap(t, "DEEP", 600, BuildConfig{Seed: 3})
-	b, _, _ := buildTestMap(t, "DEEP", 600, BuildConfig{Seed: 3})
+	a, _, _ := buildTestMap(t, "DEEP", 600, 3)
+	b, _, _ := buildTestMap(t, "DEEP", 600, 3)
 	if a.Clusters != b.Clusters {
 		t.Fatalf("cluster counts differ: %d vs %d", a.Clusters, b.Clusters)
 	}
@@ -38,7 +38,7 @@ func TestBuildDeterministic(t *testing.T) {
 
 func TestMapDepthInvariants(t *testing.T) {
 	for _, name := range []string{"SIFT", "DEEP", "GloVe", "GIST"} {
-		m, lay, ds := buildTestMap(t, name, 500, BuildConfig{Seed: 5})
+		m, lay, ds := buildTestMap(t, name, 500, 5)
 		total := lay.LinesPerVector()
 		if m.TotalLines() != total {
 			t.Errorf("%s: TotalLines %d != layout %d", name, m.TotalLines(), total)
@@ -70,7 +70,7 @@ func TestMapDepthInvariants(t *testing.T) {
 // depth is monotone in radius (tight clusters never fetch deeper than
 // diffuse ones).
 func TestRadiusOrdersDepth(t *testing.T) {
-	m, _, _ := buildTestMap(t, "GIST", 800, BuildConfig{Seed: 9})
+	m, _, _ := buildTestMap(t, "GIST", 800, 9)
 	for a := range m.Radius {
 		for b := range m.Radius {
 			if m.Radius[a] < m.Radius[b] && m.PartitionLines[a] > m.PartitionLines[b] {
@@ -82,7 +82,7 @@ func TestRadiusOrdersDepth(t *testing.T) {
 }
 
 func TestScaledLines(t *testing.T) {
-	m, lay, _ := buildTestMap(t, "DEEP", 400, BuildConfig{Seed: 2})
+	m, lay, _ := buildTestMap(t, "DEEP", 400, 2)
 	total := lay.LinesPerVector()
 	for _, outLines := range []int{1, 2, total, 3 * total} {
 		for id := uint32(0); id < 400; id += 37 {

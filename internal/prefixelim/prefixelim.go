@@ -393,39 +393,23 @@ func (b *OutlierBounder) LB() float64 {
 	return -b.sum
 }
 
-// RunBound consumes lines until the bound exceeds stopAt or maxLines lines
-// have been consumed, returning the bound and lines fetched — the stage-1
-// bound-only primitive of the tiered pipeline. Unlike the normal bit-plane
-// path, even a fully consumed outlier encoding yields only a lower bound
-// (the encoding is lossy), so no line needs to be held back; what RunBound
-// guarantees is that the full-precision backup is never fetched. maxLines
-// < 0 disables the cap.
-func (b *OutlierBounder) RunBound(data []byte, stopAt float64, maxLines int) (lb float64, lines int) {
-	limit := b.lines
-	if maxLines >= 0 && maxLines < limit {
-		limit = maxLines
+// RunTo consumes lines while fewer than limit (and fewer than Lines()) have
+// been consumed, returning as soon as the bound exceeds stop; it returns the
+// bound and the number of lines consumed so far, and a second call with a
+// larger limit resumes (bitplane.Bounder.RunTo's contract). Because the
+// encoding is lossy, even a fully consumed vector yields only a lower bound:
+// a comparison must re-check an in-bound result against the full-precision
+// backup before accepting it, and the tiered pipeline's stage 1, which wants
+// only the bound, never fetches that backup.
+func (b *OutlierBounder) RunTo(data []byte, stop float64, limit int) (lb float64, lines int) {
+	if limit > b.lines {
+		limit = b.lines
 	}
 	for b.next < limit {
 		i := b.next
-		lb = b.ConsumeNext(data[i*bitplane.LineBytes : (i+1)*bitplane.LineBytes])
-		if lb > stopAt {
+		if lb = b.ConsumeNext(data[i*bitplane.LineBytes : (i+1)*bitplane.LineBytes]); lb > stop {
 			return lb, b.next
 		}
 	}
 	return b.LB(), b.next
-}
-
-// RunET consumes lines until the bound exceeds the threshold or the vector
-// is exhausted, returning the final bound and lines fetched. Because the
-// encoding is lossy, a non-terminated result is only a lower bound: callers
-// must re-check against the full-precision backup before accepting.
-func (b *OutlierBounder) RunET(data []byte, threshold float64) (lb float64, lines int) {
-	for b.next < b.lines {
-		i := b.next
-		lb = b.ConsumeNext(data[i*bitplane.LineBytes : (i+1)*bitplane.LineBytes])
-		if lb > threshold {
-			return lb, b.next
-		}
-	}
-	return b.LB(), b.lines
 }

@@ -248,7 +248,7 @@ func TestOutlierBounderETNeverFalseRejects(t *testing.T) {
 		want := vecmath.L2.Distance(q, v)
 		th := want * (0.5 + r.Float64())
 		b.Reset()
-		lb, lines := b.RunET(buf, th)
+		lb, lines := b.RunTo(buf, th, b.Lines())
 		if lines < b.Lines() && want <= th {
 			t.Fatalf("false reject: true %v <= th %v (lb %v)", want, th, lb)
 		}

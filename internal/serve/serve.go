@@ -107,19 +107,23 @@ type Config struct {
 	// this, and one byte more is a 413 whatever the bytes before it hold.
 	MaxBodyBytes int64
 
-	// DefaultK, MaxK, MaxEf bound query shape (defaults 10, 1024, 8192).
-	DefaultK, MaxK, MaxEf int
-
-	// AuxConcurrency caps in-flight requests per auxiliary endpoint
-	// (health/ready/vars; default 64). Search concurrency is governed by
-	// Admission.
-	AuxConcurrency int
+	// MaxK, MaxEf bound query shape (defaults 1024, 8192); a request that
+	// names no k asks for defaultK.
+	MaxK, MaxEf int
 
 	// AllowPanicProbe enables the {"panic":true} chaos probe on
 	// /v1/search, which panics inside the handler to exercise the
 	// panic-to-500 containment. Never enable in production.
 	AllowPanicProbe bool
 }
+
+const (
+	// defaultK is the k of a search request that names none.
+	defaultK = 10
+	// auxConcurrency caps in-flight requests per auxiliary endpoint
+	// (health/ready/vars). Search concurrency is governed by Admission.
+	auxConcurrency = 64
+)
 
 func (c Config) withDefaults() Config {
 	if c.DefaultTimeout <= 0 {
@@ -131,17 +135,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.DefaultK <= 0 {
-		c.DefaultK = 10
-	}
 	if c.MaxK <= 0 {
 		c.MaxK = 1024
 	}
 	if c.MaxEf <= 0 {
 		c.MaxEf = 8192
-	}
-	if c.AuxConcurrency <= 0 {
-		c.AuxConcurrency = 64
 	}
 	return c
 }
@@ -274,9 +272,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Delete != nil {
 		s.mux.HandleFunc("POST /v1/delete", s.handleDelete)
 	}
-	s.mux.HandleFunc("GET /v1/health", limitConcurrency(cfg.AuxConcurrency, s.handleHealth))
-	s.mux.HandleFunc("GET /v1/ready", limitConcurrency(cfg.AuxConcurrency, s.handleReady))
-	s.mux.HandleFunc("GET /debug/vars", limitConcurrency(cfg.AuxConcurrency, s.handleVars))
+	s.mux.HandleFunc("GET /v1/health", limitConcurrency(auxConcurrency, s.handleHealth))
+	s.mux.HandleFunc("GET /v1/ready", limitConcurrency(auxConcurrency, s.handleReady))
+	s.mux.HandleFunc("GET /debug/vars", limitConcurrency(auxConcurrency, s.handleVars))
 	return s, nil
 }
 
@@ -375,7 +373,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	k := req.K
 	if k == 0 {
-		k = s.cfg.DefaultK
+		k = defaultK
 	}
 	ef := req.Ef
 	if ef == 0 {

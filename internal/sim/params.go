@@ -89,9 +89,6 @@ type Config struct {
 
 	// Part places primary (transformed) vector data across ranks.
 	Part *partition.Map
-	// BackupRowOffset displaces backup (full-precision) rows from primary
-	// data within the same rank; backup fetches go to the task's rank.
-	BackupRowOffset int64
 
 	// GroupLines is the per-fetch-group line count of the layout schedule;
 	// CPU designs pipeline fetches within a group and serialize between
@@ -112,6 +109,10 @@ type Config struct {
 	// time (isolated per-query latency, as in the paper's Fig. 9).
 	InFlightFactor int
 }
+
+// backupRowOffset displaces backup (full-precision) rows from primary data
+// within the same rank; backup fetches go to the task's rank.
+const backupRowOffset = 1 << 20
 
 // maxInFlight returns the admission window. In NDP mode the host only
 // touches each query briefly per hop, so many more queries than cores can

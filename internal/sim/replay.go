@@ -73,10 +73,6 @@ type qstate struct {
 func (s *state) replay(traces []*trace.Query) {
 	cfg := s.cfg
 	window := cfg.maxInFlight()
-	if window <= 1 {
-		s.replaySerial(traces)
-		return
-	}
 	if window > len(traces) {
 		window = len(traces)
 	}
@@ -140,42 +136,6 @@ func (s *state) replay(traces []*trace.Query) {
 			q.post = true
 		}
 		s.qPush(slot)
-	}
-}
-
-// replaySerial is the window=1 fast path (isolated-latency runs,
-// InFlightFactor < 0): with a single in-flight query there is nothing to
-// schedule, so the heap and admission machinery are skipped entirely.
-func (s *state) replaySerial(traces []*trace.Query) {
-	cfg := s.cfg
-	words := (cfg.Mem.Channels + 63) / 64
-	if cap(s.qArena) < 1 {
-		s.qArena = make([]qstate, 1)
-	}
-	q := &s.qArena[:1][0]
-	if cap(q.chInstalled) < words {
-		q.chInstalled = make([]uint64, words)
-	}
-	t := 0.0
-	for qi, tr := range traces {
-		start := t
-		chInstalled := q.chInstalled[:words]
-		for i := range chInstalled {
-			chInstalled[i] = 0
-		}
-		for h := 0; h < tr.NumHops(); h++ {
-			hop := tr.Hop(h)
-			if !cfg.UseNDP {
-				t = s.runCPUHop(t, hop)
-			} else {
-				t = s.runNDPDispatch(t, hop, chInstalled)
-				t = s.runHostPost(t, hop)
-			}
-		}
-		s.rep.QueryLatencyNs[qi] = t - start
-		if t > s.rep.MakespanNs {
-			s.rep.MakespanNs = t
-		}
 	}
 }
 
@@ -827,14 +787,10 @@ func (s *state) leastLoadedGroup() int {
 }
 
 // backupAddr places the full-precision backup copy in the vector's home
-// rank at rows displaced by BackupRowOffset.
+// rank at rows displaced by backupRowOffset.
 func (s *state) backupAddr(id uint32, group, line int) dram.Addr {
 	a := s.cfg.Part.Addr(id, group, 0, 0)
-	off := s.cfg.BackupRowOffset
-	if off == 0 {
-		off = 1 << 20
-	}
-	a.Row = off + a.Row + int64(line/(s.cfg.Mem.RowBytes/64))
+	a.Row = backupRowOffset + a.Row + int64(line/(s.cfg.Mem.RowBytes/64))
 	a.Bank = (a.Bank + 1) % s.cfg.Mem.BanksPerRank()
 	return a
 }

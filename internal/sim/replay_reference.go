@@ -420,11 +420,7 @@ func (s *refState) leastLoadedGroup(hopLoad map[int]int) int {
 
 func (s *refState) backupAddr(id uint32, group, line int) dram.Addr {
 	a := s.cfg.Part.Addr(id, group, 0, 0)
-	off := s.cfg.BackupRowOffset
-	if off == 0 {
-		off = 1 << 20
-	}
-	a.Row = off + a.Row + int64(line/(s.cfg.Mem.RowBytes/64))
+	a.Row = backupRowOffset + a.Row + int64(line/(s.cfg.Mem.RowBytes/64))
 	a.Bank = (a.Bank + 1) % s.cfg.Mem.BanksPerRank()
 	return a
 }

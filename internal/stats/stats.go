@@ -206,57 +206,6 @@ func KLDivergence(p, q []float64) float64 {
 	return d
 }
 
-// Histogram is a fixed-bin histogram over [min, max).
-type Histogram struct {
-	Min, Max float64
-	Counts   []uint64
-	under    uint64
-	over     uint64
-	total    uint64
-}
-
-// NewHistogram creates a histogram with the given bin count over [min, max).
-func NewHistogram(min, max float64, bins int) *Histogram {
-	if bins <= 0 || max <= min {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]uint64, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	if x < h.Min {
-		h.under++
-		return
-	}
-	if x >= h.Max {
-		h.over++
-		return
-	}
-	i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-}
-
-// Total returns the number of observations, including out-of-range ones.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Normalized returns the in-range bin weights as probabilities summing to
-// the in-range fraction of all observations.
-func (h *Histogram) Normalized() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(h.total)
-	}
-	return out
-}
-
 // Entropy computes the Shannon entropy (nats) of a discrete distribution
 // given as non-negative weights; zero weights contribute nothing.
 func Entropy(weights []float64) float64 {

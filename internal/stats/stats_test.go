@@ -183,31 +183,6 @@ func TestKLDivergenceProperties(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(11)
-	if h.Total() != 12 {
-		t.Errorf("Total = %d, want 12", h.Total())
-	}
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Errorf("bin %d count %d, want 1", i, c)
-		}
-	}
-	n := h.Normalized()
-	sum := 0.0
-	for _, w := range n {
-		sum += w
-	}
-	if math.Abs(sum-10.0/12) > 1e-12 {
-		t.Errorf("normalized in-range mass %v, want %v", sum, 10.0/12)
-	}
-}
-
 func TestEntropy(t *testing.T) {
 	if e := Entropy([]float64{1, 1}); math.Abs(e-math.Ln2) > 1e-12 {
 		t.Errorf("entropy of uniform-2 = %v, want ln2", e)

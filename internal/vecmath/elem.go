@@ -310,11 +310,3 @@ func (t ElemType) EncodeVector(v []float32, dst []uint32) []uint32 {
 	}
 	return dst
 }
-
-// DecodeVector decodes codes back to float32 values, appending to dst.
-func (t ElemType) DecodeVector(codes []uint32, dst []float32) []float32 {
-	for _, c := range codes {
-		dst = append(dst, float32(t.Decode(c)))
-	}
-	return dst
-}

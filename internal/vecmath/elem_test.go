@@ -204,10 +204,9 @@ func TestQuantizeIdempotent(t *testing.T) {
 func TestEncodeDecodeVector(t *testing.T) {
 	v := []float32{1, 2, 3, 250}
 	codes := Uint8.EncodeVector(v, nil)
-	back := Uint8.DecodeVector(codes, nil)
 	for i := range v {
-		if back[i] != v[i] {
-			t.Fatalf("vector round trip: got %v want %v", back, v)
+		if back := float32(Uint8.Decode(codes[i])); back != v[i] {
+			t.Fatalf("vector round trip: component %d got %v want %v", i, back, v[i])
 		}
 	}
 }

@@ -98,32 +98,3 @@ func IPIntervalUpper(q, lo, hi float64) float64 {
 	}
 	return b
 }
-
-// LowerBoundFromIntervals computes the metric's distance lower bound given
-// per-dimension value intervals for the partially known vector. For L2 the
-// result is sqrt of the summed minimal squared diffs; for IP it is the
-// negated sum of maximal products. The bound is tight when every interval
-// is a point (it then equals the exact distance — bitwise, because the
-// contributions are reduced in the same canonical blocked order the
-// distance kernels use). Reference implementation; the hot path is
-// bitplane.Bounder's incremental version.
-func LowerBoundFromIntervals(m Metric, q []float32, lo, hi []float64) float64 {
-	if len(q) != len(lo) || len(q) != len(hi) {
-		panic("vecmath: interval length mismatch")
-	}
-	contrib := make([]float64, len(q))
-	switch m {
-	case L2:
-		for i := range q {
-			contrib[i] = L2IntervalContrib(float64(q[i]), lo[i], hi[i])
-		}
-		return math.Sqrt(BlockedSum(contrib))
-	case InnerProduct, Cosine:
-		for i := range q {
-			contrib[i] = IPIntervalUpper(float64(q[i]), lo[i], hi[i])
-		}
-		return -BlockedSum(contrib)
-	default:
-		panic("vecmath: unknown Metric")
-	}
-}

@@ -117,7 +117,7 @@ func TestLowerBoundSoundness(t *testing.T) {
 					code := et.Encode(v[d])
 					lo[d], hi[d] = et.Interval(code>>uint(w-known), known)
 				}
-				lb := LowerBoundFromIntervals(m, q, lo, hi)
+				lb := lowerBoundFromIntervals(m, q, lo, hi)
 				true := m.Distance(q, v)
 				if lb > true+1e-6*math.Max(1, math.Abs(true)) {
 					t.Fatalf("%v/%v: LB %v exceeds true distance %v (q=%v v=%v)",
@@ -128,7 +128,7 @@ func TestLowerBoundSoundness(t *testing.T) {
 					code := et.Encode(v[d])
 					lo[d], hi[d] = et.Interval(code, w)
 				}
-				exact := LowerBoundFromIntervals(m, q, lo, hi)
+				exact := lowerBoundFromIntervals(m, q, lo, hi)
 				if math.Abs(exact-true) > 1e-6*math.Max(1, math.Abs(true)) {
 					t.Fatalf("%v/%v: full-known LB %v != true %v", et, m, exact, true)
 				}
@@ -161,7 +161,7 @@ func TestLowerBoundMonotonic(t *testing.T) {
 					for d := 0; d < dim; d++ {
 						lo[d], hi[d] = et.Interval(codes[d]>>uint(w-known), known)
 					}
-					lb := LowerBoundFromIntervals(m, q, lo, hi)
+					lb := lowerBoundFromIntervals(m, q, lo, hi)
 					if lb < prev-1e-9 {
 						t.Fatalf("%v/%v: bound decreased from %v to %v at %d bits",
 							et, m, prev, lb, known)
@@ -176,5 +176,35 @@ func TestLowerBoundMonotonic(t *testing.T) {
 func TestMetricString(t *testing.T) {
 	if L2.String() != "L2" || InnerProduct.String() != "IP" || Cosine.String() != "cosine" {
 		t.Error("unexpected metric names")
+	}
+}
+
+// lowerBoundFromIntervals computes the metric's distance lower bound given
+// per-dimension value intervals for the partially known vector. For L2 the
+// result is sqrt of the summed minimal squared diffs; for IP it is the
+// negated sum of maximal products. The bound is tight when every interval
+// is a point (it then equals the exact distance — bitwise, because the
+// contributions are reduced in the same canonical blocked order the
+// distance kernels use). It is the reference the tests above hold Interval
+// and the two contribution functions to; the hot path is bitplane.Bounder's
+// incremental version.
+func lowerBoundFromIntervals(m Metric, q []float32, lo, hi []float64) float64 {
+	if len(q) != len(lo) || len(q) != len(hi) {
+		panic("vecmath: interval length mismatch")
+	}
+	contrib := make([]float64, len(q))
+	switch m {
+	case L2:
+		for i := range q {
+			contrib[i] = L2IntervalContrib(float64(q[i]), lo[i], hi[i])
+		}
+		return math.Sqrt(BlockedSum(contrib))
+	case InnerProduct, Cosine:
+		for i := range q {
+			contrib[i] = IPIntervalUpper(float64(q[i]), lo[i], hi[i])
+		}
+		return -BlockedSum(contrib)
+	default:
+		panic("vecmath: unknown Metric")
 	}
 }
