@@ -179,6 +179,10 @@ func TestQuantizationOnIngest(t *testing.T) {
 	}
 }
 
+// TestExactSearchFacade (named for the ExactSearch wrapper the exact route
+// replaced): the exact route is one full scan of the rows on every design —
+// the same answers and the same line count on an ET design and a Base one —
+// and the tiered route at budget 1 returns those answers from fewer lines.
 func TestExactSearchFacade(t *testing.T) {
 	p := dataset.ProfileByName("DEEP")
 	ds := dataset.Generate(p, 400, 3, 51)
@@ -197,11 +201,11 @@ func TestExactSearchFacade(t *testing.T) {
 	}
 	base.System() // Stats reports the model's line geometry once it is built
 	for _, q := range ds.Queries {
-		a, la, err := et.ExactSearch(q, 10)
+		a, la, err := exactSearch(et, q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, lb, err := base.ExactSearch(q, 10)
+		b, lb, err := exactSearch(base, q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +230,7 @@ func TestExactSearchFacade(t *testing.T) {
 			t.Errorf("tiered at budget 1 fetched %d lines, a full scan %d — no savings", lt, lb)
 		}
 	}
-	if _, _, err := et.ExactSearch([]float32{1}, 3); err == nil {
+	if _, _, err := exactSearch(et, []float32{1}, 3); err == nil {
 		t.Error("dimension mismatch should fail")
 	}
 }
@@ -258,6 +262,13 @@ func TestSearchManyMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// exactSearch runs the exact route: the brute-force top-k and the lines it
+// read.
+func exactSearch(db *ansmet.Database, q []float32, k int) ([]ansmet.Neighbor, int, error) {
+	res, err := db.Do(context.Background(), &ansmet.Query{Vector: q, K: k, Route: ansmet.RouteExact})
+	return res.Neighbors, res.Lines, err
 }
 
 // searchFiltered is Do on the ndp route with a Filter at the default beam

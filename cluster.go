@@ -332,53 +332,10 @@ func (c *Cluster) Do(ctx context.Context, q *Query) (ClusterResult, error) {
 			out.Faults[i] = ShardFault{Shard: e.Shard, Kind: e.Kind.String(), Err: e.Err}
 		}
 	}
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			return out, &CancelError{Err: ErrDeadlineExceeded, Partial: len(out.Neighbors) > 0}
-		case errors.Is(err, context.Canceled):
-			return out, &CancelError{Err: ErrCanceled, Partial: len(out.Neighbors) > 0}
-		}
-		return out, err
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		return out, cancelErr(ctx, len(out.Neighbors) > 0)
 	}
-	return out, nil
-}
-
-// ExactSearchCtx scatter-gathers the exact (linear-scan) search: each shard
-// scans its partition and the exact per-shard top-k merge IS the exact
-// global top-k at any k — no approximation caveat. Unlike Do with
-// RouteExact this reference path fans out synchronously and fails fast on
-// any shard error; it does not hedge or degrade, which is what the merge
-// byte-identity tests compare the coordinator against.
-func (c *Cluster) ExactSearchCtx(ctx context.Context, q []float32, k int) ([]Neighbor, int, error) {
-	lists := make([][]Neighbor, len(c.shards))
-	lines := make([]int, len(c.shards))
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for s := range c.shards {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			res, err := c.shards[s].Do(ctx, &Query{Vector: q, K: k, Route: RouteExact})
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			remapToGlobal(res.Neighbors, c.ids[s])
-			lists[s], lines[s] = res.Neighbors, res.Lines
-		}(s)
-	}
-	wg.Wait()
-	for s, err := range errs {
-		if err != nil {
-			return nil, 0, fmt.Errorf("ansmet: exact search on shard %d: %w", s, err)
-		}
-	}
-	totalLines := 0
-	for _, ln := range lines {
-		totalLines += ln
-	}
-	return hnsw.MergeTopK(nil, lists, k), totalLines, nil
+	return out, err
 }
 
 // ClusterStats surfaces the cluster's health and degradation counters: the
@@ -392,20 +349,8 @@ type ClusterStats struct {
 	DegradedShards int      // shards whose breaker is not closed
 	BreakerStates  []string // per shard: closed / open / half-open
 
-	// Coordinator lifetime totals.
-	Queries      uint64
-	ShardCalls   uint64
-	Hedges       uint64
-	HedgeWins    uint64
-	Partials     uint64
-	Timeouts     uint64
-	Crashes      uint64
-	BreakerSkips uint64
-	Sheds        uint64
-	BreakerTrips uint64
-	Probes       uint64
-	Reenables    uint64
-	AllFailed    uint64
+	// The coordinator's lifetime totals.
+	cluster.MetricsSnapshot
 
 	// Shard holds each shard Database's own Stats.
 	Shard []Stats
@@ -420,15 +365,10 @@ func (c *Cluster) PrecisionStats() PrecisionStats {
 
 // Stats reports the cluster's health counters.
 func (c *Cluster) Stats() ClusterStats {
-	m := c.coord.Metrics().Snapshot()
 	st := ClusterStats{
 		Shards: len(c.shards), Vectors: c.total, Partition: c.opts.Partition.String(),
-		DegradedShards: c.coord.DegradedShards(),
-		Queries:        m.Queries, ShardCalls: m.ShardCalls,
-		Hedges: m.Hedges, HedgeWins: m.HedgeWins,
-		Partials: m.Partials, Timeouts: m.Timeouts, Crashes: m.Crashes,
-		BreakerSkips: m.BreakerSkips, Sheds: m.Sheds, BreakerTrips: m.BreakerTrips,
-		Probes: m.Probes, Reenables: m.Reenables, AllFailed: m.AllFailed,
+		DegradedShards:  c.coord.DegradedShards(),
+		MetricsSnapshot: c.coord.Metrics().Snapshot(),
 	}
 	for _, b := range c.coord.BreakerStates() {
 		st.BreakerStates = append(st.BreakerStates, b.String())

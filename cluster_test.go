@@ -1,12 +1,19 @@
 package ansmet_test
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ansmet"
@@ -32,6 +39,18 @@ func assertFullyReachable(t *testing.T, name string, found, n int) {
 	}
 }
 
+// clusterExact runs the exact route through the coordinator — the fan-out,
+// remap and k-way merge Cluster.Do serves — and requires a healthy answer.
+func clusterExact(t *testing.T, cl *ansmet.Cluster, q []float32, k int) []ansmet.Neighbor {
+	t.Helper()
+	res, err := cl.Do(context.Background(), &ansmet.Query{Vector: q, K: k, Route: ansmet.RouteExact})
+	if err != nil || res.Route != ansmet.RouteExact || res.Partial || len(res.Faults) != 0 {
+		t.Fatalf("shards=%d k=%d exact: route=%v partial=%v faults=%v err=%v",
+			cl.Shards(), k, res.Route, res.Partial, res.Faults, err)
+	}
+	return res.Neighbors
+}
+
 // TestClusterMergeByteIdenticalToUnsharded is the merge-correctness
 // property test: across every shard count in {1,2,3,7,16} and both
 // partition schemes, the scatter-gather answer is byte-identical to the
@@ -41,7 +60,8 @@ func assertFullyReachable(t *testing.T, name string, found, n int) {
 //   - exhaustive beam (ef ≥ n): both sides return the exact top-k of a
 //     fully reachable graph (precondition asserted), so the fan-out +
 //     remap + k-way merge must reproduce the unsharded answer bit for bit;
-//   - the exact scan path, at ANY k, with no reachability caveat.
+//   - the exact route through the coordinator, at ANY k, with no
+//     reachability caveat.
 //
 // The dataset/build combination below was selected by sweeping for full
 // reachability of the unsharded graph AND of every shard sub-graph across
@@ -102,14 +122,11 @@ func TestClusterMergeByteIdenticalToUnsharded(t *testing.T) {
 					}
 					// The exact path is provably identical at ANY k, no
 					// reachability caveat.
-					wantExact, _, err := db.ExactSearch(q, k)
+					wantExact, _, err := exactSearch(db, q, k)
 					if err != nil {
 						t.Fatal(err)
 					}
-					gotExact, _, err := cl.ExactSearchCtx(ctx, q, k)
-					if err != nil {
-						t.Fatalf("shards=%d %v q%d k%d exact: %v", shards, scheme, qi, k, err)
-					}
+					gotExact := clusterExact(t, cl, q, k)
 					if !reflect.DeepEqual(gotExact, wantExact) {
 						t.Fatalf("shards=%d %v q%d k%d exact:\n  cluster  %v\n  unsharded %v",
 							shards, scheme, qi, k, gotExact, wantExact)
@@ -125,8 +142,8 @@ func TestClusterMergeByteIdenticalToUnsharded(t *testing.T) {
 // routinely strands a vector or two regardless of build parameters — the
 // reason the beam identity above runs on a vetted small dataset). The
 // exact path needs no graph at all, so identity holds at any k with no
-// precondition; this pins the fan-out + remap + k-way merge at a scale the
-// beam test cannot reach.
+// precondition; this pins the coordinator's fan-out + remap + k-way merge
+// at a scale the beam test cannot reach.
 func TestClusterExactIdenticalAtScale(t *testing.T) {
 	p := dataset.ProfileByName("DEEP")
 	const n = 300
@@ -136,7 +153,6 @@ func TestClusterExactIdenticalAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	for _, shards := range clusterShardCounts {
 		for _, scheme := range []ansmet.PartitionScheme{ansmet.PartitionHash, ansmet.PartitionKMeans} {
 			cl, err := ansmet.NewCluster(ds.Vectors, ansmet.ClusterOptions{
@@ -147,14 +163,11 @@ func TestClusterExactIdenticalAtScale(t *testing.T) {
 			}
 			for qi, q := range ds.Queries {
 				for _, k := range []int{1, 5, 10, 40, n} {
-					want, _, err := db.ExactSearch(q, k)
+					want, _, err := exactSearch(db, q, k)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, _, err := cl.ExactSearchCtx(ctx, q, k)
-					if err != nil {
-						t.Fatalf("shards=%d %v q%d k%d: %v", shards, scheme, qi, k, err)
-					}
+					got := clusterExact(t, cl, q, k)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("shards=%d %v q%d k%d exact:\n  cluster  %v\n  unsharded %v",
 							shards, scheme, qi, k, got, want)
@@ -194,7 +207,6 @@ func TestClusterMergeTiesAtBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	for _, shards := range clusterShardCounts {
 		for _, scheme := range []ansmet.PartitionScheme{ansmet.PartitionHash, ansmet.PartitionKMeans} {
 			cl, err := ansmet.NewCluster(vectors, ansmet.ClusterOptions{
@@ -206,14 +218,11 @@ func TestClusterMergeTiesAtBoundary(t *testing.T) {
 			// k values chosen to land inside the 16-way tie runs, plus the
 			// boundary k=n (every vector, every tie resolved by ID).
 			for _, k := range []int{1, 3, 7, 12, 20, 40, n} {
-				want, _, err := db.ExactSearch(q, k)
+				want, _, err := exactSearch(db, q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _, err := cl.ExactSearchCtx(ctx, q, k)
-				if err != nil {
-					t.Fatalf("shards=%d %v k=%d: %v", shards, scheme, k, err)
-				}
+				got := clusterExact(t, cl, q, k)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("shards=%d %v k=%d exact ties:\n  cluster  %v\n  unsharded %v",
 						shards, scheme, k, got, want)
@@ -414,6 +423,32 @@ func TestClusterLoadRejectsCorruptManifest(t *testing.T) {
 		t.Fatalf("truncated manifest: err = %v, want ErrSnapshotTruncated", err)
 	}
 
+	// A checksum is not a MAC: a crafted manifest with a valid footer that
+	// claims 2^40 vectors and lists one id must be rejected on the count,
+	// before Total sizes anything (the parent allocated 1 TiB here and died
+	// with "fatal error: runtime: out of memory").
+	var crafted bytes.Buffer
+	crafted.WriteString("ANSMETCL1\n")
+	if err := gob.NewEncoder(&crafted).Encode(struct {
+		Magic     string
+		Partition int
+		Total     int
+		IDs       [][]uint32
+	}{"ansmet-cluster-v1", 0, 1 << 40, [][]uint32{{0}}}); err != nil {
+		t.Fatal(err)
+	}
+	footer := append([]byte("ANSMETCRC\n"), make([]byte, 12)...)
+	binary.LittleEndian.PutUint64(footer[10:], uint64(crafted.Len()))
+	binary.LittleEndian.PutUint32(footer[18:], crc32.Checksum(crafted.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
+	crafted.Write(footer)
+	if err := os.WriteFile(manifest, crafted.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ansmet.LoadClusterDir(dir, ansmet.ClusterOptions{}); err == nil ||
+		!strings.Contains(err.Error(), "covers 1 of 1099511627776 ids") {
+		t.Fatalf("manifest claiming 2^40 vectors: err = %v, want the count rejection", err)
+	}
+
 	// Missing manifest → load fails cleanly (the manifest is the commit
 	// point of SaveDir).
 	if err := os.Remove(manifest); err != nil {
@@ -449,7 +484,7 @@ func TestClusterSearchRouted(t *testing.T) {
 			t.Fatal(err)
 		}
 		for qi, q := range ds.Queries {
-			want, _, err := db.ExactSearch(q, 10)
+			want, _, err := exactSearch(db, q, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -477,6 +512,48 @@ func TestClusterSearchRouted(t *testing.T) {
 					t.Fatalf("shards=%d q%d auto budget=%v diverged", shards, qi, c.budget)
 				}
 			}
+		}
+	}
+}
+
+// TestClusterStatsBytesUnchanged pins the JSON of Cluster.Stats — what
+// /debug/vars serves under "cluster" — for a fixed 3-shard cluster after a
+// scripted query mix, to the bytes recorded at the commit before
+// ClusterStats embedded cluster.MetricsSnapshot instead of copying it.
+func TestClusterStatsBytesUnchanged(t *testing.T) {
+	p := dataset.ProfileByName("DEEP")
+	ds := dataset.Generate(p, 300, 6, 21)
+	build := ansmet.Options{Metric: p.Metric, Elem: p.Elem, EfConstruction: 60, Seed: 7}
+	cl, err := ansmet.NewCluster(ds.Vectors, ansmet.ClusterOptions{Shards: 3, Build: build, DisableHedging: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	even := func(id uint32) bool { return id%2 == 0 }
+	for _, q := range ds.Queries {
+		for _, sq := range []ansmet.Query{
+			{Vector: q, K: 10, Route: ansmet.RouteHost},
+			{Vector: q, K: 5, Route: ansmet.RouteExact},
+			{Vector: q, K: 3, Budget: 1},
+			{Vector: q, K: 10, Route: ansmet.RouteHost, Filter: even},
+			{Vector: q, K: 0}, // rejected: counts a query, calls no shard
+		} {
+			cl.Do(context.Background(), &sq)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		v    any
+		want string
+	}{
+		{"Stats", cl.Stats(), "e256d82840040d97df2a1eff1b4a1c59406c8a73e3d182b300e8de4c97bbb25b"},
+		{"/debug/vars", map[string]any{"cluster": cl.Stats()}, "65c8d67e21060625c0a788a97e2d8b6fe9e84d4a432b6272671d7295f994f155"},
+	} {
+		b, err := json.Marshal(c.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != c.want {
+			t.Errorf("%s: sha256 %s, want %s\n%s", c.name, got, c.want, b)
 		}
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"ansmet/internal/hnsw"
 	"ansmet/internal/ndp"
 	"ansmet/internal/prefixelim"
-	"ansmet/internal/vecmath"
 )
 
 func main() {
@@ -116,7 +115,7 @@ type rig struct {
 	resilient *engine.Resilient
 	injector  *fault.Injector
 	index     *hnsw.Index
-	vectors   [][]float32
+	ds        *dataset.Dataset
 	queries   [][]float32
 }
 
@@ -170,7 +169,7 @@ func newRig(n, nq int, sched *fault.Schedule, res engine.ResilienceConfig) (*rig
 		resilient: engine.NewResilient(hw, fb, nil, nil, nil, res),
 		injector:  inj,
 		index:     ix,
-		vectors:   ds.Vectors,
+		ds:        ds,
 		queries:   ds.Queries,
 	}, nil
 }
@@ -289,17 +288,16 @@ func runSilent(n, nq int, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	exact := engine.NewExact(r.vectors, vecmath.L2, vecmath.Float32)
+	truths := r.ds.GroundTruth(10)
 	var recallSum float64
 	for qi, q := range r.queries {
 		got := r.index.Search(q, 10, 50, r.resilient, nil)
 		if len(got) != 10 {
 			return fmt.Errorf("query %d returned %d results, want 10", qi, len(got))
 		}
-		truth := bruteForce(exact, q, len(r.vectors), 10)
 		hits := 0
 		for _, nb := range got {
-			for _, id := range truth {
+			for _, id := range truths[qi] {
 				if nb.ID == id {
 					hits++
 					break
@@ -329,28 +327,4 @@ func sameNeighbors(got, want []hnsw.Neighbor) error {
 		}
 	}
 	return nil
-}
-
-func bruteForce(exact *engine.Exact, q []float32, n, k int) []uint32 {
-	type pair struct {
-		id uint32
-		d  float64
-	}
-	exact.StartQuery(q)
-	var truth []pair
-	for id := 0; id < n; id++ {
-		d := exact.Compare(uint32(id), math.Inf(1)).Dist
-		truth = append(truth, pair{uint32(id), d})
-		for i := len(truth) - 1; i > 0 && truth[i].d < truth[i-1].d; i-- {
-			truth[i], truth[i-1] = truth[i-1], truth[i]
-		}
-		if len(truth) > k {
-			truth = truth[:k]
-		}
-	}
-	ids := make([]uint32, len(truth))
-	for i, t := range truth {
-		ids[i] = t.id
-	}
-	return ids
 }

@@ -302,7 +302,9 @@ func runMutateSoak(n int, seed uint64) error {
 				case 1:
 					res, _, err = db.TieredSearchInto(q, 10, 0, nil)
 				case 2:
-					res, _, err = db.ExactSearch(q, 10)
+					var r ansmet.Result
+					r, err = db.Do(context.Background(), &ansmet.Query{Vector: q, K: 10, Route: ansmet.RouteExact})
+					res = r.Neighbors
 				default:
 					var r ansmet.Result
 					r, err = db.Do(context.Background(), &ansmet.Query{Vector: q, K: 10, Ef: 40, Route: ansmet.RouteNDP})

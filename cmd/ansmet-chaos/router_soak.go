@@ -4,7 +4,7 @@
 // instability or goroutine leaks:
 //
 //   - healthy + idle + no deadline: auto picks the tiered path and its
-//     answers are byte-identical to ExactSearch (budget 1 is lossless);
+//     answers are byte-identical to the exact route (budget 1 is lossless);
 //   - once the crash trips a rank breaker, auto diverts every query to the
 //     exact path — under concurrency and deadline pressure alike — and the
 //     completed answers stay byte-identical across repeats (degradation
@@ -52,9 +52,11 @@ func runRouterSoak(n int, seed uint64) error {
 	// equal these bit for bit.
 	want := make([][]ansmet.Neighbor, len(ds.Queries))
 	for qi, q := range ds.Queries {
-		if want[qi], _, err = db.ExactSearch(q, 10); err != nil {
+		res, err := db.Do(context.Background(), &ansmet.Query{Vector: q, K: 10, Route: ansmet.RouteExact})
+		if err != nil {
 			return err
 		}
+		want[qi] = res.Neighbors
 	}
 
 	// Phase 0: healthy, idle, no deadline — auto must pick the tiered path

@@ -105,10 +105,11 @@ func TestSearchCtxMatchesSearch(t *testing.T) {
 			}
 		}
 
-		wantNN, wantLines, err := db.ExactSearch(q, 5)
+		ref, err := db.Do(context.Background(), &Query{Vector: q, K: 5, Route: RouteExact})
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantNN, wantLines := ref.Neighbors, ref.Lines
 		exact, err := db.Do(ctx, &Query{Vector: q, K: 5, Route: RouteExact})
 		gotNN, gotLines := exact.Neighbors, exact.Lines
 		if err != nil || gotLines != wantLines || len(gotNN) != len(wantNN) {

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -51,10 +52,11 @@ func main() {
 
 	// The exact route scans every row whole: the reference answer and the
 	// full fetch.
-	ref, full, err := db.ExactSearch(probe, k)
+	ref, err := db.Do(context.Background(), &ansmet.Query{Vector: probe, K: k, Route: ansmet.RouteExact})
 	if err != nil {
 		log.Fatal(err)
 	}
+	full := ref.Lines
 	fmt.Printf("exact top-%d over %d vectors:\n", k, db.Len())
 	dups := 0
 	for _, n := range nn {
@@ -66,8 +68,8 @@ func main() {
 	fmt.Printf("  lines fetched: %d of %d (%.0f%% skipped, zero accuracy loss; %d vectors re-ranked)\n",
 		lines, full, 100*(1-float64(lines)/float64(full)), st.Pool)
 	for i := range nn {
-		if nn[i] != ref[i] {
-			log.Fatalf("tiered and full scan disagree at rank %d: %v vs %v", i, nn[i], ref[i])
+		if nn[i] != ref.Neighbors[i] {
+			log.Fatalf("tiered and full scan disagree at rank %d: %v vs %v", i, nn[i], ref.Neighbors[i])
 		}
 	}
 	fmt.Printf("  verified identical to the full scan (%d lines)\n", full)

@@ -90,7 +90,7 @@ func TestExactKNNMatchesBruteForce(t *testing.T) {
 	db := benchDB()
 	ds := benchData()
 	for qi := 0; qi < 4; qi++ {
-		nn, _, err := db.ExactSearch(ds.Queries[qi], 10)
+		nn, _, err := exactSearch(db, ds.Queries[qi], 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func exactDist(db *ansmet.Database, q []float32, id uint32) float64 {
 // route draws its plain engine from the pooled scratch, like the tiered
 // route always did — so a steady-state exact query allocates exactly what
 // it does on the plain database (its result slice). The parent's
-// ExactSearch built a fresh engine on every query there, and exact is
+// exact route built a fresh engine on every query there, and exact is
 // precisely the route the router diverts to when ranks degrade.
 func TestDoResilientExactAllocs(t *testing.T) {
 	if raceEnabled {

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"ansmet/internal/backoff"
 	"ansmet/internal/stats"
 )
 
@@ -15,7 +14,7 @@ type BreakerState int
 const (
 	// BreakerClosed routes queries to the shard normally.
 	BreakerClosed BreakerState = iota
-	// BreakerOpen skips the shard entirely until the jittered backoff
+	// BreakerOpen skips the shard entirely until its jittered probe delay
 	// elapses; skipped shards make the merged result partial.
 	BreakerOpen
 	// BreakerHalfOpen has one probe query in flight on the shard.
@@ -32,45 +31,50 @@ func (s BreakerState) String() string {
 	return breakerNames[s]
 }
 
-// BreakerConfig tunes the per-shard circuit breakers.
-//
 // Unlike the engine layer's comparison-counted breakers (engine.BreakerSet,
-// which must stay wall-clock-free for simulator determinism), shard
-// breakers live in a real serving process and re-enable on wall time: an
-// open breaker schedules its next probe backoff.Policy-jittered into the
-// future, growing the interval while the shard keeps failing, so a crashed
-// shard costs one probe per interval instead of one failed RPC per query —
-// and a fleet of coordinators does not re-probe a recovering shard in
-// lockstep.
-type BreakerConfig struct {
-	// FailureThreshold is the consecutive-failure count that opens the
-	// breaker (default 3).
-	FailureThreshold int
-	// Backoff schedules probe re-enables after opening; attempt n is the
-	// n-th consecutive re-open (default Base 50 ms, cap 2 s, ±50% jitter).
-	Backoff backoff.Policy
-	// Seed drives the jitter (default 1; each shard forks its own stream).
-	Seed uint64
+// which must stay wall-clock-free for simulator determinism), shard breakers
+// live in a real serving process and re-enable on wall time: failureThreshold
+// consecutive failures open a breaker, and an open breaker schedules its next
+// probe probeDelay into the future — probeBase, doubling per consecutive
+// re-open up to probeMax, then spread ±probeJitter — so a crashed shard costs
+// one probe per interval instead of one failed RPC per query, and a fleet of
+// coordinators does not re-probe a recovering shard in lockstep.
+const (
+	failureThreshold = 3
+	probeBase        = 50 * time.Millisecond
+	probeMax         = 2 * time.Second
+	probeJitter      = 0.5
+)
+
+// probeStep is the unjittered delay after the reopen-th consecutive open
+// (0-based): min(probeBase·2^reopen, probeMax).
+func probeStep(reopen int) time.Duration {
+	d := probeBase
+	for i := 0; i < reopen && d < probeMax; i++ {
+		d *= 2
+	}
+	return min(d, probeMax)
 }
 
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 3
-	}
-	if c.Backoff.Base == 0 {
-		c.Backoff = backoff.Policy{Base: 50 * time.Millisecond, Max: 2 * time.Second}
-	}
-	c.Backoff = c.Backoff.WithDefaults()
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+// probeDelay is the wait before the probe that follows the reopen-th
+// consecutive open: uniform in [d·(1−probeJitter), d·(1+probeJitter)] for
+// d = probeStep(reopen), and never above probeMax. rng supplies the jitter,
+// so a seeded breaker's schedule is reproducible.
+func probeDelay(reopen int, rng *stats.RNG) time.Duration {
+	d := float64(probeStep(reopen)) * (1 - probeJitter + 2*probeJitter*rng.Float64())
+	return time.Duration(min(d, float64(probeMax)))
+}
+
+// BreakerConfig seeds the per-shard circuit breakers.
+type BreakerConfig struct {
+	// Seed drives the probe jitter (default 1; each shard forks its own
+	// stream).
+	Seed uint64
 }
 
 // shardBreaker is one shard's circuit breaker. All methods are safe for
 // concurrent use.
 type shardBreaker struct {
-	cfg BreakerConfig
 	now func() time.Time // injectable clock for tests
 
 	mu          sync.Mutex
@@ -82,14 +86,11 @@ type shardBreaker struct {
 }
 
 func newShardBreaker(cfg BreakerConfig, shard int, now func() time.Time) *shardBreaker {
-	cfg = cfg.withDefaults()
-	if now == nil {
-		now = time.Now
+	seed := cfg.Seed
+	if seed == 0 {
+		seed = 1
 	}
-	return &shardBreaker{
-		cfg: cfg, now: now,
-		rng: stats.NewRNG(cfg.Seed + uint64(shard)*0x9e3779b97f4a7c15),
-	}
+	return &shardBreaker{now: now, rng: stats.NewRNG(seed + uint64(shard)*0x9e3779b97f4a7c15)}
 }
 
 // State returns the breaker position.
@@ -145,7 +146,7 @@ func (b *shardBreaker) Failure() (tripped bool) {
 		return false
 	default:
 		b.consecFails++
-		if b.consecFails >= b.cfg.FailureThreshold {
+		if b.consecFails >= failureThreshold {
 			b.open()
 			return true
 		}
@@ -168,14 +169,14 @@ func (b *shardBreaker) ReleaseProbe() {
 	if step < 0 {
 		step = 0
 	}
-	b.probeAt = b.now().Add(b.cfg.Backoff.Delay(step, b.rng))
+	b.probeAt = b.now().Add(probeDelay(step, b.rng))
 }
 
 // open transitions to BreakerOpen and schedules the next probe. Caller
 // holds b.mu.
 func (b *shardBreaker) open() {
 	b.state = BreakerOpen
-	b.probeAt = b.now().Add(b.cfg.Backoff.Delay(b.reopens, b.rng))
+	b.probeAt = b.now().Add(probeDelay(b.reopens, b.rng))
 	b.reopens++
 	b.consecFails = 0
 }

@@ -154,7 +154,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	c.Breaker = c.Breaker.withDefaults()
 	if c.now == nil {
 		c.now = time.Now
 	}

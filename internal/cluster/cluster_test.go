@@ -99,7 +99,7 @@ func TestCrashedShardDegradesAndBreakerLifecycle(t *testing.T) {
 		return staticShard(lists[1])(ctx, q, k, ef, dst)
 	}
 	shards := []ShardFunc{staticShard(lists[0]), flaky, staticShard(lists[2]), staticShard(lists[3])}
-	cfg := Config{Breaker: BreakerConfig{FailureThreshold: 2}, now: clock}
+	cfg := Config{now: clock}
 	c, err := New(shards, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -124,9 +124,10 @@ func TestCrashedShardDegradesAndBreakerLifecycle(t *testing.T) {
 		return res
 	}
 
-	// Two crashes trip the breaker (threshold 2)...
-	query(KindCrash)
-	query(KindCrash)
+	// failureThreshold (3) crashes trip the breaker...
+	for i := 0; i < failureThreshold; i++ {
+		query(KindCrash)
+	}
 	if got := c.BreakerStates()[1]; got != BreakerOpen {
 		t.Fatalf("breaker after threshold crashes = %v, want open", got)
 	}
@@ -161,7 +162,7 @@ func TestCrashedShardDegradesAndBreakerLifecycle(t *testing.T) {
 		t.Fatalf("breaker after successful probe = %v, want closed", got)
 	}
 	m := c.Metrics().Snapshot()
-	if m.Crashes != 3 || m.BreakerTrips != 2 || m.BreakerSkips != 1 || m.Probes != 2 || m.Reenables != 1 {
+	if m.Crashes != failureThreshold+1 || m.BreakerTrips != 2 || m.BreakerSkips != 1 || m.Probes != 2 || m.Reenables != 1 {
 		t.Fatalf("metrics = %+v", m)
 	}
 }

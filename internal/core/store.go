@@ -70,7 +70,7 @@ func BuildStore(rs *rows.Slab, sched bitplane.Schedule, prefix prefixelim.Config
 		Elem: elem, Dim: dim, Layout: lay, Prefix: prefix,
 		rows:        rs,
 		slotLines:   lay.LinesPerVector(),
-		backupLines: (dim*elem.Bytes() + 63) / 64,
+		backupLines: rows.Lines(elem, dim),
 	}
 	if prefix.Enabled() && prefix.OutlierLines() > s.slotLines {
 		s.slotLines = prefix.OutlierLines()

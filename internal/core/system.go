@@ -203,7 +203,7 @@ func NewSystem(rs *rows.Slab, metric vecmath.Metric, index *hnsw.Index, cfg Syst
 
 	// Storage. A Base design fetches the plain row, whose line count is the
 	// backup footprint.
-	backupLines := (s.Dim*elem.Bytes() + 63) / 64
+	backupLines := rows.Lines(elem, s.Dim)
 	lines, groupLines := backupLines, []int{backupLines}
 	if cfg.Design.UsesET() {
 		store, err := BuildStore(rs, sched, prefix)

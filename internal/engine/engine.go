@@ -58,6 +58,10 @@ type Engine interface {
 	Metric() vecmath.Metric
 }
 
+// DefaultEf is the beam width (the paper's efSearch) of a query that names
+// none: 2k, and never below 32.
+func DefaultEf(k int) int { return max(2*k, 32) }
+
 // Batcher is an optional capability of an Engine whose comparison is a plain
 // distance over a row it can address ahead of time: a traversal that knows
 // a whole hop's ids before it compares the first can hint every row and
@@ -104,11 +108,7 @@ func NewExact(vectors [][]float32, m vecmath.Metric, elem vecmath.ElemType) *Exa
 // NewExactOver builds an exact engine over a slab it shares with whoever
 // else reads (and appends to) it.
 func NewExactOver(rs *rows.Slab, m vecmath.Metric) *Exact {
-	lines := (rs.Dim()*rs.Elem().Bytes() + 63) / 64
-	if lines == 0 {
-		lines = 1
-	}
-	return &Exact{M: m, FullLines: lines, rows: rs, kern: vecmath.Active().RowKernel(rs.Elem(), m)}
+	return &Exact{M: m, FullLines: rows.Lines(rs.Elem(), rs.Dim()), rows: rs, kern: vecmath.Active().RowKernel(rs.Elem(), m)}
 }
 
 // StartQuery implements Engine: it pins the slab and encodes q into the

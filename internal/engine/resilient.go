@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"ansmet/internal/backoff"
-	"ansmet/internal/stats"
 	"ansmet/internal/vecmath"
 )
 
@@ -43,7 +40,8 @@ type ResilienceConfig struct {
 	// Enabled switches the resilient wrapper on in core.NewSystem.
 	Enabled bool
 	// MaxRetries is how many times a failed comparison is retried on the
-	// primary engine before falling back (default 2).
+	// primary engine before falling back (default 2). A retry follows its
+	// failure at once: nothing here waits on the wall clock.
 	MaxRetries int
 	// FailureThreshold is the consecutive-failure count that opens a
 	// rank's circuit breaker (default 4).
@@ -53,17 +51,6 @@ type ResilienceConfig struct {
 	// (default 64). Comparisons, not wall time, keep the simulator
 	// deterministic.
 	ProbeAfter int
-	// Backoff is the base delay between retries, growing exponentially and
-	// jittered per attempt (internal/backoff: ×2 per retry, ±50% uniform
-	// jitter, capped at 30×Base) so concurrent workers hitting the same
-	// failing rank do not retry in lockstep. Zero (the default) retries
-	// immediately, which is what the functional simulator wants.
-	Backoff time.Duration
-}
-
-// retryPolicy is the jittered exponential schedule derived from Backoff.
-func (c ResilienceConfig) retryPolicy() backoff.Policy {
-	return backoff.Policy{Base: c.Backoff}.WithDefaults()
 }
 
 // WithDefaults fills zero fields with the defaults above.
@@ -325,11 +312,6 @@ type Resilient struct {
 	counters *Counters
 	cfg      ResilienceConfig
 
-	// retryDelay computes the jittered sleep before retry n. Each Resilient
-	// draws jitter from its own seeded RNG, so workers sharing a BreakerSet
-	// still retry at decorrelated moments.
-	retryDelay func(attempt int) time.Duration
-
 	scratch []int
 }
 
@@ -350,18 +332,11 @@ func NewResilient(primary Fallible, fallback Engine, ranksOf func(id uint32, dst
 	if counters == nil {
 		counters = &Counters{}
 	}
-	pol := cfg.retryPolicy()
-	rng := stats.NewRNG(resilientSeq.Add(1))
 	return &Resilient{
 		primary: primary, fallback: fallback, ranksOf: ranksOf,
 		breakers: breakers, counters: counters, cfg: cfg.WithDefaults(),
-		retryDelay: func(attempt int) time.Duration { return pol.Delay(attempt, rng) },
 	}
 }
-
-// resilientSeq seeds each Resilient's jitter RNG distinctly, so workers
-// constructed from the same config still jitter independently.
-var resilientSeq atomic.Uint64
 
 // Counters returns the shared event counters.
 func (r *Resilient) Counters() *Counters { return r.counters }
@@ -407,9 +382,6 @@ func (r *Resilient) Compare(id uint32, threshold float64) Result {
 	for attempt := 0; attempt <= r.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			r.counters.Retries.Add(1)
-			if d := r.retryDelay(attempt - 1); d > 0 {
-				time.Sleep(d)
-			}
 		}
 		r.counters.Attempts.Add(1)
 		res, err := r.tryPrimary(id, threshold)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"ansmet/internal/vecmath"
 )
@@ -242,44 +241,5 @@ func TestResilientDegradesToFallback(t *testing.T) {
 	}
 	if c.Fallbacks != 4 {
 		t.Fatalf("fallbacks = %d, want 4 (2 failed + 2 routed)", c.Fallbacks)
-	}
-}
-
-// TestResilientRetryBackoffJittered pins the retry pacing to the shared
-// jittered-exponential policy: delays grow per attempt, stay inside the
-// ±50% jitter band, and differ across Resilient instances (decorrelated
-// workers). Zero Backoff must keep the immediate-retry fast path.
-func TestResilientRetryBackoffJittered(t *testing.T) {
-	base := 10 * time.Millisecond
-	mk := func() *Resilient {
-		inner := NewExact([][]float32{{0, 0}}, vecmath.L2, vecmath.Float32)
-		return NewResilient(&flakyEngine{inner: inner}, inner, nil, nil, nil,
-			ResilienceConfig{Backoff: base})
-	}
-	r := mk()
-	for attempt := 0; attempt < 4; attempt++ {
-		lo := time.Duration(float64(base) * 0.5 * math.Pow(2, float64(attempt)))
-		hi := time.Duration(float64(base) * 1.5 * math.Pow(2, float64(attempt)))
-		for i := 0; i < 100; i++ {
-			d := r.retryDelay(attempt)
-			if d < lo || d > hi {
-				t.Fatalf("attempt %d: delay %v outside jitter band [%v, %v]", attempt, d, lo, hi)
-			}
-		}
-	}
-	a, b := mk(), mk()
-	same := 0
-	for i := 0; i < 32; i++ {
-		if a.retryDelay(0) == b.retryDelay(0) {
-			same++
-		}
-	}
-	if same == 32 {
-		t.Fatalf("two Resilient instances produced identical jitter schedules")
-	}
-	zero := NewResilient(&flakyEngine{inner: NewExact([][]float32{{0, 0}}, vecmath.L2, vecmath.Float32)},
-		NewExact([][]float32{{0, 0}}, vecmath.L2, vecmath.Float32), nil, nil, nil, ResilienceConfig{})
-	if d := zero.retryDelay(3); d != 0 {
-		t.Fatalf("zero Backoff delayed %v, want immediate retry", d)
 	}
 }

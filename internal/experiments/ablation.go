@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ansmet/internal/core"
+	"ansmet/internal/dataset"
 	"ansmet/internal/layout"
 	"ansmet/internal/prefixelim"
 	"ansmet/internal/quantize"
@@ -66,7 +67,7 @@ func (r *Runner) AblationQuantization() *Table {
 	w := r.load("DEEP")
 	p := w.ds.Profile
 	nq := len(w.ds.Queries)
-	plainBytes := float64((p.Dim*p.Elem.Bytes() + 63) / 64 * 64)
+	plainBytes := float64(rows.Lines(p.Elem, p.Dim) * 64)
 
 	mkRow := func(name string, bytesPer float64, recall float64, exact bool) []string {
 		return []string{
@@ -88,11 +89,7 @@ func (r *Runner) AblationQuantization() *Table {
 			for qi, q := range w.ds.Queries {
 				nn, lines, _ := eng.ExactKNN(nil, q, 10)
 				totalLines += lines
-				ids := make([]uint32, len(nn))
-				for i, n := range nn {
-					ids[i] = n.ID
-				}
-				rec += recallIDs(ids, w.gt[qi])
+				rec += recallNN(nn, w.gt[qi])
 			}
 			per := float64(totalLines*64) / float64(nq*len(w.ds.Vectors))
 			return mkRow("ANSMET ET scan", per, rec/float64(nq), true)
@@ -119,11 +116,7 @@ func (r *Runner) AblationQuantization() *Table {
 			for qi, q := range w.ds.Queries {
 				nn, lines, _ := eng.ExactKNN(nil, sq.Quantize(q), 10)
 				totalLines += lines
-				ids := make([]uint32, len(nn))
-				for i, n := range nn {
-					ids[i] = n.ID
-				}
-				rec += recallIDs(ids, w.gt[qi])
+				rec += recallNN(nn, w.gt[qi])
 			}
 			per := float64(totalLines*64) / float64(nq*len(w.ds.Vectors))
 			return mkRow("SQ8 + ET scan", per, rec/float64(nq), false)
@@ -145,7 +138,7 @@ func (r *Runner) AblationQuantization() *Table {
 				tab := pq.NewTable(q, p.Metric)
 				ids, _, fetched, _ := tab.ETScan(codes, 10)
 				totalFetched += fetched
-				rec += recallIDs(ids, w.gt[qi])
+				rec += dataset.RecallAtK(ids, w.gt[qi])
 			}
 			per := float64(totalFetched) / float64(nq*len(w.ds.Vectors)) // 1 B per codeword
 			return mkRow("PQ16x64 + partial-element ET", per, rec/float64(nq), false)
@@ -158,21 +151,4 @@ func (r *Runner) AblationQuantization() *Table {
 	t.Notes = append(t.Notes,
 		"quantization fetches less but loses accuracy; ANSMET's bit-plane ET cuts fetches with zero loss (§4.3)")
 	return t
-}
-
-func recallIDs(got, truth []uint32) float64 {
-	set := make(map[uint32]bool, len(truth))
-	for _, id := range truth {
-		set[id] = true
-	}
-	hit := 0
-	for _, id := range got {
-		if set[id] {
-			hit++
-		}
-	}
-	if len(truth) == 0 {
-		return 1
-	}
-	return float64(hit) / float64(len(truth))
 }

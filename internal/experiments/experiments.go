@@ -306,6 +306,15 @@ func recallOf(w *workload, run *core.RunResult) float64 {
 	return sum / float64(len(w.gt))
 }
 
+// recallNN is dataset.RecallAtK of one result list.
+func recallNN(nn []hnsw.Neighbor, truth []uint32) float64 {
+	ids := make([]uint32, len(nn))
+	for i, n := range nn {
+		ids[i] = n.ID
+	}
+	return dataset.RecallAtK(ids, truth)
+}
+
 // AllProfiles lists the dataset order used throughout the evaluation.
 var AllProfiles = []string{"SIFT", "BigANN", "SPACEV", "DEEP", "GloVe", "Txt2Img", "GIST"}
 

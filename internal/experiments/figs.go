@@ -501,16 +501,6 @@ func (r *Runner) FigTieredFrontier() *Table {
 		c := cells[i]
 		w, sys := r.system(c.name, core.NDPETOpt, nil)
 		nq := float64(len(w.ds.Queries))
-		// idsOf converts one result list to ids; each cell needs its own
-		// scratch because cells run concurrently.
-		scratch := make([]uint32, 0, 10)
-		idsOf := func(nn []hnsw.Neighbor) []uint32 {
-			scratch = scratch[:0]
-			for _, n := range nn {
-				scratch = append(scratch, n.ID)
-			}
-			return scratch
-		}
 		switch c.path {
 		case "beam":
 			run := sys.RunHNSW(w.ds.Queries, 10, c.ef)
@@ -523,7 +513,7 @@ func (r *Runner) FigTieredFrontier() *Table {
 			for qi, q := range w.ds.Queries {
 				nn, l, _ := eng.ExactKNN(nil, q, 10)
 				lines += l
-				sum += dataset.RecallAtK(idsOf(nn), w.gt[qi])
+				sum += recallNN(nn, w.gt[qi])
 			}
 			rows[i] = []string{c.name, c.path, c.knob,
 				fmt.Sprintf("%.3f", sum/nq), f1(float64(lines) / nq), "-"}
@@ -537,7 +527,7 @@ func (r *Runner) FigTieredFrontier() *Table {
 				dst, st = eng.TieredKNNInto(nil, q, 10, core.TieredOpts{Budget: c.budget}, dst)
 				lines += st.BoundLines + st.RerankLines
 				poolSz += st.Pool
-				sum += dataset.RecallAtK(idsOf(dst), w.gt[qi])
+				sum += recallNN(dst, w.gt[qi])
 			}
 			rows[i] = []string{c.name, c.path, c.knob,
 				fmt.Sprintf("%.3f", sum/nq), f1(float64(lines) / nq), f1(float64(poolSz) / nq)}
@@ -592,14 +582,6 @@ func (r *Runner) FigPrecisionFrontier() *Table {
 		fixRec, fixLines := beam(fixSys)
 		adRec, adLines := beam(adSys)
 
-		scratch := make([]uint32, 0, 10)
-		idsOf := func(nn []hnsw.Neighbor) []uint32 {
-			scratch = scratch[:0]
-			for _, n := range nn {
-				scratch = append(scratch, n.ID)
-			}
-			return scratch
-		}
 		var dst []hnsw.Neighbor
 		tiered := func(sys *core.System, opts func() core.TieredOpts, observe func(core.TieredStats)) (float64, float64, float64) {
 			eng := sys.Store.NewETEngine(w.ds.Profile.Metric)
@@ -610,7 +592,7 @@ func (r *Runner) FigPrecisionFrontier() *Table {
 				dst, st = eng.TieredKNNInto(nil, q, 10, opts(), dst)
 				lines += st.BoundLines + st.RerankLines
 				pool += st.Pool
-				sum += dataset.RecallAtK(idsOf(dst), w.gt[qi])
+				sum += recallNN(dst, w.gt[qi])
 				if observe != nil {
 					observe(st)
 				}

@@ -21,6 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+
+	"ansmet/internal/stats"
 )
 
 // Kind enumerates the injectable fault classes.
@@ -126,13 +128,9 @@ func NewInjector(s *Schedule) *Injector {
 	}
 }
 
-// splitmix64 is the per-opportunity decision hash.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+// splitmix64 is the per-opportunity decision hash: one step of the
+// splitmix64 generator from state x.
+func splitmix64(x uint64) uint64 { return stats.Mix64(x + 0x9e3779b97f4a7c15) }
 
 // rand01 derives a uniform [0,1) value for (rule, opportunity).
 func (inj *Injector) rand01(rule int, n uint64) float64 {

@@ -12,7 +12,6 @@ import (
 	"ansmet/internal/hnsw"
 	"ansmet/internal/ndp"
 	"ansmet/internal/prefixelim"
-	"ansmet/internal/vecmath"
 )
 
 func TestInjectorDeterminism(t *testing.T) {
@@ -114,7 +113,7 @@ type protoRig struct {
 	resilient *engine.Resilient
 	queries   [][]float32
 	index     *hnsw.Index
-	vectors   [][]float32
+	ds        *dataset.Dataset
 }
 
 func newProtoRig(t *testing.T, sched *fault.Schedule, res engine.ResilienceConfig) *protoRig {
@@ -163,7 +162,7 @@ func newProtoRig(t *testing.T, sched *fault.Schedule, res engine.ResilienceConfi
 	}
 	fb := engine.NewExact(ds.Vectors, p.Metric, p.Elem)
 	resEng := engine.NewResilient(hw, fb, nil, nil, nil, res)
-	return &protoRig{ref: ref, resilient: resEng, queries: ds.Queries, index: ix, vectors: ds.Vectors}
+	return &protoRig{ref: ref, resilient: resEng, queries: ds.Queries, index: ix, ds: ds}
 }
 
 // sameNeighbors asserts identical result IDs in identical order, with
@@ -240,34 +239,17 @@ func TestChaosSilentCorruptionRecallFloor(t *testing.T) {
 		{Kind: fault.CorruptLine, Rank: -1, Prob: 0.02, Bits: 1},
 	}}
 	rig := newProtoRig(t, sched, engine.ResilienceConfig{MaxRetries: 1, FailureThreshold: 1 << 30, ProbeAfter: 16})
-	exact := engine.NewExact(rig.vectors, vecmath.L2, vecmath.Float32)
+	truths := rig.ds.GroundTruth(10)
 	var recallSum float64
-	for _, q := range rig.queries {
+	for qi, q := range rig.queries {
 		got := rig.index.Search(q, 10, 50, rig.resilient, nil)
 		if len(got) != 10 {
 			t.Fatalf("degraded search returned %d results, want 10", len(got))
 		}
-		// Brute-force truth for recall.
-		exact.StartQuery(q)
-		type pair struct {
-			id uint32
-			d  float64
-		}
-		var truth []pair
-		for id := range rig.vectors {
-			d := exact.Compare(uint32(id), math.Inf(1)).Dist
-			truth = append(truth, pair{uint32(id), d})
-			for i := len(truth) - 1; i > 0 && truth[i].d < truth[i-1].d; i-- {
-				truth[i], truth[i-1] = truth[i-1], truth[i]
-			}
-			if len(truth) > 10 {
-				truth = truth[:10]
-			}
-		}
 		hits := 0
 		for _, n := range got {
-			for _, tr := range truth {
-				if n.ID == tr.id {
+			for _, id := range truths[qi] {
+				if n.ID == id {
 					hits++
 					break
 				}

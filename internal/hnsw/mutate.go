@@ -58,6 +58,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"ansmet/internal/stats"
 )
 
 const (
@@ -116,12 +118,7 @@ func (ix *Index) Live() bool { return ix.live != nil }
 // making WAL replay deterministic regardless of how construction and
 // recovery interleave.
 func levelFor(seed uint64, id uint32, mL float64) int {
-	x := seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
+	x := stats.Mix64(seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15)
 	u := float64(x>>11) / (1 << 53) // in [0, 1)
 	return int(-math.Log(1-u) * mL)
 }

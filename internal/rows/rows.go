@@ -127,6 +127,11 @@ func newChunk(stride int) []byte {
 	return buf[off : off+size : off+size]
 }
 
+// Lines is the number of 64-byte lines a plain row of dim elem values spans:
+// what a full fetch of one vector reads, and the footprint the NDP model
+// charges a Base design and a full-precision backup.
+func Lines(elem vecmath.ElemType, dim int) int { return (dim*elem.Bytes() + 63) / 64 }
+
 // Elem returns the element type of the rows.
 func (s *Slab) Elem() vecmath.ElemType { return s.elem }
 

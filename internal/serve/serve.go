@@ -12,6 +12,7 @@ import (
 
 	"ansmet/internal/engine"
 	"ansmet/internal/hnsw"
+	"ansmet/internal/stats"
 )
 
 // SearchFunc is the plain search hook, kept beside PrecisionFunc for one
@@ -107,10 +108,6 @@ type Config struct {
 	// this, and one byte more is a 413 whatever the bytes before it hold.
 	MaxBodyBytes int64
 
-	// MaxK, MaxEf bound query shape (defaults 1024, 8192); a request that
-	// names no k asks for defaultK.
-	MaxK, MaxEf int
-
 	// AllowPanicProbe enables the {"panic":true} chaos probe on
 	// /v1/search, which panics inside the handler to exercise the
 	// panic-to-500 containment. Never enable in production.
@@ -120,6 +117,11 @@ type Config struct {
 const (
 	// defaultK is the k of a search request that names none.
 	defaultK = 10
+	// maxK and maxEf bound a search request's shape: a k or a beam past
+	// them is a 400, so no request can ask for an unbounded result or
+	// traversal.
+	maxK  = 1024
+	maxEf = 8192
 	// auxConcurrency caps in-flight requests per auxiliary endpoint
 	// (health/ready/vars). Search concurrency is governed by Admission.
 	auxConcurrency = 64
@@ -134,12 +136,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
-	}
-	if c.MaxK <= 0 {
-		c.MaxK = 1024
-	}
-	if c.MaxEf <= 0 {
-		c.MaxEf = 8192
 	}
 	return c
 }
@@ -377,16 +373,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	ef := req.Ef
 	if ef == 0 {
-		ef = 2 * k
-		if ef < 32 {
-			ef = 32
-		}
+		ef = engine.DefaultEf(k)
 	}
-	if len(req.Query) == 0 || k < 1 || k > s.cfg.MaxK || ef < k || ef > s.cfg.MaxEf {
+	if len(req.Query) == 0 || k < 1 || k > maxK || ef < k || ef > maxEf {
 		s.metrics.BadRequests.Add(1)
 		writeJSON(w, http.StatusBadRequest, SearchResponse{
 			Error: fmt.Sprintf("invalid query shape (len=%d k=%d ef=%d; limits k<=%d ef<=%d)",
-				len(req.Query), k, ef, s.cfg.MaxK, s.cfg.MaxEf)})
+				len(req.Query), k, ef, maxK, maxEf)})
 		return
 	}
 	if req.Mode != "" {
@@ -520,12 +513,7 @@ func (s *Server) requestCtx(r *http.Request, timeoutMs int) (ctx context.Context
 // free.
 func (s *Server) retryAfterSecs(hint time.Duration) int {
 	base := int(hint/time.Second) + 1
-	x := s.jitterSeq.Add(0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
+	x := stats.Mix64(s.jitterSeq.Add(0x9e3779b97f4a7c15))
 	return base + int(x%uint64(base+1))
 }
 

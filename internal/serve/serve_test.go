@@ -5,6 +5,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -99,18 +100,23 @@ func TestSearchOversizedBody(t *testing.T) {
 }
 
 func TestSearchShapeLimits(t *testing.T) {
-	s := newTestServer(t, Config{MaxK: 16, MaxEf: 64})
+	s := newTestServer(t, Config{})
 	cases := []string{
 		`{"query":[]}`,
 		`{"query":[1],"k":-3}`,
-		`{"query":[1],"k":100}`,
+		fmt.Sprintf(`{"query":[1],"k":%d}`, maxK+1),
 		`{"query":[1],"k":4,"ef":2}`,
-		`{"query":[1],"k":4,"ef":1000}`,
+		fmt.Sprintf(`{"query":[1],"k":4,"ef":%d}`, maxEf+1),
 	}
 	for _, body := range cases {
 		if w := postSearch(s, body); w.Code != http.StatusBadRequest {
 			t.Fatalf("body %s: status = %d, want 400", body, w.Code)
 		}
+	}
+	// The limits themselves are allowed.
+	body := fmt.Sprintf(`{"query":[1],"k":%d,"ef":%d}`, maxK, maxEf)
+	if w := postSearch(s, body); w.Code != http.StatusOK {
+		t.Fatalf("body %s: status = %d, want 200", body, w.Code)
 	}
 }
 
@@ -370,6 +376,20 @@ func TestRetryAfterJitterBounds(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatalf("jitter produced a single value %v; retries would stampede in sync", seen)
+	}
+}
+
+// TestRetryAfterUnchanged pins the first 100 Retry-After values of a fresh
+// server to those recorded before its jitter hash went through stats.Mix64.
+func TestRetryAfterUnchanged(t *testing.T) {
+	s := newTestServer(t, Config{})
+	var got []int
+	for i := 0; i < 100; i++ {
+		got = append(got, s.retryAfterSecs(time.Duration(i%7)*700*time.Millisecond))
+	}
+	const want = "f13bfca0ccec349879133d53ad3cf16c020ebee612892079d362ba25469dafac"
+	if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(got)))); sum != want {
+		t.Fatalf("Retry-After sequence %v: sha256 %s, want %s", got, sum, want)
 	}
 }
 

@@ -21,16 +21,22 @@ type RNG struct {
 	s [4]uint64
 }
 
+// Mix64 is the splitmix64 finalizer: a bijective avalanche of x, so nearby
+// inputs (a counter, a seed plus an id) come out as unrelated 64-bit values.
+// Every hash-derived decision in the repository goes through it.
+func Mix64(x uint64) uint64 {
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // NewRNG returns a generator seeded from seed using splitmix64 expansion.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
 	x := seed
 	for i := range r.s {
 		x += 0x9e3779b97f4a7c15
-		z := x
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		r.s[i] = z ^ (z >> 31)
+		r.s[i] = Mix64(x)
 	}
 	return r
 }

@@ -105,11 +105,11 @@ func sameSearchState(t *testing.T, a, b *ansmet.Database, queries [][]float32) {
 		if !reflect.DeepEqual(ra, rb) {
 			t.Fatalf("query %d: beam results diverge:\n%v\n%v", qi, ra, rb)
 		}
-		ea, _, err := a.ExactSearch(q, 10)
+		ea, _, err := exactSearch(a, q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eb, _, err := b.ExactSearch(q, 10)
+		eb, _, err := exactSearch(b, q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,8 +273,8 @@ func TestMutableSearchExcludesTombstones(t *testing.T) {
 	for _, q := range ds.Queries {
 		res, err := db.Search(q, 10)
 		check("Search", res, err)
-		res, _, err = db.ExactSearch(q, 10)
-		check("ExactSearch", res, err)
+		res, _, err = exactSearch(db, q, 10)
+		check("exact", res, err)
 		res, _, err = db.TieredSearchInto(q, 10, 0, nil)
 		check("TieredSearch", res, err)
 		res, err = searchFiltered(db, q, 10, func(id uint32) bool { return id%2 == 0 })
@@ -667,7 +667,7 @@ func TestConcurrentMutateSearch(t *testing.T) {
 				case 1:
 					res, _, err = db.TieredSearchInto(q, 10, 0, nil)
 				case 2:
-					res, _, err = db.ExactSearch(q, 10)
+					res, _, err = exactSearch(db, q, 10)
 				default: // the same beam over the ET engine's store snapshot
 					var r ansmet.Result
 					r, err = db.Do(context.Background(), &ansmet.Query{Vector: q, K: 10, Ef: 50, Route: ansmet.RouteNDP})

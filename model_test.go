@@ -86,10 +86,7 @@ func TestDefaultPathBuildsNoModel(t *testing.T) {
 				if _, err := db.Search(queries[1], 5); err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := db.ExactSearch(queries[1], 5); err != nil {
-					t.Fatal(err)
-				}
-				none(db, label+" Search/ExactSearch")
+				none(db, label+" Search")
 			}
 			mutate := func(db *Database, label string, victims ...uint32) {
 				t.Helper()

@@ -570,15 +570,20 @@ func validateClusterManifest(man *clusterManifest) error {
 	if len(man.IDs) == 0 {
 		return fmt.Errorf("ansmet: manifest has no shards")
 	}
-	if man.Total <= 0 {
-		return fmt.Errorf("ansmet: manifest records %d vectors", man.Total)
-	}
-	seen := make([]bool, man.Total)
+	// The footer is a checksum, not a MAC: Total is checked against the ids
+	// the file really holds before it sizes an allocation.
 	count := 0
 	for s, ids := range man.IDs {
 		if len(ids) == 0 {
 			return fmt.Errorf("ansmet: manifest shard %d is empty", s)
 		}
+		count += len(ids)
+	}
+	if count != man.Total {
+		return fmt.Errorf("ansmet: manifest covers %d of %d ids", count, man.Total)
+	}
+	seen := make([]bool, man.Total)
+	for s, ids := range man.IDs {
 		for _, id := range ids {
 			if int(id) >= man.Total {
 				return fmt.Errorf("ansmet: manifest shard %d has id %d out of range (total %d)", s, id, man.Total)
@@ -587,11 +592,7 @@ func validateClusterManifest(man *clusterManifest) error {
 				return fmt.Errorf("ansmet: manifest assigns id %d to multiple shards", id)
 			}
 			seen[id] = true
-			count++
 		}
-	}
-	if count != man.Total {
-		return fmt.Errorf("ansmet: manifest covers %d of %d ids", count, man.Total)
 	}
 	return nil
 }

@@ -87,11 +87,11 @@ func TestRecallTargetEndpointsByteIdentical(t *testing.T) {
 				t.Fatalf("q%d tiered result %d: %+v != %+v", qi, j, ta[j], tb[j])
 			}
 		}
-		ea, _, err := fixed.ExactSearch(q, 10)
+		ea, _, err := exactSearch(fixed, q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eb, _, err := one.ExactSearch(q, 10)
+		eb, _, err := exactSearch(one, q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestRecallTargetEndpointsByteIdentical(t *testing.T) {
 // TestAdaptiveSearchInvariants: a RecallTarget in (0, 1) turns the
 // machinery on (stats populated, tuner observing) and keeps the search
 // contract: full result sets, recall within a modest slack of the
-// fixed-depth baseline, and ExactSearch still exact.
+// fixed-depth baseline, and the exact route still exact.
 func TestAdaptiveSearchInvariants(t *testing.T) {
 	ds := precisionTestData()
 	fixed := precisionTestDB(t, 0)
@@ -156,19 +156,19 @@ func TestAdaptiveSearchInvariants(t *testing.T) {
 		t.Errorf("tuner folded in %d observations, want >= %d", obs, len(ds.Queries))
 	}
 
-	// ExactSearch ignores the adaptive mode by construction.
+	// The exact route ignores the adaptive mode by construction.
 	for qi, q := range ds.Queries {
-		ea, _, err := ad.ExactSearch(q, 10)
+		ea, _, err := exactSearch(ad, q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eb, _, err := fixed.ExactSearch(q, 10)
+		eb, _, err := exactSearch(fixed, q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j := range ea {
 			if ea[j] != eb[j] {
-				t.Fatalf("q%d: adaptive ExactSearch diverged at %d: %+v != %+v",
+				t.Fatalf("q%d: adaptive exact route diverged at %d: %+v != %+v",
 					qi, j, ea[j], eb[j])
 			}
 		}

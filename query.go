@@ -16,8 +16,8 @@ import (
 
 // This file is the whole query surface: one request value (Query), one
 // answer (Result), and one execution core (Database.do) that every search
-// entry point — Do, DoMany, the Search*/TieredSearch*/ExactSearch wrappers
-// below, and each shard of Cluster.Do — runs through. DESIGN.md, "Query
+// entry point — Do, DoMany, the Search*/TieredSearch* wrappers below, and
+// each shard of Cluster.Do — runs through. DESIGN.md, "Query
 // plan and execution core", is the prose companion.
 
 // Query is one search request. The zero value of every field but Vector and
@@ -77,12 +77,12 @@ type Result struct {
 	Tiered TieredStats
 }
 
-// beam returns the query's beam width: Ef, or the default max(2K, 32).
+// beam returns the query's beam width: Ef, or engine.DefaultEf(K).
 func (q *Query) beam() int {
 	if q.Ef != 0 {
 		return q.Ef
 	}
-	return max(2*q.K, 32)
+	return engine.DefaultEf(q.K)
 }
 
 // errFilterRoute rejects a Filter on a route that cannot honor it.
@@ -427,18 +427,6 @@ func (db *Database) SearchCtxInto(ctx context.Context, q []float32, k, ef int, d
 	return res.Neighbors, err
 }
 
-// ExactSearch returns the exact k nearest neighbors by scanning every live
-// row with the full-precision SIMD distance: the brute-force answer, on
-// every design. The second result is the number of 64 B lines that reads
-// (see Result.Lines). TieredSearchInto at budget 1 returns the same answer
-// bit for bit through the early-termination machinery, at a fraction of the
-// lines (the paper's §4.1 claim that the scheme works for accurate kNN
-// too).
-func (db *Database) ExactSearch(q []float32, k int) ([]Neighbor, int, error) {
-	res, err := db.Do(context.Background(), &Query{Vector: q, K: k, Route: RouteExact})
-	return res.Neighbors, res.Lines, err
-}
-
 // TieredSearchInto returns the k nearest neighbors via the two-stage
 // bound-first/exact-rerank pipeline, with an explicit budget in (0, 1] (0
 // uses the database's, see Query.Budget: 1, the provably exact cut, unless
@@ -446,8 +434,8 @@ func (db *Database) ExactSearch(q []float32, k int) ([]Neighbor, int, error) {
 // by cheap partial-bit lower bounds without ever fully fetching a vector;
 // stage 2 re-ranks candidates exactly in ascending-bound order until the
 // adaptive cut proves (budget 1) or deems (budget < 1) the rest irrelevant.
-// At budget 1 the results are identical to ExactSearch, at a fraction of
-// its line traffic. On a Base design the route degrades to the exact scan,
+// At budget 1 the results are identical to the exact route's, at a fraction
+// of its line traffic. On a Base design the route degrades to the exact scan,
 // reporting the whole population as the pool. With a reused dst the steady
 // state allocates nothing (gated by TestTieredSteadyStateAllocs).
 func (db *Database) TieredSearchInto(q []float32, k int, budget float64, dst []Neighbor) ([]Neighbor, TieredStats, error) {

@@ -136,7 +136,7 @@ var doCtxKinds = []struct {
 
 // wrapperFor returns the surviving wrapper whose signature covers the cell
 // (nil when none does: no wrapper takes a Filter, RouteAuto, the beam that
-// is not the database's default, or a context on the exact route), adapted
+// is not the database's default, or the exact route), adapted
 // to Do's return shape.
 func wrapperFor(db *Database, q *Query, background bool) func(context.Context) (Result, error) {
 	if q.Filter != nil {
@@ -176,13 +176,6 @@ func wrapperFor(db *Database, q *Query, background bool) func(context.Context) (
 		return func(ctx context.Context) (Result, error) {
 			nn, st, err := db.TieredSearchCtxInto(ctx, q.Vector, q.K, q.Budget, q.Dst)
 			return Result{Neighbors: nn, Tiered: st}, err
-		}
-	case RouteExact:
-		if background && q.Dst == nil {
-			return func(context.Context) (Result, error) {
-				nn, lines, err := db.ExactSearch(q.Vector, q.K)
-				return Result{Neighbors: nn, Lines: lines}, err
-			}
 		}
 	}
 	return nil

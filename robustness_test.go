@@ -53,7 +53,10 @@ func TestSearchInputErrors(t *testing.T) {
 			_, err := db.Search(q, 5)
 			return err
 		}, ErrBadQuery},
-		{"exact k=0", func() error { _, _, err := db.ExactSearch(good, 0); return err }, ErrBadK},
+		{"exact k=0", func() error {
+			_, err := db.Do(context.Background(), &Query{Vector: good, K: 0, Route: RouteExact})
+			return err
+		}, ErrBadK},
 		{"filtered NaN", func() error {
 			q := append([]float32(nil), good...)
 			q[7] = float32(math.NaN())

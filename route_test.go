@@ -11,13 +11,13 @@ import (
 )
 
 // TestTieredSearchMatchesExactSearch: the public tiered entry point at the
-// default budget (1) returns byte-identical results to ExactSearch.
+// default budget (1) returns byte-identical results to the exact route.
 func TestTieredSearchMatchesExactSearch(t *testing.T) {
 	db := benchDB()
 	ds := benchData()
 	var dst []ansmet.Neighbor
 	for qi := 0; qi < 6; qi++ {
-		want, _, err := db.ExactSearch(ds.Queries[qi], 10)
+		want, _, err := exactSearch(db, ds.Queries[qi], 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestSearchRoutedModes(t *testing.T) {
 	if err != nil || route != ansmet.RouteTiered {
 		t.Fatalf("tiered: route=%v err=%v", route, err)
 	}
-	exact, _, err := db.ExactSearch(q, 10)
+	exact, _, err := exactSearch(db, q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestSearchRoutedBaseDesignDegradesTiered(t *testing.T) {
 	if err != nil || route != ansmet.RouteExact {
 		t.Fatalf("base tiered: route=%v err=%v", route, err)
 	}
-	want, _, err := db.ExactSearch(ds.Queries[0], 5)
+	want, _, err := exactSearch(db, ds.Queries[0], 5)
 	if err != nil {
 		t.Fatal(err)
 	}
