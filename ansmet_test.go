@@ -67,40 +67,6 @@ func TestDatabaseBasics(t *testing.T) {
 	}
 }
 
-func TestDatabaseDesignsAgree(t *testing.T) {
-	p := dataset.ProfileByName("SIFT")
-	ds := dataset.Generate(p, 400, 4, 9)
-	var want [][]ansmet.Neighbor
-	for _, d := range []ansmet.Design{ansmet.CPUBase, ansmet.NDPBase, ansmet.NDPETOpt} {
-		db, err := ansmet.New(ds.Vectors, ansmet.Options{
-			Metric: ansmet.L2, Elem: ansmet.Uint8,
-			EfConstruction: 60, Design: ansmet.UseDesign(d),
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", d, err)
-		}
-		var got [][]ansmet.Neighbor
-		for _, q := range ds.Queries {
-			res, err := db.SearchInto(q, 5, 40, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, res)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		for qi := range got {
-			for j := range got[qi] {
-				if got[qi][j].ID != want[qi][j].ID {
-					t.Fatalf("%v: results diverge from CPU-Base at query %d", d, qi)
-				}
-			}
-		}
-	}
-}
-
 func TestDatabaseRunReport(t *testing.T) {
 	p := dataset.ProfileByName("SPACEV")
 	ds := dataset.Generate(p, 500, 6, 3)
@@ -138,28 +104,6 @@ func TestDatabaseValidation(t *testing.T) {
 	}
 }
 
-func TestCosinePipeline(t *testing.T) {
-	vecs := makeVectors(300, 24, 1)
-	for _, v := range vecs {
-		ansmet.Normalize(v)
-	}
-	db, err := ansmet.New(vecs, ansmet.Options{
-		Metric: ansmet.Cosine, Elem: ansmet.Float32, EfConstruction: 40,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := make([]float32, 24)
-	copy(q, vecs[7])
-	res, err := db.Search(q, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].ID != 7 {
-		t.Errorf("self-query returned %d, want 7", res[0].ID)
-	}
-}
-
 func TestQuantizationOnIngest(t *testing.T) {
 	vecs := makeVectors(100, 8, 100)
 	db, err := ansmet.New(vecs, ansmet.Options{
@@ -179,121 +123,9 @@ func TestQuantizationOnIngest(t *testing.T) {
 	}
 }
 
-// TestExactSearchFacade (named for the ExactSearch wrapper the exact route
-// replaced): the exact route is one full scan of the rows on every design —
-// the same answers and the same line count on an ET design and a Base one —
-// and the tiered route at budget 1 returns those answers from fewer lines.
-func TestExactSearchFacade(t *testing.T) {
-	p := dataset.ProfileByName("DEEP")
-	ds := dataset.Generate(p, 400, 3, 51)
-	et, err := ansmet.New(ds.Vectors, ansmet.Options{
-		Metric: p.Metric, Elem: p.Elem, EfConstruction: 40,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := ansmet.New(ds.Vectors, ansmet.Options{
-		Metric: p.Metric, Elem: p.Elem, EfConstruction: 40,
-		Design: ansmet.UseDesign(ansmet.CPUBase),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.System() // Stats reports the model's line geometry once it is built
-	for _, q := range ds.Queries {
-		a, la, err := exactSearch(et, q, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, lb, err := exactSearch(base, q, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The exact route is the same full scan of row-major vectors on every
-		// design; the paper's §4.1 point — early termination works for exact
-		// kNN too — is the tiered route at budget 1: the same answer from a
-		// fraction of the lines.
-		c, st, err := et.TieredSearchInto(q, 10, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range a {
-			if a[j] != b[j] || a[j] != c[j] {
-				t.Fatalf("exact answers disagree: ET scan %+v, Base scan %+v, ET tiered %+v", a[j], b[j], c[j])
-			}
-		}
-		if la != lb || la != et.Len()*base.Stats().LinesPerVector {
-			t.Errorf("exact scans fetched %d (ET design) and %d (Base) lines, want the full %d×%d",
-				la, lb, et.Len(), base.Stats().LinesPerVector)
-		}
-		if lt := st.BoundLines + st.RerankLines; lt >= lb {
-			t.Errorf("tiered at budget 1 fetched %d lines, a full scan %d — no savings", lt, lb)
-		}
-	}
-	if _, _, err := exactSearch(et, []float32{1}, 3); err == nil {
-		t.Error("dimension mismatch should fail")
-	}
-}
-
-func TestSearchManyMatchesSerial(t *testing.T) {
-	p := dataset.ProfileByName("SIFT")
-	ds := dataset.Generate(p, 600, 12, 71)
-	db, err := ansmet.New(ds.Vectors, ansmet.Options{
-		Metric: p.Metric, Elem: p.Elem, EfConstruction: 60,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, _, err := db.DoMany(context.Background(), ds.Queries, &ansmet.Query{K: 10, Ef: 50, Route: ansmet.RouteNDP}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, q := range ds.Queries {
-		ser, err := db.SearchInto(q, 10, 50, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(par[qi]) != len(ser) {
-			t.Fatalf("query %d: %d vs %d results", qi, len(par[qi]), len(ser))
-		}
-		for j := range ser {
-			if par[qi][j] != ser[j] {
-				t.Fatalf("query %d result %d: parallel %+v != serial %+v", qi, j, par[qi][j], ser[j])
-			}
-		}
-	}
-}
-
 // exactSearch runs the exact route: the brute-force top-k and the lines it
 // read.
 func exactSearch(db *ansmet.Database, q []float32, k int) ([]ansmet.Neighbor, int, error) {
 	res, err := db.Do(context.Background(), &ansmet.Query{Vector: q, K: k, Route: ansmet.RouteExact})
 	return res.Neighbors, res.Lines, err
-}
-
-// searchFiltered is Do on the ndp route with a Filter at the default beam
-// width.
-func searchFiltered(db *ansmet.Database, q []float32, k int, filter func(uint32) bool) ([]ansmet.Neighbor, error) {
-	res, err := db.Do(context.Background(), &ansmet.Query{Vector: q, K: k, Route: ansmet.RouteNDP, Filter: filter})
-	return res.Neighbors, err
-}
-
-func TestSearchFilteredFacade(t *testing.T) {
-	p := dataset.ProfileByName("SIFT")
-	ds := dataset.Generate(p, 400, 4, 73)
-	db, err := ansmet.New(ds.Vectors, ansmet.Options{
-		Metric: p.Metric, Elem: p.Elem, EfConstruction: 60,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := searchFiltered(db, ds.Queries[0], 5, func(id uint32) bool { return id >= 200 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range res {
-		if n.ID < 200 {
-			t.Fatalf("filter violated: %d", n.ID)
-		}
-	}
 }

@@ -22,23 +22,6 @@ import (
 
 var clusterShardCounts = []int{1, 2, 3, 7, 16}
 
-// assertFullyReachable pins the precondition the exhaustive-beam identity
-// argument needs (DESIGN.md, "Cluster fault model and degradation
-// semantics"): with ef ≥ n, beam search returns the exact top-k only if
-// every vector is reachable from the query's base-layer entry point. The
-// base graph is DIRECTED (neighbor pruning is asymmetric), so reachability
-// is per-query, not per-index — the assertion runs for every query on both
-// sides of the comparison. If a future graph-construction change strands a
-// vector, this fails loudly instead of the identity diff failing
-// cryptically.
-func assertFullyReachable(t *testing.T, name string, found, n int) {
-	t.Helper()
-	if found != n {
-		t.Fatalf("%s: exhaustive search reaches %d of %d vectors; "+
-			"pick a dataset/seed with a fully connected graph for the identity test", name, found, n)
-	}
-}
-
 // clusterExact runs the exact route through the coordinator — the fan-out,
 // remap and k-way merge Cluster.Do serves — and requires a healthy answer.
 func clusterExact(t *testing.T, cl *ansmet.Cluster, q []float32, k int) []ansmet.Neighbor {
@@ -49,133 +32,6 @@ func clusterExact(t *testing.T, cl *ansmet.Cluster, q []float32, k int) []ansmet
 			cl.Shards(), k, res.Route, res.Partial, res.Faults, err)
 	}
 	return res.Neighbors
-}
-
-// TestClusterMergeByteIdenticalToUnsharded is the merge-correctness
-// property test: across every shard count in {1,2,3,7,16} and both
-// partition schemes, the scatter-gather answer is byte-identical to the
-// unpartitioned Database's. Identity is pinned in the two regimes where it
-// provably holds:
-//
-//   - exhaustive beam (ef ≥ n): both sides return the exact top-k of a
-//     fully reachable graph (precondition asserted), so the fan-out +
-//     remap + k-way merge must reproduce the unsharded answer bit for bit;
-//   - the exact route through the coordinator, at ANY k, with no
-//     reachability caveat.
-//
-// The dataset/build combination below was selected by sweeping for full
-// reachability of the unsharded graph AND of every shard sub-graph across
-// all shard counts and both schemes; HNSW neighbor pruning routinely
-// strands 1-2 vectors at larger n (see DESIGN.md), which would invalidate
-// the exhaustive-beam premise, so the precondition is asserted explicitly.
-func TestClusterMergeByteIdenticalToUnsharded(t *testing.T) {
-	p := dataset.ProfileByName("DEEP") // float32: distinct vectors
-	const n = 96
-	ds := dataset.Generate(p, n, 6, 21)
-	build := ansmet.Options{Metric: p.Metric, Elem: p.Elem, M: 24, MaxDegree: 24, EfConstruction: 200, Seed: 4}
-	db, err := ansmet.New(ds.Vectors, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const exhaustive = n + 16
-	ctx := context.Background()
-	for qi, q := range ds.Queries {
-		full, err := db.SearchInto(q, n, exhaustive, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertFullyReachable(t, fmt.Sprintf("unsharded q%d", qi), len(full), n)
-	}
-
-	for _, shards := range clusterShardCounts {
-		for _, scheme := range []ansmet.PartitionScheme{ansmet.PartitionHash, ansmet.PartitionKMeans} {
-			cl, err := ansmet.NewCluster(ds.Vectors, ansmet.ClusterOptions{
-				Shards: shards, Partition: scheme, Build: build, DisableHedging: true,
-			})
-			if err != nil {
-				t.Fatalf("shards=%d %v: %v", shards, scheme, err)
-			}
-			for qi, q := range ds.Queries {
-				res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: n, Ef: exhaustive, Route: ansmet.RouteNDP})
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertFullyReachable(t, fmt.Sprintf("cluster shards=%d %v q%d", shards, scheme, qi), len(res.Neighbors), n)
-			}
-
-			for qi, q := range ds.Queries {
-				for _, k := range []int{1, 5, 10, 40} {
-					want, err := db.SearchInto(q, k, exhaustive, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: k, Ef: exhaustive, Route: ansmet.RouteNDP})
-					if err != nil {
-						t.Fatalf("shards=%d %v q%d k%d: %v", shards, scheme, qi, k, err)
-					}
-					if res.Partial || len(res.Faults) != 0 {
-						t.Fatalf("shards=%d %v q%d k%d: healthy query degraded: %+v", shards, scheme, qi, k, res)
-					}
-					if !reflect.DeepEqual(res.Neighbors, want) {
-						t.Fatalf("shards=%d %v q%d k%d:\n  cluster  %v\n  unsharded %v",
-							shards, scheme, qi, k, res.Neighbors, want)
-					}
-					// The exact path is provably identical at ANY k, no
-					// reachability caveat.
-					wantExact, _, err := exactSearch(db, q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotExact := clusterExact(t, cl, q, k)
-					if !reflect.DeepEqual(gotExact, wantExact) {
-						t.Fatalf("shards=%d %v q%d k%d exact:\n  cluster  %v\n  unsharded %v",
-							shards, scheme, qi, k, gotExact, wantExact)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestClusterExactIdenticalAtScale extends the exact-scan identity to a
-// dataset large enough that HNSW graphs are NOT fully reachable (n=300
-// routinely strands a vector or two regardless of build parameters — the
-// reason the beam identity above runs on a vetted small dataset). The
-// exact path needs no graph at all, so identity holds at any k with no
-// precondition; this pins the coordinator's fan-out + remap + k-way merge
-// at a scale the beam test cannot reach.
-func TestClusterExactIdenticalAtScale(t *testing.T) {
-	p := dataset.ProfileByName("DEEP")
-	const n = 300
-	ds := dataset.Generate(p, n, 6, 21)
-	build := ansmet.Options{Metric: p.Metric, Elem: p.Elem, EfConstruction: 60, Seed: 7}
-	db, err := ansmet.New(ds.Vectors, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range clusterShardCounts {
-		for _, scheme := range []ansmet.PartitionScheme{ansmet.PartitionHash, ansmet.PartitionKMeans} {
-			cl, err := ansmet.NewCluster(ds.Vectors, ansmet.ClusterOptions{
-				Shards: shards, Partition: scheme, Build: build, DisableHedging: true,
-			})
-			if err != nil {
-				t.Fatalf("shards=%d %v: %v", shards, scheme, err)
-			}
-			for qi, q := range ds.Queries {
-				for _, k := range []int{1, 5, 10, 40, n} {
-					want, _, err := exactSearch(db, q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := clusterExact(t, cl, q, k)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("shards=%d %v q%d k%d exact:\n  cluster  %v\n  unsharded %v",
-							shards, scheme, qi, k, got, want)
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestClusterMergeTiesAtBoundary forces distance ties straddling the k
@@ -234,113 +90,6 @@ func TestClusterMergeTiesAtBoundary(t *testing.T) {
 							shards, scheme, k, i, got)
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestClusterFilteredMatchesUnsharded extends the identity property to the
-// attribute-filtered path, which rides the coordinator like every other
-// query. The default beam derives from k, so the dataset is sized to keep
-// that beam exhaustive (2k ≥ n) — the regime where filtered identity is
-// guaranteed on fully reachable graphs. The nil filter is "accept
-// everything", as on a Database; it must not be wrapped (the parent's
-// Cluster.SearchFiltered called it inside a shard goroutine and crashed the
-// process).
-func TestClusterFilteredMatchesUnsharded(t *testing.T) {
-	p := dataset.ProfileByName("DEEP")
-	const n = 96 // same vetted fully-reachable build as the beam identity test
-	ds := dataset.Generate(p, n, 6, 21)
-	build := ansmet.Options{Metric: p.Metric, Elem: p.Elem, M: 24, MaxDegree: 24, EfConstruction: 200, Seed: 4}
-	db, err := ansmet.New(ds.Vectors, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, q := range ds.Queries {
-		full, err := db.SearchInto(q, n, n+16, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertFullyReachable(t, fmt.Sprintf("unsharded filtered q%d", qi), len(full), n)
-	}
-	filters := []struct {
-		name   string
-		filter func(uint32) bool
-	}{
-		{"id%3==0", func(id uint32) bool { return id%3 == 0 }},
-		{"nil", nil},
-	}
-	const k = 48 // beam 2k = 96 ≥ n: exhaustive
-	ctx := context.Background()
-	for _, shards := range clusterShardCounts {
-		cl, err := ansmet.NewCluster(ds.Vectors, ansmet.ClusterOptions{
-			Shards: shards, Build: build, DisableHedging: true,
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		for qi, q := range ds.Queries {
-			res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: n, Ef: n + 16, Route: ansmet.RouteNDP})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertFullyReachable(t, fmt.Sprintf("cluster filtered shards=%d q%d", shards, qi), len(res.Neighbors), n)
-		}
-		for _, f := range filters {
-			for qi, q := range ds.Queries {
-				want, err := searchFiltered(db, q, k, f.filter)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: k, Route: ansmet.RouteNDP, Filter: f.filter})
-				if err != nil || res.Partial || res.Route != ansmet.RouteNDP {
-					t.Fatalf("shards=%d %s q%d: route=%v partial=%v err=%v", shards, f.name, qi, res.Route, res.Partial, err)
-				}
-				if !reflect.DeepEqual(res.Neighbors, want) {
-					t.Fatalf("shards=%d %s q%d filtered:\n  cluster  %v\n  unsharded %v", shards, f.name, qi, res.Neighbors, want)
-				}
-				for _, nn := range res.Neighbors {
-					if f.filter != nil && !f.filter(nn.ID) {
-						t.Fatalf("shards=%d %s q%d: filtered result %d fails predicate", shards, f.name, qi, nn.ID)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestClusterSingleShardIdenticalAtServingBeam pins the strongest healthy
-// path guarantee available at SERVING beam widths (where multi-shard
-// identity is information-theoretically unavailable — the shards traverse
-// different graphs): a 1-shard cluster is structurally the same index, so
-// the full coordinator path (fan-out, budget carving, remap, merge) must
-// be byte-transparent at every ef, not just exhaustive ones.
-func TestClusterSingleShardIdenticalAtServingBeam(t *testing.T) {
-	p := dataset.ProfileByName("SIFT")
-	ds := dataset.Generate(p, 250, 5, 9)
-	build := ansmet.Options{Metric: p.Metric, Elem: p.Elem, EfConstruction: 60, Seed: 11}
-	db, err := ansmet.New(ds.Vectors, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := ansmet.NewCluster(ds.Vectors, ansmet.ClusterOptions{Shards: 1, Build: build, DisableHedging: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for qi, q := range ds.Queries {
-		for _, ef := range []int{32, 64, 128} {
-			want, err := db.SearchInto(q, 10, ef, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: 10, Ef: ef, Route: ansmet.RouteNDP})
-			if err != nil {
-				t.Fatalf("q%d ef=%d: %v", qi, ef, err)
-			}
-			if !reflect.DeepEqual(res.Neighbors, want) {
-				t.Fatalf("q%d ef=%d: single-shard cluster diverges:\n  cluster  %v\n  unsharded %v",
-					qi, ef, res.Neighbors, want)
 			}
 		}
 	}
@@ -456,63 +205,6 @@ func TestClusterLoadRejectsCorruptManifest(t *testing.T) {
 	}
 	if _, err := ansmet.LoadClusterDir(dir, ansmet.ClusterOptions{}); err == nil {
 		t.Fatal("load without manifest succeeded")
-	}
-}
-
-// TestClusterSearchRouted: the tiered route on a sharded cluster merges
-// per-shard exact top-k answers (budget 1), so the result is byte-identical
-// to the unsharded exact search — the cluster-level statement of the
-// stage-2 identity invariant. The exact route reaches the same answer
-// through each shard's scan, and auto on a healthy idle cluster resolves to
-// the quality route — the exact scan, or the tiered route at the budget the
-// query states.
-func TestClusterSearchRouted(t *testing.T) {
-	p := dataset.ProfileByName("DEEP")
-	const n = 300
-	ds := dataset.Generate(p, n, 6, 21)
-	build := ansmet.Options{Metric: p.Metric, Elem: p.Elem, EfConstruction: 60, Seed: 7}
-	db, err := ansmet.New(ds.Vectors, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for _, shards := range []int{2, 3} {
-		cl, err := ansmet.NewCluster(ds.Vectors, ansmet.ClusterOptions{
-			Shards: shards, Build: build, DisableHedging: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for qi, q := range ds.Queries {
-			want, _, err := exactSearch(db, q, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mode := range []ansmet.Route{ansmet.RouteTiered, ansmet.RouteExact} {
-				res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: 10, Ef: 64, Route: mode})
-				if err != nil || res.Route != mode {
-					t.Fatalf("shards=%d q%d %v: route=%v err=%v", shards, qi, mode, res.Route, err)
-				}
-				if !reflect.DeepEqual(res.Neighbors, want) {
-					t.Fatalf("shards=%d q%d %v:\n  cluster   %v\n  unsharded %v",
-						shards, qi, mode, res.Neighbors, want)
-				}
-			}
-			// Auto on a healthy idle cluster picks the quality route; a stated
-			// Budget picks for it (1: the scan; below 1: tiered at that cut).
-			for _, c := range []struct {
-				budget float64
-				route  ansmet.Route
-			}{{0, ansmet.RouteExact}, {1, ansmet.RouteExact}, {0.999, ansmet.RouteTiered}} {
-				res, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: 10, Ef: 64, Budget: c.budget})
-				if err != nil || res.Route != c.route {
-					t.Fatalf("shards=%d q%d auto budget=%v: route=%v err=%v", shards, qi, c.budget, res.Route, err)
-				}
-				if c.route == ansmet.RouteExact && !reflect.DeepEqual(res.Neighbors, want) {
-					t.Fatalf("shards=%d q%d auto budget=%v diverged", shards, qi, c.budget)
-				}
-			}
-		}
 	}
 }
 

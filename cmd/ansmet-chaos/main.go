@@ -33,16 +33,16 @@ import (
 )
 
 func main() {
-	scenario := flag.String("scenario", "all", "chaos scenario: all, recoverable, crash, silent, precision, serve, cluster, router, mutate")
+	scenario := flag.String("scenario", "all", "chaos scenario: all, recoverable, crash, silent, precision, serve, cluster, router")
 	n := flag.Int("n", 400, "dataset size")
 	nq := flag.Int("q", 8, "query count")
 	seed := flag.Uint64("seed", 99, "fault schedule seed")
 	flag.Parse()
 
 	switch *scenario {
-	case "all", "recoverable", "crash", "silent", "precision", "serve", "cluster", "router", "mutate":
+	case "all", "recoverable", "crash", "silent", "precision", "serve", "cluster", "router":
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -scenario %q (want all, recoverable, crash, silent, precision, serve, cluster, router or mutate)\n", *scenario)
+		fmt.Fprintf(os.Stderr, "unknown -scenario %q (want all, recoverable, crash, silent, precision, serve, cluster or router)\n", *scenario)
 		os.Exit(2)
 	}
 	if *n < 50 || *nq < 1 {
@@ -95,11 +95,6 @@ func main() {
 	if sel == "all" || sel == "router" {
 		run("router (deadline pressure + rank crash: tiered degrades to exact)", func() error {
 			return runRouterSoak(*n, *seed)
-		})
-	}
-	if sel == "all" || sel == "mutate" {
-		run("mutate (WAL crash-point recovery + concurrent mutate/search)", func() error {
-			return runMutateSoak(*n, *seed)
 		})
 	}
 	if failed {

@@ -16,13 +16,15 @@ import (
 	"ansmet/internal/wal"
 )
 
-// scriptOp is one step of a seeded write script: a mutation kind (0 forces a
+// scriptOp is one step of a seeded script: a mutation kind (0 forces a
 // Maintain), the id a delete or update names, the vector an add or update
-// carries.
+// carries — or one of the contract harness's own steps, which at
+// parameterizes (contract_test.go).
 type scriptOp struct {
 	kind uint8
 	id   uint32
 	vec  []float32
+	at   int
 }
 
 // scriptVec draws a d-component vector in elem's range, on a 1/64 grid so that

@@ -82,64 +82,6 @@ func TestSearchCtxSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestExactKNNMatchesBruteForce pins the two-phase ExactKNN restructure to
-// byte-identical results against the straightforward reference: pre-filling
-// the heap with the first k exact distances and thresholding from the heap
-// top afterwards must not change a single result bit.
-func TestExactKNNMatchesBruteForce(t *testing.T) {
-	db := benchDB()
-	ds := benchData()
-	for qi := 0; qi < 4; qi++ {
-		nn, _, err := exactSearch(db, ds.Queries[qi], 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Reference: exact distances of every vector, top-k by (dist, id).
-		type pair struct {
-			id   uint32
-			dist float64
-		}
-		best := make([]pair, 0, 11)
-		for id := 0; id < db.Len(); id++ {
-			d := exactDist(db, ds.Queries[qi], uint32(id))
-			p := pair{uint32(id), d}
-			pos := len(best)
-			for pos > 0 && (best[pos-1].dist > p.dist ||
-				(best[pos-1].dist == p.dist && best[pos-1].id > p.id)) {
-				pos--
-			}
-			best = append(best, pair{})
-			copy(best[pos+1:], best[pos:])
-			best[pos] = p
-			if len(best) > 10 {
-				best = best[:10]
-			}
-		}
-		if len(nn) != len(best) {
-			t.Fatalf("query %d: got %d results, want %d", qi, len(nn), len(best))
-		}
-		for i := range nn {
-			if nn[i].ID != best[i].id || nn[i].Dist != best[i].dist {
-				t.Fatalf("query %d result %d: got (%d, %v), want (%d, %v)",
-					qi, i, nn[i].ID, nn[i].Dist, best[i].id, best[i].dist)
-			}
-		}
-	}
-}
-
-// exactDist computes the quantized-space exact distance the engine reports.
-func exactDist(db *ansmet.Database, q []float32, id uint32) float64 {
-	qq := make([]float32, len(q))
-	for d, x := range q {
-		qq[d] = ansmet.Uint8.Quantize(x)
-	}
-	v, ok := db.Vector(id)
-	if !ok {
-		panic("exactDist: id out of range")
-	}
-	return ansmet.L2.Distance(qq, v)
-}
-
 // TestDoResilientExactAllocs: on a resilience-wrapped database the exact
 // route draws its plain engine from the pooled scratch, like the tiered
 // route always did — so a steady-state exact query allocates exactly what

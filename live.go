@@ -30,7 +30,8 @@ package ansmet
 // stream, and the deferred edge repair runs inline when the pending-delete
 // batch reaches Options.RepairEvery — a wall-clock background scheduler
 // would make the graph depend on timing and break the replay ≡ reference
-// property the chaos suite asserts (ansmet-chaos -scenario mutate).
+// property the contract harness asserts at every journal offset
+// (contract_test.go).
 
 import (
 	"encoding/binary"

@@ -273,10 +273,6 @@ func slackOf(ctx context.Context) time.Duration {
 	return d
 }
 
-// doManyTestHook, when non-nil, runs before each DoMany query; tests use it
-// to exercise the worker panic-recovery and mid-batch cancellation paths.
-var doManyTestHook func(i int)
-
 // doManyChunk is the number of queries a DoMany worker claims per atomic
 // increment. Chunking amortizes the shared-counter contention while staying
 // fine-grained enough to balance skewed query costs.
@@ -356,9 +352,6 @@ func (db *Database) DoMany(ctx context.Context, queries [][]float32, plan *Query
 				}
 				lo := c * doManyChunk
 				for i := lo; i < min(lo+doManyChunk, len(queries)) && !stop.Load(); i++ {
-					if doManyTestHook != nil {
-						doManyTestHook(i)
-					}
 					q.Vector, q.Dst = queries[i], s.buf
 					res, err := db.do(ctx, s, &q)
 					if err != nil {

@@ -21,11 +21,6 @@ type doTwin struct {
 	a, b    *Database
 	queries [][]float32
 	deleted map[uint32]bool
-	// autoRoute is what RouteAuto resolves to on a healthy idle database
-	// whose deadline (if any) is an hour away — its quality route — and
-	// beam what the Search* wrappers and a filtered RouteAuto query run:
-	// exact and host, but tiered and ndp on the adaptive twin.
-	autoRoute, beam Route
 }
 
 func buildDoTwins(t *testing.T) []doTwin {
@@ -62,25 +57,18 @@ func buildDoTwins(t *testing.T) []doTwin {
 		}
 		return db
 	}
-	twin := func(name string, ds *dataset.Dataset, opts Options, mutate bool, auto Route) doTwin {
-		tw := doTwin{name: name, queries: ds.Queries, autoRoute: auto, beam: RouteHost,
-			a: build(ds.Vectors, opts, mutate), b: build(ds.Vectors, opts, mutate)}
-		if auto == RouteTiered {
-			tw.beam = RouteNDP
-		}
+	twin := func(name string, ds *dataset.Dataset, opts Options, mutate bool) doTwin {
+		tw := doTwin{name: name, queries: ds.Queries, a: build(ds.Vectors, opts, mutate), b: build(ds.Vectors, opts, mutate)}
 		if mutate {
 			tw.deleted = deleted
-		}
-		if tw.a.beam != tw.beam {
-			t.Fatalf("%s twin: default beam %v, want %v", name, tw.a.beam, tw.beam)
 		}
 		return tw
 	}
 	twins := []doTwin{
-		twin("et", sds, siftOpts, false, RouteExact),
-		twin("base", sds, baseOpts, false, RouteExact),
-		twin("mutable", sds, mutOpts, true, RouteExact),
-		twin("adaptive", gds, Options{Metric: glove.Metric, Elem: glove.Elem, EfConstruction: 60, RecallTarget: 0.9}, false, RouteTiered),
+		twin("et", sds, siftOpts, false),
+		twin("base", sds, baseOpts, false),
+		twin("mutable", sds, mutOpts, true),
+		twin("adaptive", gds, Options{Metric: glove.Metric, Elem: glove.Elem, EfConstruction: 60, RecallTarget: 0.9}, false),
 	}
 	if tw := twins[2]; tw.a.Tombstones() != len(deletes) || tw.a.Stats().PendingRepair == 0 {
 		t.Fatalf("mutable twin: %d tombstones, %d pending repair", tw.a.Tombstones(), tw.a.Stats().PendingRepair)
@@ -91,29 +79,37 @@ func buildDoTwins(t *testing.T) []doTwin {
 	return twins
 }
 
-// lateCancelCtx is a context that passes Do's expired-context check and
-// fires before the route's first checkpoint: the deterministic mid-flight
+// nthErrCtx is a context whose Done closes on its n-th Err call and whose Err
+// reports context.Canceled from the call after: the deterministic mid-flight
 // cancellation (a timer racing the query would land on a different
-// checkpoint every run, and two runs could not be compared).
-type lateCancelCtx struct {
+// checkpoint every run, and two runs could not be compared). Do calls Err
+// once on entry, so n = 1 passes that check and fires before the route's
+// first checkpoint; a one-worker DoMany calls it once on entry and once per
+// query, so n = i+2 does the same to query i.
+type nthErrCtx struct {
 	context.Context
-	errCalls int
+	n, calls int
+	done     chan struct{}
 }
 
-var closedChan = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+func newNthErrCtx(n int) *nthErrCtx {
+	return &nthErrCtx{Context: context.Background(), n: n, done: make(chan struct{})}
+}
 
-func (c *lateCancelCtx) Done() <-chan struct{} { return closedChan }
+func (c *nthErrCtx) Done() <-chan struct{} { return c.done }
 
-func (c *lateCancelCtx) Err() error {
-	c.errCalls++
-	if c.errCalls == 1 {
-		return nil
+func (c *nthErrCtx) Err() error {
+	if c.calls++; c.calls == c.n {
+		close(c.done)
 	}
-	return context.Canceled
+	if c.calls > c.n {
+		return context.Canceled
+	}
+	return nil
 }
 
-// doCtxKinds are the context axis of the table. Each call builds a fresh
-// context (lateCancelCtx counts its Err calls).
+// doCtxKinds are the context axis of the Do cells. Each call builds a fresh
+// context (nthErrCtx counts its Err calls).
 var doCtxKinds = []struct {
 	name string
 	make func() (context.Context, context.CancelFunc)
@@ -130,7 +126,7 @@ var doCtxKinds = []struct {
 		return context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	}, ErrDeadlineExceeded, context.DeadlineExceeded},
 	{"mid-flight", func() (context.Context, context.CancelFunc) {
-		return &lateCancelCtx{Context: context.Background()}, func() {}
+		return newNthErrCtx(1), func() {}
 	}, ErrCanceled, context.Canceled},
 }
 
@@ -197,148 +193,46 @@ func sameError(a, b error) bool {
 	return a.Error() == b.Error()
 }
 
-// TestDoEquivalence drives every path × mode through the one execution
-// core: {ET design, Base design, mutable with tombstones, adaptive
-// RecallTarget} × {ndp, host, tiered, exact, auto} × {background, live, expired,
-// cancelled mid-flight} × {nil, reused Dst} × {nil, non-nil Filter}. Each
-// cell checks Do's own contract (route reported, cancellation mapping,
-// filter and tombstones honored, Dst reused), that a context which never
-// fires changes no result bit, and that every surviving wrapper is
-// byte-identical to the Do call it wraps. The sub-tests after the table pin
-// DoMany ≡ serial Do and Cluster.Do ≡ unsharded Do per route.
+// TestDoEquivalence pins every surviving wrapper, byte for byte and error for
+// error, to the Do call it wraps: {ET design, Base design, mutable with
+// tombstones, adaptive RecallTarget} × {ndp, host, tiered} × the four
+// contexts × {nil, reused Dst}, wherever a wrapper covers the cell. Do's own
+// contract, cell by cell, is the contract harness's Do step
+// (contract_test.go). The sub-tests pin the partial a cancellation
+// mid-traversal leaves.
 func TestDoEquivalence(t *testing.T) {
 	twins := buildDoTwins(t)
 	const k = 10
-	even := func(id uint32) bool { return id%2 == 0 }
-	filters := []struct {
-		name string
-		f    func(uint32) bool
-	}{{"nofilter", nil}, {"even", even}}
-
 	for _, tw := range twins {
-		for _, route := range []Route{RouteNDP, RouteHost, RouteTiered, RouteExact, RouteAuto} {
-			for _, fl := range filters {
-				for _, reuse := range []bool{false, true} {
-					// ref holds the background answers every never-firing
-					// context must reproduce.
-					ref := make([]Result, len(tw.queries))
-					for _, ck := range doCtxKinds {
-						name := fmt.Sprintf("%s/%v/%s/%s/reuse=%v", tw.name, route, fl.name, ck.name, reuse)
-						for qi, vec := range tw.queries {
-							q := Query{Vector: vec, K: k, Route: route, Filter: fl.f}
-							if (route == RouteNDP || route == RouteHost) && qi%2 == 1 {
-								q.Ef = 48 // odd queries exercise the explicit-beam wrappers
-							}
-							var dstA, dstB []Neighbor
-							if reuse {
-								dstA, dstB = make([]Neighbor, 3, 64), make([]Neighbor, 3, 64) // the beam appends ef entries before truncating to k
-							}
-							q.Dst = dstB
-							ctx, cancel := ck.make()
-							got, err := tw.b.Do(ctx, &q)
-							cancel()
-
-							wantRoute := route
-							if route == RouteAuto {
-								wantRoute = tw.autoRoute
-							}
-							if fl.f != nil && route == RouteAuto {
-								wantRoute = tw.beam
-							}
-							if wantRoute == RouteTiered && tw.name == "base" {
-								wantRoute = RouteExact
-							}
-							filterRejected := fl.f != nil && (route == RouteTiered || route == RouteExact)
-							switch {
-							case ck.name == "expired":
-								// Rejected before anything else looks at the query.
-								var ce *CancelError
-								if !errors.As(err, &ce) || ce.Partial || got.Neighbors != nil ||
-									!errors.Is(err, ck.wantErr) || !errors.Is(err, ck.ctxErr) {
-									t.Fatalf("%s q%d: err=%v neighbors=%v, want an aborted %v", name, qi, err, got.Neighbors, ck.wantErr)
-								}
-							case filterRejected:
-								if !errors.Is(err, errFilterRoute) || !IsInvalidInput(err) || got.Neighbors != nil {
-									t.Fatalf("%s q%d: err=%v, want errFilterRoute classified as invalid input", name, qi, err)
-								}
-							case ck.wantErr != nil:
-								// Fired before the first checkpoint: every route's
-								// documented partial at that point is empty.
-								var ce *CancelError
-								if !errors.As(err, &ce) || !errors.Is(err, ck.wantErr) || !errors.Is(err, ck.ctxErr) {
-									t.Fatalf("%s q%d: err=%v, want a *CancelError matching %v and %v", name, qi, err, ck.wantErr, ck.ctxErr)
-								}
-								if ce.Partial != (len(got.Neighbors) > 0) || len(got.Neighbors) != 0 {
-									t.Fatalf("%s q%d: Partial=%v with %d neighbors", name, qi, ce.Partial, len(got.Neighbors))
-								}
-								if got.Route != wantRoute {
-									t.Fatalf("%s q%d: cancelled on route %v, want %v", name, qi, got.Route, wantRoute)
-								}
-							default:
-								if err != nil || got.Route != wantRoute {
-									t.Fatalf("%s q%d: route=%v err=%v, want %v", name, qi, got.Route, err, wantRoute)
-								}
-								if len(got.Neighbors) != k {
-									t.Fatalf("%s q%d: %d neighbors, want %d", name, qi, len(got.Neighbors), k)
-								}
-								for i, n := range got.Neighbors {
-									if tw.deleted[n.ID] {
-										t.Fatalf("%s q%d: returned acknowledged-deleted id %d", name, qi, n.ID)
-									}
-									if fl.f != nil && !fl.f(n.ID) {
-										t.Fatalf("%s q%d: id %d fails the filter", name, qi, n.ID)
-									}
-									if i > 0 && n.Less(got.Neighbors[i-1]) {
-										t.Fatalf("%s q%d: results out of (Dist, ID) order: %v", name, qi, got.Neighbors)
-									}
-								}
-								if reuse && &got.Neighbors[0] != &dstB[:1][0] {
-									t.Fatalf("%s q%d: results did not land in Dst", name, qi)
-								}
-								if (got.Route == RouteNDP || got.Route == RouteHost) != (got.Lines == 0) {
-									t.Fatalf("%s q%d: route %v reports %d lines", name, qi, got.Route, got.Lines)
-								}
-							}
-
-							// A context that never fires changes nothing (the
-							// adaptive twin is exempt: its calibration moved
-							// between the two passes).
-							if ck.name == "background" {
-								got.Neighbors = append([]Neighbor(nil), got.Neighbors...)
-								ref[qi] = got
-							}
-							if ck.name == "live" && !tw.a.adaptive() &&
-								!(reflect.DeepEqual(got.Neighbors, ref[qi].Neighbors) && got.Route == ref[qi].Route &&
-									got.Lines == ref[qi].Lines && got.Tiered == ref[qi].Tiered) {
-								t.Fatalf("%s q%d: a live context changed the answer:\n  live       %+v\n  background %+v", name, qi, got, ref[qi])
-							}
-
-							// The wrapper, on the twin, against the Do it wraps.
-							wq := q
-							wq.Dst = dstA
-							wrap := wrapperFor(tw.a, &wq, ck.name == "background")
-							if wrap == nil {
-								// Keep the twins in lockstep.
-								ctx, cancel := ck.make()
-								tw.a.Do(ctx, &wq)
-								cancel()
-								continue
-							}
-							ctx, cancel = ck.make()
-							w, werr := wrap(ctx)
-							cancel()
-							if !sameError(werr, err) {
-								t.Fatalf("%s q%d: wrapper err %v, Do err %v", name, qi, werr, err)
-							}
-							if !reflect.DeepEqual(w.Neighbors, got.Neighbors) {
-								t.Fatalf("%s q%d: wrapper diverges from Do:\n  wrapper %v\n  Do      %v", name, qi, w.Neighbors, got.Neighbors)
-							}
-							if route == RouteTiered && w.Tiered != got.Tiered {
-								t.Fatalf("%s q%d: wrapper stats %+v, Do stats %+v", name, qi, w.Tiered, got.Tiered)
-							}
-							if route == RouteExact && w.Lines != got.Lines {
-								t.Fatalf("%s q%d: wrapper lines %d, Do lines %d", name, qi, w.Lines, got.Lines)
-							}
+		for _, route := range []Route{RouteNDP, RouteHost, RouteTiered} {
+			for _, reuse := range []bool{false, true} {
+				for _, ck := range doCtxKinds {
+					for qi, vec := range tw.queries {
+						name := fmt.Sprintf("%s/%v/%s/reuse=%v q%d", tw.name, route, ck.name, reuse, qi)
+						q := Query{Vector: vec, K: k, Route: route}
+						if route != RouteTiered && qi%2 == 1 {
+							q.Ef = 48 // odd queries exercise the explicit-beam wrappers
+						}
+						wq := q
+						if reuse {
+							// The beam appends ef entries before truncating to k.
+							q.Dst, wq.Dst = make([]Neighbor, 3, 64), make([]Neighbor, 3, 64)
+						}
+						wrap := wrapperFor(tw.a, &wq, ck.name == "background")
+						if wrap == nil {
+							continue // on neither twin: they stay in lockstep
+						}
+						ctx, cancel := ck.make()
+						got, err := tw.b.Do(ctx, &q)
+						cancel()
+						ctx, cancel = ck.make()
+						w, werr := wrap(ctx)
+						cancel()
+						if !sameError(werr, err) {
+							t.Fatalf("%s: wrapper err %v, Do err %v", name, werr, err)
+						}
+						if !reflect.DeepEqual(w.Neighbors, got.Neighbors) || route == RouteTiered && w.Tiered != got.Tiered {
+							t.Fatalf("%s: wrapper diverges from Do:\n  wrapper %+v\n  Do      %+v", name, w, got)
 						}
 					}
 				}
@@ -350,6 +244,7 @@ func TestDoEquivalence(t *testing.T) {
 	// accepted candidate on the base layer) cancels a real context at its
 	// 40th call, so the beam stops at the next checkpoint with a non-empty
 	// filtered partial — deterministically, twice over.
+	even := func(id uint32) bool { return id%2 == 0 }
 	beamPartial := func(t *testing.T, route Route) []Result {
 		var out []Result
 		for _, tw := range twins {
@@ -394,83 +289,6 @@ func TestDoEquivalence(t *testing.T) {
 		for i, host := range beamPartial(t, RouteHost) {
 			if tw := twins[i]; !tw.a.adaptive() && !reflect.DeepEqual(host.Neighbors, ndp[i].Neighbors) {
 				t.Fatalf("%s: host partial %v, ndp partial %v", tw.name, host.Neighbors, ndp[i].Neighbors)
-			}
-		}
-	})
-
-	t.Run("DoMany", func(t *testing.T) {
-		ctx := context.Background()
-		for _, tw := range twins {
-			// Concurrent workers would feed an adaptive tuner in a different
-			// order than the serial twin sees.
-			workers := 3
-			if tw.a.adaptive() {
-				workers = 1
-			}
-			for _, route := range []Route{RouteNDP, RouteHost, RouteTiered, RouteExact, RouteAuto} {
-				plan := Query{K: k, Ef: 40, Route: route}
-				many, manyRoute, err := tw.a.DoMany(ctx, tw.queries, &plan, workers)
-				if err != nil {
-					t.Fatalf("%s/%v: %v", tw.name, route, err)
-				}
-				for qi, vec := range tw.queries {
-					q := plan
-					q.Vector = vec
-					want, err := tw.b.Do(ctx, &q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if manyRoute != want.Route || !reflect.DeepEqual(many[qi], want.Neighbors) {
-						t.Fatalf("%s/%v q%d: DoMany (route %v) diverges from serial Do (route %v):\n  many   %v\n  serial %v",
-							tw.name, route, qi, manyRoute, want.Route, many[qi], want.Neighbors)
-					}
-				}
-			}
-		}
-	})
-
-	// The existing vetted fully-reachable build (see cluster_test.go):
-	// at an exhaustive beam the ndp merge is provably the unsharded answer,
-	// and the tiered (budget 1) and exact routes are at any size.
-	t.Run("Cluster", func(t *testing.T) {
-		p := dataset.ProfileByName("DEEP")
-		const n = 96
-		ds := dataset.Generate(p, n, 4, 21)
-		build := Options{Metric: p.Metric, Elem: p.Elem, M: 24, MaxDegree: 24, EfConstruction: 200, Seed: 4}
-		db, err := New(ds.Vectors, build)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		for _, shards := range []int{1, 3, 7} {
-			cl, err := NewCluster(ds.Vectors, ClusterOptions{Shards: shards, Build: build, DisableHedging: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, route := range []Route{RouteNDP, RouteHost, RouteTiered, RouteExact, RouteAuto} {
-				for _, fl := range filters {
-					if fl.f != nil && route != RouteNDP && route != RouteHost && route != RouteAuto {
-						if _, err := cl.Do(ctx, &Query{Vector: ds.Queries[0], K: k, Route: route, Filter: fl.f}); !errors.Is(err, errFilterRoute) {
-							t.Fatalf("shards=%d %v: filtered err=%v, want errFilterRoute", shards, route, err)
-						}
-						continue
-					}
-					for qi, vec := range ds.Queries {
-						q := Query{Vector: vec, K: k, Ef: n + 16, Route: route, Filter: fl.f}
-						want, err := db.Do(ctx, &q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := cl.Do(ctx, &q)
-						if err != nil || got.Partial || got.Route != want.Route {
-							t.Fatalf("shards=%d %v/%s q%d: route=%v (unsharded %v) partial=%v err=%v",
-								shards, route, fl.name, qi, got.Route, want.Route, got.Partial, err)
-						}
-						if !reflect.DeepEqual(got.Neighbors, want.Neighbors) {
-							t.Fatalf("shards=%d %v/%s q%d:\n  cluster   %v\n  unsharded %v", shards, route, fl.name, qi, got.Neighbors, want.Neighbors)
-						}
-					}
-				}
 			}
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -84,39 +85,52 @@ func TestSearchInputErrors(t *testing.T) {
 	}
 }
 
-// TestSearchManyPanicRecovered: a panic inside a search worker is caught,
-// the remaining queries are cancelled, and the panic comes back as an
-// error — the process (and subsequent searches) survive.
+// TestSearchManyPanicRecovered: a panic inside the route — the plan's Filter
+// panics on query 5 — is caught, the remaining queries are cancelled, and the
+// panic comes back as an error; the process survives, and the same batch
+// afterwards answers bit for bit what it answered before, so no panicked
+// worker handed a dirty scratch back to the pool.
 func TestSearchManyPanicRecovered(t *testing.T) {
 	db := tinyDB(t)
 	queries := make([][]float32, 32)
 	for i := range queries {
 		queries[i], _ = db.Vector(uint32(i))
 	}
-
-	doManyTestHook = func(i int) {
-		if i == 5 {
-			panic("injected worker fault")
+	ctx := context.Background()
+	for _, route := range []Route{RouteNDP, RouteHost} {
+		plan := Query{K: 3, Ef: 10, Route: route, Filter: func(id uint32) bool { return id%3 != 0 }}
+		before, _, err := db.DoMany(ctx, queries, &plan, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One worker runs the queries in order: query 5 starts at the Filter
+		// call after queries 0–4's.
+		calls, panicAt := 0, 0
+		panicky := plan
+		panicky.Filter = func(id uint32) bool {
+			if calls++; calls == panicAt {
+				panic("injected fault in query 5")
+			}
+			return plan.Filter(id)
+		}
+		db.DoMany(ctx, queries[:5], &panicky, 1)
+		calls, panicAt = 0, calls+1
+		if _, _, err := db.DoMany(ctx, queries, &panicky, 1); err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("%v: DoMany err = %v, want the worker's panic", route, err)
+		}
+		after, _, err := db.DoMany(ctx, queries, &plan, 4)
+		if err != nil {
+			t.Fatalf("%v: DoMany after the panic: %v", route, err)
+		}
+		for qi := range queries {
+			sameBits(t, fmt.Sprintf("%v q%d after the panic", route, qi), after[qi], before[qi])
 		}
 	}
-	defer func() { doManyTestHook = nil }()
+}
 
-	plan := &Query{K: 3, Ef: 10, Route: RouteNDP}
-	_, _, err := db.DoMany(context.Background(), queries, plan, 4)
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("DoMany err = %v, want worker-panic error", err)
-	}
-
-	// The database is still serviceable afterwards.
-	doManyTestHook = nil
-	res, _, err := db.DoMany(context.Background(), queries, plan, 4)
-	if err != nil {
-		t.Fatalf("post-recovery DoMany: %v", err)
-	}
-	for i, r := range res {
-		if len(r) != 3 {
-			t.Fatalf("query %d: %d results", i, len(r))
-		}
+func TestLoadGarbage(t *testing.T) {
+	if _, err := Load(bytes.NewReader([]byte("not a database")), nil); err == nil {
+		t.Error("garbage input should fail")
 	}
 }
 

@@ -10,36 +10,6 @@ import (
 	"ansmet/internal/dataset"
 )
 
-// TestTieredSearchMatchesExactSearch: the public tiered entry point at the
-// default budget (1) returns byte-identical results to the exact route.
-func TestTieredSearchMatchesExactSearch(t *testing.T) {
-	db := benchDB()
-	ds := benchData()
-	var dst []ansmet.Neighbor
-	for qi := 0; qi < 6; qi++ {
-		want, _, err := exactSearch(db, ds.Queries[qi], 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats ansmet.TieredStats
-		dst, stats, err = db.TieredSearchInto(ds.Queries[qi], 10, 0, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(dst) != len(want) {
-			t.Fatalf("q%d: %d results, want %d", qi, len(dst), len(want))
-		}
-		for i := range want {
-			if dst[i] != want[i] {
-				t.Fatalf("q%d result %d: %+v != %+v", qi, i, dst[i], want[i])
-			}
-		}
-		if stats.Pool == 0 || stats.BoundLines == 0 {
-			t.Fatalf("q%d: implausible stats %+v", qi, stats)
-		}
-	}
-}
-
 // TestTieredSteadyStateAllocs gates the tiered pipeline's zero-allocation
 // invariant: once the scratch pools are warm, a TieredSearchInto query with
 // a reused dst performs zero heap allocations.
@@ -77,70 +47,6 @@ func routed(ctx context.Context, db *ansmet.Database, q []float32, k, ef int, ro
 	return res.Neighbors, res.Route, err
 }
 
-// TestSearchRoutedModes: explicit modes execute (and report) the named
-// path, and the results match the path's dedicated entry point.
-func TestSearchRoutedModes(t *testing.T) {
-	db := benchDB()
-	ds := benchData()
-	ctx := context.Background()
-	q := ds.Queries[0]
-
-	nn, route, err := routed(ctx, db, q, 10, 64, ansmet.RouteNDP)
-	if err != nil || route != ansmet.RouteNDP {
-		t.Fatalf("ndp: route=%v err=%v", route, err)
-	}
-	want, err := db.SearchInto(q, 10, 64, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if nn[i] != want[i] {
-			t.Fatalf("ndp result %d: %+v != %+v", i, nn[i], want[i])
-		}
-	}
-
-	nn, route, err = routed(ctx, db, q, 10, 64, ansmet.RouteTiered)
-	if err != nil || route != ansmet.RouteTiered {
-		t.Fatalf("tiered: route=%v err=%v", route, err)
-	}
-	exact, _, err := exactSearch(db, q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range exact {
-		if nn[i] != exact[i] {
-			t.Fatalf("tiered result %d: %+v != %+v", i, nn[i], exact[i])
-		}
-	}
-
-	nn, route, err = routed(ctx, db, q, 10, 64, ansmet.RouteExact)
-	if err != nil || route != ansmet.RouteExact {
-		t.Fatalf("exact: route=%v err=%v", route, err)
-	}
-	for i := range exact {
-		if nn[i] != exact[i] {
-			t.Fatalf("exact result %d: %+v != %+v", i, nn[i], exact[i])
-		}
-	}
-
-	// The host beam is what SearchInto runs on this database, and the ndp
-	// beam's answer.
-	nn, route, err = routed(ctx, db, q, 10, 64, ansmet.RouteHost)
-	if err != nil || route != ansmet.RouteHost {
-		t.Fatalf("host: route=%v err=%v", route, err)
-	}
-	for i := range want {
-		if nn[i] != want[i] {
-			t.Fatalf("host result %d: %+v != %+v", i, nn[i], want[i])
-		}
-	}
-
-	st := db.RouterStats()
-	if st.NDP == 0 || st.Tiered == 0 || st.Exact == 0 || st.Host == 0 {
-		t.Fatalf("router counters not advancing: %+v", st)
-	}
-}
-
 // TestSearchRoutedAuto: without a deadline auto picks the quality route —
 // the exact scan — on a healthy, idle database (the slack and load legs of
 // the policy are pinned on the router itself, internal/engine); a stated
@@ -174,81 +80,6 @@ func TestSearchRoutedAuto(t *testing.T) {
 	var ce *ansmet.CancelError
 	if !errors.As(err, &ce) || ce.Partial {
 		t.Fatalf("expired context: err=%v", err)
-	}
-}
-
-// TestSearchRoutedBaseDesignDegradesTiered: on a Base design (no bound
-// machinery) the tiered route degrades to the exact scan instead of
-// failing.
-func TestSearchRoutedBaseDesignDegradesTiered(t *testing.T) {
-	p := dataset.ProfileByName("SIFT")
-	ds := dataset.Generate(p, 300, 4, 7)
-	db, err := ansmet.New(ds.Vectors, ansmet.Options{
-		Metric: p.Metric, Elem: p.Elem, Design: ansmet.UseDesign(ansmet.CPUBase),
-		EfConstruction: 60, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nn, route, err := routed(context.Background(), db, ds.Queries[0], 5, 32, ansmet.RouteTiered)
-	if err != nil || route != ansmet.RouteExact {
-		t.Fatalf("base tiered: route=%v err=%v", route, err)
-	}
-	want, _, err := exactSearch(db, ds.Queries[0], 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if nn[i] != want[i] {
-			t.Fatalf("base tiered result %d: %+v != %+v", i, nn[i], want[i])
-		}
-	}
-	// TieredSearchInto itself also degrades, reporting the whole population
-	// as the pool.
-	nn2, stats, err := db.TieredSearchInto(ds.Queries[0], 5, 0, nil)
-	if err != nil || stats.Pool != db.Len() {
-		t.Fatalf("base TieredSearch: stats=%+v err=%v", stats, err)
-	}
-	for i := range want {
-		if nn2[i] != want[i] {
-			t.Fatalf("base TieredSearch result %d: %+v != %+v", i, nn2[i], want[i])
-		}
-	}
-}
-
-// TestSearchManyRouted: a routed batch on every explicit path returns the
-// same per-query results as the single-query routed path.
-func TestSearchManyRouted(t *testing.T) {
-	db := benchDB()
-	ds := benchData()
-	queries := ds.Queries[:6]
-	for _, mode := range []ansmet.Route{ansmet.RouteNDP, ansmet.RouteTiered, ansmet.RouteExact} {
-		out, route, err := db.DoMany(context.Background(), queries, &ansmet.Query{K: 10, Ef: 64, Route: mode}, 3)
-		if err != nil || route != mode {
-			t.Fatalf("%v: route=%v err=%v", mode, route, err)
-		}
-		for qi, q := range queries {
-			want, _, err := routed(context.Background(), db, q, 10, 64, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(out[qi]) != len(want) {
-				t.Fatalf("%v q%d: %d results, want %d", mode, qi, len(out[qi]), len(want))
-			}
-			for i := range want {
-				if out[qi][i] != want[i] {
-					t.Fatalf("%v q%d result %d: %+v != %+v", mode, qi, i, out[qi][i], want[i])
-				}
-			}
-		}
-	}
-	// Expired context rejects up front.
-	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	_, _, err := db.DoMany(expired, queries, &ansmet.Query{K: 10, Ef: 64, Route: ansmet.RouteNDP}, 2)
-	var ce *ansmet.CancelError
-	if !errors.As(err, &ce) {
-		t.Fatalf("expired batch: err=%v", err)
 	}
 }
 

@@ -93,43 +93,6 @@ func TestLoadRefusesCraftedGraphs(t *testing.T) {
 	}
 }
 
-func TestSaveFileLoadFileRoundTrip(t *testing.T) {
-	db := tinyDB(t)
-	path := filepath.Join(t.TempDir(), "db.snap")
-	if err := db.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadFile(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != db.Len() {
-		t.Fatalf("loaded %d vectors, want %d", loaded.Len(), db.Len())
-	}
-	q, _ := db.Vector(3)
-	a, err := db.SearchInto(q, 5, 20, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := loaded.SearchInto(q, 5, 20, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("result %d diverges after LoadFile: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	// No stray temp files left behind.
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("snapshot dir has %d entries, want only the snapshot", len(entries))
-	}
-}
-
 // TestLoadSnapshotCorruption: table-driven truncations, bit flips, and
 // footer damage — each must return the matching typed error.
 func TestLoadSnapshotCorruption(t *testing.T) {
