@@ -2,19 +2,16 @@
 // approximate nearest neighbor search with DIMM-based near-memory
 // processing and hybrid partial-dimension/partial-bit early termination.
 //
-// The package bundles three things:
-//
-//   - a complete ANNS library: HNSW and IVF indexes over L2 /
-//     inner-product / cosine metrics and five element types, with the
-//     paper's lossless early-termination distance engine (transformed
-//     bit-plane layouts, sampling-based layout optimization, outlier-aware
-//     common-prefix elimination);
-//   - a timing simulator for the paper's CPU+NDP platform (DDR5 command
-//     timing, rank-level NDP units, hybrid partitioning, adaptive result
-//     polling) that replays real query traces through any of the nine
-//     evaluated designs;
-//   - the experiment harness that regenerates every table and figure of
-//     the paper's evaluation (see EXPERIMENTS.md).
+// This package is the library: HNSW and IVF indexes over L2 /
+// inner-product / cosine metrics and five element types, served from the
+// rows by SIMD kernels, with the paper's lossless early-termination distance
+// engine (transformed bit-plane layouts, sampling-based layout optimization,
+// outlier-aware common-prefix elimination) as a route anyone can ask for,
+// and the NDP model's functional view (System). The timing simulator for the
+// paper's CPU+NDP platform (internal/sim: DDR5 command timing, rank-level NDP
+// units, result polling, fault injection) runs over that view, outside the
+// package, as does the harness that regenerates every table and figure of
+// the paper's evaluation (see EXPERIMENTS.md).
 //
 // Quick start:
 //
@@ -176,10 +173,8 @@ type Options struct {
 	// Mutable switches the database into live-mutable mode: Add, Delete
 	// and Update become legal under concurrent search traffic, optionally
 	// journaled through a write-ahead log (AttachWAL / LoadFile). Any design
-	// can be mutable (the row slab is the ingester); it is incompatible with
-	// Advanced.Fault / Advanced.Resilience (their rank maps are frozen over
-	// the build population). See DESIGN.md, "Mutable index and durability
-	// semantics".
+	// can be mutable (the row slab is the ingester). See DESIGN.md, "Mutable
+	// index and durability semantics".
 	Mutable bool
 
 	// RepairEvery is the pending-delete batch size that triggers the
@@ -188,10 +183,6 @@ type Options struct {
 	// one). The trigger is deterministic — it counts operations, not wall
 	// time — so crash recovery replays to an identical graph.
 	RepairEvery int
-
-	// Advanced exposes every platform knob; leave nil for defaults. When
-	// set, its Design field is overridden by Options.Design.
-	Advanced *core.SystemConfig
 }
 
 // UseDesign selects a specific design point in Options.
@@ -271,13 +262,10 @@ type mutCounters struct {
 // steady-state searches with a reused Query.Dst allocate nothing.
 type searchScratch struct {
 	qq []float32
-	// eng is the lazy NDP-model engine of the ndp beam and, unless it is
-	// resilience-wrapped, the tiered route (see Database.ndpEngine).
+	// eng is the lazy NDP-model engine of the ndp beam and the tiered route
+	// (see Database.ndpEngine).
 	eng engine.Engine
 	buf []Neighbor
-	// plain is the lazy dedicated plain ET engine the tiered route uses when
-	// eng is resilience-wrapped (see Database.plainEngine).
-	plain *core.ETEngine
 	// host is the lazy host compare engine of the host beam and the exact
 	// scan (see Database.hostEngine).
 	host *engine.Exact
@@ -291,20 +279,18 @@ func (db *Database) getScratch() *searchScratch {
 	if db.tuner != nil {
 		// Refresh the adaptive-precision beam mode from the tuner's current
 		// calibration (two atomic loads); an adaptive database defaults to the
-		// ndp beam and the tiered route, so its engine is wanted anyway.
-		// Resilience-wrapped engines skip it: their fallback contract is exact
-		// distances. The exact scan and the tiered stage-2 re-rank ignore the
-		// mode by construction.
-		if et, ok := db.ndpEngine(s).(*core.ETEngine); ok {
-			et.SetPrecision(db.model.Load().Precision, db.tuner.DepthBias(), db.tuner.Margin())
-		}
+		// ndp beam and the tiered route, so its engine is wanted anyway, and
+		// it is an ET design's. The exact scan and the tiered stage-2 re-rank
+		// ignore the mode by construction.
+		db.ndpEngine(s).(*core.ETEngine).SetPrecision(db.model.Load().Precision, db.tuner.DepthBias(), db.tuner.Margin())
 	}
 	return s
 }
 
 // ndpEngine returns the scratch's engine over the NDP model (an ETEngine
-// with its Bounder tables on an ET design), built on first use: the host
-// beam and the exact scan, the defaults, never touch it.
+// with its Bounder tables on an ET design, the one the tiered route runs
+// on), built on first use: the host beam and the exact scan, the defaults,
+// never touch it.
 func (db *Database) ndpEngine(s *searchScratch) engine.Engine {
 	if s.eng == nil {
 		s.eng = db.system().NewWorkerEngine()
@@ -337,7 +323,7 @@ func quantizeInto(dst, v []float32, elem ElemType) []float32 {
 // the HNSW index. The design's offline preprocessing (sampling, layout
 // optimization, prefix elimination, layout transformation, partitioning: the
 // NDP model) waits for a route that needs it (see System) unless the options
-// configure it — Advanced, or RecallTarget in (0, 1) on an ET design.
+// configure it — RecallTarget in (0, 1) on an ET design.
 func New(vectors [][]float32, opts Options) (*Database, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("ansmet: empty dataset")
@@ -377,56 +363,33 @@ func New(vectors [][]float32, opts Options) (*Database, error) {
 // newDatabase wires a database around the rows and the graph New built or
 // Load restored: model configuration, default routes, router, tuner, mutation.
 //
-// The default rule lives here and nowhere else, decided from the
-// configuration. A database serves from its row slab with the typed SIMD
+// The model's configuration and the default rule live here and nowhere else.
+// The configuration is the design's defaults with the database's seed and
+// recall target. A database serves from its row slab with the typed SIMD
 // kernels — the host beam, and the exact scan as the quality route — because
 // on a host CPU that is the fastest correct engine, and at fixed precision it
-// returns what the bit-plane path returns bit for bit. A database whose
-// options configure behaviour that exists only in the NDP model keeps that
-// model as its default: resilience-wrapped engines (Advanced.Fault /
-// Advanced.Resilience: retries, breakers and fallbacks happen per bit-plane
-// compare) and a precision map (RecallTarget in (0, 1) on an ET design: the
-// depth schedule is the bit-plane fetch depth).
+// returns what the bit-plane path returns bit for bit. A database with a
+// precision map (RecallTarget in (0, 1) on an ET design: the depth schedule
+// is the bit-plane fetch depth) keeps the NDP model as its default.
 //
-// Only a caller who configured the model (Advanced, adaptive precision) has
-// it built here: its geometry's errors are New's, precision map and breakers
-// exist before the first query. Otherwise Buildable checks what a default
+// Only an adaptive database has the model built here, so that the precision
+// map exists before the first query. Otherwise Buildable checks what the
 // configuration can violate, and system() builds later.
 func newDatabase(opts Options, rs *rows.Slab, ix *hnsw.Index) (*Database, error) {
 	cfg := core.DefaultSystemConfig(*opts.Design)
-	if opts.Advanced != nil {
-		cfg = *opts.Advanced
-		cfg.Design = *opts.Design
-	}
 	cfg.Seed = opts.Seed
-	if opts.RecallTarget != 0 {
-		cfg.RecallTarget = opts.RecallTarget
-	}
+	cfg.RecallTarget = opts.RecallTarget
 	if err := cfg.Design.Buildable(rs.Len()); err != nil {
 		return nil, err
-	}
-	resilient := cfg.Fault != nil || cfg.Resilience.Enabled
-	if opts.Mutable && resilient {
-		// The serving-rank map and the fallback engine are frozen over the
-		// build population: an appended id could go to a rank without it.
-		return nil, fmt.Errorf("ansmet: enabling mutation: core: mutation is incompatible with fault injection / resilience wrapping")
 	}
 	adaptive := cfg.Design.UsesET() && cfg.RecallTarget > 0 && cfg.RecallTarget < 1
 
 	db := &Database{opts: opts, rows: rs, index: ix, cfg: cfg, beam: RouteHost}
 	quality := RouteExact
-	if resilient || adaptive {
+	if adaptive {
 		db.beam, quality = RouteNDP, RouteTiered
 	}
-	db.router = engine.NewRouter(db.beam, quality, db.degradedRanks)
-	if adaptive {
-		db.tuner = precision.NewTuner(cfg.RecallTarget)
-		// Feed the target into the router's cost model: at matched recall
-		// the adaptive tiered path costs roughly target× its exact-budget
-		// observations, so pre-bias Decide accordingly until the EWMA
-		// catches up.
-		db.router.SetCostScale(RouteTiered, db.tuner.Target())
-	}
+	db.router = engine.NewRouter(db.beam, quality)
 	if opts.Mutable {
 		// Before any concurrent use: the graph flips its publication protocol
 		// on while single-threaded. The model needs no telling (buildModel).
@@ -434,7 +397,13 @@ func newDatabase(opts Options, rs *rows.Slab, ix *hnsw.Index) (*Database, error)
 		ix.EnableMutation()
 		db.liveFilter = db.tomb.Filter()
 	}
-	if opts.Advanced != nil || adaptive {
+	if adaptive {
+		db.tuner = precision.NewTuner(cfg.RecallTarget)
+		// Feed the target into the router's cost model: at matched recall
+		// the adaptive tiered path costs roughly target× its exact-budget
+		// observations, so pre-bias Decide accordingly until the EWMA
+		// catches up.
+		db.router.SetCostScale(RouteTiered, db.tuner.Target())
 		if _, err := db.buildModel(); err != nil {
 			return nil, err
 		}
@@ -443,9 +412,9 @@ func newDatabase(opts Options, rs *rows.Slab, ix *hnsw.Index) (*Database, error)
 }
 
 // system returns the NDP model — what the design's offline pass derives:
-// bit-plane store, partition map, timing configuration — building it on the
-// first call; afterwards one atomic load. Its callers are the ndp beam, the
-// tiered route, Run and System: no default route, no mutation, no New/Load.
+// bit-plane store and partition map — building it on the first call;
+// afterwards one atomic load. Its callers are the ndp beam, the tiered route
+// and System: no default route, no mutation, no New/Load.
 func (db *Database) system() *core.System {
 	if sys := db.model.Load(); sys != nil {
 		return sys
@@ -499,21 +468,10 @@ func (db *Database) Vector(id uint32) ([]float32, bool) {
 	return v.Decode(id, make([]float32, 0, db.rows.Dim())), true
 }
 
-// Run executes a query batch functionally and replays it on the design's
-// timing model, returning results plus the simulation report (latency,
-// throughput, traffic, energy activity), quantizing the queries and leaving
-// out tombstoned ids as Do does. It builds the NDP model if nothing has yet.
-func (db *Database) Run(queries [][]float32, k, ef int) *core.RunResult {
-	quant := make([][]float32, len(queries))
-	for i, q := range queries {
-		quant[i] = quantizeInto(make([]float32, len(q)), q, db.opts.Elem)
-	}
-	return db.system().RunHNSW(quant, k, ef)
-}
-
-// System exposes the NDP model for advanced use (timing configuration,
-// layout parameters, partition map, worker engines), building it on the
-// first call — as a query on RouteNDP or RouteTiered and Run do.
+// System exposes the NDP model's functional view (layout parameters,
+// partition map, worker engines), building it on the first call — as a query
+// on RouteNDP or RouteTiered does. The simulator's timing replay runs over it
+// (internal/sim: sim.NewModel(db.System()).Run).
 func (db *Database) System() *core.System { return db.system() }
 
 // Stats summarizes the database and, once one is built, its NDP model.
@@ -549,22 +507,12 @@ type Stats struct {
 	PendingRepair int
 	WALLastSeq    uint64
 	WALReplayed   uint64
-
-	// Resilience counters (zero unless Advanced.Fault or
-	// Advanced.Resilience.Enabled was set): lifetime totals across all
-	// searches on this database.
-	ResilienceEnabled   bool
-	FaultsInjected      uint64 // faults the configured schedule injected
-	FallbackComparisons uint64 // comparisons served by the CPU exact engine
-	PrimaryFailures     uint64 // comparisons that exhausted their retries
-	BreakerTrips        uint64 // per-rank circuit breakers opened
-	DegradedRanks       int    // ranks currently routed to the fallback
 }
 
 // Stats reports the population, the mutation and journal counters and, from
-// the NDP model when one has been built, the preprocessing facts, the
-// precision map's shape and the resilience counters. It never builds the
-// model (LinesPerVector == 0: not built): a scrape costs no preprocessing.
+// the NDP model when one has been built, the preprocessing facts and the
+// precision map's shape. It never builds the model (LinesPerVector == 0: not
+// built): a scrape costs no preprocessing.
 func (db *Database) Stats() Stats {
 	s := Stats{Vectors: db.Len(), Dim: db.rows.Dim(), Design: db.cfg.Design}
 	if db.Mutable() {
@@ -597,15 +545,6 @@ func (db *Database) Stats() Stats {
 		s.RecallTarget = db.tuner.Target()
 		s.PrecisionClusters = pm.Clusters
 		s.MeanDepthLines = pm.MeanLines()
-	}
-	if c := sys.Faults; c != nil {
-		snap := c.Snapshot()
-		s.ResilienceEnabled = true
-		s.FaultsInjected = sys.Injector.TotalInjections()
-		s.FallbackComparisons = snap.Fallbacks
-		s.PrimaryFailures = snap.Failures
-		s.BreakerTrips = snap.BreakerTrips
-		s.DegradedRanks = sys.Breakers.DegradedRanks()
 	}
 	return s
 }

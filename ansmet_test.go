@@ -7,6 +7,7 @@ import (
 
 	"ansmet"
 	"ansmet/internal/dataset"
+	"ansmet/internal/sim"
 )
 
 func makeVectors(n, dim int, seedish float32) [][]float32 {
@@ -76,7 +77,10 @@ func TestDatabaseRunReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := db.Run(ds.Queries, 10, 40)
+	run, err := sim.NewModel(db.System()).Run(ds.Queries, 10, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if run.Report.QPS() <= 0 || run.Report.MakespanNs <= 0 {
 		t.Error("missing timing report")
 	}

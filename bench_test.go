@@ -596,11 +596,12 @@ func BenchmarkTimingReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := sys.RunHNSW(ds.Queries, 10, 64)
+	m := sim.NewModel(sys)
+	run := m.RunHNSW(ds.Queries, 10, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = sim.Run(sys.SimCfg, run.Traces)
+		_ = sim.Run(m.Timing, run.Traces)
 	}
 	b.ReportMetric(run.Report.QPS(), "simQPS")
 	_ = fmt.Sprint()

@@ -1,6 +1,6 @@
-// Command ansmet-chaos runs the fault-injection chaos scenarios against the
-// simulated NDP serving stack and checks the two degradation invariants
-// (DESIGN.md, "Fault model and degradation semantics"):
+// Command ansmet-chaos runs the chaos scenarios: the fault-injection ones
+// against the simulated NDP platform, which check the two degradation
+// invariants (DESIGN.md, "Fault model and degradation semantics"),
 //
 //  1. Recoverable faults (payload corruption, dropped/delayed polls,
 //     detectable rank crashes) never change search results: retry and
@@ -8,6 +8,9 @@
 //  2. Unrecoverable silent faults (stored-line bit flips that evade the
 //     bound-monotonicity check) never panic, always return full result
 //     sets, and keep recall above the CPU-fallback floor.
+//
+// and the serving ones (serve, cluster, router) against the database, the
+// HTTP stack and the sharded coordinator.
 //
 // Usage:
 //
@@ -30,6 +33,7 @@ import (
 	"ansmet/internal/hnsw"
 	"ansmet/internal/ndp"
 	"ansmet/internal/prefixelim"
+	"ansmet/internal/sim"
 )
 
 func main() {
@@ -78,7 +82,7 @@ func main() {
 		})
 	}
 	if sel == "all" || sel == "precision" {
-		run("precision (adaptive mixed-precision under rank crash)", func() error {
+		run("precision (adaptive mixed-precision model under rank crash)", func() error {
 			return runPrecisionSoak(*n, *seed)
 		})
 	}
@@ -93,8 +97,8 @@ func main() {
 		})
 	}
 	if sel == "all" || sel == "router" {
-		run("router (deadline pressure + rank crash: tiered degrades to exact)", func() error {
-			return runRouterSoak(*n, *seed)
+		run("router (deadline pressure: auto routing between exact and the host beam)", func() error {
+			return runRouterSoak(*n)
 		})
 	}
 	if failed {
@@ -107,14 +111,14 @@ func main() {
 // fault injection, both over the same transformed slab.
 type rig struct {
 	ref       engine.Engine
-	resilient *engine.Resilient
+	resilient *fault.Resilient
 	injector  *fault.Injector
 	index     *hnsw.Index
 	ds        *dataset.Dataset
 	queries   [][]float32
 }
 
-func newRig(n, nq int, sched *fault.Schedule, res engine.ResilienceConfig) (*rig, error) {
+func newRig(n, nq int, sched *fault.Schedule, res fault.ResilienceConfig) (*rig, error) {
 	p := dataset.ProfileByName("SIFT")
 	ds := dataset.Generate(p, n, nq, 31)
 	rs := ds.Rows()
@@ -161,7 +165,7 @@ func newRig(n, nq int, sched *fault.Schedule, res engine.ResilienceConfig) (*rig
 	fb := engine.NewExactOver(rs, p.Metric)
 	return &rig{
 		ref:       ref,
-		resilient: engine.NewResilient(hw, fb, nil, nil, nil, res),
+		resilient: fault.NewResilient(hw, fb, nil, nil, nil, res),
 		injector:  inj,
 		index:     ix,
 		ds:        ds,
@@ -176,7 +180,7 @@ func printInjector(inj *fault.Injector) {
 	}
 }
 
-func printCounters(c engine.CounterSnapshot) {
+func printCounters(c fault.CounterSnapshot) {
 	fmt.Printf("  attempts=%d retries=%d failures=%d fallbacks=%d trips=%d probes=%d reenables=%d panics=%d\n",
 		c.Attempts, c.Retries, c.Failures, c.Fallbacks, c.BreakerTrips, c.Probes, c.Reenables, c.Panics)
 }
@@ -192,7 +196,7 @@ func runRecoverable(n, nq int, seed uint64) error {
 		{Kind: fault.DropPoll, Rank: -1, Prob: 0.1},
 		{Kind: fault.DelayPoll, Rank: -1, Prob: 0.1},
 	}}
-	r, err := newRig(n, nq, sched, engine.ResilienceConfig{MaxRetries: 3, FailureThreshold: 8, ProbeAfter: 16})
+	r, err := newRig(n, nq, sched, fault.ResilienceConfig{MaxRetries: 3, FailureThreshold: 8, ProbeAfter: 16})
 	if err != nil {
 		return err
 	}
@@ -213,11 +217,10 @@ func runRecoverable(n, nq int, seed uint64) error {
 	return nil
 }
 
-// runCrash runs whole-system query batches on a core.System whose rank 0
-// crashes mid-run, and checks invariant 1 at the system level: bitwise
-// identical results (both the NDP software model and the CPU fallback
-// compute fp64 distances here), breaker opened, comparisons degraded to the
-// fallback.
+// runCrash runs whole-system query batches on a model whose rank 0 crashes
+// mid-run, and checks invariant 1 at the system level: bitwise identical
+// results (both the NDP software model and the CPU fallback compute fp64
+// distances here), breaker opened, comparisons degraded to the fallback.
 func runCrash(n, nq int, seed uint64) error {
 	p := dataset.ProfileByName("DEEP")
 	ds := dataset.Generate(p, n, nq, 77)
@@ -226,26 +229,16 @@ func runCrash(n, nq int, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	build := func(sched *fault.Schedule) (*core.System, error) {
-		cfg := core.DefaultSystemConfig(core.NDPET)
-		if sched != nil {
-			cfg.Fault = sched
-			cfg.Resilience = engine.ResilienceConfig{MaxRetries: 1, FailureThreshold: 4, ProbeAfter: 32}
-		}
-		return core.NewSystem(slab, p.Metric, ix, cfg)
-	}
-	clean, err := build(nil)
+	sys, err := core.NewSystem(slab, p.Metric, ix, core.DefaultSystemConfig(core.NDPET))
 	if err != nil {
 		return err
 	}
-	faulty, err := build(&fault.Schedule{Seed: seed, Rules: []fault.Rule{
+	clean := sim.NewModel(sys)
+	faulty := sim.NewModel(sys).InjectFaults(&fault.Schedule{Seed: seed, Rules: []fault.Rule{
 		{Kind: fault.CorruptPayload, Rank: -1, Op: -1, Prob: 0.1},
 		{Kind: fault.DropPoll, Rank: -1, Prob: 0.05},
 		{Kind: fault.RankCrash, Rank: 0, After: 40},
-	}})
-	if err != nil {
-		return err
-	}
+	}}, fault.ResilienceConfig{MaxRetries: 1, FailureThreshold: 4, ProbeAfter: 32})
 	want := clean.RunHNSW(ds.Queries, 10, 50)
 	got := faulty.RunHNSW(ds.Queries, 10, 50)
 	for qi := range want.Results {
@@ -279,7 +272,7 @@ func runSilent(n, nq int, seed uint64) error {
 	sched := &fault.Schedule{Seed: seed, Rules: []fault.Rule{
 		{Kind: fault.CorruptLine, Rank: -1, Prob: 0.02, Bits: 1},
 	}}
-	r, err := newRig(n, nq, sched, engine.ResilienceConfig{MaxRetries: 1, FailureThreshold: 1 << 30, ProbeAfter: 16})
+	r, err := newRig(n, nq, sched, fault.ResilienceConfig{MaxRetries: 1, FailureThreshold: 1 << 30, ProbeAfter: 16})
 	if err != nil {
 		return err
 	}

@@ -1,129 +1,78 @@
 // Precision soak: adaptive mixed-precision search under an NDP rank crash
-// must degrade exactly like the fixed-depth database — never less safely.
-// The resilience wrap is the mechanism: degraded comparisons run on the
+// must degrade exactly like fixed-depth search — never less safely. The
+// resilience wrap is the mechanism: degraded comparisons run on the
 // CPU-exact fallback, whose contract is exact distances, so the adaptive
 // beam mode is deliberately not installed on resilience-wrapped engines
-// (Database.getScratch). The probe drives a RecallTarget database and a
-// fixed twin through the same scheduled crash and checks:
+// (sim.Model.NewWorkerEngine). The soak runs a RecallTarget model and a
+// fixed twin under one crash schedule and checks:
 //
-//   - every query keeps returning full result sets while the crash trips
-//     the breaker (retry + per-comparison fallback absorb it);
-//   - once degraded, the adaptive database's beam answers are bitwise
-//     identical to the degraded fixed database's — the knob vanishes
-//     cleanly instead of mixing approximate accepts into fallback results;
-//   - the tiered path (which reads the store directly and keeps its
-//     adaptive depth map) still returns full result sets above the recall
-//     floor, and the recall-target tuner keeps folding in observations.
+//   - the schedule is not vacuous: the crash trips a breaker in both;
+//   - every query returns a full result set (retry + per-comparison
+//     fallback absorb the crash);
+//   - the adaptive model's beam answers are bitwise identical to the fixed
+//     model's — the knob vanishes cleanly instead of mixing approximate
+//     accepts into fallback results.
 package main
 
 import (
 	"fmt"
 
-	"ansmet"
 	"ansmet/internal/core"
 	"ansmet/internal/dataset"
-	"ansmet/internal/engine"
 	"ansmet/internal/fault"
+	"ansmet/internal/hnsw"
+	"ansmet/internal/sim"
 )
 
 func runPrecisionSoak(n int, seed uint64) error {
 	p := dataset.ProfileByName("DEEP")
 	ds := dataset.Generate(p, n, 8, 61)
-	build := func(target float64) (*ansmet.Database, error) {
+	slab := ds.Rows()
+	ix, err := hnsw.Build(slab, p.Metric, hnsw.Config{M: 16, MaxDegree: 16, EfConstruction: 60, Seed: 7})
+	if err != nil {
+		return err
+	}
+	run := func(target float64) (*sim.Model, *sim.RunResult, error) {
 		cfg := core.DefaultSystemConfig(core.NDPETOpt)
-		cfg.Fault = &fault.Schedule{Seed: seed, Rules: []fault.Rule{
-			{Kind: fault.RankCrash, Rank: 0, After: 40},
-		}}
+		cfg.Seed, cfg.RecallTarget = 7, target
+		sys, err := core.NewSystem(slab, p.Metric, ix, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
 		// A huge ProbeAfter keeps the crashed rank fenced for the whole
 		// soak, so "degraded" is a stable state to assert against.
-		cfg.Resilience = engine.ResilienceConfig{MaxRetries: 1, FailureThreshold: 4, ProbeAfter: 1 << 30}
-		return ansmet.New(ds.Vectors, ansmet.Options{
-			Metric: p.Metric, Elem: p.Elem, EfConstruction: 60, Seed: 7,
-			RecallTarget: target, Advanced: &cfg,
-		})
+		m := sim.NewModel(sys).InjectFaults(&fault.Schedule{Seed: seed, Rules: []fault.Rule{
+			{Kind: fault.RankCrash, Rank: 0, After: 40},
+		}}, fault.ResilienceConfig{MaxRetries: 1, FailureThreshold: 4, ProbeAfter: 1 << 30})
+		return m, m.RunHNSW(ds.Queries, 10, 50), nil
 	}
-	adaptive, err := build(0.9)
+	adaptive, a, err := run(0.9)
 	if err != nil {
 		return err
 	}
-	fixed, err := build(0)
+	fixed, f, err := run(0)
 	if err != nil {
 		return err
 	}
-	if !adaptive.PrecisionStats().Enabled || fixed.PrecisionStats().Enabled {
-		return fmt.Errorf("precision machinery mis-wired: adaptive=%v fixed=%v",
-			adaptive.PrecisionStats().Enabled, fixed.PrecisionStats().Enabled)
+	if adaptive.Precision == nil || fixed.Precision != nil {
+		return fmt.Errorf("precision machinery mis-wired: adaptive map %v, fixed map %v",
+			adaptive.Precision != nil, fixed.Precision != nil)
 	}
-
-	// Phase 1: drive both databases until the scheduled crash trips their
-	// breakers. Full result sets throughout — a mid-escalation crash must
-	// be absorbed by retry + fallback, never surfaced.
-	for name, db := range map[string]*ansmet.Database{"adaptive": adaptive, "fixed": fixed} {
-		tripped := false
-		for i := 0; i < 500 && !tripped; i++ {
-			nn, err := db.SearchInto(ds.Queries[i%len(ds.Queries)], 10, 50, nil)
-			if err != nil {
-				return fmt.Errorf("%s query during crash phase: %v", name, err)
-			}
-			if len(nn) != 10 {
-				return fmt.Errorf("%s query during crash phase returned %d results, want 10", name, len(nn))
-			}
-			tripped = db.Stats().DegradedRanks > 0
-		}
-		if !tripped {
-			return fmt.Errorf("%s: rank crash never tripped a breaker — vacuous run: %+v", name, db.Stats())
+	for name, r := range map[string]*sim.RunResult{"adaptive": a, "fixed": f} {
+		if rs := r.Report.Resilience; rs == nil || rs.BreakerTrips == 0 || rs.DegradedRanks == 0 {
+			return fmt.Errorf("%s: rank crash never tripped a breaker — vacuous run: %+v", name, rs)
 		}
 	}
-	fmt.Printf("    crash absorbed: both databases degraded (adaptive fallbacks=%d, fixed fallbacks=%d)\n",
-		adaptive.Stats().FallbackComparisons, fixed.Stats().FallbackComparisons)
-
-	// Phase 2: on the degraded stack the adaptive beam must be bitwise
-	// indistinguishable from the fixed one — resilience-wrapped engines
-	// never install the precision mode, so both run the same comparisons.
-	for qi, q := range ds.Queries {
-		a, err := adaptive.SearchInto(q, 10, 50, nil)
-		if err != nil {
-			return fmt.Errorf("degraded adaptive query %d: %v", qi, err)
+	fmt.Printf("    crash absorbed: both models degraded (adaptive fallbacks=%d, fixed fallbacks=%d)\n",
+		a.Report.Resilience.Fallbacks, f.Report.Resilience.Fallbacks)
+	for qi := range ds.Queries {
+		if len(a.Results[qi]) != 10 {
+			return fmt.Errorf("adaptive query %d returned %d results, want 10", qi, len(a.Results[qi]))
 		}
-		f, err := fixed.SearchInto(q, 10, 50, nil)
-		if err != nil {
-			return fmt.Errorf("degraded fixed query %d: %v", qi, err)
-		}
-		if err := identical(a, f); err != nil {
+		if err := identical(a.Results[qi], f.Results[qi]); err != nil {
 			return fmt.Errorf("degraded beam query %d: adaptive diverged from fixed: %w", qi, err)
 		}
 	}
-	fmt.Printf("    degraded beam: %d queries bitwise identical to the fixed-depth database\n", len(ds.Queries))
-
-	// Phase 3: the tiered path keeps its adaptive depth map (it reads the
-	// store directly, below the fault injection), so it must stay live,
-	// full and accurate, and keep feeding the tuner.
-	gt := ds.GroundTruth(10)
-	before := adaptive.PrecisionStats().Observations
-	recallSum := 0.0
-	for qi, q := range ds.Queries {
-		nn, _, err := adaptive.TieredSearchInto(q, 10, 0, nil)
-		if err != nil {
-			return fmt.Errorf("degraded tiered query %d: %v", qi, err)
-		}
-		if len(nn) != 10 {
-			return fmt.Errorf("degraded tiered query %d returned %d results, want 10", qi, len(nn))
-		}
-		ids := make([]uint32, len(nn))
-		for i, nb := range nn {
-			ids[i] = nb.ID
-		}
-		recallSum += ansmet.RecallAtK(ids, gt[qi])
-	}
-	recall := recallSum / float64(len(ds.Queries))
-	after := adaptive.PrecisionStats().Observations
-	if after <= before {
-		return fmt.Errorf("tuner stopped observing under degradation (%d -> %d)", before, after)
-	}
-	fmt.Printf("    degraded tiered: recall %.3f (floor 0.8), tuner observations %d -> %d\n",
-		recall, before, after)
-	if recall < 0.8 {
-		return fmt.Errorf("degraded tiered recall %.3f below the 0.8 floor", recall)
-	}
+	fmt.Printf("    degraded beam: %d queries bitwise identical to the fixed-depth model\n", len(ds.Queries))
 	return nil
 }

@@ -1,16 +1,16 @@
-// Router soak: the deadline-aware query router under combined pressure —
-// an injected NDP rank crash plus tight client deadlines — must degrade
-// whole queries from the tiered path to the CPU-exact path without result
-// instability or goroutine leaks:
+// Router soak: the deadline-aware query router of a default database under
+// deadline pressure and concurrency must move whole queries between its two
+// routes without result instability or goroutine leaks:
 //
-//   - healthy + idle + no deadline: auto picks the tiered path and its
-//     answers are byte-identical to the exact route (budget 1 is lossless);
-//   - once the crash trips a rank breaker, auto diverts every query to the
-//     exact path — under concurrency and deadline pressure alike — and the
-//     completed answers stay byte-identical across repeats (degradation
-//     must never wobble a result bit);
-//   - expired or overrun deadlines surface as CancelError, never as
-//     panics or silent truncation;
+//   - idle + no deadline: auto picks the exact scan, and its answers are
+//     byte-identical to RouteExact's;
+//   - a deadline below twice the exact scan's cost estimate: auto picks the
+//     host beam;
+//   - under concurrency and mixed deadlines, every completed answer is
+//     byte-identical to the reference of the route that served it — the
+//     choice of route may move, a result bit may not;
+//   - expired or overrun deadlines surface as CancelError, never as panics
+//     or silent truncation;
 //   - when the soak ends the goroutine count settles back to baseline.
 package main
 
@@ -24,75 +24,90 @@ import (
 	"time"
 
 	"ansmet"
-	"ansmet/internal/core"
 	"ansmet/internal/dataset"
-	"ansmet/internal/engine"
-	"ansmet/internal/fault"
 	"ansmet/internal/leakcheck"
 )
 
-func runRouterSoak(n int, seed uint64) error {
+func runRouterSoak(n int) error {
 	p := dataset.ProfileByName("DEEP")
 	ds := dataset.Generate(p, n, 8, 77)
-	cfg := core.DefaultSystemConfig(core.NDPETOpt)
-	cfg.Fault = &fault.Schedule{Seed: seed, Rules: []fault.Rule{
-		{Kind: fault.RankCrash, Rank: 0, After: 40},
-	}}
-	// A huge ProbeAfter keeps the crashed rank fenced for the whole soak:
-	// the router's divert-to-exact decision stays deterministic.
-	cfg.Resilience = engine.ResilienceConfig{MaxRetries: 1, FailureThreshold: 4, ProbeAfter: 1 << 30}
 	db, err := ansmet.New(ds.Vectors, ansmet.Options{
-		Metric: p.Metric, Elem: p.Elem, EfConstruction: 60, Seed: 7, Advanced: &cfg,
+		Metric: p.Metric, Elem: p.Elem, EfConstruction: 60, Seed: 7,
 	})
 	if err != nil {
 		return err
 	}
 
-	// Per-query exact references: every completed degraded answer must
-	// equal these bit for bit.
-	want := make([][]ansmet.Neighbor, len(ds.Queries))
-	for qi, q := range ds.Queries {
-		res, err := db.Do(context.Background(), &ansmet.Query{Vector: q, K: 10, Route: ansmet.RouteExact})
-		if err != nil {
-			return err
+	// Per-query references of both routes: every completed answer must equal
+	// the one of the route it ran on, bit for bit.
+	ctx := context.Background()
+	want := map[ansmet.Route][][]ansmet.Neighbor{}
+	for _, route := range []ansmet.Route{ansmet.RouteExact, ansmet.RouteHost} {
+		for _, q := range ds.Queries {
+			res, err := db.Do(ctx, &ansmet.Query{Vector: q, K: 10, Ef: 50, Route: route})
+			if err != nil {
+				return err
+			}
+			want[route] = append(want[route], res.Neighbors)
 		}
-		want[qi] = res.Neighbors
+	}
+	check := func(qi int, res ansmet.Result) error {
+		ref, ok := want[res.Route]
+		if !ok {
+			return fmt.Errorf("query %d routed %v, want exact or host", qi, res.Route)
+		}
+		return identical(res.Neighbors, ref[qi])
 	}
 
-	// Phase 0: healthy, idle, no deadline — auto must pick the tiered path
-	// and reproduce the exact answers.
-	ctx := context.Background()
+	// Phase 0: idle, no deadline — auto must pick the exact scan.
 	for qi, q := range ds.Queries {
 		res, err := db.Do(ctx, &ansmet.Query{Vector: q, K: 10, Ef: 50})
-		if err != nil || res.Route != ansmet.RouteTiered {
-			return fmt.Errorf("healthy query %d: route=%v err=%v", qi, res.Route, err)
+		if err != nil || res.Route != ansmet.RouteExact {
+			return fmt.Errorf("idle query %d: route=%v err=%v", qi, res.Route, err)
 		}
-		if err := identical(res.Neighbors, want[qi]); err != nil {
-			return fmt.Errorf("healthy query %d (tiered): %w", qi, err)
+		if err := check(qi, res); err != nil {
+			return fmt.Errorf("idle query %d: %w", qi, err)
 		}
 	}
 	baseline := leakcheck.Baseline()
-	fmt.Printf("    healthy: %d auto queries on the tiered path, byte-identical to exact\n", len(ds.Queries))
+	fmt.Printf("    idle: %d auto queries on the exact scan, byte-identical to RouteExact\n", len(ds.Queries))
 
-	// Phase 1: drive NDP beam searches until the scheduled rank crash trips
-	// the breaker. The searches themselves must keep succeeding (retry +
-	// per-comparison fallback absorb the crash).
-	tripped := false
-	for i := 0; i < 500 && !tripped; i++ {
-		if _, err := db.SearchInto(ds.Queries[i%len(ds.Queries)], 10, 50, nil); err != nil {
-			return fmt.Errorf("ndp query during crash phase: %v", err)
+	// Phase 1: a deadline of the exact scan's own estimated cost leaves less
+	// slack than the router's safety factor asks for, so auto must take the
+	// beam. A query whose deadline passed before Do looked at it is refused
+	// unrouted (RouteAuto) — a descheduled goroutine, not a routing decision.
+	est := time.Duration(db.RouterStats().CostNs[ansmet.RouteExact.String()])
+	if est == 0 {
+		return fmt.Errorf("no exact cost estimate after the idle phase: %+v", db.RouterStats())
+	}
+	onHost := 0
+	for qi, q := range ds.Queries {
+		qctx, cancel := context.WithTimeout(ctx, est)
+		res, err := db.Do(qctx, &ansmet.Query{Vector: q, K: 10, Ef: 50})
+		cancel()
+		var ce *ansmet.CancelError
+		switch {
+		case err != nil && !errors.As(err, &ce):
+			return fmt.Errorf("pressured query %d: non-cancel error %v", qi, err)
+		case res.Route == ansmet.RouteAuto && err != nil:
+			continue
+		case res.Route != ansmet.RouteHost:
+			return fmt.Errorf("pressured query %d: route=%v err=%v, want host", qi, res.Route, err)
+		case err == nil:
+			if err := check(qi, res); err != nil {
+				return fmt.Errorf("pressured query %d: %w", qi, err)
+			}
 		}
-		tripped = db.Stats().DegradedRanks > 0
+		onHost++
 	}
-	if !tripped {
-		return fmt.Errorf("rank crash never tripped a breaker — vacuous run: %+v", db.Stats())
+	if onHost == 0 {
+		return fmt.Errorf("every pressured query expired before routing — vacuous run")
 	}
-	fmt.Printf("    crash: breaker open, %d rank(s) degraded (trips=%d fallbacks=%d)\n",
-		db.Stats().DegradedRanks, db.Stats().BreakerTrips, db.Stats().FallbackComparisons)
+	fmt.Printf("    pressure: %d of %d auto queries under a %v deadline routed to the host beam\n", onHost, len(ds.Queries), est)
 
-	// Phase 2: concurrent soak under deadline pressure. Every decision must
-	// now divert to the exact path; completed answers must match the
-	// references; deadline overruns may only surface as CancelError.
+	// Phase 2: concurrent soak under mixed deadlines. Completed answers must
+	// match their route's reference; deadline overruns may only surface as
+	// CancelError.
 	deadlines := []time.Duration{
 		-time.Millisecond, // already expired at call time
 		50 * time.Microsecond,
@@ -125,26 +140,20 @@ func runRouterSoak(n int, seed uint64) error {
 				}
 				res, err := db.Do(qctx, &ansmet.Query{Vector: ds.Queries[qi], K: 10, Ef: 50})
 				cancel()
-				nn, route := res.Neighbors, res.Route
-				switch {
-				case err == nil:
-					if route != ansmet.RouteExact {
-						fail(fmt.Errorf("degraded query routed %v, want exact", route))
-						continue
-					}
-					if ierr := identical(nn, want[qi]); ierr != nil {
-						fail(fmt.Errorf("degraded query %d: %w", qi, ierr))
-						continue
-					}
-					completed.Add(1)
-				default:
+				if err != nil {
 					var ce *ansmet.CancelError
 					if !errors.As(err, &ce) {
-						fail(fmt.Errorf("degraded query %d: non-cancel error %v", qi, err))
+						fail(fmt.Errorf("soak query %d: non-cancel error %v", qi, err))
 						continue
 					}
 					cancelled.Add(1)
+					continue
 				}
+				if cerr := check(qi, res); cerr != nil {
+					fail(fmt.Errorf("soak query %d: %w", qi, cerr))
+					continue
+				}
+				completed.Add(1)
 			}
 		}(w)
 	}
@@ -153,30 +162,13 @@ func runRouterSoak(n int, seed uint64) error {
 		return firstErr
 	}
 	if completed.Load() == 0 {
-		return fmt.Errorf("no degraded query ever completed (cancelled=%d)", cancelled.Load())
+		return fmt.Errorf("no soak query ever completed (cancelled=%d)", cancelled.Load())
 	}
 	if cancelled.Load() == 0 {
 		return fmt.Errorf("deadline pressure never cancelled anything — vacuous run")
 	}
-	rs := db.RouterStats()
-	if rs.Diverted == 0 || rs.Exact == 0 {
-		return fmt.Errorf("router never diverted to exact: %+v", rs)
-	}
-	fmt.Printf("    degraded soak: 320 queries, %d completed byte-identical on the exact path, %d cancelled cleanly (diverted=%d)\n",
-		completed.Load(), cancelled.Load(), rs.Diverted)
-
-	// Phase 3: serial stability re-check — repeats of one fixed query on
-	// the degraded router must not wobble.
-	for i := 0; i < 20; i++ {
-		res, err := db.Do(ctx, &ansmet.Query{Vector: ds.Queries[0], K: 10, Ef: 50})
-		if err != nil || res.Route != ansmet.RouteExact {
-			return fmt.Errorf("stability repeat %d: route=%v err=%v", i, res.Route, err)
-		}
-		if err := identical(res.Neighbors, want[0]); err != nil {
-			return fmt.Errorf("stability repeat %d: %w", i, err)
-		}
-	}
-	fmt.Printf("    stability: 20 repeats identical on the degraded router\n")
+	fmt.Printf("    soak: 320 queries, %d completed byte-identical to their route's reference, %d cancelled cleanly\n",
+		completed.Load(), cancelled.Load())
 
 	if err := leakcheck.Settle(baseline); err != nil {
 		return err

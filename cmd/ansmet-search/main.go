@@ -11,9 +11,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"ansmet"
 	"ansmet/internal/dataset"
+	"ansmet/internal/sim"
 )
 
 func main() {
@@ -26,6 +28,11 @@ func main() {
 	designName := flag.String("design", "NDP-ETOpt", "design point (see Fig. 6 names)")
 	seed := flag.Uint64("seed", 42, "generator seed")
 	flag.Parse()
+	if err := checkFlags(*nq, *k); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var design ansmet.Design
 	found := false
@@ -53,8 +60,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Run builds the NDP model; Stats reports its preprocessing from then on.
-	run := db.Run(ds.Queries, *k, *ef)
+	// System builds the NDP model; Stats reports its preprocessing from then on.
+	run, err := sim.NewModel(db.System()).Run(ds.Queries, *k, *ef)
+	if err != nil {
+		log.Fatal(err)
+	}
 	st := db.Stats()
 	fmt.Printf("preprocessed in %.2fs: %d lines/vector, prefix=%d bits (saves %.1f%%), %d outlier vectors\n\n",
 		st.PreprocessSeconds, st.LinesPerVector, st.PrefixBits, st.SpaceSavedPercent, st.Outliers)
@@ -84,4 +94,12 @@ func main() {
 	fmt.Printf("lines fetched      %d effectual + %d ineffectual\n",
 		rep.EffectualLines, rep.IneffectualLines)
 	fmt.Printf("unit imbalance     %.2fx (max/mean)\n", rep.ImbalanceRatio())
+}
+
+// checkFlags rejects a query count or a result count that is not positive.
+func checkFlags(nq, k int) error {
+	if nq <= 0 || k <= 0 {
+		return fmt.Errorf("-q and -k must be positive (got -q %d, -k %d)", nq, k)
+	}
+	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"ansmet/internal/core"
 	"ansmet/internal/dataset"
@@ -43,6 +44,11 @@ func main() {
 	seed := flag.Uint64("seed", 2025, "generator seed")
 	parallel := flag.Int("parallel", 0, "functional-search workers (0 = GOMAXPROCS); output is identical at any setting")
 	flag.Parse()
+	if err := checkFlags(*nq, *stream, *k, *ef); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var design core.Design
 	found := false
@@ -82,25 +88,25 @@ func main() {
 	default:
 		log.Fatalf("unknown scheme %q", *scheme)
 	}
-	switch *poll {
-	case "conventional":
-		cfg.Poll = polling.Conventional{IntervalNs: *pollNs}
-	case "adaptive":
-		cfg.Poll = polling.Adaptive{}
-	default:
-		log.Fatalf("unknown polling %q", *poll)
-	}
-
 	sys, err := core.NewSystem(rs, p.Metric, ix, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	run := sys.RunHNSWParallel(ds.Queries, *k, *ef, *parallel)
+	m := sim.NewModel(sys)
+	switch *poll {
+	case "conventional":
+		m.Timing.Poll = polling.Conventional{IntervalNs: *pollNs}
+	case "adaptive":
+		m.Timing.Poll = polling.Adaptive{}
+	default:
+		log.Fatalf("unknown polling %q", *poll)
+	}
+	run := m.RunHNSWParallel(ds.Queries, *k, *ef, *parallel)
 	var traces []*trace.Query
 	for len(traces) < *stream {
 		traces = append(traces, run.Traces...)
 	}
-	rep := sim.Run(sys.SimCfg, traces)
+	rep := sim.Run(m.Timing, traces)
 
 	gt := ds.GroundTruth(*k)
 	recall := 0.0
@@ -144,4 +150,16 @@ func main() {
 	fmt.Printf("energy        %.2f mJ  (DRAM %.2f | CPU %.2f | NDP %.2f)\n",
 		e.TotalMJ(), e.DRAMmJ, e.CPUmJ, e.NDPmJ)
 	fmt.Printf("polling       %d poll reads\n", rep.PollCount)
+}
+
+// checkFlags rejects the counts no run can be made of: a query set, a stream
+// or a result count that is not positive, and a beam narrower than k.
+func checkFlags(nq, stream, k, ef int) error {
+	if nq <= 0 || stream <= 0 || k <= 0 {
+		return fmt.Errorf("-q, -stream and -k must be positive (got %d, %d, %d)", nq, stream, k)
+	}
+	if ef < k {
+		return fmt.Errorf("-ef must be at least -k (got -ef %d, -k %d)", ef, k)
+	}
+	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"ansmet"
 	"ansmet/internal/dataset"
 	"ansmet/internal/energy"
+	"ansmet/internal/sim"
 )
 
 func main() {
@@ -36,7 +37,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		run := db.Run(ds.Queries, 10, 64)
+		run, err := sim.NewModel(db.System()).Run(ds.Queries, 10, 64)
+		if err != nil {
+			log.Fatal(err)
+		}
 		rep := run.Report
 
 		recall := 0.0

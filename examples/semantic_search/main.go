@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"ansmet"
+	"ansmet/internal/sim"
 )
 
 // embed maps text to a dense vector with hashed bag-of-words features —
@@ -79,13 +80,17 @@ func main() {
 		log.Fatal(err)
 	}
 
+	model := sim.NewModel(db.System()) // the simulated NDP platform
 	queries := []string{
 		"how does near memory hardware speed up vector databases",
 		"what stops unnecessary distance calculations",
 		"baking bread with flour",
 	}
 	for _, q := range queries {
-		run := db.Run([][]float32{embed(q, dim)}, 3, 32)
+		run, err := model.Run([][]float32{embed(q, dim)}, 3, 32)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("query: %q\n", q)
 		for _, n := range run.Results[0] {
 			fmt.Printf("  %.3f  %s\n", -n.Dist, corpus[n.ID])

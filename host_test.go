@@ -10,7 +10,6 @@ import (
 	"ansmet/internal/core"
 	"ansmet/internal/dataset"
 	"ansmet/internal/engine"
-	"ansmet/internal/fault"
 )
 
 // hostCase is one row of TestHostEquivalence: a population, the vectors a
@@ -311,76 +310,77 @@ func TestHostEquivalence(t *testing.T) {
 	// (BeamBatch 1) host and ndp still walk the same graph the same way.
 	t.Run("BeamBatch=1", func(t *testing.T) {
 		hc := cases[0]
-		cfg := core.DefaultSystemConfig(NDPETOpt)
-		cfg.BeamBatch = 1
-		hc.opts.Advanced = &cfg
 		db, err := New(hc.vectors, hc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if db.beam != RouteHost || db.cfg.BeamBatch != 1 {
-			t.Fatalf("beam %v at batch %d", db.beam, db.cfg.BeamBatch)
+		sys := db.System()
+		s := db.getScratch()
+		defer db.putScratch(s)
+		host, ndp := db.hostEngine(s), sys.NewWorkerEngine()
+		odd := func(id uint32) bool { return id%2 == 1 }
+		for _, k := range []int{1, 10} {
+			for _, ef := range []int{0, 128} {
+				for _, f := range []func(uint32) bool{nil, odd} {
+					for qi, vec := range hc.queries {
+						label := fmt.Sprintf("batch1 k=%d ef=%d filter=%v q%d", k, ef, f != nil, qi)
+						plan := Query{K: k, Ef: ef}
+						qq := quantizeInto(s.qq, vec, db.opts.Elem)
+						a := sys.Index.SearchFilteredInto(qq, k, plan.beam(), 1, f, host, nil, nil)
+						b := sys.Index.SearchFilteredInto(qq, k, plan.beam(), 1, f, ndp, nil, nil)
+						sameBits(t, label+" host≡ndp", a, b)
+						if len(a) != k {
+							t.Fatalf("%s: %d results, want %d", label, len(a), k)
+						}
+					}
+				}
+			}
 		}
-		checkIdentity(t, "batch1", dbSearcher(db), hc.queries, db.Len(), nil)
 	})
 
-	// Where the ndp engine is deliberately approximate or fault-modelled the
-	// identity is not claimed, and the defaults do not move: the database
-	// keeps beam = ndp, quality = tiered, and its machinery keeps running
-	// under Search.
+	// Where the ndp engine is deliberately approximate the identity is not
+	// claimed, and the defaults do not move: an adaptive database keeps
+	// beam = ndp, quality = tiered, and its machinery keeps running under
+	// Search.
 	t.Run("ndp defaults kept", func(t *testing.T) {
 		ctx := context.Background()
 		hc := cases[3] // GloVe
 		all := func(uint32) bool { return true }
 
-		adaptive, err := New(hc.vectors, Options{Metric: hc.opts.Metric, Elem: hc.opts.Elem, EfConstruction: 60, Seed: 7, RecallTarget: 0.9})
+		db, err := New(hc.vectors, Options{Metric: hc.opts.Metric, Elem: hc.opts.Elem, EfConstruction: 60, Seed: 7, RecallTarget: 0.9})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := core.DefaultSystemConfig(NDPETOpt)
-		cfg.Fault = &fault.Schedule{Seed: 5, Rules: []fault.Rule{{Kind: fault.DropPoll, Rank: -1, Prob: 0.2}}}
-		cfg.Resilience = engine.ResilienceConfig{MaxRetries: 3, FailureThreshold: 1 << 30, ProbeAfter: 16}
-		fopts := hc.opts
-		fopts.Advanced = &cfg
-		faulty, err := New(hc.vectors, fopts)
-		if err != nil {
-			t.Fatal(err)
+		// A filtered auto query runs the default beam, an idle one the
+		// quality route.
+		beam, err := db.Do(ctx, &Query{Vector: hc.queries[0], K: 10, Filter: all})
+		if err != nil || beam.Route != RouteNDP {
+			t.Fatalf("default beam %v (err %v), want ndp", beam.Route, err)
 		}
-		for name, db := range map[string]*Database{"adaptive": adaptive, "fault-modelled": faulty} {
-			// A filtered auto query runs the default beam, an idle one the
-			// quality route.
-			beam, err := db.Do(ctx, &Query{Vector: hc.queries[0], K: 10, Filter: all})
-			if err != nil || beam.Route != RouteNDP {
-				t.Fatalf("%s: default beam %v (err %v), want ndp", name, beam.Route, err)
+		quality, err := db.Do(ctx, &Query{Vector: hc.queries[0], K: 10})
+		if err != nil || quality.Route != RouteTiered {
+			t.Fatalf("quality route %v (err %v), want tiered", quality.Route, err)
+		}
+		before := db.RouterStats()
+		for _, vec := range hc.queries {
+			if _, err := db.Search(vec, 10); err != nil {
+				t.Fatal(err)
 			}
-			quality, err := db.Do(ctx, &Query{Vector: hc.queries[0], K: 10})
-			if err != nil || quality.Route != RouteTiered {
-				t.Fatalf("%s: quality route %v (err %v), want tiered", name, quality.Route, err)
-			}
-			before := db.RouterStats()
-			for _, vec := range hc.queries {
-				if _, err := db.Search(vec, 10); err != nil {
-					t.Fatal(err)
-				}
-			}
-			after := db.RouterStats()
-			if after.NDP != before.NDP+uint64(len(hc.queries)) || after.Host != 0 {
-				t.Fatalf("%s: Search ran ndp %d→%d, host %d", name, before.NDP, after.NDP, after.Host)
-			}
+		}
+		after := db.RouterStats()
+		if after.NDP != before.NDP+uint64(len(hc.queries)) || after.Host != 0 {
+			t.Fatalf("Search ran ndp %d→%d, host %d", before.NDP, after.NDP, after.Host)
 		}
 		// The adaptive beam really is the mixed-precision one (its scratch
 		// engines carry the precision map), and auto traffic still feeds the
-		// tuner; the fault-modelled beam still meets its injector.
-		s := adaptive.getScratch()
-		if et, ok := s.eng.(*core.ETEngine); !ok || et == nil || adaptive.model.Load().Precision == nil {
+		// tuner.
+		s := db.getScratch()
+		if et, ok := s.eng.(*core.ETEngine); !ok || et == nil || db.model.Load().Precision == nil {
 			t.Fatalf("adaptive scratch engine is %T", s.eng)
 		}
-		adaptive.putScratch(s)
-		if ps := adaptive.PrecisionStats(); ps.Observations == 0 {
+		db.putScratch(s)
+		if ps := db.PrecisionStats(); ps.Observations == 0 {
 			t.Fatalf("adaptive tuner saw no auto query: %+v", ps)
-		}
-		if st := faulty.Stats(); st.FaultsInjected == 0 {
-			t.Fatalf("fault-modelled Search met no injected fault: %+v", st)
 		}
 	})
 }

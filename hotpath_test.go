@@ -5,14 +5,10 @@ package ansmet_test
 
 import (
 	"context"
-	"reflect"
 	"testing"
 	"time"
 
 	"ansmet"
-	"ansmet/internal/core"
-	"ansmet/internal/dataset"
-	"ansmet/internal/engine"
 )
 
 // TestSearchSteadyStateAllocs gates the tentpole property: once the pools
@@ -79,69 +75,6 @@ func TestSearchCtxSteadyStateAllocs(t *testing.T) {
 	}
 	if avg != 0 {
 		t.Fatalf("SearchCtxInto allocates %.1f objects/query at steady state, want 0", avg)
-	}
-}
-
-// TestDoResilientExactAllocs: on a resilience-wrapped database the exact
-// route draws its plain engine from the pooled scratch, like the tiered
-// route always did — so a steady-state exact query allocates exactly what
-// it does on the plain database (its result slice). The parent's
-// exact route built a fresh engine on every query there, and exact is
-// precisely the route the router diverts to when ranks degrade.
-func TestDoResilientExactAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	p := dataset.ProfileByName("SIFT")
-	ds := dataset.Generate(p, 400, 4, 31)
-	opts := ansmet.Options{Metric: p.Metric, Elem: p.Elem, EfConstruction: 60, Seed: 7}
-	plain, err := ansmet.New(ds.Vectors, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultSystemConfig(ansmet.NDPETOpt)
-	cfg.Resilience = engine.ResilienceConfig{Enabled: true, MaxRetries: 1, FailureThreshold: 4, ProbeAfter: 1 << 30}
-	opts.Advanced = &cfg
-	resilient, err := ansmet.New(ds.Vectors, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resilient.Stats().ResilienceEnabled {
-		t.Fatal("resilient database did not wrap its engines")
-	}
-	ctx := context.Background()
-	allocs := func(db *ansmet.Database) float64 {
-		q := ansmet.Query{K: 10, Route: ansmet.RouteExact}
-		i := 0
-		run := func() {
-			q.Vector = ds.Queries[i%len(ds.Queries)]
-			i++
-			if _, err := db.Do(ctx, &q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for w := 0; w < 4; w++ {
-			run() // warm the scratch pool
-		}
-		return testing.AllocsPerRun(50, run)
-	}
-	want, got := allocs(plain), allocs(resilient)
-	if got != want {
-		t.Fatalf("exact route allocates %.1f objects/query on the resilient database, %.1f on the plain one", got, want)
-	}
-	// And the answers agree.
-	for _, vec := range ds.Queries {
-		a, err := plain.Do(ctx, &ansmet.Query{Vector: vec, K: 10, Route: ansmet.RouteExact})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := resilient.Do(ctx, &ansmet.Query{Vector: vec, K: 10, Route: ansmet.RouteExact})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a.Neighbors, b.Neighbors) {
-			t.Fatalf("resilient exact diverges:\n%v\n%v", a.Neighbors, b.Neighbors)
-		}
 	}
 }
 

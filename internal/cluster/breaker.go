@@ -31,7 +31,7 @@ func (s BreakerState) String() string {
 	return breakerNames[s]
 }
 
-// Unlike the engine layer's comparison-counted breakers (engine.BreakerSet,
+// Unlike the fault model's comparison-counted breakers (fault.BreakerSet,
 // which must stay wall-clock-free for simulator determinism), shard breakers
 // live in a real serving process and re-enable on wall time: failureThreshold
 // consecutive failures open a breaker, and an open breaker schedules its next

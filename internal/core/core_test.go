@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"ansmet/internal/bitplane"
@@ -12,9 +11,7 @@ import (
 	"ansmet/internal/layout"
 	"ansmet/internal/prefixelim"
 	"ansmet/internal/rows"
-	"ansmet/internal/sim"
 	"ansmet/internal/stats"
-	"ansmet/internal/trace"
 	"ansmet/internal/vecmath"
 )
 
@@ -207,90 +204,6 @@ func TestPrefixElimStoreOutliers(t *testing.T) {
 	}
 }
 
-func TestNewSystemAllDesigns(t *testing.T) {
-	p := dataset.ProfileByName("SIFT")
-	ds := dataset.Generate(p, 600, 8, 17)
-	ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gt := ds.GroundTruth(10)
-	for _, d := range AllDesigns {
-		cfg := DefaultSystemConfig(d)
-		cfg.SampleSize = 50
-		sys, err := NewSystem(ds.Rows(), p.Metric, ix, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", d, err)
-		}
-		run := sys.RunHNSW(ds.Queries, 10, 60)
-		if len(run.Results) != len(ds.Queries) {
-			t.Fatalf("%v: missing results", d)
-		}
-		if run.Report.MakespanNs <= 0 {
-			t.Fatalf("%v: no timing", d)
-		}
-		sum := 0.0
-		for qi, ids := range run.IDs() {
-			sum += dataset.RecallAtK(ids, gt[qi])
-		}
-		if recall := sum / float64(len(gt)); recall < 0.8 {
-			t.Errorf("%v: recall %v < 0.8", d, recall)
-		}
-		if d.UsesNDP() && run.Report.OffloadNs == 0 {
-			t.Errorf("%v: NDP design without offload time", d)
-		}
-		if sys.PreprocessSeconds < 0 {
-			t.Errorf("%v: negative preprocess time", d)
-		}
-	}
-}
-
-func TestSpeedupShapes(t *testing.T) {
-	// The headline shapes (paper Fig. 6): NDP-Base well ahead of CPU-Base
-	// on bandwidth-heavy profiles, and the full ANSMET (NDP-ETOpt) ahead of
-	// NDP-Base. GIST splits 4-way under hybrid-1kB partitioning, so its ET
-	// gain is muted by local-only termination; DEEP (384 B vectors, whole
-	// in one rank) shows the full sequential ET benefit.
-	check := func(profile string, n, nq int, minNDP, minOpt float64) {
-		p := dataset.ProfileByName(profile)
-		ds := dataset.Generate(p, n, nq, 19)
-		ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 50, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		qps := func(d Design) float64 {
-			cfg := DefaultSystemConfig(d)
-			cfg.SampleSize = 50
-			sys, err := NewSystem(ds.Rows(), p.Metric, ix, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := sys.RunHNSW(ds.Queries, 10, 64)
-			// Replay a sustained stream (the paper's throughput regime);
-			// a handful of queries alone is latency-bound and hides the
-			// bandwidth effects under test.
-			var traces []*trace.Query
-			for len(traces) < 128 {
-				traces = append(traces, run.Traces...)
-			}
-			return sim.Run(sys.SimCfg, traces).QPS()
-		}
-		cpu := qps(CPUBase)
-		ndp := qps(NDPBase)
-		opt := qps(NDPETOpt)
-		t.Logf("%s QPS: cpu=%.0f ndp=%.0f etopt=%.0f (ndp %.2fx, etopt %.2fx over ndp)",
-			profile, cpu, ndp, opt, ndp/cpu, opt/ndp)
-		if ndp < minNDP*cpu {
-			t.Errorf("%s: NDP speedup %.2fx below %.1fx", profile, ndp/cpu, minNDP)
-		}
-		if opt < minOpt*ndp {
-			t.Errorf("%s: ETOpt speedup over NDP %.2fx below %.2fx", profile, opt/ndp, minOpt)
-		}
-	}
-	check("GIST", 500, 32, 3, 1.03)
-	check("DEEP", 2000, 64, 3, 1.05)
-}
-
 func TestSystemErrors(t *testing.T) {
 	if _, err := NewSystem(nil, vecmath.L2, nil, DefaultSystemConfig(CPUBase)); err == nil {
 		t.Error("empty dataset should fail")
@@ -355,37 +268,4 @@ func TestEnginePerWorkerIndependence(t *testing.T) {
 		t.Error("engines interfere through shared state")
 	}
 	_ = stats.NewRNG // keep import when build tags change
-}
-
-// TestRunHNSWParallelMatchesSerial pins the parallel runner's determinism
-// contract: fanning the functional searches over worker-private engines must
-// reproduce the serial RunHNSW bit for bit — same results, same traces, and
-// therefore the same timing report from the single ordered replay.
-func TestRunHNSWParallelMatchesSerial(t *testing.T) {
-	p := dataset.ProfileByName("SIFT")
-	ds := dataset.Generate(p, 600, 24, 17)
-	ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 80, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []Design{CPUBase, NDPBase, NDPETOpt} {
-		cfg := DefaultSystemConfig(d)
-		cfg.SampleSize = 60
-		sys, err := NewSystem(ds.Rows(), p.Metric, ix, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", d, err)
-		}
-		serial := sys.RunHNSW(ds.Queries, 10, 40)
-		par := sys.RunHNSWParallel(ds.Queries, 10, 40, 4)
-		if !reflect.DeepEqual(serial.Results, par.Results) {
-			t.Errorf("%v: parallel results diverge from serial", d)
-		}
-		if !reflect.DeepEqual(serial.Traces, par.Traces) {
-			t.Errorf("%v: parallel traces diverge from serial", d)
-		}
-		if !reflect.DeepEqual(serial.Report, par.Report) {
-			t.Errorf("%v: parallel report diverges from serial:\n got: %+v\nwant: %+v",
-				d, par.Report, serial.Report)
-		}
-	}
 }

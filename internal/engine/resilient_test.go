@@ -1,17 +1,23 @@
-package engine
+package engine_test
+
+// The resilient wrapper (internal/fault) over the Fallible contract this
+// package declares: a scripted Fallible whose failures carry (or do not
+// carry) a RankError, and the breakers that attribution drives.
 
 import (
 	"errors"
 	"math"
 	"testing"
 
+	"ansmet/internal/engine"
+	"ansmet/internal/fault"
 	"ansmet/internal/vecmath"
 )
 
 // flakyEngine is a scriptable Fallible for testing: fails[i] errors the
 // i-th TryCompare (nil = success), then the script wraps around.
 type flakyEngine struct {
-	inner Engine
+	inner engine.Engine
 	fails []error
 	calls int
 	panic bool
@@ -19,7 +25,7 @@ type flakyEngine struct {
 
 func (f *flakyEngine) StartQuery(q []float32) { f.inner.StartQuery(q) }
 
-func (f *flakyEngine) TryCompare(id uint32, threshold float64) (Result, error) {
+func (f *flakyEngine) TryCompare(id uint32, threshold float64) (engine.Result, error) {
 	i := f.calls
 	f.calls++
 	if f.panic {
@@ -27,7 +33,7 @@ func (f *flakyEngine) TryCompare(id uint32, threshold float64) (Result, error) {
 	}
 	if len(f.fails) > 0 {
 		if err := f.fails[i%len(f.fails)]; err != nil {
-			return Result{}, err
+			return engine.Result{}, err
 		}
 	}
 	return f.inner.Compare(id, threshold), nil
@@ -44,10 +50,10 @@ func testVectors() [][]float32 {
 	return vs
 }
 
-func newTestResilient(fails []error, cfg ResilienceConfig) (*Resilient, *flakyEngine) {
+func newTestResilient(fails []error, cfg fault.ResilienceConfig) (*fault.Resilient, *flakyEngine) {
 	vs := testVectors()
-	primary := &flakyEngine{inner: NewExact(vs, vecmath.L2, vecmath.Float32), fails: fails}
-	r := NewResilient(primary, NewExact(vs, vecmath.L2, vecmath.Float32), nil, nil, nil, cfg)
+	primary := &flakyEngine{inner: engine.NewExact(vs, vecmath.L2, vecmath.Float32), fails: fails}
+	r := fault.NewResilient(primary, engine.NewExact(vs, vecmath.L2, vecmath.Float32), nil, nil, nil, cfg)
 	return r, primary
 }
 
@@ -55,16 +61,16 @@ func newTestResilient(fails []error, cfg ResilienceConfig) (*Resilient, *flakyEn
 // resilient engine's results are byte-identical to the plain exact engine.
 func TestResilientMatchesFallbackExactly(t *testing.T) {
 	vs := testVectors()
-	ref := NewExact(vs, vecmath.L2, vecmath.Float32)
+	ref := engine.NewExact(vs, vecmath.L2, vecmath.Float32)
 	patterns := [][]error{
 		nil,
 		{errors.New("transient")},
 		{errors.New("a"), nil, nil},
-		{&RankError{Rank: 0, Err: errors.New("down")}},
+		{&engine.RankError{Rank: 0, Err: errors.New("down")}},
 	}
 	q := []float32{2, 3, 1}
 	for pi, fails := range patterns {
-		r, _ := newTestResilient(fails, ResilienceConfig{MaxRetries: 1, FailureThreshold: 2, ProbeAfter: 3})
+		r, _ := newTestResilient(fails, fault.ResilienceConfig{MaxRetries: 1, FailureThreshold: 2, ProbeAfter: 3})
 		r.StartQuery(q)
 		ref.StartQuery(q)
 		for id := uint32(0); id < uint32(len(vs)); id++ {
@@ -80,7 +86,7 @@ func TestResilientMatchesFallbackExactly(t *testing.T) {
 // TestResilientRetrySucceeds: a transient failure is absorbed by a retry
 // without touching the fallback.
 func TestResilientRetrySucceeds(t *testing.T) {
-	r, _ := newTestResilient([]error{errors.New("blip"), nil}, ResilienceConfig{MaxRetries: 2})
+	r, _ := newTestResilient([]error{errors.New("blip"), nil}, fault.ResilienceConfig{MaxRetries: 2})
 	r.StartQuery([]float32{1, 0, 0})
 	r.Compare(3, math.Inf(1))
 	c := r.Counters().Snapshot()
@@ -92,7 +98,7 @@ func TestResilientRetrySucceeds(t *testing.T) {
 // TestResilientPanicRecovered: a panicking primary is converted to a
 // failure and served by the fallback; the process survives.
 func TestResilientPanicRecovered(t *testing.T) {
-	r, primary := newTestResilient(nil, ResilienceConfig{MaxRetries: 1})
+	r, primary := newTestResilient(nil, fault.ResilienceConfig{MaxRetries: 1})
 	primary.panic = true
 	r.StartQuery([]float32{1, 0, 0})
 	res := r.Compare(2, math.Inf(1))
@@ -108,65 +114,65 @@ func TestResilientPanicRecovered(t *testing.T) {
 // TestBreakerTransitions is the closed → open → half-open → closed/open
 // table test over the deterministic comparison-count clock.
 func TestBreakerTransitions(t *testing.T) {
-	cfg := ResilienceConfig{FailureThreshold: 3, ProbeAfter: 4}
+	cfg := fault.ResilienceConfig{FailureThreshold: 3, ProbeAfter: 4}
 	steps := []struct {
 		name string
-		do   func(s *BreakerSet) // one event
-		want BreakerState
+		do   func(s *fault.BreakerSet) // one event
+		want fault.BreakerState
 	}{
-		{"fail 1", func(s *BreakerSet) { s.Failure(0) }, BreakerClosed},
-		{"fail 2", func(s *BreakerSet) { s.Failure(0) }, BreakerClosed},
-		{"success resets", func(s *BreakerSet) { s.Success(0) }, BreakerClosed},
-		{"fail 1'", func(s *BreakerSet) { s.Failure(0) }, BreakerClosed},
-		{"fail 2'", func(s *BreakerSet) { s.Failure(0) }, BreakerClosed},
-		{"fail 3 trips", func(s *BreakerSet) {
+		{"fail 1", func(s *fault.BreakerSet) { s.Failure(0) }, fault.BreakerClosed},
+		{"fail 2", func(s *fault.BreakerSet) { s.Failure(0) }, fault.BreakerClosed},
+		{"success resets", func(s *fault.BreakerSet) { s.Success(0) }, fault.BreakerClosed},
+		{"fail 1'", func(s *fault.BreakerSet) { s.Failure(0) }, fault.BreakerClosed},
+		{"fail 2'", func(s *fault.BreakerSet) { s.Failure(0) }, fault.BreakerClosed},
+		{"fail 3 trips", func(s *fault.BreakerSet) {
 			if !s.Failure(0) {
 				t.Fatal("third consecutive failure should trip")
 			}
-		}, BreakerOpen},
-		{"denied 1", func(s *BreakerSet) {
+		}, fault.BreakerOpen},
+		{"denied 1", func(s *fault.BreakerSet) {
 			if ok, _ := s.Allow(0); ok {
 				t.Fatal("open breaker should deny")
 			}
-		}, BreakerOpen},
-		{"denied 2", func(s *BreakerSet) { s.Allow(0) }, BreakerOpen},
-		{"denied 3", func(s *BreakerSet) { s.Allow(0) }, BreakerOpen},
-		{"probe admitted", func(s *BreakerSet) {
+		}, fault.BreakerOpen},
+		{"denied 2", func(s *fault.BreakerSet) { s.Allow(0) }, fault.BreakerOpen},
+		{"denied 3", func(s *fault.BreakerSet) { s.Allow(0) }, fault.BreakerOpen},
+		{"probe admitted", func(s *fault.BreakerSet) {
 			ok, probe := s.Allow(0)
 			if !ok || !probe {
 				t.Fatalf("4th routing should admit a probe (ok=%v probe=%v)", ok, probe)
 			}
-		}, BreakerHalfOpen},
-		{"no second probe", func(s *BreakerSet) {
+		}, fault.BreakerHalfOpen},
+		{"no second probe", func(s *fault.BreakerSet) {
 			if ok, _ := s.Allow(0); ok {
 				t.Fatal("half-open breaker should deny while probe in flight")
 			}
-		}, BreakerHalfOpen},
-		{"probe fails reopens", func(s *BreakerSet) {
+		}, fault.BreakerHalfOpen},
+		{"probe fails reopens", func(s *fault.BreakerSet) {
 			if !s.Failure(0) {
 				t.Fatal("failed probe should count as a trip")
 			}
-		}, BreakerOpen},
-		{"wait again", func(s *BreakerSet) { s.Allow(0); s.Allow(0); s.Allow(0); s.Allow(0) }, BreakerHalfOpen},
-		{"probe succeeds closes", func(s *BreakerSet) {
+		}, fault.BreakerOpen},
+		{"wait again", func(s *fault.BreakerSet) { s.Allow(0); s.Allow(0); s.Allow(0); s.Allow(0) }, fault.BreakerHalfOpen},
+		{"probe succeeds closes", func(s *fault.BreakerSet) {
 			if !s.Success(0) {
 				t.Fatal("successful probe should report re-enable")
 			}
-		}, BreakerClosed},
-		{"healthy allowed", func(s *BreakerSet) {
+		}, fault.BreakerClosed},
+		{"healthy allowed", func(s *fault.BreakerSet) {
 			ok, probe := s.Allow(0)
 			if !ok || probe {
 				t.Fatalf("closed breaker should allow plainly (ok=%v probe=%v)", ok, probe)
 			}
-		}, BreakerClosed},
+		}, fault.BreakerClosed},
 	}
-	s := NewBreakerSet(2, cfg)
+	s := fault.NewBreakerSet(2, cfg)
 	for _, step := range steps {
 		step.do(s)
 		if got := s.State(0); got != step.want {
 			t.Fatalf("%s: state %v, want %v", step.name, got, step.want)
 		}
-		if s.State(1) != BreakerClosed {
+		if s.State(1) != fault.BreakerClosed {
 			t.Fatalf("%s: rank 1 should stay closed", step.name)
 		}
 	}
@@ -179,11 +185,11 @@ func TestBreakerTransitions(t *testing.T) {
 // fails because of one rank, the other is released back to open (not left
 // half-open forever) and can probe again later.
 func TestBreakerJointProbeRelease(t *testing.T) {
-	cfg := ResilienceConfig{FailureThreshold: 1, ProbeAfter: 2}
-	s := NewBreakerSet(2, cfg)
+	cfg := fault.ResilienceConfig{FailureThreshold: 1, ProbeAfter: 2}
+	s := fault.NewBreakerSet(2, cfg)
 	s.Failure(0)
 	s.Failure(1)
-	if s.State(0) != BreakerOpen || s.State(1) != BreakerOpen {
+	if s.State(0) != fault.BreakerOpen || s.State(1) != fault.BreakerOpen {
 		t.Fatal("both ranks should be open")
 	}
 	ranks := []int{0, 1}
@@ -195,7 +201,7 @@ func TestBreakerJointProbeRelease(t *testing.T) {
 	// The probe failed on rank 1 only.
 	s.Failure(1)
 	s.ReleaseProbe(0)
-	if s.State(0) != BreakerOpen {
+	if s.State(0) != fault.BreakerOpen {
 		t.Fatalf("rank 0 should be released to open, is %v", s.State(0))
 	}
 	// Rank 0 alone can probe again after its window.
@@ -210,16 +216,16 @@ func TestBreakerJointProbeRelease(t *testing.T) {
 // primary attempts, then a probe re-enables the recovered rank.
 func TestResilientDegradesToFallback(t *testing.T) {
 	vs := testVectors()
-	down := &RankError{Rank: 0, Err: errors.New("rank dead")}
-	primary := &flakyEngine{inner: NewExact(vs, vecmath.L2, vecmath.Float32), fails: []error{down}}
-	cfg := ResilienceConfig{MaxRetries: 1, FailureThreshold: 2, ProbeAfter: 3}
-	r := NewResilient(primary, NewExact(vs, vecmath.L2, vecmath.Float32), nil, nil, nil, cfg)
+	down := &engine.RankError{Rank: 0, Err: errors.New("rank dead")}
+	primary := &flakyEngine{inner: engine.NewExact(vs, vecmath.L2, vecmath.Float32), fails: []error{down}}
+	cfg := fault.ResilienceConfig{MaxRetries: 1, FailureThreshold: 2, ProbeAfter: 3}
+	r := fault.NewResilient(primary, engine.NewExact(vs, vecmath.L2, vecmath.Float32), nil, nil, nil, cfg)
 	r.StartQuery([]float32{1, 2, 3})
 
 	// Two failing comparisons (2 attempts each) trip the breaker.
 	r.Compare(1, math.Inf(1))
 	r.Compare(2, math.Inf(1))
-	if got := r.Breakers().State(0); got != BreakerOpen {
+	if got := r.Breakers().State(0); got != fault.BreakerOpen {
 		t.Fatalf("breaker %v after threshold failures, want open", got)
 	}
 	attempts := primary.calls
@@ -232,7 +238,7 @@ func TestResilientDegradesToFallback(t *testing.T) {
 	// The rank recovers; the next comparison is the admitted probe.
 	primary.fails = nil
 	r.Compare(5, math.Inf(1))
-	if got := r.Breakers().State(0); got != BreakerClosed {
+	if got := r.Breakers().State(0); got != fault.BreakerClosed {
 		t.Fatalf("breaker %v after successful probe, want closed", got)
 	}
 	c := r.Counters().Snapshot()

@@ -10,11 +10,9 @@ import (
 	"ansmet/internal/stats"
 )
 
-// Route identifies one whole-query execution path. The router grew out of
-// the Resilient per-comparison fallback seed: where Resilient degrades one
-// comparison at a time, the Router moves entire queries between a beam
-// route (host or ndp) and a quality route (exact or tiered), based on
-// deadline slack, load, and rank health.
+// Route identifies one whole-query execution path. The Router moves entire
+// queries between a beam route (host or ndp) and a quality route (exact or
+// tiered), based on deadline slack and load.
 type Route int32
 
 const (
@@ -82,16 +80,9 @@ type Router struct {
 	// beam and quality are the two legs Decide chooses between: the cheap
 	// approximate beam and the exact-answer route of this backend.
 	beam, quality Route
-	// degraded reports how many NDP ranks are currently degraded (breaker
-	// not closed); nil means never degraded. Degraded ranks divert auto
-	// queries to the exact scan: the ndp beam engine and the tiered
-	// stage-1 bounders model the same NDP-side machinery, so neither is
-	// trusted while ranks are faulting, and the scan touches none of it.
-	degraded func() int
 
 	inflight atomic.Int64
 	routed   [NumRoutes]atomic.Uint64
-	diverted atomic.Uint64         // auto decisions forced to exact by degraded ranks
 	costNs   [NumRoutes]stats.EWMA // cost per route, ns; 0 = no observation yet
 	// costScale holds per-route multiplicative corrections on the EWMA
 	// estimate Decide consults (float bits; 0 = no correction). The
@@ -101,10 +92,9 @@ type Router struct {
 	costScale [NumRoutes]atomic.Uint64
 }
 
-// NewRouter builds a router over the backend's beam and quality routes;
-// degraded may be nil.
-func NewRouter(beam, quality Route, degraded func() int) *Router {
-	return &Router{beam: beam, quality: quality, degraded: degraded}
+// NewRouter builds a router over the backend's beam and quality routes.
+func NewRouter(beam, quality Route) *Router {
+	return &Router{beam: beam, quality: quality}
 }
 
 // Begin marks one routed query in flight.
@@ -119,17 +109,11 @@ func (r *Router) InFlight() int64 { return r.inflight.Load() }
 // Decide picks a concrete route for an auto query. slack is the remaining
 // deadline budget (NoDeadline when the query has none).
 //
-// Policy: degraded ranks force the exact scan (the chaos-tested
-// degradation, never an unstable mix). Otherwise the router picks the
-// highest-quality route that fits: the quality route (exact answers) when
-// the slack covers safetyFactor× its recent cost — or unconditionally when
-// there is no deadline — and the cheap approximate beam under deadline
-// pressure or load.
+// Policy: the router picks the highest-quality route that fits: the quality
+// route (exact answers) when the slack covers safetyFactor× its recent cost
+// — or unconditionally when there is no deadline — and the cheap approximate
+// beam under deadline pressure or load.
 func (r *Router) Decide(slack time.Duration) Route {
-	if r.degraded != nil && r.degraded() > 0 {
-		r.diverted.Add(1)
-		return RouteExact
-	}
 	if r.inflight.Load() >= loadHighWater {
 		return r.beam
 	}
@@ -194,7 +178,6 @@ func (r *Router) CostNs(route Route) uint64 {
 // RouterSnapshot is a plain-value copy of the router's counters.
 type RouterSnapshot struct {
 	NDP, Tiered, Exact, Host uint64 // queries executed per route
-	Diverted                 uint64 // auto decisions forced to exact by degraded ranks
 	InFlight                 int64
 	CostNs                   map[string]uint64 // per-route EWMA cost (observed routes only)
 	// CostScale lists the non-neutral cost-model corrections installed via
@@ -209,7 +192,6 @@ func (r *Router) Snapshot() RouterSnapshot {
 		Tiered:   r.routed[RouteTiered].Load(),
 		Exact:    r.routed[RouteExact].Load(),
 		Host:     r.routed[RouteHost].Load(),
-		Diverted: r.diverted.Load(),
 		InFlight: r.inflight.Load(),
 		CostNs:   map[string]uint64{},
 	}

@@ -50,11 +50,10 @@ func TestParseRoute(t *testing.T) {
 
 func TestDecidePolicy(t *testing.T) {
 	// The policy is the same over either pair of legs: the host defaults and
-	// the pair a fault-modelled or adaptive database keeps.
+	// the pair an adaptive database keeps.
 	for _, legs := range []struct{ beam, quality Route }{{RouteHost, RouteExact}, {RouteNDP, RouteTiered}} {
 		beam, quality := legs.beam, legs.quality
-		degraded := 0
-		r := NewRouter(beam, quality, func() int { return degraded })
+		r := NewRouter(beam, quality)
 
 		// No deadline, healthy, idle: the highest-quality path.
 		if got := r.Decide(NoDeadline); got != quality {
@@ -89,23 +88,11 @@ func TestDecidePolicy(t *testing.T) {
 		for i := 0; i < loadHighWater; i++ {
 			r.End()
 		}
-
-		// Degraded NDP ranks divert everything to the exact scan.
-		degraded = 2
-		if got := r.Decide(NoDeadline); got != RouteExact {
-			t.Fatalf("degraded: %v", got)
-		}
-		if got := r.Decide(time.Nanosecond); got != RouteExact {
-			t.Fatalf("degraded overrides everything: %v", got)
-		}
-		if s := r.Snapshot(); s.Diverted != 2 {
-			t.Fatalf("diverted counter: %+v", s)
-		}
 	}
 }
 
 func TestObserveEWMA(t *testing.T) {
-	r := NewRouter(RouteHost, RouteExact, nil)
+	r := NewRouter(RouteHost, RouteExact)
 	if r.CostNs(RouteTiered) != 0 {
 		t.Fatal("cost before any observation")
 	}
@@ -132,7 +119,7 @@ func TestObserveEWMA(t *testing.T) {
 }
 
 func TestRouterSnapshotAndConcurrency(t *testing.T) {
-	r := NewRouter(RouteHost, RouteExact, nil)
+	r := NewRouter(RouteHost, RouteExact)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -154,7 +153,7 @@ type wEntry struct {
 
 type sysEntry struct {
 	once sync.Once
-	sys  *core.System
+	sys  *sim.Model
 }
 
 // NewRunner creates an experiment runner.
@@ -243,13 +242,14 @@ func (r *Runner) load(name string) *workload {
 	return e.w
 }
 
-// system preprocesses a design over a cached workload. Default-config
-// systems (nil mutate) are cached single-flight: several figures revisit
-// the same (dataset, design) pair, and two parallel cells never preprocess
-// it twice. Mutated systems are private to the caller.
-func (r *Runner) system(name string, d core.Design, mutate func(*core.SystemConfig)) (*workload, *core.System) {
+// system preprocesses a design over a cached workload and puts the default
+// platform around it. Default-config systems (nil mutate) are cached
+// single-flight: several figures revisit the same (dataset, design) pair,
+// and two parallel cells never preprocess it twice. Mutated systems are
+// private to the caller.
+func (r *Runner) system(name string, d core.Design, mutate func(*core.SystemConfig)) (*workload, *sim.Model) {
 	w := r.load(name)
-	build := func() *core.System {
+	build := func() *sim.Model {
 		cfg := core.DefaultSystemConfig(d)
 		cfg.Seed = r.Scale.Seed
 		if mutate != nil {
@@ -259,7 +259,7 @@ func (r *Runner) system(name string, d core.Design, mutate func(*core.SystemConf
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %s/%v: %v", name, d, err))
 		}
-		return sys
+		return sim.NewModel(sys)
 	}
 	if mutate != nil {
 		return w, build()
@@ -280,7 +280,7 @@ func (r *Runner) system(name string, d core.Design, mutate func(*core.SystemConf
 // throughput-bound (the paper's regime: a sustained query stream), rather
 // than bound by the latency of a handful of queries. The functional results
 // are unaffected; only the replayed stream grows.
-func (r *Runner) timedReport(sys *core.System, run *core.RunResult) *sim.Report {
+func (r *Runner) timedReport(sys *sim.Model, run *sim.RunResult) *sim.Report {
 	const targetStream = 96
 	n := len(run.Traces)
 	if n == 0 {
@@ -294,11 +294,11 @@ func (r *Runner) timedReport(sys *core.System, run *core.RunResult) *sim.Report 
 	for i := 0; i < rep; i++ {
 		traces = append(traces, run.Traces...)
 	}
-	return sim.Run(sys.SimCfg, traces)
+	return sim.Run(sys.Timing, traces)
 }
 
 // recallOf computes mean recall@10 of a run against the ground truth.
-func recallOf(w *workload, run *core.RunResult) float64 {
+func recallOf(w *workload, run *sim.RunResult) float64 {
 	sum := 0.0
 	for qi, ids := range run.IDs() {
 		sum += dataset.RecallAtK(ids, w.gt[qi])
@@ -321,13 +321,3 @@ var AllProfiles = []string{"SIFT", "BigANN", "SPACEV", "DEEP", "GloVe", "Txt2Img
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
-
-// sortedKeys returns map keys in sorted order (deterministic tables).
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -12,6 +12,7 @@ import (
 	"ansmet/internal/partition"
 	"ansmet/internal/polling"
 	"ansmet/internal/precision"
+	"ansmet/internal/sim"
 	"ansmet/internal/stats"
 )
 
@@ -36,7 +37,7 @@ func (r *Runner) Fig01() *Table {
 		// Fig. 1 measures the k'=k setting, where the tight threshold
 		// rejects most comparisons.
 		w, sys := r.system(c.name, core.CPUBase, nil)
-		var run *core.RunResult
+		var run *sim.RunResult
 		if c.idx == "HNSW" {
 			run = sys.RunHNSW(w.ds.Queries, 10, 10)
 		} else {
@@ -249,17 +250,13 @@ func (r *Runner) Fig09() *Table {
 	type variant struct {
 		label  string
 		design core.Design
-		mutate func(*core.SystemConfig)
+		poll   polling.Policy // nil keeps the default platform's
 	}
 	variants := []variant{
 		{"CPU-Base", core.CPUBase, nil},
 		{"NDP-Base", core.NDPBase, nil},
-		{"NDP-ETOpt+ConvPoll", core.NDPETOpt, func(c *core.SystemConfig) {
-			c.Poll = polling.Conventional{IntervalNs: 100}
-		}},
-		{"NDP-ETOpt+AdaptPoll", core.NDPETOpt, func(c *core.SystemConfig) {
-			c.Poll = polling.Adaptive{}
-		}},
+		{"NDP-ETOpt+ConvPoll", core.NDPETOpt, polling.Conventional{IntervalNs: 100}},
+		{"NDP-ETOpt+AdaptPoll", core.NDPETOpt, polling.Adaptive{}},
 	}
 	type parts struct{ trav, off, dist, coll float64 }
 	measured := make([]parts, len(variants))
@@ -268,12 +265,12 @@ func (r *Runner) Fig09() *Table {
 		// Fig. 9 is a per-query latency breakdown: queries run one at a
 		// time so the components reflect the latency chain rather than
 		// saturation queueing.
-		w, sys := r.system("SIFT", v.design, func(c *core.SystemConfig) {
-			c.InFlightFactor = -1
-			if v.mutate != nil {
-				v.mutate(c)
-			}
-		})
+		w, cached := r.system("SIFT", v.design, nil)
+		sys := sim.NewModel(cached.System)
+		sys.Timing.InFlightFactor = -1
+		if v.poll != nil {
+			sys.Timing.Poll = v.poll
+		}
 		run := sys.RunHNSW(w.ds.Queries, 10, r.Scale.EfSearch)
 		rep := run.Report
 		nq := float64(len(rep.QueryLatencyNs))
@@ -574,7 +571,7 @@ func (r *Runner) FigPrecisionFrontier() *Table {
 			cfg.RecallTarget = c.target
 		})
 		nq := float64(len(w.ds.Queries))
-		beam := func(sys *core.System) (float64, float64) {
+		beam := func(sys *sim.Model) (float64, float64) {
 			run := sys.RunHNSW(w.ds.Queries, 10, r.Scale.EfSearch)
 			lines := float64(run.Report.EffectualLines + run.Report.IneffectualLines)
 			return recallOf(w, run), lines / nq
@@ -583,7 +580,7 @@ func (r *Runner) FigPrecisionFrontier() *Table {
 		adRec, adLines := beam(adSys)
 
 		var dst []hnsw.Neighbor
-		tiered := func(sys *core.System, opts func() core.TieredOpts, observe func(core.TieredStats)) (float64, float64, float64) {
+		tiered := func(sys *sim.Model, opts func() core.TieredOpts, observe func(core.TieredStats)) (float64, float64, float64) {
 			eng := sys.Store.NewETEngine(w.ds.Profile.Metric)
 			sum := 0.0
 			lines, pool := 0, 0

@@ -5,6 +5,7 @@ import (
 
 	"ansmet/internal/core"
 	"ansmet/internal/dataset"
+	"ansmet/internal/sim"
 	"ansmet/internal/stats"
 	"ansmet/internal/trace"
 )
@@ -122,7 +123,7 @@ func (r *Runner) Table5() *Table {
 		// searched without a trace and nothing is replayed.
 		if ee, ok := sys.NewWorkerEngine().(*core.ETEngine); ok {
 			ee.SetNoBackup(true)
-			lossy := &core.RunResult{}
+			lossy := &sim.RunResult{}
 			for _, q := range w.ds.Queries {
 				lossy.Results = append(lossy.Results, sys.Index.SearchFilteredInto(
 					q, 10, r.Scale.EfSearch, sys.Cfg.BeamBatch, nil, ee, nil, nil))

@@ -5,12 +5,12 @@ import (
 	"ansmet/internal/vecmath"
 )
 
-// FallibleEngine adapts the software-model serving engine into an
-// engine.Fallible whose comparisons can fail according to the fault
-// schedule. It is the system-level interposition point: core.System wraps
-// its NDP engine in one of these (plus an engine.Resilient on top) when a
-// fault schedule is configured, so whole-database searches exercise the
-// retry/fallback path without modelling every DDR payload.
+// FallibleEngine adapts the software-model engine into an engine.Fallible
+// whose comparisons can fail according to the fault schedule. It is the
+// system-level interposition point: sim.Model wraps every worker engine in
+// one of these (plus a Resilient on top) when a fault schedule is
+// configured, so whole query batches exercise the retry/fallback path
+// without modelling every DDR payload.
 //
 // RankCrash and RankStuck manifest as persistent engine.RankError failures
 // for every comparison served by the rank; CorruptPayload, DropPoll and
@@ -23,12 +23,8 @@ type FallibleEngine struct {
 }
 
 // WrapEngine interposes inj on inner. ranksOf maps a vector id to the
-// ranks serving its comparison (reusing dst); nil means everything is
-// served by rank 0.
+// ranks serving its comparison (reusing dst).
 func WrapEngine(inner engine.Engine, inj *Injector, ranksOf func(id uint32, dst []int) []int) *FallibleEngine {
-	if ranksOf == nil {
-		ranksOf = func(id uint32, dst []int) []int { return append(dst, 0) }
-	}
 	return &FallibleEngine{inner: inner, inj: inj, ranksOf: ranksOf}
 }
 

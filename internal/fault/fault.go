@@ -1,9 +1,12 @@
-// Package fault is a seeded, deterministic fault injector for chaos
-// testing the NDP serving path. A declarative Schedule of Rules describes
-// which faults to inject where — corrupt 64 B payloads in transit, dropped
-// or delayed poll responses, flipped bits in stored bit-plane lines, whole
-// ranks crashed or stuck — and the injector applies them reproducibly:
-// the same schedule over the same (sequential) run injects the same faults.
+// Package fault is the simulated platform's fault model: a seeded,
+// deterministic fault injector for chaos testing the NDP path, and the
+// resilient wrapper (bounded retry, per-rank circuit breakers, CPU-exact
+// fallback) that absorbs what it injects. A declarative Schedule of Rules
+// describes which faults to inject where — corrupt 64 B payloads in transit,
+// dropped or delayed poll responses, flipped bits in stored bit-plane lines,
+// whole ranks crashed or stuck — and the injector applies them
+// reproducibly: the same schedule over the same (sequential) run injects the
+// same faults.
 //
 // Injection decisions are pure functions of (seed, rule, opportunity
 // index), not of a shared random stream, so rules never perturb each
@@ -14,7 +17,7 @@
 // The package provides three interposition points: FaultyDevice wraps an
 // ndp.Device (protocol-level faults), FaultyRank wraps an ndp.RankData
 // (storage-level faults), and FallibleEngine wraps an engine.Engine
-// (system-level faults for core.System's resilient serving path).
+// (system-level faults under sim.Model's resilient wrap).
 package fault
 
 import (

@@ -12,6 +12,7 @@ import (
 	"ansmet/internal/hnsw"
 	"ansmet/internal/ndp"
 	"ansmet/internal/prefixelim"
+	"ansmet/internal/sim"
 )
 
 func TestInjectorDeterminism(t *testing.T) {
@@ -110,13 +111,13 @@ func TestPayloadCorruptionFlipsRequestedBits(t *testing.T) {
 // injection, both over the same rank slab.
 type protoRig struct {
 	ref       engine.Engine
-	resilient *engine.Resilient
+	resilient *fault.Resilient
 	queries   [][]float32
 	index     *hnsw.Index
 	ds        *dataset.Dataset
 }
 
-func newProtoRig(t *testing.T, sched *fault.Schedule, res engine.ResilienceConfig) *protoRig {
+func newProtoRig(t *testing.T, sched *fault.Schedule, res fault.ResilienceConfig) *protoRig {
 	t.Helper()
 	p := dataset.ProfileByName("SIFT")
 	ds := dataset.Generate(p, 400, 8, 31)
@@ -161,7 +162,7 @@ func newProtoRig(t *testing.T, sched *fault.Schedule, res engine.ResilienceConfi
 		}
 	}
 	fb := engine.NewExact(ds.Vectors, p.Metric, p.Elem)
-	resEng := engine.NewResilient(hw, fb, nil, nil, nil, res)
+	resEng := fault.NewResilient(hw, fb, nil, nil, nil, res)
 	return &protoRig{ref: ref, resilient: resEng, queries: ds.Queries, index: ix, ds: ds}
 }
 
@@ -194,7 +195,7 @@ func TestChaosRecoverableByteIdentical(t *testing.T) {
 		{Kind: fault.DropPoll, Rank: -1, Prob: 0.1},
 		{Kind: fault.DelayPoll, Rank: -1, Prob: 0.1},
 	}}
-	rig := newProtoRig(t, sched, engine.ResilienceConfig{MaxRetries: 3, FailureThreshold: 8, ProbeAfter: 16})
+	rig := newProtoRig(t, sched, fault.ResilienceConfig{MaxRetries: 3, FailureThreshold: 8, ProbeAfter: 16})
 	for qi, q := range rig.queries {
 		want := rig.index.Search(q, 10, 50, rig.ref, nil)
 		got := rig.index.Search(q, 10, 50, rig.resilient, nil)
@@ -214,7 +215,7 @@ func TestChaosRankCrashDegrades(t *testing.T) {
 	sched := &fault.Schedule{Seed: 5, Rules: []fault.Rule{
 		{Kind: fault.RankCrash, Rank: 0, After: 500},
 	}}
-	rig := newProtoRig(t, sched, engine.ResilienceConfig{MaxRetries: 1, FailureThreshold: 3, ProbeAfter: 64})
+	rig := newProtoRig(t, sched, fault.ResilienceConfig{MaxRetries: 1, FailureThreshold: 3, ProbeAfter: 64})
 	for qi, q := range rig.queries {
 		want := rig.index.Search(q, 10, 50, rig.ref, nil)
 		got := rig.index.Search(q, 10, 50, rig.resilient, nil)
@@ -224,7 +225,7 @@ func TestChaosRankCrashDegrades(t *testing.T) {
 	if c.BreakerTrips == 0 || c.Fallbacks == 0 {
 		t.Fatalf("crash never degraded the rank: %+v", c)
 	}
-	if rig.resilient.Breakers().State(0) != engine.BreakerOpen {
+	if rig.resilient.Breakers().State(0) != fault.BreakerOpen {
 		t.Fatalf("breaker %v, want open", rig.resilient.Breakers().State(0))
 	}
 }
@@ -238,7 +239,7 @@ func TestChaosSilentCorruptionRecallFloor(t *testing.T) {
 	sched := &fault.Schedule{Seed: 11, Rules: []fault.Rule{
 		{Kind: fault.CorruptLine, Rank: -1, Prob: 0.02, Bits: 1},
 	}}
-	rig := newProtoRig(t, sched, engine.ResilienceConfig{MaxRetries: 1, FailureThreshold: 1 << 30, ProbeAfter: 16})
+	rig := newProtoRig(t, sched, fault.ResilienceConfig{MaxRetries: 1, FailureThreshold: 1 << 30, ProbeAfter: 16})
 	truths := rig.ds.GroundTruth(10)
 	var recallSum float64
 	for qi, q := range rig.queries {
@@ -264,12 +265,12 @@ func TestChaosSilentCorruptionRecallFloor(t *testing.T) {
 	t.Logf("recall under silent line corruption: %.3f", recall)
 }
 
-// TestSystemLevelByteIdentical runs whole core.System query batches with a
-// fault schedule covering every recoverable class plus a mid-run rank
-// crash, and asserts bitwise-identical search results to a fault-free
-// system: here both the NDP software model and the CPU fallback compute
-// fp64 distances, and accepted early-termination distances are exact, so
-// degradation provably cannot change a single bit of any result.
+// TestSystemLevelByteIdentical runs whole-model query batches (sim.Model over
+// a core.System) with a fault schedule covering every recoverable class plus
+// a mid-run rank crash, and asserts bitwise-identical search results to the
+// fault-free model: here both the NDP software model and the CPU fallback
+// compute fp64 distances, and accepted early-termination distances are
+// exact, so degradation provably cannot change a single bit of any result.
 func TestSystemLevelByteIdentical(t *testing.T) {
 	p := dataset.ProfileByName("DEEP")
 	ds := dataset.Generate(p, 600, 10, 77)
@@ -277,25 +278,16 @@ func TestSystemLevelByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(sched *fault.Schedule) *core.System {
-		cfg := core.DefaultSystemConfig(core.NDPET)
-		cfg.Fault = sched
-		cfg.Resilience = engine.ResilienceConfig{MaxRetries: 1, FailureThreshold: 4, ProbeAfter: 32}
-		if sched == nil {
-			cfg.Fault, cfg.Resilience = nil, engine.ResilienceConfig{}
-		}
-		sys, err := core.NewSystem(ds.Rows(), p.Metric, ix, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys
+	sys, err := core.NewSystem(ds.Rows(), p.Metric, ix, core.DefaultSystemConfig(core.NDPET))
+	if err != nil {
+		t.Fatal(err)
 	}
-	clean := build(nil)
-	faulty := build(&fault.Schedule{Seed: 13, Rules: []fault.Rule{
+	clean := sim.NewModel(sys)
+	faulty := sim.NewModel(sys).InjectFaults(&fault.Schedule{Seed: 13, Rules: []fault.Rule{
 		{Kind: fault.CorruptPayload, Rank: -1, Op: -1, Prob: 0.1},
 		{Kind: fault.DropPoll, Rank: -1, Prob: 0.05},
 		{Kind: fault.RankCrash, Rank: 0, After: 2000},
-	}})
+	}}, fault.ResilienceConfig{MaxRetries: 1, FailureThreshold: 4, ProbeAfter: 32})
 
 	want := clean.RunHNSW(ds.Queries, 10, 50)
 	got := faulty.RunHNSW(ds.Queries, 10, 50)

@@ -25,7 +25,7 @@ const DefaultPollBudget = 8
 // TryCompare is the hardened entry point: it validates every poll response
 // (CRC, completion, fault bits) and returns typed errors instead of acting
 // on corrupt data. Compare panics on those errors; wrap the adapter in an
-// engine.Resilient to retry and fall back gracefully instead.
+// fault.Resilient to retry and fall back gracefully instead.
 type HostAdapter struct {
 	dev Device
 	cfg Config
@@ -124,7 +124,7 @@ func (h *HostAdapter) TryCompare(id uint32, threshold float64) (engine.Result, e
 }
 
 // Compare implements engine.Engine; it panics on protocol errors (use
-// TryCompare, or an engine.Resilient wrapper, on a faulty device).
+// TryCompare, or a fault.Resilient wrapper, on a faulty device).
 func (h *HostAdapter) Compare(id uint32, threshold float64) engine.Result {
 	res, err := h.TryCompare(id, threshold)
 	if err != nil {

@@ -204,8 +204,8 @@ func (m *Map) AppendFetchedPerSegment(dst []int, nfLocal int, fullFetch bool) []
 
 // ServingRanks appends the ranks that serve a comparison against vector id
 // — its home group's segment ranks — to dst and returns the extended slice.
-// The resilient serving path uses this to attribute comparison failures to
-// hardware and to route around degraded ranks. (Replicated vectors could be
+// The fault model's resilient wrap (sim.Model) uses this to attribute
+// comparison failures to hardware and to route around degraded ranks. (Replicated vectors could be
 // served by any group; attributing them to the home group keeps the fault
 // model conservative.)
 func (m *Map) ServingRanks(id uint32, dst []int) []int {

@@ -318,7 +318,7 @@ func (sr *statusRecorder) Write(p []byte) (int, error) {
 
 // recoverWrap contains handler panics: the connection gets a 500 (when
 // headers haven't been sent yet) and the process survives — the same
-// containment contract the engine layer's Resilient wrapper gives the
+// containment contract the fault model's Resilient wrapper gives the
 // device path.
 func (s *Server) recoverWrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

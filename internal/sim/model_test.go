@@ -1,0 +1,71 @@
+package sim
+
+import (
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"ansmet/internal/core"
+	"ansmet/internal/dataset"
+	"ansmet/internal/hnsw"
+)
+
+// TestModelRunRejectsBadInput: Run checks raw queries before any engine sees
+// them — a short query and a NaN component are errors naming the query, k = 0
+// and ef < k are errors too — and on good input it is RunHNSW over the
+// queries quantized to the element type.
+func TestModelRunRejectsBadInput(t *testing.T) {
+	p := dataset.ProfileByName("SIFT")
+	ds := dataset.Generate(p, 200, 3, 9)
+	ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 40, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystem(ds.Rows(), p.Metric, ix, core.DefaultSystemConfig(core.NDPETOpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewModel(sys)
+
+	with := func(qi int, edit func(q []float32) []float32) [][]float32 {
+		qs := make([][]float32, len(ds.Queries))
+		for i, q := range ds.Queries {
+			qs[i] = append([]float32(nil), q...)
+		}
+		qs[qi] = edit(qs[qi])
+		return qs
+	}
+	for _, c := range []struct {
+		name    string
+		queries [][]float32
+		k, ef   int
+		want    string
+	}{
+		{"short", with(1, func(q []float32) []float32 { return q[:10] }), 10, 40, "query 1 has dim 10, want 128"},
+		{"NaN", with(2, func(q []float32) []float32 { q[3] = float32(math.NaN()); return q }), 10, 40, "query 2 component 3 is NaN"},
+		{"k=0", ds.Queries, 0, 40, "need 0 < k <= ef (k=0 ef=40)"},
+		{"ef<k", ds.Queries, 10, 5, "need 0 < k <= ef (k=10 ef=5)"},
+	} {
+		run, err := m.Run(c.queries, c.k, c.ef)
+		if err == nil || !strings.Contains(err.Error(), c.want) || run != nil {
+			t.Errorf("%s: run %v, err %v, want an error containing %q", c.name, run != nil, err, c.want)
+		}
+	}
+
+	raw := with(0, func(q []float32) []float32 { q[0] += 0.4; return q }) // off the u8 grid
+	got, err := m.Run(raw, 10, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quant := make([][]float32, len(raw))
+	for i, q := range raw {
+		quant[i] = make([]float32, len(q))
+		for d, x := range q {
+			quant[i][d] = p.Elem.Quantize(x)
+		}
+	}
+	if want := m.RunHNSW(quant, 10, 40); !reflect.DeepEqual(got.Results, want.Results) {
+		t.Fatalf("Run over raw queries ≠ RunHNSW over quantized ones:\n%v\n%v", got.Results, want.Results)
+	}
+}

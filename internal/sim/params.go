@@ -10,7 +10,8 @@
 // admitted with a bounded in-flight window so host phases of one query
 // overlap NDP phases of others — the overlap that lets a CPU+NDP system
 // outrun the host's own bandwidth wall. See DESIGN.md for the methodology
-// discussion.
+// discussion. Model puts the platform around a functional view (core.System)
+// and runs query batches through it.
 package sim
 
 import (

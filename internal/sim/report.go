@@ -41,16 +41,15 @@ type Report struct {
 	// core before their host phases (diagnostic).
 	CoreWaitNs float64
 
-	// Resilience summarizes the fault-tolerant serving path's activity
-	// during the functional run that produced the traces (filled by
-	// core.System when resilience is enabled; nil otherwise). The timing
-	// model itself replays the recorded traces — the functional layer is
-	// where faults, retries and fallbacks happen.
+	// Resilience summarizes the fault model's activity during the functional
+	// run that produced the traces (filled by Model under a fault schedule;
+	// nil otherwise). The timing model itself replays the recorded traces —
+	// the functional layer is where faults, retries and fallbacks happen.
 	Resilience *ResilienceStats
 }
 
-// ResilienceStats mirrors engine.CounterSnapshot plus injector totals, kept
-// as a plain struct so the timing layer stays decoupled from the engine.
+// ResilienceStats mirrors fault.CounterSnapshot plus injector totals, as a
+// plain struct of the report.
 type ResilienceStats struct {
 	Attempts        uint64 // primary comparisons attempted
 	Retries         uint64 // failed attempts retried

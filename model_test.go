@@ -19,8 +19,8 @@ import (
 	"time"
 
 	"ansmet/internal/core"
-	"ansmet/internal/fault"
 	"ansmet/internal/rows"
+	"ansmet/internal/sim"
 	"ansmet/internal/stats"
 )
 
@@ -237,8 +237,9 @@ func TestZeroDimensionRejected(t *testing.T) {
 	}
 }
 
-// TestRunFiltersTombstones: Run is the ndp beam with a trace recorder, so on
-// a mutable database it leaves out deleted ids exactly as Do does.
+// TestRunFiltersTombstones: the simulator's run over the database's model is
+// the ndp beam with a trace recorder, so on a mutable database it leaves out
+// deleted ids exactly as Do does.
 func TestRunFiltersTombstones(t *testing.T) {
 	vs := smallVectors(400)
 	queries := smallVectors(406)[400:]
@@ -258,7 +259,10 @@ func TestRunFiltersTombstones(t *testing.T) {
 			}
 		}
 	}
-	run := db.Run(queries, 3, 40)
+	run, err := sim.NewModel(db.System()).Run(queries, 3, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for qi, q := range queries {
 		want, err := db.Do(ctx, &Query{Vector: q, K: 3, Ef: 40, Route: RouteNDP})
 		if err != nil {
@@ -373,12 +377,6 @@ func verdictCases(t testing.TB) []verdictCase {
 	nan := append([][]float32{}, vs...)
 	nan[4] = append([]float32{}, nan[4]...)
 	nan[4][2] = float32(math.NaN())
-	zeroRanks := core.DefaultSystemConfig(NDPETOpt)
-	zeroRanks.Mem.Channels = 0
-	faulty := core.DefaultSystemConfig(NDPETOpt)
-	faulty.Fault = &fault.Schedule{}
-	resilient := core.DefaultSystemConfig(NDPETOpt)
-	resilient.Resilience.Enabled = true
 
 	cases := []verdictCase{
 		{"New/empty", newErr(nil, base)},
@@ -387,10 +385,6 @@ func verdictCases(t testing.TB) []verdictCase {
 		{"New/nan", newErr(nan, base)},
 		{"New/recall-target-1.5", newErr(vs, with(func(o *Options) { o.RecallTarget = 1.5 }))},
 		{"New/recall-target-0.9", newErr(vs, with(func(o *Options) { o.RecallTarget = 0.9 }))},
-		{"New/advanced-zero-ranks", newErr(vs, with(func(o *Options) { o.Advanced = &zeroRanks }))},
-		{"New/advanced-fault", newErr(vs, with(func(o *Options) { o.Advanced = &faulty }))},
-		{"New/mutable+fault", newErr(vs, with(func(o *Options) { o.Mutable = true; o.Advanced = &faulty }))},
-		{"New/mutable+resilience", newErr(vs, with(func(o *Options) { o.Mutable = true; o.Advanced = &resilient }))},
 		{"New/hnsw-M-1", newErr(vs, with(func(o *Options) { o.M = 1 }))},
 	}
 	for _, d := range AllDesigns {
@@ -431,9 +425,6 @@ var parentVerdicts = map[string]string{
 	"New/ragged":                     "ansmet: vector 5 has dim 7, want 8",
 	"New/nan":                        "ansmet: vector has non-finite component (vector 4 component 2 is NaN)",
 	"New/recall-target-1.5":          "ansmet: RecallTarget 1.5 outside [0, 1]",
-	"New/advanced-zero-ranks":        "partition: invalid geometry (ranks=0 lines=1 banks=32 row=8192)",
-	"New/mutable+fault":              "ansmet: enabling mutation: core: mutation is incompatible with fault injection / resilience wrapping",
-	"New/mutable+resilience":         "ansmet: enabling mutation: core: mutation is incompatible with fault injection / resilience wrapping",
 	"New/hnsw-M-1":                   "hnsw: invalid config {M:1 MaxDegree:16 EfConstruction:40 Seed:7} (need M >= 2, MaxDegree >= M/2, EfConstruction > 0)",
 	"New/mutable/CPU-Base":           "ansmet: enabling mutation: core: mutation requires an early-termination design (no encoded store)",
 	"New/mutable/NDP-Base":           "ansmet: enabling mutation: core: mutation requires an early-termination design (no encoded store)",

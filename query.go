@@ -40,8 +40,8 @@ type Query struct {
 	// RouteExact reject one.
 	Filter func(uint32) bool
 	// Route forces an execution path; the zero value RouteAuto lets the
-	// database's router pick from deadline slack, load and NDP rank health —
-	// unless Budget states the quality wanted (see there).
+	// database's router pick from deadline slack and load — unless Budget
+	// states the quality wanted (see there).
 	Route Route
 	// Budget is the tiered route's adaptive-cut budget in (0, 1]; 0 (or a
 	// negative value) means the database's own: the recall-target tuner's
@@ -97,20 +97,18 @@ var errFilterRoute = errors.New("ansmet: Filter needs a beam route (host or ndp)
 //  3. The route is resolved: a Filter pins a beam route (the database's
 //     default one on RouteAuto); RouteAuto with a positive Budget is the
 //     exact scan (Budget >= 1) or the tiered route at that budget;
-//     otherwise RouteAuto asks the router — degraded NDP ranks divert to
-//     the exact scan (the only path that touches none of the NDP-modelled
-//     machinery), otherwise the database's quality route (exact answers)
-//     when its recent cost fits the deadline slack, and its cheap
-//     approximate beam under pressure or load; RouteTiered on a Base design
-//     (no bound machinery) degrades to RouteExact.
+//     otherwise RouteAuto asks the router — the database's quality route
+//     (exact answers) when its recent cost fits the deadline slack, and its
+//     cheap approximate beam under pressure or load; RouteTiered on a Base
+//     design (no bound machinery) degrades to RouteExact.
 //  4. The route runs, and the router of this database observes it (route
 //     counter, in-flight load, cost estimate) whichever entry point the
 //     query came through.
 //
 // Which beam and which quality route are a database's defaults is decided
 // once, in newDatabase: host and exact — row-major vectors under the SIMD
-// kernels — unless the options configure behaviour that exists only in the
-// NDP model, which keeps ndp and tiered.
+// kernels — unless adaptive precision, which exists only in the NDP model,
+// keeps ndp and tiered.
 //
 // When ctx fires mid-flight the route stops at its next checkpoint and Do
 // returns what it has with a *CancelError whose Partial field reports
@@ -185,7 +183,10 @@ func (db *Database) do(ctx context.Context, s *searchScratch, q *Query) (Result,
 	start := time.Now()
 	switch route {
 	case RouteTiered:
-		res.Neighbors, res.Tiered = db.plainEngine(s).TieredKNNInto(done, qq, q.K, db.tieredOpts(q.Budget), q.Dst)
+		// resolveRoute sent a Base design's tiered queries to the exact scan,
+		// so the scratch's NDP-model engine is an ET design's.
+		et := db.ndpEngine(s).(*core.ETEngine)
+		res.Neighbors, res.Tiered = et.TieredKNNInto(done, qq, q.K, db.tieredOpts(q.Budget), q.Dst)
 		db.observeTiered(q.K, res.Tiered)
 		res.Lines = res.Tiered.BoundLines + res.Tiered.RerankLines
 		cancelled = res.Tiered.Cancelled
@@ -215,22 +216,6 @@ func (db *Database) do(ctx context.Context, s *searchScratch, q *Query) (Result,
 		return res, cancelErr(ctx, len(res.Neighbors) > 0)
 	}
 	return res, nil
-}
-
-// plainEngine returns the scratch's plain early-termination engine — the
-// one the tiered pipeline runs on. Resilience-wrapped scratch engines do not
-// expose one, so those scratches lazily grow a dedicated plain engine
-// (pooled with the scratch, so the steady state still allocates nothing).
-// Only called on a design with an ET store: resolveRoute has sent a Base
-// design's tiered queries to the exact scan.
-func (db *Database) plainEngine(s *searchScratch) *core.ETEngine {
-	if et, ok := db.ndpEngine(s).(*core.ETEngine); ok {
-		return et
-	}
-	if s.plain == nil {
-		s.plain = db.system().Store.NewETEngine(db.opts.Metric)
-	}
-	return s.plain
 }
 
 // hostEngine returns the scratch's host compare engine: full-precision SIMD

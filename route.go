@@ -12,7 +12,7 @@ import (
 type Route = engine.Route
 
 // Route values. RouteAuto lets the router pick per query from deadline
-// slack, load, and NDP rank health; the rest force a path. RouteHost and
+// slack and load; the rest force a path. RouteHost and
 // RouteNDP are the same beam search over two compare engines (row-major
 // vectors with the SIMD kernels; the bit-plane early-termination model),
 // RouteExact and RouteTiered the two ways to an exact answer (a SIMD scan
@@ -37,13 +37,3 @@ type RouterStats = engine.RouterSnapshot
 
 // RouterStats exposes the router's per-route counters and cost estimates.
 func (db *Database) RouterStats() RouterStats { return db.router.Snapshot() }
-
-// degradedRanks feeds the router's health signal: how many NDP ranks are
-// currently degraded (breaker not closed). Zero when resilience is off (a
-// database that configures it built its model, breakers included, in New).
-func (db *Database) degradedRanks() int {
-	if sys := db.model.Load(); sys != nil && sys.Breakers != nil {
-		return sys.Breakers.DegradedRanks()
-	}
-	return 0
-}
