@@ -36,7 +36,6 @@ import (
 	"ansmet/internal/dataset"
 	"ansmet/internal/engine"
 	"ansmet/internal/hnsw"
-	"ansmet/internal/precision"
 	"ansmet/internal/rows"
 	"ansmet/internal/vecmath"
 	"ansmet/internal/wal"
@@ -157,19 +156,6 @@ type Options struct {
 	// Seed drives all randomized choices (level assignment, sampling).
 	Seed uint64
 
-	// RecallTarget, when in (0, 1), replaces hand-set fetch-depth knobs
-	// with adaptive mixed-precision search (DESIGN.md, "Adaptive
-	// precision"): a per-partition minimum plane depth derived from
-	// cluster radius statistics at build time, per-query escalation where
-	// the top-k margin is tight, and an EWMA-calibrated tuner that steers
-	// the tiered cut budget and fetch depth toward the target from the
-	// observed bound distribution. 0 disables the machinery entirely, and
-	// 1 ("exact recall") is defined as the same thing — both are
-	// byte-identical to the fixed-depth search. Values outside [0, 1] are
-	// rejected by New. Only ET designs honor the knob (Base designs have
-	// no bound machinery to adapt).
-	RecallTarget float64
-
 	// Mutable switches the database into live-mutable mode: Add, Delete
 	// and Update become legal under concurrent search traffic, optionally
 	// journaled through a write-ahead log (AttachWAL / LoadFile). Any design
@@ -218,18 +204,11 @@ type Database struct {
 	rows  *rows.Slab
 	index *hnsw.Index
 	tomb  *core.TombSet // deletion bitmap; nil on an immutable database
-	// cfg is the NDP model's resolved configuration — what the default routes
-	// are decided from — and model the model, once system() has built it.
-	cfg   core.SystemConfig
-	model atomic.Pointer[core.System]
-	// beam is the route Search, SearchInto, SearchEfCtx and SearchCtxInto
-	// run and a filtered RouteAuto query resolves to; the router holds it
-	// beside the quality route (see newDatabase).
-	beam   Route
+	// cfg is the NDP model's resolved configuration and model the model, once
+	// system() has built it.
+	cfg    core.SystemConfig
+	model  atomic.Pointer[core.System]
 	router *engine.Router
-	// tuner is the recall-target calibration state; nil unless
-	// Options.RecallTarget enabled adaptive mixed-precision.
-	tuner *precision.Tuner
 
 	scratchPool sync.Pool // *searchScratch
 
@@ -276,21 +255,12 @@ func (db *Database) getScratch() *searchScratch {
 	if s == nil {
 		s = &searchScratch{qq: make([]float32, db.rows.Dim())}
 	}
-	if db.tuner != nil {
-		// Refresh the adaptive-precision beam mode from the tuner's current
-		// calibration (two atomic loads); an adaptive database defaults to the
-		// ndp beam and the tiered route, so its engine is wanted anyway, and
-		// it is an ET design's. The exact scan and the tiered stage-2 re-rank
-		// ignore the mode by construction.
-		db.ndpEngine(s).(*core.ETEngine).SetPrecision(db.model.Load().Precision, db.tuner.DepthBias(), db.tuner.Margin())
-	}
 	return s
 }
 
 // ndpEngine returns the scratch's engine over the NDP model (an ETEngine
 // with its Bounder tables on an ET design, the one the tiered route runs
-// on), built on first use: the host beam and the exact scan, the defaults,
-// never touch it.
+// on), built on first use: the host beam and the exact scan never touch it.
 func (db *Database) ndpEngine(s *searchScratch) engine.Engine {
 	if s.eng == nil {
 		s.eng = db.system().NewWorkerEngine()
@@ -322,14 +292,10 @@ func quantizeInto(dst, v []float32, elem ElemType) []float32 {
 // New ingests the vectors (quantizing them to the element type) and builds
 // the HNSW index. The design's offline preprocessing (sampling, layout
 // optimization, prefix elimination, layout transformation, partitioning: the
-// NDP model) waits for a route that needs it (see System) unless the options
-// configure it — RecallTarget in (0, 1) on an ET design.
+// NDP model) waits for a route that needs it (see System).
 func New(vectors [][]float32, opts Options) (*Database, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("ansmet: empty dataset")
-	}
-	if opts.RecallTarget < 0 || opts.RecallTarget > 1 {
-		return nil, fmt.Errorf("ansmet: RecallTarget %v outside [0, 1]", opts.RecallTarget)
 	}
 	dim := len(vectors[0])
 	if dim == 0 {
@@ -361,52 +327,25 @@ func New(vectors [][]float32, opts Options) (*Database, error) {
 }
 
 // newDatabase wires a database around the rows and the graph New built or
-// Load restored: model configuration, default routes, router, tuner, mutation.
+// Load restored: model configuration, router, mutation.
 //
-// The model's configuration and the default rule live here and nowhere else.
-// The configuration is the design's defaults with the database's seed and
-// recall target. A database serves from its row slab with the typed SIMD
-// kernels — the host beam, and the exact scan as the quality route — because
-// on a host CPU that is the fastest correct engine, and at fixed precision it
-// returns what the bit-plane path returns bit for bit. A database with a
-// precision map (RecallTarget in (0, 1) on an ET design: the depth schedule
-// is the bit-plane fetch depth) keeps the NDP model as its default.
-//
-// Only an adaptive database has the model built here, so that the precision
-// map exists before the first query. Otherwise Buildable checks what the
-// configuration can violate, and system() builds later.
+// The model's configuration is the design's defaults with the database's
+// seed, and it is set here and nowhere else. Buildable checks what the
+// configuration can violate, so the lazy build in system() cannot fail on
+// an input New or Load accepted.
 func newDatabase(opts Options, rs *rows.Slab, ix *hnsw.Index) (*Database, error) {
 	cfg := core.DefaultSystemConfig(*opts.Design)
 	cfg.Seed = opts.Seed
-	cfg.RecallTarget = opts.RecallTarget
 	if err := cfg.Design.Buildable(rs.Len()); err != nil {
 		return nil, err
 	}
-	adaptive := cfg.Design.UsesET() && cfg.RecallTarget > 0 && cfg.RecallTarget < 1
-
-	db := &Database{opts: opts, rows: rs, index: ix, cfg: cfg, beam: RouteHost}
-	quality := RouteExact
-	if adaptive {
-		db.beam, quality = RouteNDP, RouteTiered
-	}
-	db.router = engine.NewRouter(db.beam, quality)
+	db := &Database{opts: opts, rows: rs, index: ix, cfg: cfg, router: engine.NewRouter()}
 	if opts.Mutable {
 		// Before any concurrent use: the graph flips its publication protocol
 		// on while single-threaded. The model needs no telling (buildModel).
 		db.tomb = core.NewTombSet()
 		ix.EnableMutation()
 		db.liveFilter = db.tomb.Filter()
-	}
-	if adaptive {
-		db.tuner = precision.NewTuner(cfg.RecallTarget)
-		// Feed the target into the router's cost model: at matched recall
-		// the adaptive tiered path costs roughly target× its exact-budget
-		// observations, so pre-bias Decide accordingly until the EWMA
-		// catches up.
-		db.router.SetCostScale(RouteTiered, db.tuner.Target())
-		if _, err := db.buildModel(); err != nil {
-			return nil, err
-		}
 	}
 	return db, nil
 }
@@ -488,13 +427,6 @@ type Stats struct {
 	SpaceSavedPercent float64
 	PreprocessSeconds float64
 
-	// Adaptive mixed-precision (zero unless Options.RecallTarget enabled
-	// it): the target, the static map's partition count and its
-	// population-mean minimum fetch depth in lines.
-	RecallTarget      float64
-	PrecisionClusters int
-	MeanDepthLines    float64
-
 	// Live-mutation state (zero unless Options.Mutable): lifetime mutation
 	// totals, the current tombstone count, the pending deferred-repair
 	// batch, and the journal position (zero when un-journaled).
@@ -510,9 +442,9 @@ type Stats struct {
 }
 
 // Stats reports the population, the mutation and journal counters and, from
-// the NDP model when one has been built, the preprocessing facts and the
-// precision map's shape. It never builds the model (LinesPerVector == 0: not
-// built): a scrape costs no preprocessing.
+// the NDP model when one has been built, the preprocessing facts. It never
+// builds the model (LinesPerVector == 0: not built): a scrape costs no
+// preprocessing.
 func (db *Database) Stats() Stats {
 	s := Stats{Vectors: db.Len(), Dim: db.rows.Dim(), Design: db.cfg.Design}
 	if db.Mutable() {
@@ -540,11 +472,6 @@ func (db *Database) Stats() Stats {
 		s.PrefixBits = st.Prefix.PrefixLen
 		s.Outliers = st.NumOutliers()
 		s.SpaceSavedPercent = st.SpaceSavedFraction() * 100
-	}
-	if pm := sys.Precision; pm != nil { // adaptive: built in New, with the tuner
-		s.RecallTarget = db.tuner.Target()
-		s.PrecisionClusters = pm.Clusters
-		s.MeanDepthLines = pm.MeanLines()
 	}
 	return s
 }

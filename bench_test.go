@@ -469,79 +469,6 @@ func BenchmarkExactScan(b *testing.B) {
 	}
 }
 
-// benchAdaptive builds a beam-hostile working set (the GloVe profile:
-// inner-product metric, high-entropy fp32 planes, 7 lines/vector) and two
-// databases over the same vectors: a plain fixed-depth one and an adaptive
-// one at RecallTarget 0.9. Shared by the adaptive-precision benchmarks.
-var benchAdaptive = sync.OnceValue(func() (out struct {
-	ds              *dataset.Dataset
-	fixed, adaptive *ansmet.Database
-}) {
-	out.ds = dataset.Generate(dataset.ProfileByName("GloVe"), 2000, 16, 99)
-	opts := ansmet.Options{
-		Metric: ansmet.InnerProduct, Elem: ansmet.Float32, EfConstruction: 100,
-	}
-	var err error
-	if out.fixed, err = ansmet.New(out.ds.Vectors, opts); err != nil {
-		panic(err)
-	}
-	opts.RecallTarget = 0.9
-	if out.adaptive, err = ansmet.New(out.ds.Vectors, opts); err != nil {
-		panic(err)
-	}
-	return out
-})
-
-// BenchmarkAdaptivePrecision measures one steady-state ndp beam query on the
-// beam-hostile profile, fixed full-depth refinement vs the adaptive
-// per-partition schedule (RecallTarget 0.9) — both arms name the route, as
-// the fixed database's default beam is the host one. The fixed/adaptive ns
-// ratio is the matched-recall speedup EXPERIMENTS.md's micro-benchmark
-// history records for PR 9; FigPrecisionFrontier verifies the recall match in lines. Budget: 0
-// allocs/op on both arms.
-func BenchmarkAdaptivePrecision(b *testing.B) {
-	w := benchAdaptive()
-	for _, arm := range []struct {
-		name string
-		db   *ansmet.Database
-	}{{"fixed", w.fixed}, {"adaptive", w.adaptive}} {
-		b.Run(arm.name, func(b *testing.B) {
-			benchDo(b, context.Background(), arm.db, w.ds.Queries, ansmet.Query{K: 10, Ef: 64, Route: ansmet.RouteNDP})
-		})
-	}
-}
-
-// BenchmarkRecallTargetOverhead measures the steady-state tiered query on
-// the same beam-hostile workload with the RecallTarget machinery off
-// (fixed) and on (adaptive: tuner budget resolution, the per-partition
-// depth schedule with escalation, and the post-query calibration
-// feedback). The fixed/adaptive delta is the whole price of the knob on
-// the tiered path — mostly the deeper stage-1 schedule the depth map
-// picks, which FigPrecisionFrontier shows buying a far smaller exact
-// re-rank pool. Budget: 0 allocs/op on both arms.
-func BenchmarkRecallTargetOverhead(b *testing.B) {
-	w := benchAdaptive()
-	for _, arm := range []struct {
-		name string
-		db   *ansmet.Database
-	}{{"fixed", w.fixed}, {"adaptive", w.adaptive}} {
-		b.Run(arm.name, func(b *testing.B) {
-			var dst []ansmet.Neighbor
-			var err error
-			if dst, _, err = arm.db.TieredSearchInto(w.ds.Queries[0], 10, 0, dst); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if dst, _, err = arm.db.TieredSearchInto(w.ds.Queries[i%len(w.ds.Queries)], 10, 0, dst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSearchMany measures parallel batch-search throughput (DoMany on
 // the ndp route) across all cores.
 func BenchmarkSearchMany(b *testing.B) {

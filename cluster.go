@@ -237,7 +237,7 @@ func jumpHash(key uint64, buckets int) int {
 type planKey struct{}
 
 // shardPlan is what every shard of one query must agree on: the resolved
-// route, the pinned tiered budget and the caller's global-id filter.
+// route, the tiered budget and the caller's global-id filter.
 type shardPlan struct {
 	route  Route
 	budget float64
@@ -298,11 +298,10 @@ func (c *Cluster) Len() int { return c.total }
 // never wrapped; a non-nil one is remapped to shard-local ids once per
 // shard).
 //
-// The plan is resolved ONCE, on the first shard — whose router and tuner
-// see this cluster's traffic — and every shard then executes the same
-// concrete route at the same tiered budget, so the scatter-gather merge
-// stays coherent: mixing routes, or the independently calibrated budgets of
-// adaptive shards, would merge answers of different quality classes. Each
+// The plan is resolved ONCE, on the first shard — whose router sees this
+// cluster's traffic — and every shard then executes the same concrete route
+// at the same tiered budget, so the scatter-gather merge stays coherent:
+// mixing routes would merge answers of different quality classes. Each
 // shard's own router observes the query it ran.
 //
 // The error is nil for both healthy and degraded answers — degradation is
@@ -321,9 +320,6 @@ func (c *Cluster) Do(ctx context.Context, q *Query) (ClusterResult, error) {
 		return ClusterResult{Route: q.Route}, err
 	}
 	plan := &shardPlan{route: route, budget: q.Budget, filter: q.Filter}
-	if route == RouteTiered && plan.budget == 0 && lead.adaptive() {
-		plan.budget = lead.tuner.Budget()
-	}
 	res, err := c.coord.SearchInto(context.WithValue(ctx, planKey{}, plan), q.Vector, q.K, ef, q.Dst)
 	out := ClusterResult{Neighbors: res.Neighbors, Route: route, Partial: res.Partial, Hedged: res.Hedged}
 	if len(res.Errors) > 0 {
@@ -354,13 +350,6 @@ type ClusterStats struct {
 
 	// Shard holds each shard Database's own Stats.
 	Shard []Stats
-}
-
-// PrecisionStats reports the lead shard's adaptive-precision calibration —
-// the one Do resolves cluster-wide budgets from. Zero-valued
-// (Enabled false) when the build options did not set a RecallTarget.
-func (c *Cluster) PrecisionStats() PrecisionStats {
-	return c.shards[0].PrecisionStats()
 }
 
 // Stats reports the cluster's health counters.

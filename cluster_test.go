@@ -212,9 +212,11 @@ func TestClusterLoadRejectsCorruptManifest(t *testing.T) {
 // /debug/vars serves under "cluster" — for a fixed 3-shard cluster after a
 // scripted query mix, to the bytes recorded at the commit before
 // ClusterStats embedded cluster.MetricsSnapshot instead of copying it, less
-// the six always-zero resilience fields Stats no longer carries (with them
-// put back after each shard's WALReplayed, the two documents hash to the
-// recorded e256d828… and 65c8d67e…).
+// the fields Stats no longer carries, all of them always zero here. With the
+// three adaptive-precision ones ("RecallTarget":0,"PrecisionClusters":0,
+// "MeanDepthLines":0) put back after each shard's PreprocessSeconds, the two
+// documents hash to cae44d96… and 26569510…; with the six resilience ones
+// also put back after each shard's WALReplayed, to e256d828… and 65c8d67e….
 func TestClusterStatsBytesUnchanged(t *testing.T) {
 	p := dataset.ProfileByName("DEEP")
 	ds := dataset.Generate(p, 300, 6, 21)
@@ -240,8 +242,8 @@ func TestClusterStatsBytesUnchanged(t *testing.T) {
 		v    any
 		want string
 	}{
-		{"Stats", cl.Stats(), "cae44d9657d4a416c777bc816df4c8d0c6579bac233afb403900bf1c11df0731"},
-		{"/debug/vars", map[string]any{"cluster": cl.Stats()}, "26569510fedc8cfa383f0ac04ab9b57ed5914fa8cec2c9ef6cfab67d3eb972ea"},
+		{"Stats", cl.Stats(), "17aeda41647bb558187c32c2efcd81f7c9d022a82b954fd368eab399c7b3744e"},
+		{"/debug/vars", map[string]any{"cluster": cl.Stats()}, "e6cde5221c4eb02d216247104854aa89a91f7a341962485688ea213d92d36562"},
 	} {
 		b, err := json.Marshal(c.v)
 		if err != nil {

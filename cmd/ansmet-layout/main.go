@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"ansmet/internal/dataset"
 	"ansmet/internal/layout"
@@ -27,8 +28,13 @@ func main() {
 	budget := flag.Float64("outliers", 0.001, "allowed outlier element fraction for prefix elimination")
 	seed := flag.Uint64("seed", 42, "generator seed")
 	flag.Parse()
+	p, err := dataset.ParseProfile(*profile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
-	p := dataset.ProfileByName(*profile)
 	ds := dataset.Generate(p, *n, 0, *seed)
 
 	rng := stats.NewRNG(*seed + 1)

@@ -28,7 +28,8 @@ func main() {
 	designName := flag.String("design", "NDP-ETOpt", "design point (see Fig. 6 names)")
 	seed := flag.Uint64("seed", 42, "generator seed")
 	flag.Parse()
-	if err := checkFlags(*nq, *k); err != nil {
+	p, err := checkFlags(*profile, *nq, *k)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
 		os.Exit(2)
@@ -45,7 +46,6 @@ func main() {
 		log.Fatalf("unknown design %q; options: %v", *designName, ansmet.AllDesigns)
 	}
 
-	p := dataset.ProfileByName(*profile)
 	fmt.Printf("generating %s-profile dataset: %d vectors x %d dims (%v, %v)\n",
 		p.Name, *n, p.Dim, p.Elem, p.Metric)
 	ds := dataset.Generate(p, *n, *nq, *seed)
@@ -96,10 +96,15 @@ func main() {
 	fmt.Printf("unit imbalance     %.2fx (max/mean)\n", rep.ImbalanceRatio())
 }
 
-// checkFlags rejects a query count or a result count that is not positive.
-func checkFlags(nq, k int) error {
-	if nq <= 0 || k <= 0 {
-		return fmt.Errorf("-q and -k must be positive (got -q %d, -k %d)", nq, k)
+// checkFlags resolves the profile and rejects a query count or a result
+// count that is not positive.
+func checkFlags(profile string, nq, k int) (dataset.Profile, error) {
+	p, err := dataset.ParseProfile(profile)
+	if err != nil {
+		return p, err
 	}
-	return nil
+	if nq <= 0 || k <= 0 {
+		return p, fmt.Errorf("-q and -k must be positive (got -q %d, -k %d)", nq, k)
+	}
+	return p, nil
 }

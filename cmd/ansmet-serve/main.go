@@ -83,6 +83,12 @@ func main() {
 		walPath    = flag.String("wal", "", "journal path for crash-safe mutation (with -db: must be <db>.wal, the default; empty without -db: unjournaled)")
 	)
 	flag.Parse()
+	prof, err := dataset.ParseProfile(*profile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg := serve.Config{
 		BadRequest: func(err error) bool {
@@ -104,7 +110,7 @@ func main() {
 		if *mutable || *walPath != "" {
 			log.Fatalf("ansmet-serve: -mutable/-wal serve a single live database; sharded serving is immutable")
 		}
-		cl, err := openCluster(*dbPath, *profile, *partition, *clusterDir, *synth, *shards, *conc, *noHedge)
+		cl, err := openCluster(*dbPath, prof, *partition, *clusterDir, *synth, *shards, *conc, *noHedge)
 		if err != nil {
 			log.Fatalf("ansmet-serve: %v", err)
 		}
@@ -115,14 +121,10 @@ func main() {
 			return clusterOutcome(res), err
 		})
 		cfg.ExtraVars = func() map[string]any {
-			vars := map[string]any{"cluster": cl.Stats()}
-			if ps := cl.PrecisionStats(); ps.Enabled {
-				vars["precision"] = ps
-			}
-			return vars
+			return map[string]any{"cluster": cl.Stats()}
 		}
 	} else {
-		db, err := openDatabase(*dbPath, *profile, *synth, *mutable)
+		db, err := openDatabase(*dbPath, prof, *synth, *mutable)
 		if err != nil {
 			log.Fatalf("ansmet-serve: %v", err)
 		}
@@ -168,9 +170,6 @@ func main() {
 		})
 		cfg.ExtraVars = func() map[string]any {
 			vars := map[string]any{"router": db.RouterStats()}
-			if ps := db.PrecisionStats(); ps.Enabled {
-				vars["precision"] = ps
-			}
 			if db.Mutable() {
 				st := db.Stats()
 				vars["mutation"] = map[string]any{
@@ -233,8 +232,7 @@ func main() {
 // request to a Query the same way:
 //
 //   - no "mode", no "recall_target": the host beam, what SearchEfCtx runs on
-//     every database this command builds or loads (none configures fault
-//     modelling or a recall target);
+//     every database;
 //   - "mode": that route, "auto" asking the router;
 //   - "recall_target": the caller states the quality, so without a mode the
 //     query is RouteAuto with the target as its Budget — 1 is served by the
@@ -270,7 +268,7 @@ func clusterOutcome(res ansmet.ClusterResult) serve.Outcome {
 // openDatabase loads a snapshot or builds a synthetic demo database. A
 // live snapshot comes back mutable regardless of the flag (replaying its
 // journal); -mutable additionally makes a synthetic build mutable.
-func openDatabase(path, profile string, synth int, mutable bool) (*ansmet.Database, error) {
+func openDatabase(path string, p dataset.Profile, synth int, mutable bool) (*ansmet.Database, error) {
 	if path != "" {
 		db, err := ansmet.LoadFile(path, nil)
 		if err != nil {
@@ -284,9 +282,8 @@ func openDatabase(path, profile string, synth int, mutable bool) (*ansmet.Databa
 	if synth < 50 {
 		return nil, errors.New("-synth must be at least 50")
 	}
-	p := dataset.ProfileByName(profile)
 	ds := dataset.Generate(p, synth, 1, 42)
-	log.Printf("building synthetic %s database (%d vectors, dim %d)...", profile, synth, p.Dim)
+	log.Printf("building synthetic %s database (%d vectors, dim %d)...", p.Name, synth, p.Dim)
 	return ansmet.New(ds.Vectors, ansmet.Options{
 		Metric: p.Metric, Elem: p.Elem, EfConstruction: 100, Seed: 42,
 		Mutable: mutable,
@@ -296,7 +293,7 @@ func openDatabase(path, profile string, synth int, mutable bool) (*ansmet.Databa
 // openCluster restores a cluster from -cluster-dir when a manifest is
 // present, or builds one (synthetic dataset) and, when -cluster-dir is
 // set, saves the per-shard snapshots there for the next start.
-func openCluster(dbPath, profile, partition, dir string, synth, shards, conc int, noHedge bool) (*ansmet.Cluster, error) {
+func openCluster(dbPath string, p dataset.Profile, partition, dir string, synth, shards, conc int, noHedge bool) (*ansmet.Cluster, error) {
 	if dbPath != "" {
 		return nil, errors.New("-shards partitions a built dataset; combine it with -synth or -cluster-dir, not -db")
 	}
@@ -335,10 +332,9 @@ func openCluster(dbPath, profile, partition, dir string, synth, shards, conc int
 	if synth < 50 {
 		return nil, errors.New("-synth must be at least 50")
 	}
-	p := dataset.ProfileByName(profile)
 	ds := dataset.Generate(p, synth, 1, 42)
 	opts.Build = ansmet.Options{Metric: p.Metric, Elem: p.Elem, EfConstruction: 100, Seed: 42}
-	log.Printf("building synthetic %s cluster (%d vectors, dim %d, %d shards)...", profile, synth, p.Dim, shards)
+	log.Printf("building synthetic %s cluster (%d vectors, dim %d, %d shards)...", p.Name, synth, p.Dim, shards)
 	cl, err := ansmet.NewCluster(ds.Vectors, opts)
 	if err != nil {
 		return nil, err

@@ -44,7 +44,8 @@ func main() {
 	seed := flag.Uint64("seed", 2025, "generator seed")
 	parallel := flag.Int("parallel", 0, "functional-search workers (0 = GOMAXPROCS); output is identical at any setting")
 	flag.Parse()
-	if err := checkFlags(*nq, *stream, *k, *ef); err != nil {
+	p, err := checkFlags(*profile, *n, *nq, *stream, *k, *ef)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
 		os.Exit(2)
@@ -61,7 +62,6 @@ func main() {
 		log.Fatalf("unknown design %q; options: %v", *designName, core.AllDesigns)
 	}
 
-	p := dataset.ProfileByName(*profile)
 	ds := dataset.Generate(p, *n, *nq, *seed)
 	rs := ds.Rows()
 	ix, err := hnsw.Build(rs, p.Metric, hnsw.Config{
@@ -152,14 +152,19 @@ func main() {
 	fmt.Printf("polling       %d poll reads\n", rep.PollCount)
 }
 
-// checkFlags rejects the counts no run can be made of: a query set, a stream
-// or a result count that is not positive, and a beam narrower than k.
-func checkFlags(nq, stream, k, ef int) error {
-	if nq <= 0 || stream <= 0 || k <= 0 {
-		return fmt.Errorf("-q, -stream and -k must be positive (got %d, %d, %d)", nq, stream, k)
+// checkFlags resolves the profile and rejects the counts no run can be made
+// of: a database, a query set, a stream or a result count that is not
+// positive, and a beam narrower than k.
+func checkFlags(profile string, n, nq, stream, k, ef int) (dataset.Profile, error) {
+	p, err := dataset.ParseProfile(profile)
+	if err != nil {
+		return p, err
+	}
+	if n <= 0 || nq <= 0 || stream <= 0 || k <= 0 {
+		return p, fmt.Errorf("-n, -q, -stream and -k must be positive (got %d, %d, %d, %d)", n, nq, stream, k)
 	}
 	if ef < k {
-		return fmt.Errorf("-ef must be at least -k (got -ef %d, -k %d)", ef, k)
+		return p, fmt.Errorf("-ef must be at least -k (got -ef %d, -k %d)", ef, k)
 	}
-	return nil
+	return p, nil
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"testing"
 
-	"ansmet/internal/core"
 	"ansmet/internal/dataset"
 	"ansmet/internal/engine"
 )
@@ -228,9 +227,9 @@ func checkBatchedIdentity(t *testing.T, name string, db *Database, queries [][]f
 	}
 }
 
-// TestHostEquivalence pins the contract the host defaults rest on: on a
-// fixed-precision database the host beam returns what the ndp beam returns
-// and the exact scan what the tiered route returns at budget 1 — the same
+// TestHostEquivalence pins the contract the host defaults rest on: the host
+// beam returns what the ndp beam returns and the exact scan what the tiered
+// route returns at budget 1 — the same
 // ids and the same distance bits — for every K, Ef, Filter and tombstone
 // state, through Do, DoMany and a 4-shard Cluster.Do. The engines differ in
 // how a distance is computed (SIMD over a row against bit planes fetched
@@ -249,9 +248,6 @@ func TestHostEquivalence(t *testing.T) {
 		db, err := New(hc.vectors, hc.opts)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if db.beam != RouteHost {
-			t.Fatalf("%s: default beam %v, want host", hc.name, db.beam)
 		}
 		checkIdentity(t, hc.name, dbSearcher(db), hc.queries, db.Len(), nil)
 		// Read after the ndp queries above built the model: Stats does not.
@@ -335,52 +331,6 @@ func TestHostEquivalence(t *testing.T) {
 					}
 				}
 			}
-		}
-	})
-
-	// Where the ndp engine is deliberately approximate the identity is not
-	// claimed, and the defaults do not move: an adaptive database keeps
-	// beam = ndp, quality = tiered, and its machinery keeps running under
-	// Search.
-	t.Run("ndp defaults kept", func(t *testing.T) {
-		ctx := context.Background()
-		hc := cases[3] // GloVe
-		all := func(uint32) bool { return true }
-
-		db, err := New(hc.vectors, Options{Metric: hc.opts.Metric, Elem: hc.opts.Elem, EfConstruction: 60, Seed: 7, RecallTarget: 0.9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A filtered auto query runs the default beam, an idle one the
-		// quality route.
-		beam, err := db.Do(ctx, &Query{Vector: hc.queries[0], K: 10, Filter: all})
-		if err != nil || beam.Route != RouteNDP {
-			t.Fatalf("default beam %v (err %v), want ndp", beam.Route, err)
-		}
-		quality, err := db.Do(ctx, &Query{Vector: hc.queries[0], K: 10})
-		if err != nil || quality.Route != RouteTiered {
-			t.Fatalf("quality route %v (err %v), want tiered", quality.Route, err)
-		}
-		before := db.RouterStats()
-		for _, vec := range hc.queries {
-			if _, err := db.Search(vec, 10); err != nil {
-				t.Fatal(err)
-			}
-		}
-		after := db.RouterStats()
-		if after.NDP != before.NDP+uint64(len(hc.queries)) || after.Host != 0 {
-			t.Fatalf("Search ran ndp %d→%d, host %d", before.NDP, after.NDP, after.Host)
-		}
-		// The adaptive beam really is the mixed-precision one (its scratch
-		// engines carry the precision map), and auto traffic still feeds the
-		// tuner.
-		s := db.getScratch()
-		if et, ok := s.eng.(*core.ETEngine); !ok || et == nil || db.model.Load().Precision == nil {
-			t.Fatalf("adaptive scratch engine is %T", s.eng)
-		}
-		db.putScratch(s)
-		if ps := db.PrecisionStats(); ps.Observations == 0 {
-			t.Fatalf("adaptive tuner saw no auto query: %+v", ps)
 		}
 	})
 }

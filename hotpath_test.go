@@ -120,9 +120,8 @@ func TestHostSteadyStateAllocs(t *testing.T) {
 	routeSteadyStateAllocs(t, context.Background(), ansmet.Query{K: 10, Ef: 64, Route: ansmet.RouteHost})
 }
 
-// TestNDPSteadyStateAllocs: the bit-plane beam named on a fixed-precision
-// database (the default beam there is the host one) allocates nothing
-// either — BenchmarkSearchHost's and BenchmarkAdaptivePrecision's ndp arms.
+// TestNDPSteadyStateAllocs: the bit-plane beam, named (the default beam is
+// the host one), allocates nothing either — BenchmarkSearchHost's ndp arm.
 func TestNDPSteadyStateAllocs(t *testing.T) {
 	routeSteadyStateAllocs(t, context.Background(), ansmet.Query{K: 10, Ef: 64, Route: ansmet.RouteNDP})
 }

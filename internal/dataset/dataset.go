@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"ansmet/internal/rows"
 	"ansmet/internal/stats"
@@ -74,15 +75,29 @@ var Profiles = []Profile{
 		OutlierRate: 0.0005, ScaleJitter: 1.0},
 }
 
-// ProfileByName finds a profile; it panics on unknown names to keep
-// experiment configuration errors loud.
-func ProfileByName(name string) Profile {
+// ParseProfile maps a profile name to its profile. The error of an unknown
+// name lists the known ones.
+func ParseProfile(name string) (Profile, error) {
 	for _, p := range Profiles {
 		if p.Name == name {
-			return p
+			return p, nil
 		}
 	}
-	panic(fmt.Sprintf("dataset: unknown profile %q", name))
+	names := make([]string, len(Profiles))
+	for i, p := range Profiles {
+		names[i] = p.Name
+	}
+	return Profile{}, fmt.Errorf("dataset: unknown profile %q (want one of %s)", name, strings.Join(names, ", "))
+}
+
+// ProfileByName is ParseProfile for names fixed in code: it panics on an
+// unknown one to keep experiment configuration errors loud.
+func ProfileByName(name string) Profile {
+	p, err := ParseProfile(name)
+	if err != nil {
+		panic(err.Error())
+	}
+	return p
 }
 
 // Dataset is a generated vector population plus a query set.

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"ansmet/internal/stats"
@@ -45,6 +46,37 @@ func TestProfileByName(t *testing.T) {
 		}
 	}()
 	ProfileByName("nope")
+}
+
+// TestParseProfile: every profile parses by its exact name; anything else is
+// an error that lists them all.
+func TestParseProfile(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ok   bool
+	}{
+		{"SIFT", true},
+		{"GloVe", true},
+		{"GIST", true},
+		{"Nope", false},
+		{"sift", false},
+		{"", false},
+	} {
+		p, err := ParseProfile(c.name)
+		if (err == nil) != c.ok {
+			t.Fatalf("ParseProfile(%q): err %v, want ok=%v", c.name, err, c.ok)
+		}
+		if c.ok && p.Name != c.name {
+			t.Fatalf("ParseProfile(%q) = %s", c.name, p.Name)
+		}
+		if !c.ok {
+			for _, want := range Profiles {
+				if !strings.Contains(err.Error(), want.Name) {
+					t.Fatalf("ParseProfile(%q): error %q does not list %s", c.name, err, want.Name)
+				}
+			}
+		}
+	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 )
 
 // Route identifies one whole-query execution path. The Router moves entire
-// queries between a beam route (host or ndp) and a quality route (exact or
-// tiered), based on deadline slack and load.
+// queries between the host beam and the exact scan, based on deadline slack
+// and load.
 type Route int32
 
 const (
@@ -29,8 +29,8 @@ const (
 	// kernels — correct regardless of the bound machinery's health.
 	RouteExact
 	// RouteHost is the same beam search as RouteNDP with the host compare
-	// engine (row-major vectors, SIMD kernels) under it: on a
-	// fixed-precision database, the same answers bit for bit.
+	// engine (row-major vectors, SIMD kernels) under it: the same answers
+	// bit for bit.
 	RouteHost
 	// NumRoutes sizes per-route tables; every Route below it has a name.
 	NumRoutes
@@ -66,7 +66,7 @@ const NoDeadline = time.Duration(-1)
 // The routing policy's constants (the third, the cost model's smoothing
 // factor, is stats.EWMA's).
 const (
-	// safetyFactor: the quality route is chosen only when the deadline slack
+	// safetyFactor: the exact scan is chosen only when the deadline slack
 	// covers safetyFactor× its EWMA cost estimate.
 	safetyFactor = 2
 	// loadHighWater is the in-flight query count at which auto routing
@@ -77,25 +77,14 @@ const (
 // Router decides per-query routes and tracks per-route cost and counters.
 // All methods are safe for concurrent use and allocation-free.
 type Router struct {
-	// beam and quality are the two legs Decide chooses between: the cheap
-	// approximate beam and the exact-answer route of this backend.
-	beam, quality Route
-
 	inflight atomic.Int64
 	routed   [NumRoutes]atomic.Uint64
 	costNs   [NumRoutes]stats.EWMA // cost per route, ns; 0 = no observation yet
-	// costScale holds per-route multiplicative corrections on the EWMA
-	// estimate Decide consults (float bits; 0 = no correction). The
-	// recall-target auto-tuner uses it to tell the cost model that
-	// adaptive precision makes the tiered path cheaper than its
-	// pre-calibration observations suggest.
-	costScale [NumRoutes]atomic.Uint64
 }
 
-// NewRouter builds a router over the backend's beam and quality routes.
-func NewRouter(beam, quality Route) *Router {
-	return &Router{beam: beam, quality: quality}
-}
+// NewRouter builds a router. Decide chooses between the two legs every
+// database serves: the cheap approximate host beam and the exact scan.
+func NewRouter() *Router { return &Router{} }
 
 // Begin marks one routed query in flight.
 func (r *Router) Begin() { r.inflight.Add(1) }
@@ -109,44 +98,22 @@ func (r *Router) InFlight() int64 { return r.inflight.Load() }
 // Decide picks a concrete route for an auto query. slack is the remaining
 // deadline budget (NoDeadline when the query has none).
 //
-// Policy: the router picks the highest-quality route that fits: the quality
-// route (exact answers) when the slack covers safetyFactor× its recent cost
-// — or unconditionally when there is no deadline — and the cheap approximate
-// beam under deadline pressure or load.
+// Policy: the router picks the highest-quality route that fits: the exact
+// scan when the slack covers safetyFactor× its recent cost — or
+// unconditionally when there is no deadline — and the host beam under
+// deadline pressure or load.
 func (r *Router) Decide(slack time.Duration) Route {
 	if r.inflight.Load() >= loadHighWater {
-		return r.beam
+		return RouteHost
 	}
 	if slack < 0 {
-		return r.quality
+		return RouteExact
 	}
-	est := float64(r.CostNs(r.quality)) * r.scaleOf(r.quality)
+	est := float64(r.CostNs(RouteExact))
 	if est == 0 || float64(slack) >= safetyFactor*est {
-		return r.quality
+		return RouteExact
 	}
-	return r.beam
-}
-
-// SetCostScale installs a multiplicative correction on route's EWMA cost
-// estimate as consulted by Decide (the raw CostNs observations are left
-// untouched). Non-positive scales reset to the neutral 1.
-func (r *Router) SetCostScale(route Route, scale float64) {
-	if route <= RouteAuto || route >= NumRoutes {
-		return
-	}
-	if scale <= 0 {
-		r.costScale[route].Store(0)
-		return
-	}
-	r.costScale[route].Store(math.Float64bits(scale))
-}
-
-// scaleOf reads route's cost-scale correction (1 when unset).
-func (r *Router) scaleOf(route Route) float64 {
-	if bits := r.costScale[route].Load(); bits != 0 {
-		return math.Float64frombits(bits)
-	}
-	return 1
+	return RouteHost
 }
 
 // Record counts one query executed on route.
@@ -180,9 +147,6 @@ type RouterSnapshot struct {
 	NDP, Tiered, Exact, Host uint64 // queries executed per route
 	InFlight                 int64
 	CostNs                   map[string]uint64 // per-route EWMA cost (observed routes only)
-	// CostScale lists the non-neutral cost-model corrections installed via
-	// SetCostScale (nil when none are).
-	CostScale map[string]float64
 }
 
 // Snapshot copies the current counters.
@@ -198,12 +162,6 @@ func (r *Router) Snapshot() RouterSnapshot {
 	for route := RouteNDP; route < NumRoutes; route++ {
 		if c := r.CostNs(route); c != 0 {
 			s.CostNs[route.String()] = c
-		}
-		if bits := r.costScale[route].Load(); bits != 0 {
-			if s.CostScale == nil {
-				s.CostScale = map[string]float64{}
-			}
-			s.CostScale[route.String()] = math.Float64frombits(bits)
 		}
 	}
 	return s

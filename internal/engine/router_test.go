@@ -49,50 +49,46 @@ func TestParseRoute(t *testing.T) {
 }
 
 func TestDecidePolicy(t *testing.T) {
-	// The policy is the same over either pair of legs: the host defaults and
-	// the pair an adaptive database keeps.
-	for _, legs := range []struct{ beam, quality Route }{{RouteHost, RouteExact}, {RouteNDP, RouteTiered}} {
-		beam, quality := legs.beam, legs.quality
-		r := NewRouter(beam, quality)
+	r := NewRouter()
 
-		// No deadline, healthy, idle: the highest-quality path.
-		if got := r.Decide(NoDeadline); got != quality {
-			t.Fatalf("idle no-deadline: %v", got)
-		}
-		// No cost estimate yet: optimistic quality even under a deadline.
-		if got := r.Decide(time.Millisecond); got != quality {
-			t.Fatalf("no estimate: %v", got)
-		}
+	// No deadline, healthy, idle: the highest-quality path.
+	if got := r.Decide(NoDeadline); got != RouteExact {
+		t.Fatalf("idle no-deadline: %v", got)
+	}
+	// No cost estimate yet: optimistic quality even under a deadline.
+	if got := r.Decide(time.Millisecond); got != RouteExact {
+		t.Fatalf("no estimate: %v", got)
+	}
 
-		// With an estimate, slack gates the choice at safetyFactor x cost; the
-		// beam's own cost plays no part.
-		r.Observe(quality, time.Millisecond)
-		r.Observe(beam, time.Hour)
-		if got := r.Decide(10 * time.Millisecond); got != quality {
-			t.Fatalf("ample slack: %v", got)
-		}
-		if got := r.Decide(time.Millisecond); got != beam {
-			t.Fatalf("tight slack: %v", got)
-		}
-		if got := r.Decide(0); got != beam {
-			t.Fatalf("expired slack: %v", got)
-		}
+	// With an estimate, slack gates the choice at safetyFactor x cost; the
+	// beam's own cost plays no part, nor does any other route's.
+	r.Observe(RouteExact, time.Millisecond)
+	r.Observe(RouteHost, time.Hour)
+	r.Observe(RouteTiered, time.Nanosecond)
+	if got := r.Decide(10 * time.Millisecond); got != RouteExact {
+		t.Fatalf("ample slack: %v", got)
+	}
+	if got := r.Decide(time.Millisecond); got != RouteHost {
+		t.Fatalf("tight slack: %v", got)
+	}
+	if got := r.Decide(0); got != RouteHost {
+		t.Fatalf("expired slack: %v", got)
+	}
 
-		// Load above the high-water mark sheds to the cheap path.
-		for i := 0; i < loadHighWater; i++ {
-			r.Begin()
-		}
-		if got := r.Decide(NoDeadline); got != beam {
-			t.Fatalf("loaded: %v", got)
-		}
-		for i := 0; i < loadHighWater; i++ {
-			r.End()
-		}
+	// Load above the high-water mark sheds to the cheap path.
+	for i := 0; i < loadHighWater; i++ {
+		r.Begin()
+	}
+	if got := r.Decide(NoDeadline); got != RouteHost {
+		t.Fatalf("loaded: %v", got)
+	}
+	for i := 0; i < loadHighWater; i++ {
+		r.End()
 	}
 }
 
 func TestObserveEWMA(t *testing.T) {
-	r := NewRouter(RouteHost, RouteExact)
+	r := NewRouter()
 	if r.CostNs(RouteTiered) != 0 {
 		t.Fatal("cost before any observation")
 	}
@@ -119,7 +115,7 @@ func TestObserveEWMA(t *testing.T) {
 }
 
 func TestRouterSnapshotAndConcurrency(t *testing.T) {
-	r := NewRouter(RouteHost, RouteExact)
+	r := NewRouter()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

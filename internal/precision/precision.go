@@ -12,8 +12,8 @@
 //     per-vector minimum fetch depth (in 64 B lines) honored by the
 //     bounder fetch schedules in internal/bitplane and internal/prefixelim.
 //
-//   - Tuner: a per-database online controller for the RecallTarget knob.
-//     It watches each tiered query's observed bound distribution (how much
+//   - Tuner: an online controller toward a recall target (the
+//     experiments' adaptive tiered arm drives one per cell). It watches each tiered query's observed bound distribution (how much
 //     of the final top-k landed inside the adaptive cut's risk window, and
 //     how fat the stage-2 pool ran) and EWMA-calibrates — exactly like the
 //     query router's cost model — the tiered cut budget and a depth bias
@@ -335,29 +335,5 @@ func (t *Tuner) Observe(k, pool, atRisk int) {
 		t.bias.Store(bias + 1)
 	case p < poolLowWater && bias > 0:
 		t.bias.Store(bias - 1)
-	}
-}
-
-// TunerSnapshot is a plain-value copy of the tuner's state for debug-vars.
-type TunerSnapshot struct {
-	Target       float64
-	Budget       float64
-	DepthBias    int
-	Margin       float64
-	RiskEWMA     float64
-	PoolPerK     float64
-	Observations uint64
-}
-
-// Snapshot copies the current calibration state.
-func (t *Tuner) Snapshot() TunerSnapshot {
-	return TunerSnapshot{
-		Target:       t.target,
-		Budget:       t.Budget(),
-		DepthBias:    t.DepthBias(),
-		Margin:       t.Margin(),
-		RiskEWMA:     t.risk.Value(),
-		PoolPerK:     t.pool.Value(),
-		Observations: t.obs.Load(),
 	}
 }

@@ -214,8 +214,9 @@ func TestTunerObserveDeterministic(t *testing.T) {
 		a.Observe(10, s.pool, s.atRisk)
 		b.Observe(10, s.pool, s.atRisk)
 	}
-	if a.Snapshot() != b.Snapshot() {
-		t.Fatalf("identical observation sequences diverged: %+v vs %+v", a.Snapshot(), b.Snapshot())
+	if a.Budget() != b.Budget() || a.DepthBias() != b.DepthBias() {
+		t.Fatalf("identical observation sequences diverged: budget %v vs %v, depth bias %d vs %d",
+			a.Budget(), b.Budget(), a.DepthBias(), b.DepthBias())
 	}
 }
 

@@ -194,8 +194,8 @@ type SearchRequest struct {
 	// routing), "host", "ndp", "tiered", or "exact". Empty uses the server's
 	// default path. Requires Config.SearchPrecision.
 	Mode string `json:"mode,omitempty"`
-	// RecallTarget, in (0, 1], asks for adaptive mixed-precision at this
-	// recall level (1 = exact). Requires Config.SearchPrecision. 0 (absent)
+	// RecallTarget, in (0, 1], states the quality wanted: the tiered cut
+	// budget, where 1 is exact. Requires Config.SearchPrecision. 0 (absent)
 	// uses the server's default.
 	RecallTarget float64 `json:"recall_target,omitempty"`
 	// Panic triggers the chaos panic probe (only honored when

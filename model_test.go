@@ -383,8 +383,6 @@ func verdictCases(t testing.TB) []verdictCase {
 		{"New/unknown-design", newErr(vs, with(func(o *Options) { o.Design = UseDesign(Design(99)) }))},
 		{"New/ragged", newErr(ragged, base)},
 		{"New/nan", newErr(nan, base)},
-		{"New/recall-target-1.5", newErr(vs, with(func(o *Options) { o.RecallTarget = 1.5 }))},
-		{"New/recall-target-0.9", newErr(vs, with(func(o *Options) { o.RecallTarget = 0.9 }))},
 		{"New/hnsw-M-1", newErr(vs, with(func(o *Options) { o.M = 1 }))},
 	}
 	for _, d := range AllDesigns {
@@ -424,7 +422,6 @@ var parentVerdicts = map[string]string{
 	"New/unknown-design":             "core: unknown design Design(99)",
 	"New/ragged":                     "ansmet: vector 5 has dim 7, want 8",
 	"New/nan":                        "ansmet: vector has non-finite component (vector 4 component 2 is NaN)",
-	"New/recall-target-1.5":          "ansmet: RecallTarget 1.5 outside [0, 1]",
 	"New/hnsw-M-1":                   "hnsw: invalid config {M:1 MaxDegree:16 EfConstruction:40 Seed:7} (need M >= 2, MaxDegree >= M/2, EfConstruction > 0)",
 	"New/mutable/CPU-Base":           "ansmet: enabling mutation: core: mutation requires an early-termination design (no encoded store)",
 	"New/mutable/NDP-Base":           "ansmet: enabling mutation: core: mutation requires an early-termination design (no encoded store)",

@@ -36,21 +36,20 @@ type Query struct {
 	// vector hybrid search); traversal still crosses non-matching vertices
 	// so the graph stays navigable, and on a mutable database the tombstone
 	// filter applies in addition. Only the beam routes filter: RouteAuto
-	// with a Filter resolves to the database's default beam, RouteTiered and
-	// RouteExact reject one.
+	// with a Filter resolves to the host beam, RouteTiered and RouteExact
+	// reject one.
 	Filter func(uint32) bool
 	// Route forces an execution path; the zero value RouteAuto lets the
 	// database's router pick from deadline slack and load — unless Budget
 	// states the quality wanted (see there).
 	Route Route
 	// Budget is the tiered route's adaptive-cut budget in (0, 1]; 0 (or a
-	// negative value) means the database's own: the recall-target tuner's
-	// calibration on an adaptive database, 1 otherwise. 1 is the provably
-	// exact cut; smaller values trade a recall guarantee of roughly this
-	// level for a smaller exact re-rank pool. On RouteAuto a positive Budget is the
-	// caller stating the quality, and the router is not asked: at 1 or above
-	// the exact scan runs (the same answers as the tiered route at budget 1,
-	// bit for bit), below 1 the tiered route at that budget.
+	// negative value) means 1, the provably exact cut. Smaller values trade
+	// a recall guarantee of roughly this level for a smaller exact re-rank
+	// pool. On RouteAuto a positive Budget is the caller stating the quality,
+	// and the router is not asked: at 1 or above the exact scan runs (the
+	// same answers as the tiered route at budget 1, bit for bit), below 1 the
+	// tiered route at that budget.
 	Budget float64
 	// Dst, when non-nil, receives the results (appended into Dst[:0]); with
 	// enough capacity every route then allocates nothing at steady state.
@@ -94,21 +93,19 @@ var errFilterRoute = errors.New("ansmet: Filter needs a beam route (host or ndp)
 //     touched (*CancelError, Partial false).
 //  2. The inputs are validated (ErrBadK, ErrBadEf, ErrBadQuery,
 //     ErrDimension; see IsInvalidInput).
-//  3. The route is resolved: a Filter pins a beam route (the database's
-//     default one on RouteAuto); RouteAuto with a positive Budget is the
-//     exact scan (Budget >= 1) or the tiered route at that budget;
-//     otherwise RouteAuto asks the router — the database's quality route
-//     (exact answers) when its recent cost fits the deadline slack, and its
-//     cheap approximate beam under pressure or load; RouteTiered on a Base
-//     design (no bound machinery) degrades to RouteExact.
+//  3. The route is resolved: a Filter pins a beam route (the host beam on
+//     RouteAuto); RouteAuto with a positive Budget is the exact scan
+//     (Budget >= 1) or the tiered route at that budget; otherwise RouteAuto
+//     asks the router — the exact scan when its recent cost fits the
+//     deadline slack, the host beam under pressure or load; RouteTiered on a
+//     Base design (no bound machinery) degrades to RouteExact.
 //  4. The route runs, and the router of this database observes it (route
 //     counter, in-flight load, cost estimate) whichever entry point the
 //     query came through.
 //
-// Which beam and which quality route are a database's defaults is decided
-// once, in newDatabase: host and exact — row-major vectors under the SIMD
-// kernels — unless adaptive precision, which exists only in the NDP model,
-// keeps ndp and tiered.
+// The defaults are the routes over the row slab with the typed SIMD
+// kernels — on a host CPU the fastest correct engines, returning what the
+// bit-plane path returns bit for bit.
 //
 // When ctx fires mid-flight the route stops at its next checkpoint and Do
 // returns what it has with a *CancelError whose Partial field reports
@@ -135,7 +132,7 @@ func (db *Database) resolveRoute(ctx context.Context, q *Query) (Route, error) {
 	if q.Filter != nil {
 		switch route {
 		case RouteAuto:
-			return db.beam, nil
+			return RouteHost, nil
 		case RouteNDP, RouteHost:
 			return route, nil
 		}
@@ -186,8 +183,11 @@ func (db *Database) do(ctx context.Context, s *searchScratch, q *Query) (Result,
 		// resolveRoute sent a Base design's tiered queries to the exact scan,
 		// so the scratch's NDP-model engine is an ET design's.
 		et := db.ndpEngine(s).(*core.ETEngine)
-		res.Neighbors, res.Tiered = et.TieredKNNInto(done, qq, q.K, db.tieredOpts(q.Budget), q.Dst)
-		db.observeTiered(q.K, res.Tiered)
+		budget := q.Budget
+		if budget <= 0 || budget > 1 {
+			budget = 1
+		}
+		res.Neighbors, res.Tiered = et.TieredKNNInto(done, qq, q.K, core.TieredOpts{Budget: budget}, q.Dst)
 		res.Lines = res.Tiered.BoundLines + res.Tiered.RerankLines
 		cancelled = res.Tiered.Cancelled
 	case RouteExact:
@@ -195,8 +195,8 @@ func (db *Database) do(ctx context.Context, s *searchScratch, q *Query) (Result,
 		res.Tiered = TieredStats{Pool: db.Len(), RerankLines: res.Lines, Cancelled: cancelled}
 	default:
 		// The beam routes are one traversal at one ef and one batch; only the
-		// engine under it differs, so on a fixed-precision database host and
-		// ndp return the same ids and the same distance bits.
+		// engine under it differs, so host and ndp return the same ids and the
+		// same distance bits.
 		var eng engine.Engine
 		if route == RouteNDP {
 			eng = db.ndpEngine(s)
@@ -369,14 +369,13 @@ func (db *Database) DoMany(ctx context.Context, queries [][]float32, plan *Query
 
 // The wrappers below are the historical entry points that survive, each a
 // Query literal, one Do call and the unpacking of its Result. They all
-// force their route — the four Search* ones the database's default beam
-// (host, or ndp where newDatabase kept it) — so use Do for RouteAuto,
-// filters and the rest.
+// force their route — the four Search* ones the host beam — so use Do for
+// RouteAuto, filters and the rest.
 
-// Search returns the k approximate nearest neighbors of q on the default
-// beam route with the default beam width, max(2k, 32).
+// Search returns the k approximate nearest neighbors of q on the host beam
+// with the default beam width, max(2k, 32).
 func (db *Database) Search(q []float32, k int) ([]Neighbor, error) {
-	res, err := db.Do(context.Background(), &Query{Vector: q, K: k, Route: db.beam})
+	res, err := db.Do(context.Background(), &Query{Vector: q, K: k, Route: RouteHost})
 	return res.Neighbors, err
 }
 
@@ -386,14 +385,14 @@ func (db *Database) Search(q []float32, k int) ([]Neighbor, error) {
 // steady state: the quantize buffer, the distance engine, and the traversal
 // scratch all come from pools.
 func (db *Database) SearchInto(q []float32, k, ef int, dst []Neighbor) ([]Neighbor, error) {
-	res, err := db.Do(context.Background(), &Query{Vector: q, K: k, Ef: ef, Route: db.beam, Dst: dst})
+	res, err := db.Do(context.Background(), &Query{Vector: q, K: k, Ef: ef, Route: RouteHost, Dst: dst})
 	return res.Neighbors, err
 }
 
 // SearchEfCtx is SearchInto with cooperative cancellation and a fresh
 // result slice; see Do for the cancellation contract.
 func (db *Database) SearchEfCtx(ctx context.Context, q []float32, k, ef int) ([]Neighbor, error) {
-	res, err := db.Do(ctx, &Query{Vector: q, K: k, Ef: ef, Route: db.beam})
+	res, err := db.Do(ctx, &Query{Vector: q, K: k, Ef: ef, Route: RouteHost})
 	return res.Neighbors, err
 }
 
@@ -401,14 +400,14 @@ func (db *Database) SearchEfCtx(ctx context.Context, q []float32, k, ef int) ([]
 // reused dst the un-cancelled steady state performs zero heap allocations
 // (gated by TestSearchCtxSteadyStateAllocs).
 func (db *Database) SearchCtxInto(ctx context.Context, q []float32, k, ef int, dst []Neighbor) ([]Neighbor, error) {
-	res, err := db.Do(ctx, &Query{Vector: q, K: k, Ef: ef, Route: db.beam, Dst: dst})
+	res, err := db.Do(ctx, &Query{Vector: q, K: k, Ef: ef, Route: RouteHost, Dst: dst})
 	return res.Neighbors, err
 }
 
 // TieredSearchInto returns the k nearest neighbors via the two-stage
 // bound-first/exact-rerank pipeline, with an explicit budget in (0, 1] (0
-// uses the database's, see Query.Budget: 1, the provably exact cut, unless
-// a recall target calibrates it) appending results into dst[:0]. Stage 1 orders the whole population
+// means 1, the provably exact cut) appending results into dst[:0]. Stage 1
+// orders the whole population
 // by cheap partial-bit lower bounds without ever fully fetching a vector;
 // stage 2 re-ranks candidates exactly in ascending-bound order until the
 // adaptive cut proves (budget 1) or deems (budget < 1) the rest irrelevant.

@@ -11,24 +11,19 @@ import (
 	"ansmet/internal/dataset"
 )
 
-// doTwin is one TestDoEquivalence configuration built twice from the same
-// inputs: a wrapper runs on a, the Do it wraps on b. An adaptive database's
-// tuner moves with every tiered query it observes, so comparing two calls
-// on ONE database would compare two calibrations; twins fed the same query
-// sequence stay in lockstep.
-type doTwin struct {
+// doCase is one TestDoEquivalence configuration: a database, its queries
+// and the ids deleted from it.
+type doCase struct {
 	name    string
-	a, b    *Database
+	db      *Database
 	queries [][]float32
 	deleted map[uint32]bool
 }
 
-func buildDoTwins(t *testing.T) []doTwin {
+func buildDoCases(t *testing.T) []doCase {
 	t.Helper()
 	sift := dataset.ProfileByName("SIFT")
 	sds := dataset.Generate(sift, 400, 5, 31)
-	glove := dataset.ProfileByName("GloVe")
-	gds := dataset.Generate(glove, 500, 5, 45)
 	siftOpts := Options{Metric: sift.Metric, Elem: sift.Elem, EfConstruction: 60, Seed: 7}
 	baseOpts := siftOpts
 	baseOpts.Design = UseDesign(CPUBase)
@@ -40,11 +35,12 @@ func buildDoTwins(t *testing.T) []doTwin {
 		deleted[id] = true
 	}
 
-	build := func(vectors [][]float32, opts Options, mutate bool) *Database {
-		db, err := New(vectors, opts)
+	build := func(name string, opts Options, mutate bool) doCase {
+		db, err := New(sds.Vectors, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		c := doCase{name: name, db: db, queries: sds.Queries}
 		if mutate {
 			for _, id := range deletes {
 				if err := db.Delete(id); err != nil {
@@ -54,29 +50,19 @@ func buildDoTwins(t *testing.T) []doTwin {
 			if _, err := db.Add(sds.Queries[0]); err != nil {
 				t.Fatal(err)
 			}
+			c.deleted = deleted
 		}
-		return db
+		return c
 	}
-	twin := func(name string, ds *dataset.Dataset, opts Options, mutate bool) doTwin {
-		tw := doTwin{name: name, queries: ds.Queries, a: build(ds.Vectors, opts, mutate), b: build(ds.Vectors, opts, mutate)}
-		if mutate {
-			tw.deleted = deleted
-		}
-		return tw
+	cases := []doCase{
+		build("et", siftOpts, false),
+		build("base", baseOpts, false),
+		build("mutable", mutOpts, true),
 	}
-	twins := []doTwin{
-		twin("et", sds, siftOpts, false),
-		twin("base", sds, baseOpts, false),
-		twin("mutable", sds, mutOpts, true),
-		twin("adaptive", gds, Options{Metric: glove.Metric, Elem: glove.Elem, EfConstruction: 60, RecallTarget: 0.9}, false),
+	if db := cases[2].db; db.Tombstones() != len(deletes) || db.Stats().PendingRepair == 0 {
+		t.Fatalf("mutable case: %d tombstones, %d pending repair", db.Tombstones(), db.Stats().PendingRepair)
 	}
-	if tw := twins[2]; tw.a.Tombstones() != len(deletes) || tw.a.Stats().PendingRepair == 0 {
-		t.Fatalf("mutable twin: %d tombstones, %d pending repair", tw.a.Tombstones(), tw.a.Stats().PendingRepair)
-	}
-	if !twins[3].a.adaptive() {
-		t.Fatal("adaptive twin did not enable the precision machinery")
-	}
-	return twins
+	return cases
 }
 
 // nthErrCtx is a context whose Done closes on its n-th Err call and whose Err
@@ -131,15 +117,14 @@ var doCtxKinds = []struct {
 }
 
 // wrapperFor returns the surviving wrapper whose signature covers the cell
-// (nil when none does: no wrapper takes a Filter, RouteAuto, the beam that
-// is not the database's default, or the exact route), adapted
-// to Do's return shape.
+// (nil when none does: no wrapper takes a Filter, RouteAuto, the ndp beam or
+// the exact route), adapted to Do's return shape.
 func wrapperFor(db *Database, q *Query, background bool) func(context.Context) (Result, error) {
 	if q.Filter != nil {
 		return nil
 	}
 	switch q.Route {
-	case db.beam:
+	case RouteHost:
 		switch {
 		case background && q.Ef == 0 && q.Dst == nil:
 			return func(context.Context) (Result, error) {
@@ -195,20 +180,20 @@ func sameError(a, b error) bool {
 
 // TestDoEquivalence pins every surviving wrapper, byte for byte and error for
 // error, to the Do call it wraps: {ET design, Base design, mutable with
-// tombstones, adaptive RecallTarget} × {ndp, host, tiered} × the four
+// tombstones} × {ndp, host, tiered} × the four
 // contexts × {nil, reused Dst}, wherever a wrapper covers the cell. Do's own
 // contract, cell by cell, is the contract harness's Do step
 // (contract_test.go). The sub-tests pin the partial a cancellation
 // mid-traversal leaves.
 func TestDoEquivalence(t *testing.T) {
-	twins := buildDoTwins(t)
+	cases := buildDoCases(t)
 	const k = 10
-	for _, tw := range twins {
+	for _, c := range cases {
 		for _, route := range []Route{RouteNDP, RouteHost, RouteTiered} {
 			for _, reuse := range []bool{false, true} {
 				for _, ck := range doCtxKinds {
-					for qi, vec := range tw.queries {
-						name := fmt.Sprintf("%s/%v/%s/reuse=%v q%d", tw.name, route, ck.name, reuse, qi)
+					for qi, vec := range c.queries {
+						name := fmt.Sprintf("%s/%v/%s/reuse=%v q%d", c.name, route, ck.name, reuse, qi)
 						q := Query{Vector: vec, K: k, Route: route}
 						if route != RouteTiered && qi%2 == 1 {
 							q.Ef = 48 // odd queries exercise the explicit-beam wrappers
@@ -218,12 +203,12 @@ func TestDoEquivalence(t *testing.T) {
 							// The beam appends ef entries before truncating to k.
 							q.Dst, wq.Dst = make([]Neighbor, 3, 64), make([]Neighbor, 3, 64)
 						}
-						wrap := wrapperFor(tw.a, &wq, ck.name == "background")
+						wrap := wrapperFor(c.db, &wq, ck.name == "background")
 						if wrap == nil {
-							continue // on neither twin: they stay in lockstep
+							continue
 						}
 						ctx, cancel := ck.make()
-						got, err := tw.b.Do(ctx, &q)
+						got, err := c.db.Do(ctx, &q)
 						cancel()
 						ctx, cancel = ck.make()
 						w, werr := wrap(ctx)
@@ -247,35 +232,35 @@ func TestDoEquivalence(t *testing.T) {
 	even := func(id uint32) bool { return id%2 == 0 }
 	beamPartial := func(t *testing.T, route Route) []Result {
 		var out []Result
-		for _, tw := range twins {
+		for _, c := range cases {
 			var runs [2]Result
 			for r := range runs {
 				ctx, cancel := context.WithCancel(context.Background())
 				calls := 0
-				q := Query{Vector: tw.queries[0], K: k, Ef: 200, Route: route, Filter: func(id uint32) bool {
+				q := Query{Vector: c.queries[0], K: k, Ef: 200, Route: route, Filter: func(id uint32) bool {
 					if calls++; calls == 40 {
 						cancel()
 					}
 					return even(id)
 				}}
-				res, err := []*Database{tw.a, tw.b}[r].Do(ctx, &q)
+				res, err := c.db.Do(ctx, &q)
 				cancel()
 				var ce *CancelError
 				if !errors.As(err, &ce) || !ce.Partial || !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
-					t.Fatalf("%s: err=%v, want a partial ErrCanceled", tw.name, err)
+					t.Fatalf("%s: err=%v, want a partial ErrCanceled", c.name, err)
 				}
 				if len(res.Neighbors) == 0 || res.Route != route {
-					t.Fatalf("%s: %d partial neighbors on route %v", tw.name, len(res.Neighbors), res.Route)
+					t.Fatalf("%s: %d partial neighbors on route %v", c.name, len(res.Neighbors), res.Route)
 				}
 				for _, n := range res.Neighbors {
-					if !even(n.ID) || tw.deleted[n.ID] {
-						t.Fatalf("%s: partial holds filtered-out or deleted id %d", tw.name, n.ID)
+					if !even(n.ID) || c.deleted[n.ID] {
+						t.Fatalf("%s: partial holds filtered-out or deleted id %d", c.name, n.ID)
 					}
 				}
 				runs[r] = res
 			}
 			if !reflect.DeepEqual(runs[0], runs[1]) {
-				t.Fatalf("%s: the same mid-flight cancellation gave two answers:\n%v\n%v", tw.name, runs[0], runs[1])
+				t.Fatalf("%s: the same mid-flight cancellation gave two answers:\n%v\n%v", c.name, runs[0], runs[1])
 			}
 			out = append(out, runs[0])
 		}
@@ -283,12 +268,12 @@ func TestDoEquivalence(t *testing.T) {
 	}
 	t.Run("ndp partial", func(t *testing.T) { beamPartial(t, RouteNDP) })
 	// The host beam is the same traversal, so it stops at the same checkpoint
-	// holding the same partial (where the ndp engine is exact).
+	// holding the same partial.
 	t.Run("host partial", func(t *testing.T) {
 		ndp := beamPartial(t, RouteNDP)
 		for i, host := range beamPartial(t, RouteHost) {
-			if tw := twins[i]; !tw.a.adaptive() && !reflect.DeepEqual(host.Neighbors, ndp[i].Neighbors) {
-				t.Fatalf("%s: host partial %v, ndp partial %v", tw.name, host.Neighbors, ndp[i].Neighbors)
+			if !reflect.DeepEqual(host.Neighbors, ndp[i].Neighbors) {
+				t.Fatalf("%s: host partial %v, ndp partial %v", cases[i].name, host.Neighbors, ndp[i].Neighbors)
 			}
 		}
 	})
