@@ -1,7 +1,7 @@
 // Adaptive mixed precision over a database's own graph and rows: the NDP model
 // Database.System builds, at core.SystemConfig.RecallTarget 0.9. A database
 // serves one precision; the model is where the mode runs and is measured
-// (FigPrecisionFrontier, ansmet-chaos -scenario precision).
+// (FigPrecisionFrontier, internal/fault.TestSystemLevelByteIdentical).
 package ansmet_test
 
 import (

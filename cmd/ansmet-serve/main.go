@@ -74,7 +74,6 @@ func main() {
 		queue      = flag.Int("queue", 0, "admission queue depth beyond concurrency (0: 2x concurrency)")
 		body       = flag.Int64("max-body", 1<<20, "request body size limit, bytes")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful drain deadline on SIGTERM")
-		panicOK    = flag.Bool("allow-panic-probe", false, "honor {\"panic\":true} chaos probes (testing only)")
 		shards     = flag.Int("shards", 0, "shard count for scatter-gather serving (0: unsharded)")
 		partition  = flag.String("partition", "hash", "shard partitioning scheme (hash, kmeans)")
 		clusterDir = flag.String("cluster-dir", "", "cluster snapshot directory: load if a manifest exists, else build and save into it (requires -shards)")
@@ -103,7 +102,6 @@ func main() {
 			MaxConcurrent: *conc,
 			MaxQueue:      *queue,
 		},
-		AllowPanicProbe: *panicOK,
 	}
 
 	if *shards > 0 || *clusterDir != "" {

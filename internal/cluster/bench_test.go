@@ -27,11 +27,12 @@ func BenchmarkClusterSearchAllocs(b *testing.B) {
 	for _, l := range lists {
 		shards = append(shards, staticShard(l))
 	}
-	c, err := New(shards, Config{ShardTimeout: time.Second})
+	c, err := New(shards, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := context.Background()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
 	dst := make([]hnsw.Neighbor, 0, 16)
 	for i := 0; i < 64; i++ { // warm pool + latency trackers
 		if _, err := c.SearchInto(ctx, nil, 5, 32, dst); err != nil {

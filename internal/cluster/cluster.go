@@ -8,13 +8,13 @@
 //
 // The coordinator is deliberately transport- and index-agnostic: a shard is
 // just a ShardFunc. The root ansmet package wires per-shard Databases into
-// it (in-process shards today, network shards tomorrow), and the chaos
-// harness wires deliberately broken ones.
+// it (in-process shards today, network shards tomorrow), and the tests wire
+// deliberately broken ones.
 //
 // Degradation contract (DESIGN.md, "Cluster fault model and degradation
 // semantics"): when every shard is healthy the merged result is
 // byte-identical to the unsharded search over the same exhaustive beam;
-// when shards are down, slow, or shedding, Search still returns the best
+// when shards are down, slow, or shedding, SearchInto still returns the best
 // merged result it can, with Result.Partial set and a per-shard error
 // taxonomy explaining exactly what was missing and why. A query only fails
 // outright when not a single shard produced anything.
@@ -138,9 +138,6 @@ type HedgeConfig struct {
 
 // Config wires a Coordinator.
 type Config struct {
-	// ShardTimeout is the absolute per-shard budget applied when the
-	// request context has no deadline; 0 leaves such requests unbounded.
-	ShardTimeout time.Duration
 	// MaxInFlightPerShard caps concurrent queries (including hedges) per
 	// shard; excess fan-outs to that shard are shed, degrading the result
 	// to partial instead of queueing without bound. 0 = unlimited.
@@ -339,11 +336,6 @@ func stopTimer(t *time.Timer) {
 	}
 }
 
-// Search is SearchInto with a freshly allocated result slice.
-func (c *Coordinator) Search(ctx context.Context, q []float32, k, ef int) (Result, error) {
-	return c.SearchInto(ctx, q, k, ef, nil)
-}
-
 // SearchInto runs one scatter-gather query, merging the per-shard top-k
 // into dst[:0]. See the package comment for the degradation contract. The
 // error is non-nil only when the request context fired (matching the
@@ -368,8 +360,6 @@ func (c *Coordinator) SearchInto(ctx context.Context, q []float32, k, ef int, ds
 			budget = rem / 2
 		}
 		fanCtx, cancel = context.WithDeadline(ctx, time.Now().Add(budget))
-	} else if c.cfg.ShardTimeout > 0 {
-		fanCtx, cancel = context.WithTimeout(ctx, c.cfg.ShardTimeout)
 	} else {
 		fanCtx, cancel = context.WithCancel(ctx)
 	}

@@ -69,7 +69,7 @@ func TestHealthyMergeMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 3, 5, 10, 100} {
-		res, err := c.Search(context.Background(), nil, k, 32)
+		res, err := c.SearchInto(context.Background(), nil, k, 32, nil)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -108,7 +108,7 @@ func TestCrashedShardDegradesAndBreakerLifecycle(t *testing.T) {
 	wantDegraded := hnsw.MergeTopK(nil, [][]hnsw.Neighbor{lists[0], lists[2], lists[3]}, 5)
 	query := func(wantKind ErrKind) Result {
 		t.Helper()
-		res, err := c.Search(context.Background(), nil, 5, 32)
+		res, err := c.SearchInto(context.Background(), nil, 5, 32, nil)
 		if err != nil {
 			t.Fatalf("search: %v", err)
 		}
@@ -147,7 +147,7 @@ func TestCrashedShardDegradesAndBreakerLifecycle(t *testing.T) {
 	// Shard heals; next probe succeeds and re-enables it.
 	atomic.StoreInt32(&healthy, 1)
 	now = now.Add(time.Minute)
-	res, err := c.Search(context.Background(), nil, 5, 32)
+	res, err := c.SearchInto(context.Background(), nil, 5, 32, nil)
 	if err != nil {
 		t.Fatalf("post-heal search: %v", err)
 	}
@@ -181,7 +181,7 @@ func TestSlowShardTimesOutWithPartialPrefix(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	res, err := c.Search(ctx, nil, 10, 32)
+	res, err := c.SearchInto(ctx, nil, 10, 32, nil)
 	if err != nil {
 		t.Fatalf("search: %v", err)
 	}
@@ -220,7 +220,7 @@ func TestHedgeFiresOnSlowShardAndWins(t *testing.T) {
 	}
 	// Warm the latency tracker with fast responses.
 	for i := 0; i < hedgeMinSamples; i++ {
-		if _, err := c.Search(context.Background(), nil, 5, 32); err != nil {
+		if _, err := c.SearchInto(context.Background(), nil, 5, 32, nil); err != nil {
 			t.Fatalf("warmup %d: %v", i, err)
 		}
 	}
@@ -228,7 +228,7 @@ func TestHedgeFiresOnSlowShardAndWins(t *testing.T) {
 	slowCall.Store(calls.Load() + 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	res, err := c.Search(ctx, nil, 5, 32)
+	res, err := c.SearchInto(ctx, nil, 5, 32, nil)
 	if err != nil {
 		t.Fatalf("hedged search: %v", err)
 	}
@@ -264,7 +264,7 @@ func TestShedWhenShardBudgetExhausted(t *testing.T) {
 	}
 	done := make(chan Result, 1)
 	go func() {
-		res, _ := c.Search(context.Background(), nil, 5, 32)
+		res, _ := c.SearchInto(context.Background(), nil, 5, 32, nil)
 		done <- res
 	}()
 	<-blocked // shard 0's only slot is now held
@@ -277,7 +277,7 @@ func TestShedWhenShardBudgetExhausted(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	res, err := c.Search(context.Background(), nil, 5, 32)
+	res, err := c.SearchInto(context.Background(), nil, 5, 32, nil)
 	if err != nil {
 		t.Fatalf("shed-path search: %v", err)
 	}
@@ -306,7 +306,7 @@ func TestAllShardsFailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Search(context.Background(), nil, 5, 32)
+	res, err := c.SearchInto(context.Background(), nil, 5, 32, nil)
 	if !errors.Is(err, ErrAllShardsFailed) {
 		t.Fatalf("err = %v, want ErrAllShardsFailed", err)
 	}
@@ -327,7 +327,7 @@ func TestPanickingShardIsContainedAsCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Search(context.Background(), nil, 5, 32)
+	res, err := c.SearchInto(context.Background(), nil, 5, 32, nil)
 	if err != nil {
 		t.Fatalf("search: %v", err)
 	}
@@ -351,7 +351,7 @@ func TestClientCancellationAbandonsGracefully(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	res, err := c.Search(ctx, nil, 5, 32)
+	res, err := c.SearchInto(ctx, nil, 5, 32, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -379,14 +379,14 @@ func TestNoGoroutineLeaksAcrossFaultMix(t *testing.T) {
 		crashShard("down"),
 		staticShard(lists[3]),
 	}
-	c, err := New(shards, Config{ShardTimeout: 10 * time.Millisecond})
+	c, err := New(shards, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := leakcheck.Baseline()
 	for i := 0; i < 50; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
-		_, _ = c.Search(ctx, nil, 5, 32)
+		_, _ = c.SearchInto(ctx, nil, 5, 32, nil)
 		cancel()
 	}
 	leakcheck.SettleT(t, base)

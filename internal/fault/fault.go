@@ -47,8 +47,6 @@ const (
 	RankCrash
 	// RankStuck makes a rank accept instructions but never complete them.
 	RankStuck
-
-	numKinds = int(RankStuck) + 1
 )
 
 var kindNames = [...]string{

@@ -283,34 +283,54 @@ func TestSystemLevelByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	clean := sim.NewModel(sys)
-	faulty := sim.NewModel(sys).InjectFaults(&fault.Schedule{Seed: 13, Rules: []fault.Rule{
-		{Kind: fault.CorruptPayload, Rank: -1, Op: -1, Prob: 0.1},
-		{Kind: fault.DropPoll, Rank: -1, Prob: 0.05},
-		{Kind: fault.RankCrash, Rank: 0, After: 2000},
-	}}, fault.ResilienceConfig{MaxRetries: 1, FailureThreshold: 4, ProbeAfter: 32})
-
+	inject := func(m *sim.Model) *sim.Model {
+		return m.InjectFaults(&fault.Schedule{Seed: 13, Rules: []fault.Rule{
+			{Kind: fault.CorruptPayload, Rank: -1, Op: -1, Prob: 0.1},
+			{Kind: fault.DropPoll, Rank: -1, Prob: 0.05},
+			// Rank 0 sees fewer than 200 health checks over the batch: the
+			// 40th falls mid-run.
+			{Kind: fault.RankCrash, Rank: 0, After: 40},
+		}}, fault.ResilienceConfig{MaxRetries: 1, FailureThreshold: 4, ProbeAfter: 32})
+	}
 	want := clean.RunHNSW(ds.Queries, 10, 50)
-	got := faulty.RunHNSW(ds.Queries, 10, 50)
-	for qi := range want.Results {
-		if len(got.Results[qi]) != len(want.Results[qi]) {
-			t.Fatalf("q%d: %d results, want %d", qi, len(got.Results[qi]), len(want.Results[qi]))
-		}
-		for j := range want.Results[qi] {
-			if got.Results[qi][j] != want.Results[qi][j] {
-				t.Fatalf("q%d result %d: %+v != %+v — degradation changed a result bit",
-					qi, j, got.Results[qi][j], want.Results[qi][j])
-			}
-		}
-	}
-	rs := got.Report.Resilience
-	if rs == nil {
-		t.Fatal("faulty run attached no resilience stats")
-	}
-	if rs.FaultInjections == 0 || rs.Fallbacks == 0 {
-		t.Fatalf("vacuous chaos run: %+v", rs)
-	}
 	if want.Report.Resilience != nil {
 		t.Fatal("clean run should not attach resilience stats")
 	}
-	t.Logf("system chaos: %+v", rs)
+	check := func(name string, got *sim.RunResult) {
+		t.Helper()
+		for qi := range want.Results {
+			if len(got.Results[qi]) != len(want.Results[qi]) {
+				t.Fatalf("%s q%d: %d results, want %d", name, qi, len(got.Results[qi]), len(want.Results[qi]))
+			}
+			for j := range want.Results[qi] {
+				if got.Results[qi][j] != want.Results[qi][j] {
+					t.Fatalf("%s q%d result %d: %+v != %+v — degradation changed a result bit",
+						name, qi, j, got.Results[qi][j], want.Results[qi][j])
+				}
+			}
+		}
+		rs := got.Report.Resilience
+		if rs == nil {
+			t.Fatalf("%s: faulty run attached no resilience stats", name)
+		}
+		if rs.FaultInjections == 0 || rs.Fallbacks == 0 || rs.BreakerTrips == 0 || rs.DegradedRanks == 0 {
+			t.Fatalf("%s: vacuous chaos run: %+v", name, rs)
+		}
+		t.Logf("%s system chaos: %+v", name, rs)
+	}
+	check("fixed", inject(sim.NewModel(sys)).RunHNSW(ds.Queries, 10, 50))
+
+	// Adaptive mixed precision degrades exactly like fixed depth: the
+	// resilient wrap drops the adaptive mode, so a RecallTarget 0.9 system
+	// under the same schedule is bitwise the clean fixed run.
+	cfg := core.DefaultSystemConfig(core.NDPET)
+	cfg.RecallTarget = 0.9
+	adaptive, err := core.NewSystem(ds.Rows(), p.Metric, ix, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adaptive.Precision == nil {
+		t.Fatal("RecallTarget 0.9 built no precision map — the adaptive arm would be vacuous")
+	}
+	check("adaptive", inject(sim.NewModel(adaptive)).RunHNSW(ds.Queries, 10, 50))
 }

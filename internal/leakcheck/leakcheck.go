@@ -1,23 +1,15 @@
-// Package leakcheck is the shared goroutine-leak settle check used by the
-// chaos soaks and the concurrency test suites: capture a baseline before
-// the noisy phase, then require the goroutine count to settle back to
-// (about) that baseline once the phase ends, polling with patience instead
-// of sampling once — goroutine teardown is asynchronous, so a single
-// instantaneous read flakes.
+// Package leakcheck is the goroutine-leak check of the concurrency tests:
+// capture a baseline before the noisy phase, then require the goroutine count
+// to settle back to (about) that baseline once the phase ends, polling with
+// patience instead of sampling once — goroutine teardown is asynchronous, so
+// a single instantaneous read flakes.
 package leakcheck
 
 import (
-	"fmt"
 	"runtime"
+	"testing"
 	"time"
 )
-
-// DefaultSlack is how many goroutines above baseline still count as
-// settled; runtime helpers (timer goroutines, finalizers) come and go.
-const DefaultSlack = 2
-
-// DefaultPatience bounds how long Settle polls before declaring a leak.
-const DefaultPatience = 3 * time.Second
 
 // Baseline samples the current goroutine count after giving in-flight
 // teardown a moment to finish, so the later settle target is not inflated
@@ -27,39 +19,17 @@ func Baseline() int {
 	return runtime.NumGoroutine()
 }
 
-// Settle polls until the goroutine count drops to base+DefaultSlack or
-// DefaultPatience elapses, returning a descriptive error on a leak.
-func Settle(base int) error {
-	return SettleWithin(base, DefaultSlack, DefaultPatience)
-}
-
-// SettleWithin is Settle with explicit slack and patience.
-func SettleWithin(base, slack int, patience time.Duration) error {
-	deadline := time.Now().Add(patience)
-	for {
-		if g := runtime.NumGoroutine(); g <= base+slack {
-			return nil
-		}
+// SettleT polls for up to 3 s until at most 2 goroutines above base are
+// alive — runtime helpers (timer goroutines, finalizers) come and go — and
+// fails t on a leak.
+func SettleT(t testing.TB, base int) {
+	t.Helper()
+	const slack = 2
+	deadline := time.Now().Add(3 * time.Second)
+	for runtime.NumGoroutine() > base+slack {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("goroutine leak: %d alive, baseline %d (slack %d)",
-				runtime.NumGoroutine(), base, slack)
+			t.Fatalf("goroutine leak: %d alive, baseline %d (slack %d)", runtime.NumGoroutine(), base, slack)
 		}
 		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// TB is the subset of testing.TB the test adapter needs, declared locally
-// so the package stays importable from non-test binaries (the chaos
-// soaks).
-type TB interface {
-	Helper()
-	Fatalf(format string, args ...any)
-}
-
-// SettleT is the test-suite adapter: fail the test on a leak.
-func SettleT(t TB, base int) {
-	t.Helper()
-	if err := Settle(base); err != nil {
-		t.Fatalf("%v", err)
 	}
 }

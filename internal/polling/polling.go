@@ -11,11 +11,9 @@ import "math"
 
 // Policy decides poll times for one offloaded batch.
 type Policy interface {
-	// Schedule returns the sequence generator of poll times for a batch
-	// offloaded at time t0 with the given per-task expected service model.
-	// next(i) returns the time of the i-th poll (i >= 0), strictly
-	// increasing.
-	Schedule(t0 float64, est BatchEstimate) func(i int) float64
+	// Plan returns the poll times of a batch offloaded at time t0 with the
+	// given per-task expected service model.
+	Plan(t0 float64, est BatchEstimate) Plan
 	// Name identifies the policy in reports.
 	Name() string
 }
@@ -31,10 +29,9 @@ type BatchEstimate struct {
 }
 
 // Plan is a poll-time sequence in value form: At(i) returns the time of
-// the i-th poll (i >= 0), strictly increasing. It computes exactly what the
-// corresponding Schedule closure computes — same operations, same rounding
-// — but as a plain value, so the simulator's replay loop can obtain a
-// schedule per (unit, hop) without a closure allocation.
+// the i-th poll (i >= 0), strictly increasing. A plain value, so the
+// simulator's replay loop can obtain a schedule per (unit, hop) without an
+// allocation.
 type Plan struct {
 	linear bool
 	t0, iv float64 // linear: poll i at t0 + (i+1)*iv
@@ -61,8 +58,9 @@ func (p Plan) At(i int) float64 {
 	return t
 }
 
-// RetrieveAt is RetrieveAt specialised to a Plan, avoiding the function
-// value at the call site.
+// RetrieveAt returns the first poll time that observes a result completed
+// at done, plus the number of polls issued up to and including it. Poll
+// costs (bus occupancy) are charged by the caller per poll.
 func (p Plan) RetrieveAt(done float64, maxPolls int) (at float64, polls int) {
 	for i := 0; i < maxPolls; i++ {
 		t := p.At(i)
@@ -71,13 +69,6 @@ func (p Plan) RetrieveAt(done float64, maxPolls int) (at float64, polls int) {
 		}
 	}
 	return p.At(maxPolls - 1), maxPolls
-}
-
-// Planner is implemented by policies whose schedule can be expressed as a
-// Plan value. Hot loops prefer it over Schedule to avoid allocating the
-// returned closure; both forms must produce identical poll times.
-type Planner interface {
-	Plan(t0 float64, est BatchEstimate) Plan
 }
 
 // Conventional polls every IntervalNs after the offload (the paper's
@@ -89,18 +80,13 @@ type Conventional struct {
 // Name implements Policy.
 func (c Conventional) Name() string { return "conventional" }
 
-// Plan implements Planner.
+// Plan implements Policy.
 func (c Conventional) Plan(t0 float64, _ BatchEstimate) Plan {
 	iv := c.IntervalNs
 	if iv <= 0 {
 		iv = 100
 	}
 	return Plan{linear: true, t0: t0, iv: iv}
-}
-
-// Schedule implements Policy.
-func (c Conventional) Schedule(t0 float64, est BatchEstimate) func(i int) float64 {
-	return c.Plan(t0, est).At
 }
 
 // Adaptive aims the first poll at the estimated batch completion time —
@@ -122,7 +108,7 @@ type Adaptive struct {
 // Name implements Policy.
 func (a Adaptive) Name() string { return "adaptive" }
 
-// Plan implements Planner. The first poll aims slightly below the
+// Plan implements Policy. The first poll aims slightly below the
 // estimated completion (estimates carry error in both directions; polling a
 // touch early costs one cheap retry, polling late costs real latency), then
 // retries at a fine, estimate-proportional pitch that doubles once past the
@@ -147,24 +133,6 @@ func (a Adaptive) Plan(t0 float64, est BatchEstimate) Plan {
 		fineUntil: t0 + expect*2,
 		maxRetry:  maxRetry,
 	}
-}
-
-// Schedule implements Policy.
-func (a Adaptive) Schedule(t0 float64, est BatchEstimate) func(i int) float64 {
-	return a.Plan(t0, est).At
-}
-
-// RetrieveAt returns the first poll time that observes a result completed
-// at done, plus the number of polls issued up to and including it. Poll
-// costs (bus occupancy) are charged by the caller per poll.
-func RetrieveAt(next func(i int) float64, done float64, maxPolls int) (at float64, polls int) {
-	for i := 0; i < maxPolls; i++ {
-		t := next(i)
-		if t >= done {
-			return t, i + 1
-		}
-	}
-	return next(maxPolls - 1), maxPolls
 }
 
 // TaskEstimator converts a fetched-lines distribution (from

@@ -6,44 +6,41 @@ import (
 )
 
 func TestConventionalSchedule(t *testing.T) {
-	p := Conventional{IntervalNs: 100}
-	next := p.Schedule(1000, BatchEstimate{})
-	if next(0) != 1100 || next(1) != 1200 || next(4) != 1500 {
-		t.Errorf("conventional polls at %v,%v,%v", next(0), next(1), next(4))
+	p := Conventional{IntervalNs: 100}.Plan(1000, BatchEstimate{})
+	if p.At(0) != 1100 || p.At(1) != 1200 || p.At(4) != 1500 {
+		t.Errorf("conventional polls at %v,%v,%v", p.At(0), p.At(1), p.At(4))
 	}
 	// Default interval.
-	next = Conventional{}.Schedule(0, BatchEstimate{})
-	if next(0) != 100 {
-		t.Errorf("default interval first poll at %v", next(0))
+	if at := (Conventional{}).Plan(0, BatchEstimate{}).At(0); at != 100 {
+		t.Errorf("default interval first poll at %v", at)
 	}
 }
 
 func TestAdaptiveSchedule(t *testing.T) {
-	p := Adaptive{RetryNs: 25, Safety: 1.0}
 	est := BatchEstimate{Tasks: 4, MeanTaskNs: 50, QueueAheadNs: 100}
-	next := p.Schedule(1000, est)
+	p := Adaptive{RetryNs: 25, Safety: 1.0}.Plan(1000, est)
 	// First poll at t0 + backlog + 4*50 = 1300.
-	if math.Abs(next(0)-1300) > 1e-9 {
-		t.Errorf("adaptive first poll at %v, want 1300", next(0))
+	if math.Abs(p.At(0)-1300) > 1e-9 {
+		t.Errorf("adaptive first poll at %v, want 1300", p.At(0))
 	}
-	if math.Abs(next(1)-1325) > 1e-9 {
-		t.Errorf("adaptive retry at %v, want 1325", next(1))
+	if math.Abs(p.At(1)-1325) > 1e-9 {
+		t.Errorf("adaptive retry at %v, want 1325", p.At(1))
 	}
 }
 
 func TestRetrieveAt(t *testing.T) {
-	next := Conventional{IntervalNs: 100}.Schedule(0, BatchEstimate{})
-	at, polls := RetrieveAt(next, 250, 100)
+	p := Conventional{IntervalNs: 100}.Plan(0, BatchEstimate{})
+	at, polls := p.RetrieveAt(250, 100)
 	if at != 300 || polls != 3 {
 		t.Errorf("retrieve at %v with %d polls, want 300/3", at, polls)
 	}
 	// Result ready before first poll.
-	at, polls = RetrieveAt(next, 10, 100)
+	at, polls = p.RetrieveAt(10, 100)
 	if at != 100 || polls != 1 {
 		t.Errorf("early result: %v/%d, want 100/1", at, polls)
 	}
 	// Exact boundary counts as observed.
-	at, polls = RetrieveAt(next, 200, 100)
+	at, polls = p.RetrieveAt(200, 100)
 	if at != 200 || polls != 2 {
 		t.Errorf("boundary: %v/%d, want 200/2", at, polls)
 	}
@@ -54,11 +51,9 @@ func TestAdaptiveBeatsConventionalOnDelay(t *testing.T) {
 	// 10 times and retrieves at 1000; a well-estimated adaptive policy
 	// polls once or twice and retrieves sooner (on average).
 	done := 950.0
-	conv := Conventional{IntervalNs: 100}.Schedule(0, BatchEstimate{})
-	cAt, cPolls := RetrieveAt(conv, done, 1000)
+	cAt, cPolls := Conventional{IntervalNs: 100}.Plan(0, BatchEstimate{}).RetrieveAt(done, 1000)
 	est := BatchEstimate{Tasks: 3, MeanTaskNs: 300, QueueAheadNs: 50}
-	ad := Adaptive{RetryNs: 25, Safety: 0.95}.Schedule(0, est)
-	aAt, aPolls := RetrieveAt(ad, done, 1000)
+	aAt, aPolls := Adaptive{RetryNs: 25, Safety: 0.95}.Plan(0, est).RetrieveAt(done, 1000)
 	if aPolls >= cPolls {
 		t.Errorf("adaptive used %d polls vs conventional %d", aPolls, cPolls)
 	}
@@ -94,15 +89,15 @@ func TestAdaptiveBackoffLadder(t *testing.T) {
 	// Past the expected window the retry pitch doubles up to the cap, so a
 	// badly underestimated batch costs O(log) polls, not O(n).
 	est := BatchEstimate{Tasks: 1, MeanTaskNs: 100}
-	next := Adaptive{RetryNs: 10, MaxRetryNs: 80, Safety: 1.0}.Schedule(0, est)
-	_, polls := RetrieveAt(next, 2000, 1000)
+	p := Adaptive{RetryNs: 10, MaxRetryNs: 80, Safety: 1.0}.Plan(0, est)
+	_, polls := p.RetrieveAt(2000, 1000)
 	if polls > 40 {
 		t.Errorf("backoff ladder used %d polls to cover 20x underestimate", polls)
 	}
 	// Strictly increasing times.
-	prev := next(0)
+	prev := p.At(0)
 	for i := 1; i < 20; i++ {
-		cur := next(i)
+		cur := p.At(i)
 		if cur <= prev {
 			t.Fatalf("poll times not increasing at %d: %v <= %v", i, cur, prev)
 		}
@@ -111,9 +106,9 @@ func TestAdaptiveBackoffLadder(t *testing.T) {
 }
 
 func TestRetrieveAtExhaustsMaxPolls(t *testing.T) {
-	next := Conventional{IntervalNs: 10}.Schedule(0, BatchEstimate{})
-	at, polls := RetrieveAt(next, 1e12, 5)
-	if polls != 5 || at != next(4) {
+	p := Conventional{IntervalNs: 10}.Plan(0, BatchEstimate{})
+	at, polls := p.RetrieveAt(1e12, 5)
+	if polls != 5 || at != p.At(4) {
 		t.Errorf("maxPolls clamp broken: %v/%d", at, polls)
 	}
 }

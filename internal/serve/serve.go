@@ -107,11 +107,6 @@ type Config struct {
 	// whole, inside its admission slot, into a buffer that never grows past
 	// this, and one byte more is a 413 whatever the bytes before it hold.
 	MaxBodyBytes int64
-
-	// AllowPanicProbe enables the {"panic":true} chaos probe on
-	// /v1/search, which panics inside the handler to exercise the
-	// panic-to-500 containment. Never enable in production.
-	AllowPanicProbe bool
 }
 
 const (
@@ -198,9 +193,6 @@ type SearchRequest struct {
 	// budget, where 1 is exact. Requires Config.SearchPrecision. 0 (absent)
 	// uses the server's default.
 	RecallTarget float64 `json:"recall_target,omitempty"`
-	// Panic triggers the chaos panic probe (only honored when
-	// Config.AllowPanicProbe is set).
-	Panic bool `json:"panic,omitempty"`
 }
 
 // SearchResult is one neighbor in the response.
@@ -364,9 +356,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	defer putBuf(buf)
 
-	if req.Panic && s.cfg.AllowPanicProbe {
-		panic("injected panic probe")
-	}
 	k := req.K
 	if k == 0 {
 		k = defaultK

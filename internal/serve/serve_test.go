@@ -9,6 +9,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,6 +19,7 @@ import (
 
 	"ansmet/internal/engine"
 	"ansmet/internal/hnsw"
+	"ansmet/internal/leakcheck"
 )
 
 // okSearch returns k fake neighbors immediately.
@@ -207,42 +210,25 @@ func TestSearchOverloadSheds(t *testing.T) {
 	waitFor(t, func() bool { return s.Admission().Stats().Running == 0 })
 }
 
+// TestPanicContained: a panic inside the search hook is a 500, counted, and
+// leaks neither the in-flight gauge nor the admission slot; the server keeps
+// serving.
 func TestPanicContained(t *testing.T) {
-	s := newTestServer(t, Config{AllowPanicProbe: true})
-	w := postSearch(s, `{"query":[1],"panic":true}`)
-	if w.Code != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500", w.Code)
-	}
-	if s.Metrics().Panics.Load() != 1 {
-		t.Fatal("Panics counter not incremented")
-	}
-	// The server still works afterwards.
-	if w := postSearch(s, `{"query":[1]}`); w.Code != http.StatusOK {
-		t.Fatalf("post-panic status = %d, want 200", w.Code)
-	}
-	// Probe disabled: the field is ignored.
-	s2 := newTestServer(t, Config{})
-	if w := postSearch(s2, `{"query":[1],"panic":true}`); w.Code != http.StatusOK {
-		t.Fatalf("probe honored despite AllowPanicProbe=false: %d", w.Code)
-	}
-
-	// A panic inside the search hook is contained the same way and leaks
-	// neither the in-flight gauge nor the admission slot.
 	explode := true
-	s3 := newTestServer(t, Config{Search: func(ctx context.Context, q []float32, k, ef int) ([]hnsw.Neighbor, error) {
+	s := newTestServer(t, Config{Search: func(ctx context.Context, q []float32, k, ef int) ([]hnsw.Neighbor, error) {
 		if explode {
 			panic("hook exploded")
 		}
 		return okSearch(ctx, q, k, ef)
 	}})
-	if w := postSearch(s3, `{"query":[1]}`); w.Code != http.StatusInternalServerError {
+	if w := postSearch(s, `{"query":[1]}`); w.Code != http.StatusInternalServerError {
 		t.Fatalf("hook panic: status = %d, want 500", w.Code)
 	}
-	if p, in, run := s3.Metrics().Panics.Load(), s3.Metrics().InFlight.Load(), s3.Admission().Stats().Running; p != 1 || in != 0 || run != 0 {
+	if p, in, run := s.Metrics().Panics.Load(), s.Metrics().InFlight.Load(), s.Admission().Stats().Running; p != 1 || in != 0 || run != 0 {
 		t.Fatalf("after a hook panic: panics=%d in_flight=%d admission running=%d, want 1, 0, 0", p, in, run)
 	}
 	explode = false
-	if w := postSearch(s3, `{"query":[1]}`); w.Code != http.StatusOK {
+	if w := postSearch(s, `{"query":[1]}`); w.Code != http.StatusOK {
 		t.Fatalf("post-hook-panic status = %d, want 200", w.Code)
 	}
 }
@@ -271,6 +257,63 @@ func TestDrainLifecycle(t *testing.T) {
 	if w := postSearch(s, `{"query":[1]}`); w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("search during drain = %d, want 503", w.Code)
 	}
+
+	// Over a real listener: once served, abandoned mid-search by clients,
+	// drained and shut down, the server, its connections and the client
+	// leave no goroutine behind. A query starting with 0 searches until its
+	// context ends.
+	base := leakcheck.Baseline()
+	s = newTestServer(t, Config{Search: func(ctx context.Context, q []float32, k, ef int) ([]hnsw.Neighbor, error) {
+		if q[0] == 0 {
+			return blockingSearch(ctx, q, k, ef)
+		}
+		return okSearch(ctx, q, k, ef)
+	}})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &http.Server{Handler: s.Handler()}
+	go hs.Serve(ln)
+	url, client := "http://"+ln.Addr().String(), &http.Client{}
+	send := func(ctx context.Context, method, path, body string) (int, error) {
+		req, err := http.NewRequestWithContext(ctx, method, url+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			return 0, err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, nil
+	}
+	ctx := context.Background()
+	for i := 0; i < 8; i++ {
+		if c, err := send(ctx, "POST", "/v1/search", `{"query":[1]}`); c != http.StatusOK {
+			t.Fatalf("search over the listener = %d (%v), want 200", c, err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		gone, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+		if _, err := send(gone, "POST", "/v1/search", `{"query":[0]}`); err == nil {
+			t.Fatal("a search that ends only with its client answered")
+		}
+		cancel()
+	}
+	waitFor(t, func() bool { return s.Metrics().ClientCancels.Load() == 4 })
+	s.Drain()
+	if c, err := send(ctx, "GET", "/v1/ready", ""); c != http.StatusServiceUnavailable {
+		t.Fatalf("ready over the listener = %d (%v) during drain, want 503", c, err)
+	}
+	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if err := hs.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown overran its deadline: %v", err)
+	}
+	client.CloseIdleConnections()
+	leakcheck.SettleT(t, base)
 }
 
 func TestHardCancelAbortsInFlight(t *testing.T) {

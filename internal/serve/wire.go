@@ -156,8 +156,6 @@ func decodeSearch(b []byte, req *SearchRequest) bool {
 			out.Mode = string(m)
 		case "recall_target":
 			out.RecallTarget, ok = c.float64()
-		case "panic":
-			out.Panic, ok = c.bool()
 		}
 		return ok
 	})
@@ -195,7 +193,7 @@ func decodeUpsert(b []byte, req *UpsertRequest) bool {
 // The JSON tags of SearchRequest and UpsertRequest: all a canonical body may
 // use as keys. A tag missing here only sends its bodies to encoding/json.
 var (
-	searchKeys = []string{"query", "k", "ef", "timeout_ms", "mode", "recall_target", "panic"}
+	searchKeys = []string{"query", "k", "ef", "timeout_ms", "mode", "recall_target"}
 	upsertKeys = []string{"id", "vector", "timeout_ms"}
 )
 
@@ -286,16 +284,6 @@ func (c *cursor) str() ([]byte, bool) {
 		}
 	}
 	return nil, false
-}
-
-func (c *cursor) bool() (v, ok bool) {
-	for _, lit := range [...]string{"false", "true"} {
-		if rest := c.b[c.i:]; len(rest) >= len(lit) && string(rest[:len(lit)]) == lit {
-			c.i += len(lit)
-			return lit == "true", true
-		}
-	}
-	return false, false
 }
 
 // uint recognises 0|[1-9][0-9]* of at most 18 digits (below 2^63). A

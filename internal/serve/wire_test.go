@@ -81,8 +81,6 @@ var wireTable = []struct {
 		`{"results":[{"id":3200,"dist":0.10000000149011612},{"id":3201,"dist":16777216},{"id":3202,"dist":3.4028234663852886e+38},{"id":3203,"dist":0}]}` + "\n", false},
 	{"/v1/search", `{"query":[1,2,3],"k":2,"recall_target":0.9}`, 200, "tiered",
 		`{"results":[{"id":3200,"dist":0.9},{"id":3201,"dist":2}]}` + "\n", false},
-	{"/v1/search", `{"query":[1],"k":1,"timeout_ms":50,"panic":false}`, 200, "host",
-		`{"results":[{"id":3200,"dist":1}]}` + "\n", false},
 	{"/v1/search", `{"query":[1e-7,1E21,-1e-9,123456.789e3],"k":4}`, 200, "host",
 		`{"results":[{"id":3200,"dist":1.0000000116860974e-7},{"id":3201,"dist":1.0000000200408773e+21},{"id":3202,"dist":-9.999999717180685e-10},{"id":3203,"dist":123456792}]}` + "\n", false},
 	// canonical, refused by the handler
@@ -109,6 +107,13 @@ var wireTable = []struct {
 		`{"results":[{"id":3200,"dist":1},{"id":3201,"dist":2}]}` + "\n", true},
 	{"/v1/search", `{"query":[1,null],"k":2}`, 200, "host",
 		`{"results":[{"id":3200,"dist":1},{"id":3201,"dist":0}]}` + "\n", true},
+	// "panic" is no longer a SearchRequest key: these two bodies were
+	// canonical (200) and a type error (400) while it was one; now
+	// encoding/json ignores the key.
+	{"/v1/search", `{"query":[1],"k":1,"timeout_ms":50,"panic":false}`, 200, "host",
+		`{"results":[{"id":3200,"dist":1}]}` + "\n", true},
+	{"/v1/search", `{"query":[1],"panic":"yes"}`, 200, "host",
+		`{"results":[{"id":3200,"dist":1},{"id":3201,"dist":1},{"id":3202,"dist":1},{"id":3203,"dist":1},{"id":3204,"dist":1},{"id":3205,"dist":1},{"id":3206,"dist":1},{"id":3207,"dist":1},{"id":3208,"dist":1},{"id":3209,"dist":1}]}` + "\n", true},
 	{"/v1/search", `{"query":null,"k":2}`, 400, "",
 		`{"results":null,"error":"invalid query shape (len=0 k=2 ef=32; limits k\u003c=1024 ef\u003c=8192)"}` + "\n", true},
 	{"/v1/search", `{"query":[1],"k":1,"ef":9223372036854775807}`, 400, "",
@@ -134,8 +139,6 @@ var wireTable = []struct {
 		`{"results":null,"error":"malformed JSON: json: cannot unmarshal number 12345678901234567890 into Go struct field SearchRequest.k of type int"}` + "\n", true},
 	{"/v1/search", `{"query":[1],"mode":7}`, 400, "",
 		`{"results":null,"error":"malformed JSON: json: cannot unmarshal number into Go struct field SearchRequest.mode of type string"}` + "\n", true},
-	{"/v1/search", `{"query":[1],"panic":"yes"}`, 400, "",
-		`{"results":null,"error":"malformed JSON: json: cannot unmarshal string into Go struct field SearchRequest.panic of type bool"}` + "\n", true},
 	{"/v1/search", `[1,2,3]`, 400, "",
 		`{"results":null,"error":"malformed JSON: json: cannot unmarshal array into Go value of type serve.SearchRequest"}` + "\n", true},
 	{"/v1/search", "\x00\x01garbage", 400, "",
@@ -375,7 +378,7 @@ func bitsOf(v []float32) string {
 
 func FuzzDecodeMatchesJSON(f *testing.F) {
 	seeds := []string{
-		// serve_test.go, mutate_test.go and ansmet-chaos's hostile list
+		// serve_test.go, mutate_test.go and a former soak's hostile list
 		`{"query":[1,2,3],"k":4}`, "", "{", `{"query":"nope"}`, "\x00\x01garbage",
 		`{"query":[]}`, `{"query":[1],"k":-3}`, `{"query":[1],"k":100}`,
 		`{"query":[1],"k":4,"ef":2}`, `{"query":[1],"k":4,"ef":1000}`, `{"query":[1,2]}`,
@@ -438,7 +441,7 @@ func FuzzDecodeMatchesJSON(f *testing.F) {
 			}
 			byJSON(&want)
 			if bitsOf(got.Query) != bitsOf(want.Query) || got.K != want.K || got.Ef != want.Ef ||
-				got.TimeoutMs != want.TimeoutMs || got.Mode != want.Mode || got.Panic != want.Panic ||
+				got.TimeoutMs != want.TimeoutMs || got.Mode != want.Mode ||
 				math.Float64bits(got.RecallTarget) != math.Float64bits(want.RecallTarget) {
 				t.Fatalf("body %q:\nrecogniser    %+v %s\nencoding/json %+v %s", body, got, bitsOf(got.Query), want, bitsOf(want.Query))
 			}

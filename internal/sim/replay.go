@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"ansmet/internal/dram"
-	"ansmet/internal/polling"
 	"ansmet/internal/trace"
 )
 
@@ -217,10 +216,6 @@ type state struct {
 	mem *dram.Memory
 	rep *Report
 
-	// planner is cfg.Poll's allocation-free form, when it offers one
-	// (resolved once per replay; nil falls back to the Schedule closure).
-	planner polling.Planner
-
 	// Core frontier: coreFree[i] is core i's busy-until time, organised as
 	// an indexed min-heap keyed (coreFree[i], i) so acquisition is O(1) and
 	// release O(log cores). The (time, index) order matches the original
@@ -297,7 +292,6 @@ func resizeInt(s []int, n int) []int {
 // reset prepares a (possibly recycled) state for one replay under cfg.
 func (s *state) reset(cfg Config) {
 	s.cfg = cfg
-	s.planner, _ = cfg.Poll.(polling.Planner)
 	if s.mem != nil && s.mem.Config() == cfg.Mem {
 		s.mem.Reset()
 	} else {
@@ -657,17 +651,8 @@ func (s *state) runNDPDispatch(t float64, hop trace.Hop, chInstalled []uint64) f
 		est := s.cfg.Est.Estimate(s.unitTasks[u],
 			s.perLineNs()/float64(numSegs),
 			cfg.NDP.TaskFixedNs+cfg.NDP.ComputePerLineNs, s.backlog[u]+firstAccess)
-		var at float64
-		var polls int
-		var plan polling.Plan
-		var next func(int) float64
-		if s.planner != nil {
-			plan = s.planner.Plan(offloadEnd, est)
-			at, polls = plan.RetrieveAt(s.unitDone[u], 1<<20)
-		} else {
-			next = cfg.Poll.Schedule(offloadEnd, est)
-			at, polls = polling.RetrieveAt(next, s.unitDone[u], 1<<20)
-		}
+		plan := cfg.Poll.Plan(offloadEnd, est)
+		at, polls := plan.RetrieveAt(s.unitDone[u], 1<<20)
 		s.rep.PollCount += uint64(polls)
 		last := at
 		// Charge bus occupancy for the polls nearest completion (a
@@ -678,13 +663,7 @@ func (s *state) runNDPDispatch(t float64, hop trace.Hop, chInstalled []uint64) f
 			charge = 128
 		}
 		for i := polls - charge; i < polls; i++ {
-			pt := 0.0
-			if s.planner != nil {
-				pt = plan.At(i)
-			} else {
-				pt = next(i)
-			}
-			done := s.mem.PollTransfer(pt, s.chOf(u))
+			done := s.mem.PollTransfer(plan.At(i), s.chOf(u))
 			if done > last {
 				last = done
 			}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"ansmet/internal/dram"
-	"ansmet/internal/polling"
 	"ansmet/internal/trace"
 )
 
@@ -330,8 +329,8 @@ func (s *refState) runNDPDispatch(t float64, hop trace.Hop, hasQuery map[int]boo
 		est := s.cfg.Est.Estimate(unitTasks[u],
 			s.cfg.Mem.Timing.TBL/float64(part.NumSegments()),
 			cfg.NDP.TaskFixedNs+cfg.NDP.ComputePerLineNs, backlog[u]+firstAccess)
-		next := cfg.Poll.Schedule(offloadEnd, est)
-		at, polls := polling.RetrieveAt(next, unitDone[u], 1<<20)
+		plan := cfg.Poll.Plan(offloadEnd, est)
+		at, polls := plan.RetrieveAt(unitDone[u], 1<<20)
 		s.rep.PollCount += uint64(polls)
 		last := at
 		charge := polls
@@ -339,7 +338,7 @@ func (s *refState) runNDPDispatch(t float64, hop trace.Hop, hasQuery map[int]boo
 			charge = 128
 		}
 		for i := polls - charge; i < polls; i++ {
-			done := s.mem.PollTransfer(next(i), s.chOf(u))
+			done := s.mem.PollTransfer(plan.At(i), s.chOf(u))
 			if done > last {
 				last = done
 			}

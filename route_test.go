@@ -3,11 +3,16 @@ package ansmet_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ansmet"
 	"ansmet/internal/dataset"
+	"ansmet/internal/leakcheck"
 )
 
 // TestTieredSteadyStateAllocs gates the tiered pipeline's zero-allocation
@@ -51,7 +56,9 @@ func routed(ctx context.Context, db *ansmet.Database, q []float32, k, ef int, ro
 // the exact scan — on a healthy, idle database (the slack and load legs of
 // the policy are pinned on the router itself, internal/engine); a stated
 // Budget decides without the router; with an already-expired context it
-// rejects up front like every Ctx entry point.
+// rejects up front like every Ctx entry point; a deadline of the exact
+// scan's own cost estimate sends it to the host beam; and under concurrent
+// mixed deadlines every completed answer is its route's, bit for bit.
 func TestSearchRoutedAuto(t *testing.T) {
 	db := benchDB()
 	ds := benchData()
@@ -81,6 +88,97 @@ func TestSearchRoutedAuto(t *testing.T) {
 	if !errors.As(err, &ce) || ce.Partial {
 		t.Fatalf("expired context: err=%v", err)
 	}
+
+	want := map[ansmet.Route][][]ansmet.Neighbor{}
+	for _, route := range []ansmet.Route{ansmet.RouteExact, ansmet.RouteHost} {
+		for _, q := range ds.Queries {
+			nn, _, err := routed(context.Background(), db, q, 10, 64, route)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[route] = append(want[route], nn)
+		}
+	}
+	// answer reports an answer of auto's that is not its route's reference.
+	answer := func(qi int, res ansmet.Result) error {
+		if ref := want[res.Route]; ref == nil || !slices.Equal(res.Neighbors, ref[qi]) {
+			return fmt.Errorf("query %d on %v: %v, not that route's answer", qi, res.Route, res.Neighbors)
+		}
+		return nil
+	}
+
+	// A deadline of the exact scan's own cost estimate leaves less slack than
+	// the router asks for. A query whose deadline passed before Do looked at
+	// it is refused unrouted (RouteAuto): a descheduled goroutine, not a
+	// routing decision.
+	est := time.Duration(db.RouterStats().CostNs[ansmet.RouteExact.String()])
+	if est == 0 {
+		t.Fatalf("no exact cost estimate after exact queries: %+v", db.RouterStats())
+	}
+	onHost := 0
+	for qi, q := range ds.Queries {
+		ctx, cancel := context.WithTimeout(context.Background(), est)
+		res, err := db.Do(ctx, &ansmet.Query{Vector: q, K: 10, Ef: 64})
+		cancel()
+		switch {
+		case err != nil && !errors.As(err, &ce):
+			t.Fatalf("query %d under a %v deadline: %v", qi, est, err)
+		case err != nil && res.Route == ansmet.RouteAuto:
+			continue
+		case res.Route != ansmet.RouteHost:
+			t.Fatalf("query %d under a %v deadline: route=%v err=%v, want host", qi, est, res.Route, err)
+		case err == nil:
+			if err := answer(qi, res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		onHost++
+	}
+	if onHost == 0 {
+		t.Fatalf("every query under a %v deadline expired before routing", est)
+	}
+
+	// Concurrent queries under mixed deadlines: the route may move, a result
+	// bit may not, a deadline surfaces only as a CancelError, and no
+	// goroutine outlives the queries.
+	base := leakcheck.Baseline()
+	deadlines := []time.Duration{-time.Millisecond, 50 * time.Microsecond, time.Millisecond, 0}
+	var completed, cancelled atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				qi := (w*40 + i) % len(ds.Queries)
+				ctx, cancel := context.Background(), context.CancelFunc(func() {})
+				if d := deadlines[(w+i)%len(deadlines)]; d != 0 {
+					ctx, cancel = context.WithTimeout(ctx, d)
+				}
+				res, err := db.Do(ctx, &ansmet.Query{Vector: ds.Queries[qi], K: 10, Ef: 64})
+				cancel()
+				var ce *ansmet.CancelError
+				switch {
+				case errors.As(err, &ce):
+					cancelled.Add(1)
+				case err != nil:
+					t.Errorf("query %d: non-cancel error %v", qi, err)
+					return
+				default:
+					if err := answer(qi, res); err != nil {
+						t.Error(err)
+						return
+					}
+					completed.Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if completed.Load() == 0 || cancelled.Load() == 0 {
+		t.Fatalf("%d completed, %d cancelled: a vacuous run", completed.Load(), cancelled.Load())
+	}
+	leakcheck.SettleT(t, base)
 }
 
 // TestTieredBudgetKnob: a Query.Budget below 1 still returns k results
