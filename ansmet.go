@@ -110,24 +110,11 @@ const (
 	Float32  = vecmath.Float32
 )
 
-// Design selects the evaluated hardware/software design point (§6).
+// Design is a design point of the paper's evaluation (§6). A database's NDP
+// model is always the full design, NDP-ETOpt; a model at another design is
+// built over the database's rows and graph with core.NewSystem. The name
+// stays for LoadFile's parameter.
 type Design = core.Design
-
-// Evaluated designs, CPU-Base through full ANSMET.
-const (
-	CPUBase   = core.CPUBase
-	CPUET     = core.CPUET
-	CPUETOpt  = core.CPUETOpt
-	NDPBase   = core.NDPBase
-	NDPDimET  = core.NDPDimET
-	NDPBitET  = core.NDPBitET
-	NDPET     = core.NDPET
-	NDPETDual = core.NDPETDual
-	NDPETOpt  = core.NDPETOpt
-)
-
-// AllDesigns lists every design in the paper's order.
-var AllDesigns = core.AllDesigns
 
 // Neighbor is one search result.
 type Neighbor = hnsw.Neighbor
@@ -142,12 +129,6 @@ type Options struct {
 	// Elem is the stored element type (default Float32). Vector values are
 	// quantized to this type during ingestion.
 	Elem ElemType
-	// Design selects the simulated platform; nil means NDPETOpt, the full
-	// ANSMET design (use UseDesign to pick another). Functional search
-	// results are identical across designs; the design changes the NDP
-	// model's data layout, traffic and timing (built on demand: see System).
-	Design *Design
-
 	// M, MaxDegree, EfConstruction configure HNSW construction; zero
 	// values take the paper's defaults (16/16/500). Lower EfConstruction
 	// substantially for large interactive builds.
@@ -158,9 +139,9 @@ type Options struct {
 
 	// Mutable switches the database into live-mutable mode: Add, Delete
 	// and Update become legal under concurrent search traffic, optionally
-	// journaled through a write-ahead log (AttachWAL / LoadFile). Any design
-	// can be mutable (the row slab is the ingester). See DESIGN.md, "Mutable
-	// index and durability semantics".
+	// journaled through a write-ahead log (AttachWAL / LoadFile). The row
+	// slab is the ingester, and the NDP model follows it once built. See
+	// DESIGN.md, "Mutable index and durability semantics".
 	Mutable bool
 
 	// RepairEvery is the pending-delete batch size that triggers the
@@ -170,9 +151,6 @@ type Options struct {
 	// time — so crash recovery replays to an identical graph.
 	RepairEvery int
 }
-
-// UseDesign selects a specific design point in Options.
-func UseDesign(d Design) *Design { return &d }
 
 func (o *Options) fill() {
 	if o.M == 0 {
@@ -186,9 +164,6 @@ func (o *Options) fill() {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Design == nil {
-		o.Design = UseDesign(NDPETOpt)
 	}
 }
 
@@ -259,8 +234,8 @@ func (db *Database) getScratch() *searchScratch {
 }
 
 // ndpEngine returns the scratch's engine over the NDP model (an ETEngine
-// with its Bounder tables on an ET design, the one the tiered route runs
-// on), built on first use: the host beam and the exact scan never touch it.
+// with its Bounder tables, the one the tiered route runs on), built on first
+// use: the host beam and the exact scan never touch it.
 func (db *Database) ndpEngine(s *searchScratch) engine.Engine {
 	if s.eng == nil {
 		s.eng = db.system().NewWorkerEngine()
@@ -290,9 +265,9 @@ func quantizeInto(dst, v []float32, elem ElemType) []float32 {
 }
 
 // New ingests the vectors (quantizing them to the element type) and builds
-// the HNSW index. The design's offline preprocessing (sampling, layout
-// optimization, prefix elimination, layout transformation, partitioning: the
-// NDP model) waits for a route that needs it (see System).
+// the HNSW index. The NDP model (the offline preprocessing: sampling, layout
+// optimization, prefix elimination, layout transformation, partitioning)
+// waits for a route that needs it (see System).
 func New(vectors [][]float32, opts Options) (*Database, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("ansmet: empty dataset")
@@ -329,12 +304,12 @@ func New(vectors [][]float32, opts Options) (*Database, error) {
 // newDatabase wires a database around the rows and the graph New built or
 // Load restored: model configuration, router, mutation.
 //
-// The model's configuration is the design's defaults with the database's
+// The model's configuration is NDP-ETOpt's defaults with the database's
 // seed, and it is set here and nowhere else. Buildable checks what the
-// configuration can violate, so the lazy build in system() cannot fail on
-// an input New or Load accepted.
+// configuration can violate (its sampler needs two vectors), so the lazy
+// build in system() cannot fail on an input New or Load accepted.
 func newDatabase(opts Options, rs *rows.Slab, ix *hnsw.Index) (*Database, error) {
-	cfg := core.DefaultSystemConfig(*opts.Design)
+	cfg := core.DefaultSystemConfig(core.NDPETOpt)
 	cfg.Seed = opts.Seed
 	if err := cfg.Design.Buildable(rs.Len()); err != nil {
 		return nil, err
@@ -350,7 +325,7 @@ func newDatabase(opts Options, rs *rows.Slab, ix *hnsw.Index) (*Database, error)
 	return db, nil
 }
 
-// system returns the NDP model — what the design's offline pass derives:
+// system returns the NDP model — what NDP-ETOpt's offline pass derives:
 // bit-plane store and partition map — building it on the first call;
 // afterwards one atomic load. Its callers are the ndp beam, the tiered route
 // and System: no default route, no mutation, no New/Load.
@@ -408,24 +383,20 @@ func (db *Database) Vector(id uint32) ([]float32, bool) {
 }
 
 // System exposes the NDP model's functional view (layout parameters,
-// partition map, worker engines), building it on the first call — as a query
-// on RouteNDP or RouteTiered does. The simulator's timing replay runs over it
-// (internal/sim: sim.NewModel(db.System()).Run).
+// partition map, worker engines) at NDP-ETOpt, building it on the first call
+// — as a query on RouteNDP or RouteTiered does. The simulator's timing replay
+// runs over it (internal/sim: sim.NewModel(db.System()).Run). A model at
+// another design point is built over its Rows() and Index:
+//
+//	base := db.System()
+//	cfg := core.DefaultSystemConfig(core.CPUBase)
+//	sys, err := core.NewSystem(base.Rows(), base.Metric, base.Index, cfg)
 func (db *Database) System() *core.System { return db.system() }
 
-// Stats summarizes the database and, once one is built, its NDP model.
+// Stats summarizes the database: its population and its live-mutation state.
 type Stats struct {
 	Vectors int
 	Dim     int
-	Design  Design
-
-	// The model's offline preprocessing; zero until something builds the
-	// model (see System) — LinesPerVector == 0 means "not built".
-	PrefixBits        int
-	Outliers          int
-	LinesPerVector    int
-	SpaceSavedPercent float64
-	PreprocessSeconds float64
 
 	// Live-mutation state (zero unless Options.Mutable): lifetime mutation
 	// totals, the current tombstone count, the pending deferred-repair
@@ -441,12 +412,11 @@ type Stats struct {
 	WALReplayed   uint64
 }
 
-// Stats reports the population, the mutation and journal counters and, from
-// the NDP model when one has been built, the preprocessing facts. It never
-// builds the model (LinesPerVector == 0: not built): a scrape costs no
-// preprocessing.
+// Stats reports the population and the mutation and journal counters. It
+// never reads the NDP model (System holds its preprocessing facts), so a
+// scrape costs no preprocessing.
 func (db *Database) Stats() Stats {
-	s := Stats{Vectors: db.Len(), Dim: db.rows.Dim(), Design: db.cfg.Design}
+	s := Stats{Vectors: db.Len(), Dim: db.rows.Dim()}
 	if db.Mutable() {
 		s.Mutable = true
 		s.Adds = db.muts.writes[recAdd].Load()
@@ -461,17 +431,6 @@ func (db *Database) Stats() Stats {
 		}
 		s.WALReplayed = db.walReplayed
 		db.mu.Unlock()
-	}
-	sys := db.model.Load()
-	if sys == nil {
-		return s
-	}
-	s.PreprocessSeconds = sys.PreprocessSeconds
-	s.LinesPerVector = sys.Part.LinesPerVector()
-	if st := sys.Store; st != nil {
-		s.PrefixBits = st.Prefix.PrefixLen
-		s.Outliers = st.NumOutliers()
-		s.SpaceSavedPercent = st.SpaceSavedFraction() * 100
 	}
 	return s
 }

@@ -53,18 +53,13 @@ func TestDatabaseBasics(t *testing.T) {
 	if recall := sum / float64(len(gt)); recall < 0.8 {
 		t.Errorf("recall %v < 0.8", recall)
 	}
-	// The searches above ran on the host beam and built no NDP model; Stats
-	// reports the model's facts once something has (here System).
-	if st := db.Stats(); st.Vectors != 600 || st.LinesPerVector != 0 || st.PrefixBits != 0 {
-		t.Errorf("stats before the model is built = %+v", st)
-	}
-	db.System()
-	st := db.Stats()
-	if st.Vectors != 600 || st.Dim != 96 || st.Design != ansmet.NDPETOpt {
+	if st := db.Stats(); st.Vectors != 600 || st.Dim != 96 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.PrefixBits == 0 || st.SpaceSavedPercent <= 0 {
-		t.Errorf("expected prefix elimination on DEEP-like data: %+v", st)
+	// The searches above ran on the host beam; the NDP model, built on
+	// System's first call, holds the preprocessing facts.
+	if st := db.System().Store; st.Prefix.PrefixLen == 0 || st.SpaceSavedFraction() <= 0 {
+		t.Errorf("expected prefix elimination on DEEP-like data: prefix %d bits, saves %v", st.Prefix.PrefixLen, st.SpaceSavedFraction())
 	}
 }
 

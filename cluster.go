@@ -136,9 +136,10 @@ func NewCluster(vectors [][]float32, opts ClusterOptions) (*Cluster, error) {
 		groups[s] = append(groups[s], vectors[i])
 		ids[s] = append(ids[s], uint32(i))
 	}
-	// Fold shards too small for a Database into the largest shard (a design
-	// that samples refuses fewer than minShardVectors: core.Design.Buildable)
-	// — these only appear when a tiny dataset is cut many ways.
+	// Fold shards too small for a Database into the largest shard (the ndp
+	// route's NDP-ETOpt sampler needs minShardVectors to take a distance:
+	// core.Design.Buildable) — these only appear when a tiny dataset is cut
+	// many ways.
 	big := -1
 	for s := range groups {
 		if len(groups[s]) >= minShardVectors && (big == -1 || len(groups[s]) > len(groups[big])) {

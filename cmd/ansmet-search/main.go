@@ -1,6 +1,7 @@
 // Command ansmet-search builds an ANSMET database over a synthetic dataset
-// profile, runs a query batch through the selected design, and prints the
-// search results alongside recall and simulated-platform statistics.
+// profile, builds the NDP model of the selected design over its rows and
+// graph, runs a query batch through it, and prints the search results
+// alongside recall and simulated-platform statistics.
 //
 // Usage:
 //
@@ -14,6 +15,7 @@ import (
 	"os"
 
 	"ansmet"
+	"ansmet/internal/core"
 	"ansmet/internal/dataset"
 	"ansmet/internal/sim"
 )
@@ -28,22 +30,11 @@ func main() {
 	designName := flag.String("design", "NDP-ETOpt", "design point (see Fig. 6 names)")
 	seed := flag.Uint64("seed", 42, "generator seed")
 	flag.Parse()
-	p, err := checkFlags(*profile, *nq, *k)
+	p, design, err := checkFlags(*profile, *designName, *n, *nq, *k, *ef)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	var design ansmet.Design
-	found := false
-	for _, d := range ansmet.AllDesigns {
-		if d.String() == *designName {
-			design, found = d, true
-		}
-	}
-	if !found {
-		log.Fatalf("unknown design %q; options: %v", *designName, ansmet.AllDesigns)
 	}
 
 	fmt.Printf("generating %s-profile dataset: %d vectors x %d dims (%v, %v)\n",
@@ -54,20 +45,29 @@ func main() {
 	db, err := ansmet.New(ds.Vectors, ansmet.Options{
 		Metric: p.Metric, Elem: p.Elem,
 		EfConstruction: *efc, Seed: *seed,
-		Design: ansmet.UseDesign(design),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// System builds the NDP model; Stats reports its preprocessing from then on.
-	run, err := sim.NewModel(db.System()).Run(ds.Queries, *k, *ef)
+	// The design's model over the database's rows and graph.
+	base := db.System()
+	cfg := core.DefaultSystemConfig(design)
+	cfg.Seed = *seed
+	sys, err := core.NewSystem(base.Rows(), base.Metric, base.Index, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := db.Stats()
+	run, err := sim.NewModel(sys).Run(ds.Queries, *k, *ef)
+	if err != nil {
+		log.Fatal(err)
+	}
+	prefix, outliers, saved := 0, 0, 0.0
+	if st := sys.Store; st != nil {
+		prefix, outliers, saved = st.Prefix.PrefixLen, st.NumOutliers(), st.SpaceSavedFraction()*100
+	}
 	fmt.Printf("preprocessed in %.2fs: %d lines/vector, prefix=%d bits (saves %.1f%%), %d outlier vectors\n\n",
-		st.PreprocessSeconds, st.LinesPerVector, st.PrefixBits, st.SpaceSavedPercent, st.Outliers)
+		sys.PreprocessSeconds, sys.Part.LinesPerVector(), prefix, saved, outliers)
 	gt := ds.GroundTruth(*k)
 	recall := 0.0
 	for qi, res := range run.Results {
@@ -96,15 +96,28 @@ func main() {
 	fmt.Printf("unit imbalance     %.2fx (max/mean)\n", rep.ImbalanceRatio())
 }
 
-// checkFlags resolves the profile and rejects a query count or a result
-// count that is not positive.
-func checkFlags(profile string, nq, k int) (dataset.Profile, error) {
+// checkFlags resolves the profile and the design, and rejects what no run
+// can be made of before anything is generated: a database of fewer than two
+// vectors (the NDP model's sampler needs a pair), a query count or a result
+// count that is not positive, and a beam narrower than the result count.
+func checkFlags(profile, design string, n, nq, k, ef int) (dataset.Profile, core.Design, error) {
 	p, err := dataset.ParseProfile(profile)
 	if err != nil {
-		return p, err
+		return p, 0, err
+	}
+	if n < 2 {
+		return p, 0, fmt.Errorf("-n must be at least 2 (got %d)", n)
 	}
 	if nq <= 0 || k <= 0 {
-		return p, fmt.Errorf("-q and -k must be positive (got -q %d, -k %d)", nq, k)
+		return p, 0, fmt.Errorf("-q and -k must be positive (got -q %d, -k %d)", nq, k)
 	}
-	return p, nil
+	if ef < k {
+		return p, 0, fmt.Errorf("-ef must be at least -k (got -ef %d, -k %d)", ef, k)
+	}
+	for _, d := range core.AllDesigns {
+		if d.String() == design {
+			return p, d, nil
+		}
+	}
+	return p, 0, fmt.Errorf("unknown design %q; options: %v", design, core.AllDesigns)
 }

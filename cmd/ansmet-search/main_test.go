@@ -2,27 +2,35 @@ package main
 
 import "testing"
 
-// TestCheckFlags: a query count or a result count that is not positive is a
-// usage error, and so is a profile that does not exist (it used to panic).
+// TestCheckFlags: what no run can be made of is a usage error, refused before
+// a dataset is generated: a count that is not positive, fewer than two
+// vectors, a beam narrower than k (-n -5 and -ef 3 -k 10 used to fail only
+// after that), an unknown design, and an unknown profile (it used to panic).
 func TestCheckFlags(t *testing.T) {
 	for _, c := range []struct {
-		name    string
-		profile string
-		nq, k   int
-		ok      bool
+		name            string
+		profile, design string
+		n, nq, k, ef    int
+		ok              bool
 	}{
-		{"defaults", "SIFT", 8, 10, true},
-		{"q 0", "SIFT", 0, 10, false},
-		{"q negative", "SIFT", -3, 10, false},
-		{"k 0", "SIFT", 8, 0, false},
-		{"unknown profile", "Nope", 8, 10, false},
+		{"defaults", "SIFT", "NDP-ETOpt", 5000, 8, 10, 64, true},
+		{"CPU-Base", "SIFT", "CPU-Base", 5000, 8, 10, 64, true},
+		{"n 2, ef = k", "SIFT", "NDP-ETOpt", 2, 1, 5, 5, true},
+		{"q 0", "SIFT", "NDP-ETOpt", 5000, 0, 10, 64, false},
+		{"q negative", "SIFT", "NDP-ETOpt", 5000, -3, 10, 64, false},
+		{"k 0", "SIFT", "NDP-ETOpt", 5000, 8, 0, 64, false},
+		{"n 1", "SIFT", "NDP-ETOpt", 1, 8, 10, 64, false},
+		{"n negative", "SIFT", "NDP-ETOpt", -5, 8, 10, 64, false},
+		{"ef below k", "SIFT", "NDP-ETOpt", 5000, 8, 10, 3, false},
+		{"unknown design", "SIFT", "NDP-Nope", 5000, 8, 10, 64, false},
+		{"unknown profile", "Nope", "NDP-ETOpt", 5000, 8, 10, 64, false},
 	} {
-		p, err := checkFlags(c.profile, c.nq, c.k)
+		p, d, err := checkFlags(c.profile, c.design, c.n, c.nq, c.k, c.ef)
 		if (err == nil) != c.ok {
 			t.Errorf("%s: err %v, want ok=%v", c.name, err, c.ok)
 		}
-		if c.ok && p.Name != c.profile {
-			t.Errorf("%s: profile %s, want %s", c.name, p.Name, c.profile)
+		if c.ok && (p.Name != c.profile || d.String() != c.design) {
+			t.Errorf("%s: profile %s, design %v; want %s, %s", c.name, p.Name, d, c.profile, c.design)
 		}
 	}
 }

@@ -161,7 +161,7 @@ func main() {
 			}
 		}
 		st := db.Stats()
-		log.Printf("database ready: %d vectors, dim %d, design %v", st.Vectors, st.Dim, st.Design)
+		log.Printf("database ready: %d vectors, dim %d", st.Vectors, st.Dim)
 		wireSearch(&cfg, func(ctx context.Context, q *ansmet.Query) (serve.Outcome, error) {
 			res, err := db.Do(ctx, q)
 			return serve.Outcome{Neighbors: res.Neighbors, Route: res.Route.String()}, err

@@ -35,8 +35,8 @@ const (
 	stepDo       = recUpdate + 1 + iota // every route × context × Dst × Filter cell, on probe query at mod 20
 	stepDoMany                          // DoMany ≡ serial Do: route at%5, Filter at/5%2, workers 1+at/10%4
 	stepSave                            // Save → Load
-	stepSaveFile                        // SaveFile → LoadFile; odd at: under a design override
-	stepCut                             // the journal cut at at‰ of its length, then LoadFile recovery (odd: under an override)
+	stepSaveFile                        // SaveFile → LoadFile
+	stepCut                             // the journal cut at at‰ of its length, then LoadFile recovery
 )
 
 var stepNames = [...]string{"0", "recAdd", "recDelete", "recUpdate", "stepDo", "stepDoMany", "stepSave", "stepSaveFile", "stepCut"}
@@ -48,8 +48,8 @@ var allRoutes = []Route{RouteHost, RouteNDP, RouteTiered, RouteExact, RouteAuto}
 // contractScript is commitScript's stream of writes — refused ones and the
 // forced Maintain included, the stream TestJournalBytesUnchanged pins — with
 // the harness's steps interleaved by a second generator: a Do and a DoMany
-// after every fourth write, Save, SaveFile under an override and a journal
-// cut at the quarters, and SaveFile after the last write.
+// after every fourth write, Save, SaveFile and a journal cut at the quarters,
+// and SaveFile after the last write.
 func contractScript(seed uint64, n, dim, writes int, elem ElemType) []scriptOp {
 	rng := stats.NewRNG(seed ^ 0xc0417ac7)
 	var out []scriptOp
@@ -59,7 +59,7 @@ func contractScript(seed uint64, n, dim, writes int, elem ElemType) []scriptOp {
 		case writes / 4:
 			out = append(out, scriptOp{kind: stepSave})
 		case writes / 2:
-			out = append(out, scriptOp{kind: stepSaveFile, at: 1})
+			out = append(out, scriptOp{kind: stepSaveFile})
 		case 3 * writes / 4:
 			out = append(out, scriptOp{kind: stepCut, at: rng.Intn(1001)})
 		}
@@ -244,7 +244,7 @@ func verify(t *testing.T, label string, db *Database, m contractModel, queries [
 			continue
 		}
 		want := p.Route
-		if want == RouteAuto || want == RouteTiered && !db.cfg.Design.UsesET() {
+		if want == RouteAuto {
 			want = RouteExact
 		}
 		serial := make([][]Neighbor, len(queries))
@@ -291,13 +291,15 @@ type contractCell struct {
 	opts   Options
 	writes int
 	seed   uint64
-	// target is a RecallTarget of the NDP model the final state is checked
-	// under (checkTarget); 0 checks none beyond the database's own model.
+	// design is that of the NDP model at RecallTarget 1 the final state is
+	// also checked under (checkModels; zero: CPU-Base, no early termination),
+	// target a RecallTarget in (0, 1) of a second model at it, 0 for none.
+	design core.Design
 	target float64
 }
 
 func (c contractCell) String() string {
-	return fmt.Sprintf("%s (%s n=%d, seed %d, target %v, %+v)", c.name, c.prof, c.n, c.seed, c.target, c.opts)
+	return fmt.Sprintf("%s (%s n=%d, seed %d, %v, target %v, %+v)", c.name, c.prof, c.n, c.seed, c.design, c.target, c.opts)
 }
 
 func (c contractCell) script() []scriptOp {
@@ -323,9 +325,10 @@ type harness struct {
 	ends    []int64         // the journal's length at each history entry
 	acked   []scriptOp
 	probe   [][]float32 // the Do and DoMany steps' queries
-	// models are the NDP model at RecallTarget 1 and at the cell's target, on
-	// a cell with one: built over the database as New left it, as its own
-	// model would be, and fed every acknowledged add (see write).
+	// models are the NDP model at the cell's design at RecallTarget 1 and, on
+	// a cell with a target, at that target: built over the database as New
+	// left it, as its own model would be, and fed every acknowledged add (see
+	// write).
 	models []*core.System
 }
 
@@ -344,11 +347,9 @@ func newHarness(t *testing.T, c contractCell) *harness {
 		return db
 	}
 	h := &harness{t: t, queries: ds.Queries[:1], probe: ds.Queries[1:], db: build(c.opts), m: newContractModel(ds.Vectors, c.opts)}
-	if c.target > 0 {
-		h.models = append(h.models, h.modelAt(1))
-		if c.target < 1 {
-			h.models = append(h.models, h.modelAt(c.target))
-		}
+	h.models = append(h.models, h.modelAt(c.design, 1))
+	if c.target > 0 && c.target < 1 {
+		h.models = append(h.models, h.modelAt(c.design, c.target))
 	}
 	if c.opts.Mutable {
 		imm := c.opts
@@ -384,10 +385,9 @@ func (h *harness) journal() (seq uint64, size int64) {
 }
 
 // run drives the script step by step, checking every invariant (verify) after
-// each, and on a cell with a recall target the final state under it. A
-// failure prints the cell and the script up to the failing step — the
-// shortest prefix that fails, every shorter one having passed — as a Go
-// literal.
+// each, and the final state under the cell's models. A failure prints the
+// cell and the script up to the failing step — the shortest prefix that
+// fails, every shorter one having passed — as a Go literal.
 func (h *harness) run(c contractCell, script []scriptOp) {
 	t := h.t
 	step := -1
@@ -402,16 +402,15 @@ func (h *harness) run(c contractCell, script []scriptOp) {
 		h.step(op)
 		verify(t, fmt.Sprintf("step %d (%s)", step, stepNames[op.kind]), h.db, h.m, h.queries, true)
 	}
-	if c.target > 0 {
-		h.checkTarget()
-	}
+	h.checkModels()
 }
 
-// modelAt builds the NDP model at a recall target over the database's rows,
-// graph and tombstones: the database's own configuration with the target set.
-func (h *harness) modelAt(target float64) *core.System {
-	cfg := h.db.cfg
-	cfg.RecallTarget = target
+// modelAt builds the NDP model at a design point and a recall target over
+// the database's rows, graph and tombstones: the design's defaults with the
+// database's seed, as a caller builds one over db.System().
+func (h *harness) modelAt(design core.Design, target float64) *core.System {
+	cfg := core.DefaultSystemConfig(design)
+	cfg.Seed, cfg.RecallTarget = h.db.opts.Seed, target
 	sys, err := core.NewSystem(h.db.rows, h.db.opts.Metric, h.db.index, cfg)
 	if err != nil {
 		h.t.Fatal(err)
@@ -430,14 +429,15 @@ func (h *harness) beamOver(sys *core.System) func(vec []float32, f func(uint32) 
 	}
 }
 
-// checkTarget checks the state the script left under the models, over the
+// checkModels checks the state the script left under the models, over the
 // probe queries, filtered and not. At RecallTarget 1 the model has no
-// precision map, and its beam and its tiered query at budget 1 are bitwise
-// the database's ndp beam and tiered route. At a target in (0, 1) the
-// adaptive beam trades exactness for lines, keeping recall: its recall@10
-// against the brute force is within 0.05 of the target or of the host beam's
-// over the same graph, whichever is lower.
-func (h *harness) checkTarget() {
+// precision map, and its beam is bitwise the database's ndp beam whatever
+// its design — early termination never changes an answer — and on an ET
+// design its tiered query at budget 1 is bitwise the database's tiered
+// route. At a target in (0, 1) the adaptive beam trades exactness for lines,
+// keeping recall: its recall@10 against the brute force is within 0.05 of
+// the target or of the host beam's over the same graph, whichever is lower.
+func (h *harness) checkModels() {
 	t, db := h.t, h.db
 	ctx := context.Background()
 	one := h.models[0]
@@ -451,7 +451,7 @@ func (h *harness) checkTarget() {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameBits(t, fmt.Sprintf("RecallTarget 1: q%d filter=%v beam ≡ ndp", qi, f != nil), beam(vec, f), res.Neighbors)
+			sameBits(t, fmt.Sprintf("%v at RecallTarget 1: q%d filter=%v beam ≡ ndp", one.Cfg.Design, qi, f != nil), beam(vec, f), res.Neighbors)
 		}
 		if one.Store == nil {
 			continue
@@ -462,7 +462,7 @@ func (h *harness) checkTarget() {
 		}
 		qq := quantizeInto(make([]float32, len(vec)), vec, db.opts.Elem)
 		got, _ := one.NewWorkerEngine().(*core.ETEngine).TieredKNNInto(nil, qq, 10, core.TieredOpts{Budget: 1}, nil)
-		sameBits(t, fmt.Sprintf("RecallTarget 1: q%d tiered ≡ tiered", qi), got, res.Neighbors)
+		sameBits(t, fmt.Sprintf("%v at RecallTarget 1: q%d tiered ≡ tiered", one.Cfg.Design, qi), got, res.Neighbors)
 	}
 	if len(h.models) == 1 {
 		return
@@ -516,7 +516,7 @@ func (h *harness) step(op scriptOp) {
 		if err := h.db.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		back, err := Load(&buf, nil)
+		back, err := Load(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -538,11 +538,11 @@ func (h *harness) step(op scriptOp) {
 		if h.wal != "" {
 			h.compacted()
 		}
-		back, err := LoadFile(path, h.override(op.at))
+		back, err := LoadFile(path, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.reloaded(fmt.Sprintf("SaveFile → LoadFile under %v", back.cfg.Design), back)
+		h.reloaded("SaveFile → LoadFile", back)
 		back.Close()
 	case stepCut:
 		if h.wal != "" {
@@ -592,18 +592,6 @@ func (h *harness) write(op scriptOp) {
 	}
 }
 
-// override is the design an odd at loads a snapshot under: one with a bound
-// store for a database without one, and the other way round.
-func (h *harness) override(at int) *Design {
-	switch {
-	case at%2 == 0:
-		return nil
-	case h.db.cfg.Design.UsesET():
-		return UseDesign(CPUBase)
-	}
-	return UseDesign(NDPETOpt)
-}
-
 // acknowledgedAt is how many of the history's writes a journal cut at off keeps.
 func (h *harness) acknowledgedAt(off int) int {
 	m := 0
@@ -614,8 +602,8 @@ func (h *harness) acknowledgedAt(off int) int {
 }
 
 // cut copies the snapshot and the journal cut at at‰ of its length, recovers
-// them with LoadFile — under the design override on an odd offset — and
-// checks the result against the model at the acknowledged prefix.
+// them with LoadFile, and checks the result against the model at the
+// acknowledged prefix.
 func (h *harness) cut(at int) {
 	t := h.t
 	data, err := os.ReadFile(h.wal)
@@ -635,7 +623,7 @@ func (h *harness) cut(at int) {
 	if err := os.WriteFile(WALName(snap), data[:off], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := LoadFile(snap, h.override(off))
+	rec, err := LoadFile(snap, nil)
 	if err != nil {
 		t.Fatalf("recovering a journal cut at %d of %d bytes: %v", off, len(data), err)
 	}
@@ -652,11 +640,10 @@ func (h *harness) cut(at int) {
 
 // reloaded checks a database reloaded from the current one: the same rows,
 // tombstones, pending repairs and graph, and every invariant against the
-// model — those over the NDP model only under another design, the rest
-// being a function of rows and graph.
+// model.
 func (h *harness) reloaded(label string, back *Database) {
 	sameDatabase(h.t, label, h.db, back, nil)
-	verify(h.t, label, back, h.m, h.queries, back.cfg.Design != h.db.cfg.Design)
+	verify(h.t, label, back, h.m, h.queries, true)
 }
 
 // doCells runs Do on one query in every route × {background, live, expired,
@@ -685,9 +672,6 @@ func (h *harness) doCells(vec []float32) {
 					case route == RouteAuto && f != nil:
 						want = RouteHost
 					case route == RouteAuto:
-						want = RouteExact
-					}
-					if want == RouteTiered && !db.cfg.Design.UsesET() {
 						want = RouteExact
 					}
 					var ce *CancelError
@@ -739,7 +723,7 @@ func (h *harness) doCells(vec []float32) {
 			}
 		}
 	}
-	if st := db.RouterStats(); st.Host == 0 || st.NDP == 0 || st.Exact == 0 || st.Tiered == 0 && db.cfg.Design.UsesET() {
+	if st := db.RouterStats(); st.Host == 0 || st.NDP == 0 || st.Exact == 0 || st.Tiered == 0 {
 		t.Fatalf("the router did not count every route it ran: %+v", st)
 	}
 }
@@ -783,10 +767,11 @@ func (h *harness) doMany(at int) {
 // keyed by the TestContract cell they failed on, which replays them.
 var contractRegressions = map[string][][]scriptOp{}
 
-// TestContract runs the matrix: {immutable, mutable} × {the database alone,
-// the NDP model at RecallTarget 0.9 over its final state} × {SIFT-u8,
-// DEEP-f32, GloVe-IP, a cosine set}. A database has one precision, the fixed
-// depth of RecallTarget 0; the target=0.9 column adds checkTarget.
+// TestContract runs the matrix: {immutable, mutable} × {the database and its
+// NDP-ETOpt twin at RecallTarget 1, and also one at RecallTarget 0.9 over its
+// final state} × {SIFT-u8, DEEP-f32, GloVe-IP, a cosine set}. A database has
+// one precision, the fixed depth of RecallTarget 0; the target=0.9 column
+// adds the adaptive model's recall check (checkModels).
 func TestContract(t *testing.T) {
 	sets := []struct {
 		name, prof string
@@ -798,7 +783,7 @@ func TestContract(t *testing.T) {
 			for _, set := range sets {
 				c := contractCell{
 					name: fmt.Sprintf("mutable=%v/target=%v/%s", mutable, target, set.name), prof: set.prof, n: 100,
-					unit: set.metric == Cosine, writes: 12, seed: seed, target: target,
+					unit: set.metric == Cosine, writes: 12, seed: seed, design: core.NDPETOpt, target: target,
 					opts: Options{Metric: set.metric, Elem: dataset.ProfileByName(set.prof).Elem, EfConstruction: 40,
 						Seed: 7, Mutable: mutable, RepairEvery: 4},
 				}
@@ -817,8 +802,8 @@ func TestContract(t *testing.T) {
 
 // namedCells are short scripts over more configurations. Each former
 // per-feature suite keeps its name as one: over the population and options it
-// covered or, where several covered one, a design or element type the matrix
-// does not. Every check is the harness's.
+// covered or, where several covered one, an element type the matrix does not
+// or a model at a design it does not. Every check is the harness's.
 var namedCells = map[string]contractCell{
 	"TestExactKNNMatchesBruteForce":            {prof: "SPACEV", n: 64, opts: Options{Metric: L2, Elem: Int8}},
 	"TestSaveLoadRoundTrip":                    {prof: "SPACEV", n: 64, opts: Options{Metric: L2, Elem: Int8, Mutable: true}},
@@ -828,18 +813,18 @@ var namedCells = map[string]contractCell{
 	"TestSnapshotCompactionRoundTrip":          {prof: "DEEP", n: 64, opts: Options{Metric: L2, Elem: BFloat16, Mutable: true, RepairEvery: -1}},
 	"TestMutableSearchExcludesTombstones":      {prof: "SIFT", n: 64, opts: Options{Metric: L2, Elem: Float32, Mutable: true}},
 	"TestMutableNilMutationByteIdentity":       {prof: "GloVe", n: 64, opts: Options{Metric: L2, Elem: Float32, Mutable: true}},
-	"TestFilteredRecallTargetByteIdentity":     {prof: "GloVe", n: 64, opts: Options{Metric: L2, Elem: Float32, Mutable: true}, target: 0.9},
-	"TestRecallTargetEndpointsByteIdentical":   {prof: "GloVe", n: 64, opts: Options{Metric: InnerProduct, Elem: Float32}, target: 1},
-	"TestTieredSearchMatchesExactSearch":       {prof: "SIFT", n: 64, opts: Options{Metric: L2, Elem: Uint8, Design: UseDesign(NDPET)}},
-	"TestSearchRoutedModes":                    {prof: "SIFT", n: 64, opts: Options{Metric: L2, Elem: Uint8, Design: UseDesign(NDPETDual)}},
-	"TestSearchManyRouted":                     {prof: "SIFT", n: 64, opts: Options{Metric: L2, Elem: Uint8, Design: UseDesign(NDPBitET)}},
-	"TestSearchFilteredFacade":                 {prof: "SIFT", n: 64, opts: Options{Metric: L2, Elem: Uint8, Design: UseDesign(NDPDimET)}},
-	"TestDatabaseDesignsAgree":                 {prof: "SIFT", n: 64, opts: Options{Metric: L2, Elem: Uint8, Design: UseDesign(NDPBase)}},
-	"TestSearchRoutedBaseDesignDegradesTiered": {prof: "SIFT", n: 64, opts: Options{Metric: L2, Elem: Uint8, Mutable: true, Design: UseDesign(CPUBase)}},
-	"TestExactSearchFacade":                    {prof: "DEEP", n: 64, opts: Options{Metric: L2, Elem: Float32, Mutable: true, Design: UseDesign(CPUET)}},
-	"TestSearchManyMatchesSerial":              {prof: "SIFT", n: 64, opts: Options{Metric: L2, Elem: Uint8, Mutable: true, Design: UseDesign(CPUETOpt)}},
+	"TestFilteredRecallTargetByteIdentity":     {prof: "GloVe", n: 64, opts: Options{Metric: L2, Elem: Float32, Mutable: true}, design: core.NDPETOpt, target: 0.9},
+	"TestRecallTargetEndpointsByteIdentical":   {prof: "GloVe", n: 64, opts: Options{Metric: InnerProduct, Elem: Float32}, design: core.NDPETOpt, target: 1},
+	"TestTieredSearchMatchesExactSearch":       {prof: "SIFT", n: 64, opts: Options{Metric: L2, Elem: Uint8}, design: core.NDPET},
+	"TestSearchRoutedModes":                    {prof: "SIFT", n: 64, opts: Options{Metric: L2, Elem: Uint8}, design: core.NDPETDual},
+	"TestSearchManyRouted":                     {prof: "SIFT", n: 64, opts: Options{Metric: L2, Elem: Uint8}, design: core.NDPBitET},
+	"TestSearchFilteredFacade":                 {prof: "SIFT", n: 64, opts: Options{Metric: L2, Elem: Uint8}, design: core.NDPDimET},
+	"TestDatabaseDesignsAgree":                 {prof: "SIFT", n: 64, opts: Options{Metric: L2, Elem: Uint8}, design: core.NDPBase},
+	"TestSearchRoutedBaseDesignDegradesTiered": {prof: "SIFT", n: 64, opts: Options{Metric: L2, Elem: Uint8, Mutable: true}, design: core.CPUBase},
+	"TestExactSearchFacade":                    {prof: "DEEP", n: 64, opts: Options{Metric: L2, Elem: Float32, Mutable: true}, design: core.CPUET},
+	"TestSearchManyMatchesSerial":              {prof: "SIFT", n: 64, opts: Options{Metric: L2, Elem: Uint8, Mutable: true}, design: core.CPUETOpt},
 	"TestLoadWithDesignOverride":               {prof: "SIFT", n: 64, opts: Options{Metric: L2, Elem: Uint8, Mutable: true, RepairEvery: 1}},
-	"TestLiveSnapshotServesUnderBaseOverride":  {prof: "SIFT", n: 64, opts: Options{Metric: L2, Elem: Float32, Mutable: true, Design: UseDesign(NDPBase)}},
+	"TestLiveSnapshotServesUnderBaseOverride":  {prof: "SIFT", n: 64, opts: Options{Metric: L2, Elem: Float32, Mutable: true}, design: core.NDPBase},
 	"TestSaveFileLoadFileRoundTrip":            {prof: "GloVe", n: 64, opts: Options{Metric: InnerProduct, Elem: Float16, Mutable: true}},
 	"TestSearchCtxExpiredDeadline":             {prof: "DEEP", n: 64, opts: Options{Metric: InnerProduct, Elem: Float32}},
 }
@@ -1062,7 +1047,7 @@ func TestWALCrashPointEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	load := func() *Database {
-		db, err := Load(bytes.NewReader(img.Bytes()), nil)
+		db, err := Load(bytes.NewReader(img.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,8 +2,9 @@
 // (a DEEP-profile dataset of image-descriptor vectors), compare all nine
 // design points of the paper — CPU baselines, plain NDP offload, and the
 // early-termination variants — on throughput, memory traffic and energy,
-// using the bundled cycle-level timing simulation. This is a miniature
-// version of the paper's Fig. 6/7 sweep, runnable in seconds.
+// using the bundled cycle-level timing simulation. One database holds the
+// rows and the graph; each design is a model built over them. This is a
+// miniature version of the paper's Fig. 6/7 sweep, runnable in seconds.
 package main
 
 import (
@@ -11,6 +12,7 @@ import (
 	"log"
 
 	"ansmet"
+	"ansmet/internal/core"
 	"ansmet/internal/dataset"
 	"ansmet/internal/energy"
 	"ansmet/internal/sim"
@@ -27,17 +29,24 @@ func main() {
 	fmt.Printf("%-12s %10s %9s %10s %9s %8s\n",
 		"design", "QPS", "speedup", "traffic", "energy", "recall")
 
+	db, err := ansmet.New(ds.Vectors, ansmet.Options{
+		Metric: p.Metric, Elem: p.Elem,
+		EfConstruction: 100, Seed: 7,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	base := db.System()
+
 	var baseQPS, baseMJ float64
-	for _, d := range ansmet.AllDesigns {
-		db, err := ansmet.New(ds.Vectors, ansmet.Options{
-			Metric: p.Metric, Elem: p.Elem,
-			EfConstruction: 100, Seed: 7,
-			Design: ansmet.UseDesign(d),
-		})
+	for _, d := range core.AllDesigns {
+		cfg := core.DefaultSystemConfig(d)
+		cfg.Seed = 7
+		sys, err := core.NewSystem(base.Rows(), base.Metric, base.Index, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		run, err := sim.NewModel(db.System()).Run(ds.Queries, 10, 64)
+		run, err := sim.NewModel(sys).Run(ds.Queries, 10, 64)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -54,7 +63,7 @@ func main() {
 		recall /= float64(len(run.Results))
 
 		mj := model.Compute(rep.EnergyActivity()).TotalMJ()
-		if d == ansmet.CPUBase {
+		if d == core.CPUBase {
 			baseQPS, baseMJ = rep.QPS(), mj
 		}
 		fmt.Printf("%-12s %10.0f %8.2fx %9.1fMB %8.2fx %8.3f\n",

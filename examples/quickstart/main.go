@@ -1,7 +1,8 @@
-// Quickstart: build an ANSMET database over a handful of vectors and run a
-// nearest-neighbor query through the full design (NDP + hybrid early
-// termination). Everything runs in-process; the "hardware" is the bundled
-// timing simulator.
+// Quickstart: build an ANSMET database over a handful of vectors, run a
+// nearest-neighbor query on the default route (the HNSW beam over the rows
+// with the host's SIMD kernels), and look at the paper's NDP model of the
+// same database: its bit-plane layout after common-prefix elimination.
+// Everything runs in-process.
 package main
 
 import (
@@ -45,9 +46,8 @@ func main() {
 	}
 
 	// The search ran on the host's SIMD kernels; the paper's NDP model is
-	// built when something asks for it, and Stats reports it from then on.
-	db.System()
-	st := db.Stats()
+	// built when something asks for it, as System does.
+	sys := db.System()
 	fmt.Printf("\npreprocessing: %d lines/vector, common prefix %d bits (saves %.1f%% storage)\n",
-		st.LinesPerVector, st.PrefixBits, st.SpaceSavedPercent)
+		sys.Part.LinesPerVector(), sys.Store.Prefix.PrefixLen, sys.Store.SpaceSavedFraction()*100)
 }

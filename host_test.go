@@ -250,9 +250,8 @@ func TestHostEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkIdentity(t, hc.name, dbSearcher(db), hc.queries, db.Len(), nil)
-		// Read after the ndp queries above built the model: Stats does not.
-		if st := db.Stats(); hc.wantOutliers && (st.PrefixBits == 0 || st.Outliers == 0) {
-			t.Fatalf("%s: prefix %d bits, %d outliers: the backup re-check path is not exercised", hc.name, st.PrefixBits, st.Outliers)
+		if st := db.System().Store; hc.wantOutliers && (st.Prefix.PrefixLen == 0 || st.NumOutliers() == 0) {
+			t.Fatalf("%s: prefix %d bits, %d outliers: the backup re-check path is not exercised", hc.name, st.Prefix.PrefixLen, st.NumOutliers())
 		}
 		checkBatchedIdentity(t, hc.name, db, hc.queries)
 

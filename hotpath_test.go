@@ -78,23 +78,16 @@ func TestSearchCtxSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// routeSteadyStateAllocs warms the scratch pool with q's route on each of
-// an ET design, a Base design (no store: the rows are the database's own
-// vectors) and a mutable database that has lived, and fails unless one more
-// query under ctx with a reused Dst allocates nothing.
+// routeSteadyStateAllocs warms the scratch pool with q's route on each of an
+// immutable database and a mutable one that has lived, and fails unless one
+// more query under ctx with a reused Dst allocates nothing.
 func routeSteadyStateAllocs(t *testing.T, ctx context.Context, q ansmet.Query) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	ds := benchData()
-	base, err := ansmet.New(ds.Vectors[:500], ansmet.Options{
-		Metric: ansmet.L2, Elem: ansmet.Uint8, EfConstruction: 60, Design: ansmet.UseDesign(ansmet.CPUBase),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, db := range map[string]*ansmet.Database{"et": benchDB(), "base": base, "mutable": benchMutatedDB()} {
+	for name, db := range map[string]*ansmet.Database{"et": benchDB(), "mutable": benchMutatedDB()} {
 		i := 0
 		run := func() {
 			q.Vector = ds.Queries[i%len(ds.Queries)]

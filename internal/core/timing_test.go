@@ -19,8 +19,11 @@ import (
 	"ansmet/internal/fault"
 	"ansmet/internal/hnsw"
 	"ansmet/internal/ivf"
+	"ansmet/internal/rows"
 	"ansmet/internal/sim"
+	"ansmet/internal/stats"
 	"ansmet/internal/trace"
+	"ansmet/internal/vecmath"
 )
 
 // newModel builds the view of cfg over the dataset's rows and puts the
@@ -184,6 +187,58 @@ func TestNewSystemAllDesigns(t *testing.T) {
 		}
 		if sys.PreprocessSeconds < 0 {
 			t.Errorf("%v: negative preprocess time", d)
+		}
+	}
+	buildsOnTinySets(t)
+}
+
+// buildsOnTinySets: Buildable is NewSystem's whole contract on a default
+// configuration. For every design × element type × metric, over 2, 3 and 101
+// vectors (below and past the 100-vector sample), random and all-equal, the
+// build succeeds, and its beam and, on an ET design, its tiered query return
+// both vectors at k = 2: the models a caller builds over a database.
+func buildsOnTinySets(t *testing.T) {
+	rng := stats.NewRNG(5)
+	random, constant := make([][]float32, 101), make([][]float32, 101)
+	for i := range random {
+		random[i], constant[i] = make([]float32, 8), []float32{3, 3, 3, 3, 3, 3, 3, 3}
+		for d := range random[i] {
+			random[i][d] = float32(rng.Intn(100)) // every element type holds it
+		}
+	}
+	for _, elem := range []vecmath.ElemType{vecmath.Uint8, vecmath.Int8, vecmath.Float16, vecmath.BFloat16, vecmath.Float32} {
+		for _, metric := range []vecmath.Metric{vecmath.L2, vecmath.InnerProduct, vecmath.Cosine} {
+			for _, n := range []int{2, 3, 101} {
+				for _, vs := range [][][]float32{random, constant} {
+					rs, err := rows.Pack(vs[:n], elem)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ix, err := hnsw.Build(rs, metric, hnsw.Config{M: 16, MaxDegree: 16, EfConstruction: 20, Seed: 3})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, d := range core.AllDesigns {
+						label := fmt.Sprintf("%v/%v/%v/n=%d", d, elem, metric, n)
+						cfg := core.DefaultSystemConfig(d)
+						cfg.Seed = 3
+						sys, err := core.NewSystem(rs, metric, ix, cfg)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						eng := sys.NewWorkerEngine()
+						beam := ix.SearchFilteredInto(vs[0], 2, 2, cfg.BeamBatch, nil, eng, nil, nil)
+						et, ok := eng.(*core.ETEngine)
+						tiered := beam
+						if ok {
+							tiered, _ = et.TieredKNNInto(nil, vs[0], 2, core.TieredOpts{Budget: 1}, nil)
+						}
+						if len(beam) != 2 || len(tiered) != 2 || ok != d.UsesET() {
+							t.Fatalf("%s: %d beam and %d tiered results of 2, engine %T", label, len(beam), len(tiered), eng)
+						}
+					}
+				}
+			}
 		}
 	}
 }

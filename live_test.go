@@ -43,15 +43,6 @@ func TestMutableBasics(t *testing.T) {
 		t.Fatal("immutable db reports mutation state")
 	}
 
-	// The row slab is the ingester on every design, so a Base design is
-	// mutable too (TestLiveSnapshotServesUnderBaseOverride drives one beside
-	// an ET design through the whole life cycle).
-	opts := liveOpts()
-	opts.Design = ansmet.UseDesign(ansmet.CPUBase)
-	if base, err := ansmet.New(ds.Vectors, opts); err != nil || !base.Mutable() {
-		t.Fatalf("Mutable + CPUBase: %v", err)
-	}
-
 	db, err := ansmet.New(ds.Vectors, liveOpts())
 	if err != nil {
 		t.Fatal(err)

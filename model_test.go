@@ -39,8 +39,7 @@ func smallVectors(n int) [][]float32 {
 // TestDefaultPathBuildsNoModel walks an immutable and a mutable database
 // through everything the default path does — every default route, a batch,
 // every mutation, Stats, SaveFile, LoadFile with journal replay, Close — and
-// finds no NDP model at any step; then one RouteNDP query attaches it and
-// Stats starts reporting its facts.
+// finds no NDP model at any step; then one RouteNDP query attaches it.
 func TestDefaultPathBuildsNoModel(t *testing.T) {
 	vs := smallVectors(300)
 	queries := smallVectors(305)[300:]
@@ -117,7 +116,7 @@ func TestDefaultPathBuildsNoModel(t *testing.T) {
 			}
 			defaults(db, "built")
 			mutate(db, "built", 4, 9)
-			if st := db.Stats(); st.LinesPerVector != 0 || st.PreprocessSeconds != 0 || st.Vectors != db.Len() || st.Mutable != mutable {
+			if st := db.Stats(); st.Vectors != db.Len() || st.Mutable != mutable {
 				t.Fatalf("Stats without a model: %+v", st)
 			}
 			none(db, "Stats")
@@ -153,51 +152,47 @@ func TestDefaultPathBuildsNoModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameBits(t, "late ndp ≡ host", got.Neighbors, want.Neighbors)
-			if back.model.Load() == nil || back.Stats().LinesPerVector == 0 {
-				t.Fatalf("RouteNDP left no model: %+v", back.Stats())
+			if back.model.Load() == nil {
+				t.Fatal("RouteNDP left no model")
 			}
 		})
 	}
 }
 
 // TestLazyModelBuildNeverFails: New accepted the input, so the build a route
-// triggers later cannot fail — for every design × element type × metric,
-// over 2, 3 and 101 vectors (below and past the 100-vector sample),
-// random and all-equal.
+// triggers later cannot fail — for every element type × metric, over 2, 3
+// and 101 vectors (below and past the 100-vector sample), random and
+// all-equal. Every design's build over such sets is internal/core's
+// TestNewSystemAllDesigns.
 func TestLazyModelBuildNeverFails(t *testing.T) {
 	rng := stats.NewRNG(5)
-	random := make([][]float32, 101)
-	constant := make([][]float32, 101)
+	random, constant := make([][]float32, 101), make([][]float32, 101)
 	for i := range random {
-		random[i] = make([]float32, 8)
-		constant[i] = make([]float32, 8)
+		random[i], constant[i] = make([]float32, 8), []float32{3, 3, 3, 3, 3, 3, 3, 3}
 		for d := range random[i] {
 			random[i][d] = float32(rng.Intn(200)) - 60
-			constant[i][d] = 3
 		}
 	}
 	ctx := context.Background()
-	for _, d := range AllDesigns {
-		for _, elem := range []ElemType{Uint8, Int8, Float16, BFloat16, Float32} {
-			for _, metric := range []Metric{L2, InnerProduct, Cosine} {
-				for _, n := range []int{2, 3, 101} {
-					for _, vs := range [][][]float32{random, constant} {
-						label := fmt.Sprintf("%v/%v/%v/n=%d", d, elem, metric, n)
-						db, err := New(vs[:n], Options{Metric: metric, Elem: elem, Design: UseDesign(d), EfConstruction: 20, Seed: 3})
-						if err != nil {
-							t.Fatalf("%s: New: %v", label, err)
-						}
-						if db.model.Load() != nil {
-							t.Fatalf("%s: New built the model", label)
-						}
-						if _, err := db.buildModel(); err != nil {
-							t.Fatalf("%s: the lazy build failed on an input New accepted: %v", label, err)
-						}
-						for _, r := range []Route{RouteNDP, RouteTiered} {
-							res, err := db.Do(ctx, &Query{Vector: vs[0], K: 2, Route: r})
-							if err != nil || len(res.Neighbors) != 2 {
-								t.Fatalf("%s %v: %d results, err %v", label, r, len(res.Neighbors), err)
-							}
+	for _, elem := range []ElemType{Uint8, Int8, Float16, BFloat16, Float32} {
+		for _, metric := range []Metric{L2, InnerProduct, Cosine} {
+			for _, n := range []int{2, 3, 101} {
+				for _, vs := range [][][]float32{random, constant} {
+					label := fmt.Sprintf("%v/%v/n=%d", elem, metric, n)
+					db, err := New(vs[:n], Options{Metric: metric, Elem: elem, EfConstruction: 20, Seed: 3})
+					if err != nil {
+						t.Fatalf("%s: New: %v", label, err)
+					}
+					if db.model.Load() != nil {
+						t.Fatalf("%s: New built the model", label)
+					}
+					if _, err := db.buildModel(); err != nil {
+						t.Fatalf("%s: the lazy build failed on an input New accepted: %v", label, err)
+					}
+					for _, r := range []Route{RouteNDP, RouteTiered} {
+						res, err := db.Do(ctx, &Query{Vector: vs[0], K: 2, Route: r})
+						if err != nil || len(res.Neighbors) != 2 {
+							t.Fatalf("%s %v: %d results, err %v", label, r, len(res.Neighbors), err)
 						}
 					}
 				}
@@ -207,17 +202,13 @@ func TestLazyModelBuildNeverFails(t *testing.T) {
 }
 
 // TestZeroDimensionRejected: zero-length vectors are ErrDimension from New
-// and NewCluster on every design. They used to reach the layout search,
-// whose schedule builder never returned on them (and a Base design built a
-// database of nothing); the deadline turns a regression into a failure.
+// and NewCluster. They used to reach the layout search, whose schedule
+// builder never returned on them (and a Base design built a database of
+// nothing); the deadline turns a regression into a failure.
 func TestZeroDimensionRejected(t *testing.T) {
 	empty := [][]float32{{}, {}, {}}
 	calls := map[string]func() error{
-		"New/default": func() error { _, err := New(empty, Options{}); return err },
-		"New/CPU-Base": func() error {
-			_, err := New(empty, Options{Design: UseDesign(CPUBase)})
-			return err
-		},
+		"New": func() error { _, err := New(empty, Options{}); return err },
 		"NewCluster": func() error {
 			_, err := NewCluster(empty, ClusterOptions{Shards: 2})
 			return err
@@ -316,8 +307,9 @@ type verdictCase struct {
 	call func() error
 }
 
-// verdictCases is the input table of TestNewLoadVerdictsUnchanged; the parent
-// commit ran this function as it stands to record parentVerdicts.
+// verdictCases is the input table of TestNewLoadVerdictsUnchanged: New's
+// refusals, and Load over every snapshot kind, two v4 files that say CPU-Base
+// among them.
 func verdictCases(t testing.TB) []verdictCase {
 	t.Helper()
 	vs := smallVectors(12)
@@ -347,19 +339,12 @@ func verdictCases(t testing.TB) []verdictCase {
 		}
 		return buf.Bytes()
 	}
-	fixture := func(name string) []byte {
-		data, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
 	images := []struct {
 		name string
 		data []byte
 	}{
-		{"v3", fixture("v3-sift-u8.snap")},
-		{"v3-live", fixture("v3-deep-f16-live.snap")},
+		{"v3", fixture(t, "v3-sift-u8.snap")},
+		{"v3-live", fixture(t, "v3-deep-f16-live.snap")},
 		{"v4", image(vs, base, nil)},
 		{"v4-live", image(vs, with(func(o *Options) { o.Mutable = true }), func(db *Database) {
 			if _, err := db.Add(vs[3]); err != nil {
@@ -369,7 +354,8 @@ func verdictCases(t testing.TB) []verdictCase {
 				t.Fatal(err)
 			}
 		})},
-		{"v4-one-vector", image(vs[:1], with(func(o *Options) { o.Design = UseDesign(CPUBase) }), nil)},
+		{"v4-cpubase", fixture(t, "v4-cpubase.snap")},
+		{"v4-one-vector", fixture(t, "v4-one-vector-cpubase.snap")},
 	}
 
 	ragged := append([][]float32{}, vs...)
@@ -380,88 +366,55 @@ func verdictCases(t testing.TB) []verdictCase {
 
 	cases := []verdictCase{
 		{"New/empty", newErr(nil, base)},
-		{"New/unknown-design", newErr(vs, with(func(o *Options) { o.Design = UseDesign(Design(99)) }))},
 		{"New/ragged", newErr(ragged, base)},
 		{"New/nan", newErr(nan, base)},
 		{"New/hnsw-M-1", newErr(vs, with(func(o *Options) { o.M = 1 }))},
-	}
-	for _, d := range AllDesigns {
-		d := d
-		cases = append(cases,
-			verdictCase{fmt.Sprintf("New/%v", d), newErr(vs, with(func(o *Options) { o.Design = UseDesign(d) }))},
-			verdictCase{fmt.Sprintf("New/one-vector/%v", d), newErr(vs[:1], with(func(o *Options) { o.Design = UseDesign(d) }))},
-			verdictCase{fmt.Sprintf("New/two-vectors/%v", d), newErr(vs[:2], with(func(o *Options) { o.Design = UseDesign(d) }))},
-			verdictCase{fmt.Sprintf("New/mutable/%v", d), newErr(vs, with(func(o *Options) { o.Mutable = true; o.Design = UseDesign(d) }))},
-		)
-	}
-	overrides := []*Design{nil, UseDesign(Design(99))}
-	for _, d := range AllDesigns {
-		overrides = append(overrides, UseDesign(d))
+		{"New/one-vector", newErr(vs[:1], base)},
+		{"New/two-vectors", newErr(vs[:2], base)},
+		{"New/mutable", newErr(vs, with(func(o *Options) { o.Mutable = true }))},
 	}
 	for _, im := range images {
-		for _, d := range overrides {
-			im, d := im, d
-			label := "nil"
-			if d != nil {
-				label = d.String()
-			}
-			cases = append(cases, verdictCase{fmt.Sprintf("Load/%s/%s", im.name, label), func() error {
-				_, err := Load(bytes.NewReader(im.data), d)
-				return err
-			}})
-		}
+		cases = append(cases, verdictCase{"Load/" + im.name, func() error {
+			_, err := Load(bytes.NewReader(im.data))
+			return err
+		}})
 	}
 	return cases
 }
 
-// parentVerdicts is what New and Load answered at the parent commit (943b7c1,
-// recorded before the first edit of this change): the error text, "" for
-// success. Only the rows that are not a success are listed.
-var parentVerdicts = map[string]string{
-	"New/empty":                      "ansmet: empty dataset",
-	"New/unknown-design":             "core: unknown design Design(99)",
-	"New/ragged":                     "ansmet: vector 5 has dim 7, want 8",
-	"New/nan":                        "ansmet: vector has non-finite component (vector 4 component 2 is NaN)",
-	"New/hnsw-M-1":                   "hnsw: invalid config {M:1 MaxDegree:16 EfConstruction:40 Seed:7} (need M >= 2, MaxDegree >= M/2, EfConstruction > 0)",
-	"New/mutable/CPU-Base":           "ansmet: enabling mutation: core: mutation requires an early-termination design (no encoded store)",
-	"New/mutable/NDP-Base":           "ansmet: enabling mutation: core: mutation requires an early-termination design (no encoded store)",
-	"New/one-vector/CPU-ETOpt":       "layout: need at least 2 sample vectors, got 1",
-	"New/one-vector/NDP-ET+Dual":     "layout: need at least 2 sample vectors, got 1",
-	"New/one-vector/NDP-ETOpt":       "layout: need at least 2 sample vectors, got 1",
-	"Load/v3/Design(99)":             "core: unknown design Design(99)",
-	"Load/v3-live/Design(99)":        "core: unknown design Design(99)",
-	"Load/v3-live/CPU-Base":          "ansmet: snapshot is live but ansmet: enabling mutation: core: mutation requires an early-termination design (no encoded store)",
-	"Load/v3-live/NDP-Base":          "ansmet: snapshot is live but ansmet: enabling mutation: core: mutation requires an early-termination design (no encoded store)",
-	"Load/v4/Design(99)":             "core: unknown design Design(99)",
-	"Load/v4-live/Design(99)":        "core: unknown design Design(99)",
-	"Load/v4-live/CPU-Base":          "ansmet: snapshot is live but ansmet: enabling mutation: core: mutation requires an early-termination design (no encoded store)",
-	"Load/v4-live/NDP-Base":          "ansmet: snapshot is live but ansmet: enabling mutation: core: mutation requires an early-termination design (no encoded store)",
-	"Load/v4-one-vector/Design(99)":  "core: unknown design Design(99)",
-	"Load/v4-one-vector/CPU-ETOpt":   "layout: need at least 2 sample vectors, got 1",
-	"Load/v4-one-vector/NDP-ET+Dual": "layout: need at least 2 sample vectors, got 1",
-	"Load/v4-one-vector/NDP-ETOpt":   "layout: need at least 2 sample vectors, got 1",
+// fixture reads a committed snapshot from testdata/.
+func fixture(t testing.TB, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
-// TestNewLoadVerdictsUnchanged: moving the model off the construction path
-// changed no answer New or Load gives, text included — except that a Base
-// design may now be mutable and may load a live snapshot (the refusal's
-// reason went with the encoded store as ingester). The zero-dimension row the
-// same change added is TestZeroDimensionRejected's: the parent never returned
-// from it.
+// parentVerdicts is what an NDP-ETOpt database's New and Load answered at
+// e6a4203 (Load/v4-cpubase under an NDP-ETOpt override): the error text, ""
+// for success. Only the refusals are listed.
+var parentVerdicts = map[string]string{
+	"New/empty":          "ansmet: empty dataset",
+	"New/ragged":         "ansmet: vector 5 has dim 7, want 8",
+	"New/nan":            "ansmet: vector has non-finite component (vector 4 component 2 is NaN)",
+	"New/hnsw-M-1":       "hnsw: invalid config {M:1 MaxDegree:16 EfConstruction:40 Seed:7} (need M >= 2, MaxDegree >= M/2, EfConstruction > 0)",
+	"New/one-vector":     "layout: need at least 2 sample vectors, got 1",
+	"Load/v4-one-vector": "layout: need at least 2 sample vectors, got 1",
+}
+
+// TestNewLoadVerdictsUnchanged: New and Load give the answers an NDP-ETOpt
+// database gave, text included; a one-vector CPU-Base snapshot, which loaded
+// while its design was honoured, is refused as any one-vector database is.
+// The 12-vector CPU-Base file loads to what a fresh build makes, its Design
+// ignored, and serves ndp ≡ host and tiered ≡ exact bit for bit.
 func TestNewLoadVerdictsUnchanged(t *testing.T) {
-	nowAccepted := map[string]bool{
-		"New/mutable/CPU-Base": true, "New/mutable/NDP-Base": true,
-		"Load/v3-live/CPU-Base": true, "Load/v3-live/NDP-Base": true,
-		"Load/v4-live/CPU-Base": true, "Load/v4-live/NDP-Base": true,
-	}
 	seen := 0
 	for _, c := range verdictCases(t) {
 		want := parentVerdicts[c.name]
 		if want != "" {
 			seen++
-		}
-		if nowAccepted[c.name] {
-			want = ""
 		}
 		got := ""
 		if err := c.call(); err != nil {
@@ -473,6 +426,23 @@ func TestNewLoadVerdictsUnchanged(t *testing.T) {
 	}
 	if seen != len(parentVerdicts) {
 		t.Errorf("%d of the %d recorded refusals were driven", seen, len(parentVerdicts))
+	}
+
+	path, d := filepath.Join("testdata", "v4-cpubase.snap"), core.CPUBase
+	if _, err := LoadFile(path, &d); err == nil || err.Error() != "ansmet: LoadFile takes no design (got CPU-Base); build a model at it over the database with core.NewSystem" {
+		t.Errorf("LoadFile under a design: %v", err)
+	}
+	loaded, err := LoadFile(path, nil)
+	fresh, err2 := New(smallVectors(12), Options{Metric: L2, Elem: Float32, EfConstruction: 40, Seed: 7})
+	if err != nil || err2 != nil {
+		t.Fatal(err, err2)
+	}
+	queries := smallVectors(16)[12:]
+	sameDatabase(t, "v4-cpubase ≡ a fresh build", fresh, loaded, queries)
+	for qi, q := range queries {
+		got := routesOf(t, loaded, q, 5)
+		sameBits(t, fmt.Sprintf("v4-cpubase q%d ndp ≡ host", qi), got[RouteNDP], got[RouteHost])
+		sameBits(t, fmt.Sprintf("v4-cpubase q%d tiered ≡ exact", qi), got[RouteTiered], got[RouteExact])
 	}
 }
 
@@ -527,7 +497,11 @@ func attachUnderLoad(t *testing.T, db *Database, vec func() []float32, from, to 
 			select {
 			case <-attach:
 			case <-stop:
-				return
+				select {
+				case <-attach: // a late start sees both closed: still attach
+				default:
+					return
+				}
 			}
 			// The first query of each is what races to build the model.
 			if res, err := db.Do(ctx, &Query{Vector: queries[w%len(queries)], K: k, Ef: 48, Route: route, Budget: budget}); err != nil || len(res.Neighbors) != k {

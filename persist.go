@@ -11,7 +11,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"ansmet/internal/core"
 	"ansmet/internal/hnsw"
@@ -77,8 +76,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // dbSnapshot is the gob-encoded part of a snapshot: everything but the rows
 // (v4), or everything (v3). The NDP model is not in the file: it is a
-// deterministic function of rows, graph and options (paper Table 4's offline
+// deterministic function of rows, graph and seed (paper Table 4's offline
 // pass) that a loaded database derives again when a route asks for it.
+// Design is the format's: Save writes NDP-ETOpt, the one design a database
+// has, so that older readers still load the file, and Load ignores it.
 type dbSnapshot struct {
 	Magic  string
 	Metric Metric
@@ -146,7 +147,7 @@ func (db *Database) saveLocked(w io.Writer) error {
 		Magic:  snapshotMagic,
 		Metric: db.opts.Metric,
 		Elem:   db.opts.Elem,
-		Design: *db.opts.Design,
+		Design: core.NDPETOpt,
 		Seed:   db.opts.Seed,
 		N:      view.Len(),
 		Dim:    db.rows.Dim(),
@@ -276,18 +277,23 @@ func (db *Database) SaveFile(path string) error {
 func WALName(snapshotPath string) string { return snapshotPath + ".wal" }
 
 // LoadFile reconstructs a database previously written with SaveFile (or
-// Save to a file). design may override the persisted Design. When the
-// snapshot is live (Options.Mutable was set), the paired journal at
-// WALName(path) is opened — created empty if absent — its acknowledged
-// records are replayed, any torn tail is truncated, and the journal stays
-// attached for subsequent mutations; call Close to release it. A journal that
-// does not continue this snapshot (wal.ErrBadSequence) is refused, untouched.
+// Save to a file). design must be nil: a database has no design point of its
+// own, and a model at another one is built over it with core.NewSystem (see
+// Database.System). When the snapshot is live (Options.Mutable was set), the
+// paired journal at WALName(path) is opened — created empty if absent — its
+// acknowledged records are replayed, any torn tail is truncated, and the
+// journal stays attached for subsequent mutations; call Close to release it.
+// A journal that does not continue this snapshot (wal.ErrBadSequence) is
+// refused, untouched.
 func LoadFile(path string, design *Design) (*Database, error) {
+	if design != nil {
+		return nil, fmt.Errorf("ansmet: LoadFile takes no design (got %v); build a model at it over the database with core.NewSystem", *design)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("ansmet: opening snapshot: %w", err)
 	}
-	db, err := Load(f, design)
+	db, err := Load(f)
 	f.Close()
 	if err != nil {
 		return nil, err
@@ -344,9 +350,6 @@ func validateSnapshot(version int, snap *dbSnapshot) error {
 	}
 	if snap.Elem < vecmath.Uint8 || snap.Elem > vecmath.Float32 {
 		return fmt.Errorf("ansmet: snapshot has invalid element type %d", int(snap.Elem))
-	}
-	if !slices.Contains(core.AllDesigns, snap.Design) {
-		return fmt.Errorf("ansmet: snapshot has invalid design %d", int(snap.Design))
 	}
 	if snap.Graph == nil {
 		return fmt.Errorf("ansmet: snapshot has no index graph")
@@ -426,8 +429,8 @@ func verifyIntegrity(data, header []byte) ([]byte, error) {
 
 // Load reconstructs a database previously written with Save: rows and graph
 // as saved. The NDP model is not in the file and is not built here (see
-// Database.System). design may override the persisted Design — any design
-// serves any snapshot, live ones included; other fields are restored.
+// Database.System); the persisted Design is ignored, and every other field
+// is restored.
 //
 // Load is hardened against corrupt or hostile input: the raw header and
 // format version are checked first, the CRC32C footer is verified over the
@@ -439,7 +442,7 @@ func verifyIntegrity(data, header []byte) ([]byte, error) {
 // validates the topology — the same checks for both format versions.
 // Malformed files return errors, never panic (FuzzLoad and FuzzLoadSnapshot
 // assert this).
-func Load(r io.Reader, design *Design) (db *Database, err error) {
+func Load(r io.Reader) (db *Database, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			db, err = nil, fmt.Errorf("ansmet: malformed snapshot: %v", p)
@@ -472,13 +475,9 @@ func Load(r io.Reader, design *Design) (db *Database, err error) {
 		return nil, err
 	}
 	opts := Options{
-		Metric: snap.Metric, Elem: snap.Elem,
-		Design: &snap.Design, Seed: snap.Seed,
+		Metric: snap.Metric, Elem: snap.Elem, Seed: snap.Seed,
 		// A live snapshot restores the live-mutation state.
 		Mutable: snap.Live, RepairEvery: snap.RepairEvery,
-	}
-	if design != nil {
-		opts.Design = design
 	}
 	db, err = newDatabase(opts, rs, ix)
 	if err != nil {
@@ -621,7 +620,7 @@ func LoadClusterDir(dir string, opts ClusterOptions) (*Cluster, error) {
 	}
 	dbs := make([]*Database, len(man.IDs))
 	for s := range man.IDs {
-		db, err := LoadFile(filepath.Join(dir, ShardSnapshotName(s)), opts.Build.Design)
+		db, err := LoadFile(filepath.Join(dir, ShardSnapshotName(s)), nil)
 		if err != nil {
 			return nil, fmt.Errorf("ansmet: loading shard %d: %w", s, err)
 		}

@@ -97,8 +97,7 @@ var errFilterRoute = errors.New("ansmet: Filter needs a beam route (host or ndp)
 //     RouteAuto); RouteAuto with a positive Budget is the exact scan
 //     (Budget >= 1) or the tiered route at that budget; otherwise RouteAuto
 //     asks the router — the exact scan when its recent cost fits the
-//     deadline slack, the host beam under pressure or load; RouteTiered on a
-//     Base design (no bound machinery) degrades to RouteExact.
+//     deadline slack, the host beam under pressure or load.
 //  4. The route runs, and the router of this database observes it (route
 //     counter, in-flight load, cost estimate) whichever entry point the
 //     query came through.
@@ -148,9 +147,6 @@ func (db *Database) resolveRoute(ctx context.Context, q *Query) (Route, error) {
 			route = db.router.Decide(slackOf(ctx))
 		}
 	}
-	if route == RouteTiered && !db.cfg.Design.UsesET() {
-		route = RouteExact
-	}
 	return route, nil
 }
 
@@ -180,8 +176,6 @@ func (db *Database) do(ctx context.Context, s *searchScratch, q *Query) (Result,
 	start := time.Now()
 	switch route {
 	case RouteTiered:
-		// resolveRoute sent a Base design's tiered queries to the exact scan,
-		// so the scratch's NDP-model engine is an ET design's.
 		et := db.ndpEngine(s).(*core.ETEngine)
 		budget := q.Budget
 		if budget <= 0 || budget > 1 {
@@ -412,9 +406,8 @@ func (db *Database) SearchCtxInto(ctx context.Context, q []float32, k, ef int, d
 // stage 2 re-ranks candidates exactly in ascending-bound order until the
 // adaptive cut proves (budget 1) or deems (budget < 1) the rest irrelevant.
 // At budget 1 the results are identical to the exact route's, at a fraction
-// of its line traffic. On a Base design the route degrades to the exact scan,
-// reporting the whole population as the pool. With a reused dst the steady
-// state allocates nothing (gated by TestTieredSteadyStateAllocs).
+// of its line traffic. With a reused dst the steady state allocates nothing
+// (gated by TestTieredSteadyStateAllocs).
 func (db *Database) TieredSearchInto(q []float32, k int, budget float64, dst []Neighbor) ([]Neighbor, TieredStats, error) {
 	res, err := db.Do(context.Background(), &Query{Vector: q, K: k, Route: RouteTiered, Budget: budget, Dst: dst})
 	return res.Neighbors, res.Tiered, err

@@ -25,8 +25,6 @@ func buildDoCases(t *testing.T) []doCase {
 	sift := dataset.ProfileByName("SIFT")
 	sds := dataset.Generate(sift, 400, 5, 31)
 	siftOpts := Options{Metric: sift.Metric, Elem: sift.Elem, EfConstruction: 60, Seed: 7}
-	baseOpts := siftOpts
-	baseOpts.Design = UseDesign(CPUBase)
 	mutOpts := siftOpts
 	mutOpts.Mutable, mutOpts.RepairEvery = true, 4
 	deletes := []uint32{1, 5, 9, 20, 33, 399} // one repair batch at 4, two left pending
@@ -56,10 +54,9 @@ func buildDoCases(t *testing.T) []doCase {
 	}
 	cases := []doCase{
 		build("et", siftOpts, false),
-		build("base", baseOpts, false),
 		build("mutable", mutOpts, true),
 	}
-	if db := cases[2].db; db.Tombstones() != len(deletes) || db.Stats().PendingRepair == 0 {
+	if db := cases[1].db; db.Tombstones() != len(deletes) || db.Stats().PendingRepair == 0 {
 		t.Fatalf("mutable case: %d tombstones, %d pending repair", db.Tombstones(), db.Stats().PendingRepair)
 	}
 	return cases
@@ -179,8 +176,8 @@ func sameError(a, b error) bool {
 }
 
 // TestDoEquivalence pins every surviving wrapper, byte for byte and error for
-// error, to the Do call it wraps: {ET design, Base design, mutable with
-// tombstones} × {ndp, host, tiered} × the four
+// error, to the Do call it wraps: {immutable, mutable with tombstones} ×
+// {ndp, host, tiered} × the four
 // contexts × {nil, reused Dst}, wherever a wrapper covers the cell. Do's own
 // contract, cell by cell, is the contract harness's Do step
 // (contract_test.go). The sub-tests pin the partial a cancellation

@@ -129,7 +129,7 @@ func TestSearchManyPanicRecovered(t *testing.T) {
 }
 
 func TestLoadGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a database")), nil); err == nil {
+	if _, err := Load(bytes.NewReader([]byte("not a database"))); err == nil {
 		t.Error("garbage input should fail")
 	}
 }
@@ -169,7 +169,7 @@ func FuzzLoad(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, err := Load(bytes.NewReader(data), nil)
+		db, err := Load(bytes.NewReader(data))
 		if err != nil && db != nil {
 			t.Fatal("Load returned both a database and an error")
 		}

@@ -94,14 +94,13 @@ func TestGraphIdentityGoldens(t *testing.T) {
 	}
 }
 
-// routesOf runs q on every route and returns the answers keyed by route (a
-// Base design's tiered query runs the exact scan).
+// routesOf runs q on every route and returns the answers keyed by route.
 func routesOf(t *testing.T, db *Database, q []float32, k int) map[Route][]Neighbor {
 	t.Helper()
 	out := map[Route][]Neighbor{}
 	for _, r := range []Route{RouteHost, RouteNDP, RouteExact, RouteTiered} {
 		res, err := db.Do(context.Background(), &Query{Vector: q, K: k, Ef: 64, Route: r, Budget: 1})
-		if err != nil || res.Route != r && !(r == RouteTiered && res.Route == RouteExact && !db.cfg.Design.UsesET()) {
+		if err != nil || res.Route != r {
 			t.Fatalf("route %v: ran %v, err %v", r, res.Route, err)
 		}
 		out[r] = append([]Neighbor(nil), res.Neighbors...)
@@ -150,7 +149,7 @@ func TestLoadV3Fixtures(t *testing.T) {
 		if !bytes.HasPrefix(data, snapshotHeaderV3) {
 			t.Fatalf("%s is not a v3 file", name)
 		}
-		db, err := Load(bytes.NewReader(data), nil)
+		db, err := Load(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -164,7 +163,7 @@ func TestLoadV3Fixtures(t *testing.T) {
 		if !bytes.HasPrefix(buf.Bytes(), snapshotHeader) || buf.Len() >= v3Size {
 			t.Fatalf("%s: re-saved as %d bytes (v3 was %d), header %q", label, buf.Len(), v3Size, buf.Bytes()[:10])
 		}
-		again, err := Load(&buf, nil)
+		again, err := Load(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +261,7 @@ func craftedRows(t testing.TB) []craftedGraph {
 // loads.
 func TestLoadRefusesCraftedRows(t *testing.T) {
 	for _, c := range craftedRows(t) {
-		db, err := Load(bytes.NewReader(c.image), nil)
+		db, err := Load(bytes.NewReader(c.image))
 		if err == nil || db != nil {
 			t.Errorf("%s: loaded (err %v)", c.name, err)
 		} else if !errors.Is(err, ErrSnapshotRows) || !strings.Contains(err.Error(), c.want) {
@@ -396,7 +395,7 @@ func TestNonFiniteNeverReachesStorage(t *testing.T) {
 		if err := db.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		back, err := Load(&buf, nil)
+		back, err := Load(&buf)
 		if err != nil {
 			t.Fatalf("%v: the snapshot of a database that saw %v does not load: %v", c.elem, c.over, err)
 		}

@@ -81,14 +81,14 @@ func recraft(t testing.TB, image []byte, edit func(snap *dbSnapshot, rowSection 
 // naming the field, and the same database still loads uncrafted.
 func TestLoadRefusesCraftedGraphs(t *testing.T) {
 	for _, c := range craftedGraphs(t) {
-		db, err := Load(bytes.NewReader(c.image), nil)
+		db, err := Load(bytes.NewReader(c.image))
 		if err == nil || db != nil {
 			t.Errorf("%s: loaded (err %v)", c.name, err)
 		} else if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not name %q", c.name, err, c.want)
 		}
 	}
-	if _, err := Load(bytes.NewReader(validSnapshot(t)), nil); err != nil {
+	if _, err := Load(bytes.NewReader(validSnapshot(t))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -127,7 +127,7 @@ func TestLoadSnapshotCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			db, err := Load(bytes.NewReader(tc.data), nil)
+			db, err := Load(bytes.NewReader(tc.data))
 			if err == nil {
 				t.Fatal("corrupt snapshot loaded without error")
 			}
@@ -147,7 +147,7 @@ func TestLoadSnapshotCorruption(t *testing.T) {
 func TestLoadEveryTruncation(t *testing.T) {
 	valid := validSnapshot(t)
 	for cut := 0; cut < len(valid); cut += 37 {
-		db, err := Load(bytes.NewReader(valid[:cut]), nil)
+		db, err := Load(bytes.NewReader(valid[:cut]))
 		if err == nil || db != nil {
 			t.Fatalf("truncation at %d/%d bytes loaded without error", cut, len(valid))
 		}
@@ -232,7 +232,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, err := Load(bytes.NewReader(data), nil)
+		db, err := Load(bytes.NewReader(data))
 		if err != nil && db != nil {
 			t.Fatal("Load returned both a database and an error")
 		}
