@@ -455,7 +455,10 @@ func BenchmarkSearchHost(b *testing.B) {
 
 // BenchmarkExactScan measures the exact route — the SIMD scan of every row,
 // the k best kept in place on the caller's Dst — on the default database and
-// on one that has lived (tombstones skipped, appended rows re-pinned).
+// on one that has lived (tombstones skipped, appended rows re-pinned); and,
+// skipped at the quick scale, at the shapes of two served workloads: GloVe
+// at n = 10 000 (fp32, dim 100, inner product — what a recall_target 1
+// request scans) and GIST at n = 3 000 (fp32, dim 960, L2).
 // BenchmarkTieredSearch is the same answer through the bound machinery.
 // Budget: 0 allocs/op.
 func BenchmarkExactScan(b *testing.B) {
@@ -467,7 +470,43 @@ func BenchmarkExactScan(b *testing.B) {
 			benchDo(b, context.Background(), arm.db, benchData().Queries, ansmet.Query{K: 10, Route: ansmet.RouteExact})
 		})
 	}
+	for _, arm := range []struct {
+		name string
+		w    func() benchWorkload
+	}{{"glove-10k", benchGlove10k}, {"gist-3k", benchGist3k}} {
+		b.Run(arm.name, func(b *testing.B) {
+			if os.Getenv("ANSMET_BENCH_QUICK") != "" {
+				b.Skip("a served workload's shape takes seconds to build")
+			}
+			w := arm.w()
+			benchDo(b, context.Background(), w.db, w.ds.Queries, ansmet.Query{K: 10, Route: ansmet.RouteExact})
+		})
+	}
 }
+
+// benchWorkload is a dataset and the database built over it.
+type benchWorkload struct {
+	ds *dataset.Dataset
+	db *ansmet.Database
+}
+
+// buildBenchWorkload generates n vectors of the profile and builds a
+// database over them at the served build options.
+func buildBenchWorkload(profile string, n int) benchWorkload {
+	p := dataset.ProfileByName(profile)
+	w := benchWorkload{ds: dataset.Generate(p, n, 32, 7)}
+	var err error
+	w.db, err = ansmet.New(w.ds.Vectors, ansmet.Options{Metric: p.Metric, Elem: p.Elem, EfConstruction: 100, Seed: 7})
+	if err != nil {
+		panic(err)
+	}
+	return w
+}
+
+var (
+	benchGlove10k = sync.OnceValue(func() benchWorkload { return buildBenchWorkload("GloVe", 10000) })
+	benchGist3k   = sync.OnceValue(func() benchWorkload { return buildBenchWorkload("GIST", 3000) })
+)
 
 // BenchmarkSearchMany measures parallel batch-search throughput (DoMany on
 // the ndp route) across all cores.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"ansmet/internal/engine"
 	"ansmet/internal/hnsw"
@@ -40,7 +41,7 @@ func (e *ETEngine) ExactKNN(done <-chan struct{}, q []float32, k int) (nn []hnsw
 // distance and an early-termination reject is sound) while every scanned
 // row counts a full fetch. tomb, when non-nil, is the deletion bitmap;
 // results are appended into dst[:0], and with a reused dst of capacity k
-// the scan allocates nothing.
+// the scan allocates nothing (its run buffers are pooled).
 func ScanKNN(done <-chan struct{}, rows *engine.Exact, tomb *TombSet, q []float32, k int, dst []hnsw.Neighbor) (nn []hnsw.Neighbor, linesFetched int, cancelled bool) {
 	rows.StartQuery(q)
 	return scanKNN(done, rows, uint32(rows.Len()), tomb, k, dst)
@@ -55,21 +56,41 @@ func (f fixedPrecision) Compare(id uint32, threshold float64) engine.Result {
 	return f.compareExact(id, threshold)
 }
 
-// scanKNN is the one exact k-NN scan loop: ids [0, n) in order through
-// eng.Compare (the caller has started the query), tombstoned ids skipped,
-// the k best kept in a max-heap built in place on dst[:0] and returned in
-// ascending (Dist, ID) order.
+// scanRun is how many ids the batched scan takes per Distances call: a
+// divisor of knnCancelStride, so every checkpoint falls on a run's first id.
+const scanRun = 64
+
+// scanRuns pools the batched scan's run buffers: a Distances call through
+// the interface would move buffers on the scan's stack to the heap.
+var scanRuns = sync.Pool{New: func() any { return new(scanBuf) }}
+
+type scanBuf struct {
+	ids  [scanRun]uint32
+	dist [scanRun]float64
+}
+
+// scanKNN is the one exact k-NN scan loop: ids [0, n) in order (the caller
+// has started the query), tombstoned ids skipped, the k best kept in a
+// max-heap built in place on dst[:0] and returned in ascending (Dist, ID)
+// order.
+//
+// The ids go in aligned runs of scanRun. An engine.Batcher (the exact
+// engine: ScanKNN) takes each run's live ids in one Distances call and the
+// heap pass follows; any other engine (ExactKNN's early-terminating one)
+// compares id by id at the live threshold — +Inf while the heap is short,
+// its top after — so its line counts are those of a per-id scan. A
+// comparison is accepted at a tie with the threshold, so an accepted row
+// replaces the top only when it is Less: at equal distance the smaller id
+// stays. Both give the one answer, ExactKNN's.
 //
 // done is a cooperative-cancellation channel; nil disables every check.
-// When done fires, the scan stops at the next checkpoint and returns the
-// best neighbors over the prefix scanned so far with cancelled=true — a
-// usable approximate answer, but NOT the exact one; callers must not treat
-// a cancelled result as the brute-force ground truth.
+// It is polled before the first comparison and at every id that is a
+// multiple of knnCancelStride once the heap is full. When done fires, the
+// scan stops there and returns the best neighbors over the prefix scanned
+// so far with cancelled=true — a usable approximate answer, but NOT the
+// exact one; callers must not treat a cancelled result as the brute-force
+// ground truth.
 func scanKNN(done <-chan struct{}, eng engine.Engine, n uint32, tomb *TombSet, k int, dst []hnsw.Neighbor) (nn []hnsw.Neighbor, linesFetched int, cancelled bool) {
-	// Phase 1: pre-fill the heap with the first k candidates' exact
-	// distances (threshold ∞ — every Compare is a full fetch and always
-	// accepted, exactly as the generic loop would do while the heap is
-	// short). At most k comparisons: one upfront check suffices.
 	if done != nil {
 		select {
 		case <-done:
@@ -82,24 +103,16 @@ func scanKNN(done <-chan struct{}, eng engine.Engine, n uint32, tomb *TombSet, k
 	}
 	heap := hnsw.Heap{Max: true}
 	heap.Init(dst[:0])
-	id := uint32(0)
-	for ; id < n && heap.Len() < k; id++ {
-		if tomb != nil && tomb.IsDeleted(id) {
-			continue
-		}
-		r := eng.Compare(id, math.Inf(1))
-		linesFetched += r.TotalLines()
-		heap.Push(hnsw.Neighbor{ID: id, Dist: r.Dist})
+	bat, _ := eng.(engine.Batcher)
+	var buf *scanBuf
+	if bat != nil {
+		buf = scanRuns.Get().(*scanBuf)
+		defer scanRuns.Put(buf)
 	}
-
-	// Phase 2: the heap is full, so the k-th-best distance is always at the
-	// top — read the threshold straight from it, no branch per candidate.
-	// Compare accepts a tie at the threshold, so an accepted row replaces the
-	// top only when it is Less: at equal distance the smaller id stays.
-	for ; id < n; id++ {
-		if done != nil && id%knnCancelStride == 0 {
+	for start := uint32(0); start < n; start += scanRun {
+		if done != nil && start%knnCancelStride == 0 && heap.Len() >= k {
 			if exactScanTestHook != nil {
-				exactScanTestHook(id)
+				exactScanTestHook(start)
 			}
 			select {
 			case <-done:
@@ -110,13 +123,40 @@ func scanKNN(done <-chan struct{}, eng engine.Engine, n uint32, tomb *TombSet, k
 				break
 			}
 		}
-		if tomb != nil && tomb.IsDeleted(id) {
+		end := min(start+scanRun, n)
+		if bat != nil {
+			ids := buf.ids[:0]
+			for id := start; id < end; id++ {
+				if tomb == nil || !tomb.IsDeleted(id) {
+					ids = append(ids, id)
+				}
+			}
+			dist := bat.Distances(ids, buf.dist[:0])
+			linesFetched += len(ids) * eng.LinesPerVector()
+			for i, id := range ids {
+				if nb := (hnsw.Neighbor{ID: id, Dist: dist[i]}); heap.Len() < k {
+					heap.Push(nb)
+				} else if nb.Less(heap.Top()) {
+					heap.ReplaceTop(nb)
+				}
+			}
 			continue
 		}
-		r := eng.Compare(id, heap.Top().Dist)
-		linesFetched += r.TotalLines()
-		if nb := (hnsw.Neighbor{ID: id, Dist: r.Dist}); r.Accepted && nb.Less(heap.Top()) {
-			heap.ReplaceTop(nb)
+		for id := start; id < end; id++ {
+			if tomb != nil && tomb.IsDeleted(id) {
+				continue
+			}
+			threshold := math.Inf(1)
+			if heap.Len() >= k {
+				threshold = heap.Top().Dist
+			}
+			r := eng.Compare(id, threshold)
+			linesFetched += r.TotalLines()
+			if nb := (hnsw.Neighbor{ID: id, Dist: r.Dist}); heap.Len() < k {
+				heap.Push(nb)
+			} else if r.Accepted && nb.Less(heap.Top()) {
+				heap.ReplaceTop(nb)
+			}
 		}
 	}
 	return heap.Sorted(dst), linesFetched, cancelled

@@ -95,8 +95,11 @@ type Exact struct {
 	// search, every id an index view captured before StartQuery can hand out
 	// has a row in it (core/mutable.go).
 	view  rows.View
-	kern  vecmath.RowKernel // the slab's element type × the metric, chosen once
-	query []byte            // the current query in the slab's encoding (reused scratch)
+	kern  vecmath.RowKernel  // the slab's element type × the metric, chosen once
+	kern4 vecmath.RowKernel4 // and its four-row form
+	query []byte             // the current query in the slab's encoding (reused scratch)
+	four  [4][]byte          // Distances' rows for one kern4 call
+	out   [4]float64         // and their results
 }
 
 // NewExact builds an exact engine over the dataset, packed into a slab of
@@ -108,7 +111,9 @@ func NewExact(vectors [][]float32, m vecmath.Metric, elem vecmath.ElemType) *Exa
 // NewExactOver builds an exact engine over a slab it shares with whoever
 // else reads (and appends to) it.
 func NewExactOver(rs *rows.Slab, m vecmath.Metric) *Exact {
-	return &Exact{M: m, FullLines: rows.Lines(rs.Elem(), rs.Dim()), rows: rs, kern: vecmath.Active().RowKernel(rs.Elem(), m)}
+	im := vecmath.Active()
+	return &Exact{M: m, FullLines: rows.Lines(rs.Elem(), rs.Dim()), rows: rs,
+		kern: im.RowKernel(rs.Elem(), m), kern4: im.RowKernel4(rs.Elem(), m)}
 }
 
 // StartQuery implements Engine: it pins the slab and encodes q into the
@@ -129,7 +134,11 @@ func (e *Exact) Len() int { return e.view.Len() }
 
 // distance is Metric.Distance between the current query and row id.
 func (e *Exact) distance(id uint32) float64 {
-	d := e.kern(e.query, e.view.Row(id))
+	return e.finish(e.kern(e.query, e.view.Row(id)))
+}
+
+// finish turns a kernel's result into Metric.Distance.
+func (e *Exact) finish(d float64) float64 {
 	if e.M == vecmath.L2 {
 		return math.Sqrt(d)
 	}
@@ -145,8 +154,19 @@ func (e *Exact) Compare(id uint32, threshold float64) Result {
 // Hint implements Batcher.
 func (e *Exact) Hint(id uint32) { vecmath.Prefetch(e.view.Row(id)) }
 
-// Distances implements Batcher.
+// Distances implements Batcher: four ids per kernel call, the rest one at a
+// time. The four-row kernel is the one-row kernel bit for bit on every row,
+// so each distance is the one Compare reports.
 func (e *Exact) Distances(ids []uint32, dst []float64) []float64 {
+	for ; len(ids) >= 4; ids = ids[4:] {
+		for i := range e.four {
+			e.four[i] = e.view.Row(ids[i])
+		}
+		e.kern4(e.query, &e.four, &e.out)
+		for _, d := range e.out {
+			dst = append(dst, e.finish(d))
+		}
+	}
 	for _, id := range ids {
 		dst = append(dst, e.distance(id))
 	}

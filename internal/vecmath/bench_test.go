@@ -13,6 +13,7 @@ type kernelCase struct {
 	name string
 	dim  int
 	op   func() float64
+	rows int // rows one call compares, when it is a row kernel: reported per row
 }
 
 // distanceKernelCases: the full-distance kernels for every metric at three
@@ -28,7 +29,7 @@ func distanceKernelCases() []kernelCase {
 				x[d] = rng.Float32()
 				y[d] = rng.Float32()
 			}
-			cases = append(cases, kernelCase{fmt.Sprintf("%v-%d", m, dim), dim, func() float64 { return m.Distance(x, y) }})
+			cases = append(cases, kernelCase{fmt.Sprintf("%v-%d", m, dim), dim, func() float64 { return m.Distance(x, y) }, 0})
 		}
 	}
 	return cases
@@ -53,11 +54,11 @@ func kernelImplCases() []kernelCase {
 	var cases []kernelCase
 	for _, im := range Implementations() {
 		cases = append(cases,
-			kernelCase{"SquaredL2/" + im.Name, dim, func() float64 { return im.SquaredL2(x, y) }},
-			kernelCase{"Dot/" + im.Name, dim, func() float64 { return im.Dot(x, y) }},
+			kernelCase{"SquaredL2/" + im.Name, dim, func() float64 { return im.SquaredL2(x, y) }, 0},
+			kernelCase{"Dot/" + im.Name, dim, func() float64 { return im.Dot(x, y) }, 0},
 			kernelCase{"BlockSumsTotal/" + im.Name, dim, func() float64 {
 				return im.BlockSumsTotal(contrib, blockSums, 0, len(blockSums)-1)
-			}})
+			}, 0})
 	}
 	// The typed row kernels, one arm per element type and implementation at
 	// SIFT's and the production dimension: what a compare costs over rows in
@@ -69,7 +70,16 @@ func kernelImplCases() []kernelCase {
 			for _, im := range Implementations() {
 				kern := im.RowKernel(et, L2)
 				cases = append(cases, kernelCase{fmt.Sprintf("RowSquaredL2/%v-%d/%s", et, rdim, im.Name), rdim,
-					func() float64 { return kern(a, b) }})
+					func() float64 { return kern(a, b) }, 1})
+			}
+			// The four-row form over four distinct rows: its ns/row against
+			// RowSquaredL2's is what sharing the query's widening saves.
+			four := [4][]byte{b, append([]byte(nil), a...), append([]byte(nil), b...), a}
+			var out [4]float64
+			for _, im := range Implementations() {
+				kern4 := im.RowKernel4(et, L2)
+				cases = append(cases, kernelCase{fmt.Sprintf("Row4SquaredL2/%v-%d/%s", et, rdim, im.Name), 4 * rdim,
+					func() float64 { kern4(a, &four, &out); return out[0] }, 4})
 			}
 		}
 	}
@@ -100,6 +110,9 @@ func benchKernels(b *testing.B, cases []kernelCase) {
 			}
 			if math.IsNaN(s) {
 				b.Fatal("impossible")
+			}
+			if c.rows > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.rows), "ns/row")
 			}
 		})
 	}

@@ -48,7 +48,8 @@ type Impl struct {
 	dot            func(a, b []float32) float64
 	blockSum       func(terms []float64) float64
 	blockSumsTotal func(contrib, blockSums []float64, firstBlk, lastBlk int) float64
-	rows           rowKernels // the typed row kernels, see rowkernels.go
+	rows           rowKernels  // the typed row kernels, see rowkernels.go
+	rows4          rowKernels4 // and their four-row forms
 }
 
 // SquaredL2 runs this implementation's squared-L2 kernel under the package
@@ -86,6 +87,7 @@ var scalarImpl = Impl{
 	blockSum:       scalarBlockSum,
 	blockSumsTotal: scalarBlockSumsTotal,
 	rows:           scalarRows,
+	rows4:          allFourOf(scalarRows),
 }
 
 // Implementations returns every implementation runnable on this CPU,

@@ -78,6 +78,7 @@ var avx2Impl = Impl{
 	blockSum:       blockSumAVX2,
 	blockSumsTotal: blockSumsTotalAVX2,
 	rows:           avx2Rows(features),
+	rows4:          avx2Rows4(features),
 }
 
 func archImpls() []Impl {

@@ -3,6 +3,7 @@
 package vecmath
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -43,6 +44,27 @@ func TestChooseLevel(t *testing.T) {
 			scalar := entry(without[et][m]) == entry(scalarRows[et][m])
 			if want := et == Float16; same == want || scalar != want {
 				t.Errorf("%v kernel %d without F16C: same as with = %v, scalar = %v", et, m, same, scalar)
+			}
+		}
+	}
+	// The four-row table likewise: without F16C only the fp16 entries
+	// change, to ones that run anywhere and agree with the scalar kernel.
+	entry4 := func(k RowKernel4) uintptr { return reflect.ValueOf(k).Pointer() }
+	with4, without4 := avx2Rows4(cpuFeatures{hasAVX2: true, hasF16C: true}), avx2Rows4(cpuFeatures{hasAVX2: true})
+	q, r := []byte{0x00, 0x3c, 0x01, 0x80}, []byte{0x00, 0xc0, 0xff, 0x7b} // fp16 1 and the smallest negative subnormal; -2 and 65504
+	for _, et := range []ElemType{Uint8, Int8, Float16, BFloat16, Float32} {
+		for m := range with4[et] {
+			if same := entry4(with4[et][m]) == entry4(without4[et][m]); same == (et == Float16) {
+				t.Errorf("%v four-row kernel %d: same with and without F16C = %v", et, m, same)
+			}
+		}
+	}
+	for m, k := range without4[Float16] {
+		var out [4]float64
+		k(q, &[4][]byte{r, q, r, q}, &out)
+		for i, row := range [4][]byte{r, q, r, q} {
+			if want := scalarRows[Float16][m](q, row); math.Float64bits(out[i]) != math.Float64bits(want) {
+				t.Errorf("fp16 four-row kernel %d without F16C: row %d = %v, scalar %v", m, i, out[i], want)
 			}
 		}
 	}

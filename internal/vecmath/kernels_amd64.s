@@ -23,7 +23,8 @@
 //
 // FuzzKernelsMatchReference, FuzzTypedKernelsMatchReference and the two
 // tail property tests gate all of this bit for bit against the scalar
-// reference.
+// reference; FuzzRowKernel4MatchesRowKernel gates the four-row kernels
+// against the one-row ones.
 
 // REDUCEBLOCK folds a 4-lane block accumulator Yacc = [s0 s1 s2 s3] into
 // the running scalar total Xtot as total += (s0+s1)+(s2+s3). Xlo must be
@@ -94,6 +95,85 @@ done:
 	VMULSD X7, X7, X7
 #define DOTSD VMULSD X6, X5, X7
 
+// FLOATROWS4 is the body of the four-row float kernels: with SI at the
+// query, BX at the four row slices and CX the element count it stores the
+// four canonical blocked totals, row r's in lane r, at R12. Each block keeps
+// one 4-lane accumulator per row (Y0..Y3) and widens the query group once
+// for all four (Y4); the term is OPPD4 on Y4, Y5 into Y5. The block ends
+// with the four (s0+s1)+(s2+s3) taken at once: VHADDPD pairs lanes 0+1 and
+// 2+3 of two rows, VPERM2F128 gathers every row's s0+s1 in one register and
+// its s2+s3 in another, one VADDPD adds them. Lane r of the totals (Y10)
+// then gets the block added from +0, left to right, as FLOATROWS' X9 does.
+// The tail runs across the rows too: element i of each row in its lane
+// (GATHER), the query's broadcast (TAIL, then VBROADCASTSD), each lane's
+// terms added left to right from +0 (Y6) and the sum added to its total —
+// FLOATROWS' scalar tail, lane by lane. So every lane performs the one-row
+// kernel's operations in its order and out[r] is its result bit for bit.
+// R8 is the TAIL macros' scratch.
+#define FLOATROWS4(LOAD, TAIL, GATHER, OPPD4) \
+	MOVQ   0(BX), DI               \
+	MOVQ   24(BX), R9              \
+	MOVQ   48(BX), R10             \
+	MOVQ   72(BX), R11             \
+	VXORPD Y10, Y10, Y10           \ // four totals
+	XORQ   AX, AX                  \ // i
+	MOVQ   CX, DX                  \
+	ANDQ   $-16, DX                \ // full-block limit
+blocks:                            \
+	CMPQ   AX, DX                  \
+	JGE    tail                    \
+	VXORPD Y0, Y0, Y0              \
+	VXORPD Y1, Y1, Y1              \
+	VXORPD Y2, Y2, Y2              \
+	VXORPD Y3, Y3, Y3              \
+	FLOATGROUP4(LOAD, OPPD4, 0)    \
+	FLOATGROUP4(LOAD, OPPD4, 1)    \
+	FLOATGROUP4(LOAD, OPPD4, 2)    \
+	FLOATGROUP4(LOAD, OPPD4, 3)    \
+	VHADDPD    Y1, Y0, Y0          \ // [a0+a1 b0+b1 a2+a3 b2+b3]
+	VHADDPD    Y3, Y2, Y2          \ // [c0+c1 d0+d1 c2+c3 d2+d3]
+	VPERM2F128 $0x20, Y2, Y0, Y1   \ // every row's s0+s1
+	VPERM2F128 $0x31, Y2, Y0, Y3   \ // every row's s2+s3
+	VADDPD     Y3, Y1, Y1          \ // (s0+s1)+(s2+s3)
+	VADDPD     Y1, Y10, Y10        \ // totals += blocks
+	ADDQ   $16, AX                 \
+	JMP    blocks                  \
+tail:                              \
+	CMPQ   AX, CX                  \
+	JGE    done                    \
+	VXORPD Y6, Y6, Y6              \ // four tail accumulators
+tailloop:                          \
+	TAIL(SI, X4)                   \
+	VBROADCASTSD X4, Y4            \
+	GATHER(X5, Y5)                 \
+	OPPD4                          \
+	VADDPD Y5, Y6, Y6              \
+	INCQ   AX                      \
+	CMPQ   AX, CX                  \
+	JL     tailloop                \
+	VADDPD Y6, Y10, Y10            \ // totals += tails
+done:                              \
+	VMOVUPD Y10, (R12)
+
+// FLOATGROUP4 widens stride-4 group k of the query's block once and adds
+// each row's terms of it into that row's accumulator.
+#define FLOATGROUP4(LOAD, OPPD4, k) \
+	LOAD(k, SI, X4, Y4)                \
+	FLOATTERM4(LOAD, OPPD4, k, DI, Y0)  \
+	FLOATTERM4(LOAD, OPPD4, k, R9, Y1)  \
+	FLOATTERM4(LOAD, OPPD4, k, R10, Y2) \
+	FLOATTERM4(LOAD, OPPD4, k, R11, Y3)
+
+#define FLOATTERM4(LOAD, OPPD4, k, ptr, Yacc) \
+	LOAD(k, ptr, X5, Y5) \
+	OPPD4                \
+	VADDPD Y5, Yacc, Yacc
+
+#define L2PD4 \
+	VSUBPD Y5, Y4, Y5 \
+	VMULPD Y5, Y5, Y5
+#define DOTPD4 VMULPD Y5, Y4, Y5
+
 // fp32: VCVTPS2PD widens four floats.
 #define LOADF32(k, ptr, X, Y) VCVTPS2PD (k*16)(ptr)(AX*4), Y
 #define TAILF32(ptr, X) VCVTSS2SD (ptr)(AX*4), X, X
@@ -119,6 +199,30 @@ done:
 	SHLL      $16, R8         \
 	VMOVD     R8, X           \
 	VCVTSS2SD X, X, X
+
+// GATHER* put element AX of the four rows (DI, R9, R10, R11) in lanes 0..3
+// of X and widen them into Y, exactly as the TAIL macro of the type does one.
+#define GATHERF32(X, Y) \
+	VMOVSS    (DI)(AX*4), X           \
+	VINSERTPS $0x10, (R9)(AX*4), X, X  \
+	VINSERTPS $0x20, (R10)(AX*4), X, X \
+	VINSERTPS $0x30, (R11)(AX*4), X, X \
+	VCVTPS2PD X, Y
+#define GATHERF16(X, Y) \
+	VPXOR     X, X, X                \
+	VPINSRW   $0, (DI)(AX*2), X, X   \
+	VPINSRW   $1, (R9)(AX*2), X, X   \
+	VPINSRW   $2, (R10)(AX*2), X, X  \
+	VPINSRW   $3, (R11)(AX*2), X, X  \
+	VCVTPH2PS X, X                   \
+	VCVTPS2PD X, Y
+#define GATHERBF16(X, Y) \
+	VPXOR     X, X, X                \ // each bf16 into the top half of a lane
+	VPINSRW   $1, (DI)(AX*2), X, X   \
+	VPINSRW   $3, (R9)(AX*2), X, X   \
+	VPINSRW   $5, (R10)(AX*2), X, X  \
+	VPINSRW   $7, (R11)(AX*2), X, X  \
+	VCVTPS2PD X, Y
 
 // intFoldBytes is how many bytes of a row an integer kernel sums in 32-bit
 // lanes before it folds them into 64-bit ones: 8192 steps of 16 bytes. A
@@ -176,6 +280,102 @@ tail:                            \
 done:                            \
 	VXORPD  X0, X0, X0           \
 	VCVTSI2SDQ R10, X0, X0
+
+// INTROWS4 is the body of the four-row uint8/int8 kernels: with SI at the
+// query, BX at the four row slices and CX the element count it stores the
+// four sums, converted once, at R12. It is INTROWS with the query widened
+// once per step for four rows (Y4): STEP4 on Y4, Y5 into Y5, each row's
+// 32-bit pair sums in Y0..Y3, folded into its 64-bit lanes in Y10..Y13.
+// The four 64-bit reductions run vertically (unpack, VPERM2I128, add) and
+// the tails per row over the stored sums. Integer sums are exact in any
+// order, so out[r] is the one-row kernel's result bit for bit.
+#define INTROWS4(WIDEN, LOADB, STEP4, TAILSTEP) \
+	MOVQ    0(BX), DI             \
+	MOVQ    24(BX), R9            \
+	MOVQ    48(BX), R10           \
+	MOVQ    72(BX), R11           \
+	XORQ    AX, AX                \ // i
+	MOVQ    CX, DX                \
+	ANDQ    $-16, DX              \ // full-step limit
+	VPXOR   Y10, Y10, Y10         \
+	VPXOR   Y11, Y11, Y11         \
+	VPXOR   Y12, Y12, Y12         \
+	VPXOR   Y13, Y13, Y13         \
+chunk:                            \
+	CMPQ    AX, DX                \
+	JGE     hsum                  \
+	LEAQ    intFoldBytes(AX), R13 \
+	CMPQ    R13, DX               \
+	CMOVQGT DX, R13               \ // this fold's limit
+	VPXOR   Y0, Y0, Y0            \
+	VPXOR   Y1, Y1, Y1            \
+	VPXOR   Y2, Y2, Y2            \
+	VPXOR   Y3, Y3, Y3            \
+steps:                            \
+	WIDEN   (SI)(AX*1), Y4        \
+	INTTERM4(WIDEN, STEP4, DI, Y0)  \
+	INTTERM4(WIDEN, STEP4, R9, Y1)  \
+	INTTERM4(WIDEN, STEP4, R10, Y2) \
+	INTTERM4(WIDEN, STEP4, R11, Y3) \
+	ADDQ    $16, AX               \
+	CMPQ    AX, R13               \
+	JLT     steps                 \
+	INTFOLD4(Y0, X0, Y10)         \
+	INTFOLD4(Y1, X1, Y11)         \
+	INTFOLD4(Y2, X2, Y12)         \
+	INTFOLD4(Y3, X3, Y13)         \
+	JMP     chunk                 \
+hsum:                             \
+	VPUNPCKLQDQ Y11, Y10, Y0      \ // [a0 b0 a2 b2]
+	VPUNPCKHQDQ Y11, Y10, Y1      \ // [a1 b1 a3 b3]
+	VPADDQ      Y1, Y0, Y0        \
+	VPUNPCKLQDQ Y13, Y12, Y2      \
+	VPUNPCKHQDQ Y13, Y12, Y3      \
+	VPADDQ      Y3, Y2, Y2        \
+	VPERM2I128  $0x20, Y2, Y0, Y1 \
+	VPERM2I128  $0x31, Y2, Y0, Y3 \
+	VPADDQ      Y3, Y1, Y1        \ // row r's sum so far in lane r
+	VMOVDQU     Y1, (R12)         \
+	MOVQ    $4, R13               \ // rows left
+rowtail:                          \
+	MOVQ    (BX), DI              \
+	MOVQ    (R12), R10            \
+	MOVQ    DX, AX                \ // back to the first tail element
+tail:                             \
+	CMPQ    AX, CX                \
+	JGE     rowdone               \
+	LOADB   (SI)(AX*1), R8        \
+	LOADB   (DI)(AX*1), R9        \
+	TAILSTEP                      \
+	ADDQ    R8, R10               \
+	INCQ    AX                    \
+	JMP     tail                  \
+rowdone:                          \
+	VXORPD  X0, X0, X0            \
+	VCVTSI2SDQ R10, X0, X0        \
+	VMOVSD  X0, (R12)             \
+	ADDQ    $8, R12               \
+	ADDQ    $24, BX               \
+	DECQ    R13                   \
+	JNZ     rowtail
+
+#define INTTERM4(WIDEN, STEP4, ptr, Yacc) \
+	WIDEN  (ptr)(AX*1), Y5 \
+	STEP4                  \
+	VPADDD Y5, Yacc, Yacc
+
+// INTFOLD4 folds a row's eight 32-bit lanes into its four 64-bit ones.
+#define INTFOLD4(Yacc, Xacc, Y64) \
+	VEXTRACTI128 $1, Yacc, X5 \
+	VPMOVSXDQ    Xacc, Y14    \
+	VPMOVSXDQ    X5, Y15      \
+	VPADDQ       Y14, Y64, Y64 \
+	VPADDQ       Y15, Y64, Y64
+
+#define L2W4 \
+	VPSUBW   Y5, Y4, Y5 \
+	VPMADDWD Y5, Y5, Y5
+#define DOTW4 VPMADDWD Y5, Y4, Y5
 
 #define L2W \
 	VPSUBW   Y2, Y1, Y1 \
@@ -275,6 +475,75 @@ TEXT ·dotBF16AVX2(SB), NOSPLIT, $0-56
 	VZEROUPPER
 	RET
 
+// The four-row float kernels (rowkernels_amd64.go): one query against four
+// rows of its length, the same bodies as FLOATROWS lane by lane.
+
+// func squaredL2F32x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+TEXT ·squaredL2F32x4AVX2(SB), NOSPLIT, $0-40
+	MOVQ   q_base+0(FP), SI
+	MOVQ   q_len+8(FP), CX
+	SHRQ   $2, CX
+	MOVQ   rows+24(FP), BX
+	MOVQ   out+32(FP), R12
+	FLOATROWS4(LOADF32, TAILF32, GATHERF32, L2PD4)
+	VZEROUPPER
+	RET
+
+// func dotF32x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+TEXT ·dotF32x4AVX2(SB), NOSPLIT, $0-40
+	MOVQ   q_base+0(FP), SI
+	MOVQ   q_len+8(FP), CX
+	SHRQ   $2, CX
+	MOVQ   rows+24(FP), BX
+	MOVQ   out+32(FP), R12
+	FLOATROWS4(LOADF32, TAILF32, GATHERF32, DOTPD4)
+	VZEROUPPER
+	RET
+
+// func squaredL2F16x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+TEXT ·squaredL2F16x4AVX2(SB), NOSPLIT, $0-40
+	MOVQ   q_base+0(FP), SI
+	MOVQ   q_len+8(FP), CX
+	SHRQ   $1, CX
+	MOVQ   rows+24(FP), BX
+	MOVQ   out+32(FP), R12
+	FLOATROWS4(LOADF16, TAILF16, GATHERF16, L2PD4)
+	VZEROUPPER
+	RET
+
+// func dotF16x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+TEXT ·dotF16x4AVX2(SB), NOSPLIT, $0-40
+	MOVQ   q_base+0(FP), SI
+	MOVQ   q_len+8(FP), CX
+	SHRQ   $1, CX
+	MOVQ   rows+24(FP), BX
+	MOVQ   out+32(FP), R12
+	FLOATROWS4(LOADF16, TAILF16, GATHERF16, DOTPD4)
+	VZEROUPPER
+	RET
+
+// func squaredL2BF16x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+TEXT ·squaredL2BF16x4AVX2(SB), NOSPLIT, $0-40
+	MOVQ   q_base+0(FP), SI
+	MOVQ   q_len+8(FP), CX
+	SHRQ   $1, CX
+	MOVQ   rows+24(FP), BX
+	MOVQ   out+32(FP), R12
+	FLOATROWS4(LOADBF16, TAILBF16, GATHERBF16, L2PD4)
+	VZEROUPPER
+	RET
+
+// func dotBF16x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+TEXT ·dotBF16x4AVX2(SB), NOSPLIT, $0-40
+	MOVQ   q_base+0(FP), SI
+	MOVQ   q_len+8(FP), CX
+	SHRQ   $1, CX
+	MOVQ   rows+24(FP), BX
+	MOVQ   out+32(FP), R12
+	FLOATROWS4(LOADBF16, TAILBF16, GATHERBF16, DOTPD4)
+	VZEROUPPER
+	RET
+
 // func squaredL2U8AVX2(a, b []byte) float64
 TEXT ·squaredL2U8AVX2(SB), NOSPLIT, $0-56
 	MOVQ   a_base+0(FP), SI
@@ -312,6 +581,46 @@ TEXT ·dotI8AVX2(SB), NOSPLIT, $0-56
 	MOVQ   a_len+8(FP), CX
 	INTROWS(VPMOVSXBW, MOVBQSX, DOTW, DOTQ)
 	VMOVSD X0, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func squaredL2U8x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+TEXT ·squaredL2U8x4AVX2(SB), NOSPLIT, $0-40
+	MOVQ   q_base+0(FP), SI
+	MOVQ   q_len+8(FP), CX
+	MOVQ   rows+24(FP), BX
+	MOVQ   out+32(FP), R12
+	INTROWS4(VPMOVZXBW, MOVBQZX, L2W4, L2Q)
+	VZEROUPPER
+	RET
+
+// func dotU8x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+TEXT ·dotU8x4AVX2(SB), NOSPLIT, $0-40
+	MOVQ   q_base+0(FP), SI
+	MOVQ   q_len+8(FP), CX
+	MOVQ   rows+24(FP), BX
+	MOVQ   out+32(FP), R12
+	INTROWS4(VPMOVZXBW, MOVBQZX, DOTW4, DOTQ)
+	VZEROUPPER
+	RET
+
+// func squaredL2I8x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+TEXT ·squaredL2I8x4AVX2(SB), NOSPLIT, $0-40
+	MOVQ   q_base+0(FP), SI
+	MOVQ   q_len+8(FP), CX
+	MOVQ   rows+24(FP), BX
+	MOVQ   out+32(FP), R12
+	INTROWS4(VPMOVSXBW, MOVBQSX, L2W4, L2Q)
+	VZEROUPPER
+	RET
+
+// func dotI8x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+TEXT ·dotI8x4AVX2(SB), NOSPLIT, $0-40
+	MOVQ   q_base+0(FP), SI
+	MOVQ   q_len+8(FP), CX
+	MOVQ   rows+24(FP), BX
+	MOVQ   out+32(FP), R12
+	INTROWS4(VPMOVSXBW, MOVBQSX, DOTW4, DOTQ)
 	VZEROUPPER
 	RET
 

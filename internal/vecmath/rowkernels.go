@@ -13,6 +13,11 @@
 // The kernels take two rows of equal length holding a whole number of
 // elements and do not check it: both rows come from one slab, or one is a
 // query engine.Exact has encoded to the slab's row length.
+//
+// RowKernel4 is the same compare of one query against four rows per call,
+// and its contract is the one-row kernel's: out[i] is, bit for bit,
+// RowKernel(q, rows[i]). A type without a four-row body gets fourOf, four
+// calls of its one-row kernel, so callers never branch on the level.
 package vecmath
 
 import (
@@ -23,9 +28,17 @@ import (
 // RowKernel compares two rows in one element type's storage encoding.
 type RowKernel func(a, b []byte) float64
 
+// RowKernel4 compares the query q against four rows in one element type's
+// storage encoding, each of q's length; out[i] is RowKernel(q, rows[i]).
+// The rows may alias each other and q.
+type RowKernel4 func(q []byte, rows *[4][]byte, out *[4]float64)
+
 // rowKernels holds one implementation's kernels: [type][0] squared L2,
 // [type][1] dot.
 type rowKernels [Float32 + 1][2]RowKernel
+
+// rowKernels4 is rowKernels' four-row table.
+type rowKernels4 [Float32 + 1][2]RowKernel4
 
 // RowKernel returns this implementation's compare kernel for rows of type
 // t under metric m: the squared L2 distance for L2, the dot product for
@@ -37,6 +50,35 @@ func (im Impl) RowKernel(t ElemType, m Metric) RowKernel {
 		return im.rows[t][0]
 	}
 	return im.rows[t][1]
+}
+
+// RowKernel4 returns this implementation's four-row kernel for rows of type
+// t under metric m: RowKernel(t, m) on each of four rows.
+func (im Impl) RowKernel4(t ElemType, m Metric) RowKernel4 {
+	if m == L2 {
+		return im.rows4[t][0]
+	}
+	return im.rows4[t][1]
+}
+
+// fourOf is the four-row kernel that calls k once per row.
+func fourOf(k RowKernel) RowKernel4 {
+	return func(q []byte, rows *[4][]byte, out *[4]float64) {
+		for i, r := range rows {
+			out[i] = k(q, r)
+		}
+	}
+}
+
+// allFourOf is the four-row table of a one-row table, one row at a time.
+func allFourOf(t rowKernels) rowKernels4 {
+	var t4 rowKernels4
+	for et := range t {
+		for m, k := range t[et] {
+			t4[et][m] = fourOf(k)
+		}
+	}
+	return t4
 }
 
 // scalarRows is the portable reference table.

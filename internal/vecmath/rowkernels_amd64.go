@@ -37,6 +37,38 @@ func squaredL2F32AVX2(a, b []byte) float64
 //go:noescape
 func dotF32AVX2(a, b []byte) float64
 
+// The four-row kernels (FLOATROWS4 and INTROWS4 in kernels_amd64.s).
+
+//go:noescape
+func squaredL2U8x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+
+//go:noescape
+func dotU8x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+
+//go:noescape
+func squaredL2I8x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+
+//go:noescape
+func dotI8x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+
+//go:noescape
+func squaredL2F16x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+
+//go:noescape
+func dotF16x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+
+//go:noescape
+func squaredL2BF16x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+
+//go:noescape
+func dotBF16x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+
+//go:noescape
+func squaredL2F32x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+
+//go:noescape
+func dotF32x4AVX2(q []byte, rows *[4][]byte, out *[4]float64)
+
 // avx2Rows is the AVX2 level's typed table on a CPU with these features:
 // without F16C the fp16 rows keep the scalar kernels, everything else is
 // SIMD all the same.
@@ -50,6 +82,22 @@ func avx2Rows(f cpuFeatures) rowKernels {
 	}
 	if !f.hasF16C {
 		t[Float16] = scalarRows[Float16]
+	}
+	return t
+}
+
+// avx2Rows4 is avx2Rows' four-row table: without F16C the fp16 rows call
+// their scalar kernels four times, everything else is SIMD all the same.
+func avx2Rows4(f cpuFeatures) rowKernels4 {
+	t := rowKernels4{
+		Uint8:    {squaredL2U8x4AVX2, dotU8x4AVX2},
+		Int8:     {squaredL2I8x4AVX2, dotI8x4AVX2},
+		Float16:  {squaredL2F16x4AVX2, dotF16x4AVX2},
+		BFloat16: {squaredL2BF16x4AVX2, dotBF16x4AVX2},
+		Float32:  {squaredL2F32x4AVX2, dotF32x4AVX2},
+	}
+	if !f.hasF16C {
+		t[Float16] = allFourOf(scalarRows)[Float16]
 	}
 	return t
 }

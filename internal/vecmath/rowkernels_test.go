@@ -20,7 +20,8 @@ func rowReference(t ElemType, m Metric, a, b []byte) float64 {
 }
 
 // checkRowKernels runs every implementation's kernel for t on (a, b) under
-// both metrics against the reference.
+// both metrics against the reference, and its four-row kernel on the query a
+// and the rows (b, a, b, a) against the one-row kernel.
 func checkRowKernels(t *testing.T, label string, et ElemType, a, b []byte) {
 	t.Helper()
 	for _, m := range rowMetrics {
@@ -35,6 +36,7 @@ func checkRowKernels(t *testing.T, label string, et ElemType, a, b []byte) {
 			t.Fatalf("%s: active %v %v = %v, reference %v", label, et, m, got, want)
 		}
 	}
+	checkRowKernel4(t, et, a, &[4][]byte{b, a, b, a})
 }
 
 // finitePattern clears one exponent bit of every float element whose
@@ -152,6 +154,54 @@ func FuzzTypedKernelsMatchReference(f *testing.F) {
 			checkRowKernels(t, "fuzz", et, a, b)
 		}
 	})
+}
+
+// FuzzRowKernel4MatchesRowKernel fuzzes the four-row kernels' contract: for
+// every implementation, element type and metric, out[i] is the bits of the
+// same implementation's one-row kernel on (q, rows[i]) — over four separate
+// rows, and over rows that alias (a pair sharing one buffer, one the query
+// itself). The seeds cover every dimension from 1 to 63, so every block
+// count 0..3 meets every tail length, and GloVe's 100 and GIST's 960.
+func FuzzRowKernel4MatchesRowKernel(f *testing.F) {
+	for dim := 1; dim <= 63; dim++ {
+		f.Add(int64(dim), uint16(dim))
+	}
+	f.Add(int64(100), uint16(100))
+	f.Add(int64(960), uint16(960))
+	f.Fuzz(func(t *testing.T, seed int64, dim uint16) {
+		if dim == 0 || dim > 2048 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for _, et := range allTypes {
+			q := randomRow(rng, et, int(dim))
+			var separate [4][]byte
+			for i := range separate {
+				separate[i] = randomRow(rng, et, int(dim))
+			}
+			aliased := [4][]byte{separate[0], q, separate[0], separate[3]}
+			checkRowKernel4(t, et, q, &separate)
+			checkRowKernel4(t, et, q, &aliased)
+		}
+	})
+}
+
+// checkRowKernel4 runs every implementation's four-row kernels for et on q
+// and rows against its one-row kernels.
+func checkRowKernel4(t *testing.T, et ElemType, q []byte, rows *[4][]byte) {
+	t.Helper()
+	for _, m := range rowMetrics {
+		for _, im := range Implementations() {
+			out := [4]float64{math.NaN(), math.NaN(), math.NaN(), math.NaN()}
+			im.RowKernel4(et, m)(q, rows, &out)
+			for i, r := range rows {
+				if want := im.RowKernel(et, m)(q, r); math.Float64bits(out[i]) != math.Float64bits(want) {
+					t.Fatalf("%s %v %v dim %d: row %d = %v (%#x), RowKernel %v (%#x)", im.Name, et, m,
+						len(q)/et.Bytes(), i, out[i], math.Float64bits(out[i]), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
 }
 
 // TestRowCodec: AppendRow accepts exactly the finite values of the type and

@@ -205,10 +205,13 @@ func (db *Database) do(ctx context.Context, s *searchScratch, q *Query) (Result,
 	}
 	res.Route = route
 	db.router.Record(route)
-	db.router.Observe(route, time.Since(start))
 	if cancelled {
+		// A cut query's time is its deadline's, not the route's cost: folding
+		// it in would make the route look cheaper under the very pressure
+		// that cut it.
 		return res, cancelErr(ctx, len(res.Neighbors) > 0)
 	}
+	db.router.Observe(route, time.Since(start))
 	return res, nil
 }
 

@@ -115,6 +115,29 @@ func TestSearchRoutedAuto(t *testing.T) {
 	if est == 0 {
 		t.Fatalf("no exact cost estimate after exact queries: %+v", db.RouterStats())
 	}
+	// An exact scan cut mid-scan by its deadline does not train the router:
+	// its time is the deadline's, and folding it in would lower the exact
+	// scan's estimate under the very pressure that cut it.
+	cut := 0
+	for try := 0; try < 200 && cut < 3; try++ {
+		before := db.RouterStats().CostNs[ansmet.RouteExact.String()]
+		ctx, cancel := context.WithTimeout(context.Background(), est/time.Duration(2+try%4))
+		_, err := db.Do(ctx, &ansmet.Query{Vector: ds.Queries[try%len(ds.Queries)], K: 10, Route: ansmet.RouteExact})
+		cancel()
+		if !errors.As(err, &ce) {
+			continue // finished in time: a legitimate sample
+		}
+		if ce.Partial {
+			cut++
+		}
+		if after := db.RouterStats().CostNs[ansmet.RouteExact.String()]; after != before {
+			t.Fatalf("a cancelled exact scan (partial %v) moved the exact cost estimate %d → %d ns", ce.Partial, before, after)
+		}
+	}
+	if cut == 0 {
+		t.Fatalf("no exact scan was cut mid-scan under deadlines of a fraction of %v", est)
+	}
+
 	onHost := 0
 	for qi, q := range ds.Queries {
 		ctx, cancel := context.WithTimeout(context.Background(), est)
