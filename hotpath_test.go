@@ -80,7 +80,9 @@ func TestSearchCtxSteadyStateAllocs(t *testing.T) {
 
 // routeSteadyStateAllocs warms the scratch pool with q's route on each of an
 // immutable database and a mutable one that has lived, and fails unless one
-// more query under ctx with a reused Dst allocates nothing.
+// more query under ctx allocates nothing — with the previous answer reused
+// as Dst, and with a Dst of capacity K at a beam width of 128 (the answer
+// must land in it).
 func routeSteadyStateAllocs(t *testing.T, ctx context.Context, q ansmet.Query) {
 	t.Helper()
 	if raceEnabled {
@@ -103,6 +105,26 @@ func routeSteadyStateAllocs(t *testing.T, ctx context.Context, q ansmet.Query) {
 		}
 		if avg := testing.AllocsPerRun(100, run); avg != 0 {
 			t.Fatalf("%s: the %v route allocates %.1f objects/query at steady state, want 0", name, q.Route, avg)
+		}
+		capK := q
+		if capK.Ef != 0 {
+			capK.Ef = 128
+		}
+		buf := make([]ansmet.Neighbor, 0, q.K)
+		runK := func() {
+			capK.Vector, capK.Dst = ds.Queries[i%len(ds.Queries)], buf
+			i++
+			res, err := db.Do(ctx, &capK)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Neighbors) != q.K || &res.Neighbors[0] != &buf[:1][0] {
+				t.Fatalf("%s: the %v route answered %d results outside a Dst of capacity K", name, q.Route, len(res.Neighbors))
+			}
+		}
+		runK()
+		if avg := testing.AllocsPerRun(100, runK); avg != 0 {
+			t.Fatalf("%s: the %v route allocates %.1f objects/query into a Dst of capacity K at ef 128, want 0", name, q.Route, avg)
 		}
 	}
 }

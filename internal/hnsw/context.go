@@ -36,14 +36,16 @@ func (v *visitedSet) testAndSet(id uint32) bool {
 }
 
 // searchContext bundles the per-query scratch state of a graph traversal:
-// the visited set, the two beam heaps, and the per-hop batch id and
-// distance buffers.
+// the visited set, the beam's frontier, the per-hop batch id and distance
+// buffers, and the two heaps of the construction-time beam
+// (searchLayerExact), whose first-come tie rule the frontier does not keep.
 // Contexts are pooled on the Index so steady-state searches allocate
 // nothing.
 type searchContext struct {
 	vis     visitedSet
-	cand    Heap // min-heap: closest first
-	results Heap // max-heap: worst first
+	front   frontier
+	cand    Heap // build: min-heap, closest first
+	results Heap // build: max-heap, worst first
 	ids     []uint32
 	dist    []float64 // the hop's distances, parallel to ids
 	nbuf    []uint32  // live-mode neighbor-list copy scratch (mutate.go)

@@ -15,10 +15,11 @@ func (n Neighbor) Less(o Neighbor) bool {
 	return n.Dist < o.Dist || (n.Dist == o.Dist && n.ID < o.ID)
 }
 
-// Heap is the one binary heap of Neighbors, for the beam, the exact scan
-// and the tiered pipeline alike. The zero value is an empty min-heap on
-// (Dist, ID) (the search set of §2.1); Max, set before the first Push or
-// Init, makes it a max-heap (a result set, worst first). (Dist, ID) is a
+// Heap is the one binary heap of Neighbors, for the construction-time beam,
+// the exact scan, the tiered pipeline and the IVF probe alike; the search
+// beam keeps its candidates in a sorted frontier instead. The zero value is
+// an empty min-heap on (Dist, ID) (the search set of §2.1); Max, set before
+// the first Push or Init, makes it a max-heap (a result set, worst first). (Dist, ID) is a
 // total order, so what a heap holds and the order it pops in depend only on
 // the multiset pushed, never on how the sifts happened to arrange it.
 //
@@ -26,7 +27,8 @@ func (n Neighbor) Less(o Neighbor) bool {
 // negation for the max-heap — which differs from the reversed order only on
 // equal elements, where either answer keeps the heap valid. The sifts move
 // a hole instead of swapping, and read Max once; the order is a flag, not a
-// less func, because an indirect call per sift costs the beam's hot loop.
+// less func, because an indirect call per sift costs the hot loops it
+// serves.
 type Heap struct {
 	items []Neighbor
 	Max   bool

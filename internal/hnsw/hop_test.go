@@ -1,6 +1,7 @@
 package hnsw
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -151,44 +152,80 @@ func sameNeighbors(t *testing.T, label string, got, want []Neighbor) {
 	}
 }
 
+// hopGraph is one graph TestHopMatchesPerIDReference searches, with the
+// dataset it was built over.
+type hopGraph struct {
+	label string
+	ds    *dataset.Dataset
+	ix    *Index
+}
+
+// hopGraphs builds SIFT and GloVe graphs, each immutable and live (after
+// inserts and a repair), and a tie-heavy pair over u8 SIFT rows in which
+// every vector appears twice, so equal distances straddle the ef boundary.
+func hopGraphs(t *testing.T) []hopGraph {
+	t.Helper()
+	cfg := Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1}
+	var out []hopGraph
+	for _, profile := range []string{"SIFT", "GloVe"} {
+		ds, live := buildLiveProfile(t, profile, 700, 500)
+		live.Repair([]uint32{11, 250, 610}, func(id uint32) bool { return id != 11 && id != 250 && id != 610 })
+		immutable, err := Build(ds.Rows(), ds.Profile.Metric, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, hopGraph{profile + "/immutable", ds, immutable}, hopGraph{profile + "/live", ds, live})
+	}
+	ds := dataset.Generate(dataset.ProfileByName("SIFT"), 350, 20, 42)
+	ds.Vectors = append(ds.Vectors, ds.Vectors...)
+	immutable, err := Build(ds.Rows(), ds.Profile.Metric, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := Build(rows.MustPack(ds.Vectors[:500], ds.Profile.Elem), ds.Profile.Metric, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.EnableMutation()
+	for _, v := range ds.Vectors[500:] {
+		appendInsert(t, live, v)
+	}
+	return append(out, hopGraph{"SIFT-twice/immutable", ds, immutable}, hopGraph{"SIFT-twice/live", ds, live})
+}
+
 // TestHopMatchesPerIDReference: the batched hop (engine.Exact seen whole),
 // the adapter (the same engine with the capability hidden) and a recorded
 // search all return what the per-id reference loop returns, in ids and
 // distance bits, and the recorded trace lists the same hops, tasks,
 // thresholds and Results — on an immutable graph and on a live one after
-// inserts and a repair, at batch 1 and 8, with and without a filter.
+// inserts and a repair, on rows where every distance is tied with another,
+// at batch 1, 3 and 8, at ef = k, 64 and more than the graph holds, with
+// no filter, one passing every other id and one passing 1 id in 13.
 func TestHopMatchesPerIDReference(t *testing.T) {
 	odd := func(id uint32) bool { return id%2 == 1 }
-	for _, profile := range []string{"SIFT", "GloVe"} {
-		ds, live := buildLiveProfile(t, profile, 700, 500)
-		live.Repair([]uint32{11, 250, 610}, func(id uint32) bool { return id != 11 && id != 250 && id != 610 })
-		immutable, err := Build(ds.Rows(), ds.Profile.Metric, Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, ix := range map[string]*Index{"immutable": immutable, "live": live} {
-			exact := engine.NewExact(ds.Vectors, ds.Profile.Metric, ds.Profile.Elem)
-			for _, batch := range []int{1, 8} {
-				for _, ef := range []int{10, 64} {
-					for _, filter := range []func(uint32) bool{nil, odd} {
-						for qi, q := range ds.Queries {
-							label := profile + "/" + name
-							var wantRec, gotRec trace.Query
-							want := referenceSearch(ix, q, 10, ef, batch, filter, exact, &wantRec)
-							if len(want) != 10 {
-								t.Fatalf("%s q%d: reference returned %d results", label, qi, len(want))
-							}
-							sameNeighbors(t, label+" batched", ix.SearchFilteredInto(q, 10, ef, batch, filter, exact, nil, nil), want)
-							hidden := &hiddenEngine{Engine: exact}
-							sameNeighbors(t, label+" adapter", ix.SearchFilteredInto(q, 10, ef, batch, filter, hidden, nil, nil), want)
-							sameNeighbors(t, label+" recorded", ix.SearchFilteredInto(q, 10, ef, batch, filter, exact, &gotRec, nil), want)
-							if !reflect.DeepEqual(&gotRec, &wantRec) {
-								t.Fatalf("%s q%d batch=%d ef=%d: recorded trace differs from the per-id loop's (%d/%d hops, %d/%d tasks)",
-									label, qi, batch, ef, gotRec.NumHops(), wantRec.NumHops(), gotRec.TotalTasks(), wantRec.TotalTasks())
-							}
-							if hidden.compares != wantRec.TotalTasks() {
-								t.Fatalf("%s q%d: adapter issued %d compares, the per-id loop %d", label, qi, hidden.compares, wantRec.TotalTasks())
-							}
+	sparse := func(id uint32) bool { return id%13 == 0 }
+	for _, g := range hopGraphs(t) {
+		exact := engine.NewExact(g.ds.Vectors, g.ds.Profile.Metric, g.ds.Profile.Elem)
+		for _, batch := range []int{1, 3, 8} {
+			for _, ef := range []int{10, 64, 1000} {
+				for fi, filter := range []func(uint32) bool{nil, odd, sparse} {
+					for qi, q := range g.ds.Queries {
+						label := fmt.Sprintf("%s batch=%d ef=%d filter=%d q%d", g.label, batch, ef, fi, qi)
+						var wantRec, gotRec trace.Query
+						want := referenceSearch(g.ix, q, 10, ef, batch, filter, exact, &wantRec)
+						if len(want) != 10 {
+							t.Fatalf("%s: reference returned %d results", label, len(want))
+						}
+						sameNeighbors(t, label+" batched", g.ix.SearchFilteredInto(q, 10, ef, batch, filter, exact, nil, nil), want)
+						hidden := &hiddenEngine{Engine: exact}
+						sameNeighbors(t, label+" adapter", g.ix.SearchFilteredInto(q, 10, ef, batch, filter, hidden, nil, nil), want)
+						sameNeighbors(t, label+" recorded", g.ix.SearchFilteredInto(q, 10, ef, batch, filter, exact, &gotRec, nil), want)
+						if !reflect.DeepEqual(&gotRec, &wantRec) {
+							t.Fatalf("%s: recorded trace differs from the per-id loop's (%d/%d hops, %d/%d tasks)",
+								label, gotRec.NumHops(), wantRec.NumHops(), gotRec.TotalTasks(), wantRec.TotalTasks())
+						}
+						if hidden.compares != wantRec.TotalTasks() {
+							t.Fatalf("%s: adapter issued %d compares, the per-id loop %d", label, hidden.compares, wantRec.TotalTasks())
 						}
 					}
 				}

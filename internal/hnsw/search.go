@@ -45,7 +45,7 @@ const cancelCheckHops = 4
 // own distance threshold (§5.2).
 //
 // batch is the delayed-synchronization width: up to batch candidates are
-// popped from the search set per hop and their unvisited neighbors
+// taken from the search set per hop and their unvisited neighbors
 // offloaded as one comparison batch. Batching reduces the number of
 // host/NDP synchronization points per query (the technique of
 // delayed-synchronization traversal, which the paper cites) at a small cost
@@ -58,7 +58,7 @@ const cancelCheckHops = 4
 // that with a filter the rejection thresholds derive from matching results
 // only, so they tighten more slowly.
 //
-// The traversal scratch state (visited set, beam heaps, batch buffer) comes
+// The traversal scratch state (visited set, frontier, batch buffer) comes
 // from a per-index pool, and all trace bookkeeping is skipped when rec is
 // nil, so a steady-state search with a reused dst and nil rec performs zero
 // heap allocations (enforced by TestSearchSteadyStateAllocs).
@@ -176,17 +176,13 @@ func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batc
 	// point was already compared.
 	visited.testAndSet(v.entry)
 
-	cand := &ctx.cand
-	results := &ctx.results
-	start := Neighbor{ID: cur, Dist: curDist}
-	cand.Push(start)
-	if filter(start.ID) {
-		results.Push(start)
-	}
+	front := &ctx.front
+	front.reset(ef)
+	front.push(cur, curDist, filter(cur))
 	ids := ctx.ids
 	cancelled := false
 
-	for cand.Len() > 0 {
+	for front.pending() {
 		hops++
 		if done != nil && hops%cancelCheckHops == 0 {
 			select {
@@ -198,21 +194,23 @@ func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batc
 				break
 			}
 		}
-		// Pop up to `batch` candidates. If the very first pop is already
-		// beyond the result set's worst distance the search has converged;
-		// later pops beyond it are merely discarded (they would never be
-		// expanded by the sequential algorithm either).
+		// Expand up to `batch` candidates, closest first. Every candidate
+		// the frontier still holds lies within the worst result; past them
+		// are only the dead ones (see frontier), of which a hop drops one,
+		// as a heap popping beyond the worst would. If that happens before
+		// anything was expanded the search has converged.
 		ids = ids[:0]
 		converged := false
-		for popped := 0; popped < batch && cand.Len() > 0; popped++ {
-			c := cand.Pop()
-			if results.Len() >= ef && c.Dist > results.Top().Dist {
-				if popped == 0 {
-					converged = true
+		for popped := 0; popped < batch; popped++ {
+			c, ok := front.next()
+			if !ok {
+				if front.dead > 0 {
+					front.dead--
+					converged = popped == 0
 				}
 				break
 			}
-			for _, nb := range v.neighborsAt(c.ID, 0, ctx) {
+			for _, nb := range v.neighborsAt(c, 0, ctx) {
 				if !visited.testAndSet(nb) {
 					ids = append(ids, nb)
 					if bat != nil {
@@ -227,10 +225,7 @@ func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batc
 		if len(ids) == 0 {
 			continue
 		}
-		threshold := math.Inf(1)
-		if results.Len() >= ef {
-			threshold = results.Top().Dist
-		}
+		threshold := front.threshold()
 		// Compare phase: the hop's distances land in dist, from one batch
 		// call over rows already hinted or, without the capability, from a
 		// Compare per id whose verdict the adapter has already applied — so
@@ -243,29 +238,15 @@ func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batc
 			admit = math.Inf(1)
 		}
 		for i, nb := range ids {
-			d := dist[i]
-			if !(d <= admit) {
-				continue
-			}
-			n := Neighbor{ID: nb, Dist: d}
-			cand.Push(n)
-			if !filter(nb) {
-				continue
-			}
-			if results.Len() < ef {
-				results.Push(n)
-			} else if n.Less(results.Top()) {
-				results.ReplaceTop(n)
+			if d := dist[i]; d <= admit {
+				front.push(nb, d, filter(nb))
 			}
 		}
 	}
 	// Keep any capacity growth for the next query.
 	ctx.ids, ctx.dist = ids, dist
 
-	out := results.Sorted(dst)
-	if len(out) > k {
-		out = out[:k]
-	}
+	out := front.answer(k, dst)
 	if rec != nil {
 		rec.ResultIDs = make([]uint32, len(out))
 		for i, n := range out {

@@ -52,7 +52,8 @@ type Query struct {
 	// tiered route at that budget.
 	Budget float64
 	// Dst, when non-nil, receives the results (appended into Dst[:0]); with
-	// enough capacity every route then allocates nothing at steady state.
+	// capacity K, whatever the beam width, every route then allocates
+	// nothing at steady state.
 	Dst []Neighbor
 }
 
