@@ -1,5 +1,5 @@
 // Adaptive mixed precision over a database's own graph and rows: the NDP model
-// Database.System builds, at core.SystemConfig.RecallTarget 0.9. A database
+// over Database.System, at sim.Config.RecallTarget 0.9. A database
 // serves one precision; the model is where the mode runs and is measured
 // (FigPrecisionFrontier, internal/fault.TestSystemLevelByteIdentical).
 package ansmet_test
@@ -13,26 +13,26 @@ import (
 	"ansmet/internal/dataset"
 	"ansmet/internal/hnsw"
 	"ansmet/internal/precision"
+	"ansmet/internal/sim"
 )
 
 // adaptiveModel builds a database over a GloVe set (inner product, fp32, the
-// beam-hostile profile) and, over its rows and graph, the NDP model at
-// RecallTarget target: db.System()'s configuration with the target set.
-func adaptiveModel(t *testing.T, target float64) (*dataset.Dataset, *ansmet.Database, *core.System) {
+// beam-hostile profile) and, around db.System(), the NDP model at
+// RecallTarget target: the default platform with the target set.
+func adaptiveModel(t *testing.T, target float64) (*dataset.Dataset, *ansmet.Database, *sim.Model) {
 	t.Helper()
 	ds := dataset.Generate(dataset.ProfileByName("GloVe"), 900, 8, 45)
 	db, err := ansmet.New(ds.Vectors, ansmet.Options{Metric: ansmet.InnerProduct, Elem: ansmet.Float32, EfConstruction: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := db.System()
-	cfg := base.Cfg
+	cfg := sim.DefaultConfig()
 	cfg.RecallTarget = target
-	sys, err := core.NewSystem(base.Rows(), base.Metric, base.Index, cfg)
+	m, err := sim.NewModel(db.System(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ds, db, sys
+	return ds, db, m
 }
 
 // adaptiveQueries returns the model's adaptive beam at k = 10, ef = 64 and its
@@ -40,7 +40,7 @@ func adaptiveModel(t *testing.T, target float64) (*dataset.Dataset, *ansmet.Data
 // tuner's budget, depth bias and margin over the precision map, the uniform
 // stage-1 cap out of the way, the outcome fed back), each on a worker engine
 // of its own. The rows are fp32, so the queries need no quantizing.
-func adaptiveQueries(sys *core.System, tn *precision.Tuner) (beam, tiered func(q []float32, dst []hnsw.Neighbor) []hnsw.Neighbor) {
+func adaptiveQueries(sys *sim.Model, tn *precision.Tuner) (beam, tiered func(q []float32, dst []hnsw.Neighbor) []hnsw.Neighbor) {
 	eng := sys.NewWorkerEngine()
 	et := sys.NewWorkerEngine().(*core.ETEngine)
 	beam = func(q []float32, dst []hnsw.Neighbor) []hnsw.Neighbor {

@@ -266,8 +266,8 @@ func quantizeInto(dst, v []float32, elem ElemType) []float32 {
 
 // New ingests the vectors (quantizing them to the element type) and builds
 // the HNSW index. The NDP model (the offline preprocessing: sampling, layout
-// optimization, prefix elimination, layout transformation, partitioning)
-// waits for a route that needs it (see System).
+// optimization, prefix elimination, layout transformation) waits for a route
+// that needs it (see System).
 func New(vectors [][]float32, opts Options) (*Database, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("ansmet: empty dataset")
@@ -326,7 +326,7 @@ func newDatabase(opts Options, rs *rows.Slab, ix *hnsw.Index) (*Database, error)
 }
 
 // system returns the NDP model — what NDP-ETOpt's offline pass derives:
-// bit-plane store and partition map — building it on the first call;
+// the bit-plane store — building it on the first call;
 // afterwards one atomic load. Its callers are the ndp beam, the tiered route
 // and System: no default route, no mutation, no New/Load.
 func (db *Database) system() *core.System {
@@ -383,9 +383,10 @@ func (db *Database) Vector(id uint32) ([]float32, bool) {
 }
 
 // System exposes the NDP model's functional view (layout parameters,
-// partition map, worker engines) at NDP-ETOpt, building it on the first call
-// — as a query on RouteNDP or RouteTiered does. The simulator's timing replay
-// runs over it (internal/sim: sim.NewModel(db.System()).Run). A model at
+// bit-plane store, worker engines) at NDP-ETOpt, building it on the first
+// call — as a query on RouteNDP or RouteTiered does. The simulated platform
+// is built around it (internal/sim: sim.NewModel(db.System(),
+// sim.DefaultConfig()), which lays its vectors out over the ranks). A view at
 // another design point is built over its Rows() and Index:
 //
 //	base := db.System()

@@ -72,7 +72,11 @@ func TestDatabaseRunReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := sim.NewModel(db.System()).Run(ds.Queries, 10, 40)
+	m, err := sim.NewModel(db.System(), sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := m.Run(ds.Queries, 10, 40)
 	if err != nil {
 		t.Fatal(err)
 	}

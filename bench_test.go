@@ -211,7 +211,7 @@ func BenchmarkHNSWSearch(b *testing.B) {
 	eng := engine.NewExact(ds.Vectors, vecmath.L2, vecmath.Uint8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ix.Search(ds.Queries[i%len(ds.Queries)], 10, 64, eng, nil)
+		ix.SearchFilteredInto(ds.Queries[i%len(ds.Queries)], 10, 64, 1, nil, eng, nil, nil)
 	}
 }
 
@@ -562,7 +562,10 @@ func BenchmarkTimingReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := sim.NewModel(sys)
+	m, err := sim.NewModel(sys, sim.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
 	run := m.RunHNSW(ds.Queries, 10, 64)
 	b.ReportAllocs()
 	b.ResetTimer()

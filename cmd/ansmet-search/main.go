@@ -58,7 +58,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := sim.NewModel(sys).Run(ds.Queries, *k, *ef)
+	m, err := sim.NewModel(sys, sim.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
+	run, err := m.Run(ds.Queries, *k, *ef)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +71,7 @@ func main() {
 		prefix, outliers, saved = st.Prefix.PrefixLen, st.NumOutliers(), st.SpaceSavedFraction()*100
 	}
 	fmt.Printf("preprocessed in %.2fs: %d lines/vector, prefix=%d bits (saves %.1f%%), %d outlier vectors\n\n",
-		sys.PreprocessSeconds, sys.Part.LinesPerVector(), prefix, saved, outliers)
+		sys.PreprocessSeconds, m.Timing.Part.LinesPerVector(), prefix, saved, outliers)
 	gt := ds.GroundTruth(*k)
 	recall := 0.0
 	for qi, res := range run.Results {

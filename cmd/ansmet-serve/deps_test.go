@@ -23,13 +23,14 @@ func goList(t *testing.T, args ...string) []string {
 }
 
 // TestServerLinksNoSimulator pins the product/model split: the server's
-// dependency closure holds none of the paper's timing and fault model — the
-// replay, its energy and polling models, the fault injector and the NDP
-// instruction protocol — and the functional view (internal/core) imports
-// none of the simulator's packages, so nothing can pull them back in
-// through it.
+// dependency closure holds none of the paper's platform model — the replay,
+// its energy and polling models, the fault injector, the NDP instruction
+// protocol, the DDR5 geometry and the rank partitioning over it, the
+// adaptive-precision depth map and the query traces — and the functional
+// view (internal/core) and the index (internal/hnsw) import none of the
+// model's packages, so nothing can pull them back in through them.
 func TestServerLinksNoSimulator(t *testing.T) {
-	model := []string{"sim", "energy", "polling", "fault", "ndp"}
+	model := []string{"sim", "energy", "polling", "fault", "ndp", "dram", "partition", "precision", "trace"}
 	deps := map[string]bool{}
 	for _, p := range goList(t, "-deps", ".") {
 		deps[p] = true
@@ -42,13 +43,18 @@ func TestServerLinksNoSimulator(t *testing.T) {
 			t.Errorf("ansmet-serve links %s", p)
 		}
 	}
-	imports := map[string]bool{}
-	for _, p := range goList(t, "-f", `{{join .Imports " "}}`, "ansmet/internal/core") {
-		imports[p] = true
-	}
-	for _, name := range []string{"sim", "polling", "fault"} {
-		if p := "ansmet/internal/" + name; imports[p] {
-			t.Errorf("internal/core imports %s", p)
+	for pkg, forbidden := range map[string][]string{
+		"core": {"sim", "polling", "fault", "dram", "partition", "precision"},
+		"hnsw": {"trace"},
+	} {
+		imports := map[string]bool{}
+		for _, p := range goList(t, "-f", `{{join .Imports " "}}`, "ansmet/internal/"+pkg) {
+			imports[p] = true
+		}
+		for _, name := range forbidden {
+			if p := "ansmet/internal/" + name; imports[p] {
+				t.Errorf("internal/%s imports %s", pkg, p)
+			}
 		}
 	}
 }

@@ -52,6 +52,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -315,7 +316,7 @@ func openCluster(dbPath string, p dataset.Profile, partition, dir string, synth,
 		DisableHedging:      noHedge,
 	}
 	if dir != "" {
-		if _, statErr := os.Stat(dir); statErr == nil {
+		if _, statErr := os.Stat(filepath.Join(dir, ansmet.ClusterManifestName)); statErr == nil {
 			cl, err := ansmet.LoadClusterDir(dir, opts)
 			if err != nil {
 				return nil, fmt.Errorf("restoring cluster from %s: %w", dir, err)

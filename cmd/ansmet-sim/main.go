@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 
 	"ansmet/internal/core"
@@ -24,91 +25,71 @@ import (
 	"ansmet/internal/trace"
 )
 
+// options are the command line's values, as parsed.
+type options struct {
+	profile, design, scheme, poll            string
+	n, nq, stream, k, ef, efc                int
+	channels, dimms, ranks, sub, batch, jobs int
+	pollNs                                   float64
+	seed                                     uint64
+}
+
 func main() {
-	profile := flag.String("profile", "DEEP", "dataset profile")
-	n := flag.Int("n", 4000, "database size")
-	nq := flag.Int("q", 32, "distinct queries")
-	stream := flag.Int("stream", 96, "replayed query stream length (throughput regime)")
-	k := flag.Int("k", 10, "result count")
-	ef := flag.Int("ef", 60, "search beam width")
-	efc := flag.Int("efc", 120, "HNSW efConstruction")
-	designName := flag.String("design", "NDP-ETOpt", "design point")
-	channels := flag.Int("channels", 4, "memory channels")
-	dimms := flag.Int("dimms", 2, "DIMMs per channel")
-	ranks := flag.Int("ranks", 4, "ranks per DIMM (NDP units = channels*dimms*ranks)")
-	scheme := flag.String("scheme", "hybrid", "partitioning: horizontal|vertical|hybrid")
-	sub := flag.Int("sub", 1024, "hybrid sub-vector bytes")
-	poll := flag.String("poll", "conventional", "polling: conventional|adaptive")
-	pollNs := flag.Float64("pollns", 100, "conventional polling interval (ns)")
-	batch := flag.Int("batch", 8, "delayed-synchronization beam batch")
-	seed := flag.Uint64("seed", 2025, "generator seed")
-	parallel := flag.Int("parallel", 0, "functional-search workers (0 = GOMAXPROCS); output is identical at any setting")
+	var o options
+	flag.StringVar(&o.profile, "profile", "DEEP", "dataset profile")
+	flag.IntVar(&o.n, "n", 4000, "database size")
+	flag.IntVar(&o.nq, "q", 32, "distinct queries")
+	flag.IntVar(&o.stream, "stream", 96, "replayed query stream length (throughput regime)")
+	flag.IntVar(&o.k, "k", 10, "result count")
+	flag.IntVar(&o.ef, "ef", 60, "search beam width")
+	flag.IntVar(&o.efc, "efc", 120, "HNSW efConstruction")
+	flag.StringVar(&o.design, "design", "NDP-ETOpt", "design point")
+	flag.IntVar(&o.channels, "channels", 4, "memory channels")
+	flag.IntVar(&o.dimms, "dimms", 2, "DIMMs per channel")
+	flag.IntVar(&o.ranks, "ranks", 4, "ranks per DIMM (NDP units = channels*dimms*ranks)")
+	flag.StringVar(&o.scheme, "scheme", "hybrid", "partitioning: horizontal|vertical|hybrid")
+	flag.IntVar(&o.sub, "sub", 1024, "hybrid sub-vector bytes")
+	flag.StringVar(&o.poll, "poll", "conventional", "polling: conventional|adaptive")
+	flag.Float64Var(&o.pollNs, "pollns", 100, "conventional polling interval (ns)")
+	flag.IntVar(&o.batch, "batch", 8, "delayed-synchronization beam batch")
+	flag.Uint64Var(&o.seed, "seed", 2025, "generator seed")
+	flag.IntVar(&o.jobs, "parallel", 0, "functional-search workers (0 = GOMAXPROCS); output is identical at any setting")
 	flag.Parse()
-	p, err := checkFlags(*profile, *n, *nq, *stream, *k, *ef)
+	p, design, mcfg, err := checkFlags(o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	var design core.Design
-	found := false
-	for _, d := range core.AllDesigns {
-		if d.String() == *designName {
-			design, found = d, true
-		}
-	}
-	if !found {
-		log.Fatalf("unknown design %q; options: %v", *designName, core.AllDesigns)
-	}
-
-	ds := dataset.Generate(p, *n, *nq, *seed)
+	ds := dataset.Generate(p, o.n, o.nq, o.seed)
 	rs := ds.Rows()
 	ix, err := hnsw.Build(rs, p.Metric, hnsw.Config{
-		M: 8, MaxDegree: 16, EfConstruction: *efc, Seed: *seed,
+		M: 8, MaxDegree: 16, EfConstruction: o.efc, Seed: o.seed,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	cfg := core.DefaultSystemConfig(design)
-	cfg.Seed = *seed
-	cfg.BeamBatch = *batch
-	cfg.Mem.Channels = *channels
-	cfg.Mem.DIMMsPerChannel = *dimms
-	cfg.Mem.RanksPerDIMM = *ranks
-	cfg.SubVectorBytes = *sub
-	switch *scheme {
-	case "horizontal":
-		cfg.Scheme = partition.Horizontal
-	case "vertical":
-		cfg.Scheme = partition.Vertical
-	case "hybrid":
-		cfg.Scheme = partition.Hybrid
-	default:
-		log.Fatalf("unknown scheme %q", *scheme)
-	}
+	cfg.Seed = o.seed
+	cfg.BeamBatch = o.batch
 	sys, err := core.NewSystem(rs, p.Metric, ix, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := sim.NewModel(sys)
-	switch *poll {
-	case "conventional":
-		m.Timing.Poll = polling.Conventional{IntervalNs: *pollNs}
-	case "adaptive":
-		m.Timing.Poll = polling.Adaptive{}
-	default:
-		log.Fatalf("unknown polling %q", *poll)
+	m, err := sim.NewModel(sys, mcfg)
+	if err != nil {
+		log.Fatal(err)
 	}
-	run := m.RunHNSWParallel(ds.Queries, *k, *ef, *parallel)
+	run := m.RunHNSWParallel(ds.Queries, o.k, o.ef, o.jobs)
 	var traces []*trace.Query
-	for len(traces) < *stream {
+	for len(traces) < o.stream {
 		traces = append(traces, run.Traces...)
 	}
 	rep := sim.Run(m.Timing, traces)
 
-	gt := ds.GroundTruth(*k)
+	gt := ds.GroundTruth(o.k)
 	recall := 0.0
 	for qi, ids := range run.IDs() {
 		recall += dataset.RecallAtK(ids, gt[qi])
@@ -126,15 +107,15 @@ func main() {
 	e := model.Compute(rep.EnergyActivity())
 
 	fmt.Printf("design        %v on %s (%d vectors x %d dims %v, %v)\n",
-		design, p.Name, *n, p.Dim, p.Elem, p.Metric)
+		design, p.Name, o.n, p.Dim, p.Elem, p.Metric)
 	fmt.Printf("platform      %d ch x %d DIMM x %d ranks = %d NDP units; %s",
-		*channels, *dimms, *ranks, *channels**dimms**ranks, *scheme)
-	if cfg.Scheme == partition.Hybrid {
-		fmt.Printf(" (S=%dB)", *sub)
+		o.channels, o.dimms, o.ranks, o.channels*o.dimms*o.ranks, o.scheme)
+	if mcfg.Scheme == partition.Hybrid {
+		fmt.Printf(" (S=%dB)", o.sub)
 	}
-	fmt.Printf("; %s polling\n", *poll)
+	fmt.Printf("; %s polling\n", o.poll)
 	fmt.Printf("workload      %d queries (x%d stream), k=%d ef=%d batch=%d; recall@%d %.3f\n",
-		*nq, len(traces) / *nq, *k, *ef, *batch, *k, recall)
+		o.nq, len(traces)/o.nq, o.k, o.ef, o.batch, o.k, recall)
 	fmt.Printf("per query     %d hops, %d comparisons, %d lines fetched\n",
 		hops/len(run.Traces), tasks/len(run.Traces), lines/len(run.Traces))
 	fmt.Println()
@@ -152,19 +133,51 @@ func main() {
 	fmt.Printf("polling       %d poll reads\n", rep.PollCount)
 }
 
-// checkFlags resolves the profile and rejects the counts no run can be made
-// of: a database, a query set, a stream or a result count that is not
-// positive, and a beam narrower than k.
-func checkFlags(profile string, n, nq, stream, k, ef int) (dataset.Profile, error) {
-	p, err := dataset.ParseProfile(profile)
+// checkFlags resolves the profile, the design and the platform, and rejects
+// before anything is generated what no run can be made of: a count that is
+// not positive, a beam narrower than k, a geometry without ranks, a
+// sub-vector below one 64 B line, a polling interval that is not positive,
+// and a name no design, scheme or policy has.
+func checkFlags(o options) (dataset.Profile, core.Design, sim.Config, error) {
+	cfg := sim.DefaultConfig()
+	p, err := dataset.ParseProfile(o.profile)
 	if err != nil {
-		return p, err
+		return p, 0, cfg, err
 	}
-	if n <= 0 || nq <= 0 || stream <= 0 || k <= 0 {
-		return p, fmt.Errorf("-n, -q, -stream and -k must be positive (got %d, %d, %d, %d)", n, nq, stream, k)
+	if o.n <= 0 || o.nq <= 0 || o.stream <= 0 || o.k <= 0 {
+		return p, 0, cfg, fmt.Errorf("-n, -q, -stream and -k must be positive (got %d, %d, %d, %d)", o.n, o.nq, o.stream, o.k)
 	}
-	if ef < k {
-		return p, fmt.Errorf("-ef must be at least -k (got -ef %d, -k %d)", ef, k)
+	if o.ef < o.k {
+		return p, 0, cfg, fmt.Errorf("-ef must be at least -k (got -ef %d, -k %d)", o.ef, o.k)
 	}
-	return p, nil
+	if o.channels <= 0 || o.dimms <= 0 || o.ranks <= 0 {
+		return p, 0, cfg, fmt.Errorf("-channels, -dimms and -ranks must be positive (got %d, %d, %d)", o.channels, o.dimms, o.ranks)
+	}
+	if o.sub < 64 {
+		return p, 0, cfg, fmt.Errorf("-sub must be at least one 64 B line (got %d)", o.sub)
+	}
+	if !(o.pollNs > 0) || math.IsInf(o.pollNs, 1) {
+		return p, 0, cfg, fmt.Errorf("-pollns must be a positive interval (got %v)", o.pollNs)
+	}
+	var design core.Design
+	ok := false
+	for _, d := range core.AllDesigns {
+		if d.String() == o.design {
+			design, ok = d, true
+		}
+	}
+	if !ok {
+		return p, 0, cfg, fmt.Errorf("unknown design %q; options: %v", o.design, core.AllDesigns)
+	}
+	schemes := map[string]partition.Scheme{"horizontal": partition.Horizontal, "vertical": partition.Vertical, "hybrid": partition.Hybrid}
+	polls := map[string]polling.Policy{"conventional": polling.Conventional{IntervalNs: o.pollNs}, "adaptive": polling.Adaptive{}}
+	if cfg.Scheme, ok = schemes[o.scheme]; !ok {
+		return p, 0, cfg, fmt.Errorf("unknown -scheme %q; options: horizontal, vertical, hybrid", o.scheme)
+	}
+	if cfg.Poll, ok = polls[o.poll]; !ok {
+		return p, 0, cfg, fmt.Errorf("unknown -poll %q; options: conventional, adaptive", o.poll)
+	}
+	cfg.Mem.Channels, cfg.Mem.DIMMsPerChannel, cfg.Mem.RanksPerDIMM = o.channels, o.dimms, o.ranks
+	cfg.SubVectorBytes = o.sub
+	return p, design, cfg, nil
 }

@@ -26,6 +26,7 @@ import (
 	"ansmet/internal/core"
 	"ansmet/internal/dataset"
 	"ansmet/internal/engine"
+	"ansmet/internal/sim"
 	"ansmet/internal/stats"
 )
 
@@ -329,7 +330,7 @@ type harness struct {
 	// a cell with a target, at that target: built over the database as New
 	// left it, as its own model would be, and fed every acknowledged add (see
 	// write).
-	models []*core.System
+	models []*sim.Model
 }
 
 func newHarness(t *testing.T, c contractCell) *harness {
@@ -407,21 +408,28 @@ func (h *harness) run(c contractCell, script []scriptOp) {
 
 // modelAt builds the NDP model at a design point and a recall target over
 // the database's rows, graph and tombstones: the design's defaults with the
-// database's seed, as a caller builds one over db.System().
-func (h *harness) modelAt(design core.Design, target float64) *core.System {
+// database's seed and the default platform, as a caller builds one over
+// db.System().
+func (h *harness) modelAt(design core.Design, target float64) *sim.Model {
 	cfg := core.DefaultSystemConfig(design)
-	cfg.Seed, cfg.RecallTarget = h.db.opts.Seed, target
+	cfg.Seed = h.db.opts.Seed
 	sys, err := core.NewSystem(h.db.rows, h.db.opts.Metric, h.db.index, cfg)
 	if err != nil {
 		h.t.Fatal(err)
 	}
 	sys.SetTombstones(h.db.tomb)
-	return sys
+	mcfg := sim.DefaultConfig()
+	mcfg.RecallTarget = target
+	m, err := sim.NewModel(sys, mcfg)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	return m
 }
 
 // beamOver is the ndp route's traversal over a model at k = 10 and the
 // default ef, on a worker engine of its own.
-func (h *harness) beamOver(sys *core.System) func(vec []float32, f func(uint32) bool) []Neighbor {
+func (h *harness) beamOver(sys *sim.Model) func(vec []float32, f func(uint32) bool) []Neighbor {
 	db, eng := h.db, sys.NewWorkerEngine()
 	return func(vec []float32, f func(uint32) bool) []Neighbor {
 		qq := quantizeInto(make([]float32, len(vec)), vec, db.opts.Elem)
@@ -469,7 +477,7 @@ func (h *harness) checkModels() {
 	}
 
 	sys := h.models[1]
-	target := sys.Cfg.RecallTarget
+	target := sys.Timing.RecallTarget
 	if sys.Precision == nil {
 		t.Fatalf("RecallTarget %v built no precision map", target)
 	}

@@ -46,7 +46,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		run, err := sim.NewModel(sys).Run(ds.Queries, 10, 64)
+		m, err := sim.NewModel(sys, sim.DefaultConfig())
+		if err != nil {
+			log.Fatal(err)
+		}
+		run, err := m.Run(ds.Queries, 10, 64)
 		if err != nil {
 			log.Fatal(err)
 		}

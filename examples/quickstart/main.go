@@ -49,5 +49,5 @@ func main() {
 	// built when something asks for it, as System does.
 	sys := db.System()
 	fmt.Printf("\npreprocessing: %d lines/vector, common prefix %d bits (saves %.1f%% storage)\n",
-		sys.Part.LinesPerVector(), sys.Store.Prefix.PrefixLen, sys.Store.SpaceSavedFraction()*100)
+		sys.Store.SlotLines(), sys.Store.Prefix.PrefixLen, sys.Store.SpaceSavedFraction()*100)
 }

@@ -80,7 +80,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	model := sim.NewModel(db.System()) // the simulated NDP platform
+	model, err := sim.NewModel(db.System(), sim.DefaultConfig()) // the simulated NDP platform
+	if err != nil {
+		log.Fatal(err)
+	}
 	queries := []string{
 		"how does near memory hardware speed up vector databases",
 		"what stops unnecessary distance calculations",

@@ -67,7 +67,7 @@ func TestNoAccuracyLoss(t *testing.T) {
 		exact := engine.NewExact(ds.Vectors, p.Metric, p.Elem)
 		var want [][]hnsw.Neighbor
 		for _, q := range ds.Queries {
-			want = append(want, ix.Search(q, 10, 50, exact, nil))
+			want = append(want, ix.SearchFilteredInto(q, 10, 50, 1, nil, exact, nil, nil))
 		}
 		for _, d := range []Design{NDPDimET, NDPBitET, NDPET, NDPETDual, NDPETOpt} {
 			cfg := DefaultSystemConfig(d)
@@ -78,7 +78,7 @@ func TestNoAccuracyLoss(t *testing.T) {
 			}
 			eng := sys.NewWorkerEngine()
 			for qi, q := range ds.Queries {
-				got := ix.Search(q, 10, 50, eng, nil)
+				got := ix.SearchFilteredInto(q, 10, 50, 1, nil, eng, nil, nil)
 				if len(got) != len(want[qi]) {
 					t.Fatalf("%s/%v query %d: %d results, want %d",
 						name, d, qi, len(got), len(want[qi]))
@@ -228,24 +228,6 @@ func TestStoreValidation(t *testing.T) {
 	pc := prefixelim.Config{Elem: vecmath.Uint8, Dim: 4, PrefixLen: 3, PrefixVal: 0}
 	if _, err := BuildStore(vecs, sched, pc); err == nil {
 		t.Error("prefix length mismatch should fail")
-	}
-}
-
-func TestReplicationWiredIntoSystem(t *testing.T) {
-	p := dataset.ProfileByName("GIST")
-	ds := dataset.Generate(p, 400, 2, 23)
-	ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 40, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultSystemConfig(NDPBase)
-	cfg.ReplicateTopLayers = 4
-	sys, err := NewSystem(ds.Rows(), p.Metric, ix, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Part.Groups() > 1 && sys.Part.ReplicatedCount() == 0 {
-		t.Error("top-layer replication not applied")
 	}
 }
 

@@ -1,10 +1,10 @@
-// Package core assembles the complete ANSMET system — the paper's primary
+// Package core is the functional view of ANSMET — the paper's primary
 // contribution. It composes the early-termination storage engine
-// (internal/bitplane + internal/prefixelim), the sampling-based layout
-// optimizer (internal/layout), the ANNS indexes (internal/hnsw,
-// internal/ivf), rank partitioning (internal/partition) and the timing
-// simulator (internal/sim) into the evaluated design points of §6:
-// CPU-Base through NDP-ETOpt.
+// (internal/bitplane + internal/prefixelim) and the sampling-based layout
+// optimizer (internal/layout) over a row slab and its HNSW graph into the
+// evaluated design points of §6, CPU-Base through NDP-ETOpt, and makes the
+// engines that search them. Where the platform puts the vectors and what
+// it costs are the simulator's (internal/sim), built over this view.
 package core
 
 import "fmt"

@@ -34,8 +34,8 @@ func TestIVFNoAccuracyLoss(t *testing.T) {
 		}
 		eng := sys.NewWorkerEngine()
 		for _, q := range ds.Queries {
-			want := vx.Search(q, 10, 10, 6, exact, nil)
-			got := vx.Search(q, 10, 10, 6, eng, nil)
+			want := vx.SearchFiltered(q, 10, 10, 6, nil, exact, nil)
+			got := vx.SearchFiltered(q, 10, 10, 6, nil, eng, nil)
 			if len(got) != len(want) {
 				t.Fatalf("%v: %d results, want %d", d, len(got), len(want))
 			}

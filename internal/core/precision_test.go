@@ -169,7 +169,9 @@ func TestTieredAdaptiveBudget1MatchesExact(t *testing.T) {
 
 // TestTieredNilPrecisionByteIdentity: TieredOpts.Precision == nil must
 // reproduce the fixed-depth scan exactly, stats included — the adaptive
-// plumbing is invisible until a map is installed.
+// plumbing is invisible until a map is installed. A typed nil
+// (*precision.Map)(nil), a non-nil Depths, means the same, there and in
+// SetPrecision.
 func TestTieredNilPrecisionByteIdentity(t *testing.T) {
 	p := dataset.ProfileByName("DEEP")
 	ds := dataset.Generate(p, 600, 4, 23)
@@ -180,16 +182,28 @@ func TestTieredNilPrecisionByteIdentity(t *testing.T) {
 	}
 	a := st.NewETEngine(p.Metric)
 	b := st.NewETEngine(p.Metric)
-	for qi, q := range ds.Queries {
-		ra, sa := a.TieredKNNInto(nil, q, 10, TieredOpts{Budget: 0.9}, nil)
-		rb, sb := b.TieredKNNInto(nil, q, 10,
-			TieredOpts{Budget: 0.9, Precision: nil, EscalateMargin: 0.3}, nil)
-		if sa != sb {
-			t.Fatalf("q%d: stats diverged %+v != %+v", qi, sa, sb)
+	for _, pm := range []Depths{nil, (*precision.Map)(nil)} {
+		for qi, q := range ds.Queries {
+			ra, sa := a.TieredKNNInto(nil, q, 10, TieredOpts{Budget: 0.9}, nil)
+			rb, sb := b.TieredKNNInto(nil, q, 10,
+				TieredOpts{Budget: 0.9, Precision: pm, EscalateMargin: 0.3}, nil)
+			if sa != sb {
+				t.Fatalf("%T q%d: stats diverged %+v != %+v", pm, qi, sa, sb)
+			}
+			for j := range ra {
+				if ra[j] != rb[j] {
+					t.Fatalf("%T q%d result %d: %+v != %+v", pm, qi, j, ra[j], rb[j])
+				}
+			}
 		}
-		for j := range ra {
-			if ra[j] != rb[j] {
-				t.Fatalf("q%d result %d: %+v != %+v", qi, j, ra[j], rb[j])
+	}
+	b.SetPrecision((*precision.Map)(nil), 0, 0.3)
+	for qi, q := range ds.Queries {
+		a.StartQuery(q)
+		b.StartQuery(q)
+		for id := uint32(0); id < 600; id += 7 {
+			if ra, rb := a.Compare(id, 1), b.Compare(id, 1); ra != rb {
+				t.Fatalf("typed-nil SetPrecision q%d id %d: %+v != %+v", qi, id, rb, ra)
 			}
 		}
 	}

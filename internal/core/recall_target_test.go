@@ -1,6 +1,6 @@
 package core_test
 
-// The recall-target knob of the NDP model (SystemConfig.RecallTarget): its
+// The recall-target knob of the NDP model (sim.Config.RecallTarget): its
 // exactness endpoints, its recall floor and its steady state, and the two
 // benchmarks that price it.
 
@@ -14,21 +14,28 @@ import (
 	"ansmet/internal/dataset"
 	"ansmet/internal/hnsw"
 	"ansmet/internal/precision"
+	"ansmet/internal/sim"
 )
 
-// recallTargetSystems builds one graph over ds's rows and, over it, one
-// NDP-ETOpt system per recall target, seeded with seed.
-func recallTargetSystems(ds *dataset.Dataset, efc int, seed uint64, targets ...float64) ([]*core.System, error) {
+// recallTargetSystems builds one graph over ds's rows, one NDP-ETOpt system
+// over it seeded with seed, and around that one model per recall target.
+func recallTargetSystems(ds *dataset.Dataset, efc int, seed uint64, targets ...float64) ([]*sim.Model, error) {
 	rs := ds.Rows()
 	ix, err := hnsw.Build(rs, ds.Profile.Metric, hnsw.Config{M: 16, MaxDegree: 16, EfConstruction: efc, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*core.System, len(targets))
+	cfg := core.DefaultSystemConfig(core.NDPETOpt)
+	cfg.Seed = seed
+	sys, err := core.NewSystem(rs, ds.Profile.Metric, ix, cfg)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*sim.Model, len(targets))
 	for i, target := range targets {
-		cfg := core.DefaultSystemConfig(core.NDPETOpt)
-		cfg.Seed, cfg.RecallTarget = seed, target
-		if out[i], err = core.NewSystem(rs, ds.Profile.Metric, ix, cfg); err != nil {
+		mcfg := sim.DefaultConfig()
+		mcfg.RecallTarget = target
+		if out[i], err = sim.NewModel(sys, mcfg); err != nil {
 			return nil, err
 		}
 	}
@@ -37,7 +44,7 @@ func recallTargetSystems(ds *dataset.Dataset, efc int, seed uint64, targets ...f
 
 // beamOver is one system's beam search at k and ef on a worker engine of its
 // own — the ndp route's traversal.
-func beamOver(sys *core.System, k, ef int) func(q []float32, f func(uint32) bool, dst []hnsw.Neighbor) []hnsw.Neighbor {
+func beamOver(sys *sim.Model, k, ef int) func(q []float32, f func(uint32) bool, dst []hnsw.Neighbor) []hnsw.Neighbor {
 	eng := sys.NewWorkerEngine()
 	return func(q []float32, f func(uint32) bool, dst []hnsw.Neighbor) []hnsw.Neighbor {
 		return sys.Index.SearchFilteredInto(q, k, ef, sys.Cfg.BeamBatch, f, eng, nil, dst)
@@ -48,7 +55,7 @@ func beamOver(sys *core.System, k, ef int) func(q []float32, f func(uint32) bool
 // (FigPrecisionFrontier's adaptive arm): the tuner's budget, depth bias and
 // margin over the system's precision map, the uniform stage-1 cap out of the
 // way, and the outcome fed back into the tuner.
-func tunedTiered(sys *core.System, et *core.ETEngine, tn *precision.Tuner, q []float32, k int, dst []hnsw.Neighbor) []hnsw.Neighbor {
+func tunedTiered(sys *sim.Model, et *core.ETEngine, tn *precision.Tuner, q []float32, k int, dst []hnsw.Neighbor) []hnsw.Neighbor {
 	nn, st := et.TieredKNNInto(nil, q, k, core.TieredOpts{
 		Budget: tn.Budget(), MaxBoundLines: -1, Precision: sys.Precision,
 		DepthBias: tn.DepthBias(), EscalateMargin: tn.Margin(),
@@ -170,7 +177,7 @@ func TestSystemRecallTarget(t *testing.T) {
 // product, high-entropy fp32 planes, 7 lines/vector) and two systems over
 // one graph of it: a fixed-depth one and one at RecallTarget 0.9. Shared by
 // the two benchmarks below.
-var benchAdaptive = sync.OnceValues(func() (*dataset.Dataset, []*core.System) {
+var benchAdaptive = sync.OnceValues(func() (*dataset.Dataset, []*sim.Model) {
 	ds := dataset.Generate(dataset.ProfileByName("GloVe"), 2000, 16, 99)
 	systems, err := recallTargetSystems(ds, 100, 1, 0, 0.9)
 	if err != nil {
@@ -217,7 +224,7 @@ func BenchmarkRecallTargetOverhead(b *testing.B) {
 			var dst []hnsw.Neighbor
 			query := func(q []float32) { dst, _ = et.TieredKNNInto(nil, q, 10, core.TieredOpts{Budget: 1}, dst) }
 			if sys.Precision != nil {
-				tn := precision.NewTuner(sys.Cfg.RecallTarget)
+				tn := precision.NewTuner(sys.Timing.RecallTarget)
 				query = func(q []float32) { dst = tunedTiered(sys, et, tn, q, 10, dst) }
 			}
 			query(ds.Queries[0])

@@ -3,12 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sync/atomic"
 
 	"ansmet/internal/bitplane"
 	"ansmet/internal/engine"
 	"ansmet/internal/hnsw"
-	"ansmet/internal/precision"
 	"ansmet/internal/prefixelim"
 	"ansmet/internal/rows"
 	"ansmet/internal/vecmath"
@@ -132,6 +132,23 @@ func (s *Store) SpaceSavedFraction() float64 {
 	return float64(s.Prefix.SpaceSavedBits()) / total
 }
 
+// Depths is the static per-vector fetch depth the adaptive modes read, in
+// the bit-plane layout's lines or rescaled onto an encoding of total lines
+// (an outlier's). The simulator's precision.Map is one.
+type Depths interface {
+	Lines(id uint32) int
+	ScaledLines(id uint32, total int) int
+}
+
+// depthsOrNil returns d, or nil when d holds a nil pointer: a typed nil
+// must mean what nil does, the fixed-depth path.
+func depthsOrNil(d Depths) Depths {
+	if v := reflect.ValueOf(d); v.Kind() == reflect.Pointer && v.IsNil() {
+		return nil
+	}
+	return d
+}
+
 // ETEngine is the early-terminating distance engine over a Store: the
 // software model of the NDP distance computing unit (Fig. 5(d)), also used
 // by the CPU-ET designs. Not safe for concurrent use; create one per
@@ -151,7 +168,7 @@ type ETEngine struct {
 	noBackup bool
 	// prec, precBias and precMargin configure the adaptive mixed-precision
 	// Compare mode (SetPrecision): a nil prec keeps the exact semantics.
-	prec       *precision.Map
+	prec       Depths
 	precBias   int
 	precMargin float64
 	// knnHeap is the tiered stage-2 re-rank's reusable result heap (a
@@ -246,7 +263,7 @@ func (e *ETEngine) StartQuery(q []float32) {
 
 // SetPrecision switches Compare into adaptive mixed-precision mode for the
 // beam path: normal (bit-plane-encoded) vectors fetch only their static
-// per-partition minimum depth from pm (plus bias lines from the tuner),
+// per-vector minimum depth from pm (plus bias lines from the tuner),
 // escalating — doubling the cap, up to the full vector — while the bound
 // sits within margin·|threshold| below the rejection threshold. Rejections
 // stay sound (the bound proves Dist > threshold) and a fully-fetched
@@ -255,9 +272,10 @@ func (e *ETEngine) StartQuery(q []float32) {
 // approximate. Outlier-encoded vectors keep the exact backup re-check, the
 // adaptive mode skips the local-termination modelling (LinesLocal equals
 // Lines), and ExactKNN and the tiered stage-2 re-rank always use the exact
-// path regardless of this setting. A nil pm restores exact semantics.
-func (e *ETEngine) SetPrecision(pm *precision.Map, bias int, margin float64) {
-	e.prec = pm
+// path regardless of this setting. A nil pm (typed or not) restores exact
+// semantics.
+func (e *ETEngine) SetPrecision(pm Depths, bias int, margin float64) {
+	e.prec = depthsOrNil(pm)
 	e.precBias = bias
 	e.precMargin = margin
 }

@@ -5,12 +5,9 @@ import (
 	"time"
 
 	"ansmet/internal/bitplane"
-	"ansmet/internal/dram"
 	"ansmet/internal/engine"
 	"ansmet/internal/hnsw"
 	"ansmet/internal/layout"
-	"ansmet/internal/partition"
-	"ansmet/internal/precision"
 	"ansmet/internal/prefixelim"
 	"ansmet/internal/rows"
 	"ansmet/internal/stats"
@@ -18,22 +15,11 @@ import (
 )
 
 // SystemConfig selects the design point and what the functional view is
-// built from: the stored layout, the rank partitioning over the memory
-// geometry, the beam batch and the recall target. The platform's timing and
-// fault model are the simulator's (sim.Model).
+// built from: the stored layout and the beam batch. Where the platform puts
+// the vectors (memory geometry, rank partitioning), its recall target, its
+// timing and its fault model are the simulator's (sim.Model).
 type SystemConfig struct {
 	Design Design
-
-	// Mem is the memory geometry the partition map lays vectors out over.
-	Mem dram.Config
-
-	// Scheme and SubVectorBytes control rank partitioning (§5.3); the
-	// paper's default is hybrid with S = 1 kB.
-	Scheme         partition.Scheme
-	SubVectorBytes int
-	// ReplicateTopLayers replicates the vectors of the top N HNSW layers
-	// to every rank group (0 disables).
-	ReplicateTopLayers int
 
 	// SampleSize is the offline sampling-set size (paper default: 100).
 	SampleSize int
@@ -44,34 +30,21 @@ type SystemConfig struct {
 	// synchronization traversal), amortizing the per-hop offload and
 	// polling synchronization; 1 is the textbook sequential beam search.
 	BeamBatch int
-
-	// RecallTarget, when in (0, 1), enables adaptive mixed-precision search
-	// for the ET designs: a per-partition minimum plane depth is derived at
-	// build time from cluster radius statistics (System.Precision) and the
-	// query paths escalate fetch depth only where the top-k margin is
-	// tight. 0 (and 1) keep the fixed-depth machinery — results are then
-	// byte-identical to a build without the knob. The derivation's k-means
-	// is seeded with Seed.
-	RecallTarget float64
 }
 
 // DefaultSystemConfig returns the paper's defaults for a design.
 func DefaultSystemConfig(d Design) SystemConfig {
 	return SystemConfig{
-		Design:             d,
-		Mem:                dram.DefaultConfig(),
-		Scheme:             partition.Hybrid,
-		SubVectorBytes:     1024,
-		ReplicateTopLayers: 4,
-		SampleSize:         100,
-		LayoutOpts:         layout.DefaultOptions(),
-		Seed:               1,
-		BeamBatch:          8,
+		Design:     d,
+		SampleSize: 100,
+		LayoutOpts: layout.DefaultOptions(),
+		Seed:       1,
+		BeamBatch:  8,
 	}
 }
 
-// System is a fully preprocessed ANSMET instance over one dataset: encoded
-// storage and partitioning map. It is a view — a deterministic function of
+// System is a fully preprocessed ANSMET instance over one dataset: its
+// encoded storage. It is a view — a deterministic function of
 // (slab, index, cfg), built once by NewSystem and not changed afterwards
 // (SetTombstones, before it is shared, is the one thing its builder adds).
 // It holds no engine: NewWorkerEngine makes one per searcher. The timing
@@ -84,12 +57,8 @@ type System struct {
 
 	Store    *Store // nil for the Base designs
 	Index    *hnsw.Index
-	Part     *partition.Map
 	Analysis *layout.Analysis // nil unless the design samples
 	Params   layout.Params    // zero unless the design samples
-	// Precision is the per-partition static depth map, stored alongside
-	// the layout params; nil unless RecallTarget enabled it.
-	Precision *precision.Map
 
 	// PreprocessSeconds is the wall time of the offline pass: sampling,
 	// parameter search and layout transformation (Table 4).
@@ -150,49 +119,13 @@ func NewSystem(rs *rows.Slab, metric vecmath.Metric, index *hnsw.Index, cfg Syst
 	}
 
 	// Storage. A Base design fetches the plain row.
-	lines := rows.Lines(elem, s.Dim)
 	if cfg.Design.UsesET() {
 		store, err := BuildStore(rs, sched, prefix)
 		if err != nil {
 			return nil, err
 		}
 		s.Store = store
-		lines = store.SlotLines()
 	}
-
-	// Per-partition static precision (adaptive mixed-precision search).
-	if s.Store != nil && cfg.RecallTarget > 0 && cfg.RecallTarget < 1 {
-		all := s.decodeRows(rs.Len(), func(i int) uint32 { return uint32(i) })
-		pm, err := precision.Build(all, s.Store.Layout, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		s.Precision = pm
-	}
-
-	// Partitioning.
-	part, err := partition.New(cfg.Scheme, cfg.Mem.Ranks(), lines,
-		cfg.SubVectorBytes, cfg.Mem.BanksPerRank(), cfg.Mem.RowBytes)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.ReplicateTopLayers > 0 && index != nil && part.Groups() > 1 {
-		// Replicate the top layers, but never more than ~2% of the dataset:
-		// on the paper's billion-scale graphs four layers are a 0.14%
-		// sliver, while on a small graph they can cover almost everything.
-		budget := rs.Len() / 50
-		if budget < 1 {
-			budget = 1
-		}
-		for l := cfg.ReplicateTopLayers; l >= 1; l-- {
-			ids := index.TopLayerIDs(l)
-			if len(ids) <= budget || l == 1 {
-				part.SetReplicated(ids)
-				break
-			}
-		}
-	}
-	s.Part = part
 	s.PreprocessSeconds = time.Since(start).Seconds()
 	return s, nil
 }
@@ -208,22 +141,15 @@ func (s *System) analyze(cfg SystemConfig) (*layout.Analysis, error) {
 		n = total
 	}
 	perm := stats.NewRNG(cfg.Seed).Perm(total)
-	sample := s.decodeRows(n, func(i int) uint32 { return uint32(perm[i]) })
-	return layout.Analyze(sample, s.Elem, s.Metric, cfg.LayoutOpts)
-}
-
-// decodeRows returns float32 copies of n of the slab's rows, the i-th being
-// row id(i): what the offline passes that work on values (layout sampling,
-// the precision map's k-means) are handed. One backing allocation.
-func (s *System) decodeRows(n int, id func(i int) uint32) [][]float32 {
+	// float32 copies of the sampled rows, on one backing allocation.
 	v := s.rows.View()
 	flat := make([]float32, 0, n*s.Dim)
-	out := make([][]float32, n)
-	for i := range out {
-		flat = v.Decode(id(i), flat)
-		out[i] = flat[i*s.Dim : (i+1)*s.Dim : (i+1)*s.Dim]
+	sample := make([][]float32, n)
+	for i := range sample {
+		flat = v.Decode(uint32(perm[i]), flat)
+		sample[i] = flat[i*s.Dim : (i+1)*s.Dim : (i+1)*s.Dim]
 	}
-	return out
+	return layout.Analyze(sample, s.Elem, s.Metric, cfg.LayoutOpts)
 }
 
 // SetTombstones records the deletion bitmap of the live-mutable database the
@@ -239,24 +165,17 @@ func (s *System) Live() func(uint32) bool { return s.live }
 // Rows returns the slab the system was built over.
 func (s *System) Rows() *rows.Slab { return s.rows }
 
-// NewWorkerEngine is the one place an engine over this system is made and
-// configured — engines are not safe for concurrent use, so every searcher
-// (each scratch of the serving database, each worker of a simulated run)
-// needs one of its own. An ET design gets the store's engine with local
-// per-rank early termination tested against a threshold scaled for the
-// rank's 1/segments share of the dimensions (§5.3), the tombstone set, and —
-// under a recall target — the adaptive beam mode in its pre-calibration
-// state (depth bias 0 and the target-derived escalation margin, what a fresh
-// tuner would report); a Base design gets the exact engine over the rows.
+// NewWorkerEngine is the one place an engine over this system is made —
+// engines are not safe for concurrent use, so every searcher (each scratch
+// of the serving database, each worker of a simulated run) needs one of its
+// own. An ET design gets the store's engine with the tombstone set; a Base
+// design gets the exact engine over the rows. What only the platform model
+// adds (rank-local termination, adaptive precision) sim.Model sets on it.
 func (s *System) NewWorkerEngine() engine.Engine {
 	if s.Store == nil {
 		return engine.NewExactOver(s.rows, s.Metric)
 	}
 	e := s.Store.NewETEngine(s.Metric)
-	e.SetLocalSegments(s.Part.NumSegments())
-	if s.Precision != nil {
-		e.SetPrecision(s.Precision, 0, precision.MarginForTarget(s.Cfg.RecallTarget))
-	}
 	e.SetTombstones(s.tomb)
 	return e
 }

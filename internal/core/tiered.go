@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"ansmet/internal/hnsw"
-	"ansmet/internal/precision"
 )
 
 // This file implements the tiered bound-first / exact-rerank query pipeline
@@ -51,12 +50,12 @@ type TieredOpts struct {
 	// Negative means the never-fully-fetch maximum (LinesPerVector()−1).
 	MaxBoundLines int
 	// Precision, when non-nil, makes the stage-1 fetch depth per-vector:
-	// each id fetches its partition's static minimum depth (plus DepthBias
-	// lines) instead of the uniform MaxBoundLines cap, which stays the
-	// escalation ceiling. Outlier-encoded vectors honor the same schedule
-	// rescaled onto their line geometry (precision.Map.ScaledLines). A nil
-	// map reproduces the fixed-depth scan byte for byte.
-	Precision *precision.Map
+	// each id fetches its static minimum depth (plus DepthBias lines)
+	// instead of the uniform MaxBoundLines cap, which stays the escalation
+	// ceiling. Outlier-encoded vectors honor the same schedule rescaled onto
+	// their line geometry (Depths.ScaledLines). A nil map, typed or not,
+	// reproduces the fixed-depth scan byte for byte.
+	Precision Depths
 	// DepthBias adds lines on top of every partition's static depth — the
 	// recall-target tuner's online correction.
 	DepthBias int
@@ -134,7 +133,7 @@ func (e *ETEngine) TieredKNNPool(done <-chan struct{}, q []float32, k int, opt T
 	if maxLines < 0 || maxLines > limit {
 		maxLines = limit
 	}
-	pm := opt.Precision
+	pm := depthsOrNil(opt.Precision)
 
 	var st TieredStats
 	e.StartQuery(q)

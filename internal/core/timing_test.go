@@ -27,14 +27,18 @@ import (
 )
 
 // newModel builds the view of cfg over the dataset's rows and puts the
-// platform defaults around it.
-func newModel(t *testing.T, ds *dataset.Dataset, ix *hnsw.Index, cfg core.SystemConfig) *sim.Model {
+// platform mcfg around it.
+func newModel(t *testing.T, ds *dataset.Dataset, ix *hnsw.Index, cfg core.SystemConfig, mcfg sim.Config) *sim.Model {
 	t.Helper()
 	sys, err := core.NewSystem(ds.Rows(), ds.Profile.Metric, ix, cfg)
 	if err != nil {
 		t.Fatalf("%s/%v: %v", ds.Profile.Name, cfg.Design, err)
 	}
-	return sim.NewModel(sys)
+	m, err := sim.NewModel(sys, mcfg)
+	if err != nil {
+		t.Fatalf("%s/%v: %v", ds.Profile.Name, cfg.Design, err)
+	}
+	return m
 }
 
 // hashRun folds everything a run produced into h: every result, every hop's
@@ -131,20 +135,20 @@ func TestModelGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		build := func(cfg core.SystemConfig) *sim.Model {
+		build := func(cfg core.SystemConfig, mcfg sim.Config) *sim.Model {
 			cfg.SampleSize = 60
-			return newModel(t, ds, ix, cfg)
+			return newModel(t, ds, ix, cfg, mcfg)
 		}
 		for _, d := range core.AllDesigns {
-			check(pop+"/"+d.String(), build(core.DefaultSystemConfig(d)), ds, vx)
+			check(pop+"/"+d.String(), build(core.DefaultSystemConfig(d), sim.DefaultConfig()), ds, vx)
 		}
 		// The pre-calibration adaptive-precision wiring of the beam engines.
-		adaptive := core.DefaultSystemConfig(core.NDPETOpt)
+		adaptive := sim.DefaultConfig()
 		adaptive.RecallTarget = 0.9
-		check(pop+"/NDP-ETOpt@0.9", build(adaptive), ds, vx)
+		check(pop+"/NDP-ETOpt@0.9", build(core.DefaultSystemConfig(core.NDPETOpt), adaptive), ds, vx)
 		// A fault schedule: injection order, retries, the breaker trip on the
 		// crashed rank and the counters' per-run deltas are part of the result.
-		fs := build(core.DefaultSystemConfig(core.NDPET)).InjectFaults(&fault.Schedule{Seed: 13, Rules: []fault.Rule{
+		fs := build(core.DefaultSystemConfig(core.NDPET), sim.DefaultConfig()).InjectFaults(&fault.Schedule{Seed: 13, Rules: []fault.Rule{
 			{Kind: fault.CorruptPayload, Rank: -1, Op: -1, Prob: 0.1},
 			{Kind: fault.DropPoll, Rank: -1, Prob: 0.05},
 			{Kind: fault.RankCrash, Rank: 0, After: 40},
@@ -167,7 +171,7 @@ func TestNewSystemAllDesigns(t *testing.T) {
 	for _, d := range core.AllDesigns {
 		cfg := core.DefaultSystemConfig(d)
 		cfg.SampleSize = 50
-		sys := newModel(t, ds, ix, cfg)
+		sys := newModel(t, ds, ix, cfg, sim.DefaultConfig())
 		run := sys.RunHNSW(ds.Queries, 10, 60)
 		if len(run.Results) != len(ds.Queries) {
 			t.Fatalf("%v: missing results", d)
@@ -259,7 +263,7 @@ func TestSpeedupShapes(t *testing.T) {
 		qps := func(d core.Design) float64 {
 			cfg := core.DefaultSystemConfig(d)
 			cfg.SampleSize = 50
-			sys := newModel(t, ds, ix, cfg)
+			sys := newModel(t, ds, ix, cfg, sim.DefaultConfig())
 			run := sys.RunHNSW(ds.Queries, 10, 64)
 			// Replay a sustained stream (the paper's throughput regime);
 			// a handful of queries alone is latency-bound and hides the
@@ -298,16 +302,20 @@ func TestRunIVFTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := newModel(t, ds, hx, core.DefaultSystemConfig(core.NDPETOpt))
+	sys := newModel(t, ds, hx, core.DefaultSystemConfig(core.NDPETOpt), sim.DefaultConfig())
 	run := sys.RunIVF(vx, ds.Queries, 10, 10, 4)
 	if run.Report.QPS() <= 0 || run.Report.Mem.NDPBytes == 0 {
 		t.Error("IVF timing run produced no activity")
 	}
 	// IVF hops carry large cluster batches; ensure some ET happened.
-	full := sys.Part.LinesPerVector()
+	full := sys.Timing.Part.LinesPerVector()
 	et := 0
 	for _, q := range run.Traces {
-		et += q.EarlyTerminated(full)
+		for _, task := range q.Tasks() {
+			if !task.Result.Accepted && task.Result.Lines < full {
+				et++
+			}
+		}
 	}
 	if et == 0 {
 		t.Error("no early terminations on the IVF path")
@@ -326,7 +334,7 @@ func TestBackupLinesReachTimingModel(t *testing.T) {
 	cfg := core.DefaultSystemConfig(core.NDPETOpt)
 	// A permissive outlier budget creates a longer prefix and more outliers.
 	cfg.LayoutOpts.OutlierBudget = 0.01
-	sys := newModel(t, ds, hx, cfg)
+	sys := newModel(t, ds, hx, cfg, sim.DefaultConfig())
 	if sys.Store.NumOutliers() == 0 {
 		t.Skip("no outlier vectors in this draw")
 	}
@@ -360,7 +368,7 @@ func TestRunHNSWParallelMatchesSerial(t *testing.T) {
 	for _, d := range []core.Design{core.CPUBase, core.NDPBase, core.NDPETOpt} {
 		cfg := core.DefaultSystemConfig(d)
 		cfg.SampleSize = 60
-		sys := newModel(t, ds, ix, cfg)
+		sys := newModel(t, ds, ix, cfg, sim.DefaultConfig())
 		serial := sys.RunHNSW(ds.Queries, 10, 40)
 		par := sys.RunHNSWParallel(ds.Queries, 10, 40, 4)
 		if !reflect.DeepEqual(serial.Results, par.Results) {

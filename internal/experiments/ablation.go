@@ -9,6 +9,7 @@ import (
 	"ansmet/internal/prefixelim"
 	"ansmet/internal/quantize"
 	"ansmet/internal/rows"
+	"ansmet/internal/sim"
 	"ansmet/internal/vecmath"
 )
 
@@ -29,7 +30,7 @@ func (r *Runner) AblationBeamBatch() *Table {
 	res := make([]bbCell, len(batches))
 	r.parMap(len(batches), func(i int) {
 		bb := batches[i]
-		w, sys := r.system("SIFT", core.NDPETOpt, func(c *core.SystemConfig) {
+		w, sys := r.system("SIFT", core.NDPETOpt, func(c *core.SystemConfig, _ *sim.Config) {
 			c.BeamBatch = bb
 		})
 		run := sys.RunHNSW(w.ds.Queries, 10, r.Scale.EfSearch)

@@ -242,24 +242,29 @@ func (r *Runner) load(name string) *workload {
 	return e.w
 }
 
-// system preprocesses a design over a cached workload and puts the default
-// platform around it. Default-config systems (nil mutate) are cached
-// single-flight: several figures revisit the same (dataset, design) pair,
-// and two parallel cells never preprocess it twice. Mutated systems are
-// private to the caller.
-func (r *Runner) system(name string, d core.Design, mutate func(*core.SystemConfig)) (*workload, *sim.Model) {
+// system preprocesses a design over a cached workload and puts a platform
+// around it: the default one, or the defaults edited by mutate, which sees
+// the view's configuration and the model's. Default systems (nil mutate) are
+// cached single-flight: several figures revisit the same (dataset, design)
+// pair, and two parallel cells never preprocess it twice. Mutated systems
+// are private to the caller.
+func (r *Runner) system(name string, d core.Design, mutate func(*core.SystemConfig, *sim.Config)) (*workload, *sim.Model) {
 	w := r.load(name)
 	build := func() *sim.Model {
-		cfg := core.DefaultSystemConfig(d)
+		cfg, mcfg := core.DefaultSystemConfig(d), sim.DefaultConfig()
 		cfg.Seed = r.Scale.Seed
 		if mutate != nil {
-			mutate(&cfg)
+			mutate(&cfg, &mcfg)
 		}
 		sys, err := core.NewSystem(w.rows, w.ds.Profile.Metric, w.hnsw, cfg)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %s/%v: %v", name, d, err))
 		}
-		return sim.NewModel(sys)
+		m, err := sim.NewModel(sys, mcfg)
+		if err != nil {
+			panic(fmt.Sprintf("experiments: %s/%v: %v", name, d, err))
+		}
+		return m
 	}
 	if mutate != nil {
 		return w, build()

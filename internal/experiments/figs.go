@@ -265,12 +265,12 @@ func (r *Runner) Fig09() *Table {
 		// Fig. 9 is a per-query latency breakdown: queries run one at a
 		// time so the components reflect the latency chain rather than
 		// saturation queueing.
-		w, cached := r.system("SIFT", v.design, nil)
-		sys := sim.NewModel(cached.System)
-		sys.Timing.InFlightFactor = -1
-		if v.poll != nil {
-			sys.Timing.Poll = v.poll
-		}
+		w, sys := r.system("SIFT", v.design, func(_ *core.SystemConfig, c *sim.Config) {
+			c.InFlightFactor = -1
+			if v.poll != nil {
+				c.Poll = v.poll
+			}
+		})
 		run := sys.RunHNSW(w.ds.Queries, 10, r.Scale.EfSearch)
 		rep := run.Report
 		nq := float64(len(rep.QueryLatencyNs))
@@ -403,15 +403,15 @@ func (r *Runner) Fig12() *Table {
 	}
 	type scheme struct {
 		label string
-		mut   func(*core.SystemConfig)
+		mut   func(*core.SystemConfig, *sim.Config)
 	}
 	schemes := []scheme{
-		{"vertical", func(c *core.SystemConfig) { c.Scheme = partition.Vertical }},
-		{"hybrid-256B", func(c *core.SystemConfig) { c.SubVectorBytes = 256 }},
-		{"hybrid-512B", func(c *core.SystemConfig) { c.SubVectorBytes = 512 }},
+		{"vertical", func(_ *core.SystemConfig, c *sim.Config) { c.Scheme = partition.Vertical }},
+		{"hybrid-256B", func(_ *core.SystemConfig, c *sim.Config) { c.SubVectorBytes = 256 }},
+		{"hybrid-512B", func(_ *core.SystemConfig, c *sim.Config) { c.SubVectorBytes = 512 }},
 		{"hybrid-1kB", nil},
-		{"hybrid-2kB", func(c *core.SystemConfig) { c.SubVectorBytes = 2048 }},
-		{"horizontal", func(c *core.SystemConfig) { c.Scheme = partition.Horizontal }},
+		{"hybrid-2kB", func(_ *core.SystemConfig, c *sim.Config) { c.SubVectorBytes = 2048 }},
+		{"horizontal", func(_ *core.SystemConfig, c *sim.Config) { c.Scheme = partition.Horizontal }},
 	}
 	qpss := make([]float64, len(schemes))
 	r.parMap(len(schemes), func(i int) {
@@ -538,9 +538,9 @@ func (r *Runner) FigTieredFrontier() *Table {
 
 // FigPrecisionFrontier measures adaptive mixed-precision search (ROADMAP
 // item 4) against fixed-depth execution at matched recall targets, on both
-// query paths. The fixed arm is the plain system; the adaptive arm is a
-// system built through the RecallTarget knob, so the kmeans-radius depth
-// map and its engine wiring under test are exactly what Database users get.
+// query paths. The fixed arm is the plain model; the adaptive arm is a
+// model built through the RecallTarget knob, so the kmeans-radius depth
+// map and its engine wiring under test are the model's own.
 // On the beam path the per-partition schedule caps how deep an accepted
 // comparison refines (the escalation margin re-fetches only margin-tight
 // candidates); on the tiered path it governs the stage-1 bound depth and
@@ -567,7 +567,7 @@ func (r *Runner) FigPrecisionFrontier() *Table {
 	r.parMap(len(cells), func(i int) {
 		c := cells[i]
 		w, fixSys := r.system(c.name, core.NDPETOpt, nil)
-		_, adSys := r.system(c.name, core.NDPETOpt, func(cfg *core.SystemConfig) {
+		_, adSys := r.system(c.name, core.NDPETOpt, func(_ *core.SystemConfig, cfg *sim.Config) {
 			cfg.RecallTarget = c.target
 		})
 		nq := float64(len(w.ds.Queries))

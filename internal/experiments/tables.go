@@ -29,7 +29,7 @@ func (r *Runner) Table3() *Table {
 			return
 		}
 		rp := ranks[i-1]
-		w, sys := r.system("SIFT", core.NDPETOpt, func(c *core.SystemConfig) {
+		w, sys := r.system("SIFT", core.NDPETOpt, func(_ *core.SystemConfig, c *sim.Config) {
 			c.Mem.RanksPerDIMM = rp
 		})
 		run := sys.RunHNSW(w.ds.Queries, 10, r.Scale.EfSearch)
@@ -103,7 +103,7 @@ func (r *Runner) Table5() *Table {
 			return
 		}
 		b := budgets[i-1]
-		_, sys := r.system("SPACEV", core.NDPETOpt, func(c *core.SystemConfig) {
+		_, sys := r.system("SPACEV", core.NDPETOpt, func(c *core.SystemConfig, _ *sim.Config) {
 			c.LayoutOpts.OutlierBudget = b
 		})
 		run := sys.RunHNSW(w.ds.Queries, 10, r.Scale.EfSearch)
@@ -180,7 +180,7 @@ func (r *Runner) Replication() *Table {
 	// (some queries asked far more often), not from having few queries.
 	pool := dataset.Generate(w.ds.Profile, 0, 96, r.Scale.Seed+41).Queries
 	run := func(replicate bool, zipf bool) float64 {
-		_, sys := r.system("GIST", core.NDPBase, func(c *core.SystemConfig) {
+		_, sys := r.system("GIST", core.NDPBase, func(_ *core.SystemConfig, c *sim.Config) {
 			if !replicate {
 				c.ReplicateTopLayers = 0
 			}

@@ -197,8 +197,8 @@ func TestChaosRecoverableByteIdentical(t *testing.T) {
 	}}
 	rig := newProtoRig(t, sched, fault.ResilienceConfig{MaxRetries: 3, FailureThreshold: 8, ProbeAfter: 16})
 	for qi, q := range rig.queries {
-		want := rig.index.Search(q, 10, 50, rig.ref, nil)
-		got := rig.index.Search(q, 10, 50, rig.resilient, nil)
+		want := rig.index.SearchFilteredInto(q, 10, 50, 1, nil, rig.ref, nil, nil)
+		got := rig.index.SearchFilteredInto(q, 10, 50, 1, nil, rig.resilient, nil, nil)
 		sameNeighbors(t, qi, got, want, "recoverable faults")
 	}
 	c := rig.resilient.Counters().Snapshot()
@@ -217,8 +217,8 @@ func TestChaosRankCrashDegrades(t *testing.T) {
 	}}
 	rig := newProtoRig(t, sched, fault.ResilienceConfig{MaxRetries: 1, FailureThreshold: 3, ProbeAfter: 64})
 	for qi, q := range rig.queries {
-		want := rig.index.Search(q, 10, 50, rig.ref, nil)
-		got := rig.index.Search(q, 10, 50, rig.resilient, nil)
+		want := rig.index.SearchFilteredInto(q, 10, 50, 1, nil, rig.ref, nil, nil)
+		got := rig.index.SearchFilteredInto(q, 10, 50, 1, nil, rig.resilient, nil, nil)
 		sameNeighbors(t, qi, got, want, "rank crash")
 	}
 	c := rig.resilient.Counters().Snapshot()
@@ -243,7 +243,7 @@ func TestChaosSilentCorruptionRecallFloor(t *testing.T) {
 	truths := rig.ds.GroundTruth(10)
 	var recallSum float64
 	for qi, q := range rig.queries {
-		got := rig.index.Search(q, 10, 50, rig.resilient, nil)
+		got := rig.index.SearchFilteredInto(q, 10, 50, 1, nil, rig.resilient, nil, nil)
 		if len(got) != 10 {
 			t.Fatalf("degraded search returned %d results, want 10", len(got))
 		}
@@ -282,7 +282,14 @@ func TestSystemLevelByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := sim.NewModel(sys)
+	model := func(cfg sim.Config) *sim.Model {
+		m, err := sim.NewModel(sys, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	clean := model(sim.DefaultConfig())
 	inject := func(m *sim.Model) *sim.Model {
 		return m.InjectFaults(&fault.Schedule{Seed: 13, Rules: []fault.Rule{
 			{Kind: fault.CorruptPayload, Rank: -1, Op: -1, Prob: 0.1},
@@ -318,19 +325,16 @@ func TestSystemLevelByteIdentical(t *testing.T) {
 		}
 		t.Logf("%s system chaos: %+v", name, rs)
 	}
-	check("fixed", inject(sim.NewModel(sys)).RunHNSW(ds.Queries, 10, 50))
+	check("fixed", inject(model(sim.DefaultConfig())).RunHNSW(ds.Queries, 10, 50))
 
 	// Adaptive mixed precision degrades exactly like fixed depth: the
 	// resilient wrap drops the adaptive mode, so a RecallTarget 0.9 system
 	// under the same schedule is bitwise the clean fixed run.
-	cfg := core.DefaultSystemConfig(core.NDPET)
+	cfg := sim.DefaultConfig()
 	cfg.RecallTarget = 0.9
-	adaptive, err := core.NewSystem(ds.Rows(), p.Metric, ix, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	adaptive := model(cfg)
 	if adaptive.Precision == nil {
 		t.Fatal("RecallTarget 0.9 built no precision map — the adaptive arm would be vacuous")
 	}
-	check("adaptive", inject(sim.NewModel(adaptive)).RunHNSW(ds.Queries, 10, 50))
+	check("adaptive", inject(adaptive).RunHNSW(ds.Queries, 10, 50))
 }

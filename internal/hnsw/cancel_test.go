@@ -45,7 +45,7 @@ func TestSearchCancelNilDoneIdentical(t *testing.T) {
 	eng := engine.NewExact(ds.Vectors, ds.Profile.Metric, ds.Profile.Elem)
 	never := make(chan struct{})
 	for _, q := range ds.Queries {
-		want := ix.Search(q, 10, 50, eng, nil)
+		want := ix.SearchFilteredInto(q, 10, 50, 1, nil, eng, nil, nil)
 		got, cancelled := ix.SearchCancelInto(never, q, 10, 50, 1, nil, eng, nil, nil)
 		if cancelled {
 			t.Fatal("never-fired done reported cancellation")

@@ -3,8 +3,8 @@
 // Construction follows the original algorithm with the heuristic neighbor
 // selection; search routes every distance comparison through an
 // engine.Engine so the same traversal runs against exact CPU kernels or the
-// early-terminating NDP model, optionally recording a trace.Query for the
-// timing simulation.
+// early-terminating NDP model, optionally handing its comparison batches to
+// a Recorder for the timing simulation.
 package hnsw
 
 import (

@@ -48,7 +48,7 @@ func referenceSearch(ix *Index, q []float32, k, ef, batch int, filter func(uint3
 	eng.StartQuery(q)
 	entryRes := eng.Compare(v.entry, math.Inf(1))
 	rec.BeginHop(v.maxLevel)
-	rec.AddTask(trace.Task{ID: v.entry, Threshold: math.Inf(1), Result: entryRes})
+	rec.AddTask(v.entry, math.Inf(1), entryRes)
 	rec.EndHop(2)
 	cur, curDist := v.entry, entryRes.Dist
 	for l := v.maxLevel; l >= 1; l-- {
@@ -61,7 +61,7 @@ func referenceSearch(ix *Index, q []float32, k, ef, batch int, filter func(uint3
 			improved := false
 			for _, nb := range nbs {
 				res := eng.Compare(nb, curDist)
-				rec.AddTask(trace.Task{ID: nb, Threshold: curDist, Result: res})
+				rec.AddTask(nb, curDist, res)
 				if res.Accepted && res.Dist < curDist {
 					cur, curDist = nb, res.Dist
 					improved = true
@@ -110,7 +110,7 @@ func referenceSearch(ix *Index, q []float32, k, ef, batch int, filter func(uint3
 		rec.BeginHop(0)
 		for _, nb := range ids {
 			res := eng.Compare(nb, threshold)
-			rec.AddTask(trace.Task{ID: nb, Threshold: threshold, Result: res})
+			rec.AddTask(nb, threshold, res)
 			if res.Accepted {
 				n := Neighbor{ID: nb, Dist: res.Dist}
 				cand.Push(n)
@@ -130,12 +130,6 @@ func referenceSearch(ix *Index, q []float32, k, ef, batch int, filter func(uint3
 	}
 	if len(out) > k {
 		out = out[:k]
-	}
-	if rec != nil {
-		rec.ResultIDs = make([]uint32, len(out))
-		for i, n := range out {
-			rec.ResultIDs[i] = n.ID
-		}
 	}
 	return out
 }

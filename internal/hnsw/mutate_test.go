@@ -74,7 +74,7 @@ func TestInsertGrowsSearchableGraph(t *testing.T) {
 	eng := engine.NewExact(ds.Vectors, ds.Profile.Metric, ds.Profile.Elem)
 	missed := 0
 	for i := 300; i < 600; i++ {
-		res := ix.Search(ds.Vectors[i], 1, 64, eng, nil)
+		res := ix.SearchFilteredInto(ds.Vectors[i], 1, 64, 1, nil, eng, nil, nil)
 		if len(res) == 0 || res[0].ID != uint32(i) || res[0].Dist != 0 {
 			missed++
 		}
@@ -86,7 +86,7 @@ func TestInsertGrowsSearchableGraph(t *testing.T) {
 	gt := ds.GroundTruth(10)
 	sum := 0.0
 	for qi, q := range ds.Queries {
-		res := ix.Search(q, 10, 100, eng, nil)
+		res := ix.SearchFilteredInto(q, 10, 100, 1, nil, eng, nil, nil)
 		got := make([]uint32, len(res))
 		for i, n := range res {
 			got[i] = n.ID

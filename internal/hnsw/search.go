@@ -4,16 +4,18 @@ import (
 	"math"
 
 	"ansmet/internal/engine"
-	"ansmet/internal/trace"
 )
 
-// Search finds the (approximate) k nearest neighbors of q with beam width
-// ef (the paper's efSearch / k′), routing every comparison through eng:
-// the textbook greedy beam (batch 1, no filter, fresh result slice). It is
-// SearchFilteredInto with those defaults; see SearchCancelInto for the
-// traversal itself.
-func (ix *Index) Search(q []float32, k, ef int, eng engine.Engine, rec *trace.Query) []Neighbor {
-	return ix.SearchFilteredInto(q, k, ef, 1, nil, eng, rec, nil)
+// Recorder receives a search's comparison batches hop by hop, for the timing
+// simulation: BeginHop opens a hop at an index level (-1 for a non-layered
+// phase), AddTask records one comparison issued in it — the id, the
+// threshold the comparison carried and the engine's result — and EndHop
+// seals it with the hop's host-side op count. The simulator's trace.Query is
+// one. A nil Recorder records nothing and costs nothing.
+type Recorder interface {
+	BeginHop(level int)
+	AddTask(id uint32, threshold float64, r engine.Result)
+	EndHop(hostOps int)
 }
 
 // alwaysAccept is the nil-filter default (a package-level func value, so
@@ -23,7 +25,7 @@ var alwaysAccept = func(uint32) bool { return true }
 // SearchFilteredInto is SearchCancelInto without a cancellation channel,
 // for callers that can never be cancelled (the simulator's trace recording,
 // offline experiments).
-func (ix *Index) SearchFilteredInto(q []float32, k, ef, batch int, filter func(uint32) bool, eng engine.Engine, rec *trace.Query, dst []Neighbor) []Neighbor {
+func (ix *Index) SearchFilteredInto(q []float32, k, ef, batch int, filter func(uint32) bool, eng engine.Engine, rec Recorder, dst []Neighbor) []Neighbor {
 	out, _ := ix.SearchCancelInto(nil, q, k, ef, batch, filter, eng, rec, dst)
 	return out
 }
@@ -69,7 +71,7 @@ const cancelCheckHops = 4
 // held so far, sorted — an empty slice when cancellation landed before the
 // base layer produced anything. The caller decides how to surface partial
 // results; this layer only reports them.
-func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batch int, filter func(uint32) bool, eng engine.Engine, rec *trace.Query, dst []Neighbor) ([]Neighbor, bool) {
+func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batch int, filter func(uint32) bool, eng engine.Engine, rec Recorder, dst []Neighbor) ([]Neighbor, bool) {
 	if ef < k {
 		ef = k
 	}
@@ -106,7 +108,7 @@ func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batc
 	entryRes := eng.Compare(v.entry, math.Inf(1))
 	if rec != nil {
 		rec.BeginHop(v.maxLevel)
-		rec.AddTask(trace.Task{ID: v.entry, Threshold: math.Inf(1), Result: entryRes})
+		rec.AddTask(v.entry, math.Inf(1), entryRes)
 		rec.EndHop(2)
 	}
 	cur := v.entry
@@ -149,7 +151,7 @@ func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batc
 				} else {
 					res := eng.Compare(nb, curDist)
 					if rec != nil {
-						rec.AddTask(trace.Task{ID: nb, Threshold: curDist, Result: res})
+						rec.AddTask(nb, curDist, res)
 					}
 					if res.Accepted {
 						d = res.Dist
@@ -246,14 +248,7 @@ func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batc
 	// Keep any capacity growth for the next query.
 	ctx.ids, ctx.dist = ids, dist
 
-	out := front.answer(k, dst)
-	if rec != nil {
-		rec.ResultIDs = make([]uint32, len(out))
-		for i, n := range out {
-			rec.ResultIDs[i] = n.ID
-		}
-	}
-	return out, cancelled
+	return front.answer(k, dst), cancelled
 }
 
 // rejected is what compareEach stores for a comparison the engine rejected:
@@ -265,14 +260,14 @@ var rejected = math.NaN()
 // hop's threshold, in order, recorded as one hop of tasks when rec is
 // non-nil. An accepted comparison stores its distance, a rejected one
 // `rejected`.
-func compareEach(eng engine.Engine, rec *trace.Query, ids []uint32, threshold float64, dst []float64) []float64 {
+func compareEach(eng engine.Engine, rec Recorder, ids []uint32, threshold float64, dst []float64) []float64 {
 	if rec != nil {
 		rec.BeginHop(0)
 	}
 	for _, id := range ids {
 		res := eng.Compare(id, threshold)
 		if rec != nil {
-			rec.AddTask(trace.Task{ID: id, Threshold: threshold, Result: res})
+			rec.AddTask(id, threshold, res)
 		}
 		d := rejected
 		if res.Accepted {

@@ -25,8 +25,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	eng := engine.NewExact(ds.Vectors, p.Metric, p.Elem)
 	for _, q := range ds.Queries {
-		a := ix.Search(q, 10, 50, eng, nil)
-		b := back.Search(q, 10, 50, eng, nil)
+		a := ix.SearchFilteredInto(q, 10, 50, 1, nil, eng, nil, nil)
+		b := back.SearchFilteredInto(q, 10, 50, 1, nil, eng, nil, nil)
 		for j := range a {
 			if a[j] != b[j] {
 				t.Fatalf("snapshot search diverges: %+v vs %+v", a[j], b[j])

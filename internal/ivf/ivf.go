@@ -13,7 +13,6 @@ import (
 	"ansmet/internal/engine"
 	"ansmet/internal/hnsw"
 	"ansmet/internal/kmeans"
-	"ansmet/internal/trace"
 	"ansmet/internal/vecmath"
 )
 
@@ -78,19 +77,15 @@ func (ix *Index) NumClusters() int { return len(ix.lists) }
 // paper replicates for IVF (§5.3).
 func (ix *Index) Centroids() [][]float32 { return ix.centroids }
 
-// Search scans the nprobe closest clusters for the k nearest neighbors
-// with beam width ef, recording per-cluster comparison batches into rec.
-// Centroid scoring is host-side work (centroids are small and cache
-// resident), charged as HostOps in a tasks-free hop.
-func (ix *Index) Search(q []float32, k, ef, nprobe int, eng engine.Engine, rec *trace.Query) []hnsw.Neighbor {
-	return ix.SearchFiltered(q, k, ef, nprobe, nil, eng, rec)
-}
-
-// SearchFiltered is Search with attribute filtering: only ids passing the
-// filter enter the result set (a nil filter accepts everything). The
-// tombstone bitmap of a live database rides this path — deleted members
-// stay in their lists until re-clustering but never reach results.
-func (ix *Index) SearchFiltered(q []float32, k, ef, nprobe int, filter func(uint32) bool, eng engine.Engine, rec *trace.Query) []hnsw.Neighbor {
+// SearchFiltered scans the nprobe closest clusters for the k nearest
+// neighbors with beam width ef, recording per-cluster comparison batches
+// into rec (nil records nothing). Centroid scoring is host-side work
+// (centroids are small and cache resident), charged as HostOps in a
+// tasks-free hop. Only ids passing the filter enter the result set (a nil
+// filter accepts everything). The tombstone bitmap of a live database rides
+// this path — deleted members stay in their lists until re-clustering but
+// never reach results.
+func (ix *Index) SearchFiltered(q []float32, k, ef, nprobe int, filter func(uint32) bool, eng engine.Engine, rec hnsw.Recorder) []hnsw.Neighbor {
 	if ef < k {
 		ef = k
 	}
@@ -118,7 +113,8 @@ func (ix *Index) SearchFiltered(q []float32, k, ef, nprobe int, filter func(uint
 		return order[i].c < order[j].c
 	})
 	if rec != nil {
-		rec.AddHop(trace.Hop{Level: -1, HostOps: 2 * len(ix.centroids)})
+		rec.BeginHop(-1)
+		rec.EndHop(2 * len(ix.centroids))
 	}
 
 	results := &hnsw.Heap{Max: true}
@@ -137,7 +133,7 @@ func (ix *Index) SearchFiltered(q []float32, k, ef, nprobe int, filter func(uint
 		for _, id := range members {
 			res := eng.Compare(id, threshold)
 			if rec != nil {
-				rec.AddTask(trace.Task{ID: id, Threshold: threshold, Result: res})
+				rec.AddTask(id, threshold, res)
 			}
 			if !res.Accepted || (filter != nil && !filter(id)) {
 				continue
@@ -156,12 +152,6 @@ func (ix *Index) SearchFiltered(q []float32, k, ef, nprobe int, filter func(uint
 	out := results.Sorted(nil)
 	if len(out) > k {
 		out = out[:k]
-	}
-	if rec != nil {
-		rec.ResultIDs = make([]uint32, len(out))
-		for i, n := range out {
-			rec.ResultIDs[i] = n.ID
-		}
 	}
 	return out
 }

@@ -355,8 +355,8 @@ func TestHostAdapterFullSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range ds.Queries {
-		want := ix.Search(q, 10, 50, ref, nil)
-		got := ix.Search(q, 10, 50, hw, nil)
+		want := ix.SearchFilteredInto(q, 10, 50, 1, nil, ref, nil, nil)
+		got := ix.SearchFilteredInto(q, 10, 50, 1, nil, hw, nil, nil)
 		if len(got) != len(want) {
 			t.Fatalf("%d results, want %d", len(got), len(want))
 		}

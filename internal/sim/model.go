@@ -12,22 +12,28 @@ import (
 	"ansmet/internal/fault"
 	"ansmet/internal/hnsw"
 	"ansmet/internal/ivf"
+	"ansmet/internal/partition"
 	"ansmet/internal/polling"
+	"ansmet/internal/precision"
 	"ansmet/internal/rows"
 	"ansmet/internal/trace"
 )
 
 // Model is one design point of the simulated platform: a functional view
-// (core.System, embedded), the replay configuration over it and, under a
-// fault schedule (InjectFaults), the injector, breakers and counters every
-// worker engine's resilient wrap shares. run is the one loop that drives
-// queries through such engines and replays their traces.
+// (core.System, embedded), the placement and replay configuration over it,
+// the precision map a recall target derives and, under a fault schedule
+// (InjectFaults), the injector, breakers and counters every worker engine's
+// resilient wrap shares. run is the one loop that drives queries through
+// such engines and replays their traces.
 type Model struct {
 	*core.System
-	// Timing is the replay configuration of this design point; its platform
-	// parameters (Host, NDP, Poll, InFlightFactor) may be edited before the
-	// first run.
+	// Timing is this design point's configuration; NewModel fixed its
+	// placement, and Host, NDP, Poll, InFlightFactor may be edited before
+	// the first run.
 	Timing Config
+	// Precision is the per-partition static depth map of adaptive
+	// mixed-precision search; nil unless Timing.RecallTarget enabled it.
+	Precision *precision.Map
 
 	// The fault model; nil unless InjectFaults set it.
 	Injector   *fault.Injector
@@ -42,36 +48,59 @@ type Model struct {
 	mu sync.Mutex
 }
 
-// NewModel puts the paper's platform defaults around a functional view:
-// DefaultHost, DefaultNDP and, for every design, the conventional fixed
-// 100 ns polling interval (the adaptive policy of §5.4 is evaluated in Fig. 9;
-// at saturation the replayer's pacing under it is noisy — see EXPERIMENTS.md).
-func NewModel(sys *core.System) *Model {
-	// The plain row: a Base design's one fetch group, and every query's install.
+// NewModel puts the platform cfg describes (DefaultConfig is the paper's)
+// around a functional view: the partition map over cfg.Mem, the precision
+// map under a recall target, and what the replay reads of the view.
+func NewModel(sys *core.System, cfg Config) (*Model, error) {
+	// The plain row: a Base design's footprint and one fetch group, and
+	// every query's install.
 	queryLines := rows.Lines(sys.Elem, sys.Dim)
-	groupLines := []int{queryLines}
+	lines, groupLines := queryLines, []int{queryLines}
 	if sys.Store != nil {
-		groupLines = sys.Store.Layout.GroupLineCounts()
+		lines, groupLines = sys.Store.SlotLines(), sys.Store.Layout.GroupLineCounts()
+	}
+	part, err := partition.New(cfg.Scheme, cfg.Mem.Ranks(), lines,
+		cfg.SubVectorBytes, cfg.Mem.BanksPerRank(), cfg.Mem.RowBytes)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.ReplicateTopLayers > 0 && sys.Index != nil && part.Groups() > 1 {
+		// Replicate the top layers, but never more than ~2% of the dataset:
+		// on the paper's billion-scale graphs four layers are a 0.14%
+		// sliver, while on a small graph they can cover almost everything.
+		budget := max(sys.Rows().Len()/50, 1)
+		for l := cfg.ReplicateTopLayers; l >= 1; l-- {
+			ids := sys.Index.TopLayerIDs(l)
+			if len(ids) <= budget || l == 1 {
+				part.SetReplicated(ids)
+				break
+			}
+		}
+	}
+	m := &Model{System: sys}
+	if sys.Store != nil && cfg.RecallTarget > 0 && cfg.RecallTarget < 1 {
+		v := sys.Rows().View()
+		all := make([][]float32, v.Len())
+		for i := range all {
+			all[i] = v.Decode(uint32(i), make([]float32, 0, sys.Dim))
+		}
+		if m.Precision, err = precision.Build(all, sys.Store.Layout, sys.Cfg.Seed); err != nil {
+			return nil, err
+		}
 	}
 	// Polling estimator: the sampled line distribution when the design
 	// samples, a full-fetch point mass otherwise.
-	var est polling.TaskEstimator
 	if sys.Analysis != nil {
-		est = polling.NewTaskEstimator(sys.Analysis.LineDistribution(sys.Params.Schedule(sys.Elem)))
+		cfg.Est = polling.NewTaskEstimator(sys.Analysis.LineDistribution(sys.Params.Schedule(sys.Elem)))
 	} else {
-		dist := make([]float64, sys.Part.LinesPerVector())
+		dist := make([]float64, lines)
 		dist[len(dist)-1] = 1
-		est = polling.NewTaskEstimator(dist)
+		cfg.Est = polling.NewTaskEstimator(dist)
 	}
-	return &Model{System: sys, Timing: Config{
-		Mem: sys.Cfg.Mem, UseNDP: sys.Cfg.Design.UsesNDP(),
-		Host: DefaultHost(), NDP: DefaultNDP(),
-		Part:       sys.Part,
-		GroupLines: groupLines,
-		QueryLines: queryLines,
-		Poll:       polling.Conventional{IntervalNs: 100},
-		Est:        est,
-	}}
+	cfg.UseNDP = sys.Cfg.Design.UsesNDP()
+	cfg.Part, cfg.GroupLines, cfg.QueryLines = part, groupLines, queryLines
+	m.Timing = cfg
+	return m, nil
 }
 
 // InjectFaults, called before the first run, makes every worker engine fail
@@ -80,31 +109,36 @@ func NewModel(sys *core.System) *Model {
 // returns m.
 func (m *Model) InjectFaults(s *fault.Schedule, rc fault.ResilienceConfig) *Model {
 	m.Injector = fault.NewInjector(s)
-	m.Breakers = fault.NewBreakerSet(m.Cfg.Mem.Ranks(), rc)
+	m.Breakers = fault.NewBreakerSet(m.Timing.Mem.Ranks(), rc)
 	m.Faults = &fault.Counters{}
 	m.resilience = rc
 	return m
 }
 
-// NewWorkerEngine is the view's engine (core.System.NewWorkerEngine) and,
-// under a fault schedule, that engine behind the injector, retries, the
-// model's shared breakers and counters, and a CPU exact fallback that
-// guarantees correct distances for comparisons the primary cannot serve.
+// NewWorkerEngine is the view's engine with what the platform adds: local
+// per-rank early termination over the partition's segments (§5.3); under a
+// recall target the adaptive beam mode as a fresh tuner would set it (depth
+// bias 0, the target's margin); under a fault schedule the injector,
+// retries, the shared breakers and counters, and a CPU exact fallback.
 func (m *Model) NewWorkerEngine() engine.Engine {
 	eng := m.System.NewWorkerEngine()
-	if m.Faults == nil {
-		return eng
-	}
 	if et, ok := eng.(*core.ETEngine); ok {
+		et.SetLocalSegments(m.Timing.Part.NumSegments())
 		// Resilience-wrapped engines never get the adaptive mode: the
 		// fallback contract is exact distances, and a wrapped primary mixing
 		// margin-slack accepts into degraded results would break the bitwise
 		// fixed/adaptive degradation identity.
-		et.SetPrecision(nil, 0, 0)
+		if m.Precision != nil && m.Faults == nil {
+			et.SetPrecision(m.Precision, 0, precision.MarginForTarget(m.Timing.RecallTarget))
+		}
 	}
-	primary := fault.WrapEngine(eng, m.Injector, m.Part.ServingRanks)
+	if m.Faults == nil {
+		return eng
+	}
+	part := m.Timing.Part
+	primary := fault.WrapEngine(eng, m.Injector, part.ServingRanks)
 	fallback := engine.NewExactOver(m.Rows(), m.Metric)
-	return fault.NewResilient(primary, fallback, m.Part.ServingRanks, m.Breakers, m.Faults, m.resilience)
+	return fault.NewResilient(primary, fallback, part.ServingRanks, m.Breakers, m.Faults, m.resilience)
 }
 
 // RunResult bundles the functional and timing outcomes of a query batch.

@@ -26,7 +26,10 @@ func TestModelRunRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewModel(sys)
+	m, err := NewModel(sys, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	with := func(qi int, edit func(q []float32) []float32) [][]float32 {
 		qs := make([][]float32, len(ds.Queries))
@@ -67,5 +70,27 @@ func TestModelRunRejectsBadInput(t *testing.T) {
 	}
 	if want := m.RunHNSW(quant, 10, 40); !reflect.DeepEqual(got.Results, want.Results) {
 		t.Fatalf("Run over raw queries ≠ RunHNSW over quantized ones:\n%v\n%v", got.Results, want.Results)
+	}
+}
+
+func TestReplicationWiredIntoSystem(t *testing.T) {
+	p := dataset.ProfileByName("GIST")
+	ds := dataset.Generate(p, 400, 2, 23)
+	ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 40, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystem(ds.Rows(), p.Metric, ix, core.DefaultSystemConfig(core.NDPBase))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.ReplicateTopLayers = 4
+	m, err := NewModel(sys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Timing.Part.Groups() > 1 && m.Timing.Part.ReplicatedCount() == 0 {
+		t.Error("top-layer replication not applied")
 	}
 }

@@ -11,7 +11,8 @@
 // overlap NDP phases of others — the overlap that lets a CPU+NDP system
 // outrun the host's own bandwidth wall. See DESIGN.md for the methodology
 // discussion. Model puts the platform around a functional view (core.System)
-// and runs query batches through it.
+// — it lays the view's vectors out over the ranks (Config holds the
+// placement) — and runs query batches through it.
 package sim
 
 import (
@@ -79,10 +80,27 @@ func DefaultNDP() NDPParams {
 	}
 }
 
-// Config assembles one design point for replay.
+// Config is one design point of the platform: its placement, its recall
+// target and what the replay (Run) reads. NewModel derives UseNDP, Part,
+// GroupLines, QueryLines and Est; a replay driven by hand sets them.
 type Config struct {
-	// Mem is the DRAM topology/timing.
+	// Mem is the DRAM topology/timing, the geometry the partition map lays
+	// vectors out over.
 	Mem dram.Config
+	// Scheme and SubVectorBytes control rank partitioning (§5.3); the
+	// paper's default is hybrid with S = 1 kB.
+	Scheme         partition.Scheme
+	SubVectorBytes int
+	// ReplicateTopLayers replicates the vectors of the top N HNSW layers
+	// to every rank group (0 disables).
+	ReplicateTopLayers int
+	// RecallTarget, when in (0, 1), enables adaptive mixed-precision search
+	// for the ET designs: a per-partition minimum plane depth from cluster
+	// radius statistics (Model.Precision, seeded with the view's Seed), and
+	// escalation only where the top-k margin is tight. 0 and 1 keep the
+	// fixed depth.
+	RecallTarget float64
+
 	// UseNDP selects NDP offload versus host-side distance computation.
 	UseNDP bool
 	Host   HostParams
@@ -109,6 +127,22 @@ type Config struct {
 	// always uses exactly Cores. A negative value runs queries one at a
 	// time (isolated per-query latency, as in the paper's Fig. 9).
 	InFlightFactor int
+}
+
+// DefaultConfig returns the paper's platform (Table 1): hybrid partitioning
+// at S = 1 kB, the top four HNSW layers replicated and, for every design,
+// fixed 100 ns polling (the adaptive policy of §5.4 is evaluated in Fig. 9;
+// at saturation the replayer's pacing under it is noisy, EXPERIMENTS.md).
+func DefaultConfig() Config {
+	return Config{
+		Mem:                dram.DefaultConfig(),
+		Scheme:             partition.Hybrid,
+		SubVectorBytes:     1024,
+		ReplicateTopLayers: 4,
+		Host:               DefaultHost(),
+		NDP:                DefaultNDP(),
+		Poll:               polling.Conventional{IntervalNs: 100},
+	}
 }
 
 // backupRowOffset displaces backup (full-precision) rows from primary data

@@ -20,7 +20,7 @@ func mkTraces(nQueries, hops, batch, lines, fullLines int, acceptEvery int, nVec
 	for q := 0; q < nQueries; q++ {
 		tq := &trace.Query{}
 		for h := 0; h < hops; h++ {
-			hop := trace.Hop{Level: 0, HostOps: 2 + 2*batch}
+			tq.BeginHop(0)
 			for b := 0; b < batch; b++ {
 				var id uint32
 				if skew != nil {
@@ -36,12 +36,9 @@ func mkTraces(nQueries, hops, batch, lines, fullLines int, acceptEvery int, nVec
 				}
 				// Synthetic traces use LinesLocal == Lines (the horizontal
 				// semantics); partition-specific tests scale it themselves.
-				hop.Tasks = append(hop.Tasks, trace.Task{
-					ID: id, Threshold: 1,
-					Result: engine.Result{Dist: 1, Accepted: accepted, Lines: l, LinesLocal: l},
-				})
+				tq.AddTask(id, 1, engine.Result{Dist: 1, Accepted: accepted, Lines: l, LinesLocal: l})
 			}
-			tq.AddHop(hop)
+			tq.EndHop(2 + 2*batch)
 		}
 		out = append(out, tq)
 	}
@@ -242,8 +239,10 @@ func TestMissingPartPanics(t *testing.T) {
 
 func TestEmptyHopsAdvanceTime(t *testing.T) {
 	tq := &trace.Query{}
-	tq.AddHop(trace.Hop{HostOps: 100})
-	tq.AddHop(trace.Hop{HostOps: 100})
+	for range 2 {
+		tq.BeginHop(0)
+		tq.EndHop(100)
+	}
 	rep := Run(baseConfig(true, 8, partition.Horizontal, 0), []*trace.Query{tq})
 	if rep.TraversalNs <= 0 {
 		t.Error("task-free hops must still cost traversal time")

@@ -7,7 +7,7 @@
 // per-hop offset metadata rather than a slice-of-slices: a trace with
 // hundreds of hops costs two allocations instead of hundreds, and the
 // timing replay walks tasks with perfect locality. Hop values handed out by
-// Hop(i) (and accepted by AddHop) are views over that storage.
+// Hop(i) are views over that storage.
 package trace
 
 import "ansmet/internal/engine"
@@ -46,9 +46,8 @@ type hopMeta struct {
 
 // Query is the complete trace of one search.
 type Query struct {
-	hops      []hopMeta
-	tasks     []Task
-	ResultIDs []uint32
+	hops  []hopMeta
+	tasks []Task
 
 	// openStart is the task offset of a BeginHop that has not been sealed
 	// by EndHop yet (-1 when no hop is open).
@@ -56,25 +55,9 @@ type Query struct {
 	openLevel int32
 }
 
-// AddHop appends a hop, copying its tasks into the flat storage; nil
-// receivers are tolerated so tracing can be switched off by passing a nil
-// *Query.
-func (q *Query) AddHop(h Hop) {
-	if q == nil {
-		return
-	}
-	q.hops = append(q.hops, hopMeta{
-		level:   int32(h.Level),
-		hostOps: int32(h.HostOps),
-		start:   int32(len(q.tasks)),
-		n:       int32(len(h.Tasks)),
-	})
-	q.tasks = append(q.tasks, h.Tasks...)
-}
-
 // BeginHop opens a hop that tasks are appended to with AddTask and that
-// EndHop seals — the allocation-free way for a search to record a hop
-// without building a temporary Task slice.
+// EndHop seals, without a temporary Task slice. Like AddTask and EndHop it
+// tolerates a nil receiver, which records nothing.
 func (q *Query) BeginHop(level int) {
 	if q == nil {
 		return
@@ -83,12 +66,13 @@ func (q *Query) BeginHop(level int) {
 	q.openLevel = int32(level)
 }
 
-// AddTask appends a task to the hop opened by BeginHop.
-func (q *Query) AddTask(t Task) {
+// AddTask appends a task — a comparison of vector id at threshold, with
+// its result — to the hop opened by BeginHop.
+func (q *Query) AddTask(id uint32, threshold float64, r engine.Result) {
 	if q == nil {
 		return
 	}
-	q.tasks = append(q.tasks, t)
+	q.tasks = append(q.tasks, Task{ID: id, Threshold: threshold, Result: r})
 }
 
 // EndHop seals the hop opened by BeginHop with its host-side op count.
@@ -140,17 +124,6 @@ func (q *Query) AcceptedTasks() int {
 	n := 0
 	for i := range q.tasks {
 		if q.tasks[i].Result.Accepted {
-			n++
-		}
-	}
-	return n
-}
-
-// EarlyTerminated counts tasks that stopped before a full fetch.
-func (q *Query) EarlyTerminated(fullLines int) int {
-	n := 0
-	for i := range q.tasks {
-		if t := &q.tasks[i]; !t.Result.Accepted && t.Result.Lines < fullLines {
 			n++
 		}
 	}

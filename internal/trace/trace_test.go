@@ -1,20 +1,23 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 
 	"ansmet/internal/engine"
 )
 
+// sample records two hops: one accepted task at level 2, then a rejected
+// and an accepted task at level 0.
 func sample() *Query {
-	q := &Query{ResultIDs: []uint32{1, 3}}
-	q.AddHop(Hop{Level: 2, HostOps: 4, Tasks: []Task{
-		{ID: 1, Threshold: 10, Result: engine.Result{Dist: 3, Accepted: true, Lines: 4, LinesLocal: 4}},
-	}})
-	q.AddHop(Hop{Level: 0, HostOps: 8, Tasks: []Task{
-		{ID: 2, Threshold: 5, Result: engine.Result{Dist: 7, Lines: 1, LinesLocal: 2}},
-		{ID: 3, Threshold: 5, Result: engine.Result{Dist: 4, Accepted: true, Lines: 4, BackupLines: 2}},
-	}})
+	q := &Query{}
+	q.BeginHop(2)
+	q.AddTask(1, 10, engine.Result{Dist: 3, Accepted: true, Lines: 4, LinesLocal: 4})
+	q.EndHop(4)
+	q.BeginHop(0)
+	q.AddTask(2, 5, engine.Result{Dist: 7, Lines: 1, LinesLocal: 2})
+	q.AddTask(3, 5, engine.Result{Dist: 4, Accepted: true, Lines: 4, BackupLines: 2})
+	q.EndHop(8)
 	return q
 }
 
@@ -29,52 +32,35 @@ func TestQueryCounters(t *testing.T) {
 	if got := q.AcceptedTasks(); got != 2 {
 		t.Errorf("AcceptedTasks = %d, want 2", got)
 	}
-	// fullLines=4: only the rejected 1-line task terminated early.
-	if got := q.EarlyTerminated(4); got != 1 {
-		t.Errorf("EarlyTerminated = %d, want 1", got)
+	if q.NumHops() != 2 {
+		t.Fatalf("NumHops = %d, want 2", q.NumHops())
+	}
+	for i, want := range []Hop{
+		{Level: 2, HostOps: 4, Tasks: []Task{{ID: 1, Threshold: 10, Result: engine.Result{Dist: 3, Accepted: true, Lines: 4, LinesLocal: 4}}}},
+		{Level: 0, HostOps: 8, Tasks: []Task{
+			{ID: 2, Threshold: 5, Result: engine.Result{Dist: 7, Lines: 1, LinesLocal: 2}},
+			{ID: 3, Threshold: 5, Result: engine.Result{Dist: 4, Accepted: true, Lines: 4, BackupLines: 2}},
+		}},
+	} {
+		got := q.Hop(i)
+		if got.Level != want.Level || got.HostOps != want.HostOps || !slices.Equal(got.Tasks, want.Tasks) {
+			t.Errorf("hop %d is %+v, want %+v", i, got, want)
+		}
 	}
 }
 
-func TestAddHopNilSafe(t *testing.T) {
+// TestBuilderNilSafe: a nil *Query records nothing and does not panic, so a
+// search can be handed one; a real one gets the hop, empty or not.
+func TestBuilderNilSafe(t *testing.T) {
 	var q *Query
-	q.AddHop(Hop{}) // must not panic
+	q.BeginHop(0)
+	q.AddTask(0, 0, engine.Result{})
+	q.EndHop(1)
 	real := &Query{}
-	real.AddHop(Hop{Level: 1})
-	if real.NumHops() != 1 {
-		t.Errorf("AddHop did not append")
-	}
-}
-
-func TestBuilderMatchesAddHop(t *testing.T) {
-	var nilQ *Query
-	nilQ.BeginHop(0)
-	nilQ.AddTask(Task{})
-	nilQ.EndHop(1) // must not panic
-
-	want := sample()
-	got := &Query{ResultIDs: []uint32{1, 3}}
-	for i := 0; i < want.NumHops(); i++ {
-		h := want.Hop(i)
-		got.BeginHop(h.Level)
-		for _, task := range h.Tasks {
-			got.AddTask(task)
-		}
-		got.EndHop(h.HostOps)
-	}
-	if got.NumHops() != want.NumHops() || got.TotalTasks() != want.TotalTasks() {
-		t.Fatalf("builder shape mismatch: %d/%d hops, %d/%d tasks",
-			got.NumHops(), want.NumHops(), got.TotalTasks(), want.TotalTasks())
-	}
-	for i := 0; i < want.NumHops(); i++ {
-		a, b := got.Hop(i), want.Hop(i)
-		if a.Level != b.Level || a.HostOps != b.HostOps || len(a.Tasks) != len(b.Tasks) {
-			t.Fatalf("hop %d mismatch: %+v vs %+v", i, a, b)
-		}
-		for j := range a.Tasks {
-			if a.Tasks[j] != b.Tasks[j] {
-				t.Fatalf("hop %d task %d mismatch", i, j)
-			}
-		}
+	real.BeginHop(-1)
+	real.EndHop(3)
+	if real.NumHops() != 1 || real.Hop(0).Level != -1 || real.Hop(0).HostOps != 3 || len(real.Hop(0).Tasks) != 0 {
+		t.Errorf("an empty hop recorded as %d hops: %+v", real.NumHops(), real.Hop(0))
 	}
 }
 

@@ -250,7 +250,11 @@ func TestRunFiltersTombstones(t *testing.T) {
 			}
 		}
 	}
-	run, err := sim.NewModel(db.System()).Run(queries, 3, 40)
+	m, err := sim.NewModel(db.System(), sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := m.Run(queries, 3, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
