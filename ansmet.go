@@ -298,22 +298,17 @@ func New(vectors [][]float32, opts Options) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newDatabase(opts, rs, ix)
+	return newDatabase(opts, rs, ix), nil
 }
 
 // newDatabase wires a database around the rows and the graph New built or
 // Load restored: model configuration, router, mutation.
 //
 // The model's configuration is NDP-ETOpt's defaults with the database's
-// seed, and it is set here and nowhere else. Buildable checks what the
-// configuration can violate (its sampler needs two vectors), so the lazy
-// build in system() cannot fail on an input New or Load accepted.
-func newDatabase(opts Options, rs *rows.Slab, ix *hnsw.Index) (*Database, error) {
+// seed, and it is set here and nowhere else.
+func newDatabase(opts Options, rs *rows.Slab, ix *hnsw.Index) *Database {
 	cfg := core.DefaultSystemConfig(core.NDPETOpt)
 	cfg.Seed = opts.Seed
-	if err := cfg.Design.Buildable(rs.Len()); err != nil {
-		return nil, err
-	}
 	db := &Database{opts: opts, rows: rs, index: ix, cfg: cfg, router: engine.NewRouter()}
 	if opts.Mutable {
 		// Before any concurrent use: the graph flips its publication protocol
@@ -322,7 +317,7 @@ func newDatabase(opts Options, rs *rows.Slab, ix *hnsw.Index) (*Database, error)
 		ix.EnableMutation()
 		db.liveFilter = db.tomb.Filter()
 	}
-	return db, nil
+	return db
 }
 
 // system returns the NDP model — what NDP-ETOpt's offline pass derives:
@@ -335,7 +330,7 @@ func (db *Database) system() *core.System {
 	}
 	sys, err := db.buildModel()
 	if err != nil {
-		// newDatabase checked what a lazy build needs: a bug, not an input.
+		// Every design builds over every non-empty slab: a bug, not an input.
 		panic(fmt.Sprintf("ansmet: building the NDP model: %v", err))
 	}
 	return sys

@@ -37,15 +37,15 @@ func TestDatabaseBasics(t *testing.T) {
 	gt := ds.GroundTruth(10)
 	sum := 0.0
 	for qi, q := range ds.Queries {
-		res, err := db.Search(q, 10)
+		res, err := db.Do(context.Background(), &ansmet.Query{Vector: q, K: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res) != 10 {
-			t.Fatalf("got %d results", len(res))
+		if len(res.Neighbors) != 10 {
+			t.Fatalf("got %d results", len(res.Neighbors))
 		}
-		ids := make([]uint32, len(res))
-		for i, n := range res {
+		ids := make([]uint32, len(res.Neighbors))
+		for i, n := range res.Neighbors {
 			ids[i] = n.ID
 		}
 		sum += ansmet.RecallAtK(ids, gt[qi])
@@ -102,7 +102,7 @@ func TestDatabaseValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Search([]float32{1, 2}, 3); err == nil {
+	if _, err := db.Do(context.Background(), &ansmet.Query{Vector: []float32{1, 2}, K: 3}); err == nil {
 		t.Error("dimension mismatch should fail")
 	}
 }

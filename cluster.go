@@ -94,8 +94,6 @@ type ClusterResult struct {
 	Partial bool
 	// Faults says which shards degraded and how; nil when healthy.
 	Faults []ShardFault
-	// Hedged is how many hedge requests the query fired.
-	Hedged int
 	// Route is the path every shard executed (see Cluster.Do).
 	Route Route
 }
@@ -112,10 +110,6 @@ type Cluster struct {
 	dim    int
 	total  int
 }
-
-// minShardVectors is the smallest population a shard Database can be
-// built over; smaller partitions are folded into the largest shard.
-const minShardVectors = 2
 
 // NewCluster partitions the vectors, builds one Database per (non-empty)
 // shard, and wires the scatter-gather coordinator over them.
@@ -135,25 +129,6 @@ func NewCluster(vectors [][]float32, opts ClusterOptions) (*Cluster, error) {
 	for i, s := range assign {
 		groups[s] = append(groups[s], vectors[i])
 		ids[s] = append(ids[s], uint32(i))
-	}
-	// Fold shards too small for a Database into the largest shard (the ndp
-	// route's NDP-ETOpt sampler needs minShardVectors to take a distance:
-	// core.Design.Buildable) — these only appear when a tiny dataset is cut
-	// many ways.
-	big := -1
-	for s := range groups {
-		if len(groups[s]) >= minShardVectors && (big == -1 || len(groups[s]) > len(groups[big])) {
-			big = s
-		}
-	}
-	if big >= 0 {
-		for s := range groups {
-			if s != big && len(groups[s]) > 0 && len(groups[s]) < minShardVectors {
-				groups[big] = append(groups[big], groups[s]...)
-				ids[big] = append(ids[big], ids[s]...)
-				groups[s], ids[s] = nil, nil
-			}
-		}
 	}
 	// Drop empty shards (tiny datasets or unlucky hashing): an empty shard
 	// has nothing to search and Database refuses empty populations.
@@ -322,7 +297,7 @@ func (c *Cluster) Do(ctx context.Context, q *Query) (ClusterResult, error) {
 	}
 	plan := &shardPlan{route: route, budget: q.Budget, filter: q.Filter}
 	res, err := c.coord.SearchInto(context.WithValue(ctx, planKey{}, plan), q.Vector, q.K, ef, q.Dst)
-	out := ClusterResult{Neighbors: res.Neighbors, Route: route, Partial: res.Partial, Hedged: res.Hedged}
+	out := ClusterResult{Neighbors: res.Neighbors, Route: route, Partial: res.Partial}
 	if len(res.Errors) > 0 {
 		out.Faults = make([]ShardFault, len(res.Errors))
 		for i, e := range res.Errors {

@@ -101,19 +101,15 @@ func main() {
 }
 
 // checkFlags resolves the profile and the design, and rejects what no run
-// can be made of before anything is generated: a database of fewer than two
-// vectors (the NDP model's sampler needs a pair), a query count or a result
+// can be made of before anything is generated: a vector, query or result
 // count that is not positive, and a beam narrower than the result count.
 func checkFlags(profile, design string, n, nq, k, ef int) (dataset.Profile, core.Design, error) {
 	p, err := dataset.ParseProfile(profile)
 	if err != nil {
 		return p, 0, err
 	}
-	if n < 2 {
-		return p, 0, fmt.Errorf("-n must be at least 2 (got %d)", n)
-	}
-	if nq <= 0 || k <= 0 {
-		return p, 0, fmt.Errorf("-q and -k must be positive (got -q %d, -k %d)", nq, k)
+	if n <= 0 || nq <= 0 || k <= 0 {
+		return p, 0, fmt.Errorf("-n, -q and -k must be positive (got %d, %d, %d)", n, nq, k)
 	}
 	if ef < k {
 		return p, 0, fmt.Errorf("-ef must be at least -k (got -ef %d, -k %d)", ef, k)

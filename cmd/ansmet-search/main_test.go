@@ -3,9 +3,8 @@ package main
 import "testing"
 
 // TestCheckFlags: what no run can be made of is a usage error, refused before
-// a dataset is generated: a count that is not positive, fewer than two
-// vectors, a beam narrower than k (-n -5 and -ef 3 -k 10 used to fail only
-// after that), an unknown design, and an unknown profile (it used to panic).
+// a dataset is generated: a count that is not positive, a beam narrower than
+// k, an unknown design and an unknown profile. One vector is a database.
 func TestCheckFlags(t *testing.T) {
 	for _, c := range []struct {
 		name            string
@@ -19,7 +18,8 @@ func TestCheckFlags(t *testing.T) {
 		{"q 0", "SIFT", "NDP-ETOpt", 5000, 0, 10, 64, false},
 		{"q negative", "SIFT", "NDP-ETOpt", 5000, -3, 10, 64, false},
 		{"k 0", "SIFT", "NDP-ETOpt", 5000, 8, 0, 64, false},
-		{"n 1", "SIFT", "NDP-ETOpt", 1, 8, 10, 64, false},
+		{"n 1", "SIFT", "NDP-ETOpt", 1, 8, 10, 64, true},
+		{"n 0", "SIFT", "NDP-ETOpt", 0, 8, 10, 64, false},
 		{"n negative", "SIFT", "NDP-ETOpt", -5, 8, 10, 64, false},
 		{"ef below k", "SIFT", "NDP-ETOpt", 5000, 8, 10, 3, false},
 		{"unknown design", "SIFT", "NDP-Nope", 5000, 8, 10, 64, false},

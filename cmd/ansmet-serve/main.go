@@ -257,7 +257,7 @@ func wireSearch(cfg *serve.Config, do func(context.Context, *ansmet.Query) (serv
 
 // clusterOutcome maps a cluster result to the serving layer's outcome.
 func clusterOutcome(res ansmet.ClusterResult) serve.Outcome {
-	out := serve.Outcome{Neighbors: res.Neighbors, Partial: res.Partial, Hedged: res.Hedged, Route: res.Route.String()}
+	out := serve.Outcome{Neighbors: res.Neighbors, Partial: res.Partial, Route: res.Route.String()}
 	for _, f := range res.Faults {
 		out.Faults = append(out.Faults, fmt.Sprintf("shard %d: %s: %v", f.Shard, f.Kind, f.Err))
 	}

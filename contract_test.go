@@ -993,10 +993,17 @@ func runSharded(t *testing.T, c shardedCell) {
 
 // TestClusterMergeByteIdenticalToUnsharded is the matrix's sharded arm: the
 // immutable vetted build at {1, 2, 3, 7, 16} shards × {hash, kmeans}, beams at
-// an exhaustive ef.
+// an exhaustive ef; and 1, 2 and 3 vectors cut {2, 3, 4} ways, where every
+// shard holds one vector or none.
 func TestClusterMergeByteIdenticalToUnsharded(t *testing.T) {
 	runSharded(t, shardedCell{prof: "DEEP", n: 96, seed: 21, build: vettedBuild, shards: allShardCounts, schemes: bothSchemes,
 		efs: []int{96 + 16}, ks: []int{1, 10, 40}, reach: true})
+	for _, n := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			runSharded(t, shardedCell{prof: "DEEP", n: n, seed: 21, build: vettedBuild, shards: []int{2, 3, 4}, schemes: bothSchemes,
+				efs: []int{n + 16}, ks: []int{1, n}, reach: true})
+		})
+	}
 }
 
 // TestClusterFilteredMatchesUnsharded: the same build at the default beam,

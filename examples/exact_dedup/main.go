@@ -44,10 +44,11 @@ func main() {
 		log.Fatal("vector 7 missing")
 	}
 	const k = 20
-	nn, st, err := db.TieredSearchInto(probe, k, 1, nil)
+	res, err := db.Do(context.Background(), &ansmet.Query{Vector: probe, K: k, Route: ansmet.RouteTiered, Budget: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
+	nn, st := res.Neighbors, res.Tiered
 	lines := st.BoundLines + st.RerankLines
 
 	// The exact route scans every row whole: the reference answer and the

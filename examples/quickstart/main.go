@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -34,13 +35,13 @@ func main() {
 	}
 
 	query := []float32{3, 4}
-	res, err := db.Search(query, 5)
+	res, err := db.Do(context.Background(), &ansmet.Query{Vector: query, K: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("5 nearest neighbors of (%.1f, %.1f):\n", query[0], query[1])
-	for _, n := range res {
+	for _, n := range res.Neighbors {
 		v, _ := db.Vector(n.ID)
 		fmt.Printf("  id=%3d  point=(%6.2f, %6.2f)  distance=%.3f\n", n.ID, v[0], v[1], n.Dist)
 	}

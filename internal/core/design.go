@@ -54,19 +54,6 @@ func (d Design) String() string {
 	return designNames[d]
 }
 
-// Buildable returns why NewSystem cannot preprocess n vectors for the design,
-// or nil: it must be one of AllDesigns, and one that samples needs a pair to
-// take a distance between. A default SystemConfig can violate nothing else.
-func (d Design) Buildable(n int) error {
-	if d < 0 || int(d) >= len(designNames) {
-		return fmt.Errorf("core: unknown design %v", d)
-	}
-	if d.UsesSampling() && n < 2 {
-		return fmt.Errorf("layout: need at least 2 sample vectors, got %d", n)
-	}
-	return nil
-}
-
 // UsesNDP reports whether distance comparison runs on the NDP units.
 func (d Design) UsesNDP() bool { return d >= NDPBase }
 

@@ -81,9 +81,6 @@ func NewSystem(rs *rows.Slab, metric vecmath.Metric, index *hnsw.Index, cfg Syst
 	if rs == nil || rs.Len() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
 	}
-	if err := cfg.Design.Buildable(rs.Len()); err != nil {
-		return nil, err
-	}
 	elem := rs.Elem()
 	s := &System{
 		Cfg: cfg, Elem: elem, Metric: metric, Dim: rs.Dim(), Index: index,
@@ -92,10 +89,13 @@ func NewSystem(rs *rows.Slab, metric vecmath.Metric, index *hnsw.Index, cfg Syst
 	start := time.Now()
 
 	// Offline sampling pass (dual-granularity / prefix designs). A Base
-	// design stores plain rows and takes no schedule.
+	// design stores plain rows and takes no schedule. One row has no pair
+	// to sample a distance from, and the bound is lossless under every
+	// schedule, so a sampling design stores it under NDP-ET's.
 	var sched bitplane.Schedule
 	var prefix prefixelim.Config
 	switch cfg.Design {
+	case CPUBase, NDPBase:
 	case NDPDimET:
 		sched = bitplane.PlainSchedule(elem)
 	case NDPBitET:
@@ -103,6 +103,10 @@ func NewSystem(rs *rows.Slab, metric vecmath.Metric, index *hnsw.Index, cfg Syst
 	case NDPET, CPUET:
 		sched = layout.SimpleHeuristicSchedule(elem)
 	case NDPETDual, NDPETOpt, CPUETOpt:
+		if rs.Len() < 2 {
+			sched = layout.SimpleHeuristicSchedule(elem)
+			break
+		}
 		an, err := s.analyze(cfg)
 		if err != nil {
 			return nil, err
@@ -116,6 +120,8 @@ func NewSystem(rs *rows.Slab, metric vecmath.Metric, index *hnsw.Index, cfg Syst
 				PrefixLen: s.Params.PrefixLen, PrefixVal: s.Params.PrefixVal,
 			}
 		}
+	default:
+		return nil, fmt.Errorf("core: unknown design %v", cfg.Design)
 	}
 
 	// Storage. A Base design fetches the plain row.

@@ -19,6 +19,7 @@ import (
 	"ansmet/internal/fault"
 	"ansmet/internal/hnsw"
 	"ansmet/internal/ivf"
+	"ansmet/internal/layout"
 	"ansmet/internal/rows"
 	"ansmet/internal/sim"
 	"ansmet/internal/stats"
@@ -196,11 +197,14 @@ func TestNewSystemAllDesigns(t *testing.T) {
 	buildsOnTinySets(t)
 }
 
-// buildsOnTinySets: Buildable is NewSystem's whole contract on a default
-// configuration. For every design × element type × metric, over 2, 3 and 101
-// vectors (below and past the 100-vector sample), random and all-equal, the
-// build succeeds, and its beam and, on an ET design, its tiered query return
-// both vectors at k = 2: the models a caller builds over a database.
+// buildsOnTinySets: every design builds over every non-empty slab on a
+// default configuration. For every design × element type × metric, over 1,
+// 2, 3 and 101 vectors (below and past the 100-vector sample), random and
+// all-equal, the build succeeds, and its beam and, on an ET design, its
+// tiered query return all min(2, n) vectors: the models a caller builds
+// over a database. One vector has no pair to sample, so a sampling design
+// stores it under NDP-ET's schedule with no analysis, and the timing model
+// runs over it.
 func buildsOnTinySets(t *testing.T) {
 	rng := stats.NewRNG(5)
 	random, constant := make([][]float32, 101), make([][]float32, 101)
@@ -212,7 +216,8 @@ func buildsOnTinySets(t *testing.T) {
 	}
 	for _, elem := range []vecmath.ElemType{vecmath.Uint8, vecmath.Int8, vecmath.Float16, vecmath.BFloat16, vecmath.Float32} {
 		for _, metric := range []vecmath.Metric{vecmath.L2, vecmath.InnerProduct, vecmath.Cosine} {
-			for _, n := range []int{2, 3, 101} {
+			for _, n := range []int{1, 2, 3, 101} {
+				k := min(2, n)
 				for _, vs := range [][][]float32{random, constant} {
 					rs, err := rows.Pack(vs[:n], elem)
 					if err != nil {
@@ -231,14 +236,27 @@ func buildsOnTinySets(t *testing.T) {
 							t.Fatalf("%s: %v", label, err)
 						}
 						eng := sys.NewWorkerEngine()
-						beam := ix.SearchFilteredInto(vs[0], 2, 2, cfg.BeamBatch, nil, eng, nil, nil)
+						beam := ix.SearchFilteredInto(vs[0], k, 2, cfg.BeamBatch, nil, eng, nil, nil)
 						et, ok := eng.(*core.ETEngine)
 						tiered := beam
 						if ok {
-							tiered, _ = et.TieredKNNInto(nil, vs[0], 2, core.TieredOpts{Budget: 1}, nil)
+							tiered, _ = et.TieredKNNInto(nil, vs[0], k, core.TieredOpts{Budget: 1}, nil)
 						}
-						if len(beam) != 2 || len(tiered) != 2 || ok != d.UsesET() {
-							t.Fatalf("%s: %d beam and %d tiered results of 2, engine %T", label, len(beam), len(tiered), eng)
+						if len(beam) != k || len(tiered) != k || ok != d.UsesET() {
+							t.Fatalf("%s: %d beam and %d tiered results of %d, engine %T", label, len(beam), len(tiered), k, eng)
+						}
+						if n > 1 {
+							continue
+						}
+						if sys.Analysis != nil || sys.Params != (layout.Params{}) || (ok && sys.Store.Prefix.PrefixLen != 0) {
+							t.Fatalf("%s: one vector sampled: analysis %v, params %+v", label, sys.Analysis, sys.Params)
+						}
+						m, err := sim.NewModel(sys, sim.DefaultConfig())
+						if err != nil {
+							t.Fatalf("%s: model: %v", label, err)
+						}
+						if run := m.RunHNSW(vs[:1], k, 2); len(run.Results) != 1 || len(run.Results[0]) != 1 || run.Report.MakespanNs <= 0 {
+							t.Fatalf("%s: one-vector run %+v", label, run.Results)
 						}
 					}
 				}

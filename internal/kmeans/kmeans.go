@@ -178,12 +178,12 @@ func (a *ETAssigner) Assign(v []float32) (best int, dist float64, lines int) {
 	}
 	a.bounder.ResetQuery(q)
 	best, dist = -1, math.Inf(1)
-	vb := a.layoutL.VectorBytes()
+	vb, total := a.layoutL.VectorBytes(), a.layoutL.LinesPerVector()
 	for ci := range a.centroids {
 		a.bounder.Reset()
-		lb, n := a.bounder.RunET(a.data[ci*vb:(ci+1)*vb], dist)
+		lb, n := a.bounder.RunTo(a.data[ci*vb:(ci+1)*vb], dist, total)
 		lines += n
-		if n == a.layoutL.LinesPerVector() && lb <= dist {
+		if n == total && lb <= dist {
 			// Fully fetched: lb is the exact distance. Strictly-less keeps
 			// the smallest index among ties (scan order).
 			if lb < dist || best < 0 {

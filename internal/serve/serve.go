@@ -30,16 +30,14 @@ type SearchFunc func(ctx context.Context, q []float32, k, ef int) ([]hnsw.Neighb
 
 // Outcome is the degradation-aware result a PrecisionFunc returns: the
 // merged neighbors plus whether any backend shard was missing from the
-// merge (Partial), the human-readable per-shard fault strings, and how
-// many hedge requests the query spent, so the HTTP layer can surface
-// partial results honestly (X-ANSMET-Partial header, "partial"/"faults"
-// response fields) instead of presenting a degraded answer as a complete
-// one. A plain SearchFunc is the degenerate always-complete case.
+// merge (Partial) and the human-readable per-shard fault strings, so the
+// HTTP layer can surface partial results honestly (X-ANSMET-Partial
+// header, "partial"/"faults" response fields) instead of presenting a
+// degraded answer as a complete one. A plain SearchFunc is the degenerate always-complete case.
 type Outcome struct {
 	Neighbors []hnsw.Neighbor
 	Partial   bool
 	Faults    []string
-	Hedged    int
 	// Route names the query path actually taken (an engine.Route name:
 	// "host", "ndp", "tiered", "exact") when the backend reports one; empty
 	// otherwise. Echoed to clients in the RouteHeader and counted per route

@@ -5,6 +5,7 @@
 package ansmet_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -118,7 +119,7 @@ func TestMutableBasics(t *testing.T) {
 	if _, err := db.Add(ds.Vectors[4]); !errors.Is(err, ansmet.ErrDatabaseClosed) {
 		t.Fatalf("add after close: %v", err)
 	}
-	if _, err := db.Search(ds.Queries[0], 5); err != nil {
+	if _, err := db.Do(context.Background(), &ansmet.Query{Vector: ds.Queries[0], K: 5}); err != nil {
 		t.Fatalf("search after close: %v", err)
 	}
 }

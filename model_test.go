@@ -82,10 +82,6 @@ func TestDefaultPathBuildsNoModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				none(db, label+" DoMany")
-				if _, err := db.Search(queries[1], 5); err != nil {
-					t.Fatal(err)
-				}
-				none(db, label+" Search")
 			}
 			mutate := func(db *Database, label string, victims ...uint32) {
 				t.Helper()
@@ -160,10 +156,11 @@ func TestDefaultPathBuildsNoModel(t *testing.T) {
 }
 
 // TestLazyModelBuildNeverFails: New accepted the input, so the build a route
-// triggers later cannot fail — for every element type × metric, over 2, 3
-// and 101 vectors (below and past the 100-vector sample), random and
-// all-equal. Every design's build over such sets is internal/core's
-// TestNewSystemAllDesigns.
+// triggers later cannot fail — for every element type × metric, over 1, 2,
+// 3 and 101 vectors (below and past the 100-vector sample), random and
+// all-equal. One vector loads back from its snapshot, and both databases
+// answer ndp ≡ host and tiered ≡ exact bit for bit. Every design's build
+// over such sets is internal/core's TestNewSystemAllDesigns.
 func TestLazyModelBuildNeverFails(t *testing.T) {
 	rng := stats.NewRNG(5)
 	random, constant := make([][]float32, 101), make([][]float32, 101)
@@ -176,7 +173,8 @@ func TestLazyModelBuildNeverFails(t *testing.T) {
 	ctx := context.Background()
 	for _, elem := range []ElemType{Uint8, Int8, Float16, BFloat16, Float32} {
 		for _, metric := range []Metric{L2, InnerProduct, Cosine} {
-			for _, n := range []int{2, 3, 101} {
+			for _, n := range []int{1, 2, 3, 101} {
+				k := min(2, n)
 				for _, vs := range [][][]float32{random, constant} {
 					label := fmt.Sprintf("%v/%v/n=%d", elem, metric, n)
 					db, err := New(vs[:n], Options{Metric: metric, Elem: elem, EfConstruction: 20, Seed: 3})
@@ -190,13 +188,43 @@ func TestLazyModelBuildNeverFails(t *testing.T) {
 						t.Fatalf("%s: the lazy build failed on an input New accepted: %v", label, err)
 					}
 					for _, r := range []Route{RouteNDP, RouteTiered} {
-						res, err := db.Do(ctx, &Query{Vector: vs[0], K: 2, Route: r})
-						if err != nil || len(res.Neighbors) != 2 {
+						res, err := db.Do(ctx, &Query{Vector: vs[0], K: k, Route: r})
+						if err != nil || len(res.Neighbors) != k {
 							t.Fatalf("%s %v: %d results, err %v", label, r, len(res.Neighbors), err)
 						}
 					}
+					if n == 1 {
+						oneVector(t, label, db, vs[1:3])
+					}
 				}
 			}
+		}
+	}
+}
+
+// oneVector: a one-vector database answers every route with its vector,
+// ndp ≡ host and tiered ≡ exact bit for bit, and so does its snapshot
+// loaded back.
+func oneVector(t *testing.T, label string, db *Database, queries [][]float32) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatalf("%s: Save: %v", label, err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("%s: Load: %v", label, err)
+	}
+	for name, d := range map[string]*Database{"New": db, "Load": loaded} {
+		for qi, q := range queries {
+			got := routesOf(t, d, q, 1)
+			for r, nn := range got {
+				if len(nn) != 1 || nn[0].ID != 0 {
+					t.Fatalf("%s %s q%d %v: %v", label, name, qi, r, nn)
+				}
+			}
+			sameBits(t, fmt.Sprintf("%s %s q%d ndp ≡ host", label, name, qi), got[RouteNDP], got[RouteHost])
+			sameBits(t, fmt.Sprintf("%s %s q%d tiered ≡ exact", label, name, qi), got[RouteTiered], got[RouteExact])
 		}
 	}
 }
@@ -398,21 +426,19 @@ func fixture(t testing.TB, name string) []byte {
 
 // parentVerdicts is what an NDP-ETOpt database's New and Load answered at
 // e6a4203 (Load/v4-cpubase under an NDP-ETOpt override): the error text, ""
-// for success. Only the refusals are listed.
+// for success. Only the refusals are listed, less the two one-vector ones:
+// one vector is a database now, and its New and Load succeed.
 var parentVerdicts = map[string]string{
-	"New/empty":          "ansmet: empty dataset",
-	"New/ragged":         "ansmet: vector 5 has dim 7, want 8",
-	"New/nan":            "ansmet: vector has non-finite component (vector 4 component 2 is NaN)",
-	"New/hnsw-M-1":       "hnsw: invalid config {M:1 MaxDegree:16 EfConstruction:40 Seed:7} (need M >= 2, MaxDegree >= M/2, EfConstruction > 0)",
-	"New/one-vector":     "layout: need at least 2 sample vectors, got 1",
-	"Load/v4-one-vector": "layout: need at least 2 sample vectors, got 1",
+	"New/empty":    "ansmet: empty dataset",
+	"New/ragged":   "ansmet: vector 5 has dim 7, want 8",
+	"New/nan":      "ansmet: vector has non-finite component (vector 4 component 2 is NaN)",
+	"New/hnsw-M-1": "hnsw: invalid config {M:1 MaxDegree:16 EfConstruction:40 Seed:7} (need M >= 2, MaxDegree >= M/2, EfConstruction > 0)",
 }
 
 // TestNewLoadVerdictsUnchanged: New and Load give the answers an NDP-ETOpt
-// database gave, text included; a one-vector CPU-Base snapshot, which loaded
-// while its design was honoured, is refused as any one-vector database is.
-// The 12-vector CPU-Base file loads to what a fresh build makes, its Design
-// ignored, and serves ndp ≡ host and tiered ≡ exact bit for bit.
+// database gave, text included. The 12-vector CPU-Base file loads to what a
+// fresh build makes, its Design ignored, and the one-vector CPU-Base file
+// loads; both serve ndp ≡ host and tiered ≡ exact bit for bit.
 func TestNewLoadVerdictsUnchanged(t *testing.T) {
 	seen := 0
 	for _, c := range verdictCases(t) {
@@ -441,12 +467,18 @@ func TestNewLoadVerdictsUnchanged(t *testing.T) {
 	if err != nil || err2 != nil {
 		t.Fatal(err, err2)
 	}
+	one, err := LoadFile(filepath.Join("testdata", "v4-one-vector-cpubase.snap"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	queries := smallVectors(16)[12:]
 	sameDatabase(t, "v4-cpubase ≡ a fresh build", fresh, loaded, queries)
 	for qi, q := range queries {
-		got := routesOf(t, loaded, q, 5)
-		sameBits(t, fmt.Sprintf("v4-cpubase q%d ndp ≡ host", qi), got[RouteNDP], got[RouteHost])
-		sameBits(t, fmt.Sprintf("v4-cpubase q%d tiered ≡ exact", qi), got[RouteTiered], got[RouteExact])
+		for name, db := range map[string]*Database{"v4-cpubase": loaded, "v4-one-vector": one} {
+			got := routesOf(t, db, q, min(5, db.Len()))
+			sameBits(t, fmt.Sprintf("%s q%d ndp ≡ host", name, qi), got[RouteNDP], got[RouteHost])
+			sameBits(t, fmt.Sprintf("%s q%d tiered ≡ exact", name, qi), got[RouteTiered], got[RouteExact])
+		}
 	}
 }
 

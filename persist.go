@@ -479,10 +479,7 @@ func Load(r io.Reader) (db *Database, err error) {
 		// A live snapshot restores the live-mutation state.
 		Mutable: snap.Live, RepairEvery: snap.RepairEvery,
 	}
-	db, err = newDatabase(opts, rs, ix)
-	if err != nil {
-		return nil, err
-	}
+	db = newDatabase(opts, rs, ix)
 	for _, id := range snap.Tombs {
 		db.tomb.Delete(id)
 	}

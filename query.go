@@ -367,18 +367,12 @@ func (db *Database) DoMany(ctx context.Context, queries [][]float32, plan *Query
 
 // The wrappers below are the historical entry points that survive, each a
 // Query literal, one Do call and the unpacking of its Result. They all
-// force their route — the four Search* ones the host beam — so use Do for
+// force their route — the three Search* ones the host beam — so use Do for
 // RouteAuto, filters and the rest.
 
-// Search returns the k approximate nearest neighbors of q on the host beam
-// with the default beam width, max(2k, 32).
-func (db *Database) Search(q []float32, k int) ([]Neighbor, error) {
-	res, err := db.Do(context.Background(), &Query{Vector: q, K: k, Route: RouteHost})
-	return res.Neighbors, err
-}
-
-// SearchInto is Search with an explicit beam width (the paper's efSearch)
-// appending results into dst[:0] instead of allocating a fresh slice. With a
+// SearchInto returns the k approximate nearest neighbors of q on the host
+// beam with an explicit beam width (the paper's efSearch), appending
+// results into dst[:0] instead of allocating a fresh slice. With a
 // reused dst of sufficient capacity the whole search is allocation-free at
 // steady state: the quantize buffer, the distance engine, and the traversal
 // scratch all come from pools.

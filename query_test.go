@@ -123,11 +123,6 @@ func wrapperFor(db *Database, q *Query, background bool) func(context.Context) (
 	switch q.Route {
 	case RouteHost:
 		switch {
-		case background && q.Ef == 0 && q.Dst == nil:
-			return func(context.Context) (Result, error) {
-				nn, err := db.Search(q.Vector, q.K)
-				return Result{Neighbors: nn}, err
-			}
 		case background && q.Ef != 0:
 			return func(context.Context) (Result, error) {
 				nn, err := db.SearchInto(q.Vector, q.K, q.Ef, q.Dst)

@@ -27,32 +27,34 @@ func tinyDB(t testing.TB) *Database {
 func TestSearchInputErrors(t *testing.T) {
 	db := tinyDB(t)
 	good := make([]float32, 8)
+	search := func(q []float32, k int) error {
+		_, err := db.Do(context.Background(), &Query{Vector: q, K: k})
+		return err
+	}
 
 	cases := []struct {
 		name string
 		call func() error
 		want error
 	}{
-		{"k=0", func() error { _, err := db.Search(good, 0); return err }, ErrBadK},
-		{"k<0", func() error { _, err := db.Search(good, -3); return err }, ErrBadK},
+		{"k=0", func() error { return search(good, 0) }, ErrBadK},
+		{"k<0", func() error { return search(good, -3) }, ErrBadK},
 		{"ef<k", func() error { _, err := db.SearchInto(good, 10, 5, nil); return err }, ErrBadEf},
 		{"tiered ef<k", func() error {
 			_, err := db.Do(context.Background(), &Query{Vector: good, K: 10, Ef: 5, Route: RouteTiered})
 			return err
 		}, ErrBadEf},
-		{"short query", func() error { _, err := db.Search(good[:4], 5); return err }, ErrDimension},
-		{"long query", func() error { _, err := db.Search(make([]float32, 9), 5); return err }, ErrDimension},
+		{"short query", func() error { return search(good[:4], 5) }, ErrDimension},
+		{"long query", func() error { return search(make([]float32, 9), 5) }, ErrDimension},
 		{"NaN", func() error {
 			q := append([]float32(nil), good...)
 			q[3] = float32(math.NaN())
-			_, err := db.Search(q, 5)
-			return err
+			return search(q, 5)
 		}, ErrBadQuery},
 		{"+Inf", func() error {
 			q := append([]float32(nil), good...)
 			q[0] = float32(math.Inf(1))
-			_, err := db.Search(q, 5)
-			return err
+			return search(q, 5)
 		}, ErrBadQuery},
 		{"exact k=0", func() error {
 			_, err := db.Do(context.Background(), &Query{Vector: good, K: 0, Route: RouteExact})
