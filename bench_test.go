@@ -228,18 +228,24 @@ var benchDB = sync.OnceValue(func() *ansmet.Database {
 	return db
 })
 
+// bounderCases are the bounder benchmarks' shapes: SIFT's two lines per
+// vector and GIST's sixty, under NDP-ET's simple heuristic schedule.
+var bounderCases = []struct {
+	name    string
+	profile string
+	elem    vecmath.ElemType
+}{
+	{"uint8-128", "SIFT", vecmath.Uint8},
+	{"fp32-960", "GIST", vecmath.Float32},
+}
+
 // BenchmarkBounderConsumeLine measures the per-line cost of the incremental
-// lower-bound update — the innermost loop of every ET comparison.
+// lower-bound update — the innermost loop of every ET comparison — on one
+// vector folded over and over: the per-query contribution tables are never
+// built and the branch predictor learns the vector. BenchmarkBounderScan is
+// the honest per-line cost.
 func BenchmarkBounderConsumeLine(b *testing.B) {
-	cases := []struct {
-		name    string
-		profile string
-		elem    vecmath.ElemType
-	}{
-		{"uint8-128", "SIFT", vecmath.Uint8},
-		{"fp32-960", "GIST", vecmath.Float32},
-	}
-	for _, tc := range cases {
+	for _, tc := range bounderCases {
 		b.Run(tc.name, func(b *testing.B) {
 			ds := dataset.Generate(dataset.ProfileByName(tc.profile), 4, 1, 7)
 			dim := len(ds.Vectors[0])
@@ -260,6 +266,38 @@ func BenchmarkBounderConsumeLine(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.N*lines)/b.Elapsed().Seconds(), "lines/s")
+		})
+	}
+}
+
+// BenchmarkBounderScan measures the bound as a scan runs it: one op is one
+// ResetQuery, then 256 distinct profile vectors, each fully consumed, so the
+// lazy contribution tables are built per query as in a real search and no
+// single vector's branches are learned. It reports ns/line.
+func BenchmarkBounderScan(b *testing.B) {
+	const vectors = 256
+	for _, tc := range bounderCases {
+		b.Run(tc.name, func(b *testing.B) {
+			ds := dataset.Generate(dataset.ProfileByName(tc.profile), vectors, 1, 7)
+			dim := len(ds.Vectors[0])
+			l := bitplane.MustLayout(tc.elem, dim, layout.SimpleHeuristicSchedule(tc.elem))
+			bd := bitplane.NewBounder(l, vecmath.L2, 0)
+			vb, lines := l.VectorBytes(), l.LinesPerVector()
+			data := make([]byte, vectors*vb)
+			for i, v := range ds.Vectors {
+				l.Transform(tc.elem.EncodeVector(v, nil), data[i*vb:(i+1)*vb])
+			}
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bd.ResetQuery(ds.Queries[0])
+				for v := 0; v < vectors; v++ {
+					bd.Reset()
+					bd.RunTo(data[v*vb:(v+1)*vb], math.Inf(1), lines)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*vectors*lines), "ns/line")
 		})
 	}
 }

@@ -1,17 +1,6 @@
 package bitplane
 
-import (
-	"fmt"
-	"math"
-
-	"ansmet/internal/vecmath"
-)
-
-// sumBlock is the width of one partial-sum block, shared with the distance
-// kernels so the fully-fetched bound reduces contributions in exactly the
-// same order as vecmath.SquaredL2 / vecmath.Dot (see DESIGN.md, "Hot-path
-// performance").
-const sumBlock = vecmath.BlockDims
+import "ansmet/internal/vecmath"
 
 // tableMaxBits caps the known-suffix width for which per-query contribution
 // tables are precomputed: a group whose cumulative suffix width is w needs a
@@ -29,53 +18,26 @@ const tableBuildLines = 8
 // Bounder incrementally consumes the lines of one transformed vector (in
 // storage order, as the NDP unit fetches them) and maintains a provable
 // lower bound on the vector's distance to the query. It is the software
-// model of the distance computing unit in Fig. 5(d).
+// model of the distance computing unit in Fig. 5(d): it decodes each line's
+// bit-plane chunks and folds them into a Bound.
 //
 // A Bounder is reusable across vectors via Reset and across queries via
 // ResetQuery; it is not safe for concurrent use. At steady state (after the
 // first query warmed its scratch) no method allocates.
 type Bounder struct {
 	layout *Layout
-	metric vecmath.Metric
-	isL2   bool
 
 	// prefixVal is the eliminated common prefix value shared by all
 	// elements (kept "inside the on-chip compute logic", Fig. 4(b)).
 	prefixVal uint32
 
-	query []float32
-	q64   []float64 // query coordinates widened once per query
+	bound Bound
 
-	// Per-dimension progressive state. partial accumulates the suffix bits
-	// revealed so far, MSB-first; the bit count is implied by the group of
-	// the last consumed line (cumBits), so no per-dimension counter is kept.
-	partial []uint32
-	contrib []float64
-
-	// blockSum[k] is the subtotal of contrib[k*sumBlock : (k+1)*sumBlock],
-	// recomputed fresh (never incrementally adjusted — see the cancellation
-	// note on sum below) whenever a consumed line touches the block. The
-	// total is then the left-to-right sum of the block subtotals: O(touched
-	// blocks × sumBlock + Dim/sumBlock) per line instead of O(Dim).
-	blockSum []float64
-
-	// sum is the total of blockSum. Both levels are recomputed fresh from
-	// their inputs after every consumed line, never updated by adding and
-	// subtracting deltas: IP contributions over wide float intervals can be
-	// transiently enormous (~q·2^64) and an incremental add/subtract would
-	// destroy the sum through catastrophic cancellation once they settle to
-	// tiny exact products. Fresh blocked sums keep the fully-fetched bound
-	// bitwise equal to the exact distance (the kernels reduce in the same
-	// block order). Infinite contributions (IP over unbounded intervals)
-	// propagate naturally: sum = +Inf ⇒ LB = -Inf.
-	sum      float64
+	// partial accumulates each dimension's suffix bits revealed so far,
+	// MSB-first; the bit count is implied by the group of the last consumed
+	// line (cumBits), so no per-dimension counter is kept.
+	partial  []uint32
 	nextLine int
-
-	// Query-constant state cached by ResetQuery so Reset is three copies
-	// and a clear.
-	initContrib  []float64
-	initBlockSum []float64
-	initSum      float64
 
 	buf lineSpans // cached spans
 
@@ -98,18 +60,11 @@ type lineSpans []lineSpan
 // value of the eliminated common prefix (ignored when the schedule has no
 // prefix). Call ResetQuery before use.
 func NewBounder(l *Layout, m vecmath.Metric, prefixVal uint32) *Bounder {
-	nblk := (l.Dim + sumBlock - 1) / sumBlock
 	b := &Bounder{
-		layout:       l,
-		metric:       m,
-		isL2:         m == vecmath.L2,
-		prefixVal:    prefixVal,
-		q64:          make([]float64, l.Dim),
-		partial:      make([]uint32, l.Dim),
-		contrib:      make([]float64, l.Dim),
-		blockSum:     make([]float64, nblk),
-		initContrib:  make([]float64, l.Dim),
-		initBlockSum: make([]float64, nblk),
+		layout:    l,
+		prefixVal: prefixVal,
+		bound:     NewBound(l.Dim, m),
+		partial:   make([]uint32, l.Dim),
 	}
 	b.buf = make(lineSpans, l.LinesPerVector())
 	for i := range b.buf {
@@ -130,55 +85,23 @@ func NewBounder(l *Layout, m vecmath.Metric, prefixVal uint32) *Bounder {
 
 // ResetQuery installs a new query vector and resets per-vector state.
 func (b *Bounder) ResetQuery(query []float32) {
-	if len(query) != b.layout.Dim {
-		panic(fmt.Sprintf("bitplane: query dim %d, layout dim %d", len(query), b.layout.Dim))
-	}
-	b.query = query
-	for d, x := range query {
-		b.q64[d] = float64(x)
-	}
 	// With zero suffix bits known, every element's interval comes from the
 	// common prefix alone — identical across dimensions.
 	lo, hi := b.layout.Elem.Interval(b.prefixVal, b.layout.Sched.Prefix)
-	for d := 0; d < b.layout.Dim; d++ {
-		b.initContrib[d] = b.dimContrib(b.q64[d], lo, hi)
-	}
-	b.initSum = b.resumBlocks(b.initContrib, b.initBlockSum)
+	b.bound.SetQuery(query, lo, hi)
 	// Contribution tables are query-dependent: invalidate, rebuild lazily.
 	for g := range b.tblReady {
 		b.tblReady[g] = false
 		b.tblLines[g] = 0
 	}
-	b.reset()
+	b.Reset()
 }
 
 // Reset prepares the bounder for a new vector under the same query.
 func (b *Bounder) Reset() {
-	if b.query == nil {
-		panic("bitplane: Reset before ResetQuery")
-	}
-	b.reset()
-}
-
-func (b *Bounder) reset() {
-	copy(b.contrib, b.initContrib)
-	copy(b.blockSum, b.initBlockSum)
-	b.sum = b.initSum
+	b.bound.Restart()
 	b.nextLine = 0
 	clear(b.partial)
-}
-
-// resumBlocks recomputes every block subtotal of contrib into dst and
-// returns their left-to-right total, via the dispatched fused kernel.
-func (b *Bounder) resumBlocks(contrib, dst []float64) float64 {
-	return vecmath.BlockSumsTotal(contrib, dst, 0, len(dst)-1)
-}
-
-func (b *Bounder) dimContrib(q, lo, hi float64) float64 {
-	if b.isL2 {
-		return vecmath.L2IntervalContrib(q, lo, hi)
-	}
-	return vecmath.IPIntervalUpper(q, lo, hi)
 }
 
 // buildTable precomputes group gi's contribution table for the current
@@ -193,18 +116,19 @@ func (b *Bounder) buildTable(gi int) {
 		b.tbl[gi] = make([]float64, dim*size)
 	}
 	tbl := b.tbl[gi]
+	q64 := b.bound.q64
 	elem := b.layout.Elem
 	fullKnown := b.layout.Sched.Prefix + w
 	for code := 0; code < size; code++ {
 		codePrefix := b.prefixVal<<uint(w) | uint32(code)
 		lo, hi := elem.Interval(codePrefix, fullKnown)
-		if b.isL2 {
+		if b.bound.isL2 {
 			for d := 0; d < dim; d++ {
-				tbl[d<<uint(w)|code] = vecmath.L2IntervalContrib(b.q64[d], lo, hi)
+				tbl[d<<uint(w)|code] = vecmath.L2IntervalContrib(q64[d], lo, hi)
 			}
 		} else {
 			for d := 0; d < dim; d++ {
-				tbl[d<<uint(w)|code] = vecmath.IPIntervalUpper(b.q64[d], lo, hi)
+				tbl[d<<uint(w)|code] = vecmath.IPIntervalUpper(q64[d], lo, hi)
 			}
 		}
 	}
@@ -231,54 +155,35 @@ func (b *Bounder) ConsumeNext(line []byte) float64 {
 	}
 	if tabulable && b.tblReady[sp.group] {
 		tbl := b.tbl[sp.group]
+		contrib := b.bound.contrib
 		for d := sp.firstDim; d < sp.lastDim; d++ {
-			chunk := getBits(line, (d-sp.firstDim)*g.bits, g.bits)
+			chunk := GetBits(line, (d-sp.firstDim)*g.bits, g.bits)
 			p := b.partial[d]<<gbits | chunk
 			b.partial[d] = p
-			b.contrib[d] = tbl[uint32(d)<<uint(w)|p]
+			contrib[d] = tbl[uint32(d)<<uint(w)|p]
 		}
 	} else {
+		// Bound.Set, written out: past the inlining budget, Set would cost
+		// a call per dimension.
+		bd := &b.bound
 		elem := b.layout.Elem
 		fullKnown := b.layout.Sched.Prefix + w
 		for d := sp.firstDim; d < sp.lastDim; d++ {
-			chunk := getBits(line, (d-sp.firstDim)*g.bits, g.bits)
+			chunk := GetBits(line, (d-sp.firstDim)*g.bits, g.bits)
 			p := b.partial[d]<<gbits | chunk
 			b.partial[d] = p
-			codePrefix := b.prefixVal<<uint(w) | p
-			lo, hi := elem.Interval(codePrefix, fullKnown)
-			b.contrib[d] = b.dimContrib(b.q64[d], lo, hi)
+			lo, hi := elem.Interval(b.prefixVal<<uint(w)|p, fullKnown)
+			bd.contrib[d] = bd.contribOf(bd.q64[d], lo, hi)
 		}
 	}
-
-	// Blocked bound update: refresh only the touched block subtotals, then
-	// re-total the blocks (fresh at both levels; see the field comment on
-	// sum for why no incremental delta is ever applied). The fused
-	// vecmath.BlockSumsTotal kernel does both steps in one dispatched call,
-	// in the canonical reduction order.
-	firstBlk := sp.firstDim / sumBlock
-	lastBlk := (sp.lastDim - 1) / sumBlock
-	b.sum = vecmath.BlockSumsTotal(b.contrib, b.blockSum, firstBlk, lastBlk)
 	b.nextLine++
-	return b.LB()
+	return b.bound.Fold(sp.firstDim, sp.lastDim)
 }
 
 // LB returns the current distance lower bound. After all lines are consumed
 // it equals the exact distance of the stored (possibly prefix-eliminated)
-// vector to the query, bitwise: the blocked reduction order here matches
-// the vecmath distance kernels.
-func (b *Bounder) LB() float64 {
-	if b.isL2 {
-		return math.Sqrt(b.sum)
-	}
-	// sum = +Inf (some product unbounded above) yields -Inf: no bound.
-	return -b.sum
-}
-
-// Done reports whether the whole vector has been consumed.
-func (b *Bounder) Done() bool { return b.nextLine == b.layout.LinesPerVector() }
-
-// Layout returns the layout this bounder was built for.
-func (b *Bounder) Layout() *Layout { return b.layout }
+// vector to the query, bitwise.
+func (b *Bounder) LB() float64 { return b.bound.LB() }
 
 // RunET consumes lines from data until either the lower bound exceeds the
 // threshold (early termination) or the vector is exhausted. It returns the
@@ -310,42 +215,4 @@ func (b *Bounder) RunTo(data []byte, stop float64, limit int) (lb float64, lines
 		}
 	}
 	return b.LB(), b.nextLine
-}
-
-// RunETLocal additionally tracks the stricter localThreshold used to model
-// per-rank local early termination under dimension partitioning (§5.3): it
-// returns the line position at which the bound exceeds localThreshold
-// (continuing past the global termination if needed to observe it), or the
-// full line count if it never does. localThreshold must be >= threshold.
-func (b *Bounder) RunETLocal(data []byte, threshold, localThreshold float64) (lb float64, lines, linesLocal int) {
-	if localThreshold < threshold {
-		localThreshold = threshold
-	}
-	total := b.layout.LinesPerVector()
-	lines, linesLocal = -1, -1
-	for b.nextLine < total {
-		i := b.nextLine
-		lb = b.ConsumeNext(data[i*LineBytes : (i+1)*LineBytes])
-		if lines < 0 && lb > threshold {
-			lines = b.nextLine
-		}
-		if lb > localThreshold {
-			linesLocal = b.nextLine
-			break
-		}
-	}
-	if lines < 0 {
-		// Never exceeded the global threshold before the local one (or the
-		// vector ran out): report the fetch position actually reached.
-		if linesLocal >= 0 {
-			lines = linesLocal
-		} else {
-			lines = total
-		}
-		lb = b.LB()
-	}
-	if linesLocal < 0 {
-		linesLocal = total
-	}
-	return lb, lines, linesLocal
 }

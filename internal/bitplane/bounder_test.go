@@ -70,8 +70,8 @@ func TestBounderExactWhenFullyConsumed(t *testing.T) {
 					t.Fatalf("%v/%v/%v: full consume LB %v != distance %v",
 						cfg.et, cfg.sched, m, lb, want)
 				}
-				if !b.Done() {
-					t.Fatal("Done() false after full consume")
+				if _, lines := b.RunTo(buf, math.Inf(1), l.LinesPerVector()); lines != l.LinesPerVector() {
+					t.Fatalf("%d of %d lines consumed after full consume", lines, l.LinesPerVector())
 				}
 			}
 		}

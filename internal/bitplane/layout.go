@@ -93,14 +93,14 @@ func (l *Layout) Transform(suffixCodes []uint32, dst []byte) {
 			chunk := (suffixCodes[d] >> shift) & mask
 			line := g.firstLine + d/g.perLine
 			slot := d % g.perLine
-			putBits(dst[line*LineBytes:(line+1)*LineBytes], slot*g.bits, g.bits, chunk)
+			PutBits(dst[line*LineBytes:(line+1)*LineBytes], slot*g.bits, g.bits, chunk)
 		}
 	}
 }
 
 // Reconstruct is the inverse of Transform: it reads all lines of a
-// transformed vector and returns the suffix codes. Used by tests and by the
-// exact-recheck path.
+// transformed vector and returns the suffix codes. Nothing in the search
+// path decodes a whole vector; this is the tests' reference inverse.
 func (l *Layout) Reconstruct(data []byte, dst []uint32) []uint32 {
 	if len(data) < l.VectorBytes() {
 		panic("bitplane: data too small")
@@ -116,7 +116,7 @@ func (l *Layout) Reconstruct(data []byte, dst []uint32) []uint32 {
 		for d := 0; d < l.Dim; d++ {
 			line := g.firstLine + d/g.perLine
 			slot := d % g.perLine
-			chunk := getBits(data[line*LineBytes:(line+1)*LineBytes], slot*g.bits, g.bits)
+			chunk := GetBits(data[line*LineBytes:(line+1)*LineBytes], slot*g.bits, g.bits)
 			dst[d] = dst[d]<<uint(g.bits) | chunk
 		}
 	}
@@ -191,9 +191,10 @@ func (l *Layout) span(idx int) lineSpan {
 	panic(fmt.Sprintf("bitplane: line index %d out of range (%d lines)", idx, l.lines))
 }
 
-// putBits writes the low `bits` bits of v into line starting at bit offset
-// `off` (bit 0 = MSB of byte 0), MSB first.
-func putBits(line []byte, off, bits int, v uint32) {
+// PutBits ORs the low `bits` bits of v into line starting at bit offset
+// `off` (bit 0 = MSB of byte 0), MSB first; the target bits must be clear.
+// It writes both line formats: bit-plane chunks and outlier slots.
+func PutBits(line []byte, off, bits int, v uint32) {
 	for i := 0; i < bits; i++ {
 		if v&(1<<uint(bits-1-i)) != 0 {
 			p := off + i
@@ -202,13 +203,14 @@ func putBits(line []byte, off, bits int, v uint32) {
 	}
 }
 
-// getBits reads `bits` bits starting at bit offset `off`, MSB first.
-// Hot path of every line consumption: reads one big-endian 64-bit window
-// and shifts the chunk out, falling back to a byte loop only when the
-// window would run past the buffer (chunks never straddle lines, so
+// GetBits reads `bits` bits starting at bit offset `off`, MSB first (0 bits
+// read as 0). It reads both line formats: bit-plane chunks and outlier
+// slots. Hot path of every line consumption: reads one big-endian 64-bit
+// window and shifts the chunk out, falling back to a byte loop only when
+// the window would run past the buffer (chunks never straddle lines, so
 // off+bits <= 8*len(line) always holds; bits <= 32 and off&7 <= 7 keep the
 // chunk inside the 64-bit window).
-func getBits(line []byte, off, bits int) uint32 {
+func GetBits(line []byte, off, bits int) uint32 {
 	b0 := off >> 3
 	var v uint64
 	if b0+8 <= len(line) {

@@ -109,11 +109,11 @@ func TestTransformGroupOrdering(t *testing.T) {
 	l.Transform(codes, buf)
 	// Group 0: 128 elems/line, dim=8 fits line 0; element d at bit d*4.
 	for d := 0; d < dim; d++ {
-		hi := getBits(buf[:LineBytes], d*4, 4)
+		hi := GetBits(buf[:LineBytes], d*4, 4)
 		if hi != uint32(d) {
 			t.Errorf("high nibble of dim %d = %#x, want %#x", d, hi, d)
 		}
-		lo := getBits(buf[LineBytes:2*LineBytes], d*4, 4)
+		lo := GetBits(buf[LineBytes:2*LineBytes], d*4, 4)
 		if lo != 0xF {
 			t.Errorf("low nibble of dim %d = %#x, want 0xF", d, lo)
 		}
@@ -132,13 +132,13 @@ func TestPutGetBits(t *testing.T) {
 	for off < LineBits-20 {
 		bits := 1 + r.Intn(20)
 		v := uint32(r.Uint64()) & (1<<uint(bits) - 1)
-		putBits(line, off, bits, v)
+		PutBits(line, off, bits, v)
 		entries = append(entries, entry{off, bits, v})
 		off += bits
 	}
 	for _, e := range entries {
-		if got := getBits(line, e.off, e.bits); got != e.val {
-			t.Fatalf("getBits(off=%d,bits=%d) = %#x, want %#x", e.off, e.bits, got, e.val)
+		if got := GetBits(line, e.off, e.bits); got != e.val {
+			t.Fatalf("GetBits(off=%d,bits=%d) = %#x, want %#x", e.off, e.bits, got, e.val)
 		}
 	}
 }

@@ -315,9 +315,17 @@ func (e *ETEngine) compareExact(id uint32, threshold float64) engine.Result {
 			BackupLines: e.store.backupLines, Outlier: true,
 		}
 	}
+	// Global termination, then on to the stricter per-rank local threshold
+	// (§5.3), which may need more lines; a line that crosses both is
+	// consumed once. The reported bound is the one at the local stop.
+	total := e.store.Layout.LinesPerVector()
 	e.b.Reset()
-	lb, lines, linesLocal := e.b.RunETLocal(data, threshold, e.localThreshold(threshold))
-	if lines < e.store.Layout.LinesPerVector() && lb > threshold {
+	lb, lines := e.b.RunTo(data, threshold, total)
+	linesLocal := lines
+	if local := e.localThreshold(threshold); !(lb > local) {
+		lb, linesLocal = e.b.RunTo(data, local, total)
+	}
+	if lines < total && lb > threshold {
 		return engine.Result{Dist: lb, Lines: lines, LinesLocal: linesLocal}
 	}
 	// Fully fetched: the bound is the exact distance (normal vectors are

@@ -243,23 +243,13 @@ func (a *Analysis) petHist() []float64 {
 
 // costOf evaluates the expected fetched bytes of a schedule against the
 // sampled termination positions: each pair fetches whole line groups until
-// its pET is covered (or everything, if it never terminates). This realizes
-// the paper's ceiling-function access-cost model.
+// its pET is covered (or everything, if it never terminates) — the depth
+// Layout.LinesForBits gives. This realizes the paper's ceiling-function
+// access-cost model.
 func (a *Analysis) costOf(sched bitplane.Schedule) float64 {
 	l, err := bitplane.NewLayout(a.Elem, a.Dim, sched)
 	if err != nil {
 		return math.Inf(1)
-	}
-	// Cumulative lines after covering the first g groups, and the
-	// cumulative post-prefix bits those groups reveal.
-	type cum struct{ bits, lines int }
-	cums := make([]cum, 0, len(sched.Steps))
-	bits, lines := 0, 0
-	for _, n := range sched.Steps {
-		per := bitplane.LineBits / n
-		lines += (a.Dim + per - 1) / per
-		bits += n
-		cums = append(cums, cum{bits, lines})
 	}
 	totalLines := l.LinesPerVector()
 	w := a.Elem.Bits()
@@ -284,14 +274,7 @@ func (a *Analysis) costOf(sched bitplane.Schedule) float64 {
 			sum += cnt
 			continue
 		}
-		cost := totalLines
-		for _, c := range cums {
-			if c.bits >= need {
-				cost = c.lines
-				break
-			}
-		}
-		sum += cnt * float64(cost)
+		sum += cnt * float64(l.LinesForBits(need))
 	}
 	return sum / count * bitplane.LineBytes
 }
@@ -341,31 +324,16 @@ func (a *Analysis) BestParams(usePrefix bool) Params {
 // adaptive polling model (§5.4) consumes this.
 func (a *Analysis) LineDistribution(sched bitplane.Schedule) []float64 {
 	l := bitplane.MustLayout(a.Elem, a.Dim, sched)
-	type cum struct{ bits, lines int }
-	cums := make([]cum, 0, len(sched.Steps))
-	bits, lines := 0, 0
-	for _, n := range sched.Steps {
-		per := bitplane.LineBits / n
-		lines += (a.Dim + per - 1) / per
-		bits += n
-		cums = append(cums, cum{bits, lines})
-	}
 	total := l.LinesPerVector()
 	dist := make([]float64, total)
 	w := a.Elem.Bits()
 	for _, pet := range a.PET {
 		ln := total
 		if pet <= w {
-			need := pet - sched.Prefix
-			if need <= 0 {
+			if need := pet - sched.Prefix; need <= 0 {
 				ln = 1
 			} else {
-				for _, c := range cums {
-					if c.bits >= need {
-						ln = c.lines
-						break
-					}
-				}
+				ln = l.LinesForBits(need)
 			}
 		}
 		dist[ln-1]++

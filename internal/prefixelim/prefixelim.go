@@ -17,7 +17,6 @@ package prefixelim
 
 import (
 	"fmt"
-	"math"
 
 	"ansmet/internal/bitplane"
 	"ansmet/internal/vecmath"
@@ -192,10 +191,10 @@ func (c Config) EncodeOutlier(codes []uint32, dst []byte) {
 		off := (d % perLine) * slotW
 		buf := dst[line*bitplane.LineBytes : (line+1)*bitplane.LineBytes]
 		if code>>(w-p) == c.PrefixVal {
-			// OlElm=0: full suffix except the dropped lowest bit.
+			// OlElm=0 (the zeroed flag bit): full suffix except the
+			// dropped lowest bit.
 			payload := (code & (1<<(w-p) - 1)) >> 1
-			putBit(buf, off, 0)
-			putChunk(buf, off+1, slotW-1, payload)
+			bitplane.PutBits(buf, off+1, slotW-1, payload)
 		} else {
 			// OlElm=1: matched length + bits from the mismatch position.
 			matchLen := commonPrefixLen(code>>(w-p), c.PrefixVal, int(p))
@@ -205,9 +204,9 @@ func (c Config) EncodeOutlier(codes []uint32, dst []byte) {
 			storedBits := slotW - 1 - int(mb)
 			// Element bits [matchLen, matchLen+storedBits) counted from MSB.
 			stored := (code >> (w - uint(matchLen) - uint(storedBits))) & (1<<uint(storedBits) - 1)
-			putBit(buf, off, 1)
-			putChunk(buf, off+1, int(mb), uint32(matchLen))
-			putChunk(buf, off+1+int(mb), storedBits, stored)
+			bitplane.PutBits(buf, off, 1, 1)
+			bitplane.PutBits(buf, off+1, int(mb), uint32(matchLen))
+			bitplane.PutBits(buf, off+1+int(mb), storedBits, stored)
 		}
 	}
 }
@@ -235,14 +234,14 @@ func (c Config) decodeOutlierElem(buf []byte, off, slotW int) (prefix uint32, kn
 	w := c.Elem.Bits()
 	p := c.PrefixLen
 	mb := c.matchBits()
-	if getBit(buf, off) == 0 {
+	if bitplane.GetBits(buf, off, 1) == 0 {
 		// Full suffix except the dropped lowest bit.
-		payload := getChunk(buf, off+1, slotW-1)
+		payload := bitplane.GetBits(buf, off+1, slotW-1)
 		return c.PrefixVal<<uint(slotW-1) | payload, w - 1
 	}
-	matchLen := int(getChunk(buf, off+1, mb))
+	matchLen := int(bitplane.GetBits(buf, off+1, mb))
 	storedBits := slotW - 1 - mb
-	stored := getChunk(buf, off+1+mb, storedBits)
+	stored := bitplane.GetBits(buf, off+1+mb, storedBits)
 	prefixPart := uint32(0)
 	if matchLen > 0 {
 		prefixPart = c.PrefixVal >> uint(p-matchLen)
@@ -260,101 +259,38 @@ func commonPrefixLen(a, b uint32, width int) int {
 	return width
 }
 
-func putBit(buf []byte, off int, v uint32) {
-	if v != 0 {
-		buf[off>>3] |= 0x80 >> uint(off&7)
-	}
-}
-
-func getBit(buf []byte, off int) uint32 {
-	if buf[off>>3]&(0x80>>uint(off&7)) != 0 {
-		return 1
-	}
-	return 0
-}
-
-func putChunk(buf []byte, off, bits int, v uint32) {
-	for i := 0; i < bits; i++ {
-		if v&(1<<uint(bits-1-i)) != 0 {
-			putBit(buf, off+i, 1)
-		}
-	}
-}
-
-func getChunk(buf []byte, off, bits int) uint32 {
-	var v uint32
-	for i := 0; i < bits; i++ {
-		v = v<<1 | getBit(buf, off+i)
-	}
-	return v
-}
-
 // OutlierBounder incrementally consumes the lines of an outlier-format
 // vector and maintains a distance lower bound, mirroring
-// bitplane.Bounder for the sequential in-place encoding. Elements not yet
+// bitplane.Bounder for the sequential in-place encoding: it decodes each
+// line's slots and folds them into a bitplane.Bound. Elements not yet
 // fetched contribute their full type range (the OlVec flag tells the
 // compute logic nothing about individual elements).
 type OutlierBounder struct {
-	cfg     Config
-	metric  vecmath.Metric
-	query   []float32
-	contrib []float64
-	// blockSum holds the per-block subtotals of contrib (blocks of
-	// vecmath.BlockDims dimensions); a consumed line refreshes only the
-	// touched blocks.
-	blockSum []float64
-	// sum is the total over blockSum, recomputed fresh after every consumed
-	// line (see bitplane.Bounder: fresh summation avoids the catastrophic
-	// cancellation that transiently-huge IP contributions would cause in an
-	// incremental sum). Infinite contributions propagate to sum naturally.
-	sum     float64
-	next    int
-	initC   []float64
-	initBlk []float64
-	initSum float64
+	cfg   Config
+	bound bitplane.Bound
+	next  int
 
 	slotW, perLine, lines int
 }
 
 // NewOutlierBounder builds a bounder; call ResetQuery before use.
 func NewOutlierBounder(cfg Config, m vecmath.Metric) *OutlierBounder {
-	nblk := (cfg.Dim + vecmath.BlockDims - 1) / vecmath.BlockDims
-	b := &OutlierBounder{cfg: cfg, metric: m,
-		contrib: make([]float64, cfg.Dim), initC: make([]float64, cfg.Dim),
-		blockSum: make([]float64, nblk), initBlk: make([]float64, nblk)}
+	b := &OutlierBounder{cfg: cfg, bound: bitplane.NewBound(cfg.Dim, m)}
 	b.slotW, b.perLine, b.lines = cfg.outlierGeometry()
 	return b
 }
 
 // ResetQuery installs a new query.
 func (b *OutlierBounder) ResetQuery(query []float32) {
-	if len(query) != b.cfg.Dim {
-		panic("prefixelim: query dimension mismatch")
-	}
-	b.query = query
 	lo, hi := b.cfg.Elem.FullRange()
-	for d := range b.initC {
-		b.initC[d] = b.dimContrib(float64(query[d]), lo, hi)
-	}
-	b.initSum = vecmath.BlockSumsTotal(b.initC, b.initBlk, 0, len(b.initBlk)-1)
+	b.bound.SetQuery(query, lo, hi)
 	b.Reset()
 }
 
 // Reset prepares for a new vector under the same query.
 func (b *OutlierBounder) Reset() {
-	copy(b.contrib, b.initC)
-	copy(b.blockSum, b.initBlk)
-	b.sum = b.initSum
+	b.bound.Restart()
 	b.next = 0
-}
-
-func (b *OutlierBounder) dimContrib(q, lo, hi float64) float64 {
-	switch b.metric {
-	case vecmath.L2:
-		return vecmath.L2IntervalContrib(q, lo, hi)
-	default:
-		return vecmath.IPIntervalUpper(q, lo, hi)
-	}
 }
 
 // Lines returns the number of 64 B lines of the outlier encoding.
@@ -374,24 +310,14 @@ func (b *OutlierBounder) ConsumeNext(line []byte) float64 {
 		off := (d - first) * b.slotW
 		prefix, known := b.cfg.decodeOutlierElem(line, off, b.slotW)
 		lo, hi := b.cfg.Elem.Interval(prefix, known)
-		b.contrib[d] = b.dimContrib(float64(b.query[d]), lo, hi)
+		b.bound.Set(d, lo, hi)
 	}
-	// Blocked bound update: refresh touched block subtotals, re-total the
-	// blocks (fresh at both levels, as in bitplane.Bounder), via the fused
-	// dispatched kernel in the canonical reduction order.
-	b.sum = vecmath.BlockSumsTotal(b.contrib, b.blockSum,
-		first/vecmath.BlockDims, (last-1)/vecmath.BlockDims)
 	b.next++
-	return b.LB()
+	return b.bound.Fold(first, last)
 }
 
 // LB returns the current lower bound.
-func (b *OutlierBounder) LB() float64 {
-	if b.metric == vecmath.L2 {
-		return math.Sqrt(b.sum)
-	}
-	return -b.sum
-}
+func (b *OutlierBounder) LB() float64 { return b.bound.LB() }
 
 // RunTo consumes lines while fewer than limit (and fewer than Lines()) have
 // been consumed, returning as soon as the bound exceeds stop; it returns the
