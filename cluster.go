@@ -9,6 +9,7 @@ import (
 	"ansmet/internal/cluster"
 	"ansmet/internal/hnsw"
 	"ansmet/internal/kmeans"
+	"ansmet/internal/stats"
 )
 
 // PartitionScheme selects how vectors are assigned to shards.
@@ -332,11 +333,13 @@ type ClusterStats struct {
 func (c *Cluster) Stats() ClusterStats {
 	st := ClusterStats{
 		Shards: len(c.shards), Vectors: c.total, Partition: c.opts.Partition.String(),
-		DegradedShards:  c.coord.DegradedShards(),
 		MetricsSnapshot: c.coord.Metrics().Snapshot(),
 	}
 	for _, b := range c.coord.BreakerStates() {
 		st.BreakerStates = append(st.BreakerStates, b.String())
+		if b != stats.BreakerClosed {
+			st.DegradedShards++
+		}
 	}
 	for _, db := range c.shards {
 		st.Shard = append(st.Shard, db.Stats())

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"ansmet/internal/hnsw"
+	"ansmet/internal/stats"
 )
 
 // ShardFunc executes one query against one shard, appending up to k
@@ -215,7 +216,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 type Coordinator struct {
 	shards   []ShardFunc
 	cfg      Config
-	breakers []*shardBreaker
+	breakers *stats.Breakers
 	lat      []*latencyTracker
 	slots    []chan struct{} // nil when MaxInFlightPerShard == 0
 	metrics  Metrics
@@ -229,9 +230,8 @@ func New(shards []ShardFunc, cfg Config) (*Coordinator, error) {
 		return nil, errors.New("cluster: no shards")
 	}
 	cfg = cfg.withDefaults()
-	c := &Coordinator{shards: shards, cfg: cfg}
-	for s := range shards {
-		c.breakers = append(c.breakers, newShardBreaker(cfg.Breaker, s, cfg.now))
+	c := &Coordinator{shards: shards, cfg: cfg, breakers: newBreakers(cfg.Breaker, len(shards), cfg.now)}
+	for range shards {
 		c.lat = append(c.lat, newLatencyTracker(hedgeQuantile, hedgeMinSamples))
 		var slot chan struct{}
 		if cfg.MaxInFlightPerShard > 0 {
@@ -249,24 +249,7 @@ func (c *Coordinator) Shards() int { return len(c.shards) }
 func (c *Coordinator) Metrics() *Metrics { return &c.metrics }
 
 // BreakerStates returns every shard breaker's position, indexed by shard.
-func (c *Coordinator) BreakerStates() []BreakerState {
-	out := make([]BreakerState, len(c.breakers))
-	for i, b := range c.breakers {
-		out[i] = b.State()
-	}
-	return out
-}
-
-// DegradedShards counts shards whose breaker is not closed.
-func (c *Coordinator) DegradedShards() int {
-	n := 0
-	for _, b := range c.breakers {
-		if b.State() != BreakerClosed {
-			n++
-		}
-	}
-	return n
-}
+func (c *Coordinator) BreakerStates() []stats.BreakerState { return c.breakers.States() }
 
 // shardResp is one shard call's outcome.
 type shardResp struct {
@@ -368,28 +351,27 @@ func (c *Coordinator) SearchInto(ctx context.Context, q []float32, k, ef int, ds
 	// Fan out.
 	calls, outstanding := 0, 0
 	for s := range c.shards {
-		allowed, probe := c.breakers[s].Allow()
+		allowed, probe := c.breakers.Allow(s)
 		if !allowed {
 			st.errs = append(st.errs, ShardError{Shard: s, Kind: KindBreakerOpen, Err: ErrShardBreakerOpen})
 			c.metrics.BreakerSkips.Add(1)
+			continue
+		}
+		if !c.acquireSlot(s) {
+			if probe {
+				c.breakers.ReleaseProbe(s)
+			}
+			st.errs = append(st.errs, ShardError{Shard: s, Kind: KindShed, Err: ErrShardShed})
+			c.metrics.Sheds.Add(1)
 			continue
 		}
 		if probe {
 			st.probe[s] = true
 			c.metrics.Probes.Add(1)
 		}
-		if !c.acquireSlot(s) {
-			if probe {
-				c.breakers[s].ReleaseProbe()
-				st.probe[s] = false
-			}
-			st.errs = append(st.errs, ShardError{Shard: s, Kind: KindShed, Err: ErrShardShed})
-			c.metrics.Sheds.Add(1)
-			continue
-		}
 		st.launched[s] = true
 		st.start[s] = time.Now()
-		if !c.cfg.Hedge.Disabled && !st.probe[s] {
+		if !c.cfg.Hedge.Disabled && !probe {
 			if ql, ok := c.lat[s].Quantile(); ok {
 				st.hthresh[s] = max(ql*hedgeFactor, hedgeFloor)
 			}
@@ -458,7 +440,7 @@ func (c *Coordinator) SearchInto(ctx context.Context, q []float32, k, ef int, ds
 			for s := range c.shards {
 				if st.launched[s] && !st.responded[s] {
 					if st.probe[s] {
-						c.breakers[s].ReleaseProbe()
+						c.breakers.ReleaseProbe(s)
 					}
 					st.errs = append(st.errs, ShardError{Shard: s, Kind: KindCanceled, Err: ctx.Err()})
 				}
@@ -524,7 +506,7 @@ func (c *Coordinator) classify(ctx context.Context, st *gatherState, r shardResp
 		st.lists[s] = r.nn
 		st.successes++
 		c.lat[s].Observe(r.dur)
-		if c.breakers[s].Success() {
+		if c.breakers.Success(s) {
 			c.metrics.Reenables.Add(1)
 		}
 		if r.hedge {
@@ -533,7 +515,7 @@ func (c *Coordinator) classify(ctx context.Context, st *gatherState, r shardResp
 	case errors.Is(r.err, context.Canceled) && ctx.Err() != nil:
 		// The client went away; the shard was never proven sick.
 		if st.probe[s] {
-			c.breakers[s].ReleaseProbe()
+			c.breakers.ReleaseProbe(s)
 		}
 		st.errs = append(st.errs, ShardError{Shard: s, Kind: KindCanceled, Err: r.err})
 	case errors.Is(r.err, context.DeadlineExceeded) || errors.Is(r.err, context.Canceled):
@@ -543,13 +525,13 @@ func (c *Coordinator) classify(ctx context.Context, st *gatherState, r shardResp
 		st.lists[s] = r.nn
 		st.errs = append(st.errs, ShardError{Shard: s, Kind: KindTimeout, Err: r.err})
 		c.metrics.Timeouts.Add(1)
-		if c.breakers[s].Failure() {
+		if c.breakers.Failure(s) {
 			c.metrics.BreakerTrips.Add(1)
 		}
 	default:
 		st.errs = append(st.errs, ShardError{Shard: s, Kind: KindCrash, Err: r.err})
 		c.metrics.Crashes.Add(1)
-		if c.breakers[s].Failure() {
+		if c.breakers.Failure(s) {
 			c.metrics.BreakerTrips.Add(1)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"ansmet/internal/hnsw"
 	"ansmet/internal/leakcheck"
+	"ansmet/internal/stats"
 )
 
 // staticShard serves a fixed pre-sorted result list.
@@ -128,11 +129,11 @@ func TestCrashedShardDegradesAndBreakerLifecycle(t *testing.T) {
 	for i := 0; i < failureThreshold; i++ {
 		query(KindCrash)
 	}
-	if got := c.BreakerStates()[1]; got != BreakerOpen {
+	if got := c.BreakerStates()[1]; got != stats.BreakerOpen {
 		t.Fatalf("breaker after threshold crashes = %v, want open", got)
 	}
-	if c.DegradedShards() != 1 {
-		t.Fatalf("DegradedShards = %d, want 1", c.DegradedShards())
+	if c.breakers.Degraded() != 1 {
+		t.Fatalf("DegradedShards = %d, want 1", c.breakers.Degraded())
 	}
 	// ...after which the shard is skipped without being called.
 	query(KindBreakerOpen)
@@ -140,7 +141,7 @@ func TestCrashedShardDegradesAndBreakerLifecycle(t *testing.T) {
 	// Once the backoff elapses a probe goes out; still down → re-open.
 	now = now.Add(time.Minute)
 	query(KindCrash)
-	if got := c.BreakerStates()[1]; got != BreakerOpen {
+	if got := c.BreakerStates()[1]; got != stats.BreakerOpen {
 		t.Fatalf("breaker after failed probe = %v, want open", got)
 	}
 
@@ -158,7 +159,7 @@ func TestCrashedShardDegradesAndBreakerLifecycle(t *testing.T) {
 	if !reflect.DeepEqual(res.Neighbors, want) {
 		t.Fatalf("post-heal merge = %v, want %v", res.Neighbors, want)
 	}
-	if got := c.BreakerStates()[1]; got != BreakerClosed {
+	if got := c.BreakerStates()[1]; got != stats.BreakerClosed {
 		t.Fatalf("breaker after successful probe = %v, want closed", got)
 	}
 	m := c.Metrics().Snapshot()
@@ -365,7 +366,7 @@ func TestClientCancellationAbandonsGracefully(t *testing.T) {
 	}
 	// Breakers must not blame shards for the client's departure.
 	for s, st := range c.BreakerStates() {
-		if st != BreakerClosed {
+		if st != stats.BreakerClosed {
 			t.Fatalf("shard %d breaker = %v after client cancel, want closed", s, st)
 		}
 	}
@@ -424,5 +425,82 @@ func TestErrKindAndShardErrorStrings(t *testing.T) {
 	}
 	if !errors.Is(fmt.Errorf("wrap: %w", e), e.Err) && e.Unwrap() == nil {
 		t.Fatal("ShardError does not unwrap")
+	}
+}
+
+// TestShedProbeNotCounted: a due probe that the shard's in-flight budget
+// sheds never reaches the shard, so Metrics.Probes must not count it. The
+// only slot is held by an earlier probe its client abandoned.
+func TestShedProbeNotCounted(t *testing.T) {
+	now := time.Unix(0, 0)
+	clock := func() time.Time { return now }
+	lists := fourLists()
+	var hang atomic.Bool
+	gate := make(chan struct{})
+	blocked := make(chan struct{}, 1)
+	shard0 := func(context.Context, []float32, int, int, []hnsw.Neighbor) ([]hnsw.Neighbor, error) {
+		if !hang.Load() {
+			return nil, errors.New("shard down")
+		}
+		blocked <- struct{}{}
+		<-gate // holds the slot past its client's departure
+		return nil, errors.New("shard down")
+	}
+	shards := []ShardFunc{shard0, staticShard(lists[1])}
+	c, err := New(shards, Config{MaxInFlightPerShard: 1, Hedge: HedgeConfig{Disabled: true}, now: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer close(gate)
+	for i := 0; i < failureThreshold; i++ {
+		waitSlotFree(t, c, 0)
+		waitSlotFree(t, c, 1)
+		if _, err := c.SearchInto(context.Background(), nil, 5, 32, nil); err != nil {
+			t.Fatalf("search %d: %v", i, err)
+		}
+	}
+	if m := c.Metrics().Snapshot(); m.BreakerTrips != 1 {
+		t.Fatalf("breaker not open after %d crashes: %+v", failureThreshold, m)
+	}
+
+	// The first probe goes out, hangs on the only slot, and its client
+	// leaves: the probe is released, the slot stays held.
+	hang.Store(true)
+	now = now.Add(time.Minute)
+	waitSlotFree(t, c, 0)
+	waitSlotFree(t, c, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-blocked
+		cancel()
+	}()
+	if _, err := c.SearchInto(ctx, nil, 5, 32, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned probe: err = %v, want context.Canceled", err)
+	}
+
+	// The next probe is due but the budget sheds it before it launches.
+	now = now.Add(time.Minute)
+	waitSlotFree(t, c, 1)
+	res, err := c.SearchInto(context.Background(), nil, 5, 32, nil)
+	if err != nil {
+		t.Fatalf("shed-probe search: %v", err)
+	}
+	if len(res.Errors) != 1 || res.Errors[0].Shard != 0 || res.Errors[0].Kind != KindShed {
+		t.Fatalf("errors = %+v, want shard 0 shed", res.Errors)
+	}
+	if m := c.Metrics().Snapshot(); m.Probes != 1 || m.Sheds != 1 {
+		t.Fatalf("probes = %d, sheds = %d; want 1 probe sent, 1 shed", m.Probes, m.Sheds)
+	}
+}
+
+// waitSlotFree waits until no call holds shard s's in-flight slot; a call
+// releases it only after delivering its response.
+func waitSlotFree(t *testing.T, c *Coordinator, s int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); len(c.slots[s]) != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("shard %d slot never freed", s)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

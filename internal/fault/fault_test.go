@@ -13,6 +13,7 @@ import (
 	"ansmet/internal/ndp"
 	"ansmet/internal/prefixelim"
 	"ansmet/internal/sim"
+	"ansmet/internal/stats"
 )
 
 func TestInjectorDeterminism(t *testing.T) {
@@ -225,7 +226,7 @@ func TestChaosRankCrashDegrades(t *testing.T) {
 	if c.BreakerTrips == 0 || c.Fallbacks == 0 {
 		t.Fatalf("crash never degraded the rank: %+v", c)
 	}
-	if rig.resilient.Breakers().State(0) != fault.BreakerOpen {
+	if rig.resilient.Breakers().State(0) != stats.BreakerOpen {
 		t.Fatalf("breaker %v, want open", rig.resilient.Breakers().State(0))
 	}
 }

@@ -3,10 +3,10 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"ansmet/internal/engine"
+	"ansmet/internal/stats"
 	"ansmet/internal/vecmath"
 )
 
@@ -87,180 +87,15 @@ func (s CounterSnapshot) Sub(o CounterSnapshot) CounterSnapshot {
 	}
 }
 
-// BreakerState is one circuit breaker's position.
-type BreakerState int
-
-const (
-	// BreakerClosed routes comparisons to the primary engine.
-	BreakerClosed BreakerState = iota
-	// BreakerOpen routes the rank's comparisons to the fallback.
-	BreakerOpen
-	// BreakerHalfOpen has one probe in flight on the primary.
-	BreakerHalfOpen
-)
-
-var breakerNames = [...]string{"closed", "open", "half-open"}
-
-// String names the state.
-func (s BreakerState) String() string {
-	if s < 0 || int(s) >= len(breakerNames) {
-		return fmt.Sprintf("BreakerState(%d)", int(s))
-	}
-	return breakerNames[s]
-}
-
-type breaker struct {
-	state       BreakerState
-	consecFails int
-	sinceOpen   int // fallback comparisons routed away since opening
-}
-
-// BreakerSet holds one circuit breaker per NDP rank, shared by every
-// worker's resilient engine. All methods are safe for concurrent use.
-type BreakerSet struct {
-	cfg ResilienceConfig
-	mu  sync.Mutex
-	b   []breaker
-}
-
-// NewBreakerSet creates closed breakers for `ranks` ranks.
-func NewBreakerSet(ranks int, cfg ResilienceConfig) *BreakerSet {
-	if ranks < 1 {
-		ranks = 1
-	}
-	return &BreakerSet{cfg: cfg.WithDefaults(), b: make([]breaker, ranks)}
-}
-
-// State returns rank's current breaker state.
-func (s *BreakerSet) State(rank int) BreakerState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rank < 0 || rank >= len(s.b) {
-		return BreakerClosed
-	}
-	return s.b[rank].state
-}
-
-// DegradedRanks counts ranks whose breaker is not closed.
-func (s *BreakerSet) DegradedRanks() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, b := range s.b {
-		if b.state != BreakerClosed {
-			n++
-		}
-	}
-	return n
-}
-
-// Allow reports whether a comparison touching rank may use the primary
-// engine. An open breaker admits one probe after ProbeAfter fallback
-// routings (moving to half-open); otherwise the caller must use the
-// fallback. probe reports whether the admitted comparison is that probe.
-func (s *BreakerSet) Allow(rank int) (allowed, probe bool) {
-	return s.AllowAll([]int{rank})
-}
-
-// AllowAll is Allow over every rank serving one comparison, decided
-// atomically: the comparison runs on the primary only if no serving rank
-// is open (or all open ranks are due for their probe, which this call then
-// admits as one joint probe). Open ranks denied here advance their
-// fallback-routing counts toward the next probe.
-func (s *BreakerSet) AllowAll(ranks []int) (allowed, probe bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	allowed = true
-	for _, r := range ranks {
-		if r < 0 || r >= len(s.b) {
-			continue
-		}
-		b := &s.b[r]
-		switch b.state {
-		case BreakerHalfOpen: // a probe is already in flight
-			allowed = false
-		case BreakerOpen:
-			b.sinceOpen++
-			if b.sinceOpen < s.cfg.ProbeAfter {
-				allowed = false
-			}
-		}
-	}
-	if !allowed {
-		return false, false
-	}
-	for _, r := range ranks {
-		if r < 0 || r >= len(s.b) {
-			continue
-		}
-		b := &s.b[r]
-		if b.state == BreakerOpen {
-			b.state = BreakerHalfOpen
-			probe = true
-		}
-	}
-	return true, probe
-}
-
-// ReleaseProbe returns a half-open rank to open without recording an
-// attributed failure — used when a joint probe failed because of a
-// *different* rank, so this rank's probe never really ran.
-func (s *BreakerSet) ReleaseProbe(rank int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rank < 0 || rank >= len(s.b) {
-		return
-	}
-	b := &s.b[rank]
-	if b.state == BreakerHalfOpen {
-		b.state = BreakerOpen
-		b.sinceOpen = 0
-	}
-}
-
-// Success records a successful primary comparison on rank; a half-open
-// probe success closes the breaker. It reports whether the rank was
-// re-enabled by this call.
-func (s *BreakerSet) Success(rank int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rank < 0 || rank >= len(s.b) {
-		return false
-	}
-	b := &s.b[rank]
-	reenabled := b.state == BreakerHalfOpen
-	b.state = BreakerClosed
-	b.consecFails = 0
-	b.sinceOpen = 0
-	return reenabled
-}
-
-// Failure records an exhausted-retries comparison failure on rank. It
-// reports whether this failure tripped the breaker open (from closed after
-// FailureThreshold consecutive failures, or re-opened from half-open).
-func (s *BreakerSet) Failure(rank int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rank < 0 || rank >= len(s.b) {
-		return false
-	}
-	b := &s.b[rank]
-	switch b.state {
-	case BreakerHalfOpen:
-		b.state = BreakerOpen
-		b.sinceOpen = 0
-		return true
-	case BreakerOpen:
-		return false
-	default:
-		b.consecFails++
-		if b.consecFails >= s.cfg.FailureThreshold {
-			b.state = BreakerOpen
-			b.sinceOpen = 0
-			return true
-		}
-		return false
-	}
+// NewBreakerSet creates closed breakers for `ranks` ranks, shared by every
+// worker's resilient engine. A rank's clock is the count of comparisons
+// routed away since it opened, so an open rank admits one probe after
+// ProbeAfter fallback routings: no wall time, for simulator determinism.
+func NewBreakerSet(ranks int, cfg ResilienceConfig) *stats.Breakers {
+	cfg = cfg.WithDefaults()
+	return stats.NewBreakers(max(ranks, 1), cfg.FailureThreshold,
+		func(routed int64) int64 { return routed },
+		func(int, int) int64 { return int64(cfg.ProbeAfter) })
 }
 
 // Resilient serves comparisons from a fallible primary engine with bounded
@@ -271,14 +106,14 @@ func (s *BreakerSet) Failure(rank int) bool {
 // recall (DESIGN.md, "Fault model and degradation semantics").
 //
 // Like every engine, a Resilient serves one query at a time; workers each
-// wrap their own primary but share the BreakerSet and Counters.
+// wrap their own primary but share the breakers and Counters.
 type Resilient struct {
 	primary  engine.Fallible
 	fallback engine.Engine
 	// ranksOf appends the ranks serving vector id to dst. A comparison is
 	// routed to the fallback when any serving rank's breaker is open.
 	ranksOf  func(id uint32, dst []int) []int
-	breakers *BreakerSet
+	breakers *stats.Breakers
 	counters *Counters
 	cfg      ResilienceConfig
 
@@ -292,7 +127,7 @@ var _ engine.Engine = (*Resilient)(nil)
 // device (rank 0 is assumed). breakers and counters are shared across
 // workers; counters may be nil for a private instance.
 func NewResilient(primary engine.Fallible, fallback engine.Engine, ranksOf func(id uint32, dst []int) []int,
-	breakers *BreakerSet, counters *Counters, cfg ResilienceConfig) *Resilient {
+	breakers *stats.Breakers, counters *Counters, cfg ResilienceConfig) *Resilient {
 	if ranksOf == nil {
 		ranksOf = func(id uint32, dst []int) []int { return append(dst, 0) }
 	}
@@ -312,7 +147,7 @@ func NewResilient(primary engine.Fallible, fallback engine.Engine, ranksOf func(
 func (r *Resilient) Counters() *Counters { return r.counters }
 
 // Breakers returns the shared breaker set.
-func (r *Resilient) Breakers() *BreakerSet { return r.breakers }
+func (r *Resilient) Breakers() *stats.Breakers { return r.breakers }
 
 // StartQuery implements engine.Engine.
 func (r *Resilient) StartQuery(q []float32) {

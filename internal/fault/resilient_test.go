@@ -11,6 +11,7 @@ import (
 
 	"ansmet/internal/engine"
 	"ansmet/internal/fault"
+	"ansmet/internal/stats"
 	"ansmet/internal/vecmath"
 )
 
@@ -117,54 +118,54 @@ func TestBreakerTransitions(t *testing.T) {
 	cfg := fault.ResilienceConfig{FailureThreshold: 3, ProbeAfter: 4}
 	steps := []struct {
 		name string
-		do   func(s *fault.BreakerSet) // one event
-		want fault.BreakerState
+		do   func(s *stats.Breakers) // one event
+		want stats.BreakerState
 	}{
-		{"fail 1", func(s *fault.BreakerSet) { s.Failure(0) }, fault.BreakerClosed},
-		{"fail 2", func(s *fault.BreakerSet) { s.Failure(0) }, fault.BreakerClosed},
-		{"success resets", func(s *fault.BreakerSet) { s.Success(0) }, fault.BreakerClosed},
-		{"fail 1'", func(s *fault.BreakerSet) { s.Failure(0) }, fault.BreakerClosed},
-		{"fail 2'", func(s *fault.BreakerSet) { s.Failure(0) }, fault.BreakerClosed},
-		{"fail 3 trips", func(s *fault.BreakerSet) {
+		{"fail 1", func(s *stats.Breakers) { s.Failure(0) }, stats.BreakerClosed},
+		{"fail 2", func(s *stats.Breakers) { s.Failure(0) }, stats.BreakerClosed},
+		{"success resets", func(s *stats.Breakers) { s.Success(0) }, stats.BreakerClosed},
+		{"fail 1'", func(s *stats.Breakers) { s.Failure(0) }, stats.BreakerClosed},
+		{"fail 2'", func(s *stats.Breakers) { s.Failure(0) }, stats.BreakerClosed},
+		{"fail 3 trips", func(s *stats.Breakers) {
 			if !s.Failure(0) {
 				t.Fatal("third consecutive failure should trip")
 			}
-		}, fault.BreakerOpen},
-		{"denied 1", func(s *fault.BreakerSet) {
+		}, stats.BreakerOpen},
+		{"denied 1", func(s *stats.Breakers) {
 			if ok, _ := s.Allow(0); ok {
 				t.Fatal("open breaker should deny")
 			}
-		}, fault.BreakerOpen},
-		{"denied 2", func(s *fault.BreakerSet) { s.Allow(0) }, fault.BreakerOpen},
-		{"denied 3", func(s *fault.BreakerSet) { s.Allow(0) }, fault.BreakerOpen},
-		{"probe admitted", func(s *fault.BreakerSet) {
+		}, stats.BreakerOpen},
+		{"denied 2", func(s *stats.Breakers) { s.Allow(0) }, stats.BreakerOpen},
+		{"denied 3", func(s *stats.Breakers) { s.Allow(0) }, stats.BreakerOpen},
+		{"probe admitted", func(s *stats.Breakers) {
 			ok, probe := s.Allow(0)
 			if !ok || !probe {
 				t.Fatalf("4th routing should admit a probe (ok=%v probe=%v)", ok, probe)
 			}
-		}, fault.BreakerHalfOpen},
-		{"no second probe", func(s *fault.BreakerSet) {
+		}, stats.BreakerHalfOpen},
+		{"no second probe", func(s *stats.Breakers) {
 			if ok, _ := s.Allow(0); ok {
 				t.Fatal("half-open breaker should deny while probe in flight")
 			}
-		}, fault.BreakerHalfOpen},
-		{"probe fails reopens", func(s *fault.BreakerSet) {
+		}, stats.BreakerHalfOpen},
+		{"probe fails reopens", func(s *stats.Breakers) {
 			if !s.Failure(0) {
 				t.Fatal("failed probe should count as a trip")
 			}
-		}, fault.BreakerOpen},
-		{"wait again", func(s *fault.BreakerSet) { s.Allow(0); s.Allow(0); s.Allow(0); s.Allow(0) }, fault.BreakerHalfOpen},
-		{"probe succeeds closes", func(s *fault.BreakerSet) {
+		}, stats.BreakerOpen},
+		{"wait again", func(s *stats.Breakers) { s.Allow(0); s.Allow(0); s.Allow(0); s.Allow(0) }, stats.BreakerHalfOpen},
+		{"probe succeeds closes", func(s *stats.Breakers) {
 			if !s.Success(0) {
 				t.Fatal("successful probe should report re-enable")
 			}
-		}, fault.BreakerClosed},
-		{"healthy allowed", func(s *fault.BreakerSet) {
+		}, stats.BreakerClosed},
+		{"healthy allowed", func(s *stats.Breakers) {
 			ok, probe := s.Allow(0)
 			if !ok || probe {
 				t.Fatalf("closed breaker should allow plainly (ok=%v probe=%v)", ok, probe)
 			}
-		}, fault.BreakerClosed},
+		}, stats.BreakerClosed},
 	}
 	s := fault.NewBreakerSet(2, cfg)
 	for _, step := range steps {
@@ -172,12 +173,12 @@ func TestBreakerTransitions(t *testing.T) {
 		if got := s.State(0); got != step.want {
 			t.Fatalf("%s: state %v, want %v", step.name, got, step.want)
 		}
-		if s.State(1) != fault.BreakerClosed {
+		if s.State(1) != stats.BreakerClosed {
 			t.Fatalf("%s: rank 1 should stay closed", step.name)
 		}
 	}
-	if s.DegradedRanks() != 0 {
-		t.Fatalf("DegradedRanks = %d at end", s.DegradedRanks())
+	if s.Degraded() != 0 {
+		t.Fatalf("DegradedRanks = %d at end", s.Degraded())
 	}
 }
 
@@ -189,7 +190,7 @@ func TestBreakerJointProbeRelease(t *testing.T) {
 	s := fault.NewBreakerSet(2, cfg)
 	s.Failure(0)
 	s.Failure(1)
-	if s.State(0) != fault.BreakerOpen || s.State(1) != fault.BreakerOpen {
+	if s.State(0) != stats.BreakerOpen || s.State(1) != stats.BreakerOpen {
 		t.Fatal("both ranks should be open")
 	}
 	ranks := []int{0, 1}
@@ -201,7 +202,7 @@ func TestBreakerJointProbeRelease(t *testing.T) {
 	// The probe failed on rank 1 only.
 	s.Failure(1)
 	s.ReleaseProbe(0)
-	if s.State(0) != fault.BreakerOpen {
+	if s.State(0) != stats.BreakerOpen {
 		t.Fatalf("rank 0 should be released to open, is %v", s.State(0))
 	}
 	// Rank 0 alone can probe again after its window.
@@ -225,7 +226,7 @@ func TestResilientDegradesToFallback(t *testing.T) {
 	// Two failing comparisons (2 attempts each) trip the breaker.
 	r.Compare(1, math.Inf(1))
 	r.Compare(2, math.Inf(1))
-	if got := r.Breakers().State(0); got != fault.BreakerOpen {
+	if got := r.Breakers().State(0); got != stats.BreakerOpen {
 		t.Fatalf("breaker %v after threshold failures, want open", got)
 	}
 	attempts := primary.calls
@@ -238,7 +239,7 @@ func TestResilientDegradesToFallback(t *testing.T) {
 	// The rank recovers; the next comparison is the admitted probe.
 	primary.fails = nil
 	r.Compare(5, math.Inf(1))
-	if got := r.Breakers().State(0); got != fault.BreakerClosed {
+	if got := r.Breakers().State(0); got != stats.BreakerClosed {
 		t.Fatalf("breaker %v after successful probe, want closed", got)
 	}
 	c := r.Counters().Snapshot()

@@ -16,6 +16,7 @@ import (
 	"ansmet/internal/polling"
 	"ansmet/internal/precision"
 	"ansmet/internal/rows"
+	"ansmet/internal/stats"
 	"ansmet/internal/trace"
 )
 
@@ -37,7 +38,7 @@ type Model struct {
 
 	// The fault model; nil unless InjectFaults set it.
 	Injector   *fault.Injector
-	Breakers   *fault.BreakerSet
+	Breakers   *stats.Breakers
 	Faults     *fault.Counters
 	resilience fault.ResilienceConfig
 
@@ -223,7 +224,7 @@ func (m *Model) run(n, workers int, search func(eng engine.Engine, i int, rec *t
 			Reenables:       d.Reenables,
 			PanicRecoveries: d.Panics,
 			FaultInjections: m.Injector.TotalInjections() - baseInj,
-			DegradedRanks:   m.Breakers.DegradedRanks(),
+			DegradedRanks:   m.Breakers.Degraded(),
 		}
 	}
 	return out
