@@ -150,7 +150,7 @@ func TestModelGoldens(t *testing.T) {
 		// A fault schedule: injection order, retries, the breaker trip on the
 		// crashed rank and the counters' per-run deltas are part of the result.
 		fs := build(core.DefaultSystemConfig(core.NDPET), sim.DefaultConfig()).InjectFaults(&fault.Schedule{Seed: 13, Rules: []fault.Rule{
-			{Kind: fault.CorruptPayload, Rank: -1, Op: -1, Prob: 0.1},
+			{Kind: fault.CorruptPayload, Rank: -1, Prob: 0.1},
 			{Kind: fault.DropPoll, Rank: -1, Prob: 0.05},
 			{Kind: fault.RankCrash, Rank: 0, After: 40},
 		}}, fault.ResilienceConfig{MaxRetries: 1, FailureThreshold: 4, ProbeAfter: 32})

@@ -178,29 +178,3 @@ func (e *Exact) LinesPerVector() int { return e.FullLines }
 
 // Metric implements Engine.
 func (e *Exact) Metric() vecmath.Metric { return e.M }
-
-// Fallible is a distance engine whose comparisons can fail: a hardware
-// path where payloads are CRC-rejected, ranks crash, or units wedge.
-// Implementations follow the same one-query-at-a-time discipline as Engine.
-type Fallible interface {
-	StartQuery(q []float32)
-	// TryCompare is Engine.Compare with an error path. Errors are
-	// per-comparison: the engine must remain usable afterwards.
-	TryCompare(id uint32, threshold float64) (Result, error)
-	LinesPerVector() int
-	Metric() vecmath.Metric
-}
-
-// RankError attributes a comparison failure to one NDP rank, so the
-// circuit breakers can degrade exactly the failing hardware. Producers
-// wrap their cause; errors.As recovers it through wrapping.
-type RankError struct {
-	Rank int
-	Err  error
-}
-
-// Error implements error.
-func (e *RankError) Error() string { return fmt.Sprintf("rank %d: %v", e.Rank, e.Err) }
-
-// Unwrap exposes the cause.
-func (e *RankError) Unwrap() error { return e.Err }

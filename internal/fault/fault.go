@@ -2,11 +2,10 @@
 // deterministic fault injector for chaos testing the NDP path, and the
 // resilient wrapper (bounded retry, per-rank circuit breakers, CPU-exact
 // fallback) that absorbs what it injects. A declarative Schedule of Rules
-// describes which faults to inject where — corrupt 64 B payloads in transit,
-// dropped or delayed poll responses, flipped bits in stored bit-plane lines,
-// whole ranks crashed or stuck — and the injector applies them
-// reproducibly: the same schedule over the same (sequential) run injects the
-// same faults.
+// describes which faults to inject where — payloads the protocol CRC
+// rejects, dropped or delayed poll responses, whole ranks crashed or stuck —
+// and the injector applies them reproducibly: the same schedule over the
+// same (sequential) run injects the same faults.
 //
 // Injection decisions are pure functions of (seed, rule, opportunity
 // index), not of a shared random stream, so rules never perturb each
@@ -14,10 +13,10 @@
 // to comparisons follows goroutine scheduling; sequential runs (the chaos
 // harness default) are bit-reproducible.
 //
-// The package provides three interposition points: FaultyDevice wraps an
-// ndp.Device (protocol-level faults), FaultyRank wraps an ndp.RankData
-// (storage-level faults), and FallibleEngine wraps an engine.Engine
-// (system-level faults under sim.Model's resilient wrap).
+// There is one interposition point: FallibleEngine wraps an engine.Engine
+// as a Fallible, and sim.Model puts a Resilient on top. Every fault class
+// manifests there as the comparison error the host would see, not as a
+// modelled DDR payload.
 package fault
 
 import (
@@ -32,17 +31,15 @@ import (
 type Kind int
 
 const (
-	// CorruptPayload flips bits in a 64 B command/response payload in
-	// transit (detected by the protocol CRC; transient).
+	// CorruptPayload corrupts a 64 B command/response payload in transit;
+	// the protocol CRC rejects it (transient).
 	CorruptPayload Kind = iota
 	// DropPoll makes a poll READ fail outright (transient).
 	DropPoll
 	// DelayPoll makes a poll READ return a valid but not-yet-complete
-	// response (transient; consumes the host's poll budget).
+	// response (transient). At system level a poll that outlives the
+	// host's budget reads as a drop.
 	DelayPoll
-	// CorruptLine flips bits in a stored bit-plane line as the unit
-	// fetches it (silent data corruption unless an invariant trips).
-	CorruptLine
 	// RankCrash makes a rank permanently unreachable.
 	RankCrash
 	// RankStuck makes a rank accept instructions but never complete them.
@@ -50,8 +47,7 @@ const (
 )
 
 var kindNames = [...]string{
-	"corrupt-payload", "drop-poll", "delay-poll",
-	"corrupt-line", "rank-crash", "rank-stuck",
+	"corrupt-payload", "drop-poll", "delay-poll", "rank-crash", "rank-stuck",
 }
 
 // String names the fault class.
@@ -62,8 +58,8 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// Typed fault-manifestation errors, wrapped in engine.RankError by the
-// interposition layers so circuit breakers can attribute them.
+// Typed fault-manifestation errors, wrapped in RankError by FallibleEngine
+// so circuit breakers can attribute them.
 var (
 	// ErrRankDown reports a crashed rank.
 	ErrRankDown = errors.New("fault: rank crashed")
@@ -81,9 +77,6 @@ type Rule struct {
 	Kind Kind
 	// Rank targets one rank; -1 targets every rank.
 	Rank int
-	// Op filters CorruptPayload rules to one opcode (int(ndp.Opcode));
-	// -1 corrupts any payload type.
-	Op int
 	// Prob is the injection probability per matching opportunity; values
 	// <= 0 mean "always" (so the zero-value Rule of a Kind injects
 	// unconditionally). Ignored by RankCrash/RankStuck, which are
@@ -95,8 +88,6 @@ type Rule struct {
 	// Count bounds total injections of this rule; 0 means unlimited.
 	// Ignored by RankCrash/RankStuck.
 	Count int
-	// Bits is the number of bit flips per corruption (default 1).
-	Bits int
 }
 
 // Schedule is a reproducible chaos scenario: a seed plus a rule list.
@@ -141,7 +132,7 @@ func (inj *Injector) rand01(rule int, n uint64) float64 {
 
 // fire evaluates one opportunity against rule i; reports whether the rule
 // injects, and claims a hit if so.
-func (inj *Injector) fire(i, rank int) bool {
+func (inj *Injector) fire(i int) bool {
 	r := &inj.rules[i]
 	n := inj.opp[i].Add(1) - 1
 	if int(n) < r.After {
@@ -160,33 +151,24 @@ func (inj *Injector) fire(i, rank int) bool {
 	return true
 }
 
-// matches reports whether rule i targets (kind, rank, op).
-func (inj *Injector) matches(i int, kind Kind, rank, op int) bool {
+// matches reports whether rule i targets (kind, rank).
+func (inj *Injector) matches(i int, kind Kind, rank int) bool {
 	r := &inj.rules[i]
-	if r.Kind != kind {
-		return false
-	}
-	if r.Rank >= 0 && r.Rank != rank {
-		return false
-	}
-	if kind == CorruptPayload && r.Op >= 0 && r.Op != op {
-		return false
-	}
-	return true
+	return r.Kind == kind && (r.Rank < 0 || r.Rank == rank)
 }
 
-// trigger scans rules for a firing (kind, rank, op) opportunity and
-// returns the firing rule's index.
-func (inj *Injector) trigger(kind Kind, rank, op int) (int, bool) {
+// trigger reports whether some rule targeting (kind, rank) fires at this
+// opportunity.
+func (inj *Injector) trigger(kind Kind, rank int) bool {
 	if inj == nil {
-		return 0, false
+		return false
 	}
 	for i := range inj.rules {
-		if inj.matches(i, kind, rank, op) && inj.fire(i, rank) {
-			return i, true
+		if inj.matches(i, kind, rank) && inj.fire(i) {
+			return true
 		}
 	}
-	return 0, false
+	return false
 }
 
 // permanent reports whether a RankCrash/RankStuck rule holds for rank:
@@ -196,7 +178,7 @@ func (inj *Injector) permanent(kind Kind, rank int) bool {
 		return false
 	}
 	for i := range inj.rules {
-		if !inj.matches(i, kind, rank, -1) {
+		if !inj.matches(i, kind, rank) {
 			continue
 		}
 		n := inj.opp[i].Add(1) - 1
@@ -214,64 +196,12 @@ func (inj *Injector) Crashed(rank int) bool { return inj.permanent(RankCrash, ra
 // Stuck reports whether rank accepts work but never completes it.
 func (inj *Injector) Stuck(rank int) bool { return inj.permanent(RankStuck, rank) }
 
-// DropPoll reports whether this poll READ is dropped.
-func (inj *Injector) DropPoll(rank int) bool {
-	_, ok := inj.trigger(DropPoll, rank, -1)
-	return ok
-}
-
-// DelayPoll reports whether this poll READ returns a pending response.
-func (inj *Injector) DelayPoll(rank int) bool {
-	_, ok := inj.trigger(DelayPoll, rank, -1)
-	return ok
-}
-
-// flipBits XORs `bits` deterministically chosen bit positions of p.
-func flipBits(p []byte, bits int, h uint64) {
-	if bits < 1 {
-		bits = 1
-	}
-	for i := 0; i < bits; i++ {
-		h = splitmix64(h)
-		pos := int(h % uint64(len(p)*8))
-		p[pos/8] ^= 1 << uint(pos%8)
-	}
-}
-
-// Payload possibly corrupts a 64 B payload of the given opcode in transit,
-// returning the (copied) corrupted payload and whether corruption fired.
-func (inj *Injector) Payload(rank, op int, p [64]byte) ([64]byte, bool) {
-	i, ok := inj.trigger(CorruptPayload, rank, op)
-	if !ok {
-		return p, false
-	}
-	h := splitmix64(inj.seed ^ splitmix64(uint64(i)) ^ inj.hits[i].Load())
-	flipBits(p[:], inj.rules[i].Bits, h)
-	return p, true
-}
-
-// Line possibly corrupts a stored bit-plane line view, returning a flipped
-// copy (the backing store is never modified) and whether corruption fired.
-func (inj *Injector) Line(rank int, data []byte) ([]byte, bool) {
-	if len(data) == 0 {
-		return data, false
-	}
-	i, ok := inj.trigger(CorruptLine, rank, -1)
-	if !ok {
-		return data, false
-	}
-	out := append([]byte(nil), data...)
-	h := splitmix64(inj.seed ^ splitmix64(uint64(i)+7) ^ inj.hits[i].Load())
-	flipBits(out, inj.rules[i].Bits, h)
-	return out, true
-}
-
 // Transient checks the transient fault classes an engine-level comparison
 // can hit (CorruptPayload, DropPoll, DelayPoll) in rule order and reports
 // the first that fires.
 func (inj *Injector) Transient(rank int) (Kind, bool) {
 	for _, k := range [...]Kind{CorruptPayload, DropPoll, DelayPoll} {
-		if _, ok := inj.trigger(k, rank, -1); ok {
+		if inj.trigger(k, rank) {
 			return k, true
 		}
 	}

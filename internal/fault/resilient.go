@@ -108,7 +108,7 @@ func NewBreakerSet(ranks int, cfg ResilienceConfig) *stats.Breakers {
 // Like every engine, a Resilient serves one query at a time; workers each
 // wrap their own primary but share the breakers and Counters.
 type Resilient struct {
-	primary  engine.Fallible
+	primary  Fallible
 	fallback engine.Engine
 	// ranksOf appends the ranks serving vector id to dst. A comparison is
 	// routed to the fallback when any serving rank's breaker is open.
@@ -126,7 +126,7 @@ var _ engine.Engine = (*Resilient)(nil)
 // exact engine); ranksOf may be nil when the primary is a single-rank
 // device (rank 0 is assumed). breakers and counters are shared across
 // workers; counters may be nil for a private instance.
-func NewResilient(primary engine.Fallible, fallback engine.Engine, ranksOf func(id uint32, dst []int) []int,
+func NewResilient(primary Fallible, fallback engine.Engine, ranksOf func(id uint32, dst []int) []int,
 	breakers *stats.Breakers, counters *Counters, cfg ResilienceConfig) *Resilient {
 	if ranksOf == nil {
 		ranksOf = func(id uint32, dst []int) []int { return append(dst, 0) }
@@ -205,7 +205,7 @@ func (r *Resilient) Compare(id uint32, threshold float64) engine.Result {
 	// With a RankError only the named rank accrues the failure; other ranks
 	// of a joint probe are released back to open, their probe unresolved.
 	r.counters.Failures.Add(1)
-	var re *engine.RankError
+	var re *RankError
 	attributed := -1
 	if errors.As(lastErr, &re) {
 		attributed = re.Rank

@@ -67,7 +67,7 @@ func TestResilientMatchesFallbackExactly(t *testing.T) {
 		nil,
 		{errors.New("transient")},
 		{errors.New("a"), nil, nil},
-		{&engine.RankError{Rank: 0, Err: errors.New("down")}},
+		{&fault.RankError{Rank: 0, Err: errors.New("down")}},
 	}
 	q := []float32{2, 3, 1}
 	for pi, fails := range patterns {
@@ -217,7 +217,7 @@ func TestBreakerJointProbeRelease(t *testing.T) {
 // primary attempts, then a probe re-enables the recovered rank.
 func TestResilientDegradesToFallback(t *testing.T) {
 	vs := testVectors()
-	down := &engine.RankError{Rank: 0, Err: errors.New("rank dead")}
+	down := &fault.RankError{Rank: 0, Err: errors.New("rank dead")}
 	primary := &flakyEngine{inner: engine.NewExact(vs, vecmath.L2, vecmath.Float32), fails: []error{down}}
 	cfg := fault.ResilienceConfig{MaxRetries: 1, FailureThreshold: 2, ProbeAfter: 3}
 	r := fault.NewResilient(primary, engine.NewExact(vs, vecmath.L2, vecmath.Float32), nil, nil, nil, cfg)

@@ -10,7 +10,10 @@
 // of 8 comparison tasks with thresholds, result registers initialized to an
 // invalid MAX value, fetch counters), and the fetch/bound/terminate loop.
 // Its results are bit-compatible with the software ETEngine
-// (internal/core), which the tests verify.
+// (internal/core), which the tests verify. A host drives the Unit
+// directly, one instruction at a time (examples/hardware_protocol); the
+// timing model runs the software engines, and faults are injected at that
+// engine level (internal/fault), never on this interface.
 //
 // # Protocol hardening
 //
@@ -85,18 +88,11 @@ var (
 	// out-of-range field values (host-side encoding bug or undetected
 	// multi-bit corruption).
 	ErrBadField = errors.New("invalid payload field")
-	// ErrStuck flags a unit that kept reporting an incomplete QSHR past the
-	// host's poll budget.
-	ErrStuck = errors.New("unit did not complete within the poll budget")
-	// ErrBound flags a violated early-termination invariant during task
-	// execution (bounds must grow monotonically): silent data corruption in
-	// the rank or the compute pipeline.
-	ErrBound = errors.New("bound invariant violated")
 )
 
-// ProtocolError is the typed error for rejected payloads and failed
-// protocol interactions; Err is one of the sentinel causes above (or a
-// wrapped lower-layer error) and unwraps for errors.Is.
+// ProtocolError is the typed error for rejected payloads; Err is one of the
+// sentinel causes above (or a wrapped lower-layer error) and unwraps for
+// errors.Is.
 type ProtocolError struct {
 	Op  Opcode
 	Err error
@@ -125,8 +121,8 @@ func crc8(data []byte) byte {
 }
 
 // Seal writes the payload's CRC-8 into its reserved last byte. Encoders
-// call it automatically; it is exported so tests and fault injectors can
-// re-seal hand-built payloads.
+// call it automatically; it is exported so tests can re-seal hand-built
+// payloads.
 func Seal(p *[64]byte) { p[PayloadDataBytes] = crc8(p[:PayloadDataBytes]) }
 
 // checkCRC reports whether the payload's CRC matches its content.

@@ -8,7 +8,6 @@ import (
 	"ansmet/internal/bitplane"
 	"ansmet/internal/core"
 	"ansmet/internal/dataset"
-	"ansmet/internal/hnsw"
 	"ansmet/internal/ndp"
 	"ansmet/internal/prefixelim"
 	"ansmet/internal/stats"
@@ -322,48 +321,5 @@ func TestUnitFlagsShortData(t *testing.T) {
 	}
 	if resp.Dist[1] != ndp.InvalidDist {
 		t.Fatalf("faulted task wrote a result: %v", resp.Dist[1])
-	}
-}
-
-// TestHostAdapterFullSearch runs complete HNSW searches purely over the DDR
-// instruction protocol and checks they match the software engine's results.
-func TestHostAdapterFullSearch(t *testing.T) {
-	p := dataset.ProfileByName("SIFT")
-	ds := dataset.Generate(p, 500, 6, 29)
-	ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := bitplane.UniformSchedule(p.Elem, 0, 4)
-	st, err := core.BuildStore(ds.Rows(), sched, prefixelim.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := st.NewETEngine(p.Metric)
-
-	l := st.Layout
-	slab := make([]byte, len(ds.Vectors)*l.VectorBytes())
-	var codes []uint32
-	for i, v := range ds.Vectors {
-		codes = p.Elem.EncodeVector(v, codes[:0])
-		l.Transform(codes, slab[i*l.VectorBytes():(i+1)*l.VectorBytes()])
-	}
-	cfg := ndp.Config{Elem: p.Elem, Dim: uint16(p.Dim), Metric: p.Metric, Nc: 4, Tc: 2, Nf: 4}
-	u := ndp.NewUnit(ndp.SliceRank{Bytes: slab, VectorBytes: l.VectorBytes()})
-	hw, err := ndp.NewHostAdapter(u, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range ds.Queries {
-		want := ix.SearchFilteredInto(q, 10, 50, 1, nil, ref, nil, nil)
-		got := ix.SearchFilteredInto(q, 10, 50, 1, nil, hw, nil, nil)
-		if len(got) != len(want) {
-			t.Fatalf("%d results, want %d", len(got), len(want))
-		}
-		for j := range got {
-			if got[j].ID != want[j].ID || math.Abs(got[j].Dist-want[j].Dist) > 1e-4 {
-				t.Fatalf("result %d: hw %+v != sw %+v", j, got[j], want[j])
-			}
-		}
 	}
 }

@@ -7,33 +7,6 @@ import (
 	"ansmet/internal/bitplane"
 )
 
-// RankData provides the unit's view of its local DRAM rank: the transformed
-// vector bytes by vector address.
-type RankData interface {
-	// VectorData returns the full transformed bytes of the vector at addr.
-	VectorData(addr uint32) []byte
-}
-
-// Device is the host-visible NDP instruction interface — what a memory
-// controller can address over the DDR bus. *Unit implements it directly;
-// fault-injection wrappers (internal/fault) interpose on it to corrupt
-// payloads in transit, drop poll READs, or take a whole rank down.
-type Device interface {
-	// Configure applies a configure instruction payload.
-	Configure(payload [64]byte) error
-	// SetQuery applies one set-query chunk (seq from the DDR address).
-	SetQuery(id, seq int, payload [64]byte) error
-	// SetSearch applies a set-search instruction (count from the address).
-	SetSearch(id, count int, payload [64]byte) error
-	// Poll reads the QSHR's encoded result payload (a DDR READ).
-	Poll(id int) ([64]byte, error)
-	// Free releases a QSHR for reuse.
-	Free(id int)
-	// LinesPerVector reports the configured per-vector line footprint
-	// (0 before a successful configure).
-	LinesPerVector() int
-}
-
 // qshr is one query-status handling register set (Fig. 5(c)).
 type qshr struct {
 	chunks    [][64]byte
@@ -58,7 +31,7 @@ type qshr struct {
 // mark the task in the poll response's FaultMask instead of returning a
 // corrupt distance.
 type Unit struct {
-	data RankData
+	data SliceRank
 
 	cfg     Config
 	layout  *bitplane.Layout
@@ -67,10 +40,8 @@ type Unit struct {
 	cfgOK   bool
 }
 
-var _ Device = (*Unit)(nil)
-
 // NewUnit creates a unit over its rank's data.
-func NewUnit(data RankData) *Unit { return &Unit{data: data} }
+func NewUnit(data SliceRank) *Unit { return &Unit{data: data} }
 
 // Configure applies a configure instruction.
 func (u *Unit) Configure(payload [64]byte) error {
@@ -91,14 +62,6 @@ func (u *Unit) Configure(payload [64]byte) error {
 		u.qshrs[i] = qshr{}
 	}
 	return nil
-}
-
-// LinesPerVector implements Device.
-func (u *Unit) LinesPerVector() int {
-	if !u.cfgOK {
-		return 0
-	}
-	return u.layout.LinesPerVector()
 }
 
 // SetQuery applies one set-query chunk (seq is the chunk index encoded in
@@ -234,16 +197,16 @@ func (u *Unit) Free(id int) {
 	}
 }
 
-// SliceRank is a simple RankData over a contiguous slab of equally sized
-// transformed vectors (addr = vector index). Out-of-range addresses return
-// nil rather than panicking — the unit reports them through the poll
-// response's FaultMask.
+// SliceRank is the unit's view of its local DRAM rank: a contiguous slab
+// of equally sized transformed vectors (addr = vector index). Out-of-range
+// addresses return nil rather than panicking — the unit reports them
+// through the poll response's FaultMask.
 type SliceRank struct {
 	Bytes       []byte
 	VectorBytes int
 }
 
-// VectorData implements RankData.
+// VectorData returns the full transformed bytes of the vector at addr.
 func (s SliceRank) VectorData(addr uint32) []byte {
 	if s.VectorBytes <= 0 {
 		return nil
@@ -254,5 +217,3 @@ func (s SliceRank) VectorData(addr uint32) []byte {
 	}
 	return s.Bytes[off : off+s.VectorBytes]
 }
-
-var _ RankData = SliceRank{}
