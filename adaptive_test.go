@@ -1,5 +1,5 @@
 // Adaptive mixed precision over a database's own graph and rows: the NDP model
-// over Database.System, at sim.Config.RecallTarget 0.9. A database
+// Database.NewSystem builds, at sim.Config.RecallTarget 0.9. A database
 // serves one precision; the model is where the mode runs and is measured
 // (FigPrecisionFrontier, internal/fault.TestSystemLevelByteIdentical).
 package ansmet_test
@@ -17,7 +17,7 @@ import (
 )
 
 // adaptiveModel builds a database over a GloVe set (inner product, fp32, the
-// beam-hostile profile) and, around db.System(), the NDP model at
+// beam-hostile profile) and, built over it with NewSystem, the NDP model at
 // RecallTarget target: the default platform with the target set.
 func adaptiveModel(t *testing.T, target float64) (*dataset.Dataset, *ansmet.Database, *sim.Model) {
 	t.Helper()
@@ -28,7 +28,7 @@ func adaptiveModel(t *testing.T, target float64) (*dataset.Dataset, *ansmet.Data
 	}
 	cfg := sim.DefaultConfig()
 	cfg.RecallTarget = target
-	m, err := sim.NewModel(db.System(), cfg)
+	m, err := sim.NewModel(newModel(t, db), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

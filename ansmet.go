@@ -4,14 +4,15 @@
 //
 // This package is the library: HNSW and IVF indexes over L2 /
 // inner-product / cosine metrics and five element types, served from the
-// rows by SIMD kernels, with the paper's lossless early-termination distance
+// rows by SIMD kernels. The paper's lossless early-termination distance
 // engine (transformed bit-plane layouts, sampling-based layout optimization,
-// outlier-aware common-prefix elimination) as a route anyone can ask for,
-// and the NDP model's functional view (System). The timing simulator for the
-// paper's CPU+NDP platform (internal/sim: DDR5 command timing, rank-level NDP
-// units, result polling, fault injection) runs over that view, outside the
-// package, as does the harness that regenerates every table and figure of
-// the paper's evaluation (see EXPERIMENTS.md).
+// outlier-aware common-prefix elimination) lives in the NDP model's
+// functional view, which Database.NewSystem builds over a database on
+// request. The timing simulator for the paper's CPU+NDP platform
+// (internal/sim: DDR5 command timing, rank-level NDP units, result polling,
+// fault injection) runs over that view, outside the package, as does the
+// harness that regenerates every table and figure of the paper's evaluation
+// (see EXPERIMENTS.md).
 //
 // Quick start:
 //
@@ -110,10 +111,9 @@ const (
 	Float32  = vecmath.Float32
 )
 
-// Design is a design point of the paper's evaluation (§6). A database's NDP
-// model is always the full design, NDP-ETOpt; a model at another design is
-// built over the database's rows and graph with core.NewSystem. The name
-// stays for LoadFile's parameter.
+// Design is a design point of the paper's evaluation (§6). A database has
+// none of its own: Database.NewSystem builds the model at any design over
+// its rows and graph. The name stays for LoadFile's parameter.
 type Design = core.Design
 
 // Neighbor is one search result.
@@ -140,8 +140,8 @@ type Options struct {
 	// Mutable switches the database into live-mutable mode: Add, Delete
 	// and Update become legal under concurrent search traffic, optionally
 	// journaled through a write-ahead log (AttachWAL / LoadFile). The row
-	// slab is the ingester, and the NDP model follows it once built. See
-	// DESIGN.md, "Mutable index and durability semantics".
+	// slab is the ingester. See DESIGN.md, "Mutable index and durability
+	// semantics".
 	Mutable bool
 
 	// RepairEvery is the pending-delete batch size that triggers the
@@ -168,21 +168,17 @@ func (o *Options) fill() {
 }
 
 // Database is a built ANSMET instance. It owns what it serves — the rows, the
-// graph over them, the tombstones — and reaches the NDP model, a view derived
-// from those, through system(). The vector population is immutable unless
+// graph over them, the tombstones — and keeps no NDP model: NewSystem builds
+// one over those on request. The vector population is immutable unless
 // Options.Mutable enabled the live mutation path (live.go): Add/Delete/Update
 // then serialize behind mu while searches stay concurrent and lock-free.
 type Database struct {
 	opts Options
 	// rows is the one store of the (quantized) vectors, in their element
-	// type: index, host engines and the model's store read it, Add appends.
-	rows  *rows.Slab
-	index *hnsw.Index
-	tomb  *core.TombSet // deletion bitmap; nil on an immutable database
-	// cfg is the NDP model's resolved configuration and model the model, once
-	// system() has built it.
-	cfg    core.SystemConfig
-	model  atomic.Pointer[core.System]
+	// type: index and host engines read it, Add appends.
+	rows   *rows.Slab
+	index  *hnsw.Index
+	tomb   *core.TombSet // deletion bitmap; nil on an immutable database
 	router *engine.Router
 
 	scratchPool sync.Pool // *searchScratch
@@ -210,15 +206,11 @@ type mutCounters struct {
 }
 
 // searchScratch is the reusable per-search state: the quantized query
-// buffer, private distance engines (engines hold per-query state, so each
-// concurrent search needs its own; each is built on first use by a route
-// that runs on it), and a result buffer. Pooled on the Database so
-// steady-state searches with a reused Query.Dst allocate nothing.
+// buffer, a private distance engine (engines hold per-query state, so each
+// concurrent search needs its own) and a result buffer. Pooled on the
+// Database so steady-state searches with a reused Query.Dst allocate nothing.
 type searchScratch struct {
-	qq []float32
-	// eng is the lazy NDP-model engine of the ndp beam and the tiered route
-	// (see Database.ndpEngine).
-	eng engine.Engine
+	qq  []float32
 	buf []Neighbor
 	// host is the lazy host compare engine of the host beam and the exact
 	// scan (see Database.hostEngine).
@@ -231,16 +223,6 @@ func (db *Database) getScratch() *searchScratch {
 		s = &searchScratch{qq: make([]float32, db.rows.Dim())}
 	}
 	return s
-}
-
-// ndpEngine returns the scratch's engine over the NDP model (an ETEngine
-// with its Bounder tables, the one the tiered route runs on), built on first
-// use: the host beam and the exact scan never touch it.
-func (db *Database) ndpEngine(s *searchScratch) engine.Engine {
-	if s.eng == nil {
-		s.eng = db.system().NewWorkerEngine()
-	}
-	return s.eng
 }
 
 func (db *Database) putScratch(s *searchScratch) { db.scratchPool.Put(s) }
@@ -266,8 +248,8 @@ func quantizeInto(dst, v []float32, elem ElemType) []float32 {
 
 // New ingests the vectors (quantizing them to the element type) and builds
 // the HNSW index. The NDP model (the offline preprocessing: sampling, layout
-// optimization, prefix elimination, layout transformation) waits for a route
-// that needs it (see System).
+// optimization, prefix elimination, layout transformation) is not built
+// here: see NewSystem.
 func New(vectors [][]float32, opts Options) (*Database, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("ansmet: empty dataset")
@@ -302,17 +284,12 @@ func New(vectors [][]float32, opts Options) (*Database, error) {
 }
 
 // newDatabase wires a database around the rows and the graph New built or
-// Load restored: model configuration, router, mutation.
-//
-// The model's configuration is NDP-ETOpt's defaults with the database's
-// seed, and it is set here and nowhere else.
+// Load restored: router, mutation.
 func newDatabase(opts Options, rs *rows.Slab, ix *hnsw.Index) *Database {
-	cfg := core.DefaultSystemConfig(core.NDPETOpt)
-	cfg.Seed = opts.Seed
-	db := &Database{opts: opts, rows: rs, index: ix, cfg: cfg, router: engine.NewRouter()}
+	db := &Database{opts: opts, rows: rs, index: ix, router: engine.NewRouter()}
 	if opts.Mutable {
 		// Before any concurrent use: the graph flips its publication protocol
-		// on while single-threaded. The model needs no telling (buildModel).
+		// on while single-threaded.
 		db.tomb = core.NewTombSet()
 		ix.EnableMutation()
 		db.liveFilter = db.tomb.Filter()
@@ -320,40 +297,25 @@ func newDatabase(opts Options, rs *rows.Slab, ix *hnsw.Index) *Database {
 	return db
 }
 
-// system returns the NDP model — what NDP-ETOpt's offline pass derives:
-// the bit-plane store — building it on the first call;
-// afterwards one atomic load. Its callers are the ndp beam, the tiered route
-// and System: no default route, no mutation, no New/Load.
-func (db *Database) system() *core.System {
-	if sys := db.model.Load(); sys != nil {
-		return sys
-	}
-	sys, err := db.buildModel()
-	if err != nil {
-		// Every design builds over every non-empty slab: a bug, not an input.
-		panic(fmt.Sprintf("ansmet: building the NDP model: %v", err))
-	}
-	return sys
-}
-
-// buildModel is system's miss, the one place a core.System is constructed:
-// under the writer lock (uncontended on an immutable database), over the
-// slab as it is now, tombstone set included. That is why a mutable database
-// may attach it late: the store starts with a slot for every row, and
-// applyAdd, under the same lock, adds the slot before the graph publishes
-// each later id — the order core/mutable.go relies on.
-func (db *Database) buildModel() (*core.System, error) {
+// NewSystem builds the NDP model's functional view at cfg — the offline pass
+// of cfg.Design (sampling, layout optimization, prefix elimination, the
+// bit-plane store) — over the database's rows and graph as they are now,
+// tombstones included, under the writer lock so no mutation lands midway.
+// The database neither keeps nor feeds the result, and the model shares the
+// graph: on a mutable database, a caller that adds rows afterwards feeds each
+// to sys.Store.AppendVector before searching the model. The simulated
+// platform is built around it:
+//
+//	sys, err := db.NewSystem(core.DefaultSystemConfig(core.NDPETOpt))
+//	m, err := sim.NewModel(sys, sim.DefaultConfig())
+func (db *Database) NewSystem(cfg core.SystemConfig) (*core.System, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if sys := db.model.Load(); sys != nil {
-		return sys, nil
-	}
-	sys, err := core.NewSystem(db.rows, db.opts.Metric, db.index, db.cfg)
+	sys, err := core.NewSystem(db.rows, db.opts.Metric, db.index, cfg)
 	if err != nil {
 		return nil, err
 	}
 	sys.SetTombstones(db.tomb)
-	db.model.Store(sys)
 	return sys, nil
 }
 
@@ -377,18 +339,6 @@ func (db *Database) Vector(id uint32) ([]float32, bool) {
 	return v.Decode(id, make([]float32, 0, db.rows.Dim())), true
 }
 
-// System exposes the NDP model's functional view (layout parameters,
-// bit-plane store, worker engines) at NDP-ETOpt, building it on the first
-// call — as a query on RouteNDP or RouteTiered does. The simulated platform
-// is built around it (internal/sim: sim.NewModel(db.System(),
-// sim.DefaultConfig()), which lays its vectors out over the ranks). A view at
-// another design point is built over its Rows() and Index:
-//
-//	base := db.System()
-//	cfg := core.DefaultSystemConfig(core.CPUBase)
-//	sys, err := core.NewSystem(base.Rows(), base.Metric, base.Index, cfg)
-func (db *Database) System() *core.System { return db.system() }
-
 // Stats summarizes the database: its population and its live-mutation state.
 type Stats struct {
 	Vectors int
@@ -408,9 +358,8 @@ type Stats struct {
 	WALReplayed   uint64
 }
 
-// Stats reports the population and the mutation and journal counters. It
-// never reads the NDP model (System holds its preprocessing facts), so a
-// scrape costs no preprocessing.
+// Stats reports the population and the mutation and journal counters. The
+// NDP model's preprocessing facts are the model's (see NewSystem).
 func (db *Database) Stats() Stats {
 	s := Stats{Vectors: db.Len(), Dim: db.rows.Dim()}
 	if db.Mutable() {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ansmet"
+	"ansmet/internal/core"
 	"ansmet/internal/dataset"
 	"ansmet/internal/sim"
 )
@@ -56,11 +57,22 @@ func TestDatabaseBasics(t *testing.T) {
 	if st := db.Stats(); st.Vectors != 600 || st.Dim != 96 {
 		t.Errorf("stats = %+v", st)
 	}
-	// The searches above ran on the host beam; the NDP model, built on
-	// System's first call, holds the preprocessing facts.
-	if st := db.System().Store; st.Prefix.PrefixLen == 0 || st.SpaceSavedFraction() <= 0 {
+	// The searches above ran on the host beam; the NDP model built over the
+	// database holds the preprocessing facts.
+	if st := newModel(t, db).Store; st.Prefix.PrefixLen == 0 || st.SpaceSavedFraction() <= 0 {
 		t.Errorf("expected prefix elimination on DEEP-like data: prefix %d bits, saves %v", st.Prefix.PrefixLen, st.SpaceSavedFraction())
 	}
+}
+
+// newModel builds the NDP-ETOpt model over db at the default seed, the one
+// db's own options keep here.
+func newModel(t testing.TB, db *ansmet.Database) *core.System {
+	t.Helper()
+	sys, err := db.NewSystem(core.DefaultSystemConfig(core.NDPETOpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
 }
 
 func TestDatabaseRunReport(t *testing.T) {
@@ -72,7 +84,7 @@ func TestDatabaseRunReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sim.NewModel(db.System(), sim.DefaultConfig())
+	m, err := sim.NewModel(newModel(t, db), sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

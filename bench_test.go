@@ -399,23 +399,49 @@ func BenchmarkSearchWithDeadline(b *testing.B) {
 	}
 }
 
-// BenchmarkTieredSearch measures one steady-state query through the tiered
-// bound-first/exact-rerank pipeline at the default (lossless) budget,
-// reporting allocations per operation (the gated budget: 0 allocs/op).
+// BenchmarkTieredSearch measures one steady-state query through the NDP
+// model's tiered bound-first/exact-rerank pipeline at the lossless budget,
+// over benchDB, reporting allocations per operation (the gated budget: 0
+// allocs/op).
 func BenchmarkTieredSearch(b *testing.B) {
-	db := benchDB()
-	ds := benchData()
-	var dst []ansmet.Neighbor
-	var err error
-	if dst, _, err = db.TieredSearchInto(ds.Queries[0], 10, 0, dst); err != nil {
-		b.Fatal(err)
+	benchModelDo(b, benchData().Queries, true)
+}
+
+// benchModel is the NDP model over benchDB, built once with NewSystem: the
+// bit-plane store the ndp beam and the tiered route run over.
+var benchModel = sync.OnceValue(func() *core.System {
+	sys, err := benchDB().NewSystem(core.DefaultSystemConfig(core.NDPETOpt))
+	if err != nil {
+		panic(err)
 	}
+	return sys
+})
+
+// benchModelDo runs one query per iteration over benchModel, cycling the
+// queries: quantize into a reused buffer, then the tiered query at budget 1
+// or the ndp beam (k = 10, ef = 64, the model's batch), appending into a
+// reused result slice.
+func benchModelDo(b *testing.B, queries [][]float32, tiered bool) {
+	b.Helper()
+	sys := benchModel()
+	eng := sys.NewWorkerEngine()
+	qq := make([]float32, sys.Dim)
+	var dst []ansmet.Neighbor
+	query := func(q []float32) {
+		for d, x := range q {
+			qq[d] = sys.Elem.Quantize(x)
+		}
+		if tiered {
+			dst, _ = eng.(*core.ETEngine).TieredKNNInto(nil, qq, 10, core.TieredOpts{Budget: 1}, dst)
+		} else {
+			dst = sys.Index.SearchFilteredInto(qq, 10, 64, sys.Cfg.BeamBatch, nil, eng, nil, dst)
+		}
+	}
+	query(queries[0])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if dst, _, err = db.TieredSearchInto(ds.Queries[i%len(ds.Queries)], 10, 0, dst); err != nil {
-			b.Fatal(err)
-		}
+		query(queries[i%len(queries)])
 	}
 }
 
@@ -471,17 +497,17 @@ var benchSift20k = sync.OnceValue(func() (out struct {
 // BenchmarkSearchHost measures the same beam query — same graph, same ef,
 // same batch, the same answers bit for bit (TestHostEquivalence) — over the
 // two compare engines: row-major vectors with the SIMD kernel (host, the
-// serving default) and the bit-plane early-termination model (ndp). The
-// ndp/host ns ratio is what the default route no longer pays. The host-20k
+// served beam) and the bit-plane early-termination model (ndp, on the NDP
+// model built over the database). The ndp/host ns ratio is what serving the
+// host beam saves. The host-20k
 // arm is the host beam where rows miss the L2 (benchData is L2-resident and
 // cannot show a prefetch); it is skipped at the quick scale. Budget: 0
 // allocs/op on every arm.
 func BenchmarkSearchHost(b *testing.B) {
-	for _, route := range []ansmet.Route{ansmet.RouteHost, ansmet.RouteNDP} {
-		b.Run(route.String(), func(b *testing.B) {
-			benchDo(b, context.Background(), benchDB(), benchData().Queries, ansmet.Query{K: 10, Ef: 64, Route: route})
-		})
-	}
+	b.Run("host", func(b *testing.B) {
+		benchDo(b, context.Background(), benchDB(), benchData().Queries, ansmet.Query{K: 10, Ef: 64, Route: ansmet.RouteHost})
+	})
+	b.Run("ndp", func(b *testing.B) { benchModelDo(b, benchData().Queries, false) })
 	b.Run("host-20k", func(b *testing.B) {
 		if os.Getenv("ANSMET_BENCH_QUICK") != "" {
 			b.Skip("n = 20 000 takes seconds to build")
@@ -497,7 +523,8 @@ func BenchmarkSearchHost(b *testing.B) {
 // skipped at the quick scale, at the shapes of two served workloads: GloVe
 // at n = 10 000 (fp32, dim 100, inner product — what a recall_target 1
 // request scans) and GIST at n = 3 000 (fp32, dim 960, L2).
-// BenchmarkTieredSearch is the same answer through the bound machinery.
+// BenchmarkTieredSearch is the same answer through the model's bound
+// machinery.
 // Budget: 0 allocs/op.
 func BenchmarkExactScan(b *testing.B) {
 	for _, arm := range []struct {
@@ -547,14 +574,14 @@ var (
 )
 
 // BenchmarkSearchMany measures parallel batch-search throughput (DoMany on
-// the ndp route) across all cores.
+// the host beam) across all cores.
 func BenchmarkSearchMany(b *testing.B) {
 	db := benchDB()
 	ds := benchData()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := db.DoMany(context.Background(), ds.Queries, &ansmet.Query{K: 10, Ef: 64, Route: ansmet.RouteNDP}, 0); err != nil {
+		if _, _, err := db.DoMany(context.Background(), ds.Queries, &ansmet.Query{K: 10, Ef: 64, Route: ansmet.RouteHost}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -214,23 +214,21 @@ func jumpHash(key uint64, buckets int) int {
 type planKey struct{}
 
 // shardPlan is what every shard of one query must agree on: the resolved
-// route, the tiered budget and the caller's global-id filter.
+// route and the caller's global-id filter.
 type shardPlan struct {
 	route  Route
-	budget float64
 	filter func(uint32) bool
 }
 
 // shardSearchFunc adapts one shard Database into the coordinator's shard
 // interface: run the context-carried plan shard-locally through Do, then
 // remap local row ids to global vector ids and restore the canonical
-// (Dist, ID) order the merge needs. On the tiered route at budget 1 each
-// shard returns its exact top-k, so the merged result is the exact global
-// top-k.
+// (Dist, ID) order the merge needs. On the exact route each shard returns
+// its exact top-k, so the merged result is the exact global top-k.
 func shardSearchFunc(db *Database, ids []uint32) cluster.ShardFunc {
 	return func(ctx context.Context, q []float32, k, ef int, dst []hnsw.Neighbor) ([]hnsw.Neighbor, error) {
 		plan := ctx.Value(planKey{}).(*shardPlan)
-		sq := Query{Vector: q, K: k, Ef: ef, Route: plan.route, Budget: plan.budget, Dst: dst}
+		sq := Query{Vector: q, K: k, Ef: ef, Route: plan.route, Dst: dst}
 		if filter := plan.filter; filter != nil {
 			// The caller's predicate speaks global ids.
 			sq.Filter = func(id uint32) bool { return filter(ids[id]) }
@@ -276,10 +274,10 @@ func (c *Cluster) Len() int { return c.total }
 // shard).
 //
 // The plan is resolved ONCE, on the first shard — whose router sees this
-// cluster's traffic — and every shard then executes the same concrete route
-// at the same tiered budget, so the scatter-gather merge stays coherent:
-// mixing routes would merge answers of different quality classes. Each
-// shard's own router observes the query it ran.
+// cluster's traffic — and every shard then executes the same concrete route,
+// so the scatter-gather merge stays coherent: mixing routes would merge
+// answers of different quality classes. Each shard's own router observes
+// the query it ran.
 //
 // The error is nil for both healthy and degraded answers — degradation is
 // reported in the result (Partial, Faults), because a partial top-k is
@@ -296,7 +294,7 @@ func (c *Cluster) Do(ctx context.Context, q *Query) (ClusterResult, error) {
 	if err != nil {
 		return ClusterResult{Route: q.Route}, err
 	}
-	plan := &shardPlan{route: route, budget: q.Budget, filter: q.Filter}
+	plan := &shardPlan{route: route, filter: q.Filter}
 	res, err := c.coord.SearchInto(context.WithValue(ctx, planKey{}, plan), q.Vector, q.K, ef, q.Dst)
 	out := ClusterResult{Neighbors: res.Neighbors, Route: route, Partial: res.Partial}
 	if len(res.Errors) > 0 {

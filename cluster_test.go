@@ -118,11 +118,11 @@ func TestClusterSaveDirLoadRoundTrip(t *testing.T) {
 	}
 	ctx := context.Background()
 	for qi, q := range ds.Queries {
-		want, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: 10, Ef: 200, Route: ansmet.RouteNDP})
+		want, err := cl.Do(ctx, &ansmet.Query{Vector: q, K: 10, Ef: 200, Route: ansmet.RouteHost})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := re.Do(ctx, &ansmet.Query{Vector: q, K: 10, Ef: 200, Route: ansmet.RouteNDP})
+		got, err := re.Do(ctx, &ansmet.Query{Vector: q, K: 10, Ef: 200, Route: ansmet.RouteHost})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestClusterStatsBytesUnchanged(t *testing.T) {
 		for _, sq := range []ansmet.Query{
 			{Vector: q, K: 10, Route: ansmet.RouteHost},
 			{Vector: q, K: 5, Route: ansmet.RouteExact},
-			{Vector: q, K: 3, Budget: 1},
+			{Vector: q, K: 3, Route: ansmet.RouteExact},
 			{Vector: q, K: 10, Route: ansmet.RouteHost, Filter: even},
 			{Vector: q, K: 0}, // rejected: counts a query, calls no shard
 		} {

@@ -51,10 +51,9 @@ func main() {
 	}
 
 	// The design's model over the database's rows and graph.
-	base := db.System()
 	cfg := core.DefaultSystemConfig(design)
 	cfg.Seed = *seed
-	sys, err := core.NewSystem(base.Rows(), base.Metric, base.Index, cfg)
+	sys, err := db.NewSystem(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,7 +15,7 @@
 // Endpoints:
 //
 //	POST /v1/search  {"query":[...], "k":10, "ef":64, "timeout_ms":500}
-//	                 optional "mode": "host" | "ndp" | "tiered" | "exact" | "auto",
+//	                 optional "mode": "host" | "exact" | "auto",
 //	                 optional "recall_target": (0, 1]; the X-ANSMET-Route
 //	                 response header names the engine that answered
 //	POST /v1/upsert  {"vector":[...]} or {"id":7,"vector":[...]} (-mutable)
@@ -232,26 +232,24 @@ func main() {
 //
 //   - no "mode", no "recall_target": the host beam, what SearchEfCtx runs on
 //     every database;
-//   - "mode": that route, "auto" asking the router;
-//   - "recall_target": the caller states the quality, so without a mode the
-//     query is RouteAuto with the target as its Budget — 1 is served by the
-//     exact scan, less by the tiered route at that cut — and with a mode the
-//     target is that route's budget.
+//   - "recall_target" with no mode or with "mode":"auto": the caller states
+//     the quality, and the exact scan meets every target;
+//   - any other "mode": that route, "auto" asking the router.
 //
 // Every outcome names the route that ran (the X-ANSMET-Route header).
 func wireSearch(cfg *serve.Config, do func(context.Context, *ansmet.Query) (serve.Outcome, error)) {
 	cfg.SearchPrecision = func(ctx context.Context, q []float32, k, ef int, mode string, rt float64) (serve.Outcome, error) {
-		route := ansmet.RouteAuto
-		switch {
-		case mode != "":
+		route := ansmet.RouteHost
+		if mode != "" {
 			var err error
 			if route, err = ansmet.ParseRoute(mode); err != nil {
 				return serve.Outcome{}, err
 			}
-		case rt == 0:
-			route = ansmet.RouteHost
 		}
-		return do(ctx, &ansmet.Query{Vector: q, K: k, Ef: ef, Route: route, Budget: rt})
+		if rt > 0 && (mode == "" || route == ansmet.RouteAuto) {
+			route = ansmet.RouteExact
+		}
+		return do(ctx, &ansmet.Query{Vector: q, K: k, Ef: ef, Route: route})
 	}
 }
 

@@ -1,13 +1,16 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ansmet"
 	"ansmet/internal/dataset"
+	"ansmet/internal/serve"
 )
 
 // TestOpenClusterDir: -cluster-dir restores when the directory holds a
@@ -45,5 +48,48 @@ func TestOpenClusterDir(t *testing.T) {
 	}
 	if rebuilt := open("shard files, no manifest"); !reflect.DeepEqual(rebuilt, built) {
 		t.Fatalf("rebuilt stats %+v, built %+v", rebuilt, built)
+	}
+}
+
+// TestWireSearch: the table by which wireSearch resolves a request's mode
+// and recall_target to the route of the Query it runs. A target with no mode
+// or with "auto" is met by the exact scan; a named mode runs that route; with
+// neither, the host beam runs; the NDP model's routes are not served.
+func TestWireSearch(t *testing.T) {
+	var cfg serve.Config
+	var got *ansmet.Query
+	wireSearch(&cfg, func(ctx context.Context, q *ansmet.Query) (serve.Outcome, error) {
+		got = q
+		return serve.Outcome{Route: q.Route.String()}, nil
+	})
+	for _, c := range []struct {
+		mode   string
+		target float64
+		want   ansmet.Route
+	}{
+		{"", 0, ansmet.RouteHost},
+		{"", 0.5, ansmet.RouteExact},
+		{"", 1, ansmet.RouteExact},
+		{"auto", 0, ansmet.RouteAuto},
+		{"auto", 0.5, ansmet.RouteExact},
+		{"host", 0, ansmet.RouteHost},
+		{"host", 0.5, ansmet.RouteHost},
+		{"exact", 0, ansmet.RouteExact},
+	} {
+		got = nil
+		out, err := cfg.SearchPrecision(context.Background(), []float32{1, 2}, 3, 8, c.mode, c.target)
+		if err != nil || got == nil || got.Route != c.want || out.Route != c.want.String() {
+			t.Fatalf("mode %q target %v: ran %+v (err %v), want %v", c.mode, c.target, got, err, c.want)
+		}
+		if got.K != 3 || got.Ef != 8 || len(got.Vector) != 2 {
+			t.Fatalf("mode %q target %v: query %+v does not carry the request", c.mode, c.target, got)
+		}
+	}
+	for _, mode := range []string{"ndp", "tiered"} {
+		got = nil
+		_, err := cfg.SearchPrecision(context.Background(), []float32{1, 2}, 3, 8, mode, 0)
+		if err == nil || got != nil || !strings.Contains(err.Error(), "auto, exact, host") {
+			t.Fatalf("mode %q: err %v, ran %+v; want an error naming auto, exact, host", mode, err, got)
+		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"ansmet/internal/core"
 	"ansmet/internal/dataset"
 	"ansmet/internal/engine"
+	"ansmet/internal/hnsw"
 	"ansmet/internal/sim"
 	"ansmet/internal/stats"
 )
@@ -44,7 +45,7 @@ var stepNames = [...]string{"0", "recAdd", "recDelete", "recUpdate", "stepDo", "
 
 var oddIDs = func(id uint32) bool { return id%2 == 1 }
 
-var allRoutes = []Route{RouteHost, RouteNDP, RouteTiered, RouteExact, RouteAuto}
+var allRoutes = []Route{RouteHost, RouteExact, RouteAuto}
 
 // contractScript is commitScript's stream of writes — refused ones and the
 // forced Maintain included, the stream TestJournalBytesUnchanged pins — with
@@ -210,12 +211,13 @@ func recallOf(got, truth []Neighbor) float64 {
 }
 
 // verify checks db against the model m: its rows and tombstones; the exact
-// scan ≡ the brute force in ids and distance bits, with the honest line
-// count, and the tiered route at budget 1 and auto at Budget 1 ≡ it, at k
-// past the population too; every beam's answer well-formed, and host ≡ ndp;
-// DoMany ≡ serial Do at k = 10. Without ndp it leaves out the routes over the
-// NDP model, and with them its build.
-func verify(t *testing.T, label string, db *Database, m contractModel, queries [][]float32, ndp bool) {
+// scan and auto ≡ the brute force in ids and distance bits, with the honest
+// line count, at k past the population too; every host beam's answer
+// well-formed; DoMany ≡ serial Do at k = 10. Given sys, an NDP-ETOpt model
+// over db fed every acknowledged add, it checks the model's routes against
+// the database's: its ndp beam ≡ the host beam, and its tiered query at
+// budget 1 ≡ the exact scan.
+func verify(t *testing.T, label string, db *Database, m contractModel, queries [][]float32, sys *core.System) {
 	t.Helper()
 	live := m.live(nil)
 	if db.Len() != len(m.rows) || db.Tombstones() != len(m.rows)-live {
@@ -226,12 +228,9 @@ func verify(t *testing.T, label string, db *Database, m contractModel, queries [
 			t.Fatalf("%s: row %d is %v (deleted %v); the model has %v (deleted %v)", label, id, got, db.Deleted(uint32(id)), want, m.dead[id])
 		}
 	}
-	plans := []Query{{K: 1, Route: RouteExact}, {K: live + 5, Route: RouteExact}, {K: live + 5, Route: RouteTiered, Budget: 1}}
-	for _, route := range []Route{RouteExact, RouteTiered, RouteAuto} {
-		plans = append(plans, Query{K: 10, Route: route, Budget: 1})
-	}
+	plans := []Query{{K: 1, Route: RouteExact}, {K: live + 5, Route: RouteExact}, {K: 10, Route: RouteExact}, {K: 10, Route: RouteAuto}}
 	for _, f := range []func(uint32) bool{nil, oddIDs} {
-		plans = append(plans, Query{K: 1, Route: RouteHost, Filter: f}, Query{K: 10, Route: RouteHost, Filter: f}, Query{K: 10, Route: RouteNDP, Filter: f})
+		plans = append(plans, Query{K: 1, Route: RouteHost, Filter: f}, Query{K: 10, Route: RouteHost, Filter: f})
 	}
 	truth := make([][]Neighbor, len(queries))
 	for qi, vec := range queries {
@@ -239,11 +238,12 @@ func verify(t *testing.T, label string, db *Database, m contractModel, queries [
 	}
 	plain := (len(m.rows[0])*m.elem.Bytes() + 63) / 64
 	ctx := context.Background()
-	var prev [][]Neighbor
+	var ndp func(Query) []Neighbor
+	var tiered func([]float32, int) []Neighbor
+	if sys != nil {
+		ndp, tiered = beamOver(db, sys.Index, sys.Cfg.BeamBatch, sys.NewWorkerEngine()), tieredOver(db, sys.NewWorkerEngine())
+	}
 	for _, p := range plans {
-		if !ndp && (p.Route == RouteNDP || p.Route == RouteTiered) {
-			continue
-		}
 		want := p.Route
 		if want == RouteAuto {
 			want = RouteExact
@@ -259,17 +259,19 @@ func verify(t *testing.T, label string, db *Database, m contractModel, queries [
 			}
 			checkAnswer(t, where, res.Neighbors, m, p.K, p.Filter)
 			switch {
-			case p.Route != RouteHost && p.Route != RouteNDP:
+			case p.Route != RouteHost:
 				sameBits(t, where+" ≡ brute force", res.Neighbors, truth[qi][:min(p.K, live)])
-				if want == RouteExact && res.Lines != live*plain {
+				if res.Lines != live*plain {
 					t.Fatalf("%s: %d lines, want %d live rows × %d", where, res.Lines, live, plain)
 				}
-			case p.Route == RouteNDP:
-				sameBits(t, where+" host ≡ ndp", prev[qi], res.Neighbors)
+				if sys != nil && p.Route == RouteExact && p.K > 1 {
+					sameBits(t, where+" exact ≡ tiered", res.Neighbors, tiered(vec, p.K))
+				}
+			case sys != nil:
+				sameBits(t, where+" host ≡ ndp", res.Neighbors, ndp(q))
 			}
 			serial[qi] = res.Neighbors
 		}
-		prev = serial
 		if p.K != 10 || p.Filter != nil {
 			continue
 		}
@@ -280,6 +282,39 @@ func verify(t *testing.T, label string, db *Database, m contractModel, queries [
 		for qi := range queries {
 			sameBits(t, fmt.Sprintf("%s: %v q%d DoMany ≡ Do", label, p.Route, qi), many[qi], serial[qi])
 		}
+	}
+}
+
+// ndpModel builds the NDP-ETOpt model over db with the database's seed: the
+// model the ndp beam and the tiered route run over.
+func ndpModel(t testing.TB, db *Database) *core.System {
+	t.Helper()
+	cfg := core.DefaultSystemConfig(core.NDPETOpt)
+	cfg.Seed = db.opts.Seed
+	sys, err := db.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// beamOver is the ndp beam: the host beam's traversal of a query, with db's
+// tombstone filter, over a model's index and batch on eng.
+func beamOver(db *Database, ix *hnsw.Index, batch int, eng engine.Engine) func(q Query) []Neighbor {
+	return func(q Query) []Neighbor {
+		qq := quantizeInto(make([]float32, len(q.Vector)), q.Vector, db.opts.Elem)
+		nn, _ := ix.SearchCancelInto(nil, qq, q.K, q.beam(), batch, db.combineFilter(q.Filter), eng, nil, nil)
+		return nn
+	}
+}
+
+// tieredOver is the tiered route at budget 1 on a model's ET engine.
+func tieredOver(db *Database, eng engine.Engine) func(vec []float32, k int) []Neighbor {
+	et := eng.(*core.ETEngine)
+	return func(vec []float32, k int) []Neighbor {
+		qq := quantizeInto(make([]float32, len(vec)), vec, db.opts.Elem)
+		nn, _ := et.TieredKNNInto(nil, qq, k, core.TieredOpts{Budget: 1}, nil)
+		return nn
 	}
 }
 
@@ -327,10 +362,11 @@ type harness struct {
 	acked   []scriptOp
 	probe   [][]float32 // the Do and DoMany steps' queries
 	// models are the NDP model at the cell's design at RecallTarget 1 and, on
-	// a cell with a target, at that target: built over the database as New
-	// left it, as its own model would be, and fed every acknowledged add (see
-	// write).
+	// a cell with a target, at that target; ndp is NDP-ETOpt's, the one verify
+	// checks the database's routes against. Each is built over the database as
+	// New left it and fed every acknowledged add (see write).
 	models []*sim.Model
+	ndp    *core.System
 }
 
 func newHarness(t *testing.T, c contractCell) *harness {
@@ -348,6 +384,7 @@ func newHarness(t *testing.T, c contractCell) *harness {
 		return db
 	}
 	h := &harness{t: t, queries: ds.Queries[:1], probe: ds.Queries[1:], db: build(c.opts), m: newContractModel(ds.Vectors, c.opts)}
+	h.ndp = ndpModel(t, h.db)
 	h.models = append(h.models, h.modelAt(c.design, 1))
 	if c.target > 0 && c.target < 1 {
 		h.models = append(h.models, h.modelAt(c.design, c.target))
@@ -357,7 +394,7 @@ func newHarness(t *testing.T, c contractCell) *harness {
 		imm.Mutable = false
 		unmutated := build(imm)
 		sameDatabase(t, "unmutated mutable ≡ immutable", unmutated, h.db, nil)
-		verify(t, "the immutable build", unmutated, h.m, h.queries, false)
+		verify(t, "the immutable build", unmutated, h.m, h.queries, nil)
 		h.snap = filepath.Join(t.TempDir(), "db.snap")
 		h.wal = WALName(h.snap)
 		if err := h.db.SaveFile(h.snap); err != nil {
@@ -397,27 +434,25 @@ func (h *harness) run(c contractCell, script []scriptOp) {
 			t.Logf("contract cell %v: steps 0..%d of %d, the shortest failing prefix:\n%s", c, step, len(script), goLiteral(script[:step+1]))
 		}
 	}()
-	verify(t, "build", h.db, h.m, h.queries, true)
+	verify(t, "build", h.db, h.m, h.queries, h.ndp)
 	for step = range script {
 		op := script[step]
 		h.step(op)
-		verify(t, fmt.Sprintf("step %d (%s)", step, stepNames[op.kind]), h.db, h.m, h.queries, true)
+		verify(t, fmt.Sprintf("step %d (%s)", step, stepNames[op.kind]), h.db, h.m, h.queries, h.ndp)
 	}
 	h.checkModels()
 }
 
 // modelAt builds the NDP model at a design point and a recall target over
 // the database's rows, graph and tombstones: the design's defaults with the
-// database's seed and the default platform, as a caller builds one over
-// db.System().
+// database's seed and the default platform.
 func (h *harness) modelAt(design core.Design, target float64) *sim.Model {
 	cfg := core.DefaultSystemConfig(design)
 	cfg.Seed = h.db.opts.Seed
-	sys, err := core.NewSystem(h.db.rows, h.db.opts.Metric, h.db.index, cfg)
+	sys, err := h.db.NewSystem(cfg)
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	sys.SetTombstones(h.db.tomb)
 	mcfg := sim.DefaultConfig()
 	mcfg.RecallTarget = target
 	m, err := sim.NewModel(sys, mcfg)
@@ -427,22 +462,12 @@ func (h *harness) modelAt(design core.Design, target float64) *sim.Model {
 	return m
 }
 
-// beamOver is the ndp route's traversal over a model at k = 10 and the
-// default ef, on a worker engine of its own.
-func (h *harness) beamOver(sys *sim.Model) func(vec []float32, f func(uint32) bool) []Neighbor {
-	db, eng := h.db, sys.NewWorkerEngine()
-	return func(vec []float32, f func(uint32) bool) []Neighbor {
-		qq := quantizeInto(make([]float32, len(vec)), vec, db.opts.Elem)
-		return sys.Index.SearchFilteredInto(qq, 10, engine.DefaultEf(10), sys.Cfg.BeamBatch, db.combineFilter(f), eng, nil, nil)
-	}
-}
-
 // checkModels checks the state the script left under the models, over the
 // probe queries, filtered and not. At RecallTarget 1 the model has no
-// precision map, and its beam is bitwise the database's ndp beam whatever
+// precision map, and its beam is bitwise the database's host beam whatever
 // its design — early termination never changes an answer — and on an ET
-// design its tiered query at budget 1 is bitwise the database's tiered
-// route. At a target in (0, 1) the adaptive beam trades exactness for lines,
+// design its tiered query at budget 1 is bitwise the database's exact scan.
+// At a target in (0, 1) the adaptive beam trades exactness for lines,
 // keeping recall: its recall@10 against the brute force is within 0.05 of
 // the target or of the host beam's over the same graph, whichever is lower.
 func (h *harness) checkModels() {
@@ -452,25 +477,24 @@ func (h *harness) checkModels() {
 	if one.Precision != nil {
 		t.Fatal("RecallTarget 1 built a precision map")
 	}
-	beam := h.beamOver(one)
+	beam := beamOver(db, one.Index, one.Cfg.BeamBatch, one.NewWorkerEngine())
 	for qi, vec := range h.probe {
 		for _, f := range []func(uint32) bool{nil, oddIDs} {
-			res, err := db.Do(ctx, &Query{Vector: vec, K: 10, Route: RouteNDP, Filter: f})
+			res, err := db.Do(ctx, &Query{Vector: vec, K: 10, Route: RouteHost, Filter: f})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameBits(t, fmt.Sprintf("%v at RecallTarget 1: q%d filter=%v beam ≡ ndp", one.Cfg.Design, qi, f != nil), beam(vec, f), res.Neighbors)
+			sameBits(t, fmt.Sprintf("%v at RecallTarget 1: q%d filter=%v beam ≡ host", one.Cfg.Design, qi, f != nil), beam(Query{Vector: vec, K: 10, Filter: f}), res.Neighbors)
 		}
 		if one.Store == nil {
 			continue
 		}
-		res, err := db.Do(ctx, &Query{Vector: vec, K: 10, Route: RouteTiered, Budget: 1})
+		res, err := db.Do(ctx, &Query{Vector: vec, K: 10, Route: RouteExact})
 		if err != nil {
 			t.Fatal(err)
 		}
-		qq := quantizeInto(make([]float32, len(vec)), vec, db.opts.Elem)
-		got, _ := one.NewWorkerEngine().(*core.ETEngine).TieredKNNInto(nil, qq, 10, core.TieredOpts{Budget: 1}, nil)
-		sameBits(t, fmt.Sprintf("%v at RecallTarget 1: q%d tiered ≡ tiered", one.Cfg.Design, qi), got, res.Neighbors)
+		got := tieredOver(db, one.NewWorkerEngine())(vec, 10)
+		sameBits(t, fmt.Sprintf("%v at RecallTarget 1: q%d tiered ≡ exact", one.Cfg.Design, qi), got, res.Neighbors)
 	}
 	if len(h.models) == 1 {
 		return
@@ -481,7 +505,7 @@ func (h *harness) checkModels() {
 	if sys.Precision == nil {
 		t.Fatalf("RecallTarget %v built no precision map", target)
 	}
-	adaptive := h.beamOver(sys)
+	adaptive := beamOver(db, sys.Index, sys.Cfg.BeamBatch, sys.NewWorkerEngine())
 	var recall [2]float64 // the adaptive beam's, the host beam's
 	for _, f := range []func(uint32) bool{nil, oddIDs} {
 		for _, vec := range h.probe {
@@ -493,7 +517,7 @@ func (h *harness) checkModels() {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, nn := range [][]Neighbor{adaptive(vec, f), host.Neighbors} {
+			for i, nn := range [][]Neighbor{adaptive(Query{Vector: vec, K: 10, Filter: f}), host.Neighbors} {
 				recall[i] += recallOf(nn, truth[:10]) / float64(2*len(h.probe))
 			}
 		}
@@ -575,13 +599,20 @@ func (h *harness) write(op scriptOp) {
 		t.Fatalf("%s of id %d: %v; the model says %v", kindNames[op.kind], op.id, err, want)
 	}
 	if want == nil && op.kind != recDelete {
-		// The new id's slot, as applyAdd appends it to the database's model.
+		// The new id's slot in every model over the database.
 		id := uint32(len(h.m.rows) - 1)
+		var stores []*core.Store
+		if h.ndp != nil {
+			stores = append(stores, h.ndp.Store)
+		}
 		for _, sys := range h.models {
-			if sys.Store == nil {
+			stores = append(stores, sys.Store)
+		}
+		for _, st := range stores {
+			if st == nil {
 				continue
 			}
-			if err := sys.Store.AppendVector(id, h.m.rows[id]); err != nil {
+			if err := st.AppendVector(id, h.m.rows[id]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -640,7 +671,7 @@ func (h *harness) cut(at int) {
 	if got := rec.Stats().WALReplayed; got != uint64(m) {
 		t.Fatalf("%s: replayed %d", label, got)
 	}
-	verify(t, label, rec, h.history[m], h.queries, true)
+	verify(t, label, rec, h.history[m], h.queries, ndpModel(t, rec))
 	if _, err := rec.Add(h.queries[0]); err != nil {
 		t.Fatalf("%s: the recovered journal refuses a write: %v", label, err)
 	}
@@ -651,7 +682,7 @@ func (h *harness) cut(at int) {
 // model.
 func (h *harness) reloaded(label string, back *Database) {
 	sameDatabase(h.t, label, h.db, back, nil)
-	verify(h.t, label, back, h.m, h.queries, true)
+	verify(h.t, label, back, h.m, h.queries, ndpModel(h.t, back))
 }
 
 // doCells runs Do on one query in every route × {background, live, expired,
@@ -693,7 +724,7 @@ func (h *harness) doCells(vec []float32) {
 							!errors.Is(err, ck.ctxErr) || !sameError(badErr, err) {
 							t.Fatalf("%s: err %v, %v (wrong dimension: %v); want an aborted %v", where, err, got.Neighbors, badErr, ck.wantErr)
 						}
-					case f != nil && (route == RouteTiered || route == RouteExact):
+					case f != nil && route == RouteExact:
 						if !errors.Is(err, errFilterRoute) || !IsInvalidInput(err) || got.Neighbors != nil {
 							t.Fatalf("%s: err %v, want errFilterRoute", where, err)
 						}
@@ -712,16 +743,16 @@ func (h *harness) doCells(vec []float32) {
 						if reuse && len(got.Neighbors) > 0 && &got.Neighbors[0] != &q.Dst[:1][0] {
 							t.Fatalf("%s: the results did not land in Dst", where)
 						}
-						if scan := want == RouteExact || want == RouteTiered; scan != (got.Lines > 0) {
+						if scan := want == RouteExact; scan != (got.Lines > 0) {
 							t.Fatalf("%s: route %v reports %d lines", where, want, got.Lines)
 						}
-						if f == nil && (want == RouteExact || want == RouteTiered) {
+						if f == nil && want == RouteExact {
 							sameBits(t, where+" ≡ brute force", got.Neighbors, truth)
 						}
 						if ck.name == "background" {
 							ref = got
 							ref.Neighbors = slices.Clone(got.Neighbors)
-						} else if got.Route != ref.Route || got.Lines != ref.Lines || got.Tiered != ref.Tiered {
+						} else if got.Route != ref.Route || got.Lines != ref.Lines {
 							t.Fatalf("%s: a context that never fires changed the answer: %+v, background %+v", where, got, ref)
 						} else {
 							sameBits(t, where+" ≡ background", got.Neighbors, ref.Neighbors)
@@ -731,7 +762,7 @@ func (h *harness) doCells(vec []float32) {
 			}
 		}
 	}
-	if st := db.RouterStats(); st.Host == 0 || st.NDP == 0 || st.Exact == 0 || st.Tiered == 0 {
+	if st := db.RouterStats(); st.Host == 0 || st.Exact == 0 {
 		t.Fatalf("the router did not count every route it ran: %+v", st)
 	}
 }
@@ -739,13 +770,13 @@ func (h *harness) doCells(vec []float32) {
 // doMany checks one DoMany plan against serial Do, and an expired batch.
 func (h *harness) doMany(at int) {
 	t, db, ctx, queries := h.t, h.db, context.Background(), h.probe[:4]
-	plan := Query{K: 10, Route: allRoutes[at%5]}
+	plan := Query{K: 10, Route: allRoutes[at%len(allRoutes)]}
 	if at/5%2 == 1 {
 		plan.Filter = oddIDs
 	}
 	where := fmt.Sprintf("DoMany %v filter=%v", plan.Route, plan.Filter != nil)
 	many, route, err := db.DoMany(ctx, queries, &plan, 1+at/10%4)
-	if plan.Filter != nil && (plan.Route == RouteTiered || plan.Route == RouteExact) {
+	if plan.Filter != nil && plan.Route == RouteExact {
 		if !errors.Is(err, errFilterRoute) || many != nil {
 			t.Fatalf("%s: err %v, want errFilterRoute", where, err)
 		}
@@ -914,7 +945,7 @@ func runSharded(t *testing.T, c shardedCell) {
 		t.Fatal(err)
 	}
 	m := newContractModel(ds.Vectors, c.build)
-	verify(t, "unsharded", db, m, ds.Queries, true)
+	verify(t, "unsharded", db, m, ds.Queries, ndpModel(t, db))
 	ctx := context.Background()
 	reach := func(where string, found int) {
 		if c.reach && found != c.n {
@@ -948,38 +979,29 @@ func runSharded(t *testing.T, c shardedCell) {
 				}
 				truth := m.topK(vec, c.n)
 				for _, k := range []int{1, 10, 40, c.n + 5} {
-					for _, q := range []Query{{Route: RouteExact}, {Route: RouteTiered, Budget: 1}, {Budget: 1}, {}} {
-						q.Vector, q.K = vec, k
-						want := q.Route // auto: the quality route, or the exact scan a Budget of 1 asks for
-						if want == RouteAuto {
-							want = RouteExact
-						}
-						sameBits(t, fmt.Sprintf("%s %v k=%d ≡ brute force", where, q.Route, k), do(where, q, want), truth[:min(k, c.n)])
+					for _, route := range []Route{RouteExact, RouteAuto} {
+						q := Query{Vector: vec, K: k, Route: route} // auto: the quality route
+						sameBits(t, fmt.Sprintf("%s %v k=%d ≡ brute force", where, route, k), do(where, q, RouteExact), truth[:min(k, c.n)])
 					}
 				}
 				for _, ef := range c.efs {
 					for _, k := range c.ks {
 						for _, f := range []func(uint32) bool{nil, func(id uint32) bool { return id%3 == 0 }} {
-							for _, route := range []Route{RouteHost, RouteNDP} {
-								q := Query{Vector: vec, K: k, Ef: ef, Route: route, Filter: f}
-								label := fmt.Sprintf("%s %v ef=%d k=%d filter=%v", where, route, ef, k, f != nil)
-								want, err := db.Do(ctx, &q)
-								if err != nil {
-									t.Fatal(err)
-								}
-								got := do(label, q, route)
-								checkAnswer(t, label, got, m, k, f)
-								sameBits(t, label+" ≡ unsharded", got, want.Neighbors)
+							q := Query{Vector: vec, K: k, Ef: ef, Route: RouteHost, Filter: f}
+							label := fmt.Sprintf("%s ef=%d k=%d filter=%v", where, ef, k, f != nil)
+							want, err := db.Do(ctx, &q)
+							if err != nil {
+								t.Fatal(err)
 							}
+							got := do(label, q, RouteHost)
+							checkAnswer(t, label, got, m, k, f)
+							sameBits(t, label+" ≡ unsharded", got, want.Neighbors)
 						}
 					}
 				}
-				for _, route := range []Route{RouteTiered, RouteExact} {
-					if _, err := cl.Do(ctx, &Query{Vector: vec, K: 10, Route: route, Filter: oddIDs}); !errors.Is(err, errFilterRoute) {
-						t.Fatalf("%s: a filtered %v query: %v, want errFilterRoute", where, route, err)
-					}
+				if _, err := cl.Do(ctx, &Query{Vector: vec, K: 10, Route: RouteExact, Filter: oddIDs}); !errors.Is(err, errFilterRoute) {
+					t.Fatalf("%s: a filtered exact query: %v, want errFilterRoute", where, err)
 				}
-				checkAnswer(t, where+" auto at Budget 0.999", do(where, Query{Vector: vec, K: 10, Budget: 0.999}, RouteTiered), m, 10, nil)
 			}
 			expired, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
 			var ce *CancelError
@@ -1105,7 +1127,7 @@ func TestWALCrashPointEveryOffset(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			verify(t, label+" reference", refs[m], h.history[m], queries, true)
+			verify(t, label+" reference", refs[m], h.history[m], queries, ndpModel(t, refs[m]))
 			qs = queries
 		}
 		sameDatabase(t, label, refs[m], rec, qs)
@@ -1295,7 +1317,7 @@ func TestConcurrentMutateSearch(t *testing.T) {
 		}
 		stop.Store(true)
 	}()
-	routes := []Route{RouteHost, RouteTiered, RouteExact, RouteNDP}
+	routes := []Route{RouteHost, RouteExact}
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -1361,6 +1383,6 @@ func TestConcurrentMutateSearch(t *testing.T) {
 	if got := rec.Stats().WALReplayed; got != uint64(len(acked)) {
 		t.Fatalf("replayed %d of %d acknowledged writes", got, len(acked))
 	}
-	verify(t, "recovered", rec, m, ds.Queries[:1], false)
+	verify(t, "recovered", rec, m, ds.Queries[:1], nil)
 	sameDatabase(t, "recovered ≡ the history applied directly", ref, rec, nil)
 }

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// searchCtx drives Do the way the cancellation tests need it: the ndp route
+// searchCtx drives Do the way the cancellation tests need it: the host beam
 // at the default beam width under ctx.
 func searchCtx(ctx context.Context, db *Database, q []float32, k int) ([]Neighbor, error) {
-	res, err := db.Do(ctx, &Query{Vector: q, K: k, Route: RouteNDP})
+	res, err := db.Do(ctx, &Query{Vector: q, K: k, Route: RouteHost})
 	return res.Neighbors, err
 }
 
@@ -57,7 +57,7 @@ func TestSearchManyCtxMidCancel(t *testing.T) {
 		queries[i], _ = db.Vector(uint32(i))
 	}
 	const cancelAt = 8
-	out, _, err := db.DoMany(newNthErrCtx(cancelAt+2), queries, &Query{K: 3, Ef: 10, Route: RouteNDP}, 1)
+	out, _, err := db.DoMany(newNthErrCtx(cancelAt+2), queries, &Query{K: 3, Ef: 10, Route: RouteHost}, 1)
 	var ce *CancelError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CancelError", err)

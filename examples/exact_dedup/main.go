@@ -4,11 +4,11 @@
 // compliance problem, so the answer must be exact. ANSMET's early
 // termination keeps it exact while skipping most of the data of
 // clearly-unrelated items (the paper's §4.1 point that the bounds also
-// accelerate accurate kNN): the tiered route at budget 1 orders the catalog
-// by cheap partial-bit bounds and re-ranks only what the bounds cannot rule
-// out. The comparison below shows its fetch savings against the plain
-// brute-force scan of the exact route, and that the two answers are the
-// same.
+// accelerate accurate kNN): the NDP model's tiered route at budget 1 orders
+// the catalog by cheap partial-bit bounds and re-ranks only what the bounds
+// cannot rule out. The comparison below shows its fetch savings against the
+// plain brute-force scan of the database's exact route, and that the two
+// answers are the same.
 package main
 
 import (
@@ -17,6 +17,7 @@ import (
 	"log"
 
 	"ansmet"
+	"ansmet/internal/core"
 	"ansmet/internal/dataset"
 )
 
@@ -39,16 +40,20 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// The NDP model over the catalog: the bit-plane store the tiered route
+	// bounds from.
+	sys, err := db.NewSystem(core.DefaultSystemConfig(core.NDPETOpt))
+	if err != nil {
+		log.Fatal(err)
+	}
+	// A stored vector is already quantized, as the model's engines expect.
 	probe, ok := db.Vector(7)
 	if !ok {
 		log.Fatal("vector 7 missing")
 	}
 	const k = 20
-	res, err := db.Do(context.Background(), &ansmet.Query{Vector: probe, K: k, Route: ansmet.RouteTiered, Budget: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	nn, st := res.Neighbors, res.Tiered
+	et := sys.NewWorkerEngine().(*core.ETEngine)
+	nn, st := et.TieredKNNInto(nil, probe, k, core.TieredOpts{Budget: 1}, nil)
 	lines := st.BoundLines + st.RerankLines
 
 	// The exact route scans every row whole: the reference answer and the

@@ -36,13 +36,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base := db.System()
 
 	var baseQPS, baseMJ float64
 	for _, d := range core.AllDesigns {
 		cfg := core.DefaultSystemConfig(d)
 		cfg.Seed = 7
-		sys, err := core.NewSystem(base.Rows(), base.Metric, base.Index, cfg)
+		sys, err := db.NewSystem(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"ansmet"
+	"ansmet/internal/core"
 )
 
 func main() {
@@ -47,8 +48,11 @@ func main() {
 	}
 
 	// The search ran on the host's SIMD kernels; the paper's NDP model is
-	// built when something asks for it, as System does.
-	sys := db.System()
+	// built over the database on request.
+	sys, err := db.NewSystem(core.DefaultSystemConfig(core.NDPETOpt))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\npreprocessing: %d lines/vector, common prefix %d bits (saves %.1f%% storage)\n",
 		sys.Store.SlotLines(), sys.Store.Prefix.PrefixLen, sys.Store.SpaceSavedFraction()*100)
 }

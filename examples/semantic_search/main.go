@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"ansmet"
+	"ansmet/internal/core"
 	"ansmet/internal/sim"
 )
 
@@ -80,7 +81,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	model, err := sim.NewModel(db.System(), sim.DefaultConfig()) // the simulated NDP platform
+	sys, err := db.NewSystem(core.DefaultSystemConfig(core.NDPETOpt))
+	if err != nil {
+		log.Fatal(err)
+	}
+	model, err := sim.NewModel(sys, sim.DefaultConfig()) // the simulated NDP platform
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"ansmet/internal/core"
 	"ansmet/internal/dataset"
 	"ansmet/internal/engine"
 )
@@ -71,15 +72,22 @@ func sameBits(t *testing.T, label string, a, b []Neighbor) {
 }
 
 // searcher is what the identity is checked through: a Database or a
-// Cluster, one query or a batch.
+// Cluster, one query or a batch, and the NDP model's routes over the same
+// vectors.
 type searcher struct {
 	name string
 	do   func(q *Query) ([]Neighbor, Route, error)
 	// many is nil where there is no batch entry (Cluster).
 	many func(queries [][]float32, plan *Query) ([][]Neighbor, Route, error)
+	// ndp is the model's beam over the searcher's own graph; nil where there
+	// is none (Cluster: every shard has its own graph).
+	ndp func(q Query) []Neighbor
+	// tiered is the model's tiered query at budget 1.
+	tiered func(vec []float32, k int) []Neighbor
 }
 
-func dbSearcher(db *Database) searcher {
+// dbSearcher checks db against sys, an NDP-ETOpt model built over it.
+func dbSearcher(db *Database, sys *core.System) searcher {
 	ctx := context.Background()
 	return searcher{"Do",
 		func(q *Query) ([]Neighbor, Route, error) {
@@ -88,24 +96,28 @@ func dbSearcher(db *Database) searcher {
 		},
 		func(queries [][]float32, plan *Query) ([][]Neighbor, Route, error) {
 			return db.DoMany(ctx, queries, plan, 3)
-		}}
+		},
+		beamOver(db, sys.Index, sys.Cfg.BeamBatch, sys.NewWorkerEngine()),
+		tieredOver(db, sys.NewWorkerEngine())}
 }
 
-func clusterSearcher(cl *Cluster) searcher {
+// clusterSearcher checks cl against sys, the model over the unsharded
+// database of the same vectors.
+func clusterSearcher(cl *Cluster, db *Database, sys *core.System) searcher {
 	return searcher{name: "Cluster.Do", do: func(q *Query) ([]Neighbor, Route, error) {
 		res, err := cl.Do(context.Background(), q)
 		if err == nil && res.Partial {
 			err = errors.New("partial cluster answer")
 		}
 		return res.Neighbors, res.Route, err
-	}}
+	}, tiered: tieredOver(db, sys.NewWorkerEngine())}
 }
 
 // checkIdentity drives one searcher through {K 1/10} × {Ef default/128} ×
-// {nil, non-nil Filter}: host ≡ ndp and exact ≡ tiered at budget 1, in ids
-// and distance bits, for single queries and (where there is one) the batch
-// entry. live is the number of live vectors behind the searcher, deleted
-// the acknowledged deletes.
+// {nil, non-nil Filter}: host ≡ the model's ndp beam and exact ≡ its tiered
+// query at budget 1, in ids and distance bits, for single queries and (where
+// there is one) the batch entry. live is the number of live vectors behind
+// the searcher, deleted the acknowledged deletes.
 func checkIdentity(t *testing.T, name string, s searcher, queries [][]float32, live int, deleted map[uint32]bool) {
 	t.Helper()
 	odd := func(id uint32) bool { return id%2 == 1 }
@@ -140,7 +152,9 @@ func checkIdentity(t *testing.T, name string, s searcher, queries [][]float32, l
 					q := plan
 					q.Vector = vec
 					host := run(label, q, RouteHost)
-					sameBits(t, fmt.Sprintf("%s q%d host≡ndp", label, qi), host, run(label, q, RouteNDP))
+					if s.ndp != nil {
+						sameBits(t, fmt.Sprintf("%s q%d host≡ndp", label, qi), host, s.ndp(q))
+					}
 					if len(host) != k {
 						t.Fatalf("%s q%d: %d results, want %d", label, qi, len(host), k)
 					}
@@ -149,28 +163,24 @@ func checkIdentity(t *testing.T, name string, s searcher, queries [][]float32, l
 				if s.many == nil {
 					continue
 				}
-				host, ndp := batch(label, plan, RouteHost), batch(label, plan, RouteNDP)
+				host := batch(label, plan, RouteHost)
 				for qi := range queries {
-					sameBits(t, fmt.Sprintf("%s q%d DoMany host≡ndp", label, qi), host[qi], ndp[qi])
 					sameBits(t, fmt.Sprintf("%s q%d DoMany≡Do", label, qi), host[qi], serial[qi])
 				}
 			}
 		}
 		label := fmt.Sprintf("%s/%s k=%d", name, s.name, k)
-		one := Query{K: k, Budget: 1}
 		for qi, vec := range queries {
-			q := one
-			q.Vector = vec
-			exact := run(label, q, RouteExact)
-			sameBits(t, fmt.Sprintf("%s q%d exact≡tiered", label, qi), exact, run(label, q, RouteTiered))
+			exact := run(label, Query{Vector: vec, K: k}, RouteExact)
+			sameBits(t, fmt.Sprintf("%s q%d exact≡tiered", label, qi), exact, s.tiered(vec, k))
 			if len(exact) != min(k, live) {
 				t.Fatalf("%s q%d: exact returned %d of %d live", label, qi, len(exact), live)
 			}
 		}
 		if s.many != nil {
-			exact, tiered := batch(label, one, RouteExact), batch(label, one, RouteTiered)
-			for qi := range queries {
-				sameBits(t, fmt.Sprintf("%s q%d DoMany exact≡tiered", label, qi), exact[qi], tiered[qi])
+			exact := batch(label, Query{K: k}, RouteExact)
+			for qi, vec := range queries {
+				sameBits(t, fmt.Sprintf("%s q%d DoMany exact≡tiered", label, qi), exact[qi], s.tiered(vec, k))
 			}
 		}
 	}
@@ -212,7 +222,7 @@ func checkBatchedIdentity(t *testing.T, name string, db *Database, queries [][]f
 						batched, _ := db.index.SearchCancelInto(nil, qq, k, plan.beam(), batch, filter, host, nil, nil)
 						perID, _ := db.index.SearchCancelInto(nil, qq, k, plan.beam(), batch, filter, hidden, nil, nil)
 						sameBits(t, label+" batched≡per-id", batched, perID)
-						if batch != db.cfg.BeamBatch {
+						if batch != engine.BeamBatch {
 							continue
 						}
 						res, err := db.Do(context.Background(), &plan)
@@ -227,11 +237,12 @@ func checkBatchedIdentity(t *testing.T, name string, db *Database, queries [][]f
 	}
 }
 
-// TestHostEquivalence pins the contract the host defaults rest on: the host
-// beam returns what the ndp beam returns and the exact scan what the tiered
-// route returns at budget 1 — the same
-// ids and the same distance bits — for every K, Ef, Filter and tombstone
-// state, through Do, DoMany and a 4-shard Cluster.Do. The engines differ in
+// TestHostEquivalence pins the contract the host routes rest on: the host
+// beam returns what the NDP model's ndp beam returns and the exact scan what
+// its tiered route returns at budget 1 — the same ids and the same distance
+// bits — for every K, Ef, Filter and tombstone state, through Do, DoMany and
+// (the exact scan) a 4-shard Cluster.Do. The model is built over the
+// database with NewSystem at each state checked. The engines differ in
 // how a distance is computed (SIMD over a row against bit planes fetched
 // until a bound decides), never in which distance: a fully-fetched bound is
 // bitwise the exact distance, and an early-termination reject is sound. Under
@@ -249,8 +260,9 @@ func TestHostEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkIdentity(t, hc.name, dbSearcher(db), hc.queries, db.Len(), nil)
-		if st := db.System().Store; hc.wantOutliers && (st.Prefix.PrefixLen == 0 || st.NumOutliers() == 0) {
+		sys := ndpModel(t, db)
+		checkIdentity(t, hc.name, dbSearcher(db, sys), hc.queries, db.Len(), nil)
+		if st := sys.Store; hc.wantOutliers && (st.Prefix.PrefixLen == 0 || st.NumOutliers() == 0) {
 			t.Fatalf("%s: prefix %d bits, %d outliers: the backup re-check path is not exercised", hc.name, st.Prefix.PrefixLen, st.NumOutliers())
 		}
 		checkBatchedIdentity(t, hc.name, db, hc.queries)
@@ -266,7 +278,7 @@ func TestHostEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkIdentity(t, hc.name, clusterSearcher(cl), hc.queries, cl.Len(), nil)
+		checkIdentity(t, hc.name, clusterSearcher(cl, db, sys), hc.queries, cl.Len(), nil)
 
 		// Mutable: deletes and appends, one forced repair, then a few more
 		// deletes left pending.
@@ -297,7 +309,7 @@ func TestHostEquivalence(t *testing.T) {
 		if mdb.Stats().PendingRepair != 2 {
 			t.Fatalf("%s: %d repairs pending, want 2", hc.name, mdb.Stats().PendingRepair)
 		}
-		checkIdentity(t, hc.name+"/mutable", dbSearcher(mdb), hc.queries, mdb.Len()-len(deleted), deleted)
+		checkIdentity(t, hc.name+"/mutable", dbSearcher(mdb, ndpModel(t, mdb)), hc.queries, mdb.Len()-len(deleted), deleted)
 		checkBatchedIdentity(t, hc.name+"/mutable", mdb, hc.queries)
 	}
 
@@ -309,7 +321,7 @@ func TestHostEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys := db.System()
+		sys := ndpModel(t, db)
 		s := db.getScratch()
 		defer db.putScratch(s)
 		host, ndp := db.hostEngine(s), sys.NewWorkerEngine()

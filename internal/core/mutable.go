@@ -24,10 +24,10 @@ import (
 // publishes the id, and a searcher captures its graph view before it pins the
 // store and the slab — so every id the traversal can produce is backed by
 // encoded data in the engine's snapshot and by a row in its slab view. A
-// store built late, over a slab that has already grown, keeps the argument
-// word for word if it is built and attached under the lock the writer holds:
-// it starts with a slot for every row, and each later append adds its own
-// before the graph learns the id.
+// database's Add publishes the row and the graph node itself, so a model
+// built over a database (Database.NewSystem) cannot take that order: its
+// caller feeds each acknowledged add to AppendVector and searches the model
+// once it has.
 
 // storeDyn is one published snapshot of the store's growable arrays.
 type storeDyn struct {

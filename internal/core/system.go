@@ -39,7 +39,7 @@ func DefaultSystemConfig(d Design) SystemConfig {
 		SampleSize: 100,
 		LayoutOpts: layout.DefaultOptions(),
 		Seed:       1,
-		BeamBatch:  8,
+		BeamBatch:  engine.BeamBatch,
 	}
 }
 
@@ -172,9 +172,8 @@ func (s *System) Live() func(uint32) bool { return s.live }
 func (s *System) Rows() *rows.Slab { return s.rows }
 
 // NewWorkerEngine is the one place an engine over this system is made —
-// engines are not safe for concurrent use, so every searcher (each scratch
-// of the serving database, each worker of a simulated run) needs one of its
-// own. An ET design gets the store's engine with the tombstone set; a Base
+// engines are not safe for concurrent use, so every searcher (each worker
+// of a simulated run) needs one of its own. An ET design gets the store's engine with the tombstone set; a Base
 // design gets the exact engine over the rows. What only the platform model
 // adds (rank-local termination, adaptive precision) sim.Model sets on it.
 func (s *System) NewWorkerEngine() engine.Engine {

@@ -18,28 +18,26 @@ type Route int32
 const (
 	// RouteAuto lets the router decide.
 	RouteAuto Route = iota
-	// RouteNDP is the approximate beam search over the NDP-sim engine: the
-	// bit-plane early-termination compare, the paper's reference path.
-	RouteNDP
-	// RouteTiered is the two-stage bound-first/exact-rerank pipeline:
-	// exact answers (at Budget 1) at a fraction of the line traffic of a
-	// full scan.
-	RouteTiered
 	// RouteExact is the exact scan over row-major vectors with the SIMD
 	// kernels — correct regardless of the bound machinery's health.
 	RouteExact
-	// RouteHost is the same beam search as RouteNDP with the host compare
-	// engine (row-major vectors, SIMD kernels) under it: the same answers
-	// bit for bit.
+	// RouteHost is the HNSW beam search with the host compare engine
+	// (row-major vectors, SIMD kernels) under it.
 	RouteHost
 	// NumRoutes sizes per-route tables; every Route below it has a name.
 	NumRoutes
 )
 
+// BeamBatch is the number of candidates the beam search pops per base-layer
+// hop (delayed synchronization). The host beam and the NDP model's default
+// configuration (core.DefaultSystemConfig) both read it, so the served beam
+// and the modelled one are the same traversal.
+const BeamBatch = 8
+
 // routeNames is the single list of routes: String, ParseRoute (and so the
 // serve layer's mode validation, its 400 text and its per-route counters)
 // all read it.
-var routeNames = [NumRoutes]string{"auto", "ndp", "tiered", "exact", "host"}
+var routeNames = [NumRoutes]string{"auto", "exact", "host"}
 
 // String names the route (stable, used as wire values by the serve layer).
 func (r Route) String() string {
@@ -144,22 +142,20 @@ func (r *Router) CostNs(route Route) uint64 {
 
 // RouterSnapshot is a plain-value copy of the router's counters.
 type RouterSnapshot struct {
-	NDP, Tiered, Exact, Host uint64 // queries executed per route
-	InFlight                 int64
-	CostNs                   map[string]uint64 // per-route EWMA cost (observed routes only)
+	Exact, Host uint64 // queries executed per route
+	InFlight    int64
+	CostNs      map[string]uint64 // per-route EWMA cost (observed routes only)
 }
 
 // Snapshot copies the current counters.
 func (r *Router) Snapshot() RouterSnapshot {
 	s := RouterSnapshot{
-		NDP:      r.routed[RouteNDP].Load(),
-		Tiered:   r.routed[RouteTiered].Load(),
 		Exact:    r.routed[RouteExact].Load(),
 		Host:     r.routed[RouteHost].Load(),
 		InFlight: r.inflight.Load(),
 		CostNs:   map[string]uint64{},
 	}
-	for route := RouteNDP; route < NumRoutes; route++ {
+	for route := RouteAuto + 1; route < NumRoutes; route++ {
 		if c := r.CostNs(route); c != 0 {
 			s.CostNs[route.String()] = c
 		}

@@ -14,13 +14,13 @@ func TestParseRoute(t *testing.T) {
 		err  bool
 	}{
 		{"auto", RouteAuto, false},
-		{"ndp", RouteNDP, false},
-		{"tiered", RouteTiered, false},
 		{"exact", RouteExact, false},
 		{"host", RouteHost, false},
 		{"", 0, true}, // the serve layer never forwards an absent mode
 		{"fast", 0, true},
 		{"NDP", 0, true},
+		{"ndp", 0, true},    // the bit-plane beam is the model's, not a served route
+		{"tiered", 0, true}, // likewise the bound-then-rerank scan
 	}
 	for _, c := range cases {
 		got, err := ParseRoute(c.in)
@@ -61,10 +61,9 @@ func TestDecidePolicy(t *testing.T) {
 	}
 
 	// With an estimate, slack gates the choice at safetyFactor x cost; the
-	// beam's own cost plays no part, nor does any other route's.
+	// beam's own cost plays no part.
 	r.Observe(RouteExact, time.Millisecond)
 	r.Observe(RouteHost, time.Hour)
-	r.Observe(RouteTiered, time.Nanosecond)
 	if got := r.Decide(10 * time.Millisecond); got != RouteExact {
 		t.Fatalf("ample slack: %v", got)
 	}
@@ -89,15 +88,15 @@ func TestDecidePolicy(t *testing.T) {
 
 func TestObserveEWMA(t *testing.T) {
 	r := NewRouter()
-	if r.CostNs(RouteTiered) != 0 {
+	if r.CostNs(RouteHost) != 0 {
 		t.Fatal("cost before any observation")
 	}
-	r.Observe(RouteTiered, 1000*time.Nanosecond)
-	if got := r.CostNs(RouteTiered); got != 1000 {
+	r.Observe(RouteHost, 1000*time.Nanosecond)
+	if got := r.CostNs(RouteHost); got != 1000 {
 		t.Fatalf("first observation seeds directly: %d", got)
 	}
-	r.Observe(RouteTiered, 2000*time.Nanosecond)
-	if got := r.CostNs(RouteTiered); got != 1200 {
+	r.Observe(RouteHost, 2000*time.Nanosecond)
+	if got := r.CostNs(RouteHost); got != 1200 {
 		t.Fatalf("EWMA(0.2) of 1000,2000: %d", got)
 	}
 	// A zero-length sample is clamped to 1 ns: the estimate never returns to
@@ -123,8 +122,8 @@ func TestRouterSnapshotAndConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				r.Begin()
-				r.Record(RouteTiered)
-				r.Observe(RouteTiered, time.Duration(i+1)*time.Microsecond)
+				r.Record(RouteHost)
+				r.Observe(RouteHost, time.Duration(i+1)*time.Microsecond)
 				r.Decide(NoDeadline)
 				r.End()
 			}
@@ -132,10 +131,10 @@ func TestRouterSnapshotAndConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 	s := r.Snapshot()
-	if s.Tiered != 1600 || s.InFlight != 0 {
+	if s.Host != 1600 || s.InFlight != 0 {
 		t.Fatalf("snapshot after concurrent use: %+v", s)
 	}
-	if s.CostNs["tiered"] == 0 {
+	if s.CostNs["host"] == 0 {
 		t.Fatalf("no cost estimate surfaced: %+v", s)
 	}
 }

@@ -39,7 +39,7 @@ type Outcome struct {
 	Partial   bool
 	Faults    []string
 	// Route names the query path actually taken (an engine.Route name:
-	// "host", "ndp", "tiered", "exact") when the backend reports one; empty
+	// "host", "exact") when the backend reports one; empty
 	// otherwise. Echoed to clients in the RouteHeader and counted per route
 	// in /debug/vars.
 	Route string
@@ -47,12 +47,11 @@ type Outcome struct {
 
 // PrecisionFunc is the general search hook; it can serve every request.
 // mode is the request's "mode" — empty, or one of the engine.Route names
-// ("auto", "host", "ndp", "tiered", "exact"), pre-validated by the handler
-// through engine.ParseRoute — and recallTarget its "recall_target", 0 when
-// absent and otherwise pre-validated to (0, 1]. The backend resolves the
-// pair to a query plan (for the ansmet Database: the route, and the target
-// as the tiered pipeline's cut budget); the Outcome's Route field should
-// report the path actually taken. q is the callee's (see SearchFunc).
+// ("auto", "host", "exact"), pre-validated by the handler through
+// engine.ParseRoute — and recallTarget its "recall_target", 0 when absent
+// and otherwise pre-validated to (0, 1]. The backend resolves the pair to a
+// query plan (for the ansmet Database: the route, the exact scan meeting any
+// target); the Outcome's Route field should report the path actually taken. q is the callee's (see SearchFunc).
 type PrecisionFunc func(ctx context.Context, q []float32, k, ef int, mode string, recallTarget float64) (Outcome, error)
 
 // PartialHeader marks responses assembled from a degraded backend (one or
@@ -61,8 +60,8 @@ type PrecisionFunc func(ctx context.Context, q []float32, k, ef int, mode string
 // can accept the body as-is.
 const PartialHeader = "X-ANSMET-Partial"
 
-// RouteHeader names the query path a search actually took ("host", "ndp",
-// "tiered", "exact"), set whenever the backend reports one — with or without
+// RouteHeader names the query path a search actually took ("host",
+// "exact"), set whenever the backend reports one — with or without
 // a "mode" in the request, so which engine answered shows in `curl -i`.
 // Clients using "mode":"auto" read it to learn what the router decided.
 const RouteHeader = "X-ANSMET-Route"
@@ -184,12 +183,11 @@ type SearchRequest struct {
 	// capped at Config.MaxTimeout.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 	// Mode selects the query execution path: "auto" (deadline-aware
-	// routing), "host", "ndp", "tiered", or "exact". Empty uses the server's
-	// default path. Requires Config.SearchPrecision.
+	// routing), "host" or "exact". Empty uses the server's default path.
+	// Requires Config.SearchPrecision.
 	Mode string `json:"mode,omitempty"`
-	// RecallTarget, in (0, 1], states the quality wanted: the tiered cut
-	// budget, where 1 is exact. Requires Config.SearchPrecision. 0 (absent)
-	// uses the server's default.
+	// RecallTarget, in (0, 1], states the quality wanted, where 1 is exact.
+	// Requires Config.SearchPrecision. 0 (absent) uses the server's default.
 	RecallTarget float64 `json:"recall_target,omitempty"`
 }
 

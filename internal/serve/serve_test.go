@@ -465,11 +465,11 @@ func TestVarsExtraSections(t *testing.T) {
 // --- mode / routed search ------------------------------------------------
 
 // routedOK echoes the resolved mode as the taken route ("auto" resolves to
-// "tiered" — a stand-in for the router's healthy-idle decision).
+// "exact" — a stand-in for the router's healthy-idle decision).
 func routedOK(ctx context.Context, q []float32, k, ef int, mode string, rt float64) (Outcome, error) {
 	route := mode
 	if route == "auto" {
-		route = "tiered"
+		route = "exact"
 	}
 	nn, _ := okSearch(ctx, q, k, ef)
 	return Outcome{Neighbors: nn, Route: route}, nil
@@ -478,7 +478,7 @@ func routedOK(ctx context.Context, q []float32, k, ef int, mode string, rt float
 func TestSearchModeRouted(t *testing.T) {
 	s := newTestServer(t, Config{SearchPrecision: routedOK})
 	for _, c := range []struct{ mode, wantRoute string }{
-		{"ndp", "ndp"}, {"tiered", "tiered"}, {"exact", "exact"}, {"auto", "tiered"}, {"host", "host"},
+		{"exact", "exact"}, {"auto", "exact"}, {"host", "host"},
 	} {
 		w := postSearch(s, `{"query":[1,2],"k":3,"mode":"`+c.mode+`"}`)
 		if w.Code != http.StatusOK {
@@ -491,10 +491,14 @@ func TestSearchModeRouted(t *testing.T) {
 			t.Fatalf("mode %q: %+v", c.mode, resp)
 		}
 	}
+	// The NDP model's routes are not served: their modes are unknown ones.
+	for _, mode := range []string{"ndp", "tiered"} {
+		if w := postSearch(s, `{"query":[1,2],"k":3,"mode":"`+mode+`"}`); w.Code != http.StatusBadRequest {
+			t.Fatalf("mode %q: status %d, want 400", mode, w.Code)
+		}
+	}
 	m := s.Metrics()
-	for route, want := range map[engine.Route]int64{
-		engine.RouteNDP: 1, engine.RouteTiered: 2, engine.RouteExact: 1, engine.RouteHost: 1,
-	} {
+	for route, want := range map[engine.Route]int64{engine.RouteExact: 2, engine.RouteHost: 1} {
 		if got := m.Routed[route].Load(); got != want {
 			t.Fatalf("route counter %v = %d, want %d", route, got, want)
 		}
@@ -564,7 +568,7 @@ func TestSearchModeValidation(t *testing.T) {
 
 	// A server with the plain hook alone rejects any mode with 400.
 	plain := newTestServer(t, Config{})
-	w = postSearch(plain, `{"query":[1,2],"k":3,"mode":"tiered"}`)
+	w = postSearch(plain, `{"query":[1,2],"k":3,"mode":"exact"}`)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("mode without SearchPrecision: status %d, want 400", w.Code)
 	}

@@ -91,7 +91,7 @@ var wireTable = []struct {
 	{"/v1/search", `{"query":[1],"k":-3}`, 400, "",
 		`{"results":null,"error":"invalid query shape (len=1 k=-3 ef=32; limits k\u003c=1024 ef\u003c=8192)"}` + "\n", false},
 	{"/v1/search", `{"query":[1,2],"k":3,"mode":"warp"}`, 400, "",
-		`{"results":null,"error":"engine: unknown route mode \"warp\" (want one of auto, ndp, tiered, exact, host)"}` + "\n", false},
+		`{"results":null,"error":"engine: unknown route mode \"warp\" (want one of auto, exact, host)"}` + "\n", false},
 	{"/v1/search", `{"query":[1],"recall_target":1.5}`, 400, "",
 		`{"results":null,"error":"recall_target 1.5 outside (0, 1]"}` + "\n", false},
 	// declined, accepted by encoding/json

@@ -6,13 +6,12 @@ package ansmet
 //
 // Concurrency model. All mutations serialize behind db.mu — there is ONE
 // mutating writer at a time — while any number of searches run
-// concurrently, lock-free on the hot path (the slab, the graph and — once a
-// route has built the NDP model — its store publish RCU-style snapshots; see
-// internal/rows, internal/hnsw/mutate.go and internal/core/mutable.go for
+// concurrently, lock-free on the hot path (the slab and the graph publish
+// RCU-style snapshots; see internal/rows and internal/hnsw/mutate.go for
 // the publication protocols). Deletes are tombstones: the id stays in the
-// graph for routing but is filtered out of every result path (beam searches
-// through db.liveFilter, the exact and tiered scans through the database's
-// TombSet), and its edges are excised later by a deferred batched repair.
+// graph for routing but is filtered out of every result path (the host beam
+// through db.liveFilter, the exact scan through the database's TombSet), and
+// its edges are excised later by a deferred batched repair.
 //
 // Durability model. Every write is one mutation value taken through commit:
 // checked, then — when a journal is attached (AttachWAL, or implicitly by
@@ -319,11 +318,10 @@ func (db *Database) Maintain() {
 
 // ---- Apply functions (shared by commit and WAL replay, through apply) -----
 
-// applyAdd performs the in-memory half of an add: the row into the slab, the
-// bit-plane slot if an NDP model is attached (the caller holds db.mu, so that
-// cannot change midway: see buildModel), the graph node — in that order: a
-// searcher that can reach the id through its graph view is guaranteed to find
-// its row in the slab view and its data in the store snapshot it pins after.
+// applyAdd performs the in-memory half of an add: the row into the slab, then
+// the graph node — in that order: a searcher that can reach the id through
+// its graph view is guaranteed to find its row in the slab view it pins
+// after.
 func (db *Database) applyAdd(id uint32, qv []float32) error {
 	rid, err := db.rows.Append(qv)
 	if err != nil {
@@ -331,11 +329,6 @@ func (db *Database) applyAdd(id uint32, qv []float32) error {
 	}
 	if rid != id {
 		return fmt.Errorf("ansmet: slab assigned id %d, expected %d", rid, id)
-	}
-	if sys := db.model.Load(); sys != nil && sys.Store != nil {
-		if err := sys.Store.AppendVector(id, qv); err != nil {
-			return fmt.Errorf("ansmet: appending vector: %w", err)
-		}
 	}
 	if gid := db.index.Insert(); gid != id {
 		return fmt.Errorf("ansmet: index assigned id %d, expected %d", gid, id)

@@ -76,8 +76,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // dbSnapshot is the gob-encoded part of a snapshot: everything but the rows
 // (v4), or everything (v3). The NDP model is not in the file: it is a
-// deterministic function of rows, graph and seed (paper Table 4's offline
-// pass) that a loaded database derives again when a route asks for it.
+// deterministic function of rows, graph and configuration (paper Table 4's
+// offline pass) that Database.NewSystem derives over a loaded database.
 // Design is the format's: Save writes NDP-ETOpt, the one design a database
 // has, so that older readers still load the file, and Load ignores it.
 type dbSnapshot struct {
@@ -278,16 +278,16 @@ func WALName(snapshotPath string) string { return snapshotPath + ".wal" }
 
 // LoadFile reconstructs a database previously written with SaveFile (or
 // Save to a file). design must be nil: a database has no design point of its
-// own, and a model at another one is built over it with core.NewSystem (see
-// Database.System). When the snapshot is live (Options.Mutable was set), the
-// paired journal at WALName(path) is opened — created empty if absent — its
-// acknowledged records are replayed, any torn tail is truncated, and the
-// journal stays attached for subsequent mutations; call Close to release it.
+// own, and a model at any design is built over it with Database.NewSystem.
+// When the snapshot is live (Options.Mutable was set), the paired journal at
+// WALName(path) is opened — created empty if absent — its acknowledged
+// records are replayed, any torn tail is truncated, and the journal stays
+// attached for subsequent mutations; call Close to release it.
 // A journal that does not continue this snapshot (wal.ErrBadSequence) is
 // refused, untouched.
 func LoadFile(path string, design *Design) (*Database, error) {
 	if design != nil {
-		return nil, fmt.Errorf("ansmet: LoadFile takes no design (got %v); build a model at it over the database with core.NewSystem", *design)
+		return nil, fmt.Errorf("ansmet: LoadFile takes no design (got %v); build a model at it over the database with Database.NewSystem", *design)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -429,7 +429,7 @@ func verifyIntegrity(data, header []byte) ([]byte, error) {
 
 // Load reconstructs a database previously written with Save: rows and graph
 // as saved. The NDP model is not in the file and is not built here (see
-// Database.System); the persisted Design is ignored, and every other field
+// Database.NewSystem); the persisted Design is ignored, and every other field
 // is restored.
 //
 // Load is hardened against corrupt or hostile input: the raw header and

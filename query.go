@@ -16,7 +16,7 @@ import (
 
 // This file is the whole query surface: one request value (Query), one
 // answer (Result), and one execution core (Database.do) that every search
-// entry point — Do, DoMany, the Search*/TieredSearch* wrappers below, and
+// entry point — Do, DoMany, the Search* wrappers below (and compat.go's), and
 // each shard of Cluster.Do — runs through. DESIGN.md, "Query
 // plan and execution core", is the prose companion.
 
@@ -28,29 +28,18 @@ type Query struct {
 	Vector []float32
 	// K is the number of neighbors wanted (must be positive).
 	K int
-	// Ef is the beam width of the beam routes, host and ndp (the paper's
-	// efSearch); 0 means max(2K, 32). A non-zero Ef below K is rejected on
-	// every route.
+	// Ef is the beam width of the host beam (the paper's efSearch); 0 means
+	// max(2K, 32). A non-zero Ef below K is rejected on every route.
 	Ef int
 	// Filter, when non-nil, restricts results to ids it accepts (attribute +
 	// vector hybrid search); traversal still crosses non-matching vertices
 	// so the graph stays navigable, and on a mutable database the tombstone
-	// filter applies in addition. Only the beam routes filter: RouteAuto
-	// with a Filter resolves to the host beam, RouteTiered and RouteExact
-	// reject one.
+	// filter applies in addition. Only the host beam filters: RouteAuto
+	// with a Filter resolves to it, RouteExact rejects one.
 	Filter func(uint32) bool
 	// Route forces an execution path; the zero value RouteAuto lets the
-	// database's router pick from deadline slack and load — unless Budget
-	// states the quality wanted (see there).
+	// database's router pick from deadline slack and load.
 	Route Route
-	// Budget is the tiered route's adaptive-cut budget in (0, 1]; 0 (or a
-	// negative value) means 1, the provably exact cut. Smaller values trade
-	// a recall guarantee of roughly this level for a smaller exact re-rank
-	// pool. On RouteAuto a positive Budget is the caller stating the quality,
-	// and the router is not asked: at 1 or above the exact scan runs (the
-	// same answers as the tiered route at budget 1, bit for bit), below 1 the
-	// tiered route at that budget.
-	Budget float64
 	// Dst, when non-nil, receives the results (appended into Dst[:0]); with
 	// capacity K, whatever the beam width, every route then allocates
 	// nothing at steady state.
@@ -64,17 +53,13 @@ type Result struct {
 	Neighbors []Neighbor
 	// Route is the path that executed: never RouteAuto once a query ran.
 	Route Route
-	// Lines is the number of 64 B lines the tiered or exact route fetched.
-	// The exact route reads whole rows, so its count is the honest full
-	// fetch: live rows scanned × the plain-layout lines of one vector; the
-	// early-termination saving the paper claims for exact kNN (§4.1) shows
-	// on the tiered route at budget 1. 0 on the beam routes, which do not
-	// report per-query traffic.
+	// Lines is the number of 64 B lines the exact route fetched. It reads
+	// whole rows, so its count is the honest full fetch: live rows scanned ×
+	// the plain-layout lines of one vector; the early-termination saving the
+	// paper claims for exact kNN (§4.1) shows on the model's tiered route
+	// (core.ETEngine.TieredKNNInto) at budget 1. 0 on the host beam, which
+	// does not report per-query traffic.
 	Lines int
-	// Tiered is the tiered route's work split. The exact route reports
-	// itself as the degenerate tiered plan: the whole population is the
-	// pool and every fetched line is a re-rank line.
-	Tiered TieredStats
 }
 
 // beam returns the query's beam width: Ef, or engine.DefaultEf(K).
@@ -86,7 +71,7 @@ func (q *Query) beam() int {
 }
 
 // errFilterRoute rejects a Filter on a route that cannot honor it.
-var errFilterRoute = errors.New("ansmet: Filter needs a beam route (host or ndp)")
+var errFilterRoute = errors.New("ansmet: Filter needs the host beam")
 
 // Do executes one query. The steps, in order:
 //
@@ -94,29 +79,25 @@ var errFilterRoute = errors.New("ansmet: Filter needs a beam route (host or ndp)
 //     touched (*CancelError, Partial false).
 //  2. The inputs are validated (ErrBadK, ErrBadEf, ErrBadQuery,
 //     ErrDimension; see IsInvalidInput).
-//  3. The route is resolved: a Filter pins a beam route (the host beam on
-//     RouteAuto); RouteAuto with a positive Budget is the exact scan
-//     (Budget >= 1) or the tiered route at that budget; otherwise RouteAuto
-//     asks the router — the exact scan when its recent cost fits the
-//     deadline slack, the host beam under pressure or load.
+//  3. The route is resolved: a Filter pins the host beam (RouteExact
+//     rejects it); otherwise RouteAuto asks the router — the exact scan
+//     when its recent cost fits the deadline slack, the host beam under
+//     pressure or load.
 //  4. The route runs, and the router of this database observes it (route
 //     counter, in-flight load, cost estimate) whichever entry point the
 //     query came through.
 //
-// The defaults are the routes over the row slab with the typed SIMD
-// kernels — on a host CPU the fastest correct engines, returning what the
-// bit-plane path returns bit for bit.
+// Both routes run over the row slab with the typed SIMD kernels — on a host
+// CPU the fastest correct engines, returning what the NDP model's bit-plane
+// engines return bit for bit (see NewSystem).
 //
 // When ctx fires mid-flight the route stops at its next checkpoint and Do
 // returns what it has with a *CancelError whose Partial field reports
-// whether that is usable: the beam routes return the best results found so
-// far (empty if the descent had not reached the base layer); the tiered
-// route aborts empty during stage 1 (bounds alone are not answers) and
-// returns the exact top-K over the pool prefix re-ranked so far during
-// stage 2; the exact route returns the top-K of the prefix scanned so far —
-// a usable approximate answer, NOT the exact one. A context that never
-// fires costs a counter increment and an occasional non-blocking channel
-// poll.
+// whether that is usable: the host beam returns the best results found so
+// far (empty if the descent had not reached the base layer); the exact
+// route returns the top-K of the prefix scanned so far — a usable
+// approximate answer, NOT the exact one. A context that never fires costs a
+// counter increment and an occasional non-blocking channel poll.
 //
 // A Query on the caller's stack does not escape, so with a reused Dst every
 // route performs zero heap allocations at steady state.
@@ -128,27 +109,15 @@ func (db *Database) Do(ctx context.Context, q *Query) (Result, error) {
 
 // resolveRoute is step 3 of Do.
 func (db *Database) resolveRoute(ctx context.Context, q *Query) (Route, error) {
-	route := q.Route
-	if q.Filter != nil {
-		switch route {
-		case RouteAuto:
-			return RouteHost, nil
-		case RouteNDP, RouteHost:
-			return route, nil
-		}
-		return route, fmt.Errorf("%w (got %v)", errFilterRoute, route)
+	switch {
+	case q.Filter != nil && q.Route == RouteExact:
+		return q.Route, fmt.Errorf("%w (got %v)", errFilterRoute, q.Route)
+	case q.Filter != nil:
+		return RouteHost, nil
+	case q.Route == RouteAuto:
+		return db.router.Decide(slackOf(ctx)), nil
 	}
-	if route == RouteAuto {
-		switch {
-		case q.Budget >= 1:
-			route = RouteExact
-		case q.Budget > 0:
-			route = RouteTiered
-		default:
-			route = db.router.Decide(slackOf(ctx))
-		}
-	}
-	return route, nil
+	return q.Route, nil
 }
 
 // do is the execution core: the only place a search is validated,
@@ -175,34 +144,16 @@ func (db *Database) do(ctx context.Context, s *searchScratch, q *Query) (Result,
 	db.router.Begin()
 	defer db.router.End()
 	start := time.Now()
-	switch route {
-	case RouteTiered:
-		et := db.ndpEngine(s).(*core.ETEngine)
-		budget := q.Budget
-		if budget <= 0 || budget > 1 {
-			budget = 1
-		}
-		res.Neighbors, res.Tiered = et.TieredKNNInto(done, qq, q.K, core.TieredOpts{Budget: budget}, q.Dst)
-		res.Lines = res.Tiered.BoundLines + res.Tiered.RerankLines
-		cancelled = res.Tiered.Cancelled
-	case RouteExact:
+	if route == RouteExact {
 		res.Neighbors, res.Lines, cancelled = core.ScanKNN(done, db.hostEngine(s), db.tomb, qq, q.K, q.Dst)
-		res.Tiered = TieredStats{Pool: db.Len(), RerankLines: res.Lines, Cancelled: cancelled}
-	default:
-		// The beam routes are one traversal at one ef and one batch; only the
-		// engine under it differs, so host and ndp return the same ids and the
-		// same distance bits.
-		var eng engine.Engine
-		if route == RouteNDP {
-			eng = db.ndpEngine(s)
-		} else {
-			route, eng = RouteHost, db.hostEngine(s)
-		}
-		// combineFilter adds the tombstone filter of a mutable database: it
-		// keeps deleted ids out of the results while traversal still routes
-		// through them.
+	} else {
+		// The host beam is the model's traversal at the model's batch, so it
+		// returns the ndp beam's ids and distance bits. combineFilter adds the
+		// tombstone filter of a mutable database: it keeps deleted ids out of
+		// the results while traversal still routes through them.
+		route = RouteHost
 		res.Neighbors, cancelled = db.index.SearchCancelInto(done, qq, q.K, ef,
-			db.cfg.BeamBatch, db.combineFilter(q.Filter), eng, nil, q.Dst)
+			engine.BeamBatch, db.combineFilter(q.Filter), db.hostEngine(s), nil, q.Dst)
 	}
 	res.Route = route
 	db.router.Record(route)
@@ -220,7 +171,7 @@ func (db *Database) do(ctx context.Context, s *searchScratch, q *Query) (Result,
 // distances over the database's row slab, in its element type. It runs under
 // the host beam and the exact scan, is built on first use and pooled with
 // the scratch. It pins the slab at every StartQuery, so a mutable database's
-// appends are visible to it as they are to the ET engine (core/mutable.go).
+// appends are visible to it.
 func (db *Database) hostEngine(s *searchScratch) *engine.Exact {
 	if s.host == nil {
 		s.host = engine.NewExactOver(db.rows, db.opts.Metric)
@@ -367,8 +318,7 @@ func (db *Database) DoMany(ctx context.Context, queries [][]float32, plan *Query
 
 // The wrappers below are the historical entry points that survive, each a
 // Query literal, one Do call and the unpacking of its Result. They all
-// force their route — the three Search* ones the host beam — so use Do for
-// RouteAuto, filters and the rest.
+// force the host beam, so use Do for RouteAuto, filters and the rest.
 
 // SearchInto returns the k approximate nearest neighbors of q on the host
 // beam with an explicit beam width (the paper's efSearch), appending
@@ -394,26 +344,4 @@ func (db *Database) SearchEfCtx(ctx context.Context, q []float32, k, ef int) ([]
 func (db *Database) SearchCtxInto(ctx context.Context, q []float32, k, ef int, dst []Neighbor) ([]Neighbor, error) {
 	res, err := db.Do(ctx, &Query{Vector: q, K: k, Ef: ef, Route: RouteHost, Dst: dst})
 	return res.Neighbors, err
-}
-
-// TieredSearchInto returns the k nearest neighbors via the two-stage
-// bound-first/exact-rerank pipeline, with an explicit budget in (0, 1] (0
-// means 1, the provably exact cut) appending results into dst[:0]. Stage 1
-// orders the whole population
-// by cheap partial-bit lower bounds without ever fully fetching a vector;
-// stage 2 re-ranks candidates exactly in ascending-bound order until the
-// adaptive cut proves (budget 1) or deems (budget < 1) the rest irrelevant.
-// At budget 1 the results are identical to the exact route's, at a fraction
-// of its line traffic. With a reused dst the steady state allocates nothing
-// (gated by TestTieredSteadyStateAllocs).
-func (db *Database) TieredSearchInto(q []float32, k int, budget float64, dst []Neighbor) ([]Neighbor, TieredStats, error) {
-	res, err := db.Do(context.Background(), &Query{Vector: q, K: k, Route: RouteTiered, Budget: budget, Dst: dst})
-	return res.Neighbors, res.Tiered, err
-}
-
-// TieredSearchCtxInto is TieredSearchInto with cooperative cancellation;
-// see Do for the tiered route's partial-result contract.
-func (db *Database) TieredSearchCtxInto(ctx context.Context, q []float32, k int, budget float64, dst []Neighbor) ([]Neighbor, TieredStats, error) {
-	res, err := db.Do(ctx, &Query{Vector: q, K: k, Route: RouteTiered, Budget: budget, Dst: dst})
-	return res.Neighbors, res.Tiered, err
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ansmet/internal/core"
 	"ansmet/internal/dataset"
 )
 
@@ -114,8 +115,9 @@ var doCtxKinds = []struct {
 }
 
 // wrapperFor returns the surviving wrapper whose signature covers the cell
-// (nil when none does: no wrapper takes a Filter, RouteAuto, the ndp beam or
-// the exact route), adapted to Do's return shape.
+// (nil when none does: no wrapper takes a Filter or RouteAuto), adapted to
+// Do's return shape. The exact route's wrappers are compat.go's Tiered* ones,
+// whose stats are the degenerate tiered plan: the Lines the scan fetched.
 func wrapperFor(db *Database, q *Query, background bool) func(context.Context) (Result, error) {
 	if q.Filter != nil {
 		return nil
@@ -139,16 +141,16 @@ func wrapperFor(db *Database, q *Query, background bool) func(context.Context) (
 				return Result{Neighbors: nn}, err
 			}
 		}
-	case RouteTiered:
+	case RouteExact:
 		if background {
 			return func(context.Context) (Result, error) {
-				nn, st, err := db.TieredSearchInto(q.Vector, q.K, q.Budget, q.Dst)
-				return Result{Neighbors: nn, Tiered: st}, err
+				nn, st, err := db.TieredSearchInto(q.Vector, q.K, 1, q.Dst)
+				return Result{Neighbors: nn, Lines: st.RerankLines}, err
 			}
 		}
 		return func(ctx context.Context) (Result, error) {
-			nn, st, err := db.TieredSearchCtxInto(ctx, q.Vector, q.K, q.Budget, q.Dst)
-			return Result{Neighbors: nn, Tiered: st}, err
+			nn, st, err := db.TieredSearchCtxInto(ctx, q.Vector, q.K, 1, q.Dst)
+			return Result{Neighbors: nn, Lines: st.RerankLines}, err
 		}
 	}
 	return nil
@@ -172,22 +174,22 @@ func sameError(a, b error) bool {
 
 // TestDoEquivalence pins every surviving wrapper, byte for byte and error for
 // error, to the Do call it wraps: {immutable, mutable with tombstones} ×
-// {ndp, host, tiered} × the four
-// contexts × {nil, reused Dst}, wherever a wrapper covers the cell. Do's own
-// contract, cell by cell, is the contract harness's Do step
-// (contract_test.go). The sub-tests pin the partial a cancellation
-// mid-traversal leaves.
+// {host, exact} × the four contexts × {nil, reused Dst}, wherever a wrapper
+// covers the cell. Do's own contract, cell by cell, is the contract
+// harness's Do step (contract_test.go). The sub-tests pin the partial a
+// cancellation mid-traversal leaves, on the NDP model's beam and the host
+// beam.
 func TestDoEquivalence(t *testing.T) {
 	cases := buildDoCases(t)
 	const k = 10
 	for _, c := range cases {
-		for _, route := range []Route{RouteNDP, RouteHost, RouteTiered} {
+		for _, route := range []Route{RouteHost, RouteExact} {
 			for _, reuse := range []bool{false, true} {
 				for _, ck := range doCtxKinds {
 					for qi, vec := range c.queries {
 						name := fmt.Sprintf("%s/%v/%s/reuse=%v q%d", c.name, route, ck.name, reuse, qi)
 						q := Query{Vector: vec, K: k, Route: route}
-						if route != RouteTiered && qi%2 == 1 {
+						if route == RouteHost && qi%2 == 1 {
 							q.Ef = 48 // odd queries exercise the explicit-beam wrappers
 						}
 						wq := q
@@ -208,7 +210,7 @@ func TestDoEquivalence(t *testing.T) {
 						if !sameError(werr, err) {
 							t.Fatalf("%s: wrapper err %v, Do err %v", name, werr, err)
 						}
-						if !reflect.DeepEqual(w.Neighbors, got.Neighbors) || route == RouteTiered && w.Tiered != got.Tiered {
+						if !reflect.DeepEqual(w.Neighbors, got.Neighbors) || route == RouteExact && w.Lines != got.Lines {
 							t.Fatalf("%s: wrapper diverges from Do:\n  wrapper %+v\n  Do      %+v", name, w, got)
 						}
 					}
@@ -220,36 +222,37 @@ func TestDoEquivalence(t *testing.T) {
 	// A cancellation that lands mid-traversal: the Filter (called once per
 	// accepted candidate on the base layer) cancels a real context at its
 	// 40th call, so the beam stops at the next checkpoint with a non-empty
-	// filtered partial — deterministically, twice over.
+	// filtered partial — deterministically, twice over. search runs the
+	// query on one beam.
 	even := func(id uint32) bool { return id%2 == 0 }
-	beamPartial := func(t *testing.T, route Route) []Result {
-		var out []Result
+	beamPartial := func(t *testing.T, search func(c doCase, ctx context.Context, q *Query) ([]Neighbor, error)) [][]Neighbor {
+		var out [][]Neighbor
 		for _, c := range cases {
-			var runs [2]Result
+			var runs [2][]Neighbor
 			for r := range runs {
 				ctx, cancel := context.WithCancel(context.Background())
 				calls := 0
-				q := Query{Vector: c.queries[0], K: k, Ef: 200, Route: route, Filter: func(id uint32) bool {
+				q := Query{Vector: c.queries[0], K: k, Ef: 200, Filter: func(id uint32) bool {
 					if calls++; calls == 40 {
 						cancel()
 					}
 					return even(id)
 				}}
-				res, err := c.db.Do(ctx, &q)
+				nn, err := search(c, ctx, &q)
 				cancel()
 				var ce *CancelError
 				if !errors.As(err, &ce) || !ce.Partial || !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 					t.Fatalf("%s: err=%v, want a partial ErrCanceled", c.name, err)
 				}
-				if len(res.Neighbors) == 0 || res.Route != route {
-					t.Fatalf("%s: %d partial neighbors on route %v", c.name, len(res.Neighbors), res.Route)
+				if len(nn) == 0 {
+					t.Fatalf("%s: no partial neighbors", c.name)
 				}
-				for _, n := range res.Neighbors {
+				for _, n := range nn {
 					if !even(n.ID) || c.deleted[n.ID] {
 						t.Fatalf("%s: partial holds filtered-out or deleted id %d", c.name, n.ID)
 					}
 				}
-				runs[r] = res
+				runs[r] = nn
 			}
 			if !reflect.DeepEqual(runs[0], runs[1]) {
 				t.Fatalf("%s: the same mid-flight cancellation gave two answers:\n%v\n%v", c.name, runs[0], runs[1])
@@ -258,14 +261,37 @@ func TestDoEquivalence(t *testing.T) {
 		}
 		return out
 	}
-	t.Run("ndp partial", func(t *testing.T) { beamPartial(t, RouteNDP) })
+	// ndp is the NDP model's beam over the case's database, under Do's
+	// cancellation contract.
+	models := map[string]*core.System{}
+	for _, c := range cases {
+		models[c.name] = ndpModel(t, c.db)
+	}
+	ndp := func(c doCase, ctx context.Context, q *Query) ([]Neighbor, error) {
+		sys := models[c.name]
+		qq := quantizeInto(make([]float32, len(q.Vector)), q.Vector, c.db.opts.Elem)
+		nn, cancelled := sys.Index.SearchCancelInto(ctx.Done(), qq, q.K, q.beam(), sys.Cfg.BeamBatch, c.db.combineFilter(q.Filter), sys.NewWorkerEngine(), nil, nil)
+		if cancelled {
+			return nn, cancelErr(ctx, len(nn) > 0)
+		}
+		return nn, nil
+	}
+	host := func(c doCase, ctx context.Context, q *Query) ([]Neighbor, error) {
+		q.Route = RouteHost
+		res, err := c.db.Do(ctx, q)
+		if res.Route != RouteHost {
+			return nil, fmt.Errorf("the host beam ran %v", res.Route)
+		}
+		return res.Neighbors, err
+	}
+	t.Run("ndp partial", func(t *testing.T) { beamPartial(t, ndp) })
 	// The host beam is the same traversal, so it stops at the same checkpoint
 	// holding the same partial.
 	t.Run("host partial", func(t *testing.T) {
-		ndp := beamPartial(t, RouteNDP)
-		for i, host := range beamPartial(t, RouteHost) {
-			if !reflect.DeepEqual(host.Neighbors, ndp[i].Neighbors) {
-				t.Fatalf("%s: host partial %v, ndp partial %v", cases[i].name, host.Neighbors, ndp[i].Neighbors)
+		want := beamPartial(t, ndp)
+		for i, got := range beamPartial(t, host) {
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("%s: host partial %v, ndp partial %v", cases[i].name, got, want[i])
 			}
 		}
 	})

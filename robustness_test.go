@@ -40,8 +40,8 @@ func TestSearchInputErrors(t *testing.T) {
 		{"k=0", func() error { return search(good, 0) }, ErrBadK},
 		{"k<0", func() error { return search(good, -3) }, ErrBadK},
 		{"ef<k", func() error { _, err := db.SearchInto(good, 10, 5, nil); return err }, ErrBadEf},
-		{"tiered ef<k", func() error {
-			_, err := db.Do(context.Background(), &Query{Vector: good, K: 10, Ef: 5, Route: RouteTiered})
+		{"exact ef<k", func() error {
+			_, err := db.Do(context.Background(), &Query{Vector: good, K: 10, Ef: 5, Route: RouteExact})
 			return err
 		}, ErrBadEf},
 		{"short query", func() error { return search(good[:4], 5) }, ErrDimension},
@@ -81,7 +81,7 @@ func TestSearchInputErrors(t *testing.T) {
 	// DoMany stops at the invalid query and names the offender.
 	bad := append([]float32(nil), good...)
 	bad[2] = float32(math.Inf(-1))
-	_, _, err := db.DoMany(context.Background(), [][]float32{good, bad}, &Query{K: 5, Ef: 10, Route: RouteNDP}, 2)
+	_, _, err := db.DoMany(context.Background(), [][]float32{good, bad}, &Query{K: 5, Ef: 10, Route: RouteHost}, 2)
 	if !errors.Is(err, ErrBadQuery) || !strings.Contains(err.Error(), "query 1") {
 		t.Errorf("DoMany err = %v, want ErrBadQuery naming query 1", err)
 	}
@@ -99,34 +99,32 @@ func TestSearchManyPanicRecovered(t *testing.T) {
 		queries[i], _ = db.Vector(uint32(i))
 	}
 	ctx := context.Background()
-	for _, route := range []Route{RouteNDP, RouteHost} {
-		plan := Query{K: 3, Ef: 10, Route: route, Filter: func(id uint32) bool { return id%3 != 0 }}
-		before, _, err := db.DoMany(ctx, queries, &plan, 4)
-		if err != nil {
-			t.Fatal(err)
+	plan := Query{K: 3, Ef: 10, Route: RouteHost, Filter: func(id uint32) bool { return id%3 != 0 }}
+	before, _, err := db.DoMany(ctx, queries, &plan, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One worker runs the queries in order: query 5 starts at the Filter
+	// call after queries 0–4's.
+	calls, panicAt := 0, 0
+	panicky := plan
+	panicky.Filter = func(id uint32) bool {
+		if calls++; calls == panicAt {
+			panic("injected fault in query 5")
 		}
-		// One worker runs the queries in order: query 5 starts at the Filter
-		// call after queries 0–4's.
-		calls, panicAt := 0, 0
-		panicky := plan
-		panicky.Filter = func(id uint32) bool {
-			if calls++; calls == panicAt {
-				panic("injected fault in query 5")
-			}
-			return plan.Filter(id)
-		}
-		db.DoMany(ctx, queries[:5], &panicky, 1)
-		calls, panicAt = 0, calls+1
-		if _, _, err := db.DoMany(ctx, queries, &panicky, 1); err == nil || !strings.Contains(err.Error(), "panicked") {
-			t.Fatalf("%v: DoMany err = %v, want the worker's panic", route, err)
-		}
-		after, _, err := db.DoMany(ctx, queries, &plan, 4)
-		if err != nil {
-			t.Fatalf("%v: DoMany after the panic: %v", route, err)
-		}
-		for qi := range queries {
-			sameBits(t, fmt.Sprintf("%v q%d after the panic", route, qi), after[qi], before[qi])
-		}
+		return plan.Filter(id)
+	}
+	db.DoMany(ctx, queries[:5], &panicky, 1)
+	calls, panicAt = 0, calls+1
+	if _, _, err := db.DoMany(ctx, queries, &panicky, 1); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("DoMany err = %v, want the worker's panic", err)
+	}
+	after, _, err := db.DoMany(ctx, queries, &plan, 4)
+	if err != nil {
+		t.Fatalf("DoMany after the panic: %v", err)
+	}
+	for qi := range queries {
+		sameBits(t, fmt.Sprintf("q%d after the panic", qi), after[qi], before[qi])
 	}
 }
 

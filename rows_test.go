@@ -15,7 +15,6 @@ import (
 	"sync"
 	"testing"
 
-	"ansmet/internal/core"
 	"ansmet/internal/dataset"
 	"ansmet/internal/rows"
 	"ansmet/internal/stats"
@@ -94,17 +93,22 @@ func TestGraphIdentityGoldens(t *testing.T) {
 	}
 }
 
-// routesOf runs q on every route and returns the answers keyed by route.
-func routesOf(t *testing.T, db *Database, q []float32, k int) map[Route][]Neighbor {
+// routesOf runs q on the database's two routes and on the two of the NDP
+// model built over it now (the ndp beam, the tiered query at budget 1), and
+// returns the answers keyed by route name.
+func routesOf(t *testing.T, db *Database, q []float32, k int) map[string][]Neighbor {
 	t.Helper()
-	out := map[Route][]Neighbor{}
-	for _, r := range []Route{RouteHost, RouteNDP, RouteExact, RouteTiered} {
-		res, err := db.Do(context.Background(), &Query{Vector: q, K: k, Ef: 64, Route: r, Budget: 1})
+	out := map[string][]Neighbor{}
+	for _, r := range []Route{RouteHost, RouteExact} {
+		res, err := db.Do(context.Background(), &Query{Vector: q, K: k, Ef: 64, Route: r})
 		if err != nil || res.Route != r {
 			t.Fatalf("route %v: ran %v, err %v", r, res.Route, err)
 		}
-		out[r] = append([]Neighbor(nil), res.Neighbors...)
+		out[r.String()] = append([]Neighbor(nil), res.Neighbors...)
 	}
+	sys := ndpModel(t, db)
+	out["ndp"] = beamOver(db, sys.Index, sys.Cfg.BeamBatch, sys.NewWorkerEngine())(Query{Vector: q, K: k, Ef: 64})
+	out["tiered"] = tieredOver(db, sys.NewWorkerEngine())(q, k)
 	return out
 }
 
@@ -285,7 +289,7 @@ func TestVectorReturnsCopy(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := routesOf(t, db, ds.Queries[0], 10)
-		nearest := want[RouteExact][0].ID
+		nearest := want["exact"][0].ID
 		v, ok := db.Vector(nearest)
 		if !ok || !slices.Equal(v, ds.Vectors[nearest]) {
 			t.Fatalf("Vector(%d) = %v, %v", nearest, v, ok)
@@ -388,8 +392,8 @@ func TestNonFiniteNeverReachesStorage(t *testing.T) {
 				}
 			}
 		}
-		if got := want[RouteExact][0]; got.ID != id || got.Dist != 0 {
-			t.Errorf("%v: the stored vector is not its own nearest neighbour: %v", c.elem, want[RouteExact])
+		if got := want["exact"][0]; got.ID != id || got.Dist != 0 {
+			t.Errorf("%v: the stored vector is not its own nearest neighbour: %v", c.elem, want["exact"])
 		}
 		var buf bytes.Buffer
 		if err := db.Save(&buf); err != nil {
@@ -400,37 +404,6 @@ func TestNonFiniteNeverReachesStorage(t *testing.T) {
 			t.Fatalf("%v: the snapshot of a database that saw %v does not load: %v", c.elem, c.over, err)
 		}
 		sameDatabase(t, fmt.Sprint(c.elem, " reloaded"), db, back, [][]float32{vec})
-	}
-}
-
-// TestScratchBuildsNDPEngineLazily: a database on the host defaults builds
-// the NDP-model engine (an ETEngine and its Bounder tables) only for a query
-// that runs on it.
-func TestScratchBuildsNDPEngineLazily(t *testing.T) {
-	p := dataset.ProfileByName("SIFT")
-	ds := dataset.Generate(p, 200, 2, 4)
-	db, err := New(ds.Vectors, Options{Metric: p.Metric, Elem: p.Elem, EfConstruction: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := db.getScratch()
-	defer db.putScratch(s)
-	ctx := context.Background()
-	for _, r := range []Route{RouteHost, RouteExact, RouteAuto} {
-		if _, err := db.do(ctx, s, &Query{Vector: ds.Queries[0], K: 5, Route: r}); err != nil {
-			t.Fatal(err)
-		}
-		if s.eng != nil {
-			t.Fatalf("route %v built the NDP engine", r)
-		}
-	}
-	for _, r := range []Route{RouteNDP, RouteTiered} {
-		if _, err := db.do(ctx, s, &Query{Vector: ds.Queries[0], K: 5, Route: r}); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := s.eng.(*core.ETEngine); !ok {
-			t.Fatalf("route %v ran without the NDP engine (%T)", r, s.eng)
-		}
 	}
 }
 
