@@ -27,6 +27,7 @@
 package ansmet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -126,8 +127,10 @@ func Normalize(v []float32) { vecmath.Normalize(v) }
 type Options struct {
 	// Metric is the distance definition (default L2).
 	Metric Metric
-	// Elem is the stored element type (default Float32). Vector values are
-	// quantized to this type during ingestion.
+	// Elem is the stored element type. Vector values are quantized to this
+	// type during ingestion. The default is the zero value, Uint8, which
+	// rounds every component to an integer in [0, 255]; set Float32 for
+	// float data.
 	Elem ElemType
 	// M, MaxDegree, EfConstruction configure HNSW construction; zero
 	// values take the paper's defaults (16/16/500). Lower EfConstruction
@@ -299,24 +302,54 @@ func newDatabase(opts Options, rs *rows.Slab, ix *hnsw.Index) *Database {
 
 // NewSystem builds the NDP model's functional view at cfg — the offline pass
 // of cfg.Design (sampling, layout optimization, prefix elimination, the
-// bit-plane store) — over the database's rows and graph as they are now,
-// tombstones included, under the writer lock so no mutation lands midway.
-// The database neither keeps nor feeds the result, and the model shares the
-// graph: on a mutable database, a caller that adds rows afterwards feeds each
-// to sys.Store.AppendVector before searching the model. The simulated
-// platform is built around it:
+// bit-plane store) — over a copy of the database's rows, graph and
+// tombstones as they are now. Only the copy is taken under the writer lock;
+// the offline pass runs on it after the lock is released, so writes wait for
+// the copy and not for the pass. The model is a point-in-time copy: the
+// database neither keeps nor feeds it, and writes after the call do not
+// reach it. The simulated platform is built around it:
 //
 //	sys, err := db.NewSystem(core.DefaultSystemConfig(core.NDPETOpt))
 //	m, err := sim.NewModel(sys, sim.DefaultConfig())
 func (db *Database) NewSystem(cfg core.SystemConfig) (*core.System, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	sys, err := core.NewSystem(db.rows, db.opts.Metric, db.index, cfg)
+	rs, ix, tomb, err := db.copyState()
 	if err != nil {
 		return nil, err
 	}
-	sys.SetTombstones(db.tomb)
+	sys, err := core.NewSystem(rs, db.opts.Metric, ix, cfg)
+	if err != nil {
+		return nil, err
+	}
+	sys.SetTombstones(tomb)
 	return sys, nil
+}
+
+// copyState copies the rows, the graph and the tombstones (nil on an
+// immutable database) under the writer lock, with the calls Save and Load
+// make. The graph is rebuilt under the lock too: Snapshot hands out the live
+// graph's adjacency lists, not copies of them.
+func (db *Database) copyState() (*rows.Slab, *hnsw.Index, *core.TombSet, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	view := db.rows.View()
+	var buf bytes.Buffer
+	view.WriteTo(&buf) // a bytes.Buffer write does not fail
+	rs, err := rows.FromBytes(db.rows.Elem(), db.rows.Dim(), view.Len(), buf.Bytes())
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ix, err := hnsw.FromSnapshot(rs, db.index.Snapshot())
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var tomb *core.TombSet
+	if db.Mutable() {
+		tomb = core.NewTombSet()
+		for _, id := range db.tomb.IDs() {
+			tomb.Delete(id)
+		}
+	}
+	return rs, ix, tomb, nil
 }
 
 // Len returns the number of indexed vectors, including tombstoned ones on

@@ -326,8 +326,8 @@ func BenchmarkSearchAllocs(b *testing.B) {
 // benchMutatedDB builds a mutable database, applies a burst of journaled-
 // style mutations (adds, deletes, updates, a forced repair) and quiesces,
 // so BenchmarkSearchUnderMutation measures the live read path — view
-// capture, tombstone filter, store snapshot pinning — rather than an
-// immutable fast path.
+// capture, tombstone filter, slab view pinning — rather than an immutable
+// fast path.
 var benchMutatedDB = sync.OnceValue(func() *ansmet.Database {
 	ds := benchData()
 	db, err := ansmet.New(ds.Vectors, ansmet.Options{

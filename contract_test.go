@@ -26,7 +26,6 @@ import (
 	"ansmet/internal/core"
 	"ansmet/internal/dataset"
 	"ansmet/internal/engine"
-	"ansmet/internal/hnsw"
 	"ansmet/internal/sim"
 	"ansmet/internal/stats"
 )
@@ -214,9 +213,9 @@ func recallOf(got, truth []Neighbor) float64 {
 // scan and auto ≡ the brute force in ids and distance bits, with the honest
 // line count, at k past the population too; every host beam's answer
 // well-formed; DoMany ≡ serial Do at k = 10. Given sys, an NDP-ETOpt model
-// over db fed every acknowledged add, it checks the model's routes against
-// the database's: its ndp beam ≡ the host beam, and its tiered query at
-// budget 1 ≡ the exact scan.
+// built over db as it is now, it checks the model's routes against the
+// database's: its ndp beam ≡ the host beam, and its tiered query at budget 1
+// ≡ the exact scan.
 func verify(t *testing.T, label string, db *Database, m contractModel, queries [][]float32, sys *core.System) {
 	t.Helper()
 	live := m.live(nil)
@@ -241,7 +240,7 @@ func verify(t *testing.T, label string, db *Database, m contractModel, queries [
 	var ndp func(Query) []Neighbor
 	var tiered func([]float32, int) []Neighbor
 	if sys != nil {
-		ndp, tiered = beamOver(db, sys.Index, sys.Cfg.BeamBatch, sys.NewWorkerEngine()), tieredOver(db, sys.NewWorkerEngine())
+		ndp, tiered = beamOver(sys, sys.NewWorkerEngine()), tieredOver(db, sys.NewWorkerEngine())
 	}
 	for _, p := range plans {
 		want := p.Route
@@ -298,14 +297,27 @@ func ndpModel(t testing.TB, db *Database) *core.System {
 	return sys
 }
 
-// beamOver is the ndp beam: the host beam's traversal of a query, with db's
-// tombstone filter, over a model's index and batch on eng.
-func beamOver(db *Database, ix *hnsw.Index, batch int, eng engine.Engine) func(q Query) []Neighbor {
+// beamOver is the ndp beam: the host beam's traversal of a query over a
+// model's index and batch on eng, filtered by the model's own tombstones.
+func beamOver(sys *core.System, eng engine.Engine) func(q Query) []Neighbor {
 	return func(q Query) []Neighbor {
-		qq := quantizeInto(make([]float32, len(q.Vector)), q.Vector, db.opts.Elem)
-		nn, _ := ix.SearchCancelInto(nil, qq, q.K, q.beam(), batch, db.combineFilter(q.Filter), eng, nil, nil)
+		qq := quantizeInto(make([]float32, len(q.Vector)), q.Vector, sys.Elem)
+		nn, _ := sys.Index.SearchCancelInto(nil, qq, q.K, q.beam(), sys.Cfg.BeamBatch, modelFilter(sys, q.Filter), eng, nil, nil)
 		return nn
 	}
+}
+
+// modelFilter is f restricted to the ids live in the model: the tombstones
+// are the model's copy, not the database's.
+func modelFilter(sys *core.System, f func(uint32) bool) func(uint32) bool {
+	live := sys.Live()
+	switch {
+	case live == nil:
+		return f
+	case f == nil:
+		return live
+	}
+	return func(id uint32) bool { return live(id) && f(id) }
 }
 
 // tieredOver is the tiered route at budget 1 on a model's ET engine.
@@ -329,7 +341,8 @@ type contractCell struct {
 	seed   uint64
 	// design is that of the NDP model at RecallTarget 1 the final state is
 	// also checked under (checkModels; zero: CPU-Base, no early termination),
-	// target a RecallTarget in (0, 1) of a second model at it, 0 for none.
+	// target a RecallTarget in (0, 1) of a second model at it, built over the
+	// state New left (checkAdaptive), 0 for none.
 	design core.Design
 	target float64
 }
@@ -361,12 +374,9 @@ type harness struct {
 	ends    []int64         // the journal's length at each history entry
 	acked   []scriptOp
 	probe   [][]float32 // the Do and DoMany steps' queries
-	// models are the NDP model at the cell's design at RecallTarget 1 and, on
-	// a cell with a target, at that target; ndp is NDP-ETOpt's, the one verify
-	// checks the database's routes against. Each is built over the database as
-	// New left it and fed every acknowledged add (see write).
-	models []*sim.Model
-	ndp    *core.System
+	// ndp is the NDP-ETOpt model verify checks the database's routes against,
+	// built over the state the last step that changed the database left (run).
+	ndp *core.System
 }
 
 func newHarness(t *testing.T, c contractCell) *harness {
@@ -385,9 +395,8 @@ func newHarness(t *testing.T, c contractCell) *harness {
 	}
 	h := &harness{t: t, queries: ds.Queries[:1], probe: ds.Queries[1:], db: build(c.opts), m: newContractModel(ds.Vectors, c.opts)}
 	h.ndp = ndpModel(t, h.db)
-	h.models = append(h.models, h.modelAt(c.design, 1))
 	if c.target > 0 && c.target < 1 {
-		h.models = append(h.models, h.modelAt(c.design, c.target))
+		h.checkAdaptive(c.design, c.target)
 	}
 	if c.opts.Mutable {
 		imm := c.opts
@@ -423,7 +432,9 @@ func (h *harness) journal() (seq uint64, size int64) {
 }
 
 // run drives the script step by step, checking every invariant (verify) after
-// each, and the final state under the cell's models. A failure prints the
+// each, and the final state under the cell's design. A model is a copy, so a
+// step that changes the database (step) gets a fresh one; the others reuse
+// the last. A failure prints the
 // cell and the script up to the failing step — the shortest prefix that
 // fails, every shorter one having passed — as a Go literal.
 func (h *harness) run(c contractCell, script []scriptOp) {
@@ -437,10 +448,12 @@ func (h *harness) run(c contractCell, script []scriptOp) {
 	verify(t, "build", h.db, h.m, h.queries, h.ndp)
 	for step = range script {
 		op := script[step]
-		h.step(op)
+		if h.step(op) {
+			h.ndp = ndpModel(t, h.db)
+		}
 		verify(t, fmt.Sprintf("step %d (%s)", step, stepNames[op.kind]), h.db, h.m, h.queries, h.ndp)
 	}
-	h.checkModels()
+	h.checkModels(c.design)
 }
 
 // modelAt builds the NDP model at a design point and a recall target over
@@ -462,22 +475,20 @@ func (h *harness) modelAt(design core.Design, target float64) *sim.Model {
 	return m
 }
 
-// checkModels checks the state the script left under the models, over the
-// probe queries, filtered and not. At RecallTarget 1 the model has no
-// precision map, and its beam is bitwise the database's host beam whatever
-// its design — early termination never changes an answer — and on an ET
-// design its tiered query at budget 1 is bitwise the database's exact scan.
-// At a target in (0, 1) the adaptive beam trades exactness for lines,
-// keeping recall: its recall@10 against the brute force is within 0.05 of
-// the target or of the host beam's over the same graph, whichever is lower.
-func (h *harness) checkModels() {
+// checkModels checks the state the script left under a model at design and
+// RecallTarget 1, built over it, on the probe queries, filtered and not. At
+// RecallTarget 1 the model has no precision map, and its beam is bitwise the
+// database's host beam whatever its design — early termination never changes
+// an answer — and on an ET design its tiered query at budget 1 is bitwise
+// the database's exact scan.
+func (h *harness) checkModels(design core.Design) {
 	t, db := h.t, h.db
 	ctx := context.Background()
-	one := h.models[0]
+	one := h.modelAt(design, 1)
 	if one.Precision != nil {
 		t.Fatal("RecallTarget 1 built a precision map")
 	}
-	beam := beamOver(db, one.Index, one.Cfg.BeamBatch, one.NewWorkerEngine())
+	beam := beamOver(one.System, one.NewWorkerEngine())
 	for qi, vec := range h.probe {
 		for _, f := range []func(uint32) bool{nil, oddIDs} {
 			res, err := db.Do(ctx, &Query{Vector: vec, K: 10, Route: RouteHost, Filter: f})
@@ -496,16 +507,21 @@ func (h *harness) checkModels() {
 		got := tieredOver(db, one.NewWorkerEngine())(vec, 10)
 		sameBits(t, fmt.Sprintf("%v at RecallTarget 1: q%d tiered ≡ exact", one.Cfg.Design, qi), got, res.Neighbors)
 	}
-	if len(h.models) == 1 {
-		return
-	}
+}
 
-	sys := h.models[1]
-	target := sys.Timing.RecallTarget
+// checkAdaptive checks a model at design and a target in (0, 1), built over
+// the database as New left it, on the probe queries, filtered and not: the
+// adaptive beam trades exactness for lines, keeping recall — its recall@10
+// against the brute force is within 0.05 of the target or of the host beam's
+// over the same graph, whichever is lower.
+func (h *harness) checkAdaptive(design core.Design, target float64) {
+	t, db := h.t, h.db
+	ctx := context.Background()
+	sys := h.modelAt(design, target)
 	if sys.Precision == nil {
 		t.Fatalf("RecallTarget %v built no precision map", target)
 	}
-	adaptive := beamOver(db, sys.Index, sys.Cfg.BeamBatch, sys.NewWorkerEngine())
+	adaptive := beamOver(sys.System, sys.NewWorkerEngine())
 	var recall [2]float64 // the adaptive beam's, the host beam's
 	for _, f := range []func(uint32) bool{nil, oddIDs} {
 		for _, vec := range h.probe {
@@ -532,13 +548,16 @@ func runCell(t *testing.T, c contractCell) {
 	newHarness(t, c).run(c, c.script())
 }
 
-func (h *harness) step(op scriptOp) {
+// step takes one step of the script and reports whether it changed the
+// database: Maintain, an acknowledged write, SaveFile.
+func (h *harness) step(op scriptOp) (changed bool) {
 	t := h.t
 	switch op.kind {
 	case 0:
 		h.db.Maintain()
+		return true
 	case recAdd, recDelete, recUpdate:
-		h.write(op)
+		return h.write(op)
 	case stepDo:
 		h.doCells(h.probe[op.at%len(h.probe)])
 	case stepDoMany:
@@ -576,17 +595,20 @@ func (h *harness) step(op scriptOp) {
 		}
 		h.reloaded("SaveFile → LoadFile", back)
 		back.Close()
+		return true
 	case stepCut:
 		if h.wal != "" {
 			h.cut(op.at)
 		}
 	}
+	return false
 }
 
 // write takes one of commitScript's writes to the database and the model: the
 // verdicts must agree, and a refused write leaves the journal as it was while
-// an acknowledged one adds one record.
-func (h *harness) write(op scriptOp) {
+// an acknowledged one adds one record. It reports whether the write was
+// acknowledged.
+func (h *harness) write(op scriptOp) bool {
 	t := h.t
 	want := h.m.write(op)
 	var seq uint64
@@ -598,27 +620,8 @@ func (h *harness) write(op scriptOp) {
 	if (want == nil) != (err == nil) || want != nil && !errors.Is(err, want) {
 		t.Fatalf("%s of id %d: %v; the model says %v", kindNames[op.kind], op.id, err, want)
 	}
-	if want == nil && op.kind != recDelete {
-		// The new id's slot in every model over the database.
-		id := uint32(len(h.m.rows) - 1)
-		var stores []*core.Store
-		if h.ndp != nil {
-			stores = append(stores, h.ndp.Store)
-		}
-		for _, sys := range h.models {
-			stores = append(stores, sys.Store)
-		}
-		for _, st := range stores {
-			if st == nil {
-				continue
-			}
-			if err := st.AppendVector(id, h.m.rows[id]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	if h.wal == "" {
-		return
+		return want == nil
 	}
 	nseq, nsize := h.journal()
 	switch {
@@ -629,6 +632,7 @@ func (h *harness) write(op scriptOp) {
 	case want == nil:
 		h.history, h.ends, h.acked = append(h.history, h.m), append(h.ends, nsize), append(h.acked, op)
 	}
+	return want == nil
 }
 
 // acknowledgedAt is how many of the history's writes a journal cut at off keeps.
@@ -807,10 +811,10 @@ func (h *harness) doMany(at int) {
 var contractRegressions = map[string][][]scriptOp{}
 
 // TestContract runs the matrix: {immutable, mutable} × {the database and its
-// NDP-ETOpt twin at RecallTarget 1, and also one at RecallTarget 0.9 over its
-// final state} × {SIFT-u8, DEEP-f32, GloVe-IP, a cosine set}. A database has
-// one precision, the fixed depth of RecallTarget 0; the target=0.9 column
-// adds the adaptive model's recall check (checkModels).
+// NDP-ETOpt twin at RecallTarget 1, and also one at RecallTarget 0.9 over the
+// state New left} × {SIFT-u8, DEEP-f32, GloVe-IP, a cosine set}. A database
+// has one precision, the fixed depth of RecallTarget 0; the target=0.9 column
+// adds the adaptive model's recall check (checkAdaptive).
 func TestContract(t *testing.T) {
 	sets := []struct {
 		name, prof string

@@ -97,7 +97,7 @@ func dbSearcher(db *Database, sys *core.System) searcher {
 		func(queries [][]float32, plan *Query) ([][]Neighbor, Route, error) {
 			return db.DoMany(ctx, queries, plan, 3)
 		},
-		beamOver(db, sys.Index, sys.Cfg.BeamBatch, sys.NewWorkerEngine()),
+		beamOver(sys, sys.NewWorkerEngine()),
 		tieredOver(db, sys.NewWorkerEngine())}
 }
 

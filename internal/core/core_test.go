@@ -181,7 +181,7 @@ func TestPrefixElimStoreOutliers(t *testing.T) {
 	eng.StartQuery(ds.Queries[0])
 	backupSeen := false
 	for id := uint32(0); id < uint32(sys.Store.Len()); id++ {
-		if !sys.Store.dyn.Load().isOutlier[id] {
+		if !sys.Store.isOutlier[id] {
 			continue
 		}
 		r := eng.Compare(id, math.Inf(1))

@@ -31,8 +31,7 @@ var exactScanTestHook func(id uint32)
 // budget 1 are pinned to; see scanKNN for the cancellation contract.
 func (e *ETEngine) ExactKNN(done <-chan struct{}, q []float32, k int) (nn []hnsw.Neighbor, linesFetched int, cancelled bool) {
 	e.StartQuery(q)
-	// n is the per-query store snapshot's bound.
-	return scanKNN(done, fixedPrecision{e}, uint32(len(e.soutl)), e.tomb, k, nil)
+	return scanKNN(done, fixedPrecision{e}, uint32(e.store.Len()), e.tomb, k, nil)
 }
 
 // ScanKNN is the exact scan over the slab's rows: the same loop as

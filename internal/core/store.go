@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync/atomic"
 
 	"ansmet/internal/bitplane"
 	"ansmet/internal/engine"
@@ -17,10 +16,9 @@ import (
 // Store holds one dataset encoded in a transformed early-termination
 // layout, plus (when prefix elimination is on) the outlier flags and the
 // full-precision backup region — which is the row slab the store was built
-// from, shared with the index and the host routes, not a copy. Layout, prefix
-// configuration and slot geometry are frozen at Build; the encoded slots grow
-// with the slab and reach engines through one published snapshot, whether or
-// not anything is ever appended (mutable.go).
+// from, shared with the index, not a copy. The store is built once over the
+// slab's rows and never changes: a model is a point-in-time copy of a
+// database (Database.NewSystem), and nothing is appended to it.
 type Store struct {
 	Elem   vecmath.ElemType
 	Dim    int
@@ -33,11 +31,9 @@ type Store struct {
 	// re-check.
 	backupLines int
 
-	// dyn is the published snapshot of the growable arrays (mutable.go).
-	dyn atomic.Pointer[storeDyn]
-	// encCodes/encSuffix are the single writer's encode scratch.
-	encCodes  []uint32
-	encSuffix []uint32
+	data        []byte // slotLines*64 bytes per vector
+	isOutlier   []bool
+	numOutliers int
 }
 
 // BuildStore encodes all rows of the slab under the given schedule and
@@ -76,36 +72,26 @@ func BuildStore(rs *rows.Slab, sched bitplane.Schedule, prefix prefixelim.Config
 		s.slotLines = prefix.OutlierLines()
 	}
 	sz := s.slotLines * bitplane.LineBytes
-	d := &storeDyn{data: make([]byte, n*sz), isOutlier: make([]bool, n)}
+	s.data, s.isOutlier = make([]byte, n*sz), make([]bool, n)
 	vals := make([]float32, 0, dim)
+	var codes, suffix []uint32
 	for i := 0; i < n; i++ {
 		vals = view.Decode(uint32(i), vals[:0])
-		if s.encode(vals, d.data[i*sz:(i+1)*sz]) {
-			d.isOutlier[i] = true
-			d.numOutliers++
+		codes = elem.EncodeVector(vals, codes[:0])
+		slot := s.data[i*sz : (i+1)*sz]
+		switch {
+		case prefix.Enabled() && !prefix.IsNormalVector(codes):
+			prefix.EncodeOutlier(codes, slot)
+			s.isOutlier[i] = true
+			s.numOutliers++
+		case prefix.Enabled():
+			suffix = prefix.SuffixCodes(codes, suffix[:0])
+			lay.Transform(suffix, slot)
+		default:
+			lay.Transform(codes, slot)
 		}
 	}
-	s.dyn.Store(d)
 	return s, nil
-}
-
-// encode writes v's slot — the outlier encoding when prefix elimination is
-// on and v does not share the common prefix, the bit-plane transform
-// otherwise — and reports which. Single writer (Build, then AppendVector).
-func (s *Store) encode(v []float32, slot []byte) (outlier bool) {
-	codes := s.Elem.EncodeVector(v, s.encCodes[:0])
-	s.encCodes = codes
-	switch {
-	case s.Prefix.Enabled() && !s.Prefix.IsNormalVector(codes):
-		s.Prefix.EncodeOutlier(codes, slot)
-		return true
-	case s.Prefix.Enabled():
-		s.encSuffix = s.Prefix.SuffixCodes(codes, s.encSuffix[:0])
-		s.Layout.Transform(s.encSuffix, slot)
-	default:
-		s.Layout.Transform(codes, slot)
-	}
-	return false
 }
 
 // SlotLines returns the per-vector storage footprint in lines — the line
@@ -116,11 +102,10 @@ func (s *Store) SlotLines() int { return s.slotLines }
 func (s *Store) BackupLines() int { return s.backupLines }
 
 // NumOutliers returns how many vectors use the outlier encoding.
-func (s *Store) NumOutliers() int { return s.dyn.Load().numOutliers }
+func (s *Store) NumOutliers() int { return s.numOutliers }
 
-// Len returns the vector count: the slab's, which a live store's slots trail
-// by at most the append in flight.
-func (s *Store) Len() int { return s.rows.Len() }
+// Len returns the number of vectors the store encoded.
+func (s *Store) Len() int { return len(s.isOutlier) }
 
 // SpaceSavedFraction returns the fraction of payload bits that prefix
 // elimination strips from normal vectors (the paper's Table 5 "saved
@@ -179,13 +164,8 @@ type ETEngine struct {
 	// table stage 2 heapifies into its visit queue (reset per call).
 	tierHeap    hnsw.Heap
 	tierEntries []hnsw.Neighbor
-	// sdata/soutl are the per-query store snapshot pinned by StartQuery
-	// (mutable.go).
-	sdata []byte
-	soutl []bool
 	// backup computes an in-bound outlier's re-check distance from its row
-	// in the slab; nil without prefix elimination. It pins the slab after
-	// sdata/soutl, so it sees a row for every slot the engine does.
+	// in the slab; nil without prefix elimination.
 	backup *engine.Exact
 	// tomb, when non-nil, is the deletion bitmap the exact and tiered
 	// scans consult (SetTombstones).
@@ -209,6 +189,17 @@ func (s *Store) NewETEngine(metric vecmath.Metric) *ETEngine {
 		e.backup = engine.NewExactOver(s.rows, metric)
 	}
 	return e
+}
+
+// SetTombstones installs the deletion bitmap: ExactKNN and the tiered
+// stage-1 scan skip tombstoned ids (the beam path filters at the graph
+// layer instead). A nil set restores the unfiltered scans.
+func (e *ETEngine) SetTombstones(t *TombSet) { e.tomb = t }
+
+// slot returns the encoded bytes of vector id.
+func (e *ETEngine) slot(id uint32) []byte {
+	sz := e.store.slotLines * bitplane.LineBytes
+	return e.store.data[int(id)*sz : (int(id)+1)*sz]
 }
 
 // SetNoBackup disables the outlier backup re-check (Table 5(b)): accepted
@@ -253,7 +244,6 @@ func (e *ETEngine) localThreshold(th float64) float64 {
 
 // StartQuery implements engine.Engine.
 func (e *ETEngine) StartQuery(q []float32) {
-	e.snapshotStore()
 	e.b.ResetQuery(q)
 	if e.ob != nil {
 		e.ob.ResetQuery(q)
@@ -287,7 +277,7 @@ func (e *ETEngine) SetPrecision(pm Depths, bias int, margin float64) {
 // mode (SetPrecision) normal vectors take the capped-depth escalation path
 // instead, whose margin-slack accepts are approximate.
 func (e *ETEngine) Compare(id uint32, threshold float64) engine.Result {
-	if e.prec != nil && !(e.ob != nil && e.soutl[int(id)]) {
+	if e.prec != nil && !(e.ob != nil && e.store.isOutlier[id]) {
 		return e.compareAdaptive(id, threshold)
 	}
 	return e.compareExact(id, threshold)
@@ -297,7 +287,7 @@ func (e *ETEngine) Compare(id uint32, threshold float64) engine.Result {
 // every invariant-bound caller (ExactKNN, tiered stage 2) pins itself to.
 func (e *ETEngine) compareExact(id uint32, threshold float64) engine.Result {
 	data := e.slot(id)
-	if e.ob != nil && e.soutl[int(id)] {
+	if e.ob != nil && e.store.isOutlier[id] {
 		e.ob.Reset()
 		lb, lines := e.ob.RunTo(data, threshold, e.ob.Lines())
 		if lb > threshold {

@@ -44,9 +44,9 @@ func DefaultSystemConfig(d Design) SystemConfig {
 }
 
 // System is a fully preprocessed ANSMET instance over one dataset: its
-// encoded storage. It is a view — a deterministic function of
-// (slab, index, cfg), built once by NewSystem and not changed afterwards
-// (SetTombstones, before it is shared, is the one thing its builder adds).
+// encoded storage. It is a deterministic function of (slab, index, cfg),
+// built once by NewSystem and not changed afterwards (SetTombstones, before
+// it is shared, is the one thing its builder adds).
 // It holds no engine: NewWorkerEngine makes one per searcher. The timing
 // replay and the fault model over it are the simulator's (sim.Model).
 type System struct {
@@ -73,10 +73,10 @@ type System struct {
 	live func(uint32) bool
 }
 
-// NewSystem preprocesses the slab's rows — as many as it holds now — for the
-// configured design. The index must have been built over the same slab. A
-// system is a view of (slab, index, cfg) and changes neither, so it can be
-// built at any point of their life; mutable.go says how over a growing slab.
+// NewSystem preprocesses the slab's rows for the configured design. The
+// index must have been built over the same slab, and neither may grow
+// afterwards: the store encodes the rows the slab holds now, once. A model
+// of a live database is built over a copy of it (Database.NewSystem).
 func NewSystem(rs *rows.Slab, metric vecmath.Metric, index *hnsw.Index, cfg SystemConfig) (*System, error) {
 	if rs == nil || rs.Len() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
@@ -158,8 +158,8 @@ func (s *System) analyze(cfg SystemConfig) (*layout.Analysis, error) {
 	return layout.Analyze(sample, s.Elem, s.Metric, cfg.LayoutOpts)
 }
 
-// SetTombstones records the deletion bitmap of the live-mutable database the
-// system is a view of (nil on an immutable one): every engine NewWorkerEngine
+// SetTombstones records the deletion bitmap of the state the system was
+// built over (nil on an immutable database): every engine NewWorkerEngine
 // makes afterwards consults it on the scan paths, and Live hands its filter
 // to whoever searches the index. Call it before the system is shared.
 func (s *System) SetTombstones(t *TombSet) { s.tomb, s.live = t, t.Filter() }

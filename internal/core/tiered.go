@@ -137,7 +137,7 @@ func (e *ETEngine) TieredKNNPool(done <-chan struct{}, q []float32, k int, opt T
 
 	var st TieredStats
 	e.StartQuery(q)
-	n := uint32(len(e.soutl)) // the per-query store snapshot's bound
+	n := uint32(e.store.Len())
 
 	// Stage 1: bound-only scan. tierHeap tracks the k smallest bounds seen
 	// so far; its top is the refinement stop — once an id's bound exceeds
@@ -173,7 +173,7 @@ func (e *ETEngine) TieredKNNPool(done <-chan struct{}, q []float32, k int, opt T
 		// lossy encoding never yields more than a bound; and the line
 		// geometry the precision map's depth is read on.
 		step, ceil := lineStepper(e.b), limit
-		outlier := e.ob != nil && e.soutl[int(id)]
+		outlier := e.ob != nil && e.store.isOutlier[id]
 		if outlier {
 			step, ceil = e.ob, e.ob.Lines()
 		}

@@ -93,7 +93,7 @@ type Exact struct {
 	rows *rows.Slab
 	// view is the slab as StartQuery pinned it: on a slab that grows under
 	// search, every id an index view captured before StartQuery can hand out
-	// has a row in it (core/mutable.go).
+	// has a row in it (hnsw/mutate.go).
 	view  rows.View
 	kern  vecmath.RowKernel  // the slab's element type × the metric, chosen once
 	kern4 vecmath.RowKernel4 // and its four-row form

@@ -176,25 +176,15 @@ func medianPositive(xs []float64) float64 {
 }
 
 // Lines returns vector id's minimum fetch depth in lines (≥ 1, never the
-// full line count for mapped ids). Ids beyond the build-time population —
-// vectors appended to a live database after the map was derived — get the
-// full line count: conservative (no partial-fetch risk) until a rebuild
-// folds them into a partition.
-func (m *Map) Lines(id uint32) int {
-	if int(id) >= len(m.lines) {
-		return m.totalLines
-	}
-	return int(m.lines[id])
-}
+// full line count). The map covers every vector of the model it was derived
+// for: a model never grows.
+func (m *Map) Lines(id uint32) int { return int(m.lines[id]) }
 
 // ScaledLines rescales vector id's depth from the bit-plane layout's line
 // count onto an encoding with `total` lines (the outlier format), rounding
 // up and keeping at least one line — how internal/prefixelim honors the
 // per-partition schedule despite its different line geometry.
 func (m *Map) ScaledLines(id uint32, total int) int {
-	if int(id) >= len(m.lines) {
-		return total // appended id: full depth, as in Lines
-	}
 	d := (int(m.lines[id])*total + m.totalLines - 1) / m.totalLines
 	if d < 1 {
 		d = 1

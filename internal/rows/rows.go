@@ -12,8 +12,8 @@
 // a new chunk, then publishes the count; a reader pins the count, then the
 // table (Slab.View). The count's release/acquire pair orders every row below
 // a pinned count, and its chunk, before the reader: one publication. What is
-// built on the slab (the graph, the bit-plane store) publishes an id only
-// after its row is in, so an id it hands out has a row in any view pinned
+// built on the slab and grows with it (the graph) publishes an id only after
+// its row is in, so an id it hands out has a row in any view pinned
 // afterwards. DESIGN.md, "Row store", has the long form.
 package rows
 

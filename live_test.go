@@ -177,7 +177,7 @@ func TestAttachWALAlreadyAttached(t *testing.T) {
 // TestSearchUnderMutationAllocs pins the read hot path at zero heap
 // allocations per query on a quiesced mutable database — the live
 // publication protocol (view capture, stripe-locked neighbor copies,
-// tombstone filter, store snapshot pinning) must not cost an allocation.
+// tombstone filter, slab view pinning) must not cost an allocation.
 func TestSearchUnderMutationAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

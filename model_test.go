@@ -1,8 +1,9 @@
 package ansmet
 
 // The structure this file pins: a Database owns its rows, graph and
-// tombstones, and the NDP model is a view of them that NewSystem builds on
-// request; the simulator's run over it answers what the host beam answers.
+// tombstones, and the NDP model is a point-in-time copy of them that
+// NewSystem builds on request; the simulator's run over it answers what the
+// host beam answers.
 
 import (
 	"bytes"
@@ -128,6 +129,79 @@ func TestRunFiltersTombstones(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestModelIsACopy: NewSystem copies the database, so the writes after it —
+// 40 adds past the model's last slot, 60 deletes and a repair — leave the
+// model's beam answering bit for bit what it answered before them. A writer
+// that runs concurrently with NewSystem does not show in the model halfway:
+// the model is the database at some point of the writer's run, and answers
+// what a model built over a database of that many rows answers.
+func TestModelIsACopy(t *testing.T) {
+	vs := smallVectors(246)
+	q := Query{Vector: vs[245], K: 10}
+	build := func(adds int) *Database {
+		db, err := New(vs[:200], Options{Elem: Float32, EfConstruction: 40, Seed: 7, Mutable: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vs[200 : 200+adds] {
+			if _, err := db.Add(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+	t.Run("writes after", func(t *testing.T) {
+		db := build(0)
+		sys := ndpModel(t, db)
+		beam := beamOver(sys, sys.NewWorkerEngine())
+		before := beam(q)
+		for _, v := range vs[200:240] {
+			if _, err := db.Add(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for id := uint32(0); id < 240; id += 4 {
+			if err := db.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.Maintain()
+		sameBits(t, "the model's beam after 40 adds, 60 deletes and Maintain", beam(q), before)
+	})
+	t.Run("writer during", func(t *testing.T) {
+		db := build(0)
+		started, done := make(chan struct{}), make(chan error, 1)
+		go func() {
+			for i, v := range vs[200:240] {
+				if _, err := db.Add(v); err != nil {
+					done <- err
+					return
+				}
+				if i == 0 {
+					close(started)
+				}
+			}
+			done <- nil
+		}()
+		select {
+		case <-started:
+		case err := <-done:
+			t.Fatal(err)
+		}
+		sys := ndpModel(t, db)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		n := sys.Store.Len()
+		if n < 201 || n > 240 || sys.Rows().Len() != n {
+			t.Fatalf("the model holds %d slots over %d rows; the writer took the database from 201 to 240", n, sys.Rows().Len())
+		}
+		ref := ndpModel(t, build(n-200))
+		sameBits(t, fmt.Sprintf("the model over %d rows ≡ one built over a database of them", n),
+			beamOver(sys, sys.NewWorkerEngine())(q), beamOver(ref, ref.NewWorkerEngine())(q))
+	})
 }
 
 // TestSnapshotBytesUnchanged: the framing Save and SaveDir now share writes

@@ -269,8 +269,8 @@ func TestDoEquivalence(t *testing.T) {
 	}
 	ndp := func(c doCase, ctx context.Context, q *Query) ([]Neighbor, error) {
 		sys := models[c.name]
-		qq := quantizeInto(make([]float32, len(q.Vector)), q.Vector, c.db.opts.Elem)
-		nn, cancelled := sys.Index.SearchCancelInto(ctx.Done(), qq, q.K, q.beam(), sys.Cfg.BeamBatch, c.db.combineFilter(q.Filter), sys.NewWorkerEngine(), nil, nil)
+		qq := quantizeInto(make([]float32, len(q.Vector)), q.Vector, sys.Elem)
+		nn, cancelled := sys.Index.SearchCancelInto(ctx.Done(), qq, q.K, q.beam(), sys.Cfg.BeamBatch, modelFilter(sys, q.Filter), sys.NewWorkerEngine(), nil, nil)
 		if cancelled {
 			return nn, cancelErr(ctx, len(nn) > 0)
 		}

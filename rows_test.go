@@ -107,7 +107,7 @@ func routesOf(t *testing.T, db *Database, q []float32, k int) map[string][]Neigh
 		out[r.String()] = append([]Neighbor(nil), res.Neighbors...)
 	}
 	sys := ndpModel(t, db)
-	out["ndp"] = beamOver(db, sys.Index, sys.Cfg.BeamBatch, sys.NewWorkerEngine())(Query{Vector: q, K: k, Ef: 64})
+	out["ndp"] = beamOver(sys, sys.NewWorkerEngine())(Query{Vector: q, K: k, Ef: 64})
 	out["tiered"] = tieredOver(db, sys.NewWorkerEngine())(q, k)
 	return out
 }
