@@ -2,6 +2,7 @@ package hnsw
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -45,5 +46,37 @@ func BenchmarkBeam(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkBuild is Build over each benchmark workload's set-up slice —
+// the first 1/8 of its population (bench/main.go), at the database's
+// construction parameters with the benchmark's EfConstruction of 100
+// (bench/workload.go): SIFT u8 at 2 500 (sift20k_beam) and 1 250
+// (sift10k_mixed), GIST f32 at 375 (gist3k_beam), GloVe f32 inner product
+// at 1 250 (glove10k_tiered). It reports ns/insert and allocs/insert.
+func BenchmarkBuild(b *testing.B) {
+	for _, arm := range []struct {
+		profile string
+		n       int
+	}{{"SIFT", 2500}, {"GIST", 375}, {"GloVe", 1250}, {"SIFT", 1250}} {
+		b.Run(fmt.Sprintf("%s-%d", arm.profile, arm.n), func(b *testing.B) {
+			p := dataset.ProfileByName(arm.profile)
+			rs := dataset.Generate(p, arm.n, 1, 7).Rows()
+			cfg := Config{M: 16, MaxDegree: 16, EfConstruction: 100, Seed: 1}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(rs, p.Metric, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			inserts := float64(b.N * arm.n)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/inserts, "ns/insert")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/inserts, "allocs/insert")
+		})
 	}
 }

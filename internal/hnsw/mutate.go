@@ -186,10 +186,12 @@ func (ix *Index) Repair(deleted []uint32, alive func(uint32) bool) {
 					keep = append(keep, n)
 				}
 			}
+			// No memo is held outside Build: connect computes every
+			// distance itself and never reads the Neighbors' Dist.
 			for i, a := range keep {
 				for _, b := range keep[i+1:] {
-					ix.connect(a, b, l)
-					ix.connect(b, a, l)
+					ix.connect(a, Neighbor{ID: b}, l)
+					ix.connect(b, Neighbor{ID: a}, l)
 				}
 			}
 		}

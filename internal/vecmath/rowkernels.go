@@ -9,6 +9,9 @@
 // float64 add of the reference is exact, the order of the adds cannot matter,
 // and the kernels sum in integer arithmetic and convert once at the end (a
 // zero sum to +0, as the reference's zero-seeded accumulators give).
+// The reference is symmetric in its two rows, so every kernel is too, bit
+// for bit: HNSW construction relies on that to use one distance for both
+// directions of a pair (TestRowKernelSymmetric).
 //
 // The kernels take two rows of equal length holding a whole number of
 // elements and do not check it: both rows come from one slab, or one is a

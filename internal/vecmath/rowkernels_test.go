@@ -274,3 +274,58 @@ func TestQuantizeSaturates(t *testing.T) {
 		}
 	}
 }
+
+// TestRowKernelSymmetric: every row kernel is symmetric bit for bit,
+// RowKernel(a, b) ≡ RowKernel(b, a), and so is every lane of the four-row
+// kernel: out[i] of RowKernel4(q, rows) ≡ RowKernel(rows[i], q) — for every
+// element type, metric and implementation, over random rows and rows made
+// only of the specials (signed zeros, subnormals, the extremes). HNSW
+// construction relies on it: one distance serves both directions of a
+// pair (internal/hnsw, the pruning memo).
+func TestRowKernelSymmetric(t *testing.T) {
+	rng := rand.New(rand.NewSource(4747))
+	dims := []int{100, 128, 960}
+	for d := 1; d <= 67; d++ {
+		dims = append(dims, d)
+	}
+	for _, et := range allTypes {
+		w, sp := et.Bytes(), rowSpecials[et]
+		for _, dim := range dims {
+			var rs [][]byte
+			for i := 0; i < 4; i++ {
+				rs = append(rs, randomRow(rng, et, dim))
+			}
+			for shift := 0; shift < 2; shift++ {
+				row := make([]byte, dim*w)
+				for j := 0; j < dim; j++ {
+					var p [4]byte
+					binary.LittleEndian.PutUint32(p[:], sp[(j+shift*3)%len(sp)])
+					copy(row[j*w:(j+1)*w], p[:w])
+				}
+				rs = append(rs, row)
+			}
+			for _, m := range []Metric{L2, InnerProduct, Cosine} {
+				for _, im := range Implementations() {
+					k, k4 := im.RowKernel(et, m), im.RowKernel4(et, m)
+					for i, a := range rs {
+						for _, b := range rs[i+1:] {
+							if ab, ba := k(a, b), k(b, a); math.Float64bits(ab) != math.Float64bits(ba) {
+								t.Fatalf("%s %v %v dim %d: k(a, b) = %v (%#x), k(b, a) = %v (%#x)", im.Name, et, m, dim,
+									ab, math.Float64bits(ab), ba, math.Float64bits(ba))
+							}
+						}
+						four := [4][]byte{rs[(i+1)%len(rs)], rs[(i+2)%len(rs)], rs[(i+3)%len(rs)], rs[(i+4)%len(rs)]}
+						var out [4]float64
+						k4(a, &four, &out)
+						for j, r := range four {
+							if want := k(r, a); math.Float64bits(out[j]) != math.Float64bits(want) {
+								t.Fatalf("%s %v %v dim %d: lane %d of k4(q, rows) = %v (%#x), k(row, q) = %v (%#x)", im.Name, et, m,
+									dim, j, out[j], math.Float64bits(out[j]), want, math.Float64bits(want))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
