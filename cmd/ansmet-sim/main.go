@@ -1,7 +1,9 @@
 // Command ansmet-sim runs one design point of the simulated CPU+NDP
-// platform over a synthetic workload and prints the full timing breakdown —
-// the design-space exploration companion to ansmet-bench. Every platform
-// knob of the paper's Table 1 is a flag.
+// platform over a synthetic workload and prints the offline pass, the first
+// queries' results, recall and the full timing breakdown — the
+// design-space exploration companion to ansmet-bench. It builds a database
+// over the workload and the design's model over that database, as the
+// library documents it; every platform knob of the paper's Table 1 is a flag.
 //
 // Usage:
 //
@@ -15,14 +17,13 @@ import (
 	"math"
 	"os"
 
+	"ansmet"
 	"ansmet/internal/core"
 	"ansmet/internal/dataset"
 	"ansmet/internal/energy"
-	"ansmet/internal/hnsw"
 	"ansmet/internal/partition"
 	"ansmet/internal/polling"
 	"ansmet/internal/sim"
-	"ansmet/internal/trace"
 )
 
 // options are the command line's values, as parsed.
@@ -63,18 +64,17 @@ func main() {
 	}
 
 	ds := dataset.Generate(p, o.n, o.nq, o.seed)
-	rs := ds.Rows()
-	ix, err := hnsw.Build(rs, p.Metric, hnsw.Config{
+	db, err := ansmet.New(ds.Vectors, ansmet.Options{
+		Metric: p.Metric, Elem: p.Elem,
 		M: 8, MaxDegree: 16, EfConstruction: o.efc, Seed: o.seed,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-
 	cfg := core.DefaultSystemConfig(design)
 	cfg.Seed = o.seed
 	cfg.BeamBatch = o.batch
-	sys, err := core.NewSystem(rs, p.Metric, ix, cfg)
+	sys, err := db.NewSystem(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,18 +83,8 @@ func main() {
 		log.Fatal(err)
 	}
 	run := m.RunHNSWParallel(ds.Queries, o.k, o.ef, o.jobs)
-	var traces []*trace.Query
-	for len(traces) < o.stream {
-		traces = append(traces, run.Traces...)
-	}
-	rep := sim.Run(m.Timing, traces)
-
-	gt := ds.GroundTruth(o.k)
-	recall := 0.0
-	for qi, ids := range run.IDs() {
-		recall += dataset.RecallAtK(ids, gt[qi])
-	}
-	recall /= float64(len(gt))
+	rep := m.Stream(run, o.stream)
+	recall := run.Recall(ds.GroundTruth(o.k))
 
 	hops, tasks, lines := 0, 0, 0
 	for _, tr := range run.Traces {
@@ -102,9 +92,12 @@ func main() {
 		tasks += tr.TotalTasks()
 		lines += tr.TotalLines()
 	}
-	nq64 := float64(len(traces))
-	model := energy.Default()
-	e := model.Compute(rep.EnergyActivity())
+	nq64 := float64(len(rep.QueryLatencyNs))
+	e := energy.Default().Compute(rep.EnergyActivity())
+	prefix, outliers, saved := 0, 0, 0.0
+	if st := sys.Store; st != nil {
+		prefix, outliers, saved = st.Prefix.PrefixLen, st.NumOutliers(), st.SpaceSavedFraction()*100
+	}
 
 	fmt.Printf("design        %v on %s (%d vectors x %d dims %v, %v)\n",
 		design, p.Name, o.n, p.Dim, p.Elem, p.Metric)
@@ -114,10 +107,19 @@ func main() {
 		fmt.Printf(" (S=%dB)", o.sub)
 	}
 	fmt.Printf("; %s polling\n", o.poll)
+	fmt.Printf("offline pass  %.2f s: %d lines/vector, prefix %d bits (saves %.1f%%), %d outlier vectors\n",
+		sys.PreprocessSeconds, m.Timing.Part.LinesPerVector(), prefix, saved, outliers)
 	fmt.Printf("workload      %d queries (x%d stream), k=%d ef=%d batch=%d; recall@%d %.3f\n",
-		o.nq, len(traces)/o.nq, o.k, o.ef, o.batch, o.k, recall)
+		o.nq, len(rep.QueryLatencyNs)/o.nq, o.k, o.ef, o.batch, o.k, recall)
 	fmt.Printf("per query     %d hops, %d comparisons, %d lines fetched\n",
 		hops/len(run.Traces), tasks/len(run.Traces), lines/len(run.Traces))
+	for qi, res := range run.Results[:min(3, len(run.Results))] {
+		fmt.Printf("query %-7d top-%d:", qi, o.k)
+		for _, nb := range res {
+			fmt.Printf(" %d(%.3f)", nb.ID, nb.Dist)
+		}
+		fmt.Println()
+	}
 	fmt.Println()
 	fmt.Printf("QPS           %.0f\n", rep.QPS())
 	fmt.Printf("avg latency   %.2f us  (makespan %.1f us)\n", rep.AvgLatencyNs()/1000, rep.MakespanNs/1000)
@@ -125,6 +127,7 @@ func main() {
 		rep.TraversalNs/nq64, rep.OffloadNs/nq64, rep.DistCompNs/nq64, rep.CollectNs/nq64)
 	fmt.Printf("traffic       host %.2f MB | rank-internal %.2f MB | fetch utilization %.1f%%\n",
 		float64(rep.Mem.HostBytes)/1e6, float64(rep.Mem.NDPBytes)/1e6, rep.FetchUtilization()*100)
+	fmt.Printf("fetched lines %d effectual + %d ineffectual\n", rep.EffectualLines, rep.IneffectualLines)
 	fmt.Printf("DRAM          %d reads (%.1f%% row hits), %d refresh stalls, imbalance %.2fx\n",
 		rep.Mem.Reads, 100*float64(rep.Mem.RowHits)/float64(rep.Mem.RowHits+rep.Mem.RowMisses),
 		rep.Mem.Refreshes, rep.ImbalanceRatio())
@@ -135,7 +138,8 @@ func main() {
 
 // checkFlags resolves the profile, the design and the platform, and rejects
 // before anything is generated what no run can be made of: a count that is
-// not positive, a beam narrower than k, a geometry without ranks, a
+// not positive, a beam narrower than k, a construction beam that is not
+// positive, a geometry without ranks, a
 // sub-vector below one 64 B line, a polling interval that is not positive,
 // and a name no design, scheme or policy has.
 func checkFlags(o options) (dataset.Profile, core.Design, sim.Config, error) {
@@ -149,6 +153,9 @@ func checkFlags(o options) (dataset.Profile, core.Design, sim.Config, error) {
 	}
 	if o.ef < o.k {
 		return p, 0, cfg, fmt.Errorf("-ef must be at least -k (got -ef %d, -k %d)", o.ef, o.k)
+	}
+	if o.efc <= 0 {
+		return p, 0, cfg, fmt.Errorf("-efc must be positive (got %d)", o.efc)
 	}
 	if o.channels <= 0 || o.dimms <= 0 || o.ranks <= 0 {
 		return p, 0, cfg, fmt.Errorf("-channels, -dimms and -ranks must be positive (got %d, %d, %d)", o.channels, o.dimms, o.ranks)

@@ -25,7 +25,9 @@ func defaults() options {
 // So are a placement without ranks or with a sub-vector below one line,
 // which failed only after the build, a polling interval that is not
 // positive, which silently ran at 100 ns, and an unknown design, scheme or
-// policy, which died after the build.
+// policy, which died after the build; a zero -efc died after generating.
+// One vector is a database, and a
+// design resolves to the one named.
 func TestCheckFlags(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -33,12 +35,17 @@ func TestCheckFlags(t *testing.T) {
 		ok   bool
 	}{
 		{"defaults", func(o *options) {}, true},
+		{"CPU-Base", func(o *options) { o.design = "CPU-Base" }, true},
+		{"n 1", func(o *options) { o.n = 1 }, true},
+		{"n 2, ef = k", func(o *options) { o.n, o.ef = 2, 10 }, true},
 		{"ef = k", func(o *options) { o.n, o.nq, o.stream, o.k, o.ef = 1, 1, 1, 5, 5 }, true},
 		{"q 0", func(o *options) { o.nq = 0 }, false},
 		{"q negative", func(o *options) { o.nq = -1 }, false},
 		{"stream 0", func(o *options) { o.stream = 0 }, false},
 		{"k 0", func(o *options) { o.k = 0 }, false},
 		{"ef below k", func(o *options) { o.ef = 9 }, false},
+		{"efc 0", func(o *options) { o.efc = 0 }, false},
+		{"efc negative", func(o *options) { o.efc = -1 }, false},
 		{"n 0", func(o *options) { o.n = 0 }, false},
 		{"n negative", func(o *options) { o.n = -5 }, false},
 		{"unknown profile", func(o *options) { o.profile = "Nope" }, false},
@@ -58,12 +65,12 @@ func TestCheckFlags(t *testing.T) {
 	} {
 		o := defaults()
 		c.edit(&o)
-		p, _, _, err := checkFlags(o)
+		p, d, _, err := checkFlags(o)
 		if (err == nil) != c.ok {
 			t.Errorf("%s: err %v, want ok=%v", c.name, err, c.ok)
 		}
-		if c.ok && p.Name != o.profile {
-			t.Errorf("%s: profile %s, want %s", c.name, p.Name, o.profile)
+		if c.ok && (p.Name != o.profile || d.String() != o.design) {
+			t.Errorf("%s: profile %s, design %v; want %s, %s", c.name, p.Name, d, o.profile, o.design)
 		}
 	}
 }

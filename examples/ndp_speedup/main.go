@@ -54,17 +54,6 @@ func main() {
 			log.Fatal(err)
 		}
 		rep := run.Report
-
-		recall := 0.0
-		for qi, res := range run.Results {
-			ids := make([]uint32, len(res))
-			for i, nb := range res {
-				ids[i] = nb.ID
-			}
-			recall += ansmet.RecallAtK(ids, gt[qi])
-		}
-		recall /= float64(len(run.Results))
-
 		mj := model.Compute(rep.EnergyActivity()).TotalMJ()
 		if d == core.CPUBase {
 			baseQPS, baseMJ = rep.QPS(), mj
@@ -72,7 +61,7 @@ func main() {
 		fmt.Printf("%-12s %10.0f %8.2fx %9.1fMB %8.2fx %8.3f\n",
 			d, rep.QPS(), rep.QPS()/baseQPS,
 			float64(rep.Mem.HostBytes+rep.Mem.NDPBytes)/1e6,
-			mj/baseMJ, recall)
+			mj/baseMJ, run.Recall(gt))
 	}
 	fmt.Println("\nrecall is identical across designs: early termination is lossless by construction.")
 }

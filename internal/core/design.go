@@ -62,11 +62,5 @@ func (d Design) UsesET() bool {
 	return d != CPUBase && d != NDPBase
 }
 
-// UsesSampling reports whether the design needs the offline sampling pass
-// (dual-granularity fetch and/or prefix elimination).
-func (d Design) UsesSampling() bool {
-	return d == NDPETDual || d == NDPETOpt || d == CPUETOpt
-}
-
 // UsesPrefixElim reports whether common-prefix elimination is enabled.
 func (d Design) UsesPrefixElim() bool { return d == NDPETOpt || d == CPUETOpt }

@@ -34,8 +34,8 @@ func (r *Runner) AblationBeamBatch() *Table {
 			c.BeamBatch = bb
 		})
 		run := sys.RunHNSW(w.ds.Queries, 10, r.Scale.EfSearch)
-		rep := r.timedReport(sys, run)
-		c := bbCell{n: len(run.Traces), recall: recallOf(w, run), qps: rep.QPS()}
+		rep := sys.Stream(run, stream)
+		c := bbCell{n: len(run.Traces), recall: run.Recall(w.gt), qps: rep.QPS()}
 		for _, tr := range run.Traces {
 			c.hops += tr.NumHops()
 			c.tasks += tr.TotalTasks()

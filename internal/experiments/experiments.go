@@ -20,7 +20,6 @@ import (
 	"ansmet/internal/ivf"
 	"ansmet/internal/rows"
 	"ansmet/internal/sim"
-	"ansmet/internal/trace"
 )
 
 // Scale controls workload sizes. The paper runs billion-scale datasets on a
@@ -281,35 +280,9 @@ func (r *Runner) system(name string, d core.Design, mutate func(*core.SystemConf
 	return w, e.sys
 }
 
-// timedReport replays the run's traces enough times to make the timing
-// throughput-bound (the paper's regime: a sustained query stream), rather
-// than bound by the latency of a handful of queries. The functional results
-// are unaffected; only the replayed stream grows.
-func (r *Runner) timedReport(sys *sim.Model, run *sim.RunResult) *sim.Report {
-	const targetStream = 96
-	n := len(run.Traces)
-	if n == 0 {
-		return run.Report
-	}
-	rep := (targetStream + n - 1) / n
-	if rep <= 1 {
-		return run.Report
-	}
-	traces := make([]*trace.Query, 0, n*rep)
-	for i := 0; i < rep; i++ {
-		traces = append(traces, run.Traces...)
-	}
-	return sim.Run(sys.Timing, traces)
-}
-
-// recallOf computes mean recall@10 of a run against the ground truth.
-func recallOf(w *workload, run *sim.RunResult) float64 {
-	sum := 0.0
-	for qi, ids := range run.IDs() {
-		sum += dataset.RecallAtK(ids, w.gt[qi])
-	}
-	return sum / float64(len(w.gt))
-}
+// stream is the sustained query stream every timed cell replays
+// (sim.Model.Stream): the paper's throughput-bound regime.
+const stream = 96
 
 // recallNN is dataset.RecallAtK of one result list.
 func recallNN(nn []hnsw.Neighbor, truth []uint32) float64 {

@@ -137,7 +137,7 @@ func (r *Runner) Fig06(ks []int) *Table {
 		c := cells[i]
 		w, sys := r.system(c.name, c.d, nil)
 		run := sys.RunHNSW(w.ds.Queries, c.k, r.Scale.EfSearch)
-		qps[i] = r.timedReport(sys, run).QPS()
+		qps[i] = sys.Stream(run, stream).QPS()
 	})
 	// Assembly: normalize each (dataset, k) row to its CPU-Base cell.
 	geo := map[string][]float64{}
@@ -184,7 +184,7 @@ func (r *Runner) Fig07() *Table {
 		name, d := AllProfiles[i/nd], designs[i%nd]
 		w, sys := r.system(name, d, nil)
 		run := sys.RunHNSW(w.ds.Queries, 10, r.Scale.EfSearch)
-		mjs[i] = model.Compute(r.timedReport(sys, run).EnergyActivity()).TotalMJ()
+		mjs[i] = model.Compute(sys.Stream(run, stream).EnergyActivity()).TotalMJ()
 	})
 	for ni, name := range AllProfiles {
 		row := []string{name}
@@ -229,8 +229,8 @@ func (r *Runner) Fig08() *Table {
 		run := sys.RunHNSW(w.ds.Queries, 10, c.ef)
 		rows[i] = []string{
 			c.name, c.d.String(), fmt.Sprint(c.ef),
-			fmt.Sprintf("%.3f", recallOf(w, run)),
-			fmt.Sprintf("%.0f", r.timedReport(sys, run).QPS()),
+			fmt.Sprintf("%.3f", run.Recall(w.gt)),
+			fmt.Sprintf("%.0f", sys.Stream(run, stream).QPS()),
 		}
 	})
 	t.Rows = rows
@@ -417,7 +417,7 @@ func (r *Runner) Fig12() *Table {
 	r.parMap(len(schemes), func(i int) {
 		w, sys := r.system("GIST", core.NDPETOpt, schemes[i].mut)
 		run := sys.RunHNSW(w.ds.Queries, 10, r.Scale.EfSearch)
-		qpss[i] = r.timedReport(sys, run).QPS()
+		qpss[i] = sys.Stream(run, stream).QPS()
 	})
 	var base float64
 	for i, sc := range schemes {
@@ -503,7 +503,7 @@ func (r *Runner) FigTieredFrontier() *Table {
 			run := sys.RunHNSW(w.ds.Queries, 10, c.ef)
 			lines := float64(run.Report.EffectualLines + run.Report.IneffectualLines)
 			rows[i] = []string{c.name, c.path, c.knob,
-				fmt.Sprintf("%.3f", recallOf(w, run)), f1(lines / nq), "-"}
+				fmt.Sprintf("%.3f", run.Recall(w.gt)), f1(lines / nq), "-"}
 		case "exact":
 			eng := sys.Store.NewETEngine(w.ds.Profile.Metric)
 			sum, lines := 0.0, 0
@@ -574,7 +574,7 @@ func (r *Runner) FigPrecisionFrontier() *Table {
 		beam := func(sys *sim.Model) (float64, float64) {
 			run := sys.RunHNSW(w.ds.Queries, 10, r.Scale.EfSearch)
 			lines := float64(run.Report.EffectualLines + run.Report.IneffectualLines)
-			return recallOf(w, run), lines / nq
+			return run.Recall(w.gt), lines / nq
 		}
 		fixRec, fixLines := beam(fixSys)
 		adRec, adLines := beam(adSys)

@@ -25,7 +25,7 @@ func (r *Runner) Table3() *Table {
 		if i == 0 {
 			w, base := r.system("SIFT", core.CPUBase, nil)
 			baseRun := base.RunHNSW(w.ds.Queries, 10, r.Scale.EfSearch)
-			qps[0] = r.timedReport(base, baseRun).QPS()
+			qps[0] = base.Stream(baseRun, stream).QPS()
 			return
 		}
 		rp := ranks[i-1]
@@ -33,7 +33,7 @@ func (r *Runner) Table3() *Table {
 			c.Mem.RanksPerDIMM = rp
 		})
 		run := sys.RunHNSW(w.ds.Queries, 10, r.Scale.EfSearch)
-		qps[i] = r.timedReport(sys, run).QPS()
+		qps[i] = sys.Stream(run, stream).QPS()
 	})
 	for i, rp := range ranks {
 		units := 4 * 2 * rp
@@ -98,8 +98,8 @@ func (r *Runner) Table5() *Table {
 		if i == 0 {
 			_, baseSys := r.system("SPACEV", core.NDPETDual, nil)
 			baseRun := baseSys.RunHNSW(w.ds.Queries, 10, r.Scale.EfSearch)
-			baseQPS = r.timedReport(baseSys, baseRun).QPS()
-			baseRecall = recallOf(w, baseRun)
+			baseQPS = baseSys.Stream(baseRun, stream).QPS()
+			baseRecall = baseRun.Recall(w.gt)
 			return
 		}
 		b := budgets[i-1]
@@ -107,7 +107,7 @@ func (r *Runner) Table5() *Table {
 			c.LayoutOpts.OutlierBudget = b
 		})
 		run := sys.RunHNSW(w.ds.Queries, 10, r.Scale.EfSearch)
-		c := t5cell{prefixBits: sys.Params.PrefixLen, qps: r.timedReport(sys, run).QPS()}
+		c := t5cell{prefixBits: sys.Params.PrefixLen, qps: sys.Stream(run, stream).QPS()}
 
 		if sys.Store != nil {
 			c.saved = sys.Store.SpaceSavedFraction()
@@ -128,7 +128,7 @@ func (r *Runner) Table5() *Table {
 				lossy.Results = append(lossy.Results, sys.Index.SearchFilteredInto(
 					q, 10, r.Scale.EfSearch, sys.Cfg.BeamBatch, nil, ee, nil, nil))
 			}
-			c.lossyRecall = recallOf(w, lossy)
+			c.lossyRecall = lossy.Recall(w.gt)
 			c.hasLossy = true
 		}
 		res[i-1] = c

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"ansmet/internal/core"
+	"ansmet/internal/dataset"
 	"ansmet/internal/engine"
 	"ansmet/internal/fault"
 	"ansmet/internal/hnsw"
@@ -160,6 +161,33 @@ func (r *RunResult) IDs() [][]uint32 {
 		out[i] = ids
 	}
 	return out
+}
+
+// Recall is the mean recall@k of the run's results against the ground truth
+// gt (one list per query, in query order).
+func (r *RunResult) Recall(gt [][]uint32) float64 {
+	sum := 0.0
+	for qi, ids := range r.IDs() {
+		sum += dataset.RecallAtK(ids, gt[qi])
+	}
+	return sum / float64(len(r.Results))
+}
+
+// Stream times the run as a sustained query stream, the paper's regime: its
+// traces repeated to at least n queries and replayed, so the timing is
+// throughput-bound rather than bound by the latency of a handful of queries.
+// A run of n queries or more is its own stream and keeps its Report.
+func (m *Model) Stream(run *RunResult, n int) *Report {
+	nq := len(run.Traces)
+	if nq == 0 || nq >= n {
+		return run.Report
+	}
+	reps := (n + nq - 1) / nq
+	traces := make([]*trace.Query, 0, reps*nq)
+	for range reps {
+		traces = append(traces, run.Traces...)
+	}
+	return Run(m.Timing, traces)
 }
 
 // run is the one query loop: n queries searched functionally by up to

@@ -9,6 +9,7 @@ import (
 	"ansmet/internal/core"
 	"ansmet/internal/dataset"
 	"ansmet/internal/hnsw"
+	"ansmet/internal/trace"
 )
 
 // TestModelRunRejectsBadInput: Run checks raw queries before any engine sees
@@ -92,5 +93,50 @@ func TestReplicationWiredIntoSystem(t *testing.T) {
 	}
 	if m.Timing.Part.Groups() > 1 && m.Timing.Part.ReplicatedCount() == 0 {
 		t.Error("top-layer replication not applied")
+	}
+}
+
+// TestStreamAndRecall: Stream is the run's traces repeated to at least n
+// queries and replayed once, and a run of n or more queries keeps its own
+// report; Recall is the mean of dataset.RecallAtK over the run's queries.
+func TestStreamAndRecall(t *testing.T) {
+	p := dataset.ProfileByName("SIFT")
+	ds := dataset.Generate(p, 300, 5, 3)
+	ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 40, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystem(ds.Rows(), p.Metric, ix, core.DefaultSystemConfig(core.NDPETOpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewModel(sys, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := m.RunHNSW(ds.Queries, 10, 40)
+	for _, n := range []int{0, 1, 5} {
+		if got := m.Stream(run, n); got != run.Report {
+			t.Errorf("Stream(%d) over 5 queries: a new report, want the run's", n)
+		}
+	}
+	for n, reps := range map[int]int{6: 2, 10: 2, 11: 3, 96: 20} {
+		var traces []*trace.Query
+		for range reps {
+			traces = append(traces, run.Traces...)
+		}
+		if got, want := m.Stream(run, n), Run(m.Timing, traces); !reflect.DeepEqual(got, want) {
+			t.Errorf("Stream(%d): %d queries, makespan %v; want %d, %v",
+				n, len(got.QueryLatencyNs), got.MakespanNs, len(want.QueryLatencyNs), want.MakespanNs)
+		}
+	}
+
+	gt := ds.GroundTruth(10)
+	want := 0.0
+	for qi, ids := range run.IDs() {
+		want += dataset.RecallAtK(ids, gt[qi])
+	}
+	if got := run.Recall(gt); got != want/5 || got <= 0 {
+		t.Errorf("Recall %v, want %v", got, want/5)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // admission window of 1.
 func simReplayArms() []simReplayArm {
 	// 96 queries x 20 hops x 16 tasks, GIST-like 60-line vectors with early
-	// termination at 10 lines — the throughput regime of timedReport.
+	// termination at 10 lines — the throughput regime of Model.Stream.
 	traces := mkTraces(96, 20, 16, 10, 60, 5, 4000, nil)
 	arm := func(name string, cfg Config) simReplayArm {
 		return simReplayArm{name, func() { Run(cfg, traces) }}
