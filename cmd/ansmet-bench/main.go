@@ -14,19 +14,61 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
 	"ansmet/internal/experiments"
 )
 
+// job is one experiment under its -exp name; run takes Fig. 6's k values.
+type job struct {
+	name string
+	run  func(*experiments.Runner, []int) *experiments.Table
+}
+
+// jobs lists every experiment in paper order.
+var jobs = []job{
+	{"fig1", noK((*experiments.Runner).Fig01)},
+	{"fig3", noK((*experiments.Runner).Fig03)},
+	{"fig6", (*experiments.Runner).Fig06},
+	{"fig7", noK((*experiments.Runner).Fig07)},
+	{"fig8", noK((*experiments.Runner).Fig08)},
+	{"fig9", noK((*experiments.Runner).Fig09)},
+	{"fig10", noK((*experiments.Runner).Fig10)},
+	{"fig11", noK((*experiments.Runner).Fig11)},
+	{"fig12", noK((*experiments.Runner).Fig12)},
+	{"table3", noK((*experiments.Runner).Table3)},
+	{"table4", noK((*experiments.Runner).Table4)},
+	{"table5", noK((*experiments.Runner).Table5)},
+	{"replication", noK((*experiments.Runner).Replication)},
+	{"ablation-batch", noK((*experiments.Runner).AblationBeamBatch)},
+	{"ablation-quant", noK((*experiments.Runner).AblationQuantization)},
+	{"frontier", noK((*experiments.Runner).FigTieredFrontier)},
+	{"precision", noK((*experiments.Runner).FigPrecisionFrontier)},
+}
+
+// noK adapts a generator that takes no k values.
+func noK(gen func(*experiments.Runner) *experiments.Table) func(*experiments.Runner, []int) *experiments.Table {
+	return func(r *experiments.Runner, _ []int) *experiments.Table { return gen(r) }
+}
+
 func main() {
+	names := make([]string, len(jobs))
+	for i, j := range jobs {
+		names[i] = j.name
+	}
 	quick := flag.Bool("quick", false, "use the small smoke-test workload scale")
-	exp := flag.String("exp", "all",
-		"comma-separated experiments: fig1,fig3,fig6,fig7,fig8,fig9,fig10,fig11,fig12,table3,table4,table5,replication,ablation-batch,ablation-quant,frontier")
-	ks := flag.String("k", "1,5,10", "result counts for fig6")
+	exp := flag.String("exp", "all", "comma-separated experiments, or all: "+strings.Join(names, ","))
+	k := flag.String("k", "1,5,10", "result counts for fig6")
 	parallel := flag.Int("parallel", 0, "experiment cell workers (0 = GOMAXPROCS); tables are identical at any setting")
 	flag.Parse()
+	run, ks, err := checkFlags(*exp, *k)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	scale := experiments.DefaultScale()
 	if *quick {
@@ -34,59 +76,42 @@ func main() {
 	}
 	r := experiments.NewRunner(scale).Parallel(*parallel)
 
-	var fig6Ks []int
-	for _, s := range strings.Split(*ks, ",") {
-		var k int
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &k); err == nil && k > 0 {
-			fig6Ks = append(fig6Ks, k)
-		}
-	}
-
-	type job struct {
-		name string
-		run  func() *experiments.Table
-	}
-	jobs := []job{
-		{"fig1", r.Fig01},
-		{"fig3", r.Fig03},
-		{"fig6", func() *experiments.Table { return r.Fig06(fig6Ks) }},
-		{"fig7", r.Fig07},
-		{"fig8", r.Fig08},
-		{"fig9", r.Fig09},
-		{"fig10", r.Fig10},
-		{"fig11", r.Fig11},
-		{"fig12", r.Fig12},
-		{"table3", r.Table3},
-		{"table4", r.Table4},
-		{"table5", r.Table5},
-		{"replication", r.Replication},
-		{"ablation-batch", r.AblationBeamBatch},
-		{"ablation-quant", r.AblationQuantization},
-		{"frontier", r.FigTieredFrontier},
-		{"precision", r.FigPrecisionFrontier},
-	}
-
-	want := map[string]bool{}
-	for _, s := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(strings.ToLower(s))] = true
-	}
-	all := want["all"]
-
 	fmt.Printf("ANSMET reproduction benchmarks (scale: %d datasets, %d queries, efConstruction=%d)\n\n",
 		len(scale.N), scale.Queries, scale.EfConstruction)
-	ranAny := false
-	for _, j := range jobs {
-		if !all && !want[j.name] {
-			continue
-		}
-		ranAny = true
+	for _, j := range run {
 		start := time.Now()
-		tab := j.run()
+		tab := j.run(r, ks)
 		tab.Notes = append(tab.Notes, fmt.Sprintf("generated in %.1fs", time.Since(start).Seconds()))
 		tab.Format(os.Stdout)
 	}
-	if !ranAny {
-		fmt.Fprintf(os.Stderr, "no experiment matched %q\n", *exp)
-		os.Exit(2)
+}
+
+// checkFlags resolves -exp to the jobs it names, in paper order ("all" names
+// every one), and -k to Fig. 6's result counts. A name no job has and a k
+// that is not a positive integer are errors.
+func checkFlags(exp, k string) ([]job, []int, error) {
+	want := map[string]bool{}
+	for _, s := range strings.Split(exp, ",") {
+		want[strings.TrimSpace(strings.ToLower(s))] = true
 	}
+	var run []job
+	for _, j := range jobs {
+		if want["all"] || want[j.name] {
+			run = append(run, j)
+		}
+		delete(want, j.name)
+	}
+	delete(want, "all")
+	for name := range want {
+		return nil, nil, fmt.Errorf("unknown experiment %q in -exp", name)
+	}
+	var ks []int
+	for _, s := range strings.Split(k, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil || v <= 0 {
+			return nil, nil, fmt.Errorf("-k takes positive integers (got %q)", s)
+		}
+		ks = append(ks, v)
+	}
+	return run, ks, nil
 }

@@ -1,6 +1,7 @@
 // Command ansmet-sim runs one design point of the simulated CPU+NDP
-// platform over a synthetic workload and prints the offline pass, the first
-// queries' results, recall and the full timing breakdown — the
+// platform over a synthetic workload and prints the offline pass (with its
+// sampling analysis, paper §4.2 and Fig. 3, for the designs that sample),
+// the first queries' results, recall and the full timing breakdown — the
 // design-space exploration companion to ansmet-bench. It builds a database
 // over the workload and the design's model over that database, as the
 // library documents it; every platform knob of the paper's Table 1 is a flag.
@@ -16,11 +17,13 @@ import (
 	"log"
 	"math"
 	"os"
+	"strings"
 
 	"ansmet"
 	"ansmet/internal/core"
 	"ansmet/internal/dataset"
 	"ansmet/internal/energy"
+	"ansmet/internal/layout"
 	"ansmet/internal/partition"
 	"ansmet/internal/polling"
 	"ansmet/internal/sim"
@@ -109,6 +112,9 @@ func main() {
 	fmt.Printf("; %s polling\n", o.poll)
 	fmt.Printf("offline pass  %.2f s: %d lines/vector, prefix %d bits (saves %.1f%%), %d outlier vectors\n",
 		sys.PreprocessSeconds, m.Timing.Part.LinesPerVector(), prefix, saved, outliers)
+	if sys.Analysis != nil {
+		printAnalysis(sys.Analysis, min(cfg.SampleSize, o.n))
+	}
 	fmt.Printf("workload      %d queries (x%d stream), k=%d ef=%d batch=%d; recall@%d %.3f\n",
 		o.nq, len(rep.QueryLatencyNs)/o.nq, o.k, o.ef, o.batch, o.k, recall)
 	fmt.Printf("per query     %d hops, %d comparisons, %d lines fetched\n",
@@ -134,6 +140,23 @@ func main() {
 	fmt.Printf("energy        %.2f mJ  (DRAM %.2f | CPU %.2f | NDP %.2f)\n",
 		e.TotalMJ(), e.DRAMmJ, e.CPUmJ, e.NDPmJ)
 	fmt.Printf("polling       %d poll reads\n", rep.PollCount)
+}
+
+// printAnalysis prints the offline pass's sampling analysis (Fig. 3 and the
+// layouts chosen with and without the common prefix).
+func printAnalysis(an *layout.Analysis, samples int) {
+	fmt.Printf("ET threshold  %.4f (%.0f%% percentile of pairwise distances over %d samples)\n",
+		an.Threshold, an.Opts.ThresholdPercentile*100, samples)
+	fmt.Println("bits  prefixEntropy  etFreq")
+	for b, h := range an.PrefixEntropy {
+		fmt.Printf("%4d  %13.3f  %.4f %s\n", b+1, h, an.ETFreq[b], strings.Repeat("#", int(an.ETFreq[b]*200)))
+	}
+	fmt.Printf("never-terminating pair fraction: %.1f%%\n", an.NoTermFrac*100)
+	fmt.Printf("common prefix: %d bits (value %#x) under %.2f%% outlier budget\n",
+		an.CommonPrefixLen, an.CommonPrefixVal, an.Opts.OutlierBudget*100)
+	fmt.Printf("optimized layout with prefix elimination:    %v\n", an.BestParams(true))
+	fmt.Printf("optimized layout without prefix elimination: %v\n", an.BestParams(false))
+	fmt.Printf("simple heuristic schedule (NDP-ET):          %v\n", layout.SimpleHeuristicSchedule(an.Elem))
 }
 
 // checkFlags resolves the profile, the design and the platform, and rejects

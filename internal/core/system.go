@@ -10,7 +10,6 @@ import (
 	"ansmet/internal/layout"
 	"ansmet/internal/prefixelim"
 	"ansmet/internal/rows"
-	"ansmet/internal/stats"
 	"ansmet/internal/vecmath"
 )
 
@@ -138,24 +137,11 @@ func NewSystem(rs *rows.Slab, metric vecmath.Metric, index *hnsw.Index, cfg Syst
 
 // analyze runs the sampling pass over a seeded random subset.
 func (s *System) analyze(cfg SystemConfig) (*layout.Analysis, error) {
-	total := s.rows.Len()
 	n := cfg.SampleSize
 	if n <= 0 {
 		n = 100
 	}
-	if n > total {
-		n = total
-	}
-	perm := stats.NewRNG(cfg.Seed).Perm(total)
-	// float32 copies of the sampled rows, on one backing allocation.
-	v := s.rows.View()
-	flat := make([]float32, 0, n*s.Dim)
-	sample := make([][]float32, n)
-	for i := range sample {
-		flat = v.Decode(uint32(perm[i]), flat)
-		sample[i] = flat[i*s.Dim : (i+1)*s.Dim : (i+1)*s.Dim]
-	}
-	return layout.Analyze(sample, s.Elem, s.Metric, cfg.LayoutOpts)
+	return layout.Analyze(layout.Sample(s.rows, n, cfg.Seed), s.Elem, s.Metric, cfg.LayoutOpts)
 }
 
 // SetTombstones records the deletion bitmap of the state the system was

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"ansmet/internal/core"
-	"ansmet/internal/dataset"
 	"ansmet/internal/energy"
 	"ansmet/internal/hnsw"
 	"ansmet/internal/layout"
@@ -73,7 +72,8 @@ func (r *Runner) Fig01() *Table {
 }
 
 // Fig03 reproduces the prefix-entropy and ET-frequency distributions over
-// prefix lengths (Fig. 3) for the four datasets the paper plots.
+// prefix lengths (Fig. 3) for the four datasets the paper plots. They are
+// the analysis of NDP-ETOpt's offline pass, read off its cached system.
 func (r *Runner) Fig03() *Table {
 	t := &Table{
 		Title:  "Fig.3: prefix entropy (nats) and ET frequency vs prefix bit length",
@@ -83,13 +83,9 @@ func (r *Runner) Fig03() *Table {
 	perDS := make([][][]string, len(names))
 	r.parMap(len(names), func(i int) {
 		name := names[i]
-		w := r.load(name)
-		sample := sampleVectors(w.ds, 100, r.Scale.Seed)
-		an, err := layout.Analyze(sample, w.ds.Profile.Elem, w.ds.Profile.Metric, layout.DefaultOptions())
-		if err != nil {
-			panic(err)
-		}
-		bits := w.ds.Profile.Elem.Bits()
+		_, sys := r.system(name, core.NDPETOpt, nil)
+		an := sys.Analysis
+		bits := an.Elem.Bits()
 		step := 1
 		if bits > 16 {
 			step = 2 // keep fp32 rows readable
@@ -331,10 +327,9 @@ func (r *Runner) Fig11() *Table {
 		Header: []string{"parameter", "value", "KL"},
 	}
 	klOf := func(sampleN int, thrPct float64) float64 {
-		sample := sampleVectors(w.ds, sampleN, r.Scale.Seed+7)
 		opts := layout.DefaultOptions()
 		opts.ThresholdPercentile = thrPct
-		an, err := layout.Analyze(sample, p.Elem, p.Metric, opts)
+		an, err := layout.Analyze(layout.Sample(w.rows, sampleN, r.Scale.Seed+7), p.Elem, p.Metric, opts)
 		if err != nil {
 			return math.NaN()
 		}
@@ -431,20 +426,6 @@ func (r *Runner) Fig12() *Table {
 	t.Notes = append(t.Notes,
 		"paper: hybrid 1kB is best; ET shifts the sweet spot toward longer sub-vectors (in this reproduction the crossover sits at even larger S — see EXPERIMENTS.md)")
 	return t
-}
-
-// sampleVectors draws n distinct vectors from the dataset.
-func sampleVectors(ds *dataset.Dataset, n int, seed uint64) [][]float32 {
-	if n > len(ds.Vectors) {
-		n = len(ds.Vectors)
-	}
-	rng := stats.NewRNG(seed)
-	perm := rng.Perm(len(ds.Vectors))
-	out := make([][]float32, n)
-	for i := 0; i < n; i++ {
-		out[i] = ds.Vectors[perm[i]]
-	}
-	return out
 }
 
 func designNames() []string {

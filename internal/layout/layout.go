@@ -16,9 +16,11 @@ package layout
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"ansmet/internal/bitplane"
 	"ansmet/internal/prefixelim"
+	"ansmet/internal/rows"
 	"ansmet/internal/stats"
 	"ansmet/internal/vecmath"
 )
@@ -30,18 +32,31 @@ type Options struct {
 	// OutlierBudget is the allowed fraction of sample elements breaking the
 	// common prefix; the paper's default is 0.001 (0.1%).
 	OutlierBudget float64
-	// Seed drives pair subsampling.
-	Seed uint64
 }
 
 // DefaultOptions returns the paper's defaults.
 func DefaultOptions() Options {
-	return Options{ThresholdPercentile: 0.90, OutlierBudget: 0.001, Seed: 1}
+	return Options{ThresholdPercentile: 0.90, OutlierBudget: 0.001}
 }
 
 // maxPairs caps the (query, vector) sample pairs used for termination
-// positions, bounding analysis cost on wide vectors.
-const maxPairs = 1500
+// positions, bounding analysis cost on wide vectors; pairSeed drives their
+// subsampling.
+const maxPairs, pairSeed = 1500, 1
+
+// Sample draws the offline pass's sampling set from the slab: the first n
+// ids of a permutation seeded by seed (every row if n exceeds the count),
+// decoded to float32. Decoding is exact, so the values are the ones the rows
+// were packed from.
+func Sample(rs *rows.Slab, n int, seed uint64) [][]float32 {
+	v := rs.View()
+	perm := stats.NewRNG(seed).Perm(v.Len())
+	sample := make([][]float32, min(n, v.Len()))
+	for i := range sample {
+		sample[i] = v.Decode(uint32(perm[i]), make([]float32, 0, rs.Dim()))
+	}
+	return sample
+}
 
 // Params is a complete optimized layout decision.
 type Params struct {
@@ -134,11 +149,14 @@ func Analyze(sample [][]float32, elem vecmath.ElemType, metric vecmath.Metric, o
 		for _, n := range counts {
 			weights = append(weights, n)
 		}
+		// Summed in sorted order, not map order: the same sample gives
+		// the same bits on every run.
+		sort.Float64s(weights)
 		a.PrefixEntropy[l-1] = stats.Entropy(weights)
 	}
 
 	// Termination positions over sampled (query, vector) pairs.
-	rng := stats.NewRNG(opts.Seed)
+	rng := stats.NewRNG(pairSeed)
 	type pair struct{ q, v int }
 	var pairs []pair
 	total := len(sample) * (len(sample) - 1)

@@ -6,6 +6,7 @@ import (
 
 	"ansmet/internal/bitplane"
 	"ansmet/internal/dataset"
+	"ansmet/internal/stats"
 	"ansmet/internal/vecmath"
 )
 
@@ -41,6 +42,51 @@ func TestAnalyzeBasics(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("ET distribution sums to %v", sum)
+	}
+}
+
+// TestPrefixEntropyDeterministic: one sample gives the same entropy bits on
+// every call. The per-prefix counts come out of a map, and summed in its
+// order the last bits of most entries moved from one call to the next.
+func TestPrefixEntropyDeterministic(t *testing.T) {
+	ds, sample := sampleOf(t, "DEEP", 100)
+	var first []float64
+	for call := 0; call < 5; call++ {
+		a, err := Analyze(sample, ds.Profile.Elem, ds.Profile.Metric, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = a.PrefixEntropy
+			continue
+		}
+		for l, h := range a.PrefixEntropy {
+			if math.Float64bits(h) != math.Float64bits(first[l]) {
+				t.Fatalf("call %d: entropy at %d bits is %v, first call %v", call, l+1, h, first[l])
+			}
+		}
+	}
+}
+
+// TestSampleDrawsSeededRows: the sampling set is the first n ids of the
+// seeded permutation, with the values the rows were packed from, and a set
+// larger than the slab is the whole slab.
+func TestSampleDrawsSeededRows(t *testing.T) {
+	ds, _ := sampleOf(t, "DEEP", 50)
+	rs := ds.Rows()
+	perm := stats.NewRNG(9).Perm(rs.Len())
+	for _, n := range []int{10, 50, 80} {
+		got := Sample(rs, n, 9)
+		if len(got) != min(n, rs.Len()) {
+			t.Fatalf("n %d: %d vectors", n, len(got))
+		}
+		for i, v := range got {
+			for d, x := range v {
+				if want := ds.Vectors[perm[i]][d]; x != want {
+					t.Fatalf("n %d: vector %d dim %d is %v, want %v", n, i, d, x, want)
+				}
+			}
+		}
 	}
 }
 
