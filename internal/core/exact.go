@@ -55,32 +55,35 @@ func (f fixedPrecision) Compare(id uint32, threshold float64) engine.Result {
 	return f.compareExact(id, threshold)
 }
 
-// scanRun is how many ids the batched scan takes per Distances call: a
-// divisor of knnCancelStride, so every checkpoint falls on a run's first id.
+// scanRun is how many ids the run scan takes per RunDistances call: a
+// divisor of knnCancelStride, so every checkpoint falls on a run's first id,
+// and of rows.ChunkRows, so a run never straddles a slab chunk. It is also
+// the width of a tombstone word, so a run's marks are one load.
 const scanRun = 64
 
-// scanRuns pools the batched scan's run buffers: a Distances call through
-// the interface would move buffers on the scan's stack to the heap.
-var scanRuns = sync.Pool{New: func() any { return new(scanBuf) }}
-
-type scanBuf struct {
-	ids  [scanRun]uint32
-	dist [scanRun]float64
-}
+// scanRuns pools the run scan's distance buffer: a RunDistances call
+// through the kernel's func value would move a buffer on the scan's stack
+// to the heap.
+var scanRuns = sync.Pool{New: func() any { return new([scanRun]float64) }}
 
 // scanKNN is the one exact k-NN scan loop: ids [0, n) in order (the caller
 // has started the query), tombstoned ids skipped, the k best kept in a
 // max-heap built in place on dst[:0] and returned in ascending (Dist, ID)
 // order.
 //
-// The ids go in aligned runs of scanRun. An engine.Batcher (the exact
-// engine: ScanKNN) takes each run's live ids in one Distances call and the
-// heap pass follows; any other engine (ExactKNN's early-terminating one)
-// compares id by id at the live threshold — +Inf while the heap is short,
-// its top after — so its line counts are those of a per-id scan. A
+// The ids go in aligned runs of scanRun. The exact engine (ScanKNN) takes
+// each run's distances in one RunDistances call, tombstoned rows included,
+// and the heap pass that follows skips the tombstoned ids and counts a full
+// fetch for each live one. Any other engine (ExactKNN's early-terminating
+// one) compares id by id at the live threshold — +Inf while the heap is
+// short, its top after — so its line counts are those of a per-id scan. A
 // comparison is accepted at a tie with the threshold, so an accepted row
 // replaces the top only when it is Less: at equal distance the smaller id
-// stays. Both give the one answer, ExactKNN's.
+// stays. The ids come in ascending order, so every id the heap holds is
+// smaller than the one at hand, and Less against the top is a plain
+// distance compare: the run pass keeps the top's distance in a local and a
+// row that is not admitted costs that one compare. Both give the one
+// answer, ExactKNN's.
 //
 // done is a cooperative-cancellation channel; nil disables every check.
 // It is polled before the first comparison and at every id that is a
@@ -102,12 +105,13 @@ func scanKNN(done <-chan struct{}, eng engine.Engine, n uint32, tomb *TombSet, k
 	}
 	heap := hnsw.Heap{Max: true}
 	heap.Init(dst[:0])
-	bat, _ := eng.(engine.Batcher)
-	var buf *scanBuf
-	if bat != nil {
-		buf = scanRuns.Get().(*scanBuf)
+	ex, _ := eng.(*engine.Exact)
+	var buf *[scanRun]float64
+	if ex != nil {
+		buf = scanRuns.Get().(*[scanRun]float64)
 		defer scanRuns.Put(buf)
 	}
+	top := math.Inf(-1) // the heap's top distance once it is full; nothing is below -Inf
 	for start := uint32(0); start < n; start += scanRun {
 		if done != nil && start%knnCancelStride == 0 && heap.Len() >= k {
 			if exactScanTestHook != nil {
@@ -123,22 +127,30 @@ func scanKNN(done <-chan struct{}, eng engine.Engine, n uint32, tomb *TombSet, k
 			}
 		}
 		end := min(start+scanRun, n)
-		if bat != nil {
-			ids := buf.ids[:0]
-			for id := start; id < end; id++ {
-				if tomb == nil || !tomb.IsDeleted(id) {
-					ids = append(ids, id)
+		if ex != nil {
+			dist := buf[:end-start]
+			ex.RunDistances(start, dist)
+			var dead uint64
+			if tomb != nil {
+				dead = tomb.word(int(start / scanRun))
+			}
+			live := len(dist)
+			for i, d := range dist {
+				if dead>>i&1 != 0 {
+					live--
+					continue
+				}
+				if heap.Len() < k {
+					heap.Push(hnsw.Neighbor{ID: start + uint32(i), Dist: d})
+					if heap.Len() == k {
+						top = heap.Top().Dist
+					}
+				} else if d < top {
+					heap.ReplaceTop(hnsw.Neighbor{ID: start + uint32(i), Dist: d})
+					top = heap.Top().Dist
 				}
 			}
-			dist := bat.Distances(ids, buf.dist[:0])
-			linesFetched += len(ids) * eng.LinesPerVector()
-			for i, id := range ids {
-				if nb := (hnsw.Neighbor{ID: id, Dist: dist[i]}); heap.Len() < k {
-					heap.Push(nb)
-				} else if nb.Less(heap.Top()) {
-					heap.ReplaceTop(nb)
-				}
-			}
+			linesFetched += live * eng.LinesPerVector()
 			continue
 		}
 		for id := start; id < end; id++ {

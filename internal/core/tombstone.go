@@ -34,12 +34,17 @@ func NewTombSet() *TombSet {
 // IsDeleted reports whether id is tombstoned. Lock-free; safe from any
 // goroutine.
 func (t *TombSet) IsDeleted(id uint32) bool {
+	return t.word(int(id>>6))&(1<<(id&63)) != 0
+}
+
+// word returns the marks of ids 64·wi .. 64·wi+63, id 64·wi+b's in bit b.
+// Lock-free, like IsDeleted.
+func (t *TombSet) word(wi int) uint64 {
 	w := *t.words.Load()
-	wi := int(id >> 6)
 	if wi >= len(w) {
-		return false
+		return 0
 	}
-	return w[wi].Load()&(1<<(id&63)) != 0
+	return w[wi].Load()
 }
 
 // Delete tombstones id, returning false when it already was. Single

@@ -10,7 +10,7 @@ import (
 	"ansmet/internal/engine"
 )
 
-// beamBench is the SIFT profile at n = 20 000 (10 MB of u8 rows, past the
+// beamBench is the SIFT profile at n = 20 000 (2.56 MB of u8 rows, past the
 // L2) under a graph built as a database builds it, once per process.
 var beamBench = sync.OnceValue(func() (out struct {
 	ds *dataset.Dataset

@@ -100,8 +100,8 @@ func (ix *Index) refSearchLayerExact(q []byte, eps []Neighbor, ef, level int) []
 	ctx := ix.getCtx(len(ix.levels))
 	defer ix.putCtx(ctx)
 	visited := &ctx.vis
-	cand := &ctx.cand
-	results := &ctx.results
+	cand := &Heap{}             // the build's heaps left searchContext
+	results := &Heap{Max: true} // for the frontier; the reference keeps them
 	for _, ep := range eps {
 		if visited.testAndSet(ep.ID) {
 			continue

@@ -1,54 +1,47 @@
 package hnsw
 
-// visitedSet marks visited node ids without per-query allocation or
-// clearing: each slot stores the generation at which it was last marked, and
-// starting a new query just bumps the generation. A full clear happens only
-// on first use, on growth, and on the (once per 4 billion queries)
-// generation wrap.
+// visitedSet marks visited node ids without per-query allocation: one bit
+// per node, cleared when a query starts. At n = 20 000 it is 2.5 KB, which
+// stays in L1 beside the frontier where a uint32 generation word per node
+// (80 KB) did not; clearing it costs a query n/8 bytes of stores
+// (EXPERIMENTS.md, "The exact scan, one kernel call per run").
 type visitedSet struct {
-	gen []uint32
-	cur uint32
+	bits []uint64
 }
 
 // reset prepares the set for a new query over n ids. It grows to the next
 // multiple of chunkNodes, the step the adjacency and the row slab grow by:
 // on a live index n rises by one per insert, and growing to exactly n would
-// reallocate and zero all n words on every one of them.
+// reallocate on every one of them.
 func (v *visitedSet) reset(n int) {
-	if len(v.gen) < n {
-		v.gen = make([]uint32, (n+chunkMask)&^chunkMask)
-		v.cur = 0
+	words := (n + 63) >> 6
+	if cap(v.bits) < words {
+		v.bits = make([]uint64, ((n+chunkMask)&^chunkMask)>>6)
 	}
-	v.cur++
-	if v.cur == 0 { // generation wrapped: stale marks could alias
-		clear(v.gen)
-		v.cur = 1
-	}
+	v.bits = v.bits[:words]
+	clear(v.bits)
 }
 
 // testAndSet returns whether id was already marked this query and marks it.
 func (v *visitedSet) testAndSet(id uint32) bool {
-	if v.gen[id] == v.cur {
+	w, b := &v.bits[id>>6], uint64(1)<<(id&63)
+	if *w&b != 0 {
 		return true
 	}
-	v.gen[id] = v.cur
+	*w |= b
 	return false
 }
 
 // searchContext bundles the per-query scratch state of a graph traversal:
-// the visited set, the beam's frontier, the per-hop batch id and distance
-// buffers, and the two heaps of the construction-time beam
-// (searchLayerExact), whose first-come tie rule the frontier does not keep.
-// Contexts are pooled on the Index so steady-state searches allocate
-// nothing.
+// the visited set, the beam's frontier (the search's and the build's) and
+// the per-hop batch id and distance buffers. Contexts are pooled on the
+// Index so steady-state searches allocate nothing.
 type searchContext struct {
-	vis     visitedSet
-	front   frontier
-	cand    Heap // build: min-heap, closest first
-	results Heap // build: max-heap, worst first
-	ids     []uint32
-	dist    []float64 // the hop's distances, parallel to ids
-	nbuf    []uint32  // live-mode neighbor-list copy scratch (mutate.go)
+	vis   visitedSet
+	front frontier
+	ids   []uint32
+	dist  []float64 // the hop's distances, parallel to ids
+	nbuf  []uint32  // live-mode neighbor-list copy scratch (mutate.go)
 }
 
 // getCtx fetches a context from the pool (or makes one) and resets it for a
@@ -59,11 +52,9 @@ type searchContext struct {
 func (ix *Index) getCtx(n int) *searchContext {
 	c, _ := ix.ctxPool.Get().(*searchContext)
 	if c == nil {
-		c = &searchContext{results: Heap{Max: true}}
+		c = &searchContext{}
 	}
 	c.vis.reset(n)
-	c.cand.Reset()
-	c.results.Reset()
 	c.ids = c.ids[:0]
 	return c
 }

@@ -205,43 +205,42 @@ func (ix *Index) greedyLayer(q []byte, cur uint32, curDist float64, level int) (
 	}
 }
 
-// searchLayerExact is the construction-time beam search (always exact).
+// searchLayerExact is the construction-time beam search (always exact), on
+// the search beam's frontier with every entry passing. The build keeps the
+// textbook pair's first-come tie rule: a newcomer joins a full result set
+// only when it is strictly closer than the worst result, where the frontier
+// alone would also admit one at the worst's distance and a smaller id; so
+// the caller admits d < threshold() once the set is full. The entry points
+// go in unconditionally, as the pair pushes them all and trims to ef in
+// (Dist, ID) order, which the frontier's own rule keeps. The frontier's
+// expansion order and its result set are then the pair's
+// (TestBuildMatchesReference).
 func (ix *Index) searchLayerExact(q []byte, eps []Neighbor, ef, level int) []Neighbor {
 	ctx := ix.getCtx(len(ix.levels))
 	defer ix.putCtx(ctx)
 	visited := &ctx.vis
-	cand := &ctx.cand
-	results := &ctx.results
+	front := &ctx.front
+	front.reset(ef)
 	for _, ep := range eps {
-		if visited.testAndSet(ep.ID) {
-			continue
+		if !visited.testAndSet(ep.ID) {
+			front.push(ep.ID, ep.Dist, true)
 		}
-		cand.Push(ep)
-		results.Push(ep)
 	}
-	for results.Len() > ef {
-		results.Pop()
-	}
-	for cand.Len() > 0 {
-		c := cand.Pop()
-		if results.Len() >= ef && c.Dist > results.Top().Dist {
-			break
+	for {
+		c, ok := front.next()
+		if !ok {
+			break // what the pair still holds lies beyond the worst result
 		}
-		for _, nb := range ix.adj.list(c.ID, level) {
+		for _, nb := range ix.adj.list(c, level) {
 			if visited.testAndSet(nb) {
 				continue
 			}
-			n := Neighbor{ID: nb, Dist: ix.dist(nb, q)}
-			if results.Len() < ef {
-				cand.Push(n)
-				results.Push(n)
-			} else if n.Dist < results.Top().Dist {
-				cand.Push(n)
-				results.ReplaceTop(n)
+			if d := ix.dist(nb, q); front.worst < 0 || d < front.threshold() {
+				front.push(nb, d, true)
 			}
 		}
 	}
-	return results.Sorted(nil)
+	return front.answer(ef, nil)
 }
 
 // selectHeuristic implements the neighbor selection heuristic (Algorithm 4

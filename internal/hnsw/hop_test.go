@@ -43,7 +43,6 @@ func referenceSearch(ix *Index, q []float32, k, ef, batch int, filter func(uint3
 	}
 	v := ix.view()
 	var ctx searchContext
-	ctx.results.Max = true
 	ctx.vis.reset(v.count)
 	eng.StartQuery(q)
 	entryRes := eng.Compare(v.entry, math.Inf(1))
@@ -73,7 +72,7 @@ func referenceSearch(ix *Index, q []float32, k, ef, batch int, filter func(uint3
 			}
 		}
 	}
-	visited, cand, results := &ctx.vis, &ctx.cand, &ctx.results
+	visited, cand, results := &ctx.vis, &Heap{}, &Heap{Max: true}
 	visited.testAndSet(cur)
 	visited.testAndSet(v.entry)
 	start := Neighbor{ID: cur, Dist: curDist}

@@ -5,7 +5,8 @@
 //
 // Rows live in chunks of 1024, each allocated whole on a 64-byte boundary
 // and never moved, behind a chunk table (the shape of hnsw/blocks.go). One
-// accessor hands a row out, View.Row, clipped to its own bytes.
+// accessor hands a row out, View.Row, clipped to its own bytes; View.Run
+// hands out a stretch of one chunk's rows the same way.
 //
 // A Slab grows by Append from a single writer under any number of readers.
 // The writer writes the row, republishes the table only when the row opened
@@ -189,6 +190,16 @@ func (v View) Len() int { return v.n }
 func (v View) Row(id uint32) []byte {
 	o := int(id&chunkMask) * v.stride
 	return v.chunks[id>>chunkShift][o : o+v.stride : o+v.stride]
+}
+
+// Run is rows start..start+n-1 laid end to end, in place and clipped like
+// Row: the exact scan's run of one kernel call. The rows must lie in one
+// chunk (start/ChunkRows = (start+n-1)/ChunkRows); a run that straddles
+// two panics. Read-only.
+func (v View) Run(start uint32, n int) []byte {
+	o := int(start&chunkMask) * v.stride
+	e := o + n*v.stride
+	return v.chunks[start>>chunkShift][o:e:e]
 }
 
 // Decode appends row id's values to dst as float32 (exact: every stored

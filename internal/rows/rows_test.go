@@ -91,6 +91,40 @@ func TestChunksAlignedAndRowsClipped(t *testing.T) {
 	}
 }
 
+// TestRunIsRows: View.Run(start, n) is rows start..start+n-1 end to end,
+// the very bytes Row hands out, clipped in capacity too — for runs at a
+// chunk's first and last rows and the exact scan's 64-row runs — and a run
+// that would straddle two chunks panics.
+func TestRunIsRows(t *testing.T) {
+	for _, dim := range []int{1, 3, 100} {
+		v := MustPack(randomVectors(vecmath.Float32, 2*ChunkRows+5, dim, uint64(dim)), vecmath.Float32).View()
+		stride := dim * 4
+		for _, c := range []struct {
+			start uint32
+			n     int
+		}{{0, 0}, {0, 1}, {0, 64}, {ChunkRows - 64, 64}, {ChunkRows - 1, 1}, {ChunkRows, 64}, {2 * ChunkRows, 5}} {
+			run := v.Run(c.start, c.n)
+			if len(run) != c.n*stride || cap(run) != len(run) {
+				t.Fatalf("dim %d: run %d+%d has len %d cap %d", dim, c.start, c.n, len(run), cap(run))
+			}
+			for i := 0; i < c.n; i++ {
+				row := v.Row(c.start + uint32(i))
+				if &run[i*stride] != &row[0] {
+					t.Fatalf("dim %d: row %d of run %d+%d is not row %d in place", dim, i, c.start, c.n, c.start+uint32(i))
+				}
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("dim %d: a run across a chunk boundary did not panic", dim)
+				}
+			}()
+			v.Run(ChunkRows-1, 2)
+		}()
+	}
+}
+
 // TestPackRefuses: a value the element type does not hold — not finite, out
 // of range, not on the type's grid — is refused with ErrValue naming vector
 // and component; ragged and empty inputs are refused too.

@@ -48,8 +48,9 @@ type Impl struct {
 	dot            func(a, b []float32) float64
 	blockSum       func(terms []float64) float64
 	blockSumsTotal func(contrib, blockSums []float64, firstBlk, lastBlk int) float64
-	rows           rowKernels  // the typed row kernels, see rowkernels.go
-	rows4          rowKernels4 // and their four-row forms
+	rows           rowKernels    // the typed row kernels, see rowkernels.go
+	rows4          rowKernels4   // and their four-row forms
+	runs           rowKernelsRun // and their run forms
 }
 
 // SquaredL2 runs this implementation's squared-L2 kernel under the package
@@ -88,6 +89,7 @@ var scalarImpl = Impl{
 	blockSumsTotal: scalarBlockSumsTotal,
 	rows:           scalarRows,
 	rows4:          allFourOf(scalarRows),
+	runs:           allRunOf(scalarRows),
 }
 
 // Implementations returns every implementation runnable on this CPU,

@@ -79,6 +79,7 @@ var avx2Impl = Impl{
 	blockSumsTotal: blockSumsTotalAVX2,
 	rows:           avx2Rows(features),
 	rows4:          avx2Rows4(features),
+	runs:           avx2Runs(features),
 }
 
 func archImpls() []Impl {

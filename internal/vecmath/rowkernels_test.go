@@ -204,6 +204,74 @@ func checkRowKernel4(t *testing.T, et ElemType, q []byte, rows *[4][]byte) {
 	}
 }
 
+// FuzzRowKernelRunMatchesRowKernel fuzzes the run kernels' contract: for
+// every implementation, element type and metric, out[i] of a run of rows
+// laid end to end is the bits of the same implementation's one-row kernel
+// on (q, row i) — for runs of 0 to 9 rows, so every count of whole fours
+// meets every count of leftover rows, with the run's bytes at an offset of
+// 0 to 3 from their allocation's start. The seeds cover dims 1 to 40 (every
+// tail length, with and without whole blocks) and GloVe's 100.
+func FuzzRowKernelRunMatchesRowKernel(f *testing.F) {
+	for dim := 1; dim <= 40; dim++ {
+		f.Add(int64(dim), uint16(dim), uint8(dim%10), uint8(dim%4))
+	}
+	f.Add(int64(100), uint16(100), uint8(9), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, dim uint16, n, off uint8) {
+		if dim == 0 || dim > 1024 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for _, et := range allTypes {
+			checkRowKernelRun(t, et, randomRow(rng, et, int(dim)), rng, int(n%10), int(off%4))
+		}
+	})
+}
+
+// TestRowKernelRunMatchesRowKernel is the fuzz target's fixed sweep: dims
+// 1..35 and the served 100, 128 and 960, every run length 0..9.
+func TestRowKernelRunMatchesRowKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(6464))
+	dims := []int{100, 128, 960}
+	for d := 1; d <= 35; d++ {
+		dims = append(dims, d)
+	}
+	for _, et := range allTypes {
+		for _, dim := range dims {
+			for n := 0; n <= 9; n++ {
+				checkRowKernelRun(t, et, randomRow(rng, et, dim), rng, n, n%4)
+			}
+		}
+	}
+}
+
+// checkRowKernelRun runs every implementation's run kernels for et on q and
+// n random rows of its length, laid end to end off bytes into their buffer,
+// against its one-row kernels.
+func checkRowKernelRun(t *testing.T, et ElemType, q []byte, rng *rand.Rand, n, off int) {
+	t.Helper()
+	w := len(q)
+	run := make([]byte, off, off+n*w)
+	for i := 0; i < n; i++ {
+		run = append(run, randomRow(rng, et, w/et.Bytes())...)
+	}
+	run = run[off:]
+	for _, m := range rowMetrics {
+		for _, im := range Implementations() {
+			out := make([]float64, n)
+			for i := range out {
+				out[i] = math.NaN()
+			}
+			im.RowKernelRun(et, m)(q, run, out)
+			for i := range out {
+				if want := im.RowKernel(et, m)(q, run[i*w:(i+1)*w]); math.Float64bits(out[i]) != math.Float64bits(want) {
+					t.Fatalf("%s %v %v dim %d: row %d of %d = %v (%#x), RowKernel %v (%#x)", im.Name, et, m,
+						w/et.Bytes(), i, n, out[i], math.Float64bits(out[i]), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
 // TestRowCodec: AppendRow accepts exactly the finite values of the type and
 // stores them so DecodeRow returns them; everything else is reported by
 // index.
