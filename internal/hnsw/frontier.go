@@ -2,7 +2,8 @@ package hnsw
 
 import "math"
 
-// frontier is the base layer's beam: one list of candidates in ascending
+// frontier is the beam of a search's base layer and of the build's search
+// on every layer (searchLayerExact): one list of candidates in ascending
 // (Dist, ID) order, each flagged as passing the search's filter and as
 // expanded. It stands in for the textbook pair of a min-heap of candidates
 // and a max-heap of the ef best passing results, and answers exactly as

@@ -15,9 +15,9 @@ func (n Neighbor) Less(o Neighbor) bool {
 	return n.Dist < o.Dist || (n.Dist == o.Dist && n.ID < o.ID)
 }
 
-// Heap is the one binary heap of Neighbors, for the construction-time beam,
-// the exact scan, the tiered pipeline and the IVF probe alike; the search
-// beam keeps its candidates in a sorted frontier instead. The zero value is
+// Heap is the one binary heap of Neighbors, for the exact scan, the tiered
+// pipeline and the IVF probe alike; the search beam and the construction
+// beam keep their candidates in a sorted frontier instead. The zero value is
 // an empty min-heap on (Dist, ID) (the search set of §2.1); Max, set before
 // the first Push or Init, makes it a max-heap (a result set, worst first). (Dist, ID) is a
 // total order, so what a heap holds and the order it pops in depend only on

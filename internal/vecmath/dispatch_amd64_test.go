@@ -3,6 +3,7 @@
 package vecmath
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -65,6 +66,18 @@ func TestChooseLevel(t *testing.T) {
 		for i, row := range [4][]byte{r, q, r, q} {
 			if want := scalarRows[Float16][m](q, row); math.Float64bits(out[i]) != math.Float64bits(want) {
 				t.Errorf("fp16 four-row kernel %d without F16C: row %d = %v, scalar %v", m, i, out[i], want)
+			}
+		}
+	}
+	// And the run table: without F16C the fp16 runs are the scalar kernel
+	// row by row.
+	for m, k := range avx2Runs(cpuFeatures{hasAVX2: true})[Float16] {
+		rows := [][]byte{r, q, r, q, r} // a whole four and one left over
+		out := make([]float64, len(rows))
+		k(q, bytes.Join(rows, nil), out)
+		for i, row := range rows {
+			if want := scalarRows[Float16][m](q, row); math.Float64bits(out[i]) != math.Float64bits(want) {
+				t.Errorf("fp16 run kernel %d without F16C: row %d = %v, scalar %v", m, i, out[i], want)
 			}
 		}
 	}
