@@ -1,7 +1,7 @@
 // Adaptive mixed precision over a database's own graph and rows: the NDP model
 // Database.NewSystem builds, at sim.Config.RecallTarget 0.9. A database
 // serves one precision; the model is where the mode runs and is measured
-// (FigPrecisionFrontier, internal/fault.TestSystemLevelByteIdentical).
+// (FigPrecisionFrontier, internal/core.TestModelGoldens' NDP-ETOpt@0.9 digests).
 package ansmet_test
 
 import (

@@ -9,8 +9,8 @@
 // outlier-aware common-prefix elimination) lives in the NDP model's
 // functional view, which Database.NewSystem builds over a database on
 // request. The timing simulator for the paper's CPU+NDP platform
-// (internal/sim: DDR5 command timing, rank-level NDP units, result polling,
-// fault injection) runs over that view, outside the package, as does the
+// (internal/sim: DDR5 command timing, rank-level NDP units, result polling)
+// runs over that view, outside the package, as does the
 // harness that regenerates every table and figure of the paper's evaluation
 // (see EXPERIMENTS.md).
 //

@@ -24,13 +24,12 @@ func goList(t *testing.T, args ...string) []string {
 
 // TestServerLinksNoSimulator pins the product/model split: the server's
 // dependency closure holds none of the paper's platform model — the replay,
-// its energy and polling models, the fault injector, the NDP instruction
-// protocol, the DDR5 geometry and the rank partitioning over it, the
+// its energy and polling models, the NDP instruction protocol, the DDR5 geometry and the rank partitioning over it, the
 // adaptive-precision depth map and the query traces — and the functional
 // view (internal/core) and the index (internal/hnsw) import none of the
 // model's packages, so nothing can pull them back in through them.
 func TestServerLinksNoSimulator(t *testing.T) {
-	model := []string{"sim", "energy", "polling", "fault", "ndp", "dram", "partition", "precision", "trace"}
+	model := []string{"sim", "energy", "polling", "ndp", "dram", "partition", "precision", "trace"}
 	deps := map[string]bool{}
 	for _, p := range goList(t, "-deps", ".") {
 		deps[p] = true
@@ -44,7 +43,7 @@ func TestServerLinksNoSimulator(t *testing.T) {
 		}
 	}
 	for pkg, forbidden := range map[string][]string{
-		"core": {"sim", "polling", "fault", "dram", "partition", "precision"},
+		"core": {"sim", "polling", "dram", "partition", "precision"},
 		"hnsw": {"trace"},
 	} {
 		imports := map[string]bool{}

@@ -4,10 +4,6 @@
 // would, and watch early termination happen at the register level. This is
 // the lowest-level API in the repository; the higher layers (Database,
 // System) wrap exactly this protocol.
-//
-// Every payload carries a CRC-8 in its last byte (see the ndp package
-// docs); the walk-through ends by corrupting a payload in transit and
-// watching the unit reject it.
 package main
 
 import (
@@ -52,14 +48,14 @@ func main() {
 	// Threshold just above the best of the batch, so the others must be
 	// rejected — mostly from their first fetched lines.
 	best := p.Metric.Distance(q, ds.Vectors[0])
-	for addr := 1; addr < ndp.MaxTasksPerPayload; addr++ {
+	for addr := 1; addr < ndp.TasksPerQSHR; addr++ {
 		if d := p.Metric.Distance(q, ds.Vectors[addr]); d < best {
 			best = d
 		}
 	}
 	threshold := float32(best) * 1.02
 	var tasks []ndp.Task
-	for addr := uint32(0); addr < ndp.MaxTasksPerPayload; addr++ {
+	for addr := uint32(0); addr < ndp.TasksPerQSHR; addr++ {
 		tasks = append(tasks, ndp.Task{Addr: addr, Threshold: threshold})
 	}
 	searchPayload, count, err := ndp.EncodeSetSearch(tasks)
@@ -72,7 +68,7 @@ func main() {
 	}
 	fmt.Printf("set-search: %d tasks to QSHR %d, threshold %.3f\n", count, qshr, threshold)
 
-	// 3. set-query: the query vector in 64 B chunks (63 B data + CRC each).
+	// 3. set-query: the query vector in 64 B chunks.
 	chunks, err := ndp.EncodeQueryChunks(p.Elem, q)
 	if err != nil {
 		log.Fatal(err)
@@ -84,16 +80,12 @@ func main() {
 	}
 	fmt.Printf("set-query: %d chunks (%d B query)\n", len(chunks), len(q)*p.Elem.Bytes())
 
-	// 4. poll: a DDR READ returns the encoded response payload; the host
-	// validates its CRC while decoding.
+	// 4. poll: a DDR READ returns the encoded response payload.
 	raw, err := unit.Poll(qshr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	resp, err := ndp.DecodePollResponse(raw)
-	if err != nil {
-		log.Fatal(err)
-	}
+	resp := ndp.DecodePollResponse(raw)
 	fmt.Printf("poll: done=%v mask=%08b faults=%08b, %d lines fetched (full batch would be %d)\n\n",
 		resp.Completed, resp.DoneMask, resp.FaultMask, resp.FetchCnt, count*layout.LinesPerVector())
 	for i := 0; i < count; i++ {
@@ -117,14 +109,4 @@ func main() {
 	}
 	fmt.Println("\nregister distances verified against host-side computation")
 
-	// 5. Protocol hardening in action: flip one bit of a set-search payload
-	// "in transit" and watch the unit reject it instead of comparing
-	// against a garbage address.
-	corrupt := searchPayload
-	corrupt[2] ^= 0x40
-	if err := unit.SetSearch(qshr, count, corrupt); err != nil {
-		fmt.Printf("\ncorrupted set-search rejected: %v\n", err)
-	} else {
-		log.Fatal("corrupted payload was accepted")
-	}
 }

@@ -6,11 +6,11 @@ import (
 	"ansmet/internal/stats"
 )
 
-// Unlike the fault model's ranks, whose breakers count comparisons to stay
-// wall-clock-free for simulator determinism, shard breakers live in a real
-// serving process and re-enable on wall time: failureThreshold consecutive
-// failures open a breaker, and an open breaker schedules its next probe
-// probeDelay into the future — probeBase, doubling per consecutive re-open
+// Shard breakers live in a real serving process, so they re-enable on
+// wall time rather than on a count of routed work: failureThreshold
+// consecutive failures open a breaker, and an open breaker schedules its
+// next probe probeDelay into the future — probeBase, doubling per
+// consecutive re-open
 // up to probeMax, then spread ±probeJitter — so a crashed shard costs one
 // probe per interval instead of one failed RPC per query, and a fleet of
 // coordinators does not re-probe a recovering shard in lockstep.

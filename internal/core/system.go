@@ -15,8 +15,8 @@ import (
 
 // SystemConfig selects the design point and what the functional view is
 // built from: the stored layout and the beam batch. Where the platform puts
-// the vectors (memory geometry, rank partitioning), its recall target, its
-// timing and its fault model are the simulator's (sim.Model).
+// the vectors (memory geometry, rank partitioning), its recall target and
+// its timing are the simulator's (sim.Model).
 type SystemConfig struct {
 	Design Design
 
@@ -47,7 +47,7 @@ func DefaultSystemConfig(d Design) SystemConfig {
 // built once by NewSystem and not changed afterwards (SetTombstones, before
 // it is shared, is the one thing its builder adds).
 // It holds no engine: NewWorkerEngine makes one per searcher. The timing
-// replay and the fault model over it are the simulator's (sim.Model).
+// replay over it is the simulator's (sim.Model).
 type System struct {
 	Cfg    SystemConfig
 	Elem   vecmath.ElemType

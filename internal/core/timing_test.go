@@ -12,11 +12,11 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"ansmet/internal/core"
 	"ansmet/internal/dataset"
-	"ansmet/internal/fault"
 	"ansmet/internal/hnsw"
 	"ansmet/internal/ivf"
 	"ansmet/internal/layout"
@@ -74,9 +74,6 @@ func hashRun(h hash.Hash, run *sim.RunResult) {
 		f(rep.MakespanNs), f(rep.TraversalNs), f(rep.OffloadNs), f(rep.DistCompNs), f(rep.CollectNs),
 		rep.EffectualLines, rep.IneffectualLines, f(rep.CoreBusyNs), f(rep.NDPBusyNs),
 		rep.Mem, rep.RankTaskLines, rep.PollCount, f(rep.CoreWaitNs))
-	if rs := rep.Resilience; rs != nil {
-		fmt.Fprintf(h, "\n%+v", *rs)
-	}
 }
 
 // modelGoldens are sha256 digests of hashRun over RunHNSW, RunHNSWParallel
@@ -95,7 +92,6 @@ var modelGoldens = map[string]string{
 	"SIFT/NDP-ET+Dual":    "f669854da252d527971f00b9f0a6ab90f76971347d48e12ca173aa30de7c6270",
 	"SIFT/NDP-ETOpt":      "5d881bf6956f6fe6860df1940146b0d3c52ffd8f6f1c6d75b85cbc6ce952ef34",
 	"SIFT/NDP-ETOpt@0.9":  "e33eaa2d5cb8aa25a6db1ec8d228858c2abcc11f3991834d4d2534a4441a723f",
-	"SIFT/NDP-ET+faults":  "6cf13830695bd24e68255dfb155ccdf593d84b28743bd3e32d455514973d499b",
 	"GloVe/CPU-Base":      "b90a764a635c6011929532c22ac77a8dc187fc4a279d449ce3eac768e441743f",
 	"GloVe/CPU-ET":        "0d412efc08263139cd92b5df7932ef8a8dc3ab752cece2cc21fc6ef825aa36d6",
 	"GloVe/CPU-ETOpt":     "324b1cf292b45bbb4aa159e103c502e29e6596ca8c0e4dfd1f3126623db92ee8",
@@ -106,57 +102,89 @@ var modelGoldens = map[string]string{
 	"GloVe/NDP-ET+Dual":   "53a466cabab6b5f5875d961ad9d6798cee923af17ab8328140161ce5aae74dfe",
 	"GloVe/NDP-ETOpt":     "53a466cabab6b5f5875d961ad9d6798cee923af17ab8328140161ce5aae74dfe",
 	"GloVe/NDP-ETOpt@0.9": "e12e6fc411d111091062551732998f9a3264818ede491cb267bac1c1cb933e35",
-	"GloVe/NDP-ET+faults": "3cba940e364314dec2b8e1d411df74560003f8931811aedec7eedc05cc314d8d",
+}
+
+// modelDigest is the sha256 of hashRun over RunHNSW, RunHNSWParallel (3
+// workers) and RunIVF on m, in that order.
+func modelDigest(m *sim.Model, ds *dataset.Dataset, vx *ivf.Index) string {
+	h := sha256.New()
+	hashRun(h, m.RunHNSW(ds.Queries, 10, 40))
+	hashRun(h, m.RunHNSWParallel(ds.Queries, 10, 40, 3))
+	hashRun(h, m.RunIVF(vx, ds.Queries, 10, 10, 4))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// goldenPopulation is the dataset, graph and IVF index the goldens run over.
+func goldenPopulation(t *testing.T, pop string) (*dataset.Dataset, *hnsw.Index, *ivf.Index) {
+	t.Helper()
+	p := dataset.ProfileByName(pop)
+	ds := dataset.Generate(p, 400, 8, 101)
+	ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vx, err := ivf.Build(ds.Vectors, p.Metric, ivf.Config{NumClusters: 16, MaxIters: 6, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds, ix, vx
 }
 
 func TestModelGoldens(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests recorded on amd64; another architecture may fuse or round differently")
 	}
-	check := func(name string, sys *sim.Model, ds *dataset.Dataset, vx *ivf.Index) {
-		h := sha256.New()
-		hashRun(h, sys.RunHNSW(ds.Queries, 10, 40))
-		hashRun(h, sys.RunHNSWParallel(ds.Queries, 10, 40, 3))
-		hashRun(h, sys.RunIVF(vx, ds.Queries, 10, 10, 4))
-		got := hex.EncodeToString(h.Sum(nil))
-		if want, ok := modelGoldens[name]; !ok {
-			t.Errorf("no golden for %q: got %s", name, got)
-		} else if got != want {
-			t.Errorf("%s: digest %s, recorded %s", name, got, want)
-		}
-	}
 	for _, pop := range []string{"SIFT", "GloVe"} {
-		p := dataset.ProfileByName(pop)
-		ds := dataset.Generate(p, 400, 8, 101)
-		ix, err := hnsw.Build(ds.Rows(), p.Metric, hnsw.Config{M: 8, MaxDegree: 16, EfConstruction: 60, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		vx, err := ivf.Build(ds.Vectors, p.Metric, ivf.Config{NumClusters: 16, MaxIters: 6, Seed: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		build := func(cfg core.SystemConfig, mcfg sim.Config) *sim.Model {
+		ds, ix, vx := goldenPopulation(t, pop)
+		check := func(name string, cfg core.SystemConfig, mcfg sim.Config) {
 			cfg.SampleSize = 60
-			return newModel(t, ds, ix, cfg, mcfg)
+			got := modelDigest(newModel(t, ds, ix, cfg, mcfg), ds, vx)
+			if want, ok := modelGoldens[name]; !ok {
+				t.Errorf("no golden for %q: got %s", name, got)
+			} else if got != want {
+				t.Errorf("%s: digest %s, recorded %s", name, got, want)
+			}
 		}
 		for _, d := range core.AllDesigns {
-			check(pop+"/"+d.String(), build(core.DefaultSystemConfig(d), sim.DefaultConfig()), ds, vx)
+			check(pop+"/"+d.String(), core.DefaultSystemConfig(d), sim.DefaultConfig())
 		}
 		// The pre-calibration adaptive-precision wiring of the beam engines.
 		adaptive := sim.DefaultConfig()
 		adaptive.RecallTarget = 0.9
-		check(pop+"/NDP-ETOpt@0.9", build(core.DefaultSystemConfig(core.NDPETOpt), adaptive), ds, vx)
-		// A fault schedule: injection order, retries, the breaker trip on the
-		// crashed rank and the counters' per-run deltas are part of the result.
-		fs := build(core.DefaultSystemConfig(core.NDPET), sim.DefaultConfig()).InjectFaults(&fault.Schedule{Seed: 13, Rules: []fault.Rule{
-			{Kind: fault.CorruptPayload, Rank: -1, Prob: 0.1},
-			{Kind: fault.DropPoll, Rank: -1, Prob: 0.05},
-			{Kind: fault.RankCrash, Rank: 0, After: 40},
-		}}, fault.ResilienceConfig{MaxRetries: 1, FailureThreshold: 4, ProbeAfter: 32})
-		check(pop+"/NDP-ET+faults", fs, ds, vx)
-		if c := fs.Faults.Snapshot(); fs.Injector.TotalInjections() == 0 || c.Fallbacks == 0 || c.BreakerTrips == 0 {
-			t.Errorf("%s: vacuous fault case: %d injections, %+v", pop, fs.Injector.TotalInjections(), c)
+		check(pop+"/NDP-ETOpt@0.9", core.DefaultSystemConfig(core.NDPETOpt), adaptive)
+	}
+}
+
+// TestConcurrentRunsMatchSerial runs the goldens' sequence from several
+// goroutines at once on one model, as the parallel experiment pipeline may
+// on a cached one: a run only reads its Model, so every concurrent digest
+// equals the serial one (and -race sees no race).
+func TestConcurrentRunsMatchSerial(t *testing.T) {
+	ds, ix, vx := goldenPopulation(t, "SIFT")
+	adaptive := sim.DefaultConfig()
+	adaptive.RecallTarget = 0.9
+	for _, c := range []struct {
+		design core.Design
+		mcfg   sim.Config
+	}{{core.NDPETOpt, adaptive}, {core.CPUET, sim.DefaultConfig()}} {
+		cfg := core.DefaultSystemConfig(c.design)
+		cfg.SampleSize = 60
+		m := newModel(t, ds, ix, cfg, c.mcfg)
+		want := modelDigest(m, ds, vx)
+		got := make([]string, 4)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = modelDigest(m, ds, vx)
+			}()
+		}
+		wg.Wait()
+		for i, g := range got {
+			if g != want {
+				t.Errorf("%v: concurrent run %d digest %s, serial %s", c.design, i, g, want)
+			}
 		}
 	}
 }

@@ -69,9 +69,9 @@ func DefaultEf(k int) int { return max(2*k, 32) }
 // row's address at the moment it needs the data. The traversal discovers
 // it with one type assertion per search and applies the accept test
 // (distance <= threshold) itself. Exact is the only implementer: an engine
-// that early-terminates, retries, injects faults or counts needs a Result
-// per task, and a wrapper that embeds Engine hides the capability, so it
-// keeps seeing every Compare.
+// that early-terminates or counts needs a Result per task, and a wrapper
+// that embeds Engine hides the capability, so it keeps seeing every
+// Compare.
 type Batcher interface {
 	// Hint asks the memory system for the first cache lines of id's row.
 	// It has no effect on any result.

@@ -1,14 +1,16 @@
 package ndp
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"ansmet/internal/stats"
 	"ansmet/internal/vecmath"
 )
 
-// The decoder fuzz targets assert the hardened-protocol contract: arbitrary
-// 64 B payloads (including sealed-then-mutated ones) must decode to either a
+// The decoder fuzz targets assert the protocol's contract: arbitrary 64 B
+// payloads (including encoded-then-mutated ones) must decode to either a
 // valid value or a typed error — never a panic — and whatever decodes
 // successfully must re-encode to a payload that decodes to the same value.
 
@@ -25,7 +27,7 @@ func FuzzDecodeConfigure(f *testing.F) {
 	})
 	f.Add(good[:])
 	bad := good
-	bad[0] ^= 0x80
+	bad[0] ^= 0x80 // element type out of range
 	f.Add(bad[:])
 	f.Add(make([]byte, 64))
 
@@ -51,10 +53,10 @@ func FuzzDecodeSetSearch(f *testing.F) {
 	}
 	f.Add(good[:], cnt)
 	f.Add(good[:], 0)
-	f.Add(good[:], MaxTasksPerPayload+1)
-	flipped := good
-	flipped[5] ^= 1
-	f.Add(flipped[:], cnt)
+	f.Add(good[:], TasksPerQSHR+1)
+	nan := good
+	binary.LittleEndian.PutUint32(nan[12:], math.Float32bits(float32(math.NaN())))
+	f.Add(nan[:], cnt)
 
 	f.Fuzz(func(t *testing.T, data []byte, n int) {
 		tasks, err := DecodeSetSearch(payloadFrom(data), n)
@@ -111,24 +113,18 @@ func FuzzDecodeQuery(f *testing.F) {
 
 func FuzzDecodePollResponse(f *testing.F) {
 	good := PollResponse{
-		Dist:     [MaxTasksPerPayload + 1]float32{1, 2.5, 3},
+		Dist:     [TasksPerQSHR]float32{1, 2.5, 3},
 		DoneMask: 0b101, FetchCnt: 77, Completed: true, FaultMask: 0b10,
 	}.Encode()
 	f.Add(good[:])
-	bad := good
-	bad[32] ^= 0x40
-	f.Add(bad[:])
+	nan := good
+	binary.LittleEndian.PutUint32(nan[4:], math.Float32bits(float32(math.NaN())))
+	f.Add(nan[:])
 	f.Add(make([]byte, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pr, err := DecodePollResponse(payloadFrom(data))
-		if err != nil {
-			return
-		}
-		round, err := DecodePollResponse(pr.Encode())
-		if err != nil {
-			t.Fatalf("re-encode of accepted response failed: %v", err)
-		}
+		pr := DecodePollResponse(payloadFrom(data))
+		round := DecodePollResponse(pr.Encode())
 		// Compare encodings, not structs: Dist may legitimately carry NaN
 		// bit patterns, which struct equality rejects bit-for-bit matches of.
 		if round.Encode() != pr.Encode() {

@@ -12,23 +12,19 @@
 // Its results are bit-compatible with the software ETEngine
 // (internal/core), which the tests verify. A host drives the Unit
 // directly, one instruction at a time (examples/hardware_protocol); the
-// timing model runs the software engines, and faults are injected at that
-// engine level (internal/fault), never on this interface.
+// timing model runs the software engines.
 //
-// # Protocol hardening
+// # Payloads and validation
 //
-// The link between host and NDP unit crosses a DIMM connector; a single
-// flipped bit in a command payload would silently reconfigure a unit or
-// compare against the wrong vector. Every 64 B payload therefore reserves
-// its last byte for a CRC-8 (poly 0x07) over the first 63 bytes, leaving
-// PayloadDataBytes of payload proper. Decoders validate the CRC and the
-// decoded fields and reject corrupt payloads with typed *ProtocolError
-// values instead of acting on garbage. The CRC detects all single-bit and
-// all burst errors up to 8 bits per payload.
-//
-// The hardening costs one set-search task slot (7 data-carrying tasks per
-// payload instead of 8 — the QSHR task array stays 8 wide) and shrinks each
-// set-query chunk to 63 query bytes.
+// Every payload is 64 data bytes: a set-search carries TasksPerQSHR tasks
+// and a set-query chunk 64 query bytes, the counts the timing model charges
+// (sim.NDPParams.TasksPerSetSearch, sim.Config.QueryLines). Decoders
+// validate the decoded fields and reject out-of-range content — an unknown
+// element type or metric, a query wider than the QSHR's QueryFieldBytes, a
+// NaN threshold — with a typed *ProtocolError wrapping ErrBadField instead
+// of acting on it. Task execution checks what the unit is handed: an
+// address past its rank's data or a non-monotone or NaN bound marks the
+// task in the poll response's FaultMask.
 package ndp
 
 import (
@@ -47,13 +43,10 @@ const NumQSHRs = 32
 // TasksPerQSHR is the comparison-task array length of one QSHR (Fig. 5(c)).
 const TasksPerQSHR = 8
 
-// PayloadDataBytes is the data capacity of one 64 B payload; the final byte
-// carries the CRC-8 of the rest.
-const PayloadDataBytes = 63
-
-// MaxTasksPerPayload is how many 8 B comparison tasks fit in one hardened
-// set-search payload (the CRC byte displaces the eighth task).
-const MaxTasksPerPayload = PayloadDataBytes / 8
+// QueryFieldBytes is the size of a QSHR's query field (1 kB, §5.2): the
+// widest query a unit can hold, installed in QueryFieldBytes/64 set-query
+// chunks at most.
+const QueryFieldBytes = 1024
 
 // InvalidDist is the initialization value of result registers ("an invalid
 // MAX value", §5.2).
@@ -79,20 +72,12 @@ func (o Opcode) String() string {
 	return opcodeNames[o]
 }
 
-// Typed payload-rejection causes, matched with errors.Is.
-var (
-	// ErrCRC flags a payload whose CRC-8 does not cover its content — the
-	// payload was corrupted in transit and must not be acted on.
-	ErrCRC = errors.New("payload CRC mismatch")
-	// ErrBadField flags a payload that passed the CRC but decodes to
-	// out-of-range field values (host-side encoding bug or undetected
-	// multi-bit corruption).
-	ErrBadField = errors.New("invalid payload field")
-)
+// ErrBadField flags a payload that decodes to out-of-range field values,
+// matched with errors.Is.
+var ErrBadField = errors.New("invalid payload field")
 
-// ProtocolError is the typed error for rejected payloads; Err is one of the
-// sentinel causes above (or a wrapped lower-layer error) and unwraps for
-// errors.Is.
+// ProtocolError is the typed error for rejected payloads; Err wraps
+// ErrBadField and unwraps for errors.Is.
 type ProtocolError struct {
 	Op  Opcode
 	Err error
@@ -103,30 +88,6 @@ func (e *ProtocolError) Error() string { return fmt.Sprintf("ndp: %s: %v", e.Op,
 
 // Unwrap exposes the cause.
 func (e *ProtocolError) Unwrap() error { return e.Err }
-
-// crc8 computes CRC-8 (poly 0x07, init 0) over data.
-func crc8(data []byte) byte {
-	var crc byte
-	for _, b := range data {
-		crc ^= b
-		for i := 0; i < 8; i++ {
-			if crc&0x80 != 0 {
-				crc = crc<<1 ^ 0x07
-			} else {
-				crc <<= 1
-			}
-		}
-	}
-	return crc
-}
-
-// Seal writes the payload's CRC-8 into its reserved last byte. Encoders
-// call it automatically; it is exported so tests can re-seal hand-built
-// payloads.
-func Seal(p *[64]byte) { p[PayloadDataBytes] = crc8(p[:PayloadDataBytes]) }
-
-// checkCRC reports whether the payload's CRC matches its content.
-func checkCRC(p [64]byte) bool { return p[PayloadDataBytes] == crc8(p[:PayloadDataBytes]) }
 
 // Config is the payload of the configure instruction: element type, vector
 // dimension, distance metric and the early-termination parameters
@@ -151,6 +112,9 @@ func (c Config) Validate() error {
 	if c.Dim == 0 {
 		return fmt.Errorf("%w: zero dimension", ErrBadField)
 	}
+	if int(c.Dim)*c.Elem.Bytes() > QueryFieldBytes {
+		return fmt.Errorf("%w: %d-dim %v query exceeds the %d B QSHR field", ErrBadField, c.Dim, c.Elem, QueryFieldBytes)
+	}
 	if int(c.PrefixLen) >= c.Elem.Bits() {
 		return fmt.Errorf("%w: prefix %d out of range for %v", ErrBadField, c.PrefixLen, c.Elem)
 	}
@@ -172,16 +136,12 @@ func EncodeConfigure(c Config) [64]byte {
 	p[4] = c.PrefixLen
 	binary.LittleEndian.PutUint32(p[5:], c.PrefixVal)
 	p[9], p[10], p[11] = c.Nc, c.Tc, c.Nf
-	Seal(&p)
 	return p
 }
 
 // DecodeConfigure unpacks and validates a configure payload, rejecting
-// corrupt or out-of-range content with a typed *ProtocolError.
+// out-of-range content with a typed *ProtocolError.
 func DecodeConfigure(p [64]byte) (Config, error) {
-	if !checkCRC(p) {
-		return Config{}, &ProtocolError{OpConfigure, ErrCRC}
-	}
 	c := Config{
 		Elem:      vecmath.ElemType(p[0]),
 		Metric:    vecmath.Metric(p[1]),
@@ -211,14 +171,13 @@ type Task struct {
 	Threshold float32
 }
 
-// EncodeSetSearch packs up to MaxTasksPerPayload tasks into one 64 B DDR
-// WRITE (8 B per task: 4 B vector address + 4 B threshold, filling the
-// payload as Fig. 5(e) shows, minus the CRC byte). The task count travels
-// in the instruction's DDR address alongside the QSHR id, and is returned
-// for the caller to encode there.
+// EncodeSetSearch packs up to TasksPerQSHR tasks into one 64 B DDR WRITE
+// (8 B per task: 4 B vector address + 4 B threshold, filling the payload as
+// Fig. 5(e) shows). The task count travels in the instruction's DDR address
+// alongside the QSHR id, and is returned for the caller to encode there.
 func EncodeSetSearch(tasks []Task) (payload [64]byte, count int, err error) {
-	if len(tasks) == 0 || len(tasks) > MaxTasksPerPayload {
-		return payload, 0, fmt.Errorf("ndp: %d tasks, want 1..%d", len(tasks), MaxTasksPerPayload)
+	if len(tasks) == 0 || len(tasks) > TasksPerQSHR {
+		return payload, 0, fmt.Errorf("ndp: %d tasks, want 1..%d", len(tasks), TasksPerQSHR)
 	}
 	for i, t := range tasks {
 		if math.IsNaN(float64(t.Threshold)) {
@@ -227,18 +186,14 @@ func EncodeSetSearch(tasks []Task) (payload [64]byte, count int, err error) {
 		binary.LittleEndian.PutUint32(payload[i*8:], t.Addr)
 		binary.LittleEndian.PutUint32(payload[i*8+4:], math.Float32bits(t.Threshold))
 	}
-	Seal(&payload)
 	return payload, len(tasks), nil
 }
 
 // DecodeSetSearch unpacks and validates a set-search payload carrying n
-// tasks, rejecting corrupt payloads and NaN thresholds with a typed
+// tasks, rejecting an out-of-range count and NaN thresholds with a typed
 // *ProtocolError.
 func DecodeSetSearch(p [64]byte, n int) ([]Task, error) {
-	if !checkCRC(p) {
-		return nil, &ProtocolError{OpSetSearch, ErrCRC}
-	}
-	if n < 1 || n > MaxTasksPerPayload {
+	if n < 1 || n > TasksPerQSHR {
 		return nil, &ProtocolError{OpSetSearch, fmt.Errorf("%w: task count %d", ErrBadField, n)}
 	}
 	out := make([]Task, n)
@@ -255,16 +210,16 @@ func DecodeSetSearch(p [64]byte, n int) ([]Task, error) {
 }
 
 // EncodeQueryChunks serializes a query vector into the sequence of 64 B
-// set-query payloads, PayloadDataBytes of element data per chunk (the QSHR
-// query field is 1 kB, §5.2, so up to ⌈1024/63⌉ = 17 chunks). Elements are
+// set-query payloads, 64 B of element data per chunk: one chunk per 64 B
+// line of the query's row, up to QueryFieldBytes/64 chunks. Elements are
 // stored in the element type's native width, little-endian.
 func EncodeQueryChunks(elem vecmath.ElemType, q []float32) ([][64]byte, error) {
 	bytesPer := elem.Bytes()
 	total := len(q) * bytesPer
-	if total > 1024 {
-		return nil, fmt.Errorf("ndp: query of %d B exceeds the 1 kB QSHR field", total)
+	if total > QueryFieldBytes {
+		return nil, fmt.Errorf("ndp: query of %d B exceeds the %d B QSHR field", total, QueryFieldBytes)
 	}
-	raw := make([]byte, (total+PayloadDataBytes-1)/PayloadDataBytes*PayloadDataBytes)
+	raw := make([]byte, (total+63)/64*64)
 	for d, v := range q {
 		code := elem.Encode(v)
 		bits := nativeBits(elem, code)
@@ -277,31 +232,26 @@ func EncodeQueryChunks(elem vecmath.ElemType, q []float32) ([][64]byte, error) {
 			binary.LittleEndian.PutUint32(raw[d*4:], bits)
 		}
 	}
-	out := make([][64]byte, len(raw)/PayloadDataBytes)
+	out := make([][64]byte, len(raw)/64)
 	for i := range out {
-		copy(out[i][:PayloadDataBytes], raw[i*PayloadDataBytes:])
-		Seal(&out[i])
+		copy(out[i][:], raw[i*64:])
 	}
 	return out, nil
 }
 
-// DecodeQuery reconstructs the query values from accumulated chunks,
-// validating each chunk's CRC.
+// DecodeQuery reconstructs the query values from accumulated chunks.
 func DecodeQuery(elem vecmath.ElemType, dim int, chunks [][64]byte) ([]float32, error) {
 	bytesPer := elem.Bytes()
-	need := (dim*bytesPer + PayloadDataBytes - 1) / PayloadDataBytes
+	need := (dim*bytesPer + 63) / 64
 	if dim <= 0 {
 		return nil, &ProtocolError{OpSetQuery, fmt.Errorf("%w: dimension %d", ErrBadField, dim)}
 	}
 	if len(chunks) < need {
 		return nil, fmt.Errorf("ndp: query needs %d chunks, have %d", need, len(chunks))
 	}
-	raw := make([]byte, len(chunks)*PayloadDataBytes)
+	raw := make([]byte, len(chunks)*64)
 	for i, c := range chunks {
-		if !checkCRC(c) {
-			return nil, &ProtocolError{OpSetQuery, fmt.Errorf("chunk %d: %w", i, ErrCRC)}
-		}
-		copy(raw[i*PayloadDataBytes:], c[:PayloadDataBytes])
+		copy(raw[i*64:], c[:])
 	}
 	out := make([]float32, dim)
 	for d := range out {
@@ -370,8 +320,8 @@ type PollResponse struct {
 	FetchCnt  uint16
 	Completed bool
 	// FaultMask marks tasks whose bound computation violated the
-	// monotonicity invariant or ran out of rank data — silent corruption
-	// the host must not trust.
+	// monotonicity invariant or whose address ran past the rank's data;
+	// their result registers hold InvalidDist.
 	FaultMask uint8
 }
 
@@ -387,16 +337,11 @@ func (r PollResponse) Encode() [64]byte {
 		p[35] = 1
 	}
 	p[36] = r.FaultMask
-	Seal(&p)
 	return p
 }
 
-// DecodePollResponse unpacks a poll payload, rejecting corrupt responses
-// with a typed *ProtocolError.
-func DecodePollResponse(p [64]byte) (PollResponse, error) {
-	if !checkCRC(p) {
-		return PollResponse{}, &ProtocolError{OpPoll, ErrCRC}
-	}
+// DecodePollResponse unpacks a poll payload.
+func DecodePollResponse(p [64]byte) PollResponse {
 	var r PollResponse
 	for i := range r.Dist {
 		r.Dist[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[i*4:]))
@@ -405,5 +350,5 @@ func DecodePollResponse(p [64]byte) (PollResponse, error) {
 	r.FetchCnt = binary.LittleEndian.Uint16(p[33:])
 	r.Completed = p[35] == 1
 	r.FaultMask = p[36]
-	return r, nil
+	return r
 }

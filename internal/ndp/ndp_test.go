@@ -10,13 +10,15 @@ import (
 	"ansmet/internal/dataset"
 	"ansmet/internal/ndp"
 	"ansmet/internal/prefixelim"
+	"ansmet/internal/rows"
+	"ansmet/internal/sim"
 	"ansmet/internal/stats"
 	"ansmet/internal/vecmath"
 )
 
 func TestConfigureRoundTrip(t *testing.T) {
 	c := ndp.Config{
-		Elem: vecmath.Float32, Dim: 960, Metric: vecmath.L2,
+		Elem: vecmath.Float32, Dim: 256, Metric: vecmath.L2,
 		PrefixLen: 6, PrefixVal: 0x2f, Nc: 9, Tc: 1, Nf: 2,
 	}
 	got, err := ndp.DecodeConfigure(ndp.EncodeConfigure(c))
@@ -34,21 +36,16 @@ func TestConfigureRoundTrip(t *testing.T) {
 
 func TestConfigureRejectsCorruption(t *testing.T) {
 	c := ndp.Config{Elem: vecmath.Uint8, Dim: 128, Metric: vecmath.L2, Nc: 4, Tc: 2, Nf: 2}
-	p := ndp.EncodeConfigure(c)
-	// Every single-bit flip must be caught by the CRC.
-	for bit := 0; bit < 64*8; bit++ {
-		bad := p
-		bad[bit/8] ^= 1 << uint(bit%8)
-		if _, err := ndp.DecodeConfigure(bad); !errors.Is(err, ndp.ErrCRC) {
-			t.Fatalf("bit %d flip: got %v, want ndp.ErrCRC", bit, err)
+	// An out-of-range field must be caught by field validation.
+	for _, f := range []struct {
+		at  int
+		val byte
+	}{{0, 0xff}, {1, 0xff}} { // element type, metric
+		bad := ndp.EncodeConfigure(c)
+		bad[f.at] = f.val
+		if _, err := ndp.DecodeConfigure(bad); !errors.Is(err, ndp.ErrBadField) {
+			t.Fatalf("byte %d = %#x: got %v, want ndp.ErrBadField", f.at, f.val, err)
 		}
-	}
-	// A resealed-but-invalid payload must be caught by field validation.
-	bad := p
-	bad[1] = 0xff // element type out of range
-	ndp.Seal(&bad)
-	if _, err := ndp.DecodeConfigure(bad); !errors.Is(err, ndp.ErrBadField) {
-		t.Fatalf("invalid elem: got %v, want ndp.ErrBadField", err)
 	}
 	// Nc>0 with Nf==0 would hang DualSchedule; the decoder must reject it.
 	loop := ndp.Config{Elem: vecmath.Uint8, Dim: 128, Metric: vecmath.L2, Nc: 4, Tc: 2, Nf: 0}
@@ -78,7 +75,7 @@ func TestSetSearchRoundTrip(t *testing.T) {
 	if _, _, err := ndp.EncodeSetSearch(nil); err == nil {
 		t.Error("empty set-search should fail")
 	}
-	if _, _, err := ndp.EncodeSetSearch(make([]ndp.Task, ndp.MaxTasksPerPayload+1)); err == nil {
+	if _, _, err := ndp.EncodeSetSearch(make([]ndp.Task, ndp.TasksPerQSHR+1)); err == nil {
 		t.Error("oversized batch should fail")
 	}
 	if _, _, err := ndp.EncodeSetSearch([]ndp.Task{{Threshold: float32(math.NaN())}}); err == nil {
@@ -87,12 +84,8 @@ func TestSetSearchRoundTrip(t *testing.T) {
 	if _, err := ndp.DecodeSetSearch(p, 0); !errors.Is(err, ndp.ErrBadField) {
 		t.Error("zero count should fail")
 	}
-	if _, err := ndp.DecodeSetSearch(p, ndp.MaxTasksPerPayload+1); !errors.Is(err, ndp.ErrBadField) {
+	if _, err := ndp.DecodeSetSearch(p, ndp.TasksPerQSHR+1); !errors.Is(err, ndp.ErrBadField) {
 		t.Error("oversized count should fail")
-	}
-	p[3] ^= 0x10
-	if _, err := ndp.DecodeSetSearch(p, n); !errors.Is(err, ndp.ErrCRC) {
-		t.Error("corrupt set-search should fail CRC")
 	}
 }
 
@@ -124,11 +117,6 @@ func TestQueryChunksRoundTrip(t *testing.T) {
 				t.Fatalf("%v: query[%d] %v -> %v", elem, d, q[d], back[d])
 			}
 		}
-		// Any corrupted chunk fails the whole query decode.
-		chunks[len(chunks)/2][5] ^= 0x04
-		if _, err := ndp.DecodeQuery(elem, dim, chunks); !errors.Is(err, ndp.ErrCRC) {
-			t.Fatalf("%v: corrupt chunk: got %v, want ndp.ErrCRC", elem, err)
-		}
 	}
 	// 1 kB QSHR limit.
 	if _, err := ndp.EncodeQueryChunks(vecmath.Float32, make([]float32, 300)); err == nil {
@@ -141,17 +129,36 @@ func TestPollResponseRoundTrip(t *testing.T) {
 	for i := range r.Dist {
 		r.Dist[i] = float32(i) * 1.25
 	}
-	got, err := ndp.DecodePollResponse(r.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != r {
+	if got := ndp.DecodePollResponse(r.Encode()); got != r {
 		t.Fatalf("poll round trip: %+v != %+v", got, r)
 	}
-	raw := r.Encode()
-	raw[40] ^= 0x80
-	if _, err := ndp.DecodePollResponse(raw); !errors.Is(err, ndp.ErrCRC) {
-		t.Fatalf("corrupt poll: got %v, want ndp.ErrCRC", err)
+}
+
+// TestPayloadCountsMatchTimingModel pins the protocol's payload counts to
+// the ones the timing model charges: a set-search carries
+// NDPParams.TasksPerSetSearch tasks, and a query installs in one set-query
+// chunk per line of its row (rows.Lines, NewModel's QueryLines).
+func TestPayloadCountsMatchTimingModel(t *testing.T) {
+	if want := sim.DefaultNDP().TasksPerSetSearch; ndp.TasksPerQSHR != want {
+		t.Fatalf("TasksPerQSHR = %d, timing model charges %d tasks per set-search", ndp.TasksPerQSHR, want)
+	}
+	if _, n, err := ndp.EncodeSetSearch(make([]ndp.Task, ndp.TasksPerQSHR)); err != nil || n != ndp.TasksPerQSHR {
+		t.Fatalf("full set-search: %d tasks, %v", n, err)
+	}
+	for _, elem := range []vecmath.ElemType{vecmath.Uint8, vecmath.Int8, vecmath.Float16, vecmath.BFloat16, vecmath.Float32} {
+		widest := ndp.QueryFieldBytes / elem.Bytes()
+		for _, dim := range []int{1, 7, 16, 63, 64, 65, 100, 128, 200, widest - 1, widest} {
+			if dim > widest {
+				continue
+			}
+			chunks, err := ndp.EncodeQueryChunks(elem, make([]float32, dim))
+			if err != nil {
+				t.Fatalf("%v dim %d: %v", elem, dim, err)
+			}
+			if want := rows.Lines(elem, dim); len(chunks) != want {
+				t.Errorf("%v dim %d: %d set-query chunks, timing model charges %d lines", elem, dim, len(chunks), want)
+			}
+		}
 	}
 }
 
@@ -195,7 +202,7 @@ func TestUnitMatchesETEngine(t *testing.T) {
 
 		// Build a full payload's worth of tasks with float32-exact thresholds.
 		var tasks []ndp.Task
-		for len(tasks) < ndp.MaxTasksPerPayload {
+		for len(tasks) < ndp.TasksPerQSHR {
 			addr := uint32(rng.Intn(len(ds.Vectors)))
 			th := float32(p.Metric.Distance(q, ds.Vectors[rng.Intn(len(ds.Vectors))]))
 			tasks = append(tasks, ndp.Task{Addr: addr, Threshold: th})
@@ -217,10 +224,7 @@ func TestUnitMatchesETEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := ndp.DecodePollResponse(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
+		resp := ndp.DecodePollResponse(raw)
 		want := uint8(1<<uint(cnt) - 1)
 		if !resp.Completed || resp.DoneMask != want {
 			t.Fatalf("QSHR not completed: %+v", resp)
@@ -267,6 +271,28 @@ func TestUnitErrors(t *testing.T) {
 	if _, err := u.Poll(-1); err == nil {
 		t.Error("out-of-range poll should fail")
 	}
+	// A query that fills the 1 kB QSHR field installs; a chunk past the
+	// field, or a configure whose query could not fit it, is rejected.
+	wide := ndp.Config{Elem: vecmath.Float32, Dim: ndp.QueryFieldBytes / 4, Metric: vecmath.L2}
+	if err := u.Configure(ndp.EncodeConfigure(wide)); err != nil {
+		t.Fatalf("1024 B query configure: %v", err)
+	}
+	chunks, err := ndp.EncodeQueryChunks(wide.Elem, make([]float32, wide.Dim))
+	if err != nil {
+		t.Fatalf("1024 B query: %v", err)
+	}
+	for seq, c := range chunks {
+		if err := u.SetQuery(0, seq, c); err != nil {
+			t.Fatalf("1024 B query chunk %d: %v", seq, err)
+		}
+	}
+	if err := u.SetQuery(0, ndp.QueryFieldBytes/64, [64]byte{}); !errors.Is(err, ndp.ErrBadField) {
+		t.Errorf("chunk %d past the query field: got %v, want ndp.ErrBadField", ndp.QueryFieldBytes/64, err)
+	}
+	gist := ndp.Config{Elem: vecmath.Float32, Dim: 960, Metric: vecmath.L2}
+	if err := u.Configure(ndp.EncodeConfigure(gist)); !errors.Is(err, ndp.ErrBadField) {
+		t.Errorf("960-dim float32 configure: got %v, want ndp.ErrBadField", err)
+	}
 }
 
 // TestUnitFlagsShortData: a task whose rank data is shorter than the
@@ -309,10 +335,7 @@ func TestUnitFlagsShortData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ndp.DecodePollResponse(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := ndp.DecodePollResponse(raw)
 	if !resp.Completed || resp.DoneMask != 0b11 {
 		t.Fatalf("unexpected completion state: %+v", resp)
 	}

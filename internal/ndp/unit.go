@@ -24,8 +24,8 @@ type qshr struct {
 // Unit is a functional NDP unit: it consumes DDR-encoded instructions and
 // executes comparison tasks against its rank's data. It is deterministic
 // and single-threaded, mirroring the sequential per-QSHR task processing of
-// §5.2. Corrupt instruction payloads are rejected by CRC/field validation,
-// and task execution enforces the early-termination bound invariant (the
+// §5.2. Instruction payloads with out-of-range fields are rejected, and
+// task execution enforces the early-termination bound invariant (the
 // running lower bound is monotonically non-decreasing); violations — rank
 // data shorter than the configured footprint, non-monotone or NaN bounds —
 // mark the task in the poll response's FaultMask instead of returning a
@@ -66,8 +66,7 @@ func (u *Unit) Configure(payload [64]byte) error {
 
 // SetQuery applies one set-query chunk (seq is the chunk index encoded in
 // the DDR address, §5.2). The last chunk finalizes the query; tasks waiting
-// in the QSHR then execute. Corrupt chunks are rejected before being
-// stored.
+// in the QSHR then execute. A chunk index past the query field is rejected.
 func (u *Unit) SetQuery(id, seq int, payload [64]byte) error {
 	if !u.cfgOK {
 		return fmt.Errorf("ndp: set-query before configure")
@@ -75,18 +74,15 @@ func (u *Unit) SetQuery(id, seq int, payload [64]byte) error {
 	if id < 0 || id >= NumQSHRs {
 		return fmt.Errorf("ndp: QSHR id %d out of range", id)
 	}
-	if seq < 0 || seq > 1024/PayloadDataBytes {
+	if seq < 0 || seq >= QueryFieldBytes/64 {
 		return &ProtocolError{OpSetQuery, fmt.Errorf("%w: chunk index %d", ErrBadField, seq)}
-	}
-	if !checkCRC(payload) {
-		return &ProtocolError{OpSetQuery, ErrCRC}
 	}
 	q := &u.qshrs[id]
 	for len(q.chunks) <= seq {
 		q.chunks = append(q.chunks, [64]byte{})
 	}
 	q.chunks[seq] = payload
-	need := (int(u.cfg.Dim)*u.cfg.Elem.Bytes() + PayloadDataBytes - 1) / PayloadDataBytes
+	need := (int(u.cfg.Dim)*u.cfg.Elem.Bytes() + 63) / 64
 	if len(q.chunks) >= need {
 		query, err := DecodeQuery(u.cfg.Elem, int(u.cfg.Dim), q.chunks)
 		if err != nil {
@@ -99,7 +95,7 @@ func (u *Unit) SetQuery(id, seq int, payload [64]byte) error {
 	return nil
 }
 
-// SetSearch applies a set-search instruction: up to MaxTasksPerPayload
+// SetSearch applies a set-search instruction: up to TasksPerQSHR
 // comparison tasks for one QSHR (count comes from the DDR address
 // encoding). Per the paper's optimization, set-search may arrive before
 // set-query; the QSHR starts once both are present.

@@ -202,20 +202,6 @@ func (m *Map) AppendFetchedPerSegment(dst []int, nfLocal int, fullFetch bool) []
 	return dst
 }
 
-// ServingRanks appends the ranks that serve a comparison against vector id
-// — its home group's segment ranks — to dst and returns the extended slice.
-// The fault model's resilient wrap (sim.Model) uses this to attribute
-// comparison failures to hardware and to route around degraded ranks. (Replicated vectors could be
-// served by any group; attributing them to the home group keeps the fault
-// model conservative.)
-func (m *Map) ServingRanks(id uint32, dst []int) []int {
-	g := m.GroupOf(id)
-	for seg := 0; seg < m.numSegs; seg++ {
-		dst = append(dst, m.RankFor(g, seg))
-	}
-	return dst
-}
-
 // LinesPerVector returns the vector footprint in lines.
 func (m *Map) LinesPerVector() int { return m.linesPerVector }
 

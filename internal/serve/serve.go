@@ -305,9 +305,9 @@ func (sr *statusRecorder) Write(p []byte) (int, error) {
 }
 
 // recoverWrap contains handler panics: the connection gets a 500 (when
-// headers haven't been sent yet) and the process survives — the same
-// containment contract the fault model's Resilient wrapper gives the
-// device path.
+// headers haven't been sent yet) and the process survives: a panic costs
+// the request that raised it, never the server or the other requests in
+// flight.
 func (s *Server) recoverWrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sr := &statusRecorder{ResponseWriter: w}

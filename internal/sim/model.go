@@ -10,23 +10,20 @@ import (
 	"ansmet/internal/core"
 	"ansmet/internal/dataset"
 	"ansmet/internal/engine"
-	"ansmet/internal/fault"
 	"ansmet/internal/hnsw"
 	"ansmet/internal/ivf"
 	"ansmet/internal/partition"
 	"ansmet/internal/polling"
 	"ansmet/internal/precision"
 	"ansmet/internal/rows"
-	"ansmet/internal/stats"
 	"ansmet/internal/trace"
 )
 
 // Model is one design point of the simulated platform: a functional view
-// (core.System, embedded), the placement and replay configuration over it,
-// the precision map a recall target derives and, under a fault schedule
-// (InjectFaults), the injector, breakers and counters every worker engine's
-// resilient wrap shares. run is the one loop that drives queries through
-// such engines and replays their traces.
+// (core.System, embedded), the placement and replay configuration over it
+// and the precision map a recall target derives. run is the one loop that
+// drives queries through the view's worker engines and replays their
+// traces. A run only reads the Model, so several may proceed on it at once.
 type Model struct {
 	*core.System
 	// Timing is this design point's configuration; NewModel fixed its
@@ -36,18 +33,6 @@ type Model struct {
 	// Precision is the per-partition static depth map of adaptive
 	// mixed-precision search; nil unless Timing.RecallTarget enabled it.
 	Precision *precision.Map
-
-	// The fault model; nil unless InjectFaults set it.
-	Injector   *fault.Injector
-	Breakers   *stats.Breakers
-	Faults     *fault.Counters
-	resilience fault.ResilienceConfig
-
-	// mu serializes runs on this Model: the parallel experiment pipeline may
-	// dispatch several cells against one cached Model at once, and with a
-	// fault schedule the shared injector's sequence — so every run's result —
-	// is a function of the order runs take it in.
-	mu sync.Mutex
 }
 
 // NewModel puts the platform cfg describes (DefaultConfig is the paper's)
@@ -105,42 +90,19 @@ func NewModel(sys *core.System, cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// InjectFaults, called before the first run, makes every worker engine fail
-// per the schedule behind a resilient wrapper (tuned by rc) that retries,
-// trips per-rank circuit breakers and degrades to the CPU exact engine. It
-// returns m.
-func (m *Model) InjectFaults(s *fault.Schedule, rc fault.ResilienceConfig) *Model {
-	m.Injector = fault.NewInjector(s)
-	m.Breakers = fault.NewBreakerSet(m.Timing.Mem.Ranks(), rc)
-	m.Faults = &fault.Counters{}
-	m.resilience = rc
-	return m
-}
-
 // NewWorkerEngine is the view's engine with what the platform adds: local
-// per-rank early termination over the partition's segments (§5.3); under a
-// recall target the adaptive beam mode as a fresh tuner would set it (depth
-// bias 0, the target's margin); under a fault schedule the injector,
-// retries, the shared breakers and counters, and a CPU exact fallback.
+// per-rank early termination over the partition's segments (§5.3), and
+// under a recall target the adaptive beam mode as a fresh tuner would set
+// it (depth bias 0, the target's margin).
 func (m *Model) NewWorkerEngine() engine.Engine {
 	eng := m.System.NewWorkerEngine()
 	if et, ok := eng.(*core.ETEngine); ok {
 		et.SetLocalSegments(m.Timing.Part.NumSegments())
-		// Resilience-wrapped engines never get the adaptive mode: the
-		// fallback contract is exact distances, and a wrapped primary mixing
-		// margin-slack accepts into degraded results would break the bitwise
-		// fixed/adaptive degradation identity.
-		if m.Precision != nil && m.Faults == nil {
+		if m.Precision != nil {
 			et.SetPrecision(m.Precision, 0, precision.MarginForTarget(m.Timing.RecallTarget))
 		}
 	}
-	if m.Faults == nil {
-		return eng
-	}
-	part := m.Timing.Part
-	primary := fault.WrapEngine(eng, m.Injector, part.ServingRanks)
-	fallback := engine.NewExactOver(m.Rows(), m.Metric)
-	return fault.NewResilient(primary, fallback, part.ServingRanks, m.Breakers, m.Faults, m.resilience)
+	return eng
 }
 
 // RunResult bundles the functional and timing outcomes of a query batch.
@@ -193,25 +155,12 @@ func (m *Model) Stream(run *RunResult, n int) *Report {
 // run is the one query loop: n queries searched functionally by up to
 // workers goroutines, each on an engine of its own from NewWorkerEngine,
 // every query recording its trace; then one timing replay over the traces in
-// query order, and the resilience counters' delta over the run attached to
-// the report. Engines are deterministic and carry only per-query scratch, so
+// query order. Engines are deterministic and carry only per-query scratch, so
 // a query's trace does not depend on which worker served it and the result
-// is bit-identical at any worker count — except under a fault schedule,
-// where the injection sequence depends on the global comparison order and
-// the run takes one worker to stay a function of its inputs.
+// is bit-identical at any worker count, and beside any other run on m.
 func (m *Model) run(n, workers int, search func(eng engine.Engine, i int, rec *trace.Query) []hnsw.Neighbor) *RunResult {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if m.Faults != nil {
-		workers = 1
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var base fault.CounterSnapshot
-	var baseInj uint64
-	if m.Faults != nil {
-		base, baseInj = m.Faults.Snapshot(), m.Injector.TotalInjections()
 	}
 	out := &RunResult{
 		Results: make([][]hnsw.Neighbor, n),
@@ -240,21 +189,6 @@ func (m *Model) run(n, workers int, search func(eng engine.Engine, i int, rec *t
 		wg.Wait()
 	}
 	out.Report = Run(m.Timing, out.Traces)
-	if m.Faults != nil {
-		d := m.Faults.Snapshot().Sub(base)
-		out.Report.Resilience = &ResilienceStats{
-			Attempts:        d.Attempts,
-			Retries:         d.Retries,
-			Failures:        d.Failures,
-			Fallbacks:       d.Fallbacks,
-			BreakerTrips:    d.BreakerTrips,
-			Probes:          d.Probes,
-			Reenables:       d.Reenables,
-			PanicRecoveries: d.Panics,
-			FaultInjections: m.Injector.TotalInjections() - baseInj,
-			DegradedRanks:   m.Breakers.Degraded(),
-		}
-	}
 	return out
 }
 

@@ -40,27 +40,6 @@ type Report struct {
 	// CoreWaitNs accumulates time queries spent waiting for a free host
 	// core before their host phases (diagnostic).
 	CoreWaitNs float64
-
-	// Resilience summarizes the fault model's activity during the functional
-	// run that produced the traces (filled by Model under a fault schedule;
-	// nil otherwise). The timing model itself replays the recorded traces —
-	// the functional layer is where faults, retries and fallbacks happen.
-	Resilience *ResilienceStats
-}
-
-// ResilienceStats mirrors fault.CounterSnapshot plus injector totals, as a
-// plain struct of the report.
-type ResilienceStats struct {
-	Attempts        uint64 // primary comparisons attempted
-	Retries         uint64 // failed attempts retried
-	Failures        uint64 // comparisons that exhausted retries
-	Fallbacks       uint64 // comparisons served by the CPU fallback
-	BreakerTrips    uint64 // circuit breakers opened
-	Probes          uint64 // half-open probes issued
-	Reenables       uint64 // ranks re-enabled by a successful probe
-	PanicRecoveries uint64 // primary panics converted to failures
-	FaultInjections uint64 // faults the schedule injected
-	DegradedRanks   int    // ranks whose breaker is not closed at run end
 }
 
 // AvgLatencyNs returns the mean per-query latency.

@@ -230,10 +230,10 @@ const doManyChunk = 16
 // at their own checkpoints; per-query partials are dropped (they are not
 // useful inside a batch), completed queries keep their slot, unstarted ones
 // stay nil, and the *CancelError's Partial field reports whether any query
-// completed. A panic inside one worker (a corrupted index, a
-// hardware-model fault outside the resilient path) does not crash the
-// process: the remaining queries are cancelled and the panic is returned as
-// an error.
+// completed. A panic inside one worker (a corrupted index, say) does not
+// crash the process: the remaining queries are cancelled and the panic is
+// returned as an error ("ansmet: search worker panicked: ..."), the
+// batch's one error.
 func (db *Database) DoMany(ctx context.Context, queries [][]float32, plan *Query, workers int) ([][]Neighbor, Route, error) {
 	if ctx.Err() != nil {
 		return nil, plan.Route, cancelErr(ctx, false)
