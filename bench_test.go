@@ -502,9 +502,9 @@ var benchSift20k = sync.OnceValue(func() (out struct {
 // two compare engines: row-major vectors with the SIMD kernel (host, the
 // served beam) and the bit-plane early-termination model (ndp, on the NDP
 // model built over the database). The ndp/host ns ratio is what serving the
-// host beam saves. The host-20k
-// arm is the host beam where rows miss the L2 (benchData is L2-resident and
-// cannot show a prefetch); it is skipped at the quick scale. Budget: 0
+// host beam saves. The host-20k arm is the host beam where rows miss the L2
+// (benchData is L2-resident and cannot show a prefetch), with its per-layer
+// split (reportBeamSplit); it is skipped at the quick scale. Budget: 0
 // allocs/op on every arm.
 func BenchmarkSearchHost(b *testing.B) {
 	b.Run("host", func(b *testing.B) {
@@ -516,7 +516,9 @@ func BenchmarkSearchHost(b *testing.B) {
 			b.Skip("n = 20 000 takes seconds to build")
 		}
 		w := benchSift20k()
-		benchDo(b, context.Background(), w.db, w.ds.Queries, ansmet.Query{K: 10, Ef: 128, Route: ansmet.RouteHost})
+		plan := ansmet.Query{K: 10, Ef: 128, Route: ansmet.RouteHost}
+		benchDo(b, context.Background(), w.db, w.ds.Queries, plan)
+		reportBeamSplit(b, w.db, w.ds.Queries, plan)
 	})
 }
 
@@ -580,11 +582,13 @@ var (
 // cache level — GIST-profile fp32 (dim 960, 614 MB of rows) and SIFT u8
 // (dim 128, 20 MB) — through brute force (one Exact.Compare, so one
 // one-row kernel call, per row), the exact scan and the host beam at three
-// ef, each arm reporting recall@10 against the brute-force answer. It is
-// skipped unless ANSMET_BENCH_BIG is set: a cold run generates the set and
-// builds its graph (SIFT's took 43.6 s on a 2-vCPU Xeon), and for GIST
-// holds its 614 MB of rows twice while it does. The built database is saved under the OS temp directory, keyed by
-// the profile, the seed and a hash of the test binary — the code that builds
+// ef, each arm reporting recall@10 against the brute-force answer and each
+// host-beam arm its per-layer split (reportBeamSplit). It is skipped unless
+// ANSMET_BENCH_BIG is set: a cold run generates the set and builds its
+// graph (on a 2-vCPU Xeon, SIFT's took 21–44 s and GIST's 134 s at 1.6 GB
+// peak RSS, since it holds its 614 MB of rows twice while it builds). The
+// built database is saved under the OS temp directory, keyed by the
+// profile, the seed and a hash of the test binary — the code that builds
 // it — so a rerun of one binary loads it. The set-up logs how long the
 // build (or load) took and the process's peak RSS.
 func BenchmarkPastCache(b *testing.B) {
@@ -641,6 +645,9 @@ func BenchmarkPastCache(b *testing.B) {
 						recall += dataset.RecallAtK(neighborIDs(res.Neighbors), truth[i])
 					}
 					benchDo(b, context.Background(), db, queries, a.plan)
+					if a.plan.Route == ansmet.RouteHost {
+						reportBeamSplit(b, db, queries, a.plan)
+					}
 					b.ReportMetric(recall/float64(len(queries)), "recall@10")
 				})
 			}

@@ -73,9 +73,9 @@ func DefaultEf(k int) int { return max(2*k, 32) }
 // that embeds Engine hides the capability, so it keeps seeing every
 // Compare.
 type Batcher interface {
-	// Hint asks the memory system for the first cache lines of id's row.
-	// It has no effect on any result.
-	Hint(id uint32)
+	// Hint asks the memory system for the first cache lines of each id's
+	// row. It has no effect on any result.
+	Hint(ids []uint32)
 	// Distances appends to dst the distance of the current query to each
 	// id, in order — the value Compare reports as Dist — and returns dst.
 	Distances(ids []uint32, dst []float64) []float64
@@ -153,23 +153,27 @@ func (e *Exact) Compare(id uint32, threshold float64) Result {
 }
 
 // Hint implements Batcher.
-func (e *Exact) Hint(id uint32) { vecmath.Prefetch(e.view.Row(id)) }
+func (e *Exact) Hint(ids []uint32) {
+	for _, id := range ids {
+		vecmath.Prefetch(e.view.Row(id))
+	}
+}
 
-// Distances implements Batcher: four ids per kernel call, the rest one at a
-// time. The four-row kernel is the one-row kernel bit for bit on every row,
-// so each distance is the one Compare reports.
+// Distances implements Batcher: four ids per kernel call, the last 1–3
+// padded with a repeat of the last. The four-row kernel is the one-row
+// kernel bit for bit on every row, so each distance is the one Compare
+// reports.
 func (e *Exact) Distances(ids []uint32, dst []float64) []float64 {
-	for ; len(ids) >= 4; ids = ids[4:] {
+	for len(ids) > 0 {
+		n := min(len(ids), 4)
 		for i := range e.four {
-			e.four[i] = e.view.Row(ids[i])
+			e.four[i] = e.view.Row(ids[min(i, n-1)])
 		}
 		e.kern4(e.query, &e.four, &e.out)
-		for _, d := range e.out {
+		for _, d := range e.out[:n] {
 			dst = append(dst, e.finish(d))
 		}
-	}
-	for _, id := range ids {
-		dst = append(dst, e.distance(id))
+		ids = ids[n:]
 	}
 	return dst
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"ansmet/internal/vecmath"
@@ -49,5 +50,41 @@ func TestResultTotalLines(t *testing.T) {
 	r := Result{Lines: 3, BackupLines: 2}
 	if r.TotalLines() != 5 {
 		t.Errorf("TotalLines = %d", r.TotalLines())
+	}
+}
+
+// TestDistancesMatchCompare: Distances over every batch length from 0 to
+// 9 — whole four-row calls and 1–3 padded leftovers — stores, bitwise,
+// the distance Compare reports for each id, for every element type and
+// metric.
+func TestDistancesMatchCompare(t *testing.T) {
+	r := rand.New(rand.NewPCG(5, 6))
+	for elem := vecmath.Uint8; elem <= vecmath.Float32; elem++ {
+		for _, m := range []vecmath.Metric{vecmath.L2, vecmath.InnerProduct} {
+			vecs := make([][]float32, 12)
+			for i := range vecs {
+				vecs[i] = make([]float32, 37)
+				for j := range vecs[i] {
+					vecs[i][j] = elem.Quantize(float32(r.IntN(200)) - 50)
+				}
+			}
+			e := NewExact(vecs, m, elem)
+			e.StartQuery(vecs[3])
+			for n := 0; n <= 9; n++ {
+				ids := make([]uint32, n)
+				for i := range ids {
+					ids[i] = uint32(r.IntN(len(vecs)))
+				}
+				got := e.Distances(ids, nil)
+				if len(got) != n {
+					t.Fatalf("%v/%v: %d distances for %d ids", elem, m, len(got), n)
+				}
+				for i, id := range ids {
+					if want := e.Compare(id, math.Inf(1)).Dist; math.Float64bits(got[i]) != math.Float64bits(want) {
+						t.Fatalf("%v/%v: batch of %d, id %d: Distances %v, Compare %v", elem, m, n, id, got[i], want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,5 +1,7 @@
 package hnsw
 
+import "slices"
+
 // visitedSet marks visited node ids without per-query allocation: one bit
 // per node, cleared when a query starts. At n = 20 000 it is 2.5 KB, which
 // stays in L1 beside the frontier where a uint32 generation word per node
@@ -32,16 +34,33 @@ func (v *visitedSet) testAndSet(id uint32) bool {
 	return false
 }
 
+// appendUnseen appends to dst the ids of nbs not yet marked this query, in
+// order, and marks them. It stores every id and advances past only the
+// fresh ones, so the loop carries no branch on the mark.
+func (v *visitedSet) appendUnseen(dst, nbs []uint32) []uint32 {
+	n := len(dst)
+	dst = slices.Grow(dst, len(nbs))[:n+len(nbs)]
+	for _, id := range nbs {
+		w := &v.bits[id>>6]
+		seen := *w >> (id & 63) & 1
+		*w |= 1 << (id & 63)
+		dst[n] = id
+		n += int(seen ^ 1)
+	}
+	return dst[:n]
+}
+
 // searchContext bundles the per-query scratch state of a graph traversal:
 // the visited set, the beam's frontier (the search's and the build's) and
-// the per-hop batch id and distance buffers. Contexts are pooled on the
-// Index so steady-state searches allocate nothing.
+// the per-hop batch id, distance and admission buffers. Contexts are pooled
+// on the Index so steady-state searches allocate nothing.
 type searchContext struct {
 	vis   visitedSet
 	front frontier
 	ids   []uint32
-	dist  []float64 // the hop's distances, parallel to ids
-	nbuf  []uint32  // live-mode neighbor-list copy scratch (mutate.go)
+	dist  []float64       // the hop's distances, parallel to ids
+	hop   []frontierEntry // the hop's admitted candidates (frontier.pushAll)
+	nbuf  []uint32        // live-mode neighbor-list copy scratch (mutate.go)
 }
 
 // getCtx fetches a context from the pool (or makes one) and resets it for a

@@ -1,6 +1,9 @@
 package hnsw
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // frontier is the beam of a search's base layer and of the build's search
 // on every layer (searchLayerExact): one list of candidates in ascending
@@ -27,10 +30,12 @@ import "math"
 type frontier struct {
 	items  []frontierEntry
 	ef     int
-	pass   int // passing entries held
-	worst  int // index of the ef-th passing entry, -1 while there are fewer
-	cursor int // every entry before it is expanded
-	dead   int // unexpanded candidates dropped beyond the worst
+	pass   int             // passing entries held
+	worst  int             // index of the ef-th passing entry, -1 while there are fewer
+	cursor int             // every entry before it is expanded
+	dead   int             // unexpanded candidates dropped beyond the worst
+	tmp    []frontierEntry // sortEntries' bucketed copy
+	starts []int32         // and its bucket starts
 }
 
 // frontierEntry is a Neighbor with its two flags, packed into 16 bytes so
@@ -44,7 +49,7 @@ type frontierEntry struct {
 
 // reset empties the frontier for a search with beam width ef (>= 1).
 func (f *frontier) reset(ef int) {
-	*f = frontier{items: f.items[:0], ef: ef, worst: -1}
+	*f = frontier{items: f.items[:0], ef: ef, worst: -1, tmp: f.tmp, starts: f.starts}
 }
 
 // threshold is the hop's rejection threshold: the worst result's distance
@@ -102,6 +107,122 @@ func (f *frontier) push(id uint32, d float64, pass bool) {
 	}
 	f.worst = w
 	f.trim()
+}
+
+// pushAll admits a hop's candidates at once, leaving the state that pushing
+// them one by one leaves in any order: the ef-th passing entry of the union,
+// with everything at or below its distance held and everything beyond it
+// dropped, is the same whichever arrives first, and so are pass, dead and
+// the expansion order. It sorts in (sortEntries) and merges it into the
+// items in one backward pass, then finds the worst and trims once. The build
+// keeps push: its strict admission depends on the order (searchLayerExact).
+func (f *frontier) pushAll(in []frontierEntry) {
+	if len(in) == 0 {
+		return
+	}
+	in = f.sortEntries(in)
+	n := len(f.items)
+	f.items = slices.Grow(f.items, len(in))[:n+len(in)]
+	i, j := n-1, len(in)-1
+	for k := len(f.items) - 1; j >= 0; k-- {
+		if i >= 0 && in[j].less(&f.items[i]) {
+			f.items[k] = f.items[i]
+			i--
+		} else {
+			f.items[k] = in[j]
+			j--
+		}
+	}
+	// Everything up to items[i] stayed put; the first newcomer is next.
+	f.cursor = min(f.cursor, i+1)
+	for _, e := range in {
+		if e.pass {
+			f.pass++
+		}
+	}
+	if f.pass < f.ef {
+		return
+	}
+	if f.pass == len(f.items) {
+		f.worst = f.ef - 1 // every entry passes, so the ef-th passing one is entry ef-1
+	} else {
+		w, seen := 0, 0
+		for ; ; w++ {
+			if f.items[w].pass {
+				if seen++; seen == f.ef {
+					break
+				}
+			}
+		}
+		f.worst = w
+	}
+	f.trim()
+}
+
+// less orders entries by (Dist, ID), the frontier's order.
+func (e *frontierEntry) less(o *frontierEntry) bool {
+	return e.dist < o.dist || (e.dist == o.dist && e.id < o.id)
+}
+
+// sortEntries sorts es by (Dist, ID) and returns the sorted entries, in es
+// or in f.tmp. A hop admits 17 candidates on average but ~100 in its first
+// hops, where insertion alone would shift quadratically and a merge sort's
+// every step is a coin-flip branch. So a batch of 16 or more is first
+// scattered into len(es) buckets by linear interpolation of its distance
+// between the batch's least and greatest, which is monotone in the
+// distance, and the insertion pass that follows only orders entries within
+// a bucket. The insertion pass sorts whatever the buckets hold; they only
+// bound its work.
+func (f *frontier) sortEntries(es []frontierEntry) []frontierEntry {
+	n := len(es)
+	if n < 16 {
+		insertionSort(es)
+		return es
+	}
+	lo, hi := es[0].dist, es[0].dist
+	for _, e := range es[1:] {
+		if e.dist < lo {
+			lo = e.dist
+		}
+		if e.dist > hi {
+			hi = e.dist
+		}
+	}
+	span := hi - lo
+	scale := float64(n) / span
+	if !(span > 0 && span <= math.MaxFloat64 && scale <= math.MaxFloat64) {
+		insertionSort(es) // every distance equal, or a span too wide or too narrow to scale
+		return es
+	}
+	bucket := func(d float64) int { return min(int((d-lo)*scale), n-1) }
+	f.starts = slices.Grow(f.starts[:0], n+1)[:n+1]
+	clear(f.starts)
+	for _, e := range es {
+		f.starts[bucket(e.dist)+1]++
+	}
+	for b := 1; b <= n; b++ {
+		f.starts[b] += f.starts[b-1]
+	}
+	f.tmp = slices.Grow(f.tmp[:0], n)[:n]
+	for _, e := range es {
+		b := bucket(e.dist)
+		f.tmp[f.starts[b]] = e
+		f.starts[b]++
+	}
+	insertionSort(f.tmp)
+	return f.tmp
+}
+
+// insertionSort sorts entries by (Dist, ID).
+func insertionSort(es []frontierEntry) {
+	for i := 1; i < len(es); i++ {
+		e := es[i]
+		j := i
+		for ; j > 0 && e.less(&es[j-1]); j-- {
+			es[j] = es[j-1]
+		}
+		es[j] = e
+	}
 }
 
 // trim drops the entries beyond the worst result's distance, counting the

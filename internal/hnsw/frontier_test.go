@@ -1,6 +1,7 @@
 package hnsw
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -152,5 +153,100 @@ func FuzzFrontierMatchesHeaps(f *testing.F) {
 			t.Skip()
 		}
 		checkFrontier(t, int(ef), ops)
+	})
+}
+
+// pushAllDists are the distances checkPushAll draws from: ties everywhere,
+// both zeros, negatives (inner product), a span that overflows and one too
+// narrow to scale into buckets.
+var pushAllDists = []float64{0, math.Copysign(0, -1), 1, 1.5, 2, 2, 3, 7, -2, 1e300, -1e300, math.MaxFloat64, math.Inf(1), 5e-324}
+
+// checkPushAll builds one state on two frontiers from prefix, one operation
+// per byte as in checkFrontier (b%4 == 0 expands, anything else pushes),
+// then admits the batch, one entry per byte, by push in byte order on one
+// and by one pushAll of a shuffle of it on the other. Both must hold the same items (distances bitwise), pass,
+// worst and dead, and expand the same sequence to the end.
+func checkPushAll(t *testing.T, ef int, prefix, batch []byte) {
+	t.Helper()
+	var f, g frontier
+	f.reset(ef)
+	g.reset(ef)
+	id := func(i int) uint32 { return uint32(i) * 2654435761 } // unique, scrambled
+	for i, b := range prefix {
+		if b%4 == 0 {
+			frontierPop(&f)
+			frontierPop(&g)
+			continue
+		}
+		d, pass := pushAllDists[int(b/4)%len(pushAllDists)], b/64%3 != 0
+		f.push(id(i), d, pass)
+		g.push(id(i), d, pass)
+	}
+	in := make([]frontierEntry, len(batch))
+	perm := stats.NewRNG(uint64(len(prefix))<<32 | uint64(len(batch))).Perm(len(batch))
+	for i, b := range batch {
+		e := frontierEntry{dist: pushAllDists[int(b)%len(pushAllDists)], id: id(len(prefix) + i), pass: b/32%4 != 0}
+		f.push(e.id, e.dist, e.pass)
+		in[perm[i]] = e
+	}
+	g.pushAll(in)
+
+	if len(f.items) != len(g.items) {
+		t.Fatalf("ef=%d: pushes hold %d items, pushAll %d", ef, len(f.items), len(g.items))
+	}
+	for i, e := range f.items {
+		o := g.items[i]
+		if math.Float64bits(e.dist) != math.Float64bits(o.dist) || e.id != o.id || e.pass != o.pass || e.expanded != o.expanded {
+			t.Fatalf("ef=%d: item %d is %+v after pushes, %+v after pushAll", ef, i, e, o)
+		}
+	}
+	if f.pass != g.pass || f.worst != g.worst || f.dead != g.dead {
+		t.Fatalf("ef=%d: pushes leave pass %d worst %d dead %d, pushAll %d %d %d", ef, f.pass, f.worst, f.dead, g.pass, g.worst, g.dead)
+	}
+	for step := 0; ; step++ {
+		wantID, want := frontierPop(&f)
+		gotID, got := frontierPop(&g)
+		if got != want || gotID != wantID {
+			t.Fatalf("ef=%d: expansion %d is (%d, outcome %d) after pushAll, (%d, outcome %d) after pushes", ef, step, gotID, got, wantID, want)
+		}
+		if want == popEmpty {
+			break
+		}
+	}
+}
+
+// TestPushAllMatchesPushes: one pushAll of a random batch, small and past
+// the bucketed sort's threshold, onto a random state leaves the frontier
+// as pushing the batch entry by entry does.
+func TestPushAllMatchesPushes(t *testing.T) {
+	// A batch past the threshold whose span, 5e-324, is too narrow to scale.
+	checkPushAll(t, 4, []byte{1, 2, 0}, bytes.Repeat([]byte{42, 55}, 10))
+	for _, ef := range []int{1, 2, 7, 16, 64} {
+		for seed := uint64(1); seed <= 40; seed++ {
+			r := stats.NewRNG(seed)
+			prefix := make([]byte, r.Intn(200))
+			batch := make([]byte, r.Intn(150))
+			for i := range prefix {
+				prefix[i] = byte(r.Intn(256))
+			}
+			for i := range batch {
+				batch[i] = byte(r.Intn(256))
+			}
+			checkPushAll(t, ef, prefix, batch)
+		}
+	}
+}
+
+// FuzzPushAllMatchesPushes is TestPushAllMatchesPushes over fuzzed states,
+// batches and beam widths.
+func FuzzPushAllMatchesPushes(f *testing.F) {
+	f.Add(uint8(1), []byte{1, 5, 0}, []byte{2, 3, 4})
+	f.Add(uint8(3), []byte{0x41, 0x15, 0x99, 0x00, 0x2d}, []byte("ties on both sides of the worst"))
+	f.Add(uint8(8), []byte("a state"), []byte("a batch of more than sixteen entries, bucketed"))
+	f.Fuzz(func(t *testing.T, ef uint8, prefix, batch []byte) {
+		if ef == 0 {
+			t.Skip()
+		}
+		checkPushAll(t, int(ef), prefix, batch)
 	})
 }

@@ -136,9 +136,7 @@ func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batc
 				rec.BeginHop(l)
 			}
 			if bat != nil {
-				for _, nb := range nbs {
-					bat.Hint(nb)
-				}
+				bat.Hint(nbs)
 				dist = bat.Distances(nbs, dist[:0])
 			}
 			improved := false
@@ -181,7 +179,7 @@ func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batc
 	front := &ctx.front
 	front.reset(ef)
 	front.push(cur, curDist, filter(cur))
-	ids := ctx.ids
+	ids, hop := ctx.ids, ctx.hop
 	cancelled := false
 
 	for front.pending() {
@@ -212,13 +210,10 @@ func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batc
 				}
 				break
 			}
-			for _, nb := range v.neighborsAt(c, 0, ctx) {
-				if !visited.testAndSet(nb) {
-					ids = append(ids, nb)
-					if bat != nil {
-						bat.Hint(nb)
-					}
-				}
+			fresh := len(ids)
+			ids = visited.appendUnseen(ids, v.neighborsAt(c, 0, ctx))
+			if bat != nil {
+				bat.Hint(ids[fresh:])
 			}
 		}
 		if converged {
@@ -239,14 +234,16 @@ func (ix *Index) SearchCancelInto(done <-chan struct{}, q []float32, k, ef, batc
 			dist = compareEach(eng, rec, ids, threshold, dist[:0])
 			admit = math.Inf(1)
 		}
+		hop = hop[:0]
 		for i, nb := range ids {
 			if d := dist[i]; d <= admit {
-				front.push(nb, d, filter(nb))
+				hop = append(hop, frontierEntry{dist: d, id: nb, pass: filter(nb)})
 			}
 		}
+		front.pushAll(hop)
 	}
 	// Keep any capacity growth for the next query.
-	ctx.ids, ctx.dist = ids, dist
+	ctx.ids, ctx.dist, ctx.hop = ids, dist, hop
 
 	return front.answer(k, dst), cancelled
 }

@@ -10,6 +10,7 @@ import (
 // qshr is one query-status handling register set (Fig. 5(c)).
 type qshr struct {
 	chunks    [][64]byte
+	recv      uint16 // bit s is set once chunk s has arrived
 	query     []float32
 	tasks     []Task
 	results   [TasksPerQSHR]float32
@@ -65,8 +66,10 @@ func (u *Unit) Configure(payload [64]byte) error {
 }
 
 // SetQuery applies one set-query chunk (seq is the chunk index encoded in
-// the DDR address, §5.2). The last chunk finalizes the query; tasks waiting
-// in the QSHR then execute. A chunk index past the query field is rejected.
+// the DDR address, §5.2). Chunks may arrive in any order: the query is
+// finalized once every chunk of the configured query has arrived, and tasks
+// waiting in the QSHR then execute. A chunk index past the query field is
+// rejected.
 func (u *Unit) SetQuery(id, seq int, payload [64]byte) error {
 	if !u.cfgOK {
 		return fmt.Errorf("ndp: set-query before configure")
@@ -82,8 +85,9 @@ func (u *Unit) SetQuery(id, seq int, payload [64]byte) error {
 		q.chunks = append(q.chunks, [64]byte{})
 	}
 	q.chunks[seq] = payload
+	q.recv |= 1 << seq
 	need := (int(u.cfg.Dim)*u.cfg.Elem.Bytes() + 63) / 64
-	if len(q.chunks) >= need {
+	if all := uint16(1<<need - 1); q.recv&all == all {
 		query, err := DecodeQuery(u.cfg.Elem, int(u.cfg.Dim), q.chunks)
 		if err != nil {
 			return err

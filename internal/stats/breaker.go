@@ -33,13 +33,13 @@ type breaker struct {
 	probeAt int64 // clock reading at which an open member admits a probe
 }
 
-// Breakers is one circuit breaker per member (a cluster shard, a simulated
-// NDP rank) under one mutex: threshold consecutive failures open a member,
-// an open member admits one probe once it is due, and the probe's verdict
-// closes or re-opens it. Time is the owner's: an open member counts the
-// Allow calls it receives, clock maps that count to a reading (wall
-// nanoseconds for a shard, the count itself for a deterministic simulator),
-// and a probe is due once the reading reaches the mark set when the member
+// Breakers is one circuit breaker per member (a cluster shard) under one
+// mutex: threshold consecutive failures open a member, an open member
+// admits one probe once it is due, and the probe's verdict closes or
+// re-opens it. Time is the owner's: an open member counts the Allow calls
+// it receives, clock maps that count to a reading (wall nanoseconds for a
+// shard, or the count itself where time must be deterministic), and a
+// probe is due once the reading reaches the mark set when the member
 // opened or was released, clock(0) + wait(member, reopens−1). clock and
 // wait are called with the mutex held. All methods are safe for concurrent
 // use; out-of-range members read as closed and are otherwise ignored.
@@ -97,44 +97,24 @@ func (s *Breakers) Degraded() int {
 }
 
 // Allow reports whether work may be sent to member i. An open member
-// admits one probe once it is due (moving to half-open); probe reports
-// whether the admitted work is that probe.
+// counts the call as routed, allowed or not, and admits one probe once it
+// is due (moving to half-open); probe reports whether the admitted work is
+// that probe. A half-open member admits nothing until its probe's verdict.
 func (s *Breakers) Allow(i int) (allowed, probe bool) {
-	return s.AllowAll([]int{i})
-}
-
-// AllowAll is Allow over every member serving one piece of work, decided
-// atomically: the work is allowed only if no member is half-open and every
-// open member is due, and then the open members go half-open together as
-// one joint probe. Every open member listed counts the call as routed,
-// whether or not it is allowed.
-func (s *Breakers) AllowAll(members []int) (allowed, probe bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	allowed = true
-	for _, i := range members {
-		b := s.at(i)
-		switch {
-		case b == nil:
-		case b.state == BreakerHalfOpen: // a probe is already in flight
-			allowed = false
-		case b.state == BreakerOpen:
-			b.routed++
-			if s.clock(b.routed) < b.probeAt {
-				allowed = false
-			}
-		}
-	}
-	if !allowed {
+	b := s.at(i)
+	switch {
+	case b == nil || b.state == BreakerClosed:
+		return true, false
+	case b.state == BreakerHalfOpen: // a probe is already in flight
 		return false, false
 	}
-	for _, i := range members {
-		if b := s.at(i); b != nil && b.state == BreakerOpen {
-			b.state = BreakerHalfOpen
-			probe = true
-		}
+	if b.routed++; s.clock(b.routed) < b.probeAt {
+		return false, false
 	}
-	return true, probe
+	b.state = BreakerHalfOpen
+	return true, true
 }
 
 // Success records healthy work on member i; a half-open probe success
@@ -176,8 +156,8 @@ func (s *Breakers) Failure(i int) (tripped bool) {
 }
 
 // ReleaseProbe returns a half-open member to open without a verdict: its
-// probe never really ran (the client left, a budget shed it, or a joint
-// probe failed on another member). The next probe is scheduled on the same
+// probe never really ran (the client left or a budget shed it). The next
+// probe is scheduled on the same
 // wait step, since the reopen count does not advance.
 func (s *Breakers) ReleaseProbe(i int) {
 	s.mu.Lock()

@@ -79,32 +79,3 @@ func TestBreakerTransitions(t *testing.T) {
 		t.Fatalf("Degraded = %d at end", s.Degraded())
 	}
 }
-
-// TestBreakerJointProbeRelease: when a joint probe across two open members
-// fails because of one member, the other is released back to open (not left
-// half-open forever) and can probe again later.
-func TestBreakerJointProbeRelease(t *testing.T) {
-	s := countBreakers(2, 1, 2)
-	s.Failure(0)
-	s.Failure(1)
-	if s.State(0) != BreakerOpen || s.State(1) != BreakerOpen {
-		t.Fatal("both members should be open")
-	}
-	members := []int{0, 1}
-	s.AllowAll(members) // one routed since opening
-	ok, probe := s.AllowAll(members)
-	if !ok || !probe {
-		t.Fatalf("joint probe should be admitted (ok=%v probe=%v)", ok, probe)
-	}
-	// The probe failed on member 1 only.
-	s.Failure(1)
-	s.ReleaseProbe(0)
-	if s.State(0) != BreakerOpen {
-		t.Fatalf("member 0 should be released to open, is %v", s.State(0))
-	}
-	// Member 0 alone can probe again after its window.
-	s.AllowAll([]int{0})
-	if ok, probe := s.AllowAll([]int{0}); !ok || !probe {
-		t.Fatalf("member 0 re-probe denied (ok=%v probe=%v)", ok, probe)
-	}
-}

@@ -1,8 +1,7 @@
 // Package stats provides small statistical utilities shared across the
 // ANSMET reproduction: deterministic pseudo-random number generation,
 // percentiles, histograms, KL divergence, mean helpers, the one lock-free
-// EWMA, and the one circuit breaker (Breakers, for cluster shards and
-// simulated NDP ranks alike).
+// EWMA, and the one circuit breaker (Breakers, for cluster shards).
 //
 // Everything here is dependency-free and deterministic so that experiments
 // are exactly reproducible from a seed; a breaker is as deterministic as
