@@ -504,7 +504,7 @@ var benchSift20k = sync.OnceValue(func() (out struct {
 // model built over the database). The ndp/host ns ratio is what serving the
 // host beam saves. The host-20k arm is the host beam where rows miss the L2
 // (benchData is L2-resident and cannot show a prefetch), with its per-layer
-// split (reportBeamSplit); it is skipped at the quick scale. Budget: 0
+// split (reportSplit); it is skipped at the quick scale. Budget: 0
 // allocs/op on every arm.
 func BenchmarkSearchHost(b *testing.B) {
 	b.Run("host", func(b *testing.B) {
@@ -518,7 +518,7 @@ func BenchmarkSearchHost(b *testing.B) {
 		w := benchSift20k()
 		plan := ansmet.Query{K: 10, Ef: 128, Route: ansmet.RouteHost}
 		benchDo(b, context.Background(), w.db, w.ds.Queries, plan)
-		reportBeamSplit(b, w.db, w.ds.Queries, plan)
+		reportSplit(b, beamLayers, w.db, w.ds.Queries, plan)
 	})
 }
 
@@ -527,7 +527,11 @@ func BenchmarkSearchHost(b *testing.B) {
 // on one that has lived (tombstones skipped, appended rows re-pinned); and,
 // skipped at the quick scale, at the shapes of two served workloads: GloVe
 // at n = 10 000 (fp32, dim 100, inner product — what a recall_target 1
-// request scans) and GIST at n = 3 000 (fp32, dim 960, L2).
+// request scans) and GIST at n = 3 000 (fp32, dim 960, L2), each with its
+// per-layer split (reportSplit: the float32 screen, the float64 kernel and
+// the loop) and the rows per query that survive the screen
+// ("survivors/query", counted in one more pass over the queries through
+// core.ScanScreenHook, outside the timing).
 // BenchmarkTieredSearch is the same answer through the model's bound
 // machinery.
 // Budget: 0 allocs/op.
@@ -549,7 +553,19 @@ func BenchmarkExactScan(b *testing.B) {
 				b.Skip("a served workload's shape takes seconds to build")
 			}
 			w := arm.w()
-			benchDo(b, context.Background(), w.db, w.ds.Queries, ansmet.Query{K: 10, Route: ansmet.RouteExact})
+			plan := ansmet.Query{K: 10, Route: ansmet.RouteExact}
+			benchDo(b, context.Background(), w.db, w.ds.Queries, plan)
+			reportSplit(b, scanLayers, w.db, w.ds.Queries, plan)
+			survivors := 0
+			core.ScanScreenHook = func(_, s int) { survivors += s }
+			defer func() { core.ScanScreenHook = nil }()
+			for _, q := range w.ds.Queries {
+				plan.Vector = q
+				if _, err := w.db.Do(context.Background(), &plan); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(survivors)/float64(len(w.ds.Queries)), "survivors/query")
 		})
 	}
 }
@@ -583,7 +599,7 @@ var (
 // (dim 128, 20 MB) — through brute force (one Exact.Compare, so one
 // one-row kernel call, per row), the exact scan and the host beam at three
 // ef, each arm reporting recall@10 against the brute-force answer and each
-// host-beam arm its per-layer split (reportBeamSplit). It is skipped unless
+// host-beam arm its per-layer split (reportSplit). It is skipped unless
 // ANSMET_BENCH_BIG is set: a cold run generates the set and builds its
 // graph (on a 2-vCPU Xeon, SIFT's took 21–44 s and GIST's 134 s at 1.6 GB
 // peak RSS, since it holds its 614 MB of rows twice while it builds). The
@@ -646,7 +662,7 @@ func BenchmarkPastCache(b *testing.B) {
 					}
 					benchDo(b, context.Background(), db, queries, a.plan)
 					if a.plan.Route == ansmet.RouteHost {
-						reportBeamSplit(b, db, queries, a.plan)
+						reportSplit(b, beamLayers, db, queries, a.plan)
 					}
 					b.ReportMetric(recall/float64(len(queries)), "recall@10")
 				})

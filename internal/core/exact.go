@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"ansmet/internal/engine"
@@ -19,6 +20,12 @@ const knnCancelStride = 256
 // precise id (deterministic mid-scan cancellation). Only consulted when
 // done != nil, so the uncancellable scan never pays for it.
 var exactScanTestHook func(id uint32)
+
+// ScanScreenHook, when non-nil, is told of every screened run of the exact
+// scan how many of its rows are live and how many of those survived the
+// screen. Tests and benchmarks count with it; the scan checks it once per
+// screened run.
+var ScanScreenHook func(live, survivors int)
 
 // ExactKNN performs an exact (non-approximate) k-nearest-neighbor scan of
 // the whole store, using early termination with the running k-th-best
@@ -73,9 +80,14 @@ var scanRuns = sync.Pool{New: func() any { return new([scanRun]float64) }}
 //
 // The ids go in aligned runs of scanRun. The exact engine (ScanKNN) takes
 // each run's distances in one RunDistances call, tombstoned rows included,
-// and the heap pass that follows skips the tombstoned ids and counts a full
-// fetch for each live one. Any other engine (ExactKNN's early-terminating
-// one) compares id by id at the live threshold — +Inf while the heap is
+// and the heap pass that follows skips the tombstoned ids. Once the heap is
+// full, on rows with a screen (Exact.StartScreen), it takes each run's
+// survivor bits instead (RunSurvivors, against the run-start top) and the
+// distance of each live survivor alone, in id order against the live top:
+// the screen clears only rows proven past the run-start top, and the top
+// only falls, so a cleared row is one the heap would not have admitted.
+// Either way a full fetch is counted for each live row. Any other engine
+// (ExactKNN's early-terminating one) compares id by id at the live threshold — +Inf while the heap is
 // short, its top after — so its line counts are those of a per-id scan. A
 // comparison is accepted at a tie with the threshold, so an accepted row
 // replaces the top only when it is Less: at equal distance the smaller id
@@ -111,6 +123,7 @@ func scanKNN(done <-chan struct{}, eng engine.Engine, n uint32, tomb *TombSet, k
 		buf = scanRuns.Get().(*[scanRun]float64)
 		defer scanRuns.Put(buf)
 	}
+	screened := ex != nil && k > 0 && ex.StartScreen()
 	top := math.Inf(-1) // the heap's top distance once it is full; nothing is below -Inf
 	for start := uint32(0); start < n; start += scanRun {
 		if done != nil && start%knnCancelStride == 0 && heap.Len() >= k {
@@ -128,16 +141,33 @@ func scanKNN(done <-chan struct{}, eng engine.Engine, n uint32, tomb *TombSet, k
 		}
 		end := min(start+scanRun, n)
 		if ex != nil {
-			dist := buf[:end-start]
-			ex.RunDistances(start, dist)
 			var dead uint64
 			if tomb != nil {
-				dead = tomb.word(int(start / scanRun))
+				dead = tomb.word(int(start/scanRun)) & (1<<(end-start) - 1)
 			}
-			live := len(dist)
+			live := int(end-start) - bits.OnesCount64(dead)
+			linesFetched += live * eng.LinesPerVector()
+			if screened && heap.Len() >= k {
+				// The screen proves a row past the run-start top, which the
+				// live top never rises above: a cleared bit is a row the
+				// heap would not admit.
+				surv := ex.RunSurvivors(start, int(end-start), top) &^ dead
+				if ScanScreenHook != nil {
+					ScanScreenHook(live, bits.OnesCount64(surv))
+				}
+				for ; surv != 0; surv &= surv - 1 {
+					id := start + uint32(bits.TrailingZeros64(surv))
+					if d := ex.Distance(id); d < top {
+						heap.ReplaceTop(hnsw.Neighbor{ID: id, Dist: d})
+						top = heap.Top().Dist
+					}
+				}
+				continue
+			}
+			dist := buf[:end-start]
+			ex.RunDistances(start, dist)
 			for i, d := range dist {
 				if dead>>i&1 != 0 {
-					live--
 					continue
 				}
 				if heap.Len() < k {
@@ -150,7 +180,6 @@ func scanKNN(done <-chan struct{}, eng engine.Engine, n uint32, tomb *TombSet, k
 					top = heap.Top().Dist
 				}
 			}
-			linesFetched += live * eng.LinesPerVector()
 			continue
 		}
 		for id := start; id < end; id++ {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -10,6 +11,8 @@ import (
 	"ansmet/internal/hnsw"
 	"ansmet/internal/layout"
 	"ansmet/internal/prefixelim"
+	"ansmet/internal/rows"
+	"ansmet/internal/vecmath"
 )
 
 func TestExactKNNMatchesBruteForce(t *testing.T) {
@@ -267,4 +270,139 @@ func prefixBruteForce(ds *dataset.Dataset, q []float32, n, k int) []hnsw.Neighbo
 		return all[a].ID < all[b].ID
 	})
 	return all[:k]
+}
+
+// screenRows draws n rows of dim elements of et for the screened scan, in
+// the shapes the screen's proof has to hold on: ordinary rows, exact
+// duplicates of earlier rows (ties at the top), rows one encoding step from
+// an earlier row, subnormals, magnitudes near the type's largest (the
+// float32 pass overflows) and rows whose dot with the first query all but
+// cancels. Every value is one of et's.
+func screenRows(rng *rand.Rand, et vecmath.ElemType, n, dim int, q []float32) [][]float32 {
+	maxExp := map[vecmath.ElemType]int{vecmath.Float32: 127, vecmath.Float16: 15, vecmath.BFloat16: 127}[et]
+	tiny := map[vecmath.ElemType]float64{vecmath.Float32: 0x1p-140, vecmath.Float16: 0x1p-20, vecmath.BFloat16: 0x1p-130}[et]
+	out := make([][]float32, n)
+	for i := range out {
+		v := make([]float32, dim)
+		switch shape := rng.Intn(8); {
+		case i > 0 && shape == 0:
+			copy(v, out[rng.Intn(i)])
+		case i > 0 && shape == 1:
+			copy(v, out[rng.Intn(i)])
+			for j := range v {
+				if w := float32(et.Decode(et.Encode(v[j]) + uint32(rng.Intn(3)) - 1)); w-w == 0 {
+					v[j] = w
+				}
+			}
+		case shape == 2:
+			for j := range v {
+				v[j] = float32(tiny * rng.NormFloat64())
+			}
+		case shape == 3:
+			for j := range v {
+				v[j] = float32(math.Ldexp(1+rng.Float64(), maxExp-rng.Intn(2)) * float64(1-2*rng.Intn(2)))
+			}
+		case shape == 4 && q != nil:
+			for j := range v {
+				if q[j] != 0 {
+					v[j] = float32(float64(1-2*(j%2)) / float64(q[j]) * (1 + 1e-3*rng.NormFloat64()))
+				}
+			}
+		default:
+			for j := range v {
+				v[j] = float32(rng.NormFloat64())
+			}
+		}
+		for j := range v {
+			v[j] = et.Quantize(v[j])
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// TestScanScreenMatchesExactKNN: the screened scan returns ExactKNN's
+// answer bit for bit, over the full fetch of every live row, for every
+// float type under L2, inner product and cosine, on rows drawn to strain
+// the screen's proof (screenRows) — 1 001 of them, so the last run holds 41
+// rows, not a multiple of four — with tombstones inside screened runs and
+// one whole screened run tombstoned, for dims with and without a tail step.
+// Where the kernel level has the screen, it must also have run and
+// rejected rows. On GloVe at n = 10 000 it must pass at most 2 % of the
+// rows of each query to the float64 kernel: a loose margin keeps the
+// answers right and silently loses the screen's gain.
+func TestScanScreenMatchesExactKNN(t *testing.T) {
+	defer func() { ScanScreenHook = nil }()
+	var screenedRuns, survivors, live int
+	ScanScreenHook = func(l, s int) { screenedRuns, live, survivors = screenedRuns+1, live+l, survivors+s }
+	const n = 1001
+	rng := rand.New(rand.NewSource(4901))
+	for _, et := range []vecmath.ElemType{vecmath.Float32, vecmath.Float16, vecmath.BFloat16} {
+		for _, dim := range []int{13, 64} {
+			qs := make([][]float32, 4)
+			for i := range qs {
+				qs[i] = screenRows(rng, et, 1, dim, nil)[0]
+			}
+			vecs := screenRows(rng, et, n, dim, qs[0])
+			qs = append(qs, vecs[5], vecs[n-1]) // queries equal to rows
+			rs := rows.MustPack(vecs, et)
+			st, err := BuildStore(rs, layout.SimpleHeuristicSchedule(et), prefixelim.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tomb := NewTombSet()
+			for id := uint32(3); id < n; id += 5 {
+				tomb.Delete(id)
+			}
+			for id := uint32(640); id < 704; id++ {
+				tomb.Delete(id)
+			}
+			for _, m := range []vecmath.Metric{vecmath.L2, vecmath.InnerProduct, vecmath.Cosine} {
+				eng := st.NewETEngine(m)
+				ex := engine.NewExactOver(rs, m)
+				screenedRuns = 0
+				for _, tombs := range []*TombSet{nil, tomb} {
+					eng.SetTombstones(tombs)
+					wantLive := n
+					if tombs != nil {
+						wantLive -= tombs.Count()
+					}
+					for qi, q := range qs {
+						for _, k := range []int{1, 10, 100} {
+							want, _, _ := eng.ExactKNN(nil, q, k)
+							got, lines, _ := ScanKNN(nil, ex, tombs, q, k, nil)
+							if len(got) != len(want) || lines != wantLive*ex.FullLines {
+								t.Fatalf("%v dim %d %v q%d k=%d: %d results over %d lines, ExactKNN %d, want %d×%d lines", et, dim, m, qi, k, len(got), lines, len(want), wantLive, ex.FullLines)
+							}
+							for i := range want {
+								if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+									t.Fatalf("%v dim %d %v q%d k=%d result %d: scan %+v, ExactKNN %+v", et, dim, m, qi, k, i, got[i], want[i])
+								}
+							}
+						}
+					}
+				}
+				if vecmath.Active().RowScreen(et, m) != nil && screenedRuns == 0 {
+					t.Fatalf("%v dim %d %v: the %s level has a screen and no run took it", et, dim, m, vecmath.Active().Name)
+				}
+			}
+		}
+	}
+
+	if vecmath.Active().RowScreen(vecmath.Float32, vecmath.InnerProduct) == nil {
+		t.Logf("no fp32 screen at the %s level: the tightness guard does not apply", vecmath.Active().Name)
+		return
+	}
+	p := dataset.ProfileByName("GloVe")
+	ds := dataset.Generate(p, 10000, 8, 7)
+	ex := engine.NewExactOver(ds.Rows(), p.Metric)
+	var dst []hnsw.Neighbor
+	for qi, q := range ds.Queries {
+		live, survivors = 0, 0
+		dst, _, _ = ScanKNN(nil, ex, nil, q, 10, dst)
+		if survivors > len(ds.Vectors)/50 {
+			t.Errorf("GloVe q%d: %d of %d rows survived the screen (%d screened), more than 2 %%", qi, survivors, len(ds.Vectors), live)
+		}
+		t.Logf("GloVe q%d: %d survivors of %d screened rows", qi, survivors, live)
+	}
 }

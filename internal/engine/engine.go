@@ -98,9 +98,16 @@ type Exact struct {
 	kern  vecmath.RowKernel    // the slab's element type × the metric, chosen once
 	kern4 vecmath.RowKernel4   // and its four-row form
 	run   vecmath.RowKernelRun // and its run form
-	query []byte               // the current query in the slab's encoding (reused scratch)
-	four  [4][]byte            // Distances' rows for one kern4 call
-	out   [4]float64           // and their results
+	// screen is the run screen of the slab's element type × the metric, nil
+	// when there is none at this kernel level or the rows are shorter than
+	// vecmath.ScreenMinDim; sq is the current query prepared for it
+	// (StartScreen), bound the screen's bound for the top distance boundTop.
+	screen          vecmath.RowScreen
+	sq              vecmath.ScreenQuery
+	boundTop, bound float64
+	query           []byte     // the current query in the slab's encoding (reused scratch)
+	four            [4][]byte  // Distances' rows for one kern4 call
+	out             [4]float64 // and their results
 }
 
 // NewExact builds an exact engine over the dataset, packed into a slab of
@@ -113,8 +120,12 @@ func NewExact(vectors [][]float32, m vecmath.Metric, elem vecmath.ElemType) *Exa
 // else reads (and appends to) it.
 func NewExactOver(rs *rows.Slab, m vecmath.Metric) *Exact {
 	im := vecmath.Active()
-	return &Exact{M: m, FullLines: rows.Lines(rs.Elem(), rs.Dim()), rows: rs,
+	e := &Exact{M: m, FullLines: rows.Lines(rs.Elem(), rs.Dim()), rows: rs,
 		kern: im.RowKernel(rs.Elem(), m), kern4: im.RowKernel4(rs.Elem(), m), run: im.RowKernelRun(rs.Elem(), m)}
+	if rs.Dim() >= vecmath.ScreenMinDim {
+		e.screen = im.RowScreen(rs.Elem(), m)
+	}
+	return e
 }
 
 // StartQuery implements Engine: it pins the slab and encodes q into the
@@ -133,8 +144,9 @@ func (e *Exact) StartQuery(q []float32) {
 // Len returns the number of rows the current query sees.
 func (e *Exact) Len() int { return e.view.Len() }
 
-// distance is Metric.Distance between the current query and row id.
-func (e *Exact) distance(id uint32) float64 {
+// Distance is Metric.Distance between the current query and row id: the
+// value Compare reports as Dist.
+func (e *Exact) Distance(id uint32) float64 {
 	return e.finish(e.kern(e.query, e.view.Row(id)))
 }
 
@@ -148,7 +160,7 @@ func (e *Exact) finish(d float64) float64 {
 
 // Compare implements Engine.
 func (e *Exact) Compare(id uint32, threshold float64) Result {
-	d := e.distance(id)
+	d := e.Distance(id)
 	return Result{Dist: d, Accepted: d <= threshold, Lines: e.FullLines, LinesLocal: e.FullLines}
 }
 
@@ -188,6 +200,56 @@ func (e *Exact) RunDistances(start uint32, out []float64) {
 	for i, d := range out {
 		out[i] = e.finish(d)
 	}
+}
+
+// StartScreen prepares the current query for RunSurvivors and reports
+// whether the rows have a screen: the float types at a kernel level with
+// one (AVX2 with FMA, and F16C for fp16), rows of vecmath.ScreenMinDim
+// elements or more. Only the exact scan calls it, once per query, so no
+// other route pays for the float32 query it lays out.
+func (e *Exact) StartScreen() bool {
+	if e.screen == nil {
+		return false
+	}
+	e.sq.Prepare(e.rows.Elem(), e.M, e.query)
+	e.boundTop, e.bound = math.NaN(), math.NaN()
+	return true
+}
+
+// RunSurvivors screens rows start, start+1, ..., start+n-1 (n ≤ 64, in one
+// slab chunk, as RunDistances' runs) against the top distance top, after
+// StartScreen reported a screen: bit i of the result is clear only if row
+// start+i's distance — the value Compare reports — is proven greater than
+// top; every other bit below n is set.
+func (e *Exact) RunSurvivors(start uint32, n int, top float64) uint64 {
+	if math.Float64bits(top) != math.Float64bits(e.boundTop) {
+		e.boundTop, e.bound = top, screenBound(e.M, top)
+	}
+	return e.screen(&e.sq, e.view.Run(start, n), e.bound)
+}
+
+// screenBound is the screen's bound for the top distance top: a kernel
+// value past it is a distance greater than top. The dot's distance is its
+// negation, which is exact, so its bound is −top. L2's distance is the
+// kernel value's square root, correctly rounded and so monotone, so its
+// bound is the largest float64 whose square root is at most top; below +0
+// (and at a NaN) it is top itself: every kernel value lies above a negative
+// top (a squared L2 is never below +0) and none above a NaN.
+func screenBound(m vecmath.Metric, top float64) float64 {
+	if m != vecmath.L2 {
+		return -top
+	}
+	if !(top >= 0) || math.IsInf(top, 1) {
+		return top
+	}
+	u := top * top
+	for math.Sqrt(u) > top {
+		u = math.Nextafter(u, 0)
+	}
+	for v := math.Nextafter(u, math.Inf(1)); math.Sqrt(v) <= top; v = math.Nextafter(u, math.Inf(1)) {
+		u = v
+	}
+	return u
 }
 
 // LinesPerVector implements Engine.

@@ -88,3 +88,36 @@ func TestDistancesMatchCompare(t *testing.T) {
 		}
 	}
 }
+
+// TestScreenBound: the screen's bound is −top for the dot, and for L2 the
+// largest float64 whose square root is at most top — over tops drawn from
+// every exponent, the squares of float64s and the values either side of
+// them, zero and the largest finite value — so a kernel value past it is
+// exactly a distance above top. A NaN top gives a NaN bound, which clears
+// nothing, and +Inf gives +Inf.
+func TestScreenBound(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 49))
+	tops := []float64{0, math.SmallestNonzeroFloat64, 1, 2, math.MaxFloat64, math.Sqrt(math.MaxFloat64)}
+	for range 2000 {
+		top := math.Ldexp(rng.Float64()+0.5, rng.IntN(2000)-1000)
+		tops = append(tops, top, math.Nextafter(top, 0), math.Nextafter(top, math.Inf(1)))
+		if s := math.Sqrt(top); s*s == top {
+			tops = append(tops, s)
+		}
+	}
+	for _, top := range tops {
+		if b := screenBound(vecmath.InnerProduct, top); b != -top {
+			t.Fatalf("dot: screenBound(%v) = %v, want %v", top, b, -top)
+		}
+		u := screenBound(vecmath.L2, top)
+		if !(math.Sqrt(u) <= top) || math.Sqrt(math.Nextafter(u, math.Inf(1))) <= top {
+			t.Fatalf("L2: screenBound(%v) = %v: sqrt %v, sqrt of the next float64 %v", top, u, math.Sqrt(u), math.Sqrt(math.Nextafter(u, math.Inf(1))))
+		}
+	}
+	if b := screenBound(vecmath.L2, math.NaN()); !math.IsNaN(b) {
+		t.Fatalf("L2: screenBound(NaN) = %v", b)
+	}
+	if b := screenBound(vecmath.L2, math.Inf(1)); !math.IsInf(b, 1) {
+		t.Fatalf("L2: screenBound(+Inf) = %v", b)
+	}
+}

@@ -83,6 +83,40 @@ func kernelImplCases() []kernelCase {
 			}
 		}
 	}
+	// The dot's run kernel and screen over one run of 64 L1-resident rows of
+	// each float type, at GloVe's dimension and the production one: their
+	// ns/row is what the exact scan's screen saves where memory does not
+	// limit it.
+	rng64 := rand.New(rand.NewSource(64))
+	for _, rdim := range []int{100, dim} {
+		for _, et := range []ElemType{Float16, BFloat16, Float32} {
+			v := make([]float32, rdim)
+			row := func() []byte {
+				for i := range v {
+					v[i] = float32(rng64.NormFloat64())
+				}
+				r, _ := et.AppendRow(nil, quantized(et, v))
+				return r
+			}
+			q := row()
+			var run []byte
+			for range 64 {
+				run = append(run, row()...)
+			}
+			out := make([]float64, 64)
+			for _, im := range Implementations() {
+				kern := im.RowKernelRun(et, InnerProduct)
+				cases = append(cases, kernelCase{fmt.Sprintf("RunDot/%v-%d/%s", et, rdim, im.Name), 64 * rdim,
+					func() float64 { kern(q, run, out); return out[0] }, 64})
+				if screen := im.RowScreen(et, InnerProduct); screen != nil {
+					sq := new(ScreenQuery)
+					sq.Prepare(et, InnerProduct, q)
+					cases = append(cases, kernelCase{fmt.Sprintf("RunScreenDot/%v-%d/%s", et, rdim, im.Name), 64 * rdim,
+						func() float64 { return float64(screen(sq, run, 0)) }, 64})
+				}
+			}
+		}
+	}
 	return cases
 }
 

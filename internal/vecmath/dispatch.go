@@ -15,7 +15,9 @@
 // silently change results), and FuzzKernelsMatchReference plus the
 // dims-0..64 tail property test pin every table entry against the scalar
 // reference bit for bit. A deviation is a bug in the kernel, never a
-// tolerance to document.
+// tolerance to document. The screens (screen.go) are the one exception, and
+// no distance comes out of them: they use FMA in float32 to prove which
+// rows a distance kernel need not see.
 package vecmath
 
 import "os"
@@ -51,6 +53,7 @@ type Impl struct {
 	rows           rowKernels    // the typed row kernels, see rowkernels.go
 	rows4          rowKernels4   // and their four-row forms
 	runs           rowKernelsRun // and their run forms
+	screens        rowScreens    // the screens of the float types, see screen.go
 }
 
 // SquaredL2 runs this implementation's squared-L2 kernel under the package

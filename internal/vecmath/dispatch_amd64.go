@@ -25,6 +25,7 @@ func xgetbv() (eax, edx uint32)
 type cpuFeatures struct {
 	hasAVX2 bool
 	hasF16C bool // VCVTPH2PS, for the fp16 row kernel; only looked at beside AVX2
+	hasFMA  bool // VFMADD231PS, for the screens; only looked at beside AVX2
 }
 
 func detectFeatures() cpuFeatures {
@@ -37,6 +38,7 @@ func detectFeatures() cpuFeatures {
 		osxsaveBit = 1 << 27
 		avxBit     = 1 << 28
 		f16cBit    = 1 << 29
+		fmaBit     = 1 << 12
 	)
 	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
 		return cpuFeatures{}
@@ -48,7 +50,7 @@ func detectFeatures() cpuFeatures {
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
 	const avx2Bit = 1 << 5
-	return cpuFeatures{hasAVX2: ebx7&avx2Bit != 0, hasF16C: ecx1&f16cBit != 0}
+	return cpuFeatures{hasAVX2: ebx7&avx2Bit != 0, hasF16C: ecx1&f16cBit != 0, hasFMA: ecx1&fmaBit != 0}
 }
 
 const (
@@ -80,6 +82,7 @@ var avx2Impl = Impl{
 	rows:           avx2Rows(features),
 	rows4:          avx2Rows4(features),
 	runs:           avx2Runs(features),
+	screens:        avx2Screens(features),
 }
 
 func archImpls() []Impl {

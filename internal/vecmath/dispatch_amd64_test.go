@@ -89,3 +89,35 @@ func TestChooseLevel(t *testing.T) {
 		}
 	}
 }
+
+// TestScreenTable pins which rows have a screen: the float types with FMA
+// beside AVX2, fp16 only with F16C too, the integer types never, and the
+// portable level none at all.
+func TestScreenTable(t *testing.T) {
+	for _, c := range []struct {
+		f    cpuFeatures
+		want []ElemType
+	}{
+		{cpuFeatures{hasAVX2: true, hasF16C: true, hasFMA: true}, []ElemType{Float16, BFloat16, Float32}},
+		{cpuFeatures{hasAVX2: true, hasFMA: true}, []ElemType{BFloat16, Float32}},
+		{cpuFeatures{hasAVX2: true, hasF16C: true}, nil},
+	} {
+		table := avx2Screens(c.f)
+		var got []ElemType
+		for _, et := range allTypes {
+			if table[et][0] != nil && table[et][1] != nil {
+				got = append(got, et)
+			} else if table[et][0] != nil || table[et][1] != nil {
+				t.Errorf("%+v: %v has a screen under one metric only", c.f, et)
+			}
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%+v: screens for %v, want %v", c.f, got, c.want)
+		}
+	}
+	for _, et := range allTypes {
+		if scalarImpl.RowScreen(et, L2) != nil || scalarImpl.RowScreen(et, InnerProduct) != nil {
+			t.Errorf("the scalar level has a %v screen", et)
+		}
+	}
+}

@@ -26,6 +26,11 @@
 // reference; FuzzRowKernel4MatchesRowKernel and
 // FuzzRowKernelRunMatchesRowKernel gate the four-row and run kernels
 // against the one-row ones.
+//
+// The screens at the end of the macros are not distance kernels and keep
+// none of this: they sum in float32 with FMA, in their own order, and
+// return survivor bits whose contract is a proof against the float64
+// kernel's value (screen.go), gated by FuzzScreenNeverRejectsAdmitted.
 
 // REDUCEBLOCK folds a 4-lane block accumulator Yacc = [s0 s1 s2 s3] into
 // the running scalar total Xtot as total += (s0+s1)+(s2+s3). Xlo must be
@@ -455,6 +460,204 @@ group:                          \
 	ADDQ   DX, DI               \
 	MOVQ   DI, 96(SP)           \
 	LEAQ   0(SP), BX
+
+// The screens (screen.go): a float32 pass over four rows at a time, eight
+// lanes of fused multiply-adds per row, that keeps a row's survivor bit
+// unless its float64 kernel value is proven past the bound. Each body
+// starts with SI at the plan (the query, then |q| at R13, then the tail
+// step's lane mask at R14), DI at the first row, R8 the count of fours, R9
+// the row stride and BX the bytes of a row the body's whole steps take
+// (AX runs over them; the plan's offset is QS·AX). Row r of the four is at
+// DI, R10, R11, DX; the survivor bits gather in R12, the next four's first
+// bit in CX, and the body ends at its done label. LOAD8 widens the eight
+// elements at (ptr)(AX*1) into Y8, STEP is their bytes. After the body, a
+// row with a tail takes its last eight elements once more, AX at the
+// frame's tail offset, with the lanes the body took masked to zero (R14).
+// SCREENSUM4 then folds each row's eight lanes in three adds and widens the
+// four sums to float64.
+#define SCREENSTART(QS) \
+	MOVQ   plan_base+0(FP), SI     \
+	MOVQ   rows_base+24(FP), DI    \
+	MOVQ   n+48(FP), R8            \
+	SHRQ   $2, R8                  \
+	MOVQ   stride+56(FP), R9       \
+	MOVQ   body+64(FP), BX         \
+	LEAQ   32(SI)(BX*QS), R13      \
+	LEAQ   32(R13)(BX*QS), R14     \
+	VBROADCASTSD e0+88(FP), Y13    \
+	VBROADCASTSD bound+96(FP), Y12 \
+	XORQ   CX, CX                  \
+	XORQ   R12, R12
+
+// screenPrefetchStride is the longest row whose screen asks for the four
+// rows two fours ahead, every line of them, before it takes a four: on
+// GloVe's 400-byte rows, streamed from past the L2, that took the scan from
+// ~220 to ~190 µs a query (EXPERIMENTS.md, "The scan's float32 screen"),
+// while on GIST's 3840-byte rows the hardware's own streamer keeps up and
+// the hints only cost.
+#define screenPrefetchStride 512
+
+// SCREENFOUR points R10, R11 and DX at rows 1–3 of the four at DI, after
+// the prefetch above. A prefetch past the run's end is a hint like any
+// other: it never faults.
+#define SCREENFOUR \
+	CMPQ   R9, $screenPrefetchStride \
+	JGT    screenfour              \
+	LEAQ   (DI)(R9*8), R10         \
+	LEAQ   (R10)(R9*4), R11        \
+screenpf:                          \
+	PREFETCHT0 (R10)               \
+	ADDQ   $64, R10                \
+	CMPQ   R10, R11                \
+	JLT    screenpf                \
+screenfour:                        \
+	LEAQ   (DI)(R9*1), R10         \
+	LEAQ   (DI)(R9*2), R11         \
+	LEAQ   (R10)(R9*2), DX         \
+	XORQ   AX, AX
+
+// SCREENBITS ors the four survivor lanes of Ymask into R12 at bit CX and
+// moves on to the next four.
+#define SCREENBITS(Ymask) \
+	VMOVMSKPD Ymask, DX     \
+	SHLQ   CX, DX           \
+	ORQ    DX, R12          \
+	ADDQ   $4, CX           \
+	LEAQ   (DI)(R9*4), DI   \
+	DECQ   R8
+
+#define SCREENSUM4(Ya, Yb, Yc, Yd, Xa, Xb) \
+	VHADDPS Yb, Ya, Ya       \ // [a01 a23 b01 b23 | a45 a67 b45 b67]
+	VHADDPS Yd, Yc, Yc       \
+	VHADDPS Yc, Ya, Ya       \ // [a0-3 b0-3 c0-3 d0-3 | a4-7 b4-7 c4-7 d4-7]
+	VEXTRACTF128 $1, Ya, Xb  \
+	VADDPS  Xb, Xa, Xa       \
+	VCVTPS2PD Xa, Ya
+
+// SCREENDOT is the inner product's screen: Σ q·x in Y0..Y3 and Σ |q|·|x|
+// in Y4..Y7, one register per row; the bound B = S + k·A + e0 (one fused
+// rounding, then the add) and the survivor test !(B < bound), which a NaN
+// passes.
+#define SCREENDOT(LOAD8, QS, STEP) \
+	SCREENSTART(QS)                \
+	VBROADCASTSD k+80(FP), Y14     \
+	VPCMPEQD Y15, Y15, Y15         \
+	VPSRLD $1, Y15, Y15            \ // every bit but a float32's sign
+dotfour:                           \
+	TESTQ  R8, R8                  \
+	JZ     dotdone                 \
+	SCREENFOUR                     \
+	VXORPS Y0, Y0, Y0              \
+	VXORPS Y1, Y1, Y1              \
+	VXORPS Y2, Y2, Y2              \
+	VXORPS Y3, Y3, Y3              \
+	VXORPS Y4, Y4, Y4              \
+	VXORPS Y5, Y5, Y5              \
+	VXORPS Y6, Y6, Y6              \
+	VXORPS Y7, Y7, Y7              \
+dotbody:                           \
+	CMPQ   AX, BX                  \
+	JGE    dottail                 \
+	DOTSTEP(LOAD8, (SI)(AX*QS), (R13)(AX*QS), DI, Y0, Y4)  \
+	DOTSTEP(LOAD8, (SI)(AX*QS), (R13)(AX*QS), R10, Y1, Y5) \
+	DOTSTEP(LOAD8, (SI)(AX*QS), (R13)(AX*QS), R11, Y2, Y6) \
+	DOTSTEP(LOAD8, (SI)(AX*QS), (R13)(AX*QS), DX, Y3, Y7)  \
+	ADDQ   $STEP, AX               \
+	JMP    dotbody                 \
+dottail:                           \
+	MOVQ   tail+72(FP), AX         \
+	TESTQ  AX, AX                  \
+	JL     dotdecide               \
+	DOTTAIL(LOAD8, QS, DI, Y0, Y4)  \
+	DOTTAIL(LOAD8, QS, R10, Y1, Y5) \
+	DOTTAIL(LOAD8, QS, R11, Y2, Y6) \
+	DOTTAIL(LOAD8, QS, DX, Y3, Y7)  \
+dotdecide:                         \
+	SCREENSUM4(Y0, Y1, Y2, Y3, X0, X1) \
+	SCREENSUM4(Y4, Y5, Y6, Y7, X4, X5) \
+	VFMADD231PD Y14, Y4, Y0        \ // S + k·A
+	VADDPD Y13, Y0, Y0             \ // + e0
+	VCMPPD $0x05, Y12, Y0, Y0      \ // NLT_US: !(B < bound)
+	SCREENBITS(Y0)                 \
+	JMP    dotfour                 \
+dotdone:
+
+#define DOTSTEP(LOAD8, qmem, absmem, ptr, Ys, Ya) \
+	LOAD8(ptr, Y8)                 \
+	VFMADD231PS qmem, Y8, Ys       \
+	VANDPS Y15, Y8, Y8             \
+	VFMADD231PS absmem, Y8, Ya
+
+#define DOTTAIL(LOAD8, QS, ptr, Ys, Ya) \
+	LOAD8(ptr, Y8)                 \
+	VANDPS (R14), Y8, Y8           \
+	DOTSTEP(LOAD8NONE, (SI)(BX*QS), (R13)(BX*QS), ptr, Ys, Ya)
+
+// SCREENL2 is squared L2's screen: Σ (x − q)² in Y0..Y3; the bound
+// L = c·S − e0 and the survivor test !(L > bound) || S = +Inf, which a NaN
+// passes too.
+#define SCREENL2(LOAD8, QS, STEP) \
+	SCREENSTART(QS)                \
+	VBROADCASTSD c+80(FP), Y14     \
+	VPCMPEQQ Y11, Y11, Y11         \
+	VPSLLQ $53, Y11, Y11           \
+	VPSRLQ $1, Y11, Y11            \ // +Inf
+l2four:                            \
+	TESTQ  R8, R8                  \
+	JZ     l2done                  \
+	SCREENFOUR                     \
+	VXORPS Y0, Y0, Y0              \
+	VXORPS Y1, Y1, Y1              \
+	VXORPS Y2, Y2, Y2              \
+	VXORPS Y3, Y3, Y3              \
+l2body:                            \
+	CMPQ   AX, BX                  \
+	JGE    l2tail                  \
+	L2STEP(LOAD8, (SI)(AX*QS), DI, Y0)  \
+	L2STEP(LOAD8, (SI)(AX*QS), R10, Y1) \
+	L2STEP(LOAD8, (SI)(AX*QS), R11, Y2) \
+	L2STEP(LOAD8, (SI)(AX*QS), DX, Y3)  \
+	ADDQ   $STEP, AX               \
+	JMP    l2body                  \
+l2tail:                            \
+	MOVQ   tail+72(FP), AX         \
+	TESTQ  AX, AX                  \
+	JL     l2decide                \
+	L2TAIL(LOAD8, QS, DI, Y0)      \
+	L2TAIL(LOAD8, QS, R10, Y1)     \
+	L2TAIL(LOAD8, QS, R11, Y2)     \
+	L2TAIL(LOAD8, QS, DX, Y3)      \
+l2decide:                          \
+	SCREENSUM4(Y0, Y1, Y2, Y3, X0, X1) \
+	VMULPD Y14, Y0, Y1             \ // c·S
+	VSUBPD Y13, Y1, Y1             \ // − e0
+	VCMPPD $0x0A, Y12, Y1, Y1      \ // NGT_US: !(L > bound)
+	VCMPPD $0x00, Y11, Y0, Y2      \ // EQ_OQ: S = +Inf
+	VORPD  Y2, Y1, Y1              \
+	SCREENBITS(Y1)                 \
+	JMP    l2four                  \
+l2done:
+
+#define L2STEP(LOAD8, qmem, ptr, Ys) \
+	LOAD8(ptr, Y8)                 \
+	VSUBPS qmem, Y8, Y8            \
+	VFMADD231PS Y8, Y8, Ys
+
+#define L2TAIL(LOAD8, QS, ptr, Ys) \
+	LOAD8(ptr, Y8)                 \
+	VSUBPS (SI)(BX*QS), Y8, Y8     \
+	VANDPS (R14), Y8, Y8           \
+	VFMADD231PS Y8, Y8, Ys
+
+// The LOAD8s: eight fp32 as they are; eight fp16 through F16C; eight bf16
+// zero-extended and shifted into the top of their lanes. LOAD8NONE leaves
+// Y8 as it is.
+#define LOAD8F32(ptr, Y) VMOVUPS (ptr)(AX*1), Y
+#define LOAD8F16(ptr, Y) VCVTPH2PS (ptr)(AX*1), Y
+#define LOAD8BF16(ptr, Y) \
+	VPMOVZXWD (ptr)(AX*1), Y \
+	VPSLLD    $16, Y, Y
+#define LOAD8NONE(ptr, Y)
 
 // func squaredL2AVX2(a, b []float32) float64
 TEXT ·squaredL2AVX2(SB), NOSPLIT, $0-56
@@ -944,4 +1147,46 @@ pfloop:
 	JMP   pfloop
 
 pfdone:
+	RET
+
+// func screenDotF32AVX2(plan []float32, rows []byte, n, stride, body, tail int, k, e0, bound float64) uint64
+TEXT ·screenDotF32AVX2(SB), NOSPLIT, $0-112
+	SCREENDOT(LOAD8F32, 1, 32)
+	MOVQ   R12, ret+104(FP)
+	VZEROUPPER
+	RET
+
+// func screenL2F32AVX2(plan []float32, rows []byte, n, stride, body, tail int, c, e0, bound float64) uint64
+TEXT ·screenL2F32AVX2(SB), NOSPLIT, $0-112
+	SCREENL2(LOAD8F32, 1, 32)
+	MOVQ   R12, ret+104(FP)
+	VZEROUPPER
+	RET
+
+// func screenDotF16AVX2(plan []float32, rows []byte, n, stride, body, tail int, k, e0, bound float64) uint64
+TEXT ·screenDotF16AVX2(SB), NOSPLIT, $0-112
+	SCREENDOT(LOAD8F16, 2, 16)
+	MOVQ   R12, ret+104(FP)
+	VZEROUPPER
+	RET
+
+// func screenL2F16AVX2(plan []float32, rows []byte, n, stride, body, tail int, c, e0, bound float64) uint64
+TEXT ·screenL2F16AVX2(SB), NOSPLIT, $0-112
+	SCREENL2(LOAD8F16, 2, 16)
+	MOVQ   R12, ret+104(FP)
+	VZEROUPPER
+	RET
+
+// func screenDotBF16AVX2(plan []float32, rows []byte, n, stride, body, tail int, k, e0, bound float64) uint64
+TEXT ·screenDotBF16AVX2(SB), NOSPLIT, $0-112
+	SCREENDOT(LOAD8BF16, 2, 16)
+	MOVQ   R12, ret+104(FP)
+	VZEROUPPER
+	RET
+
+// func screenL2BF16AVX2(plan []float32, rows []byte, n, stride, body, tail int, c, e0, bound float64) uint64
+TEXT ·screenL2BF16AVX2(SB), NOSPLIT, $0-112
+	SCREENL2(LOAD8BF16, 2, 16)
+	MOVQ   R12, ret+104(FP)
+	VZEROUPPER
 	RET

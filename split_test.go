@@ -14,27 +14,60 @@ import (
 	"ansmet"
 )
 
-// beamLayers is the per-layer split of a host-beam query: each CPU-profile
-// sample whose stack holds the beam (hnsw.(*Index).SearchCancelInto) goes to
-// the first layer found walking up from the leaf, inlined frames included.
-// The traversal is what is left: the loop itself, the adjacency reads and
-// the row prefetches. The frontier is every frontier method (push, and
-// pushAll with its sort) and the sort's insertion pass.
-var beamLayers = []struct{ name, prefix string }{
-	{"frontier", "ansmet/internal/hnsw.(*frontier)."},
-	{"frontier", "ansmet/internal/hnsw.insertionSort"},
-	{"visited", "ansmet/internal/hnsw.(*visitedSet)."},
-	{"Distances", "ansmet/internal/engine.(*Exact).Distances"},
-	{"traversal", "ansmet/internal/hnsw.(*Index).SearchCancelInto"},
+// layerSplit is a per-layer split of one route's CPU time: each
+// CPU-profile sample whose stack holds the route's root function goes to
+// the first layer found walking up from the leaf, inlined frames included
+// (a frame that several prefixes match goes to the first listed). A layer
+// may be named by several prefixes.
+type layerSplit struct {
+	name   string // the route, for the "<name>-samples" metric
+	root   string
+	layers []struct{ name, prefix string }
+	order  []string // the layers in report order
 }
 
-// reportBeamSplit replays the b.N queries of a host-beam arm that has just
-// been timed, with the timer stopped and under a CPU profile, and reports
-// each layer's share of the beam's samples as "<layer>-%" and their count as
-// "beam-samples"; the profiler's own work stays out of ns/op and B/op. With
-// another CPU profile already running (go test -cpuprofile) it reports
+// beamLayers is the per-layer split of a host-beam query. The traversal is
+// what is left: the loop itself, the adjacency reads and the row
+// prefetches. The frontier is every frontier method (push, and pushAll
+// with its sort) and the sort's insertion pass.
+var beamLayers = layerSplit{
+	name: "beam",
+	root: "ansmet/internal/hnsw.(*Index).SearchCancelInto",
+	layers: []struct{ name, prefix string }{
+		{"frontier", "ansmet/internal/hnsw.(*frontier)."},
+		{"frontier", "ansmet/internal/hnsw.insertionSort"},
+		{"visited", "ansmet/internal/hnsw.(*visitedSet)."},
+		{"Distances", "ansmet/internal/engine.(*Exact).Distances"},
+		{"traversal", "ansmet/internal/hnsw.(*Index).SearchCancelInto"},
+	},
+	order: []string{"traversal", "Distances", "visited", "frontier"},
+}
+
+// scanLayers is the per-layer split of an exact scan. The screen is the
+// float32 pass (the kernels, the query's layout, the bound); exact is the
+// float64 kernel, over a whole run while the heap fills and over each
+// survivor after; the loop is what is left: the heap, the tombstones and
+// the survivor bits.
+var scanLayers = layerSplit{
+	name: "scan",
+	root: "ansmet/internal/core.scanKNN",
+	layers: []struct{ name, prefix string }{
+		{"screen", "ansmet/internal/vecmath.screen"},
+		{"screen", "ansmet/internal/engine.(*Exact).RunSurvivors"},
+		{"screen", "ansmet/internal/engine.(*Exact).StartScreen"},
+		{"exact", "ansmet/internal/engine.(*Exact)."},
+		{"loop", "ansmet/internal/core.scanKNN"},
+	},
+	order: []string{"screen", "exact", "loop"},
+}
+
+// reportSplit replays the b.N queries of an arm that has just been timed,
+// with the timer stopped and under a CPU profile, and reports each layer's
+// share of the route's samples as "<layer>-%" and their count as
+// "<route>-samples"; the profiler's own work stays out of ns/op and B/op.
+// With another CPU profile already running (go test -cpuprofile) it reports
 // nothing.
-func reportBeamSplit(b *testing.B, db *ansmet.Database, queries [][]float32, plan ansmet.Query) {
+func reportSplit(b *testing.B, ls layerSplit, db *ansmet.Database, queries [][]float32, plan ansmet.Query) {
 	b.Helper()
 	b.StopTimer()
 	var buf bytes.Buffer
@@ -50,23 +83,23 @@ func reportBeamSplit(b *testing.B, db *ansmet.Database, queries [][]float32, pla
 		}
 	}
 	pprof.StopCPUProfile()
-	split, total, err := beamSplit(buf.Bytes())
+	split, total, err := ls.split(buf.Bytes())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportMetric(float64(total), "beam-samples")
+	b.ReportMetric(float64(total), ls.name+"-samples")
 	if total == 0 {
 		return
 	}
-	for _, l := range []string{"traversal", "Distances", "visited", "frontier"} {
+	for _, l := range ls.order {
 		b.ReportMetric(100*float64(split[l])/float64(total), l+"-%")
 	}
 }
 
-// beamSplit attributes a gzipped pprof CPU profile's samples to beamLayers,
+// split attributes a gzipped pprof CPU profile's samples to the layers,
 // weighting each by its sample count, and returns the per-layer counts and
 // their total.
-func beamSplit(gz []byte) (map[string]int64, int64, error) {
+func (ls layerSplit) split(gz []byte) (map[string]int64, int64, error) {
 	zr, err := gzip.NewReader(bytes.NewReader(gz))
 	if err != nil {
 		return nil, 0, err
@@ -155,19 +188,19 @@ func beamSplit(gz []byte) (map[string]int64, int64, error) {
 	var total int64
 	for _, s := range samples {
 		layer := ""
-		inBeam := false
+		inRoot := false
 		for _, loc := range s.locs {
 			for _, fn := range locFns[loc] {
 				n := name(fn)
-				for _, l := range beamLayers {
+				for _, l := range ls.layers {
 					if layer == "" && strings.HasPrefix(n, l.prefix) {
 						layer = l.name
 					}
 				}
-				inBeam = inBeam || n == "ansmet/internal/hnsw.(*Index).SearchCancelInto"
+				inRoot = inRoot || n == ls.root
 			}
 		}
-		if inBeam {
+		if inRoot {
 			split[layer] += s.count
 			total += s.count
 		}
