@@ -181,7 +181,7 @@ type Database struct {
 	// type: index and host engines read it, Add appends.
 	rows   *rows.Slab
 	index  *hnsw.Index
-	tomb   *core.TombSet // deletion bitmap; nil on an immutable database
+	tomb   *rows.TombSet // deletion bitmap; nil on an immutable database
 	router *engine.Router
 
 	scratchPool sync.Pool // *searchScratch
@@ -293,7 +293,7 @@ func newDatabase(opts Options, rs *rows.Slab, ix *hnsw.Index) *Database {
 	if opts.Mutable {
 		// Before any concurrent use: the graph flips its publication protocol
 		// on while single-threaded.
-		db.tomb = core.NewTombSet()
+		db.tomb = rows.NewTombSet()
 		ix.EnableMutation()
 		db.liveFilter = db.tomb.Filter()
 	}
@@ -328,7 +328,7 @@ func (db *Database) NewSystem(cfg core.SystemConfig) (*core.System, error) {
 // immutable database) under the writer lock, with the calls Save and Load
 // make. The graph is rebuilt under the lock too: Snapshot hands out the live
 // graph's adjacency lists, not copies of them.
-func (db *Database) copyState() (*rows.Slab, *hnsw.Index, *core.TombSet, error) {
+func (db *Database) copyState() (*rows.Slab, *hnsw.Index, *rows.TombSet, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	view := db.rows.View()
@@ -342,9 +342,9 @@ func (db *Database) copyState() (*rows.Slab, *hnsw.Index, *core.TombSet, error) 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var tomb *core.TombSet
+	var tomb *rows.TombSet
 	if db.Mutable() {
-		tomb = core.NewTombSet()
+		tomb = rows.NewTombSet()
 		for _, id := range db.tomb.IDs() {
 			tomb.Delete(id)
 		}

@@ -531,7 +531,7 @@ func BenchmarkSearchHost(b *testing.B) {
 // per-layer split (reportSplit: the float32 screen, the float64 kernel and
 // the loop) and the rows per query that survive the screen
 // ("survivors/query", counted in one more pass over the queries through
-// core.ScanScreenHook, outside the timing).
+// the scan's screen hook, outside the timing).
 // BenchmarkTieredSearch is the same answer through the model's bound
 // machinery.
 // Budget: 0 allocs/op.
@@ -557,8 +557,8 @@ func BenchmarkExactScan(b *testing.B) {
 			benchDo(b, context.Background(), w.db, w.ds.Queries, plan)
 			reportSplit(b, scanLayers, w.db, w.ds.Queries, plan)
 			survivors := 0
-			core.ScanScreenHook = func(_, s int) { survivors += s }
-			defer func() { core.ScanScreenHook = nil }()
+			ansmet.SetScanScreenHook(func(_, s int) { survivors += s })
+			defer ansmet.SetScanScreenHook(nil)
 			for _, q := range w.ds.Queries {
 				plan.Vector = q
 				if _, err := w.db.Do(context.Background(), &plan); err != nil {

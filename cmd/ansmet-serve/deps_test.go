@@ -1,7 +1,12 @@
 package main
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os/exec"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -55,5 +60,50 @@ func TestServerLinksNoSimulator(t *testing.T) {
 				t.Errorf("internal/%s imports %s", pkg, p)
 			}
 		}
+	}
+}
+
+// TestRootUsesModelEntryPointsOnly pins the served/model layering from the
+// other side: the root package's non-test code names internal/core only
+// for the model's entry points (NewSystem and its config, the design
+// names, and the System and TieredStats that compat.go hands bench/), so
+// served code — the exact scan, the tombstones — cannot drift back into
+// the model.
+func TestRootUsesModelEntryPointsOnly(t *testing.T) {
+	allowed := map[string]bool{"NewSystem": true, "SystemConfig": true, "DefaultSystemConfig": true,
+		"System": true, "Design": true, "NDPETOpt": true, "TieredStats": true}
+	files, err := filepath.Glob(filepath.Join("..", "..", "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no root package files: %v", err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := ""
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "ansmet/internal/core" {
+				name = "core"
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+			}
+		}
+		if name == "" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == name && !allowed[sel.Sel.Name] {
+					t.Errorf("%s: core.%s is not a model entry point", fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+			}
+			return true
+		})
 	}
 }

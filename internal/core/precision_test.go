@@ -149,7 +149,7 @@ func TestTieredAdaptiveBudget1MatchesExact(t *testing.T) {
 				Precision: pm, DepthBias: 1, EscalateMargin: 0.2,
 			}
 			for qi, q := range ds.Queries {
-				want, _, _ := eng.ExactKNN(nil, q, 10)
+				want, _ := eng.ExactKNN(q, 10)
 				got, stats := eng.TieredKNNInto(nil, q, 10, opt, nil)
 				if len(got) != len(want) {
 					t.Fatalf("q%d: %d results, want %d", qi, len(got), len(want))

@@ -169,7 +169,7 @@ type ETEngine struct {
 	backup *engine.Exact
 	// tomb, when non-nil, is the deletion bitmap the exact and tiered
 	// scans consult (SetTombstones).
-	tomb *TombSet
+	tomb *rows.TombSet
 }
 
 var _ engine.Engine = (*ETEngine)(nil)
@@ -194,7 +194,7 @@ func (s *Store) NewETEngine(metric vecmath.Metric) *ETEngine {
 // SetTombstones installs the deletion bitmap: ExactKNN and the tiered
 // stage-1 scan skip tombstoned ids (the beam path filters at the graph
 // layer instead). A nil set restores the unfiltered scans.
-func (e *ETEngine) SetTombstones(t *TombSet) { e.tomb = t }
+func (e *ETEngine) SetTombstones(t *rows.TombSet) { e.tomb = t }
 
 // slot returns the encoded bytes of vector id.
 func (e *ETEngine) slot(id uint32) []byte {

@@ -68,7 +68,7 @@ type System struct {
 	rows *rows.Slab
 	// tomb is the deletion bitmap of a live-mutable database and live the
 	// filter made from it; both nil otherwise (SetTombstones).
-	tomb *TombSet
+	tomb *rows.TombSet
 	live func(uint32) bool
 }
 
@@ -148,7 +148,7 @@ func (s *System) analyze(cfg SystemConfig) (*layout.Analysis, error) {
 // built over (nil on an immutable database): every engine NewWorkerEngine
 // makes afterwards consults it on the scan paths, and Live hands its filter
 // to whoever searches the index. Call it before the system is shared.
-func (s *System) SetTombstones(t *TombSet) { s.tomb, s.live = t, t.Filter() }
+func (s *System) SetTombstones(t *rows.TombSet) { s.tomb, s.live = t, t.Filter() }
 
 // Live returns the tombstone filter a search over Index applies to its
 // results (nil on an immutable database).

@@ -95,6 +95,18 @@ func rerankStop(kth, budget float64) float64 {
 	return kth - (1-budget)*math.Abs(kth)
 }
 
+// knnCancelStride is the tiered scan's cooperative-cancellation checkpoint
+// stride: the done channel is polled once every knnCancelStride ids of
+// stage 1 and pops of stage 2, bounding the post-cancel overrun while
+// keeping the steady-state cost to a counter test.
+const knnCancelStride = 256
+
+// tieredScanTestHook, when non-nil, runs at every cancellation checkpoint
+// of a done-instrumented tiered scan; tests use it to fire done at a
+// precise checkpoint. Only consulted when done != nil, so the uncancellable
+// scan never pays for it.
+var tieredScanTestHook func(id uint32)
+
 // TieredKNNInto is TieredKNNPool without the pool: the tiered k nearest
 // neighbors of q appended into dst[:0] (the entry point bench/ pins).
 func (e *ETEngine) TieredKNNInto(done <-chan struct{}, q []float32, k int, opt TieredOpts, dst []hnsw.Neighbor) ([]hnsw.Neighbor, TieredStats) {
@@ -148,8 +160,8 @@ func (e *ETEngine) TieredKNNPool(done <-chan struct{}, q []float32, k int, opt T
 	entries := e.tierEntries[:0]
 	for id := uint32(0); id < n; id++ {
 		if done != nil && id%knnCancelStride == 0 {
-			if exactScanTestHook != nil {
-				exactScanTestHook(id)
+			if tieredScanTestHook != nil {
+				tieredScanTestHook(id)
 			}
 			select {
 			case <-done:
@@ -224,8 +236,8 @@ func (e *ETEngine) TieredKNNPool(done <-chan struct{}, q []float32, k int, opt T
 		}
 		id := queue.Pop().ID
 		if done != nil && pops%knnCancelStride == 0 {
-			if exactScanTestHook != nil {
-				exactScanTestHook(id)
+			if tieredScanTestHook != nil {
+				tieredScanTestHook(id)
 			}
 			select {
 			case <-done:
@@ -244,7 +256,7 @@ func (e *ETEngine) TieredKNNPool(done <-chan struct{}, q []float32, k int, opt T
 		r := e.compareExact(id, th)
 		st.RerankLines += r.TotalLines()
 		// A tie at the threshold is accepted, so the newcomer replaces the
-		// worst only when it is Less (the smaller id stays), as in scanKNN.
+		// worst only when it is Less (the smaller id stays), as in ExactKNN.
 		if nb := (hnsw.Neighbor{ID: id, Dist: r.Dist}); kh.Len() < k {
 			kh.Push(nb)
 		} else if r.Accepted && nb.Less(kh.Top()) {

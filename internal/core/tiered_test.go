@@ -26,7 +26,7 @@ func TestTieredMatchesExactKNN(t *testing.T) {
 			eng := st.NewETEngine(p.Metric)
 			var dst []hnsw.Neighbor
 			for qi, q := range ds.Queries {
-				want, _, _ := eng.ExactKNN(nil, q, 10)
+				want, _ := eng.ExactKNN(q, 10)
 				var stats TieredStats
 				dst, stats = eng.TieredKNNInto(nil, q, 10, TieredOpts{Budget: 1}, dst)
 				if len(dst) != len(want) {
@@ -67,7 +67,7 @@ func TestTieredMatchesExactKNNPrefixElim(t *testing.T) {
 	}
 	eng := sys.Store.NewETEngine(p.Metric)
 	for qi, q := range ds.Queries {
-		want, _, _ := eng.ExactKNN(nil, q, 10)
+		want, _ := eng.ExactKNN(q, 10)
 		got, stats := eng.TieredKNNInto(nil, q, 10, TieredOpts{}, nil)
 		if len(got) != len(want) {
 			t.Fatalf("q%d: %d results, want %d", qi, len(got), len(want))
@@ -209,13 +209,13 @@ func TestTieredCancellation(t *testing.T) {
 	stage1Checkpoints := (1500 + knnCancelStride - 1) / knnCancelStride
 	calls := 0
 	mid := make(chan struct{})
-	exactScanTestHook = func(id uint32) {
+	tieredScanTestHook = func(id uint32) {
 		calls++
 		if calls == stage1Checkpoints+2 {
 			close(mid)
 		}
 	}
-	defer func() { exactScanTestHook = nil }()
+	defer func() { tieredScanTestHook = nil }()
 	nn2, stats2, pool := eng.TieredKNNPool(mid, q, 10, TieredOpts{MaxBoundLines: 1}, nil, []uint32{})
 	if !stats2.Cancelled {
 		t.Fatal("stage-2 cancellation never observed")
@@ -242,7 +242,7 @@ func TestTieredCancellation(t *testing.T) {
 
 	// And an un-cancelled rerun on the same engine reproduces the full
 	// answer (scratch state fully resets between queries).
-	exactScanTestHook = nil
+	tieredScanTestHook = nil
 	again, _ := eng.TieredKNNInto(nil, q, 10, TieredOpts{}, nil)
 	for i := range want {
 		if again[i] != want[i] {
@@ -265,7 +265,7 @@ func TestTieredSavesLines(t *testing.T) {
 	eng := st.NewETEngine(p.Metric)
 	exactLines, tieredLines := 0, 0
 	for _, q := range ds.Queries {
-		_, lines, _ := eng.ExactKNN(nil, q, 10)
+		_, lines := eng.ExactKNN(q, 10)
 		exactLines += lines
 		_, stats := eng.TieredKNNInto(nil, q, 10, TieredOpts{}, nil)
 		tieredLines += stats.BoundLines + stats.RerankLines

@@ -88,7 +88,7 @@ func (r *Runner) AblationQuantization() *Table {
 			totalLines := 0
 			rec := 0.0
 			for qi, q := range w.ds.Queries {
-				nn, lines, _ := eng.ExactKNN(nil, q, 10)
+				nn, lines := eng.ExactKNN(q, 10)
 				totalLines += lines
 				rec += recallNN(nn, w.gt[qi])
 			}
@@ -115,7 +115,7 @@ func (r *Runner) AblationQuantization() *Table {
 			totalLines := 0
 			rec := 0.0
 			for qi, q := range w.ds.Queries {
-				nn, lines, _ := eng.ExactKNN(nil, sq.Quantize(q), 10)
+				nn, lines := eng.ExactKNN(sq.Quantize(q), 10)
 				totalLines += lines
 				rec += recallNN(nn, w.gt[qi])
 			}

@@ -489,7 +489,7 @@ func (r *Runner) FigTieredFrontier() *Table {
 			eng := sys.Store.NewETEngine(w.ds.Profile.Metric)
 			sum, lines := 0.0, 0
 			for qi, q := range w.ds.Queries {
-				nn, l, _ := eng.ExactKNN(nil, q, 10)
+				nn, l := eng.ExactKNN(q, 10)
 				lines += l
 				sum += recallNN(nn, w.gt[qi])
 			}

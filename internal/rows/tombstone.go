@@ -1,13 +1,13 @@
-package core
+package rows
 
 import (
 	"math/bits"
 	"sync/atomic"
 )
 
-// TombSet is the deletion bitmap consulted by every query path of a live
-// database: beam searches filter results through it, and the exact and
-// tiered scans skip marked ids. Reads (IsDeleted) are lock-free — one
+// TombSet is the deletion bitmap of a slab's slots, consulted by every query
+// path of a live database: beam searches filter results through it, and the
+// exact and tiered scans skip marked ids. Reads (IsDeleted) are lock-free — one
 // atomic pointer load plus one atomic word load — so the query hot path
 // stays allocation- and lock-free. Writes come from the single mutation
 // writer (the Database's write lock); the word array grows by
@@ -34,12 +34,12 @@ func NewTombSet() *TombSet {
 // IsDeleted reports whether id is tombstoned. Lock-free; safe from any
 // goroutine.
 func (t *TombSet) IsDeleted(id uint32) bool {
-	return t.word(int(id>>6))&(1<<(id&63)) != 0
+	return t.Word(int(id>>6))&(1<<(id&63)) != 0
 }
 
-// word returns the marks of ids 64·wi .. 64·wi+63, id 64·wi+b's in bit b.
+// Word returns the marks of ids 64·wi .. 64·wi+63, id 64·wi+b's in bit b.
 // Lock-free, like IsDeleted.
-func (t *TombSet) word(wi int) uint64 {
+func (t *TombSet) Word(wi int) uint64 {
 	w := *t.words.Load()
 	if wi >= len(w) {
 		return 0

@@ -4,14 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"ansmet/internal/core"
 	"ansmet/internal/engine"
+	"ansmet/internal/hnsw"
+	"ansmet/internal/rows"
 )
 
 // This file is the whole query surface: one request value (Query), one
@@ -145,7 +148,7 @@ func (db *Database) do(ctx context.Context, s *searchScratch, q *Query) (Result,
 	defer db.router.End()
 	start := time.Now()
 	if route == RouteExact {
-		res.Neighbors, res.Lines, cancelled = core.ScanKNN(done, db.hostEngine(s), db.tomb, qq, q.K, q.Dst)
+		res.Neighbors, res.Lines, cancelled = scanKNN(done, db.hostEngine(s), db.tomb, qq, q.K, q.Dst)
 	} else {
 		// The host beam is the model's traversal at the model's batch, so it
 		// returns the ndp beam's ids and distance bits. combineFilter adds the
@@ -165,6 +168,131 @@ func (db *Database) do(ctx context.Context, s *searchScratch, q *Query) (Result,
 	}
 	db.router.Observe(route, time.Since(start))
 	return res, nil
+}
+
+// scanCancelStride is the exact scan's cooperative-cancellation checkpoint
+// stride: done is polled once every scanCancelStride ids, bounding the
+// post-cancel overrun while keeping the steady-state cost to a counter test.
+const scanCancelStride = 256
+
+// scanRun is how many ids the exact scan takes per kernel call: a divisor of
+// scanCancelStride, so every checkpoint falls on a run's first id, and of
+// rows.ChunkRows, so a run never straddles a slab chunk. It is also the
+// width of a tombstone word, so a run's marks are one load.
+const scanRun = 64
+
+// scanRuns pools the exact scan's distance buffer: a RunDistances call
+// through the kernel's func value would move a buffer on the scan's stack
+// to the heap.
+var scanRuns = sync.Pool{New: func() any { return new([scanRun]float64) }}
+
+// scanTestHook, when non-nil, runs at every cancellation checkpoint of a
+// done-instrumented exact scan; tests use it to fire done at a precise id.
+// Only consulted when done != nil, so the uncancellable scan never pays for
+// it. scanScreenHook, when non-nil, is told of every screened run how many
+// of its rows are live and how many of those survived the screen; tests and
+// benchmarks count with it, and the scan checks it once per screened run.
+var (
+	scanTestHook   func(id uint32)
+	scanScreenHook func(live, survivors int)
+)
+
+// scanKNN is the exact route: the k nearest of every live row of ex's slab
+// to q, in ascending (Dist, ID) order, appended into dst[:0] — with a reused
+// dst of capacity k it allocates nothing. tomb, when non-nil, is the
+// deletion bitmap; linesFetched is the full fetch of every live row scanned.
+//
+// The ids go in aligned runs of scanRun, the k best kept in a max-heap built
+// in place on dst. While the heap fills, each run's distances come in one
+// RunDistances call, tombstoned rows included, and the heap pass skips the
+// tombstoned ids. Once it is full, on rows with a screen (Exact.StartScreen),
+// each run gives its survivor bits instead (RunSurvivors, against the
+// run-start top) and each live survivor its distance, in id order against
+// the live top: the screen clears only rows proven past the run-start top,
+// and the top only falls, so a cleared row is one the heap would not have
+// admitted. The ids come in ascending order, so every id the heap holds is
+// smaller than the one at hand, and Less against the top is a plain
+// distance compare: at equal distance the smaller id stays. The answer is
+// the model's ETEngine.ExactKNN's bit for bit (TestScanKNNMatchesExactKNN,
+// TestScanScreenMatchesExactKNN).
+//
+// done is a cooperative-cancellation channel; nil disables every check. It
+// is polled before the first row and at every id that is a multiple of
+// scanCancelStride once the heap is full. When done fires, the scan stops
+// there and returns the best neighbors over the prefix scanned so far with
+// cancelled=true — a usable approximate answer, NOT the exact one.
+func scanKNN(done <-chan struct{}, ex *engine.Exact, tomb *rows.TombSet, q []float32, k int, dst []hnsw.Neighbor) (nn []hnsw.Neighbor, linesFetched int, cancelled bool) {
+	if done != nil {
+		select {
+		case <-done:
+			return dst[:0], 0, true
+		default:
+		}
+	}
+	ex.StartQuery(q)
+	n := uint32(ex.Len())
+	if want := min(k, int(n)); cap(dst) < want {
+		dst = make([]hnsw.Neighbor, 0, want)
+	}
+	heap := hnsw.Heap{Max: true}
+	heap.Init(dst[:0])
+	buf := scanRuns.Get().(*[scanRun]float64)
+	defer scanRuns.Put(buf)
+	screened := k > 0 && ex.StartScreen()
+	top := math.Inf(-1) // the heap's top distance once it is full; nothing is below -Inf
+	for start := uint32(0); start < n; start += scanRun {
+		if done != nil && start%scanCancelStride == 0 && heap.Len() >= k {
+			if scanTestHook != nil {
+				scanTestHook(start)
+			}
+			select {
+			case <-done:
+				cancelled = true
+			default:
+			}
+			if cancelled {
+				break
+			}
+		}
+		end := min(start+scanRun, n)
+		var dead uint64
+		if tomb != nil {
+			dead = tomb.Word(int(start/scanRun)) & (1<<(end-start) - 1)
+		}
+		live := int(end-start) - bits.OnesCount64(dead)
+		linesFetched += live * ex.FullLines
+		if screened && heap.Len() >= k {
+			surv := ex.RunSurvivors(start, int(end-start), top) &^ dead
+			if scanScreenHook != nil {
+				scanScreenHook(live, bits.OnesCount64(surv))
+			}
+			for ; surv != 0; surv &= surv - 1 {
+				id := start + uint32(bits.TrailingZeros64(surv))
+				if d := ex.Distance(id); d < top {
+					heap.ReplaceTop(hnsw.Neighbor{ID: id, Dist: d})
+					top = heap.Top().Dist
+				}
+			}
+			continue
+		}
+		dist := buf[:end-start]
+		ex.RunDistances(start, dist)
+		for i, d := range dist {
+			if dead>>i&1 != 0 {
+				continue
+			}
+			if heap.Len() < k {
+				heap.Push(hnsw.Neighbor{ID: start + uint32(i), Dist: d})
+				if heap.Len() == k {
+					top = heap.Top().Dist
+				}
+			} else if d < top {
+				heap.ReplaceTop(hnsw.Neighbor{ID: start + uint32(i), Dist: d})
+				top = heap.Top().Dist
+			}
+		}
+	}
+	return heap.Sorted(dst), linesFetched, cancelled
 }
 
 // hostEngine returns the scratch's host compare engine: full-precision SIMD

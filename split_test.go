@@ -50,13 +50,13 @@ var beamLayers = layerSplit{
 // the survivor bits.
 var scanLayers = layerSplit{
 	name: "scan",
-	root: "ansmet/internal/core.scanKNN",
+	root: "ansmet.scanKNN",
 	layers: []struct{ name, prefix string }{
 		{"screen", "ansmet/internal/vecmath.screen"},
 		{"screen", "ansmet/internal/engine.(*Exact).RunSurvivors"},
 		{"screen", "ansmet/internal/engine.(*Exact).StartScreen"},
 		{"exact", "ansmet/internal/engine.(*Exact)."},
-		{"loop", "ansmet/internal/core.scanKNN"},
+		{"loop", "ansmet.scanKNN"},
 	},
 	order: []string{"screen", "exact", "loop"},
 }
