@@ -32,7 +32,8 @@ func goList(t *testing.T, args ...string) []string {
 // its energy and polling models, the NDP instruction protocol, the DDR5 geometry and the rank partitioning over it, the
 // adaptive-precision depth map and the query traces — and the functional
 // view (internal/core) and the index (internal/hnsw) import none of the
-// model's packages, so nothing can pull them back in through them.
+// model's packages, and the served cluster build (internal/kmeans) none of
+// the bit-plane store's, so nothing can pull them back in through them.
 func TestServerLinksNoSimulator(t *testing.T) {
 	model := []string{"sim", "energy", "polling", "ndp", "dram", "partition", "precision", "trace"}
 	deps := map[string]bool{}
@@ -48,8 +49,9 @@ func TestServerLinksNoSimulator(t *testing.T) {
 		}
 	}
 	for pkg, forbidden := range map[string][]string{
-		"core": {"sim", "polling", "dram", "partition", "precision"},
-		"hnsw": {"trace"},
+		"core":   {"sim", "polling", "dram", "partition", "precision"},
+		"hnsw":   {"trace"},
+		"kmeans": {"bitplane", "layout", "prefixelim", "core"},
 	} {
 		imports := map[string]bool{}
 		for _, p := range goList(t, "-f", `{{join .Imports " "}}`, "ansmet/internal/"+pkg) {

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"ansmet/internal/dataset"
+	"ansmet/internal/kmeans"
 	"ansmet/internal/layout"
 	"ansmet/internal/prefixelim"
+	"ansmet/internal/rows"
+	"ansmet/internal/vecmath"
 )
 
 func TestExactKNNMatchesBruteForce(t *testing.T) {
@@ -78,4 +82,44 @@ func TestExactKNNSmallK(t *testing.T) {
 	if len(nn) != 50 {
 		t.Fatalf("k>N returned %d results", len(nn))
 	}
+}
+
+// TestExactKNNAssignsCentroids is the paper's k-means claim (§4.1): with
+// the centroids stored as an ET database, the exact 1-NN scan assigns each
+// vector to exactly its nearest centroid while fetching fewer lines than a
+// full scan.
+func TestExactKNNAssignsCentroids(t *testing.T) {
+	ds := dataset.Generate(dataset.ProfileByName("DEEP"), 800, 40, 95)
+	res, err := kmeans.Run(ds.Vectors, kmeans.Config{K: 64, MaxIters: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := BuildStore(rows.MustPack(res.Centroids, vecmath.Float32),
+		layout.SimpleHeuristicSchedule(vecmath.Float32), prefixelim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := st.NewETEngine(vecmath.L2)
+	totalLines, fullLines := 0, 0
+	for _, q := range ds.Queries {
+		nn, lines := eng.ExactKNN(q, 1)
+		totalLines += lines
+		fullLines += st.Len() * st.SlotLines() // every centroid, every line
+		best, bestD := 0, math.Inf(1)
+		for ci, c := range res.Centroids {
+			if d := vecmath.L2.Distance(q, c); d < bestD {
+				best, bestD = ci, d
+			}
+		}
+		if len(nn) != 1 || int(nn[0].ID) != best {
+			t.Fatalf("assignment %+v, nearest is %d (d=%v)", nn, best, bestD)
+		}
+		if math.Abs(nn[0].Dist-bestD) > 1e-5 {
+			t.Fatalf("assignment distance %v != %v", nn[0].Dist, bestD)
+		}
+	}
+	if totalLines >= fullLines {
+		t.Errorf("assignment saved nothing: %d of %d lines", totalLines, fullLines)
+	}
+	t.Logf("assignment read %d of %d lines", totalLines, fullLines)
 }

@@ -98,7 +98,7 @@ func (r *Runner) AblationQuantization() *Table {
 
 		// SQ8 + ET: quantized store, approximate distances.
 		func() []string {
-			sq, err := quantize.FitScalar(w.ds.Vectors, true)
+			sq, err := quantize.FitScalar(w.ds.Vectors)
 			if err != nil {
 				panic(err)
 			}

@@ -16,12 +16,13 @@ func (n Neighbor) Less(o Neighbor) bool {
 }
 
 // Heap is the one binary heap of Neighbors, for the exact scan, the tiered
-// pipeline and the IVF probe alike; the search beam and the construction
-// beam keep their candidates in a sorted frontier instead. The zero value is
-// an empty min-heap on (Dist, ID) (the search set of §2.1); Max, set before
-// the first Push or Init, makes it a max-heap (a result set, worst first). (Dist, ID) is a
-// total order, so what a heap holds and the order it pops in depend only on
-// the multiset pushed, never on how the sifts happened to arrange it.
+// pipeline, the IVF probe and the PQ ablation's ET scan (quantize) alike;
+// the search beam and the construction beam keep their candidates in a
+// sorted frontier instead. The zero value is an empty min-heap on (Dist, ID)
+// (the search set of §2.1); Max, set before the first Push or Init, makes it
+// a max-heap (a result set, worst first). (Dist, ID) is a total order, so
+// what a heap holds and the order it pops in depend only on the multiset
+// pushed, never on how the sifts happened to arrange it.
 //
 // "a goes above b" is a.Less(b) != Max: Less itself for the min-heap, its
 // negation for the max-heap — which differs from the reversed order only on

@@ -1,19 +1,12 @@
 // Package kmeans provides Lloyd's k-means clustering over float32 vectors
 // (or slices of their dimensions), shared by the IVF index and the product
-// quantizer, plus an early-termination-accelerated assignment step that
-// realizes the paper's claim (§4.1) that the lower-bound machinery "can
-// even be used in accurate search algorithms like kmeans": when assigning a
-// vector to its nearest centroid, centroids whose partial-bit bound already
-// exceeds the current best distance are dropped without fetching the rest
-// of their data.
+// quantizer.
 package kmeans
 
 import (
 	"fmt"
 	"math"
 
-	"ansmet/internal/bitplane"
-	"ansmet/internal/layout"
 	"ansmet/internal/stats"
 	"ansmet/internal/vecmath"
 )
@@ -120,76 +113,4 @@ func Run(vectors [][]float32, cfg Config) (*Result, error) {
 // space is all Lloyd iterations ever compare in.
 func sqDist(a, b []float32) float64 {
 	return vecmath.SquaredL2(a, b)
-}
-
-// ETAssigner assigns vectors to their exact nearest centroid while fetching
-// centroid data through the transformed bit-plane layout with early
-// termination: the centroid set is stored like an ANSMET vector database
-// and each assignment is an exact 1-NN scan with a running threshold.
-type ETAssigner struct {
-	elem      vecmath.ElemType
-	layoutL   *bitplane.Layout
-	data      []byte
-	centroids [][]float32
-	bounder   *bitplane.Bounder
-	qbuf      []float32 // reusable quantized-query buffer
-}
-
-// NewETAssigner encodes the centroids into the simple heuristic ET layout.
-// Centroid values are quantized to the element type (use Float32 for exact
-// assignment against float data).
-func NewETAssigner(centroids [][]float32, elem vecmath.ElemType) (*ETAssigner, error) {
-	if len(centroids) == 0 {
-		return nil, fmt.Errorf("kmeans: no centroids")
-	}
-	dim := len(centroids[0])
-	l, err := bitplane.NewLayout(elem, dim, layout.SimpleHeuristicSchedule(elem))
-	if err != nil {
-		return nil, err
-	}
-	a := &ETAssigner{elem: elem, layoutL: l, centroids: centroids}
-	a.data = make([]byte, len(centroids)*l.VectorBytes())
-	var codes []uint32
-	for i, c := range centroids {
-		if len(c) != dim {
-			return nil, fmt.Errorf("kmeans: ragged centroids")
-		}
-		q := make([]float32, dim)
-		for d, x := range c {
-			q[d] = elem.Quantize(x)
-		}
-		codes = elem.EncodeVector(q, codes[:0])
-		l.Transform(codes, a.data[i*l.VectorBytes():(i+1)*l.VectorBytes()])
-	}
-	a.bounder = bitplane.NewBounder(l, vecmath.L2, 0)
-	return a, nil
-}
-
-// Assign returns the nearest centroid of v (in the quantized space), plus
-// the number of 64 B lines fetched; a full scan costs
-// len(centroids)×LinesPerVector.
-func (a *ETAssigner) Assign(v []float32) (best int, dist float64, lines int) {
-	if cap(a.qbuf) < len(v) {
-		a.qbuf = make([]float32, len(v))
-	}
-	q := a.qbuf[:len(v)]
-	for d, x := range v {
-		q[d] = a.elem.Quantize(x)
-	}
-	a.bounder.ResetQuery(q)
-	best, dist = -1, math.Inf(1)
-	vb, total := a.layoutL.VectorBytes(), a.layoutL.LinesPerVector()
-	for ci := range a.centroids {
-		a.bounder.Reset()
-		lb, n := a.bounder.RunTo(a.data[ci*vb:(ci+1)*vb], dist, total)
-		lines += n
-		if n == total && lb <= dist {
-			// Fully fetched: lb is the exact distance. Strictly-less keeps
-			// the smallest index among ties (scan order).
-			if lb < dist || best < 0 {
-				best, dist = ci, lb
-			}
-		}
-	}
-	return best, dist, lines
 }

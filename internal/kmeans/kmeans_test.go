@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ansmet/internal/dataset"
-	"ansmet/internal/vecmath"
 )
 
 func TestRunValidation(t *testing.T) {
@@ -73,51 +72,5 @@ func TestRunSubspace(t *testing.T) {
 		if res.Assign[vi] != best {
 			t.Fatalf("subspace assignment wrong at %d", vi)
 		}
-	}
-}
-
-// TestETAssignerExact is the paper's kmeans claim: assignment through the
-// early-terminating layout returns exactly the nearest centroid while
-// fetching fewer lines than a full scan.
-func TestETAssignerExact(t *testing.T) {
-	ds := dataset.Generate(dataset.ProfileByName("DEEP"), 800, 40, 95)
-	res, err := Run(ds.Vectors, Config{K: 64, MaxIters: 10, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewETAssigner(res.Centroids, vecmath.Float32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	totalLines, fullLines := 0, 0
-	for _, q := range ds.Queries {
-		got, gotD, lines := a.Assign(q)
-		totalLines += lines
-		fullLines += len(res.Centroids) * a.layoutL.LinesPerVector() // every centroid, every line
-		best, bestD := 0, math.Inf(1)
-		for ci, c := range res.Centroids {
-			if d := math.Sqrt(sqDist(q, c)); d < bestD {
-				best, bestD = ci, d
-			}
-		}
-		if got != best {
-			t.Fatalf("ET assignment %d (d=%v), nearest is %d (d=%v)", got, gotD, best, bestD)
-		}
-		if math.Abs(gotD-bestD) > 1e-5 {
-			t.Fatalf("ET distance %v != %v", gotD, bestD)
-		}
-	}
-	if totalLines >= fullLines {
-		t.Errorf("ET assignment saved nothing: %d of %d lines", totalLines, fullLines)
-	}
-	t.Logf("ET assignment line savings: %.0f%%", 100*(1-float64(totalLines)/float64(fullLines)))
-}
-
-func TestETAssignerValidation(t *testing.T) {
-	if _, err := NewETAssigner(nil, vecmath.Float32); err == nil {
-		t.Error("no centroids should fail")
-	}
-	if _, err := NewETAssigner([][]float32{{1, 2}, {1}}, vecmath.Float32); err == nil {
-		t.Error("ragged centroids should fail")
 	}
 }

@@ -1,11 +1,10 @@
 // Package quantize implements the vector-quantization schemes the paper
 // positions ANSMET against and discusses compatibility with (§2.1, §4.3):
 //
-//   - scalar quantization (SQ): elements mapped to uint8 by an affine
-//     transform. With a global (shared) scale the transform is
-//     order-preserving per dimension, so the quantized vectors drop
-//     directly into the existing bit-plane early-termination store as
-//     Uint8 data;
+//   - scalar quantization (SQ): elements mapped to uint8 by one affine
+//     transform shared by every dimension, which is order-preserving per
+//     dimension, so the quantized vectors drop directly into the existing
+//     bit-plane early-termination store as Uint8 data;
 //   - product quantization (PQ): the vector space is split into M
 //     subspaces, each with its own k-means codebook; a vector is stored as
 //     M one-byte codewords, and query distances are assembled from
@@ -19,65 +18,42 @@ import (
 	"fmt"
 	"math"
 
+	"ansmet/internal/hnsw"
 	"ansmet/internal/kmeans"
 	"ansmet/internal/stats"
 	"ansmet/internal/vecmath"
 )
 
-// Scalar is an affine uint8 quantizer. With Global=true one (lo, hi) range
-// covers every dimension, which preserves L2 ordering exactly up to the
-// rounding error; per-dimension ranges give lower reconstruction error but
-// distort the metric.
+// Scalar is an affine uint8 quantizer: one [Lo, Hi] range covers every
+// dimension, which preserves L2 ordering exactly up to the rounding error.
 type Scalar struct {
-	Global bool
-	Lo, Hi []float32 // length 1 when Global
+	Lo, Hi float32
 }
 
 // FitScalar learns the quantization range from the data.
-func FitScalar(vectors [][]float32, global bool) (*Scalar, error) {
+func FitScalar(vectors [][]float32) (*Scalar, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("quantize: empty dataset")
 	}
 	dim := len(vectors[0])
-	n := dim
-	if global {
-		n = 1
-	}
-	s := &Scalar{Global: global, Lo: make([]float32, n), Hi: make([]float32, n)}
-	for i := range s.Lo {
-		s.Lo[i] = math.MaxFloat32
-		s.Hi[i] = -math.MaxFloat32
-	}
+	s := &Scalar{Lo: math.MaxFloat32, Hi: -math.MaxFloat32}
 	for _, v := range vectors {
 		if len(v) != dim {
 			return nil, fmt.Errorf("quantize: ragged dataset")
 		}
-		for d, x := range v {
-			i := 0
-			if !global {
-				i = d
+		for _, x := range v {
+			if x < s.Lo {
+				s.Lo = x
 			}
-			if x < s.Lo[i] {
-				s.Lo[i] = x
-			}
-			if x > s.Hi[i] {
-				s.Hi[i] = x
+			if x > s.Hi {
+				s.Hi = x
 			}
 		}
 	}
-	for i := range s.Lo {
-		if s.Hi[i] <= s.Lo[i] {
-			s.Hi[i] = s.Lo[i] + 1
-		}
+	if s.Hi <= s.Lo {
+		s.Hi = s.Lo + 1
 	}
 	return s, nil
-}
-
-func (s *Scalar) rng(d int) (float32, float32) {
-	if s.Global {
-		return s.Lo[0], s.Hi[0]
-	}
-	return s.Lo[d], s.Hi[d]
 }
 
 // Quantize maps a vector to its uint8 code values (stored as float32 so
@@ -85,8 +61,7 @@ func (s *Scalar) rng(d int) (float32, float32) {
 func (s *Scalar) Quantize(v []float32) []float32 {
 	out := make([]float32, len(v))
 	for d, x := range v {
-		lo, hi := s.rng(d)
-		c := math.RoundToEven(float64((x - lo) / (hi - lo) * 255))
+		c := math.RoundToEven(float64((x - s.Lo) / (s.Hi - s.Lo) * 255))
 		if c < 0 {
 			c = 0
 		}
@@ -102,17 +77,9 @@ func (s *Scalar) Quantize(v []float32) []float32 {
 func (s *Scalar) Dequantize(q []float32) []float32 {
 	out := make([]float32, len(q))
 	for d, c := range q {
-		lo, hi := s.rng(d)
-		out[d] = lo + c/255*(hi-lo)
+		out[d] = s.Lo + c/255*(s.Hi-s.Lo)
 	}
 	return out
-}
-
-// StepSize returns the quantization step of dimension d (the max
-// per-element reconstruction error is half of it).
-func (s *Scalar) StepSize(d int) float64 {
-	lo, hi := s.rng(d)
-	return float64(hi-lo) / 255
 }
 
 // PQ is a product quantizer: M subspaces × K centroids.
@@ -275,59 +242,13 @@ func (t *Table) LowerBound(code []uint8, fetched int) float64 {
 // beats the running k-th best. Returns the neighbors, the codewords
 // actually fetched, and the total codewords a full scan would read.
 func (t *Table) ETScan(codes [][]uint8, k int) (ids []uint32, dists []float64, fetched, total int) {
-	type cand struct {
-		id uint32
-		d  float64
-	}
-	var heap []cand // max-heap by (d, id)
-	less := func(a, b cand) bool {
-		if a.d != b.d {
-			return a.d > b.d
-		}
-		return a.id > b.id
-	}
-	push := func(c cand) {
-		heap = append(heap, c)
-		i := len(heap) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if !less(heap[i], heap[p]) {
-				break
-			}
-			heap[i], heap[p] = heap[p], heap[i]
-			i = p
-		}
-	}
-	pop := func() cand {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			best := i
-			if l < last && less(heap[l], heap[best]) {
-				best = l
-			}
-			if r < last && less(heap[r], heap[best]) {
-				best = r
-			}
-			if best == i {
-				break
-			}
-			heap[i], heap[best] = heap[best], heap[i]
-			i = best
-		}
-		return top
-	}
-
+	heap := hnsw.Heap{Max: true}
 	m := len(t.Cells)
 	for vi, code := range codes {
 		total += m
 		threshold := math.Inf(1)
-		if len(heap) >= k {
-			threshold = heap[0].d
+		if heap.Len() >= k {
+			threshold = heap.Top().Dist
 		}
 		// Start from the all-unfetched bound and refine subspace by
 		// subspace.
@@ -355,18 +276,17 @@ func (t *Table) ETScan(codes [][]uint8, k int) (ids []uint32, dists []float64, f
 		if t.Metric == vecmath.L2 {
 			d = math.Sqrt(math.Max(s, 0))
 		}
-		if d <= threshold {
-			push(cand{uint32(vi), d})
-			if len(heap) > k {
-				pop()
-			}
+		if nb := (hnsw.Neighbor{ID: uint32(vi), Dist: d}); heap.Len() < k {
+			heap.Push(nb)
+		} else if nb.Less(heap.Top()) {
+			heap.ReplaceTop(nb)
 		}
 	}
-	ids = make([]uint32, len(heap))
-	dists = make([]float64, len(heap))
-	for i := len(heap) - 1; i >= 0; i-- {
-		c := pop()
-		ids[i], dists[i] = c.id, c.d
+	nn := heap.Sorted(nil)
+	ids = make([]uint32, len(nn))
+	dists = make([]float64, len(nn))
+	for i, nb := range nn {
+		ids[i], dists[i] = nb.ID, nb.Dist
 	}
 	return ids, dists, fetched, total
 }
