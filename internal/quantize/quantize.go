@@ -241,6 +241,14 @@ func (t *Table) LowerBound(code []uint8, fetched int) float64 {
 // subspace by subspace and the scan moves on as soon as the lower bound
 // beats the running k-th best. Returns the neighbors, the codewords
 // actually fetched, and the total codewords a full scan would read.
+//
+// An admitted vector's distance is Distance's, bit for bit. The bound after
+// fetching subspaces 0..j continues Distance's own running sum with the
+// MinCell of each unfetched subspace, in Distance's order. Rounded addition
+// is monotone in each operand and MinCell[m] ≤ Cells[m][c], so every step
+// of that sum is at most the same step of Distance's: the rounded bound is
+// at most the rounded distance, and a rejection needs no margin. After the
+// last subspace the bound is the distance.
 func (t *Table) ETScan(codes [][]uint8, k int) (ids []uint32, dists []float64, fetched, total int) {
 	heap := hnsw.Heap{Max: true}
 	m := len(t.Cells)
@@ -250,19 +258,17 @@ func (t *Table) ETScan(codes [][]uint8, k int) (ids []uint32, dists []float64, f
 		if heap.Len() >= k {
 			threshold = heap.Top().Dist
 		}
-		// Start from the all-unfetched bound and refine subspace by
-		// subspace.
-		s := 0.0
-		for sub := 0; sub < m; sub++ {
-			s += t.MinCell[sub]
-		}
 		rejected := false
+		s := 0.0 // Distance's partial sum
 		for sub := 0; sub < m; sub++ {
-			s += t.Cells[sub][code[sub]] - t.MinCell[sub]
+			s += t.Cells[sub][code[sub]]
 			fetched++
 			lb := s
+			for _, mc := range t.MinCell[sub+1:] {
+				lb += mc
+			}
 			if t.Metric == vecmath.L2 {
-				lb = math.Sqrt(math.Max(s, 0))
+				lb = math.Sqrt(lb)
 			}
 			if lb > threshold {
 				rejected = true
@@ -272,11 +278,7 @@ func (t *Table) ETScan(codes [][]uint8, k int) (ids []uint32, dists []float64, f
 		if rejected {
 			continue
 		}
-		d := s
-		if t.Metric == vecmath.L2 {
-			d = math.Sqrt(math.Max(s, 0))
-		}
-		if nb := (hnsw.Neighbor{ID: uint32(vi), Dist: d}); heap.Len() < k {
+		if nb := (hnsw.Neighbor{ID: uint32(vi), Dist: t.Distance(code)}); heap.Len() < k {
 			heap.Push(nb)
 		} else if nb.Less(heap.Top()) {
 			heap.ReplaceTop(nb)

@@ -217,10 +217,8 @@ func TestPQETScanExactInADCSpace(t *testing.T) {
 				if len(ids) != k || len(dists) != k {
 					t.Fatalf("%s k=%d q%d: %d ids, %d dists", set.name, k, qi, len(ids), len(dists))
 				}
-				// The scan sums a vector's cells in another order than
-				// Distance, so its distances may differ in the last bits.
 				for j := range ids {
-					if ids[j] != ref[j].id || math.Abs(dists[j]-ref[j].d) > 1e-12*math.Max(1, ref[j].d) {
+					if ids[j] != ref[j].id || math.Float64bits(dists[j]) != math.Float64bits(ref[j].d) {
 						t.Fatalf("%s k=%d q%d result %d: id %d (%v), want %d (%v)",
 							set.name, k, qi, j, ids[j], dists[j], ref[j].id, ref[j].d)
 					}

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net/http"
 	"slices"
 	"strconv"
@@ -343,16 +345,25 @@ func (c *cursor) floats() ([]float32, bool) {
 		return []float32{}, true // what encoding/json makes of []: empty, not nil
 	}
 	out := make([]float32, bytes.Count(c.b[c.i:end], comma)+1)
-	for k := range out {
+	last := len(out) - 1
+	for k := 0; ; k++ {
+		// The word path takes what plain elements it can before the last;
+		// number takes the element it stops at.
+		var n int
+		n, c.i = plain(c.b, c.i, out[k:last])
+		k += n
 		c.ws()
-		n, ok := c.number()
+		num, ok := c.number()
 		if !ok {
 			return nil, false
 		}
-		if out[k], ok = n.float32(); !ok {
+		if out[k], ok = num.float32(); !ok {
 			return nil, false
 		}
-		if k < len(out)-1 && !c.eat(',') {
+		if k == last {
+			break
+		}
+		if !c.eat(',') {
 			return nil, false
 		}
 	}
@@ -363,6 +374,112 @@ func (c *cursor) floats() ([]float32, bool) {
 }
 
 var comma = []byte{','}
+
+// plainWindow is the most bytes plain reads from an element's first: a
+// sign, seven integer digits, the point, two words of fraction digits and
+// the comma.
+const plainWindow = 26
+
+// plain is the word path of floats. It converts the plain elements it finds
+// from body[at:] on into dst, in order, until dst is full or an element is
+// not plain, and returns how many it converted and where the next element
+// begins. A plain element is -?(0|[1-9][0-9]{0,6})(\.[0-9]{1,16})? followed
+// directly by ','. Its digits are read eight to a word, found by one test per
+// word and converted by one multiply-fold (Lemire, "Number parsing at a
+// gigabyte per second", 2021). Whatever else it meets — whitespace, an
+// exponent, a longer mantissa, an element within plainWindow bytes of the
+// body's end, a value whose conversion is not provably exact — stops it and
+// is number's.
+//
+// The value is w ÷ 10^e, computed as number.float32 does and under its
+// conditions: w holds at most 19 digits (so it cannot wrap) and is at most
+// 2^53, and e ≤ 16. Fraction digits are taken in words of eight, the first
+// padded with zeros: e is 8 or 8 plus the second word's digits, and an
+// integer element has e = 0. number.float32's range test holds by
+// construction, since 10^-16 ≤ |x| < 10^7, and its midpoint test is kept.
+func plain(body []byte, at int, dst []float32) (int, int) {
+	for k := range dst {
+		if len(body)-at < plainWindow {
+			return k, at
+		}
+		b := (*[plainWindow]byte)(body[at:])
+		var sign uint32
+		if b[0] == '-' {
+			sign = 1 << 31
+		}
+		i := int(sign >> 31)
+		var w uint64
+		digits := 0 // in w, zeros that pad the first fraction word included
+		if b[i] != '0' || b[i+1] != '.' {
+			word := binary.LittleEndian.Uint64(b[i:])
+			n := digitRun(word)
+			if n == 0 || n > 7 || n > 1 && b[i] == '0' {
+				return k, at
+			}
+			w, digits = fold(word<<(64-8*n)), int(n)
+			i += int(n)
+		} else {
+			i++ // |x| < 1: the integer part is the 0 before the point
+		}
+		e := 0
+		if b[i] == '.' {
+			// Both words are read and folded whatever the first holds: a
+			// branch on the fraction's length would be a coin toss.
+			lo := binary.LittleEndian.Uint64(b[i+1:])
+			hi := binary.LittleEndian.Uint64(b[i+9:])
+			bad := nonDigits(lo)
+			m := uint(bits.TrailingZeros64(bad)) >> 3 // lo's digits
+			if m == 0 {
+				return k, at
+			}
+			n := digitRun(hi) & -(m >> 3) // hi's digits, after eight in lo
+			keep := (bad&-bad)>>7 - 1     // lo's digit bytes, all eight when bad is 0
+			w = (w*1e8+fold(lo&keep))*pow10u[n] + fold(hi<<(64-8*n))
+			e = 8 + int(n)
+			digits += e
+			i += 1 + int(m+n)
+		}
+		if b[i] != ',' || digits > 19 || w > 1<<53 {
+			return k, at
+		}
+		d := float64(w) / pow10[e]
+		if low := math.Float64bits(d) & (1<<29 - 1); low >= 1<<28-1 && low <= 1<<28+1 {
+			return k, at
+		}
+		dst[k] = math.Float32frombits(math.Float32bits(float32(d)) | sign)
+		at += i + 1
+	}
+	return len(dst), at
+}
+
+// nonDigits flags each byte of word that is not an ASCII digit with its top
+// bit, exactly up to the first such byte (word's first byte is its lowest):
+// below '0' wraps the difference, above '9' carries the sum past 0x7f, and
+// carries and borrows run only upward, from that byte on.
+func nonDigits(word uint64) uint64 {
+	return (word - 0x3030303030303030 | (word + 0x4646464646464646)) & 0x8080808080808080
+}
+
+// digitRun is how many of word's bytes are digits before the first that is
+// not: 0 to 8.
+func digitRun(word uint64) uint {
+	return uint(bits.TrailingZeros64(nonDigits(word))) >> 3
+}
+
+// fold is the value of word's eight bytes read as decimal digits, its first
+// (lowest) byte the most significant. Only each byte's low nibble is read, so
+// zero bytes are zeros: shifting n digits to the top of a word puts zeros
+// before them, masking them off puts zeros after. The digits fold pairwise:
+// two per 16 bits, four per 32, eight per 64.
+func fold(word uint64) uint64 {
+	v := word & 0x0f0f0f0f0f0f0f0f
+	v = (v * (1 + 10<<8)) >> 8 & 0x00ff00ff00ff00ff
+	v = (v * (1 + 100<<16)) >> 16 & 0x0000ffff0000ffff
+	return (v * (1 + 10000<<32)) >> 32
+}
+
+// pow10u is 10^n for the digit counts of one word.
+var pow10u = [9]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
 
 // number is one JSON number taken apart: its value is ±w × 10^e when exact
 // is set, which needs at most 15 significant digits (so w < 2^53).

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"testing"
 
+	"ansmet/internal/dataset"
 	"ansmet/internal/hnsw"
 )
 
@@ -508,6 +509,230 @@ func FuzzFloat32MatchesStrconv(f *testing.F) {
 	})
 }
 
+// FuzzFloatsMatchStrconv is FuzzFloat32MatchesStrconv through the array
+// scanner: the number, repeated in an array whose elements all have
+// plainWindow bytes after them, so every one but the last may take the word
+// path, converts element by element as strconv.ParseFloat(s, 32) does, and
+// the array is declined exactly when strconv reports an error.
+func FuzzFloatsMatchStrconv(f *testing.F) {
+	for _, s := range []string{
+		"0", "-0", "0.0", "-0.0", "7", "-255", "1234567", "12345678", "0.5", "-0.25", "0.6046602",
+		"0.0000000000000001", "0.12345678", "0.123456789", "0.1234567890123456", "0.12345678901234567",
+		"1234567.123456789012", "9999999.999999999999", "1.5e-3", "1e22", "1e-22", "1e23", "1e999",
+		"0.000001", "0.10000000149011612", "16777217", "8388608.5", "01", "1.", "-",
+	} {
+		f.Add(s)
+	}
+	rng := rand.New(rand.NewSource(52))
+	for i := 0; i < 100; i++ {
+		lo := float32(rng.Float64() * math.Pow(10, float64(rng.Intn(12)-5)))
+		mid := (float64(lo) + float64(math.Nextafter32(lo, math.MaxFloat32))) / 2
+		f.Add(strconv.FormatFloat(mid, 'f', 8+rng.Intn(10), 64))
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		c := cursor{b: []byte(s)}
+		if _, ok := c.number(); !ok || c.i != len(s) {
+			return // not a JSON number: the scanner never converts it
+		}
+		want, err := strconv.ParseFloat(s, 32)
+		body := "[" + strings.Repeat(s+",", 4) + s + "]" + strings.Repeat(" ", plainWindow)
+		c = cursor{b: []byte(body)}
+		got, ok := c.floats()
+		if ok != (err == nil) {
+			t.Fatalf("%q: scanner ok=%v, strconv err=%v", s, ok, err)
+		}
+		if !ok {
+			return
+		}
+		if len(got) != 5 || c.i != len(body)-plainWindow {
+			t.Fatalf("%q: %d elements, cursor at %d of %q", s, len(got), c.i, body)
+		}
+		for k, v := range got {
+			if math.Float32bits(v) != math.Float32bits(float32(want)) {
+				t.Fatalf("%q element %d: scanner %08x (%v), strconv %08x (%v)", s, k,
+					math.Float32bits(v), v, math.Float32bits(float32(want)), float32(want))
+			}
+		}
+	})
+}
+
+// appendElement appends one array element in a form drawn from rng: every
+// form a client sends, and the edges of the word path around them.
+func appendElement(dst []byte, rng *rand.Rand) []byte {
+	digits := func(n int) {
+		for ; n > 0; n-- {
+			dst = append(dst, byte('0'+rng.Intn(10)))
+		}
+	}
+	sign := func() {
+		if rng.Intn(2) == 0 {
+			dst = append(dst, '-')
+		}
+	}
+	switch rng.Intn(8) {
+	case 0: // float32 shortest form, as encoding/json writes it
+		v := rng.Float32()*2 - 1
+		switch rng.Intn(3) {
+		case 0:
+			v *= float32(math.Pow(10, float64(rng.Intn(16)-8)))
+		case 1:
+			v = math.Float32frombits(rng.Uint32()&^(0xff<<23) | uint32(rng.Intn(255))<<23)
+		}
+		abs := math.Abs(float64(v))
+		format := byte('f')
+		if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			format = 'e'
+		}
+		dst = strconv.AppendFloat(dst, float64(v), format, -1, 32)
+	case 1: // 0. and 1–20 digits
+		sign()
+		dst = append(dst, "0."...)
+		digits(1 + rng.Intn(20))
+	case 2: // an integer of 1–8 digits, -0 among them
+		sign()
+		if n := 1 + rng.Intn(8); rng.Intn(8) == 0 {
+			dst = append(dst, '0')
+		} else {
+			dst = append(dst, byte('1'+rng.Intn(9)))
+			digits(n - 1)
+		}
+	case 3: // 1–9 integer digits and 1–18 fraction digits
+		sign()
+		dst = append(dst, byte('1'+rng.Intn(9)))
+		digits(rng.Intn(9))
+		dst = append(dst, '.')
+		digits(1 + rng.Intn(18))
+	case 4: // exponents at ±22 and ±23
+		sign()
+		dst = append(dst, byte('1'+rng.Intn(9)))
+		digits(rng.Intn(9))
+		if rng.Intn(2) == 0 {
+			dst = append(dst, '.')
+			digits(1 + rng.Intn(6))
+		}
+		dst = append(dst, "eE"[rng.Intn(2)])
+		dst = append(dst, []string{"", "+", "-"}[rng.Intn(3)]...)
+		dst = strconv.AppendInt(dst, int64(22+rng.Intn(2)), 10)
+	case 5: // a float32 rounding midpoint cut at 1–18 fraction digits
+		sign()
+		lo := float32(rng.Float64() * math.Pow(10, float64(rng.Intn(12)-5)))
+		mid := (float64(lo) + float64(math.Nextafter32(lo, math.MaxFloat32))) / 2
+		dst = strconv.AppendFloat(dst, mid, 'f', 1+rng.Intn(18), 64)
+	default: // GIST's and GloVe's everyday component
+		dst = strconv.AppendFloat(dst, float64(rng.Float32()*2-1), 'f', -1, 32)
+	}
+	return dst
+}
+
+// TestFloatsMatchJSON holds the number-array scanner, word path and
+// fallback, to encoding/json on 100 000 seeded /v1/search and /v1/upsert
+// bodies of 1–40 elements in every form appendElement draws, with
+// whitespace between elements and bodies that end a few bytes after the
+// array. Every body is canonical, so the recogniser must accept it.
+func TestFloatsMatchJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	ws := []string{"", "", "", " ", "\n", " \t "}
+	var body []byte
+	for i := 0; i < 100_000; i++ {
+		upsert := i%2 == 1
+		body = body[:0]
+		if upsert {
+			body = append(body, `{"vector":[`...)
+		} else {
+			body = append(body, `{"query":[`...)
+		}
+		for k, n := 0, 1+rng.Intn(40); k < n; k++ {
+			if k > 0 {
+				body = append(body, ws[rng.Intn(len(ws))]...)
+				body = append(body, ',')
+				body = append(body, ws[rng.Intn(len(ws))]...)
+			}
+			body = appendElement(body, rng)
+		}
+		body = append(body, ']')
+		switch rng.Intn(3) {
+		case 0:
+			body = append(body, '}')
+		case 1:
+			if upsert {
+				body = append(body, `,"timeout_ms":5}`...)
+			} else {
+				body = append(body, `,"k":10,"ef":64}`...)
+			}
+		default:
+			body = append(body, "}                                "...)
+		}
+		if upsert {
+			var got, want UpsertRequest
+			if !decodeUpsert(body, &got) {
+				t.Fatalf("declined canonical body %q", body)
+			}
+			if err := json.Unmarshal(body, &want); err != nil {
+				t.Fatalf("%q: %v", body, err)
+			}
+			if bitsOf(got.Vector) != bitsOf(want.Vector) || got.TimeoutMs != want.TimeoutMs {
+				t.Fatalf("body %q:\nrecogniser    %s\nencoding/json %s", body, bitsOf(got.Vector), bitsOf(want.Vector))
+			}
+			continue
+		}
+		var got, want SearchRequest
+		if !decodeSearch(body, &got) {
+			t.Fatalf("declined canonical body %q", body)
+		}
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("%q: %v", body, err)
+		}
+		if bitsOf(got.Query) != bitsOf(want.Query) || got.K != want.K || got.Ef != want.Ef {
+			t.Fatalf("body %q:\nrecogniser    %s\nencoding/json %s", body, bitsOf(got.Query), bitsOf(want.Query))
+		}
+	}
+}
+
+// TestPlainTakesOnlyPlainElements pins which elements the word path
+// converts (spanning the element and its comma) and which it leaves to
+// number.
+func TestPlainTakesOnlyPlainElements(t *testing.T) {
+	pad := strings.Repeat(" ", plainWindow)
+	for _, c := range []struct {
+		elem string
+		take bool
+	}{
+		{"0,", true}, {"-0,", true}, {"7,", true}, {"1234567,", true}, {"-1234567,", true},
+		{"0.5,", true}, {"-0.000,", true}, {"0.6046602,", true}, {"0.12345678,", true},
+		{"0.1234567890123456,", true}, {"1234567.12345678,", true}, {"9.5,", true},
+		{"12345678,", false},              // eight integer digits
+		{"0.12345678901234567,", false},   // seventeen fraction digits
+		{"1234567.1234567890123,", false}, // twenty digits
+		{"1234567.123456789012,", false},  // nineteen digits above 2^53
+		{"9007199.254740993,", false},     // sixteen digits above 2^53
+		{"16777217.5,", false}, {"01,", false}, {"00.5,", false}, {"1.,", false}, {".5,", false},
+		{"1e5,", false}, {"1 ,", false}, {" 1,", false}, {"1]", false}, {"-,", false},
+		{"+1,", false}, {"0x1,", false},
+		{"0.5000000298023224,", false}, // a float32 midpoint: left to number
+	} {
+		var f [1]float32
+		k, n := plain([]byte(c.elem+pad), 0, f[:])
+		if (k == 1) != c.take {
+			t.Errorf("%q: plain converted %d, want take=%v", c.elem, k, c.take)
+			continue
+		}
+		if k == 0 {
+			if n != 0 {
+				t.Errorf("%q: declined but moved to %d", c.elem, n)
+			}
+			continue
+		}
+		want, err := strconv.ParseFloat(strings.TrimSuffix(c.elem, ","), 32)
+		if err != nil || math.Float32bits(f[0]) != math.Float32bits(float32(want)) || n != len(c.elem) {
+			t.Errorf("%q: plain %v, next element at %d, strconv %v (%v)", c.elem, f[0], n, float32(want), err)
+		}
+	}
+	// Too close to the end of the body: declined whatever the element.
+	if k, _ := plain([]byte("0.5,"+pad[:plainWindow-5]), 0, make([]float32, 1)); k != 0 {
+		t.Errorf("plain read an element with fewer than %d bytes left", plainWindow)
+	}
+}
+
 // --- encoder ---------------------------------------------------------------
 
 // TestAppendSearchOKMatchesJSON: the encoder's bytes are encoding/json's for
@@ -553,6 +778,37 @@ func TestAppendSearchOKMatchesJSON(t *testing.T) {
 	})
 	if w := postSearch(s, `{"query":[1]}`); w.Code != http.StatusOK || w.Body.Len() != 0 {
 		t.Fatalf("NaN distance: status %d body %q, want the parent's 200 with an empty body", w.Code, w.Body)
+	}
+}
+
+// profileBody is a /v1/search body as bench/ sends one for the profile's
+// first query: json.Marshal of the query at k 10, ef 64.
+func profileBody(tb testing.TB, profile string) (body []byte, dim int) {
+	ds := dataset.Generate(dataset.ProfileByName(profile), 1, 1, 52)
+	body, err := json.Marshal(SearchRequest{Query: ds.Queries[0], K: 10, Ef: 64})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body, len(ds.Queries[0])
+}
+
+// BenchmarkDecodeSearch is the decode alone, per body and per component,
+// on the three profiles the served workloads send: GIST's 960 components
+// in [0, 1), GloVe's 100 signed ones, SIFT's 128 integers.
+func BenchmarkDecodeSearch(b *testing.B) {
+	for _, profile := range []string{"GIST", "GloVe", "SIFT"} {
+		b.Run(profile, func(b *testing.B) {
+			body, dim := profileBody(b, profile)
+			var req SearchRequest
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !decodeSearch(body, &req) {
+					b.Fatal("canonical body declined")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dim), "ns/component")
+		})
 	}
 }
 
