@@ -528,10 +528,12 @@ func BenchmarkSearchHost(b *testing.B) {
 // skipped at the quick scale, at the shapes of two served workloads: GloVe
 // at n = 10 000 (fp32, dim 100, inner product — what a recall_target 1
 // request scans) and GIST at n = 3 000 (fp32, dim 960, L2), each with its
-// per-layer split (reportSplit: the float32 screen, the float64 kernel and
-// the loop) and the rows per query that survive the screen
+// per-layer split (reportSplit: the head screen, the float64 kernel and
+// the loop), the rows per query that survive the screen
 // ("survivors/query", counted in one more pass over the queries through
-// the scan's screen hook, outside the timing).
+// the scan's screen hook, outside the timing) and the bytes per query
+// that pass reads ("bytes/query": heads and norms of the screened rows,
+// full rows of the rest and of the survivors).
 // BenchmarkTieredSearch is the same answer through the model's bound
 // machinery.
 // Budget: 0 allocs/op.
@@ -556,8 +558,8 @@ func BenchmarkExactScan(b *testing.B) {
 			plan := ansmet.Query{K: 10, Route: ansmet.RouteExact}
 			benchDo(b, context.Background(), w.db, w.ds.Queries, plan)
 			reportSplit(b, scanLayers, w.db, w.ds.Queries, plan)
-			survivors := 0
-			ansmet.SetScanScreenHook(func(_, s int) { survivors += s })
+			survivors, screened := 0, 0
+			ansmet.SetScanScreenHook(func(l, s int) { screened, survivors = screened+l, survivors+s })
 			defer ansmet.SetScanScreenHook(nil)
 			for _, q := range w.ds.Queries {
 				plan.Vector = q
@@ -565,7 +567,18 @@ func BenchmarkExactScan(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(survivors)/float64(len(w.ds.Queries)), "survivors/query")
+			nq := float64(len(w.ds.Queries))
+			b.ReportMetric(float64(survivors)/nq, "survivors/query")
+			// What one query reads: a screened row's head and its two norms,
+			// the full row of every survivor and of every row taken before
+			// the heap was full.
+			p := w.ds.Profile
+			row, head := p.Dim*p.Elem.Bytes(), vecmath.HeadBytes(p.Dim)+8
+			if p.Elem != vecmath.Float32 {
+				head = row // the half types are screened as they are
+			}
+			read := screened*head + (survivors+w.db.Len()*len(w.ds.Queries)-screened)*row
+			b.ReportMetric(float64(read)/nq, "bytes/query")
 		})
 	}
 }

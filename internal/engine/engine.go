@@ -100,9 +100,12 @@ type Exact struct {
 	run   vecmath.RowKernelRun // and its run form
 	// screen is the run screen of the slab's element type × the metric, nil
 	// when there is none at this kernel level or the rows are shorter than
-	// vecmath.ScreenMinDim; sq is the current query prepared for it
-	// (StartScreen), bound the screen's bound for the top distance boundTop.
+	// vecmath.ScreenMinDim; heads is whether it reads the slab's head plane
+	// (float32 rows) rather than the rows. sq is the current query prepared
+	// for it (StartScreen), bound the screen's bound for the top distance
+	// boundTop.
 	screen          vecmath.RowScreen
+	heads           bool
 	sq              vecmath.ScreenQuery
 	boundTop, bound float64
 	query           []byte     // the current query in the slab's encoding (reused scratch)
@@ -125,6 +128,7 @@ func NewExactOver(rs *rows.Slab, m vecmath.Metric) *Exact {
 	if rs.Dim() >= vecmath.ScreenMinDim {
 		e.screen = im.RowScreen(rs.Elem(), m)
 	}
+	e.heads = rs.Elem() == vecmath.Float32
 	return e
 }
 
@@ -206,7 +210,9 @@ func (e *Exact) RunDistances(start uint32, out []float64) {
 // whether the rows have a screen: the float types at a kernel level with
 // one (AVX2 with FMA, and F16C for fp16), rows of vecmath.ScreenMinDim
 // elements or more. Only the exact scan calls it, once per query, so no
-// other route pays for the float32 query it lays out.
+// other route pays for the float32 query it lays out. The screen of float32
+// rows reads their heads (rows.View.HeadRun), half the bytes of the rows;
+// fp16 and bf16 rows are screened as they are.
 func (e *Exact) StartScreen() bool {
 	if e.screen == nil {
 		return false
@@ -225,7 +231,11 @@ func (e *Exact) RunSurvivors(start uint32, n int, top float64) uint64 {
 	if math.Float64bits(top) != math.Float64bits(e.boundTop) {
 		e.boundTop, e.bound = top, screenBound(e.M, top)
 	}
-	return e.screen(&e.sq, e.view.Run(start, n), e.bound)
+	if e.heads {
+		heads, rho, nu := e.view.HeadRun(start, n)
+		return e.screen(&e.sq, heads, rho, nu, e.bound)
+	}
+	return e.screen(&e.sq, e.view.Run(start, n), nil, nil, e.bound)
 }
 
 // screenBound is the screen's bound for the top distance top: a kernel

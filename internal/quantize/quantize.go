@@ -124,15 +124,6 @@ func FitPQ(vectors [][]float32, m, k, iters int, seed uint64) (*PQ, error) {
 	return p, nil
 }
 
-func sqDist(a, b []float32) float64 {
-	s := 0.0
-	for i := range a {
-		d := float64(a[i]) - float64(b[i])
-		s += d * d
-	}
-	return s
-}
-
 // Encode maps a vector to its M codewords.
 func (p *PQ) Encode(v []float32) []uint8 {
 	if len(v) != p.M*p.SubDim {
@@ -143,7 +134,7 @@ func (p *PQ) Encode(v []float32) []uint8 {
 		sub := v[m*p.SubDim : (m+1)*p.SubDim]
 		best, bestD := 0, math.Inf(1)
 		for ci, c := range p.Codebooks[m] {
-			d := sqDist(sub, c)
+			d := vecmath.SquaredL2(sub, c)
 			if d < bestD {
 				best, bestD = ci, d
 			}
@@ -187,7 +178,7 @@ func (p *PQ) NewTable(q []float32, metric vecmath.Metric) *Table {
 			var v float64
 			switch metric {
 			case vecmath.L2:
-				v = sqDist(sub, c)
+				v = vecmath.SquaredL2(sub, c)
 			default:
 				s := 0.0
 				for i := range sub {

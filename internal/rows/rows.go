@@ -8,6 +8,13 @@
 // accessor hands a row out, View.Row, clipped to its own bytes; View.Run
 // hands out a stretch of one chunk's rows the same way.
 //
+// A float32 chunk also holds a head plane after its rows: each row's head,
+// the top 16 bits of every element (a bf16 truncation, padded to whole
+// steps of eight), then each row's residual norm ρ ≥ ‖x − head‖, then each
+// row's head norm ν ≥ ‖head‖ (vecmath.Head). View.HeadRun hands out a
+// run's heads and norms; the exact scan's screen reads them instead of the
+// rows. The plane is derived from the rows and never written out.
+//
 // A Slab grows by Append from a single writer under any number of readers.
 // The writer writes the row, republishes the table only when the row opened
 // a new chunk, then publishes the count; a reader pins the count, then the
@@ -15,7 +22,9 @@
 // a pinned count, and its chunk, before the reader: one publication. What is
 // built on the slab and grows with it (the graph) publishes an id only after
 // its row is in, so an id it hands out has a row in any view pinned
-// afterwards. DESIGN.md, "Row store", has the long form.
+// afterwards. A row's head and norms are written beside it before the
+// count, so the one publication covers them too. DESIGN.md, "Row store", has the long
+// form.
 package rows
 
 import (
@@ -48,6 +57,7 @@ type Slab struct {
 	elem   vecmath.ElemType
 	dim    int
 	stride int // bytes per row
+	head   int // bytes per head in the chunk's head plane, 0 without one
 
 	table atomic.Pointer[[][]byte] // the published chunk table
 	count atomic.Int64             // rows complete and visible
@@ -56,6 +66,9 @@ type Slab struct {
 // New returns an empty slab of dim-element rows.
 func New(elem vecmath.ElemType, dim int) *Slab {
 	s := &Slab{elem: elem, dim: dim, stride: dim * elem.Bytes()}
+	if elem == vecmath.Float32 {
+		s.head = vecmath.HeadBytes(dim)
+	}
 	s.table.Store(new([][]byte))
 	return s
 }
@@ -102,8 +115,11 @@ func FromBytes(elem vecmath.ElemType, dim, n int, data []byte) (*Slab, error) {
 	s := New(elem, dim)
 	var chunks [][]byte
 	for id := 0; id < n; id += ChunkRows {
-		c := newChunk(stride)
-		copy(c, data[id*stride:])
+		c := s.newChunk()
+		copy(c[:ChunkRows*stride], data[id*stride:])
+		for i := range min(n-id, ChunkRows) {
+			s.writeHead(c, i)
+		}
 		chunks = append(chunks, c)
 	}
 	s.table.Store(&chunks)
@@ -120,9 +136,15 @@ func FromBytes(elem vecmath.ElemType, dim, n int, data []byte) (*Slab, error) {
 	return s, nil
 }
 
-// newChunk allocates one chunk, its first byte on a chunkAlign boundary.
-func newChunk(stride int) []byte {
-	size := ChunkRows * stride
+// newChunk allocates one chunk, its first byte on a chunkAlign boundary:
+// ChunkRows rows, then, on a float32 slab, ChunkRows heads and two sets of
+// ChunkRows float32 norms, ρ then ν. Every section starts on a 64-byte
+// boundary.
+func (s *Slab) newChunk() []byte {
+	size := ChunkRows * s.stride
+	if s.head > 0 {
+		size += ChunkRows * (s.head + 8)
+	}
 	buf := make([]byte, size+chunkAlign-1)
 	off := int(-uintptr(unsafe.Pointer(unsafe.SliceData(buf))) & (chunkAlign - 1))
 	return buf[off : off+size : off+size]
@@ -154,16 +176,36 @@ func (s *Slab) Append(v []float32) (uint32, error) {
 	chunks := *s.table.Load()
 	if id>>chunkShift == len(chunks) {
 		// Readers keep the table they pinned: growth copies it.
-		grown := append(chunks[:len(chunks):len(chunks)], newChunk(s.stride))
+		grown := append(chunks[:len(chunks):len(chunks)], s.newChunk())
 		s.table.Store(&grown)
 		chunks = grown
 	}
+	c := chunks[id>>chunkShift]
 	o := (id & chunkMask) * s.stride
-	if _, bad := s.elem.AppendRow(chunks[id>>chunkShift][o:o:o+s.stride], v); bad >= 0 {
+	if _, bad := s.elem.AppendRow(c[o:o:o+s.stride], v); bad >= 0 {
 		return 0, fmt.Errorf("%w: component %d is %v, not a finite %v value", ErrValue, bad, v[bad], s.elem)
 	}
+	s.writeHead(c, id&chunkMask)
 	s.count.Store(int64(id) + 1)
 	return uint32(id), nil
+}
+
+// writeHead fills the head plane's entries for row i of chunk c from the
+// row; a slab without a plane has none to fill.
+func (s *Slab) writeHead(c []byte, i int) {
+	if s.head == 0 {
+		return
+	}
+	h := ChunkRows*s.stride + i*s.head
+	rho, nu := norms(c, s.stride, s.head)
+	rho[i], nu[i] = vecmath.Head(c[i*s.stride:(i+1)*s.stride], c[h:h+s.head])
+}
+
+// norms is the ρ and ν of chunk c's head plane, rows of stride bytes and
+// heads of head bytes.
+func norms(c []byte, stride, head int) (rho, nu []float32) {
+	all := unsafe.Slice((*float32)(unsafe.Pointer(&c[ChunkRows*(stride+head)])), 2*ChunkRows)
+	return all[:ChunkRows:ChunkRows], all[ChunkRows:]
 }
 
 // View is a reader's pinned slab: the rows [0, Len()) and the chunks that
@@ -172,13 +214,14 @@ type View struct {
 	chunks [][]byte
 	n      int
 	stride int
+	head   int
 	elem   vecmath.ElemType
 }
 
 // View pins the rows visible now: the count first, then the table.
 func (s *Slab) View() View {
 	n := int(s.count.Load())
-	return View{chunks: *s.table.Load(), n: n, stride: s.stride, elem: s.elem}
+	return View{chunks: *s.table.Load(), n: n, stride: s.stride, head: s.head, elem: s.elem}
 }
 
 // Len returns the number of rows in the view.
@@ -197,9 +240,25 @@ func (v View) Row(id uint32) []byte {
 // chunk (start/ChunkRows = (start+n-1)/ChunkRows); a run that straddles
 // two panics. Read-only.
 func (v View) Run(start uint32, n int) []byte {
-	o := int(start&chunkMask) * v.stride
+	o, rows := int(start&chunkMask)*v.stride, ChunkRows*v.stride
 	e := o + n*v.stride
-	return v.chunks[start>>chunkShift][o:e:e]
+	return v.chunks[start>>chunkShift][:rows:rows][o:e:e]
+}
+
+// HeadRun is the head plane's entries for rows start..start+n-1 of a
+// float32 slab, in place and clipped like Run: their heads laid end to end,
+// vecmath.HeadBytes(Dim) bytes each, and their norms ρ and ν, one float32
+// each. The rows must lie in one chunk, as Run's. A slab of any other type
+// has no plane, and HeadRun panics on it. Read-only.
+func (v View) HeadRun(start uint32, n int) (heads []byte, rho, nu []float32) {
+	if v.head == 0 {
+		panic("rows: HeadRun on a " + v.elem.String() + " slab, which has no head plane")
+	}
+	c, i := v.chunks[start>>chunkShift], int(start&chunkMask)
+	h := ChunkRows*v.stride + i*v.head
+	e := h + n*v.head
+	rho, nu = norms(c, v.stride, v.head)
+	return c[h:e:e], rho[i : i+n : i+n], nu[i : i+n : i+n]
 }
 
 // Decode appends row id's values to dst as float32 (exact: every stored

@@ -2,7 +2,9 @@ package rows
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -278,4 +280,171 @@ func TestAppendUnderReaders(t *testing.T) {
 	if first.Len() != 1 || len(first.chunks) != 1 || len(s.View().chunks) != 3 {
 		t.Fatalf("the first view now has %d rows in %d chunks; the slab %d chunks", first.Len(), len(first.chunks), len(s.View().chunks))
 	}
+}
+
+// checkHeads fails unless every row of v has the head plane's entries
+// Append and FromBytes promise: a head that is the row's top 16 bits an
+// element, bit for bit, with zero padding, and norms at least the float64
+// norms of the residual and of the head.
+func checkHeads(t *testing.T, label string, v View) {
+	t.Helper()
+	dim := len(v.Row(0)) / 4
+	hb := vecmath.HeadBytes(dim)
+	for id := 0; id < v.Len(); id++ {
+		heads, rho, nu := v.HeadRun(uint32(id), 1)
+		row := v.Row(uint32(id))
+		if len(heads) != hb || cap(heads) != hb || len(rho) != 1 || cap(nu) != 1 {
+			t.Fatalf("%s row %d: head %d/%d bytes, norms %d, %d", label, id, len(heads), cap(heads), len(rho), cap(nu))
+		}
+		var rr, hh float64
+		for d := 0; d < dim; d++ {
+			x := binary.LittleEndian.Uint32(row[4*d:])
+			if got := binary.LittleEndian.Uint16(heads[2*d:]); got != uint16(x>>16) {
+				t.Fatalf("%s row %d component %d: head %#04x, the row's top half is %#04x", label, id, d, got, x>>16)
+			}
+			h := float64(math.Float32frombits(x &^ 0xffff))
+			r := float64(math.Float32frombits(x)) - h
+			rr, hh = rr+r*r, hh+h*h
+		}
+		for d := 2 * dim; d < hb; d++ {
+			if heads[d] != 0 {
+				t.Fatalf("%s row %d: padding byte %d is %#x", label, id, d, heads[d])
+			}
+		}
+		if float64(rho[0]) < math.Sqrt(rr) || float64(nu[0]) < math.Sqrt(hh) {
+			t.Fatalf("%s row %d: ρ %v ν %v, below the norms %v and %v", label, id, rho[0], nu[0], math.Sqrt(rr), math.Sqrt(hh))
+		}
+	}
+}
+
+// TestHeadPlane: a float32 slab's head plane holds, for every row appended
+// and every row loaded, its head and its norms (checkHeads), across a chunk
+// boundary and for rows of every shape that matters to the norms —
+// ordinary values, low halves all ones, subnormals, magnitudes near the
+// largest, values a bf16 holds exactly. A run of heads is in place and
+// clipped like Run; one that straddles two chunks panics, and so does
+// HeadRun on a slab of any other type, which has no plane.
+func TestHeadPlane(t *testing.T) {
+	rng := stats.NewRNG(53)
+	for _, dim := range []int{1, 8, 13, 100} {
+		vecs := make([][]float32, ChunkRows+37)
+		for i := range vecs {
+			vecs[i] = make([]float32, dim)
+			for d := range vecs[i] {
+				x := float32(rng.NormFloat64() * 40)
+				switch i % 5 {
+				case 1:
+					x = math.Float32frombits(math.Float32bits(x) | 0xffff)
+				case 2:
+					x = math.Float32frombits(math.Float32bits(x) & 0x807fffff)
+				case 3:
+					x = math.Float32frombits(math.Float32bits(x)&0x807fffff | 0x7f000000)
+				case 4:
+					x = math.Float32frombits(math.Float32bits(x) &^ 0xffff)
+				}
+				vecs[i][d] = x
+			}
+		}
+		s := MustPack(vecs, vecmath.Float32)
+		checkHeads(t, fmt.Sprintf("appended dim %d", dim), s.View())
+		var buf bytes.Buffer
+		if _, err := s.View().WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() != s.Len()*dim*4 {
+			t.Fatalf("dim %d: the snapshot's row section is %d bytes, want the rows' %d", dim, buf.Len(), s.Len()*dim*4)
+		}
+		loaded, err := FromBytes(vecmath.Float32, dim, s.Len(), buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkHeads(t, fmt.Sprintf("loaded dim %d", dim), loaded.View())
+
+		v, hb := s.View(), vecmath.HeadBytes(dim)
+		heads, rho, nu := v.HeadRun(ChunkRows-64, 64)
+		if len(heads) != 64*hb || cap(heads) != len(heads) || len(rho) != 64 || cap(rho) != 64 || len(nu) != 64 || cap(nu) != 64 {
+			t.Fatalf("dim %d: a run of 64 heads has %d/%d bytes and %d/%d, %d/%d norms", dim, len(heads), cap(heads), len(rho), cap(rho), len(nu), cap(nu))
+		}
+		one, _, _ := v.HeadRun(ChunkRows-1, 1)
+		if &heads[63*hb] != &one[0] {
+			t.Fatalf("dim %d: the run's last head is not row %d's in place", dim, ChunkRows-1)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("dim %d: a run of heads across a chunk boundary did not panic", dim)
+				}
+			}()
+			v.HeadRun(ChunkRows-1, 2)
+		}()
+	}
+	for _, elem := range allTypes[:4] {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%v: HeadRun on a slab without a head plane did not panic", elem)
+				}
+			}()
+			MustPack(randomVectors(elem, 1, 8, 1), elem).View().HeadRun(0, 1)
+		}()
+	}
+}
+
+// TestHeadsUnderAppend is TestAppendUnderReaders for the head plane (run it
+// with -race): one writer appends float32 rows across two chunk boundaries
+// while readers pin views and check the heads and norms of rows below their
+// pinned count, the newest among them: the row's count publishes its head.
+func TestHeadsUnderAppend(t *testing.T) {
+	const total, dim = 2*ChunkRows + 50, 13
+	rowFor := func(id int) []float32 {
+		v := make([]float32, dim)
+		for d := range v {
+			v[d] = float32(id*31+d*7) / 3
+		}
+		return v
+	}
+	s := New(vecmath.Float32, dim)
+	if _, err := s.Append(rowFor(0)); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i += 13 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := s.View()
+				for _, id := range []int{i % v.Len(), v.Len() - 1} {
+					heads, rho, nu := v.HeadRun(uint32(id), 1)
+					var rr float64
+					for d, x := range rowFor(id) {
+						b := math.Float32bits(x)
+						if got := binary.LittleEndian.Uint16(heads[2*d:]); got != uint16(b>>16) {
+							t.Errorf("row %d of a view of %d: head component %d is %#04x, want %#04x", id, v.Len(), d, got, b>>16)
+							return
+						}
+						r := float64(x) - float64(math.Float32frombits(b&^0xffff))
+						rr += r * r
+					}
+					if float64(rho[0]) < math.Sqrt(rr) || nu[0] <= 0 && id > 0 {
+						t.Errorf("row %d of a view of %d: norms ρ %v ν %v", id, v.Len(), rho[0], nu[0])
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	for id := 1; id < total; id++ {
+		if got, err := s.Append(rowFor(id)); err != nil || int(got) != id {
+			t.Fatalf("append %d: id %d err %v", id, got, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

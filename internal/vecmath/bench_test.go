@@ -83,10 +83,10 @@ func kernelImplCases() []kernelCase {
 			}
 		}
 	}
-	// The dot's run kernel and screen over one run of 64 L1-resident rows of
-	// each float type, at GloVe's dimension and the production one: their
-	// ns/row is what the exact scan's screen saves where memory does not
-	// limit it.
+	// The dot's run kernel and both screens over one run of 64 L1-resident
+	// rows of each float type (float32 rows through their heads), at GloVe's
+	// dimension and the production one: their ns/row is what the exact
+	// scan's screen saves where memory does not limit it.
 	rng64 := rand.New(rand.NewSource(64))
 	for _, rdim := range []int{100, dim} {
 		for _, et := range []ElemType{Float16, BFloat16, Float32} {
@@ -108,11 +108,14 @@ func kernelImplCases() []kernelCase {
 				kern := im.RowKernelRun(et, InnerProduct)
 				cases = append(cases, kernelCase{fmt.Sprintf("RunDot/%v-%d/%s", et, rdim, im.Name), 64 * rdim,
 					func() float64 { kern(q, run, out); return out[0] }, 64})
-				if screen := im.RowScreen(et, InnerProduct); screen != nil {
-					sq := new(ScreenQuery)
-					sq.Prepare(et, InnerProduct, q)
-					cases = append(cases, kernelCase{fmt.Sprintf("RunScreenDot/%v-%d/%s", et, rdim, im.Name), 64 * rdim,
-						func() float64 { return float64(screen(sq, run, 0)) }, 64})
+				screened, rho, nu := screenInput(et, run, rdim)
+				for _, m := range []Metric{InnerProduct, L2} {
+					if screen := im.RowScreen(et, m); screen != nil {
+						sq := new(ScreenQuery)
+						sq.Prepare(et, m, q)
+						cases = append(cases, kernelCase{fmt.Sprintf("RunScreen%s/%v-%d/%s", map[Metric]string{InnerProduct: "Dot", L2: "L2"}[m], et, rdim, im.Name), 64 * rdim,
+							func() float64 { return float64(screen(sq, screened, rho, nu, 0)) }, 64})
+					}
 				}
 			}
 		}

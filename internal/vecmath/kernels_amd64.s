@@ -30,7 +30,8 @@
 // The screens at the end of the macros are not distance kernels and keep
 // none of this: they sum in float32 with FMA, in their own order, and
 // return survivor bits whose contract is a proof against the float64
-// kernel's value (screen.go), gated by FuzzScreenNeverRejectsAdmitted.
+// kernel's value (screen.go), gated by FuzzScreenNeverRejectsAdmitted and,
+// for float32 rows' heads, FuzzHeadScreenNeverRejectsAdmitted.
 
 // REDUCEBLOCK folds a 4-lane block accumulator Yacc = [s0 s1 s2 s3] into
 // the running scalar total Xtot as total += (s0+s1)+(s2+s3). Xlo must be
@@ -489,12 +490,13 @@ group:                          \
 	XORQ   CX, CX                  \
 	XORQ   R12, R12
 
-// screenPrefetchStride is the longest row whose screen asks for the four
-// rows two fours ahead, every line of them, before it takes a four: on
-// GloVe's 400-byte rows, streamed from past the L2, that took the scan from
-// ~220 to ~190 µs a query (EXPERIMENTS.md, "The scan's float32 screen"),
-// while on GIST's 3840-byte rows the hardware's own streamer keeps up and
-// the hints only cost.
+// screenPrefetchStride is the longest row (or head) whose screen asks for
+// the four rows two fours ahead, every line of them, before it takes a
+// four: on GloVe's 400-byte rows, streamed from past the L2, that took the
+// scan from ~220 to ~190 µs a query (EXPERIMENTS.md, "The scan's float32
+// screen"); its 208-byte heads take it too. On GIST's 3840-byte rows, and
+// 1920-byte heads, the hardware's own streamer keeps up and the hints only
+// cost.
 #define screenPrefetchStride 512
 
 // SCREENFOUR points R10, R11 and DX at rows 1–3 of the four at DI, after
@@ -649,15 +651,98 @@ l2done:
 	VANDPS (R14), Y8, Y8           \
 	VFMADD231PS Y8, Y8, Ys
 
-// The LOAD8s: eight fp32 as they are; eight fp16 through F16C; eight bf16
-// zero-extended and shifted into the top of their lanes. LOAD8NONE leaves
-// Y8 as it is.
-#define LOAD8F32(ptr, Y) VMOVUPS (ptr)(AX*1), Y
+// The LOAD8s: eight fp16 through F16C; eight bf16 zero-extended and
+// shifted into the top of their lanes. LOAD8NONE leaves Y8 as it is.
 #define LOAD8F16(ptr, Y) VCVTPH2PS (ptr)(AX*1), Y
 #define LOAD8BF16(ptr, Y) \
 	VPMOVZXWD (ptr)(AX*1), Y \
 	VPSLLD    $16, Y, Y
 #define LOAD8NONE(ptr, Y)
+
+// The head screens (screen.go) screen float32 rows through their heads: 16
+// bits an element, padded with zeros to whole steps of eight, and each
+// row's residual norm ρ and head norm ν beside them. A step of sixteen
+// elements reads one 32-byte word per row and widens it with one shift (the
+// even elements, the low halves of the dwords) and one AND (the odd ones),
+// against a plan laid out to match (eight even elements, then eight odd);
+// evens and odds go to two accumulators per row, Y0..Y3 and Y4..Y7, which
+// are added before the fold. A head whose padded length is not a multiple
+// of sixteen ends with one eight-element step, LOAD8BF16, into the evens'.
+// The registers are the screens' above (SCREENFOUR, SCREENBITS); BX is
+// the bytes the sixteen-element steps take, Y15 the odd elements' mask.
+#define HEADSTART \
+	MOVQ   plan_base+0(FP), SI  \
+	MOVQ   heads_base+24(FP), DI \
+	MOVQ   n+96(FP), R8         \
+	SHRQ   $2, R8               \
+	MOVQ   stride+104(FP), R9   \
+	MOVQ   body+112(FP), BX     \
+	VPCMPEQD Y15, Y15, Y15      \
+	VPSLLD $16, Y15, Y15        \ // 0xffff0000 a dword
+	XORQ   CX, CX               \
+	XORQ   R12, R12
+
+// HEADSUMS runs the steps of the four rows at DI, R10, R11, DX (STEP16 and
+// STEP8 on a row and its two accumulators) and leaves each row's lane sums
+// in Y0..Y3.
+#define HEADSUMS(STEP16, STEP8, lbody, lmid, lsum) \
+	VXORPS Y0, Y0, Y0              \
+	VXORPS Y1, Y1, Y1              \
+	VXORPS Y2, Y2, Y2              \
+	VXORPS Y3, Y3, Y3              \
+	VXORPS Y4, Y4, Y4              \
+	VXORPS Y5, Y5, Y5              \
+	VXORPS Y6, Y6, Y6              \
+	VXORPS Y7, Y7, Y7              \
+lbody:                             \
+	CMPQ   AX, BX                  \
+	JGE    lmid                    \
+	STEP16(DI, Y0, Y4)             \
+	STEP16(R10, Y1, Y5)            \
+	STEP16(R11, Y2, Y6)            \
+	STEP16(DX, Y3, Y7)             \
+	ADDQ   $32, AX                 \
+	JMP    lbody                   \
+lmid:                              \
+	CMPQ   AX, R9                  \
+	JGE    lsum                    \
+	STEP8(DI, Y0)                  \
+	STEP8(R10, Y1)                 \
+	STEP8(R11, Y2)                 \
+	STEP8(DX, Y3)                  \
+lsum:                              \
+	VADDPS Y4, Y0, Y0              \
+	VADDPS Y5, Y1, Y1              \
+	VADDPS Y6, Y2, Y2              \
+	VADDPS Y7, Y3, Y3
+
+// WIDEN16 widens the sixteen head elements at (ptr)(AX*1): the even ones
+// into Y9, the odd ones into Y8.
+#define WIDEN16(ptr) \
+	VMOVDQU (ptr)(AX*1), Y8 \
+	VPSLLD  $16, Y8, Y9     \
+	VPAND   Y15, Y8, Y8
+
+#define HDOT16(ptr, Ye, Yo) \
+	WIDEN16(ptr)                      \
+	VFMADD231PS (SI)(AX*2), Y9, Ye    \
+	VFMADD231PS 32(SI)(AX*2), Y8, Yo
+
+#define HDOT8(ptr, Ye) \
+	LOAD8BF16(ptr, Y8)                \
+	VFMADD231PS (SI)(AX*2), Y8, Ye
+
+#define HL216(ptr, Ye, Yo) \
+	WIDEN16(ptr)                      \
+	VSUBPS (SI)(AX*2), Y9, Y9         \
+	VSUBPS 32(SI)(AX*2), Y8, Y8       \
+	VFMADD231PS Y9, Y9, Ye            \
+	VFMADD231PS Y8, Y8, Yo
+
+#define HL28(ptr, Ye) \
+	LOAD8BF16(ptr, Y8)                \
+	VSUBPS (SI)(AX*2), Y8, Y8         \
+	VFMADD231PS Y8, Y8, Ye
 
 // func squaredL2AVX2(a, b []float32) float64
 TEXT ·squaredL2AVX2(SB), NOSPLIT, $0-56
@@ -1149,17 +1234,73 @@ pfloop:
 pfdone:
 	RET
 
-// func screenDotF32AVX2(plan []float32, rows []byte, n, stride, body, tail int, k, e0, bound float64) uint64
-TEXT ·screenDotF32AVX2(SB), NOSPLIT, $0-112
-	SCREENDOT(LOAD8F32, 1, 32)
-	MOVQ   R12, ret+104(FP)
+// func screenDotHeadAVX2(plan []float32, heads []byte, rho, nu []float32, n, stride, body int, e0, qn, qk, bound float64) uint64
+//
+// The bound B = ((S + e0) + qk·ν) + qn·ρ, each step one rounding, and the
+// survivor test !(B < bound) || S = −Inf: a NaN passes, and so does a row
+// whose float32 sum overflowed (+Inf makes B +Inf or a NaN).
+TEXT ·screenDotHeadAVX2(SB), NOSPLIT, $0-160
+	HEADSTART
+	VBROADCASTSD e0+120(FP), Y13
+	VBROADCASTSD qn+128(FP), Y10
+	VBROADCASTSD qk+136(FP), Y14
+	VBROADCASTSD bound+144(FP), Y12
+	VPCMPEQQ Y11, Y11, Y11
+	VPSLLQ $52, Y11, Y11 // -Inf
+hdfour:
+	TESTQ  R8, R8
+	JZ     hddone
+	SCREENFOUR
+	HEADSUMS(HDOT16, HDOT8, hdbody, hdmid, hdsum)
+	SCREENSUM4(Y0, Y1, Y2, Y3, X0, X1)
+	VADDPD Y13, Y0, Y4 // S + e0
+	MOVQ   nu_base+72(FP), AX
+	VCVTPS2PD (AX)(CX*4), Y5
+	VFMADD231PD Y14, Y5, Y4 // + qk·ν
+	MOVQ   rho_base+48(FP), AX
+	VCVTPS2PD (AX)(CX*4), Y5
+	VFMADD231PD Y10, Y5, Y4 // + qn·ρ
+	VCMPPD $0x05, Y12, Y4, Y4 // NLT_US: !(B < bound)
+	VCMPPD $0x00, Y11, Y0, Y5 // EQ_OQ: S = -Inf
+	VORPD  Y5, Y4, Y4
+	SCREENBITS(Y4)
+	JMP    hdfour
+hddone:
+	MOVQ   R12, ret+152(FP)
 	VZEROUPPER
 	RET
 
-// func screenL2F32AVX2(plan []float32, rows []byte, n, stride, body, tail int, c, e0, bound float64) uint64
-TEXT ·screenL2F32AVX2(SB), NOSPLIT, $0-112
-	SCREENL2(LOAD8F32, 1, 32)
-	MOVQ   R12, ret+104(FP)
+// func screenL2HeadAVX2(plan []float32, heads []byte, rho, nu []float32, n, stride, body int, c, e0, r float64) uint64
+//
+// L = c·S − e0 against each row's limit (r + ρ)², and the survivor test
+// !(L > limit) || S = +Inf, which a NaN passes too.
+TEXT ·screenL2HeadAVX2(SB), NOSPLIT, $0-152
+	HEADSTART
+	VBROADCASTSD c+120(FP), Y14
+	VBROADCASTSD e0+128(FP), Y13
+	VBROADCASTSD r+136(FP), Y10
+	VPCMPEQQ Y11, Y11, Y11
+	VPSLLQ $53, Y11, Y11
+	VPSRLQ $1, Y11, Y11 // +Inf
+hlfour:
+	TESTQ  R8, R8
+	JZ     hldone
+	SCREENFOUR
+	HEADSUMS(HL216, HL28, hlbody, hlmid, hlsum)
+	SCREENSUM4(Y0, Y1, Y2, Y3, X0, X1)
+	VMULPD Y14, Y0, Y1 // c·S
+	VSUBPD Y13, Y1, Y1 // − e0
+	MOVQ   rho_base+48(FP), AX
+	VCVTPS2PD (AX)(CX*4), Y2
+	VADDPD Y10, Y2, Y2 // r + ρ
+	VMULPD Y2, Y2, Y2 // the limit
+	VCMPPD $0x0A, Y2, Y1, Y1 // NGT_US: !(L > limit)
+	VCMPPD $0x00, Y11, Y0, Y2 // EQ_OQ: S = +Inf
+	VORPD  Y2, Y1, Y1
+	SCREENBITS(Y1)
+	JMP    hlfour
+hldone:
+	MOVQ   R12, ret+144(FP)
 	VZEROUPPER
 	RET
 

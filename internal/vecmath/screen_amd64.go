@@ -5,13 +5,15 @@ package vecmath
 // Assembly stubs of the screen kernels (SCREENDOT and SCREENL2 in
 // kernels_amd64.s; the contract and the proof are in screen.go). Each takes
 // n rows, a multiple of four, of stride bytes laid end to end and returns
-// their survivor bits.
+// their survivor bits. The Head kernels take float32 rows' heads and norms
+// (HEADSTART in kernels_amd64.s; the proof is in screen.go, "The head
+// screen").
 
 //go:noescape
-func screenDotF32AVX2(plan []float32, rows []byte, n, stride, body, tail int, k, e0, bound float64) uint64
+func screenDotHeadAVX2(plan []float32, heads []byte, rho, nu []float32, n, stride, body int, e0, qn, qk, bound float64) uint64
 
 //go:noescape
-func screenL2F32AVX2(plan []float32, rows []byte, n, stride, body, tail int, c, e0, bound float64) uint64
+func screenL2HeadAVX2(plan []float32, heads []byte, rho, nu []float32, n, stride, body int, c, e0, r float64) uint64
 
 //go:noescape
 func screenDotF16AVX2(plan []float32, rows []byte, n, stride, body, tail int, k, e0, bound float64) uint64
@@ -32,7 +34,7 @@ func avx2Screens(f cpuFeatures) rowScreens {
 	if !f.hasFMA {
 		return t
 	}
-	t[Float32] = [2]RowScreen{screenOf(screenL2F32AVX2), screenOf(screenDotF32AVX2)}
+	t[Float32] = [2]RowScreen{headL2Of(screenL2HeadAVX2), headDotOf(screenDotHeadAVX2)}
 	t[BFloat16] = [2]RowScreen{screenOf(screenL2BF16AVX2), screenOf(screenDotBF16AVX2)}
 	if f.hasF16C {
 		t[Float16] = [2]RowScreen{screenOf(screenL2F16AVX2), screenOf(screenDotF16AVX2)}

@@ -7,7 +7,8 @@ import (
 	"testing"
 )
 
-// screenTypes are the element types a screen may exist for.
+// screenTypes are the element types a screen may exist for: the half
+// types' screens read the rows, float32's their heads.
 var screenTypes = []ElemType{Float32, Float16, BFloat16}
 
 // screenDims are the row lengths the screen tests cover: every length from
@@ -31,6 +32,15 @@ const (
 	screenCancel
 	screenBits
 	screenShapes
+	// Three more for float32 rows' heads: every element's low half all ones
+	// (the largest residual its head leaves), that at magnitudes near the
+	// largest, where ‖q‖ρ is far past float32's range, and rows of the
+	// shapes above with every low half zero, so ρ is 0 and the rounding
+	// margin alone decides.
+	screenLowOnes = iota - 1
+	screenHugeLowOnes
+	screenHeadExact
+	headShapes
 )
 
 // screenCase draws a query and n rows of dim elements of et, laid end to
@@ -73,8 +83,23 @@ func screenCase(rng *rand.Rand, et ElemType, shape, dim, n int) (q, run []byte) 
 	}
 	// magnitude bits of a subnormal and the largest exponent of the type
 	subMask, maxExp := map[ElemType]uint32{Float32: 0x807fffff, Float16: 0x83ff, BFloat16: 0x807f}[et], map[ElemType]int{Float32: 127, Float16: 15, BFloat16: 127}[et]
+	lowOnes := func(r []byte) []byte {
+		for i := 0; i < dim; i++ {
+			binary.LittleEndian.PutUint16(r[4*i:], 0xffff)
+		}
+		return r
+	}
 	row := func() []byte {
 		switch shape {
+		case screenLowOnes:
+			return lowOnes(encode(ordinary(math.Ldexp(1, rng.Intn(21)-10))))
+		case screenHugeLowOnes:
+			r := lowOnes(encode(ordinary(1)))
+			for i := 0; i < dim; i++ { // exponent 252–254, the sign kept
+				b := binary.LittleEndian.Uint32(r[4*i:])
+				binary.LittleEndian.PutUint32(r[4*i:], b&0x807fffff|uint32(252+rng.Intn(3))<<23)
+			}
+			return r
 		case screenSubnormal:
 			r := randomRow(rng, et, dim)
 			for i := 0; i < dim; i++ {
@@ -105,7 +130,11 @@ func screenCase(rng *rand.Rand, et ElemType, shape, dim, n int) (q, run []byte) 
 	base := row()
 	for i := 0; i < n; i++ {
 		var r []byte
-		switch shape {
+		drawn := shape
+		if shape == screenHeadExact {
+			drawn = []int{screenOrdinary, screenDuplicates, screenOneULP, screenCancel}[rng.Intn(4)]
+		}
+		switch drawn {
 		case screenDuplicates:
 			r = [][]byte{q, base}[rng.Intn(2)]
 		case screenOneULP:
@@ -124,9 +153,30 @@ func screenCase(rng *rand.Rand, et ElemType, shape, dim, n int) (q, run []byte) 
 		default:
 			r = row()
 		}
+		if shape == screenHeadExact {
+			r = append([]byte(nil), r...)
+			for j := 0; j < dim; j++ {
+				binary.LittleEndian.PutUint16(r[4*j:], 0)
+			}
+		}
 		run = append(run, r...)
 	}
 	return q, run
+}
+
+// screenInput is what a screen of et reads of run, rows of dim elements
+// laid end to end: the rows themselves, or for float32 rows their heads and
+// norms (Head), as a float32 slab's head plane holds them.
+func screenInput(et ElemType, run []byte, dim int) (screened []byte, rho, nu []float32) {
+	if et != Float32 {
+		return run, nil, nil
+	}
+	n, hb := len(run)/(4*dim), HeadBytes(dim)
+	screened, rho, nu = make([]byte, hb*n), make([]float32, n), make([]float32, n)
+	for i := range rho {
+		rho[i], nu[i] = Head(run[4*dim*i:4*dim*(i+1)], screened[hb*i:hb*(i+1)])
+	}
+	return screened, rho, nu
 }
 
 // checkScreen screens run against bounds at, one float64 step above and
@@ -139,6 +189,7 @@ func checkScreen(t *testing.T, label string, et ElemType, m Metric, q, run []byt
 	t.Helper()
 	w := len(q)
 	n := len(run) / w
+	screened, rho, nu := screenInput(et, run, w/et.Bytes())
 	for _, im := range Implementations() {
 		screen := im.RowScreen(et, m)
 		if screen == nil {
@@ -156,7 +207,7 @@ func checkScreen(t *testing.T, label string, et ElemType, m Metric, q, run []byt
 		var sq ScreenQuery
 		sq.Prepare(et, m, q)
 		for _, b := range bounds {
-			mask := screen(&sq, run, b)
+			mask := screen(&sq, screened, rho, nu, b)
 			if n < 64 && mask>>n != 0 {
 				t.Fatalf("%s: %s %v %v dim %d: mask %#x has bits past the run's %d rows", label, im.Name, et, m, w/et.Bytes(), mask, n)
 			}
@@ -181,15 +232,16 @@ func checkScreen(t *testing.T, label string, et ElemType, m Metric, q, run []byt
 	return cleared
 }
 
-// FuzzScreenNeverRejectsAdmitted fuzzes the screens' soundness: for every
-// float type, metric and implementation with a screen, a row whose bit the
-// screen clears has a float64 kernel value strictly past the bound. The
-// runs hold 1 to 64 rows of every length in screenDims, drawn in every
-// shape: ordinary rows, exact duplicates, rows one encoding step apart,
-// subnormals, magnitudes near the type's largest (where the float32 pass
-// overflows), and inner products whose terms all but cancel, plus arbitrary
-// finite bit patterns; the bounds sit at each row's kernel value and one
-// float64 step either side of it.
+// FuzzScreenNeverRejectsAdmitted fuzzes the half types' screens'
+// soundness: for fp16 and bf16 rows, every metric and implementation with a
+// screen, a row whose bit the screen clears has a float64 kernel value
+// strictly past the bound. The runs hold 1 to 64 rows of every length in
+// screenDims, drawn in every shape: ordinary rows, exact duplicates, rows
+// one encoding step apart, subnormals, magnitudes near the type's largest
+// (where the float32 pass overflows), and inner products whose terms all
+// but cancel, plus arbitrary finite bit patterns; the bounds sit at each
+// row's kernel value and one float64 step either side of it.
+// FuzzHeadScreenNeverRejectsAdmitted is float32's.
 func FuzzScreenNeverRejectsAdmitted(f *testing.F) {
 	for shape := range screenShapes {
 		for d := range screenDims {
@@ -197,19 +249,43 @@ func FuzzScreenNeverRejectsAdmitted(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, seed int64, shape, dimSel, rows uint8) {
-		rng := rand.New(rand.NewSource(seed))
-		dim := screenDims[int(dimSel)%len(screenDims)]
-		n := 1 + int(rows)%64
-		if dim == 960 {
-			n = 1 + int(rows)%16 // a long row's run is checked at 3·n bounds per implementation
-		}
-		for _, et := range screenTypes {
-			q, run := screenCase(rng, et, int(shape)%screenShapes, dim, n)
-			for _, m := range []Metric{L2, InnerProduct, Cosine} {
-				checkScreen(t, "fuzz", et, m, q, run)
-			}
-		}
+		fuzzScreen(t, []ElemType{Float16, BFloat16}, seed, int(shape)%screenShapes, dimSel, rows)
 	})
+}
+
+// FuzzHeadScreenNeverRejectsAdmitted is FuzzScreenNeverRejectsAdmitted for
+// float32 rows, which the screen reads through their heads and residual
+// norms: every shape there, and rows whose low halves are all ones, the
+// largest residual a head leaves, at ordinary magnitudes and near the
+// largest, where ‖q‖ρ is far past float32's range. The scan's own
+// identity test draws its rows in the same shapes (screenRows in the root
+// package's scan_test.go).
+func FuzzHeadScreenNeverRejectsAdmitted(f *testing.F) {
+	for shape := range headShapes {
+		for d := range screenDims {
+			f.Add(int64(shape*100+d), uint8(shape), uint8(d), uint8(d*5+shape))
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape, dimSel, rows uint8) {
+		fuzzScreen(t, []ElemType{Float32}, seed, int(shape)%headShapes, dimSel, rows)
+	})
+}
+
+// fuzzScreen is the two fuzz targets' body: a run of 1 to 64 rows (16 at
+// dim 960) of each type, in one shape, checked under every metric.
+func fuzzScreen(t *testing.T, types []ElemType, seed int64, shape int, dimSel, rows uint8) {
+	rng := rand.New(rand.NewSource(seed))
+	dim := screenDims[int(dimSel)%len(screenDims)]
+	n := 1 + int(rows)%64
+	if dim == 960 {
+		n = 1 + int(rows)%16 // a long row's run is checked at 3·n bounds per implementation
+	}
+	for _, et := range types {
+		q, run := screenCase(rng, et, shape, dim, n)
+		for _, m := range []Metric{L2, InnerProduct, Cosine} {
+			checkScreen(t, "fuzz", et, m, q, run)
+		}
+	}
 }
 
 // TestScreenRejectsFarRows: the screens are sound on ordinary rows and
@@ -245,7 +321,8 @@ func TestScreenRejectsFarRows(t *testing.T) {
 					}
 					var sq ScreenQuery
 					sq.Prepare(et, m, q)
-					if mask := screen(&sq, run, bound); mask != 0 {
+					screened, rho, nu := screenInput(et, run, dim)
+					if mask := screen(&sq, screened, rho, nu, bound); mask != 0 {
 						t.Fatalf("%v %v dim %d: bound %v past every row in [%v, %v] left survivors %#x", et, m, dim, bound, lo, hi, mask)
 					}
 				}
@@ -269,7 +346,8 @@ func TestScreenShortRunsAndRows(t *testing.T) {
 				q, run := screenCase(rng, et, screenOrdinary, dim, n)
 				var sq ScreenQuery
 				sq.Prepare(et, L2, q)
-				mask := screen(&sq, run, -1) // every row's value is above -1
+				screened, rho, nu := screenInput(et, run, dim)
+				mask := screen(&sq, screened, rho, nu, -1) // every row's value is above -1
 				want := uint64(1)<<n - 1
 				if dim >= ScreenMinDim {
 					want &^= uint64(1)<<(n&^3) - 1

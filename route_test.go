@@ -24,9 +24,11 @@ func routed(ctx context.Context, db *ansmet.Database, q []float32, k, ef int, ro
 // the exact scan — on a healthy, idle database (the slack and load legs of
 // the policy are pinned on the router itself, internal/engine); with an
 // already-expired context it
-// rejects up front like every Ctx entry point; a deadline of the exact
-// scan's own cost estimate sends it to the host beam; and under concurrent
-// mixed deadlines every completed answer is its route's, bit for bit.
+// rejects up front like every Ctx entry point; an exact scan cut mid-way
+// (once through the scan's test hook, then by short deadlines) never moves
+// the exact cost estimate; a deadline of the exact scan's own cost
+// estimate sends it to the host beam; and under concurrent mixed deadlines
+// every completed answer is its route's, bit for bit.
 func TestSearchRoutedAuto(t *testing.T) {
 	db := benchDB()
 	ds := benchData()
@@ -73,10 +75,26 @@ func TestSearchRoutedAuto(t *testing.T) {
 	if est == 0 {
 		t.Fatalf("no exact cost estimate after exact queries: %+v", db.RouterStats())
 	}
-	// An exact scan cut mid-scan by its deadline does not train the router:
-	// its time is the deadline's, and folding it in would lower the exact
-	// scan's estimate under the very pressure that cut it.
-	cut := 0
+	// An exact scan cut mid-scan does not train the router: its time is the
+	// deadline's, and folding it in would lower the exact scan's estimate
+	// under the very pressure that cut it. One cut is certain: the scan's
+	// test hook cancels the query's context at its first checkpoint, so the
+	// scan stops there with a partial answer however fast it runs.
+	// Deadlines of a fraction of est then try for more, which a fast scan
+	// may finish within.
+	hookCtx, hookCancel := context.WithCancel(context.Background())
+	ansmet.SetScanTestHook(func(uint32) { hookCancel() })
+	before := db.RouterStats().CostNs[ansmet.RouteExact.String()]
+	_, err = db.Do(hookCtx, &ansmet.Query{Vector: ds.Queries[0], K: 10, Route: ansmet.RouteExact})
+	ansmet.SetScanTestHook(nil)
+	hookCancel()
+	if !errors.As(err, &ce) || !ce.Partial {
+		t.Fatalf("an exact scan cancelled at its first checkpoint: err=%v, want a partial CancelError", err)
+	}
+	if after := db.RouterStats().CostNs[ansmet.RouteExact.String()]; after != before {
+		t.Fatalf("an exact scan cancelled at its first checkpoint moved the exact cost estimate %d → %d ns", before, after)
+	}
+	cut := 1
 	for try := 0; try < 200 && cut < 3; try++ {
 		before := db.RouterStats().CostNs[ansmet.RouteExact.String()]
 		ctx, cancel := context.WithTimeout(context.Background(), est/time.Duration(2+try%4))
