@@ -173,9 +173,9 @@ func TestClusterLoadRejectsCorruptManifest(t *testing.T) {
 	}
 
 	// A checksum is not a MAC: a crafted manifest with a valid footer that
-	// claims 2^40 vectors and lists one id must be rejected on the count,
-	// before Total sizes anything (the parent allocated 1 TiB here and died
-	// with "fatal error: runtime: out of memory").
+	// claims 2^30 vectors and lists one id must be rejected on the count,
+	// before Total sizes anything (a 1 GiB id table here; 2^30 still fits
+	// the int of a 32-bit build).
 	var crafted bytes.Buffer
 	crafted.WriteString("ANSMETCL1\n")
 	if err := gob.NewEncoder(&crafted).Encode(struct {
@@ -183,7 +183,7 @@ func TestClusterLoadRejectsCorruptManifest(t *testing.T) {
 		Partition int
 		Total     int
 		IDs       [][]uint32
-	}{"ansmet-cluster-v1", 0, 1 << 40, [][]uint32{{0}}}); err != nil {
+	}{"ansmet-cluster-v1", 0, 1 << 30, [][]uint32{{0}}}); err != nil {
 		t.Fatal(err)
 	}
 	footer := append([]byte("ANSMETCRC\n"), make([]byte, 12)...)
@@ -194,8 +194,8 @@ func TestClusterLoadRejectsCorruptManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := ansmet.LoadClusterDir(dir, ansmet.ClusterOptions{}); err == nil ||
-		!strings.Contains(err.Error(), "covers 1 of 1099511627776 ids") {
-		t.Fatalf("manifest claiming 2^40 vectors: err = %v, want the count rejection", err)
+		!strings.Contains(err.Error(), "covers 1 of 1073741824 ids") {
+		t.Fatalf("manifest claiming 2^30 vectors: err = %v, want the count rejection", err)
 	}
 
 	// Missing manifest → load fails cleanly (the manifest is the commit

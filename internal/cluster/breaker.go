@@ -61,6 +61,6 @@ func newBreakers(cfg BreakerConfig, shards int, now func() time.Time) *stats.Bre
 	}
 	epoch := now()
 	return stats.NewBreakers(shards, failureThreshold,
-		func(int64) int64 { return int64(now().Sub(epoch)) },
+		func() int64 { return int64(now().Sub(epoch)) },
 		func(s, reopen int) int64 { return int64(probeDelay(reopen, rngs[s])) })
 }

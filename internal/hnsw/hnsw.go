@@ -127,9 +127,10 @@ func upperLists(lvl int) [][]uint32 {
 }
 
 // rowDist is the construction-time comparison-space distance between two
-// rows, Metric.SquaredDistance on their values: construction only ever
-// compares these against each other, so the sqrt-free kernel (a strictly
-// monotone transform of the true distance) gives the same orderings cheaper.
+// rows, SquaredL2 (L2) or -Dot (IP, cosine) on their values: construction
+// only ever compares these against each other, so the sqrt-free kernel (a
+// strictly monotone transform of the true distance) gives the same
+// orderings cheaper.
 // The typed kernel returns the float32 reference's bits at every dispatch
 // level (vecmath/rowkernels.go), so graphs built on any CPU are identical.
 func (ix *Index) rowDist(a, b []byte) float64 {

@@ -1,11 +1,12 @@
 package ndp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
-	"ansmet/internal/stats"
 	"ansmet/internal/vecmath"
 )
 
@@ -95,6 +96,11 @@ func FuzzDecodeQuery(f *testing.F) {
 	f.Add(raw, uint16(len(q)), byte(vecmath.Float32))
 	f.Add(raw[:64], uint16(len(q)), byte(vecmath.Float32))
 	f.Add([]byte{}, uint16(0), byte(vecmath.Uint8))
+	nan := slices.Clone(raw)
+	binary.LittleEndian.PutUint32(nan[4:], 0x7fc00001)
+	f.Add(nan, uint16(len(q)), byte(vecmath.Float32))
+	f.Add([]byte{0x00, 0x80, 0x80, 0x3f}, uint16(2), byte(vecmath.BFloat16)) // −0 and 1
+	f.Add([]byte{0x00, 0x80, 0x00, 0x3c}, uint16(2), byte(vecmath.Float16))  // −0 and 1
 
 	f.Fuzz(func(t *testing.T, data []byte, dim uint16, elemSel byte) {
 		elem := vecmath.ElemType(int(elemSel) % (int(vecmath.Float32) + 1))
@@ -102,11 +108,38 @@ func FuzzDecodeQuery(f *testing.F) {
 		for i := range chunks {
 			copy(chunks[i][:], data[i*64:])
 		}
-		// Must not panic regardless of dim/elem/chunk contents; the 1 kB
-		// QSHR field bounds any successful decode.
+		// Must not panic regardless of dim/elem/chunk contents.
 		out, err := DecodeQuery(elem, int(dim), chunks)
-		if err == nil && len(out) != int(dim) {
+		if err != nil {
+			return
+		}
+		if len(out) != int(dim) {
 			t.Fatalf("decoded %d values, want %d", len(out), dim)
+		}
+		for d, v := range out {
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				t.Fatalf("component %d decoded to %v", d, v)
+			}
+		}
+		// The payload is the row: encoding what came out gives back the
+		// first dim·Bytes bytes, −0 included.
+		n := int(dim) * elem.Bytes()
+		if n > QueryFieldBytes {
+			return // decodable, but wider than a host may send
+		}
+		re, err := EncodeQueryChunks(elem, out)
+		if err != nil {
+			t.Fatalf("re-encode of a decoded query: %v", err)
+		}
+		var got, want []byte
+		for _, c := range re {
+			got = append(got, c[:]...)
+		}
+		for _, c := range chunks {
+			want = append(want, c[:]...)
+		}
+		if !bytes.Equal(got[:n], want[:n]) {
+			t.Fatalf("%v dim %d: re-encoded payload % x, want % x", elem, dim, got[:n], want[:n])
 		}
 	})
 }
@@ -131,17 +164,4 @@ func FuzzDecodePollResponse(f *testing.F) {
 			t.Fatalf("round trip changed response: %+v != %+v", round, pr)
 		}
 	})
-}
-
-func TestNativeBitsRoundTrip(t *testing.T) {
-	r := stats.NewRNG(5)
-	for _, elem := range []vecmath.ElemType{vecmath.Uint8, vecmath.Int8, vecmath.Float16, vecmath.BFloat16, vecmath.Float32} {
-		w := uint(elem.Bits())
-		for i := 0; i < 2000; i++ {
-			code := uint32(r.Uint64()) & (1<<w - 1)
-			if got := nativeCode(elem, nativeBits(elem, code)); got != code {
-				t.Fatalf("%v: code %#x -> %#x", elem, code, got)
-			}
-		}
-	}
 }

@@ -21,10 +21,11 @@
 // (sim.NDPParams.TasksPerSetSearch, sim.Config.QueryLines). Decoders
 // validate the decoded fields and reject out-of-range content — an unknown
 // element type or metric, a query wider than the QSHR's QueryFieldBytes, a
-// NaN threshold — with a typed *ProtocolError wrapping ErrBadField instead
-// of acting on it. Task execution checks what the unit is handed: an
-// address past its rank's data or a non-monotone or NaN bound marks the
-// task in the poll response's FaultMask.
+// non-finite query component, a NaN threshold — with a typed
+// *ProtocolError wrapping ErrBadField instead of acting on it. Task
+// execution checks what the unit is handed: an address past its rank's data
+// or a non-monotone or NaN bound marks the task in the poll response's
+// FaultMask.
 package ndp
 
 import (
@@ -210,104 +211,49 @@ func DecodeSetSearch(p [64]byte, n int) ([]Task, error) {
 }
 
 // EncodeQueryChunks serializes a query vector into the sequence of 64 B
-// set-query payloads, 64 B of element data per chunk: one chunk per 64 B
-// line of the query's row, up to QueryFieldBytes/64 chunks. Elements are
-// stored in the element type's native width, little-endian.
+// set-query payloads: the query's row in the element type's storage
+// encoding (vecmath.ElemType.AppendRow, the encoding of internal/rows and
+// the WAL), cut into one chunk per 64 B line, up to QueryFieldBytes/64
+// chunks. A component that is not finite or not a value of the type is
+// refused, never rounded.
 func EncodeQueryChunks(elem vecmath.ElemType, q []float32) ([][64]byte, error) {
-	bytesPer := elem.Bytes()
-	total := len(q) * bytesPer
-	if total > QueryFieldBytes {
+	if total := len(q) * elem.Bytes(); total > QueryFieldBytes {
 		return nil, fmt.Errorf("ndp: query of %d B exceeds the %d B QSHR field", total, QueryFieldBytes)
 	}
-	raw := make([]byte, (total+63)/64*64)
-	for d, v := range q {
-		code := elem.Encode(v)
-		bits := nativeBits(elem, code)
-		switch bytesPer {
-		case 1:
-			raw[d] = byte(bits)
-		case 2:
-			binary.LittleEndian.PutUint16(raw[d*2:], uint16(bits))
-		case 4:
-			binary.LittleEndian.PutUint32(raw[d*4:], bits)
-		}
+	row, bad := elem.AppendRow(nil, q)
+	if bad >= 0 {
+		return nil, fmt.Errorf("ndp: query component %d (%v) is not a finite %v value", bad, q[bad], elem)
 	}
-	out := make([][64]byte, len(raw)/64)
+	out := make([][64]byte, (len(row)+63)/64)
 	for i := range out {
-		copy(out[i][:], raw[i*64:])
+		copy(out[i][:], row[i*64:])
 	}
 	return out, nil
 }
 
-// DecodeQuery reconstructs the query values from accumulated chunks.
+// DecodeQuery reconstructs the query values from accumulated chunks: the
+// row in the first dim·Bytes bytes, decoded (vecmath.ElemType.DecodeRow).
+// A non-finite component is rejected with a typed *ProtocolError.
 func DecodeQuery(elem vecmath.ElemType, dim int, chunks [][64]byte) ([]float32, error) {
-	bytesPer := elem.Bytes()
-	need := (dim*bytesPer + 63) / 64
 	if dim <= 0 {
 		return nil, &ProtocolError{OpSetQuery, fmt.Errorf("%w: dimension %d", ErrBadField, dim)}
 	}
+	n := dim * elem.Bytes()
+	need := (n + 63) / 64
 	if len(chunks) < need {
 		return nil, fmt.Errorf("ndp: query needs %d chunks, have %d", need, len(chunks))
 	}
-	raw := make([]byte, len(chunks)*64)
-	for i, c := range chunks {
-		copy(raw[i*64:], c[:])
+	row := make([]byte, 0, need*64)
+	for _, c := range chunks[:need] {
+		row = append(row, c[:]...)
 	}
-	out := make([]float32, dim)
-	for d := range out {
-		var bits uint32
-		switch bytesPer {
-		case 1:
-			bits = uint32(raw[d])
-		case 2:
-			bits = uint32(binary.LittleEndian.Uint16(raw[d*2:]))
-		case 4:
-			bits = binary.LittleEndian.Uint32(raw[d*4:])
+	out := elem.DecodeRow(row[:n], make([]float32, 0, dim))
+	for d, v := range out {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			return nil, &ProtocolError{OpSetQuery, fmt.Errorf("%w: query component %d is %v", ErrBadField, d, v)}
 		}
-		out[d] = float32(elem.Decode(nativeCode(elem, bits)))
 	}
 	return out, nil
-}
-
-// nativeBits converts an order-preserving code back to the element's native
-// bit pattern (what travels on the wire).
-func nativeBits(elem vecmath.ElemType, code uint32) uint32 {
-	switch elem {
-	case vecmath.Uint8:
-		return code
-	case vecmath.Int8:
-		return code ^ 0x80
-	case vecmath.Float16, vecmath.BFloat16:
-		if code&0x8000 != 0 {
-			return code &^ 0x8000
-		}
-		return (^code) & 0xffff
-	default: // Float32
-		if code&0x80000000 != 0 {
-			return code &^ 0x80000000
-		}
-		return ^code
-	}
-}
-
-// nativeCode converts native wire bits to the order-preserving code.
-func nativeCode(elem vecmath.ElemType, bits uint32) uint32 {
-	switch elem {
-	case vecmath.Uint8:
-		return bits
-	case vecmath.Int8:
-		return bits ^ 0x80
-	case vecmath.Float16, vecmath.BFloat16:
-		if bits&0x8000 != 0 {
-			return (^bits) & 0xffff
-		}
-		return bits | 0x8000
-	default:
-		if bits&0x80000000 != 0 {
-			return ^bits
-		}
-		return bits | 0x80000000
-	}
 }
 
 // PollResponse is the 64 B payload returned by a poll READ: the eight

@@ -104,6 +104,7 @@ func TestQueryChunksRoundTrip(t *testing.T) {
 				q[d] = elem.Quantize(float32(r.NormFloat64()))
 			}
 		}
+		q[7] = float32(math.Copysign(0, -1)) // a float −0 travels as −0
 		chunks, err := ndp.EncodeQueryChunks(elem, q)
 		if err != nil {
 			t.Fatal(err)
@@ -113,7 +114,11 @@ func TestQueryChunksRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		for d := range q {
-			if back[d] != q[d] {
+			want := q[d]
+			if elem == vecmath.Uint8 || elem == vecmath.Int8 {
+				want += 0 // integer zeros have no sign
+			}
+			if math.Float32bits(back[d]) != math.Float32bits(want) {
 				t.Fatalf("%v: query[%d] %v -> %v", elem, d, q[d], back[d])
 			}
 		}
@@ -121,6 +126,43 @@ func TestQueryChunksRoundTrip(t *testing.T) {
 	// 1 kB QSHR limit.
 	if _, err := ndp.EncodeQueryChunks(vecmath.Float32, make([]float32, 300)); err == nil {
 		t.Error("oversized query should fail")
+	}
+	// A component the element type cannot hold is refused, not converted.
+	nan := float32(math.NaN())
+	for _, c := range []struct {
+		elem vecmath.ElemType
+		v    float32
+	}{
+		{vecmath.Uint8, 300}, {vecmath.Uint8, 300.7}, {vecmath.Int8, -129},
+		{vecmath.Float16, 1e6}, {vecmath.Float16, nan}, {vecmath.BFloat16, nan}, {vecmath.Float32, nan},
+	} {
+		q := []float32{1, c.v, 2}
+		if _, err := ndp.EncodeQueryChunks(c.elem, q); err == nil {
+			t.Errorf("%v: component %v encoded", c.elem, c.v)
+		}
+	}
+}
+
+// TestDecodeQueryRejectsNonFinite: a set-query payload whose row holds an
+// Inf or NaN component is a bad field, as a NaN threshold is.
+func TestDecodeQueryRejectsNonFinite(t *testing.T) {
+	for _, c := range []struct {
+		elem vecmath.ElemType
+		bits []byte
+	}{
+		{vecmath.Float16, []byte{0x00, 0x7c}},             // +Inf
+		{vecmath.Float16, []byte{0x01, 0xfe}},             // NaN
+		{vecmath.BFloat16, []byte{0x80, 0xff}},            // −Inf
+		{vecmath.BFloat16, []byte{0xc1, 0x7f}},            // NaN
+		{vecmath.Float32, []byte{0x01, 0x00, 0xc0, 0x7f}}, // NaN
+	} {
+		var chunk [64]byte
+		copy(chunk[c.elem.Bytes():], c.bits)
+		_, err := ndp.DecodeQuery(c.elem, 2, [][64]byte{chunk})
+		var pe *ndp.ProtocolError
+		if !errors.As(err, &pe) || !errors.Is(err, ndp.ErrBadField) {
+			t.Errorf("%v % x: err %v, want a *ProtocolError wrapping ErrBadField", c.elem, c.bits, err)
+		}
 	}
 }
 

@@ -29,23 +29,21 @@ type breaker struct {
 	state   BreakerState
 	fails   int   // failures while closed since the last success
 	reopens int   // consecutive opens without a successful close
-	routed  int64 // Allow calls received since opening or release
 	probeAt int64 // clock reading at which an open member admits a probe
 }
 
 // Breakers is one circuit breaker per member (a cluster shard) under one
 // mutex: threshold consecutive failures open a member, an open member
 // admits one probe once it is due, and the probe's verdict closes or
-// re-opens it. Time is the owner's: an open member counts the Allow calls
-// it receives, clock maps that count to a reading (wall nanoseconds for a
-// shard, or the count itself where time must be deterministic), and a
-// probe is due once the reading reaches the mark set when the member
-// opened or was released, clock(0) + wait(member, reopens−1). clock and
-// wait are called with the mutex held. All methods are safe for concurrent
-// use; out-of-range members read as closed and are otherwise ignored.
+// re-opens it. Time is the owner's: clock reads it (wall nanoseconds for a
+// shard), and a probe is due once the reading reaches the mark set when the
+// member opened or was released, clock() + wait(member, reopens−1). clock
+// and wait are called with the mutex held. All methods are safe for
+// concurrent use; out-of-range members read as closed and are otherwise
+// ignored.
 type Breakers struct {
 	threshold int
-	clock     func(routed int64) int64
+	clock     func() int64
 	wait      func(member, reopen int) int64
 
 	mu sync.Mutex
@@ -53,7 +51,7 @@ type Breakers struct {
 }
 
 // NewBreakers creates n closed breakers.
-func NewBreakers(n, threshold int, clock func(routed int64) int64, wait func(member, reopen int) int64) *Breakers {
+func NewBreakers(n, threshold int, clock func() int64, wait func(member, reopen int) int64) *Breakers {
 	return &Breakers{threshold: threshold, clock: clock, wait: wait, b: make([]breaker, n)}
 }
 
@@ -97,9 +95,9 @@ func (s *Breakers) Degraded() int {
 }
 
 // Allow reports whether work may be sent to member i. An open member
-// counts the call as routed, allowed or not, and admits one probe once it
-// is due (moving to half-open); probe reports whether the admitted work is
-// that probe. A half-open member admits nothing until its probe's verdict.
+// admits one probe once it is due (moving to half-open); probe reports
+// whether the admitted work is that probe. A half-open member admits
+// nothing until its probe's verdict.
 func (s *Breakers) Allow(i int) (allowed, probe bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -110,7 +108,7 @@ func (s *Breakers) Allow(i int) (allowed, probe bool) {
 	case b.state == BreakerHalfOpen: // a probe is already in flight
 		return false, false
 	}
-	if b.routed++; s.clock(b.routed) < b.probeAt {
+	if s.clock() < b.probeAt {
 		return false, false
 	}
 	b.state = BreakerHalfOpen
@@ -171,6 +169,5 @@ func (s *Breakers) ReleaseProbe(i int) {
 // holds s.mu.
 func (s *Breakers) reopen(i int, b *breaker) {
 	b.state = BreakerOpen
-	b.routed = 0
-	b.probeAt = s.clock(0) + s.wait(i, b.reopens-1)
+	b.probeAt = s.clock() + s.wait(i, b.reopens-1)
 }

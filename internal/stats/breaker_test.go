@@ -2,17 +2,19 @@ package stats
 
 import "testing"
 
-// countBreakers is n breakers on the count clock a deterministic simulator
-// keeps: the reading is the number of Allow calls an open member has
-// received, and a member's probe is due probeAfter calls after it opened.
+// countBreakers is n breakers on a deterministic clock that ticks once per
+// reading: opening takes one reading and each Allow on an open member
+// another, so with one member open its probe is due probeAfter calls after
+// it opened.
 func countBreakers(n, threshold int, probeAfter int64) *Breakers {
+	var tick int64
 	return NewBreakers(n, threshold,
-		func(routed int64) int64 { return routed },
+		func() int64 { tick++; return tick },
 		func(int, int) int64 { return probeAfter })
 }
 
 // TestBreakerTransitions is the closed → open → half-open → closed/open
-// table test over the deterministic count clock.
+// table test over the deterministic clock.
 func TestBreakerTransitions(t *testing.T) {
 	steps := []struct {
 		name string

@@ -1,11 +1,11 @@
 // Runtime kernel dispatch.
 //
-// The hot kernels (SquaredL2, Dot, BlockSum, BlockSumsTotal) are selected
-// once, at package init, from a table of implementations: the portable
-// scalar reference (always compiled, every platform) plus whatever SIMD
-// implementations the build and the running CPU support (kernels_amd64.s:
-// AVX2). Selection is by CPU feature detection — there is no dynamic
-// per-call probing — and can be forced down to scalar with the
+// The hot kernels (SquaredL2, Dot, BlockSumsTotal, the row kernels, the
+// screens) are selected once, at package init, from a table of
+// implementations: the portable scalar reference (always compiled, every
+// platform) plus whatever SIMD implementations the build and the running CPU
+// support (kernels_amd64.s: AVX2). Selection is by CPU feature detection —
+// no per-call probing — and can be forced down to scalar with the
 // ANSMET_NO_SIMD environment variable, which is the supported way to
 // cross-check SIMD results against the reference on real workloads.
 //
@@ -48,7 +48,6 @@ type Impl struct {
 
 	squaredL2      func(a, b []float32) float64
 	dot            func(a, b []float32) float64
-	blockSum       func(terms []float64) float64
 	blockSumsTotal func(contrib, blockSums []float64, firstBlk, lastBlk int) float64
 	rows           rowKernels    // the typed row kernels, see rowkernels.go
 	rows4          rowKernels4   // and their four-row forms
@@ -70,11 +69,6 @@ func (im Impl) Dot(a, b []float32) float64 {
 	return im.dot(a, b)
 }
 
-// BlockSum runs this implementation's block-sum kernel.
-func (im Impl) BlockSum(terms []float64) float64 {
-	return im.blockSum(terms)
-}
-
 // BlockSumsTotal runs this implementation's fused bound-update kernel under
 // the package geometry contract (panics on bad block geometry).
 func (im Impl) BlockSumsTotal(contrib, blockSums []float64, firstBlk, lastBlk int) float64 {
@@ -88,7 +82,6 @@ var scalarImpl = Impl{
 	Name:           "scalar",
 	squaredL2:      scalarSquaredL2,
 	dot:            scalarDot,
-	blockSum:       scalarBlockSum,
 	blockSumsTotal: scalarBlockSumsTotal,
 	rows:           scalarRows,
 	rows4:          allFourOf(scalarRows),

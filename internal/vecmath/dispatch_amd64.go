@@ -2,6 +2,8 @@
 
 package vecmath
 
+import "unsafe"
+
 // amd64 dispatch: CPU features are probed once at package init with CPUID /
 // XGETBV (cpu_amd64.s — no external dependency), and the package-level
 // kernels branch on the resulting level. A branch on a package variable
@@ -75,9 +77,8 @@ func chooseLevel(f cpuFeatures, noSIMD bool) int {
 
 var avx2Impl = Impl{
 	Name:           "avx2",
-	squaredL2:      squaredL2AVX2,
-	dot:            dotAVX2,
-	blockSum:       blockSumAVX2,
+	squaredL2:      squaredL2F32,
+	dot:            dotF32,
 	blockSumsTotal: blockSumsTotalAVX2,
 	rows:           avx2Rows(features),
 	rows4:          avx2Rows4(features),
@@ -99,25 +100,29 @@ func activeImpl() Impl {
 	return scalarImpl
 }
 
+// squaredL2F32 and dotF32 are avx2Impl's SquaredL2 and Dot: the fp32 row
+// kernels on the slices' bytes (a []float32 already is its row on
+// little-endian amd64). The dispatch below makes the same calls in place.
+func squaredL2F32(a, b []float32) float64 { return squaredL2F32AVX2(f32Bytes(a), f32Bytes(b)) }
+
+func dotF32(a, b []float32) float64 { return dotF32AVX2(f32Bytes(a), f32Bytes(b)) }
+
+func f32Bytes(v []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
+}
+
 func squaredL2Dispatch(a, b []float32) float64 {
 	if kernelLevel == levelAVX2 {
-		return squaredL2AVX2(a, b)
+		return squaredL2F32AVX2(f32Bytes(a), f32Bytes(b))
 	}
 	return scalarSquaredL2(a, b)
 }
 
 func dotDispatch(a, b []float32) float64 {
 	if kernelLevel == levelAVX2 {
-		return dotAVX2(a, b)
+		return dotF32AVX2(f32Bytes(a), f32Bytes(b))
 	}
 	return scalarDot(a, b)
-}
-
-func blockSumDispatch(terms []float64) float64 {
-	if kernelLevel == levelAVX2 {
-		return blockSumAVX2(terms)
-	}
-	return scalarBlockSum(terms)
 }
 
 func blockSumsTotalDispatch(contrib, blockSums []float64, firstBlk, lastBlk int) float64 {

@@ -17,8 +17,6 @@ func squaredL2Dispatch(a, b []float32) float64 { return scalarSquaredL2(a, b) }
 
 func dotDispatch(a, b []float32) float64 { return scalarDot(a, b) }
 
-func blockSumDispatch(terms []float64) float64 { return scalarBlockSum(terms) }
-
 func blockSumsTotalDispatch(contrib, blockSums []float64, firstBlk, lastBlk int) float64 {
 	return scalarBlockSumsTotal(contrib, blockSums, firstBlk, lastBlk)
 }

@@ -68,9 +68,9 @@ func FuzzIntervalContains(f *testing.F) {
 	})
 }
 
-// refSquaredL2 composes the canonical reduction from BlockSum the way
-// kernels.go documents it: per-dimension terms, BlockSum per block, block
-// subtotals left to right. The unrolled SquaredL2 must match it bitwise.
+// refSquaredL2 composes the canonical reduction from scalarBlockSum the way
+// kernels.go documents it: per-dimension terms, scalarBlockSum per block,
+// block subtotals left to right. The unrolled SquaredL2 must match it bitwise.
 func refSquaredL2(a, b []float32) float64 {
 	terms := make([]float64, len(a))
 	for i := range a {
@@ -161,10 +161,6 @@ func FuzzKernelsMatchReference(f *testing.F) {
 				for i := range terms {
 					terms[i] = float64(a[i]) * float64(b[i])
 				}
-				if got, want := im.BlockSum(terms), scalarBlockSum(terms); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s dim %d: BlockSum = %v (%#x), reference %v (%#x)",
-						im.Name, n, got, math.Float64bits(got), want, math.Float64bits(want))
-				}
 				nblk := (n + BlockDims - 1) / BlockDims
 				gotDst := make([]float64, nblk)
 				wantDst := make([]float64, nblk)
@@ -181,20 +177,13 @@ func FuzzKernelsMatchReference(f *testing.F) {
 					}
 				}
 			}
-			// Distance/SquaredDistance derivations stay consistent with the
-			// kernels for every metric.
+			// Distance stays consistent with the kernels for every metric.
 			if got, want := L2.Distance(a, b), math.Sqrt(SquaredL2(a, b)); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%v dim %d: L2.Distance = %v, want sqrt(SquaredL2) = %v", et, n, got, want)
-			}
-			if got, want := L2.SquaredDistance(a, b), SquaredL2(a, b); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%v dim %d: L2.SquaredDistance = %v, want %v", et, n, got, want)
 			}
 			for _, m := range []Metric{InnerProduct, Cosine} {
 				if got, want := m.Distance(a, b), -Dot(a, b); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%v dim %d: %v.Distance = %v, want -Dot = %v", et, n, m, got, want)
-				}
-				if got, want := m.SquaredDistance(a, b), m.Distance(a, b); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%v dim %d: %v.SquaredDistance = %v, want Distance = %v", et, n, m, got, want)
 				}
 			}
 		}

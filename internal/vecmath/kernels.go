@@ -4,7 +4,7 @@
 // incremental bounder's partial sums, kmeans assignment) is accumulated in
 // ONE canonical order so that results are bitwise reproducible across code
 // paths: dimensions are grouped into fixed blocks of BlockDims, each block
-// is reduced with a 4-lane unrolled sum (BlockSum), and the per-block
+// is reduced with a 4-lane unrolled sum (scalarBlockSum), and the per-block
 // subtotals are added left to right. Both the scalar kernels below and the
 // SIMD implementations behind the dispatch table (dispatch.go) inline the
 // exact same association pattern — the fuzz tests in fuzz_test.go assert
@@ -54,18 +54,12 @@ func checkBlocks(contrib, blockSums []float64, firstBlk, lastBlk int) {
 	}
 }
 
-// BlockSum reduces up to BlockDims terms in the canonical block order: four
-// independent accumulator lanes over strided terms for a full block, a
-// plain left-to-right sum for a partial tail block. This is the ONLY
-// reduction order hot-path code may use for distance contributions. The
-// call dispatches to the best implementation for the CPU (see dispatch.go);
-// scalarBlockSum is the reference definition.
-func BlockSum(terms []float64) float64 {
-	return blockSumDispatch(terms)
-}
-
-// scalarBlockSum is the portable reference BlockSum; every SIMD
-// implementation must match it bitwise on every input.
+// scalarBlockSum reduces up to BlockDims terms in the canonical block
+// order: four independent accumulator lanes over strided terms for a full
+// block, a plain left-to-right sum for a partial tail block. This is the
+// ONLY reduction order hot-path code may use for distance contributions:
+// every kernel, scalar or SIMD, reproduces it bitwise on every input, and
+// BlockSumsTotal is the one kernel that reduces terms block by block.
 func scalarBlockSum(terms []float64) float64 {
 	if len(terms) == BlockDims {
 		var s0, s1, s2, s3 float64
@@ -85,30 +79,25 @@ func scalarBlockSum(terms []float64) float64 {
 }
 
 // BlockedSum reduces an arbitrary-length term slice the way the hot path
-// does: BlockSum per BlockDims-sized block, block subtotals added left to
-// right. It composes the SCALAR block sum on purpose: this is the reference
-// reduction the fuzz and property tests pin every SIMD implementation
-// against, so it must stay independent of the dispatch table.
+// does: scalarBlockSum per BlockDims-sized block, subtotals left to right.
+// It composes the SCALAR block sum on purpose: this is the reference the
+// fuzz and property tests pin every SIMD implementation against.
 func BlockedSum(terms []float64) float64 {
 	total := 0.0
 	for i := 0; i < len(terms); i += BlockDims {
-		end := i + BlockDims
-		if end > len(terms) {
-			end = len(terms)
-		}
-		total += scalarBlockSum(terms[i:end])
+		total += scalarBlockSum(terms[i:min(i+BlockDims, len(terms))])
 	}
 	return total
 }
 
 // BlockSumsTotal refreshes the per-block subtotals blockSums[firstBlk..lastBlk]
-// from contrib (blockSums[k] = BlockSum of contrib's k-th BlockDims-sized
-// block) and returns the left-to-right total over ALL of blockSums. It is
-// the fused bounder bound-update kernel: consuming one 64 B line touches a
-// handful of blocks, and the bound is the fresh total of every block
-// subtotal (never an incremental delta — see DESIGN.md on catastrophic
-// cancellation). Geometry is validated here, before dispatch; the blockSums
-// slice must hold exactly ceil(len(contrib)/BlockDims) entries.
+// from contrib (blockSums[k] = scalarBlockSum of contrib's k-th block) and
+// returns the left-to-right total over ALL of blockSums. It is the fused
+// bounder bound-update kernel: consuming one 64 B line touches a handful of
+// blocks, and the bound is the fresh total of every block subtotal (never an
+// incremental delta — see DESIGN.md on catastrophic cancellation). Geometry
+// is validated here, before dispatch; the blockSums slice must hold exactly
+// ceil(len(contrib)/BlockDims) entries.
 func BlockSumsTotal(contrib, blockSums []float64, firstBlk, lastBlk int) float64 {
 	checkBlocks(contrib, blockSums, firstBlk, lastBlk)
 	return blockSumsTotalDispatch(contrib, blockSums, firstBlk, lastBlk)
@@ -210,20 +199,4 @@ func scalarDot(a, b []float32) float64 {
 		total += tail
 	}
 	return total
-}
-
-// SquaredDistance computes the metric's comparison-space distance, skipping
-// the final sqrt for L2: a strictly monotone transform of Distance, so any
-// ordering or threshold test done consistently in squared space matches the
-// same test in distance space. For IP/cosine it equals Distance (already
-// sqrt-free).
-func (m Metric) SquaredDistance(a, b []float32) float64 {
-	switch m {
-	case L2:
-		return SquaredL2(a, b)
-	case InnerProduct, Cosine:
-		return -Dot(a, b)
-	default:
-		panic("vecmath: unknown Metric")
-	}
 }

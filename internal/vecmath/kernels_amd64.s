@@ -744,28 +744,10 @@ lsum:                              \
 	VSUBPS (SI)(AX*2), Y8, Y8         \
 	VFMADD231PS Y8, Y8, Ye
 
-// func squaredL2AVX2(a, b []float32) float64
-TEXT ·squaredL2AVX2(SB), NOSPLIT, $0-56
-	MOVQ   a_base+0(FP), SI
-	MOVQ   b_base+24(FP), DI
-	MOVQ   a_len+8(FP), CX
-	FLOATROWS(LOADF32, TAILF32, L2PD, L2SD)
-	VMOVSD X9, ret+48(FP)
-	VZEROUPPER
-	RET
-
-// func dotAVX2(a, b []float32) float64
-TEXT ·dotAVX2(SB), NOSPLIT, $0-56
-	MOVQ   a_base+0(FP), SI
-	MOVQ   b_base+24(FP), DI
-	MOVQ   a_len+8(FP), CX
-	FLOATROWS(LOADF32, TAILF32, DOTPD, DOTSD)
-	VMOVSD X9, ret+48(FP)
-	VZEROUPPER
-	RET
-
-// The typed row kernels (rowkernels_amd64.go): the same bodies over rows in
-// their storage encoding, the element count derived from the byte length.
+// The two-row kernels (rowkernels_amd64.go): FLOATROWS and INTROWS over
+// rows in their storage encoding, the element count derived from the byte
+// length. The fp32 pair is also SquaredL2's and Dot's: on amd64 a []float32
+// already is its row (dispatch_amd64.go).
 
 // func squaredL2F32AVX2(a, b []byte) float64
 TEXT ·squaredL2F32AVX2(SB), NOSPLIT, $0-56
@@ -1105,42 +1087,6 @@ TEXT ·dotI8RunAVX2(SB), NOSPLIT, $112-72
 	JMP    group
 runend:
 	VZEROUPPER
-	RET
-
-// func blockSumAVX2(terms []float64) float64
-//
-// Full 16-term block: 4-lane strided sum with zero-seeded lanes, combined
-// (s0+s1)+(s2+s3). Any other length: plain left-to-right sum, exactly like
-// scalarBlockSum.
-TEXT ·blockSumAVX2(SB), NOSPLIT, $0-32
-	MOVQ   terms_base+0(FP), SI
-	MOVQ   terms_len+8(FP), CX
-	CMPQ   CX, $16
-	JNE    bsgeneric
-	VXORPD Y0, Y0, Y0
-	VADDPD (SI), Y0, Y0
-	VADDPD 32(SI), Y0, Y0
-	VADDPD 64(SI), Y0, Y0
-	VADDPD 96(SI), Y0, Y0
-	VXORPD X9, X9, X9
-	REDUCEBLOCK(Y0, X0, X1, X2, X9)
-	VMOVSD     X9, ret+24(FP)
-	VZEROUPPER
-	RET
-
-bsgeneric:
-	VXORPD X0, X0, X0
-	TESTQ  CX, CX
-	JZ     bsdone
-
-bsloop:
-	VADDSD (SI), X0, X0
-	ADDQ   $8, SI
-	DECQ   CX
-	JNZ    bsloop
-
-bsdone:
-	VMOVSD X0, ret+24(FP)
 	RET
 
 // func blockSumsTotalAVX2(contrib, blockSums []float64, firstBlk, lastBlk int) float64

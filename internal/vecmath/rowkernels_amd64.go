@@ -3,9 +3,10 @@
 package vecmath
 
 // Assembly stubs of the typed row kernels (kernels_amd64.s; the contract is
-// in rowkernels.go). The float ones share the body of squaredL2AVX2 and
-// dotAVX2 and differ in how elements are widened; the fp16 pair needs F16C
-// next to AVX2. The integer ones are integer SIMD.
+// in rowkernels.go). The float ones share one body (FLOATROWS) and differ
+// in how elements are widened; the fp16 pair needs F16C next to AVX2, and
+// the fp32 pair also serves SquaredL2 and Dot (dispatch_amd64.go). The
+// integer ones are integer SIMD.
 
 //go:noescape
 func squaredL2U8AVX2(a, b []byte) float64
