@@ -47,10 +47,8 @@ func adaptiveQueries(sys *sim.Model, tn *precision.Tuner) (beam, tiered func(q [
 		return sys.Index.SearchFilteredInto(q, 10, 64, sys.Cfg.BeamBatch, nil, eng, nil, dst)
 	}
 	tiered = func(q []float32, dst []hnsw.Neighbor) []hnsw.Neighbor {
-		nn, st := et.TieredKNNInto(nil, q, 10, core.TieredOpts{
-			Budget: tn.Budget(), MaxBoundLines: -1, Precision: sys.Precision,
-			DepthBias: tn.DepthBias(), EscalateMargin: tn.Margin(),
-		}, dst)
+		et.SetPrecision(sys.Precision, tn.DepthBias(), tn.Margin())
+		nn, st := et.TieredKNNInto(nil, q, 10, core.TieredOpts{Budget: tn.Budget(), MaxBoundLines: -1}, dst)
 		tn.Observe(10, st.Pool, st.AtRisk)
 		return nn
 	}

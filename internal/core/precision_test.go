@@ -57,6 +57,39 @@ func buildPrecisionCase(t *testing.T, tc precisionStoreCase, n int) (*Store, *pr
 	return st, pm, ds
 }
 
+// TestStaticDepthRescale: an adaptive depth read on an encoding of other
+// than the layout's line count (an outlier's) keeps the map depth's
+// fraction, rounding up, clamped to [1, that count]; on the layout's own
+// count it is the map depth plus the bias, clamped to [1, ceiling].
+func TestStaticDepthRescale(t *testing.T) {
+	st, pm, _ := buildPrecisionCase(t, precisionStoreCase{"float16", "DEEP", vecmath.Float16, vecmath.L2}, 400)
+	eng := st.NewETEngine(vecmath.L2)
+	total := st.Layout.LinesPerVector()
+	for _, outLines := range []int{1, 2, total, 3 * total} {
+		eng.SetPrecision(pm, 0, 0)
+		for id := uint32(0); id < 400; id += 37 {
+			d := eng.staticDepth(id, outLines, outLines)
+			if d < 1 || d > outLines {
+				t.Fatalf("staticDepth(%d, %d) = %d outside [1, %d]", id, outLines, d, outLines)
+			}
+			want := (pm.Lines(id)*outLines + total - 1) / total
+			want = max(1, min(want, outLines))
+			if d != want {
+				t.Fatalf("staticDepth(%d, %d) = %d, want %d", id, outLines, d, want)
+			}
+		}
+	}
+	for _, bias := range []int{-total, -1, 1, total} {
+		eng.SetPrecision(pm, bias, 0)
+		for id := uint32(0); id < 400; id += 37 {
+			want := max(1, min(pm.Lines(id)+bias, total-1))
+			if d := eng.staticDepth(id, total, total-1); d != want {
+				t.Fatalf("bias %d: staticDepth(%d) = %d, want %d", bias, id, d, want)
+			}
+		}
+	}
+}
+
 // TestAdaptiveEscalatedToFullDepthBitwiseExact: for every element type, an
 // adaptive comparison that escalates all the way to the full vector
 // reports a distance bitwise identical to the exact path — the losslessly
@@ -144,10 +177,8 @@ func TestTieredAdaptiveBudget1MatchesExact(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			st, pm, ds := buildPrecisionCase(t, tc, 500)
 			eng := st.NewETEngine(tc.metric)
-			opt := TieredOpts{
-				Budget: 1, MaxBoundLines: -1,
-				Precision: pm, DepthBias: 1, EscalateMargin: 0.2,
-			}
+			eng.SetPrecision(pm, 1, 0.2)
+			opt := TieredOpts{Budget: 1, MaxBoundLines: -1}
 			for qi, q := range ds.Queries {
 				want, _ := eng.ExactKNN(q, 10)
 				got, stats := eng.TieredKNNInto(nil, q, 10, opt, nil)
@@ -167,11 +198,11 @@ func TestTieredAdaptiveBudget1MatchesExact(t *testing.T) {
 	}
 }
 
-// TestTieredNilPrecisionByteIdentity: TieredOpts.Precision == nil must
+// TestTieredNilPrecisionByteIdentity: SetPrecision with a nil map must
 // reproduce the fixed-depth scan exactly, stats included — the adaptive
 // plumbing is invisible until a map is installed. A typed nil
-// (*precision.Map)(nil), a non-nil Depths, means the same, there and in
-// SetPrecision.
+// (*precision.Map)(nil), a non-nil Depths, means the same, in the tiered
+// scan and in Compare.
 func TestTieredNilPrecisionByteIdentity(t *testing.T) {
 	p := dataset.ProfileByName("DEEP")
 	ds := dataset.Generate(p, 600, 4, 23)
@@ -183,10 +214,10 @@ func TestTieredNilPrecisionByteIdentity(t *testing.T) {
 	a := st.NewETEngine(p.Metric)
 	b := st.NewETEngine(p.Metric)
 	for _, pm := range []Depths{nil, (*precision.Map)(nil)} {
+		b.SetPrecision(pm, 0, 0.3)
 		for qi, q := range ds.Queries {
 			ra, sa := a.TieredKNNInto(nil, q, 10, TieredOpts{Budget: 0.9}, nil)
-			rb, sb := b.TieredKNNInto(nil, q, 10,
-				TieredOpts{Budget: 0.9, Precision: pm, EscalateMargin: 0.3}, nil)
+			rb, sb := b.TieredKNNInto(nil, q, 10, TieredOpts{Budget: 0.9}, nil)
 			if sa != sb {
 				t.Fatalf("%T q%d: stats diverged %+v != %+v", pm, qi, sa, sb)
 			}

@@ -5,8 +5,11 @@ package core_test
 // benchmarks that price it.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -55,13 +58,69 @@ func beamOver(sys *sim.Model, k, ef int) func(q []float32, f func(uint32) bool, 
 // (FigPrecisionFrontier's adaptive arm): the tuner's budget, depth bias and
 // margin over the system's precision map, the uniform stage-1 cap out of the
 // way, and the outcome fed back into the tuner.
-func tunedTiered(sys *sim.Model, et *core.ETEngine, tn *precision.Tuner, q []float32, k int, dst []hnsw.Neighbor) []hnsw.Neighbor {
-	nn, st := et.TieredKNNInto(nil, q, k, core.TieredOpts{
-		Budget: tn.Budget(), MaxBoundLines: -1, Precision: sys.Precision,
-		DepthBias: tn.DepthBias(), EscalateMargin: tn.Margin(),
-	}, dst)
+func tunedTiered(sys *sim.Model, et *core.ETEngine, tn *precision.Tuner, q []float32, k int, dst []hnsw.Neighbor) ([]hnsw.Neighbor, core.TieredStats) {
+	et.SetPrecision(sys.Precision, tn.DepthBias(), tn.Margin())
+	nn, st := et.TieredKNNInto(nil, q, k, core.TieredOpts{Budget: tn.Budget(), MaxBoundLines: -1}, dst)
 	tn.Observe(k, st.Pool, st.AtRisk)
-	return nn
+	return nn, st
+}
+
+// tunedTieredGoldens are sha256 digests of the tuned adaptive tiered query
+// (tunedTiered) at NDP-ETOpt@0.9 over the goldens' populations, recorded at
+// b22a4fa, where the depth map, bias and margin were still TieredOpts fields.
+var tunedTieredGoldens = map[string]string{
+	"SIFT":  "f4629f345100df8b225971b70d0a883570f27c2447a4dbfdbb136d8161762059",
+	"GloVe": "fa632c35138fdea5393b90064052e5f710763336630d5817e6b27643b2465e68",
+	"GIST":  "3753f8a173ab36eb26c2bf077202187d8a72677c8472c83b59336ebeb05229ef",
+}
+
+// TestTunedTieredGoldens pins the tuned adaptive tiered query: per query, in
+// four passes over the queries so the tuner moves, its ids, its distances by
+// their bits and its whole TieredStats, Escalated and AtRisk included. Each
+// store holds outlier-encoded vectors, so the static depth is also read
+// rescaled onto the outlier encoding's line count. At the default outlier
+// budget SIFT has a few; GloVe's components are sign-mixed, so no prefix is
+// common to all but 0.1% of them, and GIST's 400 vectors hold no outlier.
+// At a budget of half the elements a prefix is common, and every vector of
+// those two is outlier-encoded: on GIST, in one line more than the bit-plane
+// layout has, with escalations.
+func TestTunedTieredGoldens(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests recorded on amd64; another architecture may fuse or round differently")
+	}
+	for pop, outlierBudget := range map[string]float64{"SIFT": 0.001, "GloVe": 0.5, "GIST": 0.5} {
+		ds, ix, _ := goldenPopulation(t, pop)
+		cfg := core.DefaultSystemConfig(core.NDPETOpt)
+		cfg.SampleSize = 60
+		cfg.LayoutOpts.OutlierBudget = outlierBudget
+		mcfg := sim.DefaultConfig()
+		mcfg.RecallTarget = 0.9
+		m := newModel(t, ds, ix, cfg, mcfg)
+		if m.Store.NumOutliers() == 0 {
+			t.Fatalf("%s: no outlier-encoded vectors", pop)
+		}
+		et := m.NewWorkerEngine().(*core.ETEngine)
+		tn := precision.NewTuner(mcfg.RecallTarget)
+		h := sha256.New()
+		var dst []hnsw.Neighbor
+		escalated := 0
+		for pass := 0; pass < 4; pass++ {
+			for _, q := range ds.Queries {
+				var st core.TieredStats
+				dst, st = tunedTiered(m, et, tn, q, 10, dst)
+				for _, nb := range dst {
+					fmt.Fprintf(h, "%d:%x ", nb.ID, math.Float64bits(nb.Dist))
+				}
+				fmt.Fprintf(h, "%+v\n", st)
+				escalated += st.Escalated
+			}
+		}
+		t.Logf("%s: %d of %d lines, %d outliers, %d escalations, tuner budget %v, depth bias %d", pop,
+			m.Store.Prefix.OutlierLines(), m.Store.Layout.LinesPerVector(), m.Store.NumOutliers(), escalated, tn.Budget(), tn.DepthBias())
+		if got, want := hex.EncodeToString(h.Sum(nil)), tunedTieredGoldens[pop]; got != want {
+			t.Errorf("%s: digest %s, recorded %s", pop, got, want)
+		}
+	}
 }
 
 func sameNeighborBits(t *testing.T, label string, a, b []hnsw.Neighbor) {
@@ -156,7 +215,7 @@ func TestSystemRecallTarget(t *testing.T) {
 			tn := precision.NewTuner(target)
 			for arm, query := range map[string]func(q []float32){
 				"beam":   func(q []float32) { dst = sysBeam(q, nil, dst) },
-				"tiered": func(q []float32) { dst = tunedTiered(sys, et, tn, q, k, dst) },
+				"tiered": func(q []float32) { dst, _ = tunedTiered(sys, et, tn, q, k, dst) },
 			} {
 				for _, q := range ds.Queries[:4] {
 					query(q)
@@ -225,7 +284,7 @@ func BenchmarkRecallTargetOverhead(b *testing.B) {
 			query := func(q []float32) { dst, _ = et.TieredKNNInto(nil, q, 10, core.TieredOpts{Budget: 1}, dst) }
 			if sys.Precision != nil {
 				tn := precision.NewTuner(sys.Timing.RecallTarget)
-				query = func(q []float32) { dst = tunedTiered(sys, et, tn, q, 10, dst) }
+				query = func(q []float32) { dst, _ = tunedTiered(sys, et, tn, q, 10, dst) }
 			}
 			query(ds.Queries[0])
 			b.ReportAllocs()

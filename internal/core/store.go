@@ -118,11 +118,9 @@ func (s *Store) SpaceSavedFraction() float64 {
 }
 
 // Depths is the static per-vector fetch depth the adaptive modes read, in
-// the bit-plane layout's lines or rescaled onto an encoding of total lines
-// (an outlier's). The simulator's precision.Map is one.
+// the bit-plane layout's lines. The simulator's precision.Map is one.
 type Depths interface {
 	Lines(id uint32) int
-	ScaledLines(id uint32, total int) int
 }
 
 // depthsOrNil returns d, or nil when d holds a nil pointer: a typed nil
@@ -251,23 +249,40 @@ func (e *ETEngine) StartQuery(q []float32) {
 	}
 }
 
-// SetPrecision switches Compare into adaptive mixed-precision mode for the
-// beam path: normal (bit-plane-encoded) vectors fetch only their static
-// per-vector minimum depth from pm (plus bias lines from the tuner),
-// escalating — doubling the cap, up to the full vector — while the bound
-// sits within margin·|threshold| below the rejection threshold. Rejections
-// stay sound (the bound proves Dist > threshold) and a fully-fetched
-// comparison is still bitwise exact, but a margin-slack accept reports the
-// partial lower bound as its distance, so accepted distances become
-// approximate. Outlier-encoded vectors keep the exact backup re-check, the
-// adaptive mode skips the local-termination modelling (LinesLocal equals
-// Lines), and ExactKNN and the tiered stage-2 re-rank always use the exact
-// path regardless of this setting. A nil pm (typed or not) restores exact
-// semantics.
+// SetPrecision switches the engine into adaptive mixed-precision mode, the
+// one input of adaptive fetch depth for Compare and the tiered stage 1: a
+// vector fetches its static depth (pm's plus bias lines from the tuner) and
+// fetches deeper only while its bound is within margin·|threshold| below the
+// threshold. Compare doubles the cap, up to the full vector, for normal
+// vectors; outlier-encoded ones keep the exact backup re-check. Rejections
+// stay sound and a fully-fetched comparison is bitwise exact, but a
+// margin-slack accept reports the partial lower bound as its distance, and
+// LinesLocal equals Lines (no local-termination modelling). Stage 1
+// escalates every vector, outliers included, once, to its ceiling. ExactKNN
+// and the tiered stage 2 always use the exact path. A nil pm (typed or not)
+// restores exact semantics and the fixed-depth stage 1.
 func (e *ETEngine) SetPrecision(pm Depths, bias int, margin float64) {
 	e.prec = depthsOrNil(pm)
 	e.precBias = bias
 	e.precMargin = margin
+}
+
+// staticDepth is vector id's adaptive fetch depth on an encoding `lines`
+// lines long (the bit-plane layout, or an outlier's): the map's depth, read
+// on the layout's line count and rescaled onto `lines` rounding up, plus the
+// bias, clamped to [1, ceil].
+func (e *ETEngine) staticDepth(id uint32, lines, ceil int) int {
+	total := e.store.Layout.LinesPerVector()
+	d := (e.prec.Lines(id)*lines+total-1)/total + e.precBias
+	return max(1, min(d, ceil))
+}
+
+// inMargin reports whether bound lb lies in the margin window below
+// threshold th — a tight top-k margin, where the unseen planes could still
+// reorder the candidate, so it is worth fetching deeper; a slack bound
+// already settles it.
+func (e *ETEngine) inMargin(lb, th float64) bool {
+	return lb <= th && lb > th-e.precMargin*math.Abs(th)
 }
 
 // Compare implements engine.Engine: it fetches the vector's lines in
@@ -324,23 +339,15 @@ func (e *ETEngine) compareExact(id uint32, threshold float64) engine.Result {
 }
 
 // compareAdaptive is the mixed-precision comparison of normal vectors: run
-// early termination to the static per-partition depth, then escalate while
-// the bound lands inside the margin window below the threshold — a tight
-// top-k margin means the candidate's rank genuinely depends on the unseen
-// planes, a slack one means the partial bound already settles it.
+// early termination to the static depth, then double the depth while the
+// bound lands inside the margin window.
 func (e *ETEngine) compareAdaptive(id uint32, threshold float64) engine.Result {
 	data := e.slot(id)
 	lim := e.store.Layout.LinesPerVector()
-	depth := e.prec.Lines(id) + e.precBias
-	if depth < 1 {
-		depth = 1
-	}
-	if depth > lim {
-		depth = lim
-	}
+	depth := e.staticDepth(id, lim, lim)
 	e.b.Reset()
 	lb, lines := e.b.RunTo(data, threshold, depth)
-	for lines < lim && lb <= threshold && lb > threshold-e.precMargin*math.Abs(threshold) {
+	for lines < lim && e.inMargin(lb, threshold) {
 		depth *= 2
 		if depth > lim {
 			depth = lim

@@ -48,24 +48,9 @@ type TieredOpts struct {
 	// best across profiles: coarse bounds are cheap to produce and the
 	// ascending-bound stage-2 visit order compensates for their slack.
 	// Negative means the never-fully-fetch maximum (LinesPerVector()−1).
+	// On an engine in adaptive mode (SetPrecision) it is the ceiling of
+	// the per-vector depths instead.
 	MaxBoundLines int
-	// Precision, when non-nil, makes the stage-1 fetch depth per-vector:
-	// each id fetches its static minimum depth (plus DepthBias lines)
-	// instead of the uniform MaxBoundLines cap, which stays the escalation
-	// ceiling. Outlier-encoded vectors honor the same schedule rescaled onto
-	// their line geometry (Depths.ScaledLines). A nil map, typed or not,
-	// reproduces the fixed-depth scan byte for byte.
-	Precision Depths
-	// DepthBias adds lines on top of every partition's static depth — the
-	// recall-target tuner's online correction.
-	DepthBias int
-	// EscalateMargin enables per-candidate escalation: an id whose bound
-	// lands within EscalateMargin·|stop| below the running k-th bound (a
-	// tight top-k margin — the unseen planes could still reorder it)
-	// resumes fetching up to the stage-1 ceiling; a slack bound stops at
-	// the static depth. 0 disables escalation. Only meaningful with
-	// Precision set.
-	EscalateMargin float64
 }
 
 // TieredStats reports one tiered query's work split.
@@ -145,7 +130,6 @@ func (e *ETEngine) TieredKNNPool(done <-chan struct{}, q []float32, k int, opt T
 	if maxLines < 0 || maxLines > limit {
 		maxLines = limit
 	}
-	pm := depthsOrNil(opt.Precision)
 
 	var st TieredStats
 	e.StartQuery(q)
@@ -179,34 +163,26 @@ func (e *ETEngine) TieredKNNPool(done <-chan struct{}, q []float32, k int, opt T
 			stopAt = bh.Top().Dist
 		}
 		// Three things depend on the id's encoding: the bounder that steps
-		// its lines; the most of them stage 1 may fetch — all but the last
-		// of a bit-plane vector (the last would turn the bound into the
-		// distance, which is stage 2's to fetch), all of an outlier's, whose
-		// lossy encoding never yields more than a bound; and the line
-		// geometry the precision map's depth is read on.
-		step, ceil := lineStepper(e.b), limit
-		outlier := e.ob != nil && e.store.isOutlier[id]
-		if outlier {
-			step, ceil = e.ob, e.ob.Lines()
+		// its lines; the line geometry the adaptive depth is read on; and
+		// the most of them stage 1 may fetch — all but the last of a
+		// bit-plane vector (the last would turn the bound into the distance,
+		// which is stage 2's to fetch), all of an outlier's, whose lossy
+		// encoding never yields more than a bound.
+		step, enc, ceil := lineStepper(e.b), limit+1, limit
+		if e.ob != nil && e.store.isOutlier[id] {
+			step, enc, ceil = e.ob, e.ob.Lines(), e.ob.Lines()
 		}
+		// In adaptive mode the id fetches its static depth and escalates
+		// once, to the stage-1 ceiling, when its bound is in the margin
+		// window below the running k-th bound.
 		depth := maxLines
-		if pm != nil {
-			d := pm.Lines(id)
-			if outlier {
-				d = pm.ScaledLines(id, e.ob.Lines())
-			}
-			if d += opt.DepthBias; d < depth {
-				depth = d
-			}
-			if depth < 1 {
-				depth = 1
-			}
+		if e.prec != nil {
+			depth = e.staticDepth(id, enc, maxLines)
 		}
 		data := e.slot(id)
 		step.Reset()
 		lb, lines := step.RunTo(data, stopAt, min(depth, ceil))
-		if pm != nil && depth < maxLines && lines >= depth &&
-			lb <= stopAt && lb > stopAt-opt.EscalateMargin*math.Abs(stopAt) {
+		if depth < maxLines && lines >= depth && e.inMargin(lb, stopAt) {
 			lb, lines = step.RunTo(data, stopAt, maxLines)
 			st.Escalated++
 		}

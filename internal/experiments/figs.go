@@ -496,25 +496,37 @@ func (r *Runner) FigTieredFrontier() *Table {
 			rows[i] = []string{c.name, c.path, c.knob,
 				fmt.Sprintf("%.3f", sum/nq), f1(float64(lines) / nq), "-"}
 		case "tiered":
-			eng := sys.Store.NewETEngine(w.ds.Profile.Metric)
-			var dst []hnsw.Neighbor
-			sum := 0.0
-			lines, poolSz := 0, 0
-			for qi, q := range w.ds.Queries {
-				var st core.TieredStats
-				dst, st = eng.TieredKNNInto(nil, q, 10, core.TieredOpts{Budget: c.budget}, dst)
-				lines += st.BoundLines + st.RerankLines
-				poolSz += st.Pool
-				sum += recallNN(dst, w.gt[qi])
-			}
-			rows[i] = []string{c.name, c.path, c.knob,
-				fmt.Sprintf("%.3f", sum/nq), f1(float64(lines) / nq), f1(float64(poolSz) / nq)}
+			rec, lines, pool := tieredSweep(w, sys.Store.NewETEngine(w.ds.Profile.Metric), func() core.TieredOpts {
+				return core.TieredOpts{Budget: c.budget}
+			}, nil)
+			rows[i] = []string{c.name, c.path, c.knob, fmt.Sprintf("%.3f", rec), f1(lines), f1(pool)}
 		}
 	})
 	t.Rows = rows
 	t.Notes = append(t.Notes,
 		"tiered B=1 reaches recall 1.000 below the exact scan's traffic; the beam path stays cheapest but its recall saturates below 1")
 	return t
+}
+
+// tieredSweep runs eng's tiered query at k = 10 over w's queries, each with
+// the options opt returns just before it (an adaptive arm also sets the
+// engine's precision there), and hands each query's stats to observe when
+// non-nil. It returns the mean recall@10, lines and re-rank pool per query.
+func tieredSweep(w *workload, eng *core.ETEngine, opt func() core.TieredOpts, observe func(core.TieredStats)) (recall, lines, pool float64) {
+	var dst []hnsw.Neighbor
+	sum, nLines, nPool := 0.0, 0, 0
+	for qi, q := range w.ds.Queries {
+		var st core.TieredStats
+		dst, st = eng.TieredKNNInto(nil, q, 10, opt(), dst)
+		nLines += st.BoundLines + st.RerankLines
+		nPool += st.Pool
+		sum += recallNN(dst, w.gt[qi])
+		if observe != nil {
+			observe(st)
+		}
+	}
+	nq := float64(len(w.ds.Queries))
+	return sum / nq, float64(nLines) / nq, float64(nPool) / nq
 }
 
 // FigPrecisionFrontier measures adaptive mixed-precision search (ROADMAP
@@ -560,32 +572,14 @@ func (r *Runner) FigPrecisionFrontier() *Table {
 		fixRec, fixLines := beam(fixSys)
 		adRec, adLines := beam(adSys)
 
-		var dst []hnsw.Neighbor
-		tiered := func(sys *sim.Model, opts func() core.TieredOpts, observe func(core.TieredStats)) (float64, float64, float64) {
-			eng := sys.Store.NewETEngine(w.ds.Profile.Metric)
-			sum := 0.0
-			lines, pool := 0, 0
-			for qi, q := range w.ds.Queries {
-				var st core.TieredStats
-				dst, st = eng.TieredKNNInto(nil, q, 10, opts(), dst)
-				lines += st.BoundLines + st.RerankLines
-				pool += st.Pool
-				sum += recallNN(dst, w.gt[qi])
-				if observe != nil {
-					observe(st)
-				}
-			}
-			return sum / nq, float64(lines) / nq, float64(pool) / nq
-		}
-		tfRec, tfLines, tfPool := tiered(fixSys, func() core.TieredOpts {
+		tfRec, tfLines, tfPool := tieredSweep(w, fixSys.Store.NewETEngine(w.ds.Profile.Metric), func() core.TieredOpts {
 			return core.TieredOpts{Budget: c.target}
 		}, nil)
 		tuner := precision.NewTuner(c.target)
-		taRec, taLines, taPool := tiered(adSys, func() core.TieredOpts {
-			return core.TieredOpts{
-				Budget: tuner.Budget(), MaxBoundLines: -1, Precision: adSys.Precision,
-				DepthBias: tuner.DepthBias(), EscalateMargin: tuner.Margin(),
-			}
+		eng := adSys.Store.NewETEngine(w.ds.Profile.Metric)
+		taRec, taLines, taPool := tieredSweep(w, eng, func() core.TieredOpts {
+			eng.SetPrecision(adSys.Precision, tuner.DepthBias(), tuner.Margin())
+			return core.TieredOpts{Budget: tuner.Budget(), MaxBoundLines: -1}
 		}, func(st core.TieredStats) { tuner.Observe(10, st.Pool, st.AtRisk) })
 
 		tgt := fmt.Sprintf("%.2f", c.target)

@@ -259,40 +259,38 @@ func (a *Analysis) petHist() []float64 {
 	return h
 }
 
+// linesAt is the number of lines a pair terminating at bit position pet
+// fetches under layout l, whose schedule keeps prefix bits on chip: every
+// line if it never terminates (pet > w); one if the prefix alone terminates
+// — the unit still issues the first line before it can conclude anything
+// about the vector's suffix; otherwise the whole line groups covering the
+// pet − prefix post-prefix bits (Layout.LinesForBits).
+func linesAt(l *bitplane.Layout, w, prefix, pet int) int {
+	if pet > w {
+		return l.LinesPerVector()
+	}
+	if need := pet - prefix; need > 0 {
+		return l.LinesForBits(need)
+	}
+	return 1
+}
+
 // costOf evaluates the expected fetched bytes of a schedule against the
-// sampled termination positions: each pair fetches whole line groups until
-// its pET is covered (or everything, if it never terminates) — the depth
-// Layout.LinesForBits gives. This realizes the paper's ceiling-function
-// access-cost model.
+// sampled termination positions, each pair charged linesAt lines. This
+// realizes the paper's ceiling-function access-cost model.
 func (a *Analysis) costOf(sched bitplane.Schedule) float64 {
 	l, err := bitplane.NewLayout(a.Elem, a.Dim, sched)
 	if err != nil {
 		return math.Inf(1)
 	}
-	totalLines := l.LinesPerVector()
 	w := a.Elem.Bits()
-	hist := a.petHist()
 	sum, count := 0.0, 0.0
-	for b, cnt := range hist {
+	for b, cnt := range a.petHist() {
 		if cnt == 0 {
 			continue
 		}
 		count += cnt
-		if b == w { // never terminates
-			sum += cnt * float64(totalLines)
-			continue
-		}
-		pet := b + 1
-		// Post-prefix bits needed; prefix bits are free (kept on-chip).
-		need := pet - sched.Prefix
-		if need <= 0 {
-			// The prefix alone terminates: the unit still issues the first
-			// line before it can conclude anything about this vector's
-			// suffix, so charge one line.
-			sum += cnt
-			continue
-		}
-		sum += cnt * float64(l.LinesForBits(need))
+		sum += cnt * float64(linesAt(l, w, sched.Prefix, b+1))
 	}
 	return sum / count * bitplane.LineBytes
 }
@@ -338,23 +336,14 @@ func (a *Analysis) BestParams(usePrefix bool) Params {
 
 // LineDistribution predicts the distribution of fetched lines per
 // comparison under a schedule: index i holds the probability of fetching
-// exactly i+1 lines (never-terminating pairs count as full fetches). The
-// adaptive polling model (§5.4) consumes this.
+// exactly i+1 lines (linesAt, the cost model's rule). The adaptive polling
+// model (§5.4) consumes this.
 func (a *Analysis) LineDistribution(sched bitplane.Schedule) []float64 {
 	l := bitplane.MustLayout(a.Elem, a.Dim, sched)
-	total := l.LinesPerVector()
-	dist := make([]float64, total)
+	dist := make([]float64, l.LinesPerVector())
 	w := a.Elem.Bits()
 	for _, pet := range a.PET {
-		ln := total
-		if pet <= w {
-			if need := pet - sched.Prefix; need <= 0 {
-				ln = 1
-			} else {
-				ln = l.LinesForBits(need)
-			}
-		}
-		dist[ln-1]++
+		dist[linesAt(l, w, sched.Prefix, pet)-1]++
 	}
 	for i := range dist {
 		dist[i] /= float64(len(a.PET))

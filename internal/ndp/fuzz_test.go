@@ -121,11 +121,12 @@ func FuzzDecodeQuery(f *testing.F) {
 				t.Fatalf("component %d decoded to %v", d, v)
 			}
 		}
-		// The payload is the row: encoding what came out gives back the
-		// first dim·Bytes bytes, −0 included.
+		// A decoded query fits the QSHR field, and the payload is the row:
+		// encoding what came out gives back the first dim·Bytes bytes, −0
+		// included.
 		n := int(dim) * elem.Bytes()
 		if n > QueryFieldBytes {
-			return // decodable, but wider than a host may send
+			t.Fatalf("%v dim %d: decoded a %d B query, wider than the %d B field", elem, dim, n, QueryFieldBytes)
 		}
 		re, err := EncodeQueryChunks(elem, out)
 		if err != nil {

@@ -233,12 +233,16 @@ func EncodeQueryChunks(elem vecmath.ElemType, q []float32) ([][64]byte, error) {
 
 // DecodeQuery reconstructs the query values from accumulated chunks: the
 // row in the first dim·Bytes bytes, decoded (vecmath.ElemType.DecodeRow).
-// A non-finite component is rejected with a typed *ProtocolError.
+// A row wider than QueryFieldBytes or a non-finite component is rejected
+// with a typed *ProtocolError.
 func DecodeQuery(elem vecmath.ElemType, dim int, chunks [][64]byte) ([]float32, error) {
 	if dim <= 0 {
 		return nil, &ProtocolError{OpSetQuery, fmt.Errorf("%w: dimension %d", ErrBadField, dim)}
 	}
 	n := dim * elem.Bytes()
+	if n > QueryFieldBytes {
+		return nil, &ProtocolError{OpSetQuery, fmt.Errorf("%w: %d-dim %v query exceeds the %d B QSHR field", ErrBadField, dim, elem, QueryFieldBytes)}
+	}
 	need := (n + 63) / 64
 	if len(chunks) < need {
 		return nil, fmt.Errorf("ndp: query needs %d chunks, have %d", need, len(chunks))

@@ -166,6 +166,26 @@ func TestDecodeQueryRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestDecodeQueryRejectsOversized: a query wider than the QSHR field is a
+// bad field even when enough chunks arrive to hold it, as it is to
+// EncodeQueryChunks and Configure.
+func TestDecodeQueryRejectsOversized(t *testing.T) {
+	for _, c := range []struct {
+		elem   vecmath.ElemType
+		dim    int
+		chunks int
+	}{
+		{vecmath.Float32, 300, 19},  // 1200 B
+		{vecmath.BFloat16, 513, 17}, // 1026 B
+	} {
+		_, err := ndp.DecodeQuery(c.elem, c.dim, make([][64]byte, c.chunks))
+		var pe *ndp.ProtocolError
+		if !errors.As(err, &pe) || !errors.Is(err, ndp.ErrBadField) {
+			t.Errorf("%v dim %d from %d chunks: err %v, want a *ProtocolError wrapping ErrBadField", c.elem, c.dim, c.chunks, err)
+		}
+	}
+}
+
 func TestPollResponseRoundTrip(t *testing.T) {
 	r := ndp.PollResponse{DoneMask: 0xA5, FetchCnt: 777, Completed: true, FaultMask: 0x03}
 	for i := range r.Dist {

@@ -180,21 +180,6 @@ func medianPositive(xs []float64) float64 {
 // for: a model never grows.
 func (m *Map) Lines(id uint32) int { return int(m.lines[id]) }
 
-// ScaledLines rescales vector id's depth from the bit-plane layout's line
-// count onto an encoding with `total` lines (the outlier format), rounding
-// up and keeping at least one line — how internal/prefixelim honors the
-// per-partition schedule despite its different line geometry.
-func (m *Map) ScaledLines(id uint32, total int) int {
-	d := (int(m.lines[id])*total + m.totalLines - 1) / m.totalLines
-	if d < 1 {
-		d = 1
-	}
-	if d > total {
-		d = total
-	}
-	return d
-}
-
 // MeanLines reports the population mean of the per-vector minimum depth —
 // the static schedule's expected stage-1 cost in lines.
 func (m *Map) MeanLines() float64 { return m.meanLines }

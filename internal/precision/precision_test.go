@@ -81,30 +81,6 @@ func TestRadiusOrdersDepth(t *testing.T) {
 	}
 }
 
-func TestScaledLines(t *testing.T) {
-	m, lay, _ := buildTestMap(t, "DEEP", 400, 2)
-	total := lay.LinesPerVector()
-	for _, outLines := range []int{1, 2, total, 3 * total} {
-		for id := uint32(0); id < 400; id += 37 {
-			d := m.ScaledLines(id, outLines)
-			if d < 1 || d > outLines {
-				t.Fatalf("ScaledLines(%d, %d) = %d outside [1, %d]", id, outLines, d, outLines)
-			}
-			// Rescaling must preserve the fraction, rounding up.
-			want := (m.Lines(id)*outLines + total - 1) / total
-			if want < 1 {
-				want = 1
-			}
-			if want > outLines {
-				want = outLines
-			}
-			if d != want {
-				t.Fatalf("ScaledLines(%d, %d) = %d, want %d", id, outLines, d, want)
-			}
-		}
-	}
-}
-
 func TestLinesForBitsRoundTrip(t *testing.T) {
 	for _, elem := range []vecmath.ElemType{vecmath.Uint8, vecmath.Int8, vecmath.Float16, vecmath.BFloat16, vecmath.Float32} {
 		lay := bitplane.MustLayout(elem, 64, layout.SimpleHeuristicSchedule(elem))

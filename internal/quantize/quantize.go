@@ -180,11 +180,7 @@ func (p *PQ) NewTable(q []float32, metric vecmath.Metric) *Table {
 			case vecmath.L2:
 				v = vecmath.SquaredL2(sub, c)
 			default:
-				s := 0.0
-				for i := range sub {
-					s += float64(sub[i]) * float64(c[i])
-				}
-				v = -s
+				v = -vecmath.Dot(sub, c)
 			}
 			cells[ci] = v
 			if v < min {
