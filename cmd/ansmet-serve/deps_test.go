@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os/exec"
 	"path/filepath"
 	"strconv"
@@ -107,5 +108,121 @@ func TestRootUsesModelEntryPointsOnly(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestInternalExportsHaveCallers keeps internal/ free of exported functions
+// and methods that only tests call: such a name is moved beside its test,
+// unexported, or deleted. It parses every non-test .go file of the module
+// and of bench/ (which compiles against internal names) and fails on an
+// exported func or method declared under internal/ whose name appears as
+// an identifier in no non-test file except at its own declaration. The
+// scan is by name only, so a dead method that shares its name with a live
+// identifier, or with another declaration, escapes it. An allowlisted name
+// that is gone or has gained a caller fails too, so the list stays short.
+func TestInternalExportsHaveCallers(t *testing.T) {
+	// Exported on purpose with no non-test caller, each with its reason.
+	allowed := map[string]bool{
+		// Transform's inverse: the reference the bit-plane round-trip test
+		// and fuzz target hold the encoder to.
+		"bitplane.Layout.Reconstruct": true,
+		// The scalar block sum: the reference the vecmath, bitplane and
+		// prefixelim tests pin every kernel and bounder against.
+		"vecmath.BlockedSum": true,
+		// The host's QSHR release, an operation of the §5.2 protocol.
+		"ndp.Unit.Free": true,
+		// leakcheck is a test-helper package: only tests import it.
+		"leakcheck.Baseline": true,
+		"leakcheck.SettleT":  true,
+		// The oracle internal/sim's TestReplicationWiredIntoSystem checks
+		// the model's top-layer replication against.
+		"partition.Map.ReplicatedCount": true,
+	}
+	root := filepath.Join("..", "..")
+	type decl struct {
+		key, name string
+		pos       token.Position
+	}
+	var decls []decl
+	seen := map[string]int{} // identifier occurrences by name, declarations included
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		internal := strings.HasPrefix(filepath.ToSlash(rel), "internal/")
+		for _, dd := range f.Decls {
+			fd, ok := dd.(*ast.FuncDecl)
+			if !ok || !internal || !fd.Name.IsExported() {
+				continue
+			}
+			key := f.Name.Name + "." + fd.Name.Name
+			if fd.Recv != nil && len(fd.Recv.List) == 1 {
+				key = f.Name.Name + "." + recvTypeName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+			}
+			decls = append(decls, decl{key, fd.Name.Name, fset.Position(fd.Name.Pos())})
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				seen[id.Name]++
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decls) == 0 {
+		t.Fatal("found no exported declarations under internal/")
+	}
+	for _, d := range decls {
+		if seen[d.name] > 1 {
+			continue
+		}
+		if allowed[d.key] {
+			delete(allowed, d.key)
+		} else {
+			t.Errorf("%s: %s has no non-test caller: delete it, or move it beside its test unexported", d.pos, d.key)
+		}
+	}
+	for key := range allowed {
+		t.Errorf("allowlisted %s is gone or has a caller: drop it from the list", key)
+	}
+}
+
+// recvTypeName is the type name of a method receiver: T for T, *T, T[P]
+// and *T[P].
+func recvTypeName(x ast.Expr) string {
+	for {
+		switch e := x.(type) {
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return "?"
+		}
 	}
 }

@@ -123,22 +123,6 @@ func (l *Layout) Reconstruct(data []byte, dst []uint32) []uint32 {
 	return dst
 }
 
-// BitsAtLines returns how many post-prefix code bits per element are fully
-// revealed after consuming the first `lines` lines: the cumulative bit
-// width of the completely-consumed groups. A partially consumed group
-// reveals its bits only for a prefix of the dimensions, so it does not
-// count — the result is the precision guaranteed for *every* dimension.
-func (l *Layout) BitsAtLines(lines int) int {
-	bits := 0
-	for _, g := range l.groups {
-		if g.firstLine+g.lineCount > lines {
-			break
-		}
-		bits += g.bits
-	}
-	return bits
-}
-
 // LinesForBits returns the smallest line count whose fully-consumed groups
 // reveal at least `bits` post-prefix code bits for every element — the
 // fetch depth a bounder schedule needs to reach the requested precision.

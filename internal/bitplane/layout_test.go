@@ -168,3 +168,60 @@ func TestSpanCoversAllDims(t *testing.T) {
 		}
 	}
 }
+
+// bitsAtLines returns how many post-prefix code bits per element are fully
+// revealed after consuming the first `lines` lines: the cumulative bit
+// width of the completely-consumed groups. A partially consumed group
+// reveals its bits only for a prefix of the dimensions, so it does not
+// count — the result is the precision guaranteed for *every* dimension.
+func (l *Layout) bitsAtLines(lines int) int {
+	bits := 0
+	for _, g := range l.groups {
+		if g.firstLine+g.lineCount > lines {
+			break
+		}
+		bits += g.bits
+	}
+	return bits
+}
+
+func TestLinesForBitsRoundTrip(t *testing.T) {
+	for _, elem := range []vecmath.ElemType{vecmath.Uint8, vecmath.Int8, vecmath.Float16, vecmath.BFloat16, vecmath.Float32} {
+		// internal/layout's heuristic schedule: 4-bit groups for integer
+		// elements, 8-bit groups otherwise.
+		step := 8
+		if elem == vecmath.Uint8 || elem == vecmath.Int8 {
+			step = 4
+		}
+		lay := MustLayout(elem, 64, UniformSchedule(elem, 0, step))
+		total := lay.LinesPerVector()
+		if got := lay.LinesForBits(0); got != 0 {
+			t.Errorf("%v: LinesForBits(0) = %d, want 0", elem, got)
+		}
+		prev := 0
+		for bits := 1; bits <= lay.SuffixBits(); bits++ {
+			l := lay.LinesForBits(bits)
+			if l < prev {
+				t.Fatalf("%v: LinesForBits not monotone at %d bits: %d < %d", elem, bits, l, prev)
+			}
+			if l > total {
+				t.Fatalf("%v: LinesForBits(%d) = %d exceeds %d lines", elem, bits, l, total)
+			}
+			// Fetching l lines must actually reveal >= bits.
+			if got := lay.bitsAtLines(l); got < bits {
+				t.Fatalf("%v: bitsAtLines(LinesForBits(%d)=%d) = %d < %d", elem, bits, l, got, bits)
+			}
+			// And l is minimal: one line fewer reveals fewer bits.
+			if l > 0 {
+				if got := lay.bitsAtLines(l - 1); got >= bits {
+					t.Fatalf("%v: LinesForBits(%d)=%d not minimal (%d lines reveal %d bits)",
+						elem, bits, l, l-1, got)
+				}
+			}
+			prev = l
+		}
+		if got := lay.LinesForBits(lay.SuffixBits() + 100); got != total {
+			t.Errorf("%v: LinesForBits(overflow) = %d, want saturation at %d", elem, got, total)
+		}
+	}
+}

@@ -176,7 +176,7 @@ func driveShardBreakers(t *testing.T, seed uint64, ops []byte) (probes int) {
 		}
 		degraded := 0
 		for m, p := range parent {
-			w, g := p.State(), got.State(m)
+			w, g := p.State(), got.States()[m]
 			if w != g {
 				t.Fatalf("op %d (%s, shard %d): shard %d is %v, parent %v", i, what, s, m, g, w)
 			}
@@ -184,7 +184,7 @@ func driveShardBreakers(t *testing.T, seed uint64, ops []byte) (probes int) {
 				degraded++
 			}
 		}
-		if g := got.Degraded(); g != degraded {
+		if g := degradedShards(got); g != degraded {
 			t.Fatalf("op %d (%s, shard %d): Degraded %d, parent %d", i, what, s, g, degraded)
 		}
 	}

@@ -90,9 +90,6 @@ func (r *Router) Begin() { r.inflight.Add(1) }
 // End releases Begin.
 func (r *Router) End() { r.inflight.Add(-1) }
 
-// InFlight reports the current routed-query concurrency.
-func (r *Router) InFlight() int64 { return r.inflight.Load() }
-
 // Decide picks a concrete route for an auto query. slack is the remaining
 // deadline budget (NoDeadline when the query has none).
 //

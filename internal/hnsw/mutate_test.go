@@ -47,10 +47,18 @@ func appendInsert(t testing.TB, ix *Index, v []float32) uint32 {
 	return ix.Insert()
 }
 
+// size returns the number of indexed (published) vectors.
+func (ix *Index) size() int {
+	if ix.live != nil {
+		return int(ix.live.count.Load())
+	}
+	return len(ix.levels)
+}
+
 func TestInsertGrowsSearchableGraph(t *testing.T) {
 	ds, ix := buildLive(t, 600, 300)
-	if ix.Size() != 600 {
-		t.Fatalf("Size %d, want 600", ix.Size())
+	if ix.size() != 600 {
+		t.Fatalf("size %d, want 600", ix.size())
 	}
 	// Graph invariants hold across the build/insert boundary.
 	for i := 0; i < 600; i++ {
@@ -284,7 +292,7 @@ func TestConcurrentInsertSearch(t *testing.T) {
 				default:
 				}
 				q := ds.Queries[(qi+w)%len(ds.Queries)]
-				bound := ix.Size()
+				bound := ix.size()
 				dst = ix.SearchFilteredInto(q, 10, 64, 1, nil, e, nil, dst)
 				for _, r := range dst {
 					if int(r.ID) >= bound+400 { // generous: bound raced upward

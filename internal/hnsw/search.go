@@ -375,11 +375,3 @@ func (ix *Index) Neighbors(id uint32, level int) []uint32 {
 	var ctx searchContext
 	return v.neighborsAt(id, level, &ctx)
 }
-
-// Size returns the number of indexed (published) vectors.
-func (ix *Index) Size() int {
-	if ix.live != nil {
-		return int(ix.live.count.Load())
-	}
-	return len(ix.levels)
-}

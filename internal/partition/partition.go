@@ -8,8 +8,8 @@
 // Early termination changes the partitioning tradeoff: a rank can only
 // terminate locally, by comparing its own partial distance against the full
 // threshold, so splitting a vector across R ranks inflates a rejected
-// vector's traffic from nf lines to ~min(L, R·nf). FetchedPerSegment
-// encodes exactly this model (see DESIGN.md).
+// vector's traffic from nf lines to ~min(L, R·nf).
+// AppendFetchedPerSegment encodes exactly this model (see DESIGN.md).
 package partition
 
 import (
@@ -41,8 +41,6 @@ func (s Scheme) String() string {
 
 // Map is the immutable vector→rank placement for one dataset.
 type Map struct {
-	scheme         Scheme
-	ranks          int
 	linesPerVector int
 	segLines       int // lines per segment (last segment may be shorter)
 	numSegs        int
@@ -61,8 +59,7 @@ func New(scheme Scheme, ranks, linesPerVector, subVectorBytes, banksPerRank, row
 			ranks, linesPerVector, banksPerRank, rowBytes)
 	}
 	m := &Map{
-		scheme: scheme, ranks: ranks, linesPerVector: linesPerVector,
-		banksPerRank: banksPerRank, rowLines: rowBytes / 64,
+		linesPerVector: linesPerVector, banksPerRank: banksPerRank, rowLines: rowBytes / 64,
 		replicated: map[uint32]bool{},
 	}
 	switch scheme {
@@ -97,18 +94,6 @@ func New(scheme Scheme, ranks, linesPerVector, subVectorBytes, banksPerRank, row
 	}
 	return m, nil
 }
-
-// MustNew panics on error, for static configurations.
-func MustNew(scheme Scheme, ranks, linesPerVector, subVectorBytes, banksPerRank, rowBytes int) *Map {
-	m, err := New(scheme, ranks, linesPerVector, subVectorBytes, banksPerRank, rowBytes)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Scheme returns the partitioning scheme.
-func (m *Map) Scheme() Scheme { return m.scheme }
 
 // NumSegments returns how many rank-resident segments one vector has.
 func (m *Map) NumSegments() int { return m.numSegs }
@@ -152,7 +137,9 @@ func (m *Map) SetReplicated(ids []uint32) {
 // IsReplicated reports whether id exists in every rank group.
 func (m *Map) IsReplicated(id uint32) bool { return m.replicated[id] }
 
-// ReplicatedCount returns how many vectors are replicated.
+// ReplicatedCount returns how many vectors are replicated. No product code
+// reads it: it is the oracle internal/sim's TestReplicationWiredIntoSystem
+// checks the model's top-layer replication against.
 func (m *Map) ReplicatedCount() int { return len(m.replicated) }
 
 // Addr maps (vector, group, segment, line) to a physical DRAM address.
@@ -170,9 +157,10 @@ func (m *Map) Addr(id uint32, group, seg, line int) dram.Addr {
 	return dram.Addr{Rank: rank, Bank: bankID, Row: int64(lineIdx / m.rowLines)}
 }
 
-// FetchedPerSegment converts a comparison's local-termination line position
-// (nfLocal, from the functional ET execution run against the per-rank
-// threshold — engine.Result.LinesLocal) into per-segment fetch counts:
+// AppendFetchedPerSegment converts a comparison's local-termination line
+// position (nfLocal, from the functional ET execution run against the
+// per-rank threshold — engine.Result.LinesLocal) into per-segment fetch
+// counts, appended to dst:
 //
 //   - full fetches (accepted, or never locally terminated) load every
 //     segment completely, in parallel across the group's ranks;
@@ -181,13 +169,8 @@ func (m *Map) Addr(id uint32, group, seg, line int) dram.Addr {
 //     equivalent bit depth of nfLocal sequential lines after that many of
 //     its own lines (§5.3: local ET has "reduced effectiveness", captured
 //     by nfLocal >= the sequential termination position).
-func (m *Map) FetchedPerSegment(nfLocal int, fullFetch bool) []int {
-	return m.AppendFetchedPerSegment(nil, nfLocal, fullFetch)
-}
-
-// AppendFetchedPerSegment is the allocation-free variant of
-// FetchedPerSegment: it appends the per-segment fetch counts to dst and
-// returns the extended slice. The simulator's hot path passes a reused
+//
+// It returns the extended slice; the simulator's hot path passes a reused
 // scratch slice.
 func (m *Map) AppendFetchedPerSegment(dst []int, nfLocal int, fullFetch bool) []int {
 	per := (nfLocal + m.numSegs - 1) / m.numSegs

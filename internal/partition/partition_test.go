@@ -4,8 +4,17 @@ import (
 	"testing"
 )
 
+func mustNew(t *testing.T, scheme Scheme, ranks, linesPerVector, subVectorBytes, banksPerRank, rowBytes int) *Map {
+	t.Helper()
+	m, err := New(scheme, ranks, linesPerVector, subVectorBytes, banksPerRank, rowBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestHorizontal(t *testing.T) {
-	m := MustNew(Horizontal, 32, 8, 0, 32, 8192)
+	m := mustNew(t, Horizontal, 32, 8, 0, 32, 8192)
 	if m.NumSegments() != 1 || m.Groups() != 32 {
 		t.Fatalf("horizontal: %d segs, %d groups", m.NumSegments(), m.Groups())
 	}
@@ -23,7 +32,7 @@ func TestHorizontal(t *testing.T) {
 }
 
 func TestVertical(t *testing.T) {
-	m := MustNew(Vertical, 32, 64, 0, 32, 8192)
+	m := mustNew(t, Vertical, 32, 64, 0, 32, 8192)
 	if m.NumSegments() != 32 || m.Groups() != 1 {
 		t.Fatalf("vertical: %d segs, %d groups", m.NumSegments(), m.Groups())
 	}
@@ -43,7 +52,7 @@ func TestVertical(t *testing.T) {
 
 func TestVerticalShortVector(t *testing.T) {
 	// A 2-line vector cannot be split across 32 ranks.
-	m := MustNew(Vertical, 32, 2, 0, 32, 8192)
+	m := mustNew(t, Vertical, 32, 2, 0, 32, 8192)
 	if m.NumSegments() != 2 {
 		t.Errorf("short vector: %d segments, want 2", m.NumSegments())
 	}
@@ -52,7 +61,7 @@ func TestVerticalShortVector(t *testing.T) {
 func TestHybrid(t *testing.T) {
 	// GIST-like: 960-dim fp32 = 60 lines = 3840 B. With S=1 kB: 4 segments
 	// of 16,16,16,12 lines; 8 rank groups over 32 ranks.
-	m := MustNew(Hybrid, 32, 60, 1024, 32, 8192)
+	m := mustNew(t, Hybrid, 32, 60, 1024, 32, 8192)
 	if m.NumSegments() != 4 {
 		t.Fatalf("hybrid segs = %d, want 4", m.NumSegments())
 	}
@@ -63,7 +72,7 @@ func TestHybrid(t *testing.T) {
 		t.Errorf("seg lines = %d,...,%d, want 16..12", m.SegLines(0), m.SegLines(3))
 	}
 	// SIFT-like small vectors degenerate to horizontal under S=1 kB.
-	m = MustNew(Hybrid, 32, 2, 1024, 32, 8192)
+	m = mustNew(t, Hybrid, 32, 2, 1024, 32, 8192)
 	if m.NumSegments() != 1 || m.Groups() != 32 {
 		t.Errorf("small hybrid: %d segs, %d groups", m.NumSegments(), m.Groups())
 	}
@@ -71,7 +80,7 @@ func TestHybrid(t *testing.T) {
 
 func TestHybridOversizedVector(t *testing.T) {
 	// Vector larger than ranks*segLines must cap segments at rank count.
-	m := MustNew(Hybrid, 4, 1000, 64, 4, 8192)
+	m := mustNew(t, Hybrid, 4, 1000, 64, 4, 8192)
 	if m.NumSegments() > 4 {
 		t.Errorf("segments %d exceed ranks", m.NumSegments())
 	}
@@ -87,7 +96,7 @@ func TestHybridOversizedVector(t *testing.T) {
 func TestEveryLineMapsOnce(t *testing.T) {
 	// Invariant 5 of DESIGN.md: every (vector, line) maps to exactly one
 	// physical address, and distinct lines never collide within a vector.
-	m := MustNew(Hybrid, 8, 10, 256, 4, 1024)
+	m := mustNew(t, Hybrid, 8, 10, 256, 4, 1024)
 	seen := map[dramKey]bool{}
 	for id := uint32(0); id < 40; id++ {
 		g := m.GroupOf(id)
@@ -120,7 +129,7 @@ type dramKey struct {
 func TestSequentialLinesShareRows(t *testing.T) {
 	// Within a segment, consecutive lines should mostly hit the same row
 	// (this is what makes ET's sequential fetch row-buffer friendly).
-	m := MustNew(Horizontal, 4, 32, 0, 4, 8192)
+	m := mustNew(t, Horizontal, 4, 32, 0, 4, 8192)
 	g := m.GroupOf(0)
 	changes := 0
 	prev := m.Addr(0, g, 0, 0).Row
@@ -137,7 +146,7 @@ func TestSequentialLinesShareRows(t *testing.T) {
 }
 
 func TestReplication(t *testing.T) {
-	m := MustNew(Hybrid, 32, 60, 1024, 32, 8192)
+	m := mustNew(t, Hybrid, 32, 60, 1024, 32, 8192)
 	m.SetReplicated([]uint32{3, 7})
 	if !m.IsReplicated(3) || !m.IsReplicated(7) || m.IsReplicated(4) {
 		t.Error("replication flags wrong")
@@ -155,9 +164,9 @@ func TestReplication(t *testing.T) {
 }
 
 func TestFetchedPerSegment(t *testing.T) {
-	m := MustNew(Hybrid, 32, 60, 1024, 32, 8192) // segs 16,16,16,12
+	m := mustNew(t, Hybrid, 32, 60, 1024, 32, 8192) // segs 16,16,16,12
 	// Accepted: everything.
-	full := m.FetchedPerSegment(60, true)
+	full := m.AppendFetchedPerSegment(nil, 60, true)
 	want := []int{16, 16, 16, 12}
 	for i := range want {
 		if full[i] != want[i] {
@@ -166,19 +175,19 @@ func TestFetchedPerSegment(t *testing.T) {
 	}
 	// Local termination at nfLocal=8: each of the 4 ranks reaches the same
 	// bit depth after ceil(8/4)=2 of its own lines.
-	et := m.FetchedPerSegment(8, false)
+	et := m.AppendFetchedPerSegment(nil, 8, false)
 	for i := range et {
 		if et[i] != 2 {
 			t.Fatalf("nfLocal=8 fetch = %v, want all 2", et)
 		}
 	}
 	// nfLocal=50: ceil(50/4)=13, capped by the 12-line last segment.
-	et = m.FetchedPerSegment(50, false)
+	et = m.AppendFetchedPerSegment(nil, 50, false)
 	if et[0] != 13 || et[3] != 12 {
 		t.Fatalf("nfLocal=50 fetch = %v", et)
 	}
 	// Never locally terminated behaves like a full fetch.
-	et = m.FetchedPerSegment(60, false)
+	et = m.AppendFetchedPerSegment(nil, 60, false)
 	for i := range want {
 		if et[i] != want[i] {
 			t.Fatalf("nfLocal=total fetch = %v, want %v", et, want)
@@ -189,15 +198,15 @@ func TestFetchedPerSegment(t *testing.T) {
 func TestHorizontalPreservesETSavings(t *testing.T) {
 	// Horizontal: total traffic of a rejected vector equals exactly the
 	// sequential termination position (nfLocal == nf when segments == 1).
-	m := MustNew(Horizontal, 32, 60, 0, 32, 8192)
-	et := m.FetchedPerSegment(7, false)
+	m := mustNew(t, Horizontal, 32, 60, 0, 32, 8192)
+	et := m.AppendFetchedPerSegment(nil, 7, false)
 	if len(et) != 1 || et[0] != 7 {
 		t.Errorf("horizontal nf=7 traffic = %v", et)
 	}
 	// Vertical with the same local position splits it across ranks; a
 	// realistic (larger) nfLocal restores the paper's inflation.
-	mv := MustNew(Vertical, 4, 60, 0, 32, 8192) // 4 segs of 15
-	etv := mv.FetchedPerSegment(28, false)      // local ET fires 4x later
+	mv := mustNew(t, Vertical, 4, 60, 0, 32, 8192)    // 4 segs of 15
+	etv := mv.AppendFetchedPerSegment(nil, 28, false) // local ET fires 4x later
 	total := 0
 	for _, x := range etv {
 		total += x
@@ -220,7 +229,7 @@ func TestInvalidConfigs(t *testing.T) {
 }
 
 func TestSegLinesPanics(t *testing.T) {
-	m := MustNew(Horizontal, 4, 8, 0, 4, 8192)
+	m := mustNew(t, Horizontal, 4, 8, 0, 4, 8192)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range segment did not panic")
@@ -230,7 +239,7 @@ func TestSegLinesPanics(t *testing.T) {
 }
 
 func TestLocate(t *testing.T) {
-	m := MustNew(Hybrid, 32, 60, 1024, 32, 8192) // segLines 16
+	m := mustNew(t, Hybrid, 32, 60, 1024, 32, 8192) // segLines 16
 	cases := []struct{ line, seg, off int }{
 		{0, 0, 0}, {15, 0, 15}, {16, 1, 0}, {47, 2, 15}, {59, 3, 11},
 	}
@@ -258,7 +267,7 @@ func TestSchemeString(t *testing.T) {
 }
 
 func TestRankForPanics(t *testing.T) {
-	m := MustNew(Horizontal, 4, 8, 0, 4, 8192)
+	m := mustNew(t, Horizontal, 4, 8, 0, 4, 8192)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("bad group did not panic")

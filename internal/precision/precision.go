@@ -214,7 +214,6 @@ const (
 // byte-identical.
 type Tuner struct {
 	target float64
-	floor  float64
 
 	budget atomic.Uint64 // math.Float64bits of the current cut budget
 	bias   atomic.Int64  // depth bias in lines, [0, maxDepthBias]
@@ -234,13 +233,10 @@ func NewTuner(target float64) *Tuner {
 	if target > 0.999 {
 		target = 0.999
 	}
-	t := &Tuner{target: target, floor: target}
+	t := &Tuner{target: target}
 	t.budget.Store(math.Float64bits((1 + target) / 2))
 	return t
 }
-
-// Target returns the configured recall target.
-func (t *Tuner) Target() float64 { return t.target }
 
 // Budget returns the current tiered cut budget in (0, 1].
 func (t *Tuner) Budget() float64 { return math.Float64frombits(t.budget.Load()) }
@@ -294,8 +290,8 @@ func (t *Tuner) Observe(k, pool, atRisk int) {
 	case r < 0.25*allow:
 		b -= 0.02
 	}
-	if b < t.floor {
-		b = t.floor
+	if b < t.target {
+		b = t.target
 	}
 	if b > 1 {
 		b = 1

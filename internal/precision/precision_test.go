@@ -7,7 +7,6 @@ import (
 	"ansmet/internal/bitplane"
 	"ansmet/internal/dataset"
 	"ansmet/internal/layout"
-	"ansmet/internal/vecmath"
 )
 
 // buildTestMap fits a map over a generated profile; shared by the map tests.
@@ -81,48 +80,13 @@ func TestRadiusOrdersDepth(t *testing.T) {
 	}
 }
 
-func TestLinesForBitsRoundTrip(t *testing.T) {
-	for _, elem := range []vecmath.ElemType{vecmath.Uint8, vecmath.Int8, vecmath.Float16, vecmath.BFloat16, vecmath.Float32} {
-		lay := bitplane.MustLayout(elem, 64, layout.SimpleHeuristicSchedule(elem))
-		total := lay.LinesPerVector()
-		if got := lay.LinesForBits(0); got != 0 {
-			t.Errorf("%v: LinesForBits(0) = %d, want 0", elem, got)
-		}
-		prev := 0
-		for bits := 1; bits <= lay.SuffixBits(); bits++ {
-			l := lay.LinesForBits(bits)
-			if l < prev {
-				t.Fatalf("%v: LinesForBits not monotone at %d bits: %d < %d", elem, bits, l, prev)
-			}
-			if l > total {
-				t.Fatalf("%v: LinesForBits(%d) = %d exceeds %d lines", elem, bits, l, total)
-			}
-			// Fetching l lines must actually reveal >= bits.
-			if got := lay.BitsAtLines(l); got < bits {
-				t.Fatalf("%v: BitsAtLines(LinesForBits(%d)=%d) = %d < %d", elem, bits, l, got, bits)
-			}
-			// And l is minimal: one line fewer reveals fewer bits.
-			if l > 0 {
-				if got := lay.BitsAtLines(l - 1); got >= bits {
-					t.Fatalf("%v: LinesForBits(%d)=%d not minimal (%d lines reveal %d bits)",
-						elem, bits, l, l-1, got)
-				}
-			}
-			prev = l
-		}
-		if got := lay.LinesForBits(lay.SuffixBits() + 100); got != total {
-			t.Errorf("%v: LinesForBits(overflow) = %d, want saturation at %d", elem, got, total)
-		}
-	}
-}
-
 func TestTunerClampsAndDefaults(t *testing.T) {
 	for _, tc := range []struct{ in, want float64 }{
 		{0.1, 0.5}, {0.5, 0.5}, {0.9, 0.9}, {1.5, 0.999},
 	} {
 		tn := NewTuner(tc.in)
-		if tn.Target() != tc.want {
-			t.Errorf("NewTuner(%v).Target() = %v, want %v", tc.in, tn.Target(), tc.want)
+		if tn.target != tc.want {
+			t.Errorf("NewTuner(%v).target = %v, want %v", tc.in, tn.target, tc.want)
 		}
 		if b := tn.Budget(); math.Abs(b-(1+tc.want)/2) > 1e-12 {
 			t.Errorf("NewTuner(%v).Budget() = %v, want %v", tc.in, b, (1+tc.want)/2)
@@ -159,8 +123,8 @@ func TestTunerBudgetController(t *testing.T) {
 	for i := 0; i < 200*tuneStride; i++ {
 		tn.Observe(10, 100, 0) // no risk at all
 	}
-	if b := tn.Budget(); b > tn.Target()+1e-9 || b < tn.Target()-1e-9 {
-		t.Fatalf("budget %v after sustained calm, want relaxed to the %v floor", b, tn.Target())
+	if b := tn.Budget(); b > tn.target+1e-9 || b < tn.target-1e-9 {
+		t.Fatalf("budget %v after sustained calm, want relaxed to the %v floor", b, tn.target)
 	}
 }
 

@@ -211,23 +211,6 @@ func (c Config) EncodeOutlier(codes []uint32, dst []byte) {
 	}
 }
 
-// DecodeOutlierIntervals decodes the outlier format of one fully fetched
-// vector into per-dimension numeric intervals (truncated low bits widen the
-// interval; this is what makes the format lossy but conservative).
-func (c Config) DecodeOutlierIntervals(data []byte, lo, hi []float64) {
-	slotW, perLine, lines := c.outlierGeometry()
-	if len(data) < lines*bitplane.LineBytes {
-		panic("prefixelim: data too small")
-	}
-	for d := 0; d < c.Dim; d++ {
-		line := d / perLine
-		off := (d % perLine) * slotW
-		buf := data[line*bitplane.LineBytes : (line+1)*bitplane.LineBytes]
-		prefix, known := c.decodeOutlierElem(buf, off, slotW)
-		lo[d], hi[d] = c.Elem.Interval(prefix, known)
-	}
-}
-
 // decodeOutlierElem reads one element slot, returning the known code prefix
 // and its bit length.
 func (c Config) decodeOutlierElem(buf []byte, off, slotW int) (prefix uint32, known int) {

@@ -148,6 +148,23 @@ func TestIsNormalVector(t *testing.T) {
 	}
 }
 
+// decodeOutlierIntervals decodes the outlier format of one fully fetched
+// vector into per-dimension numeric intervals (truncated low bits widen the
+// interval; this is what makes the format lossy but conservative).
+func (c Config) decodeOutlierIntervals(data []byte, lo, hi []float64) {
+	slotW, perLine, lines := c.outlierGeometry()
+	if len(data) < lines*bitplane.LineBytes {
+		panic("prefixelim: data too small")
+	}
+	for d := 0; d < c.Dim; d++ {
+		line := d / perLine
+		off := (d % perLine) * slotW
+		buf := data[line*bitplane.LineBytes : (line+1)*bitplane.LineBytes]
+		prefix, known := c.decodeOutlierElem(buf, off, slotW)
+		lo[d], hi[d] = c.Elem.Interval(prefix, known)
+	}
+}
+
 // encodeDecodeIntervalCheck verifies the outlier codec yields intervals
 // containing the original values.
 func TestOutlierEncodeIntervalsContainValues(t *testing.T) {
@@ -174,7 +191,7 @@ func TestOutlierEncodeIntervalsContainValues(t *testing.T) {
 			cfg.EncodeOutlier(codes, buf)
 			lo := make([]float64, cfg.Dim)
 			hi := make([]float64, cfg.Dim)
-			cfg.DecodeOutlierIntervals(buf, lo, hi)
+			cfg.decodeOutlierIntervals(buf, lo, hi)
 			for d := range codes {
 				v := et.Decode(codes[d])
 				if v < lo[d] || v > hi[d] {

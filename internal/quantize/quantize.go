@@ -73,15 +73,6 @@ func (s *Scalar) Quantize(v []float32) []float32 {
 	return out
 }
 
-// Dequantize reconstructs the approximate original values.
-func (s *Scalar) Dequantize(q []float32) []float32 {
-	out := make([]float32, len(q))
-	for d, c := range q {
-		out[d] = s.Lo + c/255*(s.Hi-s.Lo)
-	}
-	return out
-}
-
 // PQ is a product quantizer: M subspaces × K centroids.
 type PQ struct {
 	M, K   int
@@ -205,17 +196,15 @@ func (t *Table) Distance(code []uint8) float64 {
 	return s
 }
 
-// LowerBound returns a sound lower bound on the ADC distance using only the
-// first `fetched` codewords (§4.3: "look up a subset of the memorized
-// subspace distances for the partial elements and aggregate them").
-// Unfetched subspaces contribute their minimal table cell.
-func (t *Table) LowerBound(code []uint8, fetched int) float64 {
-	s := 0.0
-	for m := 0; m < fetched; m++ {
-		s += t.Cells[m][code[m]]
-	}
-	for m := fetched; m < len(t.Cells); m++ {
-		s += t.MinCell[m]
+// partialBound is the lower bound on the ADC distance of a code whose
+// first `fetched` codewords have been looked up (§4.3: "look up a subset of
+// the memorized subspace distances for the partial elements and aggregate
+// them"): s is Distance's running sum over those codewords, and each
+// unfetched subspace contributes its minimal table cell, added in
+// Distance's order.
+func (t *Table) partialBound(s float64, fetched int) float64 {
+	for _, mc := range t.MinCell[fetched:] {
+		s += mc
 	}
 	if t.Metric == vecmath.L2 {
 		return math.Sqrt(s)
@@ -250,14 +239,7 @@ func (t *Table) ETScan(codes [][]uint8, k int) (ids []uint32, dists []float64, f
 		for sub := 0; sub < m; sub++ {
 			s += t.Cells[sub][code[sub]]
 			fetched++
-			lb := s
-			for _, mc := range t.MinCell[sub+1:] {
-				lb += mc
-			}
-			if t.Metric == vecmath.L2 {
-				lb = math.Sqrt(lb)
-			}
-			if lb > threshold {
+			if t.partialBound(s, sub+1) > threshold {
 				rejected = true
 				break
 			}

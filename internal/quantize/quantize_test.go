@@ -25,6 +25,15 @@ func TestFitScalarValidation(t *testing.T) {
 	}
 }
 
+// dequantize reconstructs the approximate original values.
+func (s *Scalar) dequantize(q []float32) []float32 {
+	out := make([]float32, len(q))
+	for d, c := range q {
+		out[d] = s.Lo + c/255*(s.Hi-s.Lo)
+	}
+	return out
+}
+
 func TestScalarRoundTripError(t *testing.T) {
 	ds := deepData(t, 300)
 	s, err := FitScalar(ds.Vectors)
@@ -34,7 +43,7 @@ func TestScalarRoundTripError(t *testing.T) {
 	halfStep := float64(s.Hi-s.Lo) / 255 / 2
 	maxErr := 0.0
 	for _, v := range ds.Vectors[:100] {
-		back := s.Dequantize(s.Quantize(v))
+		back := s.dequantize(s.Quantize(v))
 		for d := range v {
 			e := math.Abs(float64(back[d] - v[d]))
 			if e > maxErr {
@@ -157,9 +166,12 @@ func TestPQLowerBoundSoundAndMonotone(t *testing.T) {
 			for _, v := range ds.Vectors[:40] {
 				code := p.Encode(v)
 				full := tab.Distance(code)
-				prev := math.Inf(-1)
+				prev, s := math.Inf(-1), 0.0
 				for f := 0; f <= p.M; f++ {
-					lb := tab.LowerBound(code, f)
+					if f > 0 {
+						s += tab.Cells[f-1][code[f-1]]
+					}
+					lb := tab.partialBound(s, f)
 					if lb > full+1e-9 {
 						t.Fatalf("%v: LB(%d) = %v exceeds full %v", metric, f, lb, full)
 					}
@@ -168,7 +180,7 @@ func TestPQLowerBoundSoundAndMonotone(t *testing.T) {
 					}
 					prev = lb
 				}
-				if math.Abs(tab.LowerBound(code, p.M)-full) > 1e-9 {
+				if math.Abs(tab.partialBound(s, p.M)-full) > 1e-9 {
 					t.Fatalf("%v: full LB != distance", metric)
 				}
 			}

@@ -277,9 +277,6 @@ func (s *Server) Admission() *Admission { return s.adm }
 // http.Server.Shutdown.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Draining reports whether Drain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // HardCancel aborts every in-flight search through the cooperative
 // cancellation plumbing. Call when the drain deadline has passed and
 // stragglers must stop now.

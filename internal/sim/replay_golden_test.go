@@ -69,7 +69,7 @@ func goldenCases() []goldenCase {
 
 	smallMem := dram.DefaultConfig()
 	smallMem.Channels, smallMem.DIMMsPerChannel, smallMem.RanksPerDIMM = 2, 1, 2
-	smallPart := partition.MustNew(partition.Hybrid, smallMem.Ranks(), 60, 1024,
+	smallPart := mustPartition(partition.Hybrid, smallMem.Ranks(), 60, 1024,
 		smallMem.BanksPerRank(), smallMem.RowBytes)
 	small := Config{
 		Mem: smallMem, UseNDP: true, Host: DefaultHost(), NDP: DefaultNDP(),

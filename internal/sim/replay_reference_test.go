@@ -246,7 +246,7 @@ func (s *refState) runNDPDispatch(t float64, hop trace.Hop, hasQuery map[int]boo
 		if nfl < task.Result.Lines {
 			nfl = task.Result.Lines
 		}
-		per := part.FetchedPerSegment(nfl, full)
+		per := part.AppendFetchedPerSegment(nil, nfl, full)
 		for seg, n := range per {
 			if n == 0 && seg > 0 {
 				continue

@@ -45,9 +45,18 @@ func mkTraces(nQueries, hops, batch, lines, fullLines int, acceptEvery int, nVec
 	return out
 }
 
+// mustPartition is partition.New for the fixed maps these tests build.
+func mustPartition(scheme partition.Scheme, ranks, linesPerVector, subVectorBytes, banksPerRank, rowBytes int) *partition.Map {
+	m, err := partition.New(scheme, ranks, linesPerVector, subVectorBytes, banksPerRank, rowBytes)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 func baseConfig(useNDP bool, fullLines int, scheme partition.Scheme, sub int) Config {
 	mem := dram.DefaultConfig()
-	part := partition.MustNew(scheme, mem.Ranks(), fullLines, sub, mem.BanksPerRank(), mem.RowBytes)
+	part := mustPartition(scheme, mem.Ranks(), fullLines, sub, mem.BanksPerRank(), mem.RowBytes)
 	return Config{
 		Mem: mem, UseNDP: useNDP,
 		Host: DefaultHost(), NDP: DefaultNDP(),

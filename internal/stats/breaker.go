@@ -62,16 +62,6 @@ func (s *Breakers) at(i int) *breaker {
 	return &s.b[i]
 }
 
-// State returns member i's position.
-func (s *Breakers) State(i int) BreakerState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b := s.at(i); b != nil {
-		return b.state
-	}
-	return BreakerClosed
-}
-
 // States returns every member's position, indexed by member.
 func (s *Breakers) States() []BreakerState {
 	s.mu.Lock()
@@ -81,17 +71,6 @@ func (s *Breakers) States() []BreakerState {
 		out[i] = b.state
 	}
 	return out
-}
-
-// Degraded counts members whose breaker is not closed.
-func (s *Breakers) Degraded() int {
-	n := 0
-	for _, st := range s.States() {
-		if st != BreakerClosed {
-			n++
-		}
-	}
-	return n
 }
 
 // Allow reports whether work may be sent to member i. An open member

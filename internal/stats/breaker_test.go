@@ -13,6 +13,17 @@ func countBreakers(n, threshold int, probeAfter int64) *Breakers {
 		func(int, int) int64 { return probeAfter })
 }
 
+// degraded counts the members whose breaker is not closed.
+func degraded(s *Breakers) int {
+	n := 0
+	for _, st := range s.States() {
+		if st != BreakerClosed {
+			n++
+		}
+	}
+	return n
+}
+
 // TestBreakerTransitions is the closed → open → half-open → closed/open
 // table test over the deterministic clock.
 func TestBreakerTransitions(t *testing.T) {
@@ -70,14 +81,14 @@ func TestBreakerTransitions(t *testing.T) {
 	s := countBreakers(2, 3, 4)
 	for _, step := range steps {
 		step.do(s)
-		if got := s.State(0); got != step.want {
+		if got := s.States()[0]; got != step.want {
 			t.Fatalf("%s: state %v, want %v", step.name, got, step.want)
 		}
-		if s.State(1) != BreakerClosed {
+		if s.States()[1] != BreakerClosed {
 			t.Fatalf("%s: member 1 should stay closed", step.name)
 		}
 	}
-	if s.Degraded() != 0 {
-		t.Fatalf("Degraded = %d at end", s.Degraded())
+	if degraded(s) != 0 {
+		t.Fatalf("Degraded = %d at end", degraded(s))
 	}
 }

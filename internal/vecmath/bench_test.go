@@ -52,7 +52,7 @@ func kernelImplCases() []kernelCase {
 		contrib[d] = rng.Float64()
 	}
 	var cases []kernelCase
-	for _, im := range Implementations() {
+	for _, im := range implementations() {
 		cases = append(cases,
 			kernelCase{"SquaredL2/" + im.Name, dim, func() float64 { return im.SquaredL2(x, y) }, 0},
 			kernelCase{"Dot/" + im.Name, dim, func() float64 { return im.Dot(x, y) }, 0},
@@ -67,7 +67,7 @@ func kernelImplCases() []kernelCase {
 		for _, et := range []ElemType{Uint8, Int8, Float16, BFloat16, Float32} {
 			a, _ := et.AppendRow(nil, quantized(et, x[:rdim]))
 			b, _ := et.AppendRow(nil, quantized(et, y[:rdim]))
-			for _, im := range Implementations() {
+			for _, im := range implementations() {
 				kern := im.RowKernel(et, L2)
 				cases = append(cases, kernelCase{fmt.Sprintf("RowSquaredL2/%v-%d/%s", et, rdim, im.Name), rdim,
 					func() float64 { return kern(a, b) }, 1})
@@ -76,7 +76,7 @@ func kernelImplCases() []kernelCase {
 			// RowSquaredL2's is what sharing the query's widening saves.
 			four := [4][]byte{b, append([]byte(nil), a...), append([]byte(nil), b...), a}
 			var out [4]float64
-			for _, im := range Implementations() {
+			for _, im := range implementations() {
 				kern4 := im.RowKernel4(et, L2)
 				cases = append(cases, kernelCase{fmt.Sprintf("Row4SquaredL2/%v-%d/%s", et, rdim, im.Name), 4 * rdim,
 					func() float64 { kern4(a, &four, &out); return out[0] }, 4})
@@ -104,7 +104,7 @@ func kernelImplCases() []kernelCase {
 				run = append(run, row()...)
 			}
 			out := make([]float64, 64)
-			for _, im := range Implementations() {
+			for _, im := range implementations() {
 				kern := im.RowKernelRun(et, InnerProduct)
 				cases = append(cases, kernelCase{fmt.Sprintf("RunDot/%v-%d/%s", et, rdim, im.Name), 64 * rdim,
 					func() float64 { kern(q, run, out); return out[0] }, 64})

@@ -31,11 +31,12 @@ const NoSIMDEnv = "ANSMET_NO_SIMD"
 // hop knows every row it will compare before it compares the first, so the
 // traversal hints them all and the kernel then runs over lines already on
 // their way (DESIGN.md, "Hot-path performance"). The depth is a constant,
-// not a knob, picked from the sweep recorded in EXPERIMENTS.md, "Traversal
-// locality": on 8-line rows (SIFT, dim 128) the whole row wins — 8 lines
-// are 2–9 % ahead of 4 and 10 % ahead of 2 — and on 60-line rows (GIST,
-// dim 960), where the hardware streamer takes over after the first lines,
-// 2 to 4 lines are 4 % ahead of 8 while 8 still is not behind no hint.
+// not a knob, picked from the sweep recorded under "Traversal locality" in
+// `git show 91bacf1:EXPERIMENTS.md`: on 8-line rows (SIFT, dim 128) the
+// whole row wins — 8 lines are 2–9 % ahead of 4 and 10 % ahead of 2 — and
+// on 60-line rows (GIST, dim 960), where the hardware streamer takes over
+// after the first lines, 2 to 4 lines are 4 % ahead of 8 while 8 still is
+// not behind no hint.
 const prefetchLines = 8
 
 // Impl bundles one complete implementation of the hot kernels, as selected
@@ -86,14 +87,6 @@ var scalarImpl = Impl{
 	rows:           scalarRows,
 	rows4:          allFourOf(scalarRows),
 	runs:           allRunOf(scalarRows),
-}
-
-// Implementations returns every implementation runnable on this CPU,
-// scalar first. The list reflects hardware capability, not the env
-// override: tests iterate it to gate every runnable kernel against the
-// reference even when dispatch is forced to scalar.
-func Implementations() []Impl {
-	return append([]Impl{scalarImpl}, archImpls()...)
 }
 
 // Active returns the implementation the package-level kernels dispatch to,

@@ -9,7 +9,7 @@ import "unsafe"
 // kernels branch on the resulting level. A branch on a package variable
 // keeps the call sites direct (//go:noescape assembly stubs, so escape
 // analysis still sees allocation-free calls) while remaining a function
-// table for introspection via Implementations().
+// table the tests enumerate through archImpls.
 //
 // Level selection:
 //

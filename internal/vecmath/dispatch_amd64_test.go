@@ -83,7 +83,7 @@ func TestChooseLevel(t *testing.T) {
 	}
 	// Every implementation the table advertises must actually be runnable:
 	// detection gated on OS state, so just exercise each once.
-	for _, im := range Implementations() {
+	for _, im := range implementations() {
 		if got := im.SquaredL2([]float32{1, 2}, []float32{3, 5}); got != 13 {
 			t.Errorf("%s: SquaredL2 probe = %v, want 13", im.Name, got)
 		}

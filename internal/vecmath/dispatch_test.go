@@ -10,15 +10,23 @@ import (
 	"testing"
 )
 
+// implementations returns every implementation runnable on this CPU,
+// scalar first. The list reflects hardware capability, not the env
+// override: tests iterate it to gate every runnable kernel against the
+// reference even when dispatch is forced to scalar.
+func implementations() []Impl {
+	return append([]Impl{scalarImpl}, archImpls()...)
+}
+
 // TestDispatchTable pins the shape of the implementation table: the scalar
 // reference is always entry 0, names are unique, the active implementation
 // is in the table, and the env override is wired through — ANSMET_NO_SIMD
 // forces scalar, and otherwise a SIMD entry is active whenever one exists.
 // (The exact feature→level policy is pinned per-arch in TestChooseLevel.)
 func TestDispatchTable(t *testing.T) {
-	impls := Implementations()
+	impls := implementations()
 	if len(impls) == 0 || impls[0].Name != "scalar" {
-		t.Fatalf("Implementations() = %v, want scalar first", implNames(impls))
+		t.Fatalf("implementations() = %v, want scalar first", implNames(impls))
 	}
 	seen := map[string]bool{}
 	for _, im := range impls {
@@ -127,7 +135,7 @@ func testValues32(rng *rand.Rand, et ElemType) float32 {
 // implementation must match the scalar BlockedSum-composed reference
 // bitwise on SquaredL2 and Dot.
 func TestKernelTailsMatchScalar(t *testing.T) {
-	impls := Implementations()
+	impls := implementations()
 	elems := []ElemType{Uint8, Int8, Float16, BFloat16, Float32}
 	rng := rand.New(rand.NewSource(99))
 	for dim := 0; dim <= 64; dim++ {
@@ -189,7 +197,7 @@ func testValues64(rng *rand.Rand) float64 {
 // Untouched block subtotals must be preserved exactly and still count toward
 // the returned total.
 func TestBlockKernelsMatchScalar(t *testing.T) {
-	impls := Implementations()
+	impls := implementations()
 	rng := rand.New(rand.NewSource(1234))
 	for dim := 1; dim <= 64; dim++ {
 		contrib := make([]float64, dim)
@@ -241,7 +249,7 @@ func TestKernelMismatchPanics(t *testing.T) {
 	}
 	short := []float32{1}
 	long := []float32{1, 2}
-	for _, im := range Implementations() {
+	for _, im := range implementations() {
 		im := im
 		mustPanic(im.Name+" SquaredL2", func() { im.SquaredL2(short, long) })
 		mustPanic(im.Name+" Dot", func() { im.Dot(long, short) })

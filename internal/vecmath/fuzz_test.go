@@ -146,7 +146,7 @@ func FuzzKernelsMatchReference(f *testing.F) {
 				t.Fatalf("%v dim %d: Dot = %v (%#x), reference %v (%#x)",
 					et, n, got, math.Float64bits(got), wantDot, math.Float64bits(wantDot))
 			}
-			for _, im := range Implementations() {
+			for _, im := range implementations() {
 				if got := im.SquaredL2(a, b); math.Float64bits(got) != math.Float64bits(wantL2) {
 					t.Fatalf("%s %v dim %d: SquaredL2 = %v (%#x), reference %v (%#x)",
 						im.Name, et, n, got, math.Float64bits(got), wantL2, math.Float64bits(wantL2))

@@ -26,7 +26,7 @@ func checkRowKernels(t *testing.T, label string, et ElemType, a, b []byte) {
 	t.Helper()
 	for _, m := range rowMetrics {
 		want := rowReference(et, m, a, b)
-		for _, im := range Implementations() {
+		for _, im := range implementations() {
 			if got := im.RowKernel(et, m)(a, b); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s: %s %v %v over %d bytes = %v (%#x), reference %v (%#x)", label, im.Name, et, m,
 					len(a), got, math.Float64bits(got), want, math.Float64bits(want))
@@ -106,7 +106,7 @@ func TestTypedKernelTailsMatchReference(t *testing.T) {
 			}
 			zero := make([]byte, dim*w)
 			checkRowKernels(t, "zero", et, zero, randomRow(rng, et, dim))
-			for _, im := range Implementations() {
+			for _, im := range implementations() {
 				if got := im.RowKernel(et, InnerProduct)(zero, zero); math.Float64bits(got) != 0 {
 					t.Fatalf("%s %v dim %d: dot of zero rows is %#x, want +0", im.Name, et, dim, math.Float64bits(got))
 				}
@@ -191,7 +191,7 @@ func FuzzRowKernel4MatchesRowKernel(f *testing.F) {
 func checkRowKernel4(t *testing.T, et ElemType, q []byte, rows *[4][]byte) {
 	t.Helper()
 	for _, m := range rowMetrics {
-		for _, im := range Implementations() {
+		for _, im := range implementations() {
 			out := [4]float64{math.NaN(), math.NaN(), math.NaN(), math.NaN()}
 			im.RowKernel4(et, m)(q, rows, &out)
 			for i, r := range rows {
@@ -256,7 +256,7 @@ func checkRowKernelRun(t *testing.T, et ElemType, q []byte, rng *rand.Rand, n, o
 	}
 	run = run[off:]
 	for _, m := range rowMetrics {
-		for _, im := range Implementations() {
+		for _, im := range implementations() {
 			out := make([]float64, n)
 			for i := range out {
 				out[i] = math.NaN()
@@ -373,7 +373,7 @@ func TestRowKernelSymmetric(t *testing.T) {
 				rs = append(rs, row)
 			}
 			for _, m := range []Metric{L2, InnerProduct, Cosine} {
-				for _, im := range Implementations() {
+				for _, im := range implementations() {
 					k, k4 := im.RowKernel(et, m), im.RowKernel4(et, m)
 					for i, a := range rs {
 						for _, b := range rs[i+1:] {

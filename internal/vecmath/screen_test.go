@@ -190,7 +190,7 @@ func checkScreen(t *testing.T, label string, et ElemType, m Metric, q, run []byt
 	w := len(q)
 	n := len(run) / w
 	screened, rho, nu := screenInput(et, run, w/et.Bytes())
-	for _, im := range Implementations() {
+	for _, im := range implementations() {
 		screen := im.RowScreen(et, m)
 		if screen == nil {
 			continue
